@@ -200,9 +200,8 @@ func printStats(st wire.StatsPayload) {
 	c, s := st.Cum, st.Serve
 	fmt.Printf("cumulative: %d requests, mean distance %.3f (max %d), %d transform rounds, height %d, %d dummies\n",
 		c.Requests, c.MeanRouteDistance, c.MaxRouteDistance, c.TotalTransformRounds, c.Height, c.DummyCount)
-	if c.ShedAdjustments > 0 || c.Rebalances > 0 {
-		fmt.Printf("            %d shed adjustments, %d rebalances (%d keys)\n",
-			c.ShedAdjustments, c.Rebalances, c.MigratedKeys)
+	if c.Rebalances > 0 {
+		fmt.Printf("            %d rebalances (%d keys)\n", c.Rebalances, c.MigratedKeys)
 	}
 	fmt.Printf("last generation: %d requests in %d batches, mean lag %.3f (max %d)\n",
 		s.Requests, s.Batches, s.MeanAdjustLag, s.MaxAdjustLag)

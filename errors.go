@@ -21,9 +21,8 @@ var (
 	ErrUnknownKey = errors.New("lsasg: unknown key")
 
 	// ErrDeadNode reports an operation that ran into a crash-failed node
-	// before a repair spliced it out. Transient by design: detection
-	// enqueues the repair, so a retry after the next snapshot usually
-	// succeeds.
+	// before a repair spliced it out. Transient: the next Put or Delete of
+	// the key repairs it, so a retry after that snapshot succeeds.
 	ErrDeadNode = errors.New("lsasg: dead node")
 
 	// ErrOutOfRange reports a key or node index outside [0, N).

@@ -68,6 +68,5 @@ func main() {
 		stats.Rebalances, stats.MigratedKeys, nw.DirectoryEpoch())
 
 	st := nw.Stats()
-	fmt.Printf("lifetime stats: %d requests, WS bound %.0f, %d shed adjustments\n",
-		st.Requests, st.WorkingSetBound, st.ShedAdjustments)
+	fmt.Printf("lifetime stats: %d requests, WS bound %.0f\n", st.Requests, st.WorkingSetBound)
 }

@@ -6,10 +6,9 @@ import (
 )
 
 // ErrUnknownNode is wrapped by Adjust when an endpoint id is not in the
-// graph. A free-running sharded engine matches it (errors.Is) to tolerate
-// adjustments that raced a shard migration: the pair routed fine against an
-// older snapshot, but one endpoint left this shard before its adjustment
-// reached the adjuster.
+// graph. A serving engine with TolerateAdjustMiss matches it (errors.Is) to
+// tolerate a route leg whose endpoint a Delete removed earlier in the same
+// op stream.
 var ErrUnknownNode = errors.New("core: unknown node id")
 
 // Pair is one communication request by node identifiers, the unit the

@@ -37,21 +37,26 @@ func gridQuickSeed1(t *testing.T, dir string, ids string) *GridSummary {
 	return sum
 }
 
-// TestGridGoldenCSV asserts that `dsgexp -quick -seed 1` produces
-// byte-stable CSV output by pinning E1's CSV to a checked-in golden file.
-// Regenerate with `go test ./internal/experiments -run Golden -update`
-// after an intentional change to the experiment or the emitters.
-func TestGridGoldenCSV(t *testing.T) {
+// checkGoldenCSV runs `dsgexp -quick -seed 1 -only id`, masks the named
+// wall-clock columns (none for fully byte-stable experiments), and compares
+// the CSV with testdata/<name>.quick-seed1.csv. It returns the masked CSV.
+// Regenerate with `go test ./internal/experiments -run Golden -update` after
+// an intentional change to the experiment or the emitters.
+func checkGoldenCSV(t *testing.T, id, name string, wallCols ...string) []byte {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("experiments are slow")
 	}
 	dir := t.TempDir()
-	gridQuickSeed1(t, dir, "E1")
-	got, err := os.ReadFile(filepath.Join(dir, "E1-amf-quality.csv"))
+	gridQuickSeed1(t, dir, id)
+	got, err := os.ReadFile(filepath.Join(dir, name+".csv"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "E1-amf-quality.quick-seed1.csv")
+	if len(wallCols) > 0 {
+		got = normalizeWallClock(t, got, wallCols...)
+	}
+	golden := filepath.Join("testdata", name+".quick-seed1.csv")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -65,41 +70,22 @@ func TestGridGoldenCSV(t *testing.T) {
 		t.Fatalf("%v (run with -update to create it)", err)
 	}
 	if string(got) != string(want) {
-		t.Errorf("E1 CSV drifted from golden file %s:\ngot:\n%s\nwant:\n%s", golden, got, want)
+		t.Errorf("%s CSV drifted from golden file %s:\ngot:\n%s\nwant:\n%s", id, golden, got, want)
 	}
+	return got
+}
+
+// TestGridGoldenCSV asserts that `dsgexp -quick -seed 1` produces
+// byte-stable CSV output by pinning E1's CSV to a checked-in golden file.
+func TestGridGoldenCSV(t *testing.T) {
+	checkGoldenCSV(t, "E1", "E1-amf-quality")
 }
 
 // TestChurnGoldenCSV pins the churn experiment's CSV the same way: the
 // acceptance contract is that `dsgexp -only E13 -quick -seed 1` is
-// byte-stable across runs and commits. Regenerate with
-// `go test ./internal/experiments -run Golden -update` after an
-// intentional change.
+// byte-stable across runs and commits.
 func TestChurnGoldenCSV(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiments are slow")
-	}
-	dir := t.TempDir()
-	gridQuickSeed1(t, dir, "E13")
-	got, err := os.ReadFile(filepath.Join(dir, "E13-churn-routing.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden := filepath.Join("testdata", "E13-churn-routing.quick-seed1.csv")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	if string(got) != string(want) {
-		t.Errorf("E13 CSV drifted from golden file %s:\ngot:\n%s\nwant:\n%s", golden, got, want)
-	}
+	checkGoldenCSV(t, "E13", "E13-churn-routing")
 }
 
 // normalizeWallClock replaces every cell of the named columns with "WALL"
@@ -142,39 +128,57 @@ func normalizeWallClock(t *testing.T, data []byte, wallCols ...string) []byte {
 	return []byte(sb.String())
 }
 
-// TestShardedGoldenCSV pins the E18 deterministic-mode contract: with a
-// fixed seed and shard count, `dsgexp -only E18 -quick -seed 1` produces
-// byte-stable CSV output in every column except the wall-clock "req/s"
-// column, which is masked on both sides of the comparison. Regenerate with
-// `go test ./internal/experiments -run Golden -update` after an intentional
-// change to the experiment, the sharded service, or the emitters.
-func TestShardedGoldenCSV(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiments are slow")
-	}
-	dir := t.TempDir()
-	gridQuickSeed1(t, dir, "E18")
-	raw, err := os.ReadFile(filepath.Join(dir, "E18-sharded-serving.csv"))
+// TestServeGoldenCSV pins the E17 contract: with a fixed seed,
+// `dsgexp -only E17 -quick -seed 1` produces byte-stable CSV output in every
+// column except the wall-clock "req/s" column, which is masked on both sides
+// of the comparison — and, within each trace, the structural columns are
+// identical across the four p rows (TestServeDeterministicAcrossParallelism
+// at experiment scale).
+func TestServeGoldenCSV(t *testing.T) {
+	got := checkGoldenCSV(t, "E17", "E17-serve-throughput", "req/s")
+	records, err := csv.NewReader(bytes.NewReader(got)).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := normalizeWallClock(t, raw, "req/s")
-	golden := filepath.Join("testdata", "E18-sharded-serving.quick-seed1.csv")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
+	pCol := -1
+	for j, col := range records[0] {
+		if col == "p" {
+			pCol = j
 		}
 	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
+	if pCol < 0 {
+		t.Fatalf("no p column in header %v", records[0])
 	}
-	if string(got) != string(want) {
-		t.Errorf("E18 CSV drifted from golden file %s:\ngot:\n%s\nwant:\n%s", golden, got, want)
+	first := map[string][]string{} // trace → its first row
+	rows := map[string]int{}
+	for _, row := range records[1:] {
+		trace := row[0]
+		rows[trace]++
+		base, ok := first[trace]
+		if !ok {
+			first[trace] = row
+			continue
+		}
+		for j := range row {
+			if j != pCol && row[j] != base[j] {
+				t.Errorf("trace %s: column %q is %s at p=%s but %s at p=%s",
+					trace, records[0][j], row[j], row[pCol], base[j], base[pCol])
+			}
+		}
 	}
+	for trace, k := range rows {
+		if k != 4 {
+			t.Errorf("trace %s has %d p rows, want 4", trace, k)
+		}
+	}
+}
+
+// TestShardedGoldenCSV pins the E18 contract: with a fixed seed and shard
+// count, `dsgexp -only E18 -quick -seed 1` produces byte-stable CSV output
+// in every column except the wall-clock "req/s" column, which is masked on
+// both sides of the comparison.
+func TestShardedGoldenCSV(t *testing.T) {
+	checkGoldenCSV(t, "E18", "E18-sharded-serving", "req/s")
 }
 
 // TestKVGoldenCSV pins the KV data-plane contract: with a fixed seed, mix
@@ -184,35 +188,8 @@ func TestShardedGoldenCSV(t *testing.T) {
 // the hit rates, put-insert counts, scan lengths, and rebalancer activity
 // are exact — the mix generator, the deterministic pipeline, and the
 // cross-shard scan stitching are all deterministic for a fixed seed.
-// Regenerate with `go test ./internal/experiments -run Golden -update`
-// after an intentional change.
 func TestKVGoldenCSV(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiments are slow")
-	}
-	dir := t.TempDir()
-	gridQuickSeed1(t, dir, "E19")
-	raw, err := os.ReadFile(filepath.Join(dir, "E19-kv-workload.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := normalizeWallClock(t, raw, "req/s")
-	golden := filepath.Join("testdata", "E19-kv-workload.quick-seed1.csv")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	if string(got) != string(want) {
-		t.Errorf("E19 CSV drifted from golden file %s:\ngot:\n%s\nwant:\n%s", golden, got, want)
-	}
+	checkGoldenCSV(t, "E19", "E19-kv-workload", "req/s")
 }
 
 // TestCrashGoldenCSV pins the availability-under-failure contract: with a
@@ -221,36 +198,9 @@ func TestKVGoldenCSV(t *testing.T) {
 // masked on both sides of the comparison. In particular the availability,
 // detection, repair-cost, and time-to-recovery columns are exact —
 // the crash model, the stale-probe schedule, and the repair machinery are
-// all deterministic for a fixed seed. Regenerate with
-// `go test ./internal/experiments -run Golden -update` after an intentional
-// change.
+// all deterministic for a fixed seed.
 func TestCrashGoldenCSV(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiments are slow")
-	}
-	dir := t.TempDir()
-	gridQuickSeed1(t, dir, "E20")
-	raw, err := os.ReadFile(filepath.Join(dir, "E20-crash-availability.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := normalizeWallClock(t, raw, "events/s")
-	golden := filepath.Join("testdata", "E20-crash-availability.quick-seed1.csv")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	if string(got) != string(want) {
-		t.Errorf("E20 CSV drifted from golden file %s:\ngot:\n%s\nwant:\n%s", golden, got, want)
-	}
+	checkGoldenCSV(t, "E20", "E20-crash-availability", "events/s")
 }
 
 // TestGridDeterministic runs the same two-experiment grid twice and

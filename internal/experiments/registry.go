@@ -146,8 +146,8 @@ func Registry() []Experiment {
 		{
 			ID:          "E17",
 			Name:        "serve-throughput",
-			Description: "Concurrent serving: requests/sec scales with snapshot-routing workers while one adjuster batches adaptations.",
-			PaperRef:    "§III serving model; NUMA-aware layered skip graphs (Thomas & Mendes); Interlaced churn stabilization",
+			Description: "Batch serving pipeline: p snapshot-routing workers beside one adjuster; requests/sec per p, every other column deterministic and independent of p.",
+			PaperRef:    "§III serving model; NUMA-aware layered skip graphs (Thomas & Mendes)",
 			Run:         E17ThroughputScaling,
 		},
 		{

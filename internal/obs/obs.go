@@ -291,13 +291,11 @@ func StageName(s int) string {
 // Retry events: transient conditions that forced (or will force) an op to
 // be retried or degraded.
 const (
-	// EventShed is a free-running adjustment dropped on a full queue.
-	EventShed = iota
 	// EventUnknownKey is an op that ran into lsasg.ErrUnknownKey — the
 	// endpoint vanished mid-flight (deleted or migrated); retryable.
-	EventUnknownKey
-	// EventDeadRoute is a route that detected a crash-failed peer
-	// (skipgraph.DeadRouteError) before its repair landed.
+	EventUnknownKey = iota
+	// EventDeadRoute is an op that ran into lsasg.ErrDeadNode — a
+	// crash-failed peer whose repair has not landed yet.
 	EventDeadRoute
 	numEvents
 )
@@ -305,8 +303,6 @@ const (
 // EventName names a retry event for metric labels.
 func EventName(e int) string {
 	switch e {
-	case EventShed:
-		return "shed"
 	case EventUnknownKey:
 		return "unknown_key"
 	case EventDeadRoute:

@@ -25,38 +25,27 @@
 // (skipgraph.Graph.Clone) survives as the test oracle the replica is pinned
 // against.
 //
-// The engine has two modes, sharing the snapshot and batch machinery:
-//
-//   - Serve (deterministic batch pipeline): requests are consumed in batches
-//     of BatchSize; each batch is routed in parallel against the snapshot
-//     published after the previous batch while the adjuster concurrently
-//     applies the batch's transformations in sequence order to the live
-//     graph. Every statistic is a pure function of the request sequence and
-//     the batch schedule — byte-identical across Parallelism settings.
-//
-//   - Start/Route/Stop (free-running): callers route on the freshest
-//     published snapshot from any goroutine; each routed request is offered
-//     to a bounded adjustment queue that the adjuster drains in batches.
-//     When the queue is full the adjustment is shed (counted, never blocks
-//     routing) — the topology adapts as fast as one core allows while
-//     routing throughput scales with the callers.
+// Engine.Serve is the one serving path: requests are consumed in batches of
+// BatchSize; each batch is routed in parallel against the snapshot
+// published after the previous batch while the adjuster concurrently
+// applies the batch's transformations in sequence order to the live graph.
+// Every request is routed and then adjusted — the paper's model, nothing is
+// ever dropped — and every statistic is a pure function of the request
+// sequence and the batch schedule, byte-identical across Parallelism
+// settings. Between Serve calls the Apply*Idle entry points mutate the idle
+// engine synchronously (one op, one crash injection, or one shard-migration
+// batch), each publishing before it returns.
 //
 // Requests routed against a snapshot see a topology that lags the live graph
-// by at most the adjustment backlog. The lag delays the working-set
-// adaptation but never breaks correctness: every snapshot is a complete,
-// valid skip graph, so any routing in it stays within its a·H worst case.
+// by at most one batch. The lag delays the working-set adaptation but never
+// breaks correctness: every snapshot is a complete, valid skip graph, so any
+// routing in it stays within its a·H worst case.
 //
 // # Stable stat names
 //
-// The counters this package exports feed the public lsasg stats under fixed
-// field names; both sides are part of the compatibility surface:
-//
-//   - LiveStats.Shed — adjustments dropped because the free-running queue was
-//     full — surfaces as lsasg.Stats.ShedAdjustments (summed over all engines
-//     of a sharded network; always 0 in the deterministic Serve pipeline,
-//     which never sheds).
-//   - Engine joins/leaves driven by shard migration (ApplyMembershipBatch /
-//     MigrateMembership) are additionally counted by the sharded service and
-//     surface as lsasg.Stats.Rebalances (planner runs that migrated a range)
-//     and lsasg.Stats.MigratedKeys (keys moved across shards).
+// Joins and leaves driven by shard migration (ApplyMigrationBatch) are
+// counted by the sharded service and surface in the public lsasg stats as
+// lsasg.Stats.Rebalances (planner runs that migrated a range) and
+// lsasg.Stats.MigratedKeys (keys moved across shards); both names are part
+// of the compatibility surface.
 package serve

@@ -15,36 +15,22 @@ import (
 
 // Config parameterizes an Engine.
 type Config struct {
-	// Parallelism is the number of routing workers used by Serve (and the
-	// suggested number of Route callers in free-running mode). Values < 1
+	// Parallelism is the number of routing workers used by Serve. Values < 1
 	// mean 1.
 	Parallelism int
 	// BatchSize is the number of adjustments applied between snapshot
 	// publications. Values < 1 mean 32.
 	BatchSize int
-	// Backlog bounds the free-running adjustment queue. Values < 1 mean
-	// 4×BatchSize; values below BatchSize are clamped up to BatchSize —
-	// the adjuster blocks for the first task of a batch and fills the rest
-	// from the queue, so a queue smaller than a batch could never deliver
-	// one and would stall adaptation behind shedding.
-	Backlog int
 	// OnResult, when non-nil, observes every request served by Serve, in
 	// sequence order (the deterministic order, independent of Parallelism).
 	OnResult func(r Result)
-	// TolerateAdjustMiss, when true, keeps a free-running adjustment that
-	// fails on an unknown node id (core.ErrUnknownNode) or a crashed
-	// endpoint (core.ErrCrashedNode) out of the engine's first-error slot —
-	// it still counts in LiveStats.Failed. A sharded service sets it:
-	// routing legs race shard migrations and crash repairs by design, and a
-	// leg whose endpoint migrated away (or died) between route and
-	// adjustment is expected, not an engine fault. It also covers crash
-	// submissions for ids that already migrated off the shard.
-	//
-	// In the deterministic Serve pipeline it extends the same tolerance to
-	// route ops: a route leg whose endpoint a Delete removed earlier in the
-	// stream (the data plane mutates membership mid-window) records a
-	// RouteMiss / zero adjustment instead of aborting the run. Error-free
-	// streams behave identically with or without it.
+	// TolerateAdjustMiss, when true, lets a route op whose endpoint is
+	// unknown (core.ErrUnknownNode) or crashed (core.ErrCrashedNode) record
+	// a RouteMiss / zero adjustment instead of aborting the run. A sharded
+	// service sets it: the data plane mutates membership mid-window, so a
+	// route leg whose endpoint a Delete removed earlier in the stream is
+	// expected, not an engine fault. Error-free streams behave identically
+	// with or without it.
 	TolerateAdjustMiss bool
 	// Tracer, when non-nil, turns on the observability layer
 	// (internal/obs): stage latency histograms around the batch pipeline
@@ -73,16 +59,6 @@ func (c Config) batchSize() int {
 		return 32
 	}
 	return c.BatchSize
-}
-
-func (c Config) backlog() int {
-	if c.Backlog < 1 {
-		return 4 * c.batchSize()
-	}
-	if c.Backlog < c.batchSize() {
-		return c.batchSize()
-	}
-	return c.Backlog
 }
 
 // Snapshot is an immutable routing replica of the topology at a published
@@ -115,7 +91,7 @@ func (s *Snapshot) Scan(start int64, limit int) []skipgraph.Entry {
 	return s.Graph.ScanFrom(skipgraph.KeyOf(start), limit)
 }
 
-// Result reports one request served by the deterministic Serve pipeline:
+// Result reports one request served by the Serve pipeline:
 // the routing half (and any Get/Scan read) measured against the batch's
 // snapshot, the adjustment half from the serialized mutation.
 type Result struct {
@@ -207,11 +183,11 @@ func (s Stats) MeanAdjustLag() float64 {
 	return float64(s.TotalAdjustLag) / float64(s.Requests)
 }
 
-// Engine serves communication requests concurrently over one DSG. An engine
-// is used in exactly one mode: either a single Serve call (deterministic
-// batch pipeline) or Start/Route/Stop (free-running). The DSG must not be
-// touched by anyone else while the engine is running — all mutation goes
-// through the engine's single adjuster.
+// Engine serves communication requests concurrently over one DSG through
+// the Serve batch pipeline. The DSG must not be touched by anyone else while
+// a Serve call runs — all mutation goes through the engine's single
+// adjuster — and between Serve calls only through the Apply*Idle entry
+// points, which reserve the engine the same way.
 type Engine struct {
 	dsg *core.DSG
 	cfg Config
@@ -223,63 +199,8 @@ type Engine struct {
 
 	snap atomic.Pointer[Snapshot]
 
-	// Free-running state.
-	queue   chan task
-	done    chan struct{}
-	mu      sync.RWMutex // guards closing against Route's enqueue, and the mode flags
-	closing bool
-	started bool // free-running mode active (Start called)
-	serving bool // a Serve call is in flight
-
-	routed    atomic.Int64
-	routeDist atomic.Int64
-	enqueued  atomic.Int64
-	consumed  atomic.Int64
-	applied   atomic.Int64
-	shed      atomic.Int64
-	failed    atomic.Int64
-	joins     atomic.Int64
-	leaves    atomic.Int64
-	epochs    atomic.Int64
-	crashes   atomic.Int64 // opCrash tasks applied
-	detected  atomic.Int64 // dead peers detected by Route
-	repairs   atomic.Int64 // crash repairs applied by the adjuster
-
-	errMu    sync.Mutex
-	firstErr error
-}
-
-type taskOp byte
-
-const (
-	opAdjust taskOp = iota
-	opJoin
-	opLeave
-	// opCrash injects a crash failure: the node is marked dead in place
-	// (dangling neighbour references, no repair) by the adjuster.
-	opCrash
-	// opRepair splices a detected dead node out and restores a-balance over
-	// its ex-lists (core.RepairCrashedID). Idempotent by construction —
-	// many routes may detect the same failure and each enqueue a repair.
-	opRepair
-	// opBarrier carries no mutation: its done channel is closed after the
-	// snapshot of the batch containing it publishes, so a caller can wait
-	// until every previously enqueued task is both applied AND visible to
-	// routers. Migration uses it to order "joins visible" before a directory
-	// swap.
-	opBarrier
-)
-
-type task struct {
-	op       taskOp
-	src, dst int64
-	// entry, when non-nil on an opJoin, carries a migrated key's value
-	// record: the join restores the value (version preserved) instead of
-	// creating a bare node.
-	entry *skipgraph.Entry
-	// done, when non-nil, receives the task's apply error (nil on success);
-	// for opBarrier it is closed after the batch's snapshot publication.
-	done chan error
+	// busy is set while a Serve or Apply*Idle call owns the live graph.
+	busy atomic.Bool
 }
 
 // New creates an engine over the DSG and publishes the epoch-0 snapshot.
@@ -300,57 +221,50 @@ func (e *Engine) Snapshot() *Snapshot { return e.snap.Load() }
 
 // publish freezes the batch's mutations into the next-epoch snapshot,
 // path-copying the touched nodes and structurally sharing the rest. Only the
-// adjuster (or the Serve loop between batches) may call it.
+// call holding the engine (Serve between batches, or an Apply*Idle entry
+// point) may call it.
 func (e *Engine) publish() {
-	next := &Snapshot{Epoch: e.snap.Load().Epoch + 1, Graph: e.pub.Publish()}
-	e.snap.Store(next)
-	e.epochs.Add(1)
+	e.snap.Store(&Snapshot{Epoch: e.snap.Load().Epoch + 1, Graph: e.pub.Publish()})
 }
+
+// acquire reserves the live graph for one Serve or Apply*Idle call;
+// overlapping callers get an error instead of racing the adjuster.
+func (e *Engine) acquire(what string) error {
+	if !e.busy.CompareAndSwap(false, true) {
+		return fmt.Errorf("serve: %s on an engine that is already serving", what)
+	}
+	return nil
+}
+
+func (e *Engine) release() { e.busy.Store(false) }
 
 // ApplyOpIdle applies one op directly to the live graph and publishes a
 // fresh snapshot — the synchronous single-op entry point for an idle engine
-// (neither Serve nor free-running mode active). The sharded service's sync
-// KV surface is built on it: one op, applied and visible, before the call
-// returns.
+// (no Serve in flight). The sharded service's sync KV surface is built on
+// it: one op, applied and visible, before the call returns.
 func (e *Engine) ApplyOpIdle(op core.Op) (core.OpResult, error) {
-	e.mu.Lock()
-	if e.started || e.serving {
-		e.mu.Unlock()
-		return core.OpResult{}, fmt.Errorf("serve: ApplyOpIdle needs an idle engine (no Serve, no Start)")
+	if err := e.acquire("ApplyOpIdle"); err != nil {
+		return core.OpResult{}, err
 	}
-	e.serving = true
-	e.mu.Unlock()
-	defer func() {
-		e.mu.Lock()
-		e.serving = false
-		e.mu.Unlock()
-	}()
+	defer e.release()
 	res, err := e.dsg.ApplyOp(op)
 	e.publish()
 	return res, err
 }
 
-// ApplyCrashIdle injects a crash failure directly on an idle engine (neither
-// Serve nor free-running mode active) and publishes the post-crash snapshot,
-// so routers immediately see the corpse. The synchronous twin of SubmitCrash
-// for services that cycle their pipelines around admin operations.
+// ApplyCrashIdle injects a crash failure directly on an idle engine (no
+// Serve in flight) and publishes the post-crash snapshot, so routers
+// immediately see the corpse: the node fails in place, leaving its
+// neighbours' references dangling until a Put or Delete of the key repairs
+// it.
 func (e *Engine) ApplyCrashIdle(id int64) error {
-	e.mu.Lock()
-	if e.started || e.serving {
-		e.mu.Unlock()
-		return fmt.Errorf("serve: ApplyCrashIdle needs an idle engine (no Serve, no Start)")
+	if err := e.acquire("ApplyCrashIdle"); err != nil {
+		return err
 	}
-	e.serving = true
-	e.mu.Unlock()
-	defer func() {
-		e.mu.Lock()
-		e.serving = false
-		e.mu.Unlock()
-	}()
+	defer e.release()
 	if err := e.dsg.Crash(id); err != nil {
 		return err
 	}
-	e.crashes.Add(1)
 	e.publish()
 	return nil
 }
@@ -369,26 +283,13 @@ func (e *Engine) ApplyCrashIdle(id int64) error {
 // producer timing. An invalid route op aborts with an error (KV ops are
 // total and never do); already-applied batches stay applied.
 //
-// Serve refuses to run on an engine in free-running mode (Start), and
-// rejects overlapping Serve calls — both would race the adjuster over the
-// live graph. Sequential Serve calls on one engine are fine.
+// Overlapping Serve calls are rejected — they would race the adjuster over
+// the live graph. Sequential Serve calls on one engine are fine.
 func (e *Engine) Serve(ctx context.Context, in <-chan core.Op) (Stats, error) {
-	e.mu.Lock()
-	if e.started {
-		e.mu.Unlock()
-		return Stats{}, fmt.Errorf("serve: Serve on an engine already in free-running mode (Start)")
+	if err := e.acquire("Serve"); err != nil {
+		return Stats{}, err
 	}
-	if e.serving {
-		e.mu.Unlock()
-		return Stats{}, fmt.Errorf("serve: overlapping Serve calls on one engine")
-	}
-	e.serving = true
-	e.mu.Unlock()
-	defer func() {
-		e.mu.Lock()
-		e.serving = false
-		e.mu.Unlock()
-	}()
+	defer e.release()
 
 	var st Stats
 	// A context dead on arrival serves nothing, deterministically — without
@@ -556,11 +457,10 @@ type adjOutcome struct {
 	err     error
 }
 
-// applyOps is the adjuster half of one deterministic batch. Without
-// TolerateAdjustMiss it is exactly core.ApplyOps (strict, legacy error
-// text). With it, a route op that fails on a vanished or crashed endpoint —
-// the data plane removed it earlier in the stream — yields a zero result
-// and the batch continues, mirroring the free-running adjuster's tolerance.
+// applyOps is the adjuster half of one batch. Without TolerateAdjustMiss it
+// is exactly core.ApplyOps (strict, legacy error text). With it, a route op
+// that fails on a vanished or crashed endpoint — the data plane removed it
+// earlier in the stream — yields a zero result and the batch continues.
 func (e *Engine) applyOps(ops []core.Op) ([]core.OpResult, error) {
 	if !e.cfg.TolerateAdjustMiss {
 		return e.dsg.ApplyOps(ops)

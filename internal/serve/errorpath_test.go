@@ -3,82 +3,35 @@ package serve
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 
 	"lsasg/internal/core"
 	"lsasg/internal/skipgraph"
 )
 
-// This file is the error-path layer for the serving engine: queue shedding,
-// adjustment-miss tolerance, early cancellation, and the free-running crash
-// detect/repair cycle. The happy paths live in serve_test.go.
+// This file is the error-path layer for the serving engine: adjustment-miss
+// tolerance, early cancellation, and the crash detect/repair cycle. The
+// happy paths live in serve_test.go.
 
-// TestOfferShedsWhenQueueFull pins the shed-on-full contract without racing a
-// live adjuster: the engine is put in the started state by hand (no
-// adjustLoop draining), so the queue fills deterministically.
-func TestOfferShedsWhenQueueFull(t *testing.T) {
-	e := New(core.New(16, core.Config{A: 4, Seed: 1}), Config{})
-	e.mu.Lock()
-	e.started = true
-	e.queue = make(chan task, 1)
-	e.mu.Unlock()
-	if !e.SubmitJoin(100) {
-		t.Fatal("first offer should be accepted into the empty queue")
-	}
-	if e.SubmitLeave(3) {
-		t.Error("second offer should shed: queue is full")
-	}
-	if e.SubmitCrash(4) {
-		t.Error("third offer should shed: queue is still full")
-	}
-	st := e.Live()
-	if st.Enqueued != 1 || st.Shed != 2 || st.Pending != 1 {
-		t.Errorf("enqueued=%d shed=%d pending=%d, want 1/2/1", st.Enqueued, st.Shed, st.Pending)
-	}
-}
-
-// TestOfferShedsBeforeStart: an engine that is not free-running sheds every
-// submission (and a Route still succeeds — only its adjustment is lost).
-func TestOfferShedsBeforeStart(t *testing.T) {
-	e := New(core.New(16, core.Config{A: 4, Seed: 2}), Config{})
-	if e.SubmitCrash(5) {
-		t.Error("submission before Start should shed")
-	}
-	if _, _, err := e.Route(1, 9); err != nil {
-		t.Fatalf("route before Start: %v", err)
-	}
-	st := e.Live()
-	if st.Routed != 1 || st.Shed != 2 || st.Enqueued != 0 {
-		t.Errorf("routed=%d shed=%d enqueued=%d, want 1/2/0", st.Routed, st.Shed, st.Enqueued)
-	}
-}
-
-// TestTolerateAdjustMiss drives applyLive directly (single-threaded, no
-// adjuster goroutine) through every miss class and checks which ones reach
-// the engine's first-error slot.
+// TestTolerateAdjustMiss drives every miss class through the pipeline and
+// checks which ones abort the run: a route whose endpoint is unknown or
+// crashed is fatal on a strict engine and a recorded RouteMiss (zero
+// adjustment) on a tolerant one, while a migration leave of an unknown id
+// stays an error whatever the tolerance.
 func TestTolerateAdjustMiss(t *testing.T) {
 	cases := []struct {
 		name     string
 		tolerate bool
-		batch    task
+		op       core.Op
 		prep     func(d *core.DSG)
-		fatal    bool // should land in firstErr
+		fatal    bool
 	}{
-		{name: "unknown adjust intolerant", tolerate: false,
-			batch: task{op: opAdjust, src: 1, dst: 99}, fatal: true},
-		{name: "unknown adjust tolerated", tolerate: true,
-			batch: task{op: opAdjust, src: 1, dst: 99}, fatal: false},
-		{name: "crashed endpoint adjust tolerated", tolerate: true,
-			batch: task{op: opAdjust, src: 1, dst: 9},
-			prep:  func(d *core.DSG) { d.Crash(9) }, fatal: false},
-		{name: "crashed endpoint adjust intolerant", tolerate: false,
-			batch: task{op: opAdjust, src: 1, dst: 9},
-			prep:  func(d *core.DSG) { d.Crash(9) }, fatal: true},
-		{name: "crash of migrated id tolerated", tolerate: true,
-			batch: task{op: opCrash, src: 99}, fatal: false},
-		{name: "unknown leave stays fatal", tolerate: true,
-			batch: task{op: opLeave, src: 99}, fatal: true},
+		{name: "unknown adjust intolerant", tolerate: false, op: core.RouteOp(1, 99), fatal: true},
+		{name: "unknown adjust tolerated", tolerate: true, op: core.RouteOp(1, 99), fatal: false},
+		{name: "crashed endpoint adjust tolerated", tolerate: true, op: core.RouteOp(1, 9),
+			prep: func(d *core.DSG) { d.Crash(9) }, fatal: false},
+		{name: "crashed endpoint adjust intolerant", tolerate: false, op: core.RouteOp(1, 9),
+			prep: func(d *core.DSG) { d.Crash(9) }, fatal: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -86,47 +39,24 @@ func TestTolerateAdjustMiss(t *testing.T) {
 			if tc.prep != nil {
 				tc.prep(d)
 			}
-			e := New(d, Config{TolerateAdjustMiss: tc.tolerate})
-			e.applyLive([]task{tc.batch})
-			st := e.Live()
-			if st.Failed != 1 {
-				t.Fatalf("failed=%d, want 1", st.Failed)
+			var got []Result
+			e := New(d, Config{TolerateAdjustMiss: tc.tolerate,
+				OnResult: func(r Result) { got = append(got, r) }})
+			_, err := e.Serve(context.Background(), feedOps([]core.Op{tc.op}))
+			if (err != nil) != tc.fatal {
+				t.Fatalf("Serve error = %v, want fatal=%v", err, tc.fatal)
 			}
-			e.errMu.Lock()
-			gotFatal := e.firstErr != nil
-			e.errMu.Unlock()
-			if gotFatal != tc.fatal {
-				t.Errorf("firstErr set = %v, want %v (err: %v)", gotFatal, tc.fatal, e.firstErr)
+			if !tc.fatal && (len(got) != 1 || !got[0].RouteMiss || got[0].TransformRounds != 0) {
+				t.Errorf("tolerated miss recorded as %+v, want one RouteMiss with no adjustment", got)
 			}
 		})
 	}
-}
-
-// TestApplyLiveLeaveRacesCrash: a leave consumed after the same node crashed
-// must degrade into the crash repair — the id leaves the graph exactly once,
-// counted as both a leave and a repair, and is not an engine fault.
-func TestApplyLiveLeaveRacesCrash(t *testing.T) {
-	d := core.New(16, core.Config{A: 4, Seed: 11})
-	if err := d.Crash(6); err != nil {
-		t.Fatal(err)
-	}
-	e := New(d, Config{})
-	e.applyLive([]task{{op: opLeave, src: 6}})
-	st := e.Live()
-	if st.Leaves != 1 || st.CrashRepairs != 1 || st.Failed != 0 {
-		t.Errorf("leaves=%d repairs=%d failed=%d, want 1/1/0", st.Leaves, st.CrashRepairs, st.Failed)
-	}
-	e.errMu.Lock()
-	defer e.errMu.Unlock()
-	if e.firstErr != nil {
-		t.Errorf("firstErr = %v, want nil", e.firstErr)
-	}
-	if d.NodeByID(6) != nil {
-		t.Error("node 6 still present after leave-races-crash repair")
-	}
-	if err := d.Validate(); err != nil {
-		t.Fatalf("invalid after repair: %v", err)
-	}
+	t.Run("unknown leave stays fatal", func(t *testing.T) {
+		e := New(core.New(16, core.Config{A: 4, Seed: 7}), Config{TolerateAdjustMiss: true})
+		if err := e.ApplyMigrationBatch(nil, []int64{99}); err == nil {
+			t.Error("leave of unknown id must report an error")
+		}
+	})
 }
 
 // TestServeEarlyCancel: a context cancelled before Serve starts returns
@@ -155,123 +85,40 @@ func TestServeEarlyCancel(t *testing.T) {
 	}
 }
 
-// TestRouteRetryBounded pins the retry cap on the detect→repair→retry loop:
-// when every retry finds a fresher snapshot that STILL contains the corpse
-// (repair failing or perpetually behind), Route must give up after
-// maxRouteAttempts and surface the DeadRouteError instead of livelocking.
-// The unbounded pre-fix loop hangs here: a background goroutine publishes an
-// ever-newer epoch of the same corpse-bearing replica as fast as it can.
-func TestRouteRetryBounded(t *testing.T) {
-	d := core.New(32, core.Config{A: 4, Seed: 19})
-	if err := d.Crash(7); err != nil {
-		t.Fatal(err)
-	}
-	e := New(d, Config{}) // the epoch-0 replica contains the corpse
-	base := e.snap.Load()
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := int64(1); ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-				e.snap.Store(&Snapshot{Epoch: base.Epoch + i, Graph: base.Graph})
-			}
-		}
-	}()
-	_, _, err := e.Route(3, 7)
-	close(stop)
-	wg.Wait()
-	var dre *skipgraph.DeadRouteError
-	if !errors.As(err, &dre) || dre.Node.ID() != 7 {
-		t.Fatalf("route to corpse: %v, want DeadRouteError on 7", err)
-	}
-	if det := e.Live().DeadDetected; det < 1 || det > maxRouteAttempts {
-		t.Errorf("DeadDetected = %d, want in [1, %d]", det, maxRouteAttempts)
-	}
-}
-
-// TestBacklogClampedToBatchSize pins the Config.backlog clamp: a backlog
-// below the batch size can never hold a full batch, so it is raised to
-// BatchSize; defaults and sane explicit values are untouched.
-func TestBacklogClampedToBatchSize(t *testing.T) {
-	cases := []struct {
-		cfg  Config
-		want int
-	}{
-		{Config{}, 128},                          // default: 4 × default batch 32
-		{Config{BatchSize: 64}, 256},             // default: 4 × batch
-		{Config{BatchSize: 64, Backlog: 8}, 64},  // clamped up to batch
-		{Config{BatchSize: 2, Backlog: 5}, 5},    // explicit value ≥ batch kept
-		{Config{BatchSize: 16, Backlog: 16}, 16}, // boundary kept
-	}
-	for _, tc := range cases {
-		if got := tc.cfg.backlog(); got != tc.want {
-			t.Errorf("backlog(batch=%d, backlog=%d) = %d, want %d",
-				tc.cfg.BatchSize, tc.cfg.Backlog, got, tc.want)
-		}
-	}
-
-	// Behavioral: a free-running engine configured with Backlog < BatchSize
-	// must still accept and apply a full batch of submissions.
-	d := core.New(16, core.Config{A: 4, Seed: 23})
-	e := New(d, Config{BatchSize: 8, Backlog: 2})
-	e.Start()
-	for id := int64(100); id < 106; id++ {
-		if !e.SubmitJoin(id) {
-			t.Fatalf("join %d shed despite clamped backlog", id)
-		}
-	}
-	if err := e.MigrateMembership(nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Stop(); err != nil {
-		t.Fatalf("stop: %v", err)
-	}
-	if st := e.Live(); st.Joins != 6 {
-		t.Errorf("joins applied = %d, want 6", st.Joins)
-	}
-}
-
-// TestLiveCrashDetectRepair is the free-running failure cycle end to end:
-// inject a crash, detect it at route time, let the adjuster splice the corpse
-// out, and observe routing recover in a later epoch.
-func TestLiveCrashDetectRepair(t *testing.T) {
+// TestCrashIdleDetectRepair is the failure cycle end to end: inject a
+// crash on the idle engine, detect it at route time in the published
+// snapshot, let a Put of the key splice the corpse out and rejoin it, and
+// observe routing recover.
+func TestCrashIdleDetectRepair(t *testing.T) {
 	d := core.New(32, core.Config{A: 4, Seed: 17})
-	e := New(d, Config{BatchSize: 4, TolerateAdjustMiss: true})
-	e.Start()
-	if !e.SubmitCrash(12) {
-		t.Fatal("crash submission shed")
+	e := New(d, Config{BatchSize: 4})
+	if err := e.ApplyCrashIdle(99); !errors.Is(err, core.ErrUnknownNode) {
+		t.Fatalf("crash of unknown id = %v, want ErrUnknownNode", err)
 	}
-	// Barrier: the crash is applied and a snapshot containing the corpse has
-	// published before we probe it.
-	if err := e.MigrateMembership(nil, nil); err != nil {
+	epoch := e.Snapshot().Epoch
+	if err := e.ApplyCrashIdle(12); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := e.Route(3, 12)
+	if got := e.Snapshot().Epoch; got != epoch+1 {
+		t.Errorf("crash published epoch %d, want %d", got, epoch+1)
+	}
+	_, err := e.Snapshot().Route(3, 12)
 	var dre *skipgraph.DeadRouteError
 	if !errors.As(err, &dre) || dre.Node.ID() != 12 {
 		t.Fatalf("probe of corpse: %v, want DeadRouteError on 12", err)
 	}
-	// Barrier again: the repair task offered by the detection has applied.
-	if err := e.MigrateMembership(nil, nil); err != nil {
-		t.Fatal(err)
+	if _, err := e.Serve(context.Background(), feedOps([]core.Op{core.RouteOp(3, 12)})); !errors.Is(err, skipgraph.ErrDeadNode) {
+		t.Fatalf("served route into corpse: %v, want ErrDeadNode", err)
 	}
-	if _, _, err := e.Route(3, 25); err != nil {
-		t.Fatalf("route after repair: %v", err)
+	res, err := e.ApplyOpIdle(core.Op{Kind: core.OpPut, Src: 3, Dst: 12, Value: []byte("back")})
+	if err != nil || res.Existed {
+		t.Fatalf("repairing put = %+v, %v; want a fresh join", res, err)
 	}
-	if err := e.Stop(); err != nil {
-		t.Fatalf("stop: %v", err)
+	if _, err := e.Serve(context.Background(), feedOps([]core.Op{core.RouteOp(3, 12), core.RouteOp(3, 25)})); err != nil {
+		t.Fatalf("routes after repair: %v", err)
 	}
-	st := e.Live()
-	if st.Crashes != 1 || st.DeadDetected < 1 || st.CrashRepairs != 1 {
-		t.Errorf("crashes=%d detected=%d repairs=%d, want 1/≥1/1", st.Crashes, st.DeadDetected, st.CrashRepairs)
-	}
-	if d.NodeByID(12) != nil {
-		t.Error("corpse 12 still present after detect/repair cycle")
+	if ids := d.CrashedIDs(); len(ids) != 0 {
+		t.Errorf("crashed ids after repair = %v, want none", ids)
 	}
 	if err := d.Validate(); err != nil {
 		t.Fatalf("live DSG invalid after crash cycle: %v", err)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -37,13 +38,14 @@ func snapshotFingerprint(s *Snapshot, pairs [][2]int64) string {
 }
 
 // TestSnapshotImmutableUnderChurn publishes an epoch, then drives a full
-// free-running churn+crash+repair trace against the live graph while a
-// concurrent reader keeps re-fingerprinting the OLD epoch. The old epoch's
-// answers must never change — not at the end, and not at any point in
-// between.
+// churn+crash+repair trace through the pipeline — Put-joins, Delete-leaves
+// and routes in parallel-routed Serve batches, crash injections and
+// Put-repairs between them — while a concurrent reader keeps
+// re-fingerprinting the OLD epoch. The old epoch's answers must never
+// change — not at the end, and not at any point in between.
 func TestSnapshotImmutableUnderChurn(t *testing.T) {
 	d := core.New(64, core.Config{A: 4, Seed: 29})
-	e := New(d, Config{BatchSize: 8, TolerateAdjustMiss: true})
+	e := New(d, Config{Parallelism: 4, BatchSize: 8, TolerateAdjustMiss: true})
 
 	// Deterministic probe pairs spanning the initial id range, including ids
 	// that the churn below will remove or crash.
@@ -77,33 +79,37 @@ func TestSnapshotImmutableUnderChurn(t *testing.T) {
 		}
 	}()
 
-	e.Start()
-	// Churn: joins of fresh ids, leaves of initial ids (each at most once,
-	// never one that crashes), crashes of a disjoint subset, plus routes to
-	// drive the detect→repair cycle. Barriers between rounds force publishes
-	// so the live epoch advances far past snap0.
-	nextJoin := int64(1000)
-	for round := 0; round < 8; round++ {
-		for i := 0; i < 4; i++ {
-			e.SubmitJoin(nextJoin)
-			nextJoin++
-		}
-		e.SubmitLeave(int64(round * 3))  // ids 0,3,...,21: leave exactly once
-		e.SubmitCrash(int64(40 + round)) // ids 40..47: crash, disjoint from leaves
-		if err := e.MigrateMembership(nil, nil); err != nil {
-			t.Fatal(err)
-		}
-		// Routes against the fresh epoch: some hit corpses and enqueue
-		// repairs, some succeed; either way they must not disturb snap0.
-		e.Route(1, 62)
-		e.Route(2, int64(40+round))
-		e.Route(int64(44), 1)
-		if err := e.MigrateMembership(nil, nil); err != nil {
+	serve := func(ops ...core.Op) {
+		t.Helper()
+		if _, err := e.Serve(context.Background(), feedOps(ops)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := e.Stop(); err != nil {
-		t.Fatalf("stop: %v", err)
+	// Churn: joins of fresh ids, leaves of initial ids (each at most once,
+	// never one that crashes), crashes of a disjoint subset, plus routes —
+	// some into the corpse, recorded as tolerated misses. Every Serve batch
+	// and every idle entry point publishes, so the live epoch advances far
+	// past snap0.
+	nextJoin := int64(1000)
+	for round := int64(0); round < 8; round++ {
+		var batch []core.Op
+		for i := 0; i < 4; i++ {
+			batch = append(batch, core.Op{Kind: core.OpPut, Src: 1, Dst: nextJoin, Value: []byte("v")})
+			nextJoin++
+		}
+		batch = append(batch,
+			core.Op{Kind: core.OpDelete, Src: 1, Dst: round * 3}, // ids 0,3,...,21: leave exactly once
+			core.RouteOp(1, 62), core.RouteOp(2, 61), core.RouteOp(50, nextJoin-1))
+		serve(batch...)
+		victim := 40 + round // ids 40..47: crash, disjoint from leaves
+		if err := e.ApplyCrashIdle(victim); err != nil {
+			t.Fatal(err)
+		}
+		serve(core.RouteOp(2, victim), core.RouteOp(victim, 1), core.RouteOp(1, 62),
+			core.Op{Kind: core.OpGet, Src: 2, Dst: victim})
+		if _, err := e.ApplyOpIdle(core.Op{Kind: core.OpPut, Src: 2, Dst: victim, Value: []byte("r")}); err != nil {
+			t.Fatalf("put-repair of %d: %v", victim, err)
+		}
 	}
 	close(stop)
 	wg.Wait()
@@ -114,7 +120,10 @@ func TestSnapshotImmutableUnderChurn(t *testing.T) {
 	if got := snapshotFingerprint(snap0, pairs); got != want {
 		t.Fatalf("old epoch diverged after churn:\nbefore:\n%s\nafter:\n%s", want, got)
 	}
-	if live := e.Snapshot(); live.Epoch == snap0.Epoch {
-		t.Fatal("churn published no new epochs; the test exercised nothing")
+	if live := e.Snapshot(); live.Epoch < snap0.Epoch+32 {
+		t.Fatalf("churn advanced the epoch %d→%d; want ≥ 32 publications", snap0.Epoch, live.Epoch)
+	}
+	if err := d.Validate(); err != nil {
+		t.Fatalf("live DSG invalid after churn: %v", err)
 	}
 }

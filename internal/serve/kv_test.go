@@ -68,18 +68,6 @@ func TestApplyOpIdleAndSnapshotReads(t *testing.T) {
 	if _, _, ok := e.Snapshot().Get(9); ok {
 		t.Fatal("deleted key still readable in the fresh snapshot")
 	}
-
-	// A busy engine refuses the idle entry point.
-	e.Start()
-	if _, err := e.ApplyOpIdle(core.RouteOp(1, 2)); err == nil {
-		t.Fatal("ApplyOpIdle on a started engine must fail")
-	}
-	if err := e.Stop(); err != nil {
-		t.Fatalf("stop: %v", err)
-	}
-	if got := e.Pending(); got != 0 {
-		t.Fatalf("pending after stop = %d, want 0", got)
-	}
 }
 
 // TestServeKVOps drives every op kind through the deterministic pipeline
@@ -167,15 +155,16 @@ func TestServeTolerantStillAbortsOnBadOp(t *testing.T) {
 	}
 }
 
-// TestMigrationValueEntriesAndErrors covers the migration surface in both
-// engine modes: value-carrying entries arrive with versions intact, failing
-// entries are skipped with the first error reported, and both entry points
-// refuse the wrong engine mode.
+// TestMigrationValueEntriesAndErrors covers the migration surface:
+// value-carrying entries arrive with versions intact, failing entries are
+// skipped with the first error reported, and the snapshot publishes either
+// way.
 func TestMigrationValueEntriesAndErrors(t *testing.T) {
 	e := New(core.New(16, core.Config{A: 4, Seed: 7}), Config{BatchSize: 4})
+	epoch := e.Snapshot().Epoch
 
-	// Idle-mode batch with one failing join (id already present) and one
-	// failing leave (id unknown): the good half still applies.
+	// One failing join (id already present) and one failing leave (id
+	// unknown): the good half still applies.
 	joins := []skipgraph.Entry{
 		{ID: 40, Value: []byte("forty"), Version: 9, HasValue: true},
 		{ID: 3}, // already in the graph: Restore fails
@@ -184,6 +173,9 @@ func TestMigrationValueEntriesAndErrors(t *testing.T) {
 		t.Fatal("batch with duplicate join and unknown leave must report an error")
 	}
 	snap := e.Snapshot()
+	if snap.Epoch != epoch+1 {
+		t.Fatalf("failing batch published epoch %d, want %d", snap.Epoch, epoch+1)
+	}
 	if v, ver, ok := snap.Get(40); !ok || ver != 9 || string(v) != "forty" {
 		t.Fatalf("migrated entry = %q v%d ok=%v, want forty v9", v, ver, ok)
 	}
@@ -191,30 +183,10 @@ func TestMigrationValueEntriesAndErrors(t *testing.T) {
 		t.Fatal("leave 5 did not apply")
 	}
 
-	// Migration on an engine that is not running is refused.
-	if err := e.MigrateEntries(nil, []int64{2}); err == nil {
-		t.Fatal("MigrateEntries on a stopped engine must fail")
-	}
-
-	e.Start()
-	if err := e.ApplyMigrationBatch(nil, nil); err == nil {
-		t.Fatal("ApplyMigrationBatch on a started engine must fail")
-	}
-	// Running-mode migration: the value entry is visible (publish barrier)
-	// by the time the call returns.
-	in := []skipgraph.Entry{{ID: 50, Value: []byte("fifty"), Version: 12, HasValue: true}}
-	if err := e.MigrateEntries(in, []int64{7}); err != nil {
-		t.Fatalf("running migration: %v", err)
-	}
-	if v, ver, ok := e.Snapshot().Get(50); !ok || ver != 12 || string(v) != "fifty" {
-		t.Fatalf("running-mode migrated entry = %q v%d ok=%v, want fifty v12", v, ver, ok)
-	}
-	// A failing leave inside a running migration surfaces both as the call's
-	// first error and as the engine's first error, which Stop reports.
-	if err := e.MigrateEntries(nil, []int64{123}); err == nil {
-		t.Fatal("running migration with unknown leave must report an error")
-	}
-	if err := e.Stop(); err == nil || !strings.Contains(err.Error(), "123") {
-		t.Fatalf("stop after failed migration = %v, want the adjuster's first error", err)
+	// A later write to the migrated key continues its version history
+	// instead of restarting it.
+	res, err := e.ApplyOpIdle(core.Op{Kind: core.OpPut, Src: 1, Dst: 40, Value: []byte("again")})
+	if err != nil || !res.Existed || res.Version <= 9 {
+		t.Fatalf("put after migration = %+v, %v; want an update past v9", res, err)
 	}
 }

@@ -1,144 +1,36 @@
 package serve
 
-import (
-	"fmt"
-
-	"lsasg/internal/skipgraph"
-)
+import "lsasg/internal/skipgraph"
 
 // This file is the membership-migration surface used by the sharded service
 // (internal/shard): a rebalancer moves a contiguous key range between two
-// engines' graphs as a tracked leave/join batch. Each engine mode has its
-// own entry point — ApplyMigrationBatch for an idle engine (the
-// deterministic pipeline migrates at inter-window barriers) and
-// MigrateEntries for a running one (tasks serialize through the adjuster
-// like all other mutation, but unlike SubmitJoin/SubmitLeave they are never
-// shed: a dropped migration op would strand a key in zero or two shards).
-// Joins are skipgraph.Entry records so a migrated key arrives with its
-// value and version intact; the int64-only wrappers remain for callers
-// moving bare topology (tests, churn drivers).
-
-// bareEntries lifts plain ids into value-less entries.
-func bareEntries(ids []int64) []skipgraph.Entry {
-	es := make([]skipgraph.Entry, len(ids))
-	for i, id := range ids {
-		es[i] = skipgraph.Entry{ID: id}
-	}
-	return es
-}
-
-// ApplyMembershipBatch applies value-less joins then leaves on an idle
-// engine; see ApplyMigrationBatch.
-func (e *Engine) ApplyMembershipBatch(joins, leaves []int64) error {
-	return e.ApplyMigrationBatch(bareEntries(joins), leaves)
-}
+// engines' graphs as a tracked leave/join batch at an engine-idle window
+// barrier. Joins are skipgraph.Entry records so a migrated key arrives with
+// its value and version intact.
 
 // ApplyMigrationBatch applies joins (with carried value records) then
 // leaves directly to the live graph and publishes one fresh snapshot. It
-// requires an idle engine — neither Serve nor free-running mode active —
-// because it mutates outside the adjuster. Failing entries are skipped (the
-// rest of the batch still applies) and the first error is returned; the
-// snapshot publishes either way so the routing side always observes
-// whatever did apply.
+// requires an idle engine (no Serve in flight) because it mutates outside
+// the adjuster. Failing entries are skipped (the rest of the batch still
+// applies) and the first error is returned; the snapshot publishes either
+// way so the routing side always observes whatever did apply.
 func (e *Engine) ApplyMigrationBatch(joins []skipgraph.Entry, leaves []int64) error {
-	e.mu.Lock()
-	if e.started || e.serving {
-		e.mu.Unlock()
-		return fmt.Errorf("serve: ApplyMigrationBatch needs an idle engine (no Serve, no Start)")
+	if err := e.acquire("ApplyMigrationBatch"); err != nil {
+		return err
 	}
-	e.serving = true // reserve the engine against overlapping mutation
-	e.mu.Unlock()
-	defer func() {
-		e.mu.Lock()
-		e.serving = false
-		e.mu.Unlock()
-	}()
+	defer e.release()
 
 	var firstErr error
 	for _, en := range joins {
-		if err := e.dsg.Restore(en); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		e.joins.Add(1)
-	}
-	for _, id := range leaves {
-		if err := e.dsg.RemoveNode(id); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		e.leaves.Add(1)
-	}
-	e.publish()
-	return firstErr
-}
-
-// MigrateMembership enqueues value-less joins then leaves on a free-running
-// engine; see MigrateEntries.
-func (e *Engine) MigrateMembership(joins, leaves []int64) error {
-	return e.MigrateEntries(bareEntries(joins), leaves)
-}
-
-// MigrateEntries enqueues joins (with carried value records) then leaves
-// onto a free-running engine's adjustment queue with blocking sends (never
-// shed), then waits until the snapshot containing every one of them has
-// published. It returns the first apply error (nil in a healthy migration).
-// The publish barrier is what lets a caller order "keys visible in the
-// destination shard" strictly before a directory epoch swap.
-func (e *Engine) MigrateEntries(joins []skipgraph.Entry, leaves []int64) error {
-	dones := make([]chan error, 0, len(joins)+len(leaves))
-	enqueue := func(t task) error {
-		ch := make(chan error, 1) // buffered: the adjuster never blocks on it
-		t.done = ch
-		if err := e.offerWait(t); err != nil {
-			return err
-		}
-		dones = append(dones, ch)
-		return nil
-	}
-	for i := range joins {
-		if err := enqueue(task{op: opJoin, src: joins[i].ID, entry: &joins[i]}); err != nil {
-			return err
-		}
-	}
-	for _, id := range leaves {
-		if err := enqueue(task{op: opLeave, src: id}); err != nil {
-			return err
-		}
-	}
-	barrier := make(chan error)
-	if err := e.offerWait(task{op: opBarrier, done: barrier}); err != nil {
-		return err
-	}
-	var firstErr error
-	for _, ch := range dones {
-		if err := <-ch; err != nil && firstErr == nil {
+		if err := e.dsg.Restore(en); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	<-barrier // closed after the batch's snapshot publication
+	for _, id := range leaves {
+		if err := e.dsg.RemoveNode(id); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	e.publish()
 	return firstErr
-}
-
-// offerWait is the blocking twin of offer: it enqueues t, waiting for queue
-// space instead of shedding. Holding the read lock across the send is safe —
-// the adjuster drains independently of the lock, and Stop cannot close the
-// queue until the lock is released — and is what guarantees the send never
-// races the close. Barriers stay out of the Enqueued/Pending books: they are
-// control flow, not work.
-func (e *Engine) offerWait(t task) error {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if !e.started || e.closing {
-		return fmt.Errorf("serve: membership migration on an engine that is not running")
-	}
-	if t.op != opBarrier {
-		e.enqueued.Add(1)
-	}
-	e.queue <- t
-	return nil
 }

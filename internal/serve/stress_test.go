@@ -3,72 +3,81 @@ package serve
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
 	"lsasg/internal/core"
+	"lsasg/internal/skipgraph"
 )
 
-// TestServeStress is the race-detector stress for the snapshot path: many
-// goroutines hammer Route (reading published snapshots) while the adjuster
-// mutates the live graph, publishes new snapshots, and absorbs concurrent
-// join/leave churn. CI runs this with -race -count=2 on every PR.
+// TestServeStress is the race-detector stress for the snapshot path: the
+// pipeline's routing workers — plus outside readers holding whatever
+// snapshot is current — read published replicas while the adjuster mutates
+// the live graph, absorbs Put-join / Delete-leave churn, and publishes new
+// epochs. CI runs this with -race -count=2 on every PR.
 func TestServeStress(t *testing.T) {
 	const (
 		n       = 96
-		workers = 8
-		perW    = 400
+		readers = 2
+		total   = 320
 	)
 	d := core.New(n, core.Config{A: 4, Seed: 42})
-	e := New(d, Config{BatchSize: 16, Backlog: 64})
-	e.Start()
+	e := New(d, Config{Parallelism: 8, BatchSize: 16})
 
+	// Routes stay inside the stable core 0..n-1; transient ids (≥ n) join
+	// and leave through the same adjuster, so the core stays routable in
+	// every snapshot.
+	rng := rand.New(rand.NewSource(100))
+	ops := make([]core.Op, 0, total)
+	for len(ops) < total {
+		if len(ops)%40 == 39 {
+			id := int64(n + len(ops)/40%8)
+			ops = append(ops,
+				core.Op{Kind: core.OpPut, Src: 1, Dst: id, Value: []byte("t")},
+				core.Op{Kind: core.OpDelete, Src: 1, Dst: id})
+			continue
+		}
+		u, v := int64(rng.Intn(n)), int64(rng.Intn(n))
+		if u != v {
+			ops = append(ops, core.RouteOp(u, v))
+		}
+	}
+
+	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < readers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(100 + w)))
-			for i := 0; i < perW; i++ {
+			rng := rand.New(rand.NewSource(int64(200 + w)))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
 				u, v := int64(rng.Intn(n)), int64(rng.Intn(n))
 				if u == v {
 					continue
 				}
-				if _, _, err := e.Route(u, v); err != nil {
-					t.Errorf("worker %d: route %d→%d: %v", w, u, v, err)
+				if _, err := e.Snapshot().Route(u, v); err != nil {
+					t.Errorf("reader %d: route %d→%d: %v", w, u, v, err)
 					return
 				}
+				runtime.Gosched() // readers must not starve the adjuster on small CI runners
 			}
 		}(w)
 	}
-	// Churn transient ids (≥ n) through the same adjuster while routing runs:
-	// joins and leaves serialize with the transformations, so the stable core
-	// 0..n-1 stays routable in every snapshot.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 40; i++ {
-			id := int64(n + i%8)
-			if e.SubmitJoin(id) {
-				e.SubmitLeave(id)
-			}
-		}
-	}()
+	st, err := e.Serve(context.Background(), feedOps(ops))
+	close(stop)
 	wg.Wait()
-	if err := e.Stop(); err != nil {
-		// A leave can fail when its join was shed; only that pairing is
-		// tolerated here (SubmitLeave fires only after an accepted join, but
-		// the join itself may fail on a duplicate transient id whose earlier
-		// leave was shed).
-		t.Logf("adjuster reported: %v", err)
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	live := e.Live()
-	if live.Routed == 0 || live.Applied == 0 || live.SnapshotsPublished == 0 {
-		t.Fatalf("stress did nothing: %+v", live)
-	}
-	if live.Enqueued != live.Applied+live.Failed+live.Joins+live.Leaves || live.Pending != 0 {
-		t.Errorf("counter books don't balance after drain: %+v", live)
+	if st.Requests != int64(len(ops)) || st.Batches == 0 || st.PutInserts == 0 || st.DeleteHits != st.PutInserts {
+		t.Fatalf("stress books: %+v", st)
 	}
 	if err := d.Validate(); err != nil {
 		t.Fatalf("live DSG invalid after stress: %v", err)
@@ -76,7 +85,7 @@ func TestServeStress(t *testing.T) {
 
 	// The final snapshot must route the whole stable core.
 	snap := e.Snapshot()
-	rng := rand.New(rand.NewSource(7))
+	rng = rand.New(rand.NewSource(7))
 	for i := 0; i < 200; i++ {
 		u, v := int64(rng.Intn(n)), int64(rng.Intn(n))
 		if u == v {
@@ -88,80 +97,14 @@ func TestServeStress(t *testing.T) {
 	}
 }
 
-// TestMigrateMembershipStress races the never-shed migration path against
-// routing load: workers route on snapshots while a migrator cycles key
-// ranges out of and back into the graph through MigrateMembership, whose
-// publish barrier must hold under the race detector. CI runs this alongside
-// TestServeStress with -race.
-func TestMigrateMembershipStress(t *testing.T) {
-	const (
-		n       = 64
-		workers = 4
-		perW    = 250
-	)
-	d := core.New(n, core.Config{A: 4, Seed: 11})
-	e := New(d, Config{BatchSize: 8, Backlog: 32})
-	e.Start()
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(200 + w)))
-			for i := 0; i < perW; i++ {
-				// Route only within the stable core [8, n): keys below 8
-				// migrate out and back concurrently.
-				u := int64(8 + rng.Intn(n-8))
-				v := int64(8 + rng.Intn(n-8))
-				if u == v {
-					continue
-				}
-				if _, _, err := e.Route(u, v); err != nil {
-					t.Errorf("worker %d: route %d→%d: %v", w, u, v, err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		moving := []int64{0, 1, 2, 3, 4, 5, 6, 7}
-		for cycle := 0; cycle < 10; cycle++ {
-			if err := e.MigrateMembership(nil, moving); err != nil {
-				t.Errorf("cycle %d: migrate out: %v", cycle, err)
-				return
-			}
-			if err := e.MigrateMembership(moving, nil); err != nil {
-				t.Errorf("cycle %d: migrate in: %v", cycle, err)
-				return
-			}
-		}
-	}()
-	wg.Wait()
-	if err := e.Stop(); err != nil {
-		t.Fatalf("adjuster reported: %v", err)
-	}
-	live := e.Live()
-	if live.Joins != 80 || live.Leaves != 80 {
-		t.Errorf("migration cycles applied %d joins / %d leaves, want 80/80", live.Joins, live.Leaves)
-	}
-	if live.Enqueued != live.Applied+live.Failed+live.Joins+live.Leaves || live.Pending != 0 {
-		t.Errorf("counter books don't balance after drain: %+v", live)
-	}
-	if err := d.Validate(); err != nil {
-		t.Fatalf("live DSG invalid after migration stress: %v", err)
-	}
-}
-
-// TestApplyMembershipBatchIdle: the idle-mode migration entry point applies
-// the batch, publishes exactly one snapshot, and refuses busy engines.
+// TestApplyMembershipBatchIdle: the idle-engine migration entry point
+// applies a bare (value-less) membership batch and publishes exactly one
+// snapshot.
 func TestApplyMembershipBatchIdle(t *testing.T) {
 	d := core.New(16, core.Config{A: 4, Seed: 5})
 	e := New(d, Config{})
 	epoch0 := e.Snapshot().Epoch
-	if err := e.ApplyMembershipBatch([]int64{100, 101}, []int64{3}); err != nil {
+	if err := e.ApplyMigrationBatch([]skipgraph.Entry{{ID: 100}, {ID: 101}}, []int64{3}); err != nil {
 		t.Fatal(err)
 	}
 	snap := e.Snapshot()
@@ -177,75 +120,41 @@ func TestApplyMembershipBatchIdle(t *testing.T) {
 	if err := d.Validate(); err != nil {
 		t.Fatalf("live DSG invalid after batch: %v", err)
 	}
-
-	busy := New(core.New(16, core.Config{A: 4, Seed: 5}), Config{})
-	busy.Start()
-	defer busy.Stop()
-	if err := busy.ApplyMembershipBatch([]int64{50}, nil); err == nil {
-		t.Error("ApplyMembershipBatch on a started engine must fail")
-	}
 }
 
-// TestModeConflict: one engine, one mode — Serve on a started engine (and
-// an overlapping Serve) must error instead of racing the adjuster.
+// TestModeConflict: one owner of the live graph at a time — while a Serve
+// call is in flight, an overlapping Serve and every idle entry point must
+// error instead of racing the adjuster; once it returns, they work again.
 func TestModeConflict(t *testing.T) {
-	d := core.New(16, core.Config{A: 4, Seed: 1})
-	e := New(d, Config{})
-	e.Start()
-	defer e.Stop()
-	ch := make(chan core.Op)
-	close(ch)
-	if _, err := e.Serve(context.Background(), ch); err == nil {
-		t.Fatal("Serve on a Start()ed engine must fail")
-	}
-
-	e2 := New(core.New(16, core.Config{A: 4, Seed: 1}), Config{})
+	e := New(core.New(16, core.Config{A: 4, Seed: 1}), Config{})
 	blocked := make(chan core.Op) // never closed during the first Serve
 	ret := make(chan error, 1)
 	go func() {
-		_, err := e2.Serve(context.Background(), blocked)
+		_, err := e.Serve(context.Background(), blocked)
 		ret <- err
 	}()
-	// Wait until the first Serve is committed to its mode flag.
-	for {
-		e2.mu.Lock()
-		s := e2.serving
-		e2.mu.Unlock()
-		if s {
-			break
-		}
+	// Wait until the first Serve holds the engine.
+	for !e.busy.Load() {
 	}
-	ch2 := make(chan core.Op)
-	close(ch2)
-	if _, err := e2.Serve(context.Background(), ch2); err == nil {
-		t.Fatal("overlapping Serve must fail")
+	ch := make(chan core.Op)
+	close(ch)
+	if _, err := e.Serve(context.Background(), ch); err == nil {
+		t.Error("overlapping Serve must fail")
+	}
+	if _, err := e.ApplyOpIdle(core.RouteOp(1, 2)); err == nil {
+		t.Error("ApplyOpIdle on a serving engine must fail")
+	}
+	if err := e.ApplyCrashIdle(4); err == nil {
+		t.Error("ApplyCrashIdle on a serving engine must fail")
+	}
+	if err := e.ApplyMigrationBatch([]skipgraph.Entry{{ID: 50}}, nil); err == nil {
+		t.Error("ApplyMigrationBatch on a serving engine must fail")
 	}
 	close(blocked)
 	if err := <-ret; err != nil {
 		t.Fatalf("first Serve failed: %v", err)
 	}
-}
-
-// TestStopIdempotentAndRouteAfterStop: stopping twice is safe and a Route
-// after Stop sheds its adjustment instead of panicking on the closed queue.
-func TestStopIdempotentAndRouteAfterStop(t *testing.T) {
-	d := core.New(16, core.Config{A: 4, Seed: 1})
-	e := New(d, Config{})
-	e.Start()
-	if _, _, err := e.Route(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Stop(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Stop(); err != nil {
-		t.Fatal(err)
-	}
-	shedBefore := e.Live().Shed
-	if _, _, err := e.Route(3, 4); err != nil {
-		t.Fatal(err)
-	}
-	if e.Live().Shed != shedBefore+1 {
-		t.Error("route after stop should shed its adjustment")
+	if _, err := e.ApplyOpIdle(core.RouteOp(1, 2)); err != nil {
+		t.Fatalf("idle entry point after Serve returned: %v", err)
 	}
 }

@@ -9,12 +9,11 @@ import (
 )
 
 // This file is the synchronous op surface: one op at a time against an
-// otherwise-idle service, mirroring the deterministic dispatcher's leg
+// otherwise-idle service, mirroring the Serve dispatcher's leg
 // decomposition (same splitLegs rule, same boundary access sources) so a
 // synchronous Get adapts the topology exactly like a pipelined one. Scans
-// are pure snapshot reads and work in any mode; mutating ops require every
-// involved engine to be idle (no Serve, no Start) because they apply
-// outside the adjusters.
+// are pure snapshot reads; mutating ops require every involved engine to be
+// idle (no Serve in flight) because they apply outside the adjusters.
 
 // Apply applies one op synchronously and returns its assembled outcome.
 // Point ops mutate through the destination shard's engine (published before

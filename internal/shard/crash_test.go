@@ -1,65 +1,68 @@
 package shard
 
 import (
+	"context"
+	"errors"
 	"testing"
-	"time"
+
+	"lsasg/internal/core"
+	"lsasg/internal/skipgraph"
 )
 
-// TestFreeRunningCrashDetectRepair drives the crash cycle through the sharded
-// service: an injected crash lands on the owning shard's engine, a route
-// addressed at the corpse detects it, the shard's adjuster splices it out,
-// and routing between live keys keeps working throughout.
-func TestFreeRunningCrashDetectRepair(t *testing.T) {
+// TestCrashDetectRepair drives the crash cycle through the sharded service:
+// an injected crash lands on the owning shard's engine and is visible in its
+// published snapshot, a served route addressed at the corpse is recorded as
+// a miss instead of aborting the pipeline, a Put of the key splices the
+// corpse out and rejoins it, and routing between live keys keeps working
+// throughout.
+func TestCrashDetectRepair(t *testing.T) {
 	const n = 64
-	svc, err := New(n, Config{Shards: 4, Seed: 7, BatchSize: 8,
-		RebalanceInterval: time.Hour /* keep the ticker out of the way */})
+	svc, err := New(n, Config{Shards: 4, Seed: 7, BatchSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc.Start()
-	if _, err := svc.Crash(99); err == nil {
+	if err := svc.Crash(99); err == nil {
 		t.Error("crash of out-of-range key accepted")
 	}
 	const victim = 12
-	ok, err := svc.Crash(victim)
-	if err != nil || !ok {
-		t.Fatalf("crash injection: ok=%v err=%v", ok, err)
+	if err := svc.Crash(victim); err != nil {
+		t.Fatalf("crash injection: %v", err)
 	}
-	// Barrier on the owning shard: the crash is applied and published before
-	// we probe the corpse.
-	sh := svc.dir.Load().ShardOf(victim)
-	if err := svc.shards[sh].eng.MigrateMembership(nil, nil); err != nil {
-		t.Fatal(err)
+	sh := svc.Directory().ShardOf(victim)
+	_, err = svc.shards[sh].eng.Snapshot().Route(3, victim)
+	var dre *skipgraph.DeadRouteError
+	if !errors.As(err, &dre) || dre.Node.ID() != victim {
+		t.Fatalf("probe of corpse: %v, want DeadRouteError on %d", err, victim)
 	}
-	// A stale probe at the corpse fails for the client but triggers the
-	// decentralized repair on the owning shard.
-	if _, err := svc.Route(3, victim); err == nil {
-		t.Fatal("probe of corpse succeeded, want detection error")
+	// A stale probe at the corpse costs that op its path measurement, not
+	// everyone's pipeline.
+	st, err := svc.Serve(context.Background(), feedOps([]core.Op{core.RouteOp(3, victim), core.RouteOp(3, 14)}))
+	if err != nil {
+		t.Fatalf("serve across the corpse: %v", err)
 	}
-	if err := svc.shards[sh].eng.MigrateMembership(nil, nil); err != nil {
-		t.Fatal(err)
+	if st.RouteMisses == 0 {
+		t.Errorf("route into the corpse recorded no miss: %+v", st)
 	}
-	// Live traffic is unaffected after the repair, including keys on the
-	// victim's shard and cross-shard pairs.
-	for _, pair := range [][2]int64{{3, 14}, {3, 40}, {50, 9}} {
-		if _, err := svc.Route(pair[0], pair[1]); err != nil {
-			t.Fatalf("route %d→%d after repair: %v", pair[0], pair[1], err)
+	o, err := svc.Apply(core.Op{Kind: core.OpPut, Src: 3, Dst: victim, Value: []byte("back")})
+	if err != nil || o.Existed {
+		t.Fatalf("repairing put = %+v, %v; want a fresh join", o, err)
+	}
+	// Live traffic is unaffected after the repair, including the victim
+	// itself, keys on its shard, and cross-shard pairs.
+	st, err = svc.Serve(context.Background(), feedOps([]core.Op{
+		core.RouteOp(3, victim), core.RouteOp(3, 14), core.RouteOp(3, 40), core.RouteOp(50, 9)}))
+	if err != nil {
+		t.Fatalf("serve after repair: %v", err)
+	}
+	if st.RouteMisses != 0 {
+		t.Errorf("%d route misses after repair, want 0", st.RouteMisses)
+	}
+	for i, sl := range svc.shards {
+		if ids := sl.dsg.CrashedIDs(); len(ids) != 0 {
+			t.Errorf("shard %d still holds corpses %v", i, ids)
 		}
-	}
-	if err := svc.Stop(); err != nil {
-		t.Fatalf("stop: %v", err)
-	}
-	st := svc.Live()
-	if st.Crashes != 1 || st.DeadDetected < 1 || st.CrashRepairs != 1 {
-		t.Errorf("crashes=%d detected=%d repairs=%d, want 1/≥1/1",
-			st.Crashes, st.DeadDetected, st.CrashRepairs)
-	}
-	if svc.shards[sh].dsg.NodeByID(victim) != nil {
-		t.Error("corpse still present on its shard after repair")
-	}
-	for _, sl := range svc.shards {
 		if err := sl.dsg.Validate(); err != nil {
-			t.Fatalf("shard DSG invalid after crash cycle: %v", err)
+			t.Fatalf("shard %d DSG invalid after crash cycle: %v", i, err)
 		}
 	}
 }

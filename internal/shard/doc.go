@@ -26,13 +26,13 @@
 // # Rebalancing
 //
 // A skew-driven rebalancer watches per-shard load — routed leg endpoints per
-// key plus each engine's adjustment backlog — and, when the max/mean shard
-// load ratio crosses a threshold, migrates a contiguous key range from the
-// hottest shard to its lighter adjacent neighbour. The split point is chosen
-// by walking per-key load in from the edge being donated until half the load
-// gap has moved. Migration is a tracked leave/join batch through the serve
-// engines' membership path (never shed), ordered so a key is always routable
-// somewhere:
+// key over a fixed-size request window — and, when the max/mean shard load
+// ratio crosses a threshold, migrates a contiguous key range from the
+// hottest shard to its lighter adjacent neighbour at the window barrier,
+// where every engine is idle. The split point is chosen by walking per-key
+// load in from the edge being donated until half the load gap has moved.
+// Migration is a tracked leave/join batch through the serve engines'
+// membership path, ordered so a key is always routable somewhere:
 //
 //  1. join the range into the destination shard and wait for its snapshot
 //     to publish,
@@ -40,18 +40,18 @@
 //  3. leave the range from the source shard.
 //
 // Between (1) and (3) a key is briefly routable in both shards; both answers
-// are correct. A route that loaded the old directory after (3) can miss the
-// key in the source shard's snapshot — it observes skipgraph.ErrUnknownKey,
-// reloads the directory, and retries (bounded). Adjustments racing the
-// migration the same way are tolerated by the engines
-// (serve.Config.TolerateAdjustMiss).
+// are correct. An outside reader that loaded the old directory before (2)
+// and reads the source shard's snapshot after (3) misses the key — it
+// observes skipgraph.ErrUnknownKey and should reload the directory.
 //
-// # Modes
+// # Serving
 //
-// Like serve.Engine, a Service runs in exactly one of two modes: the
-// deterministic Serve pipeline (requests dispatched in order onto concurrent
-// per-shard engine pipelines, with rebalancing at deterministic window
-// boundaries — every statistic is a pure function of the request sequence
-// and configuration) or free-running Start/Route/Stop (any number of
-// routing callers, a background rebalancer on a wall-clock interval).
+// Service.Serve is the one serving path: requests are dispatched in order
+// onto concurrent per-shard engine pipelines, with rebalancing at
+// deterministic window boundaries — every statistic, the rebalancing
+// decisions included, is a pure function of the request sequence and
+// configuration. The engines run with serve.Config.TolerateAdjustMiss, so a
+// route leg whose endpoint a Delete removed earlier in the stream (or a
+// crash took) costs that op its path sample, never the pipeline. Between
+// Serve calls, Apply and Crash act on the idle service synchronously.
 package shard

@@ -241,8 +241,7 @@ func TestApplySyncRoutesAndErrors(t *testing.T) {
 }
 
 // TestSingleShardDefaultsAndGuards pins the config clamps (Shards < 1 means
-// one shard, MinShardKeys floors at 2) and the free-running guards that
-// don't need a running service.
+// one shard, MinShardKeys floors at 2) and the out-of-range crash guard.
 func TestSingleShardDefaultsAndGuards(t *testing.T) {
 	svc, err := New(16, Config{Shards: 0, MinShardKeys: 4, Seed: 1})
 	if err != nil {
@@ -263,16 +262,7 @@ func TestSingleShardDefaultsAndGuards(t *testing.T) {
 		t.Fatalf("single-shard scan books = %+v", st)
 	}
 
-	if err := svc.Stop(); err == nil {
-		t.Fatal("Stop before Start must fail")
-	}
-	if _, err := svc.Route(-1, 3); err == nil {
-		t.Fatal("Route with an out-of-range source must fail")
-	}
-	if _, err := svc.Route(3, 3); err == nil {
-		t.Fatal("self-route must fail")
-	}
-	if _, err := svc.Crash(99); err == nil {
+	if err := svc.Crash(99); err == nil {
 		t.Fatal("Crash of an out-of-range key must fail")
 	}
 }

@@ -3,15 +3,12 @@ package shard
 import (
 	"fmt"
 
-	"lsasg/internal/serve"
 	"lsasg/internal/skipgraph"
 )
 
-// executeMigration runs one planned migration through the given membership
-// applier — (*serve.Engine).MigrateEntries against running engines,
-// (*serve.Engine).ApplyMigrationBatch between deterministic windows. The
-// applier must guarantee that when it returns, the changes are visible in
-// the engine's published snapshot; that is what makes the ordering safe:
+// executeMigration runs one planned migration at a window barrier, with
+// every engine idle. (*serve.Engine).ApplyMigrationBatch publishes its
+// snapshot before it returns, which is what makes the ordering safe:
 //
 //  1. join the range into the destination shard (snapshot published),
 //  2. publish the new directory epoch,
@@ -19,11 +16,9 @@ import (
 //
 // so every directory value ever observable names a shard whose snapshot
 // holds the key. The moved records come from the source shard's published
-// snapshot (immutable, safe to read while its adjuster works) as full
-// entries — id, value, version — so a key's data and its per-key version
-// monotonicity survive the move.
-func (s *Service) executeMigration(dir *Directory, plan migrationPlan,
-	apply func(eng *serve.Engine, joins []skipgraph.Entry, leaves []int64) error) error {
+// snapshot as full entries — id, value, version — so a key's data and its
+// per-key version monotonicity survive the move.
+func (s *Service) executeMigration(dir *Directory, plan migrationPlan) error {
 	entries := s.shards[plan.From].eng.Snapshot().Graph.RealEntriesInRange(
 		skipgraph.KeyOf(plan.Lo), skipgraph.KeyOf(plan.Hi))
 	if len(entries) == 0 {
@@ -38,14 +33,14 @@ func (s *Service) executeMigration(dir *Directory, plan migrationPlan,
 	if err != nil {
 		return err
 	}
-	if err := apply(s.shards[plan.To].eng, entries, nil); err != nil {
+	if err := s.shards[plan.To].eng.ApplyMigrationBatch(entries, nil); err != nil {
 		return fmt.Errorf("shard: migrating %d keys into shard %d: %w", len(entries), plan.To, err)
 	}
 	s.dir.Store(next)
-	if err := apply(s.shards[plan.From].eng, nil, ids); err != nil {
+	if err := s.shards[plan.From].eng.ApplyMigrationBatch(nil, ids); err != nil {
 		return fmt.Errorf("shard: retiring %d keys from shard %d: %w", len(ids), plan.From, err)
 	}
-	s.rebalances.Add(1)
-	s.movedKeys.Add(int64(len(ids)))
+	s.rebalances++
+	s.movedKeys += int64(len(ids))
 	return nil
 }

@@ -12,8 +12,8 @@ import (
 	"lsasg/internal/skipgraph"
 )
 
-// This file is the deterministic mode: a sequential dispatcher splits the
-// op stream into per-shard legs feeding S concurrent engine pipelines, and
+// This file is the Serve pipeline: a sequential dispatcher splits the op
+// stream into per-shard legs feeding S concurrent engine pipelines, and
 // the rebalancer runs at engine-idle barriers between fixed-size request
 // windows. Every statistic is a pure function of the request sequence and
 // the configuration — independent of Parallelism, shard pipeline scheduling,
@@ -32,7 +32,7 @@ import (
 // the shards' pipelines running concurrently. Outcomes are delivered to
 // Config.OnOutcome at the barrier, in dispatch order.
 
-// ServeStats aggregates one deterministic Serve run. All fields are
+// ServeStats aggregates one Serve run. All fields are
 // deterministic for a fixed seed, shard count, and request sequence.
 type ServeStats struct {
 	Requests int64
@@ -143,29 +143,16 @@ type tagFrag struct {
 // per-key loads, and at most one contiguous range migrates — values riding
 // with their keys — between adjacent shards before the next window starts.
 //
-// Serve refuses to run on a service in free-running mode (Start) and rejects
-// overlapping calls. Producers should select on the same ctx for every send,
-// exactly as with Network.Serve.
+// Serve rejects overlapping calls. Producers should select on the same ctx
+// for every send, exactly as with Network.Serve.
 func (s *Service) Serve(ctx context.Context, in <-chan core.Op) (ServeStats, error) {
-	s.mu.Lock()
-	if s.started {
-		s.mu.Unlock()
-		return ServeStats{}, fmt.Errorf("shard: Serve on a service already in free-running mode (Start)")
-	}
-	if s.serving {
-		s.mu.Unlock()
+	if !s.serving.CompareAndSwap(false, true) {
 		return ServeStats{}, fmt.Errorf("shard: overlapping Serve calls on one service")
 	}
-	s.serving = true
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		s.serving = false
-		s.mu.Unlock()
-	}()
+	defer s.serving.Store(false)
 
 	var st ServeStats
-	rebal0, moved0 := s.rebalances.Load(), s.movedKeys.Load()
+	rebal0, moved0 := s.rebalances, s.movedKeys
 	every := s.cfg.rebalanceEvery()
 	batch := s.cfg.BatchSize
 	if batch < 1 {
@@ -249,15 +236,15 @@ func (s *Service) Serve(ctx context.Context, in <-chan core.Op) (ServeStats, err
 			break
 		}
 		// Rebalance at the barrier: every engine is idle between windows.
-		if plan, ok := planRebalance(dir, keyLoad, nil, s.cfg.skewThreshold(), s.cfg.minShardKeys()); ok {
-			if err := s.executeIdle(dir, plan); err != nil {
+		if plan, ok := planRebalance(dir, keyLoad, s.cfg.skewThreshold(), s.cfg.minShardKeys()); ok {
+			if err := s.executeMigration(dir, plan); err != nil {
 				retErr = err
 				break
 			}
 		}
 	}
-	st.Rebalances = s.rebalances.Load() - rebal0
-	st.MovedKeys = s.movedKeys.Load() - moved0
+	st.Rebalances = s.rebalances - rebal0
+	st.MovedKeys = s.movedKeys - moved0
 	st.Height = s.Height()
 	st.DummyCount = s.DummyCount()
 	return st, retErr
@@ -356,7 +343,7 @@ func (s *Service) dispatch(ctx context.Context, dir *Directory, op core.Op,
 
 	case core.OpScan:
 		st.Scans++
-		s.keyLoad[op.Dst].Add(1)
+		s.keyLoad[op.Dst]++
 		first := dir.ShardOf(op.Dst)
 		fan := dir.Shards() - first
 		if s.cfg.OnRequest != nil {
@@ -530,15 +517,6 @@ func (s *Service) recordSpan(tr *obs.Tracer, p pendingReq, fs []tagFrag, o Outco
 		RouteMiss:     miss,
 		Cross:         len(fs) > 1 || p.extraHops > 0,
 		Legs:          legs,
-	})
-}
-
-// executeIdle runs one migration with every engine idle, applying
-// membership directly (ApplyMigrationBatch publishes the snapshot
-// synchronously, satisfying executeMigration's applier contract).
-func (s *Service) executeIdle(dir *Directory, plan migrationPlan) error {
-	return s.executeMigration(dir, plan, func(eng *serve.Engine, joins []skipgraph.Entry, leaves []int64) error {
-		return eng.ApplyMigrationBatch(joins, leaves)
 	})
 }
 

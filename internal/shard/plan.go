@@ -10,19 +10,16 @@ type migrationPlan struct {
 }
 
 // planRebalance decides at most one migration from the load window. Inputs:
-// the directory in force during the window, per-key endpoint counts, and the
-// per-shard adjustment backlogs (zero in the deterministic pipeline, where
-// windows end at engine-idle barriers).
+// the directory in force during the window and the per-key endpoint counts.
 //
-// The decision rule: compute per-shard loads (key loads in range + backlog);
-// if the hottest shard exceeds threshold × mean, donate keys to its
-// lighter-loaded adjacent neighbour, walking per-key load in from the donated
-// edge until half the pairwise load gap has moved (at least one key, and
-// never below minKeys remaining). Donating from the adjacent edge is what
-// keeps both shards' ranges contiguous. A plan is only emitted when the
-// walked keys actually carry load — backlog alone names no keys to move, so
-// it biases the ratio test but never triggers a blind migration.
-func planRebalance(dir *Directory, keyLoad []int64, backlog []int64, threshold float64, minKeys int) (migrationPlan, bool) {
+// The decision rule: compute per-shard loads (key loads in range); if the
+// hottest shard exceeds threshold × mean, donate keys to its lighter-loaded
+// adjacent neighbour, walking per-key load in from the donated edge until
+// half the pairwise load gap has moved (at least one key, and never below
+// minKeys remaining). Donating from the adjacent edge is what keeps both
+// shards' ranges contiguous. A plan is only emitted when the walked keys
+// actually carry load.
+func planRebalance(dir *Directory, keyLoad []int64, threshold float64, minKeys int) (migrationPlan, bool) {
 	s := dir.Shards()
 	if s < 2 {
 		return migrationPlan{}, false
@@ -33,9 +30,6 @@ func planRebalance(dir *Directory, keyLoad []int64, backlog []int64, threshold f
 		lo, hi := dir.Range(i)
 		for k := lo; k < hi; k++ {
 			loads[i] += keyLoad[k]
-		}
-		if backlog != nil {
-			loads[i] += backlog[i]
 		}
 		total += loads[i]
 	}

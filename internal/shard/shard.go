@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"lsasg/internal/core"
 	"lsasg/internal/obs"
@@ -24,15 +23,11 @@ type Config struct {
 	// Parallelism and BatchSize configure each shard's serve.Engine.
 	Parallelism int
 	BatchSize   int
-	// Backlog bounds each shard's free-running adjustment queue.
-	Backlog int
 
-	// RebalanceEvery is the deterministic pipeline's window length in
-	// requests: after every window the planner runs at an engine-idle
-	// barrier. Values < 1 mean 512.
+	// RebalanceEvery is the Serve pipeline's window length in requests:
+	// after every window the planner runs at an engine-idle barrier.
+	// Values < 1 mean 512.
 	RebalanceEvery int
-	// RebalanceInterval is the free-running planner period (default 50ms).
-	RebalanceInterval time.Duration
 	// SkewThreshold is the max/mean shard-load ratio that triggers a
 	// migration (default 1.5; values ≤ 1 mean the default).
 	SkewThreshold float64
@@ -40,16 +35,15 @@ type Config struct {
 	// shard (default 2).
 	MinShardKeys int
 
-	// OnRequest, when non-nil, observes every request accepted by the
-	// deterministic Serve pipeline in sequence order (before its legs are
+	// OnRequest, when non-nil, observes every request accepted by the Serve
+	// pipeline in sequence order (before its legs are
 	// dispatched) — scans included, as the access (src, start). The sharded
 	// public API uses it for working-set bookkeeping.
 	OnRequest func(src, dst int64, crossShard bool)
 
 	// OnOutcome, when non-nil, receives every op's assembled result — point
 	// outcomes, stitched cross-shard scans, and route path measurements — at
-	// each window barrier of the deterministic Serve pipeline, in dispatch
-	// order.
+	// each window barrier of the Serve pipeline, in dispatch order.
 	OnOutcome func(o Outcome)
 
 	// Tracer, when non-nil, turns on the observability layer: the shard
@@ -73,13 +67,6 @@ func (c Config) rebalanceEvery() int {
 		return 512
 	}
 	return c.RebalanceEvery
-}
-
-func (c Config) rebalanceInterval() time.Duration {
-	if c.RebalanceInterval <= 0 {
-		return 50 * time.Millisecond
-	}
-	return c.RebalanceInterval
 }
 
 func (c Config) skewThreshold() float64 {
@@ -113,30 +100,22 @@ type Service struct {
 	dir    atomic.Pointer[Directory]
 
 	// keyLoad[k] counts routed leg endpoints touching key k in the current
-	// load window; the planner consumes and resets it.
-	keyLoad []atomic.Int64
+	// load window; the planner consumes and resets it. Only the Serve
+	// dispatcher touches it.
+	keyLoad []int64
 
 	// frags collects tagged KV leg results from the shard engines during a
-	// deterministic window; deliverOutcomes drains it at the barrier.
+	// window; deliverOutcomes drains it at the barrier.
 	fragMu sync.Mutex
 	frags  map[int64][]tagFrag
 
-	mu      sync.Mutex // guards the mode flags and Stop
-	started bool
-	serving bool
-	stopped bool
-	stop    chan struct{}
-	rebalWG sync.WaitGroup
+	// serving is set while a Serve call is in flight.
+	serving atomic.Bool
 
-	routed      atomic.Int64
-	intra       atomic.Int64
-	cross       atomic.Int64
-	distSum     atomic.Int64
-	hopSum      atomic.Int64
-	retried     atomic.Int64
-	rebalances  atomic.Int64
-	movedKeys   atomic.Int64
-	rebalErrors atomic.Int64
+	// rebalances and movedKeys count migrations over the service's lifetime;
+	// only a Serve call's barrier writes them.
+	rebalances int64
+	movedKeys  int64
 }
 
 // New builds a sharded service over keys 0..n-1. Every shard needs at least
@@ -146,7 +125,7 @@ func New(n int, cfg Config) (*Service, error) {
 	if n < s*cfg.minShardKeys() {
 		return nil, fmt.Errorf("shard: %d keys cannot fill %d shards with ≥ %d keys each", n, s, cfg.minShardKeys())
 	}
-	svc := &Service{cfg: cfg, n: int64(n), keyLoad: make([]atomic.Int64, n), frags: make(map[int64][]tagFrag)}
+	svc := &Service{cfg: cfg, n: int64(n), keyLoad: make([]int64, n), frags: make(map[int64][]tagFrag)}
 	dir := newDirectory(int64(n), s)
 	svc.dir.Store(dir)
 	a := cfg.A
@@ -171,7 +150,6 @@ func New(n int, cfg Config) (*Service, error) {
 		eng := serve.New(d, serve.Config{
 			Parallelism:        cfg.Parallelism,
 			BatchSize:          cfg.BatchSize,
-			Backlog:            cfg.Backlog,
 			TolerateAdjustMiss: true,
 			// Engines under a dispatcher feed stage histograms and leg
 			// timings only; the dispatcher owns whole-op spans.
@@ -194,6 +172,13 @@ func (s *Service) Shards() int { return len(s.shards) }
 
 // Directory returns the current directory (immutable; callers may hold it).
 func (s *Service) Directory() *Directory { return s.dir.Load() }
+
+// Rebalances returns the number of migrations executed so far. Like
+// MigratedKeys, it must not be called while a Serve call is in flight.
+func (s *Service) Rebalances() int64 { return s.rebalances }
+
+// MigratedKeys returns the number of keys moved across shards so far.
+func (s *Service) MigratedKeys() int64 { return s.movedKeys }
 
 // Height returns the tallest shard topology.
 func (s *Service) Height() int {
@@ -225,11 +210,12 @@ func (s *Service) Verify() error {
 	return nil
 }
 
-// CrashIdle injects a crash failure synchronously: the node fails in place
-// on whichever shard the current directory assigns it, and the post-crash
-// snapshot publishes before the call returns. Requires the owning engine to
-// be idle (no Serve, no Start) — the deterministic-mode twin of Crash.
-func (s *Service) CrashIdle(id int64) error {
+// Crash injects a crash failure synchronously: the node fails in place on
+// whichever shard the current directory assigns it — dangling neighbour
+// references until a Put or Delete of the key repairs it — and the
+// post-crash snapshot publishes before the call returns. Requires the
+// owning engine to be idle (no Serve in flight).
+func (s *Service) Crash(id int64) error {
 	if err := s.checkKey(id); err != nil {
 		return err
 	}
@@ -247,15 +233,14 @@ func (s *Service) checkKey(k int64) error {
 
 // recordLoad attributes one routed request's endpoints to the load window.
 func (s *Service) recordLoad(src, dst int64) {
-	s.keyLoad[src].Add(1)
-	s.keyLoad[dst].Add(1)
+	s.keyLoad[src]++
+	s.keyLoad[dst]++
 }
 
-// takeKeyLoads drains the per-key load window into a plain slice.
+// takeKeyLoads hands the per-key load window to the caller and starts a
+// fresh one.
 func (s *Service) takeKeyLoads() []int64 {
-	out := make([]int64, len(s.keyLoad))
-	for i := range s.keyLoad {
-		out[i] = s.keyLoad[i].Swap(0)
-	}
+	out := s.keyLoad
+	s.keyLoad = make([]int64, len(out))
 	return out
 }

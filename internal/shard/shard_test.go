@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"math/rand"
 	"testing"
-	"time"
 
 	"lsasg/internal/core"
 	"lsasg/internal/workload"
@@ -21,6 +20,18 @@ func feed(reqs []workload.Request) <-chan core.Op {
 		}
 	}()
 	return ch
+}
+
+// routeLegs resolves u → v under dir and routes every leg in its shard's
+// current snapshot — the read-only half of what the dispatcher does.
+func routeLegs(s *Service, dir *Directory, u, v int64) error {
+	legs, n, _ := dir.splitLegs(u, v)
+	for i := 0; i < n; i++ {
+		if _, err := s.shards[legs[i].shard].eng.Snapshot().Route(legs[i].src, legs[i].dst); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func TestDirectory(t *testing.T) {
@@ -66,7 +77,7 @@ func TestPlanRebalance(t *testing.T) {
 	dir := newDirectory(32, 4) // 8 keys per shard
 	keyLoad := make([]int64, 32)
 
-	if _, ok := planRebalance(dir, keyLoad, nil, 1.5, 2); ok {
+	if _, ok := planRebalance(dir, keyLoad, 1.5, 2); ok {
 		t.Error("zero load must not plan")
 	}
 
@@ -74,7 +85,7 @@ func TestPlanRebalance(t *testing.T) {
 	for i := range keyLoad {
 		keyLoad[i] = 10
 	}
-	if _, ok := planRebalance(dir, keyLoad, nil, 1.5, 2); ok {
+	if _, ok := planRebalance(dir, keyLoad, 1.5, 2); ok {
 		t.Error("balanced load must not plan")
 	}
 
@@ -86,7 +97,7 @@ func TestPlanRebalance(t *testing.T) {
 	for k := 4; k < 32; k++ {
 		keyLoad[k] = 1
 	}
-	plan, ok := planRebalance(dir, keyLoad, nil, 1.5, 2)
+	plan, ok := planRebalance(dir, keyLoad, 1.5, 2)
 	if !ok {
 		t.Fatal("hot shard 0 must plan")
 	}
@@ -111,7 +122,7 @@ func TestPlanRebalance(t *testing.T) {
 	for k := 24; k < 32; k++ {
 		keyLoad[k] = 1
 	}
-	plan, ok = planRebalance(dir, keyLoad, nil, 1.5, 2)
+	plan, ok = planRebalance(dir, keyLoad, 1.5, 2)
 	if !ok || plan.From != 2 || plan.To != 3 {
 		t.Fatalf("plan %+v ok=%v, want 2 → 3", plan, ok)
 	}
@@ -121,18 +132,12 @@ func TestPlanRebalance(t *testing.T) {
 		t.Errorf("boundaryAfter = (%d, %d), want (3, %d)", b, start, plan.Lo)
 	}
 
-	// Backlog alone biases the ratio but never names keys: no plan.
-	keyLoad = make([]int64, 32)
-	if _, ok := planRebalance(dir, keyLoad, []int64{1000, 0, 0, 0}, 1.5, 2); ok {
-		t.Error("pure-backlog skew must not plan a blind migration")
-	}
-
 	// A single hub key at the donated edge carrying more than the whole
 	// load gap must not plan: moving it would just invert the imbalance and
 	// ping-pong the key back next window.
 	keyLoad = make([]int64, 32)
 	keyLoad[7] = 1000 // top edge of shard 0
-	if plan, ok := planRebalance(dir, keyLoad, nil, 1.5, 2); ok {
+	if plan, ok := planRebalance(dir, keyLoad, 1.5, 2); ok {
 		t.Errorf("hub-at-boundary load planned %+v; moving it cannot improve balance", plan)
 	}
 }
@@ -152,7 +157,7 @@ func TestPlanRebalanceTerminates(t *testing.T) {
 		if round > 8 {
 			t.Fatalf("planner still migrating after %d rounds on static load (epoch %d)", round, dir.Epoch())
 		}
-		plan, ok := planRebalance(dir, keyLoad, nil, 1.5, 2)
+		plan, ok := planRebalance(dir, keyLoad, 1.5, 2)
 		if !ok {
 			break
 		}
@@ -249,8 +254,7 @@ func TestServeShardsAreConsistent(t *testing.T) {
 		if u == v {
 			continue
 		}
-		dirNow := svc.Directory()
-		if _, err := svc.routeOnce(dirNow, u, v); err != nil {
+		if err := routeLegs(svc, svc.Directory(), u, v); err != nil {
 			t.Fatalf("route %d→%d after migrations: %v", u, v, err)
 		}
 	}
@@ -279,20 +283,32 @@ func TestSingleShardMatchesEngine(t *testing.T) {
 	}
 }
 
-// TestServeModeConflict: one service, one mode.
+// TestServeModeConflict: one dispatcher at a time — an overlapping Serve
+// must error instead of racing the first one's windows.
 func TestServeModeConflict(t *testing.T) {
 	svc, err := New(32, Config{Shards: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc.Start()
+	blocked := make(chan core.Op) // never closed during the first Serve
+	ret := make(chan error, 1)
+	go func() {
+		_, err := svc.Serve(context.Background(), blocked)
+		ret <- err
+	}()
+	for !svc.serving.Load() {
+	}
 	ch := make(chan core.Op)
 	close(ch)
 	if _, err := svc.Serve(context.Background(), ch); err == nil {
-		t.Error("Serve on a Start()ed service must fail")
+		t.Error("overlapping Serve must fail")
 	}
-	if err := svc.Stop(); err != nil {
-		t.Fatal(err)
+	close(blocked)
+	if err := <-ret; err != nil {
+		t.Fatalf("first Serve failed: %v", err)
+	}
+	if _, err := svc.Serve(context.Background(), ch); err != nil {
+		t.Fatalf("Serve after the first returned: %v", err)
 	}
 }
 
@@ -308,59 +324,6 @@ func TestServeInvalidRequest(t *testing.T) {
 		close(ch)
 		if _, err := svc.Serve(context.Background(), ch); err == nil {
 			t.Errorf("request %+v must abort Serve", bad)
-		}
-	}
-}
-
-// TestFreeRunningRouteAndRebalance: the wall-clock mode routes across
-// shards, and a planner pass over skewed load migrates against the running
-// engines. The pass is driven explicitly (rebalanceOnce) so the test does
-// not depend on ticker scheduling; the background ticker path is covered by
-// the stress test.
-func TestFreeRunningRouteAndRebalance(t *testing.T) {
-	const n = 64
-	svc, err := New(n, Config{Shards: 4, Seed: 5, BatchSize: 8, Backlog: 64,
-		RebalanceInterval: time.Hour /* keep the ticker out of the way */})
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc.Start()
-	reqs := workload.HotRange{Seed: 5, LoFrac: 0, HiFrac: 0.125, Hot: 0.85}.Generate(n, 3000)
-	half := len(reqs) / 2
-	for _, r := range reqs[:half] {
-		if _, err := svc.Route(int64(r.Src), int64(r.Dst)); err != nil {
-			t.Fatalf("route %d→%d: %v", r.Src, r.Dst, err)
-		}
-	}
-	moved, err := svc.rebalanceOnce()
-	if err != nil {
-		t.Fatalf("rebalance: %v", err)
-	}
-	if !moved {
-		t.Fatal("hot-range load triggered no live migration")
-	}
-	// Routing continues seamlessly across the new directory epoch.
-	for _, r := range reqs[half:] {
-		if _, err := svc.Route(int64(r.Src), int64(r.Dst)); err != nil {
-			t.Fatalf("route %d→%d after migration: %v", r.Src, r.Dst, err)
-		}
-	}
-	if err := svc.Stop(); err != nil {
-		t.Fatalf("stop: %v", err)
-	}
-	live := svc.Live()
-	if live.Routed != int64(len(reqs)) || live.Intra+live.Cross != live.Routed {
-		t.Errorf("route books: %+v", live)
-	}
-	if live.Rebalances == 0 || live.MigratedKeys == 0 {
-		t.Errorf("migration not reflected in stats: %+v", live)
-	}
-	if live.DirectoryEpoch != live.Rebalances {
-		t.Errorf("epoch %d != rebalances %d", live.DirectoryEpoch, live.Rebalances)
-	}
-	for _, sl := range svc.shards {
-		if err := sl.dsg.Validate(); err != nil {
-			t.Fatalf("shard DSG invalid after live migrations: %v", err)
 		}
 	}
 }

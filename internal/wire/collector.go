@@ -15,7 +15,7 @@ import (
 
 // Collector aggregates serving observability without perturbing the hot
 // path: per-op counters advance on lock-free atomics as results flow, and
-// the topology-level figures (height, shed, rebalances, migrated keys) are
+// the topology-level figures (height, rebalances, migrated keys) are
 // snapshotted only at generation boundaries — the service's methods are not
 // concurrency-safe, so the collector never touches the service while a
 // pipeline runs. It renders the Prometheus text exposition format (metric
@@ -107,15 +107,18 @@ func (c *Collector) observeResult(v Verb, r lsasg.OpResult) {
 // observeAdmin records one completed admin request.
 func (c *Collector) observeAdmin(v Verb) { c.ops[v].Add(1) }
 
-// observeError records one non-OK response. Unknown-key responses also
-// feed the tracer's retry-event counter: on the wire they are exactly the
-// ErrUnknownKey outcomes a free-running client would retry.
+// observeError records one non-OK response. Unknown-key and dead-node
+// responses also feed the tracer's retry-event counters: on the wire they
+// are exactly the transient outcomes a client retries.
 func (c *Collector) observeError(code ErrCode) {
 	if int(code) < len(c.errs) {
 		c.errs[code].Add(1)
 	}
-	if code == CodeUnknownKey {
+	switch code {
+	case CodeUnknownKey:
 		c.tracer.RetryEvent(obs.EventUnknownKey)
+	case CodeDeadNode:
+		c.tracer.RetryEvent(obs.EventDeadRoute)
 	}
 }
 
@@ -199,15 +202,6 @@ func (c *Collector) Render() string {
 	}
 	fmt.Fprintf(&b, "dsg_route_distance_mean %g\n", meanDist)
 
-	counter("dsg_shed_adjustments_total", "Adjustments dropped by free-running engines (generation-boundary snapshot).")
-	fmt.Fprintf(&b, "dsg_shed_adjustments_total %d\n", cum.ShedAdjustments)
-	gauge("dsg_shed_rate", "Shed adjustments per served request (generation-boundary snapshot).")
-	shedRate := 0.0
-	if cum.Requests > 0 {
-		shedRate = float64(cum.ShedAdjustments) / float64(cum.Requests)
-	}
-	fmt.Fprintf(&b, "dsg_shed_rate %g\n", shedRate)
-
 	counter("dsg_rebalances_total", "Skew-driven shard migrations (generation-boundary snapshot).")
 	fmt.Fprintf(&b, "dsg_rebalances_total %d\n", cum.Rebalances)
 	counter("dsg_migrated_keys_total", "Keys moved across shards by the rebalancer (generation-boundary snapshot).")
@@ -251,7 +245,7 @@ func (c *Collector) Render() string {
 		writeHist("dsg_stage_latency_seconds", "stage", obs.StageName(st), c.tracer.StageHistogram(st))
 	}
 
-	counter("dsg_retry_events_total", "Retry-triggering events: shed requests, unknown-key responses, dead-route detections.")
+	counter("dsg_retry_events_total", "Retry-triggering events: unknown-key responses, dead-node responses.")
 	for ev := 0; ev < obs.NumEvents(); ev++ {
 		fmt.Fprintf(&b, "dsg_retry_events_total{event=%q} %d\n", obs.EventName(ev), c.tracer.RetryEvents(ev))
 	}

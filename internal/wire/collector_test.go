@@ -1,10 +1,13 @@
 package wire
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"lsasg"
 	"lsasg/internal/obs"
 )
 
@@ -18,8 +21,6 @@ var goldenFamilies = []string{
 	"dsg_adjust_lag_mean gauge",
 	"dsg_adjust_lag_max gauge",
 	"dsg_route_distance_mean gauge",
-	"dsg_shed_adjustments_total counter",
-	"dsg_shed_rate gauge",
 	"dsg_rebalances_total counter",
 	"dsg_migrated_keys_total counter",
 	"dsg_kv_ops_total counter",
@@ -75,7 +76,7 @@ func TestRenderHistogramSeries(t *testing.T) {
 	tr.ObserveOp(obs.KindGet, 3*time.Microsecond)
 	tr.ObserveOp(obs.KindGet, 40*time.Millisecond)
 	tr.ObserveStage(obs.StageRouteLeg, 2*time.Microsecond)
-	tr.RetryEvent(obs.EventShed)
+	tr.RetryEvent(obs.EventUnknownKey)
 	body := c.Render()
 
 	for _, verb := range []string{"route", "get", "put", "delete", "scan"} {
@@ -94,8 +95,7 @@ func TestRenderHistogramSeries(t *testing.T) {
 	for _, want := range []string{
 		`dsg_op_latency_seconds_count{verb="get"} 2`,
 		`dsg_stage_latency_seconds_count{stage="route_leg"} 1`,
-		`dsg_retry_events_total{event="shed"} 1`,
-		`dsg_retry_events_total{event="unknown_key"} 0`,
+		`dsg_retry_events_total{event="unknown_key"} 1`,
 		`dsg_retry_events_total{event="dead_route"} 0`,
 	} {
 		if !strings.Contains(body, want) {
@@ -125,5 +125,30 @@ func TestCollectorUnknownKeyFeedsTracer(t *testing.T) {
 	}
 	if !strings.Contains(c.Render(), `dsg_retry_events_total{event="unknown_key"} 1`) {
 		t.Error("unknown_key retry event not rendered")
+	}
+}
+
+// TestCollectorDeadRouteFeedsTracer: a route into a crashed node, end to
+// end over the wire, surfaces as dead_route retry events — one per attempt
+// the client's retry loop makes — in the tracer and in the scrape.
+func TestCollectorDeadRouteFeedsTracer(t *testing.T) {
+	nw, err := lsasg.New(16, lsasg.WithSeed(9), lsasg.WithBatchSize(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, cl := startServer(t, nw)
+	if err := cl.Crash(3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Route(1, 3); !errors.Is(err, lsasg.ErrDeadNode) {
+		t.Fatalf("route to crashed node returned %v, want ErrDeadNode", err)
+	}
+	c := srv.Collector()
+	got := c.tracer.RetryEvents(obs.EventDeadRoute)
+	if got < 1 {
+		t.Fatalf("dead_route events = %d, want ≥ 1", got)
+	}
+	if want := fmt.Sprintf(`dsg_retry_events_total{event="dead_route"} %d`, got); !strings.Contains(c.Render(), want) {
+		t.Errorf("scrape missing %q", want)
 	}
 }

@@ -364,7 +364,6 @@ func encodeStats(e *encoder, s *StatsPayload) {
 	e.f64(c.WorkingSetBound)
 	e.i64(int64(c.Height))
 	e.i64(int64(c.DummyCount))
-	e.i64(c.ShedAdjustments)
 	e.i64(c.Rebalances)
 	e.i64(c.MigratedKeys)
 	v := s.Serve
@@ -401,7 +400,6 @@ func decodeStats(d *decoder) *StatsPayload {
 	c.WorkingSetBound = d.f64()
 	c.Height = int(d.i64())
 	c.DummyCount = int(d.i64())
-	c.ShedAdjustments = d.i64()
 	c.Rebalances = d.i64()
 	c.MigratedKeys = d.i64()
 	v := &s.Serve

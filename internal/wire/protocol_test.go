@@ -51,7 +51,7 @@ func sampleResponses() []Response {
 			Cum: lsasg.Stats{
 				Requests: 100, MeanRouteDistance: 2.5, MaxRouteDistance: 9,
 				TotalTransformRounds: 42, WorkingSetBound: 123.75, Height: 6,
-				DummyCount: 3, ShedAdjustments: 11, Rebalances: 2, MigratedKeys: 17,
+				DummyCount: 3, Rebalances: 2, MigratedKeys: 17,
 			},
 			Serve: lsasg.ServeStats{
 				Requests: 50, Batches: 50, MeanRouteDistance: 1.25, MaxRouteDistance: 4,

@@ -183,6 +183,16 @@ func TestLoopbackCrashInjection(t *testing.T) {
 	if err := cl.Crash(99); !errors.Is(err, lsasg.ErrOutOfRange) {
 		t.Fatalf("crash of out-of-range node returned %v", err)
 	}
+
+	// A sharded daemon maps the same mistake to the same code.
+	sh, err := lsasg.NewSharded(16, lsasg.WithShards(2), lsasg.WithSeed(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, shcl := startServer(t, sh)
+	if err := shcl.Crash(9999); !errors.Is(err, lsasg.ErrOutOfRange) {
+		t.Fatalf("sharded crash of out-of-range node returned %v, want ErrOutOfRange", err)
+	}
 }
 
 func inProcessReplay(t *testing.T, svc lsasg.Service, ops []lsasg.Op) lsasg.ServeStats {
@@ -407,8 +417,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"dsg_req_per_sec",
 		"dsg_adjust_lag_mean",
 		"dsg_route_distance_mean",
-		"dsg_shed_adjustments_total",
-		"dsg_shed_rate",
 		"dsg_rebalances_total 0",
 		"dsg_migrated_keys_total 0",
 		`dsg_kv_ops_total{op="get"} 1`,

@@ -67,15 +67,6 @@ func ScanOp(src, start, limit int) Op {
 	return Op{Kind: ScanKind, Src: src, Dst: start, Limit: limit}
 }
 
-// LegacyScanOp builds a range read with the scan's start doubling as its
-// origin — the pre-origin envelope shape, a self-access with no working-set
-// effect.
-//
-// Deprecated: use ScanOp(src, start, limit), which carries an explicit
-// origin like every other op. LegacyScanOp will be removed in the next
-// release.
-func LegacyScanOp(start, limit int) Op { return ScanOp(start, start, limit) }
-
 // KV is one scanned entry: a key, its value, and the version the value was
 // written at. The value slice is immutable — treat it as read-only.
 type KV struct {

@@ -271,10 +271,9 @@ func (nw *Network) DirectlyLinked(src, dst int) (bool, int) {
 	return nw.dsg.Graph().DirectlyLinked(u, v)
 }
 
-// Stats summarizes the served request sequence. The concurrency/sharding
-// fields at the bottom carry the stable names documented in internal/serve's
-// package comment; they stay zero for configurations that cannot produce
-// them (an unsharded Network never sheds, migrates, or rebalances).
+// Stats summarizes the served request sequence. The sharding fields at the
+// bottom stay zero for an unsharded Network, which never migrates or
+// rebalances.
 type Stats struct {
 	Requests             int
 	MeanRouteDistance    float64
@@ -287,10 +286,6 @@ type Stats struct {
 	Height          int
 	DummyCount      int
 
-	// ShedAdjustments counts adjustments dropped by free-running engines
-	// because their queue was full. The deterministic Serve pipelines never
-	// shed, so this is non-zero only for free-running sharded use.
-	ShedAdjustments int64
 	// Rebalances counts skew-driven migrations the sharded rebalancer
 	// executed; MigratedKeys counts the keys those migrations moved between
 	// shards. Both are 0 for an unsharded Network.
@@ -371,9 +366,12 @@ func (nw *Network) RenderTopology(w io.Writer) {
 	fmt.Fprint(w, tree.RenderLevels(nil, nil))
 }
 
-func (nw *Network) checkIndex(i int) error {
-	if i < 0 || i >= nw.n {
-		return fmt.Errorf("%w: node index %d not in [0, %d)", ErrOutOfRange, i, nw.n)
+func (nw *Network) checkIndex(i int) error { return checkIndex(i, nw.n) }
+
+// checkIndex validates a node index against the key space [0, n).
+func checkIndex(i, n int) error {
+	if i < 0 || i >= n {
+		return fmt.Errorf("%w: node index %d not in [0, %d)", ErrOutOfRange, i, n)
 	}
 	return nil
 }

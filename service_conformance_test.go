@@ -2,6 +2,7 @@ package lsasg
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -218,6 +219,34 @@ func TestServiceConformanceSerial(t *testing.T) {
 			}
 			if err := svc.Verify(); err != nil {
 				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestServiceConformanceCrash pins the fault-injection surface both
+// implementations expose beside the interface (the wire daemon's crash
+// verb): an index outside [0, N) is ErrOutOfRange on either topology, and an
+// in-range crash is accepted and leaves a structurally valid topology.
+func TestServiceConformanceCrash(t *testing.T) {
+	const n = 32
+	for name, build := range conformanceBuilders(n) {
+		t.Run(name, func(t *testing.T) {
+			svc, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cr := svc.(interface{ Crash(idx int) error })
+			for _, idx := range []int{-1, n, 9999} {
+				if err := cr.Crash(idx); !errors.Is(err, ErrOutOfRange) {
+					t.Errorf("Crash(%d) = %v, want ErrOutOfRange", idx, err)
+				}
+			}
+			if err := cr.Crash(5); err != nil {
+				t.Fatalf("Crash(5): %v", err)
+			}
+			if err := svc.Verify(); err != nil {
+				t.Errorf("Verify after crash: %v", err)
 			}
 		})
 	}

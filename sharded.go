@@ -170,19 +170,16 @@ func (nw *ShardedNetwork) serveStatsFrom(st shard.ServeStats) ServeStats {
 }
 
 // Stats returns aggregate statistics for the requests served so far, with
-// the sharded counters (ShedAdjustments, Rebalances, MigratedKeys) filled in
-// under their stable names.
+// the sharded counters (Rebalances, MigratedKeys) filled in.
 func (nw *ShardedNetwork) Stats() Stats {
-	live := nw.svc.Live()
 	s := Stats{
 		Requests:             int(nw.requests),
 		MaxRouteDistance:     nw.maxLegDistance,
 		TotalTransformRounds: nw.totalTransform,
 		Height:               nw.svc.Height(),
 		DummyCount:           nw.svc.DummyCount(),
-		ShedAdjustments:      live.Shed,
-		Rebalances:           live.Rebalances,
-		MigratedKeys:         live.MigratedKeys,
+		Rebalances:           nw.svc.Rebalances(),
+		MigratedKeys:         nw.svc.MigratedKeys(),
 	}
 	if nw.requests > 0 {
 		s.MeanRouteDistance = float64(nw.totalRouteDistance) / float64(nw.requests)
@@ -200,5 +197,8 @@ func (nw *ShardedNetwork) Verify() error { return nw.svc.Verify() }
 // the current directory assigns it, with dangling neighbour references until
 // a repair splices it out. Must not run concurrently with a Serve call.
 func (nw *ShardedNetwork) Crash(idx int) error {
-	return wrapErr(nw.svc.CrashIdle(int64(idx)))
+	if err := checkIndex(idx, nw.n); err != nil {
+		return err
+	}
+	return wrapErr(nw.svc.Crash(int64(idx)))
 }

@@ -16,7 +16,7 @@ import (
 // limit-exact.
 
 // Get reads key's value as an access from src. Synchronous: the service
-// must not be in free-running mode (Start) or mid-Serve.
+// must not be mid-Serve.
 func (nw *ShardedNetwork) Get(src, key int) (value []byte, version int64, found bool, err error) {
 	if err := GetOp(src, key).Validate(nw.n); err != nil {
 		return nil, 0, false, err
