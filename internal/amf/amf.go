@@ -15,7 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"lsasg/internal/skiplist"
 )
@@ -90,9 +90,32 @@ type Result struct {
 	n int
 }
 
+// Scratch owns every buffer an AMF run needs, so a caller that runs AMF
+// once per list split (DSG's adjuster) allocates nothing in steady state.
+// The zero value is ready to use. A Scratch serves one goroutine, and the
+// Result of a Find — its List in particular — is valid only until the next
+// Find on the same Scratch.
+type Scratch struct {
+	list   skiplist.SkipList
+	sorted []Value
+	// items holds every surviving value of the current level in base-list
+	// order, cnt[i] how many of them the level's i-th member holds; the
+	// spares are the other half of each ping-pong pair.
+	items, itemsSpare []item
+	cnt, cntSpare     []int
+	retained          []int
+	prefix, suffix    []int64
+}
+
 // Find runs AMF over the given values with balance parameter a. It panics
 // on an empty input or a < 2.
 func Find(values []Value, a int, rng *rand.Rand) *Result {
+	res := new(Scratch).Find(values, a, rng)
+	return &res
+}
+
+// Find is the package-level Find run out of sc's buffers.
+func (sc *Scratch) Find(values []Value, a int, rng *rand.Rand) Result {
 	n := len(values)
 	if n == 0 {
 		panic("amf: no values")
@@ -101,63 +124,75 @@ func Find(values []Value, a int, rng *rand.Rand) *Result {
 		panic(fmt.Sprintf("amf: need a >= 2, got %d", a))
 	}
 	if n == 1 {
-		return &Result{Median: values[0], Rounds: 1, n: n}
+		return Result{Median: values[0], Rounds: 1, n: n}
 	}
 	if n <= 2*a {
 		// The list is shorter than a constant: the left-most node gathers
 		// everything linearly and computes the exact median.
-		sorted := append([]Value(nil), values...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
-		return &Result{
-			Median: sorted[(n-1)/2],
+		sc.sorted = append(sc.sorted[:0], values...)
+		slices.SortFunc(sc.sorted, Value.Cmp)
+		return Result{
+			Median: sc.sorted[(n-1)/2],
 			Rounds: 2 * n, // linear gather plus linear broadcast
 			n:      n,
 		}
 	}
 
-	sl := skiplist.Build(n, a, rng)
+	sl := &sc.list
+	sl.Reset(n, a, rng)
 	rounds := sl.ConstructionRounds
 	h := sl.Height()
 	sampleSize := a * h
 	threshold := samplingThreshold(h, a)
 
-	held := make(map[int][]item, n)
-	for p, v := range values {
-		held[p] = []item{{val: v}}
+	items, cnt := sc.items[:0], sc.cnt[:0]
+	for _, v := range values {
+		items = append(items, item{val: v})
+		cnt = append(cnt, 1)
 	}
+	itemsSpare, cntSpare := sc.itemsSpare, sc.cntSpare
 	for d := 0; d < h; d++ {
+		// Gather: a member that did not step up forwards everything it holds
+		// to its nearest left neighbour that did. Members hold contiguous
+		// stretches of items, so forwarding only merges adjacent counts.
 		lower, upper := sl.Level(d), sl.Level(d+1)
+		held := cntSpare[:0]
 		k := 0
-		collector := upper[0]
 		levelRounds, segLoad := 0, 0
-		for _, p := range lower {
+		for i, p := range lower {
 			if k < len(upper) && upper[k] == p {
-				collector = p
+				held = append(held, cnt[i])
 				k++
 				segLoad = 0
 				continue
 			}
-			segLoad += len(held[p])
-			held[collector] = append(held[collector], held[p]...)
-			delete(held, p)
+			segLoad += cnt[i]
+			held[len(held)-1] += cnt[i]
 			if segLoad > levelRounds {
 				levelRounds = segLoad
 			}
 		}
+		cnt, cntSpare = held, cnt
 		rounds += levelRounds
 		if d >= threshold {
-			for _, q := range upper {
-				held[q] = sortAndSample(held[q], sampleSize)
+			out, off := itemsSpare[:0], 0
+			for q, c := range cnt {
+				before := len(out)
+				out = sc.sortAndSample(out, items[off:off+c], sampleSize)
+				off += c
+				cnt[q] = len(out) - before
 			}
+			items, itemsSpare = out, items
 		}
 	}
-	head := sl.Level(0)[0]
-	final := held[head]
-	sort.SliceStable(final, func(i, j int) bool { return final[i].val.Less(final[j].val) })
-	median := pickMedianByRanks(final, n)
+	sc.items, sc.itemsSpare, sc.cnt, sc.cntSpare = items, itemsSpare, cnt, cntSpare
+	slices.SortStableFunc(items, cmpItems) // the head holds everything that survived
+	median := sc.pickMedianByRanks(items, n)
 	rounds += sl.BroadcastRounds() // announce the median to the base level
-	return &Result{Median: median, Rounds: rounds, List: sl, n: n}
+	return Result{Median: median, Rounds: rounds, List: sl, n: n}
 }
+
+func cmpItems(x, y item) int { return x.val.Cmp(y.val) }
 
 // samplingThreshold returns ⌈log_{a/2} h⌉ + 1, the level from which
 // sampling starts. For a ≤ 4 the base degenerates; we clamp it to 2, which
@@ -177,22 +212,22 @@ func samplingThreshold(h, a int) int {
 	return t
 }
 
-// sortAndSample sorts the items and uniformly samples `size` of them,
-// always retaining both extremes. Discarded items fold their credits into
-// retained neighbours: the item itself and its above-credit go to the
-// nearest retained item below it (which it is ≥), its below-credit goes to
-// the nearest retained item above it (which bounds it from above).
-func sortAndSample(items []item, size int) []item {
+// sortAndSample sorts the items in place, uniformly samples `size` of them,
+// always retaining both extremes, and appends the survivors to dst.
+// Discarded items fold their credits into retained neighbours: the item
+// itself and its above-credit go to the nearest retained item below it
+// (which it is ≥), its below-credit goes to the nearest retained item above
+// it (which bounds it from above).
+func (sc *Scratch) sortAndSample(dst, items []item, size int) []item {
+	slices.SortStableFunc(items, cmpItems)
 	if len(items) <= size || len(items) < 3 {
-		sort.SliceStable(items, func(i, j int) bool { return items[i].val.Less(items[j].val) })
-		return items
+		return append(dst, items...)
 	}
-	sort.SliceStable(items, func(i, j int) bool { return items[i].val.Less(items[j].val) })
 	if size < 2 {
 		size = 2
 	}
 	m := len(items)
-	retained := make([]int, 0, size)
+	retained := sc.retained[:0]
 	last := -1
 	for j := 0; j < size; j++ {
 		idx := j * (m - 1) / (size - 1)
@@ -201,10 +236,12 @@ func sortAndSample(items []item, size int) []item {
 			last = idx
 		}
 	}
-	out := make([]item, len(retained))
-	for k, idx := range retained {
-		out[k] = items[idx]
+	sc.retained = retained
+	base := len(dst)
+	for _, idx := range retained {
+		dst = append(dst, items[idx])
 	}
+	out := dst[base:]
 	// A discarded item v' between retained L and R satisfies L ≤ v' ≤ R,
 	// so its above-credit is valid as L's above and its below-credit as
 	// R's below. v' itself could go either way; alternating sides keeps
@@ -225,19 +262,21 @@ func sortAndSample(items []item, size int) []item {
 			flip = !flip
 		}
 	}
-	return out
+	return dst
 }
 
 // pickMedianByRanks selects the surviving value whose estimated global rank
 // is closest to (n+1)/2. For item j in the sorted list, the values certainly
 // ≤ it are itself, its below-credit, and every lower item with its
 // below-credit; symmetric for ≥; the rest are uncertain and split evenly.
-func pickMedianByRanks(sorted []item, n int) Value {
+func (sc *Scratch) pickMedianByRanks(sorted []item, n int) Value {
 	if len(sorted) == 0 {
 		panic("amf: empty final list")
 	}
-	prefix := make([]int64, len(sorted)+1) // prefix[j] = Σ_{i<j} (1 + below_i)
-	suffix := make([]int64, len(sorted)+1) // suffix[j] = Σ_{i>=j} (1 + above_i)
+	// prefix[j] = Σ_{i<j} (1 + below_i), suffix[j] = Σ_{i>=j} (1 + above_i)
+	prefix := append(sc.prefix[:0], make([]int64, len(sorted)+1)...)
+	suffix := append(sc.suffix[:0], make([]int64, len(sorted)+1)...)
+	sc.prefix, sc.suffix = prefix, suffix
 	for j, it := range sorted {
 		prefix[j+1] = prefix[j] + 1 + it.below
 	}
@@ -272,6 +311,15 @@ func (r *Result) Count(pred func(p int) bool) (int, int) {
 		}
 	}
 	return c, 2 * r.n // linear gather + linear broadcast along the list
+}
+
+// CountRounds returns the round cost of one distributed count over the
+// list, without running one.
+func (r *Result) CountRounds() int {
+	if r.List != nil {
+		return r.List.SumRounds()
+	}
+	return 2 * r.n
 }
 
 // BroadcastRounds returns the cost of broadcasting one value to the whole

@@ -173,7 +173,7 @@ func TestCreditConservationQuick(t *testing.T) {
 		for i := range items {
 			items[i] = item{val: Finite(int64(rng.Intn(1000)))}
 		}
-		sampled := sortAndSample(items, 16)
+		sampled := new(Scratch).sortAndSample(nil, items, 16)
 		var total int64
 		for _, it := range sampled {
 			total += 1 + it.below + it.above

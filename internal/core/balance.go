@@ -8,22 +8,25 @@ import "lsasg/internal/skipgraph"
 // the list's membership prefix, take the opposite bit at dl+1, and stop
 // there — per the paper they do not participate in transformations, so they
 // never split further. Existing dummies in L (which carry no dl+1 bit) act
-// as chain boundaries. The rebuilt list, dummies in position, is returned.
-func (d *DSG) repairBalance(ctx *transformCtx, L []*skipgraph.Node, dl int) ([]*skipgraph.Node, int) {
+// as chain boundaries. The rebuilt list, dummies in position, is returned
+// (L itself when nothing was added; otherwise scratch valid until the next
+// call).
+func (d *DSG) repairBalance(ctx *transformCtx, L []int, dl int) ([]int, int) {
 	a := d.cfg.A
 	if len(L) <= a {
 		return L, 0
 	}
 	bitLevel := dl + 1
-	out := make([]*skipgraph.Node, 0, len(L)+2)
+	out := ctx.with[:0]
 	added := 0
 	run := 0
 	var runZero bool
-	for _, x := range L {
+	for _, o := range L {
+		x := ctx.ents[o].n
 		if !x.HasBit(bitLevel) {
 			// An old dummy: it belongs to neither subgraph and breaks any
 			// chain through it.
-			out = append(out, x)
+			out = append(out, o)
 			run = 0
 			continue
 		}
@@ -31,7 +34,7 @@ func (d *DSG) repairBalance(ctx *transformCtx, L []*skipgraph.Node, dl int) ([]*
 		if run > 0 && zero == runZero {
 			run++
 			if run > a {
-				prev := out[len(out)-1]
+				prev := ctx.ents[out[len(out)-1]].n
 				if dm, ok := d.makeDummy(ctx, prev, x, dl, !zero); ok {
 					out = append(out, dm)
 					added++
@@ -42,8 +45,9 @@ func (d *DSG) repairBalance(ctx *transformCtx, L []*skipgraph.Node, dl int) ([]*
 			run = 1
 			runZero = zero
 		}
-		out = append(out, x)
+		out = append(out, o)
 	}
+	ctx.with = out
 	if added == 0 {
 		return L, 0
 	}
@@ -52,12 +56,13 @@ func (d *DSG) repairBalance(ctx *transformCtx, L []*skipgraph.Node, dl int) ([]*
 
 // makeDummy creates a dummy node keyed strictly between left and right,
 // sharing their membership prefix through level dl and taking the sibling
-// subgraph at level dl+1 (`zero` selects the 0-subgraph). It returns false
-// when no key slot is free, in which case the chain stays unrepaired.
-func (d *DSG) makeDummy(ctx *transformCtx, left, right *skipgraph.Node, dl int, zero bool) (*skipgraph.Node, bool) {
+// subgraph at level dl+1 (`zero` selects the 0-subgraph), and returns its
+// ordinal. It returns false when no key slot is free, in which case the
+// chain stays unrepaired.
+func (d *DSG) makeDummy(ctx *transformCtx, left, right *skipgraph.Node, dl int, zero bool) (int, bool) {
 	key, ok := d.freeKeyBetween(ctx, left.Key(), right.Key())
 	if !ok {
-		return nil, false
+		return 0, false
 	}
 	id := d.nextDummyID
 	d.nextDummyID++
@@ -70,21 +75,24 @@ func (d *DSG) makeDummy(ctx *transformCtx, left, right *skipgraph.Node, dl int, 
 	} else {
 		dm.SetBit(dl+1, 1)
 	}
-	s := &nodeState{B: dl + 1}
-	s.ensure(dl + 2)
-	for i := range s.G {
-		s.G[i] = id
-	}
+	s := newDummyState(id, dl+1)
 	d.st[dm] = s
-	ctx.newDummies = append(ctx.newDummies, dm)
-	ctx.pendingKeys[key] = true
-	return dm, true
+	return ctx.add(dm, s), true
 }
 
 // freeKeyBetween finds a key strictly between a and b that is neither in
 // the graph nor reserved for a dummy created earlier this request.
 func (d *DSG) freeKeyBetween(ctx *transformCtx, a, b skipgraph.Key) (skipgraph.Key, bool) {
+	lo, hi := ctx.newDummies()
 	return freeKeyIn(a, b, func(k skipgraph.Key) bool {
-		return d.g.ByKey(k) != nil || ctx.pendingKeys[k]
+		if d.g.ByKey(k) != nil {
+			return true
+		}
+		for i := lo; i < hi; i++ {
+			if ctx.ents[i].n.Key() == k {
+				return true
+			}
+		}
+		return false
 	})
 }

@@ -14,7 +14,7 @@ import (
 // reference — and the graph stays fully valid structurally; only routes that
 // try to contact the dead peer fail (skipgraph.DeadRouteError). Repair is
 // scoped exactly like a graceful leave: the dead node's ex-lists
-// (skipgraph.ExListRefs) are the entire dirty set, and RepairBalanceIn
+// (skipgraph.AppendExListRefs) are the entire dirty set, and RepairBalanceIn
 // restores the a-balance invariant over just those lists. No global
 // coordination, matching Interlaced's decentralized churn stabilization and
 // the Rainbow Skip Graph's local fault recovery.
@@ -46,7 +46,7 @@ func (d *DSG) Crash(id int64) error {
 // repairCrashed splices a detected dead node out of every list it occupied,
 // restores vector distinctness among its surviving neighbours, and repairs
 // a-balance over exactly the touched lists. The refs are anchored at
-// surviving neighbours (ExListRefs), so the repair is as scoped as a
+// surviving neighbours (AppendExListRefs), so the repair is as scoped as a
 // graceful leave: the departure can only have merged same-bit runs around
 // the vacated positions.
 //
@@ -57,24 +57,15 @@ func (d *DSG) Crash(id int64) error {
 // must extend their vectors until distinct again (localJoin's rule, run in
 // reverse).
 func (d *DSG) repairCrashed(n *skipgraph.Node) {
-	refs := skipgraph.ExListRefs(n)
-	var cands []*skipgraph.Node
-	for l := 0; l <= n.MaxLinkedLevel(); l++ {
-		for _, nb := range []*skipgraph.Node{n.Prev(l), n.Next(l)} {
-			if nb != nil && !nb.IsDummy() && !nb.Dead() {
-				cands = append(cands, nb)
-			}
-		}
-	}
+	sc := &d.scratch.repair
+	sc.crash = skipgraph.AppendExListRefs(recycle(sc.crash), n)
+	cands := d.liveRealNeighbours(n)
 	d.g.Remove(n.Key())
 	delete(d.st, n)
 	d.crashRepairCount++
 	d.crashRepairLog = append(d.crashRepairLog, n.ID())
-	eff := d.g.ExtendDistinctFrom(cands, func(*skipgraph.Node, int) byte { return byte(d.rng.Intn(2)) })
-	for _, x := range eff.Extended {
-		d.syncStateDepthFor(x)
-	}
-	d.RepairBalanceIn(append(refs, eff.Touched...))
+	sc.crash = append(sc.crash, d.extendDistinct(cands)...)
+	d.RepairBalanceIn(sc.crash)
 }
 
 // RepairCrashedID repairs the crashed node with the given id and reports

@@ -48,7 +48,7 @@ func (d *DSG) Add(id int64) (*skipgraph.Node, error) {
 	if d.g.ByKey(key) != nil {
 		return nil, fmt.Errorf("core: node %d already present", id)
 	}
-	n, eff := d.g.InsertTracked(key, id, func(*skipgraph.Node, int) byte { return byte(d.rng.Intn(2)) })
+	n, eff := d.g.InsertTracked(key, id, d.randomBit)
 	d.st[n] = d.freshState(n)
 	// The join may have lengthened adjacent peers' membership vectors to
 	// keep them distinct from the newcomer; grow exactly those peers' state
@@ -92,66 +92,56 @@ func (d *DSG) RemoveNode(id int64) error {
 	return nil
 }
 
-// dummyRemovable reports whether removing dm keeps every list a-balanced:
-// at each level dm participates in, the same-bit runs its departure would
-// merge (or shorten) must not exceed `a`. A node lacking the next level's
-// bit is a run boundary, so dm itself may be breaking a chain purely by
-// presence.
+// dummyRemovable reports whether removing dm keeps every list a-balanced.
 func (d *DSG) dummyRemovable(dm *skipgraph.Node) bool {
-	a := d.cfg.A
-	for e := 0; e <= dm.BitsLen(); e++ {
-		bitLevel := e + 1
-		l, r := dm.Prev(e), dm.Next(e)
-		if l == nil || r == nil {
-			continue // removal can only shorten an edge run
-		}
-		if !l.HasBit(bitLevel) || !r.HasBit(bitLevel) || l.Bit(bitLevel) != r.Bit(bitLevel) {
-			continue // a boundary survives on at least one side
-		}
-		b := l.Bit(bitLevel)
-		runLen, hasReal := 0, false
-		for x := l; x != nil && x.HasBit(bitLevel) && x.Bit(bitLevel) == b; x = x.Prev(e) {
-			runLen++
-			hasReal = hasReal || !x.IsDummy()
-		}
-		for x := r; x != nil && x.HasBit(bitLevel) && x.Bit(bitLevel) == b; x = x.Next(e) {
-			runLen++
-			hasReal = hasReal || !x.IsDummy()
-		}
-		// All-dummy runs are exempt from the a-balance property (see
-		// skipgraph.listRunViolations).
-		if runLen > a && hasReal {
-			return false
-		}
-	}
-	return true
+	return skipgraph.RemovalKeepsBalance(dm, d.cfg.A)
 }
 
 // removeDummy splices a dummy out of the graph, drops its state, and — when
 // the dummy was the only separator between two real live nodes sharing a
 // membership prefix at the top of their vectors — extends those nodes until
-// distinct again (the validator's adjacency invariant). It returns the lists
-// any such extension touched, which the balance-repair loops must fold back
-// into their dirty sets: a longer vector means new list memberships, and
-// those can carry fresh a-balance violations.
-func (d *DSG) removeDummy(dm *skipgraph.Node) []skipgraph.ListRef {
-	var cands []*skipgraph.Node
-	for l := 0; l <= dm.MaxLinkedLevel(); l++ {
-		for _, nb := range []*skipgraph.Node{dm.Prev(l), dm.Next(l)} {
-			if nb != nil && !nb.IsDummy() && !nb.Dead() {
-				cands = append(cands, nb)
-			}
-		}
-	}
+// distinct again (the validator's adjacency invariant). It appends to dst
+// the lists any such extension touched, which the balance-repair loops must
+// fold back into their dirty sets: a longer vector means new list
+// memberships, and those can carry fresh a-balance violations.
+func (d *DSG) removeDummy(dm *skipgraph.Node, dst []skipgraph.ListRef) []skipgraph.ListRef {
+	cands := d.liveRealNeighbours(dm)
 	d.g.Remove(dm.Key())
 	delete(d.st, dm)
 	d.dummyCount--
-	eff := d.g.ExtendDistinctFrom(cands, func(*skipgraph.Node, int) byte { return byte(d.rng.Intn(2)) })
+	return append(dst, d.extendDistinct(cands)...)
+}
+
+// liveRealNeighbours collects, into repair scratch, n's live real neighbours
+// at every level: the nodes n's departure can bring adjacent to each other.
+func (d *DSG) liveRealNeighbours(n *skipgraph.Node) []*skipgraph.Node {
+	cands := recycle(d.scratch.repair.cands)
+	for l := 0; l <= n.MaxLinkedLevel(); l++ {
+		if nb := n.Prev(l); nb != nil && !nb.IsDummy() && !nb.Dead() {
+			cands = append(cands, nb)
+		}
+		if nb := n.Next(l); nb != nil && !nb.IsDummy() && !nb.Dead() {
+			cands = append(cands, nb)
+		}
+	}
+	d.scratch.repair.cands = cands
+	return cands
+}
+
+// extendDistinct restores vector distinctness among cands after a
+// splice-out, grows the extended nodes' state arrays to match, and returns
+// the lists the extensions touched.
+func (d *DSG) extendDistinct(cands []*skipgraph.Node) []skipgraph.ListRef {
+	eff := d.g.ExtendDistinctFrom(cands, d.randomBit)
 	for _, x := range eff.Extended {
 		d.syncStateDepthFor(x)
 	}
 	return eff.Touched
 }
+
+// randomBit is the skipgraph.Brancher of every membership bit the DSG draws
+// outside a transformation (joins, distinctness extensions).
+func (d *DSG) randomBit(*skipgraph.Node, int) byte { return byte(d.rng.Intn(2)) }
 
 // freeKeyIn finds a key strictly between a and b for which occupied is
 // false, bisecting the open minor interval so repeated dummy placement

@@ -200,20 +200,18 @@ func TestFigure4Transformation(t *testing.T) {
 func TestFigure4Priorities(t *testing.T) {
 	d := buildS8(t)
 	u, v := d.NodeByID(nU), d.NodeByID(nV)
-	ctx := &transformCtx{
-		u: u, v: v, t: 8, alpha: 0,
-		oldT:    make(map[*skipgraph.Node][]int64),
-		oldG:    make(map[*skipgraph.Node][]int64),
-		oldBits: make(map[*skipgraph.Node]string),
-		pri:     make(map[*skipgraph.Node]priority),
-	}
+	ctx := &d.scratch.transform
+	ctx.reset(u, v, 8)
+	ctx.alpha = 0
 	for _, x := range d.Graph().Nodes() {
-		ctx.members = append(ctx.members, x)
-		s := d.state(x)
-		ctx.oldT[x] = append([]int64(nil), s.T...)
-		ctx.oldG[x] = append([]int64(nil), s.G...)
-		ctx.oldBits[x] = x.MembershipVector()
+		switch o := ctx.add(x, d.state(x)); x {
+		case u:
+			ctx.ui = o
+		case v:
+			ctx.vi = o
+		}
 	}
+	ctx.m = len(ctx.ents)
 	d.computePriorities(ctx)
 
 	want := map[int64]amf.Value{
@@ -229,8 +227,11 @@ func TestFigure4Priorities(t *testing.T) {
 		nI: amf.Finite(-6*8 + 0),
 	}
 	for id, w := range want {
-		got := ctx.pri[d.NodeByID(id)]
-		if got.Cmp(w) != 0 {
+		o, ok := ctx.ordOf(d.NodeByID(id))
+		if !ok {
+			t.Fatalf("%s is not a member", nodeName(id))
+		}
+		if got := ctx.ents[o].pri; got.Cmp(w) != 0 {
 			t.Errorf("P(%s) = %v, want %v", nodeName(id), got, w)
 		}
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"lsasg/internal/skipgraph"
 )
@@ -106,12 +105,12 @@ func (d *DSG) Validate() error {
 // run the global repair once before enforcing Validate.
 func (d *DSG) RepairBalance() (inserted, removed int) {
 	// A global repair supersedes any recorded per-request dirty set.
-	d.pending = d.pending[:0]
+	d.clearPending()
 	// Each pass strictly shrinks the total violation mass except for the
 	// rare lower-level lengthening, so a generous cap only guards against a
 	// repair that cannot make progress (key-space exhaustion).
 	for pass := 0; pass < 4*d.g.N()+16; pass++ {
-		ins, rem, _ := d.repairViolations(d.g.BalanceViolations(d.cfg.A))
+		ins, rem, _ := d.repairViolations(d.g.BalanceViolations(d.cfg.A), nil)
 		inserted += ins
 		removed += rem
 		if ins == 0 && rem == 0 {
@@ -134,7 +133,7 @@ func (d *DSG) RepairBalance() (inserted, removed int) {
 		}
 		for _, x := range dummies {
 			if d.dummyRemovable(x) {
-				extRefs = append(extRefs, d.removeDummy(x)...)
+				extRefs = d.removeDummy(x, extRefs)
 				swept++
 			}
 		}
@@ -162,55 +161,77 @@ func (d *DSG) RepairBalance() (inserted, removed int) {
 // untouched parts of the graph. Lists outside the dirty set cannot have
 // new violations by construction — the local join, leave, and repair
 // operations report every list whose membership or bits they changed.
-// Validate (global) remains the correctness oracle for that claim.
+// Validate (global) remains the correctness oracle for that claim. refs
+// must not alias the repair's own scratch buffers (d.pending and anything
+// the caller built itself are fine).
 func (d *DSG) RepairBalanceIn(refs []skipgraph.ListRef) (inserted, removed int) {
+	sc := &d.scratch.repair
 	// Each pass scans only the frontier — the refs new since the previous
 	// pass. That loses nothing: a list can only gain a violation through a
 	// repair action, and every action self-reports its lists in `touched`
 	// (a run still over-long after a break is adjacent to the inserted
 	// dummy, whose windowed refs cover it). The accumulated set is kept for
-	// the garbage-collection phase below.
+	// the garbage-collection phase below: every pass appends what it touched
+	// to sc.touched, whose newest stretch is the next pass's frontier, so
+	// the round's dirty set is its first frontier plus all of sc.touched.
 	frontier := refs
-	for len(frontier) > 0 {
-		var dirty []skipgraph.ListRef
+	for round := 0; len(frontier) > 0; round++ {
+		sc.touched = recycle(sc.touched)
+		first := frontier
+		if round > 0 {
+			// This frontier lives in sc.ext, which the round reuses.
+			sc.touched = append(sc.touched, frontier...)
+			first, frontier = nil, sc.touched
+		}
 		for pass := 0; pass < 4*d.g.N()+16 && len(frontier) > 0; pass++ {
-			dirty = append(dirty, frontier...)
-			viols, scanned := d.g.BalanceViolationsIn(d.cfg.A, frontier)
+			var scanned, ins, rem int
+			sc.viols, scanned = d.g.AppendBalanceViolationsIn(sc.viols[:0], d.cfg.A, frontier)
 			d.repairScan += scanned
-			ins, rem, touched := d.repairViolations(viols)
+			mark := len(sc.touched)
+			ins, rem, sc.touched = d.repairViolations(sc.viols, sc.touched)
 			inserted += ins
 			removed += rem
-			frontier = touched
+			frontier = sc.touched[mark:]
 		}
 		// Scoped garbage collection: only a dummy inside a dirty list can have
 		// had the run it was breaking shortened, so only those can have become
 		// redundant since the last repair. After the first sweep, only the
-		// lists around a removal can hold newly redundant dummies.
-		var extRefs []skipgraph.ListRef
-		gcFrontier := dirty
-		for {
-			swept := 0
-			var next []skipgraph.ListRef
-			for _, x := range d.dummiesIn(gcFrontier) {
-				if d.g.ByKey(x.Key()) == x && d.dummyRemovable(x) {
-					next = append(next, skipgraph.ExListRefs(x)...)
-					ext := d.removeDummy(x)
-					next = append(next, ext...)
-					extRefs = append(extRefs, ext...)
-					swept++
+		// lists around a removal can hold newly redundant dummies; each sweep
+		// appends those to sc.gc and the next sweep reads that stretch.
+		sc.ext = recycle(sc.ext)
+		sc.gc = recycle(sc.gc)
+		for sweep, mark := 0, 0; ; sweep++ {
+			// Only these dummies can have become redundant: removability
+			// depends solely on the runs around a dummy, and those changed
+			// only inside the dirty windows. Key order is the order the
+			// global sweep visits them in.
+			var scanned int
+			if sweep == 0 {
+				sc.dummies, scanned = d.g.AppendDummiesIn(recycle(sc.dummies), first, sc.touched)
+			} else {
+				sc.dummies, scanned = d.g.AppendDummiesIn(recycle(sc.dummies), sc.gc[mark:])
+			}
+			d.repairScan += scanned
+			mark = len(sc.gc)
+			for _, x := range sc.dummies {
+				if d.g.Contains(x) && d.dummyRemovable(x) {
+					sc.gc = skipgraph.AppendExListRefs(sc.gc, x)
+					extAt := len(sc.gc)
+					sc.gc = d.removeDummy(x, sc.gc)
+					sc.ext = append(sc.ext, sc.gc[extAt:]...)
+					removed++
 				}
 			}
-			removed += swept
-			if swept == 0 {
-				break
+			if len(sc.gc) == mark {
+				break // the sweep removed nothing
 			}
-			gcFrontier = next
 		}
 		// A removal that forced a distinctness extension created new list
 		// memberships; those can carry fresh a-balance violations, so they
 		// become the next round's frontier.
-		frontier = extRefs
+		frontier = sc.ext
 	}
+	sc.release()
 	d.repairInserted += inserted
 	d.repairRemoved += removed
 	return inserted, removed
@@ -221,18 +242,23 @@ func (d *DSG) RepairBalanceIn(refs []skipgraph.ListRef) (inserted, removed int) 
 // trace runner calls it after every route; callers driving Serve directly
 // may use it as the cheap alternative to the global RepairBalance.
 func (d *DSG) RepairBalancePending() (inserted, removed int) {
-	refs := d.pending
-	d.pending = nil
-	return d.RepairBalanceIn(refs)
+	inserted, removed = d.RepairBalanceIn(d.pending)
+	d.clearPending()
+	return inserted, removed
 }
+
+// clearPending empties the dirty-set record, keeping its backing array for
+// the next transformation and dropping the node references it held.
+func (d *DSG) clearPending() { d.pending = recycle(d.pending) }
 
 // repairViolations repairs one violation snapshot (shorten a run by
 // dropping a redundant in-run dummy, else break it with a fresh dummy
-// chain-breaker) and returns the action counts plus a ListRef for every
-// list the actions touched — the knock-on dirty set a scoped repair must
-// re-examine.
-func (d *DSG) repairViolations(viols []skipgraph.BalanceViolation) (inserted, removed int, touched []skipgraph.ListRef) {
+// chain-breaker) and returns the action counts plus touched extended by a
+// ListRef for every list the actions touched — the knock-on dirty set a
+// scoped repair must re-examine.
+func (d *DSG) repairViolations(viols []skipgraph.BalanceViolation, touched []skipgraph.ListRef) (inserted, removed int, _ []skipgraph.ListRef) {
 	a := d.cfg.A
+	sc := &d.scratch.repair
 	for _, viol := range viols {
 		start := d.g.ByKey(viol.Start)
 		if start == nil || !start.HasBit(viol.Level+1) || start.Bit(viol.Level+1) != viol.Bit {
@@ -242,10 +268,11 @@ func (d *DSG) repairViolations(viols []skipgraph.BalanceViolation) (inserted, re
 		// pass may have shortened or shifted the snapshot's run — without
 		// ever materializing the containing list (level-0 lists span the
 		// whole graph).
-		run := []*skipgraph.Node{start}
+		run := append(recycle(sc.run), start)
 		for y := start.Next(viol.Level); y != nil && y.HasBit(viol.Level+1) && y.Bit(viol.Level+1) == viol.Bit; y = y.Next(viol.Level) {
 			run = append(run, y)
 		}
+		sc.run = run
 		if len(run) <= a {
 			continue
 		}
@@ -256,8 +283,8 @@ func (d *DSG) repairViolations(viols []skipgraph.BalanceViolation) (inserted, re
 		dropped := false
 		for _, y := range run {
 			if y.IsDummy() && d.dummyRemovable(y) {
-				touched = append(touched, skipgraph.ExListRefs(y)...)
-				touched = append(touched, d.removeDummy(y)...)
+				touched = skipgraph.AppendExListRefs(touched, y)
+				touched = d.removeDummy(y, touched)
 				removed++
 				dropped = true
 				break
@@ -270,64 +297,43 @@ func (d *DSG) repairViolations(viols []skipgraph.BalanceViolation) (inserted, re
 		// otherwise fall back to any other interior gap — every interior
 		// break strictly shortens the run, so the fixed-point loop still
 		// converges.
-		gaps := make([]int, 0, len(run)-1)
-		for j := a - 1; j < len(run)-1; j++ {
-			gaps = append(gaps, j)
+		var dm *skipgraph.Node
+		for j := a - 1; j < len(run)-1 && dm == nil; j++ {
+			dm = d.breakRun(run[j], run[j+1], viol)
 		}
-		for j := a - 2; j >= 0; j-- {
-			gaps = append(gaps, j)
+		for j := a - 2; j >= 0 && dm == nil; j-- {
+			dm = d.breakRun(run[j], run[j+1], viol)
 		}
-		for _, j := range gaps {
-			left, right := run[j], run[j+1]
-			key, ok := d.staticFreeKey(left.Key(), right.Key())
-			if !ok {
-				continue
-			}
-			id := d.nextDummyID
-			d.nextDummyID++
-			dm := skipgraph.NewDummy(key, id)
-			for i := 1; i <= viol.Level; i++ {
-				dm.SetBit(i, left.Bit(i))
-			}
-			dm.SetBit(viol.Level+1, 1-viol.Bit)
-			s := &nodeState{B: viol.Level + 1}
-			s.ensure(viol.Level + 2)
-			for i := range s.G {
-				s.G[i] = id
-			}
-			d.st[dm] = s
-			d.g.SpliceIn(dm)
-			d.dummyCount++
+		if dm != nil {
 			inserted++
 			for l := 0; l <= dm.MaxLinkedLevel(); l++ {
-				touched = append(touched, skipgraph.ListRef{Node: dm, Level: l})
+				touched = append(touched, skipgraph.ListRef{Node: dm, Level: int32(l)})
 			}
-			break
 		}
 	}
 	return inserted, removed, touched
 }
 
-// dummiesIn collects the live dummies appearing in any of the given dirty
-// regions, in key order (the same order the global garbage-collection
-// sweep visits them). Only these can have become redundant: removability
-// depends solely on the runs around a dummy, and those changed only inside
-// the dirty windows.
-func (d *DSG) dummiesIn(refs []skipgraph.ListRef) []*skipgraph.Node {
-	seen := make(map[*skipgraph.Node]bool)
-	var out []*skipgraph.Node
-	for _, ref := range refs {
-		window, scanned := d.g.Window(ref)
-		d.repairScan += scanned
-		for _, y := range window {
-			if y.IsDummy() && !seen[y] {
-				seen[y] = true
-				out = append(out, y)
-			}
-		}
+// breakRun splices a fresh dummy chain-breaker between the adjacent run
+// members left and right: it copies left's prefix through the violation's
+// level and takes the opposite bit above it. It returns nil when no key is
+// free between the two.
+func (d *DSG) breakRun(left, right *skipgraph.Node, viol skipgraph.BalanceViolation) *skipgraph.Node {
+	key, ok := d.staticFreeKey(left.Key(), right.Key())
+	if !ok {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key().Less(out[j].Key()) })
-	return out
+	id := d.nextDummyID
+	d.nextDummyID++
+	dm := skipgraph.NewDummy(key, id)
+	for i := 1; i <= viol.Level; i++ {
+		dm.SetBit(i, left.Bit(i))
+	}
+	dm.SetBit(viol.Level+1, 1-viol.Bit)
+	d.st[dm] = newDummyState(id, viol.Level+1)
+	d.g.SpliceIn(dm)
+	d.dummyCount++
+	return dm
 }
 
 // RepairStats returns the cumulative number of dummy insertions and

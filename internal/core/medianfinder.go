@@ -8,6 +8,29 @@
 // The algorithm state per node is exactly the paper's: a membership vector,
 // a timestamp T and a group-id G per level, an is-dominating-group bit D
 // per level, and a group-base B — O(log n) words per node.
+//
+// # Scratch arena
+//
+// Adaptation is local, and so is its memory: everything an adjustment needs
+// beyond the nodes it creates — the members of the list being transformed
+// and their snapshot of the old state, the lists the splits form, the
+// scoped repair's dirty sets, violation buffers and garbage-collection
+// frontiers — lives in one arena the DSG owns (scratch.go) and reuses from
+// operation to operation, alongside the graph's own relink buffer and the
+// median finder's. The arena is sized by the region an operation touches,
+// never by n, and a steady-state adjustment allocates nothing but its
+// dummies (TestAdjustAllocBudget).
+//
+// The ownership rule that makes this safe: a DSG has a single writer, and
+// arena memory belongs to the operation in progress. Nothing arena-backed
+// may be retained by a skipgraph.Node, a nodeState, a ListRef that outlives
+// the operation (d.pending, the one dirty set that does, has its own
+// buffer), an OpResult or AdjustResult, or anything a published
+// skipgraph.Replica can reach; whatever must survive is copied out. Each
+// operation clears the node and state pointers it parked in the arena
+// before returning, so the arena never keeps a removed node alive. Nodes
+// and states themselves are never pooled — the Publisher keys its slots and
+// its touch log by node pointer.
 package core
 
 import (
@@ -35,22 +58,24 @@ type MedianFinder interface {
 	FindMedian(values []amf.Value) MedianResult
 }
 
-// AMFFinder runs the paper's randomized AMF algorithm (§V).
+// AMFFinder runs the paper's randomized AMF algorithm (§V). It keeps the
+// run's buffers between calls, so one finder serves one goroutine.
 type AMFFinder struct {
 	A   int
 	Rng *rand.Rand
+
+	scratch amf.Scratch
 }
 
 // FindMedian implements MedianFinder.
 func (f *AMFFinder) FindMedian(values []amf.Value) MedianResult {
-	res := amf.Find(values, f.A, f.Rng)
-	// Counts of |gs|, L_low, L_high reuse the same skip list, so the
-	// per-count cost equals one distributed sum over it.
-	_, countRounds := res.Count(func(int) bool { return true })
+	res := f.scratch.Find(values, f.A, f.Rng)
 	return MedianResult{
-		Median:          res.Median,
-		Rounds:          res.Rounds,
-		CountRounds:     countRounds,
+		Median: res.Median,
+		Rounds: res.Rounds,
+		// Counts of |gs|, L_low, L_high reuse the same skip list, so the
+		// per-count cost equals one distributed sum over it.
+		CountRounds:     res.CountRounds(),
 		BroadcastRounds: res.BroadcastRounds(),
 	}
 }

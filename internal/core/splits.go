@@ -2,17 +2,10 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"lsasg/internal/amf"
-	"lsasg/internal/skipgraph"
 )
-
-// listWork is one linked list awaiting its split during a transformation.
-type listWork struct {
-	nodes []*skipgraph.Node // key order; may include dummies (run-breakers)
-	level int               // the list's level; the split assigns bits for level+1
-}
 
 // runSplits performs the recursive, level-parallel splitting of l_alpha
 // (§IV-C): every list of size ≥ 2 computes an approximate median priority
@@ -20,93 +13,72 @@ type listWork struct {
 // involved real nodes are singleton. Lists at the same level run in
 // parallel, so a level's round cost is the maximum over its lists.
 func (d *DSG) runSplits(ctx *transformCtx) {
-	// The initial list is l_alpha in key order: the real members plus any
-	// retained level-alpha dummies, which act as chain boundaries.
-	initial := append(append([]*skipgraph.Node(nil), ctx.members...), ctx.keptDummies...)
-	sort.Slice(initial, func(i, j int) bool { return initial[i].Key().Less(initial[j].Key()) })
-	frontier := []listWork{{nodes: initial, level: ctx.alpha}}
-	for len(frontier) > 0 {
+	// ctx.spans starts out holding l_alpha alone. Each level's lists sit
+	// contiguously in spans; splitting them appends the next level's behind.
+	for lo, hi := 0, len(ctx.spans); lo < hi; lo, hi = hi, len(ctx.spans) {
 		levelRounds := 0
-		var next []listWork
-		for _, work := range frontier {
-			zeros, ones, rounds := d.splitList(ctx, work)
-			if rounds > levelRounds {
-				levelRounds = rounds
-			}
-			for _, side := range [][]*skipgraph.Node{zeros, ones} {
-				if countReal(side) >= 2 {
-					next = append(next, listWork{nodes: side, level: work.level + 1})
-				}
+		for i := lo; i < hi; i++ {
+			if ctx.spans[i].split {
+				levelRounds = max(levelRounds, d.splitList(ctx, i))
 			}
 		}
 		ctx.rounds += levelRounds
-		frontier = next
 	}
 }
 
-func countReal(side []*skipgraph.Node) int {
-	c := 0
-	for _, x := range side {
-		if !x.IsDummy() {
-			c++
-		}
-	}
-	return c
-}
-
-// splitList splits one list at level work.level, assigning membership bits
-// for level work.level+1 to its real members, and returns the two child
-// lists (key order) plus the round cost. Dummies in the list do not
+// splitList splits the list ctx.spans[at], assigning membership bits for the
+// next level to its real members, appends the two child lists (key order)
+// to ctx.spans, and returns the round cost. Dummies in the list do not
 // participate (§IV-F): they stay singleton above this level and only serve
 // to break chains; freshly inserted dummies join the child sibling list.
-func (d *DSG) splitList(ctx *transformCtx, work listWork) (zeros, ones []*skipgraph.Node, rounds int) {
-	L, dl := work.nodes, work.level
+func (d *DSG) splitList(ctx *transformCtx, at int) (rounds int) {
+	work := ctx.spans[at]
+	L, dl := ctx.lists[work.off:work.off+work.n], work.level
 	bitLevel := dl + 1
-	u, v, t := ctx.u, ctx.v, ctx.t
 
-	real := make([]*skipgraph.Node, 0, len(L))
-	for _, x := range L {
-		if !x.IsDummy() {
-			real = append(real, x)
+	real := ctx.real[:0]
+	for _, o := range L {
+		if ctx.isReal(o) {
+			real = append(real, o)
+			ctx.ents[o].inZero = false
 		}
 	}
+	ctx.real = real
 	if len(real) < 2 {
-		return nil, nil, 0
+		return 0
 	}
 
-	inZero := make(map[*skipgraph.Node]bool, len(real))
 	var mres MedianResult
 	haveMedian := false
 
-	pairOnly := len(real) == 2 && ((real[0] == u && real[1] == v) || (real[0] == v && real[1] == u))
+	pairOnly := len(real) == 2 && ((real[0] == ctx.ui && real[1] == ctx.vi) || (real[0] == ctx.vi && real[1] == ctx.ui))
 	switch {
 	case pairOnly && len(L) == 2:
 		// The pair reached its size-2 list (level d' of rule T1); one more
 		// split makes both singleton. The left node takes the 0-subgraph.
-		inZero[real[0]] = true
-		d.state(real[0]).setDominating(bitLevel, true)
+		ctx.ents[real[0]].inZero = true
+		ctx.ents[real[0]].s.setDominating(bitLevel, true)
 		rounds = 1
 	case pairOnly:
 		// Only dummies accompany the pair; both move to the 0-subgraph and
 		// the dummies (which take no further bits) stay behind, so the next
 		// level holds the pair alone.
-		inZero[real[0]] = true
-		inZero[real[1]] = true
+		ctx.ents[real[0]].inZero = true
+		ctx.ents[real[1]].inZero = true
 		rounds = 1
 	default:
-		values := make([]amf.Value, len(real))
-		for i, x := range real {
-			values[i] = ctx.pri[x]
+		values := ctx.values[:0]
+		for _, o := range real {
+			values = append(values, ctx.ents[o].pri)
 		}
+		ctx.values = values
 		mres = d.finder.FindMedian(values)
 		haveMedian = true
 		rounds += mres.Rounds
 		M := mres.Median
-		for _, x := range real {
-			if ctx.med[x] == nil {
-				ctx.med[x] = make(map[int]amf.Value)
-			}
-			ctx.med[x][dl] = M
+		ctx.spans[at].med, ctx.spans[at].hasMed = M, true
+		if hasU, _ := ctx.contains(real); hasU {
+			ctx.uMeds = append(ctx.uMeds, levelMedian{dl, M})
 		}
 		if M.Inf || M.V >= 0 {
 			// Case 1: M is positive. Split by P(x) ≥ M; this divides the
@@ -115,30 +87,30 @@ func (d *DSG) splitList(ctx *transformCtx, work listWork) (zeros, ones []*skipgr
 			// 1-subgraph's old flags survive so that nested boundaries from
 			// earlier positive splits stay readable (DESIGN.md §3, and the
 			// paper's Fig 4 walk-through requires exactly this).
-			for _, x := range real {
-				ge := ctx.pri[x].GreaterEq(M)
-				inZero[x] = ge
-				if ge {
-					d.state(x).setDominating(bitLevel, true)
+			for _, o := range real {
+				e := &ctx.ents[o]
+				e.inZero = e.pri.GreaterEq(M)
+				if e.inZero {
+					e.s.setDominating(bitLevel, true)
 				}
 			}
 		} else {
-			rounds += d.splitNegative(ctx, real, dl, M, mres, inZero)
+			rounds += d.splitNegative(ctx, real, dl, M, mres)
 		}
 	}
 
-	if allSameSide(real, inZero) && !pairOnly {
+	if allSameSide(ctx, real) && !pairOnly {
 		// Degenerate tie (e.g. an old group with identical timestamps):
 		// the paper's comparison split cannot make progress, so fall back
 		// to a positional split that keeps the communicating pair together
 		// in the 0-subgraph (DESIGN.md §3.1).
-		d.fallbackSplit(ctx, real, inZero)
+		fallbackSplit(ctx, real)
 	}
-	for _, x := range real {
-		if inZero[x] {
-			x.SetBit(bitLevel, 0)
+	for _, o := range real {
+		if e := &ctx.ents[o]; e.inZero {
+			e.n.SetBit(bitLevel, 0)
 		} else {
-			x.SetBit(bitLevel, 1)
+			e.n.SetBit(bitLevel, 1)
 		}
 	}
 
@@ -157,26 +129,37 @@ func (d *DSG) splitList(ctx *transformCtx, work listWork) (zeros, ones []*skipgr
 	// Child lists at bitLevel: real members by their new bit plus freshly
 	// inserted dummies (which carry a bit for bitLevel); old dummies stop
 	// at level dl.
-	for _, x := range withDummies {
-		if !x.HasBit(bitLevel) {
-			continue
+	var children [2]listSpan
+	for side := range children {
+		child := listSpan{off: len(ctx.lists), level: bitLevel}
+		realCount := 0
+		for _, o := range withDummies {
+			if x := ctx.ents[o].n; x.HasBit(bitLevel) && int(x.Bit(bitLevel)) == side {
+				ctx.lists = append(ctx.lists, o)
+				if ctx.isReal(o) {
+					realCount++
+				}
+			}
 		}
-		if x.Bit(bitLevel) == 0 {
-			zeros = append(zeros, x)
-		} else {
-			ones = append(ones, x)
-		}
+		child.n = len(ctx.lists) - child.off
+		child.split = realCount >= 2
+		children[side] = child
 	}
 
 	rounds += d.reassignGroups(ctx, real, dl, haveMedian, mres)
-	d.recomputeP4(ctx, zeros, ones, bitLevel, t)
-	return zeros, ones, rounds
+	for _, child := range children {
+		recomputeP4(ctx, ctx.lists[child.off:child.off+child.n], bitLevel)
+		if child.n > 0 {
+			ctx.spans = append(ctx.spans, child)
+		}
+	}
+	return rounds
 }
 
-func allSameSide(real []*skipgraph.Node, inZero map[*skipgraph.Node]bool) bool {
+func allSameSide(ctx *transformCtx, real []int) bool {
 	zeros := 0
-	for _, x := range real {
-		if inZero[x] {
+	for _, o := range real {
+		if ctx.ents[o].inZero {
 			zeros++
 		}
 	}
@@ -187,16 +170,17 @@ func allSameSide(real []*skipgraph.Node, inZero map[*skipgraph.Node]bool) bool {
 // negative, so a non-communicating group gs may straddle it (equation 2).
 // The |gs| thresholds decide whether gs splits along old D flags, moves
 // wholesale to the lighter side, or becomes the whole 1-subgraph.
-func (d *DSG) splitNegative(ctx *transformCtx, real []*skipgraph.Node, dl int, M amf.Value, mres MedianResult, inZero map[*skipgraph.Node]bool) (rounds int) {
+func (d *DSG) splitNegative(ctx *transformCtx, real []int, dl int, M amf.Value, mres MedianResult) (rounds int) {
 	t := ctx.t
-	var gs []*skipgraph.Node
+	gs := ctx.gs[:0]
 	var gsID int64
-	for _, x := range real {
-		p := ctx.pri[x]
-		if p.Inf || p.V >= 0 {
+	for _, o := range real {
+		e := &ctx.ents[o]
+		e.inGs = false
+		if e.pri.Inf || e.pri.V >= 0 {
 			continue
 		}
-		g := d.state(x).group(dl)
+		g := e.s.group(dl)
 		lo := -g * t
 		if lo <= M.V && M.V < lo+t {
 			if len(gs) > 0 && g != gsID {
@@ -205,18 +189,17 @@ func (d *DSG) splitNegative(ctx *transformCtx, real []*skipgraph.Node, dl int, M
 				panic(fmt.Sprintf("core: two straddling groups %d and %d", gsID, g))
 			}
 			gsID = g
-			gs = append(gs, x)
+			gs = append(gs, o)
+			e.inGs = true
 		}
 	}
+	ctx.gs = gs
 	if len(gs) == 0 {
-		for _, x := range real {
-			inZero[x] = ctx.pri[x].GreaterEq(M)
+		for _, o := range real {
+			e := &ctx.ents[o]
+			e.inZero = e.pri.GreaterEq(M)
 		}
 		return 0
-	}
-	inGs := make(map[*skipgraph.Node]bool, len(gs))
-	for _, x := range gs {
-		inGs[x] = true
 	}
 	rounds += mres.CountRounds // distributed count of |gs|
 	switch {
@@ -224,8 +207,8 @@ func (d *DSG) splitNegative(ctx *transformCtx, real []*skipgraph.Node, dl int, M
 		// gs is too big: split it along the is-dominating-group flags,
 		// which reproduce its most recent positive-median split boundary.
 		trues := 0
-		for _, x := range gs {
-			if d.state(x).dominating(dl) {
+		for _, o := range gs {
+			if ctx.ents[o].s.dominating(dl) {
 				trues++
 			}
 		}
@@ -233,62 +216,59 @@ func (d *DSG) splitNegative(ctx *transformCtx, real []*skipgraph.Node, dl int, M
 			// No recorded boundary (can happen for groups formed before
 			// any positive split); fall back to a positional halving of gs
 			// to preserve progress and the height bound.
-			for i, x := range gs {
-				inZero[x] = i < (len(gs)+1)/2
+			for i, o := range gs {
+				ctx.ents[o].inZero = i < (len(gs)+1)/2
 			}
 		} else {
-			for _, x := range gs {
-				inZero[x] = !d.state(x).dominating(dl)
+			for _, o := range gs {
+				ctx.ents[o].inZero = !ctx.ents[o].s.dominating(dl)
 			}
 		}
-		for _, x := range real {
-			if !inGs[x] {
-				inZero[x] = true
+		for _, o := range real {
+			if !ctx.ents[o].inGs {
+				ctx.ents[o].inZero = true
 			}
 		}
 	case 3*len(gs) < len(real):
 		// gs is small: everyone else splits around M; gs moves wholesale
 		// to the lighter side.
 		low, high := 0, 0
-		for _, x := range real {
-			if ctx.pri[x].GreaterEq(M) {
+		for _, o := range real {
+			if ctx.ents[o].pri.GreaterEq(M) {
 				high++
 			} else {
 				low++
 			}
 		}
 		rounds += 2 * mres.CountRounds // distributed counts of L_low, L_high
-		for _, x := range real {
-			if !inGs[x] {
-				inZero[x] = ctx.pri[x].GreaterEq(M)
-			}
-		}
-		gsToZero := high < low
 		// Guard: if every non-gs node lies on one side, force gs to the
 		// other so both subgraphs are non-empty.
 		nonGsZero, nonGsOne := 0, 0
-		for _, x := range real {
-			if inGs[x] {
+		for _, o := range real {
+			e := &ctx.ents[o]
+			if e.inGs {
 				continue
 			}
-			if inZero[x] {
+			e.inZero = e.pri.GreaterEq(M)
+			if e.inZero {
 				nonGsZero++
 			} else {
 				nonGsOne++
 			}
 		}
+		gsToZero := high < low
 		if nonGsZero == 0 {
 			gsToZero = true
 		} else if nonGsOne == 0 {
 			gsToZero = false
 		}
-		for _, x := range gs {
-			inZero[x] = gsToZero
+		for _, o := range gs {
+			ctx.ents[o].inZero = gsToZero
 		}
 	default:
 		// 1/3 ≤ |gs|/|L| ≤ 2/3: gs becomes the whole 1-subgraph.
-		for _, x := range real {
-			inZero[x] = !inGs[x]
+		for _, o := range real {
+			ctx.ents[o].inZero = !ctx.ents[o].inGs
 		}
 	}
 	return rounds
@@ -297,19 +277,15 @@ func (d *DSG) splitNegative(ctx *transformCtx, real []*skipgraph.Node, dl int, M
 // fallbackSplit is the deterministic tie-breaker for degenerate lists: the
 // communicating pair first, then descending priority, then key order; the
 // first half goes to the 0-subgraph.
-func (d *DSG) fallbackSplit(ctx *transformCtx, real []*skipgraph.Node, inZero map[*skipgraph.Node]bool) {
-	ordered := append([]*skipgraph.Node(nil), real...)
-	sort.SliceStable(ordered, func(i, j int) bool {
-		a, b := ordered[i], ordered[j]
-		pa, pb := ctx.pri[a], ctx.pri[b]
-		if c := pa.Cmp(pb); c != 0 {
-			return c > 0
-		}
-		return a.Key().Less(b.Key())
+func fallbackSplit(ctx *transformCtx, real []int) {
+	// real is in key order and the sort is stable, so ties keep key order.
+	ctx.ordered = append(ctx.ordered[:0], real...)
+	slices.SortStableFunc(ctx.ordered, func(a, b int) int {
+		return ctx.ents[b].pri.Cmp(ctx.ents[a].pri)
 	})
-	half := (len(ordered) + 1) / 2
-	for i, x := range ordered {
-		inZero[x] = i < half
+	half := (len(ctx.ordered) + 1) / 2
+	for i, o := range ctx.ordered {
+		ctx.ents[o].inZero = i < half
 	}
 }
 
@@ -318,60 +294,55 @@ func (d *DSG) fallbackSplit(ctx *transformCtx, real []*skipgraph.Node, inZero ma
 // its 1-subgraph portion the identifier of that portion's left-most member
 // (broadcast via the AMF skip list); intact groups carry their identifier
 // up a level.
-func (d *DSG) reassignGroups(ctx *transformCtx, real []*skipgraph.Node, dl int, haveMedian bool, mres MedianResult) (rounds int) {
-	u, v := ctx.u, ctx.v
+func (d *DSG) reassignGroups(ctx *transformCtx, real []int, dl int, haveMedian bool, mres MedianResult) (rounds int) {
 	bitLevel := dl + 1
+	uID := ctx.u.ID()
 
-	var zeros, ones []*skipgraph.Node
-	for _, x := range real {
-		if x.Bit(bitLevel) == 0 {
-			zeros = append(zeros, x)
+	// Count each level-dl group's members per side; a group with members
+	// on both sides is split by this step.
+	ctx.groups.reset(len(real))
+	agg := ctx.agg[:0]
+	zeroHasU, zeroHasV := false, false
+	for _, o := range real {
+		e := &ctx.ents[o]
+		gi := ctx.groups.index(e.s.group(dl))
+		if gi == len(agg) {
+			agg = append(agg, groupAgg{})
+		}
+		e.gid = int32(gi)
+		if e.inZero {
+			agg[gi].zeros++
+			zeroHasU = zeroHasU || o == ctx.ui
+			zeroHasV = zeroHasV || o == ctx.vi
 		} else {
-			ones = append(ones, x)
+			agg[gi].ones++
 		}
 	}
-	zeroHasUV := containsBoth(zeros, u, v)
+	ctx.agg = agg
+	zeroHasUV := zeroHasU && zeroHasV
 
-	// Detect groups (by level-dl id) with members on both sides.
-	sideCount := make(map[int64][2]int, 4)
-	for _, x := range zeros {
-		c := sideCount[d.state(x).group(dl)]
-		c[0]++
-		sideCount[d.state(x).group(dl)] = c
-	}
-	for _, x := range ones {
-		c := sideCount[d.state(x).group(dl)]
-		c[1]++
-		sideCount[d.state(x).group(dl)] = c
-	}
-	splitGroups := make(map[int64]bool, 1)
-	for g, c := range sideCount {
-		if c[0] > 0 && c[1] > 0 {
-			splitGroups[g] = true
-		}
-	}
-
-	for _, x := range zeros {
-		if zeroHasUV {
-			d.state(x).setGroup(bitLevel, u.ID())
-		} else {
-			d.state(x).setGroup(bitLevel, d.state(x).group(dl))
-		}
-	}
-	// 1-subgraph portions of split groups take their left-most member's id.
-	newID := make(map[int64]int64, len(splitGroups))
-	for _, x := range ones {
-		g := d.state(x).group(dl)
-		if splitGroups[g] {
-			if _, ok := newID[g]; !ok {
-				newID[g] = x.ID() // first in key order = left-most
+	anySplit := false
+	for _, o := range real {
+		e := &ctx.ents[o]
+		g := &agg[e.gid]
+		anySplit = anySplit || (g.zeros > 0 && g.ones > 0)
+		switch {
+		case e.inZero && zeroHasUV:
+			e.s.setGroup(bitLevel, uID)
+		case e.inZero:
+			e.s.setGroup(bitLevel, e.s.group(dl))
+		case g.zeros > 0:
+			// 1-subgraph portions of split groups take their left-most
+			// member's id (first in key order).
+			if !g.hasNewID {
+				g.newID, g.hasNewID = e.n.ID(), true
 			}
-			d.state(x).setGroup(bitLevel, newID[g])
-		} else {
-			d.state(x).setGroup(bitLevel, g)
+			e.s.setGroup(bitLevel, g.newID)
+		default:
+			e.s.setGroup(bitLevel, e.s.group(dl))
 		}
 	}
-	if len(splitGroups) > 0 {
+	if anySplit {
 		if haveMedian {
 			rounds += mres.BroadcastRounds // propagate the new group-id
 		} else {
@@ -384,30 +355,14 @@ func (d *DSG) reassignGroups(ctx *transformCtx, real []*skipgraph.Node, dl int, 
 // recomputeP4 applies priority rule P4: real members of a freshly formed
 // list that does not contain the communicating pair take the negative band
 // priority of their level-(bitLevel) group.
-func (d *DSG) recomputeP4(ctx *transformCtx, zeros, ones []*skipgraph.Node, bitLevel int, t int64) {
-	for _, side := range [][]*skipgraph.Node{zeros, ones} {
-		if containsBoth(side, ctx.u, ctx.v) {
-			continue // the pair's list keeps P1/P2 priorities
-		}
-		for _, x := range side {
-			if x.IsDummy() {
-				continue
-			}
-			sx := d.state(x)
-			ctx.pri[x] = amf.Finite(-sx.group(bitLevel)*t + sx.timestamp(bitLevel+1))
+func recomputeP4(ctx *transformCtx, side []int, bitLevel int) {
+	if hasU, hasV := ctx.contains(side); hasU && hasV {
+		return // the pair's list keeps P1/P2 priorities
+	}
+	for _, o := range side {
+		if ctx.isReal(o) {
+			e := &ctx.ents[o]
+			e.pri = amf.Finite(-e.s.group(bitLevel)*ctx.t + e.s.timestamp(bitLevel+1))
 		}
 	}
-}
-
-func containsBoth(side []*skipgraph.Node, u, v *skipgraph.Node) bool {
-	var hasU, hasV bool
-	for _, x := range side {
-		if x == u {
-			hasU = true
-		}
-		if x == v {
-			hasV = true
-		}
-	}
-	return hasU && hasV
 }

@@ -18,6 +18,20 @@ type nodeState struct {
 	B int     // group-base (Appendix C)
 }
 
+// newDummyState returns the state of a fresh dummy with identifier id whose
+// membership vector has depth bits: its own group at every level (§IV-B),
+// based at its top level. T and G share one backing array; each is capped
+// at its own half, so growing one reallocates it alone.
+func newDummyState(id int64, depth int) *nodeState {
+	n := depth + 2
+	words := make([]int64, 2*n)
+	s := &nodeState{T: words[:n:n], G: words[n:], D: make([]bool, n), B: depth}
+	for i := range s.G {
+		s.G[i] = id
+	}
+	return s
+}
+
 func (s *nodeState) ensure(level int) {
 	for len(s.T) <= level {
 		s.T = append(s.T, 0)
@@ -152,6 +166,9 @@ type DSG struct {
 	crashDetectCount int
 	crashRepairCount int
 	crashRepairLog   []int64
+
+	// scratch is the adjuster's reusable arena (see the package comment).
+	scratch scratch
 }
 
 // New creates a DSG over n nodes with keys and identifiers 0..n-1. The

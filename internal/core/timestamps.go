@@ -1,72 +1,82 @@
 package core
 
 import (
-	"sort"
-
 	"lsasg/internal/skipgraph"
 )
 
-// computeOldGroupSplits finds, for every member, the old levels d ≥ alpha
+// forEachOldGroupSplit visits, for every member, the old levels d ≥ alpha
 // at which its pre-transformation group (nodes sharing the old group-id and
 // the old level-d list) no longer shares a level-d list afterwards. These
 // are the split events rules T5 and the group-base rules (Appendix C)
 // refer to ("a group g at level d in S_t splits ... in S_{t+1}").
-func (d *DSG) computeOldGroupSplits(ctx *transformCtx) {
-	type groupKey struct {
-		level  int
-		prefix string
-		gid    int64
+//
+// The old lists are recovered by partitioning the members on their old
+// membership bits, level by level from l_alpha down the old tree; within
+// one old list the members group by old group-id. Walking the old tree top
+// down visits each member's events in ascending level order, the order the
+// base and T5 rules (which are order-sensitive) apply them in. The events
+// are a function of the snapshot and the new vectors alone, so the two
+// rules that need them each take their own walk instead of storing them.
+func forEachOldGroupSplit(ctx *transformCtx, visit func(o, level int)) {
+	ctx.part = ctx.part[:0]
+	for o := 0; o < ctx.m; o++ {
+		ctx.part = append(ctx.part, o)
 	}
-	groups := make(map[groupKey][]*skipgraph.Node)
-	for _, x := range ctx.members {
-		bits := ctx.oldBits[x]
-		oldG := ctx.oldG[x]
-		for lvl := ctx.alpha; lvl <= len(bits); lvl++ {
-			gid := int64(-1)
-			if lvl < len(oldG) {
-				gid = oldG[lvl]
-			}
-			k := groupKey{level: lvl, prefix: bits[:minInt(lvl, len(bits))], gid: gid}
-			groups[k] = append(groups[k], x)
-		}
-	}
-	for k, members := range groups {
-		if len(members) < 2 {
-			continue
-		}
-		// The group split at level k.level iff its members no longer share
-		// a level-k.level list (new membership prefixes diverge).
-		split := false
-		first := members[0]
-		for _, y := range members[1:] {
-			if !sharePrefix(first, y, k.level) {
-				split = true
-				break
-			}
-		}
-		if split {
-			for _, x := range members {
-				ctx.splitEvents[x] = append(ctx.splitEvents[x], k.level)
-			}
-		}
-	}
-	// Deterministic rule application: the map iteration above enumerates
-	// groups in arbitrary order, but the base/T5 rules are order-sensitive.
-	for x, splits := range ctx.splitEvents {
-		sort.Ints(splits)
-		ctx.splitEvents[x] = splits
-	}
+	oldListSplits(ctx, ctx.part, ctx.alpha, visit)
 }
 
-func sharePrefix(a, b *skipgraph.Node, level int) bool {
-	return skipgraph.CommonPrefixLen(a, b) >= level
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
+// oldListSplits handles one old level-lvl list (members in key order) and
+// recurses into its two old sublists.
+func oldListSplits(ctx *transformCtx, list []int, lvl int, visit func(o, level int)) {
+	if len(list) == 0 {
+		return
 	}
-	return b
+	// Group by old group-id. A group of ≥ 2 split at this level iff its
+	// members no longer share a level-lvl list (new membership prefixes
+	// diverge); sharing is transitive, so comparing against the group's
+	// first member suffices.
+	ctx.groups.reset(len(list))
+	agg := ctx.agg[:0]
+	for _, o := range list {
+		e := &ctx.ents[o]
+		gid := int64(-1)
+		if oldG := ctx.oldG(o); lvl < len(oldG) {
+			gid = oldG[lvl]
+		}
+		gi := ctx.groups.index(gid)
+		if gi == len(agg) {
+			agg = append(agg, groupAgg{first: o})
+		}
+		e.gid = int32(gi)
+		agg[gi].size++
+		if !agg[gi].split && skipgraph.CommonPrefixLen(ctx.ents[agg[gi].first].n, e.n) < lvl {
+			agg[gi].split = true
+		}
+	}
+	ctx.agg = agg
+	for _, o := range list {
+		if g := agg[ctx.ents[o].gid]; g.size >= 2 && g.split {
+			visit(o, lvl)
+		}
+	}
+	// Partition on the old bit for lvl+1 (stable, in place); members whose
+	// old vector ends here were singleton above and drop out.
+	zeros, ones := 0, ctx.partTmp[:0]
+	for _, o := range list {
+		bits := ctx.oldBitsOf(o)
+		switch {
+		case len(bits) <= lvl:
+		case bits[lvl] == 0:
+			list[zeros] = o
+			zeros++
+		default:
+			ones = append(ones, o)
+		}
+	}
+	end := zeros + copy(list[zeros:], ones)
+	ctx.partTmp = ones[:0]
+	oldListSplits(ctx, list[:zeros], lvl+1, visit)
+	oldListSplits(ctx, list[zeros:end], lvl+1, visit)
 }
 
 // applyGroupBaseRules updates group-bases after the structural
@@ -75,24 +85,23 @@ func minInt(a, b int) int {
 // well above alpha rebases just below that split. (Merge-driven base
 // updates were already applied in mergeGroups.)
 func (d *DSG) applyGroupBaseRules(ctx *transformCtx) {
-	d.computeOldGroupSplits(ctx)
-	for _, x := range ctx.members {
-		splits := ctx.splitEvents[x]
-		if len(splits) == 0 {
+	forEachOldGroupSplit(ctx, func(o, dl int) {
+		e := &ctx.ents[o]
+		if e.lowestSplit < 0 {
+			e.lowestSplit = int32(dl) // events ascend
+		}
+		if e.s.B == dl {
+			e.s.B = dl - 1
+		}
+	})
+	for o := range ctx.ents[:ctx.m] {
+		e := &ctx.ents[o]
+		if e.lowestSplit < 0 {
 			continue
 		}
-		sx := d.state(x)
-		lowest := splits[0]
-		for _, dl := range splits {
-			if dl < lowest {
-				lowest = dl
-			}
-			if sx.B == dl {
-				sx.B = dl - 1
-			}
-		}
-		if sx.B == ctx.alpha && lowest > ctx.alpha+1 {
-			sx.B = lowest - 1
+		sx := e.s
+		if sx.B == ctx.alpha && int(e.lowestSplit) > ctx.alpha+1 {
+			sx.B = int(e.lowestSplit) - 1
 		}
 		if sx.B < 0 {
 			sx.B = 0
@@ -103,15 +112,9 @@ func (d *DSG) applyGroupBaseRules(ctx *transformCtx) {
 	// d': for a first-time pair the merged group {u, v} tops out at the
 	// direct-link level, which is then the highest level of its biggest
 	// group.
-	minB := ctx.oldBu
-	if ctx.oldBv < minB {
-		minB = ctx.oldBv
-	}
-	if dPrime := skipgraph.CommonPrefixLen(ctx.u, ctx.v); dPrime < minB {
-		minB = dPrime
-	}
-	d.state(ctx.u).B = minB
-	d.state(ctx.v).B = minB
+	minB := min(ctx.oldBu, ctx.oldBv, skipgraph.CommonPrefixLen(ctx.u, ctx.v))
+	ctx.ents[ctx.ui].s.B = minB
+	ctx.ents[ctx.vi].s.B = minB
 }
 
 // applyTimestampRules executes the timestamp update of §IV-E. The order is
@@ -119,13 +122,13 @@ func (d *DSG) applyGroupBaseRules(ctx *transformCtx) {
 // "group transport" pass implements the repositioning of unchanged groups
 // that Fig 4(c) displays but that rules T2/T3 alone leave under-specified.
 func (d *DSG) applyTimestampRules(ctx *transformCtx) {
-	d.transportGroupTimes(ctx)
-	d.ruleT1(ctx)
-	d.ruleT2(ctx)
-	d.ruleT3(ctx)
-	d.ruleT4(ctx)
-	d.ruleT5(ctx)
-	d.ruleT6(ctx)
+	transportGroupTimes(ctx)
+	ruleT1(ctx)
+	ruleT2(ctx)
+	ruleT3(ctx)
+	ruleT4(ctx)
+	ruleT5(ctx)
+	ruleT6(ctx)
 }
 
 // transportGroupTimes moves each surviving group's timestamp to the level
@@ -136,90 +139,58 @@ func (d *DSG) applyTimestampRules(ctx *transformCtx) {
 // timestamp. Singletons carry the timestamp of their old singleton level.
 // This reproduces Fig 4(c) exactly: the displaced group {B,G,D} keeps its
 // merge time 4 one level up, {B,G} keeps 6, intact subtrees keep their old
-// values verbatim.
-func (d *DSG) transportGroupTimes(ctx *transformCtx) {
-	u, v := ctx.u, ctx.v
-	// Group the members by their new prefixes, level by level.
-	byPrefix := make(map[string][]*skipgraph.Node)
-	maxDepth := 0
-	for _, x := range ctx.members {
-		if depth := x.BitsLen(); depth > maxDepth {
-			maxDepth = depth
+// values verbatim. The new lists are the ones the splits formed and left
+// in ctx.spans.
+func transportGroupTimes(ctx *transformCtx) {
+	for _, sp := range ctx.spans[1:] { // spans[0] is l_alpha itself
+		list := ctx.lists[sp.off : sp.off+sp.n]
+		if hasU, hasV := ctx.contains(list); hasU || hasV {
+			continue // the pair's lists are stamped by T1/T2
 		}
-	}
-	for lvl := ctx.alpha + 1; lvl <= maxDepth; lvl++ {
-		for k := range byPrefix {
-			delete(byPrefix, k)
-		}
-		for _, x := range ctx.members {
-			if x.BitsLen() >= lvl {
-				byPrefix[newPrefix(x, lvl)] = append(byPrefix[newPrefix(x, lvl)], x)
+		// e = the set's deepest common old list: the common prefix of a
+		// string set is min over LCPs against any one member.
+		first, e := -1, 0
+		for _, o := range list {
+			switch {
+			case !ctx.isReal(o):
+			case first < 0:
+				first, e = o, int(ctx.ents[o].bLen)
+			default:
+				e = min(e, ctx.oldCommonPrefix(first, o))
 			}
 		}
-		for _, list := range byPrefix {
-			if containsEither(list, u, v) {
-				continue // the pair's lists are stamped by T1/T2
-			}
-			// e = the set's deepest common old list: the common prefix of a
-			// string set is min over LCPs against any one member.
-			e := len(ctx.oldBits[list[0]])
-			for _, y := range list[1:] {
-				if c := commonPrefixStrings(ctx.oldBits[list[0]], ctx.oldBits[y]); c < e {
-					e = c
-				}
-			}
-			for _, x := range list {
-				d.state(x).setTimestamp(lvl, at64(ctx.oldT[x], e))
+		for _, o := range list {
+			if ctx.isReal(o) {
+				ctx.ents[o].s.setTimestamp(sp.level, at64(ctx.oldT(o), e))
 			}
 		}
 	}
-}
-
-func newPrefix(x *skipgraph.Node, lvl int) string {
-	buf := make([]byte, lvl)
-	for i := 1; i <= lvl; i++ {
-		buf[i-1] = '0' + x.Bit(i)
-	}
-	return string(buf)
-}
-
-func containsEither(list []*skipgraph.Node, u, v *skipgraph.Node) bool {
-	for _, x := range list {
-		if x == u || x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // ruleT1 stamps the communicating pair: time t at the size-2 list level d'
 // and the singleton level above it; below, each level takes the split
 // median that formed it (the merge time of that level's group), falling
 // back to the pairwise max of the old timestamps.
-func (d *DSG) ruleT1(ctx *transformCtx) {
-	u, v, t := ctx.u, ctx.v, ctx.t
-	su, sv := d.state(u), d.state(v)
-	dPrime := skipgraph.CommonPrefixLen(u, v)
+func ruleT1(ctx *transformCtx) {
+	t := ctx.t
+	su, sv := ctx.ents[ctx.ui].s, ctx.ents[ctx.vi].s
+	dPrime := skipgraph.CommonPrefixLen(ctx.u, ctx.v)
 	su.setTimestamp(dPrime, t)
 	su.setTimestamp(dPrime+1, t)
 	sv.setTimestamp(dPrime, t)
 	sv.setTimestamp(dPrime+1, t)
-	minB := ctx.oldBu
-	if ctx.oldBv < minB {
-		minB = ctx.oldBv
-	}
-	if minB < 0 {
-		minB = 0
-	}
-	oldU, oldV := ctx.oldT[u], ctx.oldT[v]
+	minB := max(min(ctx.oldBu, ctx.oldBv), 0)
+	oldU, oldV := ctx.oldT(ctx.ui), ctx.oldT(ctx.vi)
 	for i := dPrime - 1; i >= minB; i-- {
-		val := max64(at64(oldU, i), at64(oldV, i))
+		val := max(at64(oldU, i), at64(oldV, i))
 		if i > ctx.alpha {
 			// The level-i list around the pair was formed by the split of
 			// the level-(i-1) list; its median is the group's merge time
 			// (matches the paper's Fig 4 walk-through).
-			if m, ok := ctx.med[u][i-1]; ok && !m.Inf && m.V > 0 {
-				val = m.V
+			for _, lm := range ctx.uMeds {
+				if lm.level == i-1 && !lm.med.Inf && lm.med.V > 0 {
+					val = lm.med.V
+				}
 			}
 		}
 		su.setTimestamp(i, val)
@@ -231,36 +202,38 @@ func (d *DSG) ruleT1(ctx *transformCtx) {
 // level d+1 where the node still holds u's group-id, its timestamp becomes
 // its lowest old timestamp exceeding the median it received at level d, or
 // that median itself. With the scripted medians of the paper's example this
-// yields node E's S9 column exactly (T[1]=2, T[2]=5).
-func (d *DSG) ruleT2(ctx *transformCtx) {
-	u, v := ctx.u, ctx.v
-	uID := u.ID()
-	for _, x := range ctx.members {
-		if x == u || x == v || x.IsDummy() {
+// yields node E's S9 column exactly (T[1]=2, T[2]=5). The medians sit on
+// the lists that computed them, so the rule goes list by list; a node's
+// levels are independent of one another (each reads the snapshot and writes
+// its own level), so the order does not matter.
+func ruleT2(ctx *transformCtx) {
+	uID := ctx.u.ID()
+	for _, sp := range ctx.spans {
+		if !sp.hasMed || sp.med.Inf {
 			continue
 		}
-		sx := d.state(x)
-		cPrime := d.newAssociationDepth(ctx, x)
-		oldT := ctx.oldT[x]
-		for dl := ctx.alpha; dl <= x.BitsLen(); dl++ {
-			if sx.group(dl+1) != uID {
-				break
-			}
-			m, ok := ctx.med[x][dl]
-			if !ok || m.Inf {
+		dl, m := sp.level, sp.med.V
+	members:
+		for _, o := range ctx.lists[sp.off : sp.off+sp.n] {
+			if !ctx.isReal(o) || o == ctx.ui || o == ctx.vi {
 				continue
 			}
-			set := false
+			e := &ctx.ents[o]
+			sx := e.s
+			for l := ctx.alpha; l <= dl; l++ {
+				if sx.group(l+1) != uID {
+					continue members // left the pair's group at or below this level
+				}
+			}
+			cPrime, oldT := newAssociationDepth(ctx, e.n), ctx.oldT(o)
+			stamp := m
 			for c := ctx.alpha; c < cPrime; c++ {
-				if tc := at64(oldT, c); tc > m.V {
-					sx.setTimestamp(dl+1, tc)
-					set = true
+				if tc := at64(oldT, c); tc > m {
+					stamp = tc
 					break
 				}
 			}
-			if !set {
-				sx.setTimestamp(dl+1, m.V)
-			}
+			sx.setTimestamp(dl+1, stamp)
 		}
 	}
 }
@@ -269,47 +242,40 @@ func (d *DSG) ruleT2(ctx *transformCtx) {
 // list with the nearest communicating node after the transformation (the
 // reading of the paper's "longest common postfix" under which its Fig 4
 // values c'(E)=2, c'(G)=1 come out; DESIGN.md §3).
-func (d *DSG) newAssociationDepth(ctx *transformCtx, x *skipgraph.Node) int {
-	cu := skipgraph.CommonPrefixLen(x, ctx.u)
-	cv := skipgraph.CommonPrefixLen(x, ctx.v)
-	if cu >= cv {
-		return cu
-	}
-	return cv
+func newAssociationDepth(ctx *transformCtx, x *skipgraph.Node) int {
+	return max(skipgraph.CommonPrefixLen(x, ctx.u), skipgraph.CommonPrefixLen(x, ctx.v))
 }
 
-// nearestCommunicating returns whichever of u, v was closer to x in the
-// old topology (longer old common prefix).
-func (d *DSG) nearestCommunicating(ctx *transformCtx, x *skipgraph.Node) *skipgraph.Node {
-	cu := commonPrefixStrings(ctx.oldBits[x], ctx.oldBits[ctx.u])
-	cv := commonPrefixStrings(ctx.oldBits[x], ctx.oldBits[ctx.v])
-	if cu >= cv {
-		return ctx.u
+// nearestCommunicating returns the ordinal of whichever of u, v was closer
+// to member o in the old topology (longer old common prefix).
+func nearestCommunicating(ctx *transformCtx, o int) int {
+	if ctx.oldCommonPrefix(o, ctx.ui) >= ctx.oldCommonPrefix(o, ctx.vi) {
+		return ctx.ui
 	}
-	return ctx.v
+	return ctx.vi
 }
 
 // ruleT3 handles members of the pair's old groups whose association depth
 // shrank: the timestamps across the vacated levels collapse to the old
 // value at the deep end.
-func (d *DSG) ruleT3(ctx *transformCtx) {
-	u, v, alpha := ctx.u, ctx.v, ctx.alpha
-	for _, x := range ctx.members {
-		if x == u || x == v || x.IsDummy() {
+func ruleT3(ctx *transformCtx) {
+	alpha := ctx.alpha
+	oldGu, oldGv := ctx.oldGroup(ctx.ui, alpha), ctx.oldGroup(ctx.vi, alpha)
+	for o := range ctx.ents[:ctx.m] {
+		if o == ctx.ui || o == ctx.vi {
 			continue
 		}
-		oldGx := groupAtOld(ctx, x, alpha)
-		if oldGx != groupAtOld(ctx, u, alpha) && oldGx != groupAtOld(ctx, v, alpha) {
+		if g := ctx.oldGroup(o, alpha); g != oldGu && g != oldGv {
 			continue
 		}
-		w := d.nearestCommunicating(ctx, x)
-		cPrime := commonPrefixStrings(ctx.oldBits[x], ctx.oldBits[w])
-		cDouble := skipgraph.CommonPrefixLen(x, w)
+		w := nearestCommunicating(ctx, o)
+		cPrime := ctx.oldCommonPrefix(o, w)
+		cDouble := skipgraph.CommonPrefixLen(ctx.ents[o].n, ctx.ents[w].n)
 		if cPrime-1 <= cDouble+1 {
 			continue
 		}
-		sx := d.state(x)
-		val := at64(ctx.oldT[x], cPrime)
+		sx := ctx.ents[o].s
+		val := at64(ctx.oldT(o), cPrime)
 		for i := cPrime - 1; i >= cDouble+1; i-- {
 			sx.setTimestamp(i, val)
 		}
@@ -319,69 +285,50 @@ func (d *DSG) ruleT3(ctx *transformCtx) {
 // ruleT4 fills timestamp gaps for nodes that initialized or received
 // Glower: zero levels between the group-base and the lowest non-zero
 // timestamp adopt that timestamp (DESIGN.md §3 reading).
-func (d *DSG) ruleT4(ctx *transformCtx) {
-	for x := range ctx.glower {
-		if x.IsDummy() {
-			continue
+func ruleT4(ctx *transformCtx) {
+	for o := range ctx.ents[:ctx.m] {
+		if ctx.ents[o].glower {
+			fillBelowLowestTimestamp(ctx.ents[o].s)
 		}
-		sx := d.state(x)
-		lowNZ := -1
-		for i := 0; i < len(sx.T); i++ {
-			if sx.T[i] != 0 {
-				lowNZ = i
-				break
-			}
+	}
+	for _, sx := range ctx.glowerOut {
+		fillBelowLowestTimestamp(sx)
+	}
+}
+
+func fillBelowLowestTimestamp(sx *nodeState) {
+	lowNZ := -1
+	for i := 0; i < len(sx.T); i++ {
+		if sx.T[i] != 0 {
+			lowNZ = i
+			break
 		}
-		if lowNZ <= sx.B {
-			continue
-		}
-		for i := sx.B; i < lowNZ; i++ {
-			sx.setTimestamp(i, sx.T[lowNZ])
-		}
+	}
+	for i := sx.B; i < lowNZ; i++ {
+		sx.setTimestamp(i, sx.T[lowNZ])
 	}
 }
 
 // ruleT5 backfills the level below a split: a member of an old group that
 // split at level dl whose level-(dl-1) timestamp is still zero copies the
 // level-dl timestamp down.
-func (d *DSG) ruleT5(ctx *transformCtx) {
-	for x, splits := range ctx.splitEvents {
-		if x.IsDummy() {
-			continue
+func ruleT5(ctx *transformCtx) {
+	forEachOldGroupSplit(ctx, func(o, dl int) {
+		sx := ctx.ents[o].s
+		if dl >= 1 && sx.timestamp(dl-1) == 0 && sx.timestamp(dl) != 0 {
+			sx.setTimestamp(dl-1, sx.timestamp(dl))
 		}
-		sx := d.state(x)
-		for _, dl := range splits {
-			if dl >= 1 && sx.timestamp(dl-1) == 0 && sx.timestamp(dl) != 0 {
-				sx.setTimestamp(dl-1, sx.timestamp(dl))
-			}
-		}
-	}
+	})
 }
 
 // ruleT6 zeroes every timestamp below the group-base.
-func (d *DSG) ruleT6(ctx *transformCtx) {
-	for _, x := range ctx.members {
-		if x.IsDummy() {
-			continue
-		}
-		sx := d.state(x)
+func ruleT6(ctx *transformCtx) {
+	for o := range ctx.ents[:ctx.m] {
+		sx := ctx.ents[o].s
 		for i := 0; i < sx.B && i < len(sx.T); i++ {
 			sx.T[i] = 0
 		}
 	}
-}
-
-func commonPrefixStrings(a, b string) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return i
-		}
-	}
-	return n
 }
 
 func at64(xs []int64, i int) int64 {
@@ -389,11 +336,4 @@ func at64(xs []int64, i int) int64 {
 		return 0
 	}
 	return xs[i]
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

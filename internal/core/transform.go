@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"lsasg/internal/amf"
 	"lsasg/internal/skipgraph"
@@ -83,67 +83,36 @@ func (d *DSG) Serve(uid, vid int64) (RequestResult, error) {
 	return res, nil
 }
 
-// transformCtx carries the bookkeeping one transformation needs across its
-// phases; everything here is per-request scratch state.
-type transformCtx struct {
-	u, v  *skipgraph.Node
-	t     int64
-	alpha int
-
-	members []*skipgraph.Node // real members of l_alpha, key order
-
-	oldT    map[*skipgraph.Node][]int64
-	oldG    map[*skipgraph.Node][]int64
-	oldBits map[*skipgraph.Node]string // old membership vectors
-	oldBu   int
-	oldBv   int
-
-	pri         map[*skipgraph.Node]priority
-	med         map[*skipgraph.Node]map[int]amf.Value // median received per list level
-	splitEvents map[*skipgraph.Node][]int             // list levels where x's group split
-	glower      map[*skipgraph.Node]bool              // nodes that initialized/received Glower
-
-	newDummies  []*skipgraph.Node
-	keptDummies []*skipgraph.Node      // level-alpha dummies that survive (chain breakers below)
-	pendingKeys map[skipgraph.Key]bool // keys reserved for dummies this request
-	rounds      int
-}
-
 // transform runs the full DSG topology transformation for request (u, v)
 // at time t and returns the result fields it is responsible for.
 func (d *DSG) transform(u, v *skipgraph.Node, t int64) RequestResult {
-	ctx := &transformCtx{
-		u: u, v: v, t: t,
-		alpha:       skipgraph.CommonPrefixLen(u, v),
-		oldT:        make(map[*skipgraph.Node][]int64),
-		oldG:        make(map[*skipgraph.Node][]int64),
-		oldBits:     make(map[*skipgraph.Node]string),
-		pri:         make(map[*skipgraph.Node]priority),
-		med:         make(map[*skipgraph.Node]map[int]amf.Value),
-		splitEvents: make(map[*skipgraph.Node][]int),
-		glower:      make(map[*skipgraph.Node]bool),
-		pendingKeys: make(map[skipgraph.Key]bool),
-	}
-	res := RequestResult{Time: t, Alpha: ctx.alpha}
-
 	// Each request records the lists it dirties so the trace runner can
 	// repair a-balance locally afterwards (RepairBalancePending); resetting
 	// here bounds the record to one request for callers that never consume
 	// it.
-	d.pending = d.pending[:0]
+	d.clearPending()
+
+	ctx := &d.scratch.transform
+	ctx.reset(u, v, t)
+	defer ctx.release()
+	alpha := ctx.alpha
+	res := RequestResult{Time: t, Alpha: alpha}
 
 	// A crashed member of l_alpha cannot take part in the transformation —
 	// the notification broadcast would be its first contact, so detect and
 	// repair it now, exactly like a route-time detection. Each repair
 	// removes one dead node (it may insert dummies, never dead nodes), so
-	// the rescan loop terminates.
+	// the rescan loop terminates. The walk that finds no corpse is also the
+	// one that collects l_alpha for the phases below.
 	for {
+		ctx.lalpha = recycle(ctx.lalpha)
 		var deadMember *skipgraph.Node
-		for _, x := range d.g.ListAt(u, ctx.alpha) {
+		for x := u.ListHead(alpha); x != nil; x = x.Next(alpha) {
 			if !x.IsDummy() && x.Dead() {
 				deadMember = x
 				break
 			}
+			ctx.lalpha = append(ctx.lalpha, x)
 		}
 		if deadMember == nil {
 			break
@@ -160,49 +129,74 @@ func (d *DSG) transform(u, v *skipgraph.Node, t int64) RequestResult {
 	// below the transformed region, so it stays (it still participates in
 	// l_alpha's split as a chain boundary). A destroyed dummy may have been
 	// breaking chains below alpha, so its ex-lists join the dirty set.
-	for _, x := range d.g.ListAt(u, ctx.alpha) {
-		if x.IsDummy() && x.BitsLen() > ctx.alpha {
-			d.pending = append(d.pending, skipgraph.ExListRefs(x)...)
+	// Survivors get their ordinals here — real members in key order, the
+	// kept dummies after them — and form the first list the splits work on:
+	// l_alpha in key order, the kept dummies in it as chain boundaries.
+	for _, x := range ctx.lalpha {
+		if !x.IsDummy() {
+			ctx.m++
+		} else if x.BitsLen() <= alpha {
+			ctx.kept++
+		}
+	}
+	ctx.ents = append(ctx.ents, make([]member, ctx.m+ctx.kept)...)
+	nextReal, nextKept := 0, ctx.m
+	for _, x := range ctx.lalpha {
+		switch {
+		case x.IsDummy() && x.BitsLen() > alpha:
+			d.pending = skipgraph.AppendExListRefs(d.pending, x)
 			d.g.Remove(x.Key())
 			delete(d.st, x)
 			d.dummyCount--
 			res.DummiesDestroyed++
-		} else if !x.IsDummy() {
-			ctx.members = append(ctx.members, x)
-		} else {
-			ctx.keptDummies = append(ctx.keptDummies, x)
+		case !x.IsDummy():
+			ctx.ents[nextReal] = newMember(x, d.state(x))
+			if x == u {
+				ctx.ui = nextReal
+			} else if x == v {
+				ctx.vi = nextReal
+			}
+			ctx.lists = append(ctx.lists, nextReal)
+			nextReal++
+		default:
+			ctx.ents[nextKept] = newMember(x, d.state(x))
+			ctx.lists = append(ctx.lists, nextKept)
+			nextKept++
 		}
 	}
+	ctx.spans = append(ctx.spans, listSpan{n: len(ctx.lists), level: alpha, split: true})
 	ctx.rounds++ // parallel dummy self-destruction
 
-	// Snapshot the old state the timestamp rules refer to ("in S_t").
-	for _, x := range ctx.members {
-		s := d.state(x)
-		ctx.oldT[x] = append([]int64(nil), s.T...)
-		ctx.oldG[x] = append([]int64(nil), s.G...)
-		ctx.oldBits[x] = x.MembershipVector()
+	// Snapshot the old state the timestamp rules refer to ("in S_t"), into
+	// one flat backing array per kind.
+	for i := range ctx.ents[:ctx.m] {
+		e := &ctx.ents[i]
+		e.tOff, e.tLen, e.gLen = int32(len(ctx.oldWords)), int32(len(e.s.T)), int32(len(e.s.G))
+		ctx.oldWords = append(append(ctx.oldWords, e.s.T...), e.s.G...)
+		e.bOff, e.bLen = int32(len(ctx.oldBits)), int32(e.n.BitsLen())
+		ctx.oldBits = e.n.AppendBits(ctx.oldBits)
 	}
-	ctx.oldBu, ctx.oldBv = d.state(u).B, d.state(v).B
+	ctx.oldBu, ctx.oldBv = ctx.ents[ctx.ui].s.B, ctx.ents[ctx.vi].s.B
 
 	// Notification broadcast: u and v flood l_alpha with their O(H_t) words
 	// of state through the sub-skip-graph; pipelined under CONGEST.
 	height := d.g.Height()
-	ctx.rounds += d.cfg.A*(height-ctx.alpha) + 2*height
+	ctx.rounds += d.cfg.A*(height-alpha) + 2*height
 
 	d.computePriorities(ctx)
 	d.mergeGroups(ctx)
 
 	// Reassign the membership vector of every member above alpha.
-	for _, x := range ctx.members {
-		x.TruncateBits(ctx.alpha)
+	for _, e := range ctx.ents[:ctx.m] {
+		e.n.TruncateBits(alpha)
 	}
 	d.runSplits(ctx)
 
 	// The splits rewrote every member's membership vector and per-level
 	// state up to its new singleton level; drop stale entries beyond it.
-	for _, x := range ctx.members {
-		s := d.state(x)
-		depth := x.BitsLen()
+	for _, e := range ctx.ents[:ctx.m] {
+		s := e.s
+		depth := e.n.BitsLen()
 		if len(s.T) > depth+2 {
 			s.T = s.T[:depth+2]
 		}
@@ -218,38 +212,43 @@ func (d *DSG) transform(u, v *skipgraph.Node, t int64) RequestResult {
 	}
 
 	// Install dummies created during balance repair, then rebuild the links
-	// of the transformed sub-skip-graph.
-	for _, dm := range ctx.newDummies {
-		d.g.SpliceIn(dm)
+	// of the transformed sub-skip-graph. The splits reassigned every vector
+	// above alpha, so the region's links from alpha up are stale: a fresh
+	// dummy links into the (intact) lists below alpha only and gets the
+	// rest from the Relink.
+	dmLo, dmHi := ctx.newDummies()
+	for _, e := range ctx.ents[dmLo:dmHi] {
+		d.g.SpliceInBelow(e.n, alpha)
 		d.dummyCount++
 		res.DummiesInserted++
 	}
-	all := append(append([]*skipgraph.Node(nil), ctx.members...), ctx.newDummies...)
-	all = append(all, ctx.keptDummies...)
-	sort.Slice(all, func(i, j int) bool { return all[i].Key().Less(all[j].Key()) })
-	d.g.Relink(all, ctx.alpha, nil)
+	for _, e := range ctx.ents {
+		ctx.all = append(ctx.all, e.n)
+	}
+	slices.SortFunc(ctx.all, func(x, y *skipgraph.Node) int { return x.Key().Compare(y.Key()) })
+	d.g.Relink(ctx.all, alpha, nil)
 
 	// Dirty-list record for the scoped post-request repair: every rebuilt
 	// list of the transformed region is dirty end to end (Whole, anchored
 	// at its head so the scoped scan deduplicates for free), while a fresh
 	// dummy's below-alpha splices only dirty the runs around it.
-	for _, x := range all {
-		for l := ctx.alpha; l <= x.MaxLinkedLevel(); l++ {
+	for _, x := range ctx.all {
+		for l := alpha; l <= x.MaxLinkedLevel(); l++ {
 			if x.Prev(l) == nil {
-				d.pending = append(d.pending, skipgraph.ListRef{Node: x, Level: l, Whole: true})
+				d.pending = append(d.pending, skipgraph.ListRef{Node: x, Level: int32(l), Whole: true})
 			}
 		}
 	}
-	for _, dm := range ctx.newDummies {
-		for l := 0; l < ctx.alpha; l++ {
-			d.pending = append(d.pending, skipgraph.ListRef{Node: dm, Level: l})
+	for _, e := range ctx.ents[dmLo:dmHi] {
+		for l := 0; l < alpha; l++ {
+			d.pending = append(d.pending, skipgraph.ListRef{Node: e.n, Level: int32(l)})
 		}
 	}
 
 	d.applyGroupBaseRules(ctx)
 	d.applyTimestampRules(ctx)
-	for _, dm := range ctx.newDummies {
-		d.st[dm].B = d.g.SingletonLevel(dm)
+	for _, e := range ctx.ents[dmLo:dmHi] {
+		e.s.B = d.g.SingletonLevel(e.n)
 	}
 
 	res.TransformRounds = ctx.rounds
@@ -264,28 +263,29 @@ func (d *DSG) transform(u, v *skipgraph.Node, t int64) RequestResult {
 
 // computePriorities applies priority rules P1–P3 (§IV-C) over l_alpha.
 func (d *DSG) computePriorities(ctx *transformCtx) {
-	u, v, t, alpha := ctx.u, ctx.v, ctx.t, ctx.alpha
-	su, sv := d.state(u), d.state(v)
+	t, alpha := ctx.t, ctx.alpha
+	su, sv := ctx.ents[ctx.ui].s, ctx.ents[ctx.vi].s
 	gu, gv := su.group(alpha), sv.group(alpha)
-	for _, x := range ctx.members {
-		sx := d.state(x)
+	for i := range ctx.ents[:ctx.m] {
+		e := &ctx.ents[i]
+		sx := e.s
 		switch {
-		case x == u || x == v:
+		case i == ctx.ui || i == ctx.vi:
 			// P1: the communicating pair takes priority +∞.
-			ctx.pri[x] = amf.Infinite()
+			e.pri = amf.Infinite()
 		case sx.group(alpha) == gu:
 			// P2 w.r.t. u: min of the pair's timestamps at the highest
 			// level where x still shares u's group.
 			c := highestCommonGroupLevel(sx, su, alpha)
-			ctx.pri[x] = amf.Finite(min64(sx.timestamp(c), su.timestamp(c)))
+			e.pri = amf.Finite(min(sx.timestamp(c), su.timestamp(c)))
 		case sx.group(alpha) == gv:
 			// P2 w.r.t. v.
 			c := highestCommonGroupLevel(sx, sv, alpha)
-			ctx.pri[x] = amf.Finite(min64(sx.timestamp(c), sv.timestamp(c)))
+			e.pri = amf.Finite(min(sx.timestamp(c), sv.timestamp(c)))
 		default:
 			// P3: a non-communicating group occupies the distinct negative
 			// band [-G·t, -G·t + t).
-			ctx.pri[x] = amf.Finite(-sx.group(alpha)*t + sx.timestamp(alpha+1))
+			e.pri = amf.Finite(-sx.group(alpha)*t + sx.timestamp(alpha+1))
 		}
 	}
 }
@@ -309,15 +309,12 @@ func highestCommonGroupLevel(a, b *nodeState, alpha int) int {
 // and group-base propagation when the pair's lower groups differ.
 func (d *DSG) mergeGroups(ctx *transformCtx) {
 	u, v, alpha := ctx.u, ctx.v, ctx.alpha
-	su, sv := d.state(u), d.state(v)
+	su, sv := ctx.ents[ctx.ui].s, ctx.ents[ctx.vi].s
 	gu, gv := su.group(alpha), sv.group(alpha)
-	minB := ctx.oldBu
-	if ctx.oldBv < minB {
-		minB = ctx.oldBv
-	}
-	merged := make([]*skipgraph.Node, 0, len(ctx.members))
-	for _, x := range ctx.members {
-		sx := d.state(x)
+	minB := min(ctx.oldBu, ctx.oldBv)
+	for i := range ctx.ents[:ctx.m] {
+		e := &ctx.ents[i]
+		sx := e.s
 		if sx.group(alpha) == gu || sx.group(alpha) == gv {
 			sx.setGroup(alpha, u.ID())
 			// Every member of the merged group shares the pair's lower
@@ -326,42 +323,39 @@ func (d *DSG) mergeGroups(ctx *transformCtx) {
 			if minB < sx.B {
 				sx.B = minB
 			}
-			merged = append(merged, x)
+			e.merged = true
 		}
 	}
-	if alpha == 0 || ctx.oldG[u][alpha-1] == groupAtOld(ctx, v, alpha-1) {
+	if alpha == 0 || ctx.oldG(ctx.ui)[alpha-1] == ctx.oldGroup(ctx.vi, alpha-1) {
 		// Lower groups already coincide (or there is nothing below alpha).
-		for _, x := range merged {
-			ctx.glower[x] = true
+		for i := range ctx.ents[:ctx.m] {
+			ctx.ents[i].glower = ctx.ents[i].merged
 		}
 		return
 	}
 	// Appendix C: pick Glower from the node with the smaller group-base,
 	// broadcast it through l_max(Bu,Bv), and stamp it below alpha.
 	bu, bv := ctx.oldBu, ctx.oldBv
-	source := u
+	source, srcOld := u, ctx.oldG(ctx.ui)
 	if bv < bu {
-		source = v
+		source, srcOld = v, ctx.oldG(ctx.vi)
 	}
-	glower := make([]int64, alpha)
-	srcOld := ctx.oldG[source]
+	glower := ctx.glow[:0]
 	for i := 0; i < alpha; i++ {
 		if i < len(srcOld) {
-			glower[i] = srcOld[i]
+			glower = append(glower, srcOld[i])
 		} else {
-			glower[i] = source.ID()
+			glower = append(glower, source.ID())
 		}
 	}
-	maxB, minB := bu, bv
-	if maxB < minB {
-		maxB, minB = minB, maxB
-	}
+	ctx.glow = glower
+	maxB, minB := max(bu, bv), min(bu, bv)
 	// Recipients: nodes of the level-max(Bu,Bv) list containing u and v
 	// whose group there matches u's or v's old group.
 	if maxB <= alpha {
-		guB := groupAtOld(ctx, u, maxB)
-		gvB := groupAtOld(ctx, v, maxB)
-		for _, y := range d.g.ListAt(u, maxB) {
+		guB := ctx.oldGroup(ctx.ui, maxB)
+		gvB := ctx.oldGroup(ctx.vi, maxB)
+		for y := u.ListHead(maxB); y != nil; y = y.Next(maxB) {
 			if y.IsDummy() {
 				continue
 			}
@@ -371,37 +365,23 @@ func (d *DSG) mergeGroups(ctx *transformCtx) {
 				for i := 0; i < alpha; i++ {
 					sy.setGroup(i, glower[i])
 				}
-				ctx.glower[y] = true
+				if o, ok := ctx.ordOf(y); ok {
+					ctx.ents[o].glower = true
+				} else {
+					ctx.glowerOut = append(ctx.glowerOut, sy)
+				}
 			}
 		}
 		ctx.rounds += d.cfg.A * (d.g.Height() - maxB) // broadcast in the sub-skip-graph
 	}
-	for _, x := range merged {
-		sx := d.state(x)
+	for i := range ctx.ents[:ctx.m] {
+		e := &ctx.ents[i]
+		if !e.merged {
+			continue
+		}
 		for i := 0; i < alpha; i++ {
-			sx.setGroup(i, glower[i])
+			e.s.setGroup(i, glower[i])
 		}
-		ctx.glower[x] = true
+		e.glower = true
 	}
-}
-
-// groupAtOld reads a node's pre-transformation group-id at a level, falling
-// back to the live state when the node was outside l_alpha (not snapshot).
-func groupAtOld(ctx *transformCtx, n *skipgraph.Node, level int) int64 {
-	if old, ok := ctx.oldG[n]; ok {
-		if level < len(old) {
-			return old[level]
-		}
-		if len(old) > 0 {
-			return old[len(old)-1]
-		}
-	}
-	return -1
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,6 +1,9 @@
 package skipgraph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // BalanceViolation reports a run of more than `a` consecutive nodes of a
 // level-d list that all moved to the same level-(d+1) sublist, violating the
@@ -32,7 +35,11 @@ func (g *Graph) BalanceViolations(a int) []BalanceViolation {
 	var out []BalanceViolation
 	var walk func(list []*Node, level int)
 	walk = func(list []*Node, level int) {
-		out = append(out, listRunViolations(list, level, a)...)
+		runs := runScanner{out: out, level: level, a: a}
+		for _, n := range list {
+			runs.add(n)
+		}
+		out = runs.finish()
 		zeros := make([]*Node, 0, len(list))
 		ones := make([]*Node, 0, len(list))
 		for _, n := range list {
@@ -58,160 +65,240 @@ func (g *Graph) BalanceViolations(a int) []BalanceViolation {
 	return out
 }
 
-// BalanceViolationsIn is the scoped counterpart of BalanceViolations: it
-// checks only the dirty regions named by refs, which must cover every list
-// whose membership or next-level bits changed since the graph was last
-// balanced (local joins, leaves, and repairs report exactly that set). A
-// windowed ref scans the anchor's run neighbourhood — O(a) when the graph
-// was balanced before the change — and a Whole ref scans its entire list.
-// Stale refs (nodes no longer in the graph) are skipped. The second result
-// is the number of nodes examined, the deterministic work measure
+// regionID identifies one dirty region for deduplication within a scoped
+// scan.
+type regionID struct {
+	anchor *Node
+	level  int32
+	whole  bool
+}
+
+// AppendBalanceViolationsIn is the scoped counterpart of BalanceViolations:
+// it checks only the dirty regions named by refs, which must cover every
+// list whose membership or next-level bits changed since the graph was last
+// balanced (local joins, leaves, and repairs report exactly that set), and
+// appends what it finds to dst. A windowed ref scans the anchor's run
+// neighbourhood — O(a) when the graph was balanced before the change — and
+// a Whole ref scans its entire list; either way the scan walks the links in
+// place. Stale refs (nodes no longer in the graph) are skipped. The second
+// result is the number of nodes examined, the deterministic work measure
 // experiment E16 reports.
-func (g *Graph) BalanceViolationsIn(a int, refs []ListRef) ([]BalanceViolation, int) {
+func (g *Graph) AppendBalanceViolationsIn(dst []BalanceViolation, a int, refs []ListRef) ([]BalanceViolation, int) {
 	if a < 1 {
 		panic(fmt.Sprintf("skipgraph: balance parameter must be >= 1, got %d", a))
 	}
-	type regionID struct {
-		anchor *Node
-		level  int
-		whole  bool
+	if g.seenRegions == nil {
+		g.seenRegions = make(map[regionID]struct{}, len(refs))
 	}
-	seen := make(map[regionID]bool, len(refs))
 	scanned := 0
-	var out []BalanceViolation
 	for _, ref := range refs {
-		x := ref.Node
-		if x == nil || ref.Level < 0 || g.byKey[x.key] != x {
+		if !g.liveRef(ref) {
 			continue
 		}
-		id := regionID{anchor: x, level: ref.Level, whole: ref.Whole}
-		if seen[id] {
+		id := regionID{anchor: ref.Node, level: ref.Level, whole: ref.Whole}
+		if _, dup := g.seenRegions[id]; dup {
 			continue
 		}
-		seen[id] = true
-		window, n := g.dirtyWindow(ref)
-		scanned += n
-		out = append(out, listRunViolations(window, ref.Level, a)...)
+		g.seenRegions[id] = struct{}{}
+		level := int(ref.Level)
+		runs := runScanner{out: dst, level: level, a: a}
+		first, last, walked := regionBounds(ref)
+		visited := 0
+		for y := first; y != nil; y = y.Next(level) {
+			visited++
+			runs.add(y)
+			if y == last {
+				break
+			}
+		}
+		dst = runs.finish()
+		scanned += walked
+		if ref.Whole {
+			scanned += visited
+		}
 	}
-	return out, scanned
+	if len(g.seenRegions) > maxKeptRegions {
+		g.seenRegions = nil // a map never shrinks; do not let one huge scan size it forever
+	} else {
+		clear(g.seenRegions)
+	}
+	return dst, scanned
 }
 
-// Window materializes the dirty region a ref names (see ListRef): the
-// anchor's run neighbourhood, or the whole list for a Whole ref. It returns
-// nil for a stale ref. The second result is the number of nodes walked.
-func (g *Graph) Window(ref ListRef) ([]*Node, int) {
-	if ref.Node == nil || ref.Level < 0 || g.byKey[ref.Node.key] != ref.Node {
-		return nil, 0
+// maxKeptRegions bounds the dedup set kept between scoped scans.
+const maxKeptRegions = 4096
+
+// AppendDummiesIn appends to dst the distinct dummies appearing in any of
+// the dirty regions named by the given ref lists, in key order, and returns
+// the number of nodes walked. Stale refs are skipped.
+func (g *Graph) AppendDummiesIn(dst []*Node, refLists ...[]ListRef) ([]*Node, int) {
+	// Regions overlap (one dummy sits in a list per level); a dummy is taken
+	// the first time this call's mark reaches it.
+	g.mark++
+	base, scanned := len(dst), 0
+	for _, refs := range refLists {
+		for _, ref := range refs {
+			if !g.liveRef(ref) {
+				continue
+			}
+			first, last, walked := regionBounds(ref)
+			visited := 0
+			for y := first; y != nil; y = y.Next(int(ref.Level)) {
+				visited++
+				if y.dummy && y.mark != g.mark {
+					y.mark = g.mark
+					dst = append(dst, y)
+				}
+				if y == last {
+					break
+				}
+			}
+			scanned += walked
+			if ref.Whole {
+				scanned += visited
+			}
+		}
 	}
-	return g.dirtyWindow(ref)
+	slices.SortFunc(dst[base:], func(x, y *Node) int { return x.key.Compare(y.key) })
+	return dst, scanned
 }
 
-// dirtyWindow materializes the list segment a ref marks dirty, in key
-// order, plus the number of nodes walked. For a windowed ref that is the
-// anchor's maximal same-bit run (w.r.t. the next level's bit; a node
-// lacking the bit forms its own boundary run) extended by the complete
-// adjacent run on each side — every run a mutation at the anchor's position
-// can have changed, with both edge runs complete so run lengths measured
-// inside the window are exact. For a Whole ref it is the full list.
-func (g *Graph) dirtyWindow(ref ListRef) ([]*Node, int) {
-	x, level := ref.Node, ref.Level
-	scanned := 1
-	if ref.Whole {
-		head := x
-		for head.Prev(level) != nil {
-			head = head.Prev(level)
-			scanned++
-		}
-		var window []*Node
-		for y := head; y != nil; y = y.Next(level) {
-			window = append(window, y)
-			scanned++
-		}
-		return window, scanned
-	}
-	var before, after []*Node
-	for cur, cross := x, 0; ; {
-		p := cur.Prev(level)
+// liveRef reports whether ref names a list of a node still in the graph.
+func (g *Graph) liveRef(ref ListRef) bool {
+	return ref.Node != nil && ref.Level >= 0 && g.Contains(ref.Node)
+}
+
+// regionBounds returns the first and last node of the list segment a ref
+// marks dirty; the segment is walked over the links themselves, first to
+// last along Next(ref.Level). For a windowed ref that is the anchor's
+// maximal same-bit run (w.r.t. the next level's bit; a node lacking the bit
+// forms its own boundary run) extended by the complete adjacent run on each
+// side — every run a mutation at the anchor's position can have changed,
+// with both edge runs complete so run lengths measured inside the window
+// are exact. For a Whole ref it is the full list, and last is nil: the
+// segment runs to the list's end. walked is the work measure of the scan:
+// the anchor plus every node between it and either bound — for a Whole ref,
+// whose right bound is open, the caller adds the nodes it visits instead.
+func regionBounds(ref ListRef) (first, last *Node, walked int) {
+	x, level := ref.Node, int(ref.Level)
+	first, walked = x, 1
+	for cross := 0; ; {
+		p := first.Prev(level)
 		if p == nil {
 			break
 		}
-		if runBoundary(p, cur, level+1) {
+		if !ref.Whole && runBoundary(p, first, level+1) {
 			cross++
 			if cross > 1 {
 				break
 			}
 		}
-		before = append(before, p)
-		cur = p
-		scanned++
+		first = p
+		walked++
 	}
-	for cur, cross := x, 0; ; {
-		nx := cur.Next(level)
+	if ref.Whole {
+		return first, nil, walked
+	}
+	last = x
+	for cross := 0; ; {
+		nx := last.Next(level)
 		if nx == nil {
 			break
 		}
-		if runBoundary(cur, nx, level+1) {
+		if runBoundary(last, nx, level+1) {
 			cross++
 			if cross > 1 {
 				break
 			}
 		}
-		after = append(after, nx)
-		cur = nx
-		scanned++
+		last = nx
+		walked++
 	}
-	window := make([]*Node, 0, len(before)+1+len(after))
-	for i := len(before) - 1; i >= 0; i-- {
-		window = append(window, before[i])
-	}
-	window = append(window, x)
-	window = append(window, after...)
-	return window, scanned
+	return first, last, walked
 }
 
 // runBoundary reports whether adjacent list members y (left) and z (right)
 // belong to different runs w.r.t. the level-`bitLevel` membership bit: a
 // node lacking the bit never extends a run.
 func runBoundary(y, z *Node, bitLevel int) bool {
-	return !y.HasBit(bitLevel) || !z.HasBit(bitLevel) || y.Bit(bitLevel) != z.Bit(bitLevel)
+	return bitLevel >= len(y.bits) || bitLevel >= len(z.bits) || y.bits[bitLevel] != z.bits[bitLevel]
 }
 
-// listRunViolations finds over-long same-bit runs inside one list. Runs
-// consisting solely of dummy nodes are exempt: dummies never split further,
-// so such a run costs nothing at the next level, and demanding a chain
-// breaker for a run of chain breakers would cascade (every inserted dummy
-// spawning runs that need more dummies) until the key space between two
-// real nodes is exhausted. The global dummy-population bound keeps the
-// routing-path inflation from dummy runs bounded instead.
-func listRunViolations(list []*Node, level, a int) []BalanceViolation {
-	var out []BalanceViolation
-	if len(list) < 2 {
-		return out
+// runScanner finds over-long same-bit runs in one list, fed its members in
+// key order. Runs consisting solely of dummy nodes are exempt: dummies
+// never split further, so such a run costs nothing at the next level, and
+// demanding a chain breaker for a run of chain breakers would cascade
+// (every inserted dummy spawning runs that need more dummies) until the key
+// space between two real nodes is exhausted. The global dummy-population
+// bound keeps the routing-path inflation from dummy runs bounded instead.
+type runScanner struct {
+	out      []BalanceViolation
+	level, a int
+
+	start   *Node // first node of the current run
+	runLen  int
+	hasReal bool
+}
+
+func (s *runScanner) add(y *Node) {
+	if s.start != nil && !runBoundary(s.start, y, s.level+1) {
+		s.runLen++
+		s.hasReal = s.hasReal || !y.dummy
+		return
 	}
-	runStart := 0
-	hasReal := false
-	for i := 1; i <= len(list); i++ {
-		boundary := i == len(list) ||
-			!list[i].HasBit(level+1) || !list[runStart].HasBit(level+1) ||
-			list[i].Bit(level+1) != list[runStart].Bit(level+1)
-		if !boundary {
-			continue
-		}
-		for j := runStart; j < i && !hasReal; j++ {
-			hasReal = !list[j].dummy
-		}
-		if runLen := i - runStart; runLen > a && list[runStart].HasBit(level+1) && hasReal {
-			out = append(out, BalanceViolation{
-				Level:  level,
-				Start:  list[runStart].Key(),
-				RunLen: runLen,
-				Bit:    list[runStart].Bit(level + 1),
-			})
-		}
-		runStart = i
-		hasReal = false
+	s.flush()
+	s.start, s.runLen, s.hasReal = y, 1, !y.dummy
+}
+
+func (s *runScanner) flush() {
+	if s.runLen > s.a && s.hasReal && s.start.HasBit(s.level+1) {
+		s.out = append(s.out, BalanceViolation{
+			Level:  s.level,
+			Start:  s.start.Key(),
+			RunLen: s.runLen,
+			Bit:    s.start.Bit(s.level + 1),
+		})
 	}
-	return out
+}
+
+// finish closes the last run and returns the accumulated violations.
+func (s *runScanner) finish() []BalanceViolation {
+	s.flush()
+	return s.out
+}
+
+// RemovalKeepsBalance reports whether removing n keeps every list
+// a-balanced: at each level n participates in, the same-bit runs its
+// departure would merge (or shorten) must not exceed `a`. A node lacking the
+// next level's bit is a run boundary, so n itself may be breaking a chain
+// purely by presence. All-dummy runs are exempt, as in the violation scans.
+func RemovalKeepsBalance(n *Node, a int) bool {
+	for e := 0; e <= n.BitsLen(); e++ {
+		bitLevel := e + 1
+		l, r := n.Prev(e), n.Next(e)
+		if l == nil || r == nil {
+			continue // removal can only shorten an edge run
+		}
+		if runBoundary(l, r, bitLevel) {
+			continue // a boundary survives on at least one side
+		}
+		runLen, hasReal := 0, false
+		for x := l; x != nil && !runBoundary(x, l, bitLevel); x = x.Prev(e) {
+			runLen++
+			hasReal = hasReal || !x.dummy
+			if runLen > a && hasReal {
+				return false
+			}
+		}
+		for x := r; x != nil && !runBoundary(x, r, bitLevel); x = x.Next(e) {
+			runLen++
+			hasReal = hasReal || !x.dummy
+			if runLen > a && hasReal {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // MaxSearchPath returns a·H, the a-balance guarantee on the search-path

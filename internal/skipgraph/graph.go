@@ -34,6 +34,16 @@ type Graph struct {
 	// the next publish falls back to a full rebuild.
 	track     map[*Node]int
 	trackOver bool
+
+	// Writer-owned scratch, reused across calls so the adjuster's steady
+	// state allocates nothing here: the buffer Relink partitions in place
+	// (plus the holding area for one partition's 1-side) and the region
+	// dedup set of a scoped balance scan. The node buffers are cleared
+	// after use so they never keep a removed node alive.
+	relinkBuf, relinkTmp []*Node
+	seenRegions          map[regionID]struct{}
+	// mark is the current visit stamp (see Node.mark); it only grows.
+	mark uint64
 }
 
 // NewRandom builds a skip graph over n real nodes with keys and identifiers
@@ -63,7 +73,7 @@ func NewFromNodes(nodes []*Node, brancher Brancher) *Graph {
 		}
 	}
 	for _, n := range g.nodes {
-		g.byKey[n.key] = n
+		g.adopt(n)
 	}
 	g.Relink(g.nodes, 0, brancher)
 	return g
@@ -100,7 +110,7 @@ func NewFromVectors(entries []VectorEntry) *Graph {
 	g.nodes = append(g.nodes, nodes...)
 	sort.Slice(g.nodes, func(i, j int) bool { return g.nodes[i].key.Less(g.nodes[j].key) })
 	for _, n := range g.nodes {
-		g.byKey[n.key] = n
+		g.adopt(n)
 	}
 	g.relinkPartial(g.nodes, 0)
 	return g
@@ -147,6 +157,17 @@ func (g *Graph) dirty() { g.height = -1 }
 // ByKey returns the node with the given key, or nil.
 func (g *Graph) ByKey(k Key) *Node { return g.byKey[k] }
 
+// Contains reports whether n is currently a node of this graph — false for
+// a node that has been removed, even if its key has since been re-added.
+func (g *Graph) Contains(n *Node) bool { return n.owner == g }
+
+// adopt indexes a node entering the graph.
+func (g *Graph) adopt(n *Node) {
+	g.byKey[n.key] = n
+	n.owner = g
+	n.mark = 0 // a stamp from another graph's history must never match ours
+}
+
 // Head returns the first node of the base list.
 func (g *Graph) Head() *Node {
 	if len(g.nodes) == 0 {
@@ -162,9 +183,14 @@ func (g *Graph) Head() *Node {
 func (g *Graph) Relink(nodes []*Node, level int, brancher Brancher) {
 	g.dirty()
 	g.touchAll(nodes)
-	g.relink(nodes, level, brancher)
+	g.relinkBuf = append(g.relinkBuf[:0], nodes...)
+	g.relink(g.relinkBuf, level, brancher)
+	clear(g.relinkBuf)
 }
 
+// relink links nodes as one level-`level` list and recurses into its two
+// sublists, partitioning nodes in place (stable, so both sides stay in key
+// order); nodes must be writable scratch.
 func (g *Graph) relink(nodes []*Node, level int, brancher Brancher) {
 	linkChain(nodes, level)
 	if len(nodes) < 2 {
@@ -173,8 +199,7 @@ func (g *Graph) relink(nodes []*Node, level int, brancher Brancher) {
 		}
 		return
 	}
-	zeros := make([]*Node, 0, len(nodes))
-	ones := make([]*Node, 0, len(nodes))
+	zeros, ones := 0, g.relinkTmp[:0]
 	for _, n := range nodes {
 		if !n.HasBit(level + 1) {
 			if n.dummy || brancher == nil {
@@ -188,13 +213,17 @@ func (g *Graph) relink(nodes []*Node, level int, brancher Brancher) {
 			n.SetBit(level+1, brancher(n, level+1))
 		}
 		if n.Bit(level+1) == 0 {
-			zeros = append(zeros, n)
+			nodes[zeros] = n
+			zeros++
 		} else {
 			ones = append(ones, n)
 		}
 	}
-	g.relink(zeros, level+1, brancher)
-	g.relink(ones, level+1, brancher)
+	end := zeros + copy(nodes[zeros:], ones)
+	clear(ones)
+	g.relinkTmp = ones[:0]
+	g.relink(nodes[:zeros], level+1, brancher)
+	g.relink(nodes[zeros:end], level+1, brancher)
 }
 
 // relinkPartial is like relink but stops splitting a list when any member
@@ -260,12 +289,8 @@ func (g *Graph) Height() int {
 // ListAt returns the complete level-i linked list containing n, in key
 // order. It returns nil when n has no level-i membership.
 func (g *Graph) ListAt(n *Node, i int) []*Node {
-	head := n
-	for head.Prev(i) != nil {
-		head = head.Prev(i)
-	}
 	var list []*Node
-	for x := head; x != nil; x = x.Next(i) {
+	for x := n.ListHead(i); x != nil; x = x.Next(i) {
 		list = append(list, x)
 	}
 	return list
@@ -278,59 +303,70 @@ func (g *Graph) SingletonLevel(n *Node) int {
 
 // SpliceIn inserts a detached node (with fully assigned membership bits)
 // into the graph's node order and into every level's list it belongs to.
-// Callers that have invalidated upper-level links (mid-transformation) must
-// follow up with Relink.
-func (g *Graph) SpliceIn(n *Node) { g.spliceIn(n) }
+func (g *Graph) SpliceIn(n *Node) { g.spliceIn(n, n.BitsLen()) }
 
-// spliceIn inserts a detached node (with fully assigned membership bits for
-// levels 1..depth) into the graph's node order and into every level's list
-// it belongs to.
-func (g *Graph) spliceIn(n *Node) {
+// SpliceInBelow inserts a detached node into the graph's node order and
+// into its lists at levels < level only. It is for a caller in the middle
+// of rebuilding the level-`level` list n belongs to (a transformation,
+// whose links from that level up are stale until it relinks them): the
+// caller must follow up with a Relink of that list, n included, which
+// links n from `level` upward.
+func (g *Graph) SpliceInBelow(n *Node, level int) { g.spliceIn(n, level-1) }
+
+// spliceIn inserts a detached node (with assigned membership bits for
+// levels 1..top) into the graph's node order and into its lists at levels
+// 0..top. Level 0 links by position; each higher level walks the list one
+// level down to the nearest members sharing n's next bit (Aspnes & Shah's
+// join, O(a) per level on an a-balanced graph), stopping once n is alone.
+func (g *Graph) spliceIn(n *Node, top int) {
 	if _, ok := g.byKey[n.key]; ok {
 		panic(fmt.Sprintf("skipgraph: duplicate key %v", n.key))
 	}
 	g.dirty()
 	g.touchNew(n)
+	n.reserveLinks(n.BitsLen())
 	pos := sort.Search(len(g.nodes), func(i int) bool { return n.key.Less(g.nodes[i].key) })
 	g.nodes = append(g.nodes, nil)
 	copy(g.nodes[pos+1:], g.nodes[pos:])
 	g.nodes[pos] = n
-	g.byKey[n.key] = n
-	for level := 0; level <= n.BitsLen(); level++ {
-		if level > 0 && !n.HasBit(level) {
-			break
-		}
-		var left, right *Node
-		for i := pos - 1; i >= 0; i-- {
-			if samePrefix(g.nodes[i], n, level) {
-				left = g.nodes[i]
-				break
-			}
-		}
-		for i := pos + 1; i < len(g.nodes); i++ {
-			if samePrefix(g.nodes[i], n, level) {
-				right = g.nodes[i]
-				break
-			}
-		}
-		n.setLink(level, left, right)
-		if left != nil {
-			g.touch(left)
-			left.setLink(level, left.Prev(level), n)
-		}
-		if right != nil {
-			g.touch(right)
-			right.setLink(level, n, right.Next(level))
-		}
-		if left == nil && right == nil && level > 0 {
+	g.adopt(n)
+	if top < 0 {
+		return
+	}
+	var left, right *Node
+	if pos > 0 {
+		left = g.nodes[pos-1]
+	}
+	if pos+1 < len(g.nodes) {
+		right = g.nodes[pos+1]
+	}
+	g.linkBetween(n, 0, left, right)
+	for level := 1; level <= top; level++ {
+		g.spliceAtLevel(n, level)
+		if n.Prev(level) == nil && n.Next(level) == nil {
 			break // singleton from here up
 		}
 	}
 }
 
+// linkBetween links x into level m between left and right (either may be
+// nil), touching each node before its links change.
+func (g *Graph) linkBetween(x *Node, m int, left, right *Node) {
+	g.touch(x)
+	x.setLink(m, left, right)
+	if left != nil {
+		g.touch(left)
+		left.setLink(m, left.Prev(m), x)
+	}
+	if right != nil {
+		g.touch(right)
+		right.setLink(m, x, right.Next(m))
+	}
+}
+
 // spliceOut removes a node from the node order and from every list.
 func (g *Graph) spliceOut(n *Node) {
-	if g.byKey[n.key] != n {
+	if !g.Contains(n) {
 		panic(fmt.Sprintf("skipgraph: node %v not in graph", n.key))
 	}
 	g.dirty()
@@ -338,6 +374,7 @@ func (g *Graph) spliceOut(n *Node) {
 	pos := sort.Search(len(g.nodes), func(i int) bool { return !g.nodes[i].key.Less(n.key) })
 	g.nodes = append(g.nodes[:pos], g.nodes[pos+1:]...)
 	delete(g.byKey, n.key)
+	n.owner = nil
 	for level := 0; level <= n.MaxLinkedLevel(); level++ {
 		left, right := n.Prev(level), n.Next(level)
 		if left != nil {
@@ -352,16 +389,6 @@ func (g *Graph) spliceOut(n *Node) {
 	n.clearLinksAbove(-1)
 }
 
-// samePrefix reports whether a and b share membership bits 1..level.
-func samePrefix(a, b *Node, level int) bool {
-	for i := 1; i <= level; i++ {
-		if !a.HasBit(i) || !b.HasBit(i) || a.bits[i] != b.bits[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // ListRef names a dirty region of one linked list: a live anchor node plus
 // the list's level. Mutating operations report ListRefs for everything they
 // touched so a-balance repair can stay local (§IV-F/§IV-G) instead of
@@ -372,7 +399,7 @@ func samePrefix(a, b *Node, level int) bool {
 // used when a transformation rebuilt it outright.
 type ListRef struct {
 	Node  *Node
-	Level int
+	Level int32 // narrow on purpose: dirty sets hold thousands of these
 	Whole bool
 }
 
@@ -406,7 +433,7 @@ func (g *Graph) Insert(key Key, id int64, brancher Brancher) *Node {
 // dirty set a scoped balance repair must examine — and every extended peer.
 func (g *Graph) InsertTracked(key Key, id int64, brancher Brancher) (*Node, JoinEffect) {
 	n := NewNode(key, id)
-	g.spliceIn(n) // a fresh node carries no bits, so this links level 0 only
+	g.spliceIn(n, 0) // a fresh node carries no bits: level 0 only
 	eff := JoinEffect{Touched: []ListRef{{Node: n, Level: 0}}, Work: 1}
 	if brancher != nil {
 		g.localJoin(n, brancher, &eff)
@@ -463,7 +490,7 @@ func (g *Graph) localJoin(n *Node, brancher Brancher, eff *JoinEffect) {
 		}
 		for _, x := range ext {
 			eff.Work += g.spliceAtLevel(x, bitLevel)
-			eff.Touched = append(eff.Touched, ListRef{Node: x, Level: bitLevel})
+			eff.Touched = append(eff.Touched, ListRef{Node: x, Level: int32(bitLevel)})
 			if x != n && !extended[x] {
 				extended[x] = true
 				eff.Extended = append(eff.Extended, x)
@@ -503,16 +530,7 @@ func (g *Graph) spliceAtLevel(x *Node, m int) int {
 			break
 		}
 	}
-	g.touch(x)
-	x.setLink(m, left, right)
-	if left != nil {
-		g.touch(left)
-		left.setLink(m, left.Prev(m), x)
-	}
-	if right != nil {
-		g.touch(right)
-		right.setLink(m, x, right.Next(m))
-	}
+	g.linkBetween(x, m, left, right)
 	return work
 }
 
@@ -544,6 +562,18 @@ func hasRealNeighbor(x *Node, l int) bool {
 // names every touched list and extended node, like InsertTracked.
 func (g *Graph) ExtendDistinctFrom(cands []*Node, brancher Brancher) JoinEffect {
 	var eff JoinEffect
+	// The common case — no candidate is stranded — extends nothing, queues
+	// nothing and draws nothing, so it must not pay for the bookkeeping.
+	stranded := false
+	for _, x := range cands {
+		if !x.dummy && !x.dead && g.Contains(x) && hasRealNeighbor(x, x.BitsLen()) {
+			stranded = true
+			break
+		}
+	}
+	if !stranded {
+		return eff
+	}
 	queue := append([]*Node(nil), cands...)
 	queued := make(map[*Node]bool, len(cands))
 	for _, x := range cands {
@@ -554,7 +584,7 @@ func (g *Graph) ExtendDistinctFrom(cands []*Node, brancher Brancher) JoinEffect 
 		x := queue[0]
 		queue = queue[1:]
 		queued[x] = false
-		if x.dummy || x.dead || g.byKey[x.key] != x {
+		if x.dummy || x.dead || !g.Contains(x) {
 			continue
 		}
 		for hasRealNeighbor(x, x.BitsLen()) {
@@ -562,7 +592,7 @@ func (g *Graph) ExtendDistinctFrom(cands []*Node, brancher Brancher) JoinEffect 
 			g.dirty()
 			x.SetBit(bitLevel, brancher(x, bitLevel))
 			eff.Work += g.spliceAtLevel(x, bitLevel)
-			eff.Touched = append(eff.Touched, ListRef{Node: x, Level: bitLevel})
+			eff.Touched = append(eff.Touched, ListRef{Node: x, Level: int32(bitLevel)})
 			if !extended[x] {
 				extended[x] = true
 				eff.Extended = append(eff.Extended, x)
@@ -605,25 +635,24 @@ func (g *Graph) RemoveTracked(key Key) (*Node, []ListRef) {
 	if n == nil {
 		return nil, nil
 	}
-	refs := ExListRefs(n)
+	refs := AppendExListRefs(nil, n)
 	g.spliceOut(n)
 	return n, refs
 }
 
-// ExListRefs returns, for every list n occupies, a ListRef anchored at a
-// neighbour, so the refs stay valid after n itself leaves the graph. This
-// is the dirty set of a departure: each level's run structure can only
-// have changed around the vacated position.
-func ExListRefs(n *Node) []ListRef {
-	var refs []ListRef
+// AppendExListRefs appends to dst, for every list n occupies, a ListRef
+// anchored at a neighbour, so the refs stay valid after n itself leaves the
+// graph. This is the dirty set of a departure: each level's run structure
+// can only have changed around the vacated position.
+func AppendExListRefs(dst []ListRef, n *Node) []ListRef {
 	for l := 0; l <= n.MaxLinkedLevel(); l++ {
 		if p := n.Prev(l); p != nil {
-			refs = append(refs, ListRef{Node: p, Level: l})
+			dst = append(dst, ListRef{Node: p, Level: int32(l)})
 		} else if nx := n.Next(l); nx != nil {
-			refs = append(refs, ListRef{Node: nx, Level: l})
+			dst = append(dst, ListRef{Node: nx, Level: int32(l)})
 		}
 	}
-	return refs
+	return dst
 }
 
 // Verify checks every structural invariant: strict base-key order, link

@@ -78,7 +78,7 @@ func TestInsertTrackedEffect(t *testing.T) {
 			t.Fatalf("touched ref anchors a dead node: %+v", ref)
 		}
 		if ref.Node == n {
-			covered[ref.Level] = true
+			covered[int(ref.Level)] = true
 		}
 	}
 	for l := 0; l <= n.MaxLinkedLevel(); l++ {
@@ -117,7 +117,7 @@ func TestRemoveTrackedRefs(t *testing.T) {
 		if g.ByKey(ref.Node.Key()) != ref.Node {
 			t.Fatalf("ref at level %d anchors a dead node", ref.Level)
 		}
-		seen[ref.Level] = true
+		seen[int(ref.Level)] = true
 	}
 	for l := 0; l <= levels; l++ {
 		if !seen[l] {
@@ -187,10 +187,10 @@ func TestBalanceViolationsInWindow(t *testing.T) {
 	var refs []ListRef
 	for n := range g.All() {
 		for l := 0; l <= n.MaxLinkedLevel(); l++ {
-			refs = append(refs, ListRef{Node: n, Level: l})
+			refs = append(refs, ListRef{Node: n, Level: int32(l)})
 		}
 	}
-	scoped, scanned := g.BalanceViolationsIn(a, refs)
+	scoped, scanned := g.AppendBalanceViolationsIn(nil, a, refs)
 	if scanned == 0 {
 		t.Fatal("scoped scan reported zero work")
 	}

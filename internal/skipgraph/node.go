@@ -27,6 +27,20 @@ type Node struct {
 	bits []byte
 	next []*Node
 	prev []*Node
+
+	// vec is where bits starts out: vectors are O(log n) bits and every list
+	// walk reads them, so a typical one lives in the node itself — no
+	// second allocation, no second cache line. A longer vector moves to the
+	// heap by ordinary append growth. (Never copy a Node by value.)
+	vec [24]byte
+
+	// owner is the graph the node currently belongs to, nil once removed.
+	owner *Graph
+
+	// mark is writer-owned scratch: a graph-wide walk that must visit each
+	// node once stamps it with the graph's current mark instead of building
+	// a set. Snapshots never read it.
+	mark uint64
 }
 
 // NewNode creates a detached node with the given key and identifier and an
@@ -35,7 +49,9 @@ func NewNode(key Key, id int64) *Node {
 	if id < 0 {
 		panic(fmt.Sprintf("skipgraph: node id must be non-negative, got %d", id))
 	}
-	return &Node{key: key, id: id, bits: []byte{0}}
+	n := &Node{key: key, id: id}
+	n.bits = n.vec[:1]
+	return n
 }
 
 // NewDummy creates a dummy (logical, §IV-F) node: it carries no data, only
@@ -119,6 +135,10 @@ func (n *Node) MembershipVector() string {
 	return sb.String()
 }
 
+// AppendBits appends the assigned membership bits to dst, level 1 first —
+// MembershipVector's content as raw 0/1 bytes.
+func (n *Node) AppendBits(dst []byte) []byte { return append(dst, n.bits[1:]...) }
+
 // Next returns the level-i right neighbour, or nil.
 func (n *Node) Next(i int) *Node {
 	if i < 0 || i >= len(n.next) {
@@ -133,6 +153,16 @@ func (n *Node) Prev(i int) *Node {
 		return nil
 	}
 	return n.prev[i]
+}
+
+// ListHead returns the first node of the level-i list containing n (n itself
+// when it has no level-i left neighbour).
+func (n *Node) ListHead(i int) *Node {
+	head := n
+	for p := head.Prev(i); p != nil; p = head.Prev(i) {
+		head = p
+	}
+	return head
 }
 
 // MaxLinkedLevel returns the highest level at which the node has a neighbour.
@@ -153,6 +183,16 @@ func (n *Node) setLink(i int, prev, next *Node) {
 	}
 	n.prev[i] = prev
 	n.next[i] = next
+}
+
+// reserveLinks makes room for links at levels 0..top in one allocation
+// shared by both directions, for a node about to be linked level by level.
+func (n *Node) reserveLinks(top int) {
+	if want := top + 1; cap(n.next) < want || cap(n.prev) < want {
+		buf := make([]*Node, 2*want)
+		n.next = append(buf[:0:want], n.next...)
+		n.prev = append(buf[want:want:2*want], n.prev...)
+	}
 }
 
 // clearLinksAbove removes all links at levels > keep.

@@ -199,7 +199,7 @@ func (p *Publisher) Publish() *Replica {
 	// the height histogram, so pass 2 can resolve every neighbour to a slot.
 	ups := make([]upd, 0, len(g.track))
 	for n, pre := range g.track {
-		if g.byKey[n.key] != n {
+		if !g.Contains(n) {
 			// Removed this batch (or added and removed within it).
 			slot, ok := p.slots[n]
 			if !ok {

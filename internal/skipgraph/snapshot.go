@@ -49,7 +49,7 @@ func (g *Graph) Clone() *Graph {
 			prev:   make([]*Node, len(n.prev)),
 		}
 		c.nodes[i] = m
-		c.byKey[m.key] = m
+		c.adopt(m)
 		twin[n] = m
 	}
 	for i, n := range g.nodes {

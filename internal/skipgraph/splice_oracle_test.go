@@ -1,0 +1,272 @@
+package skipgraph
+
+import (
+	"fmt"
+	"maps"
+	"math/rand"
+	"sort"
+	"testing"
+)
+
+// This file holds the position-scan splice the graph used before spliceIn
+// learned to walk links, kept as the reference: it finds each level's
+// neighbours by scanning the node order for the nearest member sharing n's
+// level-bit prefix — O(n·H), independent of any link above level 0 — so it
+// is right even where the link-walking splice could be fooled by a stale
+// list. The property tests below drive both on twin graphs and demand
+// identical links at every level and an identical publisher touch log.
+
+// samePrefix reports whether a and b share membership bits 1..level.
+func samePrefix(a, b *Node, level int) bool {
+	for i := 1; i <= level; i++ {
+		if !a.HasBit(i) || !b.HasBit(i) || a.bits[i] != b.bits[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// spliceInByPosition is the reference splice.
+func (g *Graph) spliceInByPosition(n *Node) {
+	if _, ok := g.byKey[n.key]; ok {
+		panic(fmt.Sprintf("skipgraph: duplicate key %v", n.key))
+	}
+	g.dirty()
+	g.touchNew(n)
+	pos := sort.Search(len(g.nodes), func(i int) bool { return n.key.Less(g.nodes[i].key) })
+	g.nodes = append(g.nodes, nil)
+	copy(g.nodes[pos+1:], g.nodes[pos:])
+	g.nodes[pos] = n
+	g.adopt(n)
+	for level := 0; level <= n.BitsLen(); level++ {
+		var left, right *Node
+		for i := pos - 1; i >= 0; i-- {
+			if samePrefix(g.nodes[i], n, level) {
+				left = g.nodes[i]
+				break
+			}
+		}
+		for i := pos + 1; i < len(g.nodes); i++ {
+			if samePrefix(g.nodes[i], n, level) {
+				right = g.nodes[i]
+				break
+			}
+		}
+		n.setLink(level, left, right)
+		if left != nil {
+			g.touch(left)
+			left.setLink(level, left.Prev(level), n)
+		}
+		if right != nil {
+			g.touch(right)
+			right.setLink(level, n, right.Next(level))
+		}
+		if left == nil && right == nil && level > 0 {
+			break // singleton from here up
+		}
+	}
+}
+
+// twinGraphs builds two identical random graphs seasoned with what the
+// adjuster's splices meet in the field: dummies whose vectors stop short,
+// crashed nodes, and singleton tops. Both have a Publisher attached so the
+// touch logs can be compared.
+func twinGraphs(t *testing.T, n int, seed int64) (ref, got *Graph) {
+	t.Helper()
+	build := func() *Graph {
+		g := NewRandom(n, seed)
+		rng := rand.New(rand.NewSource(seed + 1))
+		for i := 0; i < n/4; i++ {
+			left := g.nodes[rng.Intn(len(g.nodes))]
+			key := Key{Primary: left.key.Primary, Minor: left.key.Minor + 1 + int32(rng.Intn(1000))}
+			if g.byKey[key] != nil || (left.Next(0) != nil && !key.Less(left.Next(0).key)) {
+				continue
+			}
+			dm := NewDummy(key, int64(10_000+i))
+			for l := 1; l <= rng.Intn(left.BitsLen()+1); l++ {
+				dm.SetBit(l, left.Bit(l))
+			}
+			g.spliceInByPosition(dm)
+		}
+		for i := 0; i < n/8; i++ {
+			g.Crash(KeyOf(int64(rng.Intn(n))))
+		}
+		if err := g.Verify(); err != nil {
+			t.Fatalf("seasoned graph invalid: %v", err)
+		}
+		NewPublisher(g)
+		return g
+	}
+	return build(), build()
+}
+
+// requireTwins asserts that two graphs over the same key set have identical
+// links at every level and identical touch logs.
+func requireTwins(t *testing.T, step string, ref, got *Graph) {
+	t.Helper()
+	if len(ref.nodes) != len(got.nodes) {
+		t.Fatalf("%s: %d nodes, reference has %d", step, len(got.nodes), len(ref.nodes))
+	}
+	keyOf := func(x *Node) Key {
+		if x == nil {
+			return Key{Primary: -1}
+		}
+		return x.key
+	}
+	for i, r := range ref.nodes {
+		g := got.nodes[i]
+		if r.key != g.key {
+			t.Fatalf("%s: node order differs at %d: %v vs %v", step, i, g.key, r.key)
+		}
+		if r.MaxLinkedLevel() != g.MaxLinkedLevel() {
+			t.Fatalf("%s: node %v top linked level %d, reference %d", step, g.key, g.MaxLinkedLevel(), r.MaxLinkedLevel())
+		}
+		for l := 0; l <= r.MaxLinkedLevel(); l++ {
+			if keyOf(r.Prev(l)) != keyOf(g.Prev(l)) || keyOf(r.Next(l)) != keyOf(g.Next(l)) {
+				t.Fatalf("%s: node %v level %d links (%v, %v), reference (%v, %v)", step, g.key, l,
+					keyOf(g.Prev(l)), keyOf(g.Next(l)), keyOf(r.Prev(l)), keyOf(r.Next(l)))
+			}
+		}
+	}
+	touches := func(g *Graph) map[Key]int {
+		m := make(map[Key]int, len(g.track))
+		for x, top := range g.track {
+			m[x.key] = top
+		}
+		return m
+	}
+	if !maps.Equal(touches(ref), touches(got)) || ref.trackOver != got.trackOver {
+		t.Fatalf("%s: touch log differs:\n got %v\nwant %v", step, touches(got), touches(ref))
+	}
+}
+
+// randomDummy draws a detached dummy for g: a free key right of a random
+// node, that node's prefix up to a random depth, and optionally one more
+// bit of its own (a chain breaker's sibling bit).
+func randomDummy(g *Graph, rng *rand.Rand, id int64) (key Key, bits []byte, ok bool) {
+	left := g.nodes[rng.Intn(len(g.nodes))]
+	key = Key{Primary: left.key.Primary, Minor: left.key.Minor + 1 + int32(rng.Intn(1000))}
+	if g.byKey[key] != nil || (left.Next(0) != nil && !key.Less(left.Next(0).key)) {
+		return key, nil, false
+	}
+	depth := rng.Intn(left.BitsLen() + 1)
+	for l := 1; l <= depth; l++ {
+		bits = append(bits, left.Bit(l))
+	}
+	if rng.Intn(2) == 0 {
+		bits = append(bits, byte(rng.Intn(2)))
+	}
+	return key, bits, true
+}
+
+func dummyWith(key Key, id int64, bits []byte) *Node {
+	dm := NewDummy(key, id)
+	for i, b := range bits {
+		dm.SetBit(i+1, b)
+	}
+	return dm
+}
+
+// TestSpliceInMatchesPositionScan: on a valid graph the link-walking splice
+// and the position-scan reference produce the same links and touch the
+// same nodes with the same pre-touch levels, splice after splice.
+func TestSpliceInMatchesPositionScan(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		ref, got := twinGraphs(t, 96, seed)
+		rng := rand.New(rand.NewSource(seed + 100))
+		for i := 0; i < 80; i++ {
+			key, bits, ok := randomDummy(ref, rng, int64(20_000+i))
+			if !ok {
+				continue
+			}
+			ref.spliceInByPosition(dummyWith(key, int64(20_000+i), bits))
+			got.SpliceIn(dummyWith(key, int64(20_000+i), bits))
+			requireTwins(t, fmt.Sprintf("seed %d splice %d (%v %v)", seed, i, key, bits), ref, got)
+			if i%9 == 0 {
+				// Splice-outs between splices: the walk must cope with the
+				// lists they leave behind, singleton tops included.
+				victim := ref.nodes[rng.Intn(len(ref.nodes))].key
+				ref.Remove(victim)
+				got.Remove(victim)
+				requireTwins(t, fmt.Sprintf("seed %d remove %v", seed, victim), ref, got)
+			}
+		}
+		if err := got.Verify(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// TestSpliceInBelowThenRelink is the mid-transformation case: the members
+// of one level-α list have had their vectors above α reassigned, so every
+// link from α up is stale when the fresh dummies arrive. The reference
+// splices them at every level by position and relinks; the adjuster's path
+// links them below α only and lets the same Relink do the rest. Links and
+// touch logs must agree once the Relink has run.
+func TestSpliceInBelowThenRelink(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		ref, got := twinGraphs(t, 96, seed)
+		rng := rand.New(rand.NewSource(seed + 200))
+		for round := 0; round < 6; round++ {
+			anchor := ref.nodes[rng.Intn(len(ref.nodes))]
+			alpha := rng.Intn(anchor.BitsLen() + 1)
+			members := ref.ListAt(anchor, alpha)
+			// One decision list drives both graphs: the reassigned vectors,
+			// then the dummies, keyed between members and carrying a
+			// member's new prefix.
+			newBits := make(map[Key][]byte)
+			for _, m := range members {
+				if m.dummy {
+					continue
+				}
+				depth := 1 + rng.Intn(6)
+				for l := 0; l < depth; l++ {
+					newBits[m.key] = append(newBits[m.key], byte(rng.Intn(2)))
+				}
+			}
+			type fresh struct {
+				key  Key
+				bits []byte
+			}
+			var dummies []fresh
+			for _, m := range members {
+				if m.dummy || rng.Intn(3) != 0 {
+					continue
+				}
+				key := Key{Primary: m.key.Primary, Minor: 500_000 + int32(round)}
+				if nx := m.Next(0); nx != nil && !key.Less(nx.key) {
+					continue
+				}
+				var bits []byte
+				for l := 1; l <= alpha; l++ {
+					bits = append(bits, m.Bit(l))
+				}
+				nb := newBits[m.key]
+				bits = append(bits, nb[:1+rng.Intn(len(nb))]...)
+				bits[len(bits)-1] ^= 1 // the sibling side, like a chain breaker
+				dummies = append(dummies, fresh{key, bits})
+			}
+			apply := func(g *Graph, splice func(*Graph, *Node)) {
+				list := g.ListAt(g.byKey[anchor.key], alpha)
+				for _, m := range list {
+					if nb, ok := newBits[m.key]; ok {
+						m.TruncateBits(alpha)
+						for i, b := range nb {
+							m.SetBit(alpha+1+i, b)
+						}
+					}
+				}
+				for i, f := range dummies {
+					dm := dummyWith(f.key, int64(30_000+100*round+i), f.bits)
+					splice(g, dm)
+					list = append(list, dm)
+				}
+				sort.Slice(list, func(i, j int) bool { return list[i].key.Less(list[j].key) })
+				g.Relink(list, alpha, nil)
+			}
+			apply(ref, func(g *Graph, dm *Node) { g.spliceInByPosition(dm) })
+			apply(got, func(g *Graph, dm *Node) { g.SpliceInBelow(dm, alpha) })
+			requireTwins(t, fmt.Sprintf("seed %d round %d alpha %d", seed, round, alpha), ref, got)
+		}
+	}
+}

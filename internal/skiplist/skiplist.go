@@ -16,10 +16,16 @@ import (
 	"math/rand"
 )
 
-// SkipList is a built structure over n base positions.
+// SkipList is a built structure over n base positions. The zero value is
+// ready for Reset, which rebuilds in place and reuses every buffer of the
+// previous build — the form DSG's adjuster runs once per list split.
 type SkipList struct {
-	a      int
-	levels [][]int // levels[0] = [0..n-1]; each level a subset, starting with 0
+	a int
+	// Levels are stored back to back: level d is flat[off[d]:off[d+1]].
+	// Level 0 is [0..n-1]; each level is a subset of the one below, starting
+	// with position 0.
+	flat []int
+	off  []int
 
 	// ConstructionRounds is the synchronous-round cost of the randomized
 	// construction: per level, one promotion round plus a linear left-
@@ -27,48 +33,62 @@ type SkipList struct {
 	// constant for the local repair handshake.
 	ConstructionRounds int
 
-	broadcastRounds int // cached; structure is immutable after Build
+	// Round costs of one leftward gather and one broadcast, fixed by the
+	// structure and computed once per build.
+	gatherRounds    int
+	broadcastRounds int
+
+	idx []int // promotion scratch, reused across builds
 }
 
 // Build constructs the skip list over n positions with balance parameter a.
 // It panics if n < 1 or a < 2.
 func Build(n, a int, rng *rand.Rand) *SkipList {
+	s := new(SkipList)
+	s.Reset(n, a, rng)
+	return s
+}
+
+// Reset rebuilds s over n positions with balance parameter a, reusing its
+// buffers; anything previously read from s (Level views included) is
+// invalid afterwards. It panics if n < 1 or a < 2.
+func (s *SkipList) Reset(n, a int, rng *rand.Rand) {
 	if n < 1 {
 		panic(fmt.Sprintf("skiplist: need n >= 1, got %d", n))
 	}
 	if a < 2 {
 		panic(fmt.Sprintf("skiplist: need a >= 2, got %d", a))
 	}
-	s := &SkipList{a: a}
-	base := make([]int, n)
-	for i := range base {
-		base[i] = i
+	s.a = a
+	s.ConstructionRounds = 0
+	s.flat = s.flat[:0]
+	for i := 0; i < n; i++ {
+		s.flat = append(s.flat, i)
 	}
-	s.levels = append(s.levels, base)
-	for len(s.levels[len(s.levels)-1]) > 1 {
-		cur := s.levels[len(s.levels)-1]
-		next, rounds := promoteAndRepair(cur, a, rng)
-		s.ConstructionRounds += rounds
-		s.levels = append(s.levels, next)
+	s.off = append(s.off[:0], 0, n)
+	for lo, hi := 0, n; hi-lo > 1; lo, hi = hi, len(s.flat) {
+		s.ConstructionRounds += s.promoteAndRepair(lo, hi, rng)
+		s.off = append(s.off, len(s.flat))
 	}
-	s.broadcastRounds = s.computeBroadcastRounds()
-	return s
+	s.computeRounds()
 }
 
-// promoteAndRepair produces the next level from cur: random promotion, then
-// demotion of under-supported members and extra promotion into over-long
-// gaps so that every support lies in [a/2, 2a]. Returned positions are the
-// values of cur (base positions); gaps are measured in cur-indices per the
-// paper's definition of support.
-func promoteAndRepair(cur []int, a int, rng *rand.Rand) (next []int, rounds int) {
-	m := len(cur)
+// promoteAndRepair appends the next level to s.flat, built from the level
+// cur = s.flat[lo:hi]: random promotion, then demotion of under-supported
+// members and extra promotion into over-long gaps so that every support
+// lies in [a/2, 2a]. Appended positions are values of cur (base positions);
+// gaps are measured in cur-indices per the paper's definition of support.
+// It returns the level's construction rounds.
+func (s *SkipList) promoteAndRepair(lo, hi int, rng *rand.Rand) (rounds int) {
+	a, m := s.a, hi-lo
 	// Promotion: index 0 always; others with probability 1/a.
-	idx := []int{0}
+	idx := append(s.idx[:0], 0)
 	for i := 1; i < m; i++ {
 		if rng.Intn(a) == 0 {
 			idx = append(idx, i)
 		}
 	}
+	s.idx = idx
 	// One promotion round plus linear neighbour search over the widest raw
 	// gap (each freshly promoted member walks the lower level to find its
 	// level-(d+1) neighbours).
@@ -89,9 +109,8 @@ func promoteAndRepair(cur []int, a int, rng *rand.Rand) (next []int, rounds int)
 	// Repair pass 2: split any gap wider than 2a (including the tail after
 	// the last member) by promoting evenly spaced extra members.
 	maxSup := 2 * a
-	repaired := make([]int, 0, len(kept)+m/maxSup+1)
 	for j, i := range kept {
-		repaired = append(repaired, i)
+		s.flat = append(s.flat, s.flat[lo+i])
 		end := m // tail gap runs to the (virtual) right end
 		if j+1 < len(kept) {
 			end = kept[j+1]
@@ -102,16 +121,10 @@ func promoteAndRepair(cur []int, a int, rng *rand.Rand) (next []int, rounds int)
 		}
 		segments := (gap + maxSup - 1) / maxSup
 		for k := 1; k < segments; k++ {
-			repaired = append(repaired, i+k*gap/segments)
+			s.flat = append(s.flat, s.flat[lo+i+k*gap/segments])
 		}
 	}
-	rounds += 2 // leader election + step-up/step-down messages
-
-	next = make([]int, len(repaired))
-	for j, i := range repaired {
-		next[j] = cur[i]
-	}
-	return next, rounds
+	return rounds + 2 // leader election + step-up/step-down messages
 }
 
 // maxGap returns the widest distance between consecutive members of idx,
@@ -131,24 +144,23 @@ func maxGap(idx []int, m int) int {
 }
 
 // N returns the number of base positions.
-func (s *SkipList) N() int { return len(s.levels[0]) }
+func (s *SkipList) N() int { return s.off[1] }
 
 // A returns the balance parameter.
 func (s *SkipList) A() int { return s.a }
 
 // Height returns h: the level at which the left-most position is singleton.
-func (s *SkipList) Height() int { return len(s.levels) - 1 }
+func (s *SkipList) Height() int { return len(s.off) - 2 }
 
-// Level returns the positions present at level d (a copy).
-func (s *SkipList) Level(d int) []int {
-	return append([]int(nil), s.levels[d]...)
-}
+// Level returns the positions present at level d. The slice is a view into
+// the structure: it must not be modified, and the next Reset invalidates it.
+func (s *SkipList) Level(d int) []int { return s.flat[s.off[d]:s.off[d+1]] }
 
 // Collector returns, for a position p present at level d but not level d+1,
 // the nearest left neighbour of p that is present at level d+1 — the member
 // that gathers p's values in AMF and in the distributed sum.
 func (s *SkipList) Collector(d int, p int) int {
-	upper := s.levels[d+1]
+	upper := s.Level(d + 1)
 	best := upper[0]
 	for _, q := range upper {
 		if q > p {
@@ -163,8 +175,8 @@ func (s *SkipList) Collector(d int, p int) int {
 // lie in [a/2, 2a], the tail after a level's last member must be at most 2a,
 // and every level's head must be the base head.
 func (s *SkipList) Verify() error {
-	for d := 0; d+1 < len(s.levels); d++ {
-		lower, upper := s.levels[d], s.levels[d+1]
+	for d := 0; d < s.Height(); d++ {
+		lower, upper := s.Level(d), s.Level(d+1)
 		if upper[0] != lower[0] {
 			return fmt.Errorf("level %d head is %d, want %d", d+1, upper[0], lower[0])
 		}
@@ -193,8 +205,8 @@ func (s *SkipList) Verify() error {
 			return fmt.Errorf("level %d tail %d exceeds %d", d+1, tail, 2*s.a)
 		}
 	}
-	top := s.levels[len(s.levels)-1]
-	if len(top) != 1 || top[0] != s.levels[0][0] {
+	top := s.Level(s.Height())
+	if len(top) != 1 || top[0] != s.flat[0] {
 		return fmt.Errorf("top level is %v, want singleton head", top)
 	}
 	return nil
@@ -203,40 +215,33 @@ func (s *SkipList) Verify() error {
 // Sum computes the distributed sum of values (one per base position) per
 // Appendix D: each level forwards partial sums to the nearest left upper
 // member; the head computes the total and broadcasts it. It returns the sum
-// and the round cost (gather up plus broadcast down). Per the CONGEST
-// model, a level's gather costs its longest forwarding segment.
+// and the round cost (SumRounds).
 func (s *SkipList) Sum(values []int64) (total int64, rounds int) {
 	if len(values) != s.N() {
 		panic(fmt.Sprintf("skiplist: Sum over %d values, want %d", len(values), s.N()))
 	}
-	partial := make(map[int]int64, len(values))
-	for p, v := range values {
-		partial[p] = v
-	}
-	for d := 0; d+1 < len(s.levels); d++ {
-		lower, upper := s.levels[d], s.levels[d+1]
-		levelRounds, segCount := 0, 0
+	partial := append([]int64(nil), values...) // indexed by base position
+	for d := 0; d < s.Height(); d++ {
+		lower, upper := s.Level(d), s.Level(d+1)
 		k := 0 // pointer into upper; upper is a subsequence of lower
 		collector := upper[0]
 		for _, p := range lower {
 			if k < len(upper) && upper[k] == p {
 				collector = p
 				k++
-				segCount = 0
 				continue
 			}
 			partial[collector] += partial[p]
-			delete(partial, p)
-			segCount++
-			if segCount > levelRounds {
-				levelRounds = segCount
-			}
 		}
-		rounds += levelRounds
 	}
-	head := s.levels[0][0]
-	return partial[head], rounds + s.BroadcastRounds()
+	return partial[s.flat[0]], s.SumRounds()
 }
+
+// SumRounds returns the round cost of one distributed sum or count over the
+// list: gather up plus broadcast down. It depends only on the structure, so
+// a caller that needs the cost but not a total (DSG's |gs|, L_low, L_high
+// counts) reads it without running a Sum.
+func (s *SkipList) SumRounds() int { return s.gatherRounds + s.broadcastRounds }
 
 // Count is a distributed count: Sum over 0/1 indicators of pred.
 func (s *SkipList) Count(pred func(p int) bool) (count int, rounds int) {
@@ -255,19 +260,27 @@ func (s *SkipList) Count(pred func(p int) bool) (count int, rounds int) {
 // level fans the value out across segments of width at most 2a.
 func (s *SkipList) BroadcastRounds() int { return s.broadcastRounds }
 
-func (s *SkipList) computeBroadcastRounds() int {
-	rounds := 0
-	for d := len(s.levels) - 1; d > 0; d-- {
-		lower, upper := s.levels[d-1], s.levels[d]
-		idx := make([]int, 0, len(upper))
-		k := 0
-		for i, p := range lower {
+// computeRounds derives both per-structure round costs in one pass. Per the
+// CONGEST model a level's gather costs its longest forwarding segment (the
+// most non-promoted members between two promoted ones, tail included); its
+// broadcast fans out across the same segment plus the promoted member.
+func (s *SkipList) computeRounds() {
+	s.gatherRounds, s.broadcastRounds = 0, 0
+	for d := 0; d < s.Height(); d++ {
+		lower, upper := s.Level(d), s.Level(d+1)
+		k, seg, widest := 0, 0, 0
+		for _, p := range lower {
 			if k < len(upper) && upper[k] == p {
-				idx = append(idx, i)
 				k++
+				seg = 0
+				continue
+			}
+			seg++
+			if seg > widest {
+				widest = seg
 			}
 		}
-		rounds += maxGap(idx, len(lower))
+		s.gatherRounds += widest
+		s.broadcastRounds += widest + 1
 	}
-	return rounds
 }
