@@ -2,56 +2,90 @@ package core
 
 import "lsasg/internal/skipgraph"
 
-// repairBalance scans the freshly split list L (level dl) for runs of more
-// than `a` consecutive members assigned to the same side and breaks each by
-// inserting a dummy node into the sibling subgraph (§IV-F). Dummies copy
-// the list's membership prefix, take the opposite bit at dl+1, and stop
-// there — per the paper they do not participate in transformations, so they
-// never split further. Existing dummies in L (which carry no dl+1 bit) act
-// as chain boundaries. The rebuilt list, dummies in position, is returned
-// (L itself when nothing was added; otherwise scratch valid until the next
-// call).
-func (d *DSG) repairBalance(ctx *transformCtx, L []int, dl int) ([]int, int) {
-	a := d.cfg.A
-	if len(L) <= a {
-		return L, 0
+// balanceList is one step of the transformation's bottom-up balance pass
+// (§IV-F; runSplits calls it for every list of the region, deepest first).
+// It assembles the complete membership of the list ctx.spans[at] — the
+// key-merge of its two sublists' complete memberships, already final, and
+// its own members without a next-level bit (the kept dummies of l_alpha) —
+// and, in the same walk, breaks every run of more than `a` consecutive
+// members on the same side: a dummy keyed between the a-th and (a+1)-th
+// member goes to the sibling subgraph. As in the balance scanners, only a
+// run holding a real member counts; a run of breakers costs nothing above
+// and demanding breakers for it would never end at a = 2. Dummies copy the
+// list's membership prefix, take the opposite bit one level up and stop
+// there — per the paper they do not participate in transformations, so
+// they never split further: in the sublist they join they are a boundary,
+// not a run member, which is why a list balanced earlier stays balanced.
+// The result is appended to ctx.full, the buffer of the list's level, for
+// the parent list's merge; the sublists' are read from ctx.below.
+func (d *DSG) balanceList(ctx *transformCtx, at int) {
+	sp := &ctx.spans[at]
+	sp.fOff = len(ctx.full)
+	if sp.kids == [2]int{} {
+		// Unsplit: a lone real member, or the pair's list. No member has a
+		// bit above this level, so there is no run to break.
+		ctx.full = append(ctx.full, ctx.lists[sp.off:sp.off+sp.n]...)
+		sp.fN = sp.n
+		return
 	}
-	bitLevel := dl + 1
-	out := ctx.with[:0]
-	added := 0
-	run := 0
-	var runZero bool
-	for _, o := range L {
-		x := ctx.ents[o].n
-		if !x.HasBit(bitLevel) {
-			// An old dummy: it belongs to neither subgraph and breaks any
-			// chain through it.
-			out = append(out, o)
-			run = 0
-			continue
+	// The three key-ordered sources, indexed by the side their members are
+	// on: the 0-sublist, the 1-sublist, and the members on neither side.
+	const boundary = 2
+	var src [3][]int
+	for side, kid := range sp.kids {
+		if kid > 0 {
+			src[side] = ctx.below[ctx.spans[kid].fOff:][:ctx.spans[kid].fN]
 		}
-		zero := x.Bit(bitLevel) == 0
-		if run > 0 && zero == runZero {
+	}
+	if at == 0 {
+		own := ctx.boundaries[:0]
+		for _, o := range ctx.lists[sp.off : sp.off+sp.n] {
+			if !ctx.isReal(o) {
+				own = append(own, o)
+			}
+		}
+		ctx.boundaries, src[boundary] = own, own
+	}
+	a, added := d.cfg.A, 0
+	run, runSide, runHasReal := 0, 0, false
+	for {
+		side := -1
+		for s, q := range src {
+			if len(q) > 0 && (side < 0 || ctx.keyLess(q[0], src[side][0])) {
+				side = s
+			}
+		}
+		if side < 0 {
+			break
+		}
+		o := src[side][0]
+		src[side] = src[side][1:]
+		switch {
+		case side == boundary:
+			run = 0 // it breaks any chain through it
+		case run > 0 && side == runSide:
 			run++
-			if run > a {
-				prev := ctx.ents[out[len(out)-1]].n
-				if dm, ok := d.makeDummy(ctx, prev, x, dl, !zero); ok {
-					out = append(out, dm)
+			runHasReal = runHasReal || ctx.isReal(o)
+			if run > a && runHasReal {
+				prev := ctx.ents[ctx.full[len(ctx.full)-1]].n
+				if dm, ok := d.makeDummy(ctx, prev, ctx.ents[o].n, sp.level, side == 1); ok {
+					ctx.full = append(ctx.full, dm)
 					added++
-					run = 1
+					if sp.kids[1-side] == ctx.pairSpan {
+						ctx.pairGuests++
+					}
+					run, runHasReal = 1, ctx.isReal(o)
 				}
 			}
-		} else {
-			run = 1
-			runZero = zero
+		default:
+			run, runSide, runHasReal = 1, side, ctx.isReal(o)
 		}
-		out = append(out, o)
+		ctx.full = append(ctx.full, o)
 	}
-	ctx.with = out
-	if added == 0 {
-		return L, 0
+	sp.fN = len(ctx.full) - sp.fOff
+	if added > 0 {
+		sp.rounds += a // chain detection handshake
 	}
-	return out, added
 }
 
 // makeDummy creates a dummy node keyed strictly between left and right,
@@ -64,6 +98,7 @@ func (d *DSG) makeDummy(ctx *transformCtx, left, right *skipgraph.Node, dl int, 
 	if !ok {
 		return 0, false
 	}
+	ctx.dummyKeys[key] = struct{}{}
 	id := d.nextDummyID
 	d.nextDummyID++
 	dm := skipgraph.NewDummy(key, id)
@@ -83,16 +118,8 @@ func (d *DSG) makeDummy(ctx *transformCtx, left, right *skipgraph.Node, dl int, 
 // freeKeyBetween finds a key strictly between a and b that is neither in
 // the graph nor reserved for a dummy created earlier this request.
 func (d *DSG) freeKeyBetween(ctx *transformCtx, a, b skipgraph.Key) (skipgraph.Key, bool) {
-	lo, hi := ctx.newDummies()
 	return freeKeyIn(a, b, func(k skipgraph.Key) bool {
-		if d.g.ByKey(k) != nil {
-			return true
-		}
-		for i := lo; i < hi; i++ {
-			if ctx.ents[i].n.Key() == k {
-				return true
-			}
-		}
-		return false
+		_, reserved := ctx.dummyKeys[k]
+		return reserved || d.g.ByKey(k) != nil
 	})
 }

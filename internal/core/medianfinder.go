@@ -9,6 +9,39 @@
 // a timestamp T and a group-id G per level, an is-dominating-group bit D
 // per level, and a group-base B — O(log n) words per node.
 //
+// # The three phases of a transformation
+//
+// A transformation rebuilds the sub-skip-graph above alpha — the highest
+// level at which u and v share a list — in three phases (splits.go,
+// balance.go), and their order is part of the algorithm:
+//
+//  1. Split. Level by level, every list with at least two real members
+//     finds an approximate median priority and hands each real member its
+//     next membership bit (§IV-C). No dummy is created here.
+//  2. Balance, bottom-up. The lists just formed are revisited deepest
+//     first; each is made a-balanced once, over its complete membership —
+//     its sublists' members, their dummies included, merged by key — by
+//     breaking every over-long same-side run with a dummy in the sibling
+//     subgraph (§IV-F).
+//  3. Pair. The list holding u and v alone splits last: whether the pair
+//     becomes singleton at once or first steps aside from a dummy depends
+//     on what phase 2 placed in that list.
+//
+// Balancing inside phase 1, list by list as each splits, looks equivalent
+// and is not. A dummy created for a list at level d' is, by its prefix, a
+// member of every ancestor list below d', on its left neighbour's side; so
+// a list balanced before its descendants have created their dummies is
+// lengthened afterwards, one level after another, and the scoped repair
+// that follows the transformation ends up rebuilding most of the region
+// (it used to insert 2–3× as many dummies as the transformation itself, and
+// still left an invalid state after a few ops in a thousand). Bottom-up, a
+// list is balanced when everything beneath it is final, and what it adds
+// reaches its sublists only as boundaries, which shorten runs and never
+// lengthen them: the transformation leaves no violation at or above alpha
+// (TestTransformLeavesRegionBalanced), and RepairBalancePending is left
+// with the knock-ons below alpha, where a new dummy joins lists the
+// transformation did not rebuild.
+//
 // # Scratch arena
 //
 // Adaptation is local, and so is its memory: everything an adjustment needs

@@ -51,8 +51,8 @@ func (sc *repairScratch) release() {
 // member is one node taking part in a transformation plus everything the
 // phases remember about it. Members are addressed by ordinal — their index
 // in transformCtx.ents: the real members of l_alpha first, in key order,
-// then the level-alpha dummies that survive, then the dummies the splits
-// create, in creation order.
+// then the level-alpha dummies that survive, then the dummies the balance
+// pass creates, in creation order.
 type member struct {
 	n *skipgraph.Node
 	s *nodeState
@@ -74,11 +74,23 @@ type member struct {
 }
 
 // listSpan names one linked list of the transformed region: lists[off:off+n]
-// holds its members' ordinals in key order.
+// holds the ordinals of its real members in key order (for l_alpha itself,
+// span 0, the kept dummies too, in position).
 type listSpan struct {
 	off, n int
 	level  int
 	split  bool // holds ≥ 2 real members, so it splits again
+
+	// kids are the spans of the 0- and 1-sublist the split formed; 0 — span
+	// 0 is l_alpha, nobody's sublist — for an empty side, and for both
+	// while the list is unsplit.
+	kids [2]int
+	// rounds is the list's own cost: its split, plus the chain-detection
+	// handshake if its balance pass had to add a dummy.
+	rounds int
+	// fOff and fN locate the list's complete membership, in key order and
+	// with dummies in position, in the balance pass's buffer for its level.
+	fOff, fN int
 
 	// The median the list's split computed and handed to every real member
 	// (hasMed false when the split needed none).
@@ -113,25 +125,41 @@ type transformCtx struct {
 
 	// lists holds every list the splits form, one span each: the initial
 	// l_alpha, then level by level the children. The splits consume the
-	// spans as their work queue; the timestamp transport reads them back.
+	// spans as their work queue, the balance pass walks them back deepest
+	// first, and the timestamp transport reads them once more.
 	lists []int
 	spans []listSpan
+	// full and below back the complete memberships the balance pass
+	// assembles: full for the lists of the level it is visiting, below for
+	// their sublists, one level up; they swap roles as the pass descends.
+	full, below []int
 
-	rounds int
+	// pairSpan is the list whose real members are exactly u and v; it waits
+	// for the balance pass before it splits. pairGuests counts the dummies
+	// sharing it: the kept ones if it is l_alpha itself, plus every breaker
+	// its parent's balance placed on its side.
+	pairSpan   int
+	pairGuests int
+
+	rounds    int
+	levelCost []int                      // per level above alpha: the slowest list's rounds
+	dummyKeys map[skipgraph.Key]struct{} // keys reserved for this transformation's dummies
 
 	// Per-phase buffers.
-	lalpha  []*skipgraph.Node // l_alpha as walked, dummies included
-	all     []*skipgraph.Node // the region's nodes in key order, for Relink
-	real    []int             // real members of the list being split
-	with    []int             // that list with its fresh dummies in position
-	gs      []int             // the straddling group of a negative split
-	ordered []int             // fallbackSplit's priority order
-	values  []amf.Value       // the priorities handed to the median finder
-	glow    []int64           // Glower group-ids below alpha
-	part    []int             // old-list partition of forEachOldGroupSplit
-	partTmp []int
-	groups  gidTable
-	agg     []groupAgg
+	lalpha     []*skipgraph.Node // l_alpha as walked, dummies included
+	doomed     []*skipgraph.Node // its dummies above alpha, which self-destruct
+	all        []*skipgraph.Node // the region's nodes in key order, for Relink
+	fresh      []*skipgraph.Node // the dummies among them created by this transformation
+	real       []int             // real members of the list being split
+	boundaries []int             // l_alpha's kept dummies, for its balance pass
+	gs         []int             // the straddling group of a negative split
+	ordered    []int             // fallbackSplit's priority order
+	values     []amf.Value       // the priorities handed to the median finder
+	glow       []int64           // Glower group-ids below alpha
+	part       []int             // old-list partition of forEachOldGroupSplit
+	partTmp    []int
+	groups     gidTable
+	agg        []groupAgg
 }
 
 // groupAgg aggregates one group of the list being processed.
@@ -154,7 +182,24 @@ func (ctx *transformCtx) reset(u, v *skipgraph.Node, t int64) {
 	ctx.uMeds = ctx.uMeds[:0]
 	ctx.lists = ctx.lists[:0]
 	ctx.spans = ctx.spans[:0]
+	ctx.full, ctx.below = ctx.full[:0], ctx.below[:0]
+	ctx.pairSpan, ctx.pairGuests = -1, 0
 	ctx.rounds = 0
+	ctx.levelCost = ctx.levelCost[:0]
+	if ctx.dummyKeys == nil {
+		ctx.dummyKeys = make(map[skipgraph.Key]struct{})
+	}
+	clear(ctx.dummyKeys)
+}
+
+// charge records that a list at the given level cost the given rounds.
+// Lists of one level work in parallel, so a level costs its slowest list.
+func (ctx *transformCtx) charge(level, rounds int) {
+	i := level - ctx.alpha
+	for len(ctx.levelCost) <= i {
+		ctx.levelCost = append(ctx.levelCost, 0)
+	}
+	ctx.levelCost[i] = max(ctx.levelCost[i], rounds)
 }
 
 // release drops every node and state reference the context holds.
@@ -163,7 +208,9 @@ func (ctx *transformCtx) release() {
 	ctx.ents = recycle(ctx.ents)
 	ctx.glowerOut = recycle(ctx.glowerOut)
 	ctx.lalpha = recycle(ctx.lalpha)
+	ctx.doomed = recycle(ctx.doomed)
 	ctx.all = recycle(ctx.all)
+	ctx.fresh = recycle(ctx.fresh)
 }
 
 func newMember(n *skipgraph.Node, s *nodeState) member {
@@ -230,6 +277,11 @@ func (ctx *transformCtx) oldCommonPrefix(a, b int) int {
 		}
 	}
 	return n
+}
+
+// keyLess orders two members by key.
+func (ctx *transformCtx) keyLess(a, b int) bool {
+	return ctx.ents[a].n.Key().Less(ctx.ents[b].n.Key())
 }
 
 // contains reports which of the communicating pair a list of ordinals holds.

@@ -7,31 +7,65 @@ import (
 	"lsasg/internal/amf"
 )
 
-// runSplits performs the recursive, level-parallel splitting of l_alpha
-// (§IV-C): every list of size ≥ 2 computes an approximate median priority
-// and partitions into the 0- and 1-subgraphs at the next level, until all
-// involved real nodes are singleton. Lists at the same level run in
-// parallel, so a level's round cost is the maximum over its lists.
+// runSplits rebuilds the region above alpha in three phases.
+//
+//  1. Split (§IV-C): level by level, every list of ≥ 2 real members computes
+//     an approximate median priority and assigns its real members their
+//     next membership bit, until every real member is singleton — except
+//     the list that holds u and v alone, which waits for phase 3. Only bits
+//     are assigned here; no dummy exists yet.
+//  2. Balance (§IV-F): the lists are revisited deepest first and each is
+//     made a-balanced once, over its complete membership (balanceList).
+//  3. Pair: the pair's list splits last (splitPair), because how it splits
+//     depends on whether phase 2 left a breaker in it.
+//
+// The order of 1 and 2 is the point. A breaker created for a level-d' list
+// carries that list's whole prefix, so it is a member — on its left
+// neighbour's side — of every ancestor list at d < d'. Balancing a list at
+// the moment it splits, before its descendants have created their breakers,
+// therefore balances a list that is still going to grow: each deep breaker
+// can lengthen a run, and demand one more breaker, per ancestor level, and
+// a later repair has to rescan what the transformation has just built.
+// Deepest first, a list is balanced when everything below it is final, and
+// the breakers it adds reach its children only as bit-less boundaries,
+// which can shorten runs there but never lengthen one.
+//
+// Lists at the same level work in parallel, so a level's round cost is the
+// maximum over its lists.
 func (d *DSG) runSplits(ctx *transformCtx) {
 	// ctx.spans starts out holding l_alpha alone. Each level's lists sit
-	// contiguously in spans; splitting them appends the next level's behind.
+	// contiguously in spans; splitting them appends the next level's behind,
+	// so children always follow their parent.
 	for lo, hi := 0, len(ctx.spans); lo < hi; lo, hi = hi, len(ctx.spans) {
-		levelRounds := 0
 		for i := lo; i < hi; i++ {
 			if ctx.spans[i].split {
-				levelRounds = max(levelRounds, d.splitList(ctx, i))
+				d.splitList(ctx, i)
 			}
 		}
-		ctx.rounds += levelRounds
+	}
+	// Deepest first is last first. A list reads its sublists' memberships
+	// once, so two buffers do: the level being assembled and the one below.
+	for i, level := len(ctx.spans)-1, -1; i >= 0; i-- {
+		if l := ctx.spans[i].level; l != level {
+			level = l
+			ctx.full, ctx.below = ctx.below[:0], ctx.full
+		}
+		d.balanceList(ctx, i)
+		ctx.charge(ctx.spans[i].level, ctx.spans[i].rounds)
+	}
+	d.splitPair(ctx)
+	for _, c := range ctx.levelCost {
+		ctx.rounds += c
 	}
 }
 
-// splitList splits the list ctx.spans[at], assigning membership bits for the
-// next level to its real members, appends the two child lists (key order)
-// to ctx.spans, and returns the round cost. Dummies in the list do not
-// participate (§IV-F): they stay singleton above this level and only serve
-// to break chains; freshly inserted dummies join the child sibling list.
-func (d *DSG) splitList(ctx *transformCtx, at int) (rounds int) {
+// splitList splits the list ctx.spans[at]: it assigns the membership bit
+// for the next level to each of its real members, appends the two child
+// lists (real members only, key order) to ctx.spans, and records the round
+// cost on the span. Dummies do not participate (§IV-F): the kept ones in
+// l_alpha stay singleton above it, and the breakers of this transformation
+// do not exist yet. The pair's own list is only noted, not split.
+func (d *DSG) splitList(ctx *transformCtx, at int) {
 	work := ctx.spans[at]
 	L, dl := ctx.lists[work.off:work.off+work.n], work.level
 	bitLevel := dl + 1
@@ -44,116 +78,106 @@ func (d *DSG) splitList(ctx *transformCtx, at int) (rounds int) {
 		}
 	}
 	ctx.real = real
-	if len(real) < 2 {
-		return 0
+	if len(real) == 2 && (real[0] == ctx.ui || real[0] == ctx.vi) && (real[1] == ctx.ui || real[1] == ctx.vi) {
+		ctx.pairSpan = at
+		ctx.pairGuests = len(L) - 2
+		return
 	}
 
-	var mres MedianResult
-	haveMedian := false
-
-	pairOnly := len(real) == 2 && ((real[0] == ctx.ui && real[1] == ctx.vi) || (real[0] == ctx.vi && real[1] == ctx.ui))
-	switch {
-	case pairOnly && len(L) == 2:
-		// The pair reached its size-2 list (level d' of rule T1); one more
-		// split makes both singleton. The left node takes the 0-subgraph.
-		ctx.ents[real[0]].inZero = true
-		ctx.ents[real[0]].s.setDominating(bitLevel, true)
-		rounds = 1
-	case pairOnly:
-		// Only dummies accompany the pair; both move to the 0-subgraph and
-		// the dummies (which take no further bits) stay behind, so the next
-		// level holds the pair alone.
-		ctx.ents[real[0]].inZero = true
-		ctx.ents[real[1]].inZero = true
-		rounds = 1
-	default:
-		values := ctx.values[:0]
+	values := ctx.values[:0]
+	for _, o := range real {
+		values = append(values, ctx.ents[o].pri)
+	}
+	ctx.values = values
+	mres := d.finder.FindMedian(values)
+	rounds := mres.Rounds
+	M := mres.Median
+	ctx.spans[at].med, ctx.spans[at].hasMed = M, true
+	if hasU, _ := ctx.contains(real); hasU {
+		ctx.uMeds = append(ctx.uMeds, levelMedian{dl, M})
+	}
+	if M.Inf || M.V >= 0 {
+		// Case 1: M is positive. Split by P(x) ≥ M; this divides the
+		// merged communicating group. Nodes moving to the 0-subgraph
+		// record the boundary with D = true at the formed level; the
+		// 1-subgraph's old flags survive so that nested boundaries from
+		// earlier positive splits stay readable (DESIGN.md §3, and the
+		// paper's Fig 4 walk-through requires exactly this).
 		for _, o := range real {
-			values = append(values, ctx.ents[o].pri)
-		}
-		ctx.values = values
-		mres = d.finder.FindMedian(values)
-		haveMedian = true
-		rounds += mres.Rounds
-		M := mres.Median
-		ctx.spans[at].med, ctx.spans[at].hasMed = M, true
-		if hasU, _ := ctx.contains(real); hasU {
-			ctx.uMeds = append(ctx.uMeds, levelMedian{dl, M})
-		}
-		if M.Inf || M.V >= 0 {
-			// Case 1: M is positive. Split by P(x) ≥ M; this divides the
-			// merged communicating group. Nodes moving to the 0-subgraph
-			// record the boundary with D = true at the formed level; the
-			// 1-subgraph's old flags survive so that nested boundaries from
-			// earlier positive splits stay readable (DESIGN.md §3, and the
-			// paper's Fig 4 walk-through requires exactly this).
-			for _, o := range real {
-				e := &ctx.ents[o]
-				e.inZero = e.pri.GreaterEq(M)
-				if e.inZero {
-					e.s.setDominating(bitLevel, true)
-				}
+			e := &ctx.ents[o]
+			e.inZero = e.pri.GreaterEq(M)
+			if e.inZero {
+				e.s.setDominating(bitLevel, true)
 			}
-		} else {
-			rounds += d.splitNegative(ctx, real, dl, M, mres)
 		}
+	} else {
+		rounds += d.splitNegative(ctx, real, dl, M, mres)
 	}
-
-	if allSameSide(ctx, real) && !pairOnly {
+	if allSameSide(ctx, real) {
 		// Degenerate tie (e.g. an old group with identical timestamps):
 		// the paper's comparison split cannot make progress, so fall back
 		// to a positional split that keeps the communicating pair together
 		// in the 0-subgraph (DESIGN.md §3.1).
 		fallbackSplit(ctx, real)
 	}
-	for _, o := range real {
-		if e := &ctx.ents[o]; e.inZero {
-			e.n.SetBit(bitLevel, 0)
-		} else {
-			e.n.SetBit(bitLevel, 1)
-		}
-	}
 
 	// Linear neighbour search at the new level costs at most `a` rounds
 	// thanks to the a-balance property (§IV-C).
 	rounds += d.cfg.A
+	rounds += d.reassignGroups(ctx, real, dl, true, mres)
+	ctx.spans[at].rounds = rounds
 
-	// a-balance maintenance: break runs longer than `a` with dummies
-	// placed in the sibling subgraph (§IV-F). Existing dummies already act
-	// as chain boundaries.
-	withDummies, added := d.repairBalance(ctx, L, dl)
-	if added > 0 {
-		rounds += d.cfg.A // chain detection handshake
-	}
-
-	// Child lists at bitLevel: real members by their new bit plus freshly
-	// inserted dummies (which carry a bit for bitLevel); old dummies stop
-	// at level dl.
-	var children [2]listSpan
-	for side := range children {
+	// Child lists at bitLevel: the real members by their new bit.
+	for side := range 2 {
 		child := listSpan{off: len(ctx.lists), level: bitLevel}
-		realCount := 0
-		for _, o := range withDummies {
-			if x := ctx.ents[o].n; x.HasBit(bitLevel) && int(x.Bit(bitLevel)) == side {
+		for _, o := range real {
+			if ctx.ents[o].inZero == (side == 0) {
 				ctx.lists = append(ctx.lists, o)
-				if ctx.isReal(o) {
-					realCount++
-				}
 			}
 		}
 		child.n = len(ctx.lists) - child.off
-		child.split = realCount >= 2
-		children[side] = child
-	}
-
-	rounds += d.reassignGroups(ctx, real, dl, haveMedian, mres)
-	for _, child := range children {
-		recomputeP4(ctx, ctx.lists[child.off:child.off+child.n], bitLevel)
-		if child.n > 0 {
-			ctx.spans = append(ctx.spans, child)
+		if child.n == 0 {
+			continue
 		}
+		child.split = child.n >= 2
+		for _, o := range ctx.lists[child.off:] {
+			ctx.ents[o].n.SetBit(bitLevel, byte(side))
+		}
+		recomputeP4(ctx, ctx.lists[child.off:], bitLevel)
+		ctx.spans[at].kids[side] = len(ctx.spans)
+		ctx.spans = append(ctx.spans, child)
 	}
-	return rounds
+}
+
+// splitPair splits the list that holds u and v alone among real nodes, as
+// the last step: by now the balance pass has decided which dummies share
+// it. Alone in a size-2 list (level d' of rule T1), one split makes both
+// singleton; the left node takes the 0-subgraph. With dummies for company
+// the pair first moves to the 0-subgraph together — the dummies take no
+// further bits and stay behind — so the next level holds the pair alone,
+// which keeps u and v directly linked. A run of two never needs a breaker
+// (a ≥ 2), so these lists need no balance pass of their own.
+func (d *DSG) splitPair(ctx *transformCtx) {
+	lo, hi := min(ctx.ui, ctx.vi), max(ctx.ui, ctx.vi)
+	ctx.real = append(ctx.real[:0], lo, hi)
+	left, right := &ctx.ents[lo], &ctx.ents[hi]
+	alone := ctx.pairGuests == 0
+	for level := ctx.spans[ctx.pairSpan].level; ; level++ {
+		bitLevel := level + 1
+		left.inZero, right.inZero = true, !alone
+		left.n.SetBit(bitLevel, 0)
+		if alone {
+			left.s.setDominating(bitLevel, true)
+			right.n.SetBit(bitLevel, 1)
+		} else {
+			right.n.SetBit(bitLevel, 0)
+		}
+		ctx.charge(level, 1+d.cfg.A+d.reassignGroups(ctx, ctx.real, level, false, MedianResult{}))
+		if alone {
+			return
+		}
+		alone = true
+	}
 }
 
 func allSameSide(ctx *transformCtx, real []int) bool {

