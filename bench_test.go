@@ -407,32 +407,6 @@ func BenchmarkServeObsOverhead(b *testing.B) {
 	b.Run("obs=on", func(b *testing.B) { benchObsPipeline(b, obs.NewTracer()) })
 }
 
-// BenchmarkSnapshotPublish measures copy-on-write snapshot publication: a
-// fixed-size batch of leaves and re-joins mutates the live graph, then the
-// next epoch publishes. Cost — allocs/op above all — must track the batch's
-// touched lists, not n: the bench-compare job gates B/op and allocs/op here
-// (via benchdiff -memmatch) at both sizes, and the acceptance bar is ≤2×
-// allocs/op from n=1k to n=16k at this fixed batch size.
-func BenchmarkSnapshotPublish(b *testing.B) {
-	for _, n := range []int{1024, 16384} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			g := skipgraph.NewRandom(n, 1)
-			p := skipgraph.NewPublisher(g)
-			br := skipgraph.RandomBrancher(2)
-			const batch = 16
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for k := int64(100); k < 100+batch; k++ {
-					g.Remove(skipgraph.KeyOf(k))
-					g.Insert(skipgraph.KeyOf(k), k, br)
-				}
-				p.Publish()
-			}
-		})
-	}
-}
-
 // BenchmarkFigure4 replays the paper's worked example end to end.
 func BenchmarkFigure4(b *testing.B) {
 	for i := 0; i < b.N; i++ {

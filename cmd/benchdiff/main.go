@@ -5,8 +5,8 @@
 // any benchmark matching -match regressed its ns/op by more than -threshold.
 // Benchmarks additionally matching -memmatch also gate their B/op and
 // allocs/op (requires -benchmem on both runs) — allocation-shaped wins, like
-// copy-on-write snapshot publication, regress silently under a pure ns/op
-// gate on a noisy runner.
+// the adjuster's scratch arena, regress silently under a pure ns/op gate on
+// a noisy runner.
 //
 // Benchmarks present only in the new file are reported as new and never
 // fail the gate (a PR may introduce the benchmark it is gated on);
@@ -19,7 +19,7 @@
 // Usage:
 //
 //	benchdiff -old base.txt -new head.txt -match 'E10|E13|E16|E17' \
-//	  -memmatch 'SnapshotPublish' -threshold 0.25
+//	  -memmatch 'E7|E19' -threshold 0.25
 //
 // A second, baseline-free mode gates two lanes of one run against each
 // other: -pair 'BASE,CANDIDATE' compares the candidate's ns/op (minimum

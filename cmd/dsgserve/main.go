@@ -47,7 +47,7 @@ func main() {
 		balance     = flag.Int("balance", 0, "a-balance parameter; 0 keeps the default")
 		seed        = flag.Int64("seed", 1, "seed for the deterministic stream")
 		batch       = flag.Int("batch", 1, "pipeline batch size (1 answers synchronous clients promptly)")
-		window      = flag.Int("window", 1, "sharded outcome-window size in batches")
+		window      = flag.Int("window", 1, "sharded outcome-window size in requests")
 		parallelism = flag.Int("parallelism", 1, "routing workers per pipeline run")
 		membership  = flag.Bool("membership", false, "enable AddNode/RemoveNode admin (disables working-set tracking)")
 		drainFor    = flag.Duration("drain", 10*time.Second, "graceful-shutdown budget before connections are cut")

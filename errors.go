@@ -22,7 +22,7 @@ var (
 
 	// ErrDeadNode reports an operation that ran into a crash-failed node
 	// before a repair spliced it out. Transient: the next Put or Delete of
-	// the key repairs it, so a retry after that snapshot succeeds.
+	// the key repairs it, so a retry after that succeeds.
 	ErrDeadNode = errors.New("lsasg: dead node")
 
 	// ErrOutOfRange reports a key or node index outside [0, N).

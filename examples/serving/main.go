@@ -1,8 +1,7 @@
-// Serving: push a request stream through the concurrent engine. Routing
-// fans out over parallel workers reading immutable topology snapshots while
-// a single adjuster applies the self-adjusting transformations in batches —
-// the results are deterministic for a fixed seed and batch size, whatever
-// the parallelism.
+// Serving: push a request stream through the batch engine. Each batch is
+// routed by parallel workers, then its self-adjusting transformations are
+// applied in order — the results are deterministic for a fixed seed and
+// batch size, whatever the parallelism.
 package main
 
 import (
@@ -19,8 +18,8 @@ import (
 func main() {
 	const n = 128
 	nw, err := lsasg.New(n, lsasg.WithSeed(42),
-		lsasg.WithParallelism(4), // routing workers (snapshot readers)
-		lsasg.WithBatchSize(32),  // adjustments per snapshot publication
+		lsasg.WithParallelism(4), // routing workers
+		lsasg.WithBatchSize(32),  // requests routed before they adjust
 		lsasg.WithTracing())      // latency histograms + slow-span ring
 	if err != nil {
 		log.Fatal(err)
@@ -33,9 +32,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("served %d requests in %d batches (one snapshot each)\n",
+	fmt.Printf("served %d requests in %d batches\n",
 		stats.Requests, stats.Batches)
-	fmt.Printf("mean route distance %.3f (max %d) — measured in the snapshots\n",
+	fmt.Printf("mean route distance %.3f (max %d) — measured before each batch adjusts\n",
 		stats.MeanRouteDistance, stats.MaxRouteDistance)
 	fmt.Printf("adjustment lag: mean %.1f, max %d requests behind the live graph\n",
 		stats.MeanAdjustLag, stats.MaxAdjustLag)

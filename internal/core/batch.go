@@ -18,8 +18,8 @@ type Pair struct {
 }
 
 // AdjustResult reports one applied transformation: the non-routing half of
-// Serve. Routing happened elsewhere (against a topology snapshot), so only
-// the adaptation-side measures appear here.
+// Serve. Routing happened elsewhere (in the serving engine's route phase),
+// so only the adaptation-side measures appear here.
 type AdjustResult struct {
 	Time            int64 // logical time t of the transformation
 	Alpha           int   // highest common level of the pair before transforming
@@ -36,8 +36,8 @@ type AdjustResult struct {
 // Adjust applies the DSG transformation for the pair (u, v) without routing
 // first, then repairs a-balance over exactly the lists the transformation
 // dirtied (RepairBalancePending). It is the adaptation half of Serve, split
-// out so a serving engine can route requests in parallel against an immutable
-// snapshot while a single adjuster applies the transformations in order.
+// out so a serving engine can route a whole batch of requests in parallel
+// first and then apply the batch's transformations in order.
 func (d *DSG) Adjust(uid, vid int64) (AdjustResult, error) {
 	u, v := d.NodeByID(uid), d.NodeByID(vid)
 	if u == nil || v == nil {
@@ -47,8 +47,8 @@ func (d *DSG) Adjust(uid, vid int64) (AdjustResult, error) {
 		return AdjustResult{}, fmt.Errorf("core: self-communication for id %d", uid)
 	}
 	if u.Dead() || v.Dead() {
-		// The pair routed against a snapshot that predates the crash; the
-		// transformation must not resurrect a dead endpoint into a group.
+		// The pair routed before the crash; the transformation must not
+		// resurrect a dead endpoint into a group.
 		return AdjustResult{}, fmt.Errorf("%w: %d or %d", ErrCrashedNode, uid, vid)
 	}
 	d.clock++
@@ -72,8 +72,8 @@ func (d *DSG) Adjust(uid, vid int64) (AdjustResult, error) {
 
 // ApplyBatch applies the transformations for a batch of pairs in order, each
 // followed by its scoped balance repair, and returns one result per pair.
-// This is the adjuster's batch entry point: after a batch the caller
-// publishes a fresh topology snapshot, so the routing side observes
+// This is the adjuster's batch entry point: the caller routes the next
+// batch only after this one returns, so the routing side observes
 // adjustments at batch granularity. A failing pair aborts the batch; the
 // already-applied prefix remains applied (results carries exactly the applied
 // prefix alongside the error).

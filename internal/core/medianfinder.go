@@ -58,12 +58,12 @@
 // arena memory belongs to the operation in progress. Nothing arena-backed
 // may be retained by a skipgraph.Node, a nodeState, a ListRef that outlives
 // the operation (d.pending, the one dirty set that does, has its own
-// buffer), an OpResult or AdjustResult, or anything a published
-// skipgraph.Replica can reach; whatever must survive is copied out. Each
-// operation clears the node and state pointers it parked in the arena
-// before returning, so the arena never keeps a removed node alive. Nodes
-// and states themselves are never pooled — the Publisher keys its slots and
-// its touch log by node pointer.
+// buffer), or an OpResult or AdjustResult; whatever must survive is copied
+// out. Each operation clears the node and state pointers it parked in the
+// arena before returning, so the arena never keeps a removed node alive.
+// Nodes and states themselves are never pooled — route results and dirty
+// sets hold node pointers, and Graph.Contains tells a removed node from
+// its key's next occupant by identity.
 package core
 
 import (

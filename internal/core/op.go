@@ -14,8 +14,8 @@ import (
 //
 // The split of responsibilities matches the serving architecture: the
 // routing side (internal/serve) measures distances and performs Get/Scan
-// reads against the immutable epoch snapshot, while ApplyOp here is the
-// adjuster half — the serialized mutation and topology adaptation. Point
+// reads in a batch's route phase, while ApplyOp here is the adjuster
+// half — the serialized mutation and topology adaptation. Point
 // ops adjust the topology exactly like a communication request: a Get or
 // Put of key k from origin o is an access σ=(o,k) and feeds the same
 // transformation and scoped balance repair. Put of an absent key is a
@@ -82,8 +82,8 @@ type OpResult struct {
 	AdjustResult
 
 	// Found/Value/Version report a Get against the live graph at apply
-	// time. The engine overwrites the read with the snapshot's (that is the
-	// documented read point); the sync API uses the live read directly.
+	// time. The engine overwrites the read with its route phase's (that is
+	// the documented read point); the sync API uses this one directly.
 	Found   bool
 	Value   []byte
 	Version int64
@@ -93,7 +93,7 @@ type OpResult struct {
 	Existed bool
 
 	// Entries holds OpScan results read from the live graph at apply time;
-	// like the Get fields, the engine substitutes the snapshot read.
+	// like the Get fields, the engine substitutes its route-phase read.
 	Entries []skipgraph.Entry
 }
 
@@ -131,8 +131,7 @@ func (d *DSG) ApplyOp(op Op) (OpResult, error) {
 	return OpResult{}, fmt.Errorf("core: unknown op kind %d", op.Kind)
 }
 
-// applyPut writes op.Value to op.Dst. An alive key updates in place (the
-// value swap is a touched mutation, so the next publish freezes it); an
+// applyPut writes op.Value to op.Dst. An alive key updates in place; an
 // absent key is a tracked join carrying the value; a crashed key is
 // repaired (corpse spliced out, its record lost — crash-stop) and rejoined
 // fresh. Either way the access then adjusts the topology like a route.

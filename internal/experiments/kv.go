@@ -16,13 +16,13 @@ import (
 // workload.KVMix over Zipf-skewed key popularity, served through the sharded
 // deterministic pipeline. Point reads and writes are accesses that adjust
 // the topology like routes (a put of an absent key is a tracked join, a
-// delete a tracked leave), while scans read the level-0 run lock-free from
-// the batch snapshot and stitch across shard boundaries at the window
+// delete a tracked leave), while scans read the level-0 run in their
+// batch's route phase and stitch across shard boundaries at the window
 // barrier. Reported per (mix, s) cell: wall-clock requests/sec, the get hit
 // and delete hit rates, the put-insert count (tracked joins triggered by
 // writes), the entries returned per scan, the cross-shard fraction, the
 // mean routing distance over point operations, and the rebalancer's
-// migration activity. Reads observe the previous batch's snapshot, so hit
+// migration activity. Reads observe what the previous batch left, so hit
 // rates and scan lengths shift slightly with the shard layout (each shard
 // batches independently); the adjuster-side counts — put inserts above all
 // — are exact and shard-count-invariant, which is also the migration

@@ -146,8 +146,8 @@ func Registry() []Experiment {
 		{
 			ID:          "E17",
 			Name:        "serve-throughput",
-			Description: "Batch serving pipeline: p snapshot-routing workers beside one adjuster; requests/sec per p, every other column deterministic and independent of p.",
-			PaperRef:    "§III serving model; NUMA-aware layered skip graphs (Thomas & Mendes)",
+			Description: "Batch serving pipeline: p routing workers per batch, then its adjustments in order; requests/sec per p, every other column deterministic and independent of p.",
+			PaperRef:    "§III serving model (route, then reconstruct), applied per batch",
 			Run:         E17ThroughputScaling,
 		},
 		{

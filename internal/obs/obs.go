@@ -148,7 +148,7 @@ func KindName(k int64) string {
 	return fmt.Sprintf("kind(%d)", k)
 }
 
-// LegSpan is one engine leg of an op: the snapshot work of one shard's
+// LegSpan is one engine leg of an op: the route-phase work of one shard's
 // pipeline. Single-graph ops have exactly one leg; cross-shard routes and
 // fanned scans carry one per participating shard. Nanos is wall time
 // (exempt from the determinism contracts); everything else is
@@ -171,9 +171,9 @@ type Span struct {
 	Kind       int64
 	Src, Dst   int64
 	Start      int64 // unix nanoseconds when the span was recorded
-	TotalNanos int64 // summed leg service time (snapshot-side work)
+	TotalNanos int64 // summed leg service time (route-phase work)
 
-	Epoch         int64 // snapshot epoch of the first leg
+	Epoch         int64 // engine epoch (batches applied) the first leg routed at
 	RouteDistance int64
 	RouteHops     int64
 	AdjustLag     int64
@@ -268,8 +268,8 @@ func (r *spanRing) slowest(limit int) []Span {
 
 // Pipeline stages with their own latency histograms.
 const (
-	// StageRouteLeg is one engine leg's snapshot-side work: the parallel
-	// route (plus any Get/Scan snapshot read) of one op within a batch.
+	// StageRouteLeg is one engine leg's route-phase work: the parallel
+	// route (plus any Get/Scan read) of one op within a batch.
 	StageRouteLeg = iota
 	// StageAdjustApply is one batch's serialized adjuster pass: every
 	// mutation of the batch applied in sequence order.

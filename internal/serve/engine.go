@@ -18,8 +18,8 @@ type Config struct {
 	// Parallelism is the number of routing workers used by Serve. Values < 1
 	// mean 1.
 	Parallelism int
-	// BatchSize is the number of adjustments applied between snapshot
-	// publications. Values < 1 mean 32.
+	// BatchSize is the number of requests routed before their adjustments
+	// are applied. Values < 1 mean 32.
 	BatchSize int
 	// OnResult, when non-nil, observes every request served by Serve, in
 	// sequence order (the deterministic order, independent of Parallelism).
@@ -61,58 +61,28 @@ func (c Config) batchSize() int {
 	return c.BatchSize
 }
 
-// Snapshot is an immutable routing replica of the topology at a published
-// epoch. The replica structurally shares every node the publishing batch did
-// not touch with neighbouring epochs (copy-on-write, see
-// skipgraph.Publisher); it is never mutated after publication and is safe
-// for any number of concurrent readers.
-type Snapshot struct {
-	Epoch int64
-	Graph *skipgraph.Replica
-}
-
-// Route routes src → dst inside the snapshot.
-func (s *Snapshot) Route(src, dst int64) (skipgraph.RouteResult, error) {
-	return s.Graph.RouteKeys(skipgraph.KeyOf(src), skipgraph.KeyOf(dst))
-}
-
-// Get reads a key's value record from the snapshot — lock-free, no
-// coordination with the adjuster.
-func (s *Snapshot) Get(key int64) ([]byte, int64, bool) {
-	return s.Graph.GetValue(skipgraph.KeyOf(key))
-}
-
-// Scan reads up to limit value-bearing entries from the snapshot's level-0
-// run, starting at the first key ≥ start. Lock-free like Get.
-func (s *Snapshot) Scan(start int64, limit int) []skipgraph.Entry {
-	if limit <= 0 {
-		limit = 1
-	}
-	return s.Graph.ScanFrom(skipgraph.KeyOf(start), limit)
-}
-
-// Result reports one request served by the Serve pipeline:
-// the routing half (and any Get/Scan read) measured against the batch's
-// snapshot, the adjustment half from the serialized mutation.
+// Result reports one request served by the Serve pipeline: the routing half
+// (and any Get/Scan read) measured in the graph as its batch found it, the
+// adjustment half from the batch's adjust phase.
 type Result struct {
 	Seq   int64   // 0-based position in the request sequence
 	Op    core.Op // the request envelope
-	Epoch int64   // snapshot epoch the request was routed against
+	Epoch int64   // batches (Apply*Idle calls included) applied before the request routed
 
-	RouteDistance int // d_S(σ) in the snapshot
+	RouteDistance int // d_S(σ) at route time
 	RouteHops     int
-	// RouteMiss marks a KV op whose access path could not be measured in
-	// the snapshot (an endpoint not yet published or already gone — e.g. a
-	// Put of a brand-new key routes before its join is visible). The data
-	// outcome is unaffected; only the distance sample is absent.
+	// RouteMiss marks a KV op whose access path could not be measured at
+	// route time (an endpoint not yet joined or already gone — e.g. a Put
+	// of a brand-new key routes before its own adjustment joins it). The
+	// data outcome is unaffected; only the distance sample is absent.
 	RouteMiss bool
 	// AdjustLag is the number of adjustments pending when the request was
-	// routed (its own included): requests route against the snapshot of the
-	// previous batch, so the lag is the request's 1-based position within
-	// its batch.
+	// routed (its own included): a batch routes whole before any of it
+	// adjusts, so the lag is the request's 1-based position within its
+	// batch.
 	AdjustLag int
 
-	// RouteNanos is the wall-clock duration of the op's snapshot-side work
+	// RouteNanos is the wall-clock duration of the op's route-phase work
 	// (route plus any Get/Scan read). Populated only when the engine has a
 	// Tracer; exempt from the determinism contracts and never fed into
 	// Stats.
@@ -125,8 +95,8 @@ type Result struct {
 	RepairInserted  int
 	RepairRemoved   int
 
-	// KV outcome. Get and Scan report the snapshot read (the epoch above is
-	// the read point); Put and Delete report the adjuster's outcome.
+	// KV outcome. Get and Scan report the route-phase read (the epoch above
+	// is the read point); Put and Delete report the adjuster's outcome.
 	Found   bool              // OpGet: key present with a value
 	Value   []byte            // OpGet: the value read (immutable)
 	Version int64             // OpGet: version read; OpPut: version written
@@ -137,9 +107,8 @@ type Result struct {
 // Stats aggregates one Serve run. Every field is deterministic for a fixed
 // seed and batch schedule: identical across Parallelism settings.
 type Stats struct {
-	Requests           int64
-	Batches            int64
-	SnapshotsPublished int64
+	Requests int64
+	Batches  int64 // route-then-adjust rounds: ⌈Requests / BatchSize⌉
 
 	TotalRouteDistance   int64
 	MaxRouteDistance     int
@@ -153,7 +122,7 @@ type Stats struct {
 	// KV op counters. Gets/Puts/Deletes/Scans count ops by kind (Requests
 	// counts every op, routes included); hits and inserts split the outcomes;
 	// ScannedEntries totals entries returned across scans; RouteMisses counts
-	// KV ops whose access path was unmeasurable in the snapshot.
+	// KV ops whose access path was unmeasurable at route time.
 	Gets           int64
 	GetHits        int64
 	Puts           int64
@@ -167,7 +136,7 @@ type Stats struct {
 	HeightAfter int // live-graph height after the final batch
 }
 
-// MeanRouteDistance returns the mean snapshot routing distance per request.
+// MeanRouteDistance returns the mean routing distance per request.
 func (s Stats) MeanRouteDistance() float64 {
 	if s.Requests == 0 {
 		return 0
@@ -175,7 +144,9 @@ func (s Stats) MeanRouteDistance() float64 {
 	return float64(s.TotalRouteDistance) / float64(s.Requests)
 }
 
-// MeanAdjustLag returns the mean number of pending adjustments at route time.
+// MeanAdjustLag returns the mean number of pending adjustments at route
+// time: (k+1)/2 over full batches of k, since op i of a batch routes with
+// its own and the i-1 adjustments before it still to come.
 func (s Stats) MeanAdjustLag() float64 {
 	if s.Requests == 0 {
 		return 0
@@ -183,52 +154,32 @@ func (s Stats) MeanAdjustLag() float64 {
 	return float64(s.TotalAdjustLag) / float64(s.Requests)
 }
 
-// Engine serves communication requests concurrently over one DSG through
-// the Serve batch pipeline. The DSG must not be touched by anyone else while
-// a Serve call runs — all mutation goes through the engine's single
-// adjuster — and between Serve calls only through the Apply*Idle entry
-// points, which reserve the engine the same way.
+// Engine serves communication requests over one DSG through the Serve batch
+// pipeline. The DSG must not be touched by anyone else while a Serve call
+// runs, and between Serve calls only through the Apply*Idle entry points,
+// which reserve the engine the same way.
 type Engine struct {
 	dsg *core.DSG
 	cfg Config
 
-	// pub owns snapshot publication: it tracks which nodes each batch
-	// touches and path-copies exactly those into the next epoch's replica.
-	// Like the live graph, it must only be used by the adjuster.
-	pub *skipgraph.Publisher
-
-	snap atomic.Pointer[Snapshot]
+	// epoch counts the mutation batches applied so far: one per Serve batch
+	// and one per Apply*Idle call. Owned by whoever holds busy.
+	epoch int64
 
 	// busy is set while a Serve or Apply*Idle call owns the live graph.
 	busy atomic.Bool
 }
 
-// New creates an engine over the DSG and publishes the epoch-0 snapshot.
-// The scoped repairs behind every adjustment assume a globally a-balanced
-// starting point, so New runs the global balance repair once (a no-op on an
-// already-balanced graph). Epoch 0 is the publisher's initial replica — one
-// pass over the graph, no deep copy — which keeps engine construction cheap
-// for the migration-receiver engines internal/shard spins up.
+// New creates an engine over the DSG. The scoped repairs behind every
+// adjustment assume a globally a-balanced starting point, so New runs the
+// global balance repair once (a no-op on an already-balanced graph).
 func New(d *core.DSG, cfg Config) *Engine {
 	d.RepairBalance()
-	e := &Engine{dsg: d, cfg: cfg, pub: skipgraph.NewPublisher(d.Graph())}
-	e.snap.Store(&Snapshot{Epoch: 0, Graph: e.pub.Current()})
-	return e
-}
-
-// Snapshot returns the most recently published snapshot.
-func (e *Engine) Snapshot() *Snapshot { return e.snap.Load() }
-
-// publish freezes the batch's mutations into the next-epoch snapshot,
-// path-copying the touched nodes and structurally sharing the rest. Only the
-// call holding the engine (Serve between batches, or an Apply*Idle entry
-// point) may call it.
-func (e *Engine) publish() {
-	e.snap.Store(&Snapshot{Epoch: e.snap.Load().Epoch + 1, Graph: e.pub.Publish()})
+	return &Engine{dsg: d, cfg: cfg}
 }
 
 // acquire reserves the live graph for one Serve or Apply*Idle call;
-// overlapping callers get an error instead of racing the adjuster.
+// overlapping callers get an error instead of racing the owner.
 func (e *Engine) acquire(what string) error {
 	if !e.busy.CompareAndSwap(false, true) {
 		return fmt.Errorf("serve: %s on an engine that is already serving", what)
@@ -238,25 +189,23 @@ func (e *Engine) acquire(what string) error {
 
 func (e *Engine) release() { e.busy.Store(false) }
 
-// ApplyOpIdle applies one op directly to the live graph and publishes a
-// fresh snapshot — the synchronous single-op entry point for an idle engine
-// (no Serve in flight). The sharded service's sync KV surface is built on
-// it: one op, applied and visible, before the call returns.
+// ApplyOpIdle applies one op directly to the live graph — the synchronous
+// single-op entry point for an idle engine (no Serve in flight). The sharded
+// service's sync KV surface is built on it: one op, applied and visible,
+// before the call returns.
 func (e *Engine) ApplyOpIdle(op core.Op) (core.OpResult, error) {
 	if err := e.acquire("ApplyOpIdle"); err != nil {
 		return core.OpResult{}, err
 	}
 	defer e.release()
 	res, err := e.dsg.ApplyOp(op)
-	e.publish()
+	e.epoch++
 	return res, err
 }
 
 // ApplyCrashIdle injects a crash failure directly on an idle engine (no
-// Serve in flight) and publishes the post-crash snapshot, so routers
-// immediately see the corpse: the node fails in place, leaving its
-// neighbours' references dangling until a Put or Delete of the key repairs
-// it.
+// Serve in flight): the node fails in place, leaving its neighbours'
+// references dangling until a Put or Delete of the key repairs it.
 func (e *Engine) ApplyCrashIdle(id int64) error {
 	if err := e.acquire("ApplyCrashIdle"); err != nil {
 		return err
@@ -265,25 +214,27 @@ func (e *Engine) ApplyCrashIdle(id int64) error {
 	if err := e.dsg.Crash(id); err != nil {
 		return err
 	}
-	e.publish()
+	e.epoch++
 	return nil
 }
 
 // Serve consumes op envelopes until the channel closes (or ctx is
 // cancelled) and returns the aggregate statistics. Requests are processed
-// in batches of BatchSize: the whole batch is routed in parallel by
-// Parallelism workers against the snapshot published after the previous
-// batch — Get and Scan take their reads from that same snapshot, lock-free —
-// while the single adjuster concurrently applies the batch's mutations in
-// sequence order to the live graph (KV writes flow through the same
-// transformation and scoped repair as routes; see core.ApplyOp); then the
-// next snapshot is published. Batches are filled to BatchSize (blocking on
-// the channel) so the batch schedule — and with it every statistic — is a
-// pure function of the request sequence, independent of Parallelism and of
-// producer timing. An invalid route op aborts with an error (KV ops are
-// total and never do); already-applied batches stay applied.
+// in batches of BatchSize, each batch in two phases on the live graph. Route
+// phase: the whole batch is routed by Parallelism workers — Get and Scan
+// take their reads here too — and nothing mutates the graph meanwhile, so
+// every op of the batch observes the state the previous batch left. Adjust
+// phase: the batch's mutations are applied in sequence order (KV writes
+// flow through the same transformation and scoped repair as routes; see
+// core.ApplyOp). Batches are filled to BatchSize (blocking on the channel)
+// so the batch schedule — and with it every statistic — is a pure function
+// of the request sequence, independent of Parallelism and of producer
+// timing. An invalid route op aborts with an error (KV ops are total and
+// never do). A batch whose route phase fails applies none of its ops; one
+// that fails in its adjust phase keeps the ops before the failing one.
+// Already-applied batches stay applied.
 //
-// Overlapping Serve calls are rejected — they would race the adjuster over
+// Overlapping Serve calls are rejected — they would race each other over
 // the live graph. Sequential Serve calls on one engine are fine.
 func (e *Engine) Serve(ctx context.Context, in <-chan core.Op) (Stats, error) {
 	if err := e.acquire("Serve"); err != nil {
@@ -306,11 +257,10 @@ func (e *Engine) Serve(ctx context.Context, in <-chan core.Op) (Stats, error) {
 	for {
 		batch = batch[:0]
 		stop := false
-		cancelled := false
 		for len(batch) < k && !stop {
 			select {
 			case <-ctx.Done():
-				stop, cancelled = true, true
+				stop = true
 			case p, ok := <-in:
 				if !ok {
 					stop = true
@@ -320,53 +270,44 @@ func (e *Engine) Serve(ctx context.Context, in <-chan core.Op) (Stats, error) {
 			}
 		}
 		if len(batch) > 0 {
-			snap := e.snap.Load()
-			adjCh := make(chan adjOutcome, 1)
-			go func(ops []core.Op) {
-				var started time.Time
-				if tr != nil {
-					started = time.Now()
-				}
-				rs, err := e.applyOps(ops)
-				if tr != nil {
-					tr.ObserveStage(obs.StageAdjustApply, time.Since(started))
-				}
-				adjCh <- adjOutcome{results: rs, err: err}
-			}(batch)
-			routeErr := e.routeBatch(snap, batch, routes)
-			adj := <-adjCh
-			if routeErr != nil {
-				return st, routeErr
+			if err := e.routeBatch(batch, routes); err != nil {
+				return st, err
 			}
-			if adj.err != nil {
-				return st, adj.err
+			var started time.Time
+			if tr != nil {
+				started = time.Now()
 			}
-			e.publish()
+			adj, err := e.applyOps(batch)
+			if tr != nil {
+				tr.ObserveStage(obs.StageAdjustApply, time.Since(started))
+			}
+			if err != nil {
+				return st, err
+			}
 			st.Batches++
-			st.SnapshotsPublished++
 			for i := range batch {
 				r := Result{
 					Seq:             seq,
 					Op:              batch[i],
-					Epoch:           snap.Epoch,
+					Epoch:           e.epoch,
 					RouteDistance:   routes[i].route.Distance(),
 					RouteHops:       routes[i].route.Hops(),
 					RouteMiss:       routes[i].miss,
 					AdjustLag:       i + 1,
 					RouteNanos:      routes[i].nanos,
-					TransformRounds: adj.results[i].TransformRounds,
-					DirectLevel:     adj.results[i].DirectLevel,
-					Alpha:           adj.results[i].Alpha,
-					HeightAfter:     adj.results[i].HeightAfter,
-					RepairInserted:  adj.results[i].RepairInserted,
-					RepairRemoved:   adj.results[i].RepairRemoved,
-					Version:         adj.results[i].Version,
-					Existed:         adj.results[i].Existed,
+					TransformRounds: adj[i].TransformRounds,
+					DirectLevel:     adj[i].DirectLevel,
+					Alpha:           adj[i].Alpha,
+					HeightAfter:     adj[i].HeightAfter,
+					RepairInserted:  adj[i].RepairInserted,
+					RepairRemoved:   adj[i].RepairRemoved,
+					Version:         adj[i].Version,
+					Existed:         adj[i].Existed,
 				}
 				switch batch[i].Kind {
 				case core.OpGet:
-					// The documented read point is the snapshot the op routed
-					// against, not the live graph mid-batch.
+					// The documented read point is the route phase, not the
+					// graph mid-adjustment.
 					r.Found, r.Value, r.Version = routes[i].found, routes[i].val, routes[i].ver
 				case core.OpScan:
 					r.Entries = routes[i].entries
@@ -402,13 +343,14 @@ func (e *Engine) Serve(ctx context.Context, in <-chan core.Op) (Stats, error) {
 					e.cfg.OnResult(r)
 				}
 			}
+			e.epoch++
 		}
 		if stop {
 			st.HeightAfter = e.dsg.Graph().Height()
-			if cancelled {
-				return st, ctx.Err()
-			}
-			return st, nil
+			// A producer that follows the documented pattern closes the
+			// channel once ctx is cancelled, and the select above may see
+			// either first; report the cancellation whichever it was.
+			return st, ctx.Err()
 		}
 	}
 }
@@ -452,12 +394,7 @@ func (s *Stats) accumulate(r Result) {
 	}
 }
 
-type adjOutcome struct {
-	results []core.OpResult
-	err     error
-}
-
-// applyOps is the adjuster half of one batch. Without TolerateAdjustMiss it
+// applyOps is the adjust phase of one batch. Without TolerateAdjustMiss it
 // is exactly core.ApplyOps (strict, legacy error text). With it, a route op
 // that fails on a vanished or crashed endpoint — the data plane removed it
 // earlier in the stream — yields a zero result and the batch continues.
@@ -480,8 +417,8 @@ func (e *Engine) applyOps(ops []core.Op) ([]core.OpResult, error) {
 	return results, nil
 }
 
-// routeOut is the routing-side outcome of one op: the measured access path
-// plus any snapshot read (Get/Scan).
+// routeOut is the route-phase outcome of one op: the measured access path
+// plus any Get/Scan read.
 type routeOut struct {
 	route   skipgraph.RouteResult
 	miss    bool
@@ -489,62 +426,56 @@ type routeOut struct {
 	val     []byte
 	ver     int64
 	entries []skipgraph.Entry
-	nanos   int64 // wall time of the snapshot-side work; 0 without a Tracer
+	nanos   int64 // wall time of the route-phase work; 0 without a Tracer
 }
 
-// routeOp performs the snapshot half of one op. OpRoute keeps the strict
+// routeOp performs the route-phase half of one op on the live graph, which
+// nothing mutates until the whole batch has routed. OpRoute keeps the strict
 // legacy contract — a route failure aborts the batch. KV point ops tolerate
 // an unmeasurable access path (the endpoint may be joining in this very
 // batch, or already departed) and record a miss instead; Get reads the
-// value from the snapshot; Scan is a pure snapshot read with no path.
-func (e *Engine) routeOp(snap *Snapshot, op core.Op) (routeOut, error) {
+// value; Scan is a pure read with no path.
+func (e *Engine) routeOp(op core.Op) (routeOut, error) {
 	var out routeOut
-	switch op.Kind {
-	case core.OpRoute:
-		r, err := snap.Route(op.Src, op.Dst)
-		if err != nil {
-			if e.cfg.TolerateAdjustMiss {
-				out.miss = true
-				return out, nil
-			}
-			return out, fmt.Errorf("serve: routing %d→%d (epoch %d): %w", op.Src, op.Dst, snap.Epoch, err)
-		}
-		out.route = r
-		return out, nil
-	case core.OpScan:
-		out.entries = snap.Scan(op.Dst, op.Limit)
+	g := e.dsg.Graph()
+	if op.Kind == core.OpScan {
+		out.entries = g.ScanFrom(skipgraph.KeyOf(op.Dst), max(op.Limit, 1))
 		return out, nil
 	}
-	if r, err := snap.Route(op.Src, op.Dst); err == nil {
+	r, err := g.RouteKeys(skipgraph.KeyOf(op.Src), skipgraph.KeyOf(op.Dst))
+	switch {
+	case err == nil:
 		out.route = r
-	} else {
+	case op.Kind == core.OpRoute && !e.cfg.TolerateAdjustMiss:
+		return out, fmt.Errorf("serve: routing %d→%d (epoch %d): %w", op.Src, op.Dst, e.epoch, err)
+	default:
 		out.miss = true
 	}
 	if op.Kind == core.OpGet {
-		out.val, out.ver, out.found = snap.Get(op.Dst)
+		out.val, out.ver, out.found = g.GetValue(skipgraph.KeyOf(op.Dst))
 	}
 	return out, nil
 }
 
 // routeOpTraced wraps routeOp with the per-leg wall clock when tracing is
 // on; with a nil tracer it is routeOp plus one branch.
-func (e *Engine) routeOpTraced(snap *Snapshot, op core.Op) (routeOut, error) {
+func (e *Engine) routeOpTraced(op core.Op) (routeOut, error) {
 	tr := e.cfg.Tracer
 	if tr == nil {
-		return e.routeOp(snap, op)
+		return e.routeOp(op)
 	}
 	start := time.Now()
-	out, err := e.routeOp(snap, op)
+	out, err := e.routeOp(op)
 	d := time.Since(start)
 	out.nanos = int64(d)
 	tr.ObserveStage(obs.StageRouteLeg, d)
 	return out, err
 }
 
-// routeBatch routes every op of the batch against the snapshot, fanning
-// the work over the configured number of workers. results[i] corresponds to
+// routeBatch routes every op of the batch on the live graph, fanning the
+// work over the configured number of workers. results[i] corresponds to
 // batch[i], so the outcome is independent of worker scheduling.
-func (e *Engine) routeBatch(snap *Snapshot, batch []core.Op, results []routeOut) error {
+func (e *Engine) routeBatch(batch []core.Op, results []routeOut) error {
 	p := e.cfg.parallelism()
 	if p > len(batch) {
 		p = len(batch)
@@ -553,7 +484,7 @@ func (e *Engine) routeBatch(snap *Snapshot, batch []core.Op, results []routeOut)
 		tr := e.cfg.Tracer
 		if tr == nil {
 			for i, op := range batch {
-				r, err := e.routeOp(snap, op)
+				r, err := e.routeOp(op)
 				if err != nil {
 					return err
 				}
@@ -567,7 +498,7 @@ func (e *Engine) routeBatch(snap *Snapshot, batch []core.Op, results []routeOut)
 		// next to any op the histograms can resolve.
 		prev := time.Now()
 		for i, op := range batch {
-			r, err := e.routeOp(snap, op)
+			r, err := e.routeOp(op)
 			if err != nil {
 				return err
 			}
@@ -595,7 +526,7 @@ func (e *Engine) routeBatch(snap *Snapshot, batch []core.Op, results []routeOut)
 				if i >= len(batch) {
 					return
 				}
-				r, err := e.routeOpTraced(snap, batch[i])
+				r, err := e.routeOpTraced(batch[i])
 				if err != nil {
 					errOnce.Do(func() { outErr = err })
 					return

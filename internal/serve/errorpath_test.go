@@ -10,8 +10,8 @@ import (
 )
 
 // This file is the error-path layer for the serving engine: adjustment-miss
-// tolerance, early cancellation, and the crash detect/repair cycle. The
-// happy paths live in serve_test.go.
+// tolerance, the failed route phase, early cancellation, and the crash
+// detect/repair cycle. The happy paths live in serve_test.go.
 
 // TestTolerateAdjustMiss drives every miss class through the pipeline and
 // checks which ones abort the run: a route whose endpoint is unknown or
@@ -59,6 +59,47 @@ func TestTolerateAdjustMiss(t *testing.T) {
 	})
 }
 
+// TestFailedRoutePhaseAppliesNothing: on a strict engine a batch whose route
+// phase fails — unknown or dead endpoint — aborts before its adjust phase,
+// so not even the valid ops ahead of the bad one are applied.
+func TestFailedRoutePhaseAppliesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		bad  core.Op
+		prep func(d *core.DSG)
+	}{
+		{name: "unknown endpoint", bad: core.RouteOp(3, 99)},
+		{name: "dead endpoint", bad: core.RouteOp(3, 9), prep: func(d *core.DSG) { d.Crash(9) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := core.New(16, core.Config{A: 4, Seed: 7})
+			if tc.prep != nil {
+				tc.prep(d)
+			}
+			served := 0
+			e := New(d, Config{BatchSize: 4, OnResult: func(Result) { served++ }})
+			if _, err := e.Serve(context.Background(), feedOps([]core.Op{core.RouteOp(1, 2), core.RouteOp(5, 6)})); err != nil {
+				t.Fatal(err)
+			}
+			clock, epoch := d.Clock(), e.epoch
+			st, err := e.Serve(context.Background(), feedOps([]core.Op{core.RouteOp(1, 8), core.RouteOp(4, 12), tc.bad}))
+			if err == nil {
+				t.Fatal("batch with an unroutable op must abort")
+			}
+			if st.Requests != 0 || served != 2 {
+				t.Errorf("failed batch reported %d requests (%d results overall), want 0 (2)", st.Requests, served)
+			}
+			if d.Clock() != clock || e.epoch != epoch {
+				t.Errorf("failed batch moved the clock %d→%d / epoch %d→%d; its valid prefix must not be applied",
+					clock, d.Clock(), epoch, e.epoch)
+			}
+			if err := d.Validate(); err != nil {
+				t.Fatalf("live DSG invalid after the failed batch: %v", err)
+			}
+		})
+	}
+}
+
 // TestServeEarlyCancel: a context cancelled before Serve starts returns
 // ctx.Err() having served nothing, and the engine stays reusable.
 func TestServeEarlyCancel(t *testing.T) {
@@ -86,23 +127,18 @@ func TestServeEarlyCancel(t *testing.T) {
 }
 
 // TestCrashIdleDetectRepair is the failure cycle end to end: inject a
-// crash on the idle engine, detect it at route time in the published
-// snapshot, let a Put of the key splice the corpse out and rejoin it, and
-// observe routing recover.
+// crash on the idle engine, detect it at route time, let a Put of the key
+// splice the corpse out and rejoin it, and observe routing recover.
 func TestCrashIdleDetectRepair(t *testing.T) {
 	d := core.New(32, core.Config{A: 4, Seed: 17})
 	e := New(d, Config{BatchSize: 4})
 	if err := e.ApplyCrashIdle(99); !errors.Is(err, core.ErrUnknownNode) {
 		t.Fatalf("crash of unknown id = %v, want ErrUnknownNode", err)
 	}
-	epoch := e.Snapshot().Epoch
 	if err := e.ApplyCrashIdle(12); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Snapshot().Epoch; got != epoch+1 {
-		t.Errorf("crash published epoch %d, want %d", got, epoch+1)
-	}
-	_, err := e.Snapshot().Route(3, 12)
+	_, err := routeLive(d, 3, 12)
 	var dre *skipgraph.DeadRouteError
 	if !errors.As(err, &dre) || dre.Node.ID() != 12 {
 		t.Fatalf("probe of corpse: %v, want DeadRouteError on 12", err)

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -23,11 +24,13 @@ func feedOps(ops []core.Op) <-chan core.Op {
 }
 
 // TestApplyOpIdleAndSnapshotReads exercises the synchronous single-op entry
-// point and the lock-free snapshot read surface (Get/Scan) the sharded
-// service builds its sync KV calls on.
+// point and the graph reads (GetValue/ScanFrom) the sharded service builds
+// its sync KV calls on: each idle op is visible as soon as it returns.
 func TestApplyOpIdleAndSnapshotReads(t *testing.T) {
-	e := New(core.New(16, core.Config{A: 4, Seed: 5}), Config{})
-	e0 := e.Snapshot().Epoch
+	d := core.New(16, core.Config{A: 4, Seed: 5})
+	e := New(d, Config{})
+	g := d.Graph()
+	e0 := e.epoch
 
 	res, err := e.ApplyOpIdle(core.Op{Kind: core.OpPut, Src: 1, Dst: 9, Value: []byte("nine")})
 	if err != nil {
@@ -40,21 +43,17 @@ func TestApplyOpIdleAndSnapshotReads(t *testing.T) {
 		t.Fatalf("idle put: %v", err)
 	}
 
-	snap := e.Snapshot()
-	if snap.Epoch != e0+2 {
-		t.Fatalf("each idle op must publish: epoch %d, want %d", snap.Epoch, e0+2)
+	if e.epoch != e0+2 {
+		t.Fatalf("each idle op is one epoch: %d, want %d", e.epoch, e0+2)
 	}
-	if v, ver, ok := snap.Get(9); !ok || ver != 1 || !bytes.Equal(v, []byte("nine")) {
-		t.Fatalf("snapshot get 9 = %q v%d ok=%v", v, ver, ok)
+	if v, ver, ok := g.GetValue(skipgraph.KeyOf(9)); !ok || ver != 1 || !bytes.Equal(v, []byte("nine")) {
+		t.Fatalf("get 9 = %q v%d ok=%v", v, ver, ok)
 	}
-	if _, _, ok := snap.Get(10); ok {
-		t.Fatal("snapshot get of a valueless key must miss")
+	if _, _, ok := g.GetValue(skipgraph.KeyOf(10)); ok {
+		t.Fatal("get of a valueless key must miss")
 	}
-	if got := snap.Scan(0, 10); len(got) != 2 || got[0].ID != 4 || got[1].ID != 9 {
-		t.Fatalf("snapshot scan = %v, want keys [4 9]", got)
-	}
-	if got := snap.Scan(5, 0); len(got) != 1 || got[0].ID != 9 {
-		t.Fatalf("snapshot scan with clamped limit = %v, want [9]", got)
+	if got := g.ScanFrom(skipgraph.KeyOf(0), 10); len(got) != 2 || got[0].ID != 4 || got[1].ID != 9 {
+		t.Fatalf("scan = %v, want keys [4 9]", got)
 	}
 
 	res, err = e.ApplyOpIdle(core.Op{Kind: core.OpGet, Src: 3, Dst: 9})
@@ -65,15 +64,17 @@ func TestApplyOpIdleAndSnapshotReads(t *testing.T) {
 	if err != nil || !res.Existed {
 		t.Fatalf("idle delete 9 = %+v, %v", res, err)
 	}
-	if _, _, ok := e.Snapshot().Get(9); ok {
-		t.Fatal("deleted key still readable in the fresh snapshot")
+	if _, _, ok := g.GetValue(skipgraph.KeyOf(9)); ok {
+		t.Fatal("deleted key still readable")
 	}
 }
 
 // TestServeKVOps drives every op kind through the deterministic pipeline
-// with BatchSize 1 (each op reads the snapshot of all earlier ops) and
+// with BatchSize 1 (each op reads the graph all earlier ops left) and
 // checks both the per-result read outcomes and the aggregated KV counters,
-// including the tolerated route legs of puts to brand-new keys.
+// including the tolerated route legs of puts to brand-new keys. Its
+// subtests pin the read point of a larger batch and the independence from
+// Parallelism over the same mix.
 func TestServeKVOps(t *testing.T) {
 	const n = 16
 	var results []Result
@@ -86,9 +87,10 @@ func TestServeKVOps(t *testing.T) {
 	ops := []core.Op{
 		{Kind: core.OpPut, Src: 1, Dst: 40, Value: []byte("new")}, // join: route leg unmeasurable
 		{Kind: core.OpPut, Src: 2, Dst: 5, Value: []byte("live")}, // update in place
-		{Kind: core.OpGet, Src: 3, Dst: 40},                       // hit, reads previous snapshot
+		{Kind: core.OpGet, Src: 3, Dst: 40},                       // hit, reads what the puts left
 		{Kind: core.OpGet, Src: 3, Dst: 11},                       // valueless: miss, path measured
 		{Kind: core.OpScan, Dst: 0, Limit: 8},                     // both records
+		{Kind: core.OpScan, Dst: 6},                               // limit 0 reads one entry
 		core.RouteOp(6, 12),                                       // plain route
 		{Kind: core.OpDelete, Src: 1, Dst: 40},                    // tracked leave
 		core.RouteOp(2, 40),                                       // endpoint gone: tolerated miss
@@ -102,14 +104,14 @@ func TestServeKVOps(t *testing.T) {
 	if st.Requests != int64(len(ops)) || st.Batches != int64(len(ops)) {
 		t.Fatalf("requests/batches = %d/%d, want %d each", st.Requests, st.Batches, len(ops))
 	}
-	want := Stats{Gets: 2, GetHits: 1, Puts: 2, PutInserts: 1, Deletes: 2, DeleteHits: 1, Scans: 1, ScannedEntries: 2}
+	want := Stats{Gets: 2, GetHits: 1, Puts: 2, PutInserts: 1, Deletes: 2, DeleteHits: 1, Scans: 2, ScannedEntries: 3}
 	if st.Gets != want.Gets || st.GetHits != want.GetHits || st.Puts != want.Puts ||
 		st.PutInserts != want.PutInserts || st.Deletes != want.Deletes ||
 		st.DeleteHits != want.DeleteHits || st.Scans != want.Scans || st.ScannedEntries != want.ScannedEntries {
 		t.Fatalf("kv counters = %+v", st)
 	}
 	// The put-join and the route to the deleted endpoint are both
-	// unmeasurable in their snapshots.
+	// unmeasurable when they route.
 	if st.RouteMisses < 2 {
 		t.Fatalf("route misses = %d, want >= 2", st.RouteMisses)
 	}
@@ -136,12 +138,50 @@ func TestServeKVOps(t *testing.T) {
 	if r := results[4]; len(r.Entries) != 2 || r.Entries[0].ID != 5 || r.Entries[1].ID != 40 {
 		t.Fatalf("scan entries = %v, want keys [5 40]", r.Entries)
 	}
-	if r := results[7]; !r.RouteMiss || r.TransformRounds != 0 {
+	if r := results[5]; len(r.Entries) != 1 || r.Entries[0].ID != 40 {
+		t.Fatalf("scan from 6 with limit 0 = %v, want [40]", r.Entries)
+	}
+	if r := results[8]; !r.RouteMiss || r.TransformRounds != 0 {
 		t.Fatalf("route to deleted endpoint = %+v, want tolerated miss", r)
 	}
-	if r := results[8]; r.Existed {
+	if r := results[9]; r.Existed {
 		t.Fatal("re-delete of a gone key must report Existed=false")
 	}
+
+	serveLog := func(t *testing.T, cfg Config, ops []core.Op) (Stats, []Result) {
+		t.Helper()
+		var log []Result
+		cfg.TolerateAdjustMiss = true
+		cfg.OnResult = func(r Result) { log = append(log, r) }
+		st, err := New(core.New(n, core.Config{A: 4, Seed: 11}), cfg).Serve(context.Background(), feedOps(ops))
+		if err != nil {
+			t.Fatalf("serve: %v", err)
+		}
+		return st, log
+	}
+	// A batch routes whole before any of it adjusts, so a Get sees a Put of
+	// the same batch only when the batch boundary falls between them.
+	t.Run("read point", func(t *testing.T) {
+		pair := []core.Op{
+			{Kind: core.OpPut, Src: 1, Dst: 40, Value: []byte("new")},
+			{Kind: core.OpGet, Src: 3, Dst: 40},
+		}
+		_, log := serveLog(t, Config{BatchSize: 2}, pair)
+		if put, get := log[0], log[1]; !put.RouteMiss || put.Existed || get.Found || !get.RouteMiss {
+			t.Fatalf("one batch of 2: put %+v, get %+v; want the Get (and both paths) to miss the unjoined key", put, get)
+		}
+		_, log = serveLog(t, Config{BatchSize: 1}, pair)
+		if get := log[1]; !get.Found || string(get.Value) != "new" || get.RouteMiss {
+			t.Fatalf("batches of 1: get %+v; want a measured hit", get)
+		}
+	})
+	t.Run("parallelism", func(t *testing.T) {
+		st1, log1 := serveLog(t, Config{Parallelism: 1, BatchSize: 4}, ops)
+		st8, log8 := serveLog(t, Config{Parallelism: 8, BatchSize: 4}, ops)
+		if !reflect.DeepEqual(st1, st8) || !reflect.DeepEqual(log1, log8) {
+			t.Fatalf("KV mix diverges between Parallelism 1 and 8:\n p=1: %+v\n p=8: %+v", st1, st8)
+		}
+	})
 }
 
 // TestServeTolerantStillAbortsOnBadOp confirms TolerateAdjustMiss only
@@ -156,12 +196,11 @@ func TestServeTolerantStillAbortsOnBadOp(t *testing.T) {
 }
 
 // TestMigrationValueEntriesAndErrors covers the migration surface:
-// value-carrying entries arrive with versions intact, failing entries are
-// skipped with the first error reported, and the snapshot publishes either
-// way.
+// value-carrying entries arrive with versions intact, and failing entries
+// are skipped with the first error reported.
 func TestMigrationValueEntriesAndErrors(t *testing.T) {
-	e := New(core.New(16, core.Config{A: 4, Seed: 7}), Config{BatchSize: 4})
-	epoch := e.Snapshot().Epoch
+	d := core.New(16, core.Config{A: 4, Seed: 7})
+	e := New(d, Config{BatchSize: 4})
 
 	// One failing join (id already present) and one failing leave (id
 	// unknown): the good half still applies.
@@ -172,14 +211,10 @@ func TestMigrationValueEntriesAndErrors(t *testing.T) {
 	if err := e.ApplyMigrationBatch(joins, []int64{5, 99}); err == nil {
 		t.Fatal("batch with duplicate join and unknown leave must report an error")
 	}
-	snap := e.Snapshot()
-	if snap.Epoch != epoch+1 {
-		t.Fatalf("failing batch published epoch %d, want %d", snap.Epoch, epoch+1)
-	}
-	if v, ver, ok := snap.Get(40); !ok || ver != 9 || string(v) != "forty" {
+	if v, ver, ok := d.Graph().GetValue(skipgraph.KeyOf(40)); !ok || ver != 9 || string(v) != "forty" {
 		t.Fatalf("migrated entry = %q v%d ok=%v, want forty v9", v, ver, ok)
 	}
-	if _, err := snap.Route(1, 5); err == nil {
+	if _, err := routeLive(d, 1, 5); err == nil {
 		t.Fatal("leave 5 did not apply")
 	}
 

@@ -9,11 +9,9 @@ import "lsasg/internal/skipgraph"
 // its value and version intact.
 
 // ApplyMigrationBatch applies joins (with carried value records) then
-// leaves directly to the live graph and publishes one fresh snapshot. It
-// requires an idle engine (no Serve in flight) because it mutates outside
-// the adjuster. Failing entries are skipped (the rest of the batch still
-// applies) and the first error is returned; the snapshot publishes either
-// way so the routing side always observes whatever did apply.
+// leaves directly to the live graph. It requires an idle engine (no Serve
+// in flight). Failing entries are skipped (the rest of the batch still
+// applies) and the first error is returned.
 func (e *Engine) ApplyMigrationBatch(joins []skipgraph.Entry, leaves []int64) error {
 	if err := e.acquire("ApplyMigrationBatch"); err != nil {
 		return err
@@ -31,6 +29,6 @@ func (e *Engine) ApplyMigrationBatch(joins []skipgraph.Entry, leaves []int64) er
 			firstErr = err
 		}
 	}
-	e.publish()
+	e.epoch++
 	return firstErr
 }

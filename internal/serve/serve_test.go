@@ -77,8 +77,8 @@ func TestServeStatsShape(t *testing.T) {
 	if st.Requests != 480 || int(st.Requests) != len(log) {
 		t.Fatalf("served %d requests, logged %d, want 480", st.Requests, len(log))
 	}
-	if st.Batches != 30 || st.SnapshotsPublished != 30 {
-		t.Errorf("480 requests at k=16: %d batches, %d snapshots, want 30/30", st.Batches, st.SnapshotsPublished)
+	if st.Batches != 30 {
+		t.Errorf("480 requests at k=16: %d batches, want 30", st.Batches)
 	}
 	// Full batches of 16: lag runs 1..16, mean 8.5.
 	if got := st.MeanAdjustLag(); got != 8.5 {
@@ -107,8 +107,8 @@ func TestServeStatsShape(t *testing.T) {
 }
 
 // TestServeAdaptsTopology: repeated pairs must become cheap once their
-// adjustment lands in a published snapshot — the self-adjusting property
-// survives batching.
+// batch's adjust phase has run — the self-adjusting property survives
+// batching.
 func TestServeAdaptsTopology(t *testing.T) {
 	const n = 64
 	d := core.New(n, core.Config{A: 4, Seed: 3})
@@ -121,7 +121,7 @@ func TestServeAdaptsTopology(t *testing.T) {
 	if _, err := e.Serve(context.Background(), feed(reqs)); err != nil {
 		t.Fatal(err)
 	}
-	// From the second batch on, the pair routes in an adapted snapshot.
+	// From the second batch on, the pair routes in an adapted graph.
 	for i := 8; i < len(log); i++ {
 		if log[i].RouteDistance != 0 {
 			t.Fatalf("request %d still routes at distance %d after adaptation", i, log[i].RouteDistance)

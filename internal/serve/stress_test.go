@@ -3,31 +3,29 @@ package serve
 import (
 	"context"
 	"math/rand"
-	"runtime"
-	"sync"
 	"testing"
 
 	"lsasg/internal/core"
 	"lsasg/internal/skipgraph"
 )
 
-// TestServeStress is the race-detector stress for the snapshot path: the
-// pipeline's routing workers — plus outside readers holding whatever
-// snapshot is current — read published replicas while the adjuster mutates
-// the live graph, absorbs Put-join / Delete-leave churn, and publishes new
-// epochs. CI runs this with -race -count=2 on every PR.
+// TestServeStress is the race-detector stress for the two-phase contract:
+// eight routing workers read the live graph during each batch's route
+// phase, and the adjust phases between them mutate it — transformations
+// plus Put-join / Delete-leave churn. A write that leaked into a route
+// phase, or a read that outlived one, is a detector report. CI runs this
+// with -race -count=2 on every PR.
 func TestServeStress(t *testing.T) {
 	const (
-		n       = 96
-		readers = 2
-		total   = 320
+		n     = 96
+		total = 320
 	)
 	d := core.New(n, core.Config{A: 4, Seed: 42})
 	e := New(d, Config{Parallelism: 8, BatchSize: 16})
 
 	// Routes stay inside the stable core 0..n-1; transient ids (≥ n) join
-	// and leave through the same adjuster, so the core stays routable in
-	// every snapshot.
+	// and leave through the same adjust phases, so the core stays routable
+	// in every route phase.
 	rng := rand.New(rand.NewSource(100))
 	ops := make([]core.Op, 0, total)
 	for len(ops) < total {
@@ -44,34 +42,7 @@ func TestServeStress(t *testing.T) {
 		}
 	}
 
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < readers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(200 + w)))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				u, v := int64(rng.Intn(n)), int64(rng.Intn(n))
-				if u == v {
-					continue
-				}
-				if _, err := e.Snapshot().Route(u, v); err != nil {
-					t.Errorf("reader %d: route %d→%d: %v", w, u, v, err)
-					return
-				}
-				runtime.Gosched() // readers must not starve the adjuster on small CI runners
-			}
-		}(w)
-	}
 	st, err := e.Serve(context.Background(), feedOps(ops))
-	close(stop)
-	wg.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,39 +54,42 @@ func TestServeStress(t *testing.T) {
 		t.Fatalf("live DSG invalid after stress: %v", err)
 	}
 
-	// The final snapshot must route the whole stable core.
-	snap := e.Snapshot()
+	// The final graph must route the whole stable core.
 	rng = rand.New(rand.NewSource(7))
 	for i := 0; i < 200; i++ {
 		u, v := int64(rng.Intn(n)), int64(rng.Intn(n))
 		if u == v {
 			continue
 		}
-		if _, err := snap.Route(u, v); err != nil {
-			t.Fatalf("final snapshot cannot route %d→%d: %v", u, v, err)
+		if _, err := routeLive(d, u, v); err != nil {
+			t.Fatalf("final graph cannot route %d→%d: %v", u, v, err)
 		}
 	}
 }
 
+// routeLive routes src → dst on the engine's live graph, the way a route
+// phase does.
+func routeLive(d *core.DSG, src, dst int64) (skipgraph.RouteResult, error) {
+	return d.Graph().RouteKeys(skipgraph.KeyOf(src), skipgraph.KeyOf(dst))
+}
+
 // TestApplyMembershipBatchIdle: the idle-engine migration entry point
-// applies a bare (value-less) membership batch and publishes exactly one
-// snapshot.
+// applies a bare (value-less) membership batch as one epoch.
 func TestApplyMembershipBatchIdle(t *testing.T) {
 	d := core.New(16, core.Config{A: 4, Seed: 5})
 	e := New(d, Config{})
-	epoch0 := e.Snapshot().Epoch
+	epoch0 := e.epoch
 	if err := e.ApplyMigrationBatch([]skipgraph.Entry{{ID: 100}, {ID: 101}}, []int64{3}); err != nil {
 		t.Fatal(err)
 	}
-	snap := e.Snapshot()
-	if snap.Epoch != epoch0+1 {
-		t.Errorf("epoch advanced %d→%d, want one publication", epoch0, snap.Epoch)
+	if e.epoch != epoch0+1 {
+		t.Errorf("epoch advanced %d→%d, want one batch", epoch0, e.epoch)
 	}
-	if _, err := snap.Route(100, 101); err != nil {
-		t.Errorf("joined keys not routable in the new snapshot: %v", err)
+	if _, err := routeLive(d, 100, 101); err != nil {
+		t.Errorf("joined keys not routable: %v", err)
 	}
-	if _, err := snap.Route(1, 3); err == nil {
-		t.Error("left key 3 still routable in the new snapshot")
+	if _, err := routeLive(d, 1, 3); err == nil {
+		t.Error("left key 3 still routable")
 	}
 	if err := d.Validate(); err != nil {
 		t.Fatalf("live DSG invalid after batch: %v", err)
@@ -124,7 +98,7 @@ func TestApplyMembershipBatchIdle(t *testing.T) {
 
 // TestModeConflict: one owner of the live graph at a time — while a Serve
 // call is in flight, an overlapping Serve and every idle entry point must
-// error instead of racing the adjuster; once it returns, they work again.
+// error instead of racing it; once it returns, they work again.
 func TestModeConflict(t *testing.T) {
 	e := New(core.New(16, core.Config{A: 4, Seed: 1}), Config{})
 	blocked := make(chan core.Op) // never closed during the first Serve

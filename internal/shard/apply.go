@@ -11,16 +11,15 @@ import (
 // This file is the synchronous op surface: one op at a time against an
 // otherwise-idle service, mirroring the Serve dispatcher's leg
 // decomposition (same splitLegs rule, same boundary access sources) so a
-// synchronous Get adapts the topology exactly like a pipelined one. Scans
-// are pure snapshot reads; mutating ops require every involved engine to be
-// idle (no Serve in flight) because they apply outside the adjusters.
+// synchronous Get adapts the topology exactly like a pipelined one. Every
+// op requires the involved engines to be idle (no Serve in flight): scans
+// read the live graphs, the rest mutate them.
 
 // Apply applies one op synchronously and returns its assembled outcome.
-// Point ops mutate through the destination shard's engine (published before
-// return); cross-shard point ops additionally adapt the origin shard along
-// src→exit-boundary. Scans stitch the shards' current snapshots in key
-// order, stopping as soon as the limit fills — the exact equivalent of the
-// pipeline's fanned scan.
+// Point ops mutate through the destination shard's engine; cross-shard
+// point ops additionally adapt the origin shard along src→exit-boundary.
+// Scans stitch the shards' graphs in key order, stopping as soon as the
+// limit fills — the exact equivalent of the pipeline's fanned scan.
 func (s *Service) Apply(op core.Op) (Outcome, error) {
 	if err := s.checkOp(op); err != nil {
 		return Outcome{}, err
@@ -66,8 +65,8 @@ func (s *Service) Apply(op core.Op) (Outcome, error) {
 }
 
 // scanExact walks the shards owning [start, n) in directory order, reading
-// each engine's current snapshot, until limit entries are collected. Shard
-// order is key order, so the stitched result is globally sorted.
+// each shard's graph, until limit entries are collected. Shard order is key
+// order, so the stitched result is globally sorted.
 func (s *Service) scanExact(dir *Directory, start int64, limit int) []skipgraph.Entry {
 	if limit <= 0 {
 		limit = 1
@@ -79,9 +78,7 @@ func (s *Service) scanExact(dir *Directory, start int64, limit int) []skipgraph.
 		if lo > from {
 			from = lo
 		}
-		for _, e := range s.shards[i].eng.Snapshot().Scan(from, limit-len(out)) {
-			out = append(out, e)
-		}
+		out = append(out, s.shards[i].dsg.Graph().ScanFrom(skipgraph.KeyOf(from), limit-len(out))...)
 	}
 	return out
 }

@@ -29,7 +29,7 @@ func TestCrashDetectRepair(t *testing.T) {
 		t.Fatalf("crash injection: %v", err)
 	}
 	sh := svc.Directory().ShardOf(victim)
-	_, err = svc.shards[sh].eng.Snapshot().Route(3, victim)
+	_, err = svc.shards[sh].dsg.Graph().RouteKeys(skipgraph.KeyOf(3), skipgraph.KeyOf(victim))
 	var dre *skipgraph.DeadRouteError
 	if !errors.As(err, &dre) || dre.Node.ID() != victim {
 		t.Fatalf("probe of corpse: %v, want DeadRouteError on %d", err, victim)

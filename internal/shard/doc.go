@@ -34,15 +34,13 @@
 // Migration is a tracked leave/join batch through the serve engines'
 // membership path, ordered so a key is always routable somewhere:
 //
-//  1. join the range into the destination shard and wait for its snapshot
-//     to publish,
+//  1. join the range into the destination shard,
 //  2. publish a new directory epoch with the moved boundary,
 //  3. leave the range from the source shard.
 //
-// Between (1) and (3) a key is briefly routable in both shards; both answers
-// are correct. An outside reader that loaded the old directory before (2)
-// and reads the source shard's snapshot after (3) misses the key — it
-// observes skipgraph.ErrUnknownKey and should reload the directory.
+// Between (1) and (3) a key is briefly present in both shards, so every
+// directory value names a shard that holds the key and a step that fails
+// strands none.
 //
 // # Serving
 //

@@ -7,19 +7,19 @@ import (
 )
 
 // executeMigration runs one planned migration at a window barrier, with
-// every engine idle. (*serve.Engine).ApplyMigrationBatch publishes its
-// snapshot before it returns, which is what makes the ordering safe:
+// every engine idle, in this order:
 //
-//  1. join the range into the destination shard (snapshot published),
+//  1. join the range into the destination shard,
 //  2. publish the new directory epoch,
 //  3. leave the range from the source shard,
 //
-// so every directory value ever observable names a shard whose snapshot
-// holds the key. The moved records come from the source shard's published
-// snapshot as full entries — id, value, version — so a key's data and its
-// per-key version monotonicity survive the move.
+// so every directory value ever observable names a shard whose graph holds
+// the key, and a failure at any step leaves each key with at least one
+// owner. The moved records are read off the source shard's graph as full
+// entries — id, value, version — so a key's data and its per-key version
+// monotonicity survive the move.
 func (s *Service) executeMigration(dir *Directory, plan migrationPlan) error {
-	entries := s.shards[plan.From].eng.Snapshot().Graph.RealEntriesInRange(
+	entries := s.shards[plan.From].dsg.Graph().RealEntriesInRange(
 		skipgraph.KeyOf(plan.Lo), skipgraph.KeyOf(plan.Hi))
 	if len(entries) == 0 {
 		return nil

@@ -25,7 +25,7 @@ import (
 // op itself dispatched to the destination shard with the entry boundary as
 // its access source — so the access adapts both shards' topologies exactly
 // like a cross-shard route. A Scan fans one scan leg to every shard whose
-// range intersects [start, ∞), each reading its own epoch snapshot; the
+// range intersects [start, ∞), each read in its own engine's route phase; the
 // fragments are correlated by a dispatcher-assigned Tag and stitched in
 // shard order (= key order) at the window barrier, where every leg has
 // completed — which is what makes multi-shard scans deterministic despite
@@ -44,15 +44,14 @@ type ServeStats struct {
 	Rebalances int64 // migrations executed at window barriers
 	MovedKeys  int64 // keys moved across shards
 
-	Batches            int64 // summed over shard engines
-	SnapshotsPublished int64
+	Batches int64 // summed over shard engines
 
 	// TotalRouteDistance/Hops span whole requests: leg distances measured in
-	// the shards' snapshots, plus the boundary intermediates and the one
+	// the shards' graphs, plus the boundary intermediates and the one
 	// inter-shard forwarding hop of each cross-shard request.
 	TotalRouteDistance int64
 	TotalRouteHops     int64
-	// MaxLegDistance is the worst single-leg snapshot distance (per-leg, not
+	// MaxLegDistance is the worst single-leg distance (per-leg, not
 	// per-request: legs of one cross-shard request finish in different
 	// shards' pipelines).
 	MaxLegDistance int64
@@ -101,7 +100,7 @@ type Outcome struct {
 	Entries []skipgraph.Entry
 
 	// RouteDistance and RouteHops sum the op's tagged leg paths (measured in
-	// the shards' snapshots) plus the boundary intermediates and forwarding
+	// the shards' graphs) plus the boundary intermediates and forwarding
 	// hops of a cross-shard access; 0 for scans, which read without routing.
 	// AdjustLag is the worst single leg's pending-adjustment count.
 	RouteDistance int
@@ -124,7 +123,7 @@ type pendingReq struct {
 	legs int     // legs carrying the tag (scans and cross-shard routes fan >1)
 	// extraDist/extraHops are the dispatcher-side path contributions of a
 	// cross-shard op — boundary intermediates and forwarding hops — folded
-	// into the outcome on top of the tagged legs' snapshot measurements.
+	// into the outcome on top of the tagged legs' measurements.
 	extraDist int
 	extraHops int
 }
@@ -204,7 +203,6 @@ func (s *Service) Serve(ctx context.Context, in <-chan core.Op) (ServeStats, err
 				retErr = p.err
 			}
 			st.Batches += p.st.Batches
-			st.SnapshotsPublished += p.st.SnapshotsPublished
 			st.TotalRouteDistance += p.st.TotalRouteDistance
 			st.TotalRouteHops += p.st.TotalRouteHops
 			if p.st.MaxRouteDistance > int(st.MaxLegDistance) {

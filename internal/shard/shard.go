@@ -180,11 +180,13 @@ func (s *Service) Rebalances() int64 { return s.rebalances }
 // MigratedKeys returns the number of keys moved across shards so far.
 func (s *Service) MigratedKeys() int64 { return s.movedKeys }
 
-// Height returns the tallest shard topology.
+// Height returns the tallest shard topology. Like every accessor here it
+// reads the live graphs, so it must not be called while a Serve call is in
+// flight.
 func (s *Service) Height() int {
 	h := 0
 	for _, sl := range s.shards {
-		if sh := sl.eng.Snapshot().Graph.Height(); sh > h {
+		if sh := sl.dsg.Graph().Height(); sh > h {
 			h = sh
 		}
 	}
@@ -212,8 +214,7 @@ func (s *Service) Verify() error {
 
 // Crash injects a crash failure synchronously: the node fails in place on
 // whichever shard the current directory assigns it — dangling neighbour
-// references until a Put or Delete of the key repairs it — and the
-// post-crash snapshot publishes before the call returns. Requires the
+// references until a Put or Delete of the key repairs it. Requires the
 // owning engine to be idle (no Serve in flight).
 func (s *Service) Crash(id int64) error {
 	if err := s.checkKey(id); err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"lsasg/internal/core"
+	"lsasg/internal/skipgraph"
 	"lsasg/internal/workload"
 )
 
@@ -23,11 +24,12 @@ func feed(reqs []workload.Request) <-chan core.Op {
 }
 
 // routeLegs resolves u → v under dir and routes every leg in its shard's
-// current snapshot — the read-only half of what the dispatcher does.
+// graph — the read-only half of what the dispatcher does. The service must
+// be idle.
 func routeLegs(s *Service, dir *Directory, u, v int64) error {
 	legs, n, _ := dir.splitLegs(u, v)
 	for i := 0; i < n; i++ {
-		if _, err := s.shards[legs[i].shard].eng.Snapshot().Route(legs[i].src, legs[i].dst); err != nil {
+		if _, err := s.shards[legs[i].shard].dsg.Graph().RouteKeys(skipgraph.KeyOf(legs[i].src), skipgraph.KeyOf(legs[i].dst)); err != nil {
 			return err
 		}
 	}

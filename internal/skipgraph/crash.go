@@ -50,7 +50,6 @@ func (g *Graph) Crash(key Key) *Node {
 	if n.dummy {
 		panic(fmt.Sprintf("skipgraph: cannot crash dummy %v", key))
 	}
-	g.touch(n)
 	n.dead = true
 	return n
 }

@@ -27,15 +27,6 @@ type Graph struct {
 	byKey  map[Key]*Node
 	height int // cached; -1 when dirty
 
-	// Dirty tracking for copy-on-write snapshot publication (publisher.go).
-	// With a Publisher attached, track maps every node whose links or
-	// liveness changed since the last publish to its pre-touch top linked
-	// level (touchAdded for nodes spliced in this batch); nil track means no
-	// publisher and zero overhead. trackOver flags a batch too large to log —
-	// the next publish falls back to a full rebuild.
-	track     map[*Node]int
-	trackOver bool
-
 	// Writer-owned scratch, reused across calls so the adjuster's steady
 	// state allocates nothing here: the buffer Relink partitions in place
 	// (plus the holding area for one partition's 1-side) and the region
@@ -183,7 +174,6 @@ func (g *Graph) Head() *Node {
 // complete membership of one level-`level` list.
 func (g *Graph) Relink(nodes []*Node, level int, brancher Brancher) {
 	g.dirty()
-	g.touchAll(nodes)
 	g.relinkBuf = append(g.relinkBuf[:0], nodes...)
 	g.relink(g.relinkBuf, level, brancher)
 	clear(g.relinkBuf)
@@ -231,7 +221,6 @@ func (g *Graph) relink(nodes []*Node, level int, brancher Brancher) {
 // lacks the next bit (used for truncated figure reconstructions).
 func (g *Graph) relinkPartial(nodes []*Node, level int) {
 	g.dirty()
-	g.touchAll(nodes)
 	linkChain(nodes, level)
 	if len(nodes) < 2 {
 		if len(nodes) == 1 {
@@ -328,7 +317,6 @@ func (g *Graph) SpliceInBelowAll(nodes []*Node, level int) {
 		if _, ok := g.byKey[n.key]; ok || (i > 0 && !nodes[i-1].key.Less(n.key)) {
 			panic(fmt.Sprintf("skipgraph: duplicate or unordered key %v", n.key))
 		}
-		g.touchNew(n)
 		n.reserveLinks(n.BitsLen())
 		g.adopt(n)
 	}
@@ -377,7 +365,6 @@ func (g *Graph) spliceIn(n *Node, top int) {
 		panic(fmt.Sprintf("skipgraph: duplicate key %v", n.key))
 	}
 	g.dirty()
-	g.touchNew(n)
 	n.reserveLinks(n.BitsLen())
 	pos := sort.Search(len(g.nodes), func(i int) bool { return n.key.Less(g.nodes[i].key) })
 	g.nodes = append(g.nodes, nil)
@@ -404,16 +391,13 @@ func (g *Graph) spliceIn(n *Node, top int) {
 }
 
 // linkBetween links x into level m between left and right (either may be
-// nil), touching each node before its links change.
+// nil).
 func (g *Graph) linkBetween(x *Node, m int, left, right *Node) {
-	g.touch(x)
 	x.setLink(m, left, right)
 	if left != nil {
-		g.touch(left)
 		left.setLink(m, left.Prev(m), x)
 	}
 	if right != nil {
-		g.touch(right)
 		right.setLink(m, x, right.Next(m))
 	}
 }
@@ -432,17 +416,14 @@ func (g *Graph) unlink(n *Node) {
 		panic(fmt.Sprintf("skipgraph: node %v not in graph", n.key))
 	}
 	g.dirty()
-	g.touch(n)
 	delete(g.byKey, n.key)
 	n.owner = nil
 	for level := 0; level <= n.MaxLinkedLevel(); level++ {
 		left, right := n.Prev(level), n.Next(level)
 		if left != nil {
-			g.touch(left)
 			left.setLink(level, left.Prev(level), right)
 		}
 		if right != nil {
-			g.touch(right)
 			right.setLink(level, left, right.Next(level))
 		}
 	}

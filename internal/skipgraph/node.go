@@ -23,8 +23,8 @@ type Node struct {
 
 	// Versioned value record (the KV data plane). val is immutable once
 	// stored: Graph.SetValue swaps in a fresh slice per write, never mutates
-	// one in place, so a published replica can share the slice safely. All
-	// writes go through Graph.SetValue so touch tracking sees them.
+	// one in place, so a Get or Scan result handed out earlier keeps the
+	// bytes it read.
 	val []byte
 	ver int64
 
@@ -43,7 +43,7 @@ type Node struct {
 
 	// mark is writer-owned scratch: a graph-wide walk that must visit each
 	// node once stamps it with the graph's current mark instead of building
-	// a set. Snapshots never read it.
+	// a set.
 	mark uint64
 }
 

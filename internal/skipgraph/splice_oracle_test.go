@@ -2,7 +2,6 @@ package skipgraph
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
 	"sort"
 	"testing"
@@ -15,8 +14,7 @@ import (
 // is right even where the link-walking splice could be fooled by a stale
 // list. The property tests below drive both on twin graphs — node by node
 // and, for the adjuster's batch entry points, batch against one-by-one —
-// and demand identical links at every level and an identical publisher
-// touch log.
+// and demand identical links at every level.
 
 // samePrefix reports whether a and b share membership bits 1..level.
 func samePrefix(a, b *Node, level int) bool {
@@ -34,7 +32,6 @@ func (g *Graph) spliceInByPosition(n *Node) {
 		panic(fmt.Sprintf("skipgraph: duplicate key %v", n.key))
 	}
 	g.dirty()
-	g.touchNew(n)
 	pos := sort.Search(len(g.nodes), func(i int) bool { return n.key.Less(g.nodes[i].key) })
 	g.nodes = append(g.nodes, nil)
 	copy(g.nodes[pos+1:], g.nodes[pos:])
@@ -56,11 +53,9 @@ func (g *Graph) spliceInByPosition(n *Node) {
 		}
 		n.setLink(level, left, right)
 		if left != nil {
-			g.touch(left)
 			left.setLink(level, left.Prev(level), n)
 		}
 		if right != nil {
-			g.touch(right)
 			right.setLink(level, n, right.Next(level))
 		}
 		if left == nil && right == nil && level > 0 {
@@ -71,8 +66,7 @@ func (g *Graph) spliceInByPosition(n *Node) {
 
 // twinGraphs builds two identical random graphs seasoned with what the
 // adjuster's splices meet in the field: dummies whose vectors stop short,
-// crashed nodes, and singleton tops. Both have a Publisher attached so the
-// touch logs can be compared.
+// crashed nodes, and singleton tops.
 func twinGraphs(t *testing.T, n int, seed int64) (ref, got *Graph) {
 	t.Helper()
 	build := func() *Graph {
@@ -96,14 +90,13 @@ func twinGraphs(t *testing.T, n int, seed int64) (ref, got *Graph) {
 		if err := g.Verify(); err != nil {
 			t.Fatalf("seasoned graph invalid: %v", err)
 		}
-		NewPublisher(g)
 		return g
 	}
 	return build(), build()
 }
 
 // requireTwins asserts that two graphs over the same key set have identical
-// links at every level and identical touch logs.
+// links at every level.
 func requireTwins(t *testing.T, step string, ref, got *Graph) {
 	t.Helper()
 	if len(ref.nodes) != len(got.nodes) {
@@ -129,16 +122,6 @@ func requireTwins(t *testing.T, step string, ref, got *Graph) {
 					keyOf(g.Prev(l)), keyOf(g.Next(l)), keyOf(r.Prev(l)), keyOf(r.Next(l)))
 			}
 		}
-	}
-	touches := func(g *Graph) map[Key]int {
-		m := make(map[Key]int, len(g.track))
-		for x, top := range g.track {
-			m[x.key] = top
-		}
-		return m
-	}
-	if !maps.Equal(touches(ref), touches(got)) || ref.trackOver != got.trackOver {
-		t.Fatalf("%s: touch log differs:\n got %v\nwant %v", step, touches(got), touches(ref))
 	}
 }
 
@@ -170,8 +153,8 @@ func dummyWith(key Key, id int64, bits []byte) *Node {
 }
 
 // TestSpliceInMatchesPositionScan: on a valid graph the link-walking splice
-// and the position-scan reference produce the same links and touch the
-// same nodes with the same pre-touch levels, splice after splice.
+// and the position-scan reference produce the same links, splice after
+// splice.
 func TestSpliceInMatchesPositionScan(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		ref, got := twinGraphs(t, 96, seed)
@@ -205,8 +188,8 @@ func TestSpliceInMatchesPositionScan(t *testing.T) {
 // splices them one by one, in creation order, at every level by position
 // and relinks; the adjuster's path hands the whole batch, key-sorted, to
 // SpliceInBelowAll — one merge of the node order, links below α only — and
-// lets the same Relink do the rest. Links and touch logs must agree once
-// the Relink has run.
+// lets the same Relink do the rest. Links must agree once the Relink has
+// run.
 func TestSpliceInBelowThenRelink(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		ref, got := twinGraphs(t, 96, seed)
@@ -293,8 +276,8 @@ func TestSpliceInBelowThenRelink(t *testing.T) {
 
 // TestRemoveAllMatchesRemove: a transformation's doomed dummies leave in
 // one RemoveAll. The reference removes them one by one, recording each
-// one's ex-list refs just before it goes. Links, touch logs and the dirty
-// set — anchors and levels, in order — must agree.
+// one's ex-list refs just before it goes. Links and the dirty set — anchors
+// and levels, in order — must agree.
 func TestRemoveAllMatchesRemove(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		ref, got := twinGraphs(t, 96, seed)

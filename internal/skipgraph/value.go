@@ -1,17 +1,15 @@
 package skipgraph
 
 // This file is the value side of the KV data plane: every real node can
-// carry one versioned value record, mutated only through the Graph so touch
-// tracking (publisher.go) sees the write and the next publish re-freezes the
-// node into the epoch's replica. Values are immutable per version — SetValue
-// swaps slices, never rewrites bytes — which is what lets live node, clone,
-// and any number of published replicas share the same backing array.
+// carry one versioned value record. Values are immutable per version —
+// SetValue swaps slices, never rewrites bytes — so a read result stays
+// valid after later writes to the same key.
 
 import "sort"
 
-// Entry is one key's value record as read out of a graph or replica:
-// scan results (HasValue always true there) and migration payloads
-// (HasValue false for a key that exists but was never written).
+// Entry is one key's value record as read out of a graph: scan results
+// (HasValue always true there) and migration payloads (HasValue false for a
+// key that exists but was never written).
 type Entry struct {
 	ID       int64
 	Value    []byte
@@ -19,12 +17,9 @@ type Entry struct {
 	HasValue bool
 }
 
-// SetValue stores a value record on n with the given version. It is the one
-// mutation choke point for values: the touch makes the next publish freeze
-// the new record into the replica. The value slice is stored as-is and must
-// not be mutated by the caller afterwards.
+// SetValue stores a value record on n with the given version. The value
+// slice is stored as-is and must not be mutated by the caller afterwards.
 func (g *Graph) SetValue(n *Node, v []byte, ver int64) {
-	g.touch(n)
 	n.val, n.ver, n.hasVal = v, ver, true
 }
 
@@ -75,89 +70,6 @@ func (g *Graph) RealEntriesInRange(lo, hi Key) []Entry {
 		if !n.dummy {
 			out = append(out, Entry{ID: n.key.Primary, Value: n.val, Version: n.ver, HasValue: n.hasVal})
 		}
-	}
-	return out
-}
-
-// GetValue reads the value record of the node with key k at the replica's
-// epoch: lock-free, immutable, safe for any number of concurrent readers.
-// ok is false when the key is absent at the epoch, a dummy, dead, or
-// valueless.
-func (r *Replica) GetValue(k Key) (val []byte, ver int64, ok bool) {
-	rn := r.lookup(k)
-	if rn == nil || rn.h.dummy || rn.dead || !rn.hasVal {
-		return nil, 0, false
-	}
-	return rn.val, rn.ver, true
-}
-
-// ScanFrom walks the replica's frozen level-0 run from the first key ≥
-// start, collecting up to limit value-bearing entries in ascending key
-// order — the epoch-consistent range read of the KV data plane. Dummies,
-// nodes dead at the epoch, and valueless keys are skipped.
-func (r *Replica) ScanFrom(start Key, limit int) []Entry {
-	if limit <= 0 {
-		return nil
-	}
-	cur := r.seekCeil(start)
-	var out []Entry
-	for cur != nil && len(out) < limit {
-		if !cur.h.dummy && !cur.dead && cur.hasVal {
-			out = append(out, Entry{ID: cur.h.key.Primary, Value: cur.val, Version: cur.ver, HasValue: true})
-		}
-		ns := cur.nextAt(0)
-		if ns < 0 {
-			break
-		}
-		cur = r.get(ns)
-	}
-	return out
-}
-
-// seekCeil returns the frozen node with the smallest key ≥ lo, descending
-// the replica's levels to the last node < lo and stepping right once (nil
-// when every key is smaller).
-func (r *Replica) seekCeil(lo Key) *repNode {
-	cur := r.get(r.head)
-	if cur == nil || !cur.h.key.Less(lo) {
-		return cur
-	}
-	for level := cur.maxLinkedLevel(); level >= 0; level-- {
-		for {
-			ns := cur.nextAt(level)
-			if ns < 0 {
-				break
-			}
-			next := r.get(ns)
-			if !next.h.key.Less(lo) {
-				break
-			}
-			cur = next
-		}
-	}
-	ns := cur.nextAt(0)
-	if ns < 0 {
-		return nil
-	}
-	return r.get(ns)
-}
-
-// RealEntriesInRange returns the full records of the real nodes in [lo, hi)
-// at the replica's epoch, ascending — the value-carrying twin of
-// RealKeysInRange, read by shard migration from a published snapshot while
-// the donor's adjuster keeps working.
-func (r *Replica) RealEntriesInRange(lo, hi Key) []Entry {
-	cur := r.seekCeil(lo)
-	var out []Entry
-	for cur != nil && cur.h.key.Less(hi) {
-		if !cur.h.dummy {
-			out = append(out, Entry{ID: cur.h.key.Primary, Value: cur.val, Version: cur.ver, HasValue: cur.hasVal})
-		}
-		ns := cur.nextAt(0)
-		if ns < 0 {
-			break
-		}
-		cur = r.get(ns)
 	}
 	return out
 }

@@ -195,7 +195,7 @@ func (c *Collector) Render() string {
 	gauge("dsg_adjust_lag_max", "Worst pending-adjustment count observed.")
 	fmt.Fprintf(&b, "dsg_adjust_lag_max %d\n", c.lagMax.Load())
 
-	gauge("dsg_route_distance_mean", "Mean snapshot routing distance over all completed ops.")
+	gauge("dsg_route_distance_mean", "Mean routing distance over all completed ops.")
 	meanDist := 0.0
 	if total > 0 {
 		meanDist = float64(c.distSum.Load()) / float64(total)
@@ -236,7 +236,7 @@ func (c *Collector) Render() string {
 		fmt.Fprintf(&b, "%s_count{%s=%q} %d\n", name, label, value, count)
 	}
 
-	histogram("dsg_op_latency_seconds", "Snapshot-side service time per completed op, by verb.")
+	histogram("dsg_op_latency_seconds", "Route-phase service time per completed op, by verb.")
 	for k := int64(0); k < obs.NumKinds(); k++ {
 		writeHist("dsg_op_latency_seconds", "verb", obs.KindName(k), c.tracer.VerbHistogram(k))
 	}

@@ -52,8 +52,9 @@ const (
 	VerbVerify
 	// VerbTraceDump returns the slowest-span exemplars and per-verb latency
 	// summaries from a tracing-enabled daemon. Limit caps the span count
-	// (0 returns every retained span). Like every admin verb it cycles the
-	// serving generation.
+	// (0 returns every retained span). Unlike the other admin verbs it does
+	// not cycle the serving generation: it reads the tracer, not the
+	// service, and its response may overtake those of ops still in flight.
 	VerbTraceDump
 
 	verbMax = VerbTraceDump

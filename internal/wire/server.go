@@ -34,7 +34,9 @@ type crasher interface{ Crash(idx int) error }
 // is the order the owner appended them. Admin verbs (Stats, AddNode,
 // RemoveNode, Crash, Verify) need an idle service, so each one closes the
 // current generation's ops channel, drains the pipeline, runs against the
-// quiesced service, and lets the next op start a fresh generation. A
+// quiesced service, and lets the next op start a fresh generation.
+// TraceDump is the exception: it reads only the tracer, which is
+// concurrency-safe, so it is answered while the generation keeps serving. A
 // generation that dies on an op error answers its first pending waiter
 // with the real error and every later one with CodeRetry — their ops were
 // fine, the pipeline just restarted under them.
@@ -70,7 +72,7 @@ type Server struct {
 }
 
 // item is one unit of intake: an op bound for the serving pipeline, or an
-// admin request (hasOp false) that cycles it.
+// admin request (hasOp false).
 type item struct {
 	req   Request
 	op    lsasg.Op
@@ -305,7 +307,9 @@ func (s *Server) owner() {
 			}
 			continue
 		}
-		if gen != nil {
+		// Every admin verb but TraceDump touches the service and needs it
+		// idle; a trace dump must not disturb the run it observes.
+		if gen != nil && it.req.Verb != VerbTraceDump {
 			close(gen.ops)
 			s.finishGeneration(gen)
 			gen = nil
@@ -395,7 +399,8 @@ func (s *Server) finishGeneration(g *generation) {
 	}
 }
 
-// handleAdmin runs an admin verb against the idle service.
+// handleAdmin runs an admin verb — against the idle service, except for
+// TraceDump, which never touches it.
 func (s *Server) handleAdmin(it item) {
 	req := it.req
 	resp := Response{Verb: req.Verb, Seq: req.Seq}

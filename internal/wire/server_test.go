@@ -340,6 +340,40 @@ func TestTraceDumpLimit(t *testing.T) {
 	}
 }
 
+// TestTraceDumpKeepsGeneration: a trace dump reads the tracer, not the
+// service, so one taken between two ops must leave them in the same serving
+// generation — one generation counted, both ops in its ServeStats.
+func TestTraceDumpKeepsGeneration(t *testing.T) {
+	nw, err := lsasg.New(32, lsasg.WithSeed(23), lsasg.WithBatchSize(1), lsasg.WithTracing())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, cl := startServer(t, nw, WithTracer(nw.Tracer()))
+	if _, _, err := cl.Put(1, 9, []byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	if _, lats, err := cl.TraceDump(0); err != nil || len(lats) == 0 {
+		t.Fatalf("mid-generation trace dump: %d latency rows, %v", len(lats), err)
+	}
+	if _, _, err := cl.Put(2, 17, []byte("b")); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := cl.Stats() // the one admin cycle of this run
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Serve.Requests != 2 || stats.Serve.Batches != 2 {
+		t.Errorf("generation around the dump served %d requests in %d batches, want 2 in 2",
+			stats.Serve.Requests, stats.Serve.Batches)
+	}
+	srv.col.mu.Lock()
+	gens := srv.col.gens
+	srv.col.mu.Unlock()
+	if gens != 1 {
+		t.Errorf("%d generations after put, trace, put, stats; want 1", gens)
+	}
+}
+
 func TestShutdownDrains(t *testing.T) {
 	nw, err := lsasg.New(16, lsasg.WithSeed(11), lsasg.WithBatchSize(1))
 	if err != nil {

@@ -26,7 +26,7 @@ type OpKind uint8
 const (
 	// RouteKind is a pure communication request between two live keys.
 	RouteKind OpKind = iota
-	// GetKind reads Dst's value from the batch's topology snapshot.
+	// GetKind reads Dst's value as its batch's route phase finds it.
 	GetKind
 	// PutKind writes Value to Dst (update, or join when absent).
 	PutKind
@@ -78,14 +78,14 @@ type KV struct {
 // OpResult is one op's outcome, delivered by ServeOps in request order.
 type OpResult struct {
 	Op      Op
-	Found   bool   // GetKind: key held a value at the read epoch
+	Found   bool   // GetKind: key held a value when the op's batch routed
 	Value   []byte // GetKind: the value read
 	Version int64  // GetKind: version read; PutKind: version written
 	Existed bool   // PutKind: overwrote; DeleteKind: removed something
 	Entries []KV   // ScanKind: the stitched range read
 
-	// RouteDistance and RouteHops measure the op's access path in the
-	// snapshot it routed against (0 for scans, which read without routing).
+	// RouteDistance and RouteHops measure the op's access path at route
+	// time (0 for scans, which read without routing).
 	// On a sharded run they cover the destination-shard access leg plus the
 	// boundary intermediates and forwarding hops of a cross-shard access.
 	RouteDistance int
@@ -212,8 +212,8 @@ func (nw *Network) noteKVAccess(src, key int) {
 
 // ServeOps consumes op envelopes — routes and KV operations — until the
 // channel closes (or ctx is cancelled) and serves them through the same
-// deterministic engine pipeline as Serve: Get and Scan read lock-free from
-// the batch's immutable snapshot while the adjuster applies every mutation
+// deterministic engine pipeline as Serve: Get and Scan read in their
+// batch's route phase, before the adjust phase applies every mutation
 // (including Put-joins and Delete-leaves) in request order. onResult, when
 // non-nil, receives each op's outcome in request order. The producer
 // contract matches Serve's.

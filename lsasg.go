@@ -76,15 +76,15 @@ func WithoutWorkingSetTracking() Option {
 }
 
 // WithParallelism sets the number of routing workers Serve fans requests
-// over (default 1). Routing reads an immutable topology snapshot, so workers
-// scale across cores without changing any result.
+// over (default 1). Nothing mutates the topology while a batch routes, so
+// workers scale across cores without changing any result.
 func WithParallelism(p int) Option {
 	return func(o *options) { o.parallelism = p }
 }
 
-// WithBatchSize sets the number of adjustments Serve applies between
-// topology-snapshot publications (default 32). Larger batches amortize the
-// snapshot cost but increase the adjustment lag requests observe.
+// WithBatchSize sets the number of requests Serve routes before applying
+// their adjustments (default 32). Larger batches give the routing workers
+// more to share but increase the adjustment lag requests observe.
 func WithBatchSize(k int) Option {
 	return func(o *options) { o.batchSize = k }
 }
@@ -143,8 +143,8 @@ type Result struct {
 // Network is a self-adjusting skip-graph overlay of n nodes addressed
 // 0..n-1. Methods are not safe for concurrent use; the paper's model
 // serves requests sequentially. Serve is the concurrent entry point: it
-// parallelizes routing internally (over immutable topology snapshots) while
-// keeping all adjustment serialized, but the Serve call itself must still
+// parallelizes routing internally (a batch routes before any of it adjusts)
+// while keeping all adjustment serialized, but the Serve call itself must still
 // not overlap other Network methods.
 type Network struct {
 	dsg *core.DSG

@@ -18,13 +18,12 @@ type Pair struct {
 type ServeStats struct {
 	// Requests is the number of requests served.
 	Requests int64
-	// Batches is the number of adjustment batches applied; one topology
-	// snapshot was published per batch.
+	// Batches is the number of route-then-adjust batches served.
 	Batches int64
-	// MeanRouteDistance is the mean d_S(σ) measured in the snapshot each
-	// request was routed against.
+	// MeanRouteDistance is the mean d_S(σ) measured in the topology each
+	// request's batch found.
 	MeanRouteDistance float64
-	// MaxRouteDistance is the worst snapshot routing distance observed. For
+	// MaxRouteDistance is the worst routing distance observed. For
 	// a sharded run this is the worst single LEG (the legs of one
 	// cross-shard request finish in different shards' pipelines, so
 	// whole-request maxima are not tracked) while MeanRouteDistance spans
@@ -34,8 +33,8 @@ type ServeStats struct {
 	// TotalTransformRounds sums ρ over all applied adjustments.
 	TotalTransformRounds int64
 	// MeanAdjustLag is the mean number of adjustments pending (own included)
-	// when a request was routed: requests route against the previous batch's
-	// snapshot, so the lag averages (BatchSize+1)/2 on full batches.
+	// when a request was routed: a batch routes whole before any of it
+	// adjusts, so the lag averages (BatchSize+1)/2 on full batches.
 	MeanAdjustLag float64
 	// MaxAdjustLag is the worst such lag (at most BatchSize).
 	MaxAdjustLag int
@@ -94,23 +93,22 @@ func engineServeStats(st serve.Stats, height, dummies int) ServeStats {
 }
 
 // Serve consumes communication requests from the channel until it closes (or
-// ctx is cancelled) and serves them through the concurrent engine: requests
-// are routed in parallel — WithParallelism workers reading an immutable
-// topology snapshot — while a single adjuster applies the self-adjusting
-// transformations in request order, in batches of WithBatchSize, publishing
-// a fresh snapshot per batch.
+// ctx is cancelled) and serves them through the batch engine: each batch of
+// WithBatchSize requests is first routed — WithParallelism workers reading
+// the topology, which nothing mutates meanwhile — and then adjusted, the
+// self-adjusting transformations applied in request order.
 //
 // Requests therefore observe a topology that lags their own batch's
 // adjustments (see ServeStats.MeanAdjustLag): routing distances are measured
-// in the snapshot, while the live topology advances request by request with
-// the trace-runner semantics — each transformation followed by its scoped
-// a-balance repair, after one global repair at engine start. Note that this
-// is slightly stronger than a sequence of Request calls, which transform but
-// never run the standalone repairs; Serve additionally maintains the global
-// a-balance property throughout, like core.RunTrace. The working-set
-// bookkeeping backing Stats advances in exact request order. For a fixed
-// seed and batch schedule the results are deterministic, independent of
-// parallelism and of producer timing.
+// before the batch adjusts, and the adjust phase then advances the topology
+// request by request with the trace-runner semantics — each transformation
+// followed by its scoped a-balance repair, after one global repair at
+// engine start. Note that this is slightly stronger than a sequence of
+// Request calls, which transform but never run the standalone repairs;
+// Serve additionally maintains the global a-balance property throughout,
+// like core.RunTrace. The working-set bookkeeping backing Stats advances in
+// exact request order. For a fixed seed and batch schedule the results are
+// deterministic, independent of parallelism and of producer timing.
 //
 // Serve must not run concurrently with other Network methods; all other
 // concurrency lives inside the engine. On an invalid request (index out of
