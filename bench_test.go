@@ -254,9 +254,9 @@ func feedRoutes(ctx context.Context, b *testing.B, reqs []workload.Request) <-ch
 	return ops
 }
 
-// BenchmarkE17_ServePipeline measures the serving engine's batch pipeline —
-// the path dsgserve runs for a single graph: b.N Zipf routes through
-// Engine.Serve with p snapshot-routing workers beside the one adjuster.
+// BenchmarkE17_ServePipeline measures the serving engine's batch step —
+// the one every shard of dsgserve runs, a single graph included: b.N Zipf
+// routes through Engine.Serve with p routing workers per batch.
 // ns/op is the inverse of requests/sec. The adjuster's transformation
 // dominates, so the lanes sit close together; CI gates the p=1 lane only
 // (p>1 adds scheduler noise that swings with the runner's core count).
@@ -277,13 +277,13 @@ func BenchmarkE17_ServePipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkE18_ShardedPipeline measures the sharded pipeline — the path
-// dsgserve -shards runs: b.N uniform routes through shard.Service.Serve,
-// the dispatcher splitting each into legs for s concurrent engine pipelines
-// (uniform load never crosses the skew threshold, so the rebalancer idles).
-// Lanes sweep the shard count; CI gates the s=1 lane only — it is the
-// stable per-request sharded overhead (directory resolution, leg dispatch,
-// window barriers) on top of E17's engine cost, while s>1 lanes measure
+// BenchmarkE18_ShardedPipeline measures the service pipeline — the path
+// dsgserve runs at every -shards: b.N uniform routes through
+// shard.Service.Serve, the dispatcher splitting each window into leg slices
+// for the s shard engines (uniform load never crosses the skew threshold,
+// so the rebalancer idles). Lanes sweep the shard count; CI gates the s=1
+// lane only — E17's engine step reached through the dispatcher (directory
+// resolution, leg split, outcome assembly), while s>1 lanes measure
 // scheduler scaling across per-shard adjusters and swing with the runner's
 // core count.
 func BenchmarkE18_ShardedPipeline(b *testing.B) {
@@ -368,17 +368,19 @@ func BenchmarkE20_CrashTrace(b *testing.B) {
 	}
 }
 
-// benchObsPipeline drives b.N scan ops through the p=1 batch pipeline
-// with the given tracer (nil = instrumentation off). Scans are the
-// adversarial lane for an overhead gate: they are pure snapshot reads
-// (microseconds), so the per-op instrumentation — one chained clock read
-// plus lock-free histogram updates — is its largest possible fraction of
-// the op. Route/KV ops are transform-dominated (milliseconds), where the
+// benchObsPipeline drives b.N scan ops through the one-shard, p=1 service
+// pipeline — the dispatcher owns the whole-op spans — with the given tracer
+// (nil = instrumentation off). Scans are the adversarial lane for an
+// overhead gate: they are pure reads (microseconds), so the per-op
+// instrumentation — one chained clock read plus lock-free histogram
+// updates — is its largest possible fraction of the op. Route/KV ops are transform-dominated (milliseconds), where the
 // same absolute overhead would vanish below runner noise.
 func benchObsPipeline(b *testing.B, tr *obs.Tracer) {
 	b.Helper()
-	d := core.New(256, core.Config{A: 4, Seed: 23})
-	e := serve.New(d, serve.Config{BatchSize: 64, Tracer: tr})
+	svc, err := shard.New(256, shard.Config{Shards: 1, A: 4, Seed: 23, BatchSize: 64, Tracer: tr})
+	if err != nil {
+		b.Fatal(err)
+	}
 	ops := make(chan core.Op, 256)
 	go func() {
 		defer close(ops)
@@ -391,7 +393,7 @@ func benchObsPipeline(b *testing.B, tr *obs.Tracer) {
 	// heap — and carried-over GC debt reads as overhead in the gate.
 	runtime.GC()
 	b.ResetTimer()
-	if _, err := e.Serve(context.Background(), ops); err != nil {
+	if _, err := svc.Serve(context.Background(), ops); err != nil {
 		b.Fatal(err)
 	}
 }

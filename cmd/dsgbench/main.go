@@ -36,7 +36,6 @@ func main() {
 		run    = flag.String("run", "", "comma-separated experiment ids (e.g. E1,E8); empty = all")
 		quick  = flag.Bool("quick", false, "run at reduced scale")
 		list   = flag.Bool("list", false, "list registered experiments and exit")
-		check  = flag.Bool("selfcheck", false, "run the Service conformance smoke and exit")
 		seed   = cliutil.AddSeed(flag.CommandLine)
 		out    = cliutil.AddOut(flag.CommandLine, "write the rendered tables to this file (default stdout)")
 		shards = cliutil.AddShards(flag.CommandLine)
@@ -46,12 +45,6 @@ func main() {
 
 	if *list {
 		experiments.FprintRegistry(os.Stdout)
-		return
-	}
-	if *check {
-		if err := selfCheck(os.Stdout, *seed); err != nil {
-			cliutil.Fail("dsgbench", "selfcheck: %v", err)
-		}
 		return
 	}
 

@@ -1,8 +1,8 @@
 // Command dsgserve runs the self-adjusting skip graph as a network daemon:
-// one lsasg.Service — single-graph or sharded — behind the wire protocol on
-// a TCP port, with Prometheus-text observability on a second port. Clients
-// speak the length-prefixed binary protocol (docs/WIRE.md); cmd/dsgctl is
-// the reference client.
+// one lsasg.Network — a single graph, or -shards partitions of it — behind
+// the wire protocol on a TCP port, with Prometheus-text observability on a
+// second port. Clients speak the length-prefixed binary protocol
+// (docs/WIRE.md); cmd/dsgctl is the reference client.
 //
 // The daemon defaults to -batch 1 and -window 1 so synchronous clients see
 // each op answered as soon as it is served; pipelined clients (dsgctl
@@ -43,11 +43,11 @@ func main() {
 		addr        = flag.String("addr", ":4600", "TCP address to serve the wire protocol on")
 		metricsAddr = flag.String("metrics", ":4601", "HTTP address for /metrics and /healthz; empty disables")
 		n           = flag.Int("n", 256, "size of the key space [0, n)")
-		shards      = flag.Int("shards", 1, "shard count; 1 runs the single-graph service")
+		shards      = flag.Int("shards", 1, "shard count; 1 is a single graph")
 		balance     = flag.Int("balance", 0, "a-balance parameter; 0 keeps the default")
 		seed        = flag.Int64("seed", 1, "seed for the deterministic stream")
 		batch       = flag.Int("batch", 1, "pipeline batch size (1 answers synchronous clients promptly)")
-		window      = flag.Int("window", 1, "sharded outcome-window size in requests")
+		window      = flag.Int("window", 1, "requests per window: outcomes are delivered and the rebalancer runs at its end (caps -batch)")
 		parallelism = flag.Int("parallelism", 1, "routing workers per pipeline run")
 		membership  = flag.Bool("membership", false, "enable AddNode/RemoveNode admin (disables working-set tracking)")
 		drainFor    = flag.Duration("drain", 10*time.Second, "graceful-shutdown budget before connections are cut")
@@ -62,6 +62,8 @@ func main() {
 		lsasg.WithSeed(*seed),
 		lsasg.WithBatchSize(*batch),
 		lsasg.WithParallelism(*parallelism),
+		lsasg.WithShards(*shards),
+		lsasg.WithRebalanceWindow(*window),
 	}
 	if *balance > 0 {
 		opts = append(opts, lsasg.WithBalance(*balance))
@@ -73,26 +75,13 @@ func main() {
 		opts = append(opts, lsasg.WithTracing())
 	}
 
-	var svc lsasg.Service
-	var err error
-	if *shards > 1 {
-		opts = append(opts, lsasg.WithShards(*shards), lsasg.WithRebalanceWindow(*window))
-		svc, err = lsasg.NewSharded(*n, opts...)
-	} else {
-		svc, err = lsasg.New(*n, opts...)
-	}
+	svc, err := lsasg.New(*n, opts...)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	var srvOpts []wire.ServerOption
-	var tracer *obs.Tracer
-	if tp, ok := svc.(interface{ Tracer() *obs.Tracer }); ok {
-		if tracer = tp.Tracer(); tracer != nil {
-			srvOpts = append(srvOpts, wire.WithTracer(tracer))
-		}
-	}
-	srv := wire.NewServer(svc, srvOpts...)
+	tracer := svc.Tracer()
+	srv := wire.NewServer(svc, wire.WithTracer(tracer))
 	lis, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatal(err)

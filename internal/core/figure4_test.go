@@ -244,7 +244,7 @@ func nodeName(id int64) string {
 }
 
 // TestFigure4Rendering exercises the tree view on the reconstructed S8 so
-// the dsgviz output format is pinned.
+// the RenderTopology output format is pinned.
 func TestFigure4Rendering(t *testing.T) {
 	d := buildS8(t)
 	tree := d.Graph().TreeView()

@@ -62,15 +62,12 @@ func (k OpKind) String() string {
 
 // Op is one request envelope. Src is the accessing origin and Dst the
 // target key (the scan start for OpScan). Value is the OpPut payload;
-// Limit caps OpScan results. Tag is an opaque correlation id the sharded
-// dispatcher uses to stitch multi-leg results back together; the engine
-// carries it through untouched.
+// Limit caps OpScan results.
 type Op struct {
 	Kind     OpKind
 	Src, Dst int64
 	Value    []byte
 	Limit    int
-	Tag      int64
 }
 
 // RouteOp builds the envelope of a plain communication request.
@@ -83,7 +80,7 @@ type OpResult struct {
 
 	// Found/Value/Version report a Get against the live graph at apply
 	// time. The engine overwrites the read with its route phase's (that is
-	// the documented read point); the sync API uses this one directly.
+	// the documented read point); a direct ApplyOp caller uses this one.
 	Found   bool
 	Value   []byte
 	Version int64

@@ -19,9 +19,11 @@
 // their reads in the same phase) and then adjusted. Every request is routed
 // and then adjusted — the paper's model, nothing is ever dropped — and every
 // statistic is a pure function of the request sequence and the batch
-// schedule, byte-identical across Parallelism settings. Between Serve calls
-// the Apply*Idle entry points mutate the idle engine synchronously (one op,
-// one crash injection, or one shard-migration batch).
+// schedule, byte-identical across Parallelism settings. ServeSlice is the
+// same batch step for a caller that already holds the ops — the sharded
+// dispatcher's windows, a synchronous op's one-op window. Between serving
+// calls the Apply*Idle entry points mutate the idle engine synchronously
+// (one crash injection, or one shard-migration batch).
 //
 // A request therefore routes in the topology its batch found: it misses the
 // adjustments of the requests ahead of it in the same batch (its AdjustLag)

@@ -34,17 +34,13 @@ type Config struct {
 	TolerateAdjustMiss bool
 	// Tracer, when non-nil, turns on the observability layer
 	// (internal/obs): stage latency histograms around the batch pipeline
-	// (route leg, adjust apply), per-verb op latency, and slowest-span
-	// exemplars. A nil tracer keeps the hot path timing-free — the cost is
+	// (route leg, adjust apply) and the per-op route timing
+	// (Result.RouteNanos). Whole-op spans and per-verb latency belong to
+	// the dispatcher that assembles an op's legs (shard.Service), not to
+	// the engine. A nil tracer keeps the hot path timing-free — the cost is
 	// one predictable branch per choke point. Wall-clock measurements never
 	// feed Stats, so tracing cannot perturb the deterministic contracts.
 	Tracer *obs.Tracer
-	// TraceLegsOnly marks this engine as serving legs of a sharded
-	// dispatcher: it still feeds the tracer's stage histograms and the
-	// per-leg timing (Result.RouteNanos), but leaves whole-op spans and
-	// per-verb latency to the dispatcher that assembles the legs —
-	// otherwise every cross-shard op would be double-counted.
-	TraceLegsOnly bool
 }
 
 func (c Config) parallelism() int {
@@ -65,7 +61,7 @@ func (c Config) batchSize() int {
 // (and any Get/Scan read) measured in the graph as its batch found it, the
 // adjustment half from the batch's adjust phase.
 type Result struct {
-	Seq   int64   // 0-based position in the request sequence
+	Seq   int64   // 0-based position in the run's request sequence
 	Op    core.Op // the request envelope
 	Epoch int64   // batches (Apply*Idle calls included) applied before the request routed
 
@@ -75,7 +71,11 @@ type Result struct {
 	// route time (an endpoint not yet joined or already gone — e.g. a Put
 	// of a brand-new key routes before its own adjustment joins it). The
 	// data outcome is unaffected; only the distance sample is absent.
+	// A tolerant engine (TolerateAdjustMiss) marks a route whose endpoint
+	// is gone or dead the same way. RouteErr is the routing error behind
+	// the miss, nil otherwise.
 	RouteMiss bool
+	RouteErr  error
 	// AdjustLag is the number of adjustments pending when the request was
 	// routed (its own included): a batch routes whole before any of it
 	// adjusts, so the lag is the request's 1-based position within its
@@ -154,20 +154,27 @@ func (s Stats) MeanAdjustLag() float64 {
 	return float64(s.TotalAdjustLag) / float64(s.Requests)
 }
 
-// Engine serves communication requests over one DSG through the Serve batch
-// pipeline. The DSG must not be touched by anyone else while a Serve call
-// runs, and between Serve calls only through the Apply*Idle entry points,
-// which reserve the engine the same way.
+// Engine serves communication requests over one DSG through the batch
+// pipeline. The DSG must not be touched by anyone else while a Serve or
+// ServeSlice call runs, and between them only through the Apply*Idle entry
+// points, which reserve the engine the same way.
 type Engine struct {
 	dsg *core.DSG
 	cfg Config
 
-	// epoch counts the mutation batches applied so far: one per Serve batch
-	// and one per Apply*Idle call. Owned by whoever holds busy.
+	// epoch counts the mutation batches applied so far: one per served
+	// batch and one per Apply*Idle call. Owned by whoever holds busy.
 	epoch int64
 
-	// busy is set while a Serve or Apply*Idle call owns the live graph.
+	// busy is set while a Serve, ServeSlice or Apply*Idle call owns the
+	// live graph.
 	busy atomic.Bool
+
+	// routes and adj are the batch step's scratch — the route-phase
+	// outcomes and adjust-phase results of the batch in flight — reused so
+	// a steady-state batch allocates nothing of its own.
+	routes []routeOut
+	adj    []core.OpResult
 }
 
 // New creates an engine over the DSG. The scoped repairs behind every
@@ -178,8 +185,8 @@ func New(d *core.DSG, cfg Config) *Engine {
 	return &Engine{dsg: d, cfg: cfg}
 }
 
-// acquire reserves the live graph for one Serve or Apply*Idle call;
-// overlapping callers get an error instead of racing the owner.
+// acquire reserves the live graph for one Serve, ServeSlice or Apply*Idle
+// call; overlapping callers get an error instead of racing the owner.
 func (e *Engine) acquire(what string) error {
 	if !e.busy.CompareAndSwap(false, true) {
 		return fmt.Errorf("serve: %s on an engine that is already serving", what)
@@ -188,20 +195,6 @@ func (e *Engine) acquire(what string) error {
 }
 
 func (e *Engine) release() { e.busy.Store(false) }
-
-// ApplyOpIdle applies one op directly to the live graph — the synchronous
-// single-op entry point for an idle engine (no Serve in flight). The sharded
-// service's sync KV surface is built on it: one op, applied and visible,
-// before the call returns.
-func (e *Engine) ApplyOpIdle(op core.Op) (core.OpResult, error) {
-	if err := e.acquire("ApplyOpIdle"); err != nil {
-		return core.OpResult{}, err
-	}
-	defer e.release()
-	res, err := e.dsg.ApplyOp(op)
-	e.epoch++
-	return res, err
-}
 
 // ApplyCrashIdle injects a crash failure directly on an idle engine (no
 // Serve in flight): the node fails in place, leaving its neighbours'
@@ -251,9 +244,6 @@ func (e *Engine) Serve(ctx context.Context, in <-chan core.Op) (Stats, error) {
 	}
 	k := e.cfg.batchSize()
 	batch := make([]core.Op, 0, k)
-	routes := make([]routeOut, k)
-	seq := int64(0)
-	tr := e.cfg.Tracer
 	for {
 		batch = batch[:0]
 		stop := false
@@ -270,80 +260,9 @@ func (e *Engine) Serve(ctx context.Context, in <-chan core.Op) (Stats, error) {
 			}
 		}
 		if len(batch) > 0 {
-			if err := e.routeBatch(batch, routes); err != nil {
+			if err := e.serveBatch(batch, &st); err != nil {
 				return st, err
 			}
-			var started time.Time
-			if tr != nil {
-				started = time.Now()
-			}
-			adj, err := e.applyOps(batch)
-			if tr != nil {
-				tr.ObserveStage(obs.StageAdjustApply, time.Since(started))
-			}
-			if err != nil {
-				return st, err
-			}
-			st.Batches++
-			for i := range batch {
-				r := Result{
-					Seq:             seq,
-					Op:              batch[i],
-					Epoch:           e.epoch,
-					RouteDistance:   routes[i].route.Distance(),
-					RouteHops:       routes[i].route.Hops(),
-					RouteMiss:       routes[i].miss,
-					AdjustLag:       i + 1,
-					RouteNanos:      routes[i].nanos,
-					TransformRounds: adj[i].TransformRounds,
-					DirectLevel:     adj[i].DirectLevel,
-					Alpha:           adj[i].Alpha,
-					HeightAfter:     adj[i].HeightAfter,
-					RepairInserted:  adj[i].RepairInserted,
-					RepairRemoved:   adj[i].RepairRemoved,
-					Version:         adj[i].Version,
-					Existed:         adj[i].Existed,
-				}
-				switch batch[i].Kind {
-				case core.OpGet:
-					// The documented read point is the route phase, not the
-					// graph mid-adjustment.
-					r.Found, r.Value, r.Version = routes[i].found, routes[i].val, routes[i].ver
-				case core.OpScan:
-					r.Entries = routes[i].entries
-				}
-				if tr != nil && !e.cfg.TraceLegsOnly {
-					tr.ObserveOp(int64(batch[i].Kind), time.Duration(r.RouteNanos))
-					if tr.WouldRecord(r.RouteNanos) {
-						tr.RecordSpan(obs.Span{
-							Seq:           r.Seq,
-							Kind:          int64(batch[i].Kind),
-							Src:           batch[i].Src,
-							Dst:           batch[i].Dst,
-							Start:         time.Now().UnixNano(),
-							TotalNanos:    r.RouteNanos,
-							Epoch:         r.Epoch,
-							RouteDistance: int64(r.RouteDistance),
-							RouteHops:     int64(r.RouteHops),
-							AdjustLag:     int64(r.AdjustLag),
-							RouteMiss:     r.RouteMiss,
-							Legs: []obs.LegSpan{{
-								Distance:  int64(r.RouteDistance),
-								Hops:      int64(r.RouteHops),
-								AdjustLag: int64(r.AdjustLag),
-								Epoch:     r.Epoch,
-								Nanos:     r.RouteNanos,
-							}},
-						})
-					}
-				}
-				seq++
-				st.accumulate(r)
-				if e.cfg.OnResult != nil {
-					e.cfg.OnResult(r)
-				}
-			}
-			e.epoch++
 		}
 		if stop {
 			st.HeightAfter = e.dsg.Graph().Height()
@@ -353,6 +272,89 @@ func (e *Engine) Serve(ctx context.Context, in <-chan core.Op) (Stats, error) {
 			return st, ctx.Err()
 		}
 	}
+}
+
+// ServeSlice is Serve for a caller that already holds the ops: it serves
+// them in batches of BatchSize — the same batch step, the same schedule a
+// channel delivering exactly these ops and then closing would get — and
+// adds the run to st. The sharded dispatcher serves each window's legs
+// this way. On an error the batches before the failing one stay applied
+// and counted.
+func (e *Engine) ServeSlice(ops []core.Op, st *Stats) error {
+	if err := e.acquire("ServeSlice"); err != nil {
+		return err
+	}
+	defer e.release()
+	k := e.cfg.batchSize()
+	for len(ops) > 0 {
+		batch := ops[:min(k, len(ops))]
+		if err := e.serveBatch(batch, st); err != nil {
+			return err
+		}
+		ops = ops[len(batch):]
+	}
+	return nil
+}
+
+// serveBatch is one route-then-adjust round: it routes the whole batch on
+// the live graph, applies its adjustments in order, and reports one Result
+// per op to st and OnResult. A failing batch reports nothing.
+func (e *Engine) serveBatch(batch []core.Op, st *Stats) error {
+	if cap(e.routes) < len(batch) {
+		e.routes = make([]routeOut, len(batch))
+	}
+	routes := e.routes[:len(batch)]
+	if err := e.routeBatch(batch, routes); err != nil {
+		return err
+	}
+	tr := e.cfg.Tracer
+	var started time.Time
+	if tr != nil {
+		started = time.Now()
+	}
+	adj, err := e.applyOps(batch)
+	if tr != nil {
+		tr.ObserveStage(obs.StageAdjustApply, time.Since(started))
+	}
+	if err != nil {
+		return err
+	}
+	st.Batches++
+	for i := range batch {
+		r := Result{
+			Seq:             st.Requests,
+			Op:              batch[i],
+			Epoch:           e.epoch,
+			RouteDistance:   routes[i].route.Distance(),
+			RouteHops:       routes[i].route.Hops(),
+			RouteMiss:       routes[i].err != nil,
+			RouteErr:        routes[i].err,
+			AdjustLag:       i + 1,
+			RouteNanos:      routes[i].nanos,
+			TransformRounds: adj[i].TransformRounds,
+			DirectLevel:     adj[i].DirectLevel,
+			Alpha:           adj[i].Alpha,
+			HeightAfter:     adj[i].HeightAfter,
+			RepairInserted:  adj[i].RepairInserted,
+			RepairRemoved:   adj[i].RepairRemoved,
+			Version:         adj[i].Version,
+			Existed:         adj[i].Existed,
+		}
+		switch batch[i].Kind {
+		case core.OpGet:
+			// The documented read point is the route phase, not the
+			// graph mid-adjustment.
+			r.Found, r.Value, r.Version = routes[i].found, routes[i].val, routes[i].ver
+		case core.OpScan:
+			r.Entries = routes[i].entries
+		}
+		st.accumulate(r)
+		if e.cfg.OnResult != nil {
+			e.cfg.OnResult(r)
+		}
+	}
+	e.epoch++
+	return nil
 }
 
 func (s *Stats) accumulate(r Result) {
@@ -402,7 +404,7 @@ func (e *Engine) applyOps(ops []core.Op) ([]core.OpResult, error) {
 	if !e.cfg.TolerateAdjustMiss {
 		return e.dsg.ApplyOps(ops)
 	}
-	results := make([]core.OpResult, 0, len(ops))
+	results := e.adj[:0]
 	for i, op := range ops {
 		r, err := e.dsg.ApplyOp(op)
 		if err != nil {
@@ -414,6 +416,7 @@ func (e *Engine) applyOps(ops []core.Op) ([]core.OpResult, error) {
 		}
 		results = append(results, r)
 	}
+	e.adj = results
 	return results, nil
 }
 
@@ -421,7 +424,7 @@ func (e *Engine) applyOps(ops []core.Op) ([]core.OpResult, error) {
 // plus any Get/Scan read.
 type routeOut struct {
 	route   skipgraph.RouteResult
-	miss    bool
+	err     error // the tolerated routing error of an unmeasurable path
 	found   bool
 	val     []byte
 	ver     int64
@@ -449,7 +452,7 @@ func (e *Engine) routeOp(op core.Op) (routeOut, error) {
 	case op.Kind == core.OpRoute && !e.cfg.TolerateAdjustMiss:
 		return out, fmt.Errorf("serve: routing %d→%d (epoch %d): %w", op.Src, op.Dst, e.epoch, err)
 	default:
-		out.miss = true
+		out.err = err
 	}
 	if op.Kind == core.OpGet {
 		out.val, out.ver, out.found = g.GetValue(skipgraph.KeyOf(op.Dst))

@@ -131,7 +131,8 @@ func TestServeEarlyCancel(t *testing.T) {
 // splice the corpse out and rejoin it, and observe routing recover.
 func TestCrashIdleDetectRepair(t *testing.T) {
 	d := core.New(32, core.Config{A: 4, Seed: 17})
-	e := New(d, Config{BatchSize: 4})
+	var last Result
+	e := New(d, Config{BatchSize: 4, OnResult: func(r Result) { last = r }})
 	if err := e.ApplyCrashIdle(99); !errors.Is(err, core.ErrUnknownNode) {
 		t.Fatalf("crash of unknown id = %v, want ErrUnknownNode", err)
 	}
@@ -146,9 +147,10 @@ func TestCrashIdleDetectRepair(t *testing.T) {
 	if _, err := e.Serve(context.Background(), feedOps([]core.Op{core.RouteOp(3, 12)})); !errors.Is(err, skipgraph.ErrDeadNode) {
 		t.Fatalf("served route into corpse: %v, want ErrDeadNode", err)
 	}
-	res, err := e.ApplyOpIdle(core.Op{Kind: core.OpPut, Src: 3, Dst: 12, Value: []byte("back")})
-	if err != nil || res.Existed {
-		t.Fatalf("repairing put = %+v, %v; want a fresh join", res, err)
+	var st Stats
+	err = e.ServeSlice([]core.Op{{Kind: core.OpPut, Src: 3, Dst: 12, Value: []byte("back")}}, &st)
+	if err != nil || last.Existed {
+		t.Fatalf("repairing put = %+v, %v; want a fresh join", last, err)
 	}
 	if _, err := e.Serve(context.Background(), feedOps([]core.Op{core.RouteOp(3, 12), core.RouteOp(3, 25)})); err != nil {
 		t.Fatalf("routes after repair: %v", err)

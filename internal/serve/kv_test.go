@@ -23,28 +23,34 @@ func feedOps(ops []core.Op) <-chan core.Op {
 	return ch
 }
 
-// TestApplyOpIdleAndSnapshotReads exercises the synchronous single-op entry
-// point and the graph reads (GetValue/ScanFrom) the sharded service builds
-// its sync KV calls on: each idle op is visible as soon as it returns.
-func TestApplyOpIdleAndSnapshotReads(t *testing.T) {
+// TestServeSliceVisibleOnReturn exercises the slice entry point the sharded
+// dispatcher serves its windows through — synchronous ops are one-op
+// slices — and the graph reads (GetValue/ScanFrom) behind Get and Scan:
+// a served slice is applied and visible as soon as the call returns, one
+// epoch per batch, chunked by BatchSize like the channel it stands in for.
+func TestServeSliceVisibleOnReturn(t *testing.T) {
 	d := core.New(16, core.Config{A: 4, Seed: 5})
-	e := New(d, Config{})
+	var got []Result
+	e := New(d, Config{BatchSize: 2, OnResult: func(r Result) { got = append(got, r) }})
 	g := d.Graph()
 	e0 := e.epoch
-
-	res, err := e.ApplyOpIdle(core.Op{Kind: core.OpPut, Src: 1, Dst: 9, Value: []byte("nine")})
-	if err != nil {
-		t.Fatalf("idle put: %v", err)
+	var st Stats
+	one := func(op core.Op) Result {
+		t.Helper()
+		if err := e.ServeSlice([]core.Op{op}, &st); err != nil {
+			t.Fatalf("slice of %s %d: %v", op.Kind, op.Dst, err)
+		}
+		return got[len(got)-1]
 	}
+
+	res := one(core.Op{Kind: core.OpPut, Src: 1, Dst: 9, Value: []byte("nine")})
 	if !res.Existed || res.Version != 1 {
-		t.Fatalf("idle put of live key: Existed=%v Version=%d, want true/1", res.Existed, res.Version)
+		t.Fatalf("put of live key: Existed=%v Version=%d, want true/1", res.Existed, res.Version)
 	}
-	if _, err := e.ApplyOpIdle(core.Op{Kind: core.OpPut, Src: 2, Dst: 4, Value: []byte("four")}); err != nil {
-		t.Fatalf("idle put: %v", err)
-	}
+	one(core.Op{Kind: core.OpPut, Src: 2, Dst: 4, Value: []byte("four")})
 
-	if e.epoch != e0+2 {
-		t.Fatalf("each idle op is one epoch: %d, want %d", e.epoch, e0+2)
+	if e.epoch != e0+2 || st.Batches != 2 {
+		t.Fatalf("each one-op slice is one batch and one epoch: epoch %d (want %d), %d batches", e.epoch, e0+2, st.Batches)
 	}
 	if v, ver, ok := g.GetValue(skipgraph.KeyOf(9)); !ok || ver != 1 || !bytes.Equal(v, []byte("nine")) {
 		t.Fatalf("get 9 = %q v%d ok=%v", v, ver, ok)
@@ -56,16 +62,28 @@ func TestApplyOpIdleAndSnapshotReads(t *testing.T) {
 		t.Fatalf("scan = %v, want keys [4 9]", got)
 	}
 
-	res, err = e.ApplyOpIdle(core.Op{Kind: core.OpGet, Src: 3, Dst: 9})
-	if err != nil || !res.Found || string(res.Value) != "nine" {
-		t.Fatalf("idle get 9 = %+v, %v", res, err)
+	if res = one(core.Op{Kind: core.OpGet, Src: 3, Dst: 9}); !res.Found || string(res.Value) != "nine" {
+		t.Fatalf("get 9 = %+v", res)
 	}
-	res, err = e.ApplyOpIdle(core.Op{Kind: core.OpDelete, Src: 3, Dst: 9})
-	if err != nil || !res.Existed {
-		t.Fatalf("idle delete 9 = %+v, %v", res, err)
+	if res = one(core.Op{Kind: core.OpDelete, Src: 3, Dst: 9}); !res.Existed {
+		t.Fatalf("delete 9 = %+v", res)
 	}
 	if _, _, ok := g.GetValue(skipgraph.KeyOf(9)); ok {
 		t.Fatal("deleted key still readable")
+	}
+
+	// Five ops at BatchSize 2 are three batches — 2, 2, 1 — numbered on from
+	// the four above.
+	b0 := st.Batches
+	five := []core.Op{core.RouteOp(1, 2), core.RouteOp(3, 5), core.RouteOp(6, 7), core.RouteOp(8, 10), core.RouteOp(11, 12)}
+	if err := e.ServeSlice(five, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Batches != b0+3 || st.Requests != 9 || st.MaxAdjustLag != 2 {
+		t.Fatalf("5 ops at batch 2: %d batches, %d requests, max lag %d; want 3 more, 9, 2", st.Batches-b0, st.Requests, st.MaxAdjustLag)
+	}
+	if last := got[len(got)-1]; last.Seq != 8 || last.AdjustLag != 1 {
+		t.Fatalf("last result = seq %d lag %d, want 8/1", last.Seq, last.AdjustLag)
 	}
 }
 
@@ -200,7 +218,8 @@ func TestServeTolerantStillAbortsOnBadOp(t *testing.T) {
 // are skipped with the first error reported.
 func TestMigrationValueEntriesAndErrors(t *testing.T) {
 	d := core.New(16, core.Config{A: 4, Seed: 7})
-	e := New(d, Config{BatchSize: 4})
+	var last Result
+	e := New(d, Config{BatchSize: 4, OnResult: func(r Result) { last = r }})
 
 	// One failing join (id already present) and one failing leave (id
 	// unknown): the good half still applies.
@@ -220,8 +239,9 @@ func TestMigrationValueEntriesAndErrors(t *testing.T) {
 
 	// A later write to the migrated key continues its version history
 	// instead of restarting it.
-	res, err := e.ApplyOpIdle(core.Op{Kind: core.OpPut, Src: 1, Dst: 40, Value: []byte("again")})
-	if err != nil || !res.Existed || res.Version <= 9 {
-		t.Fatalf("put after migration = %+v, %v; want an update past v9", res, err)
+	var st Stats
+	err := e.ServeSlice([]core.Op{{Kind: core.OpPut, Src: 1, Dst: 40, Value: []byte("again")}}, &st)
+	if err != nil || !last.Existed || last.Version <= 9 {
+		t.Fatalf("put after migration = %+v, %v; want an update past v9", last, err)
 	}
 }

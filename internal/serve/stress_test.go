@@ -115,8 +115,9 @@ func TestModeConflict(t *testing.T) {
 	if _, err := e.Serve(context.Background(), ch); err == nil {
 		t.Error("overlapping Serve must fail")
 	}
-	if _, err := e.ApplyOpIdle(core.RouteOp(1, 2)); err == nil {
-		t.Error("ApplyOpIdle on a serving engine must fail")
+	var st Stats
+	if err := e.ServeSlice([]core.Op{core.RouteOp(1, 2)}, &st); err == nil {
+		t.Error("ServeSlice on a serving engine must fail")
 	}
 	if err := e.ApplyCrashIdle(4); err == nil {
 		t.Error("ApplyCrashIdle on a serving engine must fail")
@@ -128,7 +129,7 @@ func TestModeConflict(t *testing.T) {
 	if err := <-ret; err != nil {
 		t.Fatalf("first Serve failed: %v", err)
 	}
-	if _, err := e.ApplyOpIdle(core.RouteOp(1, 2)); err != nil {
-		t.Fatalf("idle entry point after Serve returned: %v", err)
+	if err := e.ServeSlice([]core.Op{core.RouteOp(1, 2)}, &st); err != nil || st.Requests != 1 {
+		t.Fatalf("slice entry point after Serve returned: %v (%d served)", err, st.Requests)
 	}
 }

@@ -41,6 +41,12 @@ func (d *Directory) withBoundary(b int, start int64) (*Directory, error) {
 	return &Directory{epoch: d.epoch + 1, n: d.n, starts: starts}, nil
 }
 
+// grown returns a copy whose key space is one key longer; the new key n
+// falls into the last shard. No key changes owner, so the epoch stands.
+func (d *Directory) grown() *Directory {
+	return &Directory{epoch: d.epoch, n: d.n + 1, starts: d.starts}
+}
+
 // Epoch returns the directory epoch (0 for the initial split).
 func (d *Directory) Epoch() int64 { return d.epoch }
 

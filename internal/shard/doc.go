@@ -1,7 +1,9 @@
-// Package shard is the partitioned serving subsystem: it splits the key
-// space [0, n) across S independent self-adjusting skip graphs, each wrapped
-// in its own serve.Engine with its own adjuster, behind an immutable,
-// epoch-stamped shard directory that maps keys to shards.
+// Package shard is the serving subsystem: it splits the key space [0, n)
+// across S ≥ 1 independent self-adjusting skip graphs, each wrapped in its
+// own serve.Engine with its own adjuster, behind an immutable, epoch-stamped
+// shard directory that maps keys to shards. A single graph is the S = 1
+// case — same dispatch, same batch step, same statistics — not a second
+// code path.
 //
 // # Partitioning model
 //
@@ -44,12 +46,16 @@
 //
 // # Serving
 //
-// Service.Serve is the one serving path: requests are dispatched in order
-// onto concurrent per-shard engine pipelines, with rebalancing at
-// deterministic window boundaries — every statistic, the rebalancing
-// decisions included, is a pure function of the request sequence and
-// configuration. The engines run with serve.Config.TolerateAdjustMiss, so a
-// route leg whose endpoint a Delete removed earlier in the stream (or a
-// crash took) costs that op its path sample, never the pipeline. Between
-// Serve calls, Apply and Crash act on the idle service synchronously.
+// Service.Serve is the one serving path: a dispatcher collects a window of
+// ops in order, splits them into per-shard legs, lets every shard's engine
+// serve its legs (side by side when several shards are busy), assembles the
+// outcomes, and rebalances at the window boundary — every statistic, the
+// rebalancing decisions included, is a pure function of the request
+// sequence and configuration. The engines run with
+// serve.Config.TolerateAdjustMiss, so a route leg whose endpoint a Delete
+// removed earlier in the stream (or a crash took) costs that op its path
+// sample — its Outcome carries the routing error — never the pipeline.
+// Service.Apply serves one op synchronously as a one-op window of the same
+// pipeline; AddNode, RemoveNode and Crash are directory operations on the
+// idle service.
 package shard

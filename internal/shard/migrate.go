@@ -40,7 +40,7 @@ func (s *Service) executeMigration(dir *Directory, plan migrationPlan) error {
 	if err := s.shards[plan.From].eng.ApplyMigrationBatch(nil, ids); err != nil {
 		return fmt.Errorf("shard: retiring %d keys from shard %d: %w", len(ids), plan.From, err)
 	}
-	s.rebalances++
-	s.movedKeys += int64(len(ids))
+	s.totals.Rebalances++
+	s.totals.MovedKeys += int64(len(ids))
 	return nil
 }

@@ -3,7 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
-	"sort"
+	"sync"
 	"time"
 
 	"lsasg/internal/core"
@@ -12,25 +12,28 @@ import (
 	"lsasg/internal/skipgraph"
 )
 
-// This file is the Serve pipeline: a sequential dispatcher splits the op
-// stream into per-shard legs feeding S concurrent engine pipelines, and
-// the rebalancer runs at engine-idle barriers between fixed-size request
-// windows. Every statistic is a pure function of the request sequence and
-// the configuration — independent of Parallelism, shard pipeline scheduling,
-// and producer timing — because each shard's leg sequence, each engine's
-// batch schedule, and every planner input is fixed by the dispatch order.
+// This file is the Serve pipeline: a sequential dispatcher collects a
+// window of ops, splits them into per-shard leg slices, has every busy
+// shard's engine serve its slice — route the batch, then adjust it, on the
+// live graph — and assembles each op's outcome from its legs' results. The
+// rebalancer runs at the engine-idle barrier between windows. Every
+// statistic is a pure function of the request sequence and the
+// configuration — independent of Parallelism, of how the shards' engines
+// are scheduled, and of producer timing — because each shard's leg
+// sequence, each engine's batch schedule, and every planner input is fixed
+// by the dispatch order.
 //
 // KV ops ride the same leg machinery. A point op (Get/Put/Delete) becomes
 // an origin-side route leg to the exit boundary (when non-trivial) plus the
 // op itself dispatched to the destination shard with the entry boundary as
 // its access source — so the access adapts both shards' topologies exactly
 // like a cross-shard route. A Scan fans one scan leg to every shard whose
-// range intersects [start, ∞), each read in its own engine's route phase; the
-// fragments are correlated by a dispatcher-assigned Tag and stitched in
-// shard order (= key order) at the window barrier, where every leg has
-// completed — which is what makes multi-shard scans deterministic despite
-// the shards' pipelines running concurrently. Outcomes are delivered to
-// Config.OnOutcome at the barrier, in dispatch order.
+// range intersects [start, ∞), each read in its own engine's route phase;
+// the dispatcher remembers every leg as (shard, position in that shard's
+// slice) and stitches the results in shard order (= key order) once the
+// window has been served — which is what makes multi-shard scans
+// deterministic although the shards' engines run concurrently. Outcomes are
+// delivered to Config.OnOutcome in dispatch order.
 
 // ServeStats aggregates one Serve run. All fields are
 // deterministic for a fixed seed, shard count, and request sequence.
@@ -52,8 +55,8 @@ type ServeStats struct {
 	TotalRouteDistance int64
 	TotalRouteHops     int64
 	// MaxLegDistance is the worst single-leg distance (per-leg, not
-	// per-request: legs of one cross-shard request finish in different
-	// shards' pipelines).
+	// per-request: the legs of one cross-shard request are served by
+	// different shards' engines).
 	MaxLegDistance int64
 
 	TotalTransformRounds int64
@@ -62,7 +65,7 @@ type ServeStats struct {
 
 	// KV op counters, at request granularity (a scan fanned over three
 	// shards is one Scan). Hits/inserts come from the stitched outcomes;
-	// RouteMisses sums the engines' unmeasurable KV access paths.
+	// RouteMisses sums the engines' unmeasurable access paths.
 	Gets           int64
 	GetHits        int64
 	Puts           int64
@@ -86,11 +89,35 @@ type ServeStats struct {
 	DummyCount int // summed over shards
 }
 
+// foldEngines adds the shard engines' books of one served window.
+func (st *ServeStats) foldEngines(engines []serve.Stats) {
+	for i := range engines {
+		e := &engines[i]
+		st.Batches += e.Batches
+		st.TotalRouteDistance += e.TotalRouteDistance
+		st.TotalRouteHops += e.TotalRouteHops
+		st.MaxLegDistance = max(st.MaxLegDistance, int64(e.MaxRouteDistance))
+		st.TotalTransformRounds += e.TotalTransformRounds
+		st.TotalAdjustLag += e.TotalAdjustLag
+		st.MaxAdjustLag = max(st.MaxAdjustLag, e.MaxAdjustLag)
+		st.RouteMisses += e.RouteMisses
+	}
+}
+
+// add folds one finished run (or one synchronous op) into the lifetime
+// books; the migration counters are kept by executeMigration itself.
+func (t *Totals) add(st *ServeStats) {
+	t.Requests += st.Requests
+	t.RouteDistance += st.TotalRouteDistance
+	t.MaxLegDistance = max(t.MaxLegDistance, st.MaxLegDistance)
+	t.TransformRounds += st.TotalTransformRounds
+}
+
 // Outcome is one request's assembled result, delivered to Config.OnOutcome
-// at the window barrier in dispatch order — every op produces exactly one,
-// routes included. Op is the original envelope as the caller dispatched it
-// (Tag included). Point ops carry the destination leg's result; scans carry
-// the stitched, limit-truncated entries.
+// in dispatch order — every op produces exactly one, routes included. Op is
+// the original envelope as the caller dispatched it. Point ops carry the
+// destination leg's result; scans carry the stitched, limit-truncated
+// entries.
 type Outcome struct {
 	Op      core.Op
 	Found   bool
@@ -99,48 +126,102 @@ type Outcome struct {
 	Existed bool
 	Entries []skipgraph.Entry
 
-	// RouteDistance and RouteHops sum the op's tagged leg paths (measured in
-	// the shards' graphs) plus the boundary intermediates and forwarding
-	// hops of a cross-shard access; 0 for scans, which read without routing.
-	// AdjustLag is the worst single leg's pending-adjustment count.
+	// RouteDistance and RouteHops sum the paths of the op's outcome legs —
+	// both legs of a route, the destination-shard leg of a point op —
+	// measured in the shards' graphs, plus the boundary intermediates and
+	// forwarding hops of a cross-shard access; 0 for scans, which read
+	// without routing. AdjustLag is the worst single leg's
+	// pending-adjustment count.
 	RouteDistance int
 	RouteHops     int
 	AdjustLag     int
+	// TransformRounds sums ρ over the same legs; Alpha and DirectLevel
+	// describe the last of them, the destination-side transformation.
+	TransformRounds int
+	Alpha           int
+	DirectLevel     int
+
+	// Err is the routing error of a route op one of whose endpoints was
+	// unknown or dead at route time (its path sample is absent and it
+	// adjusted nothing); nil otherwise. Serve carries on past such an op;
+	// Apply returns the error.
+	Err error
 }
 
-// pipe is one shard's in-flight window pipeline.
-type pipe struct {
-	ch   chan core.Op
-	done chan struct{}
-	st   serve.Stats
-	err  error
-}
+// legRef names one leg of the window in flight: the shard that serves it and
+// its position in that shard's leg slice, which is also its position in the
+// shard's results.
+type legRef struct{ shard, idx int }
 
-// pendingReq is one dispatched op awaiting its leg results at the barrier.
+// pendingReq is one collected op awaiting its leg results.
 type pendingReq struct {
-	tag  int64
-	op   core.Op // original envelope
-	legs int     // legs carrying the tag (scans and cross-shard routes fan >1)
+	seq int64   // 1-based position in the run
+	op  core.Op // original envelope
+	// first and n locate the op's outcome legs in window.refs (scans and
+	// cross-shard routes have more than one).
+	first, n int
 	// extraDist/extraHops are the dispatcher-side path contributions of a
 	// cross-shard op — boundary intermediates and forwarding hops — folded
-	// into the outcome on top of the tagged legs' measurements.
+	// into the outcome on top of the legs' measurements.
 	extraDist int
 	extraHops int
 }
 
-// tagFrag is one tagged leg result captured from a shard engine.
-type tagFrag struct {
-	shard int
-	r     serve.Result
+// window is the dispatcher's scratch for the ops served together: reused
+// from window to window, so a steady-state window allocates nothing.
+type window struct {
+	pending []pendingReq
+	refs    []legRef
+	// legs[i] is shard i's leg slice in dispatch order; res[i][j] is the
+	// result of legs[i][j], appended by shard i's engine; stats[i] is that
+	// engine's books for the window; errs[i] its failure.
+	legs  [][]core.Op
+	res   [][]serve.Result
+	stats []serve.Stats
+	errs  []error
+}
+
+func newWindow(shards int) window {
+	return window{
+		legs:  make([][]core.Op, shards),
+		res:   make([][]serve.Result, shards),
+		stats: make([]serve.Stats, shards),
+		errs:  make([]error, shards),
+	}
+}
+
+// reset empties the window, dropping the payloads its slots still point at.
+func (w *window) reset() {
+	w.pending, w.refs = w.pending[:0], w.refs[:0]
+	for i := range w.legs {
+		clear(w.legs[i])
+		clear(w.res[i])
+		w.legs[i], w.res[i] = w.legs[i][:0], w.res[i][:0]
+	}
+	clear(w.stats)
+	clear(w.errs)
+}
+
+// addLeg queues one leg on a shard.
+func (w *window) addLeg(shard int, op core.Op) legRef {
+	w.legs[shard] = append(w.legs[shard], op)
+	return legRef{shard: shard, idx: len(w.legs[shard]) - 1}
 }
 
 // Serve consumes op envelopes until the channel closes (or ctx is
-// cancelled), dispatching each to its shard engines' deterministic
-// pipelines, and returns the aggregate statistics. After every
-// RebalanceEvery requests the shard pipelines drain to a barrier, KV
+// cancelled) and returns the aggregate statistics. Ops are served in
+// windows of RebalanceEvery requests: the dispatcher collects a window,
+// every shard with legs in it serves them in batches of BatchSize, the
 // outcomes are assembled and delivered, the planner inspects the window's
 // per-key loads, and at most one contiguous range migrates — values riding
 // with their keys — between adjacent shards before the next window starts.
+//
+// One shard has nothing to stitch and nothing to rebalance, so at S = 1 a
+// window is served and delivered batch by batch — a synchronous client of a
+// one-shard service waits for its batch, never for the load window. The
+// load window still ends with a short batch where BatchSize does not divide
+// it, so the batch schedule is the same function of the configuration for
+// every S.
 //
 // Serve rejects overlapping calls. Producers should select on the same ctx
 // for every send, exactly as with Network.Serve.
@@ -151,75 +232,39 @@ func (s *Service) Serve(ctx context.Context, in <-chan core.Op) (ServeStats, err
 	defer s.serving.Store(false)
 
 	var st ServeStats
-	rebal0, moved0 := s.rebalances, s.movedKeys
+	// A context dead on arrival serves nothing, deterministically.
+	if err := ctx.Err(); err != nil {
+		return st, err
+	}
+	before := s.totals
 	every := s.cfg.rebalanceEvery()
-	batch := s.cfg.BatchSize
-	if batch < 1 {
-		batch = 32
+	flush := every
+	if len(s.shards) == 1 {
+		flush = min(s.cfg.batchSize(), every)
 	}
 	var retErr error
 	done := false
 	sawFullWindow := false
-	var nextTag int64
 	for !done {
 		dir := s.dir.Load()
-		pipes := make([]*pipe, len(s.shards))
-		for i, sl := range s.shards {
-			p := &pipe{ch: make(chan core.Op, 4*batch), done: make(chan struct{})}
-			pipes[i] = p
-			go func(sl *slot, p *pipe) {
-				p.st, p.err = sl.eng.Serve(ctx, p.ch)
-				close(p.done)
-			}(sl, p)
-		}
-		var pending []pendingReq
+		clear(s.keyLoad) // a fresh load window
 		dispatched := 0
-		for dispatched < every && retErr == nil && !done {
-			select {
-			case <-ctx.Done():
-				done, retErr = true, ctx.Err()
-			case r, ok := <-in:
-				if !ok {
-					done = true
-					break
+		for dispatched < every && !done {
+			s.win.reset()
+			var n int
+			n, done, retErr = s.collect(ctx, in, dir, min(flush, every-dispatched), &st)
+			dispatched += n
+			if err := s.run(&st); err != nil {
+				done = true
+				if retErr == nil {
+					retErr = err
 				}
-				if err := s.checkOp(r); err != nil {
-					done, retErr = true, err
-					break
-				}
-				if !s.dispatch(ctx, dir, r, pipes, &st, &pending, &nextTag) {
-					done = true // a pipeline died; its error surfaces below
-					break
-				}
-				dispatched++
 			}
+			s.deliver(&st)
 		}
-		for _, p := range pipes {
-			close(p.ch)
-		}
-		for _, p := range pipes {
-			<-p.done
-			if p.err != nil && retErr == nil {
-				retErr = p.err
-			}
-			st.Batches += p.st.Batches
-			st.TotalRouteDistance += p.st.TotalRouteDistance
-			st.TotalRouteHops += p.st.TotalRouteHops
-			if p.st.MaxRouteDistance > int(st.MaxLegDistance) {
-				st.MaxLegDistance = int64(p.st.MaxRouteDistance)
-			}
-			st.TotalTransformRounds += p.st.TotalTransformRounds
-			st.TotalAdjustLag += p.st.TotalAdjustLag
-			if p.st.MaxAdjustLag > st.MaxAdjustLag {
-				st.MaxAdjustLag = p.st.MaxAdjustLag
-			}
-			st.RouteMisses += p.st.RouteMisses
-		}
-		s.deliverOutcomes(pending, &st)
-		keyLoad := s.takeKeyLoads()
 		if dispatched > 0 {
 			st.Windows++
-			ratio := loadRatio(dir, keyLoad)
+			ratio := loadRatio(dir, s.keyLoad)
 			if st.LoadRatioFirst == 0 {
 				st.LoadRatioFirst = ratio
 			}
@@ -230,67 +275,76 @@ func (s *Service) Serve(ctx context.Context, in <-chan core.Op) (ServeStats, err
 				st.LoadRatioLast = ratio
 			}
 		}
-		if done || retErr != nil {
+		if done {
 			break
 		}
-		// Rebalance at the barrier: every engine is idle between windows.
-		if plan, ok := planRebalance(dir, keyLoad, s.cfg.skewThreshold(), s.cfg.minShardKeys()); ok {
+		// Rebalance at the barrier: every engine is idle between windows, and
+		// the planner reads the load window where the dispatcher wrote it.
+		if plan, ok := planRebalance(dir, s.keyLoad, s.cfg.skewThreshold(), s.cfg.minShardKeys()); ok {
 			if err := s.executeMigration(dir, plan); err != nil {
 				retErr = err
 				break
 			}
 		}
 	}
-	st.Rebalances = s.rebalances - rebal0
-	st.MovedKeys = s.movedKeys - moved0
+	st.Rebalances = s.totals.Rebalances - before.Rebalances
+	st.MovedKeys = s.totals.MovedKeys - before.MovedKeys
 	st.Height = s.Height()
 	st.DummyCount = s.DummyCount()
+	s.totals.add(&st)
 	return st, retErr
 }
 
-// dispatch splits one op into shard legs and feeds them to the window
-// pipelines, updating the dispatcher-side books. KV ops are tagged so their
-// leg results can be assembled at the barrier. It reports false when a
-// pipeline stopped consuming (engine error or cancellation).
-func (s *Service) dispatch(ctx context.Context, dir *Directory, op core.Op,
-	pipes []*pipe, st *ServeStats, pending *[]pendingReq, nextTag *int64) bool {
+// collect takes up to limit ops off the channel, dispatching each onto the
+// window and its endpoints onto the load window. It reports how many it
+// took and whether the stream ended — closed, cancelled, or on an invalid
+// op, whose error it returns.
+func (s *Service) collect(ctx context.Context, in <-chan core.Op, dir *Directory, limit int, st *ServeStats) (n int, done bool, err error) {
+	for n < limit {
+		select {
+		case <-ctx.Done():
+			return n, true, ctx.Err()
+		case op, ok := <-in:
+			if !ok {
+				return n, true, nil
+			}
+			if err := s.checkOp(op); err != nil {
+				return n, true, err
+			}
+			s.dispatch(dir, op, st)
+			if op.Kind != core.OpScan {
+				s.keyLoad[op.Src]++
+			}
+			s.keyLoad[op.Dst]++
+			n++
+		}
+	}
+	return n, false, nil
+}
+
+// dispatch splits one op into shard legs, queues them on the window, and
+// updates the dispatcher-side books.
+func (s *Service) dispatch(dir *Directory, op core.Op, st *ServeStats) {
+	w := &s.win
 	st.Requests++
+	p := pendingReq{seq: st.Requests, op: op, first: len(w.refs)}
 	switch op.Kind {
 	case core.OpRoute:
 		legs, n, cross := dir.splitLegs(op.Src, op.Dst)
-		s.recordLoad(op.Src, op.Dst)
-		if s.cfg.OnRequest != nil {
-			s.cfg.OnRequest(op.Src, op.Dst, cross)
-		}
-		// Routes are tagged only when an outcome consumer exists: the tag
-		// costs a fragment capture per leg, and route outcomes carry no KV
-		// state — nothing downstream needs them otherwise.
-		var tag int64
-		if s.cfg.OnOutcome != nil {
-			*nextTag++
-			tag = *nextTag
-			pr := pendingReq{tag: tag, op: op, legs: n}
-			if cross {
-				pr.extraDist, pr.extraHops = n, 1
-			}
-			*pending = append(*pending, pr)
-		}
 		if cross {
 			st.Cross++
 			st.TotalRouteHops++ // the inter-shard forwarding hop
 			// Each non-trivial leg ends (or starts) at a boundary node, which is
 			// an intermediate of the whole-request path.
 			st.TotalRouteDistance += int64(n)
+			p.extraDist, p.extraHops = n, 1
 		} else {
 			st.Intra++
 		}
 		for i := 0; i < n; i++ {
-			st.Legs++
-			if !s.sendLeg(ctx, pipes[legs[i].shard], core.Op{Src: legs[i].src, Dst: legs[i].dst, Tag: tag}) {
-				return false
-			}
+			w.refs = append(w.refs, w.addLeg(legs[i].shard, core.RouteOp(legs[i].src, legs[i].dst)))
 		}
-		return true
+		st.Legs += int64(n)
 
 	case core.OpGet, core.OpPut, core.OpDelete:
 		switch op.Kind {
@@ -301,224 +355,212 @@ func (s *Service) dispatch(ctx context.Context, dir *Directory, op core.Op,
 		case core.OpDelete:
 			st.Deletes++
 		}
-		s.recordLoad(op.Src, op.Dst)
 		si, di := dir.ShardOf(op.Src), dir.ShardOf(op.Dst)
-		cross := si != di
-		if s.cfg.OnRequest != nil {
-			s.cfg.OnRequest(op.Src, op.Dst, cross)
-		}
-		*nextTag++
-		tag := *nextTag
-		pr := pendingReq{tag: tag, op: op, legs: 1}
 		kv := op
-		kv.Tag = tag
-		if cross {
+		if si != di {
 			st.Cross++
 			st.TotalRouteHops++
-			pr.extraHops++
+			p.extraHops++
 			higher := op.Dst > op.Src
+			// The origin-side access leg adapts the source shard; the outcome
+			// is the destination leg's alone.
 			if exit := dir.exitKey(si, higher); exit != op.Src {
 				st.Legs++
 				st.TotalRouteDistance++ // the exit boundary intermediate
-				pr.extraDist++
-				if !s.sendLeg(ctx, pipes[si], core.Op{Src: op.Src, Dst: exit}) {
-					*pending = append(*pending, pr)
-					return false
-				}
+				p.extraDist++
+				w.addLeg(si, core.RouteOp(op.Src, exit))
 			}
 			entry := dir.entryKey(di, higher)
 			if entry != op.Dst {
 				st.TotalRouteDistance++ // the entry boundary intermediate
-				pr.extraDist++
+				p.extraDist++
 			}
 			kv.Src = entry // the access enters the shard at the boundary
 		} else {
 			st.Intra++
 		}
-		*pending = append(*pending, pr)
 		st.Legs++
-		return s.sendLeg(ctx, pipes[di], kv)
+		w.refs = append(w.refs, w.addLeg(di, kv))
 
 	case core.OpScan:
 		st.Scans++
-		s.keyLoad[op.Dst]++
 		first := dir.ShardOf(op.Dst)
 		fan := dir.Shards() - first
-		if s.cfg.OnRequest != nil {
-			s.cfg.OnRequest(op.Src, op.Dst, fan > 1)
-		}
 		if fan > 1 {
 			st.Cross++
 			st.TotalRouteHops += int64(fan - 1) // shard-to-shard forwarding
 		} else {
 			st.Intra++
 		}
-		*nextTag++
-		tag := *nextTag
-		*pending = append(*pending, pendingReq{tag: tag, op: op, legs: fan, extraHops: fan - 1})
-		limit := op.Limit
-		if limit <= 0 {
-			limit = 1
-		}
+		p.extraHops = fan - 1
 		for i := first; i < dir.Shards(); i++ {
 			lo, _ := dir.Range(i)
-			start := op.Dst
-			if lo > start {
-				start = lo
-			}
-			st.Legs++
 			// Every leg carries the full limit: a shard cannot know how many
-			// entries its predecessors will contribute, and the barrier stitch
+			// entries its predecessors will contribute, and the stitch
 			// truncates exactly.
-			if !s.sendLeg(ctx, pipes[i], core.Op{Kind: core.OpScan, Dst: start, Limit: limit, Tag: tag}) {
-				return false
-			}
+			w.refs = append(w.refs, w.addLeg(i, core.Op{Kind: core.OpScan, Dst: max(op.Dst, lo), Limit: max(op.Limit, 1)}))
 		}
-		return true
+		st.Legs += int64(fan)
 	}
-	return true
+	p.n = len(w.refs) - p.first
+	w.pending = append(w.pending, p)
 }
 
-// sendLeg feeds one leg to a shard pipeline, giving up when the pipeline or
-// the context dies.
-func (s *Service) sendLeg(ctx context.Context, p *pipe, op core.Op) bool {
-	select {
-	case p.ch <- op:
-		return true
-	case <-p.done:
-		return false
-	case <-ctx.Done():
-		return false
+// run serves the window's legs and folds the engines' books into st: every
+// shard with legs serves its slice in batches of BatchSize, on a goroutine
+// of its own when two or more shards are busy. It returns the first
+// failure in shard order.
+func (s *Service) run(st *ServeStats) error {
+	w := &s.win
+	busy, only := 0, 0
+	for i := range w.legs {
+		if len(w.legs[i]) > 0 {
+			busy++
+			only = i
+		}
 	}
+	if busy == 1 {
+		w.errs[only] = s.shards[only].eng.ServeSlice(w.legs[only], &w.stats[only])
+	} else if busy > 1 {
+		var wg sync.WaitGroup
+		for i := range w.legs {
+			if len(w.legs[i]) == 0 {
+				continue
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				w.errs[i] = s.shards[i].eng.ServeSlice(w.legs[i], &w.stats[i])
+			}()
+		}
+		wg.Wait()
+	}
+	st.foldEngines(w.stats)
+	for _, err := range w.errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// captureFrag records a tagged leg result from shard engine OnResult
-// callbacks; untagged legs (plain routes) pass through untouched. Engines
-// call this concurrently, hence the lock; assembly happens single-threaded
-// at the barrier.
-func (s *Service) captureFrag(shard int, r serve.Result) {
-	if r.Op.Tag == 0 {
-		return
-	}
-	s.fragMu.Lock()
-	s.frags[r.Op.Tag] = append(s.frags[r.Op.Tag], tagFrag{shard: shard, r: r})
-	s.fragMu.Unlock()
-}
-
-// deliverOutcomes assembles each pending op's leg results — all complete,
-// the pipelines have drained — updates the KV statistics, and hands the
-// outcomes to OnOutcome in dispatch order. The fragment store resets for
-// the next window.
-func (s *Service) deliverOutcomes(pending []pendingReq, st *ServeStats) {
-	if len(pending) == 0 {
-		return
-	}
-	s.fragMu.Lock()
-	frags := s.frags
-	s.frags = make(map[int64][]tagFrag)
-	s.fragMu.Unlock()
-	for _, p := range pending {
-		o := Outcome{Op: p.op}
-		fs := frags[p.tag]
-		// The access-path view of the whole request: tagged leg measurements
-		// plus the dispatcher's boundary/forwarding contributions. Leg order
-		// is capture order, but sums and maxima are order-independent.
-		for _, f := range fs {
-			o.RouteDistance += f.r.RouteDistance
-			o.RouteHops += f.r.RouteHops
-			if f.r.AdjustLag > o.AdjustLag {
-				o.AdjustLag = f.r.AdjustLag
+// deliver hands the window's outcomes to OnOutcome in dispatch order. After
+// an engine failure it stops at the first op one of whose legs never ran.
+func (s *Service) deliver(st *ServeStats) {
+	w := &s.win
+	for i := range w.pending {
+		p := &w.pending[i]
+		for _, ref := range w.refs[p.first : p.first+p.n] {
+			if ref.idx >= len(w.res[ref.shard]) {
+				return
 			}
 		}
-		o.RouteDistance += p.extraDist
-		o.RouteHops += p.extraHops
-		if p.op.Kind == core.OpScan {
-			sort.Slice(fs, func(i, j int) bool { return fs[i].shard < fs[j].shard })
-			limit := p.op.Limit
-			if limit <= 0 {
-				limit = 1
-			}
-			for _, f := range fs {
-				for _, e := range f.r.Entries {
-					if len(o.Entries) == limit {
-						break
-					}
-					o.Entries = append(o.Entries, e)
-				}
-			}
-			st.ScannedEntries += int64(len(o.Entries))
-		} else if len(fs) > 0 {
-			r := fs[0].r
-			o.Found, o.Value, o.Version, o.Existed = r.Found, r.Value, r.Version, r.Existed
-			switch p.op.Kind {
-			case core.OpGet:
-				if o.Found {
-					st.GetHits++
-				}
-			case core.OpPut:
-				if !o.Existed {
-					st.PutInserts++
-				}
-			case core.OpDelete:
-				if o.Existed {
-					st.DeleteHits++
-				}
-			}
-		}
-		if tr := s.cfg.Tracer; tr != nil && len(fs) > 0 {
-			s.recordSpan(tr, p, fs, o)
-		}
+		o := s.assemble(p, st)
 		if s.cfg.OnOutcome != nil {
 			s.cfg.OnOutcome(o)
 		}
 	}
 }
 
-// recordSpan folds one assembled op's leg fragments into the tracer: the
-// whole-op verb latency (summed leg service time — queueing and the
-// batch-amortized adjuster pass are excluded; they have their own stage
-// histograms) and, when slow enough to matter, a slowest-ring span with
-// the per-leg breakdown.
-func (s *Service) recordSpan(tr *obs.Tracer, p pendingReq, fs []tagFrag, o Outcome) {
+// assemble builds one op's outcome from its legs' results — all present —
+// and updates the KV statistics and the tracer.
+func (s *Service) assemble(p *pendingReq, st *ServeStats) Outcome {
+	w := &s.win
+	refs := w.refs[p.first : p.first+p.n]
+	o := Outcome{Op: p.op, RouteDistance: p.extraDist, RouteHops: p.extraHops}
+	// The access-path view of the whole request: the legs' measurements on
+	// top of the dispatcher's boundary/forwarding contributions.
+	for _, ref := range refs {
+		r := &w.res[ref.shard][ref.idx]
+		o.RouteDistance += r.RouteDistance
+		o.RouteHops += r.RouteHops
+		o.AdjustLag = max(o.AdjustLag, r.AdjustLag)
+		o.TransformRounds += r.TransformRounds
+		o.Alpha, o.DirectLevel = r.Alpha, r.DirectLevel
+		if p.op.Kind == core.OpRoute && o.Err == nil {
+			o.Err = r.RouteErr
+		}
+	}
+	switch p.op.Kind {
+	case core.OpScan:
+		// refs run in shard order, which is key order.
+		limit := max(p.op.Limit, 1)
+		for _, ref := range refs {
+			es := w.res[ref.shard][ref.idx].Entries
+			es = es[:min(len(es), limit-len(o.Entries))]
+			if o.Entries == nil {
+				o.Entries = es // the first fragment is adopted, not copied
+			} else {
+				o.Entries = append(o.Entries, es...)
+			}
+		}
+		st.ScannedEntries += int64(len(o.Entries))
+	case core.OpGet, core.OpPut, core.OpDelete:
+		r := &w.res[refs[0].shard][refs[0].idx]
+		o.Found, o.Value, o.Version, o.Existed = r.Found, r.Value, r.Version, r.Existed
+		switch {
+		case p.op.Kind == core.OpGet && o.Found:
+			st.GetHits++
+		case p.op.Kind == core.OpPut && !o.Existed:
+			st.PutInserts++
+		case p.op.Kind == core.OpDelete && o.Existed:
+			st.DeleteHits++
+		}
+	}
+	if tr := s.cfg.Tracer; tr != nil && len(refs) > 0 {
+		s.recordSpan(tr, p, refs, o)
+	}
+	return o
+}
+
+// recordSpan folds one assembled op's legs into the tracer: the whole-op
+// verb latency (summed leg service time — queueing and the batch-amortized
+// adjuster pass are excluded; they have their own stage histograms) and,
+// when slow enough to matter, a slowest-ring span with the per-leg
+// breakdown.
+func (s *Service) recordSpan(tr *obs.Tracer, p *pendingReq, refs []legRef, o Outcome) {
+	w := &s.win
 	var total int64
 	miss := false
-	for _, f := range fs {
-		total += f.r.RouteNanos
-		miss = miss || f.r.RouteMiss
+	for _, ref := range refs {
+		r := &w.res[ref.shard][ref.idx]
+		total += r.RouteNanos
+		miss = miss || r.RouteMiss
 	}
 	tr.ObserveOp(int64(p.op.Kind), time.Duration(total))
 	if !tr.WouldRecord(total) {
 		return
 	}
-	legs := make([]obs.LegSpan, len(fs))
-	for i, f := range fs {
+	legs := make([]obs.LegSpan, len(refs))
+	for i, ref := range refs {
+		r := &w.res[ref.shard][ref.idx]
 		legs[i] = obs.LegSpan{
-			Shard:     int64(f.shard),
-			Distance:  int64(f.r.RouteDistance),
-			Hops:      int64(f.r.RouteHops),
-			AdjustLag: int64(f.r.AdjustLag),
-			Epoch:     f.r.Epoch,
-			Nanos:     f.r.RouteNanos,
+			Shard:     int64(ref.shard),
+			Distance:  int64(r.RouteDistance),
+			Hops:      int64(r.RouteHops),
+			AdjustLag: int64(r.AdjustLag),
+			Epoch:     r.Epoch,
+			Nanos:     r.RouteNanos,
 		}
 	}
 	tr.RecordSpan(obs.Span{
-		Seq:           p.tag,
+		Seq:           p.seq,
 		Kind:          int64(p.op.Kind),
 		Src:           p.op.Src,
 		Dst:           p.op.Dst,
 		Start:         time.Now().UnixNano(),
 		TotalNanos:    total,
-		Epoch:         fs[0].r.Epoch,
+		Epoch:         legs[0].Epoch,
 		RouteDistance: int64(o.RouteDistance),
 		RouteHops:     int64(o.RouteHops),
 		AdjustLag:     int64(o.AdjustLag),
 		RouteMiss:     miss,
-		Cross:         len(fs) > 1 || p.extraHops > 0,
+		Cross:         len(refs) > 1 || p.extraHops > 0,
 		Legs:          legs,
 	})
 }
 
-// checkOp validates one op envelope against the static key space.
+// checkOp validates one op envelope against the key space.
 func (s *Service) checkOp(op core.Op) error {
 	if err := s.checkKey(op.Dst); err != nil {
 		return err

@@ -2,7 +2,7 @@ package shard
 
 import (
 	"fmt"
-	"sync"
+	"io"
 	"sync/atomic"
 
 	"lsasg/internal/core"
@@ -25,8 +25,9 @@ type Config struct {
 	BatchSize   int
 
 	// RebalanceEvery is the Serve pipeline's window length in requests:
-	// after every window the planner runs at an engine-idle barrier.
-	// Values < 1 mean 512.
+	// a window's ops are collected, served and their outcomes delivered
+	// together, and after every window the planner runs at the engine-idle
+	// barrier. Values < 1 mean 512.
 	RebalanceEvery int
 	// SkewThreshold is the max/mean shard-load ratio that triggers a
 	// migration (default 1.5; values ≤ 1 mean the default).
@@ -35,23 +36,24 @@ type Config struct {
 	// shard (default 2).
 	MinShardKeys int
 
-	// OnRequest, when non-nil, observes every request accepted by the Serve
-	// pipeline in sequence order (before its legs are
-	// dispatched) — scans included, as the access (src, start). The sharded
-	// public API uses it for working-set bookkeeping.
-	OnRequest func(src, dst int64, crossShard bool)
+	// CheckInvariants and Finder are passed to every shard's core.Config:
+	// full structural verification after each adjustment, and the median
+	// finder behind the transformation's splits (nil means the randomized
+	// AMF).
+	CheckInvariants bool
+	Finder          core.MedianFinder
 
 	// OnOutcome, when non-nil, receives every op's assembled result — point
-	// outcomes, stitched cross-shard scans, and route path measurements — at
-	// each window barrier of the Serve pipeline, in dispatch order.
+	// outcomes, stitched cross-shard scans, and route path measurements —
+	// in dispatch order: at each window barrier of the Serve pipeline, and
+	// once per synchronous Apply.
 	OnOutcome func(o Outcome)
 
 	// Tracer, when non-nil, turns on the observability layer: the shard
 	// engines feed its stage histograms and per-leg timings, and the
 	// dispatcher assembles whole-op spans (with per-leg breakdowns) and
-	// per-verb latency at the window barrier. Routes only get spans when
-	// OnOutcome is set — untagged route legs leave no fragments to
-	// assemble. Wall-clock measurements never feed ServeStats.
+	// per-verb latency as it assembles the outcomes. Wall-clock
+	// measurements never feed ServeStats.
 	Tracer *obs.Tracer
 }
 
@@ -60,6 +62,13 @@ func (c Config) shards() int {
 		return 1
 	}
 	return c.Shards
+}
+
+func (c Config) batchSize() int {
+	if c.BatchSize < 1 {
+		return 32
+	}
+	return c.BatchSize
 }
 
 func (c Config) rebalanceEvery() int {
@@ -89,9 +98,10 @@ type slot struct {
 	eng *serve.Engine
 }
 
-// Service is a sharded self-adjusting skip-graph service over the static key
-// space [0, n). Construction partitions the keys evenly; the rebalancer may
-// move contiguous ranges between shards afterwards, so a shard's range is
+// Service is a self-adjusting skip-graph service over the key space [0, n),
+// partitioned across S ≥ 1 shards; a single graph is the S = 1 case.
+// Construction partitions the keys evenly; the rebalancer may move
+// contiguous ranges between shards afterwards, so a shard's range is
 // whatever the current directory epoch says.
 type Service struct {
 	cfg    Config
@@ -100,38 +110,51 @@ type Service struct {
 	dir    atomic.Pointer[Directory]
 
 	// keyLoad[k] counts routed leg endpoints touching key k in the current
-	// load window; the planner consumes and resets it. Only the Serve
-	// dispatcher touches it.
+	// load window: cleared in place when a window starts, read by the
+	// planner at its barrier. Only the Serve dispatcher touches it.
 	keyLoad []int64
 
-	// frags collects tagged KV leg results from the shard engines during a
-	// window; deliverOutcomes drains it at the barrier.
-	fragMu sync.Mutex
-	frags  map[int64][]tagFrag
+	// win is the window in flight: the collected ops, their per-shard legs
+	// and the leg results the shard engines report back.
+	win window
 
-	// serving is set while a Serve call is in flight.
+	// serving is set while a Serve or Apply call is in flight.
 	serving atomic.Bool
 
-	// rebalances and movedKeys count migrations over the service's lifetime;
-	// only a Serve call's barrier writes them.
-	rebalances int64
-	movedKeys  int64
+	// totals are the lifetime books over every Serve run and Apply.
+	totals Totals
 }
 
-// New builds a sharded service over keys 0..n-1. Every shard needs at least
+// Totals are a Service's lifetime books: every Serve run and every
+// synchronous Apply folds its ServeStats in, so both paths feed the same
+// numbers.
+type Totals struct {
+	Requests int64
+	// RouteDistance, MaxLegDistance and TransformRounds accumulate the
+	// ServeStats fields TotalRouteDistance, MaxLegDistance and
+	// TotalTransformRounds.
+	RouteDistance   int64
+	MaxLegDistance  int64
+	TransformRounds int64
+	// Rebalances counts the migrations executed, MovedKeys the keys they
+	// moved across shards.
+	Rebalances int64
+	MovedKeys  int64
+}
+
+// New builds a service over keys 0..n-1. Every shard needs at least
 // MinShardKeys keys in the initial split.
 func New(n int, cfg Config) (*Service, error) {
 	s := cfg.shards()
 	if n < s*cfg.minShardKeys() {
 		return nil, fmt.Errorf("shard: %d keys cannot fill %d shards with ≥ %d keys each", n, s, cfg.minShardKeys())
 	}
-	svc := &Service{cfg: cfg, n: int64(n), keyLoad: make([]int64, n), frags: make(map[int64][]tagFrag)}
+	if cfg.A == 0 {
+		cfg.A = 4
+	}
+	svc := &Service{cfg: cfg, n: int64(n), keyLoad: make([]int64, n), win: newWindow(s)}
 	dir := newDirectory(int64(n), s)
 	svc.dir.Store(dir)
-	a := cfg.A
-	if a == 0 {
-		a = 4
-	}
 	for i := 0; i < s; i++ {
 		lo, hi := dir.Range(i)
 		nodes := make([]*skipgraph.Node, 0, hi-lo)
@@ -140,24 +163,24 @@ func New(n int, cfg Config) (*Service, error) {
 		}
 		g := skipgraph.NewFromNodes(nodes, skipgraph.RandomBrancher(cfg.Seed+int64(i)*1_000_003))
 		d := core.NewFromGraph(g, core.Config{
-			A:    a,
-			Seed: cfg.Seed + int64(i),
+			A:               cfg.A,
+			Seed:            cfg.Seed + int64(i),
+			CheckInvariants: cfg.CheckInvariants,
+			Finder:          cfg.Finder,
 			// Disjoint dummy-id spaces per shard: migration can carry any
 			// real id into any shard, so dummy ids live far above them all.
 			DummyIDBase: int64(n) + int64(i+1)<<32,
 		})
-		shardIdx := i
+		res := &svc.win.res[i]
 		eng := serve.New(d, serve.Config{
 			Parallelism:        cfg.Parallelism,
 			BatchSize:          cfg.BatchSize,
 			TolerateAdjustMiss: true,
-			// Engines under a dispatcher feed stage histograms and leg
-			// timings only; the dispatcher owns whole-op spans.
-			Tracer:        cfg.Tracer,
-			TraceLegsOnly: true,
-			// Tagged KV legs report their results here for barrier-time
-			// assembly; untagged (route) legs pass through.
-			OnResult: func(r serve.Result) { svc.captureFrag(shardIdx, r) },
+			Tracer:             cfg.Tracer,
+			// An engine reports its legs' results in leg order, so result j
+			// of shard i belongs to leg j of the window; each engine
+			// appends to its own slice only.
+			OnResult: func(r serve.Result) { *res = append(*res, r) },
 		})
 		svc.shards = append(svc.shards, &slot{dsg: d, eng: eng})
 	}
@@ -173,12 +196,12 @@ func (s *Service) Shards() int { return len(s.shards) }
 // Directory returns the current directory (immutable; callers may hold it).
 func (s *Service) Directory() *Directory { return s.dir.Load() }
 
-// Rebalances returns the number of migrations executed so far. Like
-// MigratedKeys, it must not be called while a Serve call is in flight.
-func (s *Service) Rebalances() int64 { return s.rebalances }
+// A returns the a-balance parameter of every shard's DSG.
+func (s *Service) A() int { return s.cfg.A }
 
-// MigratedKeys returns the number of keys moved across shards so far.
-func (s *Service) MigratedKeys() int64 { return s.movedKeys }
+// Totals returns the lifetime books. Like every accessor here it must not
+// be called while a Serve call is in flight.
+func (s *Service) Totals() Totals { return s.totals }
 
 // Height returns the tallest shard topology. Like every accessor here it
 // reads the live graphs, so it must not be called while a Serve call is in
@@ -212,6 +235,58 @@ func (s *Service) Verify() error {
 	return nil
 }
 
+// Distance returns the current whole-request routing distance src→dst
+// without adjusting anything: the legs' distances in their shards' graphs
+// plus the boundary intermediates of a cross-shard request.
+func (s *Service) Distance(src, dst int64) (int, error) {
+	if err := s.checkKey(src); err != nil {
+		return 0, err
+	}
+	if err := s.checkKey(dst); err != nil {
+		return 0, err
+	}
+	legs, n, cross := s.dir.Load().splitLegs(src, dst)
+	total := 0
+	if cross {
+		total = n
+	}
+	for _, l := range legs[:n] {
+		r, err := s.shards[l.shard].dsg.Graph().RouteKeys(skipgraph.KeyOf(l.src), skipgraph.KeyOf(l.dst))
+		if err != nil {
+			return 0, err
+		}
+		total += r.Distance()
+	}
+	return total, nil
+}
+
+// DirectlyLinked reports whether src and dst share a linked list of size two
+// (a direct link) and at which level. Keys on different shards never do.
+func (s *Service) DirectlyLinked(src, dst int64) (bool, int) {
+	if s.checkKey(src) != nil || s.checkKey(dst) != nil {
+		return false, 0
+	}
+	dir := s.dir.Load()
+	d := s.shards[dir.ShardOf(src)].dsg
+	u, v := d.NodeByID(src), d.NodeByID(dst)
+	if u == nil || v == nil {
+		return false, 0
+	}
+	return d.Graph().DirectlyLinked(u, v)
+}
+
+// RenderTopology writes every shard's tree-of-linked-lists view (the
+// paper's Fig 1(b) layout) to w, in key order.
+func (s *Service) RenderTopology(w io.Writer) {
+	for i, sl := range s.shards {
+		if len(s.shards) > 1 {
+			lo, hi := s.dir.Load().Range(i)
+			fmt.Fprintf(w, "shard %d [%d, %d)\n", i, lo, hi)
+		}
+		fmt.Fprint(w, sl.dsg.Graph().TreeView().RenderLevels(nil, nil))
+	}
+}
+
 // Crash injects a crash failure synchronously: the node fails in place on
 // whichever shard the current directory assigns it — dangling neighbour
 // references until a Put or Delete of the key repairs it. Requires the
@@ -224,24 +299,38 @@ func (s *Service) Crash(id int64) error {
 	return s.shards[sh].eng.ApplyCrashIdle(id)
 }
 
+// AddNode joins a new key at the top of the key space: key n enters the last
+// shard's topology (a tracked join with scoped balance repair) and the
+// directory grows to [0, n+1). It returns the new key. Requires an idle
+// service (no Serve in flight).
+func (s *Service) AddNode() (int64, error) {
+	id := s.n
+	last := s.shards[len(s.shards)-1]
+	if err := last.eng.ApplyMigrationBatch([]skipgraph.Entry{{ID: id}}, nil); err != nil {
+		return 0, err
+	}
+	s.dir.Store(s.dir.Load().grown())
+	s.keyLoad = append(s.keyLoad, 0)
+	s.n++
+	return id, nil
+}
+
+// RemoveNode makes key id leave its owning shard's topology (a tracked
+// leave with scoped balance repair). The key stays inside the key space,
+// absent like a deleted one, until a Put re-joins it. Requires an idle
+// service.
+func (s *Service) RemoveNode(id int64) error {
+	if err := s.checkKey(id); err != nil {
+		return err
+	}
+	sh := s.dir.Load().ShardOf(id)
+	return s.shards[sh].eng.ApplyMigrationBatch(nil, []int64{id})
+}
+
 // checkKey validates one endpoint.
 func (s *Service) checkKey(k int64) error {
 	if k < 0 || k >= s.n {
 		return fmt.Errorf("shard: key %d out of range [0, %d)", k, s.n)
 	}
 	return nil
-}
-
-// recordLoad attributes one routed request's endpoints to the load window.
-func (s *Service) recordLoad(src, dst int64) {
-	s.keyLoad[src]++
-	s.keyLoad[dst]++
-}
-
-// takeKeyLoads hands the per-key load window to the caller and starts a
-// fresh one.
-func (s *Service) takeKeyLoads() []int64 {
-	out := s.keyLoad
-	s.keyLoad = make([]int64, len(out))
-	return out
 }

@@ -35,9 +35,9 @@ func TestShardedStress(t *testing.T) {
 	if st.Rebalances == 0 || st.MovedKeys == 0 {
 		t.Fatalf("hot-range trace triggered no migration: %+v", st)
 	}
-	if svc.Rebalances() != st.Rebalances || svc.MigratedKeys() != st.MovedKeys {
-		t.Errorf("lifetime migration counters (%d, %d) disagree with the run's (%d, %d)",
-			svc.Rebalances(), svc.MigratedKeys(), st.Rebalances, st.MovedKeys)
+	if tot := svc.Totals(); tot.Rebalances != st.Rebalances || tot.MovedKeys != st.MovedKeys || tot.Requests != st.Requests {
+		t.Errorf("lifetime books %+v disagree with the one run's (%d rebalances, %d moved keys, %d requests)",
+			tot, st.Rebalances, st.MovedKeys, st.Requests)
 	}
 	for i, sl := range svc.shards {
 		if err := sl.dsg.Validate(); err != nil {

@@ -67,7 +67,8 @@ func (t *Tree) Walk(visit func(*Tree)) {
 type Label func(n *Node, level int) string
 
 // RenderLevels renders one line per level listing that level's linked lists
-// in key order, the format used by cmd/dsgviz and the figure golden tests:
+// in key order, the format used by Network.RenderTopology and the figure
+// golden tests:
 //
 //	L0: A J M | G R W        (lists separated by " | ")
 func (t *Tree) RenderLevels(name func(*Node) string, label Label) string {

@@ -12,18 +12,6 @@ import (
 	"lsasg/internal/obs"
 )
 
-// nodeAdmin is the optional membership surface behind VerbAddNode and
-// VerbRemoveNode. The single-graph Network implements it; the sharded
-// service does not (its key space is fixed by the shard directory), so
-// those verbs answer CodeInvalid there.
-type nodeAdmin interface {
-	AddNode() (int, error)
-	RemoveNode(idx int) error
-}
-
-// crasher is the fault-injection surface behind VerbCrash.
-type crasher interface{ Crash(idx int) error }
-
 // Server fronts one lsasg.Service over a TCP listener.
 //
 // The service's methods are not concurrency-safe, so a single owner
@@ -37,9 +25,11 @@ type crasher interface{ Crash(idx int) error }
 // quiesced service, and lets the next op start a fresh generation.
 // TraceDump is the exception: it reads only the tracer, which is
 // concurrency-safe, so it is answered while the generation keeps serving. A
-// generation that dies on an op error answers its first pending waiter
-// with the real error and every later one with CodeRetry — their ops were
-// fine, the pipeline just restarted under them.
+// route whose endpoint is gone or dead is a per-op miss: its waiter gets
+// the matching error code and the generation keeps serving. A generation
+// that dies on an op error answers its first pending waiter with the real
+// error and every later one with CodeRetry — their ops were fine, the
+// pipeline just restarted under them.
 type Server struct {
 	svc    lsasg.Service
 	col    *Collector
@@ -333,6 +323,12 @@ func (s *Server) startGeneration() *generation {
 			// FIFO: results arrive in dispatch order, which is the order
 			// the owner appended waiters.
 			w := <-g.waiters
+			if r.Err != nil {
+				resp := errResponse(w.req, CodeOf(r.Err), r.Err.Error())
+				s.col.observeError(resp.Code)
+				s.respond(w.c, resp)
+				return
+			}
 			s.col.observeResult(w.req.Verb, r)
 			s.respond(w.c, opResponse(w.req, r))
 		})
@@ -412,12 +408,7 @@ func (s *Server) handleAdmin(it item) {
 			resp = errResponse(req, CodeInternal, err.Error())
 		}
 	case VerbAddNode:
-		na, ok := s.svc.(nodeAdmin)
-		if !ok {
-			resp = errResponse(req, CodeInvalid, "service does not support node membership admin")
-			break
-		}
-		idx, err := na.AddNode()
+		idx, err := s.svc.AddNode()
 		if err != nil {
 			resp = errResponse(req, CodeOf(err), err.Error())
 			break
@@ -425,12 +416,7 @@ func (s *Server) handleAdmin(it item) {
 		resp.Node = int64(idx)
 		s.n.Store(int64(s.svc.N()))
 	case VerbRemoveNode:
-		na, ok := s.svc.(nodeAdmin)
-		if !ok {
-			resp = errResponse(req, CodeInvalid, "service does not support node membership admin")
-			break
-		}
-		if err := na.RemoveNode(int(req.Dst)); err != nil {
+		if err := s.svc.RemoveNode(int(req.Dst)); err != nil {
 			resp = errResponse(req, CodeOf(err), err.Error())
 			break
 		}
@@ -443,12 +429,7 @@ func (s *Server) handleAdmin(it item) {
 		resp.Spans = s.tracer.SlowSpans(int(req.Limit))
 		resp.Latency = s.tracer.VerbLatencies()
 	case VerbCrash:
-		cr, ok := s.svc.(crasher)
-		if !ok {
-			resp = errResponse(req, CodeInvalid, "service does not support crash injection")
-			break
-		}
-		if err := cr.Crash(int(req.Dst)); err != nil {
+		if err := s.svc.Crash(int(req.Dst)); err != nil {
 			resp = errResponse(req, CodeOf(err), err.Error())
 		}
 	default:

@@ -94,7 +94,7 @@ func TestLoopbackKVSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Serve.Puts != 4 || st.Serve.Deletes != 1 || st.Serve.Scans != 1 {
+	if st.Serve.Puts != 4 || st.Serve.Deletes != 1 || st.Serve.Scans != 1 || st.Serve.Shards != 1 {
 		t.Errorf("serve stats: %+v", st.Serve)
 	}
 	if st.Cum.Requests == 0 {
@@ -130,40 +130,66 @@ func TestLoopbackMembershipAdmin(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The sharded service has a fixed directory: membership admin is
-	// refused, not mis-served.
+	// A sharded daemon serves the same verbs: the join lands in the last
+	// shard and widens the directory, the leave finds the owning shard.
 	snw, err := lsasg.NewSharded(32, lsasg.WithShards(4), lsasg.WithSeed(5),
-		lsasg.WithBatchSize(1), lsasg.WithRebalanceWindow(1))
+		lsasg.WithBatchSize(1), lsasg.WithRebalanceWindow(1), lsasg.WithoutWorkingSetTracking())
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, scl := startServer(t, snw)
-	if _, err := scl.AddNode(); err == nil {
-		t.Error("sharded AddNode must be refused")
+	if idx, err := scl.AddNode(); err != nil || idx != 32 {
+		t.Fatalf("sharded AddNode = %d, %v", idx, err)
+	}
+	if _, _, err := scl.Put(0, 32, []byte("new")); err != nil {
+		t.Fatalf("cross-shard put to the joined node: %v", err)
+	}
+	if err := scl.RemoveNode(13); err != nil {
+		t.Fatalf("sharded RemoveNode: %v", err)
+	}
+	if err := scl.RemoveNode(99); !errors.Is(err, lsasg.ErrOutOfRange) {
+		t.Errorf("sharded RemoveNode out of range returned %v, want ErrOutOfRange", err)
+	}
+	if err := scl.Verify(); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func TestLoopbackGenerationRestart(t *testing.T) {
-	nw, err := lsasg.New(16, lsasg.WithSeed(7), lsasg.WithBatchSize(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, cl := startServer(t, nw)
-
-	// Delete key 5, then route to it: the op kills its serving generation
-	// and the client's retries cannot save it — the sentinel survives.
-	if _, err := cl.Delete(0, 5); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Route(1, 5); !errors.Is(err, lsasg.ErrUnknownKey) {
-		t.Fatalf("route to departed key returned %v, want ErrUnknownKey", err)
-	}
-	// The service recovered into a fresh generation.
-	if _, _, err := cl.Put(2, 9, []byte("alive")); err != nil {
-		t.Fatalf("traffic after generation restart: %v", err)
-	}
-	if err := cl.Verify(); err != nil {
-		t.Fatal(err)
+// TestLoopbackRouteMissKeepsGeneration: a route to a departed key is that
+// op's miss — the client's retries cannot save it, the sentinel survives the
+// wire — and nobody else's: the generation it was served in keeps serving,
+// on one shard and on four.
+func TestLoopbackRouteMissKeepsGeneration(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		nw, err := lsasg.New(16, lsasg.WithShards(shards), lsasg.WithSeed(7),
+			lsasg.WithBatchSize(1), lsasg.WithRebalanceWindow(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, cl := startServer(t, nw)
+		if _, err := cl.Delete(0, 5); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.Route(1, 5); !errors.Is(err, lsasg.ErrUnknownKey) {
+			t.Fatalf("shards=%d: route to departed key returned %v, want ErrUnknownKey", shards, err)
+		}
+		if _, _, err := cl.Put(2, 9, []byte("alive")); err != nil {
+			t.Fatalf("shards=%d: traffic after the miss: %v", shards, err)
+		}
+		stats, err := cl.Stats() // the first admin cycle: everything so far was one generation
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.col.mu.Lock()
+		gens := srv.col.gens
+		srv.col.mu.Unlock()
+		if gens != 1 || stats.Serve.Requests < 3 || stats.Serve.Shards != shards {
+			t.Errorf("shards=%d: %d generations, last served %d requests over %d shards; want 1 generation holding the delete, every route attempt and the put",
+				shards, gens, stats.Serve.Requests, stats.Serve.Shards)
+		}
+		if err := cl.Verify(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -176,7 +202,7 @@ func TestLoopbackCrashInjection(t *testing.T) {
 	if err := cl.Crash(3); err != nil {
 		t.Fatal(err)
 	}
-	// Routing straight at the crashed node trips the failure.
+	// Routing straight at the crashed node trips the failure — for that op.
 	if _, err := cl.Route(1, 3); !errors.Is(err, lsasg.ErrDeadNode) {
 		t.Fatalf("route to crashed node returned %v, want ErrDeadNode", err)
 	}

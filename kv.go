@@ -5,7 +5,7 @@ import (
 	"fmt"
 
 	"lsasg/internal/core"
-	"lsasg/internal/serve"
+	"lsasg/internal/shard"
 	"lsasg/internal/skipgraph"
 )
 
@@ -15,9 +15,14 @@ import (
 // origin o is the access σ=(o,k) of the paper, feeding the same
 // transformation and scoped a-balance repair. Put of an absent key joins
 // it; Delete leaves it; Scan reads the sorted level-0 run without
-// adjusting. Both Network and ShardedNetwork expose the same surface: a
-// synchronous API (Get/Put/Delete/Scan) and a batched deterministic one
-// (ServeOps).
+// adjusting. The surface is a synchronous API (Get/Put/Delete/Scan) and a
+// batched deterministic one (ServeOps); a synchronous call is a one-op
+// window through the same pipeline ServeOps runs. On a sharded network
+// point ops land on the shard owning the key (a cross-shard access adapts
+// the origin shard along src→boundary too, exactly like a cross-shard
+// route), and Scan stitches the shards' level-0 runs in directory order —
+// shard order is key order — so a range read spanning shards comes back
+// globally sorted and limit-exact.
 
 // OpKind discriminates a public op envelope. RouteKind is the zero value,
 // so Op{Src: a, Dst: b} is a plain communication request.
@@ -93,6 +98,27 @@ type OpResult struct {
 	// AdjustLag is the number of adjustments pending when the op was routed
 	// (its own included) — the worst single leg's lag on a sharded run.
 	AdjustLag int
+
+	// Err reports a route op whose endpoint had been deleted, removed or
+	// had crashed when it routed: ErrUnknownKey or ErrDeadNode. Such an op
+	// is a per-op miss — no path sample, no adjustment — and the run carries
+	// on, on every shard count. Nil otherwise.
+	Err error
+}
+
+func opResult(o shard.Outcome) OpResult {
+	return OpResult{
+		Op:            opFromInternal(o.Op),
+		Found:         o.Found,
+		Value:         o.Value,
+		Version:       o.Version,
+		Existed:       o.Existed,
+		Entries:       kvEntries(o.Entries),
+		RouteDistance: o.RouteDistance,
+		RouteHops:     o.RouteHops,
+		AdjustLag:     o.AdjustLag,
+		Err:           wrapErr(o.Err),
+	}
 }
 
 func kvEntries(es []skipgraph.Entry) []KV {
@@ -138,124 +164,133 @@ func (op Op) Validate(n int) error {
 	return nil
 }
 
+// apply serves one op synchronously: a one-op window through the ServeOps
+// pipeline.
+func (nw *Network) apply(op Op) (shard.Outcome, error) {
+	if err := op.Validate(nw.N()); err != nil {
+		return shard.Outcome{}, err
+	}
+	o, err := nw.svc.Apply(op.internal())
+	return o, wrapErr(err)
+}
+
 // Get reads key's value as an access from src: the value (with its version)
 // comes back, and the topology adapts to the access exactly as a Request
 // would make it. found is false when the key is absent, crashed, or was
 // never written. Not safe for concurrent use with other Network methods.
 func (nw *Network) Get(src, key int) (value []byte, version int64, found bool, err error) {
-	if err := GetOp(src, key).Validate(nw.n); err != nil {
-		return nil, 0, false, err
-	}
-	res, err := nw.dsg.ApplyOp(core.Op{Kind: core.OpGet, Src: int64(src), Dst: int64(key)})
-	if err != nil {
-		return nil, 0, false, wrapErr(err)
-	}
-	nw.noteKVAccess(src, key)
-	return res.Value, res.Version, res.Found, nil
+	o, err := nw.apply(GetOp(src, key))
+	return o.Value, o.Version, o.Found, err
 }
 
 // Put writes value to key as an access from src. An absent key joins the
-// topology (a tracked join with scoped balance repair); a crashed key is
-// repaired and rejoined fresh. Returns the version assigned to the write
-// and whether the key already held a live record.
+// owning shard's topology (a tracked join with scoped balance repair); a
+// crashed key is repaired and rejoined fresh. Returns the version assigned
+// to the write and whether the key already held a live record.
 func (nw *Network) Put(src, key int, value []byte) (version int64, existed bool, err error) {
-	if err := PutOp(src, key, value).Validate(nw.n); err != nil {
-		return 0, false, err
-	}
-	res, err := nw.dsg.ApplyOp(core.Op{Kind: core.OpPut, Src: int64(src), Dst: int64(key), Value: value})
-	if err != nil {
-		return 0, false, wrapErr(err)
-	}
-	nw.noteKVAccess(src, key)
-	return res.Version, res.Existed, nil
+	o, err := nw.apply(PutOp(src, key, value))
+	return o.Version, o.Existed, err
 }
 
 // Delete removes key from the keyspace — a tracked leave with scoped
 // balance repair (or a crash repair when the key is dead). Deleting an
 // absent key is a no-op with existed == false.
 func (nw *Network) Delete(src, key int) (existed bool, err error) {
-	if err := DeleteOp(src, key).Validate(nw.n); err != nil {
-		return false, err
-	}
-	res, err := nw.dsg.ApplyOp(core.Op{Kind: core.OpDelete, Src: int64(src), Dst: int64(key)})
-	if err != nil {
-		return false, wrapErr(err)
-	}
-	nw.noteKVAccess(src, key)
-	return res.Existed, nil
+	o, err := nw.apply(DeleteOp(src, key))
+	return o.Existed, err
 }
 
 // Scan reads up to limit value-bearing entries in ascending key order,
-// starting at the first key ≥ start, requested by origin src. Read-only:
-// the topology does not adjust, but the access feeds the working-set
-// bookkeeping like any other op.
+// starting at the first key ≥ start, requested by origin src, stitching
+// across shard boundaries. Read-only: the topology does not adjust, but the
+// access feeds the working-set bookkeeping like any other op.
 func (nw *Network) Scan(src, start, limit int) ([]KV, error) {
-	if err := ScanOp(src, start, limit).Validate(nw.n); err != nil {
-		return nil, err
-	}
-	res, err := nw.dsg.ApplyOp(core.Op{Kind: core.OpScan, Dst: int64(start), Limit: limit})
-	if err != nil {
-		return nil, wrapErr(err)
-	}
-	nw.noteKVAccess(src, start)
-	return kvEntries(res.Entries), nil
+	o, err := nw.apply(ScanOp(src, start, limit))
+	return kvEntries(o.Entries), err
 }
 
-// noteKVAccess is Request's sequence-order bookkeeping for a synchronous KV
-// access.
-func (nw *Network) noteKVAccess(src, key int) {
-	if nw.ws != nil && src != key {
-		nw.ws.Add(src, key)
+// noteKVAccess is the sequence-order bookkeeping of one served access
+// σ=(src, key) — a route, a point op, or a scan as the access (src, start) —
+// whichever entry point served it: the service reports every outcome here,
+// synchronous or pipelined. KV ops may be self-accesses (src == key), which
+// the bound tracker has no use for.
+func (nw *Network) noteKVAccess(o shard.Outcome) {
+	nw.lastWS = 0
+	if nw.ws != nil && o.Op.Src != o.Op.Dst {
+		nw.lastWS = nw.ws.Add(int(o.Op.Src), int(o.Op.Dst))
 	}
-	nw.requests++
+	if nw.onResult != nil {
+		nw.onResult(opResult(o))
+	}
 }
 
 // ServeOps consumes op envelopes — routes and KV operations — until the
-// channel closes (or ctx is cancelled) and serves them through the same
-// deterministic engine pipeline as Serve: Get and Scan read in their
-// batch's route phase, before the adjust phase applies every mutation
-// (including Put-joins and Delete-leaves) in request order. onResult, when
-// non-nil, receives each op's outcome in request order. The producer
+// channel closes (or ctx is cancelled) and serves them through the
+// deterministic pipeline: a dispatcher splits each op into per-shard legs,
+// every shard serves its legs in batches of WithBatchSize — Get and Scan
+// read in their batch's route phase, before the adjust phase applies every
+// mutation (including Put-joins and Delete-leaves) in request order — and
+// after every WithRebalanceWindow ops the rebalancer may migrate one
+// contiguous key range between adjacent shards. Cross-shard scans fan one
+// leg per intersecting shard and are stitched once their window has been
+// served. onResult, when non-nil, receives every op's assembled outcome —
+// routes included — in request order: per window, and per batch on an
+// unsharded network.
+//
+// A route whose endpoint was deleted or has crashed does not abort the run:
+// it is delivered with OpResult.Err set and adjusts nothing. The producer
 // contract matches Serve's.
 func (nw *Network) ServeOps(ctx context.Context, ops <-chan Op, onResult func(OpResult)) (ServeStats, error) {
-	eng := serve.New(nw.dsg, serve.Config{
-		Parallelism: nw.parallelism,
-		BatchSize:   nw.batchSize,
-		Tracer:      nw.tracer,
-		OnResult: func(r serve.Result) {
-			// Sequence-order bookkeeping, identical to Request's. Every op
-			// feeds the working set — a scan is the access (src, start) —
-			// but only routed accesses carry distance samples into Stats.
-			if nw.ws != nil && r.Op.Src != r.Op.Dst {
-				nw.ws.Add(int(r.Op.Src), int(r.Op.Dst))
-			}
-			if r.Op.Kind != core.OpScan {
-				nw.totalRouteDistance += int64(r.RouteDistance)
-				nw.totalTransformRounds += int64(r.TransformRounds)
-				if r.RouteDistance > nw.maxRouteDistance {
-					nw.maxRouteDistance = r.RouteDistance
+	nw.onResult = onResult
+	defer func() { nw.onResult = nil }()
+	n := nw.N()
+	done := make(chan struct{})
+	inner, invalid := forward(ops, done, func(op Op) (core.Op, error) { return op.internal(), op.Validate(n) })
+	st, err := nw.svc.Serve(ctx, inner)
+	close(done)
+	// An invalid envelope ended the stream; the pipeline has served what
+	// came before it.
+	if err == nil {
+		select {
+		case err = <-invalid:
+		default:
+		}
+	}
+	return nw.serveStats(st), wrapErr(err)
+}
+
+// forward converts the values of in onto the returned channel until in
+// closes, done closes, or conv rejects a value — whose error it then
+// reports. It is the adapter between a public producer channel and the
+// pipeline's: the pipeline may stop receiving early, so every send also
+// watches done.
+func forward[A, B any](in <-chan A, done <-chan struct{}, conv func(A) (B, error)) (<-chan B, <-chan error) {
+	out := make(chan B)
+	errc := make(chan error, 1)
+	go func() {
+		defer close(out)
+		for {
+			select {
+			case <-done:
+				return
+			case a, ok := <-in:
+				if !ok {
+					return
+				}
+				b, err := conv(a)
+				if err != nil {
+					errc <- err
+					return
+				}
+				select {
+				case out <- b:
+				case <-done:
+					return
 				}
 			}
-			nw.requests++
-			if onResult != nil {
-				onResult(OpResult{
-					Op:            opFromInternal(r.Op),
-					Found:         r.Found,
-					Value:         r.Value,
-					Version:       r.Version,
-					Existed:       r.Existed,
-					Entries:       kvEntries(r.Entries),
-					RouteDistance: r.RouteDistance,
-					RouteHops:     r.RouteHops,
-					AdjustLag:     r.AdjustLag,
-				})
-			}
-		},
-	})
-	st, err := runServeOps(ops, nw.n, func(inner <-chan core.Op) (serve.Stats, error) {
-		return eng.Serve(ctx, inner)
-	})
-	return engineServeStats(st, nw.dsg.Graph().Height(), nw.dsg.DummyCount()), err
+		}
+	}()
+	return out, errc
 }
 
 func opFromInternal(op core.Op) Op {

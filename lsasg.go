@@ -24,7 +24,7 @@ import (
 
 	"lsasg/internal/core"
 	"lsasg/internal/obs"
-	"lsasg/internal/skipgraph"
+	"lsasg/internal/shard"
 	"lsasg/internal/workingset"
 )
 
@@ -57,14 +57,14 @@ func WithSeed(seed int64) Option {
 }
 
 // WithInvariantChecks enables full structural verification after every
-// request. Intended for tests; it is O(n·H) per request.
+// request, on every shard. Intended for tests; it is O(n·H) per request.
 func WithInvariantChecks() Option {
 	return func(o *options) { o.checkInvariants = true }
 }
 
 // WithExactMedian replaces the randomized AMF subroutine with an exact
-// median (idealized O(log n)-round cost). Useful to isolate approximation
-// effects in experiments.
+// median (idealized O(log n)-round cost) on every shard. Useful to isolate
+// approximation effects in experiments.
 func WithExactMedian() Option {
 	return func(o *options) { o.exactMedian = true }
 }
@@ -89,21 +89,23 @@ func WithBatchSize(k int) Option {
 	return func(o *options) { o.batchSize = k }
 }
 
-// WithShards sets the number of partitions a sharded network splits the key
-// space across (NewSharded only; default 4). Each shard is an independent
+// WithShards sets the number of partitions the key space splits across
+// (default: 1 for New, 4 for NewSharded). Each shard is an independent
 // self-adjusting skip graph with its own adjuster, so aggregate adjustment
 // throughput scales with the shard count.
 func WithShards(s int) Option {
 	return func(o *options) { o.shards = s }
 }
 
-// WithRebalanceWindow sets the sharded deterministic pipeline's window
-// length in requests (NewSharded only; default 512): after every window the
-// shard engines drain to a barrier where KV outcomes are assembled and the
-// skew-driven rebalancer may migrate one key range. Smaller windows deliver
-// ServeOps outcomes sooner (a window of 1 delivers every op's result before
-// the next op dispatches — what a synchronous wire client needs) at the
-// cost of more frequent barriers.
+// WithRebalanceWindow sets the deterministic pipeline's window length in
+// requests (default 512): a window's ops are served together, its outcomes
+// are assembled and delivered, and the skew-driven rebalancer may then
+// migrate one key range. Smaller windows deliver ServeOps outcomes sooner
+// (a window of 1 delivers every op's result before the next op dispatches —
+// what a synchronous wire client of a sharded network needs) at the cost of
+// more frequent barriers. A window shorter than the batch size cuts every
+// batch to the window. An unsharded network has nothing to stitch or
+// rebalance and delivers after every batch whatever the window.
 func WithRebalanceWindow(w int) Option {
 	return func(o *options) { o.rebalanceWindow = w }
 }
@@ -113,7 +115,7 @@ func WithRebalanceWindow(w int) Option {
 // exemplar ring, all threaded through the serving pipelines. The
 // measurements are wall-clock and exempt from the deterministic-statistics
 // contracts — enabling tracing never changes any Stats or ServeOps result.
-// Read the tracer back with Network.Tracer / ShardedNetwork.Tracer.
+// Read the tracer back with Network.Tracer.
 func WithTracing() Option {
 	return func(o *options) { o.trace = true }
 }
@@ -141,43 +143,78 @@ type Result struct {
 }
 
 // Network is a self-adjusting skip-graph overlay of n nodes addressed
-// 0..n-1. Methods are not safe for concurrent use; the paper's model
-// serves requests sequentially. Serve is the concurrent entry point: it
-// parallelizes routing internally (a batch routes before any of it adjusts)
-// while keeping all adjustment serialized, but the Serve call itself must still
-// not overlap other Network methods.
+// 0..n-1: one graph, or — with WithShards(S) — the key space split across S
+// contiguous ranges, each an independent self-adjusting skip graph with its
+// own serving engine and adjuster, behind an epoch-stamped shard directory.
+// The single graph is simply the S = 1 case: every entry point below runs
+// the same dispatch, batch step and statistics for every S.
+//
+// Intra-shard requests are served exactly as on a single graph of size n/S;
+// cross-shard requests route source→boundary and boundary→destination in
+// their respective shards plus one directory-addressed forwarding hop, so
+// the worst case stays bounded by 2·a·H(n/S) + 1: every leg keeps the
+// per-shard a·H(n/S) bound, and the total stays O(log n) — within a factor 2
+// of the single-graph a·H(n) guarantee, and below it once S ≥ √n. A
+// skew-driven rebalancer migrates contiguous key ranges between adjacent
+// shards when per-shard load skews past a threshold.
+//
+// Methods are not safe for concurrent use; the paper's model serves
+// requests sequentially. Serve and ServeOps are the concurrent entry
+// points: they parallelize routing internally (a batch routes before any of
+// it adjusts) while keeping all adjustment serialized per shard, but the
+// call itself must still not overlap other Network methods.
 type Network struct {
-	dsg *core.DSG
-	ws  *workingset.Bound
-	n   int
+	svc    *shard.Service
+	ws     *workingset.Bound
+	tracer *obs.Tracer
 
-	parallelism int
-	batchSize   int
-	tracer      *obs.Tracer
-
-	requests             int
-	totalRouteDistance   int64
-	totalTransformRounds int64
-	maxRouteDistance     int
+	// onResult is the running ServeOps call's result callback.
+	onResult func(OpResult)
+	// lastWS is T_t(u, v) of the most recent access, for Request's Result.
+	lastWS int
 }
 
-// New creates a Network over n ≥ 2 nodes.
-func New(n int, opts ...Option) (*Network, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("lsasg: need at least 2 nodes, got %d", n)
-	}
-	o := options{balance: 4, seed: 1, trackWorkingSet: true}
+// New creates an unsharded Network over n ≥ 2 nodes: one graph, one
+// adjuster. It starts from the globally a-balance-repaired random skip
+// graph, the state every serving entry point starts from.
+func New(n int, opts ...Option) (*Network, error) { return newNetwork(n, 1, opts) }
+
+// NewSharded is New with a default of 4 shards (see WithShards): the key
+// space needs at least 2 keys per shard. Every option applies to every
+// shard.
+func NewSharded(n int, opts ...Option) (*Network, error) { return newNetwork(n, 4, opts) }
+
+func newNetwork(n, shards int, opts []Option) (*Network, error) {
+	o := options{balance: 4, seed: 1, trackWorkingSet: true, shards: shards}
 	for _, opt := range opts {
 		opt(&o)
 	}
-	cfg := core.Config{A: o.balance, Seed: o.seed, CheckInvariants: o.checkInvariants}
-	if o.exactMedian {
-		cfg.Finder = core.ExactFinder{}
+	if o.shards < 1 {
+		return nil, fmt.Errorf("lsasg: need at least 1 shard, got %d", o.shards)
 	}
-	nw := &Network{dsg: core.New(n, cfg), n: n, parallelism: o.parallelism, batchSize: o.batchSize}
+	nw := &Network{}
 	if o.trace {
 		nw.tracer = obs.NewTracer()
 	}
+	cfg := shard.Config{
+		Shards:          o.shards,
+		A:               o.balance,
+		Seed:            o.seed,
+		Parallelism:     o.parallelism,
+		BatchSize:       o.batchSize,
+		RebalanceEvery:  o.rebalanceWindow,
+		CheckInvariants: o.checkInvariants,
+		OnOutcome:       nw.noteKVAccess,
+		Tracer:          nw.tracer,
+	}
+	if o.exactMedian {
+		cfg.Finder = core.ExactFinder{}
+	}
+	svc, err := shard.New(n, cfg)
+	if err != nil {
+		return nil, err
+	}
+	nw.svc = svc
 	if o.trackWorkingSet {
 		nw.ws = workingset.NewBound(n)
 	}
@@ -189,58 +226,51 @@ func New(n int, opts ...Option) (*Network, error) {
 // method no-ops on it.
 func (nw *Network) Tracer() *obs.Tracer { return nw.tracer }
 
-// N returns the number of (real) nodes.
-func (nw *Network) N() int { return nw.n }
+// N returns the size of the key space [0, N): the number of node indices.
+func (nw *Network) N() int { return nw.svc.N() }
 
-// Height returns the current skip-graph height.
-func (nw *Network) Height() int { return nw.dsg.Graph().Height() }
+// Shards returns the shard count (1 for an unsharded network).
+func (nw *Network) Shards() int { return nw.svc.Shards() }
+
+// DirectoryEpoch returns the current shard-directory epoch: 0 at
+// construction, +1 per rebalancer migration.
+func (nw *Network) DirectoryEpoch() int64 { return nw.svc.Directory().Epoch() }
+
+// Height returns the current skip-graph height (the tallest shard's).
+func (nw *Network) Height() int { return nw.svc.Height() }
 
 // DummyCount returns the number of dummy (routing-only) nodes currently
-// maintaining the a-balance property.
-func (nw *Network) DummyCount() int { return nw.dsg.DummyCount() }
+// maintaining the a-balance property, summed over the shards.
+func (nw *Network) DummyCount() int { return nw.svc.DummyCount() }
 
 // Balance returns the a-balance parameter.
-func (nw *Network) Balance() int { return nw.dsg.A() }
+func (nw *Network) Balance() int { return nw.svc.A() }
 
 // Requests returns the number of requests served.
-func (nw *Network) Requests() int { return nw.requests }
+func (nw *Network) Requests() int { return int(nw.svc.Totals().Requests) }
 
 // Request serves a communication request from src to dst (distinct node
 // indices in [0, N)): it routes in the current topology, then runs the DSG
-// transformation that directly links the pair.
+// transformation that directly links the pair, followed by the scoped
+// a-balance repair — the same one-op step Get and Put take. On a sharded
+// network a cross-shard pair adapts both shards along its two legs;
+// TransformRounds then sums them and Alpha and DirectLevel describe the
+// destination-side leg. A request to an index that was removed or has
+// crashed returns ErrUnknownKey or ErrDeadNode and is not counted.
 func (nw *Network) Request(src, dst int) (Result, error) {
-	if err := nw.checkIndex(src); err != nil {
-		return Result{}, err
-	}
-	if err := nw.checkIndex(dst); err != nil {
-		return Result{}, err
-	}
-	if src == dst {
-		return Result{}, fmt.Errorf("lsasg: source and destination are both %d", src)
-	}
-	wsNum := 0
-	if nw.ws != nil {
-		wsNum = nw.ws.Add(src, dst)
-	}
-	r, err := nw.dsg.Serve(int64(src), int64(dst))
+	o, err := nw.apply(RouteOp(src, dst))
 	if err != nil {
-		return Result{}, wrapErr(err)
-	}
-	nw.requests++
-	nw.totalRouteDistance += int64(r.RouteDistance)
-	nw.totalTransformRounds += int64(r.TransformRounds)
-	if r.RouteDistance > nw.maxRouteDistance {
-		nw.maxRouteDistance = r.RouteDistance
+		return Result{}, err
 	}
 	return Result{
-		RouteDistance:    r.RouteDistance,
-		RouteHops:        r.RouteHops,
-		TransformRounds:  r.TransformRounds,
-		ServiceCost:      r.ServiceCost(),
-		DirectLevel:      r.DirectLevel,
-		WorkingSetNumber: wsNum,
-		Alpha:            r.Alpha,
-		HeightAfter:      r.HeightAfter,
+		RouteDistance:    o.RouteDistance,
+		RouteHops:        o.RouteHops,
+		TransformRounds:  o.TransformRounds,
+		ServiceCost:      o.RouteDistance + o.TransformRounds + 1,
+		DirectLevel:      o.DirectLevel,
+		WorkingSetNumber: nw.lastWS,
+		Alpha:            o.Alpha,
+		HeightAfter:      nw.svc.Height(),
 	}, nil
 }
 
@@ -253,30 +283,22 @@ func (nw *Network) Distance(src, dst int) (int, error) {
 	if err := nw.checkIndex(dst); err != nil {
 		return 0, err
 	}
-	route, err := nw.dsg.Graph().RouteKeys(skipgraph.KeyOf(int64(src)), skipgraph.KeyOf(int64(dst)))
-	if err != nil {
-		return 0, wrapErr(err)
-	}
-	return route.Distance(), nil
+	d, err := nw.svc.Distance(int64(src), int64(dst))
+	return d, wrapErr(err)
 }
 
 // DirectlyLinked reports whether src and dst currently share a linked list
 // of size two (a direct link) and at which level.
 func (nw *Network) DirectlyLinked(src, dst int) (bool, int) {
-	u := nw.dsg.NodeByID(int64(src))
-	v := nw.dsg.NodeByID(int64(dst))
-	if u == nil || v == nil {
-		return false, 0
-	}
-	return nw.dsg.Graph().DirectlyLinked(u, v)
+	return nw.svc.DirectlyLinked(int64(src), int64(dst))
 }
 
-// Stats summarizes the served request sequence. The sharding fields at the
-// bottom stay zero for an unsharded Network, which never migrates or
-// rebalances.
+// Stats summarizes the served request sequence.
 type Stats struct {
-	Requests             int
-	MeanRouteDistance    float64
+	Requests          int
+	MeanRouteDistance float64
+	// MaxRouteDistance is the worst single leg: a cross-shard request's two
+	// legs are measured in different shards' graphs.
 	MaxRouteDistance     int
 	TotalTransformRounds int64
 	// WorkingSetBound is WS(σ) = Σ log2 T_i, the paper's lower bound on
@@ -286,24 +308,29 @@ type Stats struct {
 	Height          int
 	DummyCount      int
 
-	// Rebalances counts skew-driven migrations the sharded rebalancer
-	// executed; MigratedKeys counts the keys those migrations moved between
-	// shards. Both are 0 for an unsharded Network.
+	// Rebalances counts skew-driven migrations the rebalancer executed;
+	// MigratedKeys counts the keys those migrations moved between shards.
+	// Both stay 0 for an unsharded Network.
 	Rebalances   int64
 	MigratedKeys int64
 }
 
-// Stats returns aggregate statistics for the requests served so far.
+// Stats returns aggregate statistics for the requests served so far —
+// through Request, the synchronous KV methods, Serve and ServeOps alike:
+// every entry point feeds the same books.
 func (nw *Network) Stats() Stats {
+	t := nw.svc.Totals()
 	s := Stats{
-		Requests:             nw.requests,
-		MaxRouteDistance:     nw.maxRouteDistance,
-		TotalTransformRounds: nw.totalTransformRounds,
-		Height:               nw.dsg.Graph().Height(),
-		DummyCount:           nw.dsg.DummyCount(),
+		Requests:             int(t.Requests),
+		MaxRouteDistance:     int(t.MaxLegDistance),
+		TotalTransformRounds: t.TransformRounds,
+		Height:               nw.svc.Height(),
+		DummyCount:           nw.svc.DummyCount(),
+		Rebalances:           t.Rebalances,
+		MigratedKeys:         t.MovedKeys,
 	}
-	if nw.requests > 0 {
-		s.MeanRouteDistance = float64(nw.totalRouteDistance) / float64(nw.requests)
+	if t.Requests > 0 {
+		s.MeanRouteDistance = float64(t.RouteDistance) / float64(t.Requests)
 	}
 	if nw.ws != nil {
 		s.WorkingSetBound = nw.ws.Total()
@@ -320,57 +347,54 @@ func (nw *Network) WorkingSetNumber(u, v int) int {
 	return nw.ws.Tracker().WorkingSetNumber(u, v)
 }
 
-// Verify checks all structural invariants of the current topology.
-func (nw *Network) Verify() error { return nw.dsg.Graph().Verify() }
+// Verify checks all structural invariants of every shard's topology.
+func (nw *Network) Verify() error { return nw.svc.Verify() }
 
 // AddNode joins a new node and returns its index (standard skip-graph
-// join; §IV-G). Note that working-set tracking is sized at construction,
-// so networks that grow should disable it.
+// join; §IV-G): the key space grows by one and the node joins the last
+// shard. Note that working-set tracking is sized at construction, so
+// networks that grow should disable it.
 func (nw *Network) AddNode() (int, error) {
 	if nw.ws != nil {
 		return 0, fmt.Errorf("lsasg: AddNode requires WithoutWorkingSetTracking")
 	}
-	id := int64(nw.n)
-	if _, err := nw.dsg.Add(id); err != nil {
-		return 0, wrapErr(err)
-	}
-	nw.n++
-	return int(id), nil
+	id, err := nw.svc.AddNode()
+	return int(id), wrapErr(err)
 }
 
-// RemoveNode removes a node (standard skip-graph leave; §IV-G). The index
-// becomes unroutable; other indices are unaffected.
+// RemoveNode removes a node from the shard that owns it (standard
+// skip-graph leave; §IV-G). The index becomes unroutable; other indices are
+// unaffected.
 func (nw *Network) RemoveNode(idx int) error {
 	if nw.ws != nil {
 		return fmt.Errorf("lsasg: RemoveNode requires WithoutWorkingSetTracking")
 	}
-	return wrapErr(nw.dsg.RemoveNode(int64(idx)))
+	if err := nw.checkIndex(idx); err != nil {
+		return err
+	}
+	return wrapErr(nw.svc.RemoveNode(int64(idx)))
 }
 
-// Crash injects a crash failure: the node fails in place with dangling
-// neighbour references, exactly as if its process died. Requests that run
-// into the corpse report ErrDeadNode until a repair splices it out; the
-// data plane repairs crashed keys on Put and Delete. Like every other
-// method, Crash must not run concurrently with a Serve call.
+// Crash injects a crash failure: the node fails in place on whichever shard
+// the current directory assigns it, with dangling neighbour references,
+// exactly as if its process died. Requests that run into the corpse report
+// ErrDeadNode until a repair splices it out; the data plane repairs crashed
+// keys on Put and Delete. Like every other method, Crash must not run
+// concurrently with a Serve call.
 func (nw *Network) Crash(idx int) error {
 	if err := nw.checkIndex(idx); err != nil {
 		return err
 	}
-	return wrapErr(nw.dsg.Crash(int64(idx)))
+	return wrapErr(nw.svc.Crash(int64(idx)))
 }
 
 // RenderTopology writes the tree-of-linked-lists view of the current
-// topology (the paper's Fig 1(b) layout) to w.
-func (nw *Network) RenderTopology(w io.Writer) {
-	tree := nw.dsg.Graph().TreeView()
-	fmt.Fprint(w, tree.RenderLevels(nil, nil))
-}
+// topology (the paper's Fig 1(b) layout) to w, shard by shard.
+func (nw *Network) RenderTopology(w io.Writer) { nw.svc.RenderTopology(w) }
 
-func (nw *Network) checkIndex(i int) error { return checkIndex(i, nw.n) }
-
-// checkIndex validates a node index against the key space [0, n).
-func checkIndex(i, n int) error {
-	if i < 0 || i >= n {
+// checkIndex validates a node index against the key space [0, N).
+func (nw *Network) checkIndex(i int) error {
+	if n := nw.N(); i < 0 || i >= n {
 		return fmt.Errorf("%w: node index %d not in [0, %d)", ErrOutOfRange, i, n)
 	}
 	return nil

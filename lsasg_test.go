@@ -1,6 +1,7 @@
 package lsasg
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -62,6 +63,22 @@ func TestNetworkErrors(t *testing.T) {
 	}
 	if _, err := nw.Distance(0, 99); err == nil {
 		t.Error("distance to unknown should fail")
+	}
+	// A request to an index that left or crashed keeps its sentinel.
+	if _, err := nw.Delete(0, 5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nw.Request(1, 5); !errors.Is(err, ErrUnknownKey) {
+		t.Errorf("request to a removed index = %v, want ErrUnknownKey", err)
+	}
+	if err := nw.Crash(6); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nw.Request(1, 6); !errors.Is(err, ErrDeadNode) {
+		t.Errorf("request to a crashed index = %v, want ErrDeadNode", err)
+	}
+	if got := nw.Requests(); got != 1 {
+		t.Errorf("%d requests counted, want only the delete", got)
 	}
 }
 

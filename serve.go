@@ -3,7 +3,7 @@ package lsasg
 import (
 	"context"
 
-	"lsasg/internal/serve"
+	"lsasg/internal/shard"
 )
 
 // Pair is one communication request between two node indices, the unit
@@ -25,7 +25,7 @@ type ServeStats struct {
 	MeanRouteDistance float64
 	// MaxRouteDistance is the worst routing distance observed. For
 	// a sharded run this is the worst single LEG (the legs of one
-	// cross-shard request finish in different shards' pipelines, so
+	// cross-shard request are served by different shards' engines, so
 	// whole-request maxima are not tracked) while MeanRouteDistance spans
 	// whole requests — with heavily cross-shard traffic the max can
 	// therefore legitimately sit below the mean.
@@ -33,8 +33,8 @@ type ServeStats struct {
 	// TotalTransformRounds sums ρ over all applied adjustments.
 	TotalTransformRounds int64
 	// MeanAdjustLag is the mean number of adjustments pending (own included)
-	// when a request was routed: a batch routes whole before any of it
-	// adjusts, so the lag averages (BatchSize+1)/2 on full batches.
+	// when a leg was routed: a batch routes whole before any of it adjusts,
+	// so the lag averages (BatchSize+1)/2 on full batches.
 	MeanAdjustLag float64
 	// MaxAdjustLag is the worst such lag (at most BatchSize).
 	MaxAdjustLag int
@@ -42,10 +42,8 @@ type ServeStats struct {
 	Height     int
 	DummyCount int
 
-	// The sharded fields below stay zero for an unsharded Network.Serve.
-
-	// Shards is the partition count the run served across (0 for a plain
-	// Network).
+	// Shards is the partition count the run served across: 1 for an
+	// unsharded Network, whose other sharding fields below stay zero.
 	Shards int
 	// CrossShardRequests counts requests whose endpoints resolved to
 	// different shards and were routed source→boundary, boundary→destination.
@@ -68,19 +66,21 @@ type ServeStats struct {
 	ScannedEntries int64 // entries returned across all scans
 }
 
-// engineServeStats folds one engine pipeline run into the public shape —
-// the single assembly point shared by Serve and ServeOps.
-func engineServeStats(st serve.Stats, height, dummies int) ServeStats {
-	return ServeStats{
+// serveStats folds one pipeline run into the public shape — the single
+// assembly point behind Serve and ServeOps.
+func (nw *Network) serveStats(st shard.ServeStats) ServeStats {
+	out := ServeStats{
 		Requests:             st.Requests,
 		Batches:              st.Batches,
-		MeanRouteDistance:    st.MeanRouteDistance(),
-		MaxRouteDistance:     st.MaxRouteDistance,
+		MaxRouteDistance:     int(st.MaxLegDistance),
 		TotalTransformRounds: st.TotalTransformRounds,
-		MeanAdjustLag:        st.MeanAdjustLag(),
 		MaxAdjustLag:         st.MaxAdjustLag,
-		Height:               height,
-		DummyCount:           dummies,
+		Height:               st.Height,
+		DummyCount:           st.DummyCount,
+		Shards:               nw.svc.Shards(),
+		CrossShardRequests:   st.Cross,
+		Rebalances:           st.Rebalances,
+		MigratedKeys:         st.MovedKeys,
 		Gets:                 st.Gets,
 		GetHits:              st.GetHits,
 		Puts:                 st.Puts,
@@ -90,28 +90,36 @@ func engineServeStats(st serve.Stats, height, dummies int) ServeStats {
 		Scans:                st.Scans,
 		ScannedEntries:       st.ScannedEntries,
 	}
+	if st.Requests > 0 {
+		out.MeanRouteDistance = float64(st.TotalRouteDistance) / float64(st.Requests)
+	}
+	if st.Legs > 0 {
+		out.MeanAdjustLag = float64(st.TotalAdjustLag) / float64(st.Legs)
+	}
+	return out
 }
 
 // Serve consumes communication requests from the channel until it closes (or
-// ctx is cancelled) and serves them through the batch engine: each batch of
-// WithBatchSize requests is first routed — WithParallelism workers reading
-// the topology, which nothing mutates meanwhile — and then adjusted, the
-// self-adjusting transformations applied in request order.
+// ctx is cancelled) and serves them through the deterministic pipeline: each
+// batch of WithBatchSize requests is first routed — WithParallelism workers
+// reading the topology, which nothing mutates meanwhile — and then adjusted,
+// the self-adjusting transformations applied in request order. On a sharded
+// network a dispatcher splits each request into per-shard legs, the shards
+// serve their legs side by side, and after every load window the rebalancer
+// may migrate one contiguous key range between adjacent shards.
 //
 // Requests therefore observe a topology that lags their own batch's
 // adjustments (see ServeStats.MeanAdjustLag): routing distances are measured
 // before the batch adjusts, and the adjust phase then advances the topology
-// request by request with the trace-runner semantics — each transformation
-// followed by its scoped a-balance repair, after one global repair at
-// engine start. Note that this is slightly stronger than a sequence of
-// Request calls, which transform but never run the standalone repairs;
-// Serve additionally maintains the global a-balance property throughout,
-// like core.RunTrace. The working-set bookkeeping backing Stats advances in
-// exact request order. For a fixed seed and batch schedule the results are
-// deterministic, independent of parallelism and of producer timing.
+// request by request — each transformation followed by its scoped a-balance
+// repair, like core.RunTrace and like Request. The working-set bookkeeping
+// backing Stats advances in exact request order. For a fixed seed, shard
+// count and batch schedule every statistic — the rebalancing decisions
+// included — is deterministic, independent of parallelism and of producer
+// timing.
 //
 // Serve must not run concurrently with other Network methods; all other
-// concurrency lives inside the engine. On an invalid request (index out of
+// concurrency lives inside the pipeline. On an invalid request (index out of
 // range, self-communication) Serve aborts with an error after finishing the
 // batches already in flight.
 //
@@ -129,5 +137,8 @@ func engineServeStats(st serve.Stats, height, dummies int) ServeStats {
 //
 // Serve is exactly ServeOps over a pure-route stream.
 func (nw *Network) Serve(ctx context.Context, reqs <-chan Pair) (ServeStats, error) {
-	return forwardPairs(ctx, reqs, nw.ServeOps)
+	done := make(chan struct{})
+	defer close(done)
+	ops, _ := forward(reqs, done, func(p Pair) (Op, error) { return RouteOp(p.Src, p.Dst), nil })
+	return nw.ServeOps(ctx, ops, nil)
 }

@@ -1,22 +1,18 @@
 package lsasg
 
-import (
-	"context"
+import "context"
 
-	"lsasg/internal/core"
-)
-
-// Service is the unified serving contract of this package: one surface for
-// topology queries, the synchronous KV data plane, and the deterministic
-// batch pipelines, implemented by both the single-graph Network and the
-// partitioned ShardedNetwork. Code written against Service — a benchmark
-// driver, an example, or the wire daemon in cmd/dsgserve — fronts either
-// topology unchanged.
+// Service is the serving contract of this package: one surface for
+// topology queries, the synchronous KV data plane, membership and fault
+// injection, and the deterministic batch pipelines. Network implements it
+// for every shard count; code written against Service — a benchmark driver,
+// an example, or the wire daemon in cmd/dsgserve — fronts a single graph
+// and a partitioned one unchanged.
 //
-// The concurrency contract is the implementations': methods must not be
-// called concurrently with each other (all concurrency lives inside Serve
-// and ServeOps), and Serve/ServeOps producers must pair every channel send
-// with the call's ctx.
+// The concurrency contract is Network's: methods must not be called
+// concurrently with each other (all concurrency lives inside Serve and
+// ServeOps), and Serve/ServeOps producers must pair every channel send with
+// the call's ctx.
 type Service interface {
 	// N returns the size of the key space [0, N).
 	N() int
@@ -40,6 +36,13 @@ type Service interface {
 	// starting at the first key ≥ start, requested by origin src.
 	Scan(src, start, limit int) ([]KV, error)
 
+	// AddNode joins a new node at index N (it requires
+	// WithoutWorkingSetTracking); RemoveNode makes a node leave; Crash fails
+	// one in place until a Put or Delete of its key repairs it.
+	AddNode() (int, error)
+	RemoveNode(idx int) error
+	Crash(idx int) error
+
 	// Serve consumes communication requests until the channel closes (or
 	// ctx is cancelled) and serves them through the deterministic pipeline.
 	Serve(ctx context.Context, reqs <-chan Pair) (ServeStats, error)
@@ -49,80 +52,4 @@ type Service interface {
 	ServeOps(ctx context.Context, ops <-chan Op, onResult func(OpResult)) (ServeStats, error)
 }
 
-// Both topologies implement the full contract.
-var (
-	_ Service = (*Network)(nil)
-	_ Service = (*ShardedNetwork)(nil)
-)
-
-// runServeOps is the shared driver behind every ServeOps implementation: it
-// validates public envelopes, forwards them as internal ops to serveFn
-// (one deterministic pipeline run), and folds a validation failure into the
-// returned error once the pipeline has drained the batches already in
-// flight.
-func runServeOps[S any](ops <-chan Op, n int, serveFn func(<-chan core.Op) (S, error)) (S, error) {
-	inner := make(chan core.Op)
-	done := make(chan struct{})
-	errc := make(chan error, 1)
-	go func() {
-		defer close(inner)
-		for {
-			select {
-			case <-done:
-				return
-			case op, ok := <-ops:
-				if !ok {
-					return
-				}
-				if err := op.Validate(n); err != nil {
-					errc <- err
-					return
-				}
-				select {
-				case inner <- op.internal():
-				case <-done:
-					return
-				}
-			}
-		}
-	}()
-	st, err := serveFn(inner)
-	close(done)
-	if err == nil {
-		select {
-		case err = <-errc:
-		default:
-		}
-	}
-	return st, wrapErr(err)
-}
-
-// forwardPairs adapts a Pair producer onto ServeOps: Serve is exactly
-// ServeOps over a pure-route stream, so both implementations express it
-// this way and the stats/bookkeeping assembly lives in one place.
-func forwardPairs(ctx context.Context, reqs <-chan Pair,
-	serveOps func(context.Context, <-chan Op, func(OpResult)) (ServeStats, error)) (ServeStats, error) {
-	ops := make(chan Op)
-	done := make(chan struct{})
-	go func() {
-		defer close(ops)
-		for {
-			select {
-			case <-done:
-				return
-			case p, ok := <-reqs:
-				if !ok {
-					return
-				}
-				select {
-				case ops <- RouteOp(p.Src, p.Dst):
-				case <-done:
-					return
-				}
-			}
-		}
-	}()
-	st, err := serveOps(ctx, ops, nil)
-	close(done)
-	return st, err
-}
+var _ Service = (*Network)(nil)

@@ -5,26 +5,27 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
-// Interface-conformance suite: both Service implementations, driven through
-// nothing but the interface with the same op sequence, must expose the same
-// observable KV state — the flags and values of every synchronous call,
-// every pipelined outcome, and the final scanned keyspace. Path metrics
-// (distances, lag) legitimately differ between one graph and four shards,
-// so they are not part of the contract checked here.
+// Conformance suite: the one Service implementation, driven through nothing
+// but the interface with the same op sequence at every shard count, must
+// expose the same observable KV state — the flags and values of every
+// synchronous call, every pipelined outcome, and the final scanned
+// keyspace. Path metrics (distances, lag) legitimately differ between one
+// graph and four shards, so they are not part of the contract checked here.
 
-func conformanceBuilders(n int) map[string]func() (Service, error) {
-	return map[string]func() (Service, error){
-		"single": func() (Service, error) {
-			return New(n, WithSeed(21), WithBatchSize(1))
-		},
-		"sharded": func() (Service, error) {
-			return NewSharded(n, WithShards(4), WithSeed(21),
-				WithBatchSize(1), WithRebalanceWindow(1))
-		},
-	}
+// conformanceShards is the table: New's single graph, and NewSharded at two
+// and at its default of four shards.
+var conformanceShards = []struct {
+	name   string
+	shards int
+}{{"single", 1}, {"sharded-2", 2}, {"sharded", 4}}
+
+func conformanceService(n, shards int, extra ...Option) (Service, error) {
+	opts := append([]Option{WithShards(shards), WithSeed(21), WithBatchSize(1), WithRebalanceWindow(1)}, extra...)
+	return NewSharded(n, opts...)
 }
 
 // observe drives svc through a deterministic mixed sequence and renders
@@ -154,46 +155,42 @@ func observe(t *testing.T, svc Service, n int) string {
 
 func TestServiceConformance(t *testing.T) {
 	const n = 32
-	transcripts := map[string]string{}
-	for name, build := range conformanceBuilders(n) {
-		svc, err := build()
+	var want string
+	for i, tc := range conformanceShards {
+		svc, err := conformanceService(n, tc.shards)
 		if err != nil {
 			t.Fatal(err)
 		}
-		transcripts[name] = observe(t, svc, n)
-	}
-	if transcripts["single"] != transcripts["sharded"] {
-		a, b := transcripts["single"], transcripts["sharded"]
-		// Report the first diverging line, not two walls of text.
-		la, lb := 0, 0
-		for i := 0; i < len(a) && i < len(b); i++ {
-			if a[i] != b[i] {
-				break
+		got := observe(t, svc, n)
+		if i == 0 {
+			want = got
+			continue
+		}
+		if got != want {
+			// Report the first diverging line, not two walls of text.
+			a, b := strings.Split(want, "\n"), strings.Split(got, "\n")
+			for j := 0; j < len(a) && j < len(b); j++ {
+				if a[j] != b[j] {
+					t.Errorf("observable KV state diverges at line %d:\n %-9s %q\n %-9s %q",
+						j, conformanceShards[0].name, a[j], tc.name, b[j])
+					break
+				}
 			}
-			if a[i] == '\n' {
-				la, lb = i+1, i+1
+			if len(a) != len(b) {
+				t.Errorf("%s transcript has %d lines, %s has %d", conformanceShards[0].name, len(a), tc.name, len(b))
 			}
 		}
-		enda, endb := la, lb
-		for enda < len(a) && a[enda] != '\n' {
-			enda++
-		}
-		for endb < len(b) && b[endb] != '\n' {
-			endb++
-		}
-		t.Errorf("observable KV state diverges:\n single  %q\n sharded %q",
-			a[la:enda], b[lb:endb])
 	}
 }
 
 // TestServiceConformanceSerial drives the route-only Serve surface through
-// the interface: same request stream, same served count, clean Verify on
-// both implementations.
+// the interface: same request stream, same served count, clean Verify at
+// every shard count.
 func TestServiceConformanceSerial(t *testing.T) {
 	const n = 32
-	for name, build := range conformanceBuilders(n) {
-		t.Run(name, func(t *testing.T) {
-			svc, err := build()
+	for _, tc := range conformanceShards {
+		t.Run(tc.name, func(t *testing.T) {
+			svc, err := conformanceService(n, tc.shards)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -214,8 +211,8 @@ func TestServiceConformanceSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st.Requests != 200 {
-				t.Errorf("%s served %d requests, want 200", name, st.Requests)
+			if st.Requests != 200 || st.Shards != tc.shards {
+				t.Errorf("%s served %d requests over %d shards, want 200 over %d", tc.name, st.Requests, st.Shards, tc.shards)
 			}
 			if err := svc.Verify(); err != nil {
 				t.Fatal(err)
@@ -224,29 +221,95 @@ func TestServiceConformanceSerial(t *testing.T) {
 	}
 }
 
-// TestServiceConformanceCrash pins the fault-injection surface both
-// implementations expose beside the interface (the wire daemon's crash
-// verb): an index outside [0, N) is ErrOutOfRange on either topology, and an
-// in-range crash is accepted and leaves a structurally valid topology.
+// TestServiceConformanceCrash pins the fault-injection surface (the wire
+// daemon's crash verb): an index outside [0, N) is ErrOutOfRange at every
+// shard count, and an in-range crash is accepted and leaves a structurally
+// valid topology.
 func TestServiceConformanceCrash(t *testing.T) {
 	const n = 32
-	for name, build := range conformanceBuilders(n) {
-		t.Run(name, func(t *testing.T) {
-			svc, err := build()
+	for _, tc := range conformanceShards {
+		t.Run(tc.name, func(t *testing.T) {
+			svc, err := conformanceService(n, tc.shards)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cr := svc.(interface{ Crash(idx int) error })
 			for _, idx := range []int{-1, n, 9999} {
-				if err := cr.Crash(idx); !errors.Is(err, ErrOutOfRange) {
+				if err := svc.Crash(idx); !errors.Is(err, ErrOutOfRange) {
 					t.Errorf("Crash(%d) = %v, want ErrOutOfRange", idx, err)
 				}
 			}
-			if err := cr.Crash(5); err != nil {
+			if err := svc.Crash(5); err != nil {
 				t.Fatalf("Crash(5): %v", err)
 			}
 			if err := svc.Verify(); err != nil {
 				t.Errorf("Verify after crash: %v", err)
+			}
+		})
+	}
+}
+
+// TestServiceConformanceMembership: AddNode and RemoveNode are directory
+// operations of the one service — the key space grows by one key in the
+// last shard, a removed key leaves the shard that owns it — with the same
+// observable outcome at every shard count.
+func TestServiceConformanceMembership(t *testing.T) {
+	const n = 32
+	for _, tc := range conformanceShards {
+		t.Run(tc.name, func(t *testing.T) {
+			tracked, err := conformanceService(n, tc.shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tracked.AddNode(); err == nil {
+				t.Error("AddNode with working-set tracking must be refused")
+			}
+			svc, err := conformanceService(n, tc.shards, WithoutWorkingSetTracking())
+			if err != nil {
+				t.Fatal(err)
+			}
+			idx, err := svc.AddNode()
+			if err != nil || idx != n || svc.N() != n+1 {
+				t.Fatalf("AddNode = %d, %v with N() = %d; want %d, nil, %d", idx, err, svc.N(), n, n+1)
+			}
+			// The new key is a first-class citizen: routable across every
+			// shard boundary, writable, scannable.
+			if _, _, err := svc.Put(0, idx, []byte("joined")); err != nil {
+				t.Fatalf("put to the joined node: %v", err)
+			}
+			if val, _, found, err := svc.Get(1, idx); err != nil || !found || string(val) != "joined" {
+				t.Fatalf("get of the joined node: %q found=%v err=%v", val, found, err)
+			}
+			if kvs, err := svc.Scan(0, 0, n+1); err != nil || len(kvs) != 1 || kvs[0].Key != idx {
+				t.Fatalf("scan after join = %v, %v", kvs, err)
+			}
+			if err := svc.RemoveNode(5); err != nil {
+				t.Fatalf("RemoveNode(5): %v", err)
+			}
+			if err := svc.RemoveNode(5); err == nil {
+				t.Error("removing an absent node must fail")
+			}
+			if err := svc.RemoveNode(n + 1); !errors.Is(err, ErrOutOfRange) {
+				t.Errorf("RemoveNode(%d) = %v, want ErrOutOfRange", n+1, err)
+			}
+			// A removed key is out of the topology, not out of the key space:
+			// a pipelined route to it is a per-op miss, a put re-joins it.
+			ops := make(chan Op, 2)
+			ops <- RouteOp(3, 5)
+			ops <- RouteOp(idx-1, idx)
+			close(ops)
+			var results []OpResult
+			st, err := svc.ServeOps(context.Background(), ops, func(r OpResult) { results = append(results, r) })
+			if err != nil || st.Requests != 2 || len(results) != 2 {
+				t.Fatalf("ServeOps across a removed key: %+v, %v", st, err)
+			}
+			if !errors.Is(results[0].Err, ErrUnknownKey) || results[1].Err != nil {
+				t.Errorf("route errs = %v / %v, want ErrUnknownKey / nil", results[0].Err, results[1].Err)
+			}
+			if _, existed, err := svc.Put(3, 5, []byte("back")); err != nil || existed {
+				t.Errorf("put of a removed key: existed=%v err=%v, want a fresh join", existed, err)
+			}
+			if err := svc.Verify(); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
