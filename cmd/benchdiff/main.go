@@ -28,6 +28,15 @@
 // invocation, so the usual cross-run noise floor does not apply and the
 // threshold can be far tighter — the obs-overhead gate runs at 5%. -old is
 // optional when -pair is given; with both, the cross-run gate runs too.
+//
+// A third mode compares two runs of the declared benchmark instead of two
+// `go test -bench` outputs (see e2e.go):
+//
+//	benchdiff -e2e parent.json change.json -manifest BENCHMARK.json
+//
+// reads two `bash benchmark/run.sh --json <file>` results and fails when any
+// end-to-end metric of any workload is worse than the parent's by more than
+// the bound BENCHMARK.json fixes for it.
 package main
 
 import (
@@ -51,8 +60,30 @@ func main() {
 		threshold     = flag.Float64("threshold", 0.25, "maximum tolerated regression per gated metric (0.25 = +25%)")
 		pair          = flag.String("pair", "", "'BASE,CANDIDATE': gate candidate ns/op against base within the -new file alone")
 		pairThreshold = flag.Float64("pairthreshold", 0.05, "maximum tolerated ns/op overhead of the -pair candidate over its base (0.05 = +5%)")
+		e2e           = flag.Bool("e2e", false, "compare two `benchmark/run.sh --json` files, given as the two arguments (parent, change), against the bounds of -manifest")
+		manifestPath  = flag.String("manifest", "BENCHMARK.json", "benchmark manifest holding the -e2e bounds")
 	)
 	flag.Parse()
+	if *e2e {
+		args := flag.Args()
+		if len(args) > 2 {
+			// Flags may follow the two files.
+			flag.CommandLine.Parse(args[2:])
+			args = append(args[:2:2], flag.Args()...)
+		}
+		if len(args) != 2 {
+			fail("-e2e wants two files: parent.json change.json")
+		}
+		failed, err := runE2E(args[0], args[1], *manifestPath)
+		if err != nil {
+			fail("%v", err)
+		}
+		if failed > 0 {
+			fail("%d end-to-end metric(s) worse than the parent by more than their bound", failed)
+		}
+		fmt.Println("benchdiff: no end-to-end metric worse than the parent by more than its bound")
+		return
+	}
 	if *newPath == "" {
 		fail("-new is required")
 	}

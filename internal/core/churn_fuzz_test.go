@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -217,5 +218,53 @@ func TestChurnFuzz(t *testing.T) {
 					idx, err, n, a, seed, len(min), min)
 			})
 		}
+	}
+}
+
+// parseFuzzOps reads a sequence in the form a failing TestChurnFuzz prints
+// it, so a shrunk reproduction can be pasted in as a regression case.
+func parseFuzzOps(t *testing.T, s string) []fuzzOp {
+	var ops []fuzzOp
+	for _, f := range strings.Fields(s) {
+		op, verb := fuzzOp{}, f[:strings.IndexByte(f, '(')]
+		op.Kind = map[string]byte{"route": 'r', "join": 'j', "leave": 'l'}[verb]
+		n, _ := fmt.Sscanf(f[len(verb):], "(%d,%d)", &op.A, &op.B)
+		if op.Kind == 0 || n < 1 || op.String() != f {
+			t.Fatalf("bad fuzz op %q", f)
+		}
+		ops = append(ops, op)
+	}
+	return ops
+}
+
+// TestChurnFuzzKeySlotRegression replays the shrunk failure of a = 2 / seed
+// 2024 (151 of its 964 ops): by join(43) the breakers right of node 42 sat on
+// 42+1, 42+2, 42+3 and 42+4, the level-0 run 42, 42+1, 42+2 needed one more
+// between its members, and neither the scoped nor the global repair could
+// place it because no key was free there. breakRun now respreads the dummies
+// of a primary whose gap has filled.
+func TestChurnFuzzKeySlotRegression(t *testing.T) {
+	ops := parseFuzzOps(t, `
+	join(24) route(3,13) route(5,19) route(10,18) leave(11) route(10,17) route(17,0) join(25) join(26)
+	route(12,26) route(22,12) route(10,17) route(26,10) join(27) route(23,14) leave(18) route(21,16)
+	route(13,27) route(1,8) route(9,26) route(8,4) route(26,20) leave(13) route(21,7) route(14,8)
+	route(5,19) route(9,12) route(3,19) route(2,7) route(5,12) leave(19) route(0,22) route(24,27)
+	route(23,9) route(6,23) route(26,23) route(24,5) leave(20) route(25,4) leave(23) route(1,3)
+	route(24,12) leave(27) route(10,7) leave(21) route(17,0) route(3,22) leave(2) route(1,8)
+	route(1,6) join(28) route(24,0) route(5,9) route(7,17) route(24,1) route(3,8) route(6,14)
+	route(4,6) route(16,0) route(9,5) leave(26) route(24,16) route(4,5) join(29) route(28,12) leave(0)
+	route(29,8) leave(29) leave(14) route(9,1) join(30) route(8,1) route(3,9) leave(12) join(31)
+	leave(24) route(16,17) route(7,30) join(34) route(9,1) route(28,16) route(7,30) route(22,28)
+	route(10,16) route(25,32) route(32,4) route(1,7) route(30,28) route(10,16) route(25,22)
+	route(10,34) route(32,9) leave(3) route(30,28) route(34,6) join(35) leave(10) leave(28) leave(30)
+	join(36) leave(15) route(32,25) route(32,25) route(32,22) leave(8) route(32,34) route(9,4)
+	route(36,34) route(34,17) join(37) route(7,31) route(34,37) leave(25) route(36,4) leave(4)
+	route(1,16) leave(7) leave(22) route(37,16) route(9,16) route(37,16) route(16,34) route(36,16)
+	route(37,16) leave(37) leave(35) route(31,17) route(31,32) route(32,16) route(32,16) route(34,32)
+	leave(1) join(38) route(32,31) join(39) leave(36) leave(31) route(38,34) route(17,39) join(40)
+	route(6,5) join(41) route(39,40) leave(32) route(34,41) route(9,39) route(9,6) leave(9) join(42)
+	join(43) join(183)`)
+	if idx, err := runFuzz(24, 2, 2024, ops); err != nil {
+		t.Fatalf("op %d of %d failed: %v", idx, len(ops), err)
 	}
 }

@@ -150,7 +150,7 @@ func (d *DSG) randomBit(*skipgraph.Node, int) byte { return byte(d.rng.Intn(2)) 
 // falls back to a linear scan of the whole interval.
 func freeKeyIn(a, b skipgraph.Key, occupied func(skipgraph.Key) bool) (skipgraph.Key, bool) {
 	lo := a.Minor
-	hi := int32(1 << 30)
+	hi := int32(skipgraph.MinorSpace)
 	if b.Primary == a.Primary {
 		hi = b.Minor
 	}
@@ -164,7 +164,7 @@ func freeKeyIn(a, b skipgraph.Key, occupied func(skipgraph.Key) bool) (skipgraph
 	}
 	for minor := a.Minor + 1; ; minor++ {
 		k := skipgraph.Key{Primary: a.Primary, Minor: minor}
-		if !k.Less(b) || minor >= 1<<30 {
+		if !k.Less(b) || minor >= skipgraph.MinorSpace {
 			return skipgraph.Key{}, false
 		}
 		if !occupied(k) {

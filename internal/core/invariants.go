@@ -185,7 +185,7 @@ func (d *DSG) RepairBalanceIn(refs []skipgraph.ListRef) (inserted, removed int) 
 		}
 		for pass := 0; pass < 4*d.g.N()+16 && len(frontier) > 0; pass++ {
 			var scanned, ins, rem int
-			sc.viols, scanned = d.g.AppendBalanceViolationsIn(sc.viols[:0], d.cfg.A, frontier)
+			sc.viols, scanned = d.g.AppendBalanceViolationsIn(recycle(sc.viols), d.cfg.A, frontier)
 			d.repairScan += scanned
 			mark := len(sc.touched)
 			ins, rem, sc.touched = d.repairViolations(sc.viols, sc.touched)
@@ -260,8 +260,8 @@ func (d *DSG) repairViolations(viols []skipgraph.BalanceViolation, touched []ski
 	a := d.cfg.A
 	sc := &d.scratch.repair
 	for _, viol := range viols {
-		start := d.g.ByKey(viol.Start)
-		if start == nil || !start.HasBit(viol.Level+1) || start.Bit(viol.Level+1) != viol.Bit {
+		start := viol.Start
+		if !d.g.Contains(start) || !start.HasBit(viol.Level+1) || start.Bit(viol.Level+1) != viol.Bit {
 			continue
 		}
 		// Recompute the run from the live links — an earlier repair in this
@@ -293,22 +293,11 @@ func (d *DSG) repairViolations(viols []skipgraph.BalanceViolation, touched []ski
 		if dropped {
 			continue
 		}
-		// Break the run after its a-th member if that gap has a free key;
-		// otherwise fall back to any other interior gap — every interior
-		// break strictly shortens the run, so the fixed-point loop still
-		// converges.
-		var dm *skipgraph.Node
-		for j := a - 1; j < len(run)-1 && dm == nil; j++ {
-			dm = d.breakRun(run[j], run[j+1], viol)
-		}
-		for j := a - 2; j >= 0 && dm == nil; j-- {
-			dm = d.breakRun(run[j], run[j+1], viol)
-		}
-		if dm != nil {
-			inserted++
-			for l := 0; l <= dm.MaxLinkedLevel(); l++ {
-				touched = append(touched, skipgraph.ListRef{Node: dm, Level: int32(l)})
-			}
+		// Break the run after its a-th member.
+		dm := d.breakRun(run[a-1], run[a], viol)
+		inserted++
+		for l := 0; l <= dm.MaxLinkedLevel(); l++ {
+			touched = append(touched, skipgraph.ListRef{Node: dm, Level: int32(l)})
 		}
 	}
 	return inserted, removed, touched
@@ -316,12 +305,16 @@ func (d *DSG) repairViolations(viols []skipgraph.BalanceViolation, touched []ski
 
 // breakRun splices a fresh dummy chain-breaker between the adjacent run
 // members left and right: it copies left's prefix through the violation's
-// level and takes the opposite bit above it. It returns nil when no key is
-// free between the two.
+// level and takes the opposite bit above it. When the two sit on adjacent
+// minor slots it first respreads the dummies under left's primary (keys,
+// not links: the graph is the same graph), which opens every gap there.
 func (d *DSG) breakRun(left, right *skipgraph.Node, viol skipgraph.BalanceViolation) *skipgraph.Node {
 	key, ok := d.staticFreeKey(left.Key(), right.Key())
 	if !ok {
-		return nil
+		d.g.RespreadDummies(left)
+		if key, ok = d.staticFreeKey(left.Key(), right.Key()); !ok {
+			panic(fmt.Sprintf("core: no key between %v and %v after a respread", left.Key(), right.Key()))
+		}
 	}
 	id := d.nextDummyID
 	d.nextDummyID++

@@ -56,6 +56,45 @@ func TestValidateAfterTraffic(t *testing.T) {
 	}
 }
 
+// TestBreakRunRespreadsFullGap hands breakRun a gap with no free key — two
+// dummies on adjacent minors, which is where ~30 bisecting placements beside
+// one real node end up — and requires a breaker strictly between the two
+// all the same: the dummies under that primary are relabelled, the structure
+// is the one it was, and the breaker sits where the run had to be broken.
+func TestBreakRunRespreadsFullGap(t *testing.T) {
+	d := New(16, Config{A: 2, Seed: 3})
+	d.RepairBalance()
+	n3 := d.NodeByID(3)
+	var packed []*skipgraph.Node
+	for _, minor := range []int32{1, 2, 3} {
+		dm := skipgraph.NewDummy(skipgraph.Key{Primary: 3, Minor: minor}, d.nextDummyID)
+		d.nextDummyID++
+		dm.SetBit(1, n3.Bit(1))
+		d.st[dm] = newDummyState(dm.ID(), 1)
+		d.g.SpliceIn(dm)
+		d.dummyCount++
+		packed = append(packed, dm)
+	}
+	left, right := packed[0], packed[1]
+	if _, ok := d.staticFreeKey(left.Key(), right.Key()); ok {
+		t.Fatalf("the gap %v..%v should be full", left.Key(), right.Key())
+	}
+	viol := skipgraph.BalanceViolation{Level: 0, Start: n3, RunLen: 4, Bit: n3.Bit(1)}
+	dm := d.breakRun(left, right, viol)
+	if !left.Key().Less(dm.Key()) || !dm.Key().Less(right.Key()) {
+		t.Fatalf("breaker keyed %v, want strictly between %v and %v", dm.Key(), left.Key(), right.Key())
+	}
+	if dm.Prev(0) != left || dm.Next(0) != right || dm.Bit(1) != 1-viol.Bit {
+		t.Fatalf("breaker %v is not the opposite-bit node between %v and %v", dm, left, right)
+	}
+	if err := d.g.Verify(); err != nil {
+		t.Fatalf("structure after the respread and the splice: %v", err)
+	}
+	if len(d.st) != d.g.N() || d.dummyCount != d.g.N()-d.g.RealN() {
+		t.Fatalf("bookkeeping: %d states for %d nodes, %d dummies counted", len(d.st), d.g.N(), d.dummyCount)
+	}
+}
+
 // TestValidateDetectsCorruption drives the validator over hand-corrupted
 // states: each case must be caught with the right error class.
 func TestValidateDetectsCorruption(t *testing.T) {

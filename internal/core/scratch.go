@@ -39,6 +39,7 @@ func recycle[T any](buf []T) []T {
 
 // release drops every node reference the repair buffers hold.
 func (sc *repairScratch) release() {
+	sc.viols = recycle(sc.viols)
 	sc.touched = recycle(sc.touched)
 	sc.gc = recycle(sc.gc)
 	sc.ext = recycle(sc.ext)

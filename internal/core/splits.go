@@ -238,10 +238,12 @@ func (d *DSG) splitNegative(ctx *transformCtx, real []int, dl int, M amf.Value, 
 		}
 		if trues == 0 || trues == len(gs) {
 			// No recorded boundary (can happen for groups formed before
-			// any positive split); fall back to a positional halving of gs
-			// to preserve progress and the height bound.
+			// any positive split): halve gs positionally to preserve
+			// progress and the height bound. gs is in key order and the
+			// halves interleave, so neither is a key-contiguous run that
+			// the balance pass would have to break (DESIGN.md §3.1).
 			for i, o := range gs {
-				ctx.ents[o].inZero = i < (len(gs)+1)/2
+				ctx.ents[o].inZero = i%2 == 0
 			}
 		} else {
 			for _, o := range gs {

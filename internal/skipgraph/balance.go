@@ -9,8 +9,11 @@ import (
 // level-d list that all moved to the same level-(d+1) sublist, violating the
 // paper's a-balance property.
 type BalanceViolation struct {
-	Level  int // the level d of the list containing the run
-	Start  Key // first node of the offending run
+	Level int // the level d of the list containing the run
+	// Start is the first node of the offending run. A repair resumes from
+	// the node, not from its key: a dummy's key may be respread, or freed
+	// and taken by another dummy, between the scan and the repair.
+	Start  *Node
 	RunLen int
 	Bit    byte // the shared bit at level d+1
 }
@@ -18,7 +21,7 @@ type BalanceViolation struct {
 // String implements fmt.Stringer.
 func (v BalanceViolation) String() string {
 	return fmt.Sprintf("level %d: run of %d consecutive nodes with bit %d starting at %v",
-		v.Level, v.RunLen, v.Bit, v.Start)
+		v.Level, v.RunLen, v.Bit, v.Start.key)
 }
 
 // BalanceViolations scans the whole graph and returns every a-balance
@@ -254,7 +257,7 @@ func (s *runScanner) flush() {
 	if s.runLen > s.a && s.hasReal && s.start.HasBit(s.level+1) {
 		s.out = append(s.out, BalanceViolation{
 			Level:  s.level,
-			Start:  s.start.Key(),
+			Start:  s.start,
 			RunLen: s.runLen,
 			Bit:    s.start.Bit(s.level + 1),
 		})

@@ -681,6 +681,39 @@ func (g *Graph) RemoveTracked(key Key) (*Node, []ListRef) {
 	return n, refs
 }
 
+// RespreadDummies relabels the dummies keyed under at's primary — at's
+// level-0 neighbours, either way, that share its Primary and have a non-zero
+// Minor — evenly over the minor space, in their present order, and returns
+// how many there are. A dummy's key matters only by that order, so no link
+// and no position in the node order moves; the keys and the key index do.
+// It is the way out of a gap that has filled up: free keys are found by
+// bisection, which halves the space toward one side every time, so some
+// thirty breakers placed beside one real node leave dummies on adjacent
+// minors while the rest of the space is empty.
+func (g *Graph) RespreadDummies(at *Node) int {
+	p := at.key.Primary
+	first := at
+	for l := first.Prev(0); l != nil && l.key.Primary == p && l.key.Minor > 0; l = l.Prev(0) {
+		first = l
+	}
+	if first.key.Minor == 0 {
+		first = first.Next(0)
+	}
+	// Every old key leaves the index before any new one enters: a new key
+	// may equal another dummy's old one.
+	m := 0
+	for x := first; x != nil && x.key.Primary == p; x = x.Next(0) {
+		delete(g.byKey, x.key)
+		m++
+	}
+	stride := int32(MinorSpace / (m + 1))
+	for x, i := first, int32(1); x != nil && x.key.Primary == p; x, i = x.Next(0), i+1 {
+		x.key.Minor = i * stride
+		g.byKey[x.key] = x
+	}
+	return m
+}
+
 // RemoveAll deletes a batch of nodes, given in key order, and appends each
 // one's departure dirty set (AppendExListRefs) to refs. A node's refs are
 // taken at the moment it is unlinked, after the nodes before it have gone,
@@ -729,6 +762,9 @@ func (g *Graph) Verify() error {
 	}
 	maxLevel := 0
 	for _, n := range g.nodes {
+		if g.byKey[n.key] != n {
+			return fmt.Errorf("byKey[%v] = %v, want the node keyed so", n.key, g.byKey[n.key])
+		}
 		if l := n.MaxLinkedLevel(); l > maxLevel {
 			maxLevel = l
 		}

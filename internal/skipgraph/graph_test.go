@@ -146,6 +146,78 @@ func TestSpliceInDummy(t *testing.T) {
 	}
 }
 
+// TestRespreadDummies packs dummies onto adjacent minors under one primary
+// — where bisection leaves them — and checks that a respread moves keys and
+// nothing else: same node order, same Prev/Next at every level, the key index
+// following, and afterwards a free key in every gap.
+func TestRespreadDummies(t *testing.T) {
+	g := NewRandom(16, 21)
+	n3 := g.ByKey(KeyOf(3))
+	var dummies []*Node
+	for _, minor := range []int32{1, 2, 3, 4, 8, 1 << 29} {
+		dm := NewDummy(Key{Primary: 3, Minor: minor}, int64(1000+len(dummies)))
+		dm.SetBit(1, n3.Bit(1))
+		dm.SetBit(2, byte(len(dummies)%2))
+		g.SpliceIn(dm)
+		dummies = append(dummies, dm)
+	}
+	// A dummy under another primary must stay where it is.
+	other := NewDummy(Key{Primary: 4, Minor: 1}, 2000)
+	g.SpliceIn(other)
+
+	type links struct{ prev, next *Node }
+	order := g.Nodes()
+	before := make(map[*Node][]links)
+	for _, n := range order {
+		for l := 0; l <= n.MaxLinkedLevel(); l++ {
+			before[n] = append(before[n], links{n.Prev(l), n.Next(l)})
+		}
+	}
+
+	// From a dummy in the middle, from the last one and from the real node:
+	// the same set every time.
+	for _, at := range []*Node{dummies[2], dummies[5], n3} {
+		if got := g.RespreadDummies(at); got != len(dummies) {
+			t.Fatalf("respread from %v relabelled %d dummies, want %d", at, got, len(dummies))
+		}
+		if err := g.Verify(); err != nil {
+			t.Fatalf("after respread from %v: %v", at, err)
+		}
+		for i, n := range g.Nodes() {
+			if n != order[i] {
+				t.Fatalf("node order moved at %d: %v, want %v", i, n, order[i])
+			}
+			if g.ByKey(n.Key()) != n {
+				t.Fatalf("ByKey(%v) does not find the node keyed so", n.Key())
+			}
+			for l, want := range before[n] {
+				if n.Prev(l) != want.prev || n.Next(l) != want.next {
+					t.Fatalf("%v level %d: links moved", n, l)
+				}
+			}
+		}
+		if other.Key() != (Key{Primary: 4, Minor: 1}) || n3.Key() != KeyOf(3) {
+			t.Fatalf("respread reached outside the primary's dummies: %v, %v", other.Key(), n3.Key())
+		}
+		for _, dm := range dummies {
+			if left := dm.Prev(0); dm.Key().Minor-left.Key().Minor < 2 {
+				t.Fatalf("no free key between %v and %v", left.Key(), dm.Key())
+			}
+		}
+		if last := dummies[len(dummies)-1]; last.Key().Minor > MinorSpace-2 {
+			t.Fatalf("no free key after %v", last.Key())
+		}
+	}
+	for _, minor := range []int32{1, 2, 3, 4, 8} {
+		if n := g.ByKey(Key{Primary: 3, Minor: minor}); n != nil {
+			t.Fatalf("old key 3+%d still indexed: %v", minor, n)
+		}
+	}
+	if g.RespreadDummies(g.ByKey(KeyOf(9))) != 0 {
+		t.Fatal("a primary without dummies has nothing to relabel")
+	}
+}
+
 func TestCommonPrefixLen(t *testing.T) {
 	entries := []VectorEntry{
 		{Key: 1, ID: 1, Vector: "000"},

@@ -18,6 +18,10 @@ type Key struct {
 	Minor   int32
 }
 
+// MinorSpace bounds a key's Minor: dummies under one primary take minors in
+// (0, MinorSpace).
+const MinorSpace = 1 << 30
+
 // KeyOf returns the real-node key for primary p.
 func KeyOf(p int64) Key { return Key{Primary: p} }
 

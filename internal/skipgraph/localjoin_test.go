@@ -178,7 +178,7 @@ func TestBalanceViolationsInWindow(t *testing.T) {
 		t.Skip("seed produced a balanced graph; pick another seed")
 	}
 	key := func(v BalanceViolation) [4]int64 {
-		return [4]int64{int64(v.Level), v.Start.Primary, int64(v.Start.Minor), int64(v.Bit)}
+		return [4]int64{int64(v.Level), v.Start.key.Primary, int64(v.Start.key.Minor), int64(v.Bit)}
 	}
 	want := make(map[[4]int64]bool, len(global))
 	for _, v := range global {

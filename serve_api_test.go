@@ -117,8 +117,8 @@ func TestUnshardedMatchesEngine(t *testing.T) {
 		dist, max, rho  int64
 		dummies, height int
 	}{
-		{n: 256, dist: 51894, max: 139, rho: 2375481, dummies: 607, height: 12},
-		{n: 512, dist: 82381, max: 273, rho: 3554106, dummies: 1427, height: 14},
+		{n: 256, dist: 28896, max: 99, rho: 2344083, dummies: 238, height: 12},
+		{n: 512, dist: 40899, max: 208, rho: 3477797, dummies: 814, height: 15},
 	} {
 		t.Run(fmt.Sprintf("n=%d", tc.n), func(t *testing.T) {
 			t.Parallel()
