@@ -9,7 +9,7 @@
 //	dsgctl delete 3 29                   # tracked leave
 //	dsgctl scan 0 24 8                   # up to 8 entries from key ≥ 24
 //	dsgctl route 3 17                    # serve one communication request
-//	dsgctl stats                         # cycle the generation, print stats
+//	dsgctl stats                         # cumulative service statistics
 //	dsgctl replay -len 512 -trace-seed 7 # seeded trace, deterministic columns
 //	dsgctl trace -limit 8                # p50/p99 per verb + slowest spans
 //	dsgctl crash 4 | verify | addnode | removenode 4
@@ -138,7 +138,7 @@ func main() {
 			}
 		}
 		fmt.Printf("replayed %d ops (%d failed)\n", len(resps), failures)
-		fmt.Printf("columns: %s\n", wire.StatsColumns(st.Serve))
+		fmt.Printf("columns: %s\n", wire.StatsColumns(st.Cum))
 		printStats(st)
 	case "trace":
 		spans, lats, err := cl.TraceDump(*spanLimit)
@@ -197,16 +197,10 @@ func main() {
 }
 
 func printStats(st wire.StatsPayload) {
-	c, s := st.Cum, st.Serve
+	c := st.Cum
 	fmt.Printf("cumulative: %d requests, mean distance %.3f (max %d), %d transform rounds, height %d, %d dummies\n",
 		c.Requests, c.MeanRouteDistance, c.MaxRouteDistance, c.TotalTransformRounds, c.Height, c.DummyCount)
 	if c.Rebalances > 0 {
 		fmt.Printf("            %d rebalances (%d keys)\n", c.Rebalances, c.MigratedKeys)
-	}
-	fmt.Printf("last generation: %d requests in %d batches, mean lag %.3f (max %d)\n",
-		s.Requests, s.Batches, s.MeanAdjustLag, s.MaxAdjustLag)
-	if s.Gets+s.Puts+s.Deletes+s.Scans > 0 {
-		fmt.Printf("                 KV: %d gets (%d hits), %d puts (%d joins), %d deletes (%d hits), %d scans (%d entries)\n",
-			s.Gets, s.GetHits, s.Puts, s.PutInserts, s.Deletes, s.DeleteHits, s.Scans, s.ScannedEntries)
 	}
 }

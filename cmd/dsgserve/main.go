@@ -4,11 +4,11 @@
 // second port. Clients speak the length-prefixed binary protocol
 // (docs/WIRE.md); cmd/dsgctl is the reference client.
 //
-// The daemon defaults to -batch 1 and -window 1 so synchronous clients see
-// each op answered as soon as it is served; pipelined clients (dsgctl
-// replay) keep the deterministic-stats contract at any setting. SIGINT and
-// SIGTERM drain gracefully: in-flight requests are answered, the serving
-// generation is retired, then the process exits.
+// The daemon serves one op at a time, in arrival order, and answers each as
+// soon as it is served; -window is the rebalancer's load window only, and a
+// replayed trace (dsgctl replay) keeps the deterministic-stats contract at
+// any setting. SIGINT and SIGTERM drain gracefully: in-flight requests are
+// answered, then the process exits.
 //
 // Usage:
 //
@@ -46,9 +46,7 @@ func main() {
 		shards      = flag.Int("shards", 1, "shard count; 1 is a single graph")
 		balance     = flag.Int("balance", 0, "a-balance parameter; 0 keeps the default")
 		seed        = flag.Int64("seed", 1, "seed for the deterministic stream")
-		batch       = flag.Int("batch", 1, "pipeline batch size (1 answers synchronous clients promptly)")
-		window      = flag.Int("window", 1, "requests per window: outcomes are delivered and the rebalancer runs at its end (caps -batch)")
-		parallelism = flag.Int("parallelism", 1, "routing workers per pipeline run")
+		window      = flag.Int("window", 1, "requests per load window: the rebalancer runs at its end")
 		membership  = flag.Bool("membership", false, "enable AddNode/RemoveNode admin (disables working-set tracking)")
 		drainFor    = flag.Duration("drain", 10*time.Second, "graceful-shutdown budget before connections are cut")
 		trace       = flag.Bool("trace", true, "record op spans and latency histograms (TraceDump, dsgctl trace)")
@@ -60,8 +58,6 @@ func main() {
 
 	opts := []lsasg.Option{
 		lsasg.WithSeed(*seed),
-		lsasg.WithBatchSize(*batch),
-		lsasg.WithParallelism(*parallelism),
 		lsasg.WithShards(*shards),
 		lsasg.WithRebalanceWindow(*window),
 	}

@@ -56,6 +56,6 @@
 // removed earlier in the stream (or a crash took) costs that op its path
 // sample — its Outcome carries the routing error — never the pipeline.
 // Service.Apply serves one op synchronously as a one-op window of the same
-// pipeline; AddNode, RemoveNode and Crash are directory operations on the
-// idle service.
+// pipeline, feeding the same load window and the same barrier; AddNode,
+// RemoveNode and Crash are directory operations on the idle service.
 package shard

@@ -155,7 +155,7 @@ type legRef struct{ shard, idx int }
 
 // pendingReq is one collected op awaiting its leg results.
 type pendingReq struct {
-	seq int64   // 1-based position in the run
+	seq int64   // 1-based position in the service's lifetime request sequence
 	op  core.Op // original envelope
 	// first and n locate the op's outcome legs in window.refs (scans and
 	// cross-shard routes have more than one).
@@ -247,13 +247,10 @@ func (s *Service) Serve(ctx context.Context, in <-chan core.Op) (ServeStats, err
 	sawFullWindow := false
 	for !done {
 		dir := s.dir.Load()
-		clear(s.keyLoad) // a fresh load window
-		dispatched := 0
-		for dispatched < every && !done {
+		s.resetLoad()
+		for s.loadOps < every && !done {
 			s.win.reset()
-			var n int
-			n, done, retErr = s.collect(ctx, in, dir, min(flush, every-dispatched), &st)
-			dispatched += n
+			done, retErr = s.collect(ctx, in, dir, min(flush, every-s.loadOps), &st)
 			if err := s.run(&st); err != nil {
 				done = true
 				if retErr == nil {
@@ -262,13 +259,13 @@ func (s *Service) Serve(ctx context.Context, in <-chan core.Op) (ServeStats, err
 			}
 			s.deliver(&st)
 		}
-		if dispatched > 0 {
+		if s.loadOps > 0 {
 			st.Windows++
 			ratio := loadRatio(dir, s.keyLoad)
 			if st.LoadRatioFirst == 0 {
 				st.LoadRatioFirst = ratio
 			}
-			if dispatched == every {
+			if s.loadOps == every {
 				st.LoadRatioLast = ratio
 				sawFullWindow = true
 			} else if !sawFullWindow {
@@ -278,13 +275,8 @@ func (s *Service) Serve(ctx context.Context, in <-chan core.Op) (ServeStats, err
 		if done {
 			break
 		}
-		// Rebalance at the barrier: every engine is idle between windows, and
-		// the planner reads the load window where the dispatcher wrote it.
-		if plan, ok := planRebalance(dir, s.keyLoad, s.cfg.skewThreshold(), s.cfg.minShardKeys()); ok {
-			if err := s.executeMigration(dir, plan); err != nil {
-				retErr = err
-				break
-			}
+		if retErr = s.rebalance(dir); retErr != nil {
+			break
 		}
 	}
 	st.Rebalances = s.totals.Rebalances - before.Rebalances
@@ -295,39 +287,57 @@ func (s *Service) Serve(ctx context.Context, in <-chan core.Op) (ServeStats, err
 	return st, retErr
 }
 
-// collect takes up to limit ops off the channel, dispatching each onto the
-// window and its endpoints onto the load window. It reports how many it
-// took and whether the stream ended — closed, cancelled, or on an invalid
-// op, whose error it returns.
-func (s *Service) collect(ctx context.Context, in <-chan core.Op, dir *Directory, limit int, st *ServeStats) (n int, done bool, err error) {
-	for n < limit {
+// collect takes up to limit ops off the channel and dispatches each. It
+// reports whether the stream ended — closed, cancelled, or on an invalid op,
+// whose error it returns.
+func (s *Service) collect(ctx context.Context, in <-chan core.Op, dir *Directory, limit int, st *ServeStats) (done bool, err error) {
+	for ; limit > 0; limit-- {
 		select {
 		case <-ctx.Done():
-			return n, true, ctx.Err()
+			return true, ctx.Err()
 		case op, ok := <-in:
 			if !ok {
-				return n, true, nil
+				return true, nil
 			}
 			if err := s.checkOp(op); err != nil {
-				return n, true, err
+				return true, err
 			}
 			s.dispatch(dir, op, st)
-			if op.Kind != core.OpScan {
-				s.keyLoad[op.Src]++
-			}
-			s.keyLoad[op.Dst]++
-			n++
 		}
 	}
-	return n, false, nil
+	return false, nil
 }
 
-// dispatch splits one op into shard legs, queues them on the window, and
-// updates the dispatcher-side books.
+// resetLoad starts a fresh load window.
+func (s *Service) resetLoad() {
+	clear(s.keyLoad)
+	s.loadOps = 0
+}
+
+// rebalance runs the planner over the load window at its barrier — every
+// engine idle, the window's loads where the dispatcher wrote them — and
+// executes the migration it plans, if any.
+func (s *Service) rebalance(dir *Directory) error {
+	plan, ok := planRebalance(dir, s.keyLoad, s.cfg.skewThreshold(), s.cfg.minShardKeys())
+	if !ok {
+		return nil
+	}
+	return s.executeMigration(dir, plan)
+}
+
+// dispatch splits one op into shard legs, queues them on the window, counts
+// its endpoints into the load window, and updates the dispatcher-side books.
 func (s *Service) dispatch(dir *Directory, op core.Op, st *ServeStats) {
 	w := &s.win
 	st.Requests++
-	p := pendingReq{seq: st.Requests, op: op, first: len(w.refs)}
+	if op.Kind != core.OpScan {
+		s.keyLoad[op.Src]++
+	}
+	s.keyLoad[op.Dst]++
+	s.loadOps++
+	// Spans are numbered over the service's lifetime: totals holds every
+	// finished run and synchronous op, st the call in flight.
+	p := pendingReq{seq: s.totals.Requests + st.Requests, op: op, first: len(w.refs)}
 	switch op.Kind {
 	case core.OpRoute:
 		legs, n, cross := dir.splitLegs(op.Src, op.Dst)

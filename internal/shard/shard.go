@@ -24,10 +24,10 @@ type Config struct {
 	Parallelism int
 	BatchSize   int
 
-	// RebalanceEvery is the Serve pipeline's window length in requests:
-	// a window's ops are collected, served and their outcomes delivered
-	// together, and after every window the planner runs at the engine-idle
-	// barrier. Values < 1 mean 512.
+	// RebalanceEvery is the load window's length in requests: after every
+	// window the planner runs at the engine-idle barrier. The Serve pipeline
+	// also collects, serves and delivers a window's ops together; Apply
+	// counts its one op into the same window. Values < 1 mean 512.
 	RebalanceEvery int
 	// SkewThreshold is the max/mean shard-load ratio that triggers a
 	// migration (default 1.5; values ≤ 1 mean the default).
@@ -109,10 +109,12 @@ type Service struct {
 	shards []*slot
 	dir    atomic.Pointer[Directory]
 
-	// keyLoad[k] counts routed leg endpoints touching key k in the current
-	// load window: cleared in place when a window starts, read by the
-	// planner at its barrier. Only the Serve dispatcher touches it.
+	// keyLoad[k] counts op endpoints touching key k in the current load
+	// window, and loadOps the ops counted into it: written by dispatch for
+	// pipelined and synchronous ops alike, read by the planner at the
+	// window's barrier, cleared when the next window starts.
 	keyLoad []int64
+	loadOps int
 
 	// win is the window in flight: the collected ops, their per-shard legs
 	// and the leg results the shard engines report back.

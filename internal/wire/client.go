@@ -13,7 +13,7 @@ import (
 
 // Client speaks the wire protocol to one server. Connections are pooled:
 // each synchronous call checks one out, round-trips a frame, and returns
-// it. Transient failures — generation restarts (CodeRetry) and the
+// it. Transient failures — a server shutting down (CodeRetry) and the
 // by-design-transient ErrUnknownKey/ErrDeadNode races — are retried with
 // capped exponential backoff.
 type Client struct {
@@ -255,8 +255,7 @@ func (c *Client) Scan(src, start, limit int) ([]lsasg.KV, error) {
 
 // --- admin surface ----------------------------------------------------------
 
-// Stats cycles the serving generation and returns the cumulative service
-// statistics plus the just-ended generation's ServeStats.
+// Stats returns the cumulative service statistics.
 func (c *Client) Stats() (StatsPayload, error) {
 	resp, err := c.Do(Request{Verb: VerbStats})
 	if err != nil {
@@ -311,9 +310,9 @@ func (c *Client) TraceDump(limit int) ([]obs.Span, []obs.VerbLatency, error) {
 // Replay pipelines a trace down ONE connection in order, follows it with a
 // Stats frame, and collects every response. A connection's frames enter
 // the server's intake in read order and the owner consumes that queue
-// FIFO, so the trailing Stats cycles the serving generation only after the
-// whole trace: the returned StatsPayload.Serve is exactly the ServeStats
-// an in-process ServeOps call over the same trace would return. No
+// FIFO, so the trailing Stats is answered after the whole trace: against a
+// fresh daemon the returned StatsPayload.Cum is exactly what Stats reports
+// after an in-process ServeOps call over the same trace. No
 // retries happen here — a mid-trace failure surfaces in the responses so
 // the caller sees the trace's true outcome.
 func (c *Client) Replay(ops []lsasg.Op) ([]Response, StatsPayload, error) {

@@ -15,11 +15,11 @@ import (
 
 // Collector aggregates serving observability without perturbing the hot
 // path: per-op counters advance on lock-free atomics as results flow, and
-// the topology-level figures (height, rebalances, migrated keys) are
-// snapshotted only at generation boundaries — the service's methods are not
-// concurrency-safe, so the collector never touches the service while a
-// pipeline runs. It renders the Prometheus text exposition format (metric
-// names are listed in docs/WIRE.md).
+// the server's owner stores the topology-level figures (height, dummies,
+// rebalances, migrated keys) after every op — the service's methods are not
+// concurrency-safe, so a scrape reads only what the owner left here and
+// never touches the service. It renders the Prometheus text exposition
+// format (metric names are listed in docs/WIRE.md).
 type Collector struct {
 	start time.Time
 
@@ -48,12 +48,11 @@ type Collector struct {
 	// measurements.
 	tracer *obs.Tracer
 
-	// Boundary snapshot: cumulative service stats captured when a serving
-	// generation ends (ServeOps returned, service idle).
-	mu   sync.Mutex
-	cum  lsasg.Stats
-	last lsasg.ServeStats
-	gens int64
+	// Topology figures as of the last served op, stored by the owner.
+	height     atomic.Int64
+	dummies    atomic.Int64
+	rebalances atomic.Int64
+	migrated   atomic.Int64
 
 	// req/s gauge state: the previous scrape's observation.
 	scrapeMu  sync.Mutex
@@ -122,14 +121,13 @@ func (c *Collector) observeError(code ErrCode) {
 	}
 }
 
-// observeGeneration snapshots the service's cumulative stats at a
-// generation boundary — the only moment the service is idle.
-func (c *Collector) observeGeneration(cum lsasg.Stats, last lsasg.ServeStats) {
-	c.mu.Lock()
-	c.cum = cum
-	c.last = last
-	c.gens++
-	c.mu.Unlock()
+// observeService stores the topology figures of the service's current
+// statistics; the owner calls it after every op.
+func (c *Collector) observeService(st lsasg.Stats) {
+	c.height.Store(int64(st.Height))
+	c.dummies.Store(int64(st.DummyCount))
+	c.rebalances.Store(st.Rebalances)
+	c.migrated.Store(st.MigratedKeys)
 }
 
 func (c *Collector) connOpened() { c.conns.Add(1) }
@@ -157,10 +155,6 @@ func (c *Collector) Render() string {
 	}
 	c.prevAt, c.prevTotal = now, total
 	c.scrapeMu.Unlock()
-
-	c.mu.Lock()
-	cum, last, gens := c.cum, c.last, c.gens
-	c.mu.Unlock()
 
 	counter := func(name, help string) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
@@ -202,10 +196,10 @@ func (c *Collector) Render() string {
 	}
 	fmt.Fprintf(&b, "dsg_route_distance_mean %g\n", meanDist)
 
-	counter("dsg_rebalances_total", "Skew-driven shard migrations (generation-boundary snapshot).")
-	fmt.Fprintf(&b, "dsg_rebalances_total %d\n", cum.Rebalances)
-	counter("dsg_migrated_keys_total", "Keys moved across shards by the rebalancer (generation-boundary snapshot).")
-	fmt.Fprintf(&b, "dsg_migrated_keys_total %d\n", cum.MigratedKeys)
+	counter("dsg_rebalances_total", "Skew-driven shard migrations.")
+	fmt.Fprintf(&b, "dsg_rebalances_total %d\n", c.rebalances.Load())
+	counter("dsg_migrated_keys_total", "Keys moved across shards by the rebalancer.")
+	fmt.Fprintf(&b, "dsg_migrated_keys_total %d\n", c.migrated.Load())
 
 	counter("dsg_kv_ops_total", "Completed KV data-plane ops by kind.")
 	fmt.Fprintf(&b, "dsg_kv_ops_total{op=\"get\"} %d\n", c.ops[VerbGet].Load())
@@ -261,12 +255,10 @@ func (c *Collector) Render() string {
 	counter("dsg_gc_pause_seconds_total", "Cumulative stop-the-world GC pause time.")
 	fmt.Fprintf(&b, "dsg_gc_pause_seconds_total %g\n", float64(ms.PauseTotalNs)/1e9)
 
-	gauge("dsg_height", "Skip-graph height at the last generation boundary.")
-	fmt.Fprintf(&b, "dsg_height %d\n", last.Height)
-	gauge("dsg_dummy_nodes", "Dummy-node population at the last generation boundary.")
-	fmt.Fprintf(&b, "dsg_dummy_nodes %d\n", last.DummyCount)
-	counter("dsg_generations_total", "Serving generations completed (admin cycles and restarts).")
-	fmt.Fprintf(&b, "dsg_generations_total %d\n", gens)
+	gauge("dsg_height", "Skip-graph height after the last served op.")
+	fmt.Fprintf(&b, "dsg_height %d\n", c.height.Load())
+	gauge("dsg_dummy_nodes", "Dummy-node population after the last served op.")
+	fmt.Fprintf(&b, "dsg_dummy_nodes %d\n", c.dummies.Load())
 	gauge("dsg_connections", "Open client connections.")
 	fmt.Fprintf(&b, "dsg_connections %d\n", c.conns.Load())
 	gauge("dsg_uptime_seconds", "Seconds since the collector started.")

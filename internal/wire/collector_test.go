@@ -35,7 +35,6 @@ var goldenFamilies = []string{
 	"dsg_gc_pause_seconds_total counter",
 	"dsg_height gauge",
 	"dsg_dummy_nodes gauge",
-	"dsg_generations_total counter",
 	"dsg_connections gauge",
 	"dsg_uptime_seconds gauge",
 }

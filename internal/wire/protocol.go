@@ -3,9 +3,10 @@
 // (Route/Get/Put/Delete/Scan) plus admin verbs (Stats, AddNode, RemoveNode,
 // Crash, Verify, TraceDump), a Server that fronts any lsasg.Service over TCP, and a
 // pooling Client with transient-error retry. The deterministic serving
-// contract survives the wire: a server runs the service's ServeOps pipeline
-// in generations, so a trace replayed through a connection produces stats
-// byte-identical to the same trace served in-process (see docs/WIRE.md).
+// contract survives the wire: a server serves ops one at a time, in arrival
+// order, through the one-op window of the service's ServeOps pipeline, so a
+// trace replayed through a connection produces stats byte-identical to the
+// same trace served in-process (see docs/WIRE.md).
 package wire
 
 import (
@@ -19,10 +20,10 @@ import (
 	"lsasg/internal/obs"
 )
 
-// ErrRetry reports an op aborted by a serving-generation restart — another
-// op's failure or an admin cycle racing it. The op itself was fine;
-// resubmit it. The client's Do retries it automatically.
-var ErrRetry = errors.New("wire: serving generation restarted, retry")
+// ErrRetry reports an op the server turned away unserved because it was
+// shutting down. The op itself was fine; resubmit it. The client's Do
+// retries it automatically.
+var ErrRetry = errors.New("wire: server shutting down, retry")
 
 // Verb discriminates one request frame. Responses echo the request verb
 // with the high bit set.
@@ -39,8 +40,7 @@ const (
 	VerbDelete
 	// VerbScan reads up to Limit entries from the first key ≥ Dst.
 	VerbScan
-	// VerbStats cycles the serving generation and returns the cumulative
-	// service statistics plus the just-ended generation's ServeStats.
+	// VerbStats returns the cumulative service statistics.
 	VerbStats
 	// VerbAddNode joins a new node and returns its index.
 	VerbAddNode
@@ -52,9 +52,7 @@ const (
 	VerbVerify
 	// VerbTraceDump returns the slowest-span exemplars and per-verb latency
 	// summaries from a tracing-enabled daemon. Limit caps the span count
-	// (0 returns every retained span). Unlike the other admin verbs it does
-	// not cycle the serving generation: it reads the tracer, not the
-	// service, and its response may overtake those of ops still in flight.
+	// (0 returns every retained span). It reads the tracer, not the service.
 	VerbTraceDump
 
 	verbMax = VerbTraceDump
@@ -110,9 +108,8 @@ const (
 	CodeDeadNode
 	// CodeOutOfRange maps lsasg.ErrOutOfRange: an endpoint outside [0, N).
 	CodeOutOfRange
-	// CodeRetry reports an op that was aborted by a serving-generation
-	// restart (another op's failure, or an admin cycle racing the op). The
-	// op itself was fine — resubmit it.
+	// CodeRetry reports an op turned away unserved by a server that is
+	// shutting down. The op itself was fine — resubmit it.
 	CodeRetry
 	// CodeInvalid reports a malformed or unsupported request.
 	CodeInvalid
@@ -147,12 +144,10 @@ type Entry struct {
 }
 
 // StatsPayload carries VerbStats' result: the cumulative service statistics
-// and the exact ServeStats of the generation the call ended — for a single
-// uninterrupted replay, the same struct the in-process ServeOps call would
-// have returned.
+// — after a replay into a fresh daemon, what Stats reports after the
+// in-process ServeOps call over the same trace.
 type StatsPayload struct {
-	Cum   lsasg.Stats
-	Serve lsasg.ServeStats
+	Cum lsasg.Stats
 }
 
 // Response is one decoded response frame. Code discriminates success; on
@@ -367,28 +362,6 @@ func encodeStats(e *encoder, s *StatsPayload) {
 	e.i64(int64(c.DummyCount))
 	e.i64(c.Rebalances)
 	e.i64(c.MigratedKeys)
-	v := s.Serve
-	e.i64(v.Requests)
-	e.i64(v.Batches)
-	e.f64(v.MeanRouteDistance)
-	e.i64(int64(v.MaxRouteDistance))
-	e.i64(v.TotalTransformRounds)
-	e.f64(v.MeanAdjustLag)
-	e.i64(int64(v.MaxAdjustLag))
-	e.i64(int64(v.Height))
-	e.i64(int64(v.DummyCount))
-	e.i64(int64(v.Shards))
-	e.i64(v.CrossShardRequests)
-	e.i64(v.Rebalances)
-	e.i64(v.MigratedKeys)
-	e.i64(v.Gets)
-	e.i64(v.GetHits)
-	e.i64(v.Puts)
-	e.i64(v.PutInserts)
-	e.i64(v.Deletes)
-	e.i64(v.DeleteHits)
-	e.i64(v.Scans)
-	e.i64(v.ScannedEntries)
 }
 
 func decodeStats(d *decoder) *StatsPayload {
@@ -403,28 +376,6 @@ func decodeStats(d *decoder) *StatsPayload {
 	c.DummyCount = int(d.i64())
 	c.Rebalances = d.i64()
 	c.MigratedKeys = d.i64()
-	v := &s.Serve
-	v.Requests = d.i64()
-	v.Batches = d.i64()
-	v.MeanRouteDistance = d.f64()
-	v.MaxRouteDistance = int(d.i64())
-	v.TotalTransformRounds = d.i64()
-	v.MeanAdjustLag = d.f64()
-	v.MaxAdjustLag = int(d.i64())
-	v.Height = int(d.i64())
-	v.DummyCount = int(d.i64())
-	v.Shards = int(d.i64())
-	v.CrossShardRequests = d.i64()
-	v.Rebalances = d.i64()
-	v.MigratedKeys = d.i64()
-	v.Gets = d.i64()
-	v.GetHits = d.i64()
-	v.Puts = d.i64()
-	v.PutInserts = d.i64()
-	v.Deletes = d.i64()
-	v.DeleteHits = d.i64()
-	v.Scans = d.i64()
-	v.ScannedEntries = d.i64()
 	return &s
 }
 
@@ -658,7 +609,7 @@ func (r Response) Err() error {
 }
 
 // Retryable reports whether the code marks a transient condition a client
-// should retry: generation restarts, and the by-design-transient unknown-key
+// should retry: a server shutting down, and the by-design-transient unknown-key
 // and dead-node races.
 func (c ErrCode) Retryable() bool {
 	return c == CodeRetry || c == CodeUnknownKey || c == CodeDeadNode

@@ -53,17 +53,10 @@ func sampleResponses() []Response {
 				TotalTransformRounds: 42, WorkingSetBound: 123.75, Height: 6,
 				DummyCount: 3, Rebalances: 2, MigratedKeys: 17,
 			},
-			Serve: lsasg.ServeStats{
-				Requests: 50, Batches: 50, MeanRouteDistance: 1.25, MaxRouteDistance: 4,
-				TotalTransformRounds: 20, MeanAdjustLag: 0.5, MaxAdjustLag: 2,
-				Height: 6, DummyCount: 3, Shards: 4, CrossShardRequests: 12,
-				Rebalances: 1, MigratedKeys: 8, Gets: 10, GetHits: 7, Puts: 20,
-				PutInserts: 5, Deletes: 3, DeleteHits: 2, Scans: 4, ScannedEntries: 31,
-			},
 		}},
 		{Verb: VerbCrash, Seq: 9, Code: CodeOutOfRange, Msg: "node index 99 not in [0, 32)"},
 		{Verb: VerbVerify, Seq: 10, Code: CodeInternal, Msg: "invariant broken"},
-		{Verb: VerbRoute, Seq: 11, Code: CodeRetry, Msg: "serving generation restarted"},
+		{Verb: VerbRoute, Seq: 11, Code: CodeRetry, Msg: "server shutting down"},
 		{Verb: VerbTraceDump, Seq: 12, Spans: []obs.Span{
 			{
 				Seq: 41, Kind: obs.KindScan, Src: 7, Dst: 0, Start: 1700000000_000000001,

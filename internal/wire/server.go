@@ -16,28 +16,17 @@ import (
 //
 // The service's methods are not concurrency-safe, so a single owner
 // goroutine holds it and everything else funnels through the intake
-// channel. Ops are served in generations: one long-running ServeOps
-// pipeline consumes a generation's ops channel, and its onResult callback
-// answers waiters in FIFO order — results arrive in dispatch order, which
-// is the order the owner appended them. Admin verbs (Stats, AddNode,
-// RemoveNode, Crash, Verify) need an idle service, so each one closes the
-// current generation's ops channel, drains the pipeline, runs against the
-// quiesced service, and lets the next op start a fresh generation.
-// TraceDump is the exception: it reads only the tracer, which is
-// concurrency-safe, so it is answered while the generation keeps serving. A
-// route whose endpoint is gone or dead is a per-op miss: its waiter gets
-// the matching error code and the generation keeps serving. A generation
-// that dies on an op error answers its first pending waiter with the real
-// error and every later one with CodeRetry — their ops were fine, the
-// pipeline just restarted under them.
+// channel. The owner serves one item at a time in arrival order: an op
+// through Service.Do — answered as soon as it is served — and an admin verb
+// (Stats, AddNode, RemoveNode, Crash, Verify, TraceDump) between ops on the
+// same goroutine, so the service is idle whenever an admin verb runs and
+// reading it never disturbs the ops around it. An op that fails — a route
+// whose endpoint is gone or dead, or a fault inside the service — costs its
+// sender one error frame and nobody else anything.
 type Server struct {
 	svc    lsasg.Service
 	col    *Collector
 	tracer *obs.Tracer
-
-	writeTimeout time.Duration
-	idleTimeout  time.Duration
-	maxPending   int
 
 	// n mirrors svc.N() so connection readers can validate envelopes
 	// without touching the service; the owner refreshes it after
@@ -47,12 +36,6 @@ type Server struct {
 	intake    chan item
 	quit      chan struct{}
 	ownerDone chan struct{}
-	baseCtx   context.Context
-	cancel    context.CancelFunc
-
-	// lastServe is the most recent cleanly-completed generation's stats.
-	// Owner-goroutine state; reached by admin handling only.
-	lastServe lsasg.ServeStats
 
 	mu      sync.Mutex
 	lis     net.Listener
@@ -61,8 +44,13 @@ type Server struct {
 	connWG  sync.WaitGroup
 }
 
-// item is one unit of intake: an op bound for the serving pipeline, or an
-// admin request (hasOp false).
+// writeTimeout bounds each response-frame write. A connection that cannot
+// absorb its responses within the bound is declared dead and its remaining
+// output discarded, so a stalled client can never wedge the owner.
+const writeTimeout = 10 * time.Second
+
+// item is one unit of intake: an op bound for Service.Do, or an admin
+// request (hasOp false).
 type item struct {
 	req   Request
 	op    lsasg.Op
@@ -70,51 +58,8 @@ type item struct {
 	c     *serverConn
 }
 
-// waiter is one op awaiting its pipeline result.
-type waiter struct {
-	req Request
-	c   *serverConn
-}
-
-type genDone struct {
-	st  lsasg.ServeStats
-	err error
-}
-
-// generation is one ServeOps run over the service.
-type generation struct {
-	ops     chan lsasg.Op
-	waiters chan waiter
-	done    chan genDone
-	res     *genDone
-}
-
 // ServerOption configures a Server.
 type ServerOption func(*Server)
-
-// WithWriteTimeout bounds each response-frame write. A connection that
-// cannot absorb its responses within the bound is declared dead and its
-// remaining output discarded, so a stalled client can never wedge the
-// serving pipeline. Zero disables the bound.
-func WithWriteTimeout(d time.Duration) ServerOption {
-	return func(s *Server) { s.writeTimeout = d }
-}
-
-// WithIdleTimeout closes connections idle longer than d. Zero (the
-// default) keeps idle connections open indefinitely.
-func WithIdleTimeout(d time.Duration) ServerOption {
-	return func(s *Server) { s.idleTimeout = d }
-}
-
-// WithMaxPending caps ops in flight inside one serving generation; beyond
-// it, intake exerts backpressure on connection readers.
-func WithMaxPending(n int) ServerOption {
-	return func(s *Server) {
-		if n > 0 {
-			s.maxPending = n
-		}
-	}
-}
 
 // WithTracer attaches the service's observability tracer: VerbTraceDump
 // answers from its slow-span ring, and the collector renders its latency
@@ -132,18 +77,13 @@ func WithTracer(tr *obs.Tracer) ServerOption {
 // NewServer wraps svc. The owner goroutine starts immediately; Serve
 // accepts connections, Shutdown drains and stops.
 func NewServer(svc lsasg.Service, opts ...ServerOption) *Server {
-	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		svc:          svc,
-		col:          NewCollector(),
-		writeTimeout: 10 * time.Second,
-		maxPending:   1024,
-		intake:       make(chan item, 256),
-		quit:         make(chan struct{}),
-		ownerDone:    make(chan struct{}),
-		baseCtx:      ctx,
-		cancel:       cancel,
-		conns:        map[*serverConn]struct{}{},
+		svc:       svc,
+		col:       NewCollector(),
+		intake:    make(chan item, 256),
+		quit:      make(chan struct{}),
+		ownerDone: make(chan struct{}),
+		conns:     map[*serverConn]struct{}{},
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -203,9 +143,9 @@ func (s *Server) Serve(lis net.Listener) error {
 }
 
 // Shutdown drains gracefully: stop accepting, stop reading new frames,
-// answer everything already in flight, retire the serving generation, and
-// close connections. If ctx expires first, the in-flight pipeline is
-// aborted and connections are force-closed.
+// answer everything already in flight, and close connections. If ctx
+// expires first, connections are force-closed: the owner still serves the
+// ops it had accepted, and their answers are discarded.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	already := s.closing
@@ -233,7 +173,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-done:
 		return nil
 	case <-ctx.Done():
-		s.cancel()
 		s.closeConns()
 		<-done
 		return ctx.Err()
@@ -263,146 +202,39 @@ func (s *Server) closeConns() {
 
 func (s *Server) owner() {
 	defer close(s.ownerDone)
-	var gen *generation
-	for {
-		var it item
-		var ok bool
-		if gen == nil {
-			it, ok = <-s.intake
-		} else {
-			// Watch the live generation while idle: a pipeline that dies
-			// on an op error must answer its waiters now, not when the
-			// next request happens to arrive.
-			select {
-			case res := <-gen.done:
-				gen.res = &res
-				s.finishGeneration(gen)
-				gen = nil
-				continue
-			case it, ok = <-s.intake:
-			}
-		}
-		if !ok {
-			break
-		}
+	for it := range s.intake {
 		if it.hasOp {
-			if gen == nil {
-				gen = s.startGeneration()
-			}
-			if !s.genSubmit(gen, waiter{req: it.req, c: it.c}, it.op) {
-				// Generation died under this op; the drain answers its
-				// waiter (CodeRetry unless it inherited the error).
-				s.finishGeneration(gen)
-				gen = nil
-			}
-			continue
-		}
-		// Every admin verb but TraceDump touches the service and needs it
-		// idle; a trace dump must not disturb the run it observes.
-		if gen != nil && it.req.Verb != VerbTraceDump {
-			close(gen.ops)
-			s.finishGeneration(gen)
-			gen = nil
-		}
-		s.handleAdmin(it)
-	}
-	if gen != nil {
-		close(gen.ops)
-		s.finishGeneration(gen)
-	}
-}
-
-func (s *Server) startGeneration() *generation {
-	g := &generation{
-		ops:     make(chan lsasg.Op),
-		waiters: make(chan waiter, s.maxPending),
-		done:    make(chan genDone, 1),
-	}
-	go func() {
-		st, err := s.svc.ServeOps(s.baseCtx, g.ops, func(r lsasg.OpResult) {
-			// FIFO: results arrive in dispatch order, which is the order
-			// the owner appended waiters.
-			w := <-g.waiters
-			if r.Err != nil {
-				resp := errResponse(w.req, CodeOf(r.Err), r.Err.Error())
-				s.col.observeError(resp.Code)
-				s.respond(w.c, resp)
-				return
-			}
-			s.col.observeResult(w.req.Verb, r)
-			s.respond(w.c, opResponse(w.req, r))
-		})
-		g.done <- genDone{st: st, err: err}
-	}()
-	return g
-}
-
-// genSubmit appends the waiter and hands the op to the pipeline. The
-// waiter goes first so that if the generation dies in between, the drain
-// still answers it. Returns false when the generation has ended.
-func (s *Server) genSubmit(g *generation, w waiter, op lsasg.Op) bool {
-	select {
-	case g.waiters <- w:
-	case res := <-g.done:
-		g.res = &res
-		return false
-	}
-	select {
-	case g.ops <- op:
-		return true
-	case res := <-g.done:
-		g.res = &res
-		return false
-	}
-}
-
-// finishGeneration waits out the pipeline, answers any waiter it left
-// behind, and snapshots the quiesced service for the collector. On a clean
-// close no waiters remain (every forwarded op produced a result); on an
-// error the first pending waiter is the op that failed — it gets the real
-// error — and later ones get CodeRetry.
-func (s *Server) finishGeneration(g *generation) {
-	res := g.res
-	if res == nil {
-		r := <-g.done
-		res = &r
-	}
-	first := true
-	for {
-		var w waiter
-		select {
-		case w = <-g.waiters:
-		default:
-			if res.err == nil {
-				s.lastServe = res.st
-			}
-			s.col.observeGeneration(s.svc.Stats(), s.lastServe)
-			return
-		}
-		var resp Response
-		if first && res.err != nil {
-			code := CodeOf(res.err)
-			if code == CodeOK {
-				code = CodeInternal
-			}
-			resp = errResponse(w.req, code, res.err.Error())
+			s.serveOp(it)
 		} else {
-			resp = errResponse(w.req, CodeRetry, "serving generation restarted")
+			s.handleAdmin(it)
 		}
-		first = false
-		s.col.observeError(resp.Code)
-		s.respond(w.c, resp)
+		// Refresh the topology gauges from the owner's side, so /metrics
+		// follows the traffic and a scrape never touches the service.
+		s.col.observeService(s.svc.Stats())
 	}
 }
 
-// handleAdmin runs an admin verb — against the idle service, except for
-// TraceDump, which never touches it.
+// serveOp serves one op through the service and answers its sender.
+func (s *Server) serveOp(it item) {
+	r, err := s.svc.Do(it.op)
+	if err != nil {
+		resp := errResponse(it.req, CodeOf(err), err.Error())
+		s.col.observeError(resp.Code)
+		s.respond(it.c, resp)
+	} else {
+		s.col.observeResult(it.req.Verb, r)
+		s.respond(it.c, opResponse(it.req, r))
+	}
+}
+
+// handleAdmin runs an admin verb against the service, idle between ops
+// (TraceDump reads only the tracer).
 func (s *Server) handleAdmin(it item) {
 	req := it.req
 	resp := Response{Verb: req.Verb, Seq: req.Seq}
 	switch req.Verb {
 	case VerbStats:
-		resp.Stats = &StatsPayload{Cum: s.svc.Stats(), Serve: s.lastServe}
+		resp.Stats = &StatsPayload{Cum: s.svc.Stats()}
 	case VerbVerify:
 		if err := s.svc.Verify(); err != nil {
 			resp = errResponse(req, CodeInternal, err.Error())
@@ -452,7 +284,7 @@ func errResponse(req Request, code ErrCode, msg string) Response {
 	return Response{Verb: req.Verb, Seq: req.Seq, Code: code, Msg: msg}
 }
 
-// opResponse maps one pipeline outcome onto the wire.
+// opResponse maps one op's outcome onto the wire.
 func opResponse(req Request, r lsasg.OpResult) Response {
 	resp := Response{
 		Verb:     req.Verb,
@@ -489,7 +321,7 @@ func opResponse(req Request, r lsasg.OpResult) Response {
 // serverConn is one accepted connection: a reader loop (the handleConn
 // goroutine) and a writer goroutine joined by the out channel. closed
 // marks the writer dead — further sends are discarded, which keeps the
-// pipeline's onResult from ever blocking on a broken peer.
+// owner from ever blocking on a broken peer.
 type serverConn struct {
 	nc        net.Conn
 	out       chan []byte
@@ -527,9 +359,6 @@ func (s *Server) handleConn(c *serverConn) {
 			goto drain
 		default:
 		}
-		if s.idleTimeout > 0 {
-			c.nc.SetReadDeadline(time.Now().Add(s.idleTimeout))
-		}
 		body, err := ReadFrame(br)
 		if err != nil {
 			goto drain
@@ -556,8 +385,8 @@ drain:
 	s.col.connClosed()
 }
 
-// dispatch validates an op envelope at the edge (so a bad request cannot
-// kill a serving generation) and funnels the request to the owner.
+// dispatch validates an op envelope at the edge, so a bad request never
+// reaches the service, and funnels the request to the owner.
 func (s *Server) dispatch(c *serverConn, req Request) {
 	it := item{req: req, c: c}
 	if op, ok := req.Op(); ok {
@@ -587,9 +416,7 @@ func (s *Server) dispatch(c *serverConn, req Request) {
 func (s *Server) connWriter(c *serverConn) {
 	bw := bufio.NewWriter(c.nc)
 	for body := range c.out {
-		if s.writeTimeout > 0 {
-			c.nc.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-		}
+		c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 		if err := WriteFrame(bw, body); err != nil {
 			c.markClosed()
 			break

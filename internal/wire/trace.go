@@ -11,7 +11,7 @@ import (
 // cannot fail mid-pipeline: routes, zipf-skewed point reads and writes,
 // short scans, and — last — a tracked join and leave on each of the four
 // reserved top keys, which nothing else touches. Replaying it through a
-// fresh daemon reproduces an in-process ServeOps run column-for-column
+// fresh daemon reproduces an in-process ServeOps run column for column
 // (see StatsColumns and docs/WIRE.md).
 func ReplayTrace(n, length int, seed int64) []lsasg.Op {
 	rng := rand.New(rand.NewSource(seed))
@@ -47,15 +47,11 @@ func ReplayTrace(n, length int, seed int64) []lsasg.Op {
 	return ops
 }
 
-// StatsColumns renders every deterministic ServeStats column as one CSV
-// line — the byte-comparison format of the wire-replay determinism
-// contract.
-func StatsColumns(st lsasg.ServeStats) string {
-	return fmt.Sprintf("%d,%d,%.6f,%d,%d,%.6f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d",
-		st.Requests, st.Batches, st.MeanRouteDistance, st.MaxRouteDistance,
-		st.TotalTransformRounds, st.MeanAdjustLag, st.MaxAdjustLag,
-		st.Height, st.DummyCount, st.Shards, st.CrossShardRequests,
-		st.Rebalances, st.MigratedKeys,
-		st.Gets, st.GetHits, st.Puts, st.PutInserts, st.Deletes, st.DeleteHits,
-		st.Scans, st.ScannedEntries)
+// StatsColumns renders every deterministic Stats column as one CSV line —
+// the byte-comparison format of the wire-replay determinism contract.
+func StatsColumns(st lsasg.Stats) string {
+	return fmt.Sprintf("%d,%.6f,%d,%d,%.6f,%d,%d,%d,%d",
+		st.Requests, st.MeanRouteDistance, st.MaxRouteDistance,
+		st.TotalTransformRounds, st.WorkingSetBound, st.Height, st.DummyCount,
+		st.Rebalances, st.MigratedKeys)
 }

@@ -15,9 +15,9 @@ import (
 // origin o is the access σ=(o,k) of the paper, feeding the same
 // transformation and scoped a-balance repair. Put of an absent key joins
 // it; Delete leaves it; Scan reads the sorted level-0 run without
-// adjusting. The surface is a synchronous API (Get/Put/Delete/Scan) and a
-// batched deterministic one (ServeOps); a synchronous call is a one-op
-// window through the same pipeline ServeOps runs. On a sharded network
+// adjusting. The surface is a synchronous API (Do, and Get/Put/Delete/Scan
+// over it) and a batched deterministic one (ServeOps); a synchronous call is
+// a one-op window through the same pipeline ServeOps runs. On a sharded network
 // point ops land on the shard owning the key (a cross-shard access adapts
 // the origin shard along src→boundary too, exactly like a cross-shard
 // route), and Scan stitches the shards' level-0 runs in directory order —
@@ -101,8 +101,8 @@ type OpResult struct {
 
 	// Err reports a route op whose endpoint had been deleted, removed or
 	// had crashed when it routed: ErrUnknownKey or ErrDeadNode. Such an op
-	// is a per-op miss — no path sample, no adjustment — and the run carries
-	// on, on every shard count. Nil otherwise.
+	// is a per-op miss — counted, no path sample, no adjustment — and the run
+	// carries on, on every shard count. Nil otherwise.
 	Err error
 }
 
@@ -164,8 +164,20 @@ func (op Op) Validate(n int) error {
 	return nil
 }
 
-// apply serves one op synchronously: a one-op window through the ServeOps
-// pipeline.
+// Do serves one op synchronously — a one-op window through the ServeOps
+// pipeline, so it decomposes, routes, adjusts and is counted exactly like a
+// pipelined op — and returns its outcome. A route whose endpoint was deleted,
+// removed or has crashed is counted as the miss it is in ServeOps and comes
+// back as ErrUnknownKey or ErrDeadNode (in OpResult.Err too). On a sharded
+// network every op feeds the load window, and the rebalancer may migrate one
+// key range once WithRebalanceWindow ops have been counted into it.
+func (nw *Network) Do(op Op) (OpResult, error) {
+	o, err := nw.apply(op)
+	return opResult(o), err
+}
+
+// apply is Do before the outcome is folded into the public shape; Request
+// reads the transformation fields OpResult does not carry.
 func (nw *Network) apply(op Op) (shard.Outcome, error) {
 	if err := op.Validate(nw.N()); err != nil {
 		return shard.Outcome{}, err
@@ -179,8 +191,8 @@ func (nw *Network) apply(op Op) (shard.Outcome, error) {
 // would make it. found is false when the key is absent, crashed, or was
 // never written. Not safe for concurrent use with other Network methods.
 func (nw *Network) Get(src, key int) (value []byte, version int64, found bool, err error) {
-	o, err := nw.apply(GetOp(src, key))
-	return o.Value, o.Version, o.Found, err
+	r, err := nw.Do(GetOp(src, key))
+	return r.Value, r.Version, r.Found, err
 }
 
 // Put writes value to key as an access from src. An absent key joins the
@@ -188,16 +200,16 @@ func (nw *Network) Get(src, key int) (value []byte, version int64, found bool, e
 // crashed key is repaired and rejoined fresh. Returns the version assigned
 // to the write and whether the key already held a live record.
 func (nw *Network) Put(src, key int, value []byte) (version int64, existed bool, err error) {
-	o, err := nw.apply(PutOp(src, key, value))
-	return o.Version, o.Existed, err
+	r, err := nw.Do(PutOp(src, key, value))
+	return r.Version, r.Existed, err
 }
 
 // Delete removes key from the keyspace — a tracked leave with scoped
 // balance repair (or a crash repair when the key is dead). Deleting an
 // absent key is a no-op with existed == false.
 func (nw *Network) Delete(src, key int) (existed bool, err error) {
-	o, err := nw.apply(DeleteOp(src, key))
-	return o.Existed, err
+	r, err := nw.Do(DeleteOp(src, key))
+	return r.Existed, err
 }
 
 // Scan reads up to limit value-bearing entries in ascending key order,
@@ -205,8 +217,8 @@ func (nw *Network) Delete(src, key int) (existed bool, err error) {
 // across shard boundaries. Read-only: the topology does not adjust, but the
 // access feeds the working-set bookkeeping like any other op.
 func (nw *Network) Scan(src, start, limit int) ([]KV, error) {
-	o, err := nw.apply(ScanOp(src, start, limit))
-	return kvEntries(o.Entries), err
+	r, err := nw.Do(ScanOp(src, start, limit))
+	return r.Entries, err
 }
 
 // noteKVAccess is the sequence-order bookkeeping of one served access

@@ -97,15 +97,15 @@ func WithShards(s int) Option {
 	return func(o *options) { o.shards = s }
 }
 
-// WithRebalanceWindow sets the deterministic pipeline's window length in
-// requests (default 512): a window's ops are served together, its outcomes
-// are assembled and delivered, and the skew-driven rebalancer may then
-// migrate one key range. Smaller windows deliver ServeOps outcomes sooner
-// (a window of 1 delivers every op's result before the next op dispatches —
-// what a synchronous wire client of a sharded network needs) at the cost of
-// more frequent barriers. A window shorter than the batch size cuts every
-// batch to the window. An unsharded network has nothing to stitch or
-// rebalance and delivers after every batch whatever the window.
+// WithRebalanceWindow sets the load window's length in requests (default
+// 512): every op — pipelined or synchronous — counts its endpoints into the
+// window, and once it is full the skew-driven rebalancer may migrate one key
+// range at that op's barrier. ServeOps also serves a window's ops together
+// and delivers their outcomes once the window has been served, so smaller
+// windows deliver its outcomes sooner at the cost of more frequent barriers;
+// a window shorter than the batch size cuts every batch to the window, and an
+// unsharded network, which has nothing to stitch or rebalance, delivers after
+// every batch whatever the window. Do always answers after its one op.
 func WithRebalanceWindow(w int) Option {
 	return func(o *options) { o.rebalanceWindow = w }
 }
@@ -246,7 +246,8 @@ func (nw *Network) DummyCount() int { return nw.svc.DummyCount() }
 // Balance returns the a-balance parameter.
 func (nw *Network) Balance() int { return nw.svc.A() }
 
-// Requests returns the number of requests served.
+// Requests returns the number of requests served, routes that missed (a
+// removed or crashed endpoint) included, on either entry point.
 func (nw *Network) Requests() int { return int(nw.svc.Totals().Requests) }
 
 // Request serves a communication request from src to dst (distinct node
@@ -256,7 +257,8 @@ func (nw *Network) Requests() int { return int(nw.svc.Totals().Requests) }
 // network a cross-shard pair adapts both shards along its two legs;
 // TransformRounds then sums them and Alpha and DirectLevel describe the
 // destination-side leg. A request to an index that was removed or has
-// crashed returns ErrUnknownKey or ErrDeadNode and is not counted.
+// crashed returns ErrUnknownKey or ErrDeadNode; it is counted as the miss it
+// is in ServeOps — a served request that adjusted nothing.
 func (nw *Network) Request(src, dst int) (Result, error) {
 	o, err := nw.apply(RouteOp(src, dst))
 	if err != nil {

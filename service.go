@@ -24,6 +24,10 @@ type Service interface {
 	// Verify checks all structural invariants of the current topology.
 	Verify() error
 
+	// Do serves one op envelope synchronously — the one-op window of the
+	// ServeOps pipeline — and returns its outcome. A route whose endpoint
+	// is gone or dead is counted and returns ErrUnknownKey or ErrDeadNode.
+	Do(op Op) (OpResult, error)
 	// Get reads key's value as an access from src, adapting the topology
 	// like a communication request.
 	Get(src, key int) (value []byte, version int64, found bool, err error)

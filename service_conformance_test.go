@@ -82,7 +82,7 @@ func observe(t *testing.T, svc Service, n int) string {
 		}
 	}
 
-	// Pipelined surface: one ServeOps generation over a mixed batch.
+	// Pipelined surface: one ServeOps run over a mixed batch.
 	var ops []Op
 	for i := 0; i < 150; i++ {
 		src := pickLive()
