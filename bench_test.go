@@ -444,3 +444,63 @@ func BenchmarkNetworkRequest(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAdjustScaling is the n-scaling probe of the adjustment alone
+// (ROADMAP R2): b.N Zipf(1.2) adjustments on one graph of n nodes after
+// 1 000 warm-up ones, so the lanes read as cost per op against n. The
+// metrics beside ns/op say what the cost bought: nodes the scoped repair
+// examined per op, the dummy population per real node at the end, and ρ.
+// Recorded in CI, not gated — the n ≥ 1024 lanes take seconds per run.
+func BenchmarkAdjustScaling(b *testing.B) {
+	const warmup = 1000
+	for _, n := range []int{256, 512, 1024, 2048} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			d := core.New(n, core.Config{A: 4, Seed: 1})
+			d.RepairBalance()
+			reqs := workload.Zipf{Seed: 7, S: 1.2}.Generate(n, warmup+b.N)
+			for _, r := range reqs[:warmup] {
+				if _, err := d.Adjust(int64(r.Src), int64(r.Dst)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			_, scan0 := d.LocalityWork()
+			rounds := 0
+			b.ResetTimer()
+			for _, r := range reqs[warmup:] {
+				res, err := d.Adjust(int64(r.Src), int64(r.Dst))
+				if err != nil {
+					b.Fatal(err)
+				}
+				rounds += res.TransformRounds
+			}
+			b.StopTimer()
+			_, scan1 := d.LocalityWork()
+			b.ReportMetric(float64(scan1-scan0)/float64(b.N), "repair-scan/op")
+			b.ReportMetric(float64(d.DummyCount())/float64(n), "dummies/n")
+			b.ReportMetric(float64(rounds)/float64(b.N), "rho")
+		})
+	}
+}
+
+// BenchmarkDo measures the call dsgserve makes per op frame: Network.Do, a
+// one-op window through the shard dispatcher and the owning engine, on
+// Zipf(1.2) routes over 256 keys at s shards. CI gates the s=1 lane; s=4
+// adds cross-shard legs and the rebalancer at its default load window.
+func BenchmarkDo(b *testing.B) {
+	for _, s := range []int{1, 4} {
+		b.Run(fmt.Sprintf("s=%d", s), func(b *testing.B) {
+			nw, err := New(256, WithSeed(21), WithShards(s))
+			if err != nil {
+				b.Fatal(err)
+			}
+			reqs := workload.Zipf{Seed: 21, S: 1.2}.Generate(256, 8192)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r := reqs[i%len(reqs)]
+				if _, err := nw.Do(RouteOp(r.Src, r.Dst)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"lsasg/internal/core"
+	"lsasg/internal/shard"
 	"lsasg/internal/skipgraph"
 )
 
@@ -27,6 +28,12 @@ var (
 
 	// ErrOutOfRange reports a key or node index outside [0, N).
 	ErrOutOfRange = errors.New("lsasg: index out of range")
+
+	// ErrBarrier reports that the op was served — the result returned next
+	// to the error is valid and took effect, its own error, if any, in
+	// OpResult.Err — and the rebalancer's migration at the window barrier
+	// behind it failed. It is the service's failure, not the op's.
+	ErrBarrier = errors.New("lsasg: window barrier failed")
 )
 
 // wrapErr lifts an internal error into the public error surface: if err's
@@ -41,6 +48,8 @@ func wrapErr(err error) error {
 		return errors.Join(ErrUnknownKey, err)
 	case errors.Is(err, skipgraph.ErrDeadNode), errors.Is(err, core.ErrCrashedNode):
 		return errors.Join(ErrDeadNode, err)
+	case errors.Is(err, shard.ErrBarrier):
+		return errors.Join(ErrBarrier, err)
 	}
 	return err
 }

@@ -75,6 +75,8 @@ func (d *DSG) balanceList(ctx *transformCtx, at int) {
 						ctx.pairGuests++
 					}
 					run, runHasReal = 1, ctx.isReal(o)
+				} else {
+					ctx.unplaced = append(ctx.unplaced, skipgraph.ListRef{Node: prev, Level: int32(sp.level)})
 				}
 			}
 		default:

@@ -107,6 +107,11 @@ func runFuzz(n int, a int, seed int64, ops []fuzzOp) (int, error) {
 			if err != nil {
 				return i, fmt.Errorf("%s: %w", op, err)
 			}
+			// The transformation hands the repair no list it rebuilt, so
+			// those must be balanced already.
+			if viols := unreportedRegionViolations(d, d.NodeByID(op.A), res.Alpha); len(viols) > 0 {
+				return i, fmt.Errorf("%s: transformed region left unbalanced: %s", op, viols[0])
+			}
 			// The scoped repair over the transformation's recorded dirty
 			// lists must satisfy the *global* validator below — the fuzz
 			// doubles as the differential test for repair locality.

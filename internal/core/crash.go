@@ -65,7 +65,7 @@ func (d *DSG) repairCrashed(n *skipgraph.Node) {
 	d.crashRepairCount++
 	d.crashRepairLog = append(d.crashRepairLog, n.ID())
 	sc.crash = append(sc.crash, d.extendDistinct(cands)...)
-	d.RepairBalanceIn(sc.crash)
+	d.RepairBalanceIn(sc.crash, nil)
 }
 
 // RepairCrashedID repairs the crashed node with the given id and reports

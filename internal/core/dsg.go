@@ -58,7 +58,7 @@ func (d *DSG) Add(id int64) (*skipgraph.Node, error) {
 		d.syncStateDepthFor(x)
 	}
 	d.joinScan += eff.Work
-	d.RepairBalanceIn(eff.Touched)
+	d.RepairBalanceIn(eff.Touched, nil)
 	return n, nil
 }
 
@@ -88,7 +88,7 @@ func (d *DSG) RemoveNode(id int64) error {
 		return fmt.Errorf("core: node %d not present", id)
 	}
 	delete(d.st, n)
-	d.RepairBalanceIn(refs)
+	d.RepairBalanceIn(refs, nil)
 	return nil
 }
 

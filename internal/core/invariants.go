@@ -147,7 +147,7 @@ func (d *DSG) RepairBalance() (inserted, removed int) {
 	// A distinctness extension during GC creates new list memberships that
 	// can carry fresh a-balance violations; chase them scoped.
 	if len(extRefs) > 0 {
-		ins, rem := d.RepairBalanceIn(extRefs)
+		ins, rem := d.RepairBalanceIn(extRefs, nil)
 		inserted += ins
 		removed += rem
 	}
@@ -161,10 +161,13 @@ func (d *DSG) RepairBalance() (inserted, removed int) {
 // untouched parts of the graph. Lists outside the dirty set cannot have
 // new violations by construction — the local join, leave, and repair
 // operations report every list whose membership or bits they changed.
-// Validate (global) remains the correctness oracle for that claim. refs
-// must not alias the repair's own scratch buffers (d.pending and anything
-// the caller built itself are fine).
-func (d *DSG) RepairBalanceIn(refs []skipgraph.ListRef) (inserted, removed int) {
+// Validate (global) remains the correctness oracle for that claim.
+// dummies, in key order, names dummies whose runs changed without a ref
+// covering them — a transformation's, whose rebuilt lists are balanced as
+// built and so need no scan, only the garbage collection. Neither argument
+// may alias the repair's own scratch buffers (d.pending, d.pendingDummies
+// and anything the caller built itself are fine).
+func (d *DSG) RepairBalanceIn(refs []skipgraph.ListRef, dummies []*skipgraph.Node) (inserted, removed int) {
 	sc := &d.scratch.repair
 	// Each pass scans only the frontier — the refs new since the previous
 	// pass. That loses nothing: a list can only gain a violation through a
@@ -175,7 +178,7 @@ func (d *DSG) RepairBalanceIn(refs []skipgraph.ListRef) (inserted, removed int) 
 	// to sc.touched, whose newest stretch is the next pass's frontier, so
 	// the round's dirty set is its first frontier plus all of sc.touched.
 	frontier := refs
-	for round := 0; len(frontier) > 0; round++ {
+	for round := 0; len(frontier) > 0 || len(dummies) > 0; round++ {
 		sc.touched = recycle(sc.touched)
 		first := frontier
 		if round > 0 {
@@ -207,9 +210,9 @@ func (d *DSG) RepairBalanceIn(refs []skipgraph.ListRef) (inserted, removed int) 
 			// global sweep visits them in.
 			var scanned int
 			if sweep == 0 {
-				sc.dummies, scanned = d.g.AppendDummiesIn(recycle(sc.dummies), first, sc.touched)
+				sc.dummies, scanned = d.g.AppendDummiesIn(recycle(sc.dummies), dummies, first, sc.touched)
 			} else {
-				sc.dummies, scanned = d.g.AppendDummiesIn(recycle(sc.dummies), sc.gc[mark:])
+				sc.dummies, scanned = d.g.AppendDummiesIn(recycle(sc.dummies), nil, sc.gc[mark:])
 			}
 			d.repairScan += scanned
 			mark = len(sc.gc)
@@ -229,7 +232,7 @@ func (d *DSG) RepairBalanceIn(refs []skipgraph.ListRef) (inserted, removed int) 
 		// A removal that forced a distinctness extension created new list
 		// memberships; those can carry fresh a-balance violations, so they
 		// become the next round's frontier.
-		frontier = sc.ext
+		frontier, dummies = sc.ext, nil
 	}
 	sc.release()
 	d.repairInserted += inserted
@@ -242,14 +245,17 @@ func (d *DSG) RepairBalanceIn(refs []skipgraph.ListRef) (inserted, removed int) 
 // trace runner calls it after every route; callers driving Serve directly
 // may use it as the cheap alternative to the global RepairBalance.
 func (d *DSG) RepairBalancePending() (inserted, removed int) {
-	inserted, removed = d.RepairBalanceIn(d.pending)
+	inserted, removed = d.RepairBalanceIn(d.pending, d.pendingDummies)
 	d.clearPending()
 	return inserted, removed
 }
 
-// clearPending empties the dirty-set record, keeping its backing array for
-// the next transformation and dropping the node references it held.
-func (d *DSG) clearPending() { d.pending = recycle(d.pending) }
+// clearPending empties the dirty record, keeping its backing arrays for
+// the next transformation and dropping the node references they held.
+func (d *DSG) clearPending() {
+	d.pending = recycle(d.pending)
+	d.pendingDummies = recycle(d.pendingDummies)
+}
 
 // repairViolations repairs one violation snapshot (shorten a run by
 // dropping a redundant in-run dummy, else break it with a fresh dummy

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"lsasg/internal/skipgraph"
@@ -125,30 +126,109 @@ func TestScopedRepairMatchesOracle(t *testing.T) {
 	}
 }
 
+// unreportedRegionViolations is the oracle for what a transformation hands
+// the scoped repair. It scans the whole graph — no dirty record involved —
+// right after a transformation for (u, ·) at level alpha and returns the
+// a-balance violations inside the region the transformation rebuilt (the
+// lists at levels ≥ alpha under u's alpha-bit prefix) that d.pending does
+// not report as a Whole list. The transformation balances the region as it
+// builds it and reports the one kind of list it could not — a run whose
+// breaker found no key — so the result must be empty.
+func unreportedRegionViolations(d *DSG, u *skipgraph.Node, alpha int) []skipgraph.BalanceViolation {
+	var out []skipgraph.BalanceViolation
+	for _, v := range d.g.BalanceViolations(d.cfg.A) {
+		if v.Level < alpha || skipgraph.CommonPrefixLen(v.Start, u) < alpha {
+			continue
+		}
+		whole := skipgraph.ListRef{Node: v.Start.ListHead(v.Level), Level: int32(v.Level), Whole: true}
+		if !slices.Contains(d.pending, whole) {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
 // TestTransformLeavesRegionBalanced pins the transformation's own half of
-// that contract: a bare Serve, before any scoped repair has run, leaves no
-// a-balance violation at or above alpha — the lists it rebuilt are balanced
-// as built. What its dirty set may still hold are knock-ons below alpha,
-// where a fresh dummy joined lists the transformation did not rebuild;
-// those are RepairBalancePending's to chase.
+// that contract, the one that lets the repair skip the rebuilt region: a
+// bare Serve, before any scoped repair has run, leaves no a-balance
+// violation at or above alpha in the lists it rebuilt. What its dirty
+// record may still hold are knock-ons below alpha, where a fresh dummy
+// joined lists the transformation did not rebuild; those are
+// RepairBalancePending's to chase. (The churn fuzz checks the same after
+// every route, its shrunk key-slot regression included.)
 func TestTransformLeavesRegionBalanced(t *testing.T) {
-	const n, reqs = 128, 400
+	const n = 128
 	for _, a := range []int{2, 3, 4, 8} {
+		reqs := 400
+		if a == 2 || a == 4 {
+			reqs = 3000
+		}
 		d := New(n, Config{A: a, Seed: int64(a)})
 		d.RepairBalance()
-		var viols []skipgraph.BalanceViolation
 		for i, r := range (workload.Zipf{Seed: 5, S: 1.2}).Generate(n, reqs) {
 			res, err := d.Serve(int64(r.Src), int64(r.Dst))
 			if err != nil {
 				t.Fatal(err)
 			}
-			viols, _ = d.g.AppendBalanceViolationsIn(viols[:0], a, d.pending)
-			for _, v := range viols {
-				if v.Level >= res.Alpha {
-					t.Fatalf("a=%d request %d (alpha %d): transformed region left unbalanced: %s", a, i, res.Alpha, v)
-				}
+			if viols := unreportedRegionViolations(d, d.NodeByID(int64(r.Src)), res.Alpha); len(viols) > 0 {
+				t.Fatalf("a=%d request %d (alpha %d): transformed region left unbalanced: %s", a, i, res.Alpha, viols[0])
 			}
 			d.RepairBalancePending()
+		}
+	}
+}
+
+// TestUnplacedBreakerIsStillRepaired drives the one case in which a rebuilt
+// list is handed to the repair after all. Every gap between two real keys is
+// packed with bit-less dummies on the bisection path of the key search
+// (minors 2²⁹ … 2²), so the first breaker placed behind a real node lands on
+// minor 2, the next on 1, and the third — which the bottom-up balance pass
+// asks for when the same node ends a run at a third level — finds the gap
+// full: makeDummy fails. The transformation must report that list whole, and
+// the scoped repair, which can respread a full gap, must leave a graph the
+// global validator accepts after every op.
+func TestUnplacedBreakerIsStillRepaired(t *testing.T) {
+	const n, reqs = 32, 100
+	for seed := int64(1); seed <= 3; seed++ {
+		d := New(n, Config{A: 2, Seed: seed})
+		d.RepairBalance()
+		for p := int64(0); p < n; p++ {
+			for k := 2; k <= 29; k++ {
+				key := skipgraph.Key{Primary: p, Minor: 1 << k}
+				if d.g.ByKey(key) != nil {
+					continue
+				}
+				dm := skipgraph.NewDummy(key, d.nextDummyID)
+				d.st[dm] = newDummyState(d.nextDummyID, 0)
+				d.nextDummyID++
+				d.g.SpliceIn(dm)
+				d.dummyCount++
+			}
+		}
+		if err := d.Validate(); err != nil {
+			t.Fatalf("seed %d: packed graph invalid: %v", seed, err)
+		}
+		unplaced := 0
+		for i, r := range (workload.Zipf{Seed: seed, S: 1.2}).Generate(n, reqs) {
+			res, err := d.Serve(int64(r.Src), int64(r.Dst))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ref := range d.pending {
+				if ref.Whole {
+					unplaced++
+				}
+			}
+			if viols := unreportedRegionViolations(d, d.NodeByID(int64(r.Src)), res.Alpha); len(viols) > 0 {
+				t.Fatalf("seed %d request %d: a run the transformation left is not in its dirty record: %s", seed, i, viols[0])
+			}
+			d.RepairBalancePending()
+			if err := d.Validate(); err != nil {
+				t.Fatalf("seed %d request %d: %v", seed, i, err)
+			}
+		}
+		if unplaced == 0 {
+			t.Fatalf("seed %d: no breaker went unplaced; the test no longer reaches its case", seed)
 		}
 	}
 }

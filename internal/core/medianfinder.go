@@ -38,9 +38,10 @@
 // list is balanced when everything beneath it is final, and what it adds
 // reaches its sublists only as boundaries, which shorten runs and never
 // lengthen them: the transformation leaves no violation at or above alpha
-// (TestTransformLeavesRegionBalanced), and RepairBalancePending is left
-// with the knock-ons below alpha, where a new dummy joins lists the
-// transformation did not rebuild.
+// (TestTransformLeavesRegionBalanced), so RepairBalancePending is not given
+// the rebuilt lists to scan at all — only their dummies, to garbage-collect
+// — and is left with the knock-ons below alpha, where a new dummy joins
+// lists the transformation did not rebuild.
 //
 // # Scratch arena
 //
@@ -57,8 +58,8 @@
 // The ownership rule that makes this safe: a DSG has a single writer, and
 // arena memory belongs to the operation in progress. Nothing arena-backed
 // may be retained by a skipgraph.Node, a nodeState, a ListRef that outlives
-// the operation (d.pending, the one dirty set that does, has its own
-// buffer), or an OpResult or AdjustResult; whatever must survive is copied
+// the operation (d.pending and d.pendingDummies, the one dirty record that
+// does, have their own buffers), or an OpResult or AdjustResult; whatever must survive is copied
 // out. Each operation clears the node and state pointers it parked in the
 // arena before returning, so the arena never keeps a removed node alive.
 // Nodes and states themselves are never pooled — route results and dirty

@@ -157,16 +157,23 @@ type transformCtx struct {
 	ordered    []int             // fallbackSplit's priority order
 	values     []amf.Value       // the priorities handed to the median finder
 	glow       []int64           // Glower group-ids below alpha
-	part       []int             // old-list partition of forEachOldGroupSplit
+	part       []int             // old-list partition of recordOldGroupSplits
 	partTmp    []int
+	splits     []splitEvent        // the old-group split events, in the order the rules apply them
+	unplaced   []skipgraph.ListRef // lists left with a run whose breaker found no key
 	groups     gidTable
 	agg        []groupAgg
+}
+
+// splitEvent says that member o's old group split at an old level.
+type splitEvent struct {
+	o, level int32
 }
 
 // groupAgg aggregates one group of the list being processed.
 type groupAgg struct {
 	zeros, ones int   // members on each side of the split (reassignGroups)
-	size        int   // members in all (forEachOldGroupSplit)
+	size        int   // members in all (recordOldGroupSplits)
 	first       int   // first member in key order
 	split       bool  // the group no longer shares one list
 	hasNewID    bool  // newID is set
@@ -212,6 +219,7 @@ func (ctx *transformCtx) release() {
 	ctx.doomed = recycle(ctx.doomed)
 	ctx.all = recycle(ctx.all)
 	ctx.fresh = recycle(ctx.fresh)
+	ctx.unplaced = recycle(ctx.unplaced)
 }
 
 func newMember(n *skipgraph.Node, s *nodeState) member {

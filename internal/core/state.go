@@ -144,11 +144,14 @@ type DSG struct {
 	repairInserted int
 	repairRemoved  int
 
-	// pending is the dirty-list set the most recent transformation
-	// recorded (destroyed dummies' ex-lists, the relinked region, fresh
-	// dummies' lists); RepairBalancePending consumes it. Each Serve resets
-	// it, so it never grows beyond one request's footprint.
-	pending []skipgraph.ListRef
+	// pending is the dirty record of the most recent transformation:
+	// the lists it touched without rebuilding them (destroyed dummies'
+	// ex-lists, fresh dummies' lists below alpha) and, in pendingDummies,
+	// the dummies of the region it did rebuild, in key order.
+	// RepairBalancePending consumes both. Each Serve resets them, so they
+	// never grow beyond one request's footprint.
+	pending        []skipgraph.ListRef
+	pendingDummies []*skipgraph.Node
 
 	// Deterministic locality counters (experiment E16): nodes examined
 	// while splicing local joins, and nodes scanned by scoped balance

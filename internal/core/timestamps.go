@@ -4,30 +4,33 @@ import (
 	"lsasg/internal/skipgraph"
 )
 
-// forEachOldGroupSplit visits, for every member, the old levels d ≥ alpha
-// at which its pre-transformation group (nodes sharing the old group-id and
-// the old level-d list) no longer shares a level-d list afterwards. These
-// are the split events rules T5 and the group-base rules (Appendix C)
-// refer to ("a group g at level d in S_t splits ... in S_{t+1}").
+// recordOldGroupSplits fills ctx.splits with, for every member, the old
+// levels d ≥ alpha at which its pre-transformation group (nodes sharing the
+// old group-id and the old level-d list) no longer shares a level-d list
+// afterwards. These are the split events rule T5 and the group-base rules
+// (Appendix C) refer to ("a group g at level d in S_t splits ... in
+// S_{t+1}").
 //
 // The old lists are recovered by partitioning the members on their old
 // membership bits, level by level from l_alpha down the old tree; within
 // one old list the members group by old group-id. Walking the old tree top
-// down visits each member's events in ascending level order, the order the
+// down records each member's events in ascending level order, the order the
 // base and T5 rules (which are order-sensitive) apply them in. The events
-// are a function of the snapshot and the new vectors alone, so the two
-// rules that need them each take their own walk instead of storing them.
-func forEachOldGroupSplit(ctx *transformCtx, visit func(o, level int)) {
+// are a function of the snapshot and the new vectors alone, neither of which
+// a rule touches, so the old tree is walked once — by the base rules, which
+// run first — and rule T5 replays the record.
+func recordOldGroupSplits(ctx *transformCtx) {
 	ctx.part = ctx.part[:0]
 	for o := 0; o < ctx.m; o++ {
 		ctx.part = append(ctx.part, o)
 	}
-	oldListSplits(ctx, ctx.part, ctx.alpha, visit)
+	ctx.splits = ctx.splits[:0]
+	oldListSplits(ctx, ctx.part, ctx.alpha)
 }
 
 // oldListSplits handles one old level-lvl list (members in key order) and
 // recurses into its two old sublists.
-func oldListSplits(ctx *transformCtx, list []int, lvl int, visit func(o, level int)) {
+func oldListSplits(ctx *transformCtx, list []int, lvl int) {
 	if len(list) == 0 {
 		return
 	}
@@ -56,7 +59,7 @@ func oldListSplits(ctx *transformCtx, list []int, lvl int, visit func(o, level i
 	ctx.agg = agg
 	for _, o := range list {
 		if g := agg[ctx.ents[o].gid]; g.size >= 2 && g.split {
-			visit(o, lvl)
+			ctx.splits = append(ctx.splits, splitEvent{o: int32(o), level: int32(lvl)})
 		}
 	}
 	// Partition on the old bit for lvl+1 (stable, in place); members whose
@@ -75,8 +78,8 @@ func oldListSplits(ctx *transformCtx, list []int, lvl int, visit func(o, level i
 	}
 	end := zeros + copy(list[zeros:], ones)
 	ctx.partTmp = ones[:0]
-	oldListSplits(ctx, list[:zeros], lvl+1, visit)
-	oldListSplits(ctx, list[zeros:end], lvl+1, visit)
+	oldListSplits(ctx, list[:zeros], lvl+1)
+	oldListSplits(ctx, list[zeros:end], lvl+1)
 }
 
 // applyGroupBaseRules updates group-bases after the structural
@@ -85,15 +88,16 @@ func oldListSplits(ctx *transformCtx, list []int, lvl int, visit func(o, level i
 // well above alpha rebases just below that split. (Merge-driven base
 // updates were already applied in mergeGroups.)
 func (d *DSG) applyGroupBaseRules(ctx *transformCtx) {
-	forEachOldGroupSplit(ctx, func(o, dl int) {
-		e := &ctx.ents[o]
+	recordOldGroupSplits(ctx)
+	for _, ev := range ctx.splits {
+		e, dl := &ctx.ents[ev.o], int(ev.level)
 		if e.lowestSplit < 0 {
-			e.lowestSplit = int32(dl) // events ascend
+			e.lowestSplit = ev.level // events ascend
 		}
 		if e.s.B == dl {
 			e.s.B = dl - 1
 		}
-	})
+	}
 	for o := range ctx.ents[:ctx.m] {
 		e := &ctx.ents[o]
 		if e.lowestSplit < 0 {
@@ -311,14 +315,15 @@ func fillBelowLowestTimestamp(sx *nodeState) {
 
 // ruleT5 backfills the level below a split: a member of an old group that
 // split at level dl whose level-(dl-1) timestamp is still zero copies the
-// level-dl timestamp down.
+// level-dl timestamp down. The events are the ones applyGroupBaseRules
+// recorded.
 func ruleT5(ctx *transformCtx) {
-	forEachOldGroupSplit(ctx, func(o, dl int) {
-		sx := ctx.ents[o].s
+	for _, ev := range ctx.splits {
+		sx, dl := ctx.ents[ev.o].s, int(ev.level)
 		if dl >= 1 && sx.timestamp(dl-1) == 0 && sx.timestamp(dl) != 0 {
 			sx.setTimestamp(dl-1, sx.timestamp(dl))
 		}
-	})
+	}
 }
 
 // ruleT6 zeroes every timestamp below the group-base.

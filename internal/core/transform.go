@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"lsasg/internal/amf"
 	"lsasg/internal/skipgraph"
@@ -127,7 +129,8 @@ func (d *DSG) transform(u, v *skipgraph.Node, t int64) RequestResult {
 	// will not rebuild — destroying it would leak an a-balance violation
 	// below the transformed region, so it stays (it still participates in
 	// l_alpha's split as a chain boundary). A destroyed dummy may have been
-	// breaking chains below alpha, so its ex-lists join the dirty set.
+	// breaking chains below alpha, so its ex-lists there join the dirty set;
+	// its lists from alpha up are about to be rebuilt.
 	// Survivors get their ordinals here — real members in key order, the
 	// kept dummies after them — and form the first list the splits work on:
 	// l_alpha in key order, the kept dummies in it as chain boundaries.
@@ -160,7 +163,7 @@ func (d *DSG) transform(u, v *skipgraph.Node, t int64) RequestResult {
 			nextKept++
 		}
 	}
-	d.pending = d.g.RemoveAll(ctx.doomed, d.pending)
+	d.pending = d.g.RemoveAll(ctx.doomed, alpha, d.pending)
 	d.dummyCount -= len(ctx.doomed)
 	res.DummiesDestroyed = len(ctx.doomed)
 	ctx.spans = append(ctx.spans, listSpan{n: len(ctx.lists), level: alpha, split: true})
@@ -219,6 +222,9 @@ func (d *DSG) transform(u, v *skipgraph.Node, t int64) RequestResult {
 	dmLo, dmHi := ctx.newDummies()
 	for _, o := range ctx.full[ctx.spans[0].fOff:][:ctx.spans[0].fN] {
 		ctx.all = append(ctx.all, ctx.ents[o].n)
+		if !ctx.isReal(o) {
+			d.pendingDummies = append(d.pendingDummies, ctx.ents[o].n)
+		}
 		if o >= dmLo {
 			ctx.fresh = append(ctx.fresh, ctx.ents[o].n)
 		}
@@ -228,16 +234,23 @@ func (d *DSG) transform(u, v *skipgraph.Node, t int64) RequestResult {
 	res.DummiesInserted = len(ctx.fresh)
 	d.g.Relink(ctx.all, alpha, nil)
 
-	// Dirty-list record for the scoped post-request repair: every rebuilt
-	// list of the transformed region is dirty end to end (Whole, anchored
-	// at its head so the scoped scan deduplicates for free), while a fresh
-	// dummy's below-alpha splices only dirty the runs around it.
-	for _, x := range ctx.all {
-		for l := alpha; l <= x.MaxLinkedLevel(); l++ {
-			if x.Prev(l) == nil {
-				d.pending = append(d.pending, skipgraph.ListRef{Node: x, Level: int32(l), Whole: true})
-			}
+	// Dirty record for the scoped post-request repair. The balance pass left
+	// every rebuilt list balanced as built, so none of them is rescanned:
+	// the repair is handed the region's dummies (d.pendingDummies, filled
+	// above) — the only ones whose runs the rebuild changed — as
+	// garbage-collection candidates, and the runs around each fresh dummy's
+	// splices below alpha, where it joined lists the transformation did not
+	// rebuild. The one rebuilt list that can hold a violation is one whose
+	// breaker found no key; it is reported whole, in the order its head
+	// comes in the region.
+	if len(ctx.unplaced) > 0 {
+		for i, ref := range ctx.unplaced {
+			ctx.unplaced[i] = skipgraph.ListRef{Node: ref.Node.ListHead(int(ref.Level)), Level: ref.Level, Whole: true}
 		}
+		slices.SortFunc(ctx.unplaced, func(x, y skipgraph.ListRef) int {
+			return cmp.Or(x.Node.Key().Compare(y.Node.Key()), cmp.Compare(x.Level, y.Level))
+		})
+		d.pending = append(d.pending, ctx.unplaced...)
 	}
 	for _, e := range ctx.ents[dmLo:dmHi] {
 		for l := 0; l < alpha; l++ {

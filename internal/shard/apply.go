@@ -1,10 +1,17 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 
 	"lsasg/internal/core"
 )
+
+// ErrBarrier marks an Apply error that comes from the window barrier behind
+// the op — the rebalancer's migration — and not from the op: the outcome
+// returned next to it is valid, counted and observed, and its own error, if
+// any, is in Outcome.Err.
+var ErrBarrier = errors.New("shard: window barrier failed")
 
 // This file is the synchronous op surface: one op at a time against an
 // otherwise-idle service. A synchronous op is a one-op window through the
@@ -22,8 +29,9 @@ import (
 // top of a Serve run that ended mid-window — the planner runs at this op's
 // barrier and may migrate one key range before Apply returns. The barrier
 // comes after the op is served, counted and observed, so a migration failure
-// ("shard: rebalance after the op was served: ...") is returned together
-// with the op's valid outcome.
+// is returned, wrapping ErrBarrier, together with the op's valid outcome.
+// An op an engine failed to serve has no outcome: it is counted nowhere, and
+// the load window is left as it was.
 func (s *Service) Apply(op core.Op) (Outcome, error) {
 	if !s.serving.CompareAndSwap(false, true) {
 		return Outcome{}, fmt.Errorf("shard: Apply on a service that is already serving")
@@ -37,7 +45,7 @@ func (s *Service) Apply(op core.Op) (Outcome, error) {
 	s.win.reset()
 	s.dispatch(dir, op, &st)
 	if err := s.run(&st); err != nil {
-		s.totals.add(&st) // dispatched and fed to the load window, as in Serve
+		s.feedLoad(op, -1)
 		return Outcome{Op: op}, err
 	}
 	o := s.assemble(&s.win.pending[0], &st)
@@ -49,7 +57,7 @@ func (s *Service) Apply(op core.Op) (Outcome, error) {
 		err := s.rebalance(dir)
 		s.resetLoad()
 		if err != nil {
-			return o, fmt.Errorf("shard: rebalance after the op was served: %w", err)
+			return o, fmt.Errorf("%w after the op was served: %w", ErrBarrier, err)
 		}
 	}
 	return o, o.Err

@@ -314,6 +314,16 @@ func (s *Service) resetLoad() {
 	s.loadOps = 0
 }
 
+// feedLoad counts one op's endpoints into the load window (delta 1), or
+// takes them out again (delta -1).
+func (s *Service) feedLoad(op core.Op, delta int64) {
+	if op.Kind != core.OpScan {
+		s.keyLoad[op.Src] += delta
+	}
+	s.keyLoad[op.Dst] += delta
+	s.loadOps += int(delta)
+}
+
 // rebalance runs the planner over the load window at its barrier — every
 // engine idle, the window's loads where the dispatcher wrote them — and
 // executes the migration it plans, if any.
@@ -330,11 +340,7 @@ func (s *Service) rebalance(dir *Directory) error {
 func (s *Service) dispatch(dir *Directory, op core.Op, st *ServeStats) {
 	w := &s.win
 	st.Requests++
-	if op.Kind != core.OpScan {
-		s.keyLoad[op.Src]++
-	}
-	s.keyLoad[op.Dst]++
-	s.loadOps++
+	s.feedLoad(op, 1)
 	// Spans are numbered over the service's lifetime: totals holds every
 	// finished run and synchronous op, st the call in flight.
 	p := pendingReq{seq: s.totals.Requests + st.Requests, op: op, first: len(w.refs)}

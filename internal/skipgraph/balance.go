@@ -62,18 +62,10 @@ func (g *Graph) BalanceViolations(a int) []BalanceViolation {
 			walk(ones, level+1)
 		}
 	}
-	if len(g.nodes) >= 2 {
-		walk(g.nodes, 0)
+	if g.n >= 2 {
+		walk(g.Nodes(), 0)
 	}
 	return out
-}
-
-// regionID identifies one dirty region for deduplication within a scoped
-// scan.
-type regionID struct {
-	anchor *Node
-	level  int32
-	whole  bool
 }
 
 // AppendBalanceViolationsIn is the scoped counterpart of BalanceViolations:
@@ -90,19 +82,12 @@ func (g *Graph) AppendBalanceViolationsIn(dst []BalanceViolation, a int, refs []
 	if a < 1 {
 		panic(fmt.Sprintf("skipgraph: balance parameter must be >= 1, got %d", a))
 	}
-	if g.seenRegions == nil {
-		g.seenRegions = make(map[regionID]struct{}, len(refs))
-	}
+	g.mark++
 	scanned := 0
 	for _, ref := range refs {
-		if !g.liveRef(ref) {
+		if !g.liveRef(ref) || !g.firstVisit(ref) {
 			continue
 		}
-		id := regionID{anchor: ref.Node, level: ref.Level, whole: ref.Whole}
-		if _, dup := g.seenRegions[id]; dup {
-			continue
-		}
-		g.seenRegions[id] = struct{}{}
 		level := int(ref.Level)
 		runs := runScanner{out: dst, level: level, a: a}
 		first, last, walked := regionBounds(ref)
@@ -120,25 +105,51 @@ func (g *Graph) AppendBalanceViolationsIn(dst []BalanceViolation, a int, refs []
 			scanned += visited
 		}
 	}
-	if len(g.seenRegions) > maxKeptRegions {
-		g.seenRegions = nil // a map never shrinks; do not let one huge scan size it forever
-	} else {
-		clear(g.seenRegions)
-	}
+	clear(g.seenWide)
+	g.seenWide = g.seenWide[:0]
 	return dst, scanned
 }
 
-// maxKeptRegions bounds the dedup set kept between scoped scans.
-const maxKeptRegions = 4096
+// firstVisit reports whether ref is the first with its anchor, level and
+// extent that the scan stamped g.mark has met, and remembers it. A windowed
+// ref's level is a bit in its anchor's seenLevels; a Whole ref, or a level
+// the word cannot hold, goes to a short list searched linearly (one
+// producer, the transformation, reports a Whole list only for a breaker it
+// could not place).
+func (g *Graph) firstVisit(ref ListRef) bool {
+	n := ref.Node
+	if n.mark != g.mark {
+		n.mark, n.seenLevels = g.mark, 0
+	}
+	if ref.Whole || ref.Level >= 32 {
+		if slices.Contains(g.seenWide, ref) {
+			return false
+		}
+		g.seenWide = append(g.seenWide, ref)
+		return true
+	}
+	bit := uint32(1) << ref.Level
+	if n.seenLevels&bit != 0 {
+		return false
+	}
+	n.seenLevels |= bit
+	return true
+}
 
-// AppendDummiesIn appends to dst the distinct dummies appearing in any of
-// the dirty regions named by the given ref lists, in key order, and returns
-// the number of nodes walked. Stale refs are skipped.
-func (g *Graph) AppendDummiesIn(dst []*Node, refLists ...[]ListRef) ([]*Node, int) {
+// AppendDummiesIn appends to dst the distinct dummies that are in known or
+// appear in any of the dirty regions named by the given ref lists, in key
+// order, and returns the number of nodes walked. Stale refs are skipped.
+func (g *Graph) AppendDummiesIn(dst []*Node, known []*Node, refLists ...[]ListRef) ([]*Node, int) {
 	// Regions overlap (one dummy sits in a list per level); a dummy is taken
 	// the first time this call's mark reaches it.
 	g.mark++
 	base, scanned := len(dst), 0
+	for _, y := range known {
+		if y.mark != g.mark {
+			y.mark = g.mark
+			dst = append(dst, y)
+		}
+	}
 	for _, refs := range refLists {
 		for _, ref := range refs {
 			if !g.liveRef(ref) {
@@ -232,8 +243,11 @@ func runBoundary(y, z *Node, bitLevel int) bool {
 // never split further, so such a run costs nothing at the next level, and
 // demanding a chain breaker for a run of chain breakers would cascade
 // (every inserted dummy spawning runs that need more dummies) until the key
-// space between two real nodes is exhausted. The global dummy-population
-// bound keeps the routing-path inflation from dummy runs bounded instead.
+// space between two real nodes is exhausted. Nothing bounds what such runs
+// add to a routing path — a route walks through every dummy of one, and
+// neither their length nor the dummy population is capped — which is why
+// the a·H search bound does not hold as checked here; ROADMAP R1 is the
+// item that makes the check the one the bound needs.
 type runScanner struct {
 	out      []BalanceViolation
 	level, a int

@@ -57,7 +57,7 @@ func (g *Graph) Crash(key Key) *Node {
 // DeadNodes returns the crashed nodes still present in the graph, key order.
 func (g *Graph) DeadNodes() []*Node {
 	var out []*Node
-	for _, n := range g.nodes {
+	for n := range g.All() {
 		if n.dead {
 			out = append(out, n)
 		}

@@ -1,6 +1,6 @@
 package skipgraph
 
-import "sort"
+import "math"
 
 // This file is the range-extraction side of shard migration
 // (internal/shard): a rebalancer moves a contiguous key range from one
@@ -13,12 +13,8 @@ import "sort"
 // the destination shard's own repair re-creates whatever padding its lists
 // need (§IV-F).
 func (g *Graph) RealKeysInRange(lo, hi Key) []int64 {
-	start := sort.Search(len(g.nodes), func(i int) bool { return !g.nodes[i].key.Less(lo) })
 	var keys []int64
-	for _, n := range g.nodes[start:] {
-		if !n.key.Less(hi) {
-			break
-		}
+	for n := g.from(lo); n != nil && n.key.Less(hi); n = n.Next(0) {
 		if !n.dummy {
 			keys = append(keys, n.key.Primary)
 		}
@@ -29,7 +25,7 @@ func (g *Graph) RealKeysInRange(lo, hi Key) []int64 {
 // RealKeyBounds returns the smallest and largest real-node primary keys in
 // the graph. ok is false when the graph holds no real nodes.
 func (g *Graph) RealKeyBounds() (min, max int64, ok bool) {
-	for _, n := range g.nodes {
+	for n := range g.All() {
 		if !n.dummy {
 			min = n.key.Primary
 			ok = true
@@ -39,9 +35,10 @@ func (g *Graph) RealKeyBounds() (min, max int64, ok bool) {
 	if !ok {
 		return 0, 0, false
 	}
-	for i := len(g.nodes) - 1; i >= 0; i-- {
-		if !g.nodes[i].dummy {
-			max = g.nodes[i].key.Primary
+	// The last node is the one before a key no node can have.
+	for n := g.before(Key{Primary: math.MaxInt64, Minor: MinorSpace}); n != nil; n = n.Prev(0) {
+		if !n.dummy {
+			max = n.key.Primary
 			break
 		}
 	}

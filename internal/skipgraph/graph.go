@@ -22,18 +22,25 @@ func RandomBrancher(seed int64) Brancher {
 
 // Graph is a skip graph: a base doubly linked list of nodes in key order,
 // recursively split into per-level linked lists by membership-vector bits.
+// The base list is the only node order there is: head is its first node,
+// n counts its members, and a position in it is found by searching the
+// lists above it (before), never by indexing.
 type Graph struct {
-	nodes  []*Node // key order
-	byKey  map[Key]*Node
-	height int // cached; -1 when dirty
+	head  *Node
+	n     int
+	byKey map[Key]*Node
+	// tops[l] counts the nodes whose highest linked level is l, kept with
+	// its last entry non-zero, so the height is its length. Every link
+	// change goes through setLink, unlink or Relink, which keep it.
+	tops []int
 
 	// Writer-owned scratch, reused across calls so the adjuster's steady
 	// state allocates nothing here: the buffer Relink partitions in place
-	// (plus the holding area for one partition's 1-side) and the region
-	// dedup set of a scoped balance scan. The node buffers are cleared
-	// after use so they never keep a removed node alive.
+	// (plus the holding area for one partition's 1-side) and the overflow of
+	// a scoped balance scan's visit stamps (firstVisit). The buffers are
+	// cleared after use so they never keep a removed node alive.
 	relinkBuf, relinkTmp []*Node
-	seenRegions          map[regionID]struct{}
+	seenWide             []ListRef
 	// mark is the current visit stamp (see Node.mark); it only grows.
 	mark uint64
 }
@@ -56,19 +63,30 @@ func NewRandom(n int, seed int64) *Graph {
 // key). Missing membership bits are drawn from brancher; if brancher is nil,
 // every node must already carry enough bits to become singleton.
 func NewFromNodes(nodes []*Node, brancher Brancher) *Graph {
-	g := &Graph{byKey: make(map[Key]*Node, len(nodes)), height: -1}
-	g.nodes = append(g.nodes, nodes...)
-	sort.Slice(g.nodes, func(i, j int) bool { return g.nodes[i].key.Less(g.nodes[j].key) })
-	for i := 1; i < len(g.nodes); i++ {
-		if !g.nodes[i-1].key.Less(g.nodes[i].key) {
-			panic(fmt.Sprintf("skipgraph: duplicate key %v", g.nodes[i].key))
+	g, order := newOver(nodes)
+	for i := 1; i < len(order); i++ {
+		if !order[i-1].key.Less(order[i].key) {
+			panic(fmt.Sprintf("skipgraph: duplicate key %v", order[i].key))
 		}
 	}
-	for _, n := range g.nodes {
+	g.relink(order, 0, brancher)
+	g.recountTops()
+	return g
+}
+
+// newOver adopts nodes into a new graph and returns them in key order, for
+// the constructor to link; the first is the head.
+func newOver(nodes []*Node) (*Graph, []*Node) {
+	g := &Graph{byKey: make(map[Key]*Node, len(nodes))}
+	order := append([]*Node(nil), nodes...)
+	sort.Slice(order, func(i, j int) bool { return order[i].key.Less(order[j].key) })
+	for _, n := range order {
 		g.adopt(n)
 	}
-	g.Relink(g.nodes, 0, brancher)
-	return g
+	if len(order) > 0 {
+		g.head = order[0]
+	}
+	return g, order
 }
 
 // VectorEntry describes one node for NewFromVectors.
@@ -98,23 +116,19 @@ func NewFromVectors(entries []VectorEntry) *Graph {
 		}
 		nodes[i] = n
 	}
-	g := &Graph{byKey: make(map[Key]*Node, len(nodes)), height: -1}
-	g.nodes = append(g.nodes, nodes...)
-	sort.Slice(g.nodes, func(i, j int) bool { return g.nodes[i].key.Less(g.nodes[j].key) })
-	for _, n := range g.nodes {
-		g.adopt(n)
-	}
-	g.relinkPartial(g.nodes, 0)
+	g, order := newOver(nodes)
+	g.relinkPartial(order, 0)
+	g.recountTops()
 	return g
 }
 
 // N returns the number of nodes, including dummies.
-func (g *Graph) N() int { return len(g.nodes) }
+func (g *Graph) N() int { return g.n }
 
 // RealN returns the number of non-dummy nodes.
 func (g *Graph) RealN() int {
 	c := 0
-	for _, n := range g.nodes {
+	for n := range g.All() {
 		if !n.dummy {
 			c++
 		}
@@ -122,29 +136,27 @@ func (g *Graph) RealN() int {
 	return c
 }
 
-// Nodes returns the nodes in key order. The returned slice is a copy.
+// Nodes returns the nodes in key order, in a fresh slice.
 func (g *Graph) Nodes() []*Node {
-	return append([]*Node(nil), g.nodes...)
+	nodes := make([]*Node, 0, g.n)
+	for n := range g.All() {
+		nodes = append(nodes, n)
+	}
+	return nodes
 }
 
-// All returns an in-order iterator over the nodes (dummies included)
-// without copying the backing slice. The graph must not be mutated while
-// iterating; callers that mutate should collect into a slice first (or use
-// Nodes).
+// All returns an in-order iterator over the nodes (dummies included): a
+// walk of the base list. The graph must not be mutated while iterating;
+// callers that mutate should collect into a slice first (or use Nodes).
 func (g *Graph) All() iter.Seq[*Node] {
 	return func(yield func(*Node) bool) {
-		for _, n := range g.nodes {
+		for n := g.head; n != nil; n = n.Next(0) {
 			if !yield(n) {
 				return
 			}
 		}
 	}
 }
-
-// dirty invalidates the cached height. Every mutator — anything that adds
-// or removes a node, rewrites links, or extends a membership vector — must
-// call it before touching the structure.
-func (g *Graph) dirty() { g.height = -1 }
 
 // ByKey returns the node with the given key, or nil.
 func (g *Graph) ByKey(k Key) *Node { return g.byKey[k] }
@@ -153,30 +165,109 @@ func (g *Graph) ByKey(k Key) *Node { return g.byKey[k] }
 // a node that has been removed, even if its key has since been re-added.
 func (g *Graph) Contains(n *Node) bool { return n.owner == g }
 
-// adopt indexes a node entering the graph.
+// adopt indexes and counts a node entering the graph.
 func (g *Graph) adopt(n *Node) {
 	g.byKey[n.key] = n
+	g.n++
 	n.owner = g
 	n.mark = 0 // a stamp from another graph's history must never match ours
 }
 
 // Head returns the first node of the base list.
-func (g *Graph) Head() *Node {
-	if len(g.nodes) == 0 {
-		return nil
+func (g *Graph) Head() *Node { return g.head }
+
+// before returns the last node of the base list whose key orders before k,
+// nil when there is none. The search enters at the real node of k's primary
+// when the graph holds it — a dummy's position is at most that primary's
+// other dummies away from it — and at the head otherwise.
+func (g *Graph) before(k Key) *Node {
+	from := g.byKey[Key{Primary: k.Primary}]
+	if from == nil || !from.key.Less(k) {
+		from = g.head
+		if from == nil || !from.key.Less(k) {
+			return nil
+		}
 	}
-	return g.nodes[0]
+	// The standard search (Appendix B), stopping short of k: go right while
+	// the next node still orders before k, else drop a level. Every list is
+	// key-ordered whatever its members' vectors say, so the search holds in
+	// the middle of a transformation too, when the bits above alpha have
+	// been reassigned and the links not yet.
+	for level := from.linkedTop(); level >= 0; level-- {
+		for nx := from.next[level]; nx != nil && nx.key.Less(k); nx = from.next[level] {
+			from = nx
+		}
+	}
+	return from
+}
+
+// from returns the first node of the base list whose key is not before k,
+// nil when there is none.
+func (g *Graph) from(k Key) *Node {
+	if n := g.byKey[k]; n != nil {
+		return n
+	}
+	if p := g.before(k); p != nil {
+		return p.Next(0)
+	}
+	return g.head
+}
+
+// setLink is Node.setLink for a node of the graph: it keeps the height
+// histogram.
+func (g *Graph) setLink(n *Node, level int, prev, next *Node) {
+	old := n.linkedTop()
+	n.setLink(level, prev, next)
+	if level < old {
+		return // the top link is untouched
+	}
+	if now := n.linkedTop(); now != old {
+		g.addTop(old, -1)
+		g.addTop(now, 1)
+	}
+}
+
+// addTop records that the number of nodes whose highest linked level is top
+// changed by delta; a node with no link at all (top -1) is not counted.
+func (g *Graph) addTop(top, delta int) {
+	if top < 0 {
+		return
+	}
+	for len(g.tops) <= top {
+		g.tops = append(g.tops, 0)
+	}
+	g.tops[top] += delta
+	for len(g.tops) > 0 && g.tops[len(g.tops)-1] == 0 {
+		g.tops = g.tops[:len(g.tops)-1]
+	}
+}
+
+// recountTops rebuilds the height histogram from the nodes.
+func (g *Graph) recountTops() {
+	g.tops = g.tops[:0]
+	for n := range g.All() {
+		g.addTop(n.linkedTop(), 1)
+	}
 }
 
 // Relink rebuilds all linked lists for the given key-ordered node subset
 // from the given level upward, assigning missing membership bits via
 // brancher (nil brancher panics on a missing bit). The subset must be the
-// complete membership of one level-`level` list.
+// complete membership of one level-`level` list, so no link outside it
+// changes; at level 0 that is every node, and the first becomes the head.
 func (g *Graph) Relink(nodes []*Node, level int, brancher Brancher) {
-	g.dirty()
+	for _, n := range nodes {
+		g.addTop(n.linkedTop(), -1)
+	}
 	g.relinkBuf = append(g.relinkBuf[:0], nodes...)
 	g.relink(g.relinkBuf, level, brancher)
 	clear(g.relinkBuf)
+	for _, n := range nodes {
+		g.addTop(n.linkedTop(), 1)
+	}
+	if level == 0 && len(nodes) > 0 {
+		g.head = nodes[0]
+	}
 }
 
 // relink links nodes as one level-`level` list and recurses into its two
@@ -220,7 +311,6 @@ func (g *Graph) relink(nodes []*Node, level int, brancher Brancher) {
 // relinkPartial is like relink but stops splitting a list when any member
 // lacks the next bit (used for truncated figure reconstructions).
 func (g *Graph) relinkPartial(nodes []*Node, level int) {
-	g.dirty()
 	linkChain(nodes, level)
 	if len(nodes) < 2 {
 		if len(nodes) == 1 {
@@ -262,19 +352,7 @@ func linkChain(nodes []*Node, level int) {
 
 // Height returns the smallest L such that every node is singleton in its
 // level-L list; lists exist at levels 0..L. A single-node graph has height 0.
-func (g *Graph) Height() int {
-	if g.height >= 0 {
-		return g.height
-	}
-	h := 0
-	for _, n := range g.nodes {
-		if l := n.MaxLinkedLevel(); l+1 > h && (n.Next(l) != nil || n.Prev(l) != nil) {
-			h = l + 1
-		}
-	}
-	g.height = h
-	return h
-}
+func (g *Graph) Height() int { return len(g.tops) }
 
 // ListAt returns the complete level-i linked list containing n, in key
 // order. It returns nil when n has no level-i membership.
@@ -291,60 +369,32 @@ func (g *Graph) SingletonLevel(n *Node) int {
 	return n.MaxLinkedLevel() + 1
 }
 
-// SpliceIn inserts a detached node (with fully assigned membership bits)
-// into the graph's node order and into every level's list it belongs to.
-func (g *Graph) SpliceIn(n *Node) { g.spliceIn(n, n.BitsLen()) }
-
 // SpliceInBelowAll inserts a batch of detached nodes, given in key order,
-// into the graph's node order and into their lists at levels < level only.
-// It is for a caller in the middle of rebuilding the level-`level` list the
-// nodes belong to (a transformation, whose links from that level up are
-// stale until it relinks them): the caller must follow up with a Relink of
-// that list, the batch included, which links it from `level` upward.
+// into the graph and into their lists at levels < level only. It is for a
+// caller in the middle of rebuilding the level-`level` list the nodes belong
+// to (a transformation, whose links from that level up are stale until it
+// relinks them): the caller must follow up with a Relink of that list, the
+// batch included, which links it from `level` upward — from the base list
+// upward when level is 0, so the batch is then only adopted here.
 //
-// The node order is merged once, from the back, instead of shifting its
-// tail per node. The links then go in level by level, each level in key
-// order: by the time a level is walked every newcomer is a full member of
-// the level below, so spliceAtLevel's walk sees the final list. A newcomer
-// may pick a not-yet-linked newcomer as its right neighbour; that one's own
-// turn then completes the chain.
+// The links go in level by level, each level in key order: by the time a
+// level is walked every newcomer is a full member of the level below, so
+// spliceAtLevel's walk sees the final list. A newcomer may pick a
+// not-yet-linked newcomer as its right neighbour; that one's own turn then
+// completes the chain.
 func (g *Graph) SpliceInBelowAll(nodes []*Node, level int) {
-	if len(nodes) == 0 {
-		return
-	}
-	g.dirty()
 	for i, n := range nodes {
 		if _, ok := g.byKey[n.key]; ok || (i > 0 && !nodes[i-1].key.Less(n.key)) {
 			panic(fmt.Sprintf("skipgraph: duplicate or unordered key %v", n.key))
 		}
 		n.reserveLinks(n.BitsLen())
-		g.adopt(n)
 	}
-	old := len(g.nodes)
-	g.nodes = append(g.nodes, nodes...)
-	for w, i, j := len(g.nodes)-1, old-1, len(nodes)-1; j >= 0; w-- {
-		if i >= 0 && nodes[j].key.Less(g.nodes[i].key) {
-			g.nodes[w] = g.nodes[i]
-			i--
-		} else {
-			g.nodes[w] = nodes[j]
-			j--
-		}
-	}
-	if level < 1 {
-		return
-	}
-	pos := 0
 	for _, n := range nodes {
-		pos += sort.Search(len(g.nodes)-pos, func(i int) bool { return !g.nodes[pos+i].key.Less(n.key) })
-		var left, right *Node
-		if pos > 0 {
-			left = g.nodes[pos-1]
+		if level < 1 {
+			g.adopt(n)
+		} else {
+			g.spliceIntoBase(n)
 		}
-		if pos+1 < len(g.nodes) {
-			right = g.nodes[pos+1]
-		}
-		g.linkBetween(n, 0, left, right)
 	}
 	for l := 1; l < level; l++ {
 		for _, n := range nodes {
@@ -355,34 +405,18 @@ func (g *Graph) SpliceInBelowAll(nodes []*Node, level int) {
 	}
 }
 
-// spliceIn inserts a detached node (with assigned membership bits for
-// levels 1..top) into the graph's node order and into its lists at levels
-// 0..top. Level 0 links by position; each higher level walks the list one
-// level down to the nearest members sharing n's next bit (Aspnes & Shah's
-// join, O(a) per level on an a-balanced graph), stopping once n is alone.
-func (g *Graph) spliceIn(n *Node, top int) {
+// SpliceIn inserts a detached node into the base list and into the list its
+// membership bits name at every level above. Each of those levels walks the
+// list one level down to the nearest members sharing n's next bit (Aspnes &
+// Shah's join, O(a) per level on an a-balanced graph), stopping once n is
+// alone.
+func (g *Graph) SpliceIn(n *Node) {
 	if _, ok := g.byKey[n.key]; ok {
 		panic(fmt.Sprintf("skipgraph: duplicate key %v", n.key))
 	}
-	g.dirty()
 	n.reserveLinks(n.BitsLen())
-	pos := sort.Search(len(g.nodes), func(i int) bool { return n.key.Less(g.nodes[i].key) })
-	g.nodes = append(g.nodes, nil)
-	copy(g.nodes[pos+1:], g.nodes[pos:])
-	g.nodes[pos] = n
-	g.adopt(n)
-	if top < 0 {
-		return
-	}
-	var left, right *Node
-	if pos > 0 {
-		left = g.nodes[pos-1]
-	}
-	if pos+1 < len(g.nodes) {
-		right = g.nodes[pos+1]
-	}
-	g.linkBetween(n, 0, left, right)
-	for level := 1; level <= top; level++ {
+	g.spliceIntoBase(n)
+	for level := 1; level <= n.BitsLen(); level++ {
 		g.spliceAtLevel(n, level)
 		if n.Prev(level) == nil && n.Next(level) == nil {
 			break // singleton from here up
@@ -390,41 +424,52 @@ func (g *Graph) spliceIn(n *Node, top int) {
 	}
 }
 
+// spliceIntoBase adopts a detached node and links it into the base list at
+// its key's position.
+func (g *Graph) spliceIntoBase(n *Node) {
+	left, right := g.before(n.key), g.head
+	if left != nil {
+		right = left.Next(0)
+	} else {
+		g.head = n
+	}
+	g.adopt(n)
+	g.linkBetween(n, 0, left, right)
+}
+
 // linkBetween links x into level m between left and right (either may be
 // nil).
 func (g *Graph) linkBetween(x *Node, m int, left, right *Node) {
-	x.setLink(m, left, right)
+	g.setLink(x, m, left, right)
 	if left != nil {
-		left.setLink(m, left.Prev(m), x)
+		g.setLink(left, m, left.Prev(m), x)
 	}
 	if right != nil {
-		right.setLink(m, x, right.Next(m))
+		g.setLink(right, m, x, right.Next(m))
 	}
 }
 
-// spliceOut removes a node from the node order and from every list.
-func (g *Graph) spliceOut(n *Node) {
-	g.unlink(n)
-	pos := sort.Search(len(g.nodes), func(i int) bool { return !g.nodes[i].key.Less(n.key) })
-	g.nodes = append(g.nodes[:pos], g.nodes[pos+1:]...)
-}
-
-// unlink takes a node out of the key index and out of every list, leaving
-// only its entry in the node order for the caller to drop.
+// unlink takes a node out of the graph: out of the key index and out of
+// every list, the base list included.
 func (g *Graph) unlink(n *Node) {
 	if !g.Contains(n) {
 		panic(fmt.Sprintf("skipgraph: node %v not in graph", n.key))
 	}
-	g.dirty()
 	delete(g.byKey, n.key)
+	g.n--
 	n.owner = nil
-	for level := 0; level <= n.MaxLinkedLevel(); level++ {
+	if g.head == n {
+		g.head = n.Next(0)
+	}
+	top := n.linkedTop()
+	g.addTop(top, -1)
+	for level := 0; level <= top; level++ {
 		left, right := n.Prev(level), n.Next(level)
 		if left != nil {
-			left.setLink(level, left.Prev(level), right)
+			g.setLink(left, level, left.Prev(level), right)
 		}
 		if right != nil {
-			right.setLink(level, left, right.Next(level))
+			g.setLink(right, level, left, right.Next(level))
 		}
 	}
 	n.clearLinksAbove(-1)
@@ -437,7 +482,7 @@ func (g *Graph) unlink(n *Node) {
 // around the anchor — its same-bit run plus the complete adjacent run on
 // each side, the only runs a splice, departure, or bit extension at the
 // anchor's position can have changed. Whole marks the entire list dirty,
-// used when a transformation rebuilt it outright.
+// used when a transformation rebuilt it and could not balance it.
 type ListRef struct {
 	Node  *Node
 	Level int32 // narrow on purpose: dirty sets hold thousands of these
@@ -474,7 +519,7 @@ func (g *Graph) Insert(key Key, id int64, brancher Brancher) *Node {
 // dirty set a scoped balance repair must examine — and every extended peer.
 func (g *Graph) InsertTracked(key Key, id int64, brancher Brancher) (*Node, JoinEffect) {
 	n := NewNode(key, id)
-	g.spliceIn(n, 0) // a fresh node carries no bits: level 0 only
+	g.SpliceIn(n) // a fresh node carries no bits: level 0 only
 	eff := JoinEffect{Touched: []ListRef{{Node: n, Level: 0}}, Work: 1}
 	if brancher != nil {
 		g.localJoin(n, brancher, &eff)
@@ -630,7 +675,6 @@ func (g *Graph) ExtendDistinctFrom(cands []*Node, brancher Brancher) JoinEffect 
 		}
 		for hasRealNeighbor(x, x.BitsLen()) {
 			bitLevel := x.BitsLen() + 1
-			g.dirty()
 			x.SetBit(bitLevel, brancher(x, bitLevel))
 			eff.Work += g.spliceAtLevel(x, bitLevel)
 			eff.Touched = append(eff.Touched, ListRef{Node: x, Level: int32(bitLevel)})
@@ -663,7 +707,7 @@ func (g *Graph) Remove(key Key) *Node {
 	if n == nil {
 		return nil
 	}
-	g.spliceOut(n)
+	g.unlink(n)
 	return n
 }
 
@@ -677,7 +721,7 @@ func (g *Graph) RemoveTracked(key Key) (*Node, []ListRef) {
 		return nil, nil
 	}
 	refs := AppendExListRefs(nil, n)
-	g.spliceOut(n)
+	g.unlink(n)
 	return n, refs
 }
 
@@ -685,7 +729,7 @@ func (g *Graph) RemoveTracked(key Key) (*Node, []ListRef) {
 // level-0 neighbours, either way, that share its Primary and have a non-zero
 // Minor — evenly over the minor space, in their present order, and returns
 // how many there are. A dummy's key matters only by that order, so no link
-// and no position in the node order moves; the keys and the key index do.
+// moves; the keys and the key index do.
 // It is the way out of a gap that has filled up: free keys are found by
 // bisection, which halves the space toward one side every time, so some
 // thirty breakers placed beside one real node leave dummies on adjacent
@@ -714,22 +758,17 @@ func (g *Graph) RespreadDummies(at *Node) int {
 	return m
 }
 
-// RemoveAll deletes a batch of nodes, given in key order, and appends each
-// one's departure dirty set (AppendExListRefs) to refs. A node's refs are
-// taken at the moment it is unlinked, after the nodes before it have gone,
-// so the anchors are what one-by-one removal would have recorded; the node
-// order is then compacted once instead of shifting its tail per node.
-func (g *Graph) RemoveAll(nodes []*Node, refs []ListRef) []ListRef {
-	if len(nodes) == 0 {
-		return refs
-	}
+// RemoveAll deletes a batch of nodes and appends each one's departure dirty
+// set below the given level to refs. Like SpliceInBelowAll it is for a
+// caller about to rebuild the level-`below` list the nodes belong to end to
+// end, which has no use for dirty regions inside what it rebuilds. A node's
+// refs are taken at the moment it is unlinked, after the nodes before it
+// have gone, so the anchors are what one-by-one removal records.
+func (g *Graph) RemoveAll(nodes []*Node, below int, refs []ListRef) []ListRef {
 	for _, n := range nodes {
-		refs = AppendExListRefs(refs, n)
+		refs = appendExListRefs(refs, n, below)
 		g.unlink(n)
 	}
-	first := sort.Search(len(g.nodes), func(i int) bool { return !g.nodes[i].key.Less(nodes[0].key) })
-	kept := slices.DeleteFunc(g.nodes[first:], func(n *Node) bool { return n.owner != g })
-	g.nodes = g.nodes[:first+len(kept)]
 	return refs
 }
 
@@ -738,7 +777,12 @@ func (g *Graph) RemoveAll(nodes []*Node, refs []ListRef) []ListRef {
 // graph. This is the dirty set of a departure: each level's run structure
 // can only have changed around the vacated position.
 func AppendExListRefs(dst []ListRef, n *Node) []ListRef {
-	for l := 0; l <= n.MaxLinkedLevel(); l++ {
+	return appendExListRefs(dst, n, len(n.next))
+}
+
+// appendExListRefs is AppendExListRefs for the lists below a level.
+func appendExListRefs(dst []ListRef, n *Node, below int) []ListRef {
+	for l := 0; l <= n.MaxLinkedLevel() && l < below; l++ {
 		if p := n.Prev(l); p != nil {
 			dst = append(dst, ListRef{Node: p, Level: int32(l)})
 		} else if nx := n.Next(l); nx != nil {
@@ -748,32 +792,50 @@ func AppendExListRefs(dst []ListRef, n *Node) []ListRef {
 	return dst
 }
 
-// Verify checks every structural invariant: strict base-key order, link
-// symmetry, and that each level-i list is exactly the key-ordered set of
-// nodes sharing an i-bit membership prefix. It returns the first violation.
+// Verify checks every structural invariant: the base list end to end (it
+// starts at the head, is strictly key-ordered, holds N() nodes, and the key
+// index names exactly its members), the height histogram, link symmetry,
+// and that each level-i list is exactly the key-ordered set of nodes
+// sharing an i-bit membership prefix. It returns the first violation.
 func (g *Graph) Verify() error {
-	for i := 1; i < len(g.nodes); i++ {
-		if !g.nodes[i-1].key.Less(g.nodes[i].key) {
-			return fmt.Errorf("base order violated at %v >= %v", g.nodes[i-1].key, g.nodes[i].key)
-		}
+	if g.head != nil && g.head.Prev(0) != nil {
+		return fmt.Errorf("head %v has a left neighbour %v", g.head.key, g.head.Prev(0).key)
 	}
-	if len(g.byKey) != len(g.nodes) {
-		return fmt.Errorf("byKey has %d entries, want %d", len(g.byKey), len(g.nodes))
+	nodes := make([]*Node, 0, g.n)
+	for n := g.head; n != nil; n = n.Next(0) {
+		if len(nodes) == g.n {
+			return fmt.Errorf("base list runs past its %d nodes at %v", g.n, n.key)
+		}
+		if i := len(nodes); i > 0 && !nodes[i-1].key.Less(n.key) {
+			return fmt.Errorf("base order violated at %v >= %v", nodes[i-1].key, n.key)
+		}
+		nodes = append(nodes, n)
+	}
+	if len(nodes) != g.n {
+		return fmt.Errorf("base list holds %d nodes, N() says %d", len(nodes), g.n)
+	}
+	if len(g.byKey) != len(nodes) {
+		return fmt.Errorf("byKey has %d entries, want %d", len(g.byKey), len(nodes))
 	}
 	maxLevel := 0
-	for _, n := range g.nodes {
-		if g.byKey[n.key] != n {
-			return fmt.Errorf("byKey[%v] = %v, want the node keyed so", n.key, g.byKey[n.key])
+	var recount Graph // for its height histogram only
+	for _, n := range nodes {
+		if g.byKey[n.key] != n || n.owner != g {
+			return fmt.Errorf("byKey[%v] = %v, want the node keyed so, owned by this graph", n.key, g.byKey[n.key])
 		}
 		if l := n.MaxLinkedLevel(); l > maxLevel {
 			maxLevel = l
 		}
+		recount.addTop(n.linkedTop(), 1)
+	}
+	if !slices.Equal(recount.tops, g.tops) {
+		return fmt.Errorf("height histogram %v, the nodes say %v", g.tops, recount.tops)
 	}
 	for level := 0; level <= maxLevel; level++ {
 		// Expected lists: group nodes by level-length prefix, in key order.
 		groups := make(map[string][]*Node)
 		var order []string
-		for _, n := range g.nodes {
+		for _, n := range nodes {
 			ok := true
 			for i := 1; i <= level; i++ {
 				if !n.HasBit(i) {

@@ -5,11 +5,16 @@ import (
 	"testing"
 )
 
-// recomputeHeight drops the cache and recomputes from the links — the
-// oracle for the dirty() invalidation tests.
+// recomputeHeight recomputes the height from every node's links — the
+// oracle for the height the graph maintains across mutations.
 func recomputeHeight(g *Graph) int {
-	g.height = -1
-	return g.Height()
+	h := 0
+	for n := range g.All() {
+		if l := n.MaxLinkedLevel(); l+1 > h && (n.Next(l) != nil || n.Prev(l) != nil) {
+			h = l + 1
+		}
+	}
+	return h
 }
 
 // TestLocalJoinFuzz drives a long random Insert/Remove sequence and checks
@@ -52,7 +57,7 @@ func TestLocalJoinFuzz(t *testing.T) {
 				}
 			}
 			if got, want := g.Height(), recomputeHeight(g); got != want {
-				t.Fatalf("seed %d op %d: cached height %d, recomputed %d", seed, op, got, want)
+				t.Fatalf("seed %d op %d: maintained height %d, recomputed %d", seed, op, got, want)
 			}
 		}
 	}
@@ -136,7 +141,7 @@ func TestHeightInvalidation(t *testing.T) {
 		t.Helper()
 		got := g.Height() // reads (and caches) via the dirty flag
 		if want := recomputeHeight(g); got != want {
-			t.Fatalf("%s: cached height %d, recomputed %d", step, got, want)
+			t.Fatalf("%s: maintained height %d, recomputed %d", step, got, want)
 		}
 	}
 	check("initial")

@@ -15,11 +15,12 @@ type Node struct {
 	id    int64 // non-negative identifier; doubles as the initial group-id
 	dummy bool
 	dead  bool // crashed: present in every list but unresponsive
-	// hasVal belongs to the value record below; it sits with the other
-	// flags so the three share a word, which keeps a Node at 176 bytes — one
-	// allocation size class less, on a type an adjustment allocates by the
-	// hundred.
-	hasVal bool
+	// hasVal belongs to the value record below, and seenLevels to mark at
+	// the bottom; they sit with the other flags so the four share a word,
+	// which keeps a Node at 176 bytes — one allocation size class less, on a
+	// type an adjustment allocates by the hundred.
+	hasVal     bool
+	seenLevels uint32
 
 	// Versioned value record (the KV data plane). val is immutable once
 	// stored: Graph.SetValue swaps in a fresh slice per write, never mutates
@@ -41,9 +42,10 @@ type Node struct {
 	// owner is the graph the node currently belongs to, nil once removed.
 	owner *Graph
 
-	// mark is writer-owned scratch: a graph-wide walk that must visit each
-	// node once stamps it with the graph's current mark instead of building
-	// a set.
+	// mark is writer-owned scratch: a walk that must visit each node once
+	// stamps it with the graph's current mark instead of building a set.
+	// A scoped balance scan, which must visit each (anchor, level) once,
+	// keeps the levels it has seen under the current mark in seenLevels.
 	mark uint64
 }
 
@@ -169,14 +171,19 @@ func (n *Node) ListHead(i int) *Node {
 	return head
 }
 
-// MaxLinkedLevel returns the highest level at which the node has a neighbour.
-func (n *Node) MaxLinkedLevel() int {
+// MaxLinkedLevel returns the highest level at which the node has a
+// neighbour, 0 when it has none.
+func (n *Node) MaxLinkedLevel() int { return max(n.linkedTop(), 0) }
+
+// linkedTop returns the highest level at which the node has a neighbour,
+// -1 when it has none.
+func (n *Node) linkedTop() int {
 	for i := len(n.next) - 1; i >= 0; i-- {
 		if n.next[i] != nil || n.prev[i] != nil {
 			return i
 		}
 	}
-	return 0
+	return -1
 }
 
 // setLink sets the level-i neighbours, growing the link slices as needed.

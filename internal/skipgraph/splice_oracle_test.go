@@ -2,17 +2,19 @@ package skipgraph
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 )
 
 // This file holds the position-scan splice the graph used before spliceIn
-// learned to walk links, kept as the reference: it finds each level's
-// neighbours by scanning the node order for the nearest member sharing n's
-// level-bit prefix — O(n·H), independent of any link above level 0 — so it
-// is right even where the link-walking splice could be fooled by a stale
-// list. The property tests below drive both on twin graphs — node by node
+// learned to walk links, kept as the reference: it finds n's place by
+// walking the base list from the head, and each level's neighbours by
+// scanning the base list outward from there for the nearest member sharing
+// n's level-bit prefix — O(n·H), independent of any link above level 0 — so
+// it is right even where the link-walking splice, or its search for the
+// place, could be fooled by a stale list. The property tests below drive both on twin graphs — node by node
 // and, for the adjuster's batch entry points, batch against one-by-one —
 // and demand identical links at every level.
 
@@ -31,33 +33,23 @@ func (g *Graph) spliceInByPosition(n *Node) {
 	if _, ok := g.byKey[n.key]; ok {
 		panic(fmt.Sprintf("skipgraph: duplicate key %v", n.key))
 	}
-	g.dirty()
-	pos := sort.Search(len(g.nodes), func(i int) bool { return n.key.Less(g.nodes[i].key) })
-	g.nodes = append(g.nodes, nil)
-	copy(g.nodes[pos+1:], g.nodes[pos:])
-	g.nodes[pos] = n
+	var before, after *Node // n's neighbours in the base list
+	for after = g.head; after != nil && after.key.Less(n.key); after = after.Next(0) {
+		before = after
+	}
+	if before == nil {
+		g.head = n
+	}
 	g.adopt(n)
 	for level := 0; level <= n.BitsLen(); level++ {
-		var left, right *Node
-		for i := pos - 1; i >= 0; i-- {
-			if samePrefix(g.nodes[i], n, level) {
-				left = g.nodes[i]
-				break
-			}
+		left, right := before, after
+		for left != nil && !samePrefix(left, n, level) {
+			left = left.Prev(0)
 		}
-		for i := pos + 1; i < len(g.nodes); i++ {
-			if samePrefix(g.nodes[i], n, level) {
-				right = g.nodes[i]
-				break
-			}
+		for right != nil && !samePrefix(right, n, level) {
+			right = right.Next(0)
 		}
-		n.setLink(level, left, right)
-		if left != nil {
-			left.setLink(level, left.Prev(level), n)
-		}
-		if right != nil {
-			right.setLink(level, n, right.Next(level))
-		}
+		g.linkBetween(n, level, left, right)
 		if left == nil && right == nil && level > 0 {
 			break // singleton from here up
 		}
@@ -73,7 +65,7 @@ func twinGraphs(t *testing.T, n int, seed int64) (ref, got *Graph) {
 		g := NewRandom(n, seed)
 		rng := rand.New(rand.NewSource(seed + 1))
 		for i := 0; i < n/4; i++ {
-			left := g.nodes[rng.Intn(len(g.nodes))]
+			left := g.Nodes()[rng.Intn(g.N())]
 			key := Key{Primary: left.key.Primary, Minor: left.key.Minor + 1 + int32(rng.Intn(1000))}
 			if g.byKey[key] != nil || (left.Next(0) != nil && !key.Less(left.Next(0).key)) {
 				continue
@@ -99,8 +91,9 @@ func twinGraphs(t *testing.T, n int, seed int64) (ref, got *Graph) {
 // links at every level.
 func requireTwins(t *testing.T, step string, ref, got *Graph) {
 	t.Helper()
-	if len(ref.nodes) != len(got.nodes) {
-		t.Fatalf("%s: %d nodes, reference has %d", step, len(got.nodes), len(ref.nodes))
+	refNodes, gotNodes := ref.Nodes(), got.Nodes()
+	if len(refNodes) != len(gotNodes) || got.N() != len(gotNodes) {
+		t.Fatalf("%s: %d nodes (N() = %d), reference has %d", step, len(gotNodes), got.N(), len(refNodes))
 	}
 	keyOf := func(x *Node) Key {
 		if x == nil {
@@ -108,8 +101,8 @@ func requireTwins(t *testing.T, step string, ref, got *Graph) {
 		}
 		return x.key
 	}
-	for i, r := range ref.nodes {
-		g := got.nodes[i]
+	for i, r := range refNodes {
+		g := gotNodes[i]
 		if r.key != g.key {
 			t.Fatalf("%s: node order differs at %d: %v vs %v", step, i, g.key, r.key)
 		}
@@ -129,7 +122,7 @@ func requireTwins(t *testing.T, step string, ref, got *Graph) {
 // node, that node's prefix up to a random depth, and optionally one more
 // bit of its own (a chain breaker's sibling bit).
 func randomDummy(g *Graph, rng *rand.Rand, id int64) (key Key, bits []byte, ok bool) {
-	left := g.nodes[rng.Intn(len(g.nodes))]
+	left := g.Nodes()[rng.Intn(g.N())]
 	key = Key{Primary: left.key.Primary, Minor: left.key.Minor + 1 + int32(rng.Intn(1000))}
 	if g.byKey[key] != nil || (left.Next(0) != nil && !key.Less(left.Next(0).key)) {
 		return key, nil, false
@@ -170,7 +163,7 @@ func TestSpliceInMatchesPositionScan(t *testing.T) {
 			if i%9 == 0 {
 				// Splice-outs between splices: the walk must cope with the
 				// lists they leave behind, singleton tops included.
-				victim := ref.nodes[rng.Intn(len(ref.nodes))].key
+				victim := ref.Nodes()[rng.Intn(ref.N())].key
 				ref.Remove(victim)
 				got.Remove(victim)
 				requireTwins(t, fmt.Sprintf("seed %d remove %v", seed, victim), ref, got)
@@ -187,7 +180,7 @@ func TestSpliceInMatchesPositionScan(t *testing.T) {
 // link from α up is stale when the fresh dummies arrive. The reference
 // splices them one by one, in creation order, at every level by position
 // and relinks; the adjuster's path hands the whole batch, key-sorted, to
-// SpliceInBelowAll — one merge of the node order, links below α only — and
+// SpliceInBelowAll — links below α only — and
 // lets the same Relink do the rest. Links must agree once the Relink has
 // run.
 func TestSpliceInBelowThenRelink(t *testing.T) {
@@ -195,7 +188,7 @@ func TestSpliceInBelowThenRelink(t *testing.T) {
 		ref, got := twinGraphs(t, 96, seed)
 		rng := rand.New(rand.NewSource(seed + 200))
 		for round := 0; round < 6; round++ {
-			anchor := ref.nodes[rng.Intn(len(ref.nodes))]
+			anchor := ref.Nodes()[rng.Intn(ref.N())]
 			alpha := rng.Intn(anchor.BitsLen() + 1)
 			members := ref.ListAt(anchor, alpha)
 			// One decision list drives both graphs: the reassigned vectors,
@@ -277,13 +270,14 @@ func TestSpliceInBelowThenRelink(t *testing.T) {
 // TestRemoveAllMatchesRemove: a transformation's doomed dummies leave in
 // one RemoveAll. The reference removes them one by one, recording each
 // one's ex-list refs just before it goes. Links and the dirty set — anchors
-// and levels, in order — must agree.
+// and levels, in order, below the level the caller rebuilds from (α on even
+// rounds, no bound on odd ones) — must agree.
 func TestRemoveAllMatchesRemove(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		ref, got := twinGraphs(t, 96, seed)
 		rng := rand.New(rand.NewSource(seed + 300))
 		for round := 0; round < 6; round++ {
-			anchor := ref.nodes[rng.Intn(len(ref.nodes))]
+			anchor := ref.Nodes()[rng.Intn(ref.N())]
 			alpha := rng.Intn(anchor.BitsLen() + 1)
 			// The doomed: every dummy of one level-α list plus a few of its
 			// other members, so neighbours leave together at every level.
@@ -293,16 +287,24 @@ func TestRemoveAllMatchesRemove(t *testing.T) {
 					doomed = append(doomed, m.key)
 				}
 			}
+			below := alpha
+			if round%2 == 1 {
+				below = math.MaxInt32
+			}
 			var refRefs []ListRef
 			for _, k := range doomed {
-				refRefs = AppendExListRefs(refRefs, ref.byKey[k])
+				for _, r := range AppendExListRefs(nil, ref.byKey[k]) {
+					if int(r.Level) < below {
+						refRefs = append(refRefs, r)
+					}
+				}
 				ref.Remove(k)
 			}
 			batch := make([]*Node, len(doomed))
 			for i, k := range doomed {
 				batch[i] = got.byKey[k]
 			}
-			gotRefs := got.RemoveAll(batch, nil)
+			gotRefs := got.RemoveAll(batch, below, nil)
 			step := fmt.Sprintf("seed %d round %d alpha %d (%d doomed)", seed, round, alpha, len(doomed))
 			requireTwins(t, step, ref, got)
 			if len(gotRefs) != len(refRefs) {

@@ -18,7 +18,7 @@ type Tree struct {
 
 // TreeView builds the tree rooted at the base list.
 func (g *Graph) TreeView() *Tree {
-	return buildTree(g.nodes, 0, "")
+	return buildTree(g.Nodes(), 0, "")
 }
 
 // SubTreeView builds the tree rooted at the level-`level` list containing n.

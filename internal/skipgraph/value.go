@@ -5,8 +5,6 @@ package skipgraph
 // SetValue swaps slices, never rewrites bytes — so a read result stays
 // valid after later writes to the same key.
 
-import "sort"
-
 // Entry is one key's value record as read out of a graph: scan results
 // (HasValue always true there) and migration payloads (HasValue false for a
 // key that exists but was never written).
@@ -42,12 +40,8 @@ func (g *Graph) ScanFrom(start Key, limit int) []Entry {
 	if limit <= 0 {
 		return nil
 	}
-	i := sort.Search(len(g.nodes), func(i int) bool { return !g.nodes[i].key.Less(start) })
-	if i >= len(g.nodes) {
-		return nil
-	}
 	var out []Entry
-	for n := g.nodes[i]; n != nil && len(out) < limit; n = n.Next(0) {
+	for n := g.from(start); n != nil && len(out) < limit; n = n.Next(0) {
 		if !n.dummy && !n.dead && n.hasVal {
 			out = append(out, Entry{ID: n.key.Primary, Value: n.val, Version: n.ver, HasValue: true})
 		}
@@ -61,12 +55,8 @@ func (g *Graph) ScanFrom(start Key, limit int) []Entry {
 // keys. Nodes without values appear with HasValue false (the key itself
 // still migrates); dead nodes appear too, matching RealKeysInRange.
 func (g *Graph) RealEntriesInRange(lo, hi Key) []Entry {
-	start := sort.Search(len(g.nodes), func(i int) bool { return !g.nodes[i].key.Less(lo) })
 	var out []Entry
-	for _, n := range g.nodes[start:] {
-		if !n.key.Less(hi) {
-			break
-		}
+	for n := g.from(lo); n != nil && n.key.Less(hi); n = n.Next(0) {
 		if !n.dummy {
 			out = append(out, Entry{ID: n.key.Primary, Value: n.val, Version: n.ver, HasValue: n.hasVal})
 		}

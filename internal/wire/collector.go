@@ -106,7 +106,8 @@ func (c *Collector) observeResult(v Verb, r lsasg.OpResult) {
 // observeAdmin records one completed admin request.
 func (c *Collector) observeAdmin(v Verb) { c.ops[v].Add(1) }
 
-// observeError records one non-OK response. Unknown-key and dead-node
+// observeError records one non-OK response — or, under CodeInternal, a
+// failure behind an op that was answered OK. Unknown-key and dead-node
 // responses also feed the tracer's retry-event counters: on the wire they
 // are exactly the transient outcomes a client retries.
 func (c *Collector) observeError(code ErrCode) {
@@ -168,7 +169,7 @@ func (c *Collector) Render() string {
 		fmt.Fprintf(&b, "dsg_requests_total{verb=%q} %d\n", v.String(), c.ops[v].Load())
 	}
 
-	counter("dsg_errors_total", "Non-OK responses by wire error code.")
+	counter("dsg_errors_total", "Non-OK responses by wire error code; internal also counts failures behind an answered op.")
 	for code, name := range map[ErrCode]string{
 		CodeUnknownKey: "unknown_key", CodeDeadNode: "dead_node",
 		CodeOutOfRange: "out_of_range", CodeRetry: "retry",

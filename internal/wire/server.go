@@ -3,6 +3,8 @@ package wire
 import (
 	"bufio"
 	"context"
+	"errors"
+	"log"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -214,9 +216,17 @@ func (s *Server) owner() {
 	}
 }
 
-// serveOp serves one op through the service and answers its sender.
+// serveOp serves one op through the service and answers its sender. A
+// barrier failure behind a served op is the daemon's, not the sender's: it
+// is logged and counted as an internal error, and the sender gets the op's
+// outcome.
 func (s *Server) serveOp(it item) {
 	r, err := s.svc.Do(it.op)
+	if errors.Is(err, lsasg.ErrBarrier) {
+		log.Printf("wire: %s %d→%d was served, then: %v", it.req.Verb, it.op.Src, it.op.Dst, err)
+		s.col.observeError(CodeInternal)
+		err = r.Err
+	}
 	if err != nil {
 		resp := errResponse(it.req, CodeOf(err), err.Error())
 		s.col.observeError(resp.Code)

@@ -264,6 +264,47 @@ func TestFailedOpIsItsSendersAlone(t *testing.T) {
 	}
 }
 
+// barrierFaultService serves every op and then reports a failed rebalance
+// barrier behind it, the way Network.Do does.
+type barrierFaultService struct{ lsasg.Service }
+
+func (f barrierFaultService) Do(op lsasg.Op) (lsasg.OpResult, error) {
+	r, err := f.Service.Do(op)
+	if err != nil {
+		return r, err
+	}
+	return r, errors.Join(lsasg.ErrBarrier, errors.New("injected migration fault"))
+}
+
+// TestBarrierFailureIsNotTheSendersError: an op that took effect is answered
+// with its outcome even when the barrier behind it failed; the failure is
+// counted as the daemon's internal error and sent to nobody.
+func TestBarrierFailureIsNotTheSendersError(t *testing.T) {
+	nw, err := lsasg.New(16, lsasg.WithSeed(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, addr := listen(t, barrierFaultService{nw})
+	cl := dial(t, addr)
+	ver, existed, err := cl.Put(0, 7, []byte("kept"))
+	if err != nil || !existed || ver == 0 {
+		t.Fatalf("put behind a failed barrier = (%d, %v, %v), want its outcome and no error", ver, existed, err)
+	}
+	if val, _, found, err := cl.Get(1, 7); err != nil || !found || string(val) != "kept" {
+		t.Fatalf("get behind a failed barrier = (%q, %v, %v)", val, found, err)
+	}
+	body := srv.Collector().Render()
+	for _, want := range []string{
+		`dsg_errors_total{code="internal"} 2`,
+		`dsg_requests_total{verb="put"} 1`,
+		`dsg_requests_total{verb="get"} 1`,
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+}
+
 func TestLoopbackCrashInjection(t *testing.T) {
 	nw, err := lsasg.New(16, lsasg.WithSeed(9), lsasg.WithBatchSize(1))
 	if err != nil {

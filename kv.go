@@ -170,7 +170,9 @@ func (op Op) Validate(n int) error {
 // removed or has crashed is counted as the miss it is in ServeOps and comes
 // back as ErrUnknownKey or ErrDeadNode (in OpResult.Err too). On a sharded
 // network every op feeds the load window, and the rebalancer may migrate one
-// key range once WithRebalanceWindow ops have been counted into it.
+// key range once WithRebalanceWindow ops have been counted into it; if that
+// migration fails the op has still been served, and Do returns its result
+// together with ErrBarrier.
 func (nw *Network) Do(op Op) (OpResult, error) {
 	o, err := nw.apply(op)
 	return opResult(o), err

@@ -19,6 +19,7 @@
 package lsasg
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -258,10 +259,11 @@ func (nw *Network) Requests() int { return int(nw.svc.Totals().Requests) }
 // TransformRounds then sums them and Alpha and DirectLevel describe the
 // destination-side leg. A request to an index that was removed or has
 // crashed returns ErrUnknownKey or ErrDeadNode; it is counted as the miss it
-// is in ServeOps — a served request that adjusted nothing.
+// is in ServeOps — a served request that adjusted nothing. ErrBarrier comes
+// with the served request's Result, as from Do.
 func (nw *Network) Request(src, dst int) (Result, error) {
 	o, err := nw.apply(RouteOp(src, dst))
-	if err != nil {
+	if err != nil && !errors.Is(err, ErrBarrier) {
 		return Result{}, err
 	}
 	return Result{
@@ -273,7 +275,7 @@ func (nw *Network) Request(src, dst int) (Result, error) {
 		WorkingSetNumber: nw.lastWS,
 		Alpha:            o.Alpha,
 		HeightAfter:      nw.svc.Height(),
-	}, nil
+	}, err
 }
 
 // Distance returns the current routing distance d_S(src, dst) without

@@ -2,9 +2,12 @@ package lsasg
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
+
+	"lsasg/internal/shard"
 )
 
 func TestNetworkBasics(t *testing.T) {
@@ -44,6 +47,19 @@ func TestNetworkBasics(t *testing.T) {
 	}
 	if err := nw.Verify(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBarrierErrorSurface: the shard layer's barrier failure reaches a
+// caller of Do as the public ErrBarrier, with the internal chain intact.
+func TestBarrierErrorSurface(t *testing.T) {
+	cause := errors.New("migrating 3 keys into shard 1: boom")
+	err := wrapErr(fmt.Errorf("%w after the op was served: %w", shard.ErrBarrier, cause))
+	if !errors.Is(err, ErrBarrier) || !errors.Is(err, shard.ErrBarrier) || !errors.Is(err, cause) {
+		t.Fatalf("wrapErr lost part of the chain: %v", err)
+	}
+	if errors.Is(err, ErrUnknownKey) || errors.Is(err, ErrDeadNode) {
+		t.Fatalf("a barrier failure reads as an op error: %v", err)
 	}
 }
 
