@@ -504,3 +504,29 @@ func BenchmarkDo(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkWorkingSetAdd measures workingset.Bound.Add — fed once per served
+// op, on every workload — on Zipf(1.2) pairs over 512 nodes, after 1k and
+// after 64k recorded accesses: a query walks the contacts made inside the
+// pair's window, so the cost must not grow with the history before it.
+func BenchmarkWorkingSetAdd(b *testing.B) {
+	for _, hist := range []struct {
+		name string
+		len  int
+	}{{"1k", 1 << 10}, {"64k", 1 << 16}} {
+		b.Run("history="+hist.name, func(b *testing.B) {
+			reqs := workload.Zipf{Seed: 21, S: 1.2}.Generate(512, hist.len+8192)
+			bound := workingset.NewBound(512)
+			for _, r := range reqs[:hist.len] {
+				bound.Add(r.Src, r.Dst)
+			}
+			timed := reqs[hist.len:]
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r := timed[i%len(timed)]
+				bound.Add(r.Src, r.Dst)
+			}
+		})
+	}
+}

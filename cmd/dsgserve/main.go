@@ -5,10 +5,11 @@
 // (docs/WIRE.md); cmd/dsgctl is the reference client.
 //
 // The daemon serves one op at a time, in arrival order, and answers each as
-// soon as it is served; -window is the rebalancer's load window only, and a
-// replayed trace (dsgctl replay) keeps the deterministic-stats contract at
-// any setting. SIGINT and SIGTERM drain gracefully: in-flight requests are
-// answered, then the process exits.
+// soon as it is served; -window is the rebalancer's load window only — 0, the
+// default, keeps the library's (512 ops), and the daemon logs the window in
+// effect at start-up — and a replayed trace (dsgctl replay) keeps the
+// deterministic-stats contract at any setting. SIGINT and SIGTERM drain
+// gracefully: in-flight requests are answered, then the process exits.
 //
 // Usage:
 //
@@ -16,6 +17,7 @@
 //	dsgserve -n 1024 -shards 8        # sharded service
 //	dsgserve -addr :7000 -metrics ""  # custom port, observability off
 //	dsgserve -seed 7 -balance 3      # deterministic stream, a-balance a=3
+//	dsgserve -shards 4 -window 64     # rebalance after every 64 ops
 //	dsgserve -pprof                   # live profiles under /debug/pprof/
 //	dsgserve -trace=false             # drop span/histogram instrumentation
 package main
@@ -38,40 +40,57 @@ import (
 	"lsasg/internal/wire"
 )
 
+// serviceFlags are the flags that shape the service the daemon builds.
+type serviceFlags struct {
+	shards, balance, window int
+	seed                    int64
+	membership, trace       bool
+}
+
+func registerServiceFlags(fs *flag.FlagSet) *serviceFlags {
+	f := &serviceFlags{}
+	fs.IntVar(&f.shards, "shards", 1, "shard count; 1 is a single graph")
+	fs.IntVar(&f.balance, "balance", 0, "a-balance parameter; 0 keeps the default")
+	fs.Int64Var(&f.seed, "seed", 1, "seed for the deterministic stream")
+	fs.IntVar(&f.window, "window", 0, "requests per load window: the rebalancer runs at its end; 0 keeps the default, logged at start-up")
+	fs.BoolVar(&f.membership, "membership", false, "enable AddNode/RemoveNode admin (disables working-set tracking)")
+	fs.BoolVar(&f.trace, "trace", true, "record op spans and latency histograms (TraceDump, dsgctl trace)")
+	return f
+}
+
+// options maps the parsed flags onto the library's options. A zero -balance
+// or -window passes nothing on, so each default lives in the library alone.
+func (f *serviceFlags) options() []lsasg.Option {
+	opts := []lsasg.Option{lsasg.WithSeed(f.seed), lsasg.WithShards(f.shards)}
+	if f.balance > 0 {
+		opts = append(opts, lsasg.WithBalance(f.balance))
+	}
+	if f.window > 0 {
+		opts = append(opts, lsasg.WithRebalanceWindow(f.window))
+	}
+	if f.membership {
+		opts = append(opts, lsasg.WithoutWorkingSetTracking())
+	}
+	if f.trace {
+		opts = append(opts, lsasg.WithTracing())
+	}
+	return opts
+}
+
 func main() {
 	var (
 		addr        = flag.String("addr", ":4600", "TCP address to serve the wire protocol on")
 		metricsAddr = flag.String("metrics", ":4601", "HTTP address for /metrics and /healthz; empty disables")
 		n           = flag.Int("n", 256, "size of the key space [0, n)")
-		shards      = flag.Int("shards", 1, "shard count; 1 is a single graph")
-		balance     = flag.Int("balance", 0, "a-balance parameter; 0 keeps the default")
-		seed        = flag.Int64("seed", 1, "seed for the deterministic stream")
-		window      = flag.Int("window", 1, "requests per load window: the rebalancer runs at its end")
-		membership  = flag.Bool("membership", false, "enable AddNode/RemoveNode admin (disables working-set tracking)")
+		service     = registerServiceFlags(flag.CommandLine)
 		drainFor    = flag.Duration("drain", 10*time.Second, "graceful-shutdown budget before connections are cut")
-		trace       = flag.Bool("trace", true, "record op spans and latency histograms (TraceDump, dsgctl trace)")
 		pprofOn     = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the metrics address")
 	)
 	flag.Parse()
 	log.SetFlags(0)
 	log.SetPrefix("dsgserve: ")
 
-	opts := []lsasg.Option{
-		lsasg.WithSeed(*seed),
-		lsasg.WithShards(*shards),
-		lsasg.WithRebalanceWindow(*window),
-	}
-	if *balance > 0 {
-		opts = append(opts, lsasg.WithBalance(*balance))
-	}
-	if *membership {
-		opts = append(opts, lsasg.WithoutWorkingSetTracking())
-	}
-	if *trace {
-		opts = append(opts, lsasg.WithTracing())
-	}
-
-	svc, err := lsasg.New(*n, opts...)
+	svc, err := lsasg.New(*n, service.options()...)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -82,7 +101,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("serving %d keys (%d shard(s)) on %s", *n, *shards, lis.Addr())
+	log.Printf("load window: %d ops", svc.RebalanceWindow())
+	log.Printf("serving %d keys (%d shard(s)) on %s", *n, svc.Shards(), lis.Addr())
 
 	var metricsSrv *http.Server
 	if *metricsAddr != "" {

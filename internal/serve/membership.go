@@ -9,9 +9,10 @@ import "lsasg/internal/skipgraph"
 // its value and version intact.
 
 // ApplyMigrationBatch applies joins (with carried value records) then
-// leaves directly to the live graph. It requires an idle engine (no Serve
-// in flight). Failing entries are skipped (the rest of the batch still
-// applies) and the first error is returned.
+// leaves directly to the live graph. A crashed key cannot run the leave
+// protocol, so it leaves through the crash repair. It requires an idle engine
+// (no Serve in flight). Failing entries are skipped (the rest of the batch
+// still applies) and the first error is returned.
 func (e *Engine) ApplyMigrationBatch(joins []skipgraph.Entry, leaves []int64) error {
 	if err := e.acquire("ApplyMigrationBatch"); err != nil {
 		return err
@@ -25,6 +26,9 @@ func (e *Engine) ApplyMigrationBatch(joins []skipgraph.Entry, leaves []int64) er
 		}
 	}
 	for _, id := range leaves {
+		if e.dsg.RepairCrashedID(id) {
+			continue
+		}
 		if err := e.dsg.RemoveNode(id); err != nil && firstErr == nil {
 			firstErr = err
 		}

@@ -70,24 +70,36 @@ func (d *Directory) Range(i int) (lo, hi int64) {
 	return lo, hi
 }
 
-// exitKey is the boundary key a cross-shard route leaves shard i through:
-// the shard's edge key nearest the destination.
-func (d *Directory) exitKey(i int, towardHigher bool) int64 {
+// boundary is the key a cross-shard access crosses one edge of shard i
+// through: the live key of the shard's range nearest that edge. An access
+// toward higher keys leaves its source shard through the upper edge and
+// enters its destination shard through the lower one. The edge key proper may
+// have been deleted, removed or crashed; naming it regardless would turn
+// every access across that edge into a miss. end is the access's own endpoint
+// in this shard: while it is live the search reaches it at the latest, which
+// makes the leg trivial. A dead endpoint is never its own boundary — its leg
+// runs to whichever live key is nearest the edge, on either side of it, or,
+// in a range with no live key at all, to any other key of the range — so the
+// shard's engine reports the miss as it does for any other leg.
+func (d *Directory) boundary(live []bool, i int, upperEdge bool, end int64) int64 {
 	lo, hi := d.Range(i)
-	if towardHigher {
-		return hi - 1
+	if upperEdge {
+		for k := hi - 1; k >= lo; k-- {
+			if live[k] {
+				return k
+			}
+		}
+	} else {
+		for k := lo; k < hi; k++ {
+			if live[k] {
+				return k
+			}
+		}
+	}
+	if end == lo {
+		return lo + 1
 	}
 	return lo
-}
-
-// entryKey is the boundary key a cross-shard route enters shard i through:
-// the shard's edge key nearest the source.
-func (d *Directory) entryKey(i int, fromLower bool) int64 {
-	lo, hi := d.Range(i)
-	if fromLower {
-		return lo
-	}
-	return hi - 1
 }
 
 // leg is one engine-routable fragment of a request: an intra-shard pair.
@@ -100,19 +112,20 @@ type leg struct {
 // the shared rule both serving modes use, so their leg decompositions can
 // never diverge. An intra-shard request is one leg; a cross-shard request
 // is source→exit-boundary and entry-boundary→destination, with a trivial
-// leg (the endpoint already is the boundary) omitted. legs[:n] are valid.
-func (d *Directory) splitLegs(src, dst int64) (legs [2]leg, n int, cross bool) {
+// leg (the endpoint already is the boundary) omitted. live says which keys
+// can be a boundary. legs[:n] are valid.
+func (d *Directory) splitLegs(live []bool, src, dst int64) (legs [2]leg, n int, cross bool) {
 	si, di := d.ShardOf(src), d.ShardOf(dst)
 	if si == di {
 		legs[0] = leg{shard: si, src: src, dst: dst}
 		return legs, 1, false
 	}
 	higher := dst > src
-	if exit := d.exitKey(si, higher); exit != src {
+	if exit := d.boundary(live, si, higher, src); exit != src {
 		legs[n] = leg{shard: si, src: src, dst: exit}
 		n++
 	}
-	if entry := d.entryKey(di, higher); entry != dst {
+	if entry := d.boundary(live, di, !higher, dst); entry != dst {
 		legs[n] = leg{shard: di, src: entry, dst: dst}
 		n++
 	}

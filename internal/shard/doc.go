@@ -17,7 +17,11 @@
 // Cross-shard requests are directory-addressed two-leg routes: source →
 // boundary inside the source shard, then boundary → destination inside the
 // destination shard, plus one inter-shard forwarding hop (the directory
-// lookup — O(1), like any partitioned key-value service). Each leg adjusts
+// lookup — O(1), like any partitioned key-value service). The boundary is
+// the live key of the shard's range nearest the edge the request crosses —
+// the dispatcher keeps the liveness book, since every Put, Delete, removal
+// and crash passes through it — so losing an edge key costs the accesses
+// addressed to that key, never the traffic across the edge. Each leg adjusts
 // its own shard, so boundary nodes become working-set-hot and cross-shard
 // legs get cheap over time; the per-leg worst case stays the per-shard
 // a·H(n/S) bound, so a cross-shard request costs at most 2·a·H(n/S) + 1 —
@@ -42,7 +46,8 @@
 //
 // Between (1) and (3) a key is briefly present in both shards, so every
 // directory value names a shard that holds the key and a step that fails
-// strands none.
+// strands none. A crashed key still in the range is spliced out by (3) and
+// joins nowhere: its record went with it.
 //
 // # Serving
 //

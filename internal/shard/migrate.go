@@ -17,7 +17,9 @@ import (
 // the key, and a failure at any step leaves each key with at least one
 // owner. The moved records are read off the source shard's graph as full
 // entries — id, value, version — so a key's data and its per-key version
-// monotonicity survive the move.
+// monotonicity survive the move. A crashed key still in the range leaves with
+// it and arrives nowhere: its record was lost with it (crash-stop), and a
+// join would bring it back alive holding that record.
 func (s *Service) executeMigration(dir *Directory, plan migrationPlan) error {
 	entries := s.shards[plan.From].dsg.Graph().RealEntriesInRange(
 		skipgraph.KeyOf(plan.Lo), skipgraph.KeyOf(plan.Hi))
@@ -25,22 +27,26 @@ func (s *Service) executeMigration(dir *Directory, plan migrationPlan) error {
 		return nil
 	}
 	ids := make([]int64, len(entries))
+	joins := entries[:0]
 	for i, e := range entries {
 		ids[i] = e.ID
+		if s.live[e.ID] {
+			joins = append(joins, e)
+		}
 	}
 	b, start := plan.boundaryAfter()
 	next, err := dir.withBoundary(b, start)
 	if err != nil {
 		return err
 	}
-	if err := s.shards[plan.To].eng.ApplyMigrationBatch(entries, nil); err != nil {
-		return fmt.Errorf("shard: migrating %d keys into shard %d: %w", len(entries), plan.To, err)
+	if err := s.shards[plan.To].eng.ApplyMigrationBatch(joins, nil); err != nil {
+		return fmt.Errorf("shard: migrating %d keys into shard %d: %w", len(joins), plan.To, err)
 	}
 	s.dir.Store(next)
 	if err := s.shards[plan.From].eng.ApplyMigrationBatch(nil, ids); err != nil {
 		return fmt.Errorf("shard: retiring %d keys from shard %d: %w", len(ids), plan.From, err)
 	}
 	s.totals.Rebalances++
-	s.totals.MovedKeys += int64(len(ids))
+	s.totals.MovedKeys += int64(len(joins))
 	return nil
 }

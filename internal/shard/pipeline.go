@@ -336,7 +336,9 @@ func (s *Service) rebalance(dir *Directory) error {
 }
 
 // dispatch splits one op into shard legs, queues them on the window, counts
-// its endpoints into the load window, and updates the dispatcher-side books.
+// its endpoints into the load window, and updates the dispatcher-side books
+// — the liveness of a Put's or Delete's key among them, so the ops dispatched
+// behind it in the same window already split at the boundaries it leaves.
 func (s *Service) dispatch(dir *Directory, op core.Op, st *ServeStats) {
 	w := &s.win
 	st.Requests++
@@ -346,7 +348,7 @@ func (s *Service) dispatch(dir *Directory, op core.Op, st *ServeStats) {
 	p := pendingReq{seq: s.totals.Requests + st.Requests, op: op, first: len(w.refs)}
 	switch op.Kind {
 	case core.OpRoute:
-		legs, n, cross := dir.splitLegs(op.Src, op.Dst)
+		legs, n, cross := dir.splitLegs(s.live, op.Src, op.Dst)
 		if cross {
 			st.Cross++
 			st.TotalRouteHops++ // the inter-shard forwarding hop
@@ -368,8 +370,10 @@ func (s *Service) dispatch(dir *Directory, op core.Op, st *ServeStats) {
 			st.Gets++
 		case core.OpPut:
 			st.Puts++
+			s.live[op.Dst] = true
 		case core.OpDelete:
 			st.Deletes++
+			s.live[op.Dst] = false
 		}
 		si, di := dir.ShardOf(op.Src), dir.ShardOf(op.Dst)
 		kv := op
@@ -380,13 +384,13 @@ func (s *Service) dispatch(dir *Directory, op core.Op, st *ServeStats) {
 			higher := op.Dst > op.Src
 			// The origin-side access leg adapts the source shard; the outcome
 			// is the destination leg's alone.
-			if exit := dir.exitKey(si, higher); exit != op.Src {
+			if exit := dir.boundary(s.live, si, higher, op.Src); exit != op.Src {
 				st.Legs++
 				st.TotalRouteDistance++ // the exit boundary intermediate
 				p.extraDist++
 				w.addLeg(si, core.RouteOp(op.Src, exit))
 			}
-			entry := dir.entryKey(di, higher)
+			entry := dir.boundary(s.live, di, !higher, op.Dst)
 			if entry != op.Dst {
 				st.TotalRouteDistance++ // the entry boundary intermediate
 				p.extraDist++

@@ -116,6 +116,15 @@ type Service struct {
 	keyLoad []int64
 	loadOps int
 
+	// live[k] says whether key k is in its shard's graph and has not
+	// crashed: what a cross-shard access may use as its boundary key. Every
+	// membership change passes through the dispatcher in dispatch order — a
+	// Put joins its key and a Delete retires it whatever was there before —
+	// so the dispatcher keeps the answer itself instead of asking the graphs,
+	// which a window's later ops would find in the state before its earlier
+	// ones. Migration moves keys between graphs and changes no entry.
+	live []bool
+
 	// win is the window in flight: the collected ops, their per-shard legs
 	// and the leg results the shard engines report back.
 	win window
@@ -154,7 +163,10 @@ func New(n int, cfg Config) (*Service, error) {
 	if cfg.A == 0 {
 		cfg.A = 4
 	}
-	svc := &Service{cfg: cfg, n: int64(n), keyLoad: make([]int64, n), win: newWindow(s)}
+	svc := &Service{cfg: cfg, n: int64(n), keyLoad: make([]int64, n), live: make([]bool, n), win: newWindow(s)}
+	for k := range svc.live {
+		svc.live[k] = true
+	}
 	dir := newDirectory(int64(n), s)
 	svc.dir.Store(dir)
 	for i := 0; i < s; i++ {
@@ -197,6 +209,9 @@ func (s *Service) Shards() int { return len(s.shards) }
 
 // Directory returns the current directory (immutable; callers may hold it).
 func (s *Service) Directory() *Directory { return s.dir.Load() }
+
+// RebalanceEvery returns the load window's length in requests.
+func (s *Service) RebalanceEvery() int { return s.cfg.rebalanceEvery() }
 
 // A returns the a-balance parameter of every shard's DSG.
 func (s *Service) A() int { return s.cfg.A }
@@ -247,7 +262,7 @@ func (s *Service) Distance(src, dst int64) (int, error) {
 	if err := s.checkKey(dst); err != nil {
 		return 0, err
 	}
-	legs, n, cross := s.dir.Load().splitLegs(src, dst)
+	legs, n, cross := s.dir.Load().splitLegs(s.live, src, dst)
 	total := 0
 	if cross {
 		total = n
@@ -298,7 +313,11 @@ func (s *Service) Crash(id int64) error {
 		return err
 	}
 	sh := s.dir.Load().ShardOf(id)
-	return s.shards[sh].eng.ApplyCrashIdle(id)
+	if err := s.shards[sh].eng.ApplyCrashIdle(id); err != nil {
+		return err
+	}
+	s.live[id] = false
+	return nil
 }
 
 // AddNode joins a new key at the top of the key space: key n enters the last
@@ -313,6 +332,7 @@ func (s *Service) AddNode() (int64, error) {
 	}
 	s.dir.Store(s.dir.Load().grown())
 	s.keyLoad = append(s.keyLoad, 0)
+	s.live = append(s.live, true)
 	s.n++
 	return id, nil
 }
@@ -326,7 +346,11 @@ func (s *Service) RemoveNode(id int64) error {
 		return err
 	}
 	sh := s.dir.Load().ShardOf(id)
-	return s.shards[sh].eng.ApplyMigrationBatch(nil, []int64{id})
+	if err := s.shards[sh].eng.ApplyMigrationBatch(nil, []int64{id}); err != nil {
+		return err
+	}
+	s.live[id] = false
+	return nil
 }
 
 // checkKey validates one endpoint.

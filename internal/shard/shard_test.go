@@ -27,7 +27,7 @@ func feed(reqs []workload.Request) <-chan core.Op {
 // graph — the read-only half of what the dispatcher does. The service must
 // be idle.
 func routeLegs(s *Service, dir *Directory, u, v int64) error {
-	legs, n, _ := dir.splitLegs(u, v)
+	legs, n, _ := dir.splitLegs(s.live, u, v)
 	for i := 0; i < n; i++ {
 		if _, err := s.shards[legs[i].shard].dsg.Graph().RouteKeys(skipgraph.KeyOf(legs[i].src), skipgraph.KeyOf(legs[i].dst)); err != nil {
 			return err
@@ -52,11 +52,27 @@ func TestDirectory(t *testing.T) {
 	if lo, hi := d.Range(2); lo != 32 || hi != 48 {
 		t.Errorf("Range(2) = [%d, %d), want [32, 48)", lo, hi)
 	}
-	if k := d.exitKey(1, true); k != 31 {
-		t.Errorf("exitKey(1, higher) = %d, want 31", k)
+	live := make([]bool, 64)
+	for k := range live {
+		live[k] = true
 	}
-	if k := d.entryKey(3, true); k != 48 {
-		t.Errorf("entryKey(3, fromLower) = %d, want 48", k)
+	if k := d.boundary(live, 1, true, 20); k != 31 {
+		t.Errorf("boundary(1, upper edge, from 20) = %d, want 31", k)
+	}
+	if k := d.boundary(live, 3, false, 60); k != 48 {
+		t.Errorf("boundary(3, lower edge, to 60) = %d, want 48", k)
+	}
+	// A dead edge key hands the boundary to the next live key toward the
+	// endpoint, and at worst to the endpoint itself.
+	live[31], live[30], live[48] = false, false, false
+	if k := d.boundary(live, 1, true, 20); k != 29 {
+		t.Errorf("boundary(1, upper edge, from 20) with 30 and 31 dead = %d, want 29", k)
+	}
+	if k := d.boundary(live, 1, true, 29); k != 29 {
+		t.Errorf("boundary(1, upper edge, from 29) with 30 and 31 dead = %d, want the endpoint", k)
+	}
+	if k := d.boundary(live, 3, false, 49); k != 49 {
+		t.Errorf("boundary(3, lower edge, to 49) with 48 dead = %d, want the endpoint", k)
 	}
 
 	next, err := d.withBoundary(2, 24)

@@ -233,6 +233,10 @@ func (nw *Network) N() int { return nw.svc.N() }
 // Shards returns the shard count (1 for an unsharded network).
 func (nw *Network) Shards() int { return nw.svc.Shards() }
 
+// RebalanceWindow returns the load window in effect, in requests: what
+// WithRebalanceWindow set, or the default.
+func (nw *Network) RebalanceWindow() int { return nw.svc.RebalanceEvery() }
+
 // DirectoryEpoch returns the current shard-directory epoch: 0 at
 // construction, +1 per rebalancer migration.
 func (nw *Network) DirectoryEpoch() int64 { return nw.svc.Directory().Epoch() }

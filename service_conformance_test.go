@@ -314,3 +314,109 @@ func TestServiceConformanceMembership(t *testing.T) {
 		})
 	}
 }
+
+// TestServiceConformanceBoundary: a key on a shard's edge that is deleted,
+// removed or crashed costs the accesses addressed to it, never the traffic
+// that merely crosses the edge — at S = 2 the edges of n = 16 are 7 | 8, at
+// S = 4 also 3 | 4 and 11 | 12, at S = 1 there are none, and the observable
+// outcome is the same. The default load window keeps every edge where the
+// constructor put it.
+func TestServiceConformanceBoundary(t *testing.T) {
+	const n = 16
+	pairs := [][2]int{{2, 12}, {12, 2}, {1, 14}, {14, 1}, {5, 9}, {9, 5}}
+	for _, tc := range conformanceShards {
+		t.Run(tc.name, func(t *testing.T) {
+			svc, err := NewSharded(n, WithShards(tc.shards), WithSeed(21), WithoutWorkingSetTracking())
+			if err != nil {
+				t.Fatal(err)
+			}
+			crossings := func(when string) {
+				t.Helper()
+				for _, p := range pairs {
+					if _, err := svc.Request(p[0], p[1]); err != nil {
+						t.Fatalf("%s: request %d→%d: %v", when, p[0], p[1], err)
+					}
+					if _, err := svc.Distance(p[0], p[1]); err != nil {
+						t.Fatalf("%s: distance %d→%d: %v", when, p[0], p[1], err)
+					}
+					if _, _, found, err := svc.Get(p[0], p[1]); err != nil || found {
+						t.Fatalf("%s: get %d from %d: found=%v err=%v", when, p[1], p[0], found, err)
+					}
+				}
+			}
+			miss := func(when string, src, dst int) {
+				t.Helper()
+				if _, err := svc.Request(src, dst); !errors.Is(err, ErrUnknownKey) && !errors.Is(err, ErrDeadNode) {
+					t.Fatalf("%s: request %d→%d = %v, want ErrUnknownKey or ErrDeadNode", when, src, dst, err)
+				}
+			}
+
+			if existed, err := svc.Delete(3, 7); err != nil || !existed {
+				t.Fatalf("delete 7: existed=%v err=%v", existed, err)
+			}
+			crossings("after delete 7")
+			if existed, err := svc.Delete(12, 8); err != nil || !existed {
+				t.Fatalf("delete 8: existed=%v err=%v", existed, err)
+			}
+			crossings("after delete 8")
+			// A lost edge key is a miss for the requests that name it, from
+			// either side of the edge and as either endpoint.
+			miss("deleted destination", 2, 7)
+			miss("deleted destination", 12, 7)
+			miss("deleted source", 8, 2)
+			miss("deleted source", 7, 12)
+
+			for _, k := range []int{4, 11} {
+				if err := svc.RemoveNode(k); err != nil {
+					t.Fatalf("RemoveNode(%d): %v", k, err)
+				}
+			}
+			crossings("after removing 4 and 11")
+			// A corpse on the edge: no leg of a sharded service spans it, while
+			// a single graph may well hop onto it — the crash cycle's business.
+			if _, existed, err := svc.Put(2, 7, []byte("back")); err != nil || existed {
+				t.Fatalf("put 7: existed=%v err=%v, want a fresh join", existed, err)
+			}
+			if err := svc.Crash(7); err != nil {
+				t.Fatal(err)
+			}
+			if tc.shards > 1 {
+				crossings("after crashing 7")
+			}
+			miss("crashed source", 7, 12)
+
+			// The same through the pipeline, the delete in the window of the
+			// routes that cross its edge.
+			if _, _, err := svc.Put(2, 7, []byte("back again")); err != nil {
+				t.Fatal(err)
+			}
+			ops := make(chan Op, 3)
+			ops <- DeleteOp(2, 7)
+			ops <- RouteOp(2, 12)
+			ops <- RouteOp(12, 2)
+			close(ops)
+			var errs []error
+			if _, err := svc.ServeOps(context.Background(), ops, func(r OpResult) { errs = append(errs, r.Err) }); err != nil {
+				t.Fatal(err)
+			}
+			if len(errs) != 3 || errs[1] != nil || errs[2] != nil {
+				t.Fatalf("pipelined routes across a just-deleted edge key: %v", errs)
+			}
+
+			// Puts re-join every lost key; the edges are theirs again.
+			for _, k := range []int{4, 7, 8, 11} {
+				if _, existed, err := svc.Put(12, k, []byte("rejoined")); err != nil || existed {
+					t.Fatalf("put %d: existed=%v err=%v, want a fresh join", k, existed, err)
+				}
+			}
+			for _, p := range [][2]int{{2, 12}, {12, 2}, {2, 7}, {8, 2}, {4, 11}} {
+				if _, err := svc.Request(p[0], p[1]); err != nil {
+					t.Fatalf("after the re-joins: request %d→%d: %v", p[0], p[1], err)
+				}
+			}
+			if err := svc.Verify(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
