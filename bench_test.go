@@ -1,7 +1,7 @@
 package lsasg
 
 // One benchmark per experiment of EXPERIMENTS.md. The tables themselves are
-// regenerated by cmd/dsgbench; these benchmarks measure the cost of each
+// regenerated by cmd/dsgexp; these benchmarks measure the cost of each
 // experiment's core operation so regressions in the underlying machinery
 // are visible. Run with: go test -bench=. -benchmem
 import (
@@ -15,7 +15,6 @@ import (
 	"lsasg/internal/baseline"
 	"lsasg/internal/core"
 	"lsasg/internal/obs"
-	"lsasg/internal/serve"
 	"lsasg/internal/shard"
 	"lsasg/internal/sim"
 	"lsasg/internal/skipgraph"
@@ -239,7 +238,7 @@ func BenchmarkE16_Join(b *testing.B) {
 
 // feedRoutes streams b.N route ops, cycling reqs, until done or ctx ends.
 func feedRoutes(ctx context.Context, b *testing.B, reqs []workload.Request) <-chan core.Op {
-	ops := make(chan core.Op, 256) // a few batches of slack so the producer never paces the pipeline
+	ops := make(chan core.Op, 256) // slack so the producer never paces the service
 	go func() {
 		defer close(ops)
 		for i := 0; i < b.N; i++ {
@@ -254,42 +253,17 @@ func feedRoutes(ctx context.Context, b *testing.B, reqs []workload.Request) <-ch
 	return ops
 }
 
-// BenchmarkE17_ServePipeline measures the serving engine's batch step —
-// the one every shard of dsgserve runs, a single graph included: b.N Zipf
-// routes through Engine.Serve with p routing workers per batch.
-// ns/op is the inverse of requests/sec. The adjuster's transformation
-// dominates, so the lanes sit close together; CI gates the p=1 lane only
-// (p>1 adds scheduler noise that swings with the runner's core count).
-func BenchmarkE17_ServePipeline(b *testing.B) {
-	for _, p := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			d := core.New(256, core.Config{A: 4, Seed: 17})
-			e := serve.New(d, serve.Config{Parallelism: p, BatchSize: 64})
-			reqs := workload.Zipf{Seed: 17, S: 1.2}.Generate(256, 8192)
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			ops := feedRoutes(ctx, b, reqs)
-			b.ResetTimer()
-			if _, err := e.Serve(ctx, ops); err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}
-
-// BenchmarkE18_ShardedPipeline measures the service pipeline — the path
-// dsgserve runs at every -shards: b.N uniform routes through
-// shard.Service.Serve, the dispatcher splitting each window into leg slices
+// BenchmarkE18_ShardedPipeline measures shard.Service.Serve: b.N uniform
+// routes off a channel, the dispatcher splitting each window into leg slices
 // for the s shard engines (uniform load never crosses the skew threshold,
 // so the rebalancer idles). Lanes sweep the shard count; CI gates the s=1
-// lane only — E17's engine step reached through the dispatcher (directory
-// resolution, leg split, outcome assembly), while s>1 lanes measure
-// scheduler scaling across per-shard adjusters and swing with the runner's
-// core count.
+// lane only — one-op windows, the driver BenchmarkDo/s=1 times, reached from
+// the channel — while s>1 lanes measure the shards serving side by side and
+// swing with the runner's core count.
 func BenchmarkE18_ShardedPipeline(b *testing.B) {
 	for _, s := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("s=%d", s), func(b *testing.B) {
-			svc, err := shard.New(256, shard.Config{Shards: s, A: 4, Seed: 18, BatchSize: 64})
+			svc, err := shard.New(256, shard.Config{Shards: s, A: 4, Seed: 18})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -368,16 +342,16 @@ func BenchmarkE20_CrashTrace(b *testing.B) {
 	}
 }
 
-// benchObsPipeline drives b.N scan ops through the one-shard, p=1 service
-// pipeline — the dispatcher owns the whole-op spans — with the given tracer
+// benchObsPipeline drives b.N scan ops through the one-shard service —
+// the dispatcher owns the whole-op spans — with the given tracer
 // (nil = instrumentation off). Scans are the adversarial lane for an
 // overhead gate: they are pure reads (microseconds), so the per-op
-// instrumentation — one chained clock read plus lock-free histogram
+// instrumentation — three clock reads plus lock-free histogram
 // updates — is its largest possible fraction of the op. Route/KV ops are transform-dominated (milliseconds), where the
 // same absolute overhead would vanish below runner noise.
 func benchObsPipeline(b *testing.B, tr *obs.Tracer) {
 	b.Helper()
-	svc, err := shard.New(256, shard.Config{Shards: 1, A: 4, Seed: 23, BatchSize: 64, Tracer: tr})
+	svc, err := shard.New(256, shard.Config{Shards: 1, A: 4, Seed: 23, Tracer: tr})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -398,8 +372,8 @@ func benchObsPipeline(b *testing.B, tr *obs.Tracer) {
 	}
 }
 
-// BenchmarkServeObsOverhead pins the cost of op tracing on the p=1 batch
-// serve path: obs=off runs without a tracer (a single nil check per op),
+// BenchmarkServeObsOverhead pins the cost of op tracing on the serving
+// path: obs=off runs without a tracer (a single nil check per op),
 // obs=on attaches a live tracer (span-ring admission only past the atomic
 // threshold, so steady state allocates nothing). CI gates the lanes
 // against each other within one run (benchdiff -pair, min across -count):
@@ -482,11 +456,9 @@ func BenchmarkAdjustScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkDo measures the call dsgserve makes per op frame: Network.Do, a
-// one-op window through the shard dispatcher and the owning engine, on
-// Zipf(1.2) routes over 256 keys at s shards. CI gates the s=1 lane; s=4
-// adds cross-shard legs and the rebalancer at its default load window.
-func BenchmarkDo(b *testing.B) {
+// benchNetwork runs one lane per shard count over the trace BenchmarkDo and
+// BenchmarkServeOps share: Zipf(1.2) routes over 256 keys, seed 21.
+func benchNetwork(b *testing.B, serve func(b *testing.B, nw *Network, reqs []workload.Request)) {
 	for _, s := range []int{1, 4} {
 		b.Run(fmt.Sprintf("s=%d", s), func(b *testing.B) {
 			nw, err := New(256, WithSeed(21), WithShards(s))
@@ -495,14 +467,45 @@ func BenchmarkDo(b *testing.B) {
 			}
 			reqs := workload.Zipf{Seed: 21, S: 1.2}.Generate(256, 8192)
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r := reqs[i%len(reqs)]
-				if _, err := nw.Do(RouteOp(r.Src, r.Dst)); err != nil {
-					b.Fatal(err)
-				}
-			}
+			serve(b, nw, reqs)
 		})
 	}
+}
+
+// BenchmarkDo measures the call dsgserve makes per op frame: Network.Do, a
+// one-op window through the shard dispatcher and the owning engine. CI gates
+// both lanes; s=4 adds cross-shard legs and the rebalancer at its default
+// load window.
+func BenchmarkDo(b *testing.B) {
+	benchNetwork(b, func(b *testing.B, nw *Network, reqs []workload.Request) {
+		for i := 0; i < b.N; i++ {
+			r := reqs[i%len(reqs)]
+			if _, err := nw.Do(RouteOp(r.Src, r.Dst)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkServeOps serves BenchmarkDo's ops through Network.ServeOps, which
+// returns what that loop returns: the s=1 lanes of the two should agree, and
+// the gap at s=4 is what a window buys — the shards serving their legs side
+// by side (≈ 1.65× on 2 vCPUs, nothing at GOMAXPROCS=1). Recorded in CI, not
+// gated: the s=4 lane swings with the runner's core count.
+func BenchmarkServeOps(b *testing.B) {
+	benchNetwork(b, func(b *testing.B, nw *Network, reqs []workload.Request) {
+		ops := make(chan Op, 256) // slack so the producer never paces the service
+		go func() {
+			defer close(ops)
+			for i := 0; i < b.N; i++ {
+				r := reqs[i%len(reqs)]
+				ops <- RouteOp(r.Src, r.Dst)
+			}
+		}()
+		if _, err := nw.ServeOps(context.Background(), ops, nil); err != nil {
+			b.Fatal(err)
+		}
+	})
 }
 
 // BenchmarkWorkingSetAdd measures workingset.Bound.Add — fed once per served

@@ -117,8 +117,7 @@ func main() {
 		if err != nil {
 			fail("%v", err)
 		}
-		fmt.Printf("routed %d→%d: distance %d, %d hops, lag %d\n",
-			src, dst, resp.Distance, resp.Hops, resp.Lag)
+		fmt.Printf("routed %d→%d: distance %d, %d hops\n", src, dst, resp.Distance, resp.Hops)
 	case "stats":
 		st, err := cl.Stats()
 		if err != nil {
@@ -161,12 +160,12 @@ func main() {
 			if s.RouteMiss {
 				mark += " miss"
 			}
-			fmt.Printf("#%d seq=%d %s %d→%d total=%v epoch=%d dist=%d hops=%d lag=%d%s\n",
+			fmt.Printf("#%d seq=%d %s %d→%d total=%v epoch=%d dist=%d hops=%d%s\n",
 				i+1, s.Seq, kind, s.Src, s.Dst, time.Duration(s.TotalNanos),
-				s.Epoch, s.RouteDistance, s.RouteHops, s.AdjustLag, mark)
+				s.Epoch, s.RouteDistance, s.RouteHops, mark)
 			for _, leg := range s.Legs {
-				fmt.Printf("    leg shard=%d dist=%d hops=%d lag=%d epoch=%d %v\n",
-					leg.Shard, leg.Distance, leg.Hops, leg.AdjustLag, leg.Epoch, time.Duration(leg.Nanos))
+				fmt.Printf("    leg shard=%d dist=%d hops=%d epoch=%d %v\n",
+					leg.Shard, leg.Distance, leg.Hops, leg.Epoch, time.Duration(leg.Nanos))
 			}
 		}
 		fmt.Printf("(%d spans)\n", len(spans))

@@ -4,10 +4,12 @@
 // plus a BENCH_dsgexp.json summary — to a timestamped output directory.
 // Two runs with the same flags and seed produce byte-identical CSVs, so
 // result files can be diffed across commits to track the performance
-// trajectory of the implementation. (The exemptions: E17's requests/sec and
-// adjustment-lag columns, the requests/sec columns of E18 and E19, and
-// E20's events/sec column are wall-clock measurements; every other column
-// is byte-stable.)
+// trajectory of the implementation. (The exemptions: the requests/sec
+// columns of E18 and E19 and E20's events/sec column are wall-clock
+// measurements; every other column is byte-stable.) With -format table it
+// renders the same experiments as human-readable text instead — to stdout,
+// or to the -out file — with timing on stderr, so the captured tables are
+// byte-stable per seed in the same columns.
 //
 // Usage:
 //
@@ -16,6 +18,7 @@
 //	dsgexp -only E5,E8 -out results  # two experiments into ./results
 //	dsgexp -only E18 -shards 1,4,16  # sweep shard counts for the sharded study
 //	dsgexp -only E19 -mix a,e,crud   # sweep KV operation mixes for the KV study
+//	dsgexp -format table -quick -only E8  # print E8's table
 //	dsgexp -list                     # list registered experiments and exit
 //
 // Experiments run in parallel (bounded by -par); each (experiment, repeat)
@@ -47,8 +50,9 @@ func main() {
 		bench   = flag.String("bench", "", "also write the BENCH_dsgexp.json summary to this path")
 		benchAp = flag.String("bench-append", "", "append the summary to the perf-trajectory file at this path (a JSON array, oldest first)")
 		list    = flag.Bool("list", false, "list registered experiments and exit")
+		format  = flag.String("format", "csv", "csv: result files into the -out directory; table: human-readable tables to stdout or the -out file")
 		seed    = cliutil.AddSeed(flag.CommandLine)
-		out     = cliutil.AddOut(flag.CommandLine, "output directory (default dsgexp_runs/<timestamp>)")
+		out     = cliutil.AddOut(flag.CommandLine, "output directory (default dsgexp_runs/<timestamp>); with -format table, the report file (default stdout)")
 		shards  = cliutil.AddShards(flag.CommandLine)
 		mix     = cliutil.AddMix(flag.CommandLine)
 	)
@@ -84,6 +88,15 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
+	run := experiments.RunConfig{Scale: sc, Repeats: *repeats}
+	switch *format {
+	case "csv":
+	case "table":
+		renderTables(selected, run, *out)
+		return
+	default:
+		fail("-format %q is neither csv nor table", *format)
+	}
 
 	outDir := *out
 	if outDir == "" {
@@ -93,7 +106,7 @@ func main() {
 	fmt.Printf("dsgexp: %d experiment(s), scale=%s, seed=%d, repeats=%d → %s\n",
 		len(selected), scaleName, *seed, *repeats, outDir)
 	summary, err := experiments.RunGrid(experiments.GridConfig{
-		RunConfig:   experiments.RunConfig{Scale: sc, Repeats: *repeats},
+		RunConfig:   run,
 		Experiments: selected,
 		OutDir:      outDir,
 		ScaleName:   scaleName,
@@ -127,6 +140,30 @@ func main() {
 	}
 	if summary.Failed > 0 {
 		fail("%d experiment(s) failed", summary.Failed)
+	}
+}
+
+// renderTables runs the experiments one after another and writes each
+// table as aligned text to the file at path, or to stdout when it is empty.
+func renderTables(selected []experiments.Experiment, run experiments.RunConfig, path string) {
+	w, err := cliutil.Output(path)
+	if err != nil {
+		fail("%v", err)
+	}
+	for _, e := range selected {
+		res, err := experiments.Run(e, run)
+		if err != nil {
+			fail("%v", err)
+		}
+		res.Table.Render(w)
+		fmt.Fprintf(w, "(%s [%s])\n\n", e.ID, e.PaperRef)
+		fmt.Fprintf(os.Stderr, "dsgexp: %s in %.1fs\n", e.ID, res.Elapsed.Seconds())
+	}
+	if err := w.Close(); err != nil {
+		fail("closing %s: %v", path, err)
+	}
+	if path != "" {
+		fmt.Fprintf(os.Stderr, "dsgexp: report at %s\n", path)
 	}
 }
 

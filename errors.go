@@ -16,9 +16,8 @@ import (
 // internal sentinels keep working too.
 var (
 	// ErrUnknownKey reports an endpoint that is not in the keyspace — it
-	// was deleted, it migrated mid-route, or it never existed. Transient
-	// during shard migrations: a retry against a fresh directory usually
-	// succeeds.
+	// was deleted, removed, or never joined. A deterministic miss: ops and
+	// migrations never overlap, so only a Put of the key changes the answer.
 	ErrUnknownKey = errors.New("lsasg: unknown key")
 
 	// ErrDeadNode reports an operation that ran into a crash-failed node

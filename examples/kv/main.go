@@ -4,7 +4,7 @@
 // paper's access σ=(o,k). The tour: synchronous Get/Put/Delete/Scan on a
 // single graph (puts of absent keys join, deletes leave), the same surface
 // on the sharded service with boundary-spanning scans, and a YCSB-style
-// mixed workload batched through the deterministic ServeOps pipeline.
+// mixed workload streamed through ServeOps.
 package main
 
 import (
@@ -50,8 +50,7 @@ func main() {
 
 	// --- Sharded: same surface, scans stitch across shards. -------------
 	const n, shards = 512, 8
-	snw, err := lsasg.NewSharded(n, lsasg.WithShards(shards), lsasg.WithSeed(42),
-		lsasg.WithParallelism(2), lsasg.WithBatchSize(32))
+	snw, err := lsasg.NewSharded(n, lsasg.WithShards(shards), lsasg.WithSeed(42))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,7 +61,7 @@ func main() {
 	fmt.Printf("sharded scan from 60 over %d shards: %d entries, keys %d..%d (boundary-spanning, globally sorted)\n\n",
 		snw.Shards(), len(kvs), kvs[0].Key, kvs[len(kvs)-1].Key)
 
-	// --- A YCSB-style mix through the deterministic pipeline. -----------
+	// --- A YCSB-style mix streamed through ServeOps. --------------------
 	// serveMix takes the unified lsasg.Service interface, so the same
 	// driver fronts the sharded service here and would front the single
 	// graph (or the wire daemon's backing service) unchanged.
@@ -79,7 +78,7 @@ func main() {
 		stats.CrossShardRequests, stats.MigratedKeys, stats.Rebalances)
 }
 
-// serveMix batches a zipf-skewed mix — 50% reads, 25% updates, 15% scans,
+// serveMix streams a zipf-skewed mix — 50% reads, 25% updates, 15% scans,
 // 10% deletes-then-reinserts — through any lsasg.Service: the hot keys
 // drift together exactly as hot communication pairs would.
 func serveMix(svc lsasg.Service, total int) (lsasg.ServeStats, error) {

@@ -1,7 +1,7 @@
-// Serving: push a request stream through the batch engine. Each batch is
-// routed by parallel workers, then its self-adjusting transformations are
-// applied in order — the results are deterministic for a fixed seed and
-// batch size, whatever the parallelism.
+// Serving: push a request stream through ServeOps. Every request is routed
+// in the topology the requests before it left, then adjusts it — the paper's
+// sequential model — so the results are what a loop over Do returns,
+// deterministic for a fixed seed; the tracer times the run as it happens.
 package main
 
 import (
@@ -18,9 +18,7 @@ import (
 func main() {
 	const n = 128
 	nw, err := lsasg.New(n, lsasg.WithSeed(42),
-		lsasg.WithParallelism(4), // routing workers
-		lsasg.WithBatchSize(32),  // requests routed before they adjust
-		lsasg.WithTracing())      // latency histograms + slow-span ring
+		lsasg.WithTracing()) // latency histograms + slow-span ring
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -32,16 +30,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("served %d requests in %d batches\n",
-		stats.Requests, stats.Batches)
-	fmt.Printf("mean route distance %.3f (max %d) — measured before each batch adjusts\n",
+	fmt.Printf("served %d requests\n", stats.Requests)
+	fmt.Printf("mean route distance %.3f (max %d) — each measured before its own adjustment\n",
 		stats.MeanRouteDistance, stats.MaxRouteDistance)
-	fmt.Printf("adjustment lag: mean %.1f, max %d requests behind the live graph\n",
-		stats.MeanAdjustLag, stats.MaxAdjustLag)
 	fmt.Printf("topology after: height %d, %d dummies\n", stats.Height, stats.DummyCount)
 
-	// The hot pairs ended up directly linked, the same post-transformation
-	// guarantee sequential serving gives.
+	// The hot pairs ended up directly linked: the post-transformation
+	// guarantee.
 	for _, p := range [][2]int{{3, 90}, {17, 64}} {
 		if ok, lvl := nw.DirectlyLinked(p[0], p[1]); ok {
 			fmt.Printf("hot pair %d↔%d directly linked at level %d\n", p[0], p[1], lvl)
@@ -61,34 +56,34 @@ func main() {
 			l.Count, time.Duration(l.P50Nanos), time.Duration(l.P99Nanos))
 	}
 	for _, s := range tr.SlowSpans(1) {
-		fmt.Printf("slowest op: seq=%d %s %d→%d total=%v dist=%d hops=%d lag=%d\n",
+		fmt.Printf("slowest op: seq=%d %s %d→%d total=%v dist=%d hops=%d\n",
 			s.Seq, obs.KindName(s.Kind), s.Src, s.Dst,
-			time.Duration(s.TotalNanos), s.RouteDistance, s.RouteHops, s.AdjustLag)
+			time.Duration(s.TotalNanos), s.RouteDistance, s.RouteHops)
 		for _, leg := range s.Legs {
-			fmt.Printf("  leg shard=%d dist=%d hops=%d lag=%d %v\n",
-				leg.Shard, leg.Distance, leg.Hops, leg.AdjustLag, time.Duration(leg.Nanos))
+			fmt.Printf("  leg shard=%d dist=%d hops=%d %v\n",
+				leg.Shard, leg.Distance, leg.Hops, time.Duration(leg.Nanos))
 		}
 	}
 }
 
 // serveSkewed pushes a skewed stream — a few hot pairs plus background
 // noise, the regime where self-adjustment pays — through any lsasg.Service.
-// Every send selects on ctx so the producer unblocks if Serve returns
+// Every send selects on ctx so the producer unblocks if ServeOps returns
 // early; the deferred cancel releases it.
 func serveSkewed(svc lsasg.Service, total int) (lsasg.ServeStats, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	size := svc.N()
-	reqs := make(chan lsasg.Pair)
+	reqs := make(chan lsasg.Op)
 	go func() {
 		defer close(reqs)
 		rng := rand.New(rand.NewSource(7))
 		hot := [][2]int{{3, 90}, {17, 64}, {5, 120}, {44, 101}}
 		for i := 0; i < total; i++ {
-			p := lsasg.Pair{Src: rng.Intn(size), Dst: rng.Intn(size)}
+			p := lsasg.RouteOp(rng.Intn(size), rng.Intn(size))
 			if rng.Float64() < 0.8 {
 				h := hot[rng.Intn(len(hot))]
-				p = lsasg.Pair{Src: h[0], Dst: h[1]}
+				p = lsasg.RouteOp(h[0], h[1])
 			} else if p.Src == p.Dst {
 				continue
 			}
@@ -99,5 +94,5 @@ func serveSkewed(svc lsasg.Service, total int) (lsasg.ServeStats, error) {
 			}
 		}
 	}()
-	return svc.Serve(ctx, reqs)
+	return svc.ServeOps(ctx, reqs, nil)
 }

@@ -20,8 +20,7 @@ func main() {
 		n      = 512
 		shards = 8
 	)
-	nw, err := lsasg.NewSharded(n, lsasg.WithShards(shards),
-		lsasg.WithSeed(42), lsasg.WithParallelism(2), lsasg.WithBatchSize(32))
+	nw, err := lsasg.NewSharded(n, lsasg.WithShards(shards), lsasg.WithSeed(42))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -33,16 +32,16 @@ func main() {
 	// directory and exactly what the rebalancer exists for.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	reqs := make(chan lsasg.Pair)
+	reqs := make(chan lsasg.Op)
 	go func() {
 		defer close(reqs)
 		rng := rand.New(rand.NewSource(7))
 		for i := 0; i < 8192; i++ {
-			var p lsasg.Pair
+			var p lsasg.Op
 			if rng.Float64() < 0.85 {
-				p = lsasg.Pair{Src: rng.Intn(n / 16), Dst: rng.Intn(n / 16)}
+				p = lsasg.RouteOp(rng.Intn(n/16), rng.Intn(n/16))
 			} else {
-				p = lsasg.Pair{Src: rng.Intn(n), Dst: rng.Intn(n)}
+				p = lsasg.RouteOp(rng.Intn(n), rng.Intn(n))
 			}
 			if p.Src == p.Dst {
 				continue
@@ -55,7 +54,7 @@ func main() {
 		}
 	}()
 
-	stats, err := nw.Serve(ctx, reqs)
+	stats, err := nw.ServeOps(ctx, reqs, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,11 +1,11 @@
-// Package cliutil centralizes the flag conventions shared by the repo's
-// reporting binaries (cmd/dsgexp, cmd/dsgbench) so both are reproducible
-// the same way:
+// Package cliutil centralizes the flag conventions of the repo's reporting
+// binary (cmd/dsgexp), so both of its output formats are reproducible the
+// same way:
 //
 //   - -seed selects the deterministic random stream (default 1; two runs
 //     with the same flags and seed produce the same captured output);
-//   - -out captures the result — a directory for grid runners (dsgexp), a
-//     file for text reporters (dsgbench; empty means stdout);
+//   - -out captures the result — a directory for the grid's result files,
+//     a file for the rendered tables (-format table; empty means stdout);
 //   - timing and progress chatter belongs on stderr, never in the captured
 //     output, so -out files can be diffed across commits.
 package cliutil

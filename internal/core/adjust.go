@@ -6,16 +6,9 @@ import (
 )
 
 // ErrUnknownNode is wrapped by Adjust when an endpoint id is not in the
-// graph. A serving engine with TolerateAdjustMiss matches it (errors.Is) to
-// tolerate a route leg whose endpoint a Delete removed earlier in the same
-// op stream.
+// graph. The serving engine matches it (errors.Is): a route whose endpoint a
+// Delete removed earlier in the op stream is a per-op miss, not a failure.
 var ErrUnknownNode = errors.New("core: unknown node id")
-
-// Pair is one communication request by node identifiers, the unit the
-// concurrent serving engine (internal/serve) feeds into the adjuster.
-type Pair struct {
-	Src, Dst int64
-}
 
 // AdjustResult reports one applied transformation: the non-routing half of
 // Serve. Routing happened elsewhere (in the serving engine's route phase),
@@ -36,8 +29,7 @@ type AdjustResult struct {
 // Adjust applies the DSG transformation for the pair (u, v) without routing
 // first, then repairs a-balance over exactly the lists the transformation
 // dirtied (RepairBalancePending). It is the adaptation half of Serve, split
-// out so a serving engine can route a whole batch of requests in parallel
-// first and then apply the batch's transformations in order.
+// out so the serving engine (internal/serve) can measure the route itself.
 func (d *DSG) Adjust(uid, vid int64) (AdjustResult, error) {
 	u, v := d.NodeByID(uid), d.NodeByID(vid)
 	if u == nil || v == nil {
@@ -68,23 +60,4 @@ func (d *DSG) Adjust(uid, vid int64) (AdjustResult, error) {
 		RepairInserted:  ins,
 		RepairRemoved:   rem,
 	}, nil
-}
-
-// ApplyBatch applies the transformations for a batch of pairs in order, each
-// followed by its scoped balance repair, and returns one result per pair.
-// This is the adjuster's batch entry point: the caller routes the next
-// batch only after this one returns, so the routing side observes
-// adjustments at batch granularity. A failing pair aborts the batch; the
-// already-applied prefix remains applied (results carries exactly the applied
-// prefix alongside the error).
-func (d *DSG) ApplyBatch(pairs []Pair) ([]AdjustResult, error) {
-	results := make([]AdjustResult, 0, len(pairs))
-	for i, p := range pairs {
-		r, err := d.Adjust(p.Src, p.Dst)
-		if err != nil {
-			return results, fmt.Errorf("core: batch pair %d (%d→%d): %w", i, p.Src, p.Dst, err)
-		}
-		results = append(results, r)
-	}
-	return results, nil
 }

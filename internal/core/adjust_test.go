@@ -46,40 +46,3 @@ func TestAdjustMatchesServe(t *testing.T) {
 		t.Fatalf("adjust-built DSG invalid: %v", err)
 	}
 }
-
-// TestApplyBatch checks ordered application, per-pair results, and the
-// applied-prefix contract on error.
-func TestApplyBatch(t *testing.T) {
-	d := New(32, Config{A: 4, Seed: 2})
-	d.RepairBalance()
-
-	pairs := []Pair{{0, 9}, {9, 17}, {0, 9}, {3, 30}}
-	results, err := d.ApplyBatch(pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(pairs) {
-		t.Fatalf("got %d results for %d pairs", len(results), len(pairs))
-	}
-	for i, r := range results {
-		if r.Time != int64(i+1) {
-			t.Errorf("pair %d applied at time %d, want %d", i, r.Time, i+1)
-		}
-	}
-	if ok, _ := d.Graph().DirectlyLinked(d.NodeByID(3), d.NodeByID(30)); !ok {
-		t.Error("last batch pair not directly linked")
-	}
-	if err := d.Validate(); err != nil {
-		t.Fatalf("invalid after batch: %v", err)
-	}
-
-	// A bad pair aborts the batch but keeps the applied prefix.
-	before := d.Clock()
-	results, err = d.ApplyBatch([]Pair{{1, 2}, {5, 99}})
-	if err == nil {
-		t.Fatal("expected error for unknown node id")
-	}
-	if len(results) != 1 || d.Clock() != before+1 {
-		t.Fatalf("applied prefix: %d results, clock %d (was %d)", len(results), d.Clock(), before)
-	}
-}

@@ -14,7 +14,7 @@ import (
 //
 // The split of responsibilities matches the serving architecture: the
 // routing side (internal/serve) measures distances and performs Get/Scan
-// reads in a batch's route phase, while ApplyOp here is the adjuster
+// reads in an op's route half, while ApplyOp here is the adjuster
 // half — the serialized mutation and topology adaptation. Point
 // ops adjust the topology exactly like a communication request: a Get or
 // Put of key k from origin o is an access σ=(o,k) and feeds the same
@@ -98,8 +98,8 @@ type OpResult struct {
 // OpRoute the semantics are exactly Adjust's, errors included. KV ops are
 // total by design: a Get/Put/Delete whose transform endpoint is missing or
 // dead skips the transformation instead of failing (the access still
-// resolves: a miss, a join, a repair), so a deterministic pipeline never
-// aborts on data racing membership within a batch.
+// resolves: a miss, a join, a repair), so a deterministic op stream never
+// aborts on data racing membership in the op stream.
 func (d *DSG) ApplyOp(op Op) (OpResult, error) {
 	switch op.Kind {
 	case OpRoute:
@@ -195,23 +195,6 @@ func (d *DSG) adjustIfPossible(src, dst int64) AdjustResult {
 		panic(fmt.Sprintf("core: kv adjust (%d,%d): %v", src, dst, err))
 	}
 	return r
-}
-
-// ApplyOps applies a batch of ops in order, each mutation followed by its
-// scoped balance repair, and returns one result per op. This is the
-// adjuster's batch entry point for the op envelope; for a batch of OpRoute
-// ops it is exactly ApplyBatch. A failing op aborts the batch; the applied
-// prefix stays applied and results carries exactly that prefix.
-func (d *DSG) ApplyOps(ops []Op) ([]OpResult, error) {
-	results := make([]OpResult, 0, len(ops))
-	for i, op := range ops {
-		r, err := d.ApplyOp(op)
-		if err != nil {
-			return results, fmt.Errorf("core: batch op %d (%s %d→%d): %w", i, op.Kind, op.Src, op.Dst, err)
-		}
-		results = append(results, r)
-	}
-	return results, nil
 }
 
 // Restore re-creates one migrated key on this graph: a tracked join plus

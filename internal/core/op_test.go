@@ -29,6 +29,13 @@ func TestApplyOpRouteMatchesAdjust(t *testing.T) {
 	if _, err := d.ApplyOp(Op{Kind: OpKind(99)}); err == nil {
 		t.Error("unknown op kind must fail")
 	}
+	// The sentinel the serving engine matches to call a route a miss.
+	if err := d.RemoveNode(6); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.ApplyOp(RouteOp(0, 6)); !errors.Is(err, ErrUnknownNode) {
+		t.Errorf("route to a removed node = %v, want ErrUnknownNode", err)
+	}
 }
 
 func TestApplyOpGetHitAndMiss(t *testing.T) {
@@ -255,28 +262,6 @@ func TestApplyOpScanReadsSortedLiveRecords(t *testing.T) {
 	res, _ = d.ApplyOp(Op{Kind: OpScan, Dst: 0, Limit: 0})
 	if len(res.Entries) != 1 {
 		t.Fatalf("scan with limit 0 must clamp to 1, got %v", res.Entries)
-	}
-}
-
-func TestApplyOpsPrefixOnError(t *testing.T) {
-	d := New(8, Config{A: 4, Seed: 1})
-	d.RepairBalance()
-	if err := d.RemoveNode(6); err != nil {
-		t.Fatal(err)
-	}
-	results, err := d.ApplyOps([]Op{
-		{Kind: OpPut, Src: 0, Dst: 1, Value: []byte("x")},
-		RouteOp(0, 6), // unknown node: routes keep strict errors
-		{Kind: OpPut, Src: 0, Dst: 2, Value: []byte("y")},
-	})
-	if err == nil {
-		t.Fatal("route to a removed node must abort the batch")
-	}
-	if !errors.Is(err, ErrUnknownNode) {
-		t.Errorf("abort error = %v, want ErrUnknownNode", err)
-	}
-	if len(results) != 1 || results[0].Version != 1 {
-		t.Errorf("applied prefix = %d results, want exactly the put before the failure", len(results))
 	}
 }
 

@@ -28,15 +28,15 @@ type Scale struct {
 	// large graphs stay affordable.
 	LocalitySizes []int
 	// Shards are the shard counts swept by the partitioned-serving study
-	// (E18); the -shards flag of cmd/dsgexp and cmd/dsgbench overrides them.
+	// (E18); the -shards flag of cmd/dsgexp overrides them.
 	Shards []int
 	// Mixes are the KV operation mixes swept by the KV-workload study
-	// (E19), as workload.ParseMix inputs; the -mix flag of cmd/dsgexp and
-	// cmd/dsgbench overrides them.
+	// (E19), as workload.ParseMix inputs; the -mix flag of cmd/dsgexp
+	// overrides them.
 	Mixes []string
 }
 
-// Full is the scale used by cmd/dsgbench.
+// Full is cmd/dsgexp's default scale.
 func Full() Scale {
 	return Scale{Sizes: []int{64, 128, 256}, Requests: 2000, Trials: 20, Seed: 1,
 		LocalitySizes: []int{1024, 4096, 16384},

@@ -26,7 +26,7 @@ import (
 // crash and its repair. Full-graph validation runs every 100 events, so every
 // row also certifies the invariant set under that failure intensity. The one
 // wall-clock column ("events/s") is exempt from the byte-stable CSV contract,
-// per the E17/E18 convention.
+// per the E18 convention.
 func E20CrashAvailability(sc Scale) *stats.Table {
 	t := stats.NewTable("E20 — availability under crash failures (contact-time detection, local repair; events/s is wall-clock)",
 		"n", "pattern", "params", "events", "crashes", "availability",

@@ -13,22 +13,21 @@ import (
 
 // E19KVWorkload measures the KV data plane end to end: YCSB-style operation
 // mixes (reads, updates, insert-joins, deletes, range scans) generated by
-// workload.KVMix over Zipf-skewed key popularity, served through the sharded
-// deterministic pipeline. Point reads and writes are accesses that adjust
+// workload.KVMix over Zipf-skewed key popularity, served through
+// shard.Service.Serve. Point reads and writes are accesses that adjust
 // the topology like routes (a put of an absent key is a tracked join, a
-// delete a tracked leave), while scans read the level-0 run in their
-// batch's route phase and stitch across shard boundaries at the window
-// barrier. Reported per (mix, s) cell: wall-clock requests/sec, the get hit
+// delete a tracked leave), while scans read the level-0 run without
+// adjusting and stitch across shard boundaries once their window has been
+// served. Reported per (mix, s) cell: wall-clock requests/sec, the get hit
 // and delete hit rates, the put-insert count (tracked joins triggered by
 // writes), the entries returned per scan, the cross-shard fraction, the
 // mean routing distance over point operations, and the rebalancer's
-// migration activity. Reads observe what the previous batch left, so hit
-// rates and scan lengths shift slightly with the shard layout (each shard
-// batches independently); the adjuster-side counts — put inserts above all
-// — are exact and shard-count-invariant, which is also the migration
-// value-survival check: a put-join migrated mid-run still counts once.
+// migration activity. Every op observes every earlier op of the stream, so
+// the data outcomes — hit rates, put inserts, scan lengths — are exact and
+// shard-count-invariant, which is also the migration value-survival check:
+// a put-join migrated mid-run still counts once.
 //
-// Per the E17/E18 convention, the "req/s" column is a wall-clock
+// Per the E18 convention, the "req/s" column is a wall-clock
 // measurement and exempt from dsgexp's byte-identical-CSV contract; every
 // other column is deterministic for a fixed (seed, mix, shards) triple —
 // the golden test pins them.
@@ -70,8 +69,6 @@ func E19KVWorkload(sc Scale) *stats.Table {
 				Shards:         s,
 				A:              4,
 				Seed:           sc.Seed,
-				Parallelism:    2,
-				BatchSize:      32,
 				RebalanceEvery: window,
 			})
 			if err != nil {

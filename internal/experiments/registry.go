@@ -11,7 +11,7 @@ import (
 // Experiment is one registered paper experiment: a stable id, a short name
 // for file names, human-readable context (what it validates and where in the
 // paper), and the runner itself. The registry is the single source of truth
-// consumed by cmd/dsgexp, cmd/dsgbench, the tests, and docs/EXPERIMENTS.md.
+// consumed by cmd/dsgexp, the tests, and docs/EXPERIMENTS.md.
 type Experiment struct {
 	// ID is the stable identifier (E1..E20) used for filtering and file
 	// names.
@@ -144,13 +144,6 @@ func Registry() []Experiment {
 			Run:         E16JoinLocality,
 		},
 		{
-			ID:          "E17",
-			Name:        "serve-throughput",
-			Description: "Batch serving pipeline: p routing workers per batch, then its adjustments in order; requests/sec per p, every other column deterministic and independent of p.",
-			PaperRef:    "§III serving model (route, then reconstruct), applied per batch",
-			Run:         E17ThroughputScaling,
-		},
-		{
 			ID:          "E18",
 			Name:        "sharded-serving",
 			Description: "Partitioned serving: throughput scales with shard count while cross-shard routes stay two-leg and a skew-driven rebalancer levels hot shards.",
@@ -160,7 +153,7 @@ func Registry() []Experiment {
 		{
 			ID:          "E19",
 			Name:        "kv-workload",
-			Description: "KV data plane: YCSB-style get/put/delete/scan mixes served through the sharded pipeline, with put-joins, delete-leaves, and cross-shard scan stitching.",
+			Description: "KV data plane: YCSB-style get/put/delete/scan mixes served through the sharded service, with put-joins, delete-leaves, and cross-shard scan stitching.",
 			PaperRef:    "§III serving model (accesses as σ=(o,k)); Aspnes-Shah resource location (Skip Graphs, SODA 2003); YCSB core workloads (SoCC 2010)",
 			Run:         E19KVWorkload,
 		},
@@ -195,8 +188,8 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// FprintRegistry writes the registry listing shared by the -list flag of
-// cmd/dsgexp and cmd/dsgbench.
+// FprintRegistry writes the registry listing behind cmd/dsgexp's -list
+// flag.
 func FprintRegistry(w io.Writer) {
 	for _, e := range Registry() {
 		fmt.Fprintf(w, "%-4s %-22s %s\n     ref: %s\n", e.ID, e.Name, e.Description, e.PaperRef)

@@ -10,14 +10,19 @@ import (
 
 func TestRegistryWellFormed(t *testing.T) {
 	reg := Registry()
-	if len(reg) != 20 {
-		t.Fatalf("registry has %d experiments, want 20", len(reg))
+	if len(reg) != 19 {
+		t.Fatalf("registry has %d experiments, want 19", len(reg))
 	}
-	// E1..E20 are contiguous.
+	// E1..E20 in order, without E17: retired, its id not reused.
 	seenID := map[string]bool{}
 	seenName := map[string]bool{}
+	next := 1
 	for i, e := range reg {
-		want := "E" + strconv.Itoa(i+1)
+		if next == 17 {
+			next++
+		}
+		want := "E" + strconv.Itoa(next)
+		next++
 		if e.ID != want {
 			t.Errorf("entry %d has id %q, want %s", i, e.ID, want)
 		}
@@ -41,9 +46,12 @@ func TestByIDAndSelect(t *testing.T) {
 	if _, ok := ByID("E99"); ok {
 		t.Error("ByID(E99) should fail")
 	}
+	if _, ok := ByID("E17"); ok {
+		t.Error("ByID(E17) should fail: the experiment is retired")
+	}
 
 	all, err := Select("")
-	if err != nil || len(all) != 20 {
+	if err != nil || len(all) != 19 {
 		t.Errorf("Select(\"\") = %d experiments, err %v", len(all), err)
 	}
 	if _, ok := ByID("E20"); !ok {

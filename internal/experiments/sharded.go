@@ -12,18 +12,18 @@ import (
 
 // E18ShardedServing measures the partitioned serving subsystem: the key
 // space splits across s independent self-adjusting skip graphs behind an
-// epoch-stamped directory, each with its own adjuster pipeline, and a
+// epoch-stamped directory, each with its own engine and adjuster, and a
 // skew-driven rebalancer migrates contiguous key ranges at deterministic
 // window barriers. Reported per (trace, s) cell: wall-clock requests/sec
-// through the deterministic pipeline (the s shard pipelines run
-// concurrently, so aggregate throughput scales with s on a multi-core
+// through shard.Service.Serve (the s shards serve their share of a window
+// side by side, so aggregate throughput scales with s on a multi-core
 // machine), the cross-shard request fraction, the mean whole-request routing
 // distance (legs + boundary intermediates + the inter-shard forwarding hop),
 // the rebalancer's migration activity, and the max/mean shard-load ratio of
 // the first vs last window — the skew the planner saw before acting vs what
 // it left behind.
 //
-// Per the E17 convention, the "req/s" column is a wall-clock measurement and
+// The "req/s" column is a wall-clock measurement and
 // exempt from dsgexp's byte-identical-CSV contract; every other column is
 // deterministic for a fixed (seed, shards) pair — the golden test pins them.
 //
@@ -63,8 +63,6 @@ func E18ShardedServing(sc Scale) *stats.Table {
 				Shards:         s,
 				A:              4,
 				Seed:           sc.Seed,
-				Parallelism:    2,
-				BatchSize:      32,
 				RebalanceEvery: window,
 			})
 			if err != nil {

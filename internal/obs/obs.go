@@ -8,8 +8,8 @@
 // nil, in which case the instrumented layer skips even the clock reads.
 // Wall-clock measurements never feed the deterministic serving statistics:
 // span durations are exempt from the byte-identical golden contracts
-// exactly like E17's req/s columns, while the batch-domain span fields
-// (epoch, distance, hops, adjustment lag) stay deterministic.
+// exactly like E18's req/s column, while the other span fields (epoch,
+// distance, hops) stay deterministic.
 package obs
 
 import (
@@ -149,17 +149,16 @@ func KindName(k int64) string {
 }
 
 // LegSpan is one engine leg of an op: the route-phase work of one shard's
-// pipeline. Single-graph ops have exactly one leg; cross-shard routes and
+// engine. Single-graph ops have exactly one leg; cross-shard routes and
 // fanned scans carry one per participating shard. Nanos is wall time
 // (exempt from the determinism contracts); everything else is
-// batch-domain and deterministic.
+// deterministic.
 type LegSpan struct {
-	Shard     int64
-	Distance  int64
-	Hops      int64
-	AdjustLag int64
-	Epoch     int64
-	Nanos     int64
+	Shard    int64
+	Distance int64
+	Hops     int64
+	Epoch    int64
+	Nanos    int64
 }
 
 // Span is one op's compact trace record: identity (Seq, Kind, Src, Dst),
@@ -173,10 +172,9 @@ type Span struct {
 	Start      int64 // unix nanoseconds when the span was recorded
 	TotalNanos int64 // summed leg service time (route-phase work)
 
-	Epoch         int64 // engine epoch (batches applied) the first leg routed at
+	Epoch         int64 // engine epoch (mutations applied) the first leg routed at
 	RouteDistance int64
 	RouteHops     int64
-	AdjustLag     int64
 	RouteMiss     bool
 	Cross         bool // the op spanned more than one shard
 
@@ -268,11 +266,11 @@ func (r *spanRing) slowest(limit int) []Span {
 
 // Pipeline stages with their own latency histograms.
 const (
-	// StageRouteLeg is one engine leg's route-phase work: the parallel
-	// route (plus any Get/Scan read) of one op within a batch.
+	// StageRouteLeg is one engine leg's route-phase work: the route (plus
+	// any Get/Scan read) of one op.
 	StageRouteLeg = iota
-	// StageAdjustApply is one batch's serialized adjuster pass: every
-	// mutation of the batch applied in sequence order.
+	// StageAdjustApply is one engine leg's adjuster pass: the op's
+	// mutation, transformation and scoped repair.
 	StageAdjustApply
 	numStages
 )
@@ -288,11 +286,12 @@ func StageName(s int) string {
 	return fmt.Sprintf("stage(%d)", s)
 }
 
-// Retry events: transient conditions that forced (or will force) an op to
-// be retried or degraded.
+// Retry events: conditions that degraded an op to a miss — and, for a dead
+// route, will make a wire client retry it.
 const (
 	// EventUnknownKey is an op that ran into lsasg.ErrUnknownKey — the
-	// endpoint vanished mid-flight (deleted or migrated); retryable.
+	// endpoint is gone (deleted or removed). A deterministic miss, not
+	// retried.
 	EventUnknownKey = iota
 	// EventDeadRoute is an op that ran into lsasg.ErrDeadNode — a
 	// crash-failed peer whose repair has not landed yet.

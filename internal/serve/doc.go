@@ -1,42 +1,33 @@
-// Package serve is the serving engine: it takes communication requests in
-// batches and serves each batch in two phases on the live graph — route
-// every request of the batch, then apply the batch's self-adjusting
-// transformations (and their scoped a-balance repairs) in request order.
+// Package serve is the serving engine of one graph: it takes communication
+// requests one at a time and serves each in two halves on the live graph —
+// route it, then apply its self-adjusting transformation (and the scoped
+// a-balance repair behind it).
 //
-// The split follows the paper's serving model, which is sequential per
+// That is the paper's serving model (§III), which is sequential per
 // request: standard skip-graph routing first (Appendix B, a pure read of
-// the topology), then the transformation (§IV-C–F), which mutates it.
-// Routing is the cheap half — microseconds against the milliseconds of an
-// adjustment — so the engine does not overlap the two. Nothing mutates the
-// graph during a route phase, which is all the routing workers need to read
-// it in parallel without locks or copies; all mutation stays on the one
-// goroutine that called Serve, preserving the sequential semantics of the
-// transformation — including its seeded randomness — no matter how many
-// routing workers run.
+// the topology), then the transformation (§IV-C–F), which mutates it. So a
+// request routes in the topology every earlier request left, and its own
+// adjustment is in place before the next one routes. A route is ≈ 10³×
+// cheaper than the adjustment it triggers, so there is nothing to win by
+// routing several requests on one state before adjusting them, or by fanning
+// routes over workers — ROADMAP R3 measured both and they are gone. What
+// concurrency the serving stack has lives one layer up: shard.Service runs
+// the engines of different shards side by side.
 //
-// Engine.Serve is the one serving path: requests are consumed in batches of
-// BatchSize; each batch is routed by Parallelism workers (Get and Scan take
-// their reads in the same phase) and then adjusted. Every request is routed
-// and then adjusted — the paper's model, nothing is ever dropped — and every
-// statistic is a pure function of the request sequence and the batch
-// schedule, byte-identical across Parallelism settings. ServeSlice is the
-// same batch step for a caller that already holds the ops — the sharded
-// dispatcher's windows, a synchronous op's one-op window. Between serving
-// calls the Apply*Idle entry points mutate the idle engine synchronously
-// (one crash injection, or one shard-migration batch).
+// Engine.Serve takes the requests from a channel, Engine.ServeSlice from a
+// slice — the sharded dispatcher's leg slices, a synchronous op's one-op
+// slice; both run the same step per request, and every statistic is a pure
+// function of the request sequence. Nothing is ever dropped. KV ops ride the
+// same step: Get and Scan read in the route half, Put and Delete mutate in
+// the adjust half. A route whose endpoint a Delete removed (or a crash took)
+// earlier in the stream is a per-op miss — counted, no path sample, no
+// adjustment — never a failed run. Between serving calls the Apply*Idle
+// entry points mutate the idle engine synchronously (one crash injection,
+// or one shard-migration batch).
 //
-// A request therefore routes in the topology its batch found: it misses the
-// adjustments of the requests ahead of it in the same batch (its AdjustLag)
-// and sees every earlier batch's. The lag delays the working-set adaptation
-// but never breaks correctness: between batches the graph is a complete,
-// a-balanced skip graph, so any routing in it stays within its a·H worst
-// case.
-//
-// Nothing outside the engine may read the graph while Serve runs: the
-// adjust phases mutate it in place. Readers on other goroutines would need
-// their own synchronisation or their own copy; none exists today, and
-// TestServeStress keeps the race detector on the contract the engine's own
-// workers rely on.
+// Nothing outside the engine may read the graph while a serving call runs:
+// the adjust halves mutate it in place. Readers on other goroutines would
+// need their own synchronisation or their own copy; none exists today.
 //
 // # Stable stat names
 //

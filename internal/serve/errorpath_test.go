@@ -9,29 +9,24 @@ import (
 	"lsasg/internal/skipgraph"
 )
 
-// This file is the error-path layer for the serving engine: adjustment-miss
-// tolerance, the failed route phase, early cancellation, and the crash
-// detect/repair cycle. The happy paths live in serve_test.go.
+// This file is the error-path layer for the serving engine: the per-op miss,
+// early cancellation, and the crash detect/repair cycle. The happy paths
+// live in serve_test.go.
 
-// TestTolerateAdjustMiss drives every miss class through the pipeline and
-// checks which ones abort the run: a route whose endpoint is unknown or
-// crashed is fatal on a strict engine and a recorded RouteMiss (zero
-// adjustment) on a tolerant one, while a migration leave of an unknown id
-// stays an error whatever the tolerance.
+// TestTolerateAdjustMiss drives every miss class through the engine: a route
+// whose endpoint is unknown or crashed is a recorded RouteMiss with no
+// adjustment, never a failed run, while a migration leave of an unknown id
+// stays an error.
 func TestTolerateAdjustMiss(t *testing.T) {
 	cases := []struct {
-		name     string
-		tolerate bool
-		op       core.Op
-		prep     func(d *core.DSG)
-		fatal    bool
+		name string
+		op   core.Op
+		prep func(d *core.DSG)
+		want error
 	}{
-		{name: "unknown adjust intolerant", tolerate: false, op: core.RouteOp(1, 99), fatal: true},
-		{name: "unknown adjust tolerated", tolerate: true, op: core.RouteOp(1, 99), fatal: false},
-		{name: "crashed endpoint adjust tolerated", tolerate: true, op: core.RouteOp(1, 9),
-			prep: func(d *core.DSG) { d.Crash(9) }, fatal: false},
-		{name: "crashed endpoint adjust intolerant", tolerate: false, op: core.RouteOp(1, 9),
-			prep: func(d *core.DSG) { d.Crash(9) }, fatal: true},
+		{name: "unknown adjust tolerated", op: core.RouteOp(1, 99), want: skipgraph.ErrUnknownKey},
+		{name: "crashed endpoint adjust tolerated", op: core.RouteOp(1, 9),
+			prep: func(d *core.DSG) { d.Crash(9) }, want: skipgraph.ErrDeadNode},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -40,28 +35,27 @@ func TestTolerateAdjustMiss(t *testing.T) {
 				tc.prep(d)
 			}
 			var got []Result
-			e := New(d, Config{TolerateAdjustMiss: tc.tolerate,
-				OnResult: func(r Result) { got = append(got, r) }})
-			_, err := e.Serve(context.Background(), feedOps([]core.Op{tc.op}))
-			if (err != nil) != tc.fatal {
-				t.Fatalf("Serve error = %v, want fatal=%v", err, tc.fatal)
+			e := New(d, Config{OnResult: func(r Result) { got = append(got, r) }})
+			if _, err := e.Serve(context.Background(), feedOps([]core.Op{tc.op})); err != nil {
+				t.Fatalf("Serve error = %v, want a per-op miss", err)
 			}
-			if !tc.fatal && (len(got) != 1 || !got[0].RouteMiss || got[0].TransformRounds != 0) {
-				t.Errorf("tolerated miss recorded as %+v, want one RouteMiss with no adjustment", got)
+			if len(got) != 1 || !got[0].RouteMiss || got[0].TransformRounds != 0 || !errors.Is(got[0].RouteErr, tc.want) {
+				t.Errorf("miss recorded as %+v, want one RouteMiss (%v) with no adjustment", got, tc.want)
 			}
 		})
 	}
 	t.Run("unknown leave stays fatal", func(t *testing.T) {
-		e := New(core.New(16, core.Config{A: 4, Seed: 7}), Config{TolerateAdjustMiss: true})
+		e := New(core.New(16, core.Config{A: 4, Seed: 7}), Config{})
 		if err := e.ApplyMigrationBatch(nil, []int64{99}); err == nil {
 			t.Error("leave of unknown id must report an error")
 		}
 	})
 }
 
-// TestFailedRoutePhaseAppliesNothing: on a strict engine a batch whose route
-// phase fails — unknown or dead endpoint — aborts before its adjust phase,
-// so not even the valid ops ahead of the bad one are applied.
+// TestFailedRoutePhaseAppliesNothing: a route whose route phase finds an
+// endpoint unknown or dead is served as a miss that applies nothing of its
+// own — the adjuster's clock does not move — while the routes around it are
+// served and adjusted as usual.
 func TestFailedRoutePhaseAppliesNothing(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -76,25 +70,27 @@ func TestFailedRoutePhaseAppliesNothing(t *testing.T) {
 			if tc.prep != nil {
 				tc.prep(d)
 			}
-			served := 0
-			e := New(d, Config{BatchSize: 4, OnResult: func(Result) { served++ }})
-			if _, err := e.Serve(context.Background(), feedOps([]core.Op{core.RouteOp(1, 2), core.RouteOp(5, 6)})); err != nil {
-				t.Fatal(err)
+			var log []Result
+			e := New(d, Config{OnResult: func(r Result) { log = append(log, r) }})
+			clock := d.Clock()
+			st, err := e.Serve(context.Background(), feedOps([]core.Op{core.RouteOp(1, 8), tc.bad, core.RouteOp(4, 12)}))
+			if err != nil {
+				t.Fatalf("a route to a gone endpoint must not fail the run: %v", err)
 			}
-			clock, epoch := d.Clock(), e.epoch
-			st, err := e.Serve(context.Background(), feedOps([]core.Op{core.RouteOp(1, 8), core.RouteOp(4, 12), tc.bad}))
-			if err == nil {
-				t.Fatal("batch with an unroutable op must abort")
+			if st.Requests != 3 || st.RouteMisses != 1 || len(log) != 3 {
+				t.Fatalf("served %d requests with %d misses (%d results), want 3, 1, 3", st.Requests, st.RouteMisses, len(log))
 			}
-			if st.Requests != 0 || served != 2 {
-				t.Errorf("failed batch reported %d requests (%d results overall), want 0 (2)", st.Requests, served)
+			if miss := log[1]; !miss.RouteMiss || miss.RouteDistance != 0 || miss.TransformRounds != 0 || miss.HeightAfter != 0 {
+				t.Errorf("the miss measured or adjusted something: %+v", miss)
 			}
-			if d.Clock() != clock || e.epoch != epoch {
-				t.Errorf("failed batch moved the clock %d→%d / epoch %d→%d; its valid prefix must not be applied",
-					clock, d.Clock(), epoch, e.epoch)
+			if d.Clock() != clock+2 {
+				t.Errorf("adjuster clock moved %d→%d over two routes and a miss, want +2", clock, d.Clock())
+			}
+			if log[0].DirectLevel < 1 || log[2].DirectLevel < 1 {
+				t.Errorf("the routes around the miss were not adjusted: %+v / %+v", log[0], log[2])
 			}
 			if err := d.Validate(); err != nil {
-				t.Fatalf("live DSG invalid after the failed batch: %v", err)
+				t.Fatalf("live DSG invalid after the miss: %v", err)
 			}
 		})
 	}
@@ -104,7 +100,7 @@ func TestFailedRoutePhaseAppliesNothing(t *testing.T) {
 // ctx.Err() having served nothing, and the engine stays reusable.
 func TestServeEarlyCancel(t *testing.T) {
 	d := core.New(16, core.Config{A: 4, Seed: 13})
-	e := New(d, Config{BatchSize: 4})
+	e := New(d, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ch := make(chan core.Op, 1)
@@ -132,7 +128,7 @@ func TestServeEarlyCancel(t *testing.T) {
 func TestCrashIdleDetectRepair(t *testing.T) {
 	d := core.New(32, core.Config{A: 4, Seed: 17})
 	var last Result
-	e := New(d, Config{BatchSize: 4, OnResult: func(r Result) { last = r }})
+	e := New(d, Config{OnResult: func(r Result) { last = r }})
 	if err := e.ApplyCrashIdle(99); !errors.Is(err, core.ErrUnknownNode) {
 		t.Fatalf("crash of unknown id = %v, want ErrUnknownNode", err)
 	}
@@ -144,10 +140,10 @@ func TestCrashIdleDetectRepair(t *testing.T) {
 	if !errors.As(err, &dre) || dre.Node.ID() != 12 {
 		t.Fatalf("probe of corpse: %v, want DeadRouteError on 12", err)
 	}
-	if _, err := e.Serve(context.Background(), feedOps([]core.Op{core.RouteOp(3, 12)})); !errors.Is(err, skipgraph.ErrDeadNode) {
-		t.Fatalf("served route into corpse: %v, want ErrDeadNode", err)
-	}
 	var st Stats
+	if err := e.ServeSlice([]core.Op{core.RouteOp(3, 12)}, &st); err != nil || !errors.Is(last.RouteErr, skipgraph.ErrDeadNode) {
+		t.Fatalf("served route into corpse: %v / %+v, want a miss carrying ErrDeadNode", err, last)
+	}
 	err = e.ServeSlice([]core.Op{{Kind: core.OpPut, Src: 3, Dst: 12, Value: []byte("back")}}, &st)
 	if err != nil || last.Existed {
 		t.Fatalf("repairing put = %+v, %v; want a fresh join", last, err)

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -27,11 +26,11 @@ func feedOps(ops []core.Op) <-chan core.Op {
 // dispatcher serves its windows through — synchronous ops are one-op
 // slices — and the graph reads (GetValue/ScanFrom) behind Get and Scan:
 // a served slice is applied and visible as soon as the call returns, one
-// epoch per batch, chunked by BatchSize like the channel it stands in for.
+// epoch per op, like the channel it stands in for.
 func TestServeSliceVisibleOnReturn(t *testing.T) {
 	d := core.New(16, core.Config{A: 4, Seed: 5})
 	var got []Result
-	e := New(d, Config{BatchSize: 2, OnResult: func(r Result) { got = append(got, r) }})
+	e := New(d, Config{OnResult: func(r Result) { got = append(got, r) }})
 	g := d.Graph()
 	e0 := e.epoch
 	var st Stats
@@ -49,8 +48,8 @@ func TestServeSliceVisibleOnReturn(t *testing.T) {
 	}
 	one(core.Op{Kind: core.OpPut, Src: 2, Dst: 4, Value: []byte("four")})
 
-	if e.epoch != e0+2 || st.Batches != 2 {
-		t.Fatalf("each one-op slice is one batch and one epoch: epoch %d (want %d), %d batches", e.epoch, e0+2, st.Batches)
+	if e.epoch != e0+2 {
+		t.Fatalf("each op is one epoch: epoch %d, want %d", e.epoch, e0+2)
 	}
 	if v, ver, ok := g.GetValue(skipgraph.KeyOf(9)); !ok || ver != 1 || !bytes.Equal(v, []byte("nine")) {
 		t.Fatalf("get 9 = %q v%d ok=%v", v, ver, ok)
@@ -72,35 +71,32 @@ func TestServeSliceVisibleOnReturn(t *testing.T) {
 		t.Fatal("deleted key still readable")
 	}
 
-	// Five ops at BatchSize 2 are three batches — 2, 2, 1 — numbered on from
-	// the four above.
-	b0 := st.Batches
-	five := []core.Op{core.RouteOp(1, 2), core.RouteOp(3, 5), core.RouteOp(6, 7), core.RouteOp(8, 10), core.RouteOp(11, 12)}
+	// A longer slice is the same step per op, numbered on from the four
+	// above: each route finds the graph the one before it adjusted.
+	five := []core.Op{core.RouteOp(1, 2), core.RouteOp(3, 5), core.RouteOp(1, 2), core.RouteOp(8, 10), core.RouteOp(11, 12)}
 	if err := e.ServeSlice(five, &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Batches != b0+3 || st.Requests != 9 || st.MaxAdjustLag != 2 {
-		t.Fatalf("5 ops at batch 2: %d batches, %d requests, max lag %d; want 3 more, 9, 2", st.Batches-b0, st.Requests, st.MaxAdjustLag)
+	if st.Requests != 9 || e.epoch != e0+9 {
+		t.Fatalf("after a 5-op slice: %d requests at epoch %d, want 9 at %d", st.Requests, e.epoch, e0+9)
 	}
-	if last := got[len(got)-1]; last.Seq != 8 || last.AdjustLag != 1 {
-		t.Fatalf("last result = seq %d lag %d, want 8/1", last.Seq, last.AdjustLag)
+	if last := got[len(got)-1]; last.Seq != 8 || last.Epoch != e0+8 {
+		t.Fatalf("last result = seq %d epoch %d, want 8/%d", last.Seq, last.Epoch, e0+8)
+	}
+	if again := got[len(got)-3]; again.RouteDistance != 0 {
+		t.Fatalf("the repeated pair routed at distance %d inside one slice, want the direct link", again.RouteDistance)
 	}
 }
 
-// TestServeKVOps drives every op kind through the deterministic pipeline
-// with BatchSize 1 (each op reads the graph all earlier ops left) and
-// checks both the per-result read outcomes and the aggregated KV counters,
-// including the tolerated route legs of puts to brand-new keys. Its
-// subtests pin the read point of a larger batch and the independence from
-// Parallelism over the same mix.
+// TestServeKVOps drives every op kind through the engine (each op reads the
+// graph all earlier ops left) and checks both the per-result read outcomes
+// and the aggregated KV counters, including the unmeasurable route legs of
+// puts to brand-new keys. Its subtest pins the read point inside one slice.
 func TestServeKVOps(t *testing.T) {
 	const n = 16
 	var results []Result
 	e := New(core.New(n, core.Config{A: 4, Seed: 11}), Config{
-		Parallelism:        2,
-		BatchSize:          1,
-		TolerateAdjustMiss: true,
-		OnResult:           func(r Result) { results = append(results, r) },
+		OnResult: func(r Result) { results = append(results, r) },
 	})
 	ops := []core.Op{
 		{Kind: core.OpPut, Src: 1, Dst: 40, Value: []byte("new")}, // join: route leg unmeasurable
@@ -111,7 +107,7 @@ func TestServeKVOps(t *testing.T) {
 		{Kind: core.OpScan, Dst: 6},                               // limit 0 reads one entry
 		core.RouteOp(6, 12),                                       // plain route
 		{Kind: core.OpDelete, Src: 1, Dst: 40},                    // tracked leave
-		core.RouteOp(2, 40),                                       // endpoint gone: tolerated miss
+		core.RouteOp(2, 40),                                       // endpoint gone: a miss
 		{Kind: core.OpDelete, Src: 1, Dst: 40},                    // idempotent re-delete
 	}
 	st, err := e.Serve(context.Background(), feedOps(ops))
@@ -119,8 +115,8 @@ func TestServeKVOps(t *testing.T) {
 		t.Fatalf("serve: %v", err)
 	}
 
-	if st.Requests != int64(len(ops)) || st.Batches != int64(len(ops)) {
-		t.Fatalf("requests/batches = %d/%d, want %d each", st.Requests, st.Batches, len(ops))
+	if st.Requests != int64(len(ops)) {
+		t.Fatalf("requests = %d, want %d", st.Requests, len(ops))
 	}
 	want := Stats{Gets: 2, GetHits: 1, Puts: 2, PutInserts: 1, Deletes: 2, DeleteHits: 1, Scans: 2, ScannedEntries: 3}
 	if st.Gets != want.Gets || st.GetHits != want.GetHits || st.Puts != want.Puts ||
@@ -133,15 +129,11 @@ func TestServeKVOps(t *testing.T) {
 	if st.RouteMisses < 2 {
 		t.Fatalf("route misses = %d, want >= 2", st.RouteMisses)
 	}
-	if st.MeanAdjustLag() != 1 {
-		t.Fatalf("mean adjust lag at BatchSize 1 = %v, want 1", st.MeanAdjustLag())
-	}
 	if st.MeanRouteDistance() <= 0 {
 		t.Fatalf("mean route distance = %v, want > 0", st.MeanRouteDistance())
 	}
-	var zero Stats
-	if zero.MeanRouteDistance() != 0 || zero.MeanAdjustLag() != 0 {
-		t.Fatal("zero-request means must be 0")
+	if (Stats{}).MeanRouteDistance() != 0 {
+		t.Fatal("zero-request mean must be 0")
 	}
 
 	if len(results) != len(ops) {
@@ -160,56 +152,39 @@ func TestServeKVOps(t *testing.T) {
 		t.Fatalf("scan from 6 with limit 0 = %v, want [40]", r.Entries)
 	}
 	if r := results[8]; !r.RouteMiss || r.TransformRounds != 0 {
-		t.Fatalf("route to deleted endpoint = %+v, want tolerated miss", r)
+		t.Fatalf("route to deleted endpoint = %+v, want a miss", r)
 	}
 	if r := results[9]; r.Existed {
 		t.Fatal("re-delete of a gone key must report Existed=false")
 	}
 
-	serveLog := func(t *testing.T, cfg Config, ops []core.Op) (Stats, []Result) {
-		t.Helper()
-		var log []Result
-		cfg.TolerateAdjustMiss = true
-		cfg.OnResult = func(r Result) { log = append(log, r) }
-		st, err := New(core.New(n, core.Config{A: 4, Seed: 11}), cfg).Serve(context.Background(), feedOps(ops))
-		if err != nil {
-			t.Fatalf("serve: %v", err)
-		}
-		return st, log
-	}
-	// A batch routes whole before any of it adjusts, so a Get sees a Put of
-	// the same batch only when the batch boundary falls between them.
+	// An op routes after every op ahead of it has adjusted, so a Get sees
+	// the Put just before it even inside one slice.
 	t.Run("read point", func(t *testing.T) {
-		pair := []core.Op{
+		var log []Result
+		e := New(core.New(n, core.Config{A: 4, Seed: 11}), Config{OnResult: func(r Result) { log = append(log, r) }})
+		var st Stats
+		err := e.ServeSlice([]core.Op{
 			{Kind: core.OpPut, Src: 1, Dst: 40, Value: []byte("new")},
 			{Kind: core.OpGet, Src: 3, Dst: 40},
+		}, &st)
+		if err != nil {
+			t.Fatal(err)
 		}
-		_, log := serveLog(t, Config{BatchSize: 2}, pair)
-		if put, get := log[0], log[1]; !put.RouteMiss || put.Existed || get.Found || !get.RouteMiss {
-			t.Fatalf("one batch of 2: put %+v, get %+v; want the Get (and both paths) to miss the unjoined key", put, get)
-		}
-		_, log = serveLog(t, Config{BatchSize: 1}, pair)
-		if get := log[1]; !get.Found || string(get.Value) != "new" || get.RouteMiss {
-			t.Fatalf("batches of 1: get %+v; want a measured hit", get)
-		}
-	})
-	t.Run("parallelism", func(t *testing.T) {
-		st1, log1 := serveLog(t, Config{Parallelism: 1, BatchSize: 4}, ops)
-		st8, log8 := serveLog(t, Config{Parallelism: 8, BatchSize: 4}, ops)
-		if !reflect.DeepEqual(st1, st8) || !reflect.DeepEqual(log1, log8) {
-			t.Fatalf("KV mix diverges between Parallelism 1 and 8:\n p=1: %+v\n p=8: %+v", st1, st8)
+		if put, get := log[0], log[1]; !put.RouteMiss || put.Existed || !get.Found || string(get.Value) != "new" || get.RouteMiss {
+			t.Fatalf("put %+v, get %+v; want the join's own path unmeasured and the Get a measured hit", put, get)
 		}
 	})
 }
 
-// TestServeTolerantStillAbortsOnBadOp confirms TolerateAdjustMiss only
-// forgives vanished route endpoints — a structurally invalid op (self-route)
-// still aborts the batch with the op identified in the error.
+// TestServeTolerantStillAbortsOnBadOp confirms the engine only forgives
+// vanished route endpoints — a structurally invalid op (self-route) still
+// aborts the run with the op identified in the error.
 func TestServeTolerantStillAbortsOnBadOp(t *testing.T) {
-	e := New(core.New(16, core.Config{A: 4, Seed: 3}), Config{BatchSize: 1, TolerateAdjustMiss: true})
+	e := New(core.New(16, core.Config{A: 4, Seed: 3}), Config{})
 	_, err := e.Serve(context.Background(), feedOps([]core.Op{core.RouteOp(7, 7)}))
 	if err == nil || !strings.Contains(err.Error(), "route 7→7") {
-		t.Fatalf("self-route under tolerance = %v, want batch abort naming the op", err)
+		t.Fatalf("self-route = %v, want an abort naming the op", err)
 	}
 }
 
@@ -219,7 +194,7 @@ func TestServeTolerantStillAbortsOnBadOp(t *testing.T) {
 func TestMigrationValueEntriesAndErrors(t *testing.T) {
 	d := core.New(16, core.Config{A: 4, Seed: 7})
 	var last Result
-	e := New(d, Config{BatchSize: 4, OnResult: func(r Result) { last = r }})
+	e := New(d, Config{OnResult: func(r Result) { last = r }})
 
 	// One failing join (id already present) and one failing leave (id
 	// unknown): the good half still applies.

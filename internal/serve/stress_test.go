@@ -9,23 +9,21 @@ import (
 	"lsasg/internal/skipgraph"
 )
 
-// TestServeStress is the race-detector stress for the two-phase contract:
-// eight routing workers read the live graph during each batch's route
-// phase, and the adjust phases between them mutate it — transformations
-// plus Put-join / Delete-leave churn. A write that leaked into a route
-// phase, or a read that outlived one, is a detector report. CI runs this
-// with -race -count=2 on every PR.
+// TestServeStress is the engine's churn stress: a long run of routes with
+// Put-join / Delete-leave churn between them, every op routed on the graph
+// the op before it left. The engine itself is single-goroutine; the race
+// detector earns its keep one layer up, where TestShardedStress runs several
+// engines side by side. CI runs both with -race -count=2 on every PR.
 func TestServeStress(t *testing.T) {
 	const (
 		n     = 96
 		total = 320
 	)
 	d := core.New(n, core.Config{A: 4, Seed: 42})
-	e := New(d, Config{Parallelism: 8, BatchSize: 16})
+	e := New(d, Config{})
 
 	// Routes stay inside the stable core 0..n-1; transient ids (≥ n) join
-	// and leave through the same adjust phases, so the core stays routable
-	// in every route phase.
+	// and leave between them, so the core stays routable throughout.
 	rng := rand.New(rand.NewSource(100))
 	ops := make([]core.Op, 0, total)
 	for len(ops) < total {
@@ -47,7 +45,7 @@ func TestServeStress(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if st.Requests != int64(len(ops)) || st.Batches == 0 || st.PutInserts == 0 || st.DeleteHits != st.PutInserts {
+	if st.Requests != int64(len(ops)) || st.RouteMisses != st.PutInserts || st.PutInserts == 0 || st.DeleteHits != st.PutInserts {
 		t.Fatalf("stress books: %+v", st)
 	}
 	if err := d.Validate(); err != nil {
@@ -67,8 +65,8 @@ func TestServeStress(t *testing.T) {
 	}
 }
 
-// routeLive routes src → dst on the engine's live graph, the way a route
-// phase does.
+// routeLive routes src → dst on the engine's live graph, the way the step's
+// route half does.
 func routeLive(d *core.DSG, src, dst int64) (skipgraph.RouteResult, error) {
 	return d.Graph().RouteKeys(skipgraph.KeyOf(src), skipgraph.KeyOf(dst))
 }

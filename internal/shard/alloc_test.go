@@ -9,9 +9,9 @@ import (
 )
 
 // TestScanWindowAllocBudget pins what a window costs beyond the work in it:
-// a scan served at S = 1, window = batch = 1 — the daemon's defaults, one
-// window per op — allocates the entry it reads (once in the route phase,
-// once in the adjuster's own read) and nothing else: the window's own
+// a scan served at S = 1 — one window per op, as the daemon serves it —
+// allocates the entry it reads (once in the route half, once in the
+// adjuster's own read) and nothing else: the window's own
 // plumbing — leg slices, result slots, load window — is reused from window
 // to window, and a one-shard scan's outcome adopts its only fragment. With a
 // goroutine, a channel and a fragment map per shard per window, and a fresh
@@ -24,7 +24,7 @@ func TestScanWindowAllocBudget(t *testing.T) {
 	)
 	var before, after runtime.MemStats
 	served := 0
-	svc, err := New(n, Config{Shards: 1, A: 4, Seed: 1, BatchSize: 1, RebalanceEvery: 1,
+	svc, err := New(n, Config{Shards: 1, A: 4, Seed: 1, RebalanceEvery: 1,
 		OnOutcome: func(o Outcome) {
 			if o.Op.Kind != core.OpScan {
 				return // the preload

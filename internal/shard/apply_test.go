@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"context"
 	"errors"
+	"runtime"
 	"testing"
 
 	"lsasg/internal/core"
@@ -59,8 +61,8 @@ func TestApplyBarrierFailureKeepsOutcome(t *testing.T) {
 
 // TestApplyEngineFailureLeavesNoTrace: an op its engine fails to serve has
 // no outcome, so neither the lifetime books nor the load window may count
-// it. Shard 0 of 2 gets a strict engine, for which a route to a vanished
-// endpoint is a failure instead of a miss.
+// it. Shard 0 of 2 is held by a Serve call of its own while the service
+// dispatches to it, so its leg is refused.
 func TestApplyEngineFailureLeavesNoTrace(t *testing.T) {
 	outcomes := 0
 	svc, err := New(64, Config{Shards: 2, A: 4, Seed: 3, RebalanceEvery: 4,
@@ -68,15 +70,22 @@ func TestApplyEngineFailureLeavesNoTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sl, res := svc.shards[0], &svc.win.res[0]
-	sl.eng = serve.New(sl.dsg, serve.Config{OnResult: func(r serve.Result) { *res = append(*res, r) }})
-	if err := sl.dsg.RemoveNode(5); err != nil {
-		t.Fatal(err)
+	eng := svc.shards[0].eng
+	hold, released := make(chan core.Op), make(chan struct{})
+	go func() {
+		defer close(released)
+		eng.Serve(context.Background(), hold)
+	}()
+	var idle serve.Stats
+	for eng.ServeSlice(nil, &idle) == nil { // until the holder owns the engine
+		runtime.Gosched()
 	}
 	before := svc.Totals()
 	if _, err := svc.Apply(core.RouteOp(1, 5)); err == nil || errors.Is(err, ErrBarrier) {
 		t.Fatalf("Apply returned %v, want the engine's failure", err)
 	}
+	close(hold)
+	<-released
 	if svc.Totals() != before || outcomes != 0 {
 		t.Fatalf("the unserved op was counted: totals %+v, %d outcomes", svc.Totals(), outcomes)
 	}

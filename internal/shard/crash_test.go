@@ -17,7 +17,7 @@ import (
 // throughout.
 func TestCrashDetectRepair(t *testing.T) {
 	const n = 64
-	svc, err := New(n, Config{Shards: 4, Seed: 7, BatchSize: 8})
+	svc, err := New(n, Config{Shards: 4, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

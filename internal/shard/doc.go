@@ -2,7 +2,7 @@
 // across S ≥ 1 independent self-adjusting skip graphs, each wrapped in its
 // own serve.Engine with its own adjuster, behind an immutable, epoch-stamped
 // shard directory that maps keys to shards. A single graph is the S = 1
-// case — same dispatch, same batch step, same statistics — not a second
+// case — same dispatch, same engine step, same statistics — not a second
 // code path.
 //
 // # Partitioning model
@@ -51,16 +51,21 @@
 //
 // # Serving
 //
-// Service.Serve is the one serving path: a dispatcher collects a window of
-// ops in order, splits them into per-shard legs, lets every shard's engine
-// serve its legs (side by side when several shards are busy), assembles the
-// outcomes, and rebalances at the window boundary — every statistic, the
-// rebalancing decisions included, is a pure function of the request
-// sequence and configuration. The engines run with
-// serve.Config.TolerateAdjustMiss, so a route leg whose endpoint a Delete
+// One driver (serveWindow) serves a slice of ops as a window: a dispatcher
+// splits them, in order, into per-shard leg slices, every busy shard's
+// engine serves its slice op by op — route, then adjust, the paper's
+// sequential model per shard — the outcomes are assembled in dispatch order,
+// and the planner runs at the barrier that ends a load window. Every
+// statistic, the rebalancing decisions included, is a pure function of the
+// request sequence and configuration. A route leg whose endpoint a Delete
 // removed earlier in the stream (or a crash took) costs that op its path
-// sample — its Outcome carries the routing error — never the pipeline.
-// Service.Apply serves one op synchronously as a one-op window of the same
-// pipeline, feeding the same load window and the same barrier; AddNode,
-// RemoveNode and Crash are directory operations on the idle service.
+// sample — its Outcome carries the routing error — never the run.
+//
+// Service.Apply is that driver on one op; Service.Serve collects a window
+// off a channel and calls it, so Serve returns what Apply in a loop returns.
+// What the window adds is wall-clock: a leg touches its own shard's graph
+// only, so the busy shards' engines run side by side — the service's one
+// source of concurrency (partitions, not parallel readers of one structure;
+// cf. Thomas & Mendes in PAPERS.md). AddNode, RemoveNode and Crash are
+// directory operations on the idle service.
 package shard

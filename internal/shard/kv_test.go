@@ -32,7 +32,7 @@ func feedOps(ops []core.Op) <-chan core.Op {
 // never rewrites them.
 func TestKVValuesSurviveMigration(t *testing.T) {
 	const n = 64
-	svc, err := New(n, Config{Shards: 4, Seed: 3, BatchSize: 8, RebalanceEvery: 50})
+	svc, err := New(n, Config{Shards: 4, Seed: 3, RebalanceEvery: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestKVScanStitchesAcrossShards(t *testing.T) {
 func TestServePipelinedScansAndOutcomes(t *testing.T) {
 	const n = 32
 	var outs []Outcome
-	svc, err := New(n, Config{Shards: 4, Seed: 2, BatchSize: 1,
+	svc, err := New(n, Config{Shards: 4, Seed: 2,
 		OnOutcome: func(o Outcome) { outs = append(outs, o) }})
 	if err != nil {
 		t.Fatal(err)

@@ -12,28 +12,28 @@ import (
 	"lsasg/internal/skipgraph"
 )
 
-// This file is the Serve pipeline: a sequential dispatcher collects a
-// window of ops, splits them into per-shard leg slices, has every busy
-// shard's engine serve its slice — route the batch, then adjust it, on the
-// live graph — and assembles each op's outcome from its legs' results. The
-// rebalancer runs at the engine-idle barrier between windows. Every
-// statistic is a pure function of the request sequence and the
-// configuration — independent of Parallelism, of how the shards' engines
-// are scheduled, and of producer timing — because each shard's leg
-// sequence, each engine's batch schedule, and every planner input is fixed
-// by the dispatch order.
+// This file is the window driver behind Serve and Apply: a sequential
+// dispatcher splits a slice of ops into per-shard leg slices, has every busy
+// shard's engine serve its slice — op by op, route then adjust, on the live
+// graph, the engines of different shards side by side — and assembles each
+// op's outcome from its legs' results, in dispatch order. The rebalancer runs
+// at the engine-idle barrier that ends a load window. Every statistic is a
+// pure function of the request sequence and the configuration — independent
+// of how the shards' engines are scheduled and of producer timing — because
+// each shard's leg sequence and every planner input is fixed by the dispatch
+// order; and since a leg reads and writes its own shard's graph only, a
+// window returns what serving its ops one by one returns.
 //
 // KV ops ride the same leg machinery. A point op (Get/Put/Delete) becomes
 // an origin-side route leg to the exit boundary (when non-trivial) plus the
 // op itself dispatched to the destination shard with the entry boundary as
 // its access source — so the access adapts both shards' topologies exactly
 // like a cross-shard route. A Scan fans one scan leg to every shard whose
-// range intersects [start, ∞), each read in its own engine's route phase;
-// the dispatcher remembers every leg as (shard, position in that shard's
-// slice) and stitches the results in shard order (= key order) once the
-// window has been served — which is what makes multi-shard scans
-// deterministic although the shards' engines run concurrently. Outcomes are
-// delivered to Config.OnOutcome in dispatch order.
+// range intersects [start, ∞); the dispatcher remembers every leg as (shard,
+// position in that shard's slice) and stitches the results in shard order
+// (= key order) once the window has been served — which is what makes
+// multi-shard scans deterministic although the shards' engines run
+// concurrently. Outcomes are delivered to Config.OnOutcome in dispatch order.
 
 // ServeStats aggregates one Serve run. All fields are
 // deterministic for a fixed seed, shard count, and request sequence.
@@ -47,8 +47,6 @@ type ServeStats struct {
 	Rebalances int64 // migrations executed at window barriers
 	MovedKeys  int64 // keys moved across shards
 
-	Batches int64 // summed over shard engines
-
 	// TotalRouteDistance/Hops span whole requests: leg distances measured in
 	// the shards' graphs, plus the boundary intermediates and the one
 	// inter-shard forwarding hop of each cross-shard request.
@@ -60,8 +58,6 @@ type ServeStats struct {
 	MaxLegDistance int64
 
 	TotalTransformRounds int64
-	TotalAdjustLag       int64
-	MaxAdjustLag         int
 
 	// KV op counters, at request granularity (a scan fanned over three
 	// shards is one Scan). Hits/inserts come from the stitched outcomes;
@@ -93,13 +89,10 @@ type ServeStats struct {
 func (st *ServeStats) foldEngines(engines []serve.Stats) {
 	for i := range engines {
 		e := &engines[i]
-		st.Batches += e.Batches
 		st.TotalRouteDistance += e.TotalRouteDistance
 		st.TotalRouteHops += e.TotalRouteHops
 		st.MaxLegDistance = max(st.MaxLegDistance, int64(e.MaxRouteDistance))
 		st.TotalTransformRounds += e.TotalTransformRounds
-		st.TotalAdjustLag += e.TotalAdjustLag
-		st.MaxAdjustLag = max(st.MaxAdjustLag, e.MaxAdjustLag)
 		st.RouteMisses += e.RouteMisses
 	}
 }
@@ -130,11 +123,9 @@ type Outcome struct {
 	// both legs of a route, the destination-shard leg of a point op —
 	// measured in the shards' graphs, plus the boundary intermediates and
 	// forwarding hops of a cross-shard access; 0 for scans, which read
-	// without routing. AdjustLag is the worst single leg's
-	// pending-adjustment count.
+	// without routing.
 	RouteDistance int
 	RouteHops     int
-	AdjustLag     int
 	// TransformRounds sums ρ over the same legs; Alpha and DirectLevel
 	// describe the last of them, the destination-side transformation.
 	TransformRounds int
@@ -209,22 +200,19 @@ func (w *window) addLeg(shard int, op core.Op) legRef {
 }
 
 // Serve consumes op envelopes until the channel closes (or ctx is
-// cancelled) and returns the aggregate statistics. Ops are served in
-// windows of RebalanceEvery requests: the dispatcher collects a window,
-// every shard with legs in it serves them in batches of BatchSize, the
-// outcomes are assembled and delivered, the planner inspects the window's
-// per-key loads, and at most one contiguous range migrates — values riding
-// with their keys — between adjacent shards before the next window starts.
+// cancelled), serves them window by window — see serveWindow — and returns
+// the aggregate statistics. A window is what the load window still has room
+// for (RebalanceEvery ops when it starts empty): Serve blocks on the channel
+// until it has that many, or the stream ends, so the windows are a function
+// of the request sequence alone. One shard has nothing to run side by side,
+// so at S = 1 every window is one op and a synchronous client of a one-shard
+// service waits for its own op only.
 //
-// One shard has nothing to stitch and nothing to rebalance, so at S = 1 a
-// window is served and delivered batch by batch — a synchronous client of a
-// one-shard service waits for its batch, never for the load window. The
-// load window still ends with a short batch where BatchSize does not divide
-// it, so the batch schedule is the same function of the configuration for
-// every S.
-//
-// Serve rejects overlapping calls. Producers should select on the same ctx
-// for every send, exactly as with Network.Serve.
+// Serve returns what calling Apply on each op in turn returns — outcomes,
+// books, topology — and at S > 1 does it in less wall-clock time. It rejects
+// overlapping calls. Producers should select on the same ctx for every send.
+// An invalid op ends the run with its error once the ops before it have
+// been served; so does a failed engine or a failed barrier.
 func (s *Service) Serve(ctx context.Context, in <-chan core.Op) (ServeStats, error) {
 	if !s.serving.CompareAndSwap(false, true) {
 		return ServeStats{}, fmt.Errorf("shard: overlapping Serve calls on one service")
@@ -237,47 +225,25 @@ func (s *Service) Serve(ctx context.Context, in <-chan core.Op) (ServeStats, err
 		return st, err
 	}
 	before := s.totals
-	every := s.cfg.rebalanceEvery()
-	flush := every
-	if len(s.shards) == 1 {
-		flush = min(s.cfg.batchSize(), every)
+	var (
+		ops    []core.Op
+		retErr error
+	)
+	for done := false; !done; {
+		room := 1
+		if len(s.shards) > 1 {
+			room = s.cfg.rebalanceEvery() - s.loadOps
+		}
+		ops, done, retErr = s.collect(ctx, in, ops[:0], room)
+		if _, err := s.serveWindow(ops, &st); err != nil {
+			done = true
+			if retErr == nil {
+				retErr = err
+			}
+		}
 	}
-	var retErr error
-	done := false
-	sawFullWindow := false
-	for !done {
-		dir := s.dir.Load()
-		s.resetLoad()
-		for s.loadOps < every && !done {
-			s.win.reset()
-			done, retErr = s.collect(ctx, in, dir, min(flush, every-s.loadOps), &st)
-			if err := s.run(&st); err != nil {
-				done = true
-				if retErr == nil {
-					retErr = err
-				}
-			}
-			s.deliver(&st)
-		}
-		if s.loadOps > 0 {
-			st.Windows++
-			ratio := loadRatio(dir, s.keyLoad)
-			if st.LoadRatioFirst == 0 {
-				st.LoadRatioFirst = ratio
-			}
-			if s.loadOps == every {
-				st.LoadRatioLast = ratio
-				sawFullWindow = true
-			} else if !sawFullWindow {
-				st.LoadRatioLast = ratio
-			}
-		}
-		if done {
-			break
-		}
-		if retErr = s.rebalance(dir); retErr != nil {
-			break
-		}
+	if st.Requests > 0 && s.loadOps > 0 {
+		st.noteWindow(loadRatio(s.dir.Load(), s.keyLoad), false)
 	}
 	st.Rebalances = s.totals.Rebalances - before.Rebalances
 	st.MovedKeys = s.totals.MovedKeys - before.MovedKeys
@@ -287,25 +253,76 @@ func (s *Service) Serve(ctx context.Context, in <-chan core.Op) (ServeStats, err
 	return st, retErr
 }
 
-// collect takes up to limit ops off the channel and dispatches each. It
-// reports whether the stream ended — closed, cancelled, or on an invalid op,
-// whose error it returns.
-func (s *Service) collect(ctx context.Context, in <-chan core.Op, dir *Directory, limit int, st *ServeStats) (done bool, err error) {
+// collect appends up to limit valid ops off the channel to ops. It reports
+// whether the stream ended — closed, cancelled, or on an invalid op, whose
+// error it returns.
+func (s *Service) collect(ctx context.Context, in <-chan core.Op, ops []core.Op, limit int) ([]core.Op, bool, error) {
 	for ; limit > 0; limit-- {
 		select {
 		case <-ctx.Done():
-			return true, ctx.Err()
+			return ops, true, ctx.Err()
 		case op, ok := <-in:
 			if !ok {
-				return true, nil
+				return ops, true, nil
 			}
 			if err := s.checkOp(op); err != nil {
-				return true, err
+				return ops, true, err
 			}
-			s.dispatch(dir, op, st)
+			ops = append(ops, op)
 		}
 	}
-	return false, nil
+	return ops, false, nil
+}
+
+// serveWindow is the one driver, behind Serve and Apply alike: it serves
+// ops — valid, and no more than the load window has room for — as one
+// window. Dispatch splits them into leg slices in order; the busy shards'
+// engines serve their slices; the outcomes are assembled and delivered in
+// dispatch order; and when that fills the load window, the planner inspects
+// its per-key loads at the barrier — every engine idle — and at most one
+// contiguous range migrates, values riding with their keys, between adjacent
+// shards. It returns the last delivered outcome.
+//
+// An op one of whose legs an engine failed to serve has no outcome: the
+// window stops delivering there, takes the undelivered ops back out of the
+// load window, and returns the engine's error. A failed migration comes
+// after the window was served, counted and observed, so it is returned
+// wrapping ErrBarrier next to a valid outcome.
+func (s *Service) serveWindow(ops []core.Op, st *ServeStats) (Outcome, error) {
+	dir := s.dir.Load()
+	s.win.reset()
+	for _, op := range ops {
+		s.dispatch(dir, op, st)
+	}
+	err := s.run(st)
+	last, delivered := s.deliver(st)
+	if err != nil {
+		for _, op := range ops[delivered:] {
+			s.feedLoad(op, -1)
+		}
+		return last, err
+	}
+	if s.loadOps >= s.cfg.rebalanceEvery() {
+		st.noteWindow(loadRatio(dir, s.keyLoad), true)
+		err := s.rebalance(dir)
+		s.resetLoad()
+		if err != nil {
+			return last, fmt.Errorf("%w after its ops were served: %w", ErrBarrier, err)
+		}
+	}
+	return last, nil
+}
+
+// noteWindow books one load window's max/mean shard-load ratio: a full one
+// at its barrier, the partial one a run ends in when the run returns.
+func (st *ServeStats) noteWindow(ratio float64, full bool) {
+	st.Windows++
+	if st.LoadRatioFirst == 0 {
+		st.LoadRatioFirst = ratio
+	}
+	if full || st.Windows == 1 {
+		st.LoadRatioLast = ratio
+	}
 }
 
 // resetLoad starts a fresh load window.
@@ -427,9 +444,8 @@ func (s *Service) dispatch(dir *Directory, op core.Op, st *ServeStats) {
 }
 
 // run serves the window's legs and folds the engines' books into st: every
-// shard with legs serves its slice in batches of BatchSize, on a goroutine
-// of its own when two or more shards are busy. It returns the first
-// failure in shard order.
+// shard with legs serves its slice, on a goroutine of its own when two or
+// more shards are busy. It returns the first failure in shard order.
 func (s *Service) run(st *ServeStats) error {
 	w := &s.win
 	busy, only := 0, 0
@@ -464,22 +480,24 @@ func (s *Service) run(st *ServeStats) error {
 	return nil
 }
 
-// deliver hands the window's outcomes to OnOutcome in dispatch order. After
-// an engine failure it stops at the first op one of whose legs never ran.
-func (s *Service) deliver(st *ServeStats) {
+// deliver hands the window's outcomes to OnOutcome in dispatch order and
+// returns the last one with their count. After an engine failure it stops at
+// the first op one of whose legs never ran.
+func (s *Service) deliver(st *ServeStats) (last Outcome, n int) {
 	w := &s.win
 	for i := range w.pending {
 		p := &w.pending[i]
 		for _, ref := range w.refs[p.first : p.first+p.n] {
 			if ref.idx >= len(w.res[ref.shard]) {
-				return
+				return last, i
 			}
 		}
-		o := s.assemble(p, st)
+		last = s.assemble(p, st)
 		if s.cfg.OnOutcome != nil {
-			s.cfg.OnOutcome(o)
+			s.cfg.OnOutcome(last)
 		}
 	}
+	return last, len(w.pending)
 }
 
 // assemble builds one op's outcome from its legs' results — all present —
@@ -494,7 +512,6 @@ func (s *Service) assemble(p *pendingReq, st *ServeStats) Outcome {
 		r := &w.res[ref.shard][ref.idx]
 		o.RouteDistance += r.RouteDistance
 		o.RouteHops += r.RouteHops
-		o.AdjustLag = max(o.AdjustLag, r.AdjustLag)
 		o.TransformRounds += r.TransformRounds
 		o.Alpha, o.DirectLevel = r.Alpha, r.DirectLevel
 		if p.op.Kind == core.OpRoute && o.Err == nil {
@@ -534,8 +551,8 @@ func (s *Service) assemble(p *pendingReq, st *ServeStats) Outcome {
 }
 
 // recordSpan folds one assembled op's legs into the tracer: the whole-op
-// verb latency (summed leg service time — queueing and the batch-amortized
-// adjuster pass are excluded; they have their own stage histograms) and,
+// verb latency (summed leg route time — queueing and the adjuster pass are
+// excluded; the latter has its own stage histogram) and,
 // when slow enough to matter, a slowest-ring span with the per-leg
 // breakdown.
 func (s *Service) recordSpan(tr *obs.Tracer, p *pendingReq, refs []legRef, o Outcome) {
@@ -555,12 +572,11 @@ func (s *Service) recordSpan(tr *obs.Tracer, p *pendingReq, refs []legRef, o Out
 	for i, ref := range refs {
 		r := &w.res[ref.shard][ref.idx]
 		legs[i] = obs.LegSpan{
-			Shard:     int64(ref.shard),
-			Distance:  int64(r.RouteDistance),
-			Hops:      int64(r.RouteHops),
-			AdjustLag: int64(r.AdjustLag),
-			Epoch:     r.Epoch,
-			Nanos:     r.RouteNanos,
+			Shard:    int64(ref.shard),
+			Distance: int64(r.RouteDistance),
+			Hops:     int64(r.RouteHops),
+			Epoch:    r.Epoch,
+			Nanos:    r.RouteNanos,
 		}
 	}
 	tr.RecordSpan(obs.Span{
@@ -573,7 +589,6 @@ func (s *Service) recordSpan(tr *obs.Tracer, p *pendingReq, refs []legRef, o Out
 		Epoch:         legs[0].Epoch,
 		RouteDistance: int64(o.RouteDistance),
 		RouteHops:     int64(o.RouteHops),
-		AdjustLag:     int64(o.AdjustLag),
 		RouteMiss:     miss,
 		Cross:         len(refs) > 1 || p.extraHops > 0,
 		Legs:          legs,

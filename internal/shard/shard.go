@@ -20,14 +20,17 @@ type Config struct {
 	// Seed drives all randomness; shard i derives its own stream from it, so
 	// results are reproducible for a fixed (Seed, Shards) pair.
 	Seed int64
-	// Parallelism and BatchSize configure each shard's serve.Engine.
+	// Parallelism and BatchSize are ignored: owed to the frozen harness,
+	// benchmark/layers.go:296; the next benchmark PR deletes the mention and
+	// these with it.
 	Parallelism int
 	BatchSize   int
 
 	// RebalanceEvery is the load window's length in requests: after every
-	// window the planner runs at the engine-idle barrier. The Serve pipeline
-	// also collects, serves and delivers a window's ops together; Apply
-	// counts its one op into the same window. Values < 1 mean 512.
+	// window the planner runs at the engine-idle barrier. On S > 1 shards
+	// Serve also collects, serves and delivers what is left of the window
+	// together; Apply counts its one op into the same window. Values < 1
+	// mean 512.
 	RebalanceEvery int
 	// SkewThreshold is the max/mean shard-load ratio that triggers a
 	// migration (default 1.5; values ≤ 1 mean the default).
@@ -45,8 +48,8 @@ type Config struct {
 
 	// OnOutcome, when non-nil, receives every op's assembled result — point
 	// outcomes, stitched cross-shard scans, and route path measurements —
-	// in dispatch order: at each window barrier of the Serve pipeline, and
-	// once per synchronous Apply.
+	// in dispatch order, once the window it was served in — one op, for
+	// Apply — has been served.
 	OnOutcome func(o Outcome)
 
 	// Tracer, when non-nil, turns on the observability layer: the shard
@@ -62,13 +65,6 @@ func (c Config) shards() int {
 		return 1
 	}
 	return c.Shards
-}
-
-func (c Config) batchSize() int {
-	if c.BatchSize < 1 {
-		return 32
-	}
-	return c.BatchSize
 }
 
 func (c Config) rebalanceEvery() int {
@@ -111,7 +107,7 @@ type Service struct {
 
 	// keyLoad[k] counts op endpoints touching key k in the current load
 	// window, and loadOps the ops counted into it: written by dispatch for
-	// pipelined and synchronous ops alike, read by the planner at the
+	// streamed and synchronous ops alike, read by the planner at the
 	// window's barrier, cleared when the next window starts.
 	keyLoad []int64
 	loadOps int
@@ -125,7 +121,7 @@ type Service struct {
 	// ones. Migration moves keys between graphs and changes no entry.
 	live []bool
 
-	// win is the window in flight: the collected ops, their per-shard legs
+	// win is the window in flight: the dispatched ops, their per-shard legs
 	// and the leg results the shard engines report back.
 	win window
 
@@ -187,10 +183,7 @@ func New(n int, cfg Config) (*Service, error) {
 		})
 		res := &svc.win.res[i]
 		eng := serve.New(d, serve.Config{
-			Parallelism:        cfg.Parallelism,
-			BatchSize:          cfg.BatchSize,
-			TolerateAdjustMiss: true,
-			Tracer:             cfg.Tracer,
+			Tracer: cfg.Tracer,
 			// An engine reports its legs' results in leg order, so result j
 			// of shard i belongs to leg j of the window; each engine
 			// appends to its own slice only.

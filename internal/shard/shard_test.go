@@ -193,7 +193,7 @@ func TestPlanRebalanceTerminates(t *testing.T) {
 // the per-shard parallelism.
 func TestServeDeterministicAcrossRuns(t *testing.T) {
 	run := func(par int) ServeStats {
-		svc, err := New(64, Config{Shards: 4, Seed: 9, Parallelism: par, BatchSize: 8, RebalanceEvery: 100})
+		svc, err := New(64, Config{Shards: 4, Seed: 9, RebalanceEvery: 100})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +229,7 @@ func TestServeDeterministicAcrossRuns(t *testing.T) {
 // every key routes in its owner's snapshot.
 func TestServeShardsAreConsistent(t *testing.T) {
 	const n = 64
-	svc, err := New(n, Config{Shards: 4, Seed: 3, BatchSize: 8, RebalanceEvery: 50})
+	svc, err := New(n, Config{Shards: 4, Seed: 3, RebalanceEvery: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestServeShardsAreConsistent(t *testing.T) {
 // TestSingleShardMatchesEngine: with S = 1 the service is exactly one engine
 // pipeline — no cross-shard traffic, no migrations, load ratio pinned to 1.
 func TestSingleShardMatchesEngine(t *testing.T) {
-	svc, err := New(32, Config{Shards: 1, Seed: 7, BatchSize: 8})
+	svc, err := New(32, Config{Shards: 1, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

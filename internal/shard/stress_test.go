@@ -16,7 +16,7 @@ import (
 // with -race on every PR alongside the serve-engine stress.
 func TestShardedStress(t *testing.T) {
 	const n = 96
-	svc, err := New(n, Config{Shards: 4, Seed: 42, Parallelism: 4, BatchSize: 8,
+	svc, err := New(n, Config{Shards: 4, Seed: 42,
 		RebalanceEvery: 40, SkewThreshold: 1.2})
 	if err != nil {
 		t.Fatal(err)

@@ -6,9 +6,8 @@ import (
 )
 
 // ErrUnknownKey is wrapped by RouteKeys when an endpoint key is not in the
-// graph. The sharded service matches it (errors.Is) to tell "this key moved
-// to another shard mid-route" — retryable against a fresh directory — apart
-// from structural routing failures, which are not.
+// graph. The public API matches it (errors.Is) to tell a route to a deleted
+// or removed key — a per-op miss — apart from structural routing failures.
 var ErrUnknownKey = errors.New("skipgraph: unknown key")
 
 // RouteResult describes one standard skip-graph routing (paper Appendix B).

@@ -7,7 +7,7 @@ import (
 )
 
 // Table accumulates rows and renders an aligned plain-text table, the output
-// format used by cmd/dsgbench to regenerate the experiment tables. It keeps
+// format dsgexp -format table prints the experiment tables in. It keeps
 // the raw (typed) cell values alongside the display strings so the CSV/JSON
 // emitters in emit.go and the repeat aggregator can work on full-precision
 // data.

@@ -13,9 +13,10 @@ import (
 
 // Client speaks the wire protocol to one server. Connections are pooled:
 // each synchronous call checks one out, round-trips a frame, and returns
-// it. Transient failures — a server shutting down (CodeRetry) and the
-// by-design-transient ErrUnknownKey/ErrDeadNode races — are retried with
-// capped exponential backoff.
+// it. Transient failures — a server shutting down (CodeRetry) and a route
+// that ran into a dead node (CodeDeadNode) — are retried with capped
+// exponential backoff; every other answer, an unknown key included, is
+// final.
 type Client struct {
 	addr string
 	pool chan *clientConn

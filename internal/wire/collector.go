@@ -28,10 +28,8 @@ type Collector struct {
 	// Per-code error counters.
 	errs [CodeInternal + 1]atomic.Int64
 
-	// Access-path accumulators over completed ops.
+	// Access-path accumulator over completed ops.
 	distSum atomic.Int64
-	lagSum  atomic.Int64
-	lagMax  atomic.Int64
 
 	// KV outcome accumulators.
 	getHits    atomic.Int64
@@ -78,13 +76,6 @@ func (c *Collector) setTracer(tr *obs.Tracer) {
 func (c *Collector) observeResult(v Verb, r lsasg.OpResult) {
 	c.ops[v].Add(1)
 	c.distSum.Add(int64(r.RouteDistance))
-	c.lagSum.Add(int64(r.AdjustLag))
-	for {
-		cur := c.lagMax.Load()
-		if int64(r.AdjustLag) <= cur || c.lagMax.CompareAndSwap(cur, int64(r.AdjustLag)) {
-			break
-		}
-	}
 	switch r.Op.Kind {
 	case lsasg.GetKind:
 		if r.Found {
@@ -181,15 +172,6 @@ func (c *Collector) Render() string {
 	gauge("dsg_req_per_sec", "Op throughput since the previous scrape.")
 	fmt.Fprintf(&b, "dsg_req_per_sec %g\n", rate)
 
-	gauge("dsg_adjust_lag_mean", "Mean pending adjustments at route time over all completed ops.")
-	mean := 0.0
-	if total > 0 {
-		mean = float64(c.lagSum.Load()) / float64(total)
-	}
-	fmt.Fprintf(&b, "dsg_adjust_lag_mean %g\n", mean)
-	gauge("dsg_adjust_lag_max", "Worst pending-adjustment count observed.")
-	fmt.Fprintf(&b, "dsg_adjust_lag_max %d\n", c.lagMax.Load())
-
 	gauge("dsg_route_distance_mean", "Mean routing distance over all completed ops.")
 	meanDist := 0.0
 	if total > 0 {
@@ -235,7 +217,7 @@ func (c *Collector) Render() string {
 	for k := int64(0); k < obs.NumKinds(); k++ {
 		writeHist("dsg_op_latency_seconds", "verb", obs.KindName(k), c.tracer.VerbHistogram(k))
 	}
-	histogram("dsg_stage_latency_seconds", "Per-stage pipeline timings: one route leg, one adjuster batch apply.")
+	histogram("dsg_stage_latency_seconds", "Per-stage timings of an engine leg: its route, its adjuster apply.")
 	for st := 0; st < obs.NumStages(); st++ {
 		writeHist("dsg_stage_latency_seconds", "stage", obs.StageName(st), c.tracer.StageHistogram(st))
 	}

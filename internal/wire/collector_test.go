@@ -18,8 +18,6 @@ var goldenFamilies = []string{
 	"dsg_requests_total counter",
 	"dsg_errors_total counter",
 	"dsg_req_per_sec gauge",
-	"dsg_adjust_lag_mean gauge",
-	"dsg_adjust_lag_max gauge",
 	"dsg_route_distance_mean gauge",
 	"dsg_rebalances_total counter",
 	"dsg_migrated_keys_total counter",
@@ -131,7 +129,7 @@ func TestCollectorUnknownKeyFeedsTracer(t *testing.T) {
 // end over the wire, surfaces as dead_route retry events — one per attempt
 // the client's retry loop makes — in the tracer and in the scrape.
 func TestCollectorDeadRouteFeedsTracer(t *testing.T) {
-	nw, err := lsasg.New(16, lsasg.WithSeed(9), lsasg.WithBatchSize(1))
+	nw, err := lsasg.New(16, lsasg.WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,9 @@
 // Crash, Verify, TraceDump), a Server that fronts any lsasg.Service over TCP, and a
 // pooling Client with transient-error retry. The deterministic serving
 // contract survives the wire: a server serves ops one at a time, in arrival
-// order, through the one-op window of the service's ServeOps pipeline, so a
-// trace replayed through a connection produces stats byte-identical to the
-// same trace served in-process (see docs/WIRE.md).
+// order, through Service.Do — the one-op window of the driver ServeOps
+// runs — so a trace replayed through a connection produces stats
+// byte-identical to the same trace served in-process (see docs/WIRE.md).
 package wire
 
 import (
@@ -100,8 +100,9 @@ const (
 	// CodeOK is a successful response.
 	CodeOK ErrCode = iota
 	// CodeUnknownKey maps lsasg.ErrUnknownKey: the endpoint is not in the
-	// keyspace (deleted, migrated mid-route, or never existed). Transient;
-	// retryable.
+	// keyspace (deleted, removed, or never joined). A deterministic miss —
+	// one owner serves ops and runs barriers, so no key is ever mid-flight —
+	// and not retryable: only a Put of the key changes the answer.
 	CodeUnknownKey
 	// CodeDeadNode maps lsasg.ErrDeadNode: the op ran into a crash-failed
 	// node before a repair. Transient by design; retryable.
@@ -165,7 +166,6 @@ type Response struct {
 
 	Distance int64
 	Hops     int64
-	Lag      int64
 
 	Value   []byte
 	Entries []Entry
@@ -392,7 +392,6 @@ func (r Response) Encode() []byte {
 	e.i64(r.Node)
 	e.i64(r.Distance)
 	e.i64(r.Hops)
-	e.i64(r.Lag)
 	e.bytes(r.Value)
 	e.buf = binary.BigEndian.AppendUint32(e.buf, uint32(len(r.Entries)))
 	for _, ent := range r.Entries {
@@ -420,12 +419,12 @@ func (r Response) Encode() []byte {
 	return e.buf
 }
 
-// Span and latency wire sizes: the fixed prefix of one span (ten i64s, two
+// Span and latency wire sizes: the fixed prefix of one span (nine i64s, two
 // bools, one leg count) and the full size of one leg / one latency entry.
 // The decoder's count bombs are rejected against them before allocating.
 const (
-	spanMinWire     = 10*8 + 2 + 4
-	legWire         = 6 * 8
+	spanMinWire     = 9*8 + 2 + 4
+	legWire         = 5 * 8
 	verbLatencyWire = 4 * 8
 )
 
@@ -439,7 +438,6 @@ func encodeSpan(e *encoder, s obs.Span) {
 	e.i64(s.Epoch)
 	e.i64(s.RouteDistance)
 	e.i64(s.RouteHops)
-	e.i64(s.AdjustLag)
 	e.bool(s.RouteMiss)
 	e.bool(s.Cross)
 	e.buf = binary.BigEndian.AppendUint32(e.buf, uint32(len(s.Legs)))
@@ -447,7 +445,6 @@ func encodeSpan(e *encoder, s obs.Span) {
 		e.i64(l.Shard)
 		e.i64(l.Distance)
 		e.i64(l.Hops)
-		e.i64(l.AdjustLag)
 		e.i64(l.Epoch)
 		e.i64(l.Nanos)
 	}
@@ -464,7 +461,6 @@ func decodeSpan(d *decoder) obs.Span {
 	s.Epoch = d.i64()
 	s.RouteDistance = d.i64()
 	s.RouteHops = d.i64()
-	s.AdjustLag = d.i64()
 	s.RouteMiss = d.bool()
 	s.Cross = d.bool()
 	if d.err != nil || len(d.buf) < 4 {
@@ -479,12 +475,11 @@ func decodeSpan(d *decoder) obs.Span {
 	}
 	for i := uint32(0); i < m && d.err == nil; i++ {
 		s.Legs = append(s.Legs, obs.LegSpan{
-			Shard:     d.i64(),
-			Distance:  d.i64(),
-			Hops:      d.i64(),
-			AdjustLag: d.i64(),
-			Epoch:     d.i64(),
-			Nanos:     d.i64(),
+			Shard:    d.i64(),
+			Distance: d.i64(),
+			Hops:     d.i64(),
+			Epoch:    d.i64(),
+			Nanos:    d.i64(),
 		})
 	}
 	return s
@@ -504,7 +499,6 @@ func DecodeResponse(body []byte) (Response, error) {
 	r.Node = d.i64()
 	r.Distance = d.i64()
 	r.Hops = d.i64()
-	r.Lag = d.i64()
 	r.Value = d.bytes()
 	if d.err == nil && len(d.buf) >= 4 {
 		n := binary.BigEndian.Uint32(d.buf)
@@ -609,8 +603,10 @@ func (r Response) Err() error {
 }
 
 // Retryable reports whether the code marks a transient condition a client
-// should retry: a server shutting down, and the by-design-transient unknown-key
-// and dead-node races.
+// should retry: a server shutting down, and a route that ran into a dead
+// node — one that hit a dead intermediate repairs it in its own adjust
+// phase, so a second try can succeed. An unknown key is a deterministic
+// miss; sending it again only counts it again.
 func (c ErrCode) Retryable() bool {
-	return c == CodeRetry || c == CodeUnknownKey || c == CodeDeadNode
+	return c == CodeRetry || c == CodeDeadNode
 }

@@ -36,7 +36,7 @@ func sampleRequests() []Request {
 
 func sampleResponses() []Response {
 	return []Response{
-		{Verb: VerbRoute, Seq: 1, Node: 17, Distance: 5, Hops: 3, Lag: 2},
+		{Verb: VerbRoute, Seq: 1, Node: 17, Distance: 5, Hops: 3},
 		{Verb: VerbGet, Seq: 2, Found: true, Version: 7, Value: []byte("v"), Distance: 1, Hops: 1},
 		{Verb: VerbGet, Seq: 3}, // miss: everything zero
 		{Verb: VerbPut, Seq: 4, Existed: true, Version: 9},
@@ -61,17 +61,17 @@ func sampleResponses() []Response {
 			{
 				Seq: 41, Kind: obs.KindScan, Src: 7, Dst: 0, Start: 1700000000_000000001,
 				TotalNanos: 48_500, Epoch: 12, RouteDistance: 0, RouteHops: 0,
-				AdjustLag: 3, Cross: true,
+				Cross: true,
 				Legs: []obs.LegSpan{
-					{Shard: 0, Distance: 0, Hops: 0, AdjustLag: 3, Epoch: 12, Nanos: 30_000},
-					{Shard: 1, Distance: 0, Hops: 0, AdjustLag: 1, Epoch: 9, Nanos: 18_500},
+					{Shard: 0, Distance: 0, Hops: 0, Epoch: 12, Nanos: 30_000},
+					{Shard: 1, Distance: 0, Hops: 0, Epoch: 9, Nanos: 18_500},
 				},
 			},
 			{
 				Seq: 17, Kind: obs.KindRoute, Src: 3, Dst: 29, Start: 1700000000_000000002,
 				TotalNanos: 9_000, Epoch: 4, RouteDistance: 5, RouteHops: 6,
-				AdjustLag: 2, RouteMiss: true,
-				Legs: []obs.LegSpan{{Distance: 5, Hops: 6, AdjustLag: 2, Epoch: 4, Nanos: 9_000}},
+				RouteMiss: true,
+				Legs:      []obs.LegSpan{{Distance: 5, Hops: 6, Epoch: 4, Nanos: 9_000}},
 			},
 			{Seq: 2, Kind: obs.KindGet, Src: 1, Dst: 9}, // zero span, no legs
 		}, Latency: []obs.VerbLatency{
@@ -275,7 +275,7 @@ func TestErrorMappingAcrossTheWire(t *testing.T) {
 
 func TestRetryableCodes(t *testing.T) {
 	want := map[ErrCode]bool{
-		CodeOK: false, CodeUnknownKey: true, CodeDeadNode: true,
+		CodeOK: false, CodeUnknownKey: false, CodeDeadNode: true,
 		CodeOutOfRange: false, CodeRetry: true, CodeInvalid: false, CodeInternal: false,
 	}
 	for code, retryable := range want {

@@ -301,7 +301,6 @@ func opResponse(req Request, r lsasg.OpResult) Response {
 		Seq:      req.Seq,
 		Distance: int64(r.RouteDistance),
 		Hops:     int64(r.RouteHops),
-		Lag:      int64(r.AdjustLag),
 	}
 	switch r.Op.Kind {
 	case lsasg.RouteKind:

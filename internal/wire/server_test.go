@@ -56,7 +56,7 @@ func dial(t *testing.T, addr string, opts ...ClientOption) *Client {
 }
 
 func TestLoopbackKVSurface(t *testing.T) {
-	nw, err := lsasg.New(32, lsasg.WithSeed(3), lsasg.WithBatchSize(1))
+	nw, err := lsasg.New(32, lsasg.WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestLoopbackKVSurface(t *testing.T) {
 }
 
 func TestLoopbackMembershipAdmin(t *testing.T) {
-	nw, err := lsasg.New(16, lsasg.WithSeed(5), lsasg.WithBatchSize(1),
+	nw, err := lsasg.New(16, lsasg.WithSeed(5),
 		lsasg.WithoutWorkingSetTracking())
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +144,7 @@ func TestLoopbackMembershipAdmin(t *testing.T) {
 	// A sharded daemon serves the same verbs: the join lands in the last
 	// shard and widens the directory, the leave finds the owning shard.
 	snw, err := lsasg.NewSharded(32, lsasg.WithShards(4), lsasg.WithSeed(5),
-		lsasg.WithBatchSize(1), lsasg.WithRebalanceWindow(1), lsasg.WithoutWorkingSetTracking())
+		lsasg.WithRebalanceWindow(1), lsasg.WithoutWorkingSetTracking())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,9 +178,9 @@ func TestLoopbackRouteMissIsCounted(t *testing.T) {
 			t.Fatal(err)
 		}
 		srv, addr := listen(t, nw)
-		// One attempt per call, so frames sent are frames counted.
-		cl := dial(t, addr, WithMaxAttempts(1))
-		other := dial(t, addr, WithMaxAttempts(1))
+		// Default clients: an unknown key is answered once, not retried, so
+		// calls made are frames counted.
+		cl, other := dial(t, addr), dial(t, addr)
 
 		if _, err := cl.Delete(0, 5); err != nil {
 			t.Fatal(err)
@@ -199,7 +199,7 @@ func TestLoopbackRouteMissIsCounted(t *testing.T) {
 			t.Fatal(err)
 		}
 		if stats.Cum.Requests != 4 {
-			t.Errorf("shards=%d: daemon counted %d requests, the clients sent 4 op frames", shards, stats.Cum.Requests)
+			t.Errorf("shards=%d: daemon counted %d requests, the clients made 4 op calls", shards, stats.Cum.Requests)
 		}
 		body := srv.Collector().Render()
 		for _, want := range []string{
@@ -306,7 +306,7 @@ func TestBarrierFailureIsNotTheSendersError(t *testing.T) {
 }
 
 func TestLoopbackCrashInjection(t *testing.T) {
-	nw, err := lsasg.New(16, lsasg.WithSeed(9), lsasg.WithBatchSize(1))
+	nw, err := lsasg.New(16, lsasg.WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,9 +364,9 @@ var replayCases = []struct {
 	opts    []lsasg.Option
 	legless bool
 }{
-	{"single", []lsasg.Option{lsasg.WithBatchSize(1)}, false},
-	{"sharded", []lsasg.Option{lsasg.WithShards(4), lsasg.WithBatchSize(1), lsasg.WithRebalanceWindow(1)}, false},
-	{"sharded-window50", []lsasg.Option{lsasg.WithShards(4), lsasg.WithBatchSize(1), lsasg.WithRebalanceWindow(50)}, true},
+	{"single", nil, false},
+	{"sharded", []lsasg.Option{lsasg.WithShards(4), lsasg.WithRebalanceWindow(1)}, false},
+	{"sharded-window50", []lsasg.Option{lsasg.WithShards(4), lsasg.WithRebalanceWindow(50)}, true},
 }
 
 // measuredOps sums the verb histograms' observation counts.
@@ -524,7 +524,7 @@ func TestAdminReadsDoNotPerturb(t *testing.T) {
 }
 
 func TestTraceDumpDisabled(t *testing.T) {
-	nw, err := lsasg.New(16, lsasg.WithSeed(19), lsasg.WithBatchSize(1))
+	nw, err := lsasg.New(16, lsasg.WithSeed(19))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,7 +535,7 @@ func TestTraceDumpDisabled(t *testing.T) {
 }
 
 func TestTraceDumpLimit(t *testing.T) {
-	nw, err := lsasg.New(32, lsasg.WithSeed(21), lsasg.WithBatchSize(1), lsasg.WithTracing())
+	nw, err := lsasg.New(32, lsasg.WithSeed(21), lsasg.WithTracing())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -570,7 +570,7 @@ func TestTraceDumpLimit(t *testing.T) {
 }
 
 func TestShutdownDrains(t *testing.T) {
-	nw, err := lsasg.New(16, lsasg.WithSeed(11), lsasg.WithBatchSize(1))
+	nw, err := lsasg.New(16, lsasg.WithSeed(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -620,7 +620,7 @@ func httpGet(t *testing.T, url string) string {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	nw, err := lsasg.New(32, lsasg.WithSeed(13), lsasg.WithBatchSize(1))
+	nw, err := lsasg.New(32, lsasg.WithSeed(13))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -641,7 +641,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		`dsg_requests_total{verb="route"} 1`,
 		`dsg_requests_total{verb="stats"} 0`,
 		"dsg_req_per_sec",
-		"dsg_adjust_lag_mean",
 		"dsg_route_distance_mean",
 		"dsg_rebalances_total 0",
 		"dsg_migrated_keys_total 0",

@@ -7,8 +7,8 @@ import (
 	"lsasg"
 )
 
-// ReplayTrace builds a seeded E17-style mixed workload over n keys that
-// cannot fail mid-pipeline: routes, zipf-skewed point reads and writes,
+// ReplayTrace builds a seeded mixed workload over n keys that cannot fail
+// mid-stream: routes, zipf-skewed point reads and writes,
 // short scans, and — last — a tracked join and leave on each of the four
 // reserved top keys, which nothing else touches. Replaying it through a
 // fresh daemon reproduces an in-process ServeOps run column for column

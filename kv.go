@@ -16,8 +16,8 @@ import (
 // transformation and scoped a-balance repair. Put of an absent key joins
 // it; Delete leaves it; Scan reads the sorted level-0 run without
 // adjusting. The surface is a synchronous API (Do, and Get/Put/Delete/Scan
-// over it) and a batched deterministic one (ServeOps); a synchronous call is
-// a one-op window through the same pipeline ServeOps runs. On a sharded network
+// over it) and a streamed one (ServeOps); a synchronous call is a one-op
+// window through the driver ServeOps runs. On a sharded network
 // point ops land on the shard owning the key (a cross-shard access adapts
 // the origin shard along src→boundary too, exactly like a cross-shard
 // route), and Scan stitches the shards' level-0 runs in directory order —
@@ -31,7 +31,7 @@ type OpKind uint8
 const (
 	// RouteKind is a pure communication request between two live keys.
 	RouteKind OpKind = iota
-	// GetKind reads Dst's value as its batch's route phase finds it.
+	// GetKind reads Dst's value as every earlier op left it.
 	GetKind
 	// PutKind writes Value to Dst (update, or join when absent).
 	PutKind
@@ -83,7 +83,7 @@ type KV struct {
 // OpResult is one op's outcome, delivered by ServeOps in request order.
 type OpResult struct {
 	Op      Op
-	Found   bool   // GetKind: key held a value when the op's batch routed
+	Found   bool   // GetKind: key held a value when the op routed
 	Value   []byte // GetKind: the value read
 	Version int64  // GetKind: version read; PutKind: version written
 	Existed bool   // PutKind: overwrote; DeleteKind: removed something
@@ -95,9 +95,6 @@ type OpResult struct {
 	// boundary intermediates and forwarding hops of a cross-shard access.
 	RouteDistance int
 	RouteHops     int
-	// AdjustLag is the number of adjustments pending when the op was routed
-	// (its own included) — the worst single leg's lag on a sharded run.
-	AdjustLag int
 
 	// Err reports a route op whose endpoint had been deleted, removed or
 	// had crashed when it routed: ErrUnknownKey or ErrDeadNode. Such an op
@@ -116,7 +113,6 @@ func opResult(o shard.Outcome) OpResult {
 		Entries:       kvEntries(o.Entries),
 		RouteDistance: o.RouteDistance,
 		RouteHops:     o.RouteHops,
-		AdjustLag:     o.AdjustLag,
 		Err:           wrapErr(o.Err),
 	}
 }
@@ -146,8 +142,8 @@ func (op Op) internal() core.Op {
 // endpoint must be in range (a scan's origin included) and a route must
 // connect two distinct keys. Out-of-range endpoints report
 // errors.Is(err, ErrOutOfRange). The wire server validates envelopes with
-// it before feeding them to a pipeline; library producers may use it to
-// pre-flight ops before ServeOps aborts a run on them.
+// it before serving them; library producers may use it to pre-flight ops
+// before ServeOps aborts a run on them.
 func (op Op) Validate(n int) error {
 	if op.Kind > ScanKind {
 		return fmt.Errorf("lsasg: unknown op kind %d", op.Kind)
@@ -164,9 +160,9 @@ func (op Op) Validate(n int) error {
 	return nil
 }
 
-// Do serves one op synchronously — a one-op window through the ServeOps
-// pipeline, so it decomposes, routes, adjusts and is counted exactly like a
-// pipelined op — and returns its outcome. A route whose endpoint was deleted,
+// Do serves one op synchronously — a one-op window through the driver
+// ServeOps runs, so it decomposes, routes, adjusts and is counted exactly
+// like a streamed op — and returns its outcome. A route whose endpoint was deleted,
 // removed or has crashed is counted as the miss it is in ServeOps and comes
 // back as ErrUnknownKey or ErrDeadNode (in OpResult.Err too). On a sharded
 // network every op feeds the load window, and the rebalancer may migrate one
@@ -226,7 +222,7 @@ func (nw *Network) Scan(src, start, limit int) ([]KV, error) {
 // noteKVAccess is the sequence-order bookkeeping of one served access
 // σ=(src, key) — a route, a point op, or a scan as the access (src, start) —
 // whichever entry point served it: the service reports every outcome here,
-// synchronous or pipelined. KV ops may be self-accesses (src == key), which
+// synchronous or streamed. KV ops may be self-accesses (src == key), which
 // the bound tracker has no use for.
 func (nw *Network) noteKVAccess(o shard.Outcome) {
 	nw.lastWS = 0
@@ -239,30 +235,45 @@ func (nw *Network) noteKVAccess(o shard.Outcome) {
 }
 
 // ServeOps consumes op envelopes — routes and KV operations — until the
-// channel closes (or ctx is cancelled) and serves them through the
-// deterministic pipeline: a dispatcher splits each op into per-shard legs,
-// every shard serves its legs in batches of WithBatchSize — Get and Scan
-// read in their batch's route phase, before the adjust phase applies every
-// mutation (including Put-joins and Delete-leaves) in request order — and
-// after every WithRebalanceWindow ops the rebalancer may migrate one
+// channel closes (or ctx is cancelled) and serves them in order. It returns
+// what a loop over Do returns — the same OpResults in the same order, the
+// same Stats, the same topology — and differs from that loop only in
+// wall-clock time on a sharded network: there a dispatcher takes a load
+// window's worth of ops (WithRebalanceWindow) off the channel, splits each op
+// into per-shard legs, and the shards serve their legs side by side, each in
+// order, route then adjust; after every window the rebalancer may migrate one
 // contiguous key range between adjacent shards. Cross-shard scans fan one
 // leg per intersecting shard and are stitched once their window has been
 // served. onResult, when non-nil, receives every op's assembled outcome —
-// routes included — in request order: per window, and per batch on an
-// unsharded network.
+// routes included — in request order: per window, and per op on an unsharded
+// network.
 //
 // A route whose endpoint was deleted or has crashed does not abort the run:
-// it is delivered with OpResult.Err set and adjusts nothing. The producer
-// contract matches Serve's.
+// it is delivered with OpResult.Err set and adjusts nothing. An invalid
+// envelope (see Op.Validate) ends the run with an error once the ops before
+// it have been served.
+//
+// ServeOps must not run concurrently with other Network methods. When it
+// returns early (invalid envelope, cancellation), it stops receiving from
+// ops — a producer doing a bare channel send would block forever. Producers
+// should pair every send with the same ctx:
+//
+//	select {
+//	case ops <- op:
+//	case <-ctx.Done():
+//	    return
+//	}
+//
+// and the caller should cancel ctx once ServeOps has returned (defer
+// cancel()).
 func (nw *Network) ServeOps(ctx context.Context, ops <-chan Op, onResult func(OpResult)) (ServeStats, error) {
 	nw.onResult = onResult
 	defer func() { nw.onResult = nil }()
-	n := nw.N()
 	done := make(chan struct{})
-	inner, invalid := forward(ops, done, func(op Op) (core.Op, error) { return op.internal(), op.Validate(n) })
+	inner, invalid := nw.forward(ops, done)
 	st, err := nw.svc.Serve(ctx, inner)
 	close(done)
-	// An invalid envelope ended the stream; the pipeline has served what
+	// An invalid envelope ended the stream; the service has served what
 	// came before it.
 	if err == nil {
 		select {
@@ -273,31 +284,31 @@ func (nw *Network) ServeOps(ctx context.Context, ops <-chan Op, onResult func(Op
 	return nw.serveStats(st), wrapErr(err)
 }
 
-// forward converts the values of in onto the returned channel until in
-// closes, done closes, or conv rejects a value — whose error it then
-// reports. It is the adapter between a public producer channel and the
-// pipeline's: the pipeline may stop receiving early, so every send also
-// watches done.
-func forward[A, B any](in <-chan A, done <-chan struct{}, conv func(A) (B, error)) (<-chan B, <-chan error) {
-	out := make(chan B)
+// forward validates the envelopes of in and passes them, lowered, onto the
+// returned channel until in closes, done closes, or one is invalid — whose
+// error it then reports. It is the adapter between the public producer
+// channel and the service's: the service may stop receiving early, so every
+// send also watches done.
+func (nw *Network) forward(in <-chan Op, done <-chan struct{}) (<-chan core.Op, <-chan error) {
+	out := make(chan core.Op)
 	errc := make(chan error, 1)
+	n := nw.N()
 	go func() {
 		defer close(out)
 		for {
 			select {
 			case <-done:
 				return
-			case a, ok := <-in:
+			case op, ok := <-in:
 				if !ok {
 					return
 				}
-				b, err := conv(a)
-				if err != nil {
+				if err := op.Validate(n); err != nil {
 					errc <- err
 					return
 				}
 				select {
-				case out <- b:
+				case out <- op.internal():
 				case <-done:
 					return
 				}

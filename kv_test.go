@@ -7,7 +7,7 @@ import (
 )
 
 // Public-surface tests for the KV data plane: the synchronous
-// Get/Put/Delete/Scan API and the batched ServeOps pipeline, on both the
+// Get/Put/Delete/Scan API and the streamed ServeOps, on both the
 // single-graph Network and the sharded service.
 
 func TestNetworkKVRoundTrip(t *testing.T) {
@@ -102,13 +102,12 @@ func TestNetworkKVErrors(t *testing.T) {
 	}
 }
 
-// TestNetworkServeOps runs a mixed op batch through the deterministic
-// pipeline: results arrive in request order with the right outcomes, and the
+// TestNetworkServeOps streams a mixed op list through ServeOps:
+// results arrive in request order with the right outcomes, and the
 // KV stats add up.
 func TestNetworkServeOps(t *testing.T) {
-	// BatchSize 1 publishes a snapshot per op, so each read observes every
-	// earlier op — the simplest deterministic read point to assert against.
-	nw, err := New(32, WithSeed(4), WithBatchSize(1))
+	// Each read observes every earlier op.
+	nw, err := New(32, WithSeed(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,17 +119,10 @@ func TestNetworkServeOps(t *testing.T) {
 		GetOp(4, 11), // never written: miss
 		ScanOp(7, 0, 32),
 		DeleteOp(5, 20),
-		GetOp(6, 20), // after the delete's snapshot: miss
+		GetOp(6, 20), // after the delete: miss
 	}
-	ch := make(chan Op)
-	go func() {
-		defer close(ch)
-		for _, op := range ops {
-			ch <- op
-		}
-	}()
 	var results []OpResult
-	st, err := nw.ServeOps(context.Background(), ch, func(r OpResult) { results = append(results, r) })
+	st, err := nw.ServeOps(context.Background(), feedOps(ops), func(r OpResult) { results = append(results, r) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +210,7 @@ func TestShardedKVRoundTrip(t *testing.T) {
 // with a KV mix whose scans span shards, and checks the stitched outcomes
 // and books.
 func TestShardedServeOpsCrossShardScan(t *testing.T) {
-	nw, err := NewSharded(32, WithShards(4), WithSeed(6), WithBatchSize(1))
+	nw, err := NewSharded(32, WithShards(4), WithSeed(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,15 +220,8 @@ func TestShardedServeOpsCrossShardScan(t *testing.T) {
 	}
 	ops = append(ops, ScanOp(1, 2, 6)) // spans shards 0..3: keys 4,8,...,24
 	ops = append(ops, ScanOp(1, 30, 8))
-	ch := make(chan Op)
-	go func() {
-		defer close(ch)
-		for _, op := range ops {
-			ch <- op
-		}
-	}()
 	var scans [][]KV
-	st, err := nw.ServeOps(context.Background(), ch, func(r OpResult) {
+	st, err := nw.ServeOps(context.Background(), feedOps(ops), func(r OpResult) {
 		if r.Op.Kind == ScanKind {
 			scans = append(scans, r.Entries)
 		}

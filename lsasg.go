@@ -38,8 +38,6 @@ type options struct {
 	checkInvariants bool
 	exactMedian     bool
 	trackWorkingSet bool
-	parallelism     int
-	batchSize       int
 	shards          int
 	rebalanceWindow int
 	trace           bool
@@ -76,19 +74,11 @@ func WithoutWorkingSetTracking() Option {
 	return func(o *options) { o.trackWorkingSet = false }
 }
 
-// WithParallelism sets the number of routing workers Serve fans requests
-// over (default 1). Nothing mutates the topology while a batch routes, so
-// workers scale across cores without changing any result.
-func WithParallelism(p int) Option {
-	return func(o *options) { o.parallelism = p }
-}
-
-// WithBatchSize sets the number of requests Serve routes before applying
-// their adjustments (default 32). Larger batches give the routing workers
-// more to share but increase the adjustment lag requests observe.
-func WithBatchSize(k int) Option {
-	return func(o *options) { o.batchSize = k }
-}
+// WithParallelism and WithBatchSize do nothing: owed to the frozen harness,
+// benchmark/layers.go:78; the next benchmark PR deletes the mention and
+// these with it.
+func WithParallelism(int) Option { return func(*options) {} }
+func WithBatchSize(int) Option   { return func(*options) {} }
 
 // WithShards sets the number of partitions the key space splits across
 // (default: 1 for New, 4 for NewSharded). Each shard is an independent
@@ -99,21 +89,21 @@ func WithShards(s int) Option {
 }
 
 // WithRebalanceWindow sets the load window's length in requests (default
-// 512): every op — pipelined or synchronous — counts its endpoints into the
+// 512): every op — streamed or synchronous — counts its endpoints into the
 // window, and once it is full the skew-driven rebalancer may migrate one key
-// range at that op's barrier. ServeOps also serves a window's ops together
-// and delivers their outcomes once the window has been served, so smaller
-// windows deliver its outcomes sooner at the cost of more frequent barriers;
-// a window shorter than the batch size cuts every batch to the window, and an
-// unsharded network, which has nothing to stitch or rebalance, delivers after
-// every batch whatever the window. Do always answers after its one op.
+// range at that op's barrier. On a sharded network ServeOps also serves a
+// window's ops together, the shards side by side, and delivers their
+// outcomes once the window has been served, so smaller windows deliver
+// outcomes sooner at the cost of more frequent barriers; an unsharded
+// network, which has nothing to run side by side, delivers after every op
+// whatever the window. Do always answers after its one op.
 func WithRebalanceWindow(w int) Option {
 	return func(o *options) { o.rebalanceWindow = w }
 }
 
 // WithTracing enables the observability layer (internal/obs): per-verb and
 // per-stage latency histograms, retry-event counters, and a slowest-span
-// exemplar ring, all threaded through the serving pipelines. The
+// exemplar ring, all threaded through the serving path. The
 // measurements are wall-clock and exempt from the deterministic-statistics
 // contracts — enabling tracing never changes any Stats or ServeOps result.
 // Read the tracer back with Network.Tracer.
@@ -148,7 +138,7 @@ type Result struct {
 // contiguous ranges, each an independent self-adjusting skip graph with its
 // own serving engine and adjuster, behind an epoch-stamped shard directory.
 // The single graph is simply the S = 1 case: every entry point below runs
-// the same dispatch, batch step and statistics for every S.
+// the same dispatch, engine step and statistics for every S.
 //
 // Intra-shard requests are served exactly as on a single graph of size n/S;
 // cross-shard requests route source→boundary and boundary→destination in
@@ -160,10 +150,10 @@ type Result struct {
 // shards when per-shard load skews past a threshold.
 //
 // Methods are not safe for concurrent use; the paper's model serves
-// requests sequentially. Serve and ServeOps are the concurrent entry
-// points: they parallelize routing internally (a batch routes before any of
-// it adjusts) while keeping all adjustment serialized per shard, but the
-// call itself must still not overlap other Network methods.
+// requests sequentially — route, then adjust — and so does every shard.
+// ServeOps is the concurrent entry point: on a sharded network it runs the
+// shards' engines side by side, each serving its own share of a window in
+// order, but the call itself must still not overlap other Network methods.
 type Network struct {
 	svc    *shard.Service
 	ws     *workingset.Bound
@@ -201,8 +191,6 @@ func newNetwork(n, shards int, opts []Option) (*Network, error) {
 		Shards:          o.shards,
 		A:               o.balance,
 		Seed:            o.seed,
-		Parallelism:     o.parallelism,
-		BatchSize:       o.batchSize,
 		RebalanceEvery:  o.rebalanceWindow,
 		CheckInvariants: o.checkInvariants,
 		OnOutcome:       nw.noteKVAccess,
@@ -324,7 +312,7 @@ type Stats struct {
 }
 
 // Stats returns aggregate statistics for the requests served so far —
-// through Request, the synchronous KV methods, Serve and ServeOps alike:
+// through Request, the synchronous KV methods and ServeOps alike:
 // every entry point feeds the same books.
 func (nw *Network) Stats() Stats {
 	t := nw.svc.Totals()
@@ -388,7 +376,7 @@ func (nw *Network) RemoveNode(idx int) error {
 // exactly as if its process died. Requests that run into the corpse report
 // ErrDeadNode until a repair splices it out; the data plane repairs crashed
 // keys on Put and Delete. Like every other method, Crash must not run
-// concurrently with a Serve call.
+// concurrently with a ServeOps call.
 func (nw *Network) Crash(idx int) error {
 	if err := nw.checkIndex(idx); err != nil {
 		return err

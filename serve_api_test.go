@@ -1,7 +1,9 @@
 package lsasg
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -12,49 +14,51 @@ import (
 	"lsasg/internal/workload"
 )
 
-func serveAll(t *testing.T, nw *Network, pairs []Pair) ServeStats {
-	t.Helper()
-	ch := make(chan Pair)
+// feedOps pushes an op list into a channel ServeOps consumes.
+func feedOps(ops []Op) <-chan Op {
+	ch := make(chan Op)
 	go func() {
 		defer close(ch)
-		for _, p := range pairs {
-			ch <- p
+		for _, op := range ops {
+			ch <- op
 		}
 	}()
-	st, err := nw.Serve(context.Background(), ch)
+	return ch
+}
+
+func serveAll(t *testing.T, nw *Network, ops []Op) ServeStats {
+	t.Helper()
+	st, err := nw.ServeOps(context.Background(), feedOps(ops), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return st
 }
 
-func servePairs(n, m int, seed int64) []Pair {
+func serveRoutes(n, m int, seed int64) []Op {
 	rng := rand.New(rand.NewSource(seed))
-	pairs := make([]Pair, 0, m)
-	for len(pairs) < m {
+	ops := make([]Op, 0, m)
+	for len(ops) < m {
 		u, v := rng.Intn(n), rng.Intn(n)
 		if u != v {
-			pairs = append(pairs, Pair{Src: u, Dst: v})
+			ops = append(ops, RouteOp(u, v))
 		}
 	}
-	return pairs
+	return ops
 }
 
-// TestServePublicAPI drives the concurrent engine through the public surface
-// and checks it feeds the same bookkeeping as Request.
+// TestServePublicAPI streams routes through ServeOps and checks the run
+// feeds the same bookkeeping as Request.
 func TestServePublicAPI(t *testing.T) {
-	nw, err := New(48, WithSeed(11), WithParallelism(4), WithBatchSize(8))
+	nw, err := New(48, WithSeed(11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs := servePairs(48, 160, 11)
+	pairs := serveRoutes(48, 160, 11)
 	st := serveAll(t, nw, pairs)
 
-	if st.Requests != 160 || st.Batches != 20 {
-		t.Fatalf("served %d requests in %d batches, want 160 in 20", st.Requests, st.Batches)
-	}
-	if st.MeanAdjustLag != 4.5 || st.MaxAdjustLag != 8 {
-		t.Errorf("adjust lag mean/max = %v/%d, want 4.5/8", st.MeanAdjustLag, st.MaxAdjustLag)
+	if st.Requests != 160 {
+		t.Fatalf("served %d requests, want 160", st.Requests)
 	}
 	if nw.Requests() != 160 {
 		t.Errorf("Network.Requests() = %d after Serve, want 160", nw.Requests())
@@ -73,41 +77,159 @@ func TestServePublicAPI(t *testing.T) {
 	}
 }
 
-// TestServeDeterministicPublic mirrors the engine-level determinism contract
-// at the API level: p=1 and p=8 produce identical ServeStats.
+// TestServeDeterministicPublic: the determinism contract at the API level —
+// two runs of one seed and one stream produce identical ServeStats.
 func TestServeDeterministicPublic(t *testing.T) {
-	run := func(p int) ServeStats {
-		nw, err := New(32, WithSeed(4), WithParallelism(p), WithBatchSize(16))
+	run := func() ServeStats {
+		nw, err := New(32, WithSeed(4))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return serveAll(t, nw, servePairs(32, 320, 4))
+		return serveAll(t, nw, serveRoutes(32, 320, 4))
 	}
-	a, b := run(1), run(8)
+	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("ServeStats diverge across parallelism:\n p=1: %+v\n p=8: %+v", a, b)
+		t.Fatalf("ServeStats diverge across runs:\n %+v\n %+v", a, b)
 	}
 }
 
-// TestServeValidation: invalid pairs abort with an error.
+// TestServeValidation: an invalid envelope aborts the run with an error.
 func TestServeValidation(t *testing.T) {
 	nw, err := New(8, WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, bad := range []Pair{{0, 0}, {-1, 2}, {3, 8}} {
-		ch := make(chan Pair, 1)
-		ch <- bad
-		close(ch)
-		if _, err := nw.Serve(context.Background(), ch); err == nil {
-			t.Errorf("pair %+v should fail", bad)
+	for _, bad := range []Op{RouteOp(0, 0), RouteOp(-1, 2), RouteOp(3, 8)} {
+		if _, err := nw.ServeOps(context.Background(), feedOps([]Op{bad}), nil); err == nil {
+			t.Errorf("op %+v should fail", bad)
+		}
+	}
+}
+
+// renderResult flattens one outcome for comparison across two networks: an
+// error is compared by its text, since its chain points into the graph that
+// produced it.
+func renderResult(r OpResult) string {
+	err := r.Err
+	r.Err = nil
+	return fmt.Sprintf("%+v err=%v", r, err)
+}
+
+// TestServeOpsEqualsDoLoop is the one serving semantic: at every shard count
+// and load window, a ServeOps run returns what a loop over Do returns — the
+// same OpResults in the same order, the same Stats(), the same topology to
+// the byte — on plain Zipf routes and on a CRUD mix with deletes, routes into
+// a crashed and a removed node, and the migrations the skew provokes. What
+// ServeOps adds is the shards serving side by side, so CI runs this under
+// the race detector.
+func TestServeOpsEqualsDoLoop(t *testing.T) {
+	const n, m = 96, 800
+	zipf := make([]Op, 0, m)
+	for _, r := range (workload.Zipf{Seed: 5, S: 1.2}).Generate(n, m) {
+		zipf = append(zipf, RouteOp(r.Src, r.Dst))
+	}
+	tr, err := workload.KVMix{Seed: 5, Mix: workload.MixCRUD, Base: workload.Zipf{Seed: 5, S: 1.2}}.Trace(n, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const crashed, removed = 17, 60
+	crud := make([]Op, 0, m+m/40)
+	for i, e := range tr {
+		src, dst := int(e.Src), int(e.Dst)
+		switch e.Op {
+		case workload.OpGet:
+			crud = append(crud, GetOp(src, dst))
+		case workload.OpPut:
+			crud = append(crud, PutOp(src, dst, []byte{byte(i), byte(i >> 8)}))
+		case workload.OpDelete:
+			crud = append(crud, DeleteOp(src, dst))
+		case workload.OpScan:
+			crud = append(crud, ScanOp(src, dst, e.Limit))
+		}
+		if i%80 == 40 { // misses until the mix puts the key back, measured routes after
+			crud = append(crud, RouteOp(1, crashed), RouteOp(removed, 2))
+		}
+	}
+
+	for _, trace := range []struct {
+		name  string
+		ops   []Op
+		churn bool
+	}{{"zipf", zipf, false}, {"crud", crud, true}} {
+		for _, shards := range []int{1, 2, 4} {
+			for _, window := range []int{1, 7, 0} {
+				t.Run(fmt.Sprintf("%s/s=%d/window=%d", trace.name, shards, window), func(t *testing.T) {
+					build := func() *Network {
+						opts := []Option{WithSeed(3), WithShards(shards), WithRebalanceWindow(window)}
+						if trace.churn {
+							opts = append(opts, WithoutWorkingSetTracking()) // RemoveNode needs it
+						}
+						nw, err := New(n, opts...)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if trace.churn {
+							if err := nw.Crash(crashed); err != nil {
+								t.Fatal(err)
+							}
+							if err := nw.RemoveNode(removed); err != nil {
+								t.Fatal(err)
+							}
+						}
+						return nw
+					}
+
+					streamed, looped := build(), build()
+					var got []string
+					if _, err := streamed.ServeOps(context.Background(), feedOps(trace.ops),
+						func(r OpResult) { got = append(got, renderResult(r)) }); err != nil {
+						t.Fatal(err)
+					}
+					misses := 0
+					for i, op := range trace.ops {
+						r, err := looped.Do(op)
+						if err != nil {
+							if !errors.Is(err, ErrUnknownKey) && !errors.Is(err, ErrDeadNode) {
+								t.Fatalf("Do(op %d %+v): %v", i, op, err)
+							}
+							misses++
+						}
+						if i >= len(got) {
+							t.Fatalf("ServeOps delivered %d results for %d ops", len(got), len(trace.ops))
+						}
+						if want := renderResult(r); got[i] != want {
+							t.Fatalf("op %d %+v:\n ServeOps %s\n Do       %s", i, op, got[i], want)
+						}
+					}
+					if trace.churn && misses == 0 {
+						t.Error("the trace routed into no crashed or removed node")
+					}
+					if a, b := streamed.Stats(), looped.Stats(); a != b {
+						t.Errorf("Stats() differ:\n ServeOps %+v\n Do loop  %+v", a, b)
+					}
+					var a, b bytes.Buffer
+					streamed.RenderTopology(&a)
+					looped.RenderTopology(&b)
+					if !bytes.Equal(a.Bytes(), b.Bytes()) {
+						t.Error("rendered topologies differ")
+					}
+					if shards > 1 && window == 7 && streamed.Stats().Rebalances == 0 {
+						t.Error("the skewed trace provoked no migration: the barrier went untested")
+					}
+					for _, nw := range []*Network{streamed, looped} {
+						if err := nw.Verify(); err != nil {
+							t.Fatal(err)
+						}
+					}
+				})
+			}
 		}
 	}
 }
 
 // TestUnshardedMatchesEngine pins that the single graph is the S = 1 case of
 // the sharded service and nothing more: an unsharded Network serving 3 000
-// Zipf(1.2) routes at batch 1 reports exactly what a bare serve.Engine over
+// Zipf(1.2) routes reports exactly what a bare serve.Engine over
 // core.New(n, {A: 4, Seed: 1}) reports — total distance, longest route, ρ,
 // dummies, height — and those are the numbers the daemon's route workloads
 // have served since the transformation last changed a decision.
@@ -122,10 +244,10 @@ func TestUnshardedMatchesEngine(t *testing.T) {
 	} {
 		t.Run(fmt.Sprintf("n=%d", tc.n), func(t *testing.T) {
 			t.Parallel()
-			reqs := workload.Zipf{Seed: 17, S: 1.2}.Generate(tc.n, 3000) // E17's stream
+			reqs := workload.Zipf{Seed: 17, S: 1.2}.Generate(tc.n, 3000)
 
 			d := core.New(tc.n, core.Config{A: 4, Seed: 1})
-			eng := serve.New(d, serve.Config{BatchSize: 1})
+			eng := serve.New(d, serve.Config{})
 			in := make(chan core.Op)
 			go func() {
 				defer close(in)
@@ -138,17 +260,17 @@ func TestUnshardedMatchesEngine(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			nw, err := New(tc.n, WithSeed(1), WithBatchSize(1))
+			nw, err := New(tc.n, WithSeed(1))
 			if err != nil {
 				t.Fatal(err)
 			}
-			pairs := make([]Pair, len(reqs))
+			pairs := make([]Op, len(reqs))
 			for i, r := range reqs {
-				pairs[i] = Pair{Src: r.Src, Dst: r.Dst}
+				pairs[i] = RouteOp(r.Src, r.Dst)
 			}
 			got := serveAll(t, nw, pairs)
 
-			if got.Requests != want.Requests || got.Batches != want.Batches ||
+			if got.Requests != want.Requests ||
 				got.MeanRouteDistance != want.MeanRouteDistance() ||
 				got.MaxRouteDistance != want.MaxRouteDistance ||
 				got.TotalTransformRounds != want.TotalTransformRounds ||
@@ -169,8 +291,8 @@ func TestUnshardedMatchesEngine(t *testing.T) {
 }
 
 // TestStatsSameThroughEitherPath: a synchronous Get/Put/Delete/Scan/Request
-// is a one-op window of the pipeline ServeOps runs, so one op stream served
-// once through ServeOps (batch 1) and once through the synchronous methods
+// is a one-op window of the driver ServeOps runs, so one op stream served
+// once through ServeOps and once through the synchronous methods
 // leaves the same Stats() — requests, distances, ρ, working-set bound,
 // topology — behind.
 func TestStatsSameThroughEitherPath(t *testing.T) {
@@ -197,22 +319,13 @@ func TestStatsSameThroughEitherPath(t *testing.T) {
 		}
 	}
 
-	piped, err := New(n, WithSeed(8), WithBatchSize(1))
+	piped, err := New(n, WithSeed(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch := make(chan Op)
-	go func() {
-		defer close(ch)
-		for _, op := range ops {
-			ch <- op
-		}
-	}()
-	if _, err := piped.ServeOps(context.Background(), ch, nil); err != nil {
-		t.Fatal(err)
-	}
+	serveAll(t, piped, ops)
 
-	sync, err := New(n, WithSeed(8), WithBatchSize(1))
+	sync, err := New(n, WithSeed(8))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,15 +4,14 @@ import "context"
 
 // Service is the serving contract of this package: one surface for
 // topology queries, the synchronous KV data plane, membership and fault
-// injection, and the deterministic batch pipelines. Network implements it
+// injection, and the streamed ServeOps. Network implements it
 // for every shard count; code written against Service — a benchmark driver,
 // an example, or the wire daemon in cmd/dsgserve — fronts a single graph
 // and a partitioned one unchanged.
 //
 // The concurrency contract is Network's: methods must not be called
-// concurrently with each other (all concurrency lives inside Serve and
-// ServeOps), and Serve/ServeOps producers must pair every channel send with
-// the call's ctx.
+// concurrently with each other (all concurrency lives inside ServeOps), and
+// a ServeOps producer must pair every channel send with the call's ctx.
 type Service interface {
 	// N returns the size of the key space [0, N).
 	N() int
@@ -24,8 +23,8 @@ type Service interface {
 	// Verify checks all structural invariants of the current topology.
 	Verify() error
 
-	// Do serves one op envelope synchronously — the one-op window of the
-	// ServeOps pipeline — and returns its outcome. A route whose endpoint
+	// Do serves one op envelope synchronously — a one-op window of the
+	// driver behind ServeOps — and returns its outcome. A route whose endpoint
 	// is gone or dead is counted and returns ErrUnknownKey or ErrDeadNode.
 	Do(op Op) (OpResult, error)
 	// Get reads key's value as an access from src, adapting the topology
@@ -47,12 +46,10 @@ type Service interface {
 	RemoveNode(idx int) error
 	Crash(idx int) error
 
-	// Serve consumes communication requests until the channel closes (or
-	// ctx is cancelled) and serves them through the deterministic pipeline.
-	Serve(ctx context.Context, reqs <-chan Pair) (ServeStats, error)
-	// ServeOps consumes op envelopes — routes and KV operations — through
-	// the same pipeline; onResult, when non-nil, observes every op's
-	// outcome in request order.
+	// ServeOps consumes op envelopes — routes and KV operations — until the
+	// channel closes (or ctx is cancelled) and returns what a loop over Do
+	// returns; onResult, when non-nil, observes every op's outcome in
+	// request order.
 	ServeOps(ctx context.Context, ops <-chan Op, onResult func(OpResult)) (ServeStats, error)
 }
 

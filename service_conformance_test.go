@@ -12,8 +12,8 @@ import (
 // Conformance suite: the one Service implementation, driven through nothing
 // but the interface with the same op sequence at every shard count, must
 // expose the same observable KV state — the flags and values of every
-// synchronous call, every pipelined outcome, and the final scanned
-// keyspace. Path metrics (distances, lag) legitimately differ between one
+// synchronous call, every streamed outcome, and the final scanned
+// keyspace. Path metrics (distances) legitimately differ between one
 // graph and four shards, so they are not part of the contract checked here.
 
 // conformanceShards is the table: New's single graph, and NewSharded at two
@@ -24,7 +24,7 @@ var conformanceShards = []struct {
 }{{"single", 1}, {"sharded-2", 2}, {"sharded", 4}}
 
 func conformanceService(n, shards int, extra ...Option) (Service, error) {
-	opts := append([]Option{WithShards(shards), WithSeed(21), WithBatchSize(1), WithRebalanceWindow(1)}, extra...)
+	opts := append([]Option{WithShards(shards), WithSeed(21), WithRebalanceWindow(1)}, extra...)
 	return NewSharded(n, opts...)
 }
 
@@ -195,7 +195,7 @@ func TestServiceConformanceSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			rng := rand.New(rand.NewSource(9))
-			reqs := make(chan Pair)
+			reqs := make(chan Op)
 			go func() {
 				defer close(reqs)
 				for i := 0; i < 200; i++ {
@@ -204,10 +204,10 @@ func TestServiceConformanceSerial(t *testing.T) {
 					for dst == src {
 						dst = rng.Intn(n)
 					}
-					reqs <- Pair{Src: src, Dst: dst}
+					reqs <- RouteOp(src, dst)
 				}
 			}()
-			st, err := svc.Serve(context.Background(), reqs)
+			st, err := svc.ServeOps(context.Background(), reqs, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

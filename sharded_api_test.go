@@ -1,68 +1,49 @@
 package lsasg
 
 import (
-	"context"
 	"encoding/json"
 	"testing"
 )
 
-// shardedFeed pushes a request list into a channel NewSharded's Serve
-// consumes.
-func shardedFeed(reqs [][2]int) <-chan Pair {
-	ch := make(chan Pair)
-	go func() {
-		defer close(ch)
-		for _, r := range reqs {
-			ch <- Pair{Src: r[0], Dst: r[1]}
-		}
-	}()
-	return ch
-}
-
 // hotShardTrace concentrates most requests on keys [0, 8) of a 64-key
 // space — shard 0 of the default 4-shard split.
-func hotShardTrace(m int) [][2]int {
-	reqs := make([][2]int, 0, m)
+func hotShardTrace(m int) []Op {
+	reqs := make([]Op, 0, m)
 	for i := 0; len(reqs) < m; i++ {
 		if i%10 < 8 {
 			a, b := i%8, (i+1+i/10)%8
 			if a == b {
 				b = (b + 1) % 8
 			}
-			reqs = append(reqs, [2]int{a, b})
+			reqs = append(reqs, RouteOp(a, b))
 		} else {
 			a, b := i%64, (i*7+13)%64
 			if a == b {
 				b = (b + 1) % 64
 			}
-			reqs = append(reqs, [2]int{a, b})
+			reqs = append(reqs, RouteOp(a, b))
 		}
 	}
 	return reqs
 }
 
-// TestShardedServeDeterministic: the public sharded pipeline is
-// deterministic across runs and parallelism settings, and the sharded stat
-// fields are populated.
+// TestShardedServeDeterministic: a sharded ServeOps run is deterministic
+// across runs although the shards' engines are scheduled side by side, and
+// the sharded stat fields are populated.
 func TestShardedServeDeterministic(t *testing.T) {
-	run := func(par int) ServeStats {
-		nw, err := NewSharded(64, WithShards(4), WithSeed(5), WithParallelism(par), WithBatchSize(8))
+	run := func() ServeStats {
+		nw, err := NewSharded(64, WithShards(4), WithSeed(5))
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := nw.Serve(context.Background(), shardedFeed(hotShardTrace(600)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
+		return serveAll(t, nw, hotShardTrace(600))
 	}
-	base := run(1)
+	base := run()
 	baseJSON, _ := json.Marshal(base)
-	for _, par := range []int{2, 4} {
-		got := run(par)
-		gotJSON, _ := json.Marshal(got)
+	for i := 0; i < 2; i++ {
+		gotJSON, _ := json.Marshal(run())
 		if string(gotJSON) != string(baseJSON) {
-			t.Errorf("par=%d sharded stats diverge:\n p=1: %s\n p=%d: %s", par, baseJSON, par, gotJSON)
+			t.Errorf("sharded stats diverge across runs:\n %s\n %s", baseJSON, gotJSON)
 		}
 	}
 	if base.Requests != 600 || base.Shards != 4 {
@@ -80,14 +61,11 @@ func TestShardedServeDeterministic(t *testing.T) {
 // under their stable field names, and the working-set bound tracks the
 // dispatch order.
 func TestShardedStatsPlumbing(t *testing.T) {
-	nw, err := NewSharded(64, WithShards(4), WithSeed(5), WithBatchSize(8))
+	nw, err := NewSharded(64, WithShards(4), WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	serveStats, err := nw.Serve(context.Background(), shardedFeed(hotShardTrace(2000)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	serveStats := serveAll(t, nw, hotShardTrace(2000))
 	if serveStats.Rebalances == 0 || serveStats.MigratedKeys == 0 {
 		t.Fatalf("hot-shard trace triggered no rebalance: %+v", serveStats)
 	}
