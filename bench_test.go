@@ -46,10 +46,12 @@ func BenchmarkE2_SkipListBuild(b *testing.B) {
 	}
 }
 
-// benchServe drives DSG requests from a prepared workload.
-func benchServe(b *testing.B, n int, gen workload.Generator) {
+// benchServe times the request step — core.Serve: route, transformation,
+// scoped a-balance repair — on the balanced graph core.New returns, over a
+// prepared workload.
+func benchServe(b *testing.B, n int, cfg core.Config, gen workload.Generator) {
 	b.Helper()
-	d := core.New(n, core.Config{A: 4, Seed: 1})
+	d := core.New(n, cfg)
 	reqs := gen.Generate(n, 4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -60,20 +62,20 @@ func benchServe(b *testing.B, n int, gen workload.Generator) {
 	}
 }
 
-// BenchmarkE3_ServeUniform measures a full request (route + transform) on
-// uniform traffic (the Lemma 4 / E3 regime).
+// BenchmarkE3_ServeUniform measures a full request step on uniform traffic
+// (the Lemma 4 / E3 regime).
 func BenchmarkE3_ServeUniform(b *testing.B) {
-	benchServe(b, 128, workload.Uniform{Seed: 3})
+	benchServe(b, 128, core.Config{A: 4, Seed: 1}, workload.Uniform{Seed: 3})
 }
 
 // BenchmarkE4_ServeAdversarial stresses the height bound (Lemma 5).
 func BenchmarkE4_ServeAdversarial(b *testing.B) {
-	benchServe(b, 128, workload.Adversarial{Seed: 4})
+	benchServe(b, 128, core.Config{A: 4, Seed: 1}, workload.Adversarial{Seed: 4})
 }
 
 // BenchmarkE5_ServeTemporal is the working-set-property regime (Thm 2).
 func BenchmarkE5_ServeTemporal(b *testing.B) {
-	benchServe(b, 128, workload.Temporal{Seed: 5, W: 8, Churn: 0.1})
+	benchServe(b, 128, core.Config{A: 4, Seed: 1}, workload.Temporal{Seed: 5, W: 8, Churn: 0.1})
 }
 
 // BenchmarkE6_WorkingSetNumber measures the T_t(u,v) computation that the
@@ -99,7 +101,7 @@ func BenchmarkE6_WorkingSetNumber(b *testing.B) {
 
 // BenchmarkE7_ServeZipf measures total cost on the skewed regime (Thm 5).
 func BenchmarkE7_ServeZipf(b *testing.B) {
-	benchServe(b, 128, workload.Zipf{Seed: 7, S: 1.2})
+	benchServe(b, 128, core.Config{A: 4, Seed: 1}, workload.Zipf{Seed: 7, S: 1.2})
 }
 
 // BenchmarkE8_StaticRoute and BenchmarkE8_SplayNet are the comparison
@@ -137,7 +139,7 @@ func BenchmarkE8_SplayNet(b *testing.B) {
 // BenchmarkE9_ServeHotPairs is the migration-flow regime of E9/the
 // datacenter example.
 func BenchmarkE9_ServeHotPairs(b *testing.B) {
-	benchServe(b, 128, workload.RepeatedPairs{Seed: 10, K: 4, Hot: 0.9})
+	benchServe(b, 128, core.Config{A: 4, Seed: 1}, workload.RepeatedPairs{Seed: 10, K: 4, Hot: 0.9})
 }
 
 // BenchmarkE10_RouteOnly measures pure skip-graph routing on an adapted
@@ -169,15 +171,7 @@ func BenchmarkE10_RouteOnly(b *testing.B) {
 // BenchmarkE11_ServeTightBalance exercises the a=2 ablation (maximum
 // dummy-node churn).
 func BenchmarkE11_ServeTightBalance(b *testing.B) {
-	d := core.New(128, core.Config{A: 2, Seed: 12})
-	reqs := workload.Uniform{Seed: 12}.Generate(128, 4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := reqs[i%len(reqs)]
-		if _, err := d.Serve(int64(r.Src), int64(r.Dst)); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchServe(b, 128, core.Config{A: 2, Seed: 12}, workload.Uniform{Seed: 12})
 }
 
 // BenchmarkE12_DistributedRoute measures the message-passing routing used
@@ -220,7 +214,6 @@ func BenchmarkE16_Join(b *testing.B) {
 	for _, n := range []int{1024, 4096, 16384} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			d := core.New(n, core.Config{A: 4, Seed: 16})
-			d.RepairBalance()
 			id := int64(n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -430,7 +423,6 @@ func BenchmarkAdjustScaling(b *testing.B) {
 	for _, n := range []int{256, 512, 1024, 2048} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			d := core.New(n, core.Config{A: 4, Seed: 1})
-			d.RepairBalance()
 			reqs := workload.Zipf{Seed: 7, S: 1.2}.Generate(n, warmup+b.N)
 			for _, r := range reqs[:warmup] {
 				if _, err := d.Adjust(int64(r.Src), int64(r.Dst)); err != nil {

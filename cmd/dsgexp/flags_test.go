@@ -1,37 +1,14 @@
-package cliutil
+package main
 
 import (
-	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-func TestSharedFlags(t *testing.T) {
-	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	seed := AddSeed(fs)
-	out := AddOut(fs, "output file")
-	if err := fs.Parse([]string{"-seed", "7", "-out", "report.txt"}); err != nil {
-		t.Fatal(err)
-	}
-	if *seed != 7 || *out != "report.txt" {
-		t.Fatalf("parsed seed=%d out=%q", *seed, *out)
-	}
-
-	fs2 := flag.NewFlagSet("y", flag.ContinueOnError)
-	if *AddSeed(fs2) != 1 {
-		t.Error("default seed must be 1 in every binary")
-	}
-}
-
 func TestParseShards(t *testing.T) {
-	fs := flag.NewFlagSet("z", flag.ContinueOnError)
-	shards := AddShards(fs)
-	if err := fs.Parse([]string{"-shards", "1, 2,4,8"}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ParseShards(*shards)
+	got, err := parseShards("1, 2,4,8")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,23 +16,18 @@ func TestParseShards(t *testing.T) {
 		t.Fatalf("ParseShards = %v, want [1 2 4 8]", got)
 	}
 
-	if got, err := ParseShards(""); err != nil || got != nil {
+	if got, err := parseShards(""); err != nil || got != nil {
 		t.Errorf("empty -shards must mean the default sweep, got %v, %v", got, err)
 	}
 	for _, bad := range []string{"0", "-1", "two", "1,,x", ","} {
-		if _, err := ParseShards(bad); err == nil {
-			t.Errorf("ParseShards(%q) must fail", bad)
+		if _, err := parseShards(bad); err == nil {
+			t.Errorf("parseShards(%q) must fail", bad)
 		}
 	}
 }
 
 func TestParseMixes(t *testing.T) {
-	fs := flag.NewFlagSet("m", flag.ContinueOnError)
-	mix := AddMix(fs)
-	if err := fs.Parse([]string{"-mix", "a, crud,50:30:10:5:5"}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ParseMixes(*mix)
+	got, err := parseMixes("a, crud,50:30:10:5:5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,18 +35,18 @@ func TestParseMixes(t *testing.T) {
 		t.Fatalf("ParseMixes = %v", got)
 	}
 
-	if got, err := ParseMixes(""); err != nil || got != nil {
+	if got, err := parseMixes(""); err != nil || got != nil {
 		t.Errorf("empty -mix must mean the default sweep, got %v, %v", got, err)
 	}
 	for _, bad := range []string{"z", "a,bogus", "1:2:3", ","} {
-		if _, err := ParseMixes(bad); err == nil {
-			t.Errorf("ParseMixes(%q) must fail", bad)
+		if _, err := parseMixes(bad); err == nil {
+			t.Errorf("parseMixes(%q) must fail", bad)
 		}
 	}
 }
 
 func TestOutputStdoutAndFile(t *testing.T) {
-	w, err := Output("")
+	w, err := output("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +58,7 @@ func TestOutputStdoutAndFile(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "nested", "dir", "report.txt")
-	f, err := Output(path)
+	f, err := output(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +75,8 @@ func TestOutputStdoutAndFile(t *testing.T) {
 }
 
 func TestDefaultRunDir(t *testing.T) {
-	dir := DefaultRunDir("dsgexp")
+	dir := defaultRunDir()
 	if !strings.HasPrefix(dir, "dsgexp_runs"+string(filepath.Separator)) {
-		t.Errorf("run dir %q lacks the <tool>_runs prefix", dir)
+		t.Errorf("run dir %q lacks the dsgexp_runs prefix", dir)
 	}
 }

@@ -36,7 +36,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"lsasg/internal/cliutil"
 	"lsasg/internal/experiments"
 )
 
@@ -51,10 +50,10 @@ func main() {
 		benchAp = flag.String("bench-append", "", "append the summary to the perf-trajectory file at this path (a JSON array, oldest first)")
 		list    = flag.Bool("list", false, "list registered experiments and exit")
 		format  = flag.String("format", "csv", "csv: result files into the -out directory; table: human-readable tables to stdout or the -out file")
-		seed    = cliutil.AddSeed(flag.CommandLine)
-		out     = cliutil.AddOut(flag.CommandLine, "output directory (default dsgexp_runs/<timestamp>); with -format table, the report file (default stdout)")
-		shards  = cliutil.AddShards(flag.CommandLine)
-		mix     = cliutil.AddMix(flag.CommandLine)
+		seed    = flag.Int64("seed", 1, "base random seed; identical seeds reproduce identical results")
+		out     = flag.String("out", "", "output directory (default dsgexp_runs/<timestamp>); with -format table, the report file (default stdout)")
+		shards  = flag.String("shards", "", "comma-separated shard counts for sharded experiments (e.g. 1,2,4,8); empty = scale default")
+		mix     = flag.String("mix", "", "comma-separated KV mixes for KV experiments (named: a,b,c,e,crud; or read:update:insert:scan:delete weights); empty = scale default")
 	)
 	flag.Parse()
 
@@ -73,12 +72,12 @@ func main() {
 		scaleName = "quick"
 	}
 	sc.Seed = *seed
-	if sweep, err := cliutil.ParseShards(*shards); err != nil {
+	if sweep, err := parseShards(*shards); err != nil {
 		fail("%v", err)
 	} else if sweep != nil {
 		sc.Shards = sweep
 	}
-	if mixes, err := cliutil.ParseMixes(*mix); err != nil {
+	if mixes, err := parseMixes(*mix); err != nil {
 		fail("%v", err)
 	} else if mixes != nil {
 		sc.Mixes = mixes
@@ -100,7 +99,7 @@ func main() {
 
 	outDir := *out
 	if outDir == "" {
-		outDir = cliutil.DefaultRunDir("dsgexp")
+		outDir = defaultRunDir()
 	}
 
 	fmt.Printf("dsgexp: %d experiment(s), scale=%s, seed=%d, repeats=%d → %s\n",
@@ -146,7 +145,7 @@ func main() {
 // renderTables runs the experiments one after another and writes each
 // table as aligned text to the file at path, or to stdout when it is empty.
 func renderTables(selected []experiments.Experiment, run experiments.RunConfig, path string) {
-	w, err := cliutil.Output(path)
+	w, err := output(path)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -167,6 +166,8 @@ func renderTables(selected []experiments.Experiment, run experiments.RunConfig, 
 	}
 }
 
+// fail prints a prefixed error to stderr and exits non-zero.
 func fail(format string, args ...interface{}) {
-	cliutil.Fail("dsgexp", format, args...)
+	fmt.Fprintf(os.Stderr, "dsgexp: "+format+"\n", args...)
+	os.Exit(1)
 }

@@ -25,7 +25,6 @@ func TestAdjustAllocBudget(t *testing.T) {
 		maxBytesPerOp     = 147 << 10
 	)
 	d := New(n, Config{A: 4, Seed: 1})
-	d.RepairBalance()
 	reqs := workload.Zipf{Seed: 3, S: 1.2}.Generate(n, warm+measured)
 	adjust := func(rs []workload.Request) {
 		for _, r := range rs {

@@ -118,16 +118,11 @@ func (s TraceStats) MeanRecoveryEvents() float64 {
 // membership path with a-balance repair (§IV-G), and the per-node DSG state
 // (timestamps, groups, bases) persists across membership changes — a join
 // or leave never resets the working-set structure the previous routes
-// built. The runner owns the global a-balance property, but restores it
-// *locally*: a transformation records every list it dirtied (its dummies
-// can extend runs below alpha, and a destroyed dummy may have been breaking
-// a lower chain), and after every route the runner repairs exactly that
-// dirty set (RepairBalancePending) — nothing outside it can have a new
-// violation. Joins and leaves repair their own touched lists inside
-// Add/RemoveNode. Only before the first event does the runner run the
-// global repair once, so the validator's guarantees hold from event zero
-// even on the random initial topology (whose independent membership bits
-// carry no balance guarantee).
+// built. The runner repairs nothing itself: every event leaves the graph
+// balanced — a route's Adjust repairs exactly what its transformation
+// dirtied, joins and leaves repair their own touched lists inside
+// Add/RemoveNode, and the constructor repaired the initial topology — so the
+// validator's guarantees hold from event zero.
 //
 // Crash events (workload.OpCrash) mark the node dead in place — no repair
 // runs until a route detects the failure. Routes that target a crashed peer
@@ -137,7 +132,6 @@ func (s TraceStats) MeanRecoveryEvents() float64 {
 // event distance between the crash and its repair.
 func (d *DSG) RunTrace(tr workload.Trace, opts TraceOptions) (TraceStats, error) {
 	var st TraceStats
-	d.RepairBalance()
 	if opts.ValidateEvery > 0 {
 		if err := d.Validate(); err != nil {
 			return st, fmt.Errorf("core: invalid before trace: %w", err)
@@ -171,7 +165,6 @@ func (d *DSG) RunTrace(tr workload.Trace, opts TraceOptions) (TraceStats, error)
 				if err != nil {
 					return st, fmt.Errorf("core: trace event %d %s: %w", i, ev, err)
 				}
-				d.RepairBalancePending()
 				st.Routes++
 				st.RouteDistance += res.RouteDistance
 				st.TransformRounds += res.TransformRounds

@@ -78,7 +78,6 @@ func genFuzzOps(rng *rand.Rand, n, count int) []fuzzOp {
 // the index of the first failing op, or -1.
 func runFuzz(n int, a int, seed int64, ops []fuzzOp) (int, error) {
 	d := New(n, Config{A: a, Seed: seed})
-	d.RepairBalance()
 	if err := d.Validate(); err != nil {
 		return 0, fmt.Errorf("invalid before any op: %w", err)
 	}
@@ -107,15 +106,6 @@ func runFuzz(n int, a int, seed int64, ops []fuzzOp) (int, error) {
 			if err != nil {
 				return i, fmt.Errorf("%s: %w", op, err)
 			}
-			// The transformation hands the repair no list it rebuilt, so
-			// those must be balanced already.
-			if viols := unreportedRegionViolations(d, d.NodeByID(op.A), res.Alpha); len(viols) > 0 {
-				return i, fmt.Errorf("%s: transformed region left unbalanced: %s", op, viols[0])
-			}
-			// The scoped repair over the transformation's recorded dirty
-			// lists must satisfy the *global* validator below — the fuzz
-			// doubles as the differential test for repair locality.
-			d.RepairBalancePending()
 			if res.RouteDistance > bound {
 				return i, fmt.Errorf("%s: distance %d exceeds a·H+dummies = %d", op, res.RouteDistance, bound)
 			}

@@ -80,7 +80,6 @@ func genCrashFuzzOps(rng *rand.Rand, n, count int) []fuzzOp {
 // returns the index of the first failing op, or -1.
 func runCrashFuzz(n, a int, seed int64, ops []fuzzOp) (int, error) {
 	d := New(n, Config{A: a, Seed: seed})
-	d.RepairBalance()
 	if err := d.Validate(); err != nil {
 		return 0, fmt.Errorf("invalid before any op: %w", err)
 	}
@@ -118,7 +117,6 @@ func runCrashFuzz(n, a int, seed int64, ops []fuzzOp) (int, error) {
 			if err != nil {
 				return i, fmt.Errorf("%s: %w", op, err)
 			}
-			d.RepairBalancePending()
 			if res.RouteDistance > bound {
 				return i, fmt.Errorf("%s: distance %d exceeds a·H+dummies+dead = %d", op, res.RouteDistance, bound)
 			}

@@ -8,7 +8,10 @@ import (
 )
 
 // NewFromGraph wraps an existing skip graph in a DSG with default per-node
-// state, used by tests that reconstruct the paper's worked examples.
+// state and a-balances it with one global repair — a no-op on a graph that
+// is balanced already, like the tests' reconstructions of the paper's
+// worked examples. Every mutation after that repairs what it dirtied before
+// returning, so a DSG passes Validate whenever a caller can see it.
 func NewFromGraph(g *skipgraph.Graph, cfg Config) *DSG {
 	cfg = cfg.withDefaults()
 	d := &DSG{
@@ -17,11 +20,9 @@ func NewFromGraph(g *skipgraph.Graph, cfg Config) *DSG {
 		rng: rand.New(rand.NewSource(cfg.Seed + 1)),
 		st:  make(map[*skipgraph.Node]*nodeState, g.N()),
 	}
-	maxID := int64(0)
+	maxID := int64(-1)
 	for node := range g.All() {
-		if node.ID() > maxID {
-			maxID = node.ID()
-		}
+		maxID = max(maxID, node.ID())
 	}
 	d.nextDummyID = maxID + 1
 	if cfg.DummyIDBase > d.nextDummyID {
@@ -35,6 +36,7 @@ func NewFromGraph(g *skipgraph.Graph, cfg Config) *DSG {
 	for node := range g.All() {
 		d.st[node] = d.freshState(node)
 	}
+	d.RepairBalance()
 	return d
 }
 

@@ -98,14 +98,13 @@ func (d *DSG) Validate() error {
 // every list balanced); only all-real or irreducible runs get a fresh dummy
 // chain-breaker. One repair pass can itself lengthen a run at a lower level
 // (a new dummy carries the prefix bits of its left neighbour), so the
-// repair iterates to a fixed point. This is the global fallback: the hot
-// paths (Add, RemoveNode, the trace runner) use RepairBalanceIn over the
-// lists they actually touched; callers constructing a DSG from a random
-// topology (whose independent membership bits carry no balance guarantee)
-// run the global repair once before enforcing Validate.
+// repair iterates to a fixed point. This is the global repair the
+// constructors run once over the initial topology (random membership bits
+// carry no balance guarantee) and the oracle the scoped repairs are tested
+// against; every mutation after construction (Adjust, Add, RemoveNode, the
+// crash repair) uses RepairBalanceIn over the lists it actually touched. On
+// a balanced graph it changes nothing.
 func (d *DSG) RepairBalance() (inserted, removed int) {
-	// A global repair supersedes any recorded per-request dirty set.
-	d.clearPending()
 	// Each pass strictly shrinks the total violation mass except for the
 	// rare lower-level lengthening, so a generous cap only guards against a
 	// repair that cannot make progress (key-space exhaustion).
@@ -238,23 +237,6 @@ func (d *DSG) RepairBalanceIn(refs []skipgraph.ListRef, dummies []*skipgraph.Nod
 	d.repairInserted += inserted
 	d.repairRemoved += removed
 	return inserted, removed
-}
-
-// RepairBalancePending repairs a-balance over the lists the most recent
-// transformation touched (recorded by Serve) and clears the record. The
-// trace runner calls it after every route; callers driving Serve directly
-// may use it as the cheap alternative to the global RepairBalance.
-func (d *DSG) RepairBalancePending() (inserted, removed int) {
-	inserted, removed = d.RepairBalanceIn(d.pending, d.pendingDummies)
-	d.clearPending()
-	return inserted, removed
-}
-
-// clearPending empties the dirty record, keeping its backing arrays for
-// the next transformation and dropping the node references they held.
-func (d *DSG) clearPending() {
-	d.pending = recycle(d.pending)
-	d.pendingDummies = recycle(d.pendingDummies)
 }
 
 // repairViolations repairs one violation snapshot (shorten a run by

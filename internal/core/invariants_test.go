@@ -8,16 +8,15 @@ import (
 	"lsasg/internal/skipgraph"
 )
 
-// TestRepairBalanceConverges repairs freshly built random topologies (whose
-// independent membership bits carry no balance guarantee) across sizes,
-// balance parameters, and seeds, and requires a clean validator afterwards.
+// TestRepairBalanceConverges builds random topologies (whose independent
+// membership bits carry no balance guarantee) across sizes, balance
+// parameters, and seeds, and requires the constructor's global repair to
+// leave a clean validator.
 func TestRepairBalanceConverges(t *testing.T) {
 	for _, a := range []int{2, 3, 4} {
 		for _, n := range []int{5, 32, 200} {
 			for seed := int64(0); seed < 5; seed++ {
-				d := New(n, Config{A: a, Seed: seed})
-				d.RepairBalance()
-				if err := d.Validate(); err != nil {
+				if err := New(n, Config{A: a, Seed: seed}).Validate(); err != nil {
 					t.Errorf("a=%d n=%d seed=%d: %v", a, n, seed, err)
 				}
 			}
@@ -26,20 +25,18 @@ func TestRepairBalanceConverges(t *testing.T) {
 }
 
 // TestRepairBalanceIdempotent requires a second repair right after a first
-// to be a no-op.
+// (New's) to be a no-op.
 func TestRepairBalanceIdempotent(t *testing.T) {
 	d := New(64, Config{A: 2, Seed: 9})
-	d.RepairBalance()
 	if ins, rem := d.RepairBalance(); ins != 0 || rem != 0 {
 		t.Errorf("second repair did work: inserted %d, removed %d", ins, rem)
 	}
 }
 
-// TestValidateAfterTraffic runs plain request traffic with the runner-style
-// repair after each request and requires the validator to stay clean.
+// TestValidateAfterTraffic runs plain request traffic and requires the
+// validator to stay clean after each request.
 func TestValidateAfterTraffic(t *testing.T) {
 	d := New(48, Config{A: 2, Seed: 5})
-	d.RepairBalance()
 	rng := rand.New(rand.NewSource(6))
 	for i := 0; i < 150; i++ {
 		u, v := int64(rng.Intn(48)), int64(rng.Intn(48))
@@ -49,7 +46,6 @@ func TestValidateAfterTraffic(t *testing.T) {
 		if _, err := d.Serve(u, v); err != nil {
 			t.Fatal(err)
 		}
-		d.RepairBalance()
 		if err := d.Validate(); err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
@@ -63,7 +59,6 @@ func TestValidateAfterTraffic(t *testing.T) {
 // is the one it was, and the breaker sits where the run had to be broken.
 func TestBreakRunRespreadsFullGap(t *testing.T) {
 	d := New(16, Config{A: 2, Seed: 3})
-	d.RepairBalance()
 	n3 := d.NodeByID(3)
 	var packed []*skipgraph.Node
 	for _, minor := range []int32{1, 2, 3} {
@@ -100,7 +95,6 @@ func TestBreakRunRespreadsFullGap(t *testing.T) {
 func TestValidateDetectsCorruption(t *testing.T) {
 	fresh := func() *DSG {
 		d := New(16, Config{A: 4, Seed: 1})
-		d.RepairBalance()
 		if err := d.Validate(); err != nil {
 			t.Fatalf("baseline not clean: %v", err)
 		}
@@ -132,7 +126,8 @@ func TestValidateDetectsCorruption(t *testing.T) {
 		}
 	})
 	t.Run("balance violation", func(t *testing.T) {
-		// Keys 0, 1, 2 all take bit 1 = 0: a run of 3 > a = 2.
+		// Keys 0, 1, 2 all take bit 1 = 0: a run of 3, fine at a = 4 and a
+		// violation once the parameter is tightened to 2.
 		g := skipgraph.NewFromVectors([]skipgraph.VectorEntry{
 			{Key: 0, ID: 0, Vector: "000"},
 			{Key: 1, ID: 1, Vector: "001"},
@@ -140,7 +135,8 @@ func TestValidateDetectsCorruption(t *testing.T) {
 			{Key: 3, ID: 3, Vector: "10"},
 			{Key: 4, ID: 4, Vector: "11"},
 		})
-		d := NewFromGraph(g, Config{A: 2, Seed: 1})
+		d := NewFromGraph(g, Config{A: 4, Seed: 1})
+		d.cfg.A = 2
 		if err := d.Validate(); err == nil || !strings.Contains(err.Error(), "balance") {
 			t.Errorf("err = %v", err)
 		}

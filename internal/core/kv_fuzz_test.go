@@ -185,7 +185,6 @@ func kvFuzzValue(key int64, i int) []byte {
 // failing op, or -1.
 func runKVFuzz(n, a int, seed int64, ops []kvFuzzOp) (int, error) {
 	d := New(n, Config{A: a, Seed: seed})
-	d.RepairBalance()
 	if err := d.Validate(); err != nil {
 		return 0, fmt.Errorf("invalid before any op: %w", err)
 	}
@@ -289,7 +288,6 @@ func runKVFuzz(n, a int, seed int64, ops []kvFuzzOp) (int, error) {
 			if err != nil {
 				return i, fmt.Errorf("%s: %w", op, err)
 			}
-			d.RepairBalancePending()
 			if res.RouteDistance > bound {
 				return i, fmt.Errorf("%s: distance %d exceeds a·H+dummies+dead = %d", op, res.RouteDistance, bound)
 			}

@@ -23,7 +23,6 @@ func TestLocalRepairCertifiedGlobally(t *testing.T) {
 		seed := int64(31 + a)
 		rng := rand.New(rand.NewSource(seed))
 		d := New(20, Config{A: a, Seed: seed})
-		d.RepairBalance() // certify the random initial topology once, globally
 		if err := d.Validate(); err != nil {
 			t.Fatalf("a=%d: invalid before any op: %v", a, err)
 		}
@@ -42,7 +41,6 @@ func TestLocalRepairCertifiedGlobally(t *testing.T) {
 				if _, err := d.Serve(live[i], live[j]); err != nil {
 					t.Fatalf("a=%d op %d: serve(%d,%d): %v", a, op, live[i], live[j], err)
 				}
-				d.RepairBalancePending()
 			case r < 0.8:
 				if _, err := d.Add(next); err != nil {
 					t.Fatalf("a=%d op %d: add(%d): %v", a, op, next, err)
@@ -73,7 +71,6 @@ func TestLocalRepairCertifiedGlobally(t *testing.T) {
 // scoped op's dirty window, so only insertions must be zero.)
 func TestScopedRepairLeavesNoWorkForGlobal(t *testing.T) {
 	d := New(48, Config{A: 2, Seed: 77})
-	d.RepairBalance()
 	next := int64(48)
 	rng := rand.New(rand.NewSource(5))
 	for op := 0; op < 60; op++ {
@@ -97,31 +94,45 @@ func TestScopedRepairLeavesNoWorkForGlobal(t *testing.T) {
 	}
 }
 
-// TestScopedRepairMatchesOracle holds the serving path to a per-op
-// standard, not a per-end-state one: after every single Adjust of a long
-// Zipf trace — the transformation followed by the scoped repair of its
-// dirty set — the global validator accepts the graph. A run the global
-// RepairBalance would still be needed for is a list the transformation or
-// the scoped repair failed to balance or to report dirty.
+// TestScopedRepairMatchesOracle holds the one request step to a per-op
+// standard, not a per-end-state one: a graph from New is a-balanced, and
+// after every single Serve of a long trace — route, transformation, scoped
+// repair of its dirty set, and no repair call on the caller's side — the
+// global validator accepts the graph. A run the global RepairBalance would
+// still be needed for is a list the transformation or the scoped repair
+// failed to balance or to report dirty.
 func TestScopedRepairMatchesOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long traces")
 	}
-	for _, n := range []int{256, 512} {
-		for _, a := range []int{2, 4} {
-			t.Run(fmt.Sprintf("n=%d/a=%d", n, a), func(t *testing.T) {
-				t.Parallel() // independent graphs; the traces are long
-				d := New(n, Config{A: a, Seed: 1})
-				d.RepairBalance()
-				for i, r := range (workload.Zipf{Seed: 7, S: 1.2}).Generate(n, 3000) {
-					if _, err := d.Adjust(int64(r.Src), int64(r.Dst)); err != nil {
-						t.Fatal(err)
-					}
+	for _, c := range []struct {
+		prefix string
+		gen    workload.Generator
+		reqs   int
+		sizes  []int
+	}{
+		{"", workload.Zipf{Seed: 7, S: 1.2}, 3000, []int{128, 256, 512}},
+		{"uniform/", workload.Uniform{Seed: 7}, 2000, []int{128, 512}},
+		{"adversarial/", workload.Adversarial{Seed: 7}, 2000, []int{128, 512}},
+	} {
+		for _, n := range c.sizes {
+			for _, a := range []int{2, 4} {
+				t.Run(fmt.Sprintf("%sn=%d/a=%d", c.prefix, n, a), func(t *testing.T) {
+					t.Parallel() // independent graphs; the traces are long
+					d := New(n, Config{A: a, Seed: 1})
 					if err := d.Validate(); err != nil {
-						t.Fatalf("op %d: scoped repair left %v", i, err)
+						t.Fatalf("New: %v", err)
 					}
-				}
-			})
+					for i, r := range c.gen.Generate(n, c.reqs) {
+						if _, err := d.Serve(int64(r.Src), int64(r.Dst)); err != nil {
+							t.Fatal(err)
+						}
+						if err := d.Validate(); err != nil {
+							t.Fatalf("op %d: the step left %v", i, err)
+						}
+					}
+				})
+			}
 		}
 	}
 }
@@ -148,14 +159,26 @@ func unreportedRegionViolations(d *DSG, u *skipgraph.Node, alpha int) []skipgrap
 	return out
 }
 
+// transformBare is Adjust up to its scoped repair, for the tests of the
+// contract between the two halves: they inspect the graph and d.pending as
+// the transformation left them, then call d.repairPending() as Adjust does.
+func transformBare(t *testing.T, d *DSG, uid, vid int64) AdjustResult {
+	t.Helper()
+	u, v, err := d.pair(uid, vid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.clock++
+	return d.transform(u, v, d.clock)
+}
+
 // TestTransformLeavesRegionBalanced pins the transformation's own half of
 // that contract, the one that lets the repair skip the rebuilt region: a
-// bare Serve, before any scoped repair has run, leaves no a-balance
+// bare transformation, before any scoped repair has run, leaves no a-balance
 // violation at or above alpha in the lists it rebuilt. What its dirty
 // record may still hold are knock-ons below alpha, where a fresh dummy
-// joined lists the transformation did not rebuild; those are
-// RepairBalancePending's to chase. (The churn fuzz checks the same after
-// every route, its shrunk key-slot regression included.)
+// joined lists the transformation did not rebuild; those are the scoped
+// repair's to chase.
 func TestTransformLeavesRegionBalanced(t *testing.T) {
 	const n = 128
 	for _, a := range []int{2, 3, 4, 8} {
@@ -164,16 +187,12 @@ func TestTransformLeavesRegionBalanced(t *testing.T) {
 			reqs = 3000
 		}
 		d := New(n, Config{A: a, Seed: int64(a)})
-		d.RepairBalance()
 		for i, r := range (workload.Zipf{Seed: 5, S: 1.2}).Generate(n, reqs) {
-			res, err := d.Serve(int64(r.Src), int64(r.Dst))
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := transformBare(t, d, int64(r.Src), int64(r.Dst))
 			if viols := unreportedRegionViolations(d, d.NodeByID(int64(r.Src)), res.Alpha); len(viols) > 0 {
 				t.Fatalf("a=%d request %d (alpha %d): transformed region left unbalanced: %s", a, i, res.Alpha, viols[0])
 			}
-			d.RepairBalancePending()
+			d.repairPending()
 		}
 	}
 }
@@ -191,7 +210,6 @@ func TestUnplacedBreakerIsStillRepaired(t *testing.T) {
 	const n, reqs = 32, 100
 	for seed := int64(1); seed <= 3; seed++ {
 		d := New(n, Config{A: 2, Seed: seed})
-		d.RepairBalance()
 		for p := int64(0); p < n; p++ {
 			for k := 2; k <= 29; k++ {
 				key := skipgraph.Key{Primary: p, Minor: 1 << k}
@@ -210,10 +228,7 @@ func TestUnplacedBreakerIsStillRepaired(t *testing.T) {
 		}
 		unplaced := 0
 		for i, r := range (workload.Zipf{Seed: seed, S: 1.2}).Generate(n, reqs) {
-			res, err := d.Serve(int64(r.Src), int64(r.Dst))
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := transformBare(t, d, int64(r.Src), int64(r.Dst))
 			for _, ref := range d.pending {
 				if ref.Whole {
 					unplaced++
@@ -222,7 +237,7 @@ func TestUnplacedBreakerIsStillRepaired(t *testing.T) {
 			if viols := unreportedRegionViolations(d, d.NodeByID(int64(r.Src)), res.Alpha); len(viols) > 0 {
 				t.Fatalf("seed %d request %d: a run the transformation left is not in its dirty record: %s", seed, i, viols[0])
 			}
-			d.RepairBalancePending()
+			d.repairPending()
 			if err := d.Validate(); err != nil {
 				t.Fatalf("seed %d request %d: %v", seed, i, err)
 			}
@@ -239,7 +254,6 @@ func TestUnplacedBreakerIsStillRepaired(t *testing.T) {
 func TestLocalityWorkCounters(t *testing.T) {
 	const n = 512
 	d := New(n, Config{A: 4, Seed: 3})
-	d.RepairBalance()
 	j0, r0 := d.LocalityWork()
 	const events = 40
 	for i := int64(0); i < events; i++ {

@@ -38,7 +38,7 @@
 // list is balanced when everything beneath it is final, and what it adds
 // reaches its sublists only as boundaries, which shorten runs and never
 // lengthen them: the transformation leaves no violation at or above alpha
-// (TestTransformLeavesRegionBalanced), so RepairBalancePending is not given
+// (TestTransformLeavesRegionBalanced), so the scoped repair is not given
 // the rebuilt lists to scan at all — only their dummies, to garbage-collect
 // — and is left with the knock-ons below alpha, where a new dummy joins
 // lists the transformation did not rebuild.

@@ -187,11 +187,10 @@ func (d *DSG) adjustIfPossible(src, dst int64) AdjustResult {
 	if u == nil || v == nil || u == v || u.Dead() || v.Dead() {
 		return AdjustResult{}
 	}
-	r, err := d.Adjust(src, dst)
+	r, err := d.adjust(u, v)
 	if err != nil {
-		// Unreachable by construction (all of Adjust's rejections are
-		// pre-checked above), but a scoped-repair invariant failure under
-		// CheckInvariants still surfaces loudly rather than silently.
+		// Only a scoped-repair invariant failure under CheckInvariants gets
+		// here; it surfaces loudly rather than silently.
 		panic(fmt.Sprintf("core: kv adjust (%d,%d): %v", src, dst, err))
 	}
 	return r

@@ -15,7 +15,6 @@ import (
 
 func TestApplyOpRouteMatchesAdjust(t *testing.T) {
 	d := New(8, Config{A: 4, Seed: 1})
-	d.RepairBalance()
 	res, err := d.ApplyOp(RouteOp(0, 5))
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +39,6 @@ func TestApplyOpRouteMatchesAdjust(t *testing.T) {
 
 func TestApplyOpGetHitAndMiss(t *testing.T) {
 	d := New(8, Config{A: 4, Seed: 1})
-	d.RepairBalance()
 
 	// Every key starts valueless: a Get is a miss, yet the access still
 	// adjusts the topology (totality: no error).
@@ -82,7 +80,6 @@ func TestApplyOpGetHitAndMiss(t *testing.T) {
 
 func TestApplyPutUpdateJoinAndRepair(t *testing.T) {
 	d := New(8, Config{A: 4, Seed: 1})
-	d.RepairBalance()
 
 	// Update in place: the key is alive, versions are the global clock.
 	r1, err := d.ApplyOp(Op{Kind: OpPut, Src: 0, Dst: 3, Value: []byte("a")})
@@ -145,7 +142,6 @@ func TestApplyPutUpdateJoinAndRepair(t *testing.T) {
 
 func TestApplyDeleteLeaveMissAndCrashRepair(t *testing.T) {
 	d := New(8, Config{A: 4, Seed: 1})
-	d.RepairBalance()
 	if _, err := d.ApplyOp(Op{Kind: OpPut, Src: 0, Dst: 4, Value: []byte("v")}); err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +188,6 @@ func TestApplyDeleteLeaveMissAndCrashRepair(t *testing.T) {
 // late RepairCrashedID of that id must decline and the key must stay gone.
 func TestDeletedThenCrashedNoResurrect(t *testing.T) {
 	d := New(8, Config{A: 4, Seed: 1})
-	d.RepairBalance()
 	if _, err := d.ApplyOp(Op{Kind: OpPut, Src: 0, Dst: 5, Value: []byte("doomed")}); err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +231,6 @@ func TestDeletedThenCrashedNoResurrect(t *testing.T) {
 
 func TestApplyOpScanReadsSortedLiveRecords(t *testing.T) {
 	d := New(8, Config{A: 4, Seed: 1})
-	d.RepairBalance()
 	for _, k := range []int64{6, 1, 4} {
 		if _, err := d.ApplyOp(Op{Kind: OpPut, Src: 0, Dst: k, Value: []byte{byte(k)}}); err != nil {
 			t.Fatal(err)
@@ -267,7 +261,6 @@ func TestApplyOpScanReadsSortedLiveRecords(t *testing.T) {
 
 func TestRestorePreservesVersionAndClock(t *testing.T) {
 	d := New(8, Config{A: 4, Seed: 1})
-	d.RepairBalance()
 	if err := d.RemoveNode(3); err != nil {
 		t.Fatal(err)
 	}

@@ -144,12 +144,11 @@ type DSG struct {
 	repairInserted int
 	repairRemoved  int
 
-	// pending is the dirty record of the most recent transformation:
-	// the lists it touched without rebuilding them (destroyed dummies'
-	// ex-lists, fresh dummies' lists below alpha) and, in pendingDummies,
-	// the dummies of the region it did rebuild, in key order.
-	// RepairBalancePending consumes both. Each Serve resets them, so they
-	// never grow beyond one request's footprint.
+	// pending is the dirty record a transformation hands Adjust: the lists
+	// it touched without rebuilding them (destroyed dummies' ex-lists, fresh
+	// dummies' lists below alpha) and, in pendingDummies, the dummies of the
+	// region it did rebuild, in key order. Adjust repairs exactly that and
+	// empties both, so they hold nothing between calls.
 	pending        []skipgraph.ListRef
 	pendingDummies []*skipgraph.Node
 
@@ -174,30 +173,12 @@ type DSG struct {
 }
 
 // New creates a DSG over n nodes with keys and identifiers 0..n-1. The
-// initial topology is a random skip graph; initial timestamps are zero,
-// each node is its own group at every level, and each group-base is the
-// node's singleton level, per §IV-B and Appendix C.
+// initial topology is a random skip graph, a-balanced by NewFromGraph (its
+// independent membership bits carry no balance guarantee); initial
+// timestamps are zero, each node is its own group at every level, and each
+// group-base is the node's singleton level, per §IV-B and Appendix C.
 func New(n int, cfg Config) *DSG {
-	cfg = cfg.withDefaults()
-	d := &DSG{
-		cfg:         cfg,
-		g:           skipgraph.NewRandom(n, cfg.Seed),
-		rng:         rand.New(rand.NewSource(cfg.Seed + 1)),
-		st:          make(map[*skipgraph.Node]*nodeState, n),
-		nextDummyID: int64(n),
-	}
-	if cfg.DummyIDBase > d.nextDummyID {
-		d.nextDummyID = cfg.DummyIDBase
-	}
-	if cfg.Finder != nil {
-		d.finder = cfg.Finder
-	} else {
-		d.finder = &AMFFinder{A: cfg.A, Rng: d.rng}
-	}
-	for node := range d.g.All() {
-		d.st[node] = d.freshState(node)
-	}
-	return d
+	return NewFromGraph(skipgraph.NewRandom(n, cfg.Seed), cfg)
 }
 
 // freshState initializes a node's DSG state with default values.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -195,12 +196,10 @@ func TestDummiesDestroyedOnNotification(t *testing.T) {
 		}
 		before = d.DummyCount()
 	}
-	// The bound is for a = 2 under bare Serve, the most dummy-hungry setting
-	// there is: a list of k members can need k/2 breakers, every breaker is a
-	// member of each list below its own and counts toward the runs there, and
-	// nothing here runs the scoped repair whose sweep collects breakers that
-	// became redundant. The transformation leaves every list it rebuilds
-	// balanced, which at a = 2 costs 250 dummies (3.9 n) on this trace; 5 n
+	// The bound is for a = 2, the most dummy-hungry setting there is: a list
+	// of k members can need k/2 breakers, and every breaker is a member of
+	// each list below its own and counts toward the runs there. Keeping every
+	// list balanced costs 130 dummies (2 n) at the end of this trace; 5 n
 	// leaves room for that and still trips on a population that grows with
 	// the number of requests instead of being rebuilt by them.
 	if d.DummyCount() > 5*n {
@@ -247,17 +246,38 @@ func TestAddRemoveNodes(t *testing.T) {
 	}
 }
 
-// TestServeErrors covers the error paths.
+// TestServeErrors: the three callers of the request step reject a bad pair
+// from one place, with the sentinels the serving engine matches, and leave
+// the graph and the clock alone.
 func TestServeErrors(t *testing.T) {
 	d := New(8, Config{A: 4, Seed: 1})
-	if _, err := d.Serve(0, 0); err == nil {
-		t.Error("self request should fail")
+	if err := d.Crash(5); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := d.Serve(0, 99); err == nil {
-		t.Error("unknown destination should fail")
+	steps := map[string]func(u, v int64) error{
+		"Serve":   func(u, v int64) error { _, err := d.Serve(u, v); return err },
+		"Adjust":  func(u, v int64) error { _, err := d.Adjust(u, v); return err },
+		"ApplyOp": func(u, v int64) error { _, err := d.ApplyOp(RouteOp(u, v)); return err },
 	}
-	if _, err := d.Serve(99, 0); err == nil {
-		t.Error("unknown source should fail")
+	for _, c := range []struct {
+		name     string
+		src, dst int64
+		want     error // nil: any error
+	}{
+		{"unknown src", 99, 0, ErrUnknownNode},
+		{"unknown dst", 0, 99, ErrUnknownNode},
+		{"self", 3, 3, nil},
+		{"dead src", 5, 2, ErrCrashedNode},
+		{"dead dst", 2, 5, ErrCrashedNode},
+	} {
+		for name, step := range steps {
+			if err := step(c.src, c.dst); err == nil || (c.want != nil && !errors.Is(err, c.want)) {
+				t.Errorf("%s(%s) = %v, want %v", name, c.name, err, c.want)
+			}
+		}
+	}
+	if d.Clock() != 0 {
+		t.Errorf("rejected requests advanced the clock to %d", d.Clock())
 	}
 }
 

@@ -2,102 +2,22 @@ package core
 
 import (
 	"cmp"
-	"errors"
-	"fmt"
 	"slices"
 
 	"lsasg/internal/amf"
 	"lsasg/internal/skipgraph"
 )
 
-// RequestResult summarizes one served communication request.
-type RequestResult struct {
-	Time  int64 // logical time t of the request
-	Alpha int   // highest common level of u and v before transformation
-
-	RouteDistance int // d_S(σ): intermediate nodes on the routing path
-	RouteHops     int // link traversals (RouteDistance + 1)
-
-	TransformRounds int // ρ: synchronous rounds spent transforming
-	DirectLevel     int // level of the new size-2 list holding u and v
-
-	DummiesInserted  int
-	DummiesDestroyed int
-	HeightAfter      int
-}
-
-// ServiceCost returns the paper's cost of serving the request:
-// d_St(σ) + ρ + 1 (§III).
-func (r RequestResult) ServiceCost() int {
-	return r.RouteDistance + r.TransformRounds + 1
-}
-
-// Serve handles one communication request between the real nodes with the
-// given identifiers: it routes u → v in the current topology, then runs the
-// DSG transformation (§IV-C through §IV-F).
-//
-// Serve tolerates crashed intermediates: a route that contacts a dead peer
-// (skipgraph.DeadRouteError) detects the failure, repairs it locally
-// (repairCrashed), and re-routes — each retry removes one dead node, so the
-// loop terminates. A crashed ENDPOINT is the caller's failure, reported as
-// ErrCrashedNode without a transformation.
-func (d *DSG) Serve(uid, vid int64) (RequestResult, error) {
-	u, v := d.NodeByID(uid), d.NodeByID(vid)
-	if u == nil || v == nil {
-		return RequestResult{}, fmt.Errorf("core: unknown node id %d or %d", uid, vid)
-	}
-	if u == v {
-		return RequestResult{}, fmt.Errorf("core: self-communication for id %d", uid)
-	}
-	if u.Dead() {
-		return RequestResult{}, fmt.Errorf("%w: %d", ErrCrashedNode, uid)
-	}
-	if v.Dead() {
-		return RequestResult{}, fmt.Errorf("%w: %d", ErrCrashedNode, vid)
-	}
-	var route skipgraph.RouteResult
-	for {
-		r, err := d.g.Route(u, v)
-		if err == nil {
-			route = r
-			break
-		}
-		var dre *skipgraph.DeadRouteError
-		if errors.As(err, &dre) && dre.Node != u && dre.Node != v {
-			// Failure detector fired on an intermediate: repair it in place
-			// and retry. The dead population strictly shrinks per retry.
-			d.crashDetectCount++
-			d.repairCrashed(dre.Node)
-			continue
-		}
-		return RequestResult{}, fmt.Errorf("core: routing failed: %w", err)
-	}
-	d.clock++
-	res := d.transform(u, v, d.clock)
-	res.RouteDistance = route.Distance()
-	res.RouteHops = route.Hops()
-	if d.cfg.CheckInvariants {
-		if err := d.checkInvariants(u, v); err != nil {
-			return res, fmt.Errorf("core: invariant violated after request %d: %w", d.clock, err)
-		}
-	}
-	return res, nil
-}
-
 // transform runs the full DSG topology transformation for request (u, v)
-// at time t and returns the result fields it is responsible for.
-func (d *DSG) transform(u, v *skipgraph.Node, t int64) RequestResult {
-	// Each request records the lists it dirties so the trace runner can
-	// repair a-balance locally afterwards (RepairBalancePending); resetting
-	// here bounds the record to one request for callers that never consume
-	// it.
-	d.clearPending()
-
+// at time t and returns the result fields it is responsible for. It leaves
+// what it dirtied without rebuilding in d.pending / d.pendingDummies; Adjust,
+// its one caller, repairs exactly that before anyone sees the graph.
+func (d *DSG) transform(u, v *skipgraph.Node, t int64) AdjustResult {
 	ctx := &d.scratch.transform
 	ctx.reset(u, v, t)
 	defer ctx.release()
 	alpha := ctx.alpha
-	res := RequestResult{Time: t, Alpha: alpha}
+	res := AdjustResult{Time: t, Alpha: alpha}
 
 	// A crashed member of l_alpha cannot take part in the transformation —
 	// the notification broadcast would be its first contact, so detect and
@@ -265,7 +185,6 @@ func (d *DSG) transform(u, v *skipgraph.Node, t int64) RequestResult {
 	}
 
 	res.TransformRounds = ctx.rounds
-	res.HeightAfter = d.g.Height()
 	if ok, lvl := d.g.DirectlyLinked(u, v); ok {
 		res.DirectLevel = lvl
 	} else {

@@ -109,21 +109,65 @@ func E2AMFRounds(sc Scale) *stats.Table {
 	return t
 }
 
-// runDSG drives one DSG network over a request sequence, returning the
-// per-request route distances and transformation rounds plus WS(σ).
-func runDSG(n int, a int, reqs []workload.Request, seed int64) (dists, rounds []int, ws float64) {
+// dsgRun is what one run of the request step yields: the per-request
+// results (route distances and ρ also as plain series), the working-set
+// bound of the sequence and the final graph's height and dummy population.
+type dsgRun struct {
+	res             []core.RequestResult
+	dists, rounds   []int
+	ws              float64
+	height, dummies int
+}
+
+// runDSG is the one driver of E3–E11: it serves a request sequence, one
+// route + adjustment at a time, on the balanced graph core.New returns —
+// the step the daemon serves — and has the global validator accept the
+// graph it read its numbers off.
+func runDSG(n int, a int, reqs []workload.Request, seed int64) dsgRun {
 	d := core.New(n, core.Config{A: a, Seed: seed})
 	bound := workingset.NewBound(n)
+	var run dsgRun
 	for _, r := range reqs {
 		bound.Add(r.Src, r.Dst)
 		res, err := d.Serve(int64(r.Src), int64(r.Dst))
 		if err != nil {
 			panic(fmt.Sprintf("experiments: %v", err))
 		}
-		dists = append(dists, res.RouteDistance)
-		rounds = append(rounds, res.TransformRounds)
+		run.res = append(run.res, res)
+		run.dists = append(run.dists, res.RouteDistance)
+		run.rounds = append(run.rounds, res.TransformRounds)
 	}
-	return dists, rounds, bound.Total()
+	if err := d.Validate(); err != nil {
+		panic(fmt.Sprintf("experiments: n=%d a=%d: %v", n, a, err))
+	}
+	run.ws, run.height, run.dummies = bound.Total(), d.Graph().Height(), d.DummyCount()
+	return run
+}
+
+// baselineDists serves a request sequence on a comparison system and returns
+// the per-request distances.
+func baselineDists(reqs []workload.Request, request func(u, v int) (int, error)) []int {
+	dists := make([]int, len(reqs))
+	for i, r := range reqs {
+		d, err := request(r.Src, r.Dst)
+		if err != nil {
+			panic(err)
+		}
+		dists[i] = d
+	}
+	return dists
+}
+
+// uniformPairs draws m/2 uniform pairs over n nodes from rng, dropping the
+// self-pairs (E3 and E4's traffic).
+func uniformPairs(rng *rand.Rand, n, m int) []workload.Request {
+	var reqs []workload.Request
+	for i := 0; i < m/2; i++ {
+		if u, v := rng.Intn(n), rng.Intn(n); u != v {
+			reqs = append(reqs, workload.Request{Src: u, Dst: v})
+		}
+	}
+	return reqs
 }
 
 // E3DirectLevel validates Lemma 4: the pair's direct-link level stays at
@@ -133,21 +177,10 @@ func E3DirectLevel(sc Scale) *stats.Table {
 		"n", "a", "max level", "bound", "ok")
 	for _, n := range sc.Sizes {
 		for _, a := range []int{2, 4} {
-			d := core.New(n, core.Config{A: a, Seed: sc.Seed})
 			rng := rand.New(rand.NewSource(sc.Seed + int64(n)))
 			maxLvl := 0
-			for i := 0; i < sc.Requests/2; i++ {
-				u, v := rng.Intn(n), rng.Intn(n)
-				if u == v {
-					continue
-				}
-				res, err := d.Serve(int64(u), int64(v))
-				if err != nil {
-					panic(err)
-				}
-				if res.DirectLevel > maxLvl {
-					maxLvl = res.DirectLevel
-				}
+			for _, res := range runDSG(n, a, uniformPairs(rng, n, sc.Requests), sc.Seed).res {
+				maxLvl = max(maxLvl, res.DirectLevel)
 			}
 			bound := math.Log(float64(n)) / math.Log(2*float64(a)/(float64(a)+1))
 			t.AddRow(n, a, maxLvl, bound, float64(maxLvl) <= bound+3)
@@ -162,21 +195,10 @@ func E4Height(sc Scale) *stats.Table {
 	t := stats.NewTable("E4 — height after transformation (Lemma 5: ≤ log_{3/2} n)",
 		"n", "max height", "bound", "ok")
 	for _, n := range sc.Sizes {
-		d := core.New(n, core.Config{A: 4, Seed: sc.Seed})
 		rng := rand.New(rand.NewSource(sc.Seed + int64(2*n)))
 		maxH := 0
-		for i := 0; i < sc.Requests/2; i++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u == v {
-				continue
-			}
-			res, err := d.Serve(int64(u), int64(v))
-			if err != nil {
-				panic(err)
-			}
-			if res.HeightAfter > maxH {
-				maxH = res.HeightAfter
-			}
+		for _, res := range runDSG(n, 4, uniformPairs(rng, n, sc.Requests), sc.Seed).res {
+			maxH = max(maxH, res.HeightAfter)
 		}
 		bound := math.Log(float64(n)) / math.Log(1.5)
 		t.AddRow(n, maxH, bound, float64(maxH) <= bound+3)
@@ -195,24 +217,17 @@ func E5WorkingSetProperty(sc Scale) *stats.Table {
 			workload.Temporal{Seed: sc.Seed, W: 8, Churn: 0.1},
 			workload.Zipf{Seed: sc.Seed, S: 1.2},
 		} {
-			d := core.New(n, core.Config{A: 4, Seed: sc.Seed})
+			reqs := gen.Generate(n, sc.Requests)
+			run := runDSG(n, 4, reqs, sc.Seed)
 			tracker := workingset.NewTracker(n)
 			var ratios []float64
-			for _, r := range gen.Generate(n, sc.Requests) {
-				tNum := tracker.WorkingSetNumber(r.Src, r.Dst)
-				if tNum < n { // previously communicating pair
-					src := d.NodeByID(int64(r.Src))
-					dst := d.NodeByID(int64(r.Dst))
-					route, err := d.Graph().Route(src, dst)
-					if err != nil {
-						panic(err)
-					}
-					ratios = append(ratios, float64(route.Distance())/(math.Log2(float64(tNum))+1))
+			for i, r := range reqs {
+				// A previously communicating pair: its route, measured by the
+				// step before it transformed, against log T.
+				if tNum := tracker.WorkingSetNumber(r.Src, r.Dst); tNum < n {
+					ratios = append(ratios, float64(run.dists[i])/(math.Log2(float64(tNum))+1))
 				}
 				tracker.Record(r.Src, r.Dst)
-				if _, err := d.Serve(int64(r.Src), int64(r.Dst)); err != nil {
-					panic(err)
-				}
 			}
 			s := stats.Summarize(ratios)
 			t.AddRow(n, gen.Name(), workload.ParamString(gen), s.N, s.Mean, s.P99, s.Max)
@@ -229,12 +244,12 @@ func E6RoutingVsWS(sc Scale) *stats.Table {
 	for _, n := range sc.Sizes {
 		for _, gen := range workload.Suite(sc.Seed) {
 			reqs := gen.Generate(n, sc.Requests)
-			dists, _, ws := runDSG(n, 4, reqs, sc.Seed)
+			run := runDSG(n, 4, reqs, sc.Seed)
 			total := 0.0
-			for _, d := range dists {
+			for _, d := range run.dists {
 				total += float64(d) + 1
 			}
-			t.AddRow(n, gen.Name(), workload.ParamString(gen), total, ws, total/math.Max(ws, 1))
+			t.AddRow(n, gen.Name(), workload.ParamString(gen), total, run.ws, total/math.Max(run.ws, 1))
 		}
 	}
 	return t
@@ -251,13 +266,13 @@ func E7TotalCostVsWS(sc Scale) *stats.Table {
 			workload.Uniform{Seed: sc.Seed},
 		} {
 			reqs := gen.Generate(n, sc.Requests)
-			dists, rounds, ws := runDSG(n, 4, reqs, sc.Seed)
+			run := runDSG(n, 4, reqs, sc.Seed)
 			total := 0.0
-			for i := range dists {
-				total += float64(dists[i]) + float64(rounds[i]) + 1
+			for _, res := range run.res {
+				total += float64(res.ServiceCost())
 			}
-			ratio := total / math.Max(ws, 1)
-			t.AddRow(n, gen.Name(), workload.ParamString(gen), total, ws, ratio, ratio/math.Log2(float64(n)))
+			ratio := total / math.Max(run.ws, 1)
+			t.AddRow(n, gen.Name(), workload.ParamString(gen), total, run.ws, ratio, ratio/math.Log2(float64(n)))
 		}
 	}
 	return t
@@ -271,31 +286,9 @@ func E8Comparison(sc Scale) *stats.Table {
 	n := sc.Sizes[len(sc.Sizes)-1]
 	for _, gen := range workload.Suite(sc.Seed) {
 		reqs := gen.Generate(n, sc.Requests)
-		dists, _, _ := runDSG(n, 4, reqs, sc.Seed)
-		meanDSG := stats.MeanInts(dists)
-
-		st := baseline.NewStatic(n, sc.Seed)
-		var stDists []int
-		for _, r := range reqs {
-			d, err := st.Request(r.Src, r.Dst)
-			if err != nil {
-				panic(err)
-			}
-			stDists = append(stDists, d)
-		}
-		meanStatic := stats.MeanInts(stDists)
-
-		sn := baseline.NewSplayNet(n)
-		var snDists []int
-		for _, r := range reqs {
-			d, err := sn.Request(r.Src, r.Dst)
-			if err != nil {
-				panic(err)
-			}
-			snDists = append(snDists, d)
-		}
-		meanSplay := stats.MeanInts(snDists)
-
+		meanDSG := stats.MeanInts(runDSG(n, 4, reqs, sc.Seed).dists)
+		meanStatic := stats.MeanInts(baselineDists(reqs, baseline.NewStatic(n, sc.Seed).Request))
+		meanSplay := stats.MeanInts(baselineDists(reqs, baseline.NewSplayNet(n).Request))
 		t.AddRow(n, gen.Name(), workload.ParamString(gen), meanDSG, meanStatic, meanSplay,
 			meanDSG/math.Max(meanStatic, 0.001))
 	}
@@ -311,14 +304,9 @@ func E9TemporalSweep(sc Scale) *stats.Table {
 	for _, w := range []int{4, 8, 16, 32} {
 		gen := workload.Temporal{Seed: sc.Seed, W: w, Churn: 0.05}
 		reqs := gen.Generate(n, sc.Requests)
-		dists, _, ws := runDSG(n, 4, reqs, sc.Seed)
-		st := baseline.NewStatic(n, sc.Seed)
-		var stDists []int
-		for _, r := range reqs {
-			d, _ := st.Request(r.Src, r.Dst)
-			stDists = append(stDists, d)
-		}
-		t.AddRow(n, w, stats.MeanInts(dists), stats.MeanInts(stDists), ws/float64(len(reqs)))
+		run := runDSG(n, 4, reqs, sc.Seed)
+		stDists := baselineDists(reqs, baseline.NewStatic(n, sc.Seed).Request)
+		t.AddRow(n, w, stats.MeanInts(run.dists), stats.MeanInts(stDists), run.ws/float64(len(reqs)))
 	}
 	return t
 }
@@ -331,13 +319,8 @@ func E10WorstCase(sc Scale) *stats.Table {
 		"n", "DSG max", "DSG mean", "SplayNet max", "SplayNet mean", "a·H bound")
 	for _, n := range sc.Sizes {
 		reqs := workload.Adversarial{Seed: sc.Seed}.Generate(n, sc.Requests)
-		dists, _, _ := runDSG(n, 4, reqs, sc.Seed)
-		sn := baseline.NewSplayNet(n)
-		var snDists []int
-		for _, r := range reqs {
-			d, _ := sn.Request(r.Src, r.Dst)
-			snDists = append(snDists, d)
-		}
+		dists := runDSG(n, 4, reqs, sc.Seed).dists
+		snDists := baselineDists(reqs, baseline.NewSplayNet(n).Request)
 		bound := 4 * (int(math.Log(float64(n))/math.Log(1.5)) + 3)
 		t.AddRow(n, stats.MaxInts(dists), stats.MeanInts(dists),
 			stats.MaxInts(snDists), stats.MeanInts(snDists), bound)
@@ -355,18 +338,8 @@ func E11BalanceAblation(sc Scale) *stats.Table {
 	n := sc.Sizes[len(sc.Sizes)/2]
 	reqs := workload.Zipf{Seed: sc.Seed, S: 1.2}.Generate(n, sc.Requests)
 	for _, a := range []int{2, 3, 4, 8} {
-		d := core.New(n, core.Config{A: a, Seed: sc.Seed})
-		var dists, rounds []int
-		for _, r := range reqs {
-			res, err := d.Serve(int64(r.Src), int64(r.Dst))
-			if err != nil {
-				panic(err)
-			}
-			dists = append(dists, res.RouteDistance)
-			rounds = append(rounds, res.TransformRounds)
-		}
-		t.AddRow(n, a, stats.MeanInts(dists), stats.MeanInts(rounds),
-			d.Graph().Height(), d.DummyCount())
+		run := runDSG(n, a, reqs, sc.Seed)
+		t.AddRow(n, a, stats.MeanInts(run.dists), stats.MeanInts(run.rounds), run.height, run.dummies)
 	}
 	return t
 }

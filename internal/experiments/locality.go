@@ -24,9 +24,6 @@ func E16JoinLocality(sc Scale) *stats.Table {
 	}
 	for _, n := range sizes {
 		d := core.New(n, core.Config{A: 4, Seed: sc.Seed})
-		// The random initial topology carries no balance guarantee; one
-		// global repair gives every size the same certified starting point.
-		d.RepairBalance()
 		rng := rand.New(rand.NewSource(sc.Seed + int64(n)))
 		live := make([]int64, n)
 		for i := range live {

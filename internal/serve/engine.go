@@ -138,10 +138,9 @@ type Engine struct {
 }
 
 // New creates an engine over the DSG. The scoped repairs behind every
-// adjustment assume a globally a-balanced starting point, so New runs the
-// global balance repair once (a no-op on an already-balanced graph).
+// adjustment assume a globally a-balanced starting point, which core's
+// constructors provide.
 func New(d *core.DSG, cfg Config) *Engine {
-	d.RepairBalance()
 	return &Engine{dsg: d, cfg: cfg}
 }
 

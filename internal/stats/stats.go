@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -93,111 +92,4 @@ func MaxInts(xs []int) int {
 		}
 	}
 	return maxV
-}
-
-// LinearFit fits y = a + b*x by least squares and returns (a, b, r2).
-// It returns zeros when fewer than two points are provided.
-func LinearFit(xs, ys []float64) (a, b, r2 float64) {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return 0, 0, 0
-	}
-	n := float64(len(xs))
-	var sx, sy, sxx, sxy, syy float64
-	for i := range xs {
-		sx += xs[i]
-		sy += ys[i]
-		sxx += xs[i] * xs[i]
-		sxy += xs[i] * ys[i]
-		syy += ys[i] * ys[i]
-	}
-	den := n*sxx - sx*sx
-	if den == 0 {
-		return sy / n, 0, 0
-	}
-	b = (n*sxy - sx*sy) / den
-	a = (sy - b*sx) / n
-	ssTot := syy - sy*sy/n
-	if ssTot == 0 {
-		return a, b, 1
-	}
-	var ssRes float64
-	for i := range xs {
-		d := ys[i] - (a + b*xs[i])
-		ssRes += d * d
-	}
-	return a, b, 1 - ssRes/ssTot
-}
-
-// Histogram is a fixed-width bucket histogram over float64 samples.
-type Histogram struct {
-	Lo, Hi  float64
-	Buckets []int
-	Under   int
-	Over    int
-	width   float64
-}
-
-// NewHistogram creates a histogram with n buckets spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 {
-		n = 1
-	}
-	if hi <= lo {
-		hi = lo + 1
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]int, n), width: (hi - lo) / float64(n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		idx := int((x - h.Lo) / h.width)
-		if idx >= len(h.Buckets) {
-			idx = len(h.Buckets) - 1
-		}
-		h.Buckets[idx]++
-	}
-}
-
-// Total returns the number of observations recorded, including out-of-range.
-func (h *Histogram) Total() int {
-	total := h.Under + h.Over
-	for _, b := range h.Buckets {
-		total += b
-	}
-	return total
-}
-
-// String renders a compact ASCII bar chart.
-func (h *Histogram) String() string {
-	const barWidth = 40
-	maxCount := 0
-	for _, b := range h.Buckets {
-		if b > maxCount {
-			maxCount = b
-		}
-	}
-	out := ""
-	for i, b := range h.Buckets {
-		lo := h.Lo + float64(i)*h.width
-		bar := 0
-		if maxCount > 0 {
-			bar = b * barWidth / maxCount
-		}
-		out += fmt.Sprintf("%10.2f | %-*s %d\n", lo, barWidth, repeat('#', bar), b)
-	}
-	return out
-}
-
-func repeat(c byte, n int) string {
-	buf := make([]byte, n)
-	for i := range buf {
-		buf[i] = c
-	}
-	return string(buf)
 }

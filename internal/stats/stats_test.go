@@ -37,18 +37,6 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestLinearFit(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	ys := []float64{3, 5, 7, 9} // y = 1 + 2x
-	a, b, r2 := LinearFit(xs, ys)
-	if math.Abs(a-1) > 1e-9 || math.Abs(b-2) > 1e-9 || math.Abs(r2-1) > 1e-9 {
-		t.Fatalf("fit = (%f, %f, %f)", a, b, r2)
-	}
-	if _, _, r := LinearFit(xs[:1], ys[:1]); r != 0 {
-		t.Error("degenerate fit should return zeros")
-	}
-}
-
 func TestMeanMaxInts(t *testing.T) {
 	if MeanInts([]int{2, 4, 6}) != 4 {
 		t.Error("mean wrong")
@@ -61,22 +49,6 @@ func TestMeanMaxInts(t *testing.T) {
 	}
 	if MaxInts(nil) != 0 {
 		t.Error("empty max should be 0")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1, 5, 9.9, 10, 100} {
-		h.Add(x)
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Fatalf("under=%d over=%d", h.Under, h.Over)
-	}
-	if h.Total() != 7 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	if !strings.Contains(h.String(), "#") {
-		t.Error("render has no bars")
 	}
 }
 

@@ -10,8 +10,7 @@
 // battery used by the comparison experiments.
 //
 // Generators with tunable knobs also implement Parameterized, exposing
-// their parameters as a map for machine-readable experiment output;
-// Describe renders a generator with its full configuration.
+// their parameters as a map for machine-readable experiment output.
 //
 // Beyond static request sequences, the package generates dynamic
 // workloads: a Trace is an ordered sequence of Events (Op = Route, Join,

@@ -125,16 +125,6 @@ func ParamString(g interface{}) string {
 	return strings.Join(parts, " ")
 }
 
-// Describe renders a generator as "name" or "name{k1=v1 k2=v2}" for logs
-// and result metadata.
-func Describe(g Generator) string {
-	ps := ParamString(g)
-	if ps == "" {
-		return g.Name()
-	}
-	return fmt.Sprintf("%s{%s}", g.Name(), ps)
-}
-
 // Suite returns the canonical battery of generators used by the comparison
 // experiments (E6, E8): one representative of every traffic class the
 // paper's introduction motivates, all deterministic for the given seed.
