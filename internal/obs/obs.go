@@ -286,8 +286,8 @@ func StageName(s int) string {
 	return fmt.Sprintf("stage(%d)", s)
 }
 
-// Retry events: conditions that degraded an op to a miss — and, for a dead
-// route, will make a wire client retry it.
+// Retry events: conditions that degraded an op to a miss. Each is the
+// served op's final answer; a wire client retries neither.
 const (
 	// EventUnknownKey is an op that ran into lsasg.ErrUnknownKey — the
 	// endpoint is gone (deleted or removed). A deterministic miss, not

@@ -13,10 +13,9 @@ import (
 
 // Client speaks the wire protocol to one server. Connections are pooled:
 // each synchronous call checks one out, round-trips a frame, and returns
-// it. Transient failures — a server shutting down (CodeRetry) and a route
-// that ran into a dead node (CodeDeadNode) — are retried with capped
-// exponential backoff; every other answer, an unknown key included, is
-// final.
+// it. Transport faults and a server shutting down (CodeRetry) are retried
+// with capped exponential backoff; every other answer, an unknown key or a
+// dead node included, is final.
 type Client struct {
 	addr string
 	pool chan *clientConn
@@ -309,13 +308,13 @@ func (c *Client) TraceDump(limit int) ([]obs.Span, []obs.VerbLatency, error) {
 // --- pipelined replay -------------------------------------------------------
 
 // Replay pipelines a trace down ONE connection in order, follows it with a
-// Stats frame, and collects every response. A connection's frames enter
-// the server's intake in read order and the owner consumes that queue
-// FIFO, so the trailing Stats is answered after the whole trace: against a
-// fresh daemon the returned StatsPayload.Cum is exactly what Stats reports
-// after an in-process ServeOps call over the same trace. No
-// retries happen here — a mid-trace failure surfaces in the responses so
-// the caller sees the trace's true outcome.
+// Stats frame, and collects every response. The server serves one
+// connection's frames in read order, so the trailing Stats is answered
+// after the whole trace: against a fresh daemon the returned
+// StatsPayload.Cum is exactly what Stats reports after an in-process
+// ServeOps call over the same trace. No retries happen here — a mid-trace
+// failure surfaces in the responses so the caller sees the trace's true
+// outcome.
 func (c *Client) Replay(ops []lsasg.Op) ([]Response, StatsPayload, error) {
 	for _, op := range ops {
 		if _, ok := RequestFor(op); !ok {

@@ -15,11 +15,12 @@ import (
 
 // Collector aggregates serving observability without perturbing the hot
 // path: per-op counters advance on lock-free atomics as results flow, and
-// the server's owner stores the topology-level figures (height, dummies,
-// rebalances, migrated keys) after every op — the service's methods are not
-// concurrency-safe, so a scrape reads only what the owner left here and
-// never touches the service. It renders the Prometheus text exposition
-// format (metric names are listed in docs/WIRE.md).
+// the connection reader holding the server's service lock stores the
+// topology-level figures (height, dummies, rebalances, migrated keys) after
+// every op — the service's methods are not concurrency-safe, so a scrape
+// reads only what was left here and never touches the service. It renders
+// the Prometheus text exposition format (metric names are listed in
+// docs/WIRE.md).
 type Collector struct {
 	start time.Time
 
@@ -46,7 +47,8 @@ type Collector struct {
 	// measurements.
 	tracer *obs.Tracer
 
-	// Topology figures as of the last served op, stored by the owner.
+	// Topology figures as of the last served op, stored under the service
+	// lock.
 	height     atomic.Int64
 	dummies    atomic.Int64
 	rebalances atomic.Int64
@@ -99,8 +101,8 @@ func (c *Collector) observeAdmin(v Verb) { c.ops[v].Add(1) }
 
 // observeError records one non-OK response — or, under CodeInternal, a
 // failure behind an op that was answered OK. Unknown-key and dead-node
-// responses also feed the tracer's retry-event counters: on the wire they
-// are exactly the transient outcomes a client retries.
+// responses also feed the tracer's retry-event counters: each is one served
+// op's miss, answered once — the client retries neither.
 func (c *Collector) observeError(code ErrCode) {
 	if int(code) < len(c.errs) {
 		c.errs[code].Add(1)
@@ -114,7 +116,8 @@ func (c *Collector) observeError(code ErrCode) {
 }
 
 // observeService stores the topology figures of the service's current
-// statistics; the owner calls it after every op.
+// statistics; the server calls it under the service lock after every frame
+// it serves.
 func (c *Collector) observeService(st lsasg.Stats) {
 	c.height.Store(int64(st.Height))
 	c.dummies.Store(int64(st.DummyCount))
@@ -222,7 +225,7 @@ func (c *Collector) Render() string {
 		writeHist("dsg_stage_latency_seconds", "stage", obs.StageName(st), c.tracer.StageHistogram(st))
 	}
 
-	counter("dsg_retry_events_total", "Retry-triggering events: unknown-key responses, dead-node responses.")
+	counter("dsg_retry_events_total", "Ops answered as a miss: unknown-key responses, dead-node responses.")
 	for ev := 0; ev < obs.NumEvents(); ev++ {
 		fmt.Fprintf(&b, "dsg_retry_events_total{event=%q} %d\n", obs.EventName(ev), c.tracer.RetryEvents(ev))
 	}

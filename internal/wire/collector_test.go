@@ -126,8 +126,8 @@ func TestCollectorUnknownKeyFeedsTracer(t *testing.T) {
 }
 
 // TestCollectorDeadRouteFeedsTracer: a route into a crashed node, end to
-// end over the wire, surfaces as dead_route retry events — one per attempt
-// the client's retry loop makes — in the tracer and in the scrape.
+// end over the wire, surfaces as one dead_route retry event — the answer is
+// final, so the client sends it once — in the tracer and in the scrape.
 func TestCollectorDeadRouteFeedsTracer(t *testing.T) {
 	nw, err := lsasg.New(16, lsasg.WithSeed(9))
 	if err != nil {
@@ -142,8 +142,8 @@ func TestCollectorDeadRouteFeedsTracer(t *testing.T) {
 	}
 	c := srv.Collector()
 	got := c.tracer.RetryEvents(obs.EventDeadRoute)
-	if got < 1 {
-		t.Fatalf("dead_route events = %d, want ≥ 1", got)
+	if got != 1 {
+		t.Fatalf("dead_route events = %d, want 1", got)
 	}
 	if want := fmt.Sprintf(`dsg_retry_events_total{event="dead_route"} %d`, got); !strings.Contains(c.Render(), want) {
 		t.Errorf("scrape missing %q", want)

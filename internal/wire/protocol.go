@@ -101,11 +101,14 @@ const (
 	CodeOK ErrCode = iota
 	// CodeUnknownKey maps lsasg.ErrUnknownKey: the endpoint is not in the
 	// keyspace (deleted, removed, or never joined). A deterministic miss —
-	// one owner serves ops and runs barriers, so no key is ever mid-flight —
-	// and not retryable: only a Put of the key changes the answer.
+	// one op holds the service at a time and barriers run inside it, so no
+	// key is ever mid-flight — and not retryable: only a Put of the key
+	// changes the answer.
 	CodeUnknownKey
 	// CodeDeadNode maps lsasg.ErrDeadNode: the op ran into a crash-failed
-	// node before a repair. Transient by design; retryable.
+	// node before a repair. Final: the op was served and counted, and a route
+	// that met a dead intermediate was also adjusted, so sending it again
+	// would serve it again.
 	CodeDeadNode
 	// CodeOutOfRange maps lsasg.ErrOutOfRange: an endpoint outside [0, N).
 	CodeOutOfRange
@@ -603,10 +606,10 @@ func (r Response) Err() error {
 }
 
 // Retryable reports whether the code marks a transient condition a client
-// should retry: a server shutting down, and a route that ran into a dead
-// node — one that hit a dead intermediate repairs it in its own adjust
-// phase, so a second try can succeed. An unknown key is a deterministic
-// miss; sending it again only counts it again.
+// should retry: only a server shutting down, which turned the op away
+// unserved. An unknown key or a dead node answers an op that was served —
+// its miss, counted and, for a route past a dead intermediate, adjusted —
+// so sending it again would serve it again.
 func (c ErrCode) Retryable() bool {
-	return c == CodeRetry || c == CodeDeadNode
+	return c == CodeRetry
 }

@@ -275,7 +275,7 @@ func TestErrorMappingAcrossTheWire(t *testing.T) {
 
 func TestRetryableCodes(t *testing.T) {
 	want := map[ErrCode]bool{
-		CodeOK: false, CodeUnknownKey: false, CodeDeadNode: true,
+		CodeOK: false, CodeUnknownKey: false, CodeDeadNode: false,
 		CodeOutOfRange: false, CodeRetry: true, CodeInvalid: false, CodeInternal: false,
 	}
 	for code, retryable := range want {

@@ -16,49 +16,45 @@ import (
 
 // Server fronts one lsasg.Service over a TCP listener.
 //
-// The service's methods are not concurrency-safe, so a single owner
-// goroutine holds it and everything else funnels through the intake
-// channel. The owner serves one item at a time in arrival order: an op
-// through Service.Do — answered as soon as it is served — and an admin verb
-// (Stats, AddNode, RemoveNode, Crash, Verify, TraceDump) between ops on the
-// same goroutine, so the service is idle whenever an admin verb runs and
-// reading it never disturbs the ops around it. An op that fails — a route
-// whose endpoint is gone or dead, or a fault inside the service — costs its
-// sender one error frame and nobody else anything.
+// The service's methods are not concurrency-safe, so each connection's one
+// goroutine reads a frame and serves it itself under one service lock, FIFO
+// across connections: an op through Service.Do, an admin verb (Stats,
+// AddNode, RemoveNode, Crash, Verify, TraceDump) between ops under the same
+// lock, so the service is idle whenever an admin verb runs and reading it
+// never disturbs the ops around it. The answer is encoded under the lock and
+// written after it is released, so a client that stops reading stalls its
+// own connection and nobody else's. An op that fails — a route whose
+// endpoint is gone or dead, or a fault inside the service — costs its sender
+// one error frame and nobody else anything.
 type Server struct {
 	svc    lsasg.Service
 	col    *Collector
 	tracer *obs.Tracer
 
-	// n mirrors svc.N() so connection readers can validate envelopes
-	// without touching the service; the owner refreshes it after
-	// membership admin.
+	// lock is the service lock: a reader holds the service while its token
+	// fills the one slot. Blocked senders queue FIFO and a release moves the
+	// longest waiter's token into the slot, so readers take turns in arrival
+	// order — a sync.Mutex would let a pipelining reader re-take it ahead of
+	// a waiting one.
+	lock chan struct{}
+
+	// n mirrors svc.N() so readers can validate envelopes without the lock;
+	// membership admin refreshes it.
 	n atomic.Int64
 
-	intake    chan item
-	quit      chan struct{}
-	ownerDone chan struct{}
+	quit chan struct{}
 
 	mu      sync.Mutex
 	lis     net.Listener
-	conns   map[*serverConn]struct{}
+	conns   map[net.Conn]struct{}
 	closing bool
 	connWG  sync.WaitGroup
 }
 
 // writeTimeout bounds each response-frame write. A connection that cannot
-// absorb its responses within the bound is declared dead and its remaining
-// output discarded, so a stalled client can never wedge the owner.
+// absorb its responses within the bound is closed; it holds no lock while it
+// waits, so it stalls only itself.
 const writeTimeout = 10 * time.Second
-
-// item is one unit of intake: an op bound for Service.Do, or an admin
-// request (hasOp false).
-type item struct {
-	req   Request
-	op    lsasg.Op
-	hasOp bool
-	c     *serverConn
-}
 
 // ServerOption configures a Server.
 type ServerOption func(*Server)
@@ -76,22 +72,20 @@ func WithTracer(tr *obs.Tracer) ServerOption {
 	}
 }
 
-// NewServer wraps svc. The owner goroutine starts immediately; Serve
-// accepts connections, Shutdown drains and stops.
+// NewServer wraps svc. Serve accepts connections, Shutdown drains and
+// stops.
 func NewServer(svc lsasg.Service, opts ...ServerOption) *Server {
 	s := &Server{
-		svc:       svc,
-		col:       NewCollector(),
-		intake:    make(chan item, 256),
-		quit:      make(chan struct{}),
-		ownerDone: make(chan struct{}),
-		conns:     map[*serverConn]struct{}{},
+		svc:   svc,
+		col:   NewCollector(),
+		lock:  make(chan struct{}, 1),
+		quit:  make(chan struct{}),
+		conns: map[net.Conn]struct{}{},
 	}
 	for _, opt := range opts {
 		opt(s)
 	}
 	s.n.Store(int64(svc.N()))
-	go s.owner()
 	return s
 }
 
@@ -136,39 +130,34 @@ func (s *Server) Serve(lis net.Listener) error {
 			nc.Close()
 			continue
 		}
-		c := &serverConn{nc: nc, out: make(chan []byte, 256), closed: make(chan struct{})}
-		s.conns[c] = struct{}{}
+		s.conns[nc] = struct{}{}
 		s.connWG.Add(1)
 		s.mu.Unlock()
-		go s.handleConn(c)
+		go s.handleConn(nc)
 	}
 }
 
 // Shutdown drains gracefully: stop accepting, stop reading new frames,
-// answer everything already in flight, and close connections. If ctx
-// expires first, connections are force-closed: the owner still serves the
-// ops it had accepted, and their answers are discarded.
+// answer every frame already read, and close connections. If ctx expires
+// first, connections are force-closed: a reader still finishes the op it is
+// serving, and its answer is lost.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	already := s.closing
 	s.closing = true
 	lis := s.lis
 	s.mu.Unlock()
-	if already {
-		<-s.ownerDone
-		return nil
+	if !already {
+		if lis != nil {
+			lis.Close()
+		}
+		close(s.quit)
+		s.pokeConns()
 	}
-	if lis != nil {
-		lis.Close()
-	}
-	close(s.quit)
-	s.pokeConns()
 
 	done := make(chan struct{})
 	go func() {
 		s.connWG.Wait()
-		close(s.intake)
-		<-s.ownerDone
 		close(done)
 	}()
 	select {
@@ -186,61 +175,122 @@ func (s *Server) pokeConns() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now := time.Now()
-	for c := range s.conns {
-		c.nc.SetReadDeadline(now)
+	for nc := range s.conns {
+		nc.SetReadDeadline(now)
 	}
 }
 
 func (s *Server) closeConns() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for c := range s.conns {
-		c.markClosed()
-		c.nc.Close()
+	for nc := range s.conns {
+		nc.Close()
 	}
 }
 
-// --- owner: the one goroutine that touches the service ---------------------
+// --- one goroutine per connection -------------------------------------------
 
-func (s *Server) owner() {
-	defer close(s.ownerDone)
-	for it := range s.intake {
-		if it.hasOp {
-			s.serveOp(it)
-		} else {
-			s.handleAdmin(it)
+func (s *Server) handleConn(nc net.Conn) {
+	defer s.connWG.Done()
+	s.col.connOpened()
+	bw := bufio.NewWriter(nc)
+	s.serveConn(nc, bw)
+	// Deliver what is still buffered, then hang up.
+	nc.SetWriteDeadline(time.Now().Add(writeTimeout))
+	bw.Flush()
+	nc.Close()
+	s.mu.Lock()
+	delete(s.conns, nc)
+	s.mu.Unlock()
+	s.col.connClosed()
+}
+
+// serveConn answers the connection's frames in read order until shutdown,
+// the end of the stream, a bad frame or a failed write. Answers are flushed
+// once the read buffer is drained, so a pipelining client gets one write per
+// batch of frames it sent.
+func (s *Server) serveConn(nc net.Conn, bw *bufio.Writer) {
+	br := bufio.NewReader(nc)
+	for {
+		select {
+		case <-s.quit:
+			return
+		default:
 		}
-		// Refresh the topology gauges from the owner's side, so /metrics
-		// follows the traffic and a scrape never touches the service.
-		s.col.observeService(s.svc.Stats())
+		body, err := ReadFrame(br)
+		if err != nil {
+			return
+		}
+		req, err := DecodeRequest(body)
+		if err != nil {
+			// Framing is intact but the payload is not trustworthy; give up
+			// on the stream.
+			return
+		}
+		resp := s.serve(req)
+		nc.SetWriteDeadline(time.Now().Add(writeTimeout))
+		if WriteFrame(bw, resp) != nil || br.Buffered() == 0 && bw.Flush() != nil {
+			return
+		}
 	}
 }
 
-// serveOp serves one op through the service and answers its sender. A
-// barrier failure behind a served op is the daemon's, not the sender's: it
-// is logged and counted as an internal error, and the sender gets the op's
-// outcome.
-func (s *Server) serveOp(it item) {
-	r, err := s.svc.Do(it.op)
+// serve answers one request frame. An op envelope is validated at the edge,
+// so a bad request never reaches the service. Everything else runs under the
+// service lock, encoding included: the caller writes the answer only once
+// the lock is released.
+func (s *Server) serve(req Request) []byte {
+	op, isOp := req.Op()
+	if isOp {
+		if err := op.Validate(int(s.n.Load())); err != nil {
+			code := CodeOf(err)
+			if code == CodeOK || code == CodeInternal {
+				code = CodeInvalid
+			}
+			s.col.observeError(code)
+			return errResponse(req, code, err.Error()).Encode()
+		}
+	}
+	select {
+	case s.lock <- struct{}{}:
+	case <-s.quit:
+		return errResponse(req, CodeRetry, "server shutting down").Encode()
+	}
+	defer func() { <-s.lock }()
+	var resp Response
+	if isOp {
+		resp = s.serveOp(req, op)
+	} else {
+		resp = s.handleAdmin(req)
+	}
+	// Refresh the topology gauges while the service is held, so /metrics
+	// follows the traffic and a scrape never touches the service.
+	s.col.observeService(s.svc.Stats())
+	return resp.Encode()
+}
+
+// serveOp serves one op through the service. A barrier failure behind a
+// served op is the daemon's, not the sender's: it is logged and counted as an
+// internal error, and the sender gets the op's outcome.
+func (s *Server) serveOp(req Request, op lsasg.Op) Response {
+	r, err := s.svc.Do(op)
 	if errors.Is(err, lsasg.ErrBarrier) {
-		log.Printf("wire: %s %d→%d was served, then: %v", it.req.Verb, it.op.Src, it.op.Dst, err)
+		log.Printf("wire: %s %d→%d was served, then: %v", req.Verb, op.Src, op.Dst, err)
 		s.col.observeError(CodeInternal)
 		err = r.Err
 	}
 	if err != nil {
-		resp := errResponse(it.req, CodeOf(err), err.Error())
+		resp := errResponse(req, CodeOf(err), err.Error())
 		s.col.observeError(resp.Code)
-		s.respond(it.c, resp)
-	} else {
-		s.col.observeResult(it.req.Verb, r)
-		s.respond(it.c, opResponse(it.req, r))
+		return resp
 	}
+	s.col.observeResult(req.Verb, r)
+	return opResponse(req, r)
 }
 
 // handleAdmin runs an admin verb against the service, idle between ops
 // (TraceDump reads only the tracer).
-func (s *Server) handleAdmin(it item) {
-	req := it.req
+func (s *Server) handleAdmin(req Request) Response {
 	resp := Response{Verb: req.Verb, Seq: req.Seq}
 	switch req.Verb {
 	case VerbStats:
@@ -281,13 +331,7 @@ func (s *Server) handleAdmin(it item) {
 	if resp.Code != CodeOK {
 		s.col.observeError(resp.Code)
 	}
-	s.respond(it.c, resp)
-}
-
-// respond sends one answer and retires the request's pending mark.
-func (s *Server) respond(c *serverConn, resp Response) {
-	c.send(resp.Encode())
-	c.pending.Done()
+	return resp
 }
 
 func errResponse(req Request, code ErrCode, msg string) Response {
@@ -323,121 +367,4 @@ func opResponse(req Request, r lsasg.OpResult) Response {
 		}
 	}
 	return resp
-}
-
-// --- per-connection goroutines ---------------------------------------------
-
-// serverConn is one accepted connection: a reader loop (the handleConn
-// goroutine) and a writer goroutine joined by the out channel. closed
-// marks the writer dead — further sends are discarded, which keeps the
-// owner from ever blocking on a broken peer.
-type serverConn struct {
-	nc        net.Conn
-	out       chan []byte
-	closed    chan struct{}
-	closeOnce sync.Once
-	// pending counts requests handed to the owner and not yet answered.
-	pending sync.WaitGroup
-}
-
-func (c *serverConn) send(body []byte) {
-	select {
-	case c.out <- body:
-	case <-c.closed:
-	}
-}
-
-func (c *serverConn) markClosed() {
-	c.closeOnce.Do(func() { close(c.closed) })
-}
-
-func (s *Server) handleConn(c *serverConn) {
-	defer s.connWG.Done()
-	s.col.connOpened()
-	var writerDone sync.WaitGroup
-	writerDone.Add(1)
-	go func() {
-		defer writerDone.Done()
-		s.connWriter(c)
-	}()
-
-	br := bufio.NewReader(c.nc)
-	for {
-		select {
-		case <-s.quit:
-			goto drain
-		default:
-		}
-		body, err := ReadFrame(br)
-		if err != nil {
-			goto drain
-		}
-		req, err := DecodeRequest(body)
-		if err != nil {
-			// Framing is intact but the payload is not trustworthy;
-			// give up on the stream.
-			goto drain
-		}
-		s.dispatch(c, req)
-	}
-
-drain:
-	// Answer everything already in flight, then retire the writer.
-	c.pending.Wait()
-	close(c.out)
-	writerDone.Wait()
-	c.markClosed()
-	c.nc.Close()
-	s.mu.Lock()
-	delete(s.conns, c)
-	s.mu.Unlock()
-	s.col.connClosed()
-}
-
-// dispatch validates an op envelope at the edge, so a bad request never
-// reaches the service, and funnels the request to the owner.
-func (s *Server) dispatch(c *serverConn, req Request) {
-	it := item{req: req, c: c}
-	if op, ok := req.Op(); ok {
-		if err := op.Validate(int(s.n.Load())); err != nil {
-			code := CodeOf(err)
-			if code == CodeOK || code == CodeInternal {
-				code = CodeInvalid
-			}
-			s.col.observeError(code)
-			c.send(errResponse(req, code, err.Error()).Encode())
-			return
-		}
-		it.op, it.hasOp = op, true
-	}
-	c.pending.Add(1)
-	select {
-	case s.intake <- it:
-	case <-s.quit:
-		c.pending.Done()
-		c.send(errResponse(req, CodeRetry, "server shutting down").Encode())
-	}
-}
-
-// connWriter flushes response frames, batching while the queue is
-// non-empty. A write failure or timeout declares the connection dead and
-// the rest of its output is discarded.
-func (s *Server) connWriter(c *serverConn) {
-	bw := bufio.NewWriter(c.nc)
-	for body := range c.out {
-		c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
-		if err := WriteFrame(bw, body); err != nil {
-			c.markClosed()
-			break
-		}
-		if len(c.out) == 0 {
-			if err := bw.Flush(); err != nil {
-				c.markClosed()
-				break
-			}
-		}
-	}
-	for range c.out {
-		// Dead connection: discard queued output so senders never block.
-	}
 }

@@ -1,12 +1,15 @@
 package wire
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -661,5 +664,197 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if got := httpGet(t, ts.URL+"/healthz"); !strings.Contains(got, "ok") {
 		t.Errorf("healthz = %q", got)
+	}
+}
+
+// pipeline writes reqs down a raw connection in one stream, numbering them
+// from 1, and gives up quietly when the connection is closed.
+func pipeline(nc net.Conn, reqs []Request) {
+	bw := bufio.NewWriter(nc)
+	for i, req := range reqs {
+		req.Seq = uint64(i + 1)
+		if WriteFrame(bw, req.Encode()) != nil {
+			return
+		}
+	}
+	bw.Flush()
+}
+
+// TestStalledReaderCostsOnlyItself: a connection that pipelines scans and
+// never reads the answers fills its socket, so the server blocks writing to
+// it. It blocks without holding the service, so another connection's route
+// is answered at once.
+func TestStalledReaderCostsOnlyItself(t *testing.T) {
+	const n, scans = 64, 20000
+	nw, err := lsasg.New(n, lsasg.WithSeed(23))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < n; k++ {
+		if _, _, err := nw.Put((k+1)%n, k, make([]byte, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, addr := listen(t, nw)
+	other := dial(t, addr)
+
+	// The stalled connection stays referenced until the test ends: an
+	// unreachable one would be closed by its finaliser, and the reset would
+	// free the server for the wrong reason.
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if err := nc.(*net.TCPConn).SetReadBuffer(4 << 10); err != nil {
+		t.Fatal(err)
+	}
+	reqs := make([]Request, scans)
+	for i := range reqs {
+		reqs[i] = Request{Verb: VerbScan, Src: 0, Dst: int64(i % n), Limit: 16}
+	}
+	go pipeline(nc, reqs)
+	// Long enough for the answers to fill both socket buffers, so the
+	// server is blocked writing to the stalled connection when the route
+	// arrives; the route must be fast however long that takes.
+	time.Sleep(time.Second)
+
+	start := time.Now()
+	if _, err := other.Route(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Errorf("a route behind a connection that stopped reading took %v, want < 100ms", d)
+	}
+}
+
+// pacedService spends a fixed service time on every op before serving it.
+// It idles rather than spins, so a flood of ops keeps no CPU busy: a server
+// reader serving a CPU-bound flood in the same process as its clients makes
+// the host's wake-up latency, milliseconds on a busy 2-vCPU guest, the thing
+// measured instead of the queue in front of the service.
+type pacedService struct {
+	lsasg.Service
+	pace time.Duration
+}
+
+func (p pacedService) Do(op lsasg.Op) (lsasg.OpResult, error) {
+	time.Sleep(p.pace)
+	return p.Service.Do(op)
+}
+
+// TestFloodDoesNotStarve: a connection pipelining routes as fast as the
+// server answers them does not push another connection's closed-loop routes
+// to the back of a queue. The service lock is FIFO, so each of the other
+// connection's ops waits for at most the one op the flood is being served.
+func TestFloodDoesNotStarve(t *testing.T) {
+	const n, flood, probes = 64, 5000, 200
+	nw, err := lsasg.New(n, lsasg.WithSeed(29))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, addr := listen(t, pacedService{Service: nw, pace: 3 * time.Millisecond})
+	cl := dial(t, addr)
+	rng := rand.New(rand.NewSource(29))
+	route := func() Request {
+		src := rng.Intn(n)
+		return Request{Verb: VerbRoute, Src: int64(src), Dst: int64((src + 1 + rng.Intn(n-1)) % n)}
+	}
+	timed := func() time.Duration {
+		t0 := time.Now()
+		if _, err := cl.Do(route()); err != nil {
+			t.Fatal(err)
+		}
+		return time.Since(t0)
+	}
+	alone := make([]time.Duration, probes)
+	for i := range alone {
+		alone[i] = timed()
+	}
+	slices.Sort(alone)
+	median := alone[probes/2]
+
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	reqs := make([]Request, flood)
+	for i := range reqs {
+		reqs[i] = route()
+	}
+	go pipeline(nc, reqs)
+	// The flood reads its answers; the probes start once the first is in.
+	first := make(chan struct{})
+	go func() {
+		br := bufio.NewReader(nc)
+		for i := 0; i < flood; i++ {
+			if _, err := ReadFrame(br); err != nil {
+				return
+			}
+			if i == 0 {
+				close(first)
+			}
+		}
+	}()
+	<-first
+	for i := 0; i < probes; i++ {
+		if d := timed(); d > 10*median {
+			t.Fatalf("beside a flood route %d of %d took %v, over 10× the %v median alone", i+1, probes, d, median)
+		}
+	}
+}
+
+// TestDeadIntermediateIsAnsweredOnce: a route that meets a crashed
+// intermediate node has been served — counted and adjusted — by the time it
+// answers dead_node, so the answer is final. The client sends it once, and
+// the daemon counts one request and that op's ρ.
+func TestDeadIntermediateIsAnsweredOnce(t *testing.T) {
+	const n, seed, src, dst = 64, 31, 0, 63
+	// In-process twins find a crash on the route that the route pays ρ for.
+	corpse, rho := -1, int64(0)
+	for x := src + 1; x < dst && corpse < 0; x++ {
+		twin, err := lsasg.New(n, lsasg.WithSeed(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := twin.Crash(x); err != nil {
+			t.Fatal(err)
+		}
+		before := twin.Stats()
+		if _, err := twin.Do(lsasg.RouteOp(src, dst)); errors.Is(err, lsasg.ErrDeadNode) {
+			if d := twin.Stats().TotalTransformRounds - before.TotalTransformRounds; d > 0 {
+				corpse, rho = x, d
+			}
+		}
+	}
+	if corpse < 0 {
+		t.Fatalf("no crashed intermediate on the route %d→%d costs it a transformation", src, dst)
+	}
+
+	nw, err := lsasg.New(n, lsasg.WithSeed(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cl := startServer(t, nw)
+	if err := cl.Crash(corpse); err != nil {
+		t.Fatal(err)
+	}
+	before, err := cl.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Route(src, dst); !errors.Is(err, lsasg.ErrDeadNode) {
+		t.Fatalf("route %d→%d across crashed %d returned %v, want ErrDeadNode", src, dst, corpse, err)
+	}
+	after, err := cl.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := after.Cum.Requests - before.Cum.Requests; d != 1 {
+		t.Errorf("one route call counted %d requests, want 1", d)
+	}
+	if d := after.Cum.TotalTransformRounds - before.Cum.TotalTransformRounds; d != rho {
+		t.Errorf("one route call cost %d transform rounds, want the op's ρ = %d", d, rho)
 	}
 }
