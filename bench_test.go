@@ -467,7 +467,9 @@ func benchNetwork(b *testing.B, serve func(b *testing.B, nw *Network, reqs []wor
 // BenchmarkDo measures the call dsgserve makes per op frame: Network.Do, a
 // one-op window through the shard dispatcher and the owning engine. CI gates
 // both lanes; s=4 adds cross-shard legs and the rebalancer at its default
-// load window.
+// load window, and answers each op once it is routed: the shards it touched
+// adjust behind the answer while the next op routes (92 → 76 µs/op on 2
+// vCPUs, median of five interleaved runs each; level under GOMAXPROCS=1).
 func BenchmarkDo(b *testing.B) {
 	benchNetwork(b, func(b *testing.B, nw *Network, reqs []workload.Request) {
 		for i := 0; i < b.N; i++ {
@@ -481,9 +483,10 @@ func BenchmarkDo(b *testing.B) {
 
 // BenchmarkServeOps serves BenchmarkDo's ops through Network.ServeOps, which
 // returns what that loop returns: the s=1 lanes of the two should agree, and
-// the gap at s=4 is what a window buys — the shards serving their legs side
-// by side (≈ 1.65× on 2 vCPUs, nothing at GOMAXPROCS=1). Recorded in CI, not
-// gated: the s=4 lane swings with the runner's core count.
+// the gap at s=4 is what a window buys over one-op windows that already
+// adjust behind their answers — the shards serving their legs side by side
+// (≈ 1.4× on 2 vCPUs: 76 vs ≈ 53 µs/op; nothing at GOMAXPROCS=1). Recorded in
+// CI, not gated: the s=4 lane swings with the runner's core count.
 func BenchmarkServeOps(b *testing.B) {
 	benchNetwork(b, func(b *testing.B, nw *Network, reqs []workload.Request) {
 		ops := make(chan Op, 256) // slack so the producer never paces the service

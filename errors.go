@@ -28,10 +28,13 @@ var (
 	// ErrOutOfRange reports a key or node index outside [0, N).
 	ErrOutOfRange = errors.New("lsasg: index out of range")
 
-	// ErrBarrier reports that the op was served — the result returned next
-	// to the error is valid and took effect, its own error, if any, in
-	// OpResult.Err — and the rebalancer's migration at the window barrier
-	// behind it failed. It is the service's failure, not the op's.
+	// ErrBarrier reports the service's failure, not the op's: the
+	// rebalancer's migration at the window barrier behind an op failed, or
+	// an adjustment that ran behind an earlier answer (see Network.Do) did.
+	// From Do and Request the result returned next to it is valid and took
+	// effect, its own error, if any, in OpResult.Err; any other call that
+	// returns it — Verify, Distance, Crash, AddNode, RemoveNode — did
+	// nothing else.
 	ErrBarrier = errors.New("lsasg: window barrier failed")
 )
 

@@ -12,10 +12,11 @@ import (
 // pure-route stream behaves — byte for byte — exactly as it did when the
 // boundaries carried Pair.
 //
-// The split of responsibilities matches the serving architecture: the
-// routing side (internal/serve) measures distances and performs Get/Scan
-// reads in an op's route half, while ApplyOp here is the adjuster
-// half — the serialized mutation and topology adaptation. Point
+// The split of responsibilities matches the serving architecture: an op's
+// route half (internal/serve) measures its distance, takes a Get's or
+// Scan's read and applies Write here — a Put's value write, a Delete's
+// leave — and its adjust half is AdjustAccess, the transformation and
+// scoped repair; ApplyOp is both halves in one call. Point
 // ops adjust the topology exactly like a communication request: a Get or
 // Put of key k from origin o is an access σ=(o,k) and feeds the same
 // transformation and scoped balance repair. Put of an absent key is a
@@ -73,14 +74,13 @@ type Op struct {
 // RouteOp builds the envelope of a plain communication request.
 func RouteOp(src, dst int64) Op { return Op{Kind: OpRoute, Src: src, Dst: dst} }
 
-// OpResult reports the adjuster half of one applied op: the transformation
-// measures (zero when the op ran no transformation) plus the KV outcome.
+// OpResult reports one applied op: the transformation measures (zero when
+// the op ran no transformation) plus the KV outcome.
 type OpResult struct {
 	AdjustResult
 
 	// Found/Value/Version report a Get against the live graph at apply
-	// time. The engine overwrites the read with its route phase's (that is
-	// the documented read point); a direct ApplyOp caller uses this one.
+	// time (a Put reports the version it wrote in Version).
 	Found   bool
 	Value   []byte
 	Version int64
@@ -89,111 +89,129 @@ type OpResult struct {
 	// the op was a tracked join) and whether a Delete removed anything.
 	Existed bool
 
-	// Entries holds OpScan results read from the live graph at apply time;
-	// like the Get fields, the engine substitutes its route-phase read.
+	// Entries holds OpScan results read from the live graph at apply time.
 	Entries []skipgraph.Entry
 }
 
-// ApplyOp applies the adjuster half of one op and returns its result. For
-// OpRoute the semantics are exactly Adjust's, errors included. KV ops are
-// total by design: a Get/Put/Delete whose transform endpoint is missing or
-// dead skips the transformation instead of failing (the access still
-// resolves: a miss, a join, a repair), so a deterministic op stream never
-// aborts on data racing membership in the op stream.
+// ApplyOp applies one op to the graph and returns its result: Write, then
+// AdjustAccess, with a Get's or Scan's read taken first. For OpRoute the
+// semantics are exactly Adjust's, errors included. KV ops are total by
+// design: a Get/Put/Delete whose transform endpoint is missing or dead skips
+// the transformation instead of failing (the access still resolves: a miss,
+// a join, a repair), so a deterministic op stream never aborts on data
+// racing membership in the op stream.
 func (d *DSG) ApplyOp(op Op) (OpResult, error) {
+	var res OpResult
 	switch op.Kind {
 	case OpRoute:
-		r, err := d.Adjust(op.Src, op.Dst)
-		return OpResult{AdjustResult: r}, err
 	case OpGet:
-		var res OpResult
 		if n := d.NodeByID(op.Dst); n != nil && !n.Dead() {
 			if v, ver, ok := d.g.GetValue(n.Key()); ok {
 				res.Found, res.Value, res.Version = true, v, ver
 			}
 		}
-		res.AdjustResult = d.adjustIfPossible(op.Src, op.Dst)
-		return res, nil
+	case OpPut, OpDelete:
+		var err error
+		if res.Version, res.Existed, err = d.Write(op); err != nil {
+			return res, err
+		}
+	case OpScan:
+		return OpResult{Entries: d.g.ScanFrom(skipgraph.KeyOf(op.Dst), max(op.Limit, 1))}, nil
+	default:
+		return res, fmt.Errorf("core: unknown op kind %d", op.Kind)
+	}
+	var err error
+	res.AdjustResult, err = d.AdjustAccess(op)
+	return res, err
+}
+
+// Write applies the data half of one op — everything that changes
+// membership or what a later op can read — and reports the version a Put
+// wrote and whether a Put or Delete found a live record. It is a no-op for
+// the other kinds. A serving engine runs it in the op's route half, before
+// the reply; AdjustAccess is the rest.
+func (d *DSG) Write(op Op) (version int64, existed bool, err error) {
+	switch op.Kind {
 	case OpPut:
 		return d.applyPut(op)
 	case OpDelete:
-		return d.applyDelete(op)
-	case OpScan:
-		limit := op.Limit
-		if limit <= 0 {
-			limit = 1
-		}
-		return OpResult{Entries: d.g.ScanFrom(skipgraph.KeyOf(op.Dst), limit)}, nil
+		existed, err := d.applyDelete(op)
+		return 0, existed, err
 	}
-	return OpResult{}, fmt.Errorf("core: unknown op kind %d", op.Kind)
+	return 0, false, nil
+}
+
+// AdjustAccess applies the topology half of one op: Adjust for a route,
+// errors included; the tolerant access transformation for a Get or Put
+// (see adjustIfPossible); nothing for a Delete or Scan. Its only error on a
+// KV op is a failed invariant check under Config.CheckInvariants.
+func (d *DSG) AdjustAccess(op Op) (AdjustResult, error) {
+	switch op.Kind {
+	case OpRoute:
+		return d.Adjust(op.Src, op.Dst)
+	case OpGet, OpPut:
+		return d.adjustIfPossible(op.Src, op.Dst)
+	}
+	return AdjustResult{}, nil
 }
 
 // applyPut writes op.Value to op.Dst. An alive key updates in place; an
 // absent key is a tracked join carrying the value; a crashed key is
 // repaired (corpse spliced out, its record lost — crash-stop) and rejoined
-// fresh. Either way the access then adjusts the topology like a route.
-func (d *DSG) applyPut(op Op) (OpResult, error) {
-	var res OpResult
+// fresh. The access's adjustment is AdjustAccess's.
+func (d *DSG) applyPut(op Op) (version int64, existed bool, err error) {
 	n := d.NodeByID(op.Dst)
 	if n != nil && n.Dead() {
 		d.repairCrashed(n)
 		n = nil
 	}
 	if n != nil {
-		res.Existed = true
-	} else {
-		added, err := d.Add(op.Dst)
-		if err != nil {
-			return res, fmt.Errorf("core: put join %d: %w", op.Dst, err)
-		}
-		n = added
+		existed = true
+	} else if n, err = d.Add(op.Dst); err != nil {
+		return 0, false, fmt.Errorf("core: put join %d: %w", op.Dst, err)
 	}
 	d.kvSeq++
 	d.g.SetValue(n, op.Value, d.kvSeq)
-	res.Version = d.kvSeq
-	res.AdjustResult = d.adjustIfPossible(op.Src, op.Dst)
-	return res, nil
+	return d.kvSeq, existed, nil
 }
 
-// applyDelete removes op.Dst from the keyspace: a tracked leave for an
-// alive key, the crash-repair splice for a dead one (a deleted-then-crashed
-// key must not resurrect — once removed here, a late crash or repair of the
-// id is a no-op). Deleting an absent key is an idempotent miss. No
-// transformation runs: the pair no longer exists to link.
-func (d *DSG) applyDelete(op Op) (OpResult, error) {
-	var res OpResult
+// applyDelete removes op.Dst from the keyspace and reports whether there was
+// anything to remove: a tracked leave for an alive key, the crash-repair
+// splice for a dead one (a deleted-then-crashed key must not resurrect —
+// once removed here, a late crash or repair of the id is a no-op). Deleting
+// an absent key is an idempotent miss. No transformation runs: the pair no
+// longer exists to link.
+func (d *DSG) applyDelete(op Op) (existed bool, err error) {
 	n := d.NodeByID(op.Dst)
 	if n == nil {
-		return res, nil
+		return false, nil
 	}
-	res.Existed = true
 	if n.Dead() {
 		d.repairCrashed(n)
-		return res, nil
+		return true, nil
 	}
 	if err := d.RemoveNode(op.Dst); err != nil {
-		return res, fmt.Errorf("core: delete %d: %w", op.Dst, err)
+		return true, fmt.Errorf("core: delete %d: %w", op.Dst, err)
 	}
-	return res, nil
+	return true, nil
 }
 
 // adjustIfPossible runs the access transformation for (src, dst) when both
 // endpoints are alive real nodes and distinct, and returns the zero result
 // otherwise — the KV ops' tolerant twin of Adjust. A missing endpoint is
 // not an error for a data op: the data outcome (miss, join, update) already
-// happened; only the topology adaptation is skipped.
-func (d *DSG) adjustIfPossible(src, dst int64) AdjustResult {
+// happened; only the topology adaptation is skipped. Only a scoped-repair
+// invariant failure under CheckInvariants returns an error.
+func (d *DSG) adjustIfPossible(src, dst int64) (AdjustResult, error) {
 	u, v := d.NodeByID(src), d.NodeByID(dst)
 	if u == nil || v == nil || u == v || u.Dead() || v.Dead() {
-		return AdjustResult{}
+		return AdjustResult{}, nil
 	}
 	r, err := d.adjust(u, v)
 	if err != nil {
-		// Only a scoped-repair invariant failure under CheckInvariants gets
-		// here; it surfaces loudly rather than silently.
-		panic(fmt.Sprintf("core: kv adjust (%d,%d): %v", src, dst, err))
+		return r, fmt.Errorf("core: kv adjust (%d,%d): %w", src, dst, err)
 	}
-	return r
+	return r, nil
 }
 
 // Restore re-creates one migrated key on this graph: a tracked join plus

@@ -266,11 +266,12 @@ func (r *spanRing) slowest(limit int) []Span {
 
 // Pipeline stages with their own latency histograms.
 const (
-	// StageRouteLeg is one engine leg's route-phase work: the route (plus
-	// any Get/Scan read) of one op.
+	// StageRouteLeg is one engine leg's route half: the route of one op
+	// plus any Get/Scan read and any Put/Delete write.
 	StageRouteLeg = iota
-	// StageAdjustApply is one engine leg's adjuster pass: the op's
-	// mutation, transformation and scoped repair.
+	// StageAdjustApply is one engine leg's adjust half: the op's
+	// transformation and scoped repair — on a sharded service's one-op
+	// window, observed behind the answer.
 	StageAdjustApply
 	numStages
 )

@@ -32,9 +32,10 @@ type Config struct {
 	Tracer *obs.Tracer
 }
 
-// Result reports one served request: the routing half (and any Get/Scan
-// read) measured in the graph every earlier request left, then the
-// adjustment half.
+// Result reports one served request: the route half (the route, any
+// Get/Scan read, any Put/Delete write) measured in the graph every earlier
+// request left, then the adjust half — TransformRounds through
+// RepairRemoved.
 type Result struct {
 	Seq   int64   // 0-based position in the run's request sequence
 	Op    core.Op // the request envelope
@@ -52,8 +53,8 @@ type Result struct {
 	RouteMiss bool
 	RouteErr  error
 
-	// RouteNanos is the wall-clock duration of the op's route-phase work
-	// (route plus any Get/Scan read). Populated only when the engine has a
+	// RouteNanos is the wall-clock duration of the op's route half (route,
+	// any Get/Scan read, any Put/Delete write). Populated only when the engine has a
 	// Tracer; exempt from the determinism contracts and never fed into
 	// Stats.
 	RouteNanos int64
@@ -65,8 +66,8 @@ type Result struct {
 	RepairInserted  int
 	RepairRemoved   int
 
-	// KV outcome. Get and Scan report the route-phase read; Put and Delete
-	// report the adjuster's outcome.
+	// KV outcome, all of it from the route half: Get and Scan report its
+	// read, Put and Delete its write.
 	Found   bool              // OpGet: key present with a value
 	Value   []byte            // OpGet: the value read (immutable)
 	Version int64             // OpGet: version read; OpPut: version written
@@ -122,8 +123,9 @@ func (s Stats) MeanAdjustLag() float64 { return float64(min(s.Requests, 1)) }
 
 // Engine serves requests over one DSG, one at a time: route, then adjust.
 // The DSG must not be touched by anyone else while a Serve or ServeSlice
-// call runs, and between them only through the Apply*Idle entry points,
-// which reserve the engine the same way.
+// call runs or a RouteSlice's adjust half is pending, and between them only
+// through the Apply*Idle entry points, which reserve the engine the same
+// way.
 type Engine struct {
 	dsg *core.DSG
 	cfg Config
@@ -133,19 +135,28 @@ type Engine struct {
 	epoch int64
 
 	// busy is set while a Serve, ServeSlice or Apply*Idle call owns the
-	// live graph.
+	// live graph, and from a RouteSlice that leaves an adjust half pending
+	// until Finish has run it.
 	busy atomic.Bool
+	// tail is the Result whose adjust half RouteSlice left to Finish.
+	tail Result
+
+	// height and dummies are the graph's height and dummy count as of the
+	// last release: what Gauges reads without reserving the engine.
+	height, dummies atomic.Int64
 }
 
 // New creates an engine over the DSG. The scoped repairs behind every
 // adjustment assume a globally a-balanced starting point, which core's
 // constructors provide.
 func New(d *core.DSG, cfg Config) *Engine {
-	return &Engine{dsg: d, cfg: cfg}
+	e := &Engine{dsg: d, cfg: cfg}
+	e.publish()
+	return e
 }
 
-// acquire reserves the live graph for one Serve, ServeSlice or Apply*Idle
-// call; overlapping callers get an error instead of racing the owner.
+// acquire reserves the live graph for one Serve, ServeSlice, RouteSlice or
+// Apply*Idle call; overlapping callers get an error instead of racing the owner.
 func (e *Engine) acquire(what string) error {
 	if !e.busy.CompareAndSwap(false, true) {
 		return fmt.Errorf("serve: %s on an engine that is already serving", what)
@@ -153,7 +164,23 @@ func (e *Engine) acquire(what string) error {
 	return nil
 }
 
-func (e *Engine) release() { e.busy.Store(false) }
+// release publishes the gauges and gives the live graph back.
+func (e *Engine) release() {
+	e.publish()
+	e.busy.Store(false)
+}
+
+func (e *Engine) publish() {
+	e.height.Store(int64(e.dsg.Graph().Height()))
+	e.dummies.Store(int64(e.dsg.DummyCount()))
+}
+
+// Gauges returns the graph's height and dummy count as of the end of the
+// last serving call, Finish or Apply*Idle call — safe to call at any time,
+// from any goroutine, and never waiting for the engine.
+func (e *Engine) Gauges() (height, dummies int) {
+	return int(e.height.Load()), int(e.dummies.Load())
+}
 
 // ApplyCrashIdle injects a crash failure directly on an idle engine (no
 // Serve in flight): the node fails in place, leaving its neighbours'
@@ -228,71 +255,153 @@ func (e *Engine) ServeSlice(ops []core.Op, st *Stats) error {
 	return nil
 }
 
-// serveOp is the engine's step, the paper's sequential model (§III): route
-// the op on the live graph — Get and Scan take their reads here — then apply
-// its mutation and transformation (KV writes flow through the same
-// transformation and scoped repair as routes; see core.ApplyOp), and report
-// one Result to st and OnResult. A route whose endpoint is unknown or dead
-// (core.ErrUnknownNode, core.ErrCrashedNode) is a miss that adjusts nothing,
-// not a failure: the data plane changes membership mid-stream, so a route
-// to a key a Delete removed earlier is expected. A failing op reports
-// nothing.
+// RouteSlice is ServeSlice up to the last op's route half: every op before
+// it is served whole, and the last one's Result — route half only, its
+// adjust fields zero — is reported and its books added to st. If that op
+// has an adjust half (a route, a Get or a Put), RouteSlice returns pending
+// and keeps the engine reserved for it: nothing else may use the engine or
+// read its graph until Finish has run it. Otherwise the engine is released.
+func (e *Engine) RouteSlice(ops []core.Op, st *Stats) (pending bool, err error) {
+	if err := e.acquire("RouteSlice"); err != nil {
+		return false, err
+	}
+	last := len(ops) - 1
+	for _, op := range ops[:last] {
+		if err := e.serveOp(op, st); err != nil {
+			e.release()
+			return false, err
+		}
+	}
+	r, err := e.routeHalf(ops[last], st.Requests)
+	if err != nil {
+		e.release()
+		return false, err
+	}
+	st.addRoute(&r)
+	e.report(r)
+	if k := r.Op.Kind; k != core.OpRoute && k != core.OpGet && k != core.OpPut {
+		e.release()
+		return false, nil
+	}
+	e.tail = r
+	return true, nil
+}
+
+// Finish runs the adjust half RouteSlice left pending, adds its books to st
+// and releases the engine. Its error is the adjust half's.
+func (e *Engine) Finish(st *Stats) error {
+	defer e.release()
+	r := &e.tail
+	err := e.adjustHalf(r)
+	if err == nil {
+		st.addAdjust(r)
+	}
+	*r = Result{}
+	return err
+}
+
+// serveOp is the engine's step, the paper's sequential model (§III): the
+// op's route half, then its adjust half, then one Result to st and
+// OnResult. A failing op reports nothing.
 func (e *Engine) serveOp(op core.Op, st *Stats) error {
+	r, err := e.routeHalf(op, st.Requests)
+	if err != nil {
+		return err
+	}
+	if err := e.adjustHalf(&r); err != nil {
+		return err
+	}
+	st.addRoute(&r)
+	st.addAdjust(&r)
+	e.report(r)
+	return nil
+}
+
+// routeHalf is the first half of the step on the live graph: route the op —
+// Get and Scan take their reads here — and apply its write (a Put's value, a
+// join included, and every Delete; see core.DSG.Write), everything that
+// changes membership or what a later op can read. It returns the op's
+// Result without the adjust fields.
+func (e *Engine) routeHalf(op core.Op, seq int64) (Result, error) {
 	tr := e.cfg.Tracer
-	var start, routed time.Time
+	var start time.Time
 	if tr != nil {
 		start = time.Now()
 	}
 	out := e.routeOp(op)
+	r := Result{
+		Seq:           seq,
+		Op:            op,
+		Epoch:         e.epoch,
+		RouteDistance: out.route.Distance(),
+		RouteHops:     out.route.Hops(),
+		RouteMiss:     out.err != nil,
+		RouteErr:      out.err,
+		Found:         out.found,
+		Value:         out.val,
+		Version:       out.ver,
+		Entries:       out.entries,
+	}
+	ver, existed, err := e.dsg.Write(op)
+	if err != nil {
+		return Result{}, opErr(r, err)
+	}
+	if op.Kind == core.OpPut {
+		r.Version = ver
+	}
+	r.Existed = existed
 	if tr != nil {
-		routed = time.Now()
-		d := routed.Sub(start)
-		out.nanos = int64(d)
+		d := time.Since(start)
+		r.RouteNanos = int64(d)
 		tr.ObserveStage(obs.StageRouteLeg, d)
 	}
-	adj, err := e.dsg.ApplyOp(op)
+	e.epoch++
+	return r, nil
+}
+
+// adjustHalf is the second half of the step: the op's transformation and
+// scoped repair (core.DSG.AdjustAccess), filling r's adjust fields. A route
+// whose endpoint is unknown or dead (core.ErrUnknownNode,
+// core.ErrCrashedNode) is a miss that adjusts nothing, not a failure: the
+// data plane changes membership mid-stream, so a route to a key a Delete
+// removed earlier is expected.
+func (e *Engine) adjustHalf(r *Result) error {
+	tr := e.cfg.Tracer
+	var start time.Time
 	if tr != nil {
-		tr.ObserveStage(obs.StageAdjustApply, time.Since(routed))
+		start = time.Now()
+	}
+	adj, err := e.dsg.AdjustAccess(r.Op)
+	if tr != nil {
+		tr.ObserveStage(obs.StageAdjustApply, time.Since(start))
 	}
 	if err != nil {
-		if op.Kind != core.OpRoute || !(errors.Is(err, core.ErrUnknownNode) || errors.Is(err, core.ErrCrashedNode)) {
-			return fmt.Errorf("serve: op %d (%s %d→%d): %w", st.Requests, op.Kind, op.Src, op.Dst, err)
+		if r.Op.Kind != core.OpRoute || !(errors.Is(err, core.ErrUnknownNode) || errors.Is(err, core.ErrCrashedNode)) {
+			return opErr(*r, err)
 		}
-		adj = core.OpResult{}
+		adj = core.AdjustResult{}
 	}
-	r := Result{
-		Seq:             st.Requests,
-		Op:              op,
-		Epoch:           e.epoch,
-		RouteDistance:   out.route.Distance(),
-		RouteHops:       out.route.Hops(),
-		RouteMiss:       out.err != nil,
-		RouteErr:        out.err,
-		RouteNanos:      out.nanos,
-		TransformRounds: adj.TransformRounds,
-		DirectLevel:     adj.DirectLevel,
-		Alpha:           adj.Alpha,
-		HeightAfter:     adj.HeightAfter,
-		RepairInserted:  adj.RepairInserted,
-		RepairRemoved:   adj.RepairRemoved,
-		Version:         adj.Version,
-		Existed:         adj.Existed,
-	}
-	switch op.Kind {
-	case core.OpGet:
-		r.Found, r.Value, r.Version = out.found, out.val, out.ver
-	case core.OpScan:
-		r.Entries = out.entries
-	}
-	st.accumulate(r)
-	if e.cfg.OnResult != nil {
-		e.cfg.OnResult(r)
-	}
-	e.epoch++
+	r.TransformRounds = adj.TransformRounds
+	r.DirectLevel = adj.DirectLevel
+	r.Alpha = adj.Alpha
+	r.HeightAfter = adj.HeightAfter
+	r.RepairInserted = adj.RepairInserted
+	r.RepairRemoved = adj.RepairRemoved
 	return nil
 }
 
-func (s *Stats) accumulate(r Result) {
+func opErr(r Result, err error) error {
+	return fmt.Errorf("serve: op %d (%s %d→%d): %w", r.Seq, r.Op.Kind, r.Op.Src, r.Op.Dst, err)
+}
+
+func (e *Engine) report(r Result) {
+	if e.cfg.OnResult != nil {
+		e.cfg.OnResult(r)
+	}
+}
+
+// addRoute adds one op's route-half figures to the books.
+func (s *Stats) addRoute(r *Result) {
 	s.Requests++
 	s.Batches++
 	s.TotalRouteDistance += int64(r.RouteDistance)
@@ -300,9 +409,6 @@ func (s *Stats) accumulate(r Result) {
 	if r.RouteDistance > s.MaxRouteDistance {
 		s.MaxRouteDistance = r.RouteDistance
 	}
-	s.TotalTransformRounds += int64(r.TransformRounds)
-	s.RepairInserted += int64(r.RepairInserted)
-	s.RepairRemoved += int64(r.RepairRemoved)
 	if r.RouteMiss {
 		s.RouteMisses++
 	}
@@ -326,6 +432,13 @@ func (s *Stats) accumulate(r Result) {
 		s.Scans++
 		s.ScannedEntries += int64(len(r.Entries))
 	}
+}
+
+// addAdjust adds one op's adjust-half figures to the books.
+func (s *Stats) addAdjust(r *Result) {
+	s.TotalTransformRounds += int64(r.TransformRounds)
+	s.RepairInserted += int64(r.RepairInserted)
+	s.RepairRemoved += int64(r.RepairRemoved)
 }
 
 // routeOut is the route-phase outcome of one op: the measured access path

@@ -7,10 +7,12 @@ import (
 	"lsasg/internal/core"
 )
 
-// ErrBarrier marks an Apply error that comes from the window barrier behind
-// the op — the rebalancer's migration — and not from the op: the outcome
-// returned next to it is valid, counted and observed, and its own error, if
-// any, is in Outcome.Err.
+// ErrBarrier marks an error that comes from behind the op — the
+// rebalancer's migration at a window barrier, or an adjustment that failed
+// behind an earlier answer and that this call settled — and not from the op:
+// from Apply the outcome returned next to it is valid, counted and observed,
+// and its own error, if any, is in Outcome.Err; any other call returning it
+// did nothing else.
 var ErrBarrier = errors.New("shard: window barrier failed")
 
 // Apply serves one op synchronously — a one-op window through serveWindow,
@@ -28,7 +30,24 @@ var ErrBarrier = errors.New("shard: window barrier failed")
 // wrapping ErrBarrier, together with the op's valid outcome. An op an engine
 // failed to serve has no outcome: it is counted nowhere, and the load window
 // is left as it was.
-func (s *Service) Apply(op core.Op) (Outcome, error) {
+//
+// On more than one shard, Apply returns once the op's legs have routed
+// (unless a barrier follows): the outcome is complete but for
+// TransformRounds, Alpha and DirectLevel, which stay zero, and each shard
+// the op touched finishes its adjustment behind the answer, on a goroutine
+// of its own, until the next call that reads that shard settles it. So a
+// caller's next op routes on another shard while this one's shard still
+// adjusts. An adjustment that fails behind its answer is reported, wrapping
+// ErrBarrier, by that settling call. On one shard the adjustment runs before
+// Apply returns.
+func (s *Service) Apply(op core.Op) (Outcome, error) { return s.apply(op, true) }
+
+// ApplyAdjusted is Apply that returns only once the op's adjustment has
+// run, on every shard count, so its outcome carries TransformRounds, Alpha
+// and DirectLevel.
+func (s *Service) ApplyAdjusted(op core.Op) (Outcome, error) { return s.apply(op, false) }
+
+func (s *Service) apply(op core.Op, behind bool) (Outcome, error) {
 	if !s.serving.CompareAndSwap(false, true) {
 		return Outcome{}, fmt.Errorf("shard: Apply on a service that is already serving")
 	}
@@ -37,7 +56,7 @@ func (s *Service) Apply(op core.Op) (Outcome, error) {
 		return Outcome{}, err
 	}
 	var st ServeStats
-	o, err := s.serveWindow([]core.Op{op}, &st)
+	o, err := s.serveWindow([]core.Op{op}, &st, behind)
 	if err != nil && !errors.Is(err, ErrBarrier) {
 		return Outcome{Op: op}, err
 	}

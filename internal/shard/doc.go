@@ -63,9 +63,16 @@
 //
 // Service.Apply is that driver on one op; Service.Serve collects a window
 // off a channel and calls it, so Serve returns what Apply in a loop returns.
-// What the window adds is wall-clock: a leg touches its own shard's graph
-// only, so the busy shards' engines run side by side — the service's one
-// source of concurrency (partitions, not parallel readers of one structure;
-// cf. Thomas & Mendes in PAPERS.md). AddNode, RemoveNode and Crash are
-// directory operations on the idle service.
+// A leg touches its own shard's graph only, and that is the service's one
+// source of concurrency — partitions, not parallel readers of one structure
+// (cf. Thomas & Mendes in PAPERS.md) — in two forms. A window of many ops
+// runs the busy shards' engines side by side. A one-op window on S > 1
+// shards answers once its legs are routed, and each shard it touched
+// finishes its adjustment behind the answer, so a client's next op routes on
+// another shard meanwhile; every call that reads a shard's graph or the books
+// — its next leg, the barrier, Crash, AddNode, RemoveNode, Totals, Height,
+// DummyCount, Verify, Distance, DirectlyLinked, RenderTopology — settles that
+// shard first, and a failure behind an answer comes back from it as
+// ErrBarrier. One shard adjusts inline: nothing could overlap it. AddNode,
+// RemoveNode and Crash are directory operations on the idle service.
 package shard

@@ -116,6 +116,7 @@ func (m *kvModel) check(op core.Op, o Outcome, err error) string {
 // it alive, and no graph but its shard's holds it at all.
 func checkLiveBook(t *testing.T, svc *Service, m *kvModel, step int) {
 	t.Helper()
+	svc.settleAll()
 	dir := svc.Directory()
 	for k := int64(0); k < svc.n; k++ {
 		if svc.live[k] != m.present[k] {

@@ -16,8 +16,12 @@ import (
 // dispatcher splits a slice of ops into per-shard leg slices, has every busy
 // shard's engine serve its slice — op by op, route then adjust, on the live
 // graph, the engines of different shards side by side — and assembles each
-// op's outcome from its legs' results, in dispatch order. The rebalancer runs
-// at the engine-idle barrier that ends a load window. Every statistic is a
+// op's outcome from its legs' results, in dispatch order. A one-op window
+// (Apply) on more than one shard ends when its legs are routed: each busy
+// shard finishes its adjustment behind the answer and serves nothing else
+// until that has settled, so every shard still sees route, adjust, route, in
+// order. The rebalancer runs at the barrier that ends a load window, every
+// shard settled and every engine idle. Every statistic is a
 // pure function of the request sequence and the configuration — independent
 // of how the shards' engines are scheduled and of producer timing — because
 // each shard's leg sequence and every planner input is fixed by the dispatch
@@ -127,7 +131,9 @@ type Outcome struct {
 	RouteDistance int
 	RouteHops     int
 	// TransformRounds sums ρ over the same legs; Alpha and DirectLevel
-	// describe the last of them, the destination-side transformation.
+	// describe the last of them, the destination-side transformation. All
+	// three are zero when the window delivered before its adjustments ran
+	// (see Apply).
 	TransformRounds int
 	Alpha           int
 	DirectLevel     int
@@ -206,7 +212,10 @@ func (w *window) addLeg(shard int, op core.Op) legRef {
 // until it has that many, or the stream ends, so the windows are a function
 // of the request sequence alone. One shard has nothing to run side by side,
 // so at S = 1 every window is one op and a synchronous client of a one-shard
-// service waits for its own op only.
+// service waits for its own op only. Serve's windows adjust before they
+// deliver, so only an Apply leaves an adjustment behind its answer; Serve
+// settles those before its own legs use their shards, and every shard before
+// it returns.
 //
 // Serve returns what calling Apply on each op in turn returns — outcomes,
 // books, topology — and at S > 1 does it in less wall-clock time. It rejects
@@ -235,7 +244,7 @@ func (s *Service) Serve(ctx context.Context, in <-chan core.Op) (ServeStats, err
 			room = s.cfg.rebalanceEvery() - s.loadOps
 		}
 		ops, done, retErr = s.collect(ctx, in, ops[:0], room)
-		if _, err := s.serveWindow(ops, &st); err != nil {
+		if _, err := s.serveWindow(ops, &st, false); err != nil {
 			done = true
 			if retErr == nil {
 				retErr = err
@@ -277,24 +286,33 @@ func (s *Service) collect(ctx context.Context, in <-chan core.Op, ops []core.Op,
 // serveWindow is the one driver, behind Serve and Apply alike: it serves
 // ops — valid, and no more than the load window has room for — as one
 // window. Dispatch splits them into leg slices in order; the busy shards'
-// engines serve their slices; the outcomes are assembled and delivered in
-// dispatch order; and when that fills the load window, the planner inspects
-// its per-key loads at the barrier — every engine idle — and at most one
-// contiguous range migrates, values riding with their keys, between adjacent
-// shards. It returns the last delivered outcome.
+// engines serve their slices side by side; the outcomes are assembled and
+// delivered in dispatch order; and when that fills the load window, the
+// planner inspects its per-key loads at the barrier — every shard settled,
+// every engine idle — and at most one contiguous range migrates, values
+// riding with their keys, between adjacent shards. It returns the last
+// delivered outcome.
+//
+// With behind set, on more than one shard, and when no barrier follows, the
+// window ends once every leg has routed: each busy shard finishes its last
+// leg's adjustment behind the answer (see run). One shard keeps every
+// adjustment inline — a one-shard service has nothing to overlap it with,
+// and moving it to another core costs more than it hides.
 //
 // An op one of whose legs an engine failed to serve has no outcome: the
 // window stops delivering there, takes the undelivered ops back out of the
-// load window, and returns the engine's error. A failed migration comes
-// after the window was served, counted and observed, so it is returned
-// wrapping ErrBarrier next to a valid outcome.
-func (s *Service) serveWindow(ops []core.Op, st *ServeStats) (Outcome, error) {
+// load window, and returns the engine's error. A failed migration, or a
+// failed adjustment the window settled, comes after the window was served,
+// counted and observed, so it is returned wrapping ErrBarrier next to a
+// valid outcome.
+func (s *Service) serveWindow(ops []core.Op, st *ServeStats, behind bool) (Outcome, error) {
 	dir := s.dir.Load()
 	s.win.reset()
 	for _, op := range ops {
 		s.dispatch(dir, op, st)
 	}
-	err := s.run(st)
+	barrier := s.loadOps >= s.cfg.rebalanceEvery()
+	err := s.run(st, behind && len(s.shards) > 1 && !barrier)
 	last, delivered := s.deliver(st)
 	if err != nil {
 		for _, op := range ops[delivered:] {
@@ -302,15 +320,16 @@ func (s *Service) serveWindow(ops []core.Op, st *ServeStats) (Outcome, error) {
 		}
 		return last, err
 	}
-	if s.loadOps >= s.cfg.rebalanceEvery() {
+	if barrier {
 		st.noteWindow(loadRatio(dir, s.keyLoad), true)
+		s.settleAll()
 		err := s.rebalance(dir)
 		s.resetLoad()
 		if err != nil {
 			return last, fmt.Errorf("%w after its ops were served: %w", ErrBarrier, err)
 		}
 	}
-	return last, nil
+	return last, s.takeFailed()
 }
 
 // noteWindow books one load window's max/mean shard-load ratio: a full one
@@ -444,20 +463,39 @@ func (s *Service) dispatch(dir *Directory, op core.Op, st *ServeStats) {
 }
 
 // run serves the window's legs and folds the engines' books into st: every
-// shard with legs serves its slice, on a goroutine of its own when two or
-// more shards are busy. It returns the first failure in shard order.
-func (s *Service) run(st *ServeStats) error {
+// shard with legs is settled, then serves its slice — on a goroutine of its
+// own when two or more shards are busy. With behind set, a busy shard's
+// last leg stops after its route half: the legs route here, one shard after
+// another — a route half is far too short to be worth a goroutine handoff,
+// and the caller must not wait behind an adjustment for a core — and each
+// shard's tail finishes the adjustment on a goroutine of its own, reserving
+// the shard until settle. It returns the first engine failure in shard order.
+func (s *Service) run(st *ServeStats, behind bool) error {
 	w := &s.win
 	busy, only := 0, 0
 	for i := range w.legs {
 		if len(w.legs[i]) > 0 {
+			s.settle(i)
 			busy++
 			only = i
 		}
 	}
-	if busy == 1 {
+	switch {
+	case behind:
+		for i := range w.legs {
+			if len(w.legs[i]) == 0 {
+				continue
+			}
+			sl := s.shards[i]
+			var pending bool
+			if pending, w.errs[i] = sl.eng.RouteSlice(w.legs[i], &w.stats[i]); pending {
+				sl.tail.Add(1)
+				go s.finish(i)
+			}
+		}
+	case busy == 1:
 		w.errs[only] = s.shards[only].eng.ServeSlice(w.legs[only], &w.stats[only])
-	} else if busy > 1 {
+	case busy > 1:
 		var wg sync.WaitGroup
 		for i := range w.legs {
 			if len(w.legs[i]) == 0 {
@@ -478,6 +516,16 @@ func (s *Service) run(st *ServeStats) error {
 		}
 	}
 	return nil
+}
+
+// finish runs shard i's pending adjust half: the shard's tail.
+func (s *Service) finish(i int) {
+	sl := s.shards[i]
+	if s.beforeTail != nil {
+		s.beforeTail(i)
+	}
+	sl.err = sl.eng.Finish(&sl.adj)
+	sl.tail.Done()
 }
 
 // deliver hands the window's outcomes to OnOutcome in dispatch order and

@@ -1,8 +1,10 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"sync/atomic"
 
 	"lsasg/internal/core"
@@ -92,6 +94,13 @@ func (c Config) minShardKeys() int {
 type slot struct {
 	dsg *core.DSG
 	eng *serve.Engine
+
+	// tail counts the adjustment running behind an answer on this shard (0
+	// or 1): the adjust half Engine.RouteSlice left to Engine.Finish. adj
+	// and err are what it leaves for settle: its books and its failure.
+	tail sync.WaitGroup
+	adj  serve.Stats
+	err  error
 }
 
 // Service is a self-adjusting skip-graph service over the key space [0, n),
@@ -127,6 +136,13 @@ type Service struct {
 
 	// serving is set while a Serve or Apply call is in flight.
 	serving atomic.Bool
+
+	// failed holds the failures of settled tails that no call has reported
+	// yet.
+	failed error
+	// beforeTail, when set, runs on a tail's goroutine before its adjustment
+	// does: the tests' way to hold one behind its answer.
+	beforeTail func(shard int)
 
 	// totals are the lifetime books over every Serve run and Apply.
 	totals Totals
@@ -209,14 +225,19 @@ func (s *Service) RebalanceEvery() int { return s.cfg.rebalanceEvery() }
 // A returns the a-balance parameter of every shard's DSG.
 func (s *Service) A() int { return s.cfg.A }
 
-// Totals returns the lifetime books. Like every accessor here it must not
-// be called while a Serve call is in flight.
-func (s *Service) Totals() Totals { return s.totals }
+// Totals returns the lifetime books, every adjustment settled first. Like
+// every accessor here it must not be called while a Serve call is in
+// flight.
+func (s *Service) Totals() Totals {
+	s.settleAll()
+	return s.totals
+}
 
 // Height returns the tallest shard topology. Like every accessor here it
-// reads the live graphs, so it must not be called while a Serve call is in
-// flight.
+// settles every shard and reads the live graphs, so it must not be called
+// while a Serve call is in flight.
 func (s *Service) Height() int {
+	s.settleAll()
 	h := 0
 	for _, sl := range s.shards {
 		if sh := sl.dsg.Graph().Height(); sh > h {
@@ -228,6 +249,7 @@ func (s *Service) Height() int {
 
 // DummyCount sums the dummy populations of all shards.
 func (s *Service) DummyCount() int {
+	s.settleAll()
 	c := 0
 	for _, sl := range s.shards {
 		c += sl.dsg.DummyCount()
@@ -237,6 +259,10 @@ func (s *Service) DummyCount() int {
 
 // Verify checks all structural invariants of every shard's topology.
 func (s *Service) Verify() error {
+	s.settleAll()
+	if err := s.takeFailed(); err != nil {
+		return err
+	}
 	for i, sl := range s.shards {
 		if err := sl.dsg.Graph().Verify(); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
@@ -253,6 +279,10 @@ func (s *Service) Distance(src, dst int64) (int, error) {
 		return 0, err
 	}
 	if err := s.checkKey(dst); err != nil {
+		return 0, err
+	}
+	s.settleAll()
+	if err := s.takeFailed(); err != nil {
 		return 0, err
 	}
 	legs, n, cross := s.dir.Load().splitLegs(s.live, src, dst)
@@ -276,6 +306,7 @@ func (s *Service) DirectlyLinked(src, dst int64) (bool, int) {
 	if s.checkKey(src) != nil || s.checkKey(dst) != nil {
 		return false, 0
 	}
+	s.settleAll()
 	dir := s.dir.Load()
 	d := s.shards[dir.ShardOf(src)].dsg
 	u, v := d.NodeByID(src), d.NodeByID(dst)
@@ -288,6 +319,7 @@ func (s *Service) DirectlyLinked(src, dst int64) (bool, int) {
 // RenderTopology writes every shard's tree-of-linked-lists view (the
 // paper's Fig 1(b) layout) to w, in key order.
 func (s *Service) RenderTopology(w io.Writer) {
+	s.settleAll()
 	for i, sl := range s.shards {
 		if len(s.shards) > 1 {
 			lo, hi := s.dir.Load().Range(i)
@@ -300,12 +332,17 @@ func (s *Service) RenderTopology(w io.Writer) {
 // Crash injects a crash failure synchronously: the node fails in place on
 // whichever shard the current directory assigns it — dangling neighbour
 // references until a Put or Delete of the key repairs it. Requires the
-// owning engine to be idle (no Serve in flight).
+// owning engine to be idle (no Serve in flight). Like AddNode and RemoveNode
+// it settles the shard it changes first, and does nothing but report a
+// failed adjustment it finds there (see Apply).
 func (s *Service) Crash(id int64) error {
 	if err := s.checkKey(id); err != nil {
 		return err
 	}
 	sh := s.dir.Load().ShardOf(id)
+	if err := s.settleShard(sh); err != nil {
+		return err
+	}
 	if err := s.shards[sh].eng.ApplyCrashIdle(id); err != nil {
 		return err
 	}
@@ -319,6 +356,9 @@ func (s *Service) Crash(id int64) error {
 // service (no Serve in flight).
 func (s *Service) AddNode() (int64, error) {
 	id := s.n
+	if err := s.settleShard(len(s.shards) - 1); err != nil {
+		return 0, err
+	}
 	last := s.shards[len(s.shards)-1]
 	if err := last.eng.ApplyMigrationBatch([]skipgraph.Entry{{ID: id}}, nil); err != nil {
 		return 0, err
@@ -339,11 +379,73 @@ func (s *Service) RemoveNode(id int64) error {
 		return err
 	}
 	sh := s.dir.Load().ShardOf(id)
+	if err := s.settleShard(sh); err != nil {
+		return err
+	}
 	if err := s.shards[sh].eng.ApplyMigrationBatch(nil, []int64{id}); err != nil {
 		return err
 	}
 	s.live[id] = false
 	return nil
+}
+
+// Gauges are what Service.Gauges reads without settling anything.
+type Gauges struct {
+	Height     int // the tallest shard's, as of its last settled adjustment
+	DummyCount int // summed over shards, likewise
+	Rebalances int64
+	MovedKeys  int64
+}
+
+// Gauges returns the topology figures as of each shard's last settled
+// adjustment, without waiting for one still running behind an answer, and
+// the migration books, which the dispatcher keeps itself.
+func (s *Service) Gauges() Gauges {
+	g := Gauges{Rebalances: s.totals.Rebalances, MovedKeys: s.totals.MovedKeys}
+	for _, sl := range s.shards {
+		h, d := sl.eng.Gauges()
+		g.Height = max(g.Height, h)
+		g.DummyCount += d
+	}
+	return g
+}
+
+// settle waits for shard i's adjustment behind an answer, if one is
+// running, and folds it into the lifetime books; a failure it left joins
+// s.failed. Every read of a shard's graph or of the books settles first.
+func (s *Service) settle(i int) {
+	sl := s.shards[i]
+	sl.tail.Wait()
+	s.totals.TransformRounds += sl.adj.TotalTransformRounds
+	sl.adj = serve.Stats{}
+	if sl.err != nil {
+		s.failed = errors.Join(s.failed, fmt.Errorf("shard %d: %w", i, sl.err))
+		sl.err = nil
+	}
+}
+
+// settleAll settles every shard.
+func (s *Service) settleAll() {
+	for i := range s.shards {
+		s.settle(i)
+	}
+}
+
+// settleShard settles shard i and reports the failures settled so far.
+func (s *Service) settleShard(i int) error {
+	s.settle(i)
+	return s.takeFailed()
+}
+
+// takeFailed reports, once, the failures of the settled adjustments,
+// wrapping ErrBarrier.
+func (s *Service) takeFailed() error {
+	err := s.failed
+	if err == nil {
+		return nil
+	}
+	s.failed = nil
+	return fmt.Errorf("%w: an adjustment behind an answer failed: %w", ErrBarrier, err)
 }
 
 // checkKey validates one endpoint.

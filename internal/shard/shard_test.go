@@ -25,8 +25,9 @@ func feed(reqs []workload.Request) <-chan core.Op {
 
 // routeLegs resolves u → v under dir and routes every leg in its shard's
 // graph — the read-only half of what the dispatcher does. The service must
-// be idle.
+// be idle; routeLegs settles it.
 func routeLegs(s *Service, dir *Directory, u, v int64) error {
+	s.settleAll()
 	legs, n, _ := dir.splitLegs(s.live, u, v)
 	for i := 0; i < n; i++ {
 		if _, err := s.shards[legs[i].shard].dsg.Graph().RouteKeys(skipgraph.KeyOf(legs[i].src), skipgraph.KeyOf(legs[i].dst)); err != nil {

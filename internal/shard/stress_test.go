@@ -2,18 +2,21 @@ package shard
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"lsasg/internal/core"
 	"lsasg/internal/workload"
 )
 
-// TestShardedStress is the race-detector stress for the sharded path: four
-// shard pipelines run side by side, each with four routing workers reading
-// its live graph during route phases and mutating it in the adjust phases
-// between, while a hot-range trace keeps the planner swapping directory
-// epochs and migrating key ranges at short window barriers. CI runs this
-// with -race on every PR alongside the serve-engine stress.
+// TestShardedStress is the race-detector stress for windows of many ops:
+// four shards' engines serve their slices of each window side by side, each
+// routing and adjusting its own live graph, while a hot-range trace keeps
+// the planner swapping directory epochs and migrating key ranges at short
+// window barriers. CI runs it with -race on every PR alongside the
+// serve-engine stress.
 func TestShardedStress(t *testing.T) {
 	const n = 96
 	svc, err := New(n, Config{Shards: 4, Seed: 42,
@@ -63,6 +66,115 @@ func TestShardedStress(t *testing.T) {
 			if (sl.dsg.NodeByID(k) != nil) != (i == owner) {
 				t.Fatalf("key %d: shard %d presence disagrees with owner %d", k, i, owner)
 			}
+		}
+	}
+}
+
+// TestShardedStressApply is the race-detector stress for one-op windows,
+// whose answers leave before their adjustments: a model-checked loop of
+// Apply at S = 4 over a hot range, with crashes, removals, joins and every
+// settling read — Totals, Height, DummyCount, Verify, Gauges — between ops,
+// and a load window short enough that migrations keep settling every shard.
+// Each of them must find every shard's adjustment either settled or waited
+// for, and the answers must be the model's.
+func TestShardedStressApply(t *testing.T) {
+	const steps = 1500
+	svc, err := New(96, Config{Shards: 4, Seed: 42, RebalanceEvery: 12, SkewThreshold: 1.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	m := newKVModel(svc.N())
+	// hot draws a key, four times in five from the bottom fifth of the space.
+	hot := func() int64 {
+		n := svc.N()
+		if rng.Intn(5) > 0 {
+			n /= 5
+		}
+		return int64(rng.Intn(n))
+	}
+	spare := func(k int64) bool {
+		lo, hi := svc.Directory().Range(svc.Directory().ShardOf(k))
+		return m.present[k] && m.liveIn(lo, hi) > 3
+	}
+	var crashes, removals, joins, reads int
+	for step := 0; step < steps; step++ {
+		src, k := hot(), hot()
+		var op core.Op
+		switch r := rng.Intn(40); {
+		case r == 0 || r == 1:
+			if !spare(k) {
+				continue
+			}
+			if r == 0 {
+				err = svc.Crash(k)
+				crashes++
+			} else {
+				err = svc.RemoveNode(k)
+				removals++
+			}
+			if err != nil {
+				t.Fatalf("step %d: retiring %d: %v", step, k, err)
+			}
+			m.retire(k, r == 0)
+			continue
+		case r == 2:
+			id, err := svc.AddNode()
+			if err != nil {
+				t.Fatalf("step %d: AddNode: %v", step, err)
+			}
+			if id != int64(len(m.present)) {
+				t.Fatalf("step %d: AddNode joined %d, want %d", step, id, len(m.present))
+			}
+			m.present, m.corpse, m.val = append(m.present, true), append(m.corpse, false), append(m.val, nil)
+			joins++
+			continue
+		case r == 3:
+			// Once a settling read has run, the gauges are exact.
+			tot := svc.Totals()
+			g := svc.Gauges()
+			if g.Height != svc.Height() || g.DummyCount != svc.DummyCount() || g.Rebalances != tot.Rebalances {
+				t.Fatalf("step %d: gauges %+v, settled height %d, dummies %d, books %+v",
+					step, g, svc.Height(), svc.DummyCount(), tot)
+			}
+			if err := svc.Verify(); err != nil {
+				t.Fatalf("step %d: Verify: %v", step, err)
+			}
+			reads++
+			continue
+		case r < 14:
+			if src == k {
+				continue
+			}
+			op = core.RouteOp(src, k)
+		case r < 24:
+			op = core.Op{Kind: core.OpPut, Src: src, Dst: k, Value: []byte(fmt.Sprintf("v%d.%d", k, step))}
+		case r < 32:
+			op = core.Op{Kind: core.OpGet, Src: src, Dst: k}
+		case r < 36:
+			op = core.Op{Kind: core.OpScan, Src: src, Dst: k, Limit: 1 + rng.Intn(8)}
+		default:
+			if !spare(k) {
+				continue
+			}
+			op = core.Op{Kind: core.OpDelete, Src: src, Dst: k}
+		}
+		o, err := svc.Apply(op)
+		if errors.Is(err, ErrBarrier) {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if bad := m.check(op, o, err); bad != "" {
+			t.Fatalf("step %d: %s", step, bad)
+		}
+	}
+	if svc.Totals().Rebalances == 0 || crashes == 0 || removals == 0 || joins == 0 || reads == 0 {
+		t.Fatalf("the run saw %d migrations, %d crashes, %d removals, %d joins and %d reads; every one must happen",
+			svc.Totals().Rebalances, crashes, removals, joins, reads)
+	}
+	checkLiveBook(t, svc, m, steps)
+	for i, sl := range svc.shards {
+		if err := sl.dsg.Validate(); err != nil {
+			t.Fatalf("shard %d DSG invalid after stress: %v", i, err)
 		}
 	}
 }

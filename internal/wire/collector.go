@@ -115,14 +115,14 @@ func (c *Collector) observeError(code ErrCode) {
 	}
 }
 
-// observeService stores the topology figures of the service's current
-// statistics; the server calls it under the service lock after every frame
-// it serves.
-func (c *Collector) observeService(st lsasg.Stats) {
-	c.height.Store(int64(st.Height))
-	c.dummies.Store(int64(st.DummyCount))
-	c.rebalances.Store(st.Rebalances)
-	c.migrated.Store(st.MigratedKeys)
+// observeService stores the service's gauges; the server calls it under the
+// service lock after every frame it serves. Reading them never waits for an
+// adjustment still running behind an answer.
+func (c *Collector) observeService(g lsasg.Gauges) {
+	c.height.Store(int64(g.Height))
+	c.dummies.Store(int64(g.DummyCount))
+	c.rebalances.Store(g.Rebalances)
+	c.migrated.Store(g.MigratedKeys)
 }
 
 func (c *Collector) connOpened() { c.conns.Add(1) }
@@ -241,9 +241,9 @@ func (c *Collector) Render() string {
 	counter("dsg_gc_pause_seconds_total", "Cumulative stop-the-world GC pause time.")
 	fmt.Fprintf(&b, "dsg_gc_pause_seconds_total %g\n", float64(ms.PauseTotalNs)/1e9)
 
-	gauge("dsg_height", "Skip-graph height after the last served op.")
+	gauge("dsg_height", "Skip-graph height after the last settled adjustment.")
 	fmt.Fprintf(&b, "dsg_height %d\n", c.height.Load())
-	gauge("dsg_dummy_nodes", "Dummy-node population after the last served op.")
+	gauge("dsg_dummy_nodes", "Dummy-node population after the last settled adjustment.")
 	fmt.Fprintf(&b, "dsg_dummy_nodes %d\n", c.dummies.Load())
 	gauge("dsg_connections", "Open client connections.")
 	fmt.Fprintf(&b, "dsg_connections %d\n", c.conns.Load())

@@ -263,9 +263,10 @@ func (s *Server) serve(req Request) []byte {
 	} else {
 		resp = s.handleAdmin(req)
 	}
-	// Refresh the topology gauges while the service is held, so /metrics
-	// follows the traffic and a scrape never touches the service.
-	s.col.observeService(s.svc.Stats())
+	// Refresh the gauges while the service is held, so /metrics follows the
+	// traffic and a scrape never touches the service. Gauges, unlike Stats,
+	// waits for no adjustment running behind an answer.
+	s.col.observeService(s.svc.Gauges())
 	return resp.Encode()
 }
 

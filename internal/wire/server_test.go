@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -664,6 +665,66 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if got := httpGet(t, ts.URL+"/healthz"); !strings.Contains(got, "ok") {
 		t.Errorf("healthz = %q", got)
+	}
+}
+
+// gaugeValue reads one unlabelled gauge off a /metrics body.
+func gaugeValue(t *testing.T, body, name string) int64 {
+	t.Helper()
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("no %s on /metrics", name)
+	return 0
+}
+
+// TestShardedGaugesFollowTheTraffic: on four shards, where each op's
+// adjustment finishes behind its answer, the topology gauges still move
+// between two scrapes with nothing but ops on the wire — no admin frame
+// settles the shards for them.
+func TestShardedGaugesFollowTheTraffic(t *testing.T) {
+	const n = 256
+	nw, err := lsasg.NewSharded(n, lsasg.WithSeed(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, cl := startServer(t, nw)
+	ts := httptest.NewServer(srv.Collector().Handler())
+	defer ts.Close()
+
+	rng := rand.New(rand.NewSource(5))
+	serve := func(ops int) {
+		for i := 0; i < ops; i++ {
+			src, dst := rng.Intn(n), rng.Intn(n)
+			var err error
+			switch {
+			case i%3 == 0:
+				_, _, err = cl.Put(src, dst, []byte("v"))
+			case src != dst:
+				_, err = cl.Route(src, dst)
+			}
+			if err != nil {
+				t.Fatalf("op %d: %v", i, err)
+			}
+		}
+	}
+	serve(4)
+	before := httpGet(t, ts.URL+"/metrics")
+	serve(600)
+	after := httpGet(t, ts.URL+"/metrics")
+	for _, gauge := range []string{"dsg_height", "dsg_dummy_nodes"} {
+		if b, a := gaugeValue(t, before, gauge), gaugeValue(t, after, gauge); b == a {
+			t.Errorf("%s read %d at both scrapes, 600 ops apart", gauge, a)
+		}
+	}
+	if got := gaugeValue(t, after, `dsg_requests_total{verb="stats"}`); got != 0 {
+		t.Fatalf("%d stats frames were served", got)
 	}
 }
 

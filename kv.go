@@ -169,19 +169,23 @@ func (op Op) Validate(n int) error {
 // key range once WithRebalanceWindow ops have been counted into it; if that
 // migration fails the op has still been served, and Do returns its result
 // together with ErrBarrier.
+//
+// Do returns once the op's answer is known — the paper's first step, the
+// route, with the Get's or Scan's read and the Put's or Delete's write. On a
+// sharded network each shard the op touched then finishes its
+// self-adjustment behind the answer, and the next call that needs that shard
+// waits for it — an op routed there, the load-window barrier, Request,
+// Stats, Verify and every other read of the topology — so nothing any call
+// returns depends on the timing, and the caller's next op may route on
+// another shard meanwhile. An adjustment that fails behind its answer is
+// reported as ErrBarrier by that next call. On an unsharded network, which
+// has nothing to overlap the adjustment with, it runs before Do returns.
 func (nw *Network) Do(op Op) (OpResult, error) {
-	o, err := nw.apply(op)
-	return opResult(o), err
-}
-
-// apply is Do before the outcome is folded into the public shape; Request
-// reads the transformation fields OpResult does not carry.
-func (nw *Network) apply(op Op) (shard.Outcome, error) {
 	if err := op.Validate(nw.N()); err != nil {
-		return shard.Outcome{}, err
+		return OpResult{}, err
 	}
 	o, err := nw.svc.Apply(op.internal())
-	return o, wrapErr(err)
+	return opResult(o), wrapErr(err)
 }
 
 // Get reads key's value as an access from src: the value (with its version)

@@ -96,7 +96,8 @@ func WithShards(s int) Option {
 // outcomes once the window has been served, so smaller windows deliver
 // outcomes sooner at the cost of more frequent barriers; an unsharded
 // network, which has nothing to run side by side, delivers after every op
-// whatever the window. Do always answers after its one op.
+// whatever the window. Do always answers after its one op — on a sharded
+// network once that op is routed (see Do).
 func WithRebalanceWindow(w int) Option {
 	return func(o *options) { o.rebalanceWindow = w }
 }
@@ -151,9 +152,11 @@ type Result struct {
 //
 // Methods are not safe for concurrent use; the paper's model serves
 // requests sequentially — route, then adjust — and so does every shard.
-// ServeOps is the concurrent entry point: on a sharded network it runs the
+// The concurrency lives inside, on a sharded network only: ServeOps runs the
 // shards' engines side by side, each serving its own share of a window in
-// order, but the call itself must still not overlap other Network methods.
+// order, and Do answers once its op is routed while each shard it touched
+// finishes the adjustment behind the answer. Neither call may overlap other
+// Network methods.
 type Network struct {
 	svc    *shard.Service
 	ws     *workingset.Bound
@@ -252,10 +255,16 @@ func (nw *Network) Requests() int { return int(nw.svc.Totals().Requests) }
 // destination-side leg. A request to an index that was removed or has
 // crashed returns ErrUnknownKey or ErrDeadNode; it is counted as the miss it
 // is in ServeOps — a served request that adjusted nothing. ErrBarrier comes
-// with the served request's Result, as from Do.
+// with the served request's Result, as from Do. Unlike Do, Request returns
+// only once the request's adjustment has run, on every shard count: its
+// Result reports ρ, α and the direct level.
 func (nw *Network) Request(src, dst int) (Result, error) {
-	o, err := nw.apply(RouteOp(src, dst))
-	if err != nil && !errors.Is(err, ErrBarrier) {
+	op := RouteOp(src, dst)
+	if err := op.Validate(nw.N()); err != nil {
+		return Result{}, err
+	}
+	o, err := nw.svc.ApplyAdjusted(op.internal())
+	if err = wrapErr(err); err != nil && !errors.Is(err, ErrBarrier) {
 		return Result{}, err
 	}
 	return Result{
@@ -334,6 +343,26 @@ func (nw *Network) Stats() Stats {
 	return s
 }
 
+// Gauges are the figures a metrics scrape follows between ops.
+type Gauges struct {
+	// Height and DummyCount are Stats' two topology figures as of each
+	// shard's last settled adjustment.
+	Height     int
+	DummyCount int
+	// Rebalances and MigratedKeys are Stats' rebalancer counters, exact.
+	Rebalances   int64
+	MigratedKeys int64
+}
+
+// Gauges returns the live gauges without waiting for an adjustment still
+// running behind an answer (see Do): cheap enough to read after every op,
+// where Stats would wait for every shard. Once Stats, Verify or any other
+// settling call has run, the two agree.
+func (nw *Network) Gauges() Gauges {
+	g := nw.svc.Gauges()
+	return Gauges{Height: g.Height, DummyCount: g.DummyCount, Rebalances: g.Rebalances, MigratedKeys: g.MovedKeys}
+}
+
 // WorkingSetNumber returns T_t(u, v) for the next request between u and v
 // (n for first-time pairs). It returns 0 when tracking is disabled.
 func (nw *Network) WorkingSetNumber(u, v int) int {
@@ -343,8 +372,10 @@ func (nw *Network) WorkingSetNumber(u, v int) int {
 	return nw.ws.Tracker().WorkingSetNumber(u, v)
 }
 
-// Verify checks all structural invariants of every shard's topology.
-func (nw *Network) Verify() error { return nw.svc.Verify() }
+// Verify checks all structural invariants of every shard's topology. It
+// returns ErrBarrier instead when it finds an adjustment that failed behind
+// an earlier answer (see Do).
+func (nw *Network) Verify() error { return wrapErr(nw.svc.Verify()) }
 
 // AddNode joins a new node and returns its index (standard skip-graph
 // join; §IV-G): the key space grows by one and the node joins the last

@@ -10,8 +10,11 @@ import "context"
 // and a partitioned one unchanged.
 //
 // The concurrency contract is Network's: methods must not be called
-// concurrently with each other (all concurrency lives inside ServeOps), and
-// a ServeOps producer must pair every channel send with the call's ctx.
+// concurrently with each other, and a ServeOps producer must pair every
+// channel send with the call's ctx. The concurrency lives inside: a
+// partitioned service serves a ServeOps window's shards side by side, and
+// finishes each op's adjustment behind Do's answer while the next op routes
+// on another shard.
 type Service interface {
 	// N returns the size of the key space [0, N).
 	N() int
@@ -22,10 +25,15 @@ type Service interface {
 	Stats() Stats
 	// Verify checks all structural invariants of the current topology.
 	Verify() error
+	// Gauges returns the topology gauges as of the last settled adjustment
+	// and the rebalancer's counters, without waiting for anything.
+	Gauges() Gauges
 
 	// Do serves one op envelope synchronously — a one-op window of the
-	// driver behind ServeOps — and returns its outcome. A route whose endpoint
-	// is gone or dead is counted and returns ErrUnknownKey or ErrDeadNode.
+	// driver behind ServeOps — and returns its outcome; a partitioned service
+	// answers once the op is routed and adjusts behind the answer. A route
+	// whose endpoint is gone or dead is counted and returns ErrUnknownKey or
+	// ErrDeadNode.
 	Do(op Op) (OpResult, error)
 	// Get reads key's value as an access from src, adapting the topology
 	// like a communication request.
