@@ -64,11 +64,8 @@ func (fp fingerprint) op(realVals []int, rest ...int) {
 func TestAdjustFingerprint(t *testing.T) {
 	const n, ops = 256, 3000
 	zipf := workload.Zipf{Seed: 7, S: 1.2}
-	scenarios := []struct {
-		name string
-		run  func(t *testing.T, fp fingerprint) *DSG
-	}{
-		{"adjust", func(t *testing.T, fp fingerprint) *DSG {
+	adjust := func(n, ops int) func(t *testing.T, fp fingerprint) *DSG {
+		return func(t *testing.T, fp fingerprint) *DSG {
 			d := New(n, Config{A: 4, Seed: 1})
 			for _, r := range zipf.Generate(n, ops) {
 				res, err := d.Adjust(int64(r.Src), int64(r.Dst))
@@ -79,7 +76,17 @@ func TestAdjustFingerprint(t *testing.T) {
 					res.RepairInserted, res.RepairRemoved)
 			}
 			return d
-		}},
+		}
+	}
+	scenarios := []struct {
+		name string
+		run  func(t *testing.T, fp fingerprint) *DSG
+	}{
+		{"adjust", adjust(n, ops)},
+		// The served regime: at n = 512 a long Zipf stream leaves more dummies
+		// than real nodes, in long all-dummy runs, which is where the scoped
+		// repair's scans walk the most.
+		{"adjust512", adjust(512, 5000)},
 		{"churn", func(t *testing.T, fp fingerprint) *DSG {
 			tr, err := workload.PoissonChurn{Seed: 11, Rate: 0.2, Base: zipf}.Trace(n, ops/3)
 			if err != nil {
@@ -145,6 +152,7 @@ func TestAdjustFingerprint(t *testing.T) {
 		if err := d.Validate(); err != nil {
 			t.Fatalf("%s: invalid end state: %v", sc.name, err)
 		}
+		t.Logf("%s: %d real nodes, %d dummies", sc.name, d.g.RealN(), d.DummyCount())
 		hashDSG(fp.full, d)
 		hashRealNodes(fp.real, d)
 		got[sc.name] = fmt.Sprintf("%x", fp.full.Sum(nil))
