@@ -22,6 +22,12 @@ type AdjustResult struct {
 	DirectLevel     int   // level of the new size-2 list holding the pair
 	HeightAfter     int   // graph height after the transformation and its repair
 
+	// LAlpha is |l_alpha| as the transformation walked it, dummies included,
+	// and LAlphaDummies the dummies among them: the list it rebuilds, which
+	// is what an adjustment costs in proportion to.
+	LAlpha        int
+	LAlphaDummies int
+
 	// DummiesInserted/DummiesDestroyed count the dummies the transformation
 	// itself placed in, and notified out of, the region it rebuilt (§IV-F).
 	DummiesInserted  int

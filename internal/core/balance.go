@@ -103,7 +103,7 @@ func (d *DSG) makeDummy(ctx *transformCtx, left, right *skipgraph.Node, dl int, 
 	ctx.dummyKeys[key] = struct{}{}
 	id := d.nextDummyID
 	d.nextDummyID++
-	dm := skipgraph.NewDummy(key, id)
+	dm := newDummy(key, id, dl+1)
 	for i := 1; i <= dl; i++ {
 		dm.SetBit(i, left.Bit(i))
 	}
@@ -112,9 +112,7 @@ func (d *DSG) makeDummy(ctx *transformCtx, left, right *skipgraph.Node, dl int, 
 	} else {
 		dm.SetBit(dl+1, 1)
 	}
-	s := newDummyState(id, dl+1)
-	d.st[dm] = s
-	return ctx.add(dm, s), true
+	return ctx.add(dm, stateOf(dm)), true
 }
 
 // freeKeyBetween finds a key strictly between a and b that is neither in

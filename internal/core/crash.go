@@ -61,7 +61,6 @@ func (d *DSG) repairCrashed(n *skipgraph.Node) {
 	sc.crash = skipgraph.AppendExListRefs(recycle(sc.crash), n)
 	cands := d.liveRealNeighbours(n)
 	d.g.Remove(n.Key())
-	delete(d.st, n)
 	d.crashRepairCount++
 	d.crashRepairLog = append(d.crashRepairLog, n.ID())
 	sc.crash = append(sc.crash, d.extendDistinct(cands)...)

@@ -18,7 +18,6 @@ func NewFromGraph(g *skipgraph.Graph, cfg Config) *DSG {
 		cfg: cfg,
 		g:   g,
 		rng: rand.New(rand.NewSource(cfg.Seed + 1)),
-		st:  make(map[*skipgraph.Node]*nodeState, g.N()),
 	}
 	maxID := int64(-1)
 	for node := range g.All() {
@@ -34,7 +33,7 @@ func NewFromGraph(g *skipgraph.Graph, cfg Config) *DSG {
 		d.finder = &AMFFinder{A: cfg.A, Rng: d.rng}
 	}
 	for node := range g.All() {
-		d.st[node] = d.freshState(node)
+		node.Ext = d.freshState(node)
 	}
 	d.RepairBalance()
 	return d
@@ -51,7 +50,7 @@ func (d *DSG) Add(id int64) (*skipgraph.Node, error) {
 		return nil, fmt.Errorf("core: node %d already present", id)
 	}
 	n, eff := d.g.InsertTracked(key, id, d.randomBit)
-	d.st[n] = d.freshState(n)
+	n.Ext = d.freshState(n)
 	// The join may have lengthened adjacent peers' membership vectors to
 	// keep them distinct from the newcomer; grow exactly those peers' state
 	// arrays to match (a node is its own group at its new singleton levels,
@@ -89,7 +88,6 @@ func (d *DSG) RemoveNode(id int64) error {
 	if n == nil {
 		return fmt.Errorf("core: node %d not present", id)
 	}
-	delete(d.st, n)
 	d.RepairBalanceIn(refs, nil)
 	return nil
 }
@@ -99,7 +97,7 @@ func (d *DSG) dummyRemovable(dm *skipgraph.Node) bool {
 	return skipgraph.RemovalKeepsBalance(dm, d.cfg.A)
 }
 
-// removeDummy splices a dummy out of the graph, drops its state, and — when
+// removeDummy splices a dummy out of the graph (its state goes with it), and — when
 // the dummy was the only separator between two real live nodes sharing a
 // membership prefix at the top of their vectors — extends those nodes until
 // distinct again (the validator's adjacency invariant). It appends to dst
@@ -109,7 +107,6 @@ func (d *DSG) dummyRemovable(dm *skipgraph.Node) bool {
 func (d *DSG) removeDummy(dm *skipgraph.Node, dst []skipgraph.ListRef) []skipgraph.ListRef {
 	cands := d.liveRealNeighbours(dm)
 	d.g.Remove(dm.Key())
-	delete(d.st, dm)
 	d.dummyCount--
 	return append(dst, d.extendDistinct(cands)...)
 }

@@ -203,6 +203,17 @@ func runFingerprintTrace(t *testing.T, fp fingerprint, n int, tr workload.Trace)
 	return d
 }
 
+// stateCount counts the nodes that carry a DSG state.
+func stateCount(d *DSG) int {
+	n := 0
+	for x := range d.g.All() {
+		if stateOf(x) != nil {
+			n++
+		}
+	}
+	return n
+}
+
 func hashInts(h hash.Hash, vs ...int) {
 	var buf [8]byte
 	for _, v := range vs {
@@ -246,7 +257,7 @@ func hashRealNodes(h hash.Hash, d *DSG) {
 		_, ver, hasVal := x.Value()
 		hashInts(h, int(x.ID()), flagInt(x.Dead()), int(ver), flagInt(hasVal), x.BitsLen())
 		h.Write([]byte(x.MembershipVector()))
-		hashState(h, d.st[x])
+		hashState(h, stateOf(x))
 	}
 	hashInts(h, reals, int(d.clock), int(d.kvSeq), d.crashCount, d.crashDetectCount, d.crashRepairCount)
 }
@@ -273,9 +284,9 @@ func hashDSG(h hash.Hash, d *DSG) {
 			np, nm := key(x.Next(l))
 			hashInts(h, pp, pm, np, nm)
 		}
-		hashState(h, d.st[x])
+		hashState(h, stateOf(x))
 	}
-	hashInts(h, d.g.N(), d.g.Height(), len(d.st), int(d.nextDummyID), int(d.clock), int(d.kvSeq),
+	hashInts(h, d.g.N(), d.g.Height(), stateCount(d), int(d.nextDummyID), int(d.clock), int(d.kvSeq),
 		d.dummyCount, d.repairInserted, d.repairRemoved, d.joinScan, d.repairScan,
 		d.crashCount, d.crashDetectCount, d.crashRepairCount)
 }

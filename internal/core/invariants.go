@@ -23,8 +23,8 @@ import (
 //     membership vector (every real node is singleton past its vector);
 //  3. a-balance — no level-d list contains more than `a` consecutive
 //     members with the same level-(d+1) bit (§III);
-//  4. dummy bookkeeping — DummyCount matches the graph, and the per-node
-//     DSG state map is in exact bijection with the node set;
+//  4. dummy bookkeeping — DummyCount matches the graph, and every node
+//     carries a DSG state of its own: none is missing one, no two share one;
 //  5. per-node state sanity — no timestamps below the group-base (rule T6)
 //     and state arrays at least as deep as the membership vector.
 //
@@ -67,14 +67,16 @@ func (d *DSG) Validate() error {
 	if dummies != d.dummyCount {
 		return fmt.Errorf("dummies: bookkeeping says %d, graph holds %d", d.dummyCount, dummies)
 	}
-	if len(d.st) != d.g.N() {
-		return fmt.Errorf("state: %d state entries for %d nodes", len(d.st), d.g.N())
-	}
+	owner := make(map[*nodeState]*skipgraph.Node, d.g.N())
 	for x := range d.g.All() {
-		sx, ok := d.st[x]
-		if !ok {
+		sx := stateOf(x)
+		if sx == nil {
 			return fmt.Errorf("state: node %d has no DSG state", x.ID())
 		}
+		if y, shared := owner[sx]; shared {
+			return fmt.Errorf("state: nodes %d and %d share one DSG state", y.ID(), x.ID())
+		}
+		owner[sx] = x
 		if sx.B < 0 {
 			return fmt.Errorf("state: node %d has negative group-base %d", x.ID(), sx.B)
 		}
@@ -306,12 +308,11 @@ func (d *DSG) breakRun(left, right *skipgraph.Node, viol skipgraph.BalanceViolat
 	}
 	id := d.nextDummyID
 	d.nextDummyID++
-	dm := skipgraph.NewDummy(key, id)
+	dm := newDummy(key, id, viol.Level+1)
 	for i := 1; i <= viol.Level; i++ {
 		dm.SetBit(i, left.Bit(i))
 	}
 	dm.SetBit(viol.Level+1, 1-viol.Bit)
-	d.st[dm] = newDummyState(id, viol.Level+1)
 	d.g.SpliceIn(dm)
 	d.dummyCount++
 	return dm

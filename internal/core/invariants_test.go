@@ -62,10 +62,9 @@ func TestBreakRunRespreadsFullGap(t *testing.T) {
 	n3 := d.NodeByID(3)
 	var packed []*skipgraph.Node
 	for _, minor := range []int32{1, 2, 3} {
-		dm := skipgraph.NewDummy(skipgraph.Key{Primary: 3, Minor: minor}, d.nextDummyID)
+		dm := newDummy(skipgraph.Key{Primary: 3, Minor: minor}, d.nextDummyID, 1)
 		d.nextDummyID++
 		dm.SetBit(1, n3.Bit(1))
-		d.st[dm] = newDummyState(dm.ID(), 1)
 		d.g.SpliceIn(dm)
 		d.dummyCount++
 		packed = append(packed, dm)
@@ -85,8 +84,8 @@ func TestBreakRunRespreadsFullGap(t *testing.T) {
 	if err := d.g.Verify(); err != nil {
 		t.Fatalf("structure after the respread and the splice: %v", err)
 	}
-	if len(d.st) != d.g.N() || d.dummyCount != d.g.N()-d.g.RealN() {
-		t.Fatalf("bookkeeping: %d states for %d nodes, %d dummies counted", len(d.st), d.g.N(), d.dummyCount)
+	if states := stateCount(d); states != d.g.N() || d.dummyCount != d.g.N()-d.g.RealN() {
+		t.Fatalf("bookkeeping: %d states for %d nodes, %d dummies counted", states, d.g.N(), d.dummyCount)
 	}
 }
 
@@ -110,7 +109,7 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	})
 	t.Run("missing state", func(t *testing.T) {
 		d := fresh()
-		delete(d.st, d.NodeByID(7))
+		d.NodeByID(7).Ext = nil
 		if err := d.Validate(); err == nil || !strings.Contains(err.Error(), "state") {
 			t.Errorf("err = %v", err)
 		}

@@ -216,8 +216,7 @@ func TestUnplacedBreakerIsStillRepaired(t *testing.T) {
 				if d.g.ByKey(key) != nil {
 					continue
 				}
-				dm := skipgraph.NewDummy(key, d.nextDummyID)
-				d.st[dm] = newDummyState(d.nextDummyID, 0)
+				dm := newDummy(key, d.nextDummyID, 0)
 				d.nextDummyID++
 				d.g.SpliceIn(dm)
 				d.dummyCount++

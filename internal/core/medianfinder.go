@@ -7,7 +7,12 @@
 //
 // The algorithm state per node is exactly the paper's: a membership vector,
 // a timestamp T and a group-id G per level, an is-dominating-group bit D
-// per level, and a group-base B — O(log n) words per node.
+// per level, and a group-base B — O(log n) words per node. The vector is the
+// skip-graph node's own; the rest (nodeState) hangs off the node, in
+// skipgraph.Node.Ext, so whatever walks the graph reaches a node's state
+// without a lookup, and the state leaves with the node. A dummy's node, its
+// state and, for all but the deepest, its group-ids and links are one
+// allocation (dummyRecord).
 //
 // # The three phases of a transformation
 //

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lsasg/internal/skipgraph"
+	"lsasg/internal/workload"
 )
 
 // Directed tests for the op envelope (op.go): the totality contract of the
@@ -305,5 +306,29 @@ func TestRestorePreservesVersionAndClock(t *testing.T) {
 	}
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAdjustReportsLAlpha: an adjustment reports the list it rebuilt — l_alpha
+// as it stood, dummies counted apart.
+func TestAdjustReportsLAlpha(t *testing.T) {
+	d := New(128, Config{A: 4, Seed: 1})
+	for _, r := range (workload.Zipf{Seed: 5, S: 1.2}).Generate(128, 300) {
+		u, v := d.NodeByID(int64(r.Src)), d.NodeByID(int64(r.Dst))
+		alpha := skipgraph.CommonPrefixLen(u, v)
+		size, dummies := 0, 0
+		for x := u.ListHead(alpha); x != nil; x = x.Next(alpha) {
+			size++
+			if x.IsDummy() {
+				dummies++
+			}
+		}
+		res, err := d.Adjust(int64(r.Src), int64(r.Dst))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.LAlpha != size || res.LAlphaDummies != dummies {
+			t.Fatalf("reported l_alpha %d (%d dummies), the list held %d (%d)", res.LAlpha, res.LAlphaDummies, size, dummies)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sort"
 
 	"lsasg/internal/amf"
@@ -55,8 +56,9 @@ func (sc *repairScratch) release() {
 // then the level-alpha dummies that survive, then the dummies the balance
 // pass creates, in creation order.
 type member struct {
-	n *skipgraph.Node
-	s *nodeState
+	n   *skipgraph.Node
+	s   *nodeState
+	key skipgraph.Key // n's, for the key merges and searches over members
 
 	pri    priority
 	inZero bool  // side chosen by the split in progress
@@ -71,6 +73,15 @@ type member struct {
 	tOff, tLen, gLen int32
 	bOff, bLen       int32
 
+	// A real member's way down from l_alpha, before and after: bit k of
+	// oldPath and path is the side — the sublist — it joined at level
+	// alpha+1+k, for the oldSteps and steps levels its vector reaches above
+	// alpha. Two members share a level-(alpha+k) list exactly when both ways
+	// reach k levels and agree on the first k sides, which is how
+	// oldCommonPrefix and newCommonPrefix answer without reading the vectors.
+	oldPath, path   uint64
+	oldSteps, steps int32
+
 	lowestSplit int32 // lowest old level at which the member's group split; -1 if none
 }
 
@@ -81,6 +92,8 @@ type listSpan struct {
 	off, n int
 	level  int
 	split  bool // holds ≥ 2 real members, so it splits again
+	// hasU and hasV say whether u and v are among its members.
+	hasU, hasV bool
 
 	// kids are the spans of the 0- and 1-sublist the split formed; 0 — span
 	// 0 is l_alpha, nobody's sublist — for an empty side, and for both
@@ -223,7 +236,7 @@ func (ctx *transformCtx) release() {
 }
 
 func newMember(n *skipgraph.Node, s *nodeState) member {
-	return member{n: n, s: s, lowestSplit: -1}
+	return member{n: n, s: s, key: n.Key(), lowestSplit: -1}
 }
 
 // add appends a participant and returns its ordinal.
@@ -241,7 +254,8 @@ func (ctx *transformCtx) newDummies() (lo, hi int) { return ctx.m + ctx.kept, le
 // ordOf returns the ordinal of a real member of l_alpha by binary search
 // over the key-ordered members, and false for any other node.
 func (ctx *transformCtx) ordOf(n *skipgraph.Node) (int, bool) {
-	i := sort.Search(ctx.m, func(i int) bool { return !ctx.ents[i].n.Key().Less(n.Key()) })
+	key := n.Key()
+	i := sort.Search(ctx.m, func(i int) bool { return !ctx.ents[i].key.Less(key) })
 	return i, i < ctx.m && ctx.ents[i].n == n
 }
 
@@ -276,8 +290,12 @@ func (ctx *transformCtx) oldGroup(o, level int) int64 {
 }
 
 // oldCommonPrefix returns the length of the longest common prefix of two
-// members' old membership vectors.
+// real members' old membership vectors: alpha, which every member of l_alpha
+// shares, plus the old levels above it at which they took the same side.
 func (ctx *transformCtx) oldCommonPrefix(a, b int) int {
+	if n := min(ctx.ents[a].oldSteps, ctx.ents[b].oldSteps); n <= 64 {
+		return ctx.alpha + min(bits.TrailingZeros64(ctx.ents[a].oldPath^ctx.ents[b].oldPath), int(n))
+	}
 	x, y := ctx.oldBitsOf(a), ctx.oldBitsOf(b)
 	n := min(len(x), len(y))
 	for i := 0; i < n; i++ {
@@ -288,18 +306,42 @@ func (ctx *transformCtx) oldCommonPrefix(a, b int) int {
 	return n
 }
 
-// keyLess orders two members by key.
-func (ctx *transformCtx) keyLess(a, b int) bool {
-	return ctx.ents[a].n.Key().Less(ctx.ents[b].n.Key())
+// newCommonPrefix is oldCommonPrefix for the vectors the splits assigned:
+// skipgraph.CommonPrefixLen of the two members' nodes once the splits are
+// done, read off their paths.
+func (ctx *transformCtx) newCommonPrefix(a, b int) int {
+	x, y := &ctx.ents[a], &ctx.ents[b]
+	if n := min(x.steps, y.steps); n <= 64 {
+		return ctx.alpha + min(bits.TrailingZeros64(x.path^y.path), int(n))
+	}
+	return skipgraph.CommonPrefixLen(x.n, y.n)
 }
 
-// contains reports which of the communicating pair a list of ordinals holds.
-func (ctx *transformCtx) contains(list []int) (hasU, hasV bool) {
-	for _, o := range list {
-		hasU = hasU || o == ctx.ui
-		hasV = hasV || o == ctx.vi
+// setBit assigns real member o its membership bit at bitLevel, the next
+// level of its way down, and records the side in its path.
+func (ctx *transformCtx) setBit(o, bitLevel int, side byte) {
+	e := &ctx.ents[o]
+	e.n.SetBit(bitLevel, side)
+	if k := bitLevel - ctx.alpha - 1; k < 64 {
+		e.path |= uint64(side) << k
 	}
-	return hasU, hasV
+	e.steps = int32(bitLevel - ctx.alpha)
+}
+
+// recordOldPath fills real member o's oldPath and oldSteps from its
+// snapshot of the old vector.
+func (ctx *transformCtx) recordOldPath(o int) {
+	e := &ctx.ents[o]
+	old := ctx.oldBitsOf(o)
+	e.oldSteps = int32(len(old) - ctx.alpha)
+	for k, b := range old[ctx.alpha:min(len(old), ctx.alpha+64)] {
+		e.oldPath |= uint64(b) << k
+	}
+}
+
+// keyLess orders two members by key.
+func (ctx *transformCtx) keyLess(a, b int) bool {
+	return ctx.ents[a].key.Less(ctx.ents[b].key)
 }
 
 // gidTable maps the group-ids met while processing one list to dense

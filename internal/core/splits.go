@@ -93,7 +93,7 @@ func (d *DSG) splitList(ctx *transformCtx, at int) {
 	rounds := mres.Rounds
 	M := mres.Median
 	ctx.spans[at].med, ctx.spans[at].hasMed = M, true
-	if hasU, _ := ctx.contains(real); hasU {
+	if work.hasU {
 		ctx.uMeds = append(ctx.uMeds, levelMedian{dl, M})
 	}
 	if M.Inf || M.V >= 0 {
@@ -133,6 +133,8 @@ func (d *DSG) splitList(ctx *transformCtx, at int) {
 		for _, o := range real {
 			if ctx.ents[o].inZero == (side == 0) {
 				ctx.lists = append(ctx.lists, o)
+				child.hasU = child.hasU || o == ctx.ui
+				child.hasV = child.hasV || o == ctx.vi
 			}
 		}
 		child.n = len(ctx.lists) - child.off
@@ -141,9 +143,11 @@ func (d *DSG) splitList(ctx *transformCtx, at int) {
 		}
 		child.split = child.n >= 2
 		for _, o := range ctx.lists[child.off:] {
-			ctx.ents[o].n.SetBit(bitLevel, byte(side))
+			ctx.setBit(o, bitLevel, byte(side))
 		}
-		recomputeP4(ctx, ctx.lists[child.off:], bitLevel)
+		if !child.hasU || !child.hasV { // the pair's list keeps P1/P2 priorities
+			recomputeP4(ctx, ctx.lists[child.off:], bitLevel)
+		}
 		ctx.spans[at].kids[side] = len(ctx.spans)
 		ctx.spans = append(ctx.spans, child)
 	}
@@ -165,12 +169,12 @@ func (d *DSG) splitPair(ctx *transformCtx) {
 	for level := ctx.spans[ctx.pairSpan].level; ; level++ {
 		bitLevel := level + 1
 		left.inZero, right.inZero = true, !alone
-		left.n.SetBit(bitLevel, 0)
+		ctx.setBit(lo, bitLevel, 0)
 		if alone {
 			left.s.setDominating(bitLevel, true)
-			right.n.SetBit(bitLevel, 1)
+			ctx.setBit(hi, bitLevel, 1)
 		} else {
-			right.n.SetBit(bitLevel, 0)
+			ctx.setBit(hi, bitLevel, 0)
 		}
 		ctx.charge(level, 1+d.cfg.A+d.reassignGroups(ctx, ctx.real, level, false, MedianResult{}))
 		if alone {
@@ -382,9 +386,6 @@ func (d *DSG) reassignGroups(ctx *transformCtx, real []int, dl int, haveMedian b
 // list that does not contain the communicating pair take the negative band
 // priority of their level-(bitLevel) group.
 func recomputeP4(ctx *transformCtx, side []int, bitLevel int) {
-	if hasU, hasV := ctx.contains(side); hasU && hasV {
-		return // the pair's list keeps P1/P2 priorities
-	}
 	for _, o := range side {
 		if ctx.isReal(o) {
 			e := &ctx.ents[o]

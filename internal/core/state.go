@@ -18,16 +18,42 @@ type nodeState struct {
 	B int     // group-base (Appendix C)
 }
 
-// newDummyState returns the state of a fresh dummy with identifier id whose
-// membership vector has depth bits: its own group at every level (§IV-B),
-// based at its top level. A dummy takes no part in transformations (§IV-F),
-// so it never receives a timestamp or an is-dominating flag: T and D stay
-// empty, which the accessors read as zero and false.
-func newDummyState(id int64, depth int) *nodeState {
-	s := &nodeState{G: make([]int64, depth+2), B: depth}
-	for i := range s.G {
-		s.G[i] = id
+// dummyRecord is a dummy's node, its DSG state and — for the usual shallow
+// dummy — the state's group-ids and the node's links, in one allocation:
+// they are made together, read together and die together. It is 384 bytes,
+// a size class of whole cache lines, so every record's node starts a line.
+type dummyRecord struct {
+	n      skipgraph.Node
+	s      nodeState
+	groups [6]int64
+	links  [8]*skipgraph.Node
+}
+
+// newDummy creates a detached dummy with the given key and identifier, whose
+// membership vector will have depth bits, together with its state: its own
+// group at every level (§IV-B), based at its top level. A dummy takes no
+// part in transformations (§IV-F), so it never receives a timestamp or an
+// is-dominating flag: T and D stay empty, which the accessors read as zero
+// and false. The caller assigns the bits.
+func newDummy(key skipgraph.Key, id int64, depth int) *skipgraph.Node {
+	r := new(dummyRecord)
+	skipgraph.InitDummy(&r.n, key, id, r.links[:])
+	if depth+2 <= len(r.groups) {
+		r.s.G = r.groups[:depth+2]
+	} else {
+		r.s.G = make([]int64, depth+2)
 	}
+	for i := range r.s.G {
+		r.s.G[i] = id
+	}
+	r.s.B = depth
+	r.n.Ext = &r.s
+	return &r.n
+}
+
+// stateOf returns the DSG state a node carries, nil if it has none.
+func stateOf(n *skipgraph.Node) *nodeState {
+	s, _ := n.Ext.(*nodeState)
 	return s
 }
 
@@ -121,14 +147,15 @@ func (c Config) withDefaults() Config {
 }
 
 // DSG is a self-adjusting skip graph: the topology plus the per-node DSG
-// state and the logical clock. All methods are single-threaded, matching
-// the paper's sequential request model.
+// state and the logical clock. A node's state hangs off the node itself
+// (skipgraph.Node.Ext), so it is reached without a lookup and leaves the
+// DSG with the node. All methods are single-threaded, matching the paper's
+// sequential request model.
 type DSG struct {
 	cfg    Config
 	g      *skipgraph.Graph
 	rng    *rand.Rand
 	finder MedianFinder
-	st     map[*skipgraph.Node]*nodeState
 	clock  int64
 
 	nextDummyID int64
@@ -209,13 +236,13 @@ func (d *DSG) NodeByID(id int64) *skipgraph.Node {
 	return d.g.ByKey(skipgraph.KeyOf(id))
 }
 
-// state returns the DSG state of a node, creating it if missing (dummies).
+// state returns the DSG state of a node, creating it if missing.
 func (d *DSG) state(n *skipgraph.Node) *nodeState {
-	s, ok := d.st[n]
-	if !ok {
-		s = d.freshState(n)
-		d.st[n] = s
+	if s := stateOf(n); s != nil {
+		return s
 	}
+	s := d.freshState(n)
+	n.Ext = s
 	return s
 }
 

@@ -1,9 +1,5 @@
 package core
 
-import (
-	"lsasg/internal/skipgraph"
-)
-
 // recordOldGroupSplits fills ctx.splits with, for every member, the old
 // levels d ≥ alpha at which its pre-transformation group (nodes sharing the
 // old group-id and the old level-d list) no longer shares a level-d list
@@ -52,7 +48,7 @@ func oldListSplits(ctx *transformCtx, list []int, lvl int) {
 		}
 		e.gid = int32(gi)
 		agg[gi].size++
-		if !agg[gi].split && skipgraph.CommonPrefixLen(ctx.ents[agg[gi].first].n, e.n) < lvl {
+		if !agg[gi].split && ctx.newCommonPrefix(agg[gi].first, o) < lvl {
 			agg[gi].split = true
 		}
 	}
@@ -116,7 +112,7 @@ func (d *DSG) applyGroupBaseRules(ctx *transformCtx) {
 	// d': for a first-time pair the merged group {u, v} tops out at the
 	// direct-link level, which is then the highest level of its biggest
 	// group.
-	minB := min(ctx.oldBu, ctx.oldBv, skipgraph.CommonPrefixLen(ctx.u, ctx.v))
+	minB := min(ctx.oldBu, ctx.oldBv, ctx.newCommonPrefix(ctx.ui, ctx.vi))
 	ctx.ents[ctx.ui].s.B = minB
 	ctx.ents[ctx.vi].s.B = minB
 }
@@ -147,10 +143,10 @@ func (d *DSG) applyTimestampRules(ctx *transformCtx) {
 // in ctx.spans.
 func transportGroupTimes(ctx *transformCtx) {
 	for _, sp := range ctx.spans[1:] { // spans[0] is l_alpha itself
-		list := ctx.lists[sp.off : sp.off+sp.n]
-		if hasU, hasV := ctx.contains(list); hasU || hasV {
+		if sp.hasU || sp.hasV {
 			continue // the pair's lists are stamped by T1/T2
 		}
+		list := ctx.lists[sp.off : sp.off+sp.n]
 		// e = the set's deepest common old list: the common prefix of a
 		// string set is min over LCPs against any one member.
 		first, e := -1, 0
@@ -178,7 +174,7 @@ func transportGroupTimes(ctx *transformCtx) {
 func ruleT1(ctx *transformCtx) {
 	t := ctx.t
 	su, sv := ctx.ents[ctx.ui].s, ctx.ents[ctx.vi].s
-	dPrime := skipgraph.CommonPrefixLen(ctx.u, ctx.v)
+	dPrime := ctx.newCommonPrefix(ctx.ui, ctx.vi)
 	su.setTimestamp(dPrime, t)
 	su.setTimestamp(dPrime+1, t)
 	sv.setTimestamp(dPrime, t)
@@ -229,7 +225,7 @@ func ruleT2(ctx *transformCtx) {
 					continue members // left the pair's group at or below this level
 				}
 			}
-			cPrime, oldT := newAssociationDepth(ctx, e.n), ctx.oldT(o)
+			cPrime, oldT := newAssociationDepth(ctx, o), ctx.oldT(o)
 			stamp := m
 			for c := ctx.alpha; c < cPrime; c++ {
 				if tc := at64(oldT, c); tc > m {
@@ -242,12 +238,12 @@ func ruleT2(ctx *transformCtx) {
 	}
 }
 
-// newAssociationDepth returns c': the highest level at which x shares a
-// list with the nearest communicating node after the transformation (the
+// newAssociationDepth returns c': the highest level at which member o shares
+// a list with the nearest communicating node after the transformation (the
 // reading of the paper's "longest common postfix" under which its Fig 4
 // values c'(E)=2, c'(G)=1 come out; DESIGN.md §3).
-func newAssociationDepth(ctx *transformCtx, x *skipgraph.Node) int {
-	return max(skipgraph.CommonPrefixLen(x, ctx.u), skipgraph.CommonPrefixLen(x, ctx.v))
+func newAssociationDepth(ctx *transformCtx, o int) int {
+	return max(ctx.newCommonPrefix(o, ctx.ui), ctx.newCommonPrefix(o, ctx.vi))
 }
 
 // nearestCommunicating returns the ordinal of whichever of u, v was closer
@@ -274,7 +270,7 @@ func ruleT3(ctx *transformCtx) {
 		}
 		w := nearestCommunicating(ctx, o)
 		cPrime := ctx.oldCommonPrefix(o, w)
-		cDouble := skipgraph.CommonPrefixLen(ctx.ents[o].n, ctx.ents[w].n)
+		cDouble := ctx.newCommonPrefix(o, w)
 		if cPrime-1 <= cDouble+1 {
 			continue
 		}

@@ -61,13 +61,13 @@ func (d *DSG) transform(u, v *skipgraph.Node, t int64) AdjustResult {
 			ctx.kept++
 		}
 	}
+	res.LAlpha, res.LAlphaDummies = len(ctx.lalpha), len(ctx.lalpha)-ctx.m
 	ctx.ents = append(ctx.ents, make([]member, ctx.m+ctx.kept)...)
 	nextReal, nextKept := 0, ctx.m
 	for _, x := range ctx.lalpha {
 		switch {
 		case x.IsDummy() && x.BitsLen() > alpha:
 			ctx.doomed = append(ctx.doomed, x)
-			delete(d.st, x)
 		case !x.IsDummy():
 			ctx.ents[nextReal] = newMember(x, d.state(x))
 			if x == u {
@@ -86,7 +86,7 @@ func (d *DSG) transform(u, v *skipgraph.Node, t int64) AdjustResult {
 	d.pending = d.g.RemoveAll(ctx.doomed, alpha, d.pending)
 	d.dummyCount -= len(ctx.doomed)
 	res.DummiesDestroyed = len(ctx.doomed)
-	ctx.spans = append(ctx.spans, listSpan{n: len(ctx.lists), level: alpha, split: true})
+	ctx.spans = append(ctx.spans, listSpan{n: len(ctx.lists), level: alpha, split: true, hasU: true, hasV: true})
 	ctx.rounds++ // parallel dummy self-destruction
 
 	// Snapshot the old state the timestamp rules refer to ("in S_t"), into
@@ -97,6 +97,7 @@ func (d *DSG) transform(u, v *skipgraph.Node, t int64) AdjustResult {
 		ctx.oldWords = append(append(ctx.oldWords, e.s.T...), e.s.G...)
 		e.bOff, e.bLen = int32(len(ctx.oldBits)), int32(e.n.BitsLen())
 		ctx.oldBits = e.n.AppendBits(ctx.oldBits)
+		ctx.recordOldPath(i)
 	}
 	ctx.oldBu, ctx.oldBv = ctx.ents[ctx.ui].s.B, ctx.ents[ctx.vi].s.B
 

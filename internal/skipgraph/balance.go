@@ -72,108 +72,106 @@ func (g *Graph) BalanceViolations(a int) []BalanceViolation {
 // it checks only the dirty regions named by refs, which must cover every
 // list whose membership or next-level bits changed since the graph was last
 // balanced (local joins, leaves, and repairs report exactly that set), and
-// appends what it finds to dst. A windowed ref scans the anchor's run
-// neighbourhood — O(a) when the graph was balanced before the change — and
-// a Whole ref scans its entire list; either way the scan walks the links in
-// place. Stale refs (nodes no longer in the graph) are skipped. The second
-// result is the number of nodes examined, the deterministic work measure
-// experiment E16 reports.
+// appends what it finds to dst. A windowed ref checks its window — the
+// anchor's run plus the complete run on each side, O(a) when the graph was
+// balanced before the change — and a Whole ref its entire list. Violations
+// come out ref by ref, in ref order: two refs whose windows overlap each
+// report what they share, once per ref, as a per-ref walk would. A ref with
+// the anchor, level and extent of an earlier one is skipped, and so are stale
+// refs (nodes no longer in the graph). The second result is the number of
+// nodes examined, the deterministic work measure experiment E16 reports: the
+// sum of the window sizes, plus each Whole ref's list and the anchor's
+// distance from its head. It counts what a per-ref walk reads, not what the
+// run table walks, so it measures the dirty set, not the scan.
 func (g *Graph) AppendBalanceViolationsIn(dst []BalanceViolation, a int, refs []ListRef) ([]BalanceViolation, int) {
 	if a < 1 {
 		panic(fmt.Sprintf("skipgraph: balance parameter must be >= 1, got %d", a))
 	}
-	g.mark++
-	scanned := 0
-	for _, ref := range refs {
-		if !g.liveRef(ref) || !g.firstVisit(ref) {
+	t := &g.scan
+	scanned := g.windows(refs, false, true)
+	for i, ref := range refs {
+		level := int(ref.Level)
+		if !ref.Whole {
+			for _, r := range t.wins[i] {
+				if r >= 0 {
+					dst = t.runs[r].appendViolation(dst, level, a)
+				}
+			}
 			continue
 		}
-		level := int(ref.Level)
+		if !g.liveRef(ref) || slices.Contains(g.seenWide, ref) {
+			continue
+		}
+		g.seenWide = append(g.seenWide, ref)
 		runs := runScanner{out: dst, level: level, a: a}
-		first, last, walked := regionBounds(ref)
-		visited := 0
-		for y := first; y != nil; y = y.Next(level) {
-			visited++
+		head := ref.Node
+		for p := head.Prev(level); p != nil; p = head.Prev(level) {
+			head = p
+			scanned++
+		}
+		for y := head; y != nil; y = y.Next(level) {
+			scanned++
 			runs.add(y)
-			if y == last {
-				break
-			}
 		}
 		dst = runs.finish()
-		scanned += walked
-		if ref.Whole {
-			scanned += visited
-		}
+		scanned++ // the anchor, counted on both walks
 	}
 	clear(g.seenWide)
 	g.seenWide = g.seenWide[:0]
+	t.release()
 	return dst, scanned
-}
-
-// firstVisit reports whether ref is the first with its anchor, level and
-// extent that the scan stamped g.mark has met, and remembers it. A windowed
-// ref's level is a bit in its anchor's seenLevels; a Whole ref, or a level
-// the word cannot hold, goes to a short list searched linearly (one
-// producer, the transformation, reports a Whole list only for a breaker it
-// could not place).
-func (g *Graph) firstVisit(ref ListRef) bool {
-	n := ref.Node
-	if n.mark != g.mark {
-		n.mark, n.seenLevels = g.mark, 0
-	}
-	if ref.Whole || ref.Level >= 32 {
-		if slices.Contains(g.seenWide, ref) {
-			return false
-		}
-		g.seenWide = append(g.seenWide, ref)
-		return true
-	}
-	bit := uint32(1) << ref.Level
-	if n.seenLevels&bit != 0 {
-		return false
-	}
-	n.seenLevels |= bit
-	return true
 }
 
 // AppendDummiesIn appends to dst the distinct dummies that are in known or
 // appear in any of the dirty regions named by the given ref lists, in key
-// order, and returns the number of nodes walked. Stale refs are skipped.
+// order, and returns the number of nodes walked, counted as
+// AppendBalanceViolationsIn counts them but for every live ref, repeats
+// included. Stale refs are skipped.
 func (g *Graph) AppendDummiesIn(dst []*Node, known []*Node, refLists ...[]ListRef) ([]*Node, int) {
-	// Regions overlap (one dummy sits in a list per level); a dummy is taken
-	// the first time this call's mark reaches it.
-	g.mark++
-	base, scanned := len(dst), 0
-	for _, y := range known {
-		if y.mark != g.mark {
-			y.mark = g.mark
-			dst = append(dst, y)
-		}
-	}
+	t := &g.scan
 	for _, refs := range refLists {
-		for _, ref := range refs {
-			if !g.liveRef(ref) {
-				continue
-			}
-			first, last, walked := regionBounds(ref)
-			visited := 0
-			for y := first; y != nil; y = y.Next(int(ref.Level)) {
-				visited++
-				if y.dummy && y.mark != g.mark {
-					y.mark = g.mark
-					dst = append(dst, y)
-				}
-				if y == last {
-					break
-				}
-			}
-			scanned += walked
-			if ref.Whole {
-				scanned += visited
-			}
+		t.flat = append(t.flat, refs...)
+	}
+	scanned := g.windows(t.flat, true, false)
+	// A dummy sits in a list per level, so the runs' dummy lists overlap
+	// across levels; a dummy is taken the first time this stamp reaches it.
+	g.mark++
+	stamp := g.mark
+	for _, y := range known {
+		if y.mark != stamp {
+			y.mark = stamp
+			t.cands = append(t.cands, keyedNode{y.key, y})
 		}
 	}
-	slices.SortFunc(dst[base:], func(x, y *Node) int { return x.key.Compare(y.key) })
+	for _, y := range t.dummies {
+		if y.mark != stamp {
+			y.mark = stamp
+			t.cands = append(t.cands, keyedNode{y.key, y})
+		}
+	}
+	for _, ref := range t.flat {
+		if !ref.Whole || !g.liveRef(ref) {
+			continue
+		}
+		level, head := int(ref.Level), ref.Node
+		for p := head.Prev(level); p != nil; p = head.Prev(level) {
+			head = p
+			scanned++
+		}
+		for y := head; y != nil; y = y.Next(level) {
+			scanned++
+			if y.dummy && y.mark != stamp {
+				y.mark = stamp
+				t.cands = append(t.cands, keyedNode{y.key, y})
+			}
+		}
+		scanned++ // the anchor, counted on both walks
+	}
+	t.sortCands()
+	for _, c := range t.cands {
+		dst = append(dst, c.n)
+	}
+	t.release()
 	return dst, scanned
 }
 
@@ -182,53 +180,225 @@ func (g *Graph) liveRef(ref ListRef) bool {
 	return ref.Node != nil && ref.Level >= 0 && g.Contains(ref.Node)
 }
 
-// regionBounds returns the first and last node of the list segment a ref
-// marks dirty; the segment is walked over the links themselves, first to
-// last along Next(ref.Level). For a windowed ref that is the anchor's
-// maximal same-bit run (w.r.t. the next level's bit; a node lacking the bit
-// forms its own boundary run) extended by the complete adjacent run on each
-// side — every run a mutation at the anchor's position can have changed,
-// with both edge runs complete so run lengths measured inside the window
-// are exact. For a Whole ref it is the full list, and last is nil: the
-// segment runs to the list's end. walked is the work measure of the scan:
-// the anchor plus every node between it and either bound — for a Whole ref,
-// whose right bound is open, the caller adds the nodes it visits instead.
-func regionBounds(ref ListRef) (first, last *Node, walked int) {
-	x, level := ref.Node, int(ref.Level)
-	first, walked = x, 1
-	for cross := 0; ; {
-		p := first.Prev(level)
-		if p == nil {
-			break
-		}
-		if !ref.Whole && runBoundary(p, first, level+1) {
-			cross++
-			if cross > 1 {
-				break
+// runTable is the memory of one scoped scan. The scan walks each (level,
+// run) its windowed refs reach once, into runs, and answers every such ref
+// from there: its window is its anchor's run and the run on either side of
+// it. Refs are taken level by level (in ref order within a level), each
+// level under a stamp of its own, and a node walked at the current level
+// carries the stamp in mark and its run's index in scanRun — so a second ref
+// into a run, or a window whose edge run an earlier window already read,
+// costs a lookup, not a walk. scanned is still what a per-ref walk of each
+// window would have read. The table is graph-owned scratch: truncated after
+// each scan, and cleared, so it never keeps a removed node alive.
+type runTable struct {
+	runs    []scanRun
+	dummies []*Node     // the walked runs' dummies, run by run (AppendDummiesIn only)
+	order   []uint64    // the live windowed refs, as level<<32 | ref index, sorted
+	wins    [][3]int32  // per ref: its window's runs, left to right; noRun where absent
+	flat    []ListRef   // AppendDummiesIn's ref lists, back to back
+	cands   []keyedNode // AppendDummiesIn's distinct dummies, before sorting
+	merge   []keyedNode // sortCands' other buffer
+}
+
+// scanRun is one maximal same-bit run of a level-d list: first to last in
+// key order, len members, and whether one is real. Its members share the bit
+// at level d+1; a member lacking that bit is a run of its own.
+type scanRun struct {
+	first, last *Node
+	len         int32
+	hasReal     bool
+}
+
+// keyedNode is a node with its key inline, so sorting never dereferences.
+type keyedNode struct {
+	key Key
+	n   *Node
+}
+
+const (
+	noRun = -1
+	// unknownRun marks a live windowed ref not yet answered; one the visit
+	// filter skips keeps it, and reads as no window.
+	unknownRun = -2
+	// anchored, in a node's scanRun, says a ref of the current level with
+	// that anchor has been answered: a second one is not the first visit.
+	anchored = 1 << 31
+	// maxBucket is the number of levels the ref ordering counts; refs above
+	// them are sorted.
+	maxBucket = 64
+)
+
+// windows answers every live windowed ref of refs from the run table:
+// g.scan.wins[i] names ref i's window, or holds noRun throughout for a Whole,
+// stale or (with firstOnly) repeated ref. It returns the windows' total size.
+// With collect, every walked run's dummies are recorded.
+func (g *Graph) windows(refs []ListRef, collect, firstOnly bool) int {
+	t := &g.scan
+	// Order the live windowed refs by level, stably: a counting sort on the
+	// levels a graph has, the rare level past them sorted apart.
+	var at [maxBucket + 1]int32
+	t.wins = slices.Grow(t.wins[:0], len(refs))[:len(refs)]
+	for i, ref := range refs {
+		t.wins[i] = [3]int32{noRun, noRun, noRun}
+		if !ref.Whole && g.liveRef(ref) {
+			t.wins[i][1] = unknownRun // to be answered
+			if b := min(int(ref.Level), maxBucket); b < maxBucket {
+				at[b+1]++
 			}
 		}
-		first = p
-		walked++
 	}
-	if ref.Whole {
-		return first, nil, walked
+	for b := 1; b <= maxBucket; b++ {
+		at[b] += at[b-1]
 	}
-	last = x
-	for cross := 0; ; {
-		nx := last.Next(level)
-		if nx == nil {
-			break
+	t.order = slices.Grow(t.order[:0], int(at[maxBucket]))[:at[maxBucket]]
+	for i, ref := range refs {
+		if t.wins[i][1] != unknownRun {
+			continue
 		}
-		if runBoundary(last, nx, level+1) {
-			cross++
-			if cross > 1 {
-				break
+		o := uint64(ref.Level)<<32 | uint64(i)
+		if b := min(int(ref.Level), maxBucket); b < maxBucket {
+			t.order[at[b]] = o
+			at[b]++
+		} else {
+			t.order = append(t.order, o)
+		}
+	}
+	slices.Sort(t.order[at[maxBucket-1]:])
+	scanned, level, stamp := 0, -1, uint64(0)
+	for _, o := range t.order {
+		i := int(uint32(o))
+		if l := int(o >> 32); l != level {
+			level = l
+			g.mark++
+			stamp = g.mark
+		}
+		x := refs[i].Node
+		if firstOnly && x.mark == stamp && x.scanRun&anchored != 0 {
+			continue
+		}
+		r := t.runOf(x, level, stamp, collect)
+		x.scanRun |= anchored
+		w := [3]int32{t.leftOf(r, level, stamp, collect), r, t.rightOf(r, level, stamp, collect)}
+		for _, s := range w {
+			if s >= 0 {
+				scanned += int(t.runs[s].len)
 			}
 		}
-		last = nx
-		walked++
+		t.wins[i] = w
 	}
-	return first, last, walked
+	return scanned
+}
+
+// runOf returns the run of x's level list that holds x, walking it — both
+// ways from x, stamping every member — unless this level's stamp says it
+// has been.
+func (t *runTable) runOf(x *Node, level int, stamp uint64, collect bool) int32 {
+	if x.mark == stamp {
+		return int32(x.scanRun &^ anchored)
+	}
+	idx := int32(len(t.runs))
+	run := scanRun{first: x, last: x, len: 1, hasReal: t.walked(x, idx, stamp, collect)}
+	if bitLevel := level + 1; bitLevel < len(x.bits) {
+		b := x.bits[bitLevel]
+		for p := x.Prev(level); p != nil && bitLevel < len(p.bits) && p.bits[bitLevel] == b; p = p.Prev(level) {
+			run.first = p
+			run.len++
+			run.hasReal = t.walked(p, idx, stamp, collect) || run.hasReal
+		}
+		for q := x.Next(level); q != nil && bitLevel < len(q.bits) && q.bits[bitLevel] == b; q = q.Next(level) {
+			run.last = q
+			run.len++
+			run.hasReal = t.walked(q, idx, stamp, collect) || run.hasReal
+		}
+	}
+	t.runs = append(t.runs, run)
+	return idx
+}
+
+// walked stamps y as a member of run idx, records it if it is a dummy to be
+// collected, and reports whether it is real.
+func (t *runTable) walked(y *Node, idx int32, stamp uint64, collect bool) bool {
+	y.mark, y.scanRun = stamp, uint32(idx)
+	if y.dummy && collect {
+		t.dummies = append(t.dummies, y)
+	}
+	return !y.dummy
+}
+
+// leftOf and rightOf return the run beside run r, noRun at the list's end.
+func (t *runTable) leftOf(r int32, level int, stamp uint64, collect bool) int32 {
+	if p := t.runs[r].first.Prev(level); p != nil {
+		return t.runOf(p, level, stamp, collect)
+	}
+	return noRun
+}
+
+func (t *runTable) rightOf(r int32, level int, stamp uint64, collect bool) int32 {
+	if q := t.runs[r].last.Next(level); q != nil {
+		return t.runOf(q, level, stamp, collect)
+	}
+	return noRun
+}
+
+// appendViolation appends the run's violation, if it is one: more than a
+// members, a real one among them, sharing a next-level bit.
+func (r *scanRun) appendViolation(dst []BalanceViolation, level, a int) []BalanceViolation {
+	if int(r.len) > a && r.hasReal && r.first.HasBit(level+1) {
+		dst = append(dst, BalanceViolation{Level: level, Start: r.first, RunLen: int(r.len), Bit: r.first.Bit(level + 1)})
+	}
+	return dst
+}
+
+// sortCands puts the candidates in key order: a bottom-up merge sort on the
+// inline keys, in insertion-sorted blocks. Keys are unique in a graph, so
+// any sort gives this order; this one makes no comparator call, which is
+// most of what a few hundred candidates cost to sort with one.
+func (t *runTable) sortCands() {
+	a := t.cands
+	const block = 16
+	for lo := 0; lo < len(a); lo += block {
+		b := a[lo:min(lo+block, len(a))]
+		for i := 1; i < len(b); i++ {
+			for j := i; j > 0 && b[j].key.Less(b[j-1].key); j-- {
+				b[j], b[j-1] = b[j-1], b[j]
+			}
+		}
+	}
+	buf := slices.Grow(t.merge[:0], len(a))[:len(a)]
+	for width := block; width < len(a); width *= 2 {
+		for lo := 0; lo < len(a); lo += 2 * width {
+			mid, hi := min(lo+width, len(a)), min(lo+2*width, len(a))
+			i, j, k := lo, mid, lo
+			for ; i < mid && j < hi; k++ {
+				if a[j].key.Less(a[i].key) {
+					buf[k], j = a[j], j+1
+				} else {
+					buf[k], i = a[i], i+1
+				}
+			}
+			k += copy(buf[k:], a[i:mid])
+			copy(buf[k:], a[j:hi])
+		}
+		a, buf = buf, a
+	}
+	t.cands, t.merge = a, buf
+}
+
+// release empties the table for the next scan, dropping its node references.
+func (t *runTable) release() {
+	t.runs = recycle(t.runs)
+	t.dummies = recycle(t.dummies)
+	t.flat = recycle(t.flat)
+	t.cands = recycle(t.cands)
+	t.merge = recycle(t.merge)
+	t.order = t.order[:0]
+}
+
+// recycle empties a scratch buffer for its next use, dropping the
+// references it held.
+func recycle[T any](buf []T) []T {
+	clear(buf)
+	return buf[:0]
 }
 
 // runBoundary reports whether adjacent list members y (left) and z (right)

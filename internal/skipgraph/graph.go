@@ -36,11 +36,13 @@ type Graph struct {
 
 	// Writer-owned scratch, reused across calls so the adjuster's steady
 	// state allocates nothing here: the buffer Relink partitions in place
-	// (plus the holding area for one partition's 1-side) and the overflow of
-	// a scoped balance scan's visit stamps (firstVisit). The buffers are
-	// cleared after use so they never keep a removed node alive.
+	// (plus the holding area for one partition's 1-side), the Whole refs a
+	// scoped violation scan has visited, and the scoped scans' run table.
+	// The buffers are cleared after use so they never keep a removed node
+	// alive.
 	relinkBuf, relinkTmp []*Node
 	seenWide             []ListRef
+	scan                 runTable
 	// mark is the current visit stamp (see Node.mark); it only grows.
 	mark uint64
 }

@@ -7,7 +7,10 @@
 // join/leave (§IV-G).
 package skipgraph
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+)
 
 // Key is a totally ordered node key. Minor exists so that logical "dummy"
 // nodes (§IV-F) can be placed between two real keys while keeping the base
@@ -35,14 +38,10 @@ func (k Key) Less(o Key) bool {
 
 // Compare returns -1, 0, or 1 as k is less than, equal to, or greater than o.
 func (k Key) Compare(o Key) int {
-	switch {
-	case k.Less(o):
-		return -1
-	case o.Less(k):
-		return 1
-	default:
-		return 0
+	if k.Primary != o.Primary {
+		return cmp.Compare(k.Primary, o.Primary)
 	}
+	return cmp.Compare(k.Minor, o.Minor)
 }
 
 // String renders the key; dummies render with a "+minor" suffix.

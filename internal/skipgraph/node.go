@@ -11,23 +11,16 @@ import (
 // unused (level 0 holds every node). next[i]/prev[i] are the level-i linked
 // list neighbours; they are nil beyond the node's singleton level.
 type Node struct {
-	key   Key
-	id    int64 // non-negative identifier; doubles as the initial group-id
+	// The fields every list walk reads come first, so a walk touches as few
+	// of a node's cache lines as it can: the flags, the vector, the links,
+	// the visit stamps, the owner, the state above and the key. The value
+	// record, which only the KV plane reads, comes last.
 	dummy bool
 	dead  bool // crashed: present in every list but unresponsive
-	// hasVal belongs to the value record below, and seenLevels to mark at
-	// the bottom; they sit with the other flags so the four share a word,
-	// which keeps a Node at 176 bytes — one allocation size class less, on a
-	// type an adjustment allocates by the hundred.
-	hasVal     bool
-	seenLevels uint32
-
-	// Versioned value record (the KV data plane). val is immutable once
-	// stored: Graph.SetValue swaps in a fresh slice per write, never mutates
-	// one in place, so a Get or Scan result handed out earlier keeps the
-	// bytes it read.
-	val []byte
-	ver int64
+	// hasVal belongs to the value record, and scanRun to mark; they sit with
+	// the other flags so the four share a word.
+	hasVal  bool
+	scanRun uint32
 
 	bits []byte
 	next []*Node
@@ -39,14 +32,29 @@ type Node struct {
 	// heap by ordinary append growth. (Never copy a Node by value.)
 	vec [24]byte
 
+	// mark is writer-owned scratch: a walk that must visit each node once
+	// stamps it with the graph's current mark instead of building a set.
+	// A scoped balance scan stamps each level it walks afresh and keeps, in
+	// scanRun, the index of the node's run in its run table (runTable).
+	mark uint64
+
 	// owner is the graph the node currently belongs to, nil once removed.
 	owner *Graph
 
-	// mark is writer-owned scratch: a walk that must visit each node once
-	// stamps it with the graph's current mark instead of building a set.
-	// A scoped balance scan, which must visit each (anchor, level) once,
-	// keeps the levels it has seen under the current mark in seenLevels.
-	mark uint64
+	// Ext is the layer above's record of the node — the adjuster keeps the
+	// node's DSG state here, reached without a lookup. The graph never reads
+	// or writes it.
+	Ext any
+
+	key Key
+	id  int64 // non-negative identifier; doubles as the initial group-id
+
+	// Versioned value record (the KV data plane). val is immutable once
+	// stored: Graph.SetValue swaps in a fresh slice per write, never mutates
+	// one in place, so a Get or Scan result handed out earlier keeps the
+	// bytes it read.
+	val []byte
+	ver int64
 }
 
 // NewNode creates a detached node with the given key and identifier and an
@@ -63,9 +71,23 @@ func NewNode(key Key, id int64) *Node {
 // NewDummy creates a dummy (logical, §IV-F) node: it carries no data, only
 // routes, and destroys itself on the next transformation notification.
 func NewDummy(key Key, id int64) *Node {
-	n := NewNode(key, id)
-	n.dummy = true
+	n := new(Node)
+	InitDummy(n, key, id, nil)
 	return n
+}
+
+// InitDummy makes n, which must be a zero Node, the detached dummy NewDummy
+// returns: for a caller that allocates the node inside a record of its own.
+// links, zero and of even length, becomes the backing store of the node's
+// links at levels below len(links)/2, so the record can hold those too.
+func InitDummy(n *Node, key Key, id int64, links []*Node) {
+	if id < 0 {
+		panic(fmt.Sprintf("skipgraph: node id must be non-negative, got %d", id))
+	}
+	n.key, n.id, n.dummy = key, id, true
+	n.bits = n.vec[:1]
+	k := len(links) / 2
+	n.next, n.prev = links[:0:k], links[k:k:2*k]
 }
 
 // Key returns the node's key.
