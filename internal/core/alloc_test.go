@@ -19,7 +19,7 @@ import (
 // trips on a reintroduced per-request map or slice, or on a balance pass
 // that starts cascading again, long before the old numbers return, yet never
 // on noise: the counts are deterministic for a fixed seed (the race detector
-// adds a third to the allocations and half again to the bytes).
+// adds a quarter to the allocations and half again to the bytes).
 func TestAdjustAllocBudget(t *testing.T) {
 	const (
 		n, warm, measured = 256, 1000, 500
