@@ -249,7 +249,7 @@ func feedRoutes(ctx context.Context, b *testing.B, reqs []workload.Request) <-ch
 
 // BenchmarkE18_ShardedPipeline measures shard.Service.Serve: b.N uniform
 // routes off a channel, the dispatcher splitting each window into leg slices
-// for the s shard engines (uniform load never crosses the skew threshold,
+// for the s shards (uniform load never crosses the skew threshold,
 // so the rebalancer idles). Lanes sweep the shard count; CI gates the s=1
 // lane only — one-op windows, the driver BenchmarkDo/s=1 times, reached from
 // the channel — while s>1 lanes measure the shards serving side by side and
@@ -521,7 +521,7 @@ func benchNetwork(b *testing.B, serve func(b *testing.B, nw *Network, reqs []wor
 }
 
 // BenchmarkDo measures the call dsgserve makes per op frame: Network.Do, a
-// one-op window through the shard dispatcher and the owning engine. CI gates
+// one-op window through the shard dispatcher and the owning shard. CI gates
 // both lanes; s=4 adds cross-shard legs and the rebalancer at its default
 // load window, and answers each op once it is routed: the shards it touched
 // adjust behind the answer while the next op routes (92 → 76 µs/op on 2

@@ -8,7 +8,7 @@ import (
 )
 
 // ErrUnknownNode is wrapped by Serve and Adjust when an endpoint id is not
-// in the graph. The serving engine matches it (errors.Is): a route whose
+// in the graph. A shard's step matches it (errors.Is): a route whose
 // endpoint a Delete removed earlier in the op stream is a per-op miss, not a
 // failure.
 var ErrUnknownNode = errors.New("core: unknown node id")
@@ -114,8 +114,8 @@ func (d *DSG) Serve(uid, vid int64) (RequestResult, error) {
 // Adjust is the adaptation step of one request: it applies the DSG
 // transformation for the pair (u, v), then repairs a-balance over exactly
 // what the transformation dirtied, so the graph is a-balanced again when it
-// returns. Routing is the caller's: Serve routes on this graph first, the
-// serving engine (internal/serve) routes in its own phase and measures it.
+// returns. Routing is the caller's: Serve routes on this graph first, a
+// shard's step (internal/shard) routes in its own half and measures it.
 func (d *DSG) Adjust(uid, vid int64) (AdjustResult, error) {
 	u, v, err := d.pair(uid, vid)
 	if err != nil {

@@ -20,9 +20,9 @@ import (
 // the Rainbow Skip Graph's local fault recovery.
 
 // ErrCrashedNode is wrapped by Serve and Adjust when an endpoint has
-// crashed but not yet been repaired. The serving engine matches it
+// crashed but not yet been repaired. A shard's step matches it
 // (errors.Is): a route into a corpse is a per-op miss, expected under
-// failures, not an engine fault.
+// failures, not a serving fault.
 var ErrCrashedNode = errors.New("core: crashed node")
 
 // Crash marks the real node with the given id as crashed: it vanishes from

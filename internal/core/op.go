@@ -7,13 +7,13 @@ import (
 )
 
 // This file is the op envelope of the KV data plane: the request type every
-// serving layer boundary (engine dispatch, shard dispatch, public API)
+// serving layer boundary (shard dispatch, a shard's step, public API)
 // carries instead of a bare src/dst pair. Route is the zero value, so a
 // pure-route stream behaves — byte for byte — exactly as it did when the
 // boundaries carried Pair.
 //
 // The split of responsibilities matches the serving architecture: an op's
-// route half (internal/serve) measures its distance, takes a Get's or
+// route half (internal/shard) measures its distance, takes a Get's or
 // Scan's read and applies Write here — a Put's value write, a Delete's
 // leave — and its adjust half is AdjustAccess, the transformation and
 // scoped repair; ApplyOp is both halves in one call. Point
@@ -29,8 +29,8 @@ type OpKind uint8
 const (
 	// OpRoute is a pure communication request: route src→dst, then adjust.
 	OpRoute OpKind = iota
-	// OpGet reads Dst's value (snapshot read in the engine; live read here)
-	// and adjusts the topology for the access like a route.
+	// OpGet reads Dst's value (in the route half, off the live graph) and
+	// adjusts the topology for the access like a route.
 	OpGet
 	// OpPut writes Value to Dst — update in place when the key is alive,
 	// tracked join when absent, crash-repair + rejoin when dead — and
@@ -128,7 +128,7 @@ func (d *DSG) ApplyOp(op Op) (OpResult, error) {
 // Write applies the data half of one op — everything that changes
 // membership or what a later op can read — and reports the version a Put
 // wrote and whether a Put or Delete found a live record. It is a no-op for
-// the other kinds. A serving engine runs it in the op's route half, before
+// the other kinds. A shard's step runs it in the op's route half, before
 // the reply; AdjustAccess is the rest.
 func (d *DSG) Write(op Op) (version int64, existed bool, err error) {
 	switch op.Kind {

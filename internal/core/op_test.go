@@ -29,7 +29,7 @@ func TestApplyOpRouteMatchesAdjust(t *testing.T) {
 	if _, err := d.ApplyOp(Op{Kind: OpKind(99)}); err == nil {
 		t.Error("unknown op kind must fail")
 	}
-	// The sentinel the serving engine matches to call a route a miss.
+	// The sentinel a shard's step matches to call a route a miss.
 	if err := d.RemoveNode(6); err != nil {
 		t.Fatal(err)
 	}

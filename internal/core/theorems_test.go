@@ -247,7 +247,7 @@ func TestAddRemoveNodes(t *testing.T) {
 }
 
 // TestServeErrors: the three callers of the request step reject a bad pair
-// from one place, with the sentinels the serving engine matches, and leave
+// from one place, with the sentinels a shard's step matches, and leave
 // the graph and the clock alone.
 func TestServeErrors(t *testing.T) {
 	d := New(8, Config{A: 4, Seed: 1})

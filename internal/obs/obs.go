@@ -148,8 +148,8 @@ func KindName(k int64) string {
 	return fmt.Sprintf("kind(%d)", k)
 }
 
-// LegSpan is one engine leg of an op: the route-phase work of one shard's
-// engine. Single-graph ops have exactly one leg; cross-shard routes and
+// LegSpan is one leg of an op: the route-phase work of one shard's
+// step. Single-graph ops have exactly one leg; cross-shard routes and
 // fanned scans carry one per participating shard. Nanos is wall time
 // (exempt from the determinism contracts); everything else is
 // deterministic.
@@ -172,7 +172,7 @@ type Span struct {
 	Start      int64 // unix nanoseconds when the span was recorded
 	TotalNanos int64 // summed leg service time (route-phase work)
 
-	Epoch         int64 // engine epoch (mutations applied) the first leg routed at
+	Epoch         int64 // shard epoch (mutations applied) the first leg routed at
 	RouteDistance int64
 	RouteHops     int64
 	RouteMiss     bool
@@ -266,10 +266,10 @@ func (r *spanRing) slowest(limit int) []Span {
 
 // Pipeline stages with their own latency histograms.
 const (
-	// StageRouteLeg is one engine leg's route half: the route of one op
+	// StageRouteLeg is one shard leg's route half: the route of one op
 	// plus any Get/Scan read and any Put/Delete write.
 	StageRouteLeg = iota
-	// StageAdjustApply is one engine leg's adjust half: the op's
+	// StageAdjustApply is one shard leg's adjust half: the op's
 	// transformation and scoped repair — on a sharded service's one-op
 	// window, observed behind the answer.
 	StageAdjustApply

@@ -10,17 +10,17 @@ import (
 
 // TestScanWindowAllocBudget pins what a window costs beyond the work in it:
 // a scan served at S = 1 — one window per op, as the daemon serves it —
-// allocates the entry it reads (once in the route half, once in the
-// adjuster's own read) and nothing else: the window's own
-// plumbing — leg slices, result slots, load window — is reused from window
-// to window, and a one-shard scan's outcome adopts its only fragment. With a
-// goroutine, a channel and a fragment map per shard per window, and a fresh
-// n-sized load slice, the same scan cost 16 allocations and 3.8 KB.
+// allocates the entry it reads in the route half (one allocation, 48 B) and
+// nothing else: the window's own plumbing — leg slices, result slots, load
+// window — is reused from window to window, and a one-shard scan's outcome
+// adopts its only fragment. With a goroutine, a channel and a fragment map
+// per shard per window, and a fresh n-sized load slice, the same scan cost
+// 16 allocations and 3.8 KB.
 func TestScanWindowAllocBudget(t *testing.T) {
 	const (
 		n, warm, measured = 256, 200, 2000
-		maxAllocsPerOp    = 4
-		maxBytesPerOp     = 256
+		maxAllocsPerOp    = 2
+		maxBytesPerOp     = 128
 	)
 	var before, after runtime.MemStats
 	served := 0

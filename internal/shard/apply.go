@@ -2,7 +2,6 @@ package shard
 
 import (
 	"errors"
-	"fmt"
 
 	"lsasg/internal/core"
 )
@@ -27,7 +26,7 @@ var ErrBarrier = errors.New("shard: window barrier failed")
 // calls, Serve runs, or both — the planner runs at this op's barrier and may
 // migrate one key range before Apply returns. The barrier comes after the op
 // is served, counted and observed, so a migration failure is returned,
-// wrapping ErrBarrier, together with the op's valid outcome. An op an engine
+// wrapping ErrBarrier, together with the op's valid outcome. An op a shard
 // failed to serve has no outcome: it is counted nowhere, and the load window
 // is left as it was.
 //
@@ -48,8 +47,8 @@ func (s *Service) Apply(op core.Op) (Outcome, error) { return s.apply(op, true) 
 func (s *Service) ApplyAdjusted(op core.Op) (Outcome, error) { return s.apply(op, false) }
 
 func (s *Service) apply(op core.Op, behind bool) (Outcome, error) {
-	if !s.serving.CompareAndSwap(false, true) {
-		return Outcome{}, fmt.Errorf("shard: Apply on a service that is already serving")
+	if err := s.reserve("Apply"); err != nil {
+		return Outcome{}, err
 	}
 	defer s.serving.Store(false)
 	if err := s.checkOp(op); err != nil {

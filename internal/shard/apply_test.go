@@ -1,13 +1,10 @@
 package shard
 
 import (
-	"context"
 	"errors"
-	"runtime"
 	"testing"
 
 	"lsasg/internal/core"
-	"lsasg/internal/serve"
 )
 
 // loadWindowEmpty reports whether nothing is counted into the load window.
@@ -59,33 +56,23 @@ func TestApplyBarrierFailureKeepsOutcome(t *testing.T) {
 	}
 }
 
-// TestApplyEngineFailureLeavesNoTrace: an op its engine fails to serve has
-// no outcome, so neither the lifetime books nor the load window may count
-// it. Shard 0 of 2 is held by a Serve call of its own while the service
-// dispatches to it, so its leg is refused.
+// TestApplyEngineFailureLeavesNoTrace: an op its shard's step fails to
+// serve has no outcome, so neither the lifetime books nor the load window
+// may count it. With invariant checks on and shard 0's state corrupted
+// (plantCorruption), the adjustment of an op on shard 0 fails; ApplyAdjusted
+// runs it inline, so the failure is the op's own.
 func TestApplyEngineFailureLeavesNoTrace(t *testing.T) {
 	outcomes := 0
-	svc, err := New(64, Config{Shards: 2, A: 4, Seed: 3, RebalanceEvery: 4,
+	svc, err := New(64, Config{Shards: 4, A: 4, Seed: 3, RebalanceEvery: 4, CheckInvariants: true,
 		OnOutcome: func(Outcome) { outcomes++ }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := svc.shards[0].eng
-	hold, released := make(chan core.Op), make(chan struct{})
-	go func() {
-		defer close(released)
-		eng.Serve(context.Background(), hold)
-	}()
-	var idle serve.Stats
-	for eng.ServeSlice(nil, &idle) == nil { // until the holder owns the engine
-		runtime.Gosched()
-	}
+	plantCorruption(t, svc)
 	before := svc.Totals()
-	if _, err := svc.Apply(core.RouteOp(1, 5)); err == nil || errors.Is(err, ErrBarrier) {
-		t.Fatalf("Apply returned %v, want the engine's failure", err)
+	if _, err := svc.ApplyAdjusted(core.RouteOp(1, 5)); err == nil || errors.Is(err, ErrBarrier) {
+		t.Fatalf("ApplyAdjusted returned %v, want the step's failure", err)
 	}
-	close(hold)
-	<-released
 	if svc.Totals() != before || outcomes != 0 {
 		t.Fatalf("the unserved op was counted: totals %+v, %d outcomes", svc.Totals(), outcomes)
 	}
@@ -93,8 +80,9 @@ func TestApplyEngineFailureLeavesNoTrace(t *testing.T) {
 		t.Fatalf("the unserved op stayed in the load window: %d ops, key loads %d and %d",
 			svc.loadOps, svc.keyLoad[1], svc.keyLoad[5])
 	}
-	// The next op is served and counted as the window's first.
-	if _, err := svc.Apply(core.RouteOp(1, 2)); err != nil {
+	// The next op, on a healthy shard, is served and counted as the
+	// window's first.
+	if _, err := svc.Apply(core.RouteOp(20, 28)); err != nil {
 		t.Fatal(err)
 	}
 	if got := svc.Totals().Requests; got != before.Requests+1 || svc.loadOps != 1 || outcomes != 1 {

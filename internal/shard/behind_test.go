@@ -101,10 +101,32 @@ func TestApplyAnswersBeforeAdjusting(t *testing.T) {
 	}
 }
 
+// plantCorruption gives key 10 of shard 0 (of 64 keys over 4 shards) a
+// timestamp below its group base, as TestValidateDetectsCorruption plants
+// one — at its deepest level, which the transformation for 1 and 5 leaves
+// alone: routing is unaffected, the invariant check after that
+// transformation is not.
+func plantCorruption(t *testing.T, svc *Service) {
+	t.Helper()
+	d := svc.shards[0].dsg
+	x := d.NodeByID(10)
+	depth := x.BitsLen()
+	groups := make([]int64, depth+1)
+	for i := range groups {
+		groups[i] = d.Group(x, i)
+	}
+	ts := make([]int64, depth)
+	ts[depth-1] = 99
+	d.SetStateForTest(x, ts, groups, nil, depth)
+	if err := d.Validate(); err == nil {
+		t.Fatal("the planted timestamp is not a violation")
+	}
+}
+
 // TestFailedAdjustmentSurfacesAsBarrier: with invariant checks on and one
-// real node's DSG state corrupted (TestValidateDetectsCorruption's
-// "timestamp below base"), the adjustment behind an answer fails, and the next call that
-// settles the shard reports it as ErrBarrier — once, never a panic.
+// real node's DSG state corrupted (plantCorruption), the adjustment behind
+// an answer fails, and the next call that settles the shard reports it as
+// ErrBarrier — once, never a panic.
 func TestFailedAdjustmentSurfacesAsBarrier(t *testing.T) {
 	corrupt := func(t *testing.T) *Service {
 		t.Helper()
@@ -112,23 +134,7 @@ func TestFailedAdjustmentSurfacesAsBarrier(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Key 10 of shard 0 gets a timestamp below its group base, as
-		// TestValidateDetectsCorruption plants one — at its deepest level,
-		// which the transformation for 1 and 5 leaves alone: routing is
-		// unaffected, the invariant check after that transformation is not.
-		d := svc.shards[0].dsg
-		x := d.NodeByID(10)
-		depth := x.BitsLen()
-		groups := make([]int64, depth+1)
-		for i := range groups {
-			groups[i] = d.Group(x, i)
-		}
-		ts := make([]int64, depth)
-		ts[depth-1] = 99
-		d.SetStateForTest(x, ts, groups, nil, depth)
-		if err := d.Validate(); err == nil {
-			t.Fatal("the planted timestamp is not a violation")
-		}
+		plantCorruption(t, svc)
 		// A Get: at apply time a failed KV adjustment used to panic.
 		o, err := svc.Apply(core.Op{Kind: core.OpGet, Src: 1, Dst: 5})
 		if err != nil {

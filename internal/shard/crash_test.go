@@ -10,11 +10,10 @@ import (
 )
 
 // TestCrashDetectRepair drives the crash cycle through the sharded service:
-// an injected crash lands on the owning shard's engine and is visible in its
-// published snapshot, a served route addressed at the corpse is recorded as
-// a miss instead of aborting the pipeline, a Put of the key splices the
-// corpse out and rejoins it, and routing between live keys keeps working
-// throughout.
+// an injected crash lands on the owning shard's graph, a served route
+// addressed at the corpse is recorded as a miss instead of aborting the
+// pipeline, a Put of the key splices the corpse out and rejoins it, and
+// routing between live keys keeps working throughout.
 func TestCrashDetectRepair(t *testing.T) {
 	const n = 64
 	svc, err := New(n, Config{Shards: 4, Seed: 7})

@@ -80,7 +80,7 @@ func (d *Directory) Range(i int) (lo, hi int64) {
 // makes the leg trivial. A dead endpoint is never its own boundary — its leg
 // runs to whichever live key is nearest the edge, on either side of it, or,
 // in a range with no live key at all, to any other key of the range — so the
-// shard's engine reports the miss as it does for any other leg.
+// shard's step reports the miss as it does for any other leg.
 func (d *Directory) boundary(live []bool, i int, upperEdge bool, end int64) int64 {
 	lo, hi := d.Range(i)
 	if upperEdge {
@@ -102,18 +102,18 @@ func (d *Directory) boundary(live []bool, i int, upperEdge bool, end int64) int6
 	return lo
 }
 
-// leg is one engine-routable fragment of a request: an intra-shard pair.
+// leg is one shard-routable fragment of a request: an intra-shard pair.
 type leg struct {
 	shard    int
 	src, dst int64
 }
 
-// splitLegs decomposes src→dst under this directory into its engine legs —
-// the shared rule both serving modes use, so their leg decompositions can
-// never diverge. An intra-shard request is one leg; a cross-shard request
-// is source→exit-boundary and entry-boundary→destination, with a trivial
-// leg (the endpoint already is the boundary) omitted. live says which keys
-// can be a boundary. legs[:n] are valid.
+// splitLegs decomposes src→dst under this directory into its shard legs —
+// the one rule the dispatcher and Distance share, so a measured distance
+// follows the legs an op is served on. An intra-shard request is one leg; a
+// cross-shard request is source→exit-boundary and entry-boundary→
+// destination, with a trivial leg (the endpoint already is the boundary)
+// omitted. live says which keys can be a boundary. legs[:n] are valid.
 func (d *Directory) splitLegs(live []bool, src, dst int64) (legs [2]leg, n int, cross bool) {
 	si, di := d.ShardOf(src), d.ShardOf(dst)
 	if si == di {

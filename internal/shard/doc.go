@@ -1,9 +1,8 @@
 // Package shard is the serving subsystem: it splits the key space [0, n)
-// across S ≥ 1 independent self-adjusting skip graphs, each wrapped in its
-// own serve.Engine with its own adjuster, behind an immutable, epoch-stamped
-// shard directory that maps keys to shards. A single graph is the S = 1
-// case — same dispatch, same engine step, same statistics — not a second
-// code path.
+// across S ≥ 1 independent self-adjusting skip graphs, each with its own
+// adjuster, behind an immutable, epoch-stamped shard directory that maps
+// keys to shards. A single graph is the S = 1 case — same dispatch, same
+// step, same statistics — not a second code path.
 //
 // # Partitioning model
 //
@@ -11,7 +10,7 @@
 // address space is ordered, so a contiguous split keeps every shard a valid
 // skip graph over its own keys (Aspnes & Shah) and keeps the directory a
 // plain sorted boundary array. Intra-shard requests go straight to that
-// shard's engine: routing, transformation, and the scoped a-balance repair
+// shard's step: routing, transformation, and the scoped a-balance repair
 // all stay purely local to one shard, exactly the paper's model at size n/S.
 //
 // Cross-shard requests are directory-addressed two-leg routes: source →
@@ -35,10 +34,10 @@
 // key over a fixed-size request window — and, when the max/mean shard load
 // ratio crosses a threshold, migrates a contiguous key range from the
 // hottest shard to its lighter adjacent neighbour at the window barrier,
-// where every engine is idle. The split point is chosen by walking per-key
+// where every shard is settled. The split point is chosen by walking per-key
 // load in from the edge being donated until half the load gap has moved.
-// Migration is a tracked leave/join batch through the serve engines'
-// membership path, ordered so a key is always routable somewhere:
+// Migration is a tracked leave/join batch on the two shards' graphs,
+// ordered so a key is always routable somewhere:
 //
 //  1. join the range into the destination shard,
 //  2. publish a new directory epoch with the moved boundary,
@@ -51,10 +50,20 @@
 //
 // # Serving
 //
+// Each shard serves its legs with one step, the paper's serving model
+// (§III), which is sequential per request: standard skip-graph routing first
+// (Appendix B, a pure read of the topology; Get and Scan read here, Put and
+// Delete write), then the transformation and the scoped a-balance repair
+// behind it (§IV-C–G), which mutate it. So a leg routes in the topology every
+// earlier leg on its shard left, and its own adjustment is in place before
+// the next one routes. A route is ≈ 10³× cheaper than the adjustment it
+// triggers, so there is nothing to win by routing several requests on one
+// state before adjusting them, or by fanning routes over workers — ROADMAP
+// R3 measured both and they are gone.
+//
 // One driver (serveWindow) serves a slice of ops as a window: a dispatcher
-// splits them, in order, into per-shard leg slices, every busy shard's
-// engine serves its slice op by op — route, then adjust, the paper's
-// sequential model per shard — the outcomes are assembled in dispatch order,
+// splits them, in order, into per-shard leg slices, every busy shard runs
+// the step over its slice, the outcomes are assembled in dispatch order,
 // and the planner runs at the barrier that ends a load window. Every
 // statistic, the rebalancing decisions included, is a pure function of the
 // request sequence and configuration. A route leg whose endpoint a Delete
@@ -66,7 +75,7 @@
 // A leg touches its own shard's graph only, and that is the service's one
 // source of concurrency — partitions, not parallel readers of one structure
 // (cf. Thomas & Mendes in PAPERS.md) — in two forms. A window of many ops
-// runs the busy shards' engines side by side. A one-op window on S > 1
+// runs the busy shards' steps side by side. A one-op window on S > 1
 // shards answers once its legs are routed, and each shard it touched
 // finishes its adjustment behind the answer, so a client's next op routes on
 // another shard meanwhile; every call that reads a shard's graph or the books
@@ -74,5 +83,6 @@
 // DummyCount, Verify, Distance, DirectlyLinked, RenderTopology — settles that
 // shard first, and a failure behind an answer comes back from it as
 // ErrBarrier. One shard adjusts inline: nothing could overlap it. AddNode,
-// RemoveNode and Crash are directory operations on the idle service.
+// RemoveNode and Crash are directory operations between calls: like a
+// second Serve or Apply, they fail while a Serve or Apply is in flight.
 package shard

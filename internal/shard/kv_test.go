@@ -211,7 +211,7 @@ func TestServePipelinedScansAndOutcomes(t *testing.T) {
 }
 
 // TestApplySyncRoutesAndErrors covers the synchronous surface beyond KV:
-// plain routes decompose into idle-engine legs, a route to a departed key
+// plain routes decompose into shard legs, a route to a departed key
 // fails, and a malformed envelope is rejected before touching any shard.
 func TestApplySyncRoutesAndErrors(t *testing.T) {
 	const n = 32

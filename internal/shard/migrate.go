@@ -7,7 +7,7 @@ import (
 )
 
 // executeMigration runs one planned migration at a window barrier, with
-// every engine idle, in this order:
+// every shard settled, in this order:
 //
 //  1. join the range into the destination shard,
 //  2. publish the new directory epoch,
@@ -39,14 +39,40 @@ func (s *Service) executeMigration(dir *Directory, plan migrationPlan) error {
 	if err != nil {
 		return err
 	}
-	if err := s.shards[plan.To].eng.ApplyMigrationBatch(joins, nil); err != nil {
+	if err := s.shards[plan.To].applyBatch(joins, nil); err != nil {
 		return fmt.Errorf("shard: migrating %d keys into shard %d: %w", len(joins), plan.To, err)
 	}
 	s.dir.Store(next)
-	if err := s.shards[plan.From].eng.ApplyMigrationBatch(nil, ids); err != nil {
+	if err := s.shards[plan.From].applyBatch(nil, ids); err != nil {
 		return fmt.Errorf("shard: retiring %d keys from shard %d: %w", len(ids), plan.From, err)
 	}
 	s.totals.Rebalances++
 	s.totals.MovedKeys += int64(len(joins))
 	return nil
+}
+
+// applyBatch applies one membership batch to the shard's live graph: joins
+// first, each arriving as a skipgraph.Entry with its value and version
+// intact, then leaves. A crashed key cannot run the leave protocol, so it
+// leaves through the crash repair. Failing entries are skipped (the rest of
+// the batch still applies) and the first error is returned. The shard must
+// be settled.
+func (sl *slot) applyBatch(joins []skipgraph.Entry, leaves []int64) error {
+	var firstErr error
+	for _, en := range joins {
+		if err := sl.dsg.Restore(en); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	for _, id := range leaves {
+		if sl.dsg.RepairCrashedID(id) {
+			continue
+		}
+		if err := sl.dsg.RemoveNode(id); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	sl.epoch++
+	sl.publish()
+	return firstErr
 }

@@ -8,25 +8,16 @@ import (
 
 	"lsasg/internal/core"
 	"lsasg/internal/obs"
-	"lsasg/internal/serve"
 	"lsasg/internal/skipgraph"
 )
 
-// This file is the window driver behind Serve and Apply: a sequential
-// dispatcher splits a slice of ops into per-shard leg slices, has every busy
-// shard's engine serve its slice — op by op, route then adjust, on the live
-// graph, the engines of different shards side by side — and assembles each
-// op's outcome from its legs' results, in dispatch order. A one-op window
-// (Apply) on more than one shard ends when its legs are routed: each busy
-// shard finishes its adjustment behind the answer and serves nothing else
-// until that has settled, so every shard still sees route, adjust, route, in
-// order. The rebalancer runs at the barrier that ends a load window, every
-// shard settled and every engine idle. Every statistic is a
-// pure function of the request sequence and the configuration — independent
-// of how the shards' engines are scheduled and of producer timing — because
-// each shard's leg sequence and every planner input is fixed by the dispatch
-// order; and since a leg reads and writes its own shard's graph only, a
-// window returns what serving its ops one by one returns.
+// This file is the window driver behind Serve and Apply (see the package
+// doc). Every statistic is a pure function of the request sequence and the
+// configuration — independent of how the shards are scheduled and of
+// producer timing — because each shard's leg sequence and every planner
+// input is fixed by the dispatch order; and since a leg reads and writes its
+// own shard's graph only, a window returns what serving its ops one by one
+// returns.
 //
 // KV ops ride the same leg machinery. A point op (Get/Put/Delete) becomes
 // an origin-side route leg to the exit boundary (when non-trivial) plus the
@@ -36,8 +27,8 @@ import (
 // range intersects [start, ∞); the dispatcher remembers every leg as (shard,
 // position in that shard's slice) and stitches the results in shard order
 // (= key order) once the window has been served — which is what makes
-// multi-shard scans deterministic although the shards' engines run
-// concurrently. Outcomes are delivered to Config.OnOutcome in dispatch order.
+// multi-shard scans deterministic although the shards run concurrently.
+// Outcomes are delivered to Config.OnOutcome in dispatch order.
 
 // ServeStats aggregates one Serve run. All fields are
 // deterministic for a fixed seed, shard count, and request sequence.
@@ -45,7 +36,7 @@ type ServeStats struct {
 	Requests int64
 	Intra    int64 // requests resolved inside one shard
 	Cross    int64 // requests spanning shards (routed via boundaries / fanned)
-	Legs     int64 // engine legs dispatched
+	Legs     int64 // shard legs dispatched
 
 	Windows    int64 // non-empty rebalance windows the run spanned
 	Rebalances int64 // migrations executed at window barriers
@@ -58,14 +49,14 @@ type ServeStats struct {
 	TotalRouteHops     int64
 	// MaxLegDistance is the worst single-leg distance (per-leg, not
 	// per-request: the legs of one cross-shard request are served by
-	// different shards' engines).
+	// different shards).
 	MaxLegDistance int64
 
 	TotalTransformRounds int64
 
 	// KV op counters, at request granularity (a scan fanned over three
 	// shards is one Scan). Hits/inserts come from the stitched outcomes;
-	// RouteMisses sums the engines' unmeasurable access paths.
+	// RouteMisses sums the legs' unmeasurable access paths.
 	Gets           int64
 	GetHits        int64
 	Puts           int64
@@ -89,16 +80,14 @@ type ServeStats struct {
 	DummyCount int // summed over shards
 }
 
-// foldEngines adds the shard engines' books of one served window.
-func (st *ServeStats) foldEngines(engines []serve.Stats) {
-	for i := range engines {
-		e := &engines[i]
-		st.TotalRouteDistance += e.TotalRouteDistance
-		st.TotalRouteHops += e.TotalRouteHops
-		st.MaxLegDistance = max(st.MaxLegDistance, int64(e.MaxRouteDistance))
-		st.TotalTransformRounds += e.TotalTransformRounds
-		st.RouteMisses += e.RouteMisses
-	}
+// fold adds one shard's books of a served window and clears them.
+func (st *ServeStats) fold(b *legBooks) {
+	st.TotalRouteDistance += b.routeDistance
+	st.TotalRouteHops += b.routeHops
+	st.MaxLegDistance = max(st.MaxLegDistance, b.maxLeg)
+	st.TotalTransformRounds += b.rounds
+	st.RouteMisses += b.misses
+	*b = legBooks{}
 }
 
 // add folds one finished run (or one synchronous op) into the lifetime
@@ -170,20 +159,18 @@ type window struct {
 	pending []pendingReq
 	refs    []legRef
 	// legs[i] is shard i's leg slice in dispatch order; res[i][j] is the
-	// result of legs[i][j], appended by shard i's engine; stats[i] is that
-	// engine's books for the window; errs[i] its failure.
-	legs  [][]core.Op
-	res   [][]serve.Result
-	stats []serve.Stats
-	errs  []error
+	// result of legs[i][j], appended by shard i's step; errs[i] is shard i's
+	// failure.
+	legs [][]core.Op
+	res  [][]legResult
+	errs []error
 }
 
 func newWindow(shards int) window {
 	return window{
-		legs:  make([][]core.Op, shards),
-		res:   make([][]serve.Result, shards),
-		stats: make([]serve.Stats, shards),
-		errs:  make([]error, shards),
+		legs: make([][]core.Op, shards),
+		res:  make([][]legResult, shards),
+		errs: make([]error, shards),
 	}
 }
 
@@ -195,7 +182,6 @@ func (w *window) reset() {
 		clear(w.res[i])
 		w.legs[i], w.res[i] = w.legs[i][:0], w.res[i][:0]
 	}
-	clear(w.stats)
 	clear(w.errs)
 }
 
@@ -221,10 +207,10 @@ func (w *window) addLeg(shard int, op core.Op) legRef {
 // books, topology — and at S > 1 does it in less wall-clock time. It rejects
 // overlapping calls. Producers should select on the same ctx for every send.
 // An invalid op ends the run with its error once the ops before it have
-// been served; so does a failed engine or a failed barrier.
+// been served; so does a failed step or a failed barrier.
 func (s *Service) Serve(ctx context.Context, in <-chan core.Op) (ServeStats, error) {
-	if !s.serving.CompareAndSwap(false, true) {
-		return ServeStats{}, fmt.Errorf("shard: overlapping Serve calls on one service")
+	if err := s.reserve("Serve"); err != nil {
+		return ServeStats{}, err
 	}
 	defer s.serving.Store(false)
 
@@ -259,6 +245,12 @@ func (s *Service) Serve(ctx context.Context, in <-chan core.Op) (ServeStats, err
 	st.Height = s.Height()
 	st.DummyCount = s.DummyCount()
 	s.totals.add(&st)
+	if retErr == nil {
+		// A producer that follows the documented pattern closes the channel
+		// once ctx is cancelled, and collect may see either first; report
+		// the cancellation whichever it was.
+		retErr = ctx.Err()
+	}
 	return st, retErr
 }
 
@@ -285,13 +277,12 @@ func (s *Service) collect(ctx context.Context, in <-chan core.Op, ops []core.Op,
 
 // serveWindow is the one driver, behind Serve and Apply alike: it serves
 // ops — valid, and no more than the load window has room for — as one
-// window. Dispatch splits them into leg slices in order; the busy shards'
-// engines serve their slices side by side; the outcomes are assembled and
-// delivered in dispatch order; and when that fills the load window, the
-// planner inspects its per-key loads at the barrier — every shard settled,
-// every engine idle — and at most one contiguous range migrates, values
-// riding with their keys, between adjacent shards. It returns the last
-// delivered outcome.
+// window. Dispatch splits them into leg slices in order; the busy shards
+// run the step over their slices side by side; the outcomes are assembled
+// and delivered in dispatch order; and when that fills the load window, the
+// planner inspects its per-key loads at the barrier — every shard settled —
+// and at most one contiguous range migrates, values riding with their keys,
+// between adjacent shards. It returns the last delivered outcome.
 //
 // With behind set, on more than one shard, and when no barrier follows, the
 // window ends once every leg has routed: each busy shard finishes its last
@@ -299,9 +290,9 @@ func (s *Service) collect(ctx context.Context, in <-chan core.Op, ops []core.Op,
 // adjustment inline — a one-shard service has nothing to overlap it with,
 // and moving it to another core costs more than it hides.
 //
-// An op one of whose legs an engine failed to serve has no outcome: the
+// An op one of whose legs a shard failed to serve has no outcome: the
 // window stops delivering there, takes the undelivered ops back out of the
-// load window, and returns the engine's error. A failed migration, or a
+// load window, and returns the step's error. A failed migration, or a
 // failed adjustment the window settled, comes after the window was served,
 // counted and observed, so it is returned wrapping ErrBarrier next to a
 // valid outcome.
@@ -361,7 +352,7 @@ func (s *Service) feedLoad(op core.Op, delta int64) {
 }
 
 // rebalance runs the planner over the load window at its barrier — every
-// engine idle, the window's loads where the dispatcher wrote them — and
+// shard settled, the window's loads where the dispatcher wrote them — and
 // executes the migration it plans, if any.
 func (s *Service) rebalance(dir *Directory) error {
 	plan, ok := planRebalance(dir, s.keyLoad, s.cfg.skewThreshold(), s.cfg.minShardKeys())
@@ -462,14 +453,15 @@ func (s *Service) dispatch(dir *Directory, op core.Op, st *ServeStats) {
 	w.pending = append(w.pending, p)
 }
 
-// run serves the window's legs and folds the engines' books into st: every
-// shard with legs is settled, then serves its slice — on a goroutine of its
-// own when two or more shards are busy. With behind set, a busy shard's
-// last leg stops after its route half: the legs route here, one shard after
-// another — a route half is far too short to be worth a goroutine handoff,
-// and the caller must not wait behind an adjustment for a core — and each
-// shard's tail finishes the adjustment on a goroutine of its own, reserving
-// the shard until settle. It returns the first engine failure in shard order.
+// run serves the window's legs and folds the shards' books into st: every
+// shard with legs is settled, then runs the step over its slice — on a
+// goroutine of its own when two or more shards are busy. With behind set, a
+// busy shard's last leg stops after its route half: the legs route here, one
+// shard after another — a route half is far too short to be worth a
+// goroutine handoff, and the caller must not wait behind an adjustment for a
+// core — and each shard's tail finishes the adjustment on a goroutine of its
+// own, reserving the shard until settle. It returns the first failure in
+// shard order.
 func (s *Service) run(st *ServeStats, behind bool) error {
 	w := &s.win
 	busy, only := 0, 0
@@ -488,13 +480,18 @@ func (s *Service) run(st *ServeStats, behind bool) error {
 			}
 			sl := s.shards[i]
 			var pending bool
-			if pending, w.errs[i] = sl.eng.RouteSlice(w.legs[i], &w.stats[i]); pending {
+			if pending, w.errs[i] = sl.serve(w.legs[i], &w.res[i], true); pending {
 				sl.tail.Add(1)
-				go s.finish(i)
+				go func() {
+					if s.beforeTail != nil {
+						s.beforeTail(i)
+					}
+					sl.finish()
+				}()
 			}
 		}
 	case busy == 1:
-		w.errs[only] = s.shards[only].eng.ServeSlice(w.legs[only], &w.stats[only])
+		_, w.errs[only] = s.shards[only].serve(w.legs[only], &w.res[only], false)
 	case busy > 1:
 		var wg sync.WaitGroup
 		for i := range w.legs {
@@ -504,12 +501,16 @@ func (s *Service) run(st *ServeStats, behind bool) error {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				w.errs[i] = s.shards[i].eng.ServeSlice(w.legs[i], &w.stats[i])
+				_, w.errs[i] = s.shards[i].serve(w.legs[i], &w.res[i], false)
 			}()
 		}
 		wg.Wait()
 	}
-	st.foldEngines(w.stats)
+	for i := range w.legs {
+		if len(w.legs[i]) > 0 {
+			st.fold(&s.shards[i].books)
+		}
+	}
 	for _, err := range w.errs {
 		if err != nil {
 			return err
@@ -518,18 +519,8 @@ func (s *Service) run(st *ServeStats, behind bool) error {
 	return nil
 }
 
-// finish runs shard i's pending adjust half: the shard's tail.
-func (s *Service) finish(i int) {
-	sl := s.shards[i]
-	if s.beforeTail != nil {
-		s.beforeTail(i)
-	}
-	sl.err = sl.eng.Finish(&sl.adj)
-	sl.tail.Done()
-}
-
 // deliver hands the window's outcomes to OnOutcome in dispatch order and
-// returns the last one with their count. After an engine failure it stops at
+// returns the last one with their count. After a step's failure it stops at
 // the first op one of whose legs never ran.
 func (s *Service) deliver(st *ServeStats) (last Outcome, n int) {
 	w := &s.win
@@ -563,7 +554,7 @@ func (s *Service) assemble(p *pendingReq, st *ServeStats) Outcome {
 		o.TransformRounds += r.TransformRounds
 		o.Alpha, o.DirectLevel = r.Alpha, r.DirectLevel
 		if p.op.Kind == core.OpRoute && o.Err == nil {
-			o.Err = r.RouteErr
+			o.Err = r.Err
 		}
 	}
 	switch p.op.Kind {
@@ -610,7 +601,7 @@ func (s *Service) recordSpan(tr *obs.Tracer, p *pendingReq, refs []legRef, o Out
 	for _, ref := range refs {
 		r := &w.res[ref.shard][ref.idx]
 		total += r.RouteNanos
-		miss = miss || r.RouteMiss
+		miss = miss || r.Err != nil
 	}
 	tr.ObserveOp(int64(p.op.Kind), time.Duration(total))
 	if !tr.WouldRecord(total) {

@@ -4,12 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"sync/atomic"
 
 	"lsasg/internal/core"
 	"lsasg/internal/obs"
-	"lsasg/internal/serve"
 	"lsasg/internal/skipgraph"
 )
 
@@ -29,10 +27,10 @@ type Config struct {
 	BatchSize   int
 
 	// RebalanceEvery is the load window's length in requests: after every
-	// window the planner runs at the engine-idle barrier. On S > 1 shards
-	// Serve also collects, serves and delivers what is left of the window
-	// together; Apply counts its one op into the same window. Values < 1
-	// mean 512.
+	// window the planner runs at the barrier, every shard settled. On S > 1
+	// shards Serve also collects, serves and delivers what is left of the
+	// window together; Apply counts its one op into the same window. Values
+	// < 1 mean 512.
 	RebalanceEvery int
 	// SkewThreshold is the max/mean shard-load ratio that triggers a
 	// migration (default 1.5; values ≤ 1 mean the default).
@@ -54,10 +52,11 @@ type Config struct {
 	// Apply — has been served.
 	OnOutcome func(o Outcome)
 
-	// Tracer, when non-nil, turns on the observability layer: the shard
-	// engines feed its stage histograms and per-leg timings, and the
-	// dispatcher assembles whole-op spans (with per-leg breakdowns) and
-	// per-verb latency as it assembles the outcomes. Wall-clock
+	// Tracer, when non-nil, turns on the observability layer: every
+	// shard's step feeds its stage histograms (route leg, adjust apply) and
+	// times its legs' route halves, and the dispatcher assembles whole-op
+	// spans (with per-leg breakdowns) and per-verb latency as it assembles
+	// the outcomes. A nil tracer keeps the step timing-free. Wall-clock
 	// measurements never feed ServeStats.
 	Tracer *obs.Tracer
 }
@@ -90,19 +89,6 @@ func (c Config) minShardKeys() int {
 	return c.MinShardKeys
 }
 
-// slot is one shard: its live DSG and the engine serializing its mutation.
-type slot struct {
-	dsg *core.DSG
-	eng *serve.Engine
-
-	// tail counts the adjustment running behind an answer on this shard (0
-	// or 1): the adjust half Engine.RouteSlice left to Engine.Finish. adj
-	// and err are what it leaves for settle: its books and its failure.
-	tail sync.WaitGroup
-	adj  serve.Stats
-	err  error
-}
-
 // Service is a self-adjusting skip-graph service over the key space [0, n),
 // partitioned across S ≥ 1 shards; a single graph is the S = 1 case.
 // Construction partitions the keys evenly; the rebalancer may move
@@ -131,10 +117,11 @@ type Service struct {
 	live []bool
 
 	// win is the window in flight: the dispatched ops, their per-shard legs
-	// and the leg results the shard engines report back.
+	// and the leg results the shards' steps write back.
 	win window
 
-	// serving is set while a Serve or Apply call is in flight.
+	// serving is set while a Serve, Apply, Crash, AddNode or RemoveNode
+	// call is in flight.
 	serving atomic.Bool
 
 	// failed holds the failures of settled tails that no call has reported
@@ -175,20 +162,16 @@ func New(n int, cfg Config) (*Service, error) {
 	if cfg.A == 0 {
 		cfg.A = 4
 	}
-	svc := &Service{cfg: cfg, n: int64(n), keyLoad: make([]int64, n), live: make([]bool, n), win: newWindow(s)}
-	for k := range svc.live {
-		svc.live[k] = true
-	}
 	dir := newDirectory(int64(n), s)
-	svc.dir.Store(dir)
-	for i := 0; i < s; i++ {
+	dsgs := make([]*core.DSG, s)
+	for i := range dsgs {
 		lo, hi := dir.Range(i)
 		nodes := make([]*skipgraph.Node, 0, hi-lo)
 		for k := lo; k < hi; k++ {
 			nodes = append(nodes, skipgraph.NewNode(skipgraph.KeyOf(k), k))
 		}
 		g := skipgraph.NewFromNodes(nodes, skipgraph.RandomBrancher(cfg.Seed+int64(i)*1_000_003))
-		d := core.NewFromGraph(g, core.Config{
+		dsgs[i] = core.NewFromGraph(g, core.Config{
 			A:               cfg.A,
 			Seed:            cfg.Seed + int64(i),
 			CheckInvariants: cfg.CheckInvariants,
@@ -197,17 +180,35 @@ func New(n int, cfg Config) (*Service, error) {
 			// real id into any shard, so dummy ids live far above them all.
 			DummyIDBase: int64(n) + int64(i+1)<<32,
 		})
-		res := &svc.win.res[i]
-		eng := serve.New(d, serve.Config{
-			Tracer: cfg.Tracer,
-			// An engine reports its legs' results in leg order, so result j
-			// of shard i belongs to leg j of the window; each engine
-			// appends to its own slice only.
-			OnResult: func(r serve.Result) { *res = append(*res, r) },
-		})
-		svc.shards = append(svc.shards, &slot{dsg: d, eng: eng})
 	}
-	return svc, nil
+	return newService(int64(n), cfg, dir, dsgs), nil
+}
+
+// NewOver builds a one-shard service over a DSG the caller built, such as
+// core.New's. Its key space is [0, n), n one above the DSG's largest real
+// key. The DSG keeps its own configuration: cfg's Shards, A, Seed,
+// CheckInvariants and Finder are ignored.
+func NewOver(d *core.DSG, cfg Config) *Service {
+	var n int64
+	if _, top, ok := d.Graph().RealKeyBounds(); ok {
+		n = top + 1
+	}
+	cfg.Shards, cfg.A = 1, d.A()
+	return newService(n, cfg, newDirectory(n, 1), []*core.DSG{d})
+}
+
+func newService(n int64, cfg Config, dir *Directory, dsgs []*core.DSG) *Service {
+	svc := &Service{cfg: cfg, n: n, keyLoad: make([]int64, n), live: make([]bool, n), win: newWindow(len(dsgs))}
+	svc.dir.Store(dir)
+	for k := range svc.live {
+		svc.live[k] = true
+	}
+	for _, d := range dsgs {
+		sl := &slot{dsg: d, tr: cfg.Tracer}
+		sl.publish()
+		svc.shards = append(svc.shards, sl)
+	}
+	return svc
 }
 
 // N returns the total key count.
@@ -331,11 +332,15 @@ func (s *Service) RenderTopology(w io.Writer) {
 
 // Crash injects a crash failure synchronously: the node fails in place on
 // whichever shard the current directory assigns it — dangling neighbour
-// references until a Put or Delete of the key repairs it. Requires the
-// owning engine to be idle (no Serve in flight). Like AddNode and RemoveNode
-// it settles the shard it changes first, and does nothing but report a
-// failed adjustment it finds there (see Apply).
+// references until a Put or Delete of the key repairs it. Like AddNode and
+// RemoveNode it fails while a Serve or Apply call is in flight, settles the
+// shard it changes first, and does nothing but report a failed adjustment
+// it finds there (see Apply).
 func (s *Service) Crash(id int64) error {
+	if err := s.reserve("Crash"); err != nil {
+		return err
+	}
+	defer s.serving.Store(false)
 	if err := s.checkKey(id); err != nil {
 		return err
 	}
@@ -343,24 +348,31 @@ func (s *Service) Crash(id int64) error {
 	if err := s.settleShard(sh); err != nil {
 		return err
 	}
-	if err := s.shards[sh].eng.ApplyCrashIdle(id); err != nil {
+	sl := s.shards[sh]
+	err := sl.dsg.Crash(id)
+	sl.publish()
+	if err != nil {
 		return err
 	}
+	sl.epoch++
 	s.live[id] = false
 	return nil
 }
 
 // AddNode joins a new key at the top of the key space: key n enters the last
 // shard's topology (a tracked join with scoped balance repair) and the
-// directory grows to [0, n+1). It returns the new key. Requires an idle
-// service (no Serve in flight).
+// directory grows to [0, n+1). It returns the new key. It fails while a
+// Serve or Apply call is in flight.
 func (s *Service) AddNode() (int64, error) {
+	if err := s.reserve("AddNode"); err != nil {
+		return 0, err
+	}
+	defer s.serving.Store(false)
 	id := s.n
 	if err := s.settleShard(len(s.shards) - 1); err != nil {
 		return 0, err
 	}
-	last := s.shards[len(s.shards)-1]
-	if err := last.eng.ApplyMigrationBatch([]skipgraph.Entry{{ID: id}}, nil); err != nil {
+	if err := s.shards[len(s.shards)-1].applyBatch([]skipgraph.Entry{{ID: id}}, nil); err != nil {
 		return 0, err
 	}
 	s.dir.Store(s.dir.Load().grown())
@@ -372,9 +384,13 @@ func (s *Service) AddNode() (int64, error) {
 
 // RemoveNode makes key id leave its owning shard's topology (a tracked
 // leave with scoped balance repair). The key stays inside the key space,
-// absent like a deleted one, until a Put re-joins it. Requires an idle
-// service.
+// absent like a deleted one, until a Put re-joins it. It fails while a
+// Serve or Apply call is in flight.
 func (s *Service) RemoveNode(id int64) error {
+	if err := s.reserve("RemoveNode"); err != nil {
+		return err
+	}
+	defer s.serving.Store(false)
 	if err := s.checkKey(id); err != nil {
 		return err
 	}
@@ -382,7 +398,7 @@ func (s *Service) RemoveNode(id int64) error {
 	if err := s.settleShard(sh); err != nil {
 		return err
 	}
-	if err := s.shards[sh].eng.ApplyMigrationBatch(nil, []int64{id}); err != nil {
+	if err := s.shards[sh].applyBatch(nil, []int64{id}); err != nil {
 		return err
 	}
 	s.live[id] = false
@@ -403,9 +419,8 @@ type Gauges struct {
 func (s *Service) Gauges() Gauges {
 	g := Gauges{Rebalances: s.totals.Rebalances, MovedKeys: s.totals.MovedKeys}
 	for _, sl := range s.shards {
-		h, d := sl.eng.Gauges()
-		g.Height = max(g.Height, h)
-		g.DummyCount += d
+		g.Height = max(g.Height, int(sl.height.Load()))
+		g.DummyCount += int(sl.dummies.Load())
 	}
 	return g
 }
@@ -416,8 +431,8 @@ func (s *Service) Gauges() Gauges {
 func (s *Service) settle(i int) {
 	sl := s.shards[i]
 	sl.tail.Wait()
-	s.totals.TransformRounds += sl.adj.TotalTransformRounds
-	sl.adj = serve.Stats{}
+	s.totals.TransformRounds += sl.rounds
+	sl.rounds = 0
 	if sl.err != nil {
 		s.failed = errors.Join(s.failed, fmt.Errorf("shard %d: %w", i, sl.err))
 		sl.err = nil
@@ -446,6 +461,16 @@ func (s *Service) takeFailed() error {
 	}
 	s.failed = nil
 	return fmt.Errorf("%w: an adjustment behind an answer failed: %w", ErrBarrier, err)
+}
+
+// reserve takes the serving flag for one Serve, Apply, Crash, AddNode or
+// RemoveNode call; an overlapping caller gets an error instead of racing the
+// one in flight.
+func (s *Service) reserve(what string) error {
+	if !s.serving.CompareAndSwap(false, true) {
+		return fmt.Errorf("shard: %s on a service that is already serving", what)
+	}
+	return nil
 }
 
 // checkKey validates one endpoint.

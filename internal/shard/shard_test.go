@@ -3,7 +3,9 @@ package shard
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"lsasg/internal/core"
@@ -279,8 +281,9 @@ func TestServeShardsAreConsistent(t *testing.T) {
 	}
 }
 
-// TestSingleShardMatchesEngine: with S = 1 the service is exactly one engine
-// pipeline — no cross-shard traffic, no migrations, load ratio pinned to 1.
+// TestSingleShardMatchesEngine: with S = 1 the service is exactly one
+// shard's step per op — no cross-shard traffic, no migrations, load ratio
+// pinned to 1.
 func TestSingleShardMatchesEngine(t *testing.T) {
 	svc, err := New(32, Config{Shards: 1, Seed: 7})
 	if err != nil {
@@ -302,32 +305,58 @@ func TestSingleShardMatchesEngine(t *testing.T) {
 	}
 }
 
-// TestServeModeConflict: one dispatcher at a time — an overlapping Serve
-// must error instead of racing the first one's windows.
+// TestServeModeConflict: one caller owns the service at a time. While a
+// Serve waits on its channel between windows, a second Serve, Apply and
+// every membership change — Crash, AddNode, RemoveNode — must error instead
+// of racing its windows and the dispatcher's books; once it returns, they
+// all work again.
 func TestServeModeConflict(t *testing.T) {
-	svc, err := New(32, Config{Shards: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocked := make(chan core.Op) // never closed during the first Serve
-	ret := make(chan error, 1)
-	go func() {
-		_, err := svc.Serve(context.Background(), blocked)
-		ret <- err
-	}()
-	for !svc.serving.Load() {
-	}
-	ch := make(chan core.Op)
-	close(ch)
-	if _, err := svc.Serve(context.Background(), ch); err == nil {
-		t.Error("overlapping Serve must fail")
-	}
-	close(blocked)
-	if err := <-ret; err != nil {
-		t.Fatalf("first Serve failed: %v", err)
-	}
-	if _, err := svc.Serve(context.Background(), ch); err != nil {
-		t.Fatalf("Serve after the first returned: %v", err)
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("s=%d", shards), func(t *testing.T) {
+			svc, err := New(32, Config{Shards: shards, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			blocked := make(chan core.Op) // never closed during the first Serve
+			ret := make(chan error, 1)
+			go func() {
+				_, err := svc.Serve(context.Background(), blocked)
+				ret <- err
+			}()
+			for !svc.serving.Load() {
+				runtime.Gosched()
+			}
+			blocked <- core.RouteOp(1, 2) // the first Serve waits for its next op
+			ch := make(chan core.Op)
+			close(ch)
+			calls := []struct {
+				name string
+				call func() error
+			}{
+				{"Serve", func() error { _, err := svc.Serve(context.Background(), ch); return err }},
+				{"Apply", func() error { _, err := svc.Apply(core.RouteOp(3, 4)); return err }},
+				{"Crash", func() error { return svc.Crash(5) }},
+				{"AddNode", func() error { _, err := svc.AddNode(); return err }},
+				{"RemoveNode", func() error { return svc.RemoveNode(6) }},
+			}
+			for _, c := range calls {
+				if err := c.call(); err == nil {
+					t.Errorf("%s while a Serve is in flight must fail", c.name)
+				}
+			}
+			close(blocked)
+			if err := <-ret; err != nil {
+				t.Fatalf("first Serve failed: %v", err)
+			}
+			for _, c := range calls {
+				if err := c.call(); err != nil {
+					t.Errorf("%s after the first Serve returned: %v", c.name, err)
+				}
+			}
+			if err := svc.Verify(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -12,11 +12,11 @@ import (
 )
 
 // TestShardedStress is the race-detector stress for windows of many ops:
-// four shards' engines serve their slices of each window side by side, each
-// routing and adjusting its own live graph, while a hot-range trace keeps
-// the planner swapping directory epochs and migrating key ranges at short
-// window barriers. CI runs it with -race on every PR alongside the
-// serve-engine stress.
+// four shards serve their slices of each window side by side, each routing
+// and adjusting its own live graph, while a hot-range trace keeps the
+// planner swapping directory epochs and migrating key ranges at short
+// window barriers. CI runs it with -race on every PR alongside
+// TestServeStress.
 func TestShardedStress(t *testing.T) {
 	const n = 96
 	svc, err := New(n, Config{Shards: 4, Seed: 42,

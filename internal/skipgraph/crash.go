@@ -11,7 +11,7 @@ import (
 // references to an unresponsive peer, the way a real fleet loses a machine.
 // Detection happens at route time: the first attempt to HOP onto a dead node
 // fails with a DeadRouteError naming it, which is the failure detector the
-// repair layers (internal/core, internal/serve) act on. Reading a dead
+// repair layers (internal/core, internal/shard) act on. Reading a dead
 // neighbour's key costs nothing — neighbour tables cache keys — so a dead
 // node that merely overshoots the destination is never "contacted" and never
 // detected by that route, matching the Rainbow Skip Graph's contact-driven

@@ -361,7 +361,7 @@ func inProcessReplay(t *testing.T, svc lsasg.Service, ops []lsasg.Op) lsasg.Stat
 // must still equal the in-process run that serves 50 ops a window.
 //
 // legless marks the case whose directories put a few of the trace's routes
-// between two boundary keys: such a route has no engine leg, so the tracer
+// between two boundary keys: such a route has no shard leg, so the tracer
 // has nothing to time (TestReplayDeterminism counts them exactly).
 var replayCases = []struct {
 	name    string

@@ -137,9 +137,9 @@ type Result struct {
 // Network is a self-adjusting skip-graph overlay of n nodes addressed
 // 0..n-1: one graph, or — with WithShards(S) — the key space split across S
 // contiguous ranges, each an independent self-adjusting skip graph with its
-// own serving engine and adjuster, behind an epoch-stamped shard directory.
-// The single graph is simply the S = 1 case: every entry point below runs
-// the same dispatch, engine step and statistics for every S.
+// own adjuster, behind an epoch-stamped shard directory. The single graph
+// is simply the S = 1 case: every entry point below runs the same dispatch,
+// step and statistics for every S.
 //
 // Intra-shard requests are served exactly as on a single graph of size n/S;
 // cross-shard requests route source→boundary and boundary→destination in
@@ -153,7 +153,7 @@ type Result struct {
 // Methods are not safe for concurrent use; the paper's model serves
 // requests sequentially — route, then adjust — and so does every shard.
 // The concurrency lives inside, on a sharded network only: ServeOps runs the
-// shards' engines side by side, each serving its own share of a window in
+// shards side by side, each serving its own share of a window in
 // order, and Do answers once its op is routed while each shard it touched
 // finishes the adjustment behind the answer. Neither call may overlap other
 // Network methods.

@@ -12,7 +12,7 @@ type ServeStats struct {
 	MeanRouteDistance float64
 	// MaxRouteDistance is the worst routing distance observed. For
 	// a sharded run this is the worst single LEG (the legs of one
-	// cross-shard request are served by different shards' engines, so
+	// cross-shard request are served by different shards, so
 	// whole-request maxima are not tracked) while MeanRouteDistance spans
 	// whole requests — with heavily cross-shard traffic the max can
 	// therefore legitimately sit below the mean.

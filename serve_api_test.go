@@ -10,7 +10,7 @@ import (
 	"testing"
 
 	"lsasg/internal/core"
-	"lsasg/internal/serve"
+	"lsasg/internal/shard"
 	"lsasg/internal/workload"
 )
 
@@ -229,10 +229,11 @@ func TestServeOpsEqualsDoLoop(t *testing.T) {
 
 // TestUnshardedMatchesEngine pins that the single graph is the S = 1 case of
 // the sharded service and nothing more: an unsharded Network serving 3 000
-// Zipf(1.2) routes reports exactly what a bare serve.Engine over
-// core.New(n, {A: 4, Seed: 1}) reports — total distance, longest route, ρ,
-// dummies, height — and those are the numbers the daemon's route workloads
-// have served since the transformation last changed a decision.
+// Zipf(1.2) routes reports exactly what one shard's step over
+// core.New(n, {A: 4, Seed: 1}) reports (shard.NewOver) — total distance,
+// longest route, ρ, dummies, height — and those are the numbers the daemon's
+// route workloads have served since the transformation last changed a
+// decision.
 func TestUnshardedMatchesEngine(t *testing.T) {
 	for _, tc := range []struct {
 		n               int
@@ -247,7 +248,7 @@ func TestUnshardedMatchesEngine(t *testing.T) {
 			reqs := workload.Zipf{Seed: 17, S: 1.2}.Generate(tc.n, 3000)
 
 			d := core.New(tc.n, core.Config{A: 4, Seed: 1})
-			eng := serve.New(d, serve.Config{})
+			eng := shard.NewOver(d, shard.Config{})
 			in := make(chan core.Op)
 			go func() {
 				defer close(in)
@@ -271,16 +272,16 @@ func TestUnshardedMatchesEngine(t *testing.T) {
 			got := serveAll(t, nw, pairs)
 
 			if got.Requests != want.Requests ||
-				got.MeanRouteDistance != want.MeanRouteDistance() ||
-				got.MaxRouteDistance != want.MaxRouteDistance ||
+				got.MeanRouteDistance != float64(want.TotalRouteDistance)/float64(want.Requests) ||
+				int64(got.MaxRouteDistance) != want.MaxLegDistance ||
 				got.TotalTransformRounds != want.TotalTransformRounds ||
-				got.DummyCount != d.DummyCount() || got.Height != want.HeightAfter {
-				t.Errorf("Network at S = 1 diverges from the bare engine:\n network %+v\n engine  %+v (dummies %d)", got, want, d.DummyCount())
+				got.DummyCount != d.DummyCount() || got.Height != want.Height {
+				t.Errorf("Network at S = 1 diverges from the step over core.New's graph:\n network %+v\n step    %+v (dummies %d)", got, want, d.DummyCount())
 			}
-			if want.TotalRouteDistance != tc.dist || int64(want.MaxRouteDistance) != tc.max ||
-				want.TotalTransformRounds != tc.rho || d.DummyCount() != tc.dummies || want.HeightAfter != tc.height {
-				t.Errorf("engine totals moved: distance %d max %d ρ %d dummies %d height %d, want %d / %d / %d / %d / %d",
-					want.TotalRouteDistance, want.MaxRouteDistance, want.TotalTransformRounds, d.DummyCount(), want.HeightAfter,
+			if want.TotalRouteDistance != tc.dist || want.MaxLegDistance != tc.max ||
+				want.TotalTransformRounds != tc.rho || d.DummyCount() != tc.dummies || want.Height != tc.height {
+				t.Errorf("step totals moved: distance %d max %d ρ %d dummies %d height %d, want %d / %d / %d / %d / %d",
+					want.TotalRouteDistance, want.MaxLegDistance, want.TotalTransformRounds, d.DummyCount(), want.Height,
 					tc.dist, tc.max, tc.rho, tc.dummies, tc.height)
 			}
 			if st := nw.Stats(); st.Requests != 3000 || st.TotalTransformRounds != tc.rho || int64(st.MaxRouteDistance) != tc.max {

@@ -28,7 +28,7 @@ func hotShardTrace(m int) []Op {
 }
 
 // TestShardedServeDeterministic: a sharded ServeOps run is deterministic
-// across runs although the shards' engines are scheduled side by side, and
+// across runs although the shards are scheduled side by side, and
 // the sharded stat fields are populated.
 func TestShardedServeDeterministic(t *testing.T) {
 	run := func() ServeStats {
