@@ -49,3 +49,38 @@ func TestServeStatsShape(t *testing.T) {
 		}
 	}
 }
+
+// TestModeConflict: one owner of the live graph at a time — while a Serve
+// call is in flight, an overlapping Serve must error instead of racing it;
+// once the first returns, Serve works again.
+func TestModeConflict(t *testing.T) {
+	var served []Result
+	e := New(core.New(16, core.Config{A: 4, Seed: 1}), Config{OnResult: func(r Result) { served = append(served, r) }})
+	blocked := make(chan core.Op) // unbuffered: a send lands only inside Serve
+	ret := make(chan error, 1)
+	go func() {
+		_, err := e.Serve(context.Background(), blocked)
+		ret <- err
+	}()
+	// The first Serve holds the engine once it has taken an op.
+	blocked <- core.RouteOp(1, 2)
+	closed := make(chan core.Op)
+	close(closed)
+	if _, err := e.Serve(context.Background(), closed); err == nil {
+		t.Error("overlapping Serve must fail")
+	}
+	close(blocked)
+	if err := <-ret; err != nil {
+		t.Fatalf("first Serve failed: %v", err)
+	}
+	again := make(chan core.Op, 1)
+	again <- core.RouteOp(3, 4)
+	close(again)
+	st, err := e.Serve(context.Background(), again)
+	if err != nil || st.Batches != 1 {
+		t.Fatalf("Serve after the first returned: %v (%d served)", err, st.Batches)
+	}
+	if len(served) != 2 || served[0].Op.Src != 1 || served[1].Op.Src != 3 {
+		t.Fatalf("served %v, want 1→2 then 3→4", served)
+	}
+}
