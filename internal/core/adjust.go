@@ -7,10 +7,9 @@ import (
 	"lsasg/internal/skipgraph"
 )
 
-// ErrUnknownNode is wrapped by Serve and Adjust when an endpoint id is not
-// in the graph. A shard's step matches it (errors.Is): a route whose
-// endpoint a Delete removed earlier in the op stream is a per-op miss, not a
-// failure.
+// ErrUnknownNode is wrapped by Adjust when an endpoint id is not in the
+// graph, and by Crash for an id it cannot find. The step reports an
+// unknown endpoint as the op's miss instead (see Access).
 var ErrUnknownNode = errors.New("core: unknown node id")
 
 // AdjustResult reports one applied transformation: the adaptation-side
@@ -39,21 +38,6 @@ type AdjustResult struct {
 	RepairRemoved  int
 }
 
-// RequestResult summarizes one served communication request: the route,
-// then the adjustment.
-type RequestResult struct {
-	AdjustResult
-
-	RouteDistance int // d_S(σ): intermediate nodes on the routing path
-	RouteHops     int // link traversals (RouteDistance + 1)
-}
-
-// ServiceCost returns the paper's cost of serving the request:
-// d_St(σ) + ρ + 1 (§III).
-func (r RequestResult) ServiceCost() int {
-	return r.RouteDistance + r.TransformRounds + 1
-}
-
 // pair resolves a request's endpoints: two distinct live real nodes, or the
 // reason there is no request to serve — ErrUnknownNode for an id not in the
 // graph, ErrCrashedNode for a dead endpoint (a transformation must not
@@ -76,46 +60,25 @@ func (d *DSG) pair(uid, vid int64) (u, v *skipgraph.Node, err error) {
 }
 
 // Serve handles one communication request between the real nodes with the
-// given identifiers: it routes u → v in the current topology, then adjusts
-// (Adjust: the DSG transformation, §IV-C through §IV-F, and its scoped
-// a-balance repair).
-//
-// Serve tolerates crashed intermediates: a route that contacts a dead peer
-// (skipgraph.DeadRouteError) detects the failure, repairs it locally
-// (repairCrashed), and re-routes — each retry removes one dead node, so the
-// loop terminates. A crashed ENDPOINT is the caller's failure, reported as
-// ErrCrashedNode without a transformation.
-func (d *DSG) Serve(uid, vid int64) (RequestResult, error) {
-	u, v, err := d.pair(uid, vid)
-	if err != nil {
-		return RequestResult{}, err
+// given identifiers with the step (ApplyOp): it routes u → v in the current
+// topology — repairing each crashed intermediate the route contacts, then
+// routing again — and adjusts (the DSG transformation, §IV-C through §IV-F,
+// and its scoped a-balance repair). An unknown or dead endpoint is returned
+// as the error (the route's miss: skipgraph.ErrUnknownKey, or a
+// skipgraph.DeadRouteError naming the endpoint) and nothing is adjusted.
+func (d *DSG) Serve(uid, vid int64) (OpResult, error) {
+	r, err := d.ApplyOp(RouteOp(uid, vid))
+	if err == nil {
+		err = r.Miss
 	}
-	var route skipgraph.RouteResult
-	for {
-		r, err := d.g.Route(u, v)
-		if err == nil {
-			route = r
-			break
-		}
-		var dre *skipgraph.DeadRouteError
-		if errors.As(err, &dre) && dre.Node != u && dre.Node != v {
-			// Failure detector fired on an intermediate: repair it in place
-			// and retry. The dead population strictly shrinks per retry.
-			d.crashDetectCount++
-			d.repairCrashed(dre.Node)
-			continue
-		}
-		return RequestResult{}, fmt.Errorf("core: routing failed: %w", err)
-	}
-	adj, err := d.adjust(u, v)
-	return RequestResult{AdjustResult: adj, RouteDistance: route.Distance(), RouteHops: route.Hops()}, err
+	return r, err
 }
 
 // Adjust is the adaptation step of one request: it applies the DSG
 // transformation for the pair (u, v), then repairs a-balance over exactly
 // what the transformation dirtied, so the graph is a-balanced again when it
-// returns. Routing is the caller's: Serve routes on this graph first, a
-// shard's step (internal/shard) routes in its own half and measures it.
+// returns. Routing is the caller's: the step (Access, then AdjustAccess)
+// routes on this graph first and measures it.
 func (d *DSG) Adjust(uid, vid int64) (AdjustResult, error) {
 	u, v, err := d.pair(uid, vid)
 	if err != nil {

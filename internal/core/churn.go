@@ -113,8 +113,9 @@ func (s TraceStats) MeanRecoveryEvents() float64 {
 	return float64(s.RecoveryEvents) / float64(s.RecoveredCrashes)
 }
 
-// RunTrace consumes a dynamic workload: route events are served through the
-// full self-adjusting machinery (§IV-C–F), joins and leaves go through the
+// RunTrace consumes a dynamic workload: route events are served by the
+// step (Serve: route, then the full self-adjusting machinery, §IV-C–F — the
+// step a shard serves every op with), joins and leaves go through the
 // membership path with a-balance repair (§IV-G), and the per-node DSG state
 // (timestamps, groups, bases) persists across membership changes — a join
 // or leave never resets the working-set structure the previous routes
@@ -125,11 +126,13 @@ func (s TraceStats) MeanRecoveryEvents() float64 {
 // validator's guarantees hold from event zero.
 //
 // Crash events (workload.OpCrash) mark the node dead in place — no repair
-// runs until a route detects the failure. Routes that target a crashed peer
-// fail (availability probes, counted in FailedRoutes) and trigger the
-// peer's repair; routes whose path crosses a dead intermediate detect and
-// repair it inside Serve, then re-route. Per-crash time-to-recovery is the
-// event distance between the crash and its repair.
+// runs until a route detects the failure. Routes whose path crosses a dead
+// intermediate detect and repair it inside the step, then re-route. Routes
+// that target a crashed peer fail (availability probes, counted in
+// FailedRoutes) and trigger the peer's repair: that repair of a dead
+// destination is the trace runner's own policy — the step leaves a dead
+// endpoint to the caller. Per-crash time-to-recovery is the event distance
+// between the crash and its repair.
 func (d *DSG) RunTrace(tr workload.Trace, opts TraceOptions) (TraceStats, error) {
 	var st TraceStats
 	if opts.ValidateEvery > 0 {

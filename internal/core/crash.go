@@ -19,10 +19,9 @@ import (
 // coordination, matching Interlaced's decentralized churn stabilization and
 // the Rainbow Skip Graph's local fault recovery.
 
-// ErrCrashedNode is wrapped by Serve and Adjust when an endpoint has
-// crashed but not yet been repaired. A shard's step matches it
-// (errors.Is): a route into a corpse is a per-op miss, expected under
-// failures, not a serving fault.
+// ErrCrashedNode is wrapped by Adjust when an endpoint has crashed but not
+// yet been repaired, and by RemoveNode for a crashed id. The step reports a
+// dead endpoint as the op's miss instead (see Access).
 var ErrCrashedNode = errors.New("core: crashed node")
 
 // Crash marks the real node with the given id as crashed: it vanishes from

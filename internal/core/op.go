@@ -1,27 +1,28 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"lsasg/internal/skipgraph"
 )
 
-// This file is the op envelope of the KV data plane: the request type every
-// serving layer boundary (shard dispatch, a shard's step, public API)
-// carries instead of a bare src/dst pair. Route is the zero value, so a
-// pure-route stream behaves — byte for byte — exactly as it did when the
-// boundaries carried Pair.
+// This file is the op envelope of the KV data plane and the one request
+// step over it: the request type every serving layer boundary (shard
+// dispatch, a shard's step, public API) carries instead of a bare src/dst
+// pair. Route is the zero value, so a pure-route stream behaves — byte for
+// byte — exactly as it did when the boundaries carried Pair.
 //
-// The split of responsibilities matches the serving architecture: an op's
-// route half (internal/shard) measures its distance, takes a Get's or
-// Scan's read and applies Write here — a Put's value write, a Delete's
-// leave — and its adjust half is AdjustAccess, the transformation and
-// scoped repair; ApplyOp is both halves in one call. Point
-// ops adjust the topology exactly like a communication request: a Get or
-// Put of key k from origin o is an access σ=(o,k) and feeds the same
-// transformation and scoped balance repair. Put of an absent key is a
-// tracked join; Delete is a tracked leave; both on a crashed key go through
-// the crash-repair path first.
+// The step has two halves, and every caller — Serve, a shard's step
+// (internal/shard), ApplyOp — runs these two: Access, the route half,
+// routes the op (repairing a crashed intermediate it contacts), takes a
+// Get's or Scan's read and applies the write — a Put's value, a Delete's
+// leave; AdjustAccess, the adjust half, is the transformation and scoped
+// repair. Point ops adjust the topology exactly like a communication
+// request: a Get or Put of key k from origin o is an access σ=(o,k) and
+// feeds the same transformation and scoped balance repair. Put of an absent
+// key is a tracked join; Delete is a tracked leave; both on a crashed key go
+// through the crash-repair path first.
 
 // OpKind discriminates the request envelope. OpRoute is the zero value.
 type OpKind uint8
@@ -74,12 +75,22 @@ type Op struct {
 // RouteOp builds the envelope of a plain communication request.
 func RouteOp(src, dst int64) Op { return Op{Kind: OpRoute, Src: src, Dst: dst} }
 
-// OpResult reports one applied op: the transformation measures (zero when
-// the op ran no transformation) plus the KV outcome.
+// OpResult reports one op served by the step: what its route half
+// measured and read (Access), then its transformation's measures
+// (AdjustAccess; zero when the op ran none).
 type OpResult struct {
 	AdjustResult
 
-	// Found/Value/Version report a Get against the live graph at apply
+	RouteDistance int // d_S(σ): intermediate nodes on the routing path
+	RouteHops     int // link traversals (RouteDistance + 1)
+
+	// Miss is the routing error of an access one of whose endpoints was
+	// unknown (skipgraph.ErrUnknownKey) or dead (a skipgraph.DeadRouteError
+	// naming it) when it routed: the path sample is absent, a route adjusts
+	// nothing, and the rest of the op still runs. Nil otherwise.
+	Miss error
+
+	// Found/Value/Version report a Get against the live graph at route
 	// time (a Put reports the version it wrote in Version).
 	Found   bool
 	Value   []byte
@@ -89,67 +100,107 @@ type OpResult struct {
 	// the op was a tracked join) and whether a Delete removed anything.
 	Existed bool
 
-	// Entries holds OpScan results read from the live graph at apply time.
+	// Entries holds OpScan results read from the live graph.
 	Entries []skipgraph.Entry
 }
 
-// ApplyOp applies one op to the graph and returns its result: Write, then
-// AdjustAccess, with a Get's or Scan's read taken first. For OpRoute the
-// semantics are exactly Adjust's, errors included. KV ops are total by
-// design: a Get/Put/Delete whose transform endpoint is missing or dead skips
-// the transformation instead of failing (the access still resolves: a miss,
-// a join, a repair), so a deterministic op stream never aborts on data
-// racing membership in the op stream.
+// ServiceCost returns the paper's cost of serving the request:
+// d_St(σ) + ρ + 1 (§III).
+func (r OpResult) ServiceCost() int {
+	return r.RouteDistance + r.TransformRounds + 1
+}
+
+// ApplyOp serves one op with the whole step: Access, then AdjustAccess. A
+// miss is reported in the result's Miss, not as an error: KV ops are total
+// by design — an access whose endpoint is missing or dead still resolves (a
+// miss, a join, a repair) and skips only the transformation — so a
+// deterministic op stream never aborts on data racing membership in it.
 func (d *DSG) ApplyOp(op Op) (OpResult, error) {
-	var res OpResult
+	r, err := d.Access(op)
+	if err != nil {
+		return r, err
+	}
+	r.AdjustResult, err = d.AdjustAccess(op)
+	return r, err
+}
+
+// Access is the route half of the step on the live graph. It routes
+// op.Src → op.Dst by key with the standard skip-graph routing (Appendix B);
+// a crashed intermediate the route contacts is repaired at detection
+// (repairCrashed) and the op routes again — each retry removes one corpse,
+// so the loop ends. Then a Get takes its read and the write applies: a
+// Put's value, a join included, and every Delete — everything that changes
+// membership or what a later op can read. A Scan reads its run and does not
+// route. An unknown or dead endpoint is the op's Miss, not a failure, and is
+// not repaired here: a Put or Delete of the key repairs a dead one. The
+// error reports an invalid op, a route that found no path, or a failed
+// write.
+func (d *DSG) Access(op Op) (OpResult, error) {
+	var r OpResult
 	switch op.Kind {
-	case OpRoute:
-	case OpGet:
-		if n := d.NodeByID(op.Dst); n != nil && !n.Dead() {
-			if v, ver, ok := d.g.GetValue(n.Key()); ok {
-				res.Found, res.Value, res.Version = true, v, ver
-			}
-		}
-	case OpPut, OpDelete:
-		var err error
-		if res.Version, res.Existed, err = d.Write(op); err != nil {
-			return res, err
-		}
 	case OpScan:
-		return OpResult{Entries: d.g.ScanFrom(skipgraph.KeyOf(op.Dst), max(op.Limit, 1))}, nil
+		r.Entries = d.g.ScanFrom(skipgraph.KeyOf(op.Dst), max(op.Limit, 1))
+		return r, nil
+	case OpRoute:
+		if op.Src == op.Dst {
+			return r, fmt.Errorf("core: self-communication for id %d", op.Src)
+		}
+	case OpGet, OpPut, OpDelete:
 	default:
-		return res, fmt.Errorf("core: unknown op kind %d", op.Kind)
+		return r, fmt.Errorf("core: unknown op kind %d", op.Kind)
 	}
 	var err error
-	res.AdjustResult, err = d.AdjustAccess(op)
-	return res, err
-}
-
-// Write applies the data half of one op — everything that changes
-// membership or what a later op can read — and reports the version a Put
-// wrote and whether a Put or Delete found a live record. It is a no-op for
-// the other kinds. A shard's step runs it in the op's route half, before
-// the reply; AdjustAccess is the rest.
-func (d *DSG) Write(op Op) (version int64, existed bool, err error) {
-	switch op.Kind {
-	case OpPut:
-		return d.applyPut(op)
-	case OpDelete:
-		existed, err := d.applyDelete(op)
-		return 0, existed, err
+	if r.RouteDistance, r.RouteHops, err = d.route(op.Src, op.Dst); err != nil {
+		if !errors.Is(err, skipgraph.ErrUnknownKey) && !errors.Is(err, skipgraph.ErrDeadNode) {
+			return r, fmt.Errorf("core: routing failed: %w", err)
+		}
+		r.Miss = err
 	}
-	return 0, false, nil
+	switch op.Kind {
+	case OpGet:
+		r.Value, r.Version, r.Found = d.g.GetValue(skipgraph.KeyOf(op.Dst))
+	case OpPut:
+		r.Version, r.Existed, err = d.applyPut(op)
+		return r, err
+	case OpDelete:
+		r.Existed, err = d.applyDelete(op)
+		return r, err
+	}
+	return r, nil
 }
 
-// AdjustAccess applies the topology half of one op: Adjust for a route,
-// errors included; the tolerant access transformation for a Get or Put
-// (see adjustIfPossible); nothing for a Delete or Scan. Its only error on a
-// KV op is a failed invariant check under Config.CheckInvariants.
+// route routes src → dst on the live graph, repairing every crashed
+// intermediate it contacts, and measures the route that got through. A
+// dead endpoint ends it with the DeadRouteError naming it. The path lives
+// in a scratch buffer, so routing allocates nothing once it has grown.
+func (d *DSG) route(src, dst int64) (distance, hops int, err error) {
+	for {
+		var r skipgraph.RouteResult
+		r, err = d.g.RouteKeysInto(d.scratch.route, skipgraph.KeyOf(src), skipgraph.KeyOf(dst))
+		if r.Path != nil {
+			d.scratch.route = recycle(r.Path)
+		}
+		if err == nil {
+			return r.Distance(), r.Hops(), nil
+		}
+		var dre *skipgraph.DeadRouteError
+		if !errors.As(err, &dre) || dre.Node.ID() == src || dre.Node.ID() == dst {
+			return 0, 0, err
+		}
+		d.crashDetectCount++
+		d.repairCrashed(dre.Node)
+	}
+}
+
+// AdjustAccess is the adjust half of the step: the access transformation
+// and its scoped repair for a route, a Get or a Put whose endpoints are two
+// distinct live real nodes; nothing otherwise — not for a Delete or a Scan,
+// and not for an access Access reported as a miss, whose endpoint is still
+// unknown or dead. Its only error is a failed invariant check under
+// Config.CheckInvariants.
 func (d *DSG) AdjustAccess(op Op) (AdjustResult, error) {
 	switch op.Kind {
-	case OpRoute:
-		return d.Adjust(op.Src, op.Dst)
-	case OpGet, OpPut:
+	case OpRoute, OpGet, OpPut:
 		return d.adjustIfPossible(op.Src, op.Dst)
 	}
 	return AdjustResult{}, nil
@@ -198,10 +249,11 @@ func (d *DSG) applyDelete(op Op) (existed bool, err error) {
 
 // adjustIfPossible runs the access transformation for (src, dst) when both
 // endpoints are alive real nodes and distinct, and returns the zero result
-// otherwise — the KV ops' tolerant twin of Adjust. A missing endpoint is
-// not an error for a data op: the data outcome (miss, join, update) already
-// happened; only the topology adaptation is skipped. Only a scoped-repair
-// invariant failure under CheckInvariants returns an error.
+// otherwise — the step's tolerant twin of Adjust. A missing endpoint is not
+// an error here: Access already reported it as the op's miss, and the data
+// outcome (miss, join, update) already happened; only the topology
+// adaptation is skipped. Only a scoped-repair invariant failure under
+// CheckInvariants returns an error.
 func (d *DSG) adjustIfPossible(src, dst int64) (AdjustResult, error) {
 	u, v := d.NodeByID(src), d.NodeByID(dst)
 	if u == nil || v == nil || u == v || u.Dead() || v.Dead() {
@@ -209,7 +261,7 @@ func (d *DSG) adjustIfPossible(src, dst int64) (AdjustResult, error) {
 	}
 	r, err := d.adjust(u, v)
 	if err != nil {
-		return r, fmt.Errorf("core: kv adjust (%d,%d): %w", src, dst, err)
+		return r, fmt.Errorf("core: adjust access (%d,%d): %w", src, dst, err)
 	}
 	return r, nil
 }

@@ -29,12 +29,15 @@ func TestApplyOpRouteMatchesAdjust(t *testing.T) {
 	if _, err := d.ApplyOp(Op{Kind: OpKind(99)}); err == nil {
 		t.Error("unknown op kind must fail")
 	}
-	// The sentinel a shard's step matches to call a route a miss.
+	// A route to a removed node is the op's miss, carrying the sentinel
+	// the public API maps to ErrUnknownKey, and adjusts nothing.
 	if err := d.RemoveNode(6); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.ApplyOp(RouteOp(0, 6)); !errors.Is(err, ErrUnknownNode) {
-		t.Errorf("route to a removed node = %v, want ErrUnknownNode", err)
+	clock := d.Clock()
+	res, err = d.ApplyOp(RouteOp(0, 6))
+	if err != nil || !errors.Is(res.Miss, skipgraph.ErrUnknownKey) || res.TransformRounds != 0 || d.Clock() != clock {
+		t.Errorf("route to a removed node = %+v, %v; want a miss carrying ErrUnknownKey that adjusts nothing", res, err)
 	}
 }
 
@@ -329,6 +332,52 @@ func TestAdjustReportsLAlpha(t *testing.T) {
 		}
 		if res.LAlpha != size || res.LAlphaDummies != dummies {
 			t.Fatalf("reported l_alpha %d (%d dummies), the list held %d (%d)", res.LAlpha, res.LAlphaDummies, size, dummies)
+		}
+	}
+}
+
+// TestAccessRepairsCrashedIntermediate: the step's route half repairs a
+// crashed intermediate its route contacts and routes again, so every kind
+// that routes is served with a measured path across where the corpse was —
+// exactly what a twin that had the corpse repaired beforehand serves — and
+// the detection and repair are counted once.
+func TestAccessRepairsCrashedIntermediate(t *testing.T) {
+	const n, src, dst = 32, 0, 31
+	probe := New(n, Config{A: 4, Seed: 3})
+	rt, err := probe.Graph().RouteKeys(skipgraph.KeyOf(src), skipgraph.KeyOf(dst))
+	if err != nil || len(rt.Path) < 3 {
+		t.Fatalf("route %d→%d = %d nodes, %v; want an intermediate", src, dst, len(rt.Path), err)
+	}
+	corpse := rt.Path[1].ID()
+	for _, op := range []Op{
+		RouteOp(src, dst),
+		{Kind: OpGet, Src: src, Dst: dst},
+		{Kind: OpPut, Src: src, Dst: dst, Value: []byte("v")},
+		{Kind: OpDelete, Src: src, Dst: dst},
+	} {
+		d, twin := New(n, Config{A: 4, Seed: 3}), New(n, Config{A: 4, Seed: 3})
+		for _, g := range []*DSG{d, twin} {
+			if err := g.Crash(corpse); err != nil {
+				t.Fatal(err)
+			}
+		}
+		twin.RepairCrashedID(corpse)
+		got, err := d.ApplyOp(op)
+		if err != nil || got.Miss != nil {
+			t.Fatalf("%s across crashed %d = %+v, %v; want it served", op.Kind, corpse, got, err)
+		}
+		want, err := twin.ApplyOp(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.RouteDistance != want.RouteDistance || got.RouteHops == 0 || got.AdjustResult != want.AdjustResult {
+			t.Errorf("%s across crashed %d = %+v, want the repaired twin's %+v", op.Kind, corpse, got, want)
+		}
+		if _, det, rep := d.CrashStats(); det != 1 || rep != 1 || len(d.CrashedIDs()) != 0 {
+			t.Errorf("%s: detections %d, repairs %d, corpses %v; want 1, 1, none", op.Kind, det, rep, d.CrashedIDs())
+		}
+		if err := d.Validate(); err != nil {
+			t.Fatalf("%s: %v", op.Kind, err)
 		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 type scratch struct {
 	repair    repairScratch
 	transform transformCtx
+	route     []*skipgraph.Node // the path of the route Access measures
 }
 
 // repairScratch is RepairBalanceIn's working memory.

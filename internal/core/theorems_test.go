@@ -246,38 +246,54 @@ func TestAddRemoveNodes(t *testing.T) {
 	}
 }
 
-// TestServeErrors: the three callers of the request step reject a bad pair
-// from one place, with the sentinels a shard's step matches, and leave
-// the graph and the clock alone.
+// TestServeErrors: a bad pair leaves the graph and the clock alone, from
+// every entry point of the step. Serve returns the route's miss — the
+// skipgraph sentinels the public API maps to ErrUnknownKey and ErrDeadNode
+// — as its error, ApplyOp reports it in Miss, and Adjust, which does not
+// route, rejects the pair with the core sentinels.
 func TestServeErrors(t *testing.T) {
 	d := New(8, Config{A: 4, Seed: 1})
 	if err := d.Crash(5); err != nil {
 		t.Fatal(err)
 	}
 	steps := map[string]func(u, v int64) error{
-		"Serve":   func(u, v int64) error { _, err := d.Serve(u, v); return err },
-		"Adjust":  func(u, v int64) error { _, err := d.Adjust(u, v); return err },
-		"ApplyOp": func(u, v int64) error { _, err := d.ApplyOp(RouteOp(u, v)); return err },
+		"Serve":  func(u, v int64) error { _, err := d.Serve(u, v); return err },
+		"Adjust": func(u, v int64) error { _, err := d.Adjust(u, v); return err },
+		"ApplyOp": func(u, v int64) error {
+			r, err := d.ApplyOp(RouteOp(u, v))
+			if err == nil {
+				err = r.Miss
+			}
+			return err
+		},
 	}
 	for _, c := range []struct {
 		name     string
 		src, dst int64
-		want     error // nil: any error
+		miss     error // what the step reports; nil: any error
+		adjust   error // what Adjust reports; nil: any error
 	}{
-		{"unknown src", 99, 0, ErrUnknownNode},
-		{"unknown dst", 0, 99, ErrUnknownNode},
-		{"self", 3, 3, nil},
-		{"dead src", 5, 2, ErrCrashedNode},
-		{"dead dst", 2, 5, ErrCrashedNode},
+		{"unknown src", 99, 0, skipgraph.ErrUnknownKey, ErrUnknownNode},
+		{"unknown dst", 0, 99, skipgraph.ErrUnknownKey, ErrUnknownNode},
+		{"self", 3, 3, nil, nil},
+		{"dead src", 5, 2, skipgraph.ErrDeadNode, ErrCrashedNode},
+		{"dead dst", 2, 5, skipgraph.ErrDeadNode, ErrCrashedNode},
 	} {
 		for name, step := range steps {
-			if err := step(c.src, c.dst); err == nil || (c.want != nil && !errors.Is(err, c.want)) {
-				t.Errorf("%s(%s) = %v, want %v", name, c.name, err, c.want)
+			want := c.miss
+			if name == "Adjust" {
+				want = c.adjust
+			}
+			if err := step(c.src, c.dst); err == nil || (want != nil && !errors.Is(err, want)) {
+				t.Errorf("%s(%s) = %v, want %v", name, c.name, err, want)
 			}
 		}
 	}
 	if d.Clock() != 0 {
 		t.Errorf("rejected requests advanced the clock to %d", d.Clock())
+	}
+	if ids := d.CrashedIDs(); len(ids) != 1 || ids[0] != 5 {
+		t.Errorf("crashed ids after the rejected requests = %v, want [5]: the step repairs no dead endpoint", ids)
 	}
 }
 

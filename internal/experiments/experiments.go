@@ -113,7 +113,7 @@ func E2AMFRounds(sc Scale) *stats.Table {
 // results (route distances and ρ also as plain series), the working-set
 // bound of the sequence and the final graph's height and dummy population.
 type dsgRun struct {
-	res             []core.RequestResult
+	res             []core.OpResult
 	dists, rounds   []int
 	ws              float64
 	height, dummies int

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -87,5 +88,51 @@ func TestApplyEngineFailureLeavesNoTrace(t *testing.T) {
 	}
 	if got := svc.Totals().Requests; got != before.Requests+1 || svc.loadOps != 1 || outcomes != 1 {
 		t.Fatalf("after one served op: %d requests, %d in the load window, %d outcomes", got, svc.loadOps, outcomes)
+	}
+}
+
+// TestServeStepFailureLeavesNoTrace: a window whose step fails on one shard
+// delivers the ops before the failing one and counts only those. At S = 4,
+// with shard 0's state corrupted (plantCorruption), the route 1→5 fails its
+// invariant check inside a window of six ops — cross-shard routes, point
+// ops and a scan fanned over every shard among them, whose legs on the
+// other shards do run. Only the route before it is delivered, so the run's
+// books and the lifetime books are that one op's: its request, class, leg,
+// distance and ρ, and nothing of the ops behind it.
+func TestServeStepFailureLeavesNoTrace(t *testing.T) {
+	var delivered []Outcome
+	svc, err := New(64, Config{Shards: 4, A: 4, Seed: 3, RebalanceEvery: 64, CheckInvariants: true,
+		OnOutcome: func(o Outcome) { delivered = append(delivered, o) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plantCorruption(t, svc)
+	ops := []core.Op{
+		core.RouteOp(20, 28),
+		core.RouteOp(1, 5), // fails on shard 0
+		{Kind: core.OpGet, Src: 2, Dst: 40},
+		{Kind: core.OpPut, Src: 3, Dst: 50, Value: []byte("v")},
+		{Kind: core.OpScan, Src: 4, Dst: 0, Limit: 3},
+		core.RouteOp(6, 60),
+	}
+	st, err := svc.Serve(context.Background(), feedOps(ops))
+	if err == nil || errors.Is(err, ErrBarrier) {
+		t.Fatalf("Serve returned %v, want the step's failure", err)
+	}
+	if len(delivered) != 1 || delivered[0].Op.Src != 20 || delivered[0].Op.Dst != 28 {
+		t.Fatalf("delivered %+v, want the first route alone", delivered)
+	}
+	o := delivered[0]
+	if st.Requests != 1 || st.Intra != 1 || st.Cross != 0 || st.Legs != 1 ||
+		st.Gets+st.Puts+st.Deletes+st.Scans != 0 ||
+		st.TotalRouteDistance != int64(o.RouteDistance) || st.TotalRouteHops != int64(o.RouteHops) ||
+		st.MaxLegDistance != int64(o.RouteDistance) || st.TotalTransformRounds != int64(o.TransformRounds) {
+		t.Errorf("the run counted more than the delivered op %+v: %+v", o, st)
+	}
+	if tot := svc.Totals(); tot.Requests != 1 || tot.RouteDistance != int64(o.RouteDistance) || tot.TransformRounds != int64(o.TransformRounds) {
+		t.Errorf("lifetime books %+v, want the delivered op's alone", tot)
+	}
+	if svc.loadOps != 1 {
+		t.Errorf("the load window holds %d ops, want the delivered one", svc.loadOps)
 	}
 }

@@ -51,10 +51,12 @@
 // # Serving
 //
 // Each shard serves its legs with one step, the paper's serving model
-// (§III), which is sequential per request: standard skip-graph routing first
-// (Appendix B, a pure read of the topology; Get and Scan read here, Put and
-// Delete write), then the transformation and the scoped a-balance repair
-// behind it (§IV-C–G), which mutate it. So a leg routes in the topology every
+// (§III), which is sequential per request — the two halves core.DSG.Serve
+// runs too: core.DSG.Access routes first (Appendix B; a crashed
+// intermediate the route contacts is repaired there and the route goes on;
+// Get and Scan read here, Put and Delete write), then core.DSG.AdjustAccess
+// runs the transformation and the scoped a-balance repair behind it
+// (§IV-C–G). So a leg routes in the topology every
 // earlier leg on its shard left, and its own adjustment is in place before
 // the next one routes. A route is ≈ 10³× cheaper than the adjustment it
 // triggers, so there is nothing to win by routing several requests on one
@@ -68,7 +70,8 @@
 // statistic, the rebalancing decisions included, is a pure function of the
 // request sequence and configuration. A route leg whose endpoint a Delete
 // removed earlier in the stream (or a crash took) costs that op its path
-// sample — its Outcome carries the routing error — never the run.
+// sample — its Outcome carries the routing error — never the run; a crashed
+// node a leg merely crosses costs it nothing.
 //
 // Service.Apply is that driver on one op; Service.Serve collects a window
 // off a channel and calls it, so Serve returns what Apply in a loop returns.

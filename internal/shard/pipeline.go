@@ -80,16 +80,6 @@ type ServeStats struct {
 	DummyCount int // summed over shards
 }
 
-// fold adds one shard's books of a served window and clears them.
-func (st *ServeStats) fold(b *legBooks) {
-	st.TotalRouteDistance += b.routeDistance
-	st.TotalRouteHops += b.routeHops
-	st.MaxLegDistance = max(st.MaxLegDistance, b.maxLeg)
-	st.TotalTransformRounds += b.rounds
-	st.RouteMisses += b.misses
-	*b = legBooks{}
-}
-
 // add folds one finished run (or one synchronous op) into the lifetime
 // books; the migration counters are kept by executeMigration itself.
 func (t *Totals) add(st *ServeStats) {
@@ -143,12 +133,16 @@ type legRef struct{ shard, idx int }
 type pendingReq struct {
 	seq int64   // 1-based position in the service's lifetime request sequence
 	op  core.Op // original envelope
-	// first and n locate the op's outcome legs in window.refs (scans and
-	// cross-shard routes have more than one).
-	first, n int
+	// first and n locate the op's legs in window.refs (scans and cross-shard
+	// ops have more than one). Its outcome is assembled from those from
+	// first+origin on: origin is 1 when the first leg is a cross-shard point
+	// op's origin-side access leg, which adapts the source shard but is not
+	// part of the outcome.
+	first, n, origin int
 	// extraDist/extraHops are the dispatcher-side path contributions of a
 	// cross-shard op — boundary intermediates and forwarding hops — folded
-	// into the outcome on top of the legs' measurements.
+	// into the outcome on top of the legs' measurements. An op is
+	// cross-shard exactly when it has a forwarding hop.
 	extraDist int
 	extraHops int
 }
@@ -292,18 +286,18 @@ func (s *Service) collect(ctx context.Context, in <-chan core.Op, ops []core.Op,
 //
 // An op one of whose legs a shard failed to serve has no outcome: the
 // window stops delivering there, takes the undelivered ops back out of the
-// load window, and returns the step's error. A failed migration, or a
-// failed adjustment the window settled, comes after the window was served,
-// counted and observed, so it is returned wrapping ErrBarrier next to a
-// valid outcome.
+// load window — st counts delivered ops only — and returns the step's
+// error. A failed migration, or a failed adjustment the window settled,
+// comes after the window was served, counted and observed, so it is
+// returned wrapping ErrBarrier next to a valid outcome.
 func (s *Service) serveWindow(ops []core.Op, st *ServeStats, behind bool) (Outcome, error) {
 	dir := s.dir.Load()
 	s.win.reset()
 	for _, op := range ops {
-		s.dispatch(dir, op, st)
+		s.dispatch(dir, op)
 	}
 	barrier := s.loadOps >= s.cfg.rebalanceEvery()
-	err := s.run(st, behind && len(s.shards) > 1 && !barrier)
+	err := s.run(behind && len(s.shards) > 1 && !barrier)
 	last, delivered := s.deliver(st)
 	if err != nil {
 		for _, op := range ops[delivered:] {
@@ -363,83 +357,58 @@ func (s *Service) rebalance(dir *Directory) error {
 }
 
 // dispatch splits one op into shard legs, queues them on the window, counts
-// its endpoints into the load window, and updates the dispatcher-side books
-// — the liveness of a Put's or Delete's key among them, so the ops dispatched
-// behind it in the same window already split at the boundaries it leaves.
-func (s *Service) dispatch(dir *Directory, op core.Op, st *ServeStats) {
+// its endpoints into the load window, and updates the liveness book for a
+// Put's or Delete's key, so the ops dispatched behind it in the same window
+// already split at the boundaries it leaves. The op's figures reach st when
+// it is delivered (count), so an op a shard failed to serve is counted
+// nowhere.
+func (s *Service) dispatch(dir *Directory, op core.Op) {
 	w := &s.win
-	st.Requests++
 	s.feedLoad(op, 1)
-	// Spans are numbered over the service's lifetime: totals holds every
-	// finished run and synchronous op, st the call in flight.
-	p := pendingReq{seq: s.totals.Requests + st.Requests, op: op, first: len(w.refs)}
+	p := pendingReq{op: op, first: len(w.refs)}
 	switch op.Kind {
 	case core.OpRoute:
 		legs, n, cross := dir.splitLegs(s.live, op.Src, op.Dst)
 		if cross {
-			st.Cross++
-			st.TotalRouteHops++ // the inter-shard forwarding hop
-			// Each non-trivial leg ends (or starts) at a boundary node, which is
-			// an intermediate of the whole-request path.
-			st.TotalRouteDistance += int64(n)
+			// One inter-shard forwarding hop; each non-trivial leg ends (or
+			// starts) at a boundary node, which is an intermediate of the
+			// whole-request path.
 			p.extraDist, p.extraHops = n, 1
-		} else {
-			st.Intra++
 		}
 		for i := 0; i < n; i++ {
 			w.refs = append(w.refs, w.addLeg(legs[i].shard, core.RouteOp(legs[i].src, legs[i].dst)))
 		}
-		st.Legs += int64(n)
 
 	case core.OpGet, core.OpPut, core.OpDelete:
 		switch op.Kind {
-		case core.OpGet:
-			st.Gets++
 		case core.OpPut:
-			st.Puts++
 			s.live[op.Dst] = true
 		case core.OpDelete:
-			st.Deletes++
 			s.live[op.Dst] = false
 		}
 		si, di := dir.ShardOf(op.Src), dir.ShardOf(op.Dst)
 		kv := op
 		if si != di {
-			st.Cross++
-			st.TotalRouteHops++
 			p.extraHops++
 			higher := op.Dst > op.Src
 			// The origin-side access leg adapts the source shard; the outcome
 			// is the destination leg's alone.
 			if exit := dir.boundary(s.live, si, higher, op.Src); exit != op.Src {
-				st.Legs++
-				st.TotalRouteDistance++ // the exit boundary intermediate
-				p.extraDist++
-				w.addLeg(si, core.RouteOp(op.Src, exit))
+				p.origin = 1
+				p.extraDist++ // the exit boundary intermediate
+				w.refs = append(w.refs, w.addLeg(si, core.RouteOp(op.Src, exit)))
 			}
 			entry := dir.boundary(s.live, di, !higher, op.Dst)
 			if entry != op.Dst {
-				st.TotalRouteDistance++ // the entry boundary intermediate
-				p.extraDist++
+				p.extraDist++ // the entry boundary intermediate
 			}
 			kv.Src = entry // the access enters the shard at the boundary
-		} else {
-			st.Intra++
 		}
-		st.Legs++
 		w.refs = append(w.refs, w.addLeg(di, kv))
 
 	case core.OpScan:
-		st.Scans++
 		first := dir.ShardOf(op.Dst)
-		fan := dir.Shards() - first
-		if fan > 1 {
-			st.Cross++
-			st.TotalRouteHops += int64(fan - 1) // shard-to-shard forwarding
-		} else {
-			st.Intra++
-		}
-		p.extraHops = fan - 1
+		p.extraHops = dir.Shards() - first - 1 // shard-to-shard forwarding
 		for i := first; i < dir.Shards(); i++ {
 			lo, _ := dir.Range(i)
 			// Every leg carries the full limit: a shard cannot know how many
@@ -447,22 +416,57 @@ func (s *Service) dispatch(dir *Directory, op core.Op, st *ServeStats) {
 			// truncates exactly.
 			w.refs = append(w.refs, w.addLeg(i, core.Op{Kind: core.OpScan, Dst: max(op.Dst, lo), Limit: max(op.Limit, 1)}))
 		}
-		st.Legs += int64(fan)
 	}
 	p.n = len(w.refs) - p.first
 	w.pending = append(w.pending, p)
 }
 
-// run serves the window's legs and folds the shards' books into st: every
-// shard with legs is settled, then runs the step over its slice — on a
-// goroutine of its own when two or more shards are busy. With behind set, a
-// busy shard's last leg stops after its route half: the legs route here, one
-// shard after another — a route half is far too short to be worth a
-// goroutine handoff, and the caller must not wait behind an adjustment for a
-// core — and each shard's tail finishes the adjustment on a goroutine of its
-// own, reserving the shard until settle. It returns the first failure in
-// shard order.
-func (s *Service) run(st *ServeStats, behind bool) error {
+// count books one delivered op in st, its legs' figures and the
+// dispatcher's, and numbers it over the service's lifetime: totals holds
+// every finished run and synchronous op, st the call in flight.
+func (s *Service) count(p *pendingReq, st *ServeStats) {
+	w := &s.win
+	st.Requests++
+	p.seq = s.totals.Requests + st.Requests
+	if p.extraHops > 0 {
+		st.Cross++
+	} else {
+		st.Intra++
+	}
+	st.Legs += int64(p.n)
+	st.TotalRouteDistance += int64(p.extraDist)
+	st.TotalRouteHops += int64(p.extraHops)
+	for _, ref := range w.refs[p.first : p.first+p.n] {
+		r := &w.res[ref.shard][ref.idx]
+		st.TotalRouteDistance += int64(r.RouteDistance)
+		st.TotalRouteHops += int64(r.RouteHops)
+		st.MaxLegDistance = max(st.MaxLegDistance, int64(r.RouteDistance))
+		st.TotalTransformRounds += int64(r.TransformRounds)
+		if r.Miss != nil {
+			st.RouteMisses++
+		}
+	}
+	switch p.op.Kind {
+	case core.OpGet:
+		st.Gets++
+	case core.OpPut:
+		st.Puts++
+	case core.OpDelete:
+		st.Deletes++
+	case core.OpScan:
+		st.Scans++
+	}
+}
+
+// run serves the window's legs: every shard with legs is settled, then
+// runs the step over its slice — on a goroutine of its own when two or more
+// shards are busy. With behind set, a busy shard's last leg stops after its
+// route half: the legs route here, one shard after another — a route half
+// is far too short to be worth a goroutine handoff, and the caller must not
+// wait behind an adjustment for a core — and each shard's tail finishes the
+// adjustment on a goroutine of its own, reserving the shard until settle.
+// It returns the first failure in shard order.
+func (s *Service) run(behind bool) error {
 	w := &s.win
 	busy, only := 0, 0
 	for i := range w.legs {
@@ -506,11 +510,6 @@ func (s *Service) run(st *ServeStats, behind bool) error {
 		}
 		wg.Wait()
 	}
-	for i := range w.legs {
-		if len(w.legs[i]) > 0 {
-			st.fold(&s.shards[i].books)
-		}
-	}
 	for _, err := range w.errs {
 		if err != nil {
 			return err
@@ -540,10 +539,11 @@ func (s *Service) deliver(st *ServeStats) (last Outcome, n int) {
 }
 
 // assemble builds one op's outcome from its legs' results — all present —
-// and updates the KV statistics and the tracer.
+// and books the op in st and the tracer.
 func (s *Service) assemble(p *pendingReq, st *ServeStats) Outcome {
 	w := &s.win
-	refs := w.refs[p.first : p.first+p.n]
+	s.count(p, st)
+	refs := w.refs[p.first+p.origin : p.first+p.n]
 	o := Outcome{Op: p.op, RouteDistance: p.extraDist, RouteHops: p.extraHops}
 	// The access-path view of the whole request: the legs' measurements on
 	// top of the dispatcher's boundary/forwarding contributions.
@@ -554,7 +554,7 @@ func (s *Service) assemble(p *pendingReq, st *ServeStats) Outcome {
 		o.TransformRounds += r.TransformRounds
 		o.Alpha, o.DirectLevel = r.Alpha, r.DirectLevel
 		if p.op.Kind == core.OpRoute && o.Err == nil {
-			o.Err = r.Err
+			o.Err = r.Miss
 		}
 	}
 	switch p.op.Kind {
@@ -601,7 +601,7 @@ func (s *Service) recordSpan(tr *obs.Tracer, p *pendingReq, refs []legRef, o Out
 	for _, ref := range refs {
 		r := &w.res[ref.shard][ref.idx]
 		total += r.RouteNanos
-		miss = miss || r.Err != nil
+		miss = miss || r.Miss != nil
 	}
 	tr.ObserveOp(int64(p.op.Kind), time.Duration(total))
 	if !tr.WouldRecord(total) {

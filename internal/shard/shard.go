@@ -331,11 +331,12 @@ func (s *Service) RenderTopology(w io.Writer) {
 }
 
 // Crash injects a crash failure synchronously: the node fails in place on
-// whichever shard the current directory assigns it — dangling neighbour
-// references until a Put or Delete of the key repairs it. Like AddNode and
-// RemoveNode it fails while a Serve or Apply call is in flight, settles the
-// shard it changes first, and does nothing but report a failed adjustment
-// it finds there (see Apply).
+// whichever shard the current directory assigns it, with dangling neighbour
+// references until a leg's route contacts it as an intermediate, or a Put
+// or Delete of the key, repairs it; until then a route to the key is a
+// miss. Like AddNode and RemoveNode it fails while a Serve or Apply call is
+// in flight, settles the shard it changes first, and does nothing but
+// report a failed adjustment it finds there (see Apply).
 func (s *Service) Crash(id int64) error {
 	if err := s.reserve("Crash"); err != nil {
 		return err
@@ -357,6 +358,17 @@ func (s *Service) Crash(id int64) error {
 	sl.epoch++
 	s.live[id] = false
 	return nil
+}
+
+// CrashStats sums the shards' crash counters (core.DSG.CrashStats): nodes
+// crashed, dead peers detected, crash repairs completed.
+func (s *Service) CrashStats() (crashes, detections, repairs int) {
+	s.settleAll()
+	for _, sl := range s.shards {
+		c, d, r := sl.dsg.CrashStats()
+		crashes, detections, repairs = crashes+c, detections+d, repairs+r
+	}
+	return crashes, detections, repairs
 }
 
 // AddNode joins a new key at the top of the key space: key n enters the last

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -9,7 +8,6 @@ import (
 
 	"lsasg/internal/core"
 	"lsasg/internal/obs"
-	"lsasg/internal/skipgraph"
 )
 
 // slot is one shard: its live DSG and the step — route, then adjust, see the
@@ -23,8 +21,6 @@ type slot struct {
 	// epoch counts the mutations applied so far: one per leg served, crash
 	// injected or membership batch applied. Spans carry it.
 	epoch int64
-	// books are the window's legs' figures, folded into ServeStats by run.
-	books legBooks
 
 	// tail counts the adjustment running behind an answer on this shard (0
 	// or 1): the adjust half of the leg serve left pending. rounds and err
@@ -40,30 +36,16 @@ type slot struct {
 	height, dummies atomic.Int64
 }
 
-// legResult is one leg served on a shard: its Outcome, measured in the
-// graph every earlier leg left, and its span figures. A leg's Err, on any
+// legResult is one leg served on a shard: the step's result, measured in
+// the graph every earlier leg left, and its span figures. Its Miss, on any
 // kind, is the routing error of an access path unmeasurable at route time:
 // an endpoint not yet joined (a Put of a brand-new key), gone or dead (a
 // Delete or a crash took it), so that only the distance sample is absent.
 type legResult struct {
-	Outcome
+	core.OpResult
+	Op         core.Op
 	Epoch      int64 // mutations applied to the shard before the leg routed
 	RouteNanos int64 // the route half's wall time; only with a Tracer
-}
-
-// legBooks are what the dispatcher reads of the legs a shard served.
-type legBooks struct {
-	routeDistance, routeHops, maxLeg, rounds, misses int64
-}
-
-func (b *legBooks) add(r *legResult) {
-	b.routeDistance += int64(r.RouteDistance)
-	b.routeHops += int64(r.RouteHops)
-	b.maxLeg = max(b.maxLeg, int64(r.RouteDistance))
-	b.rounds += int64(r.TransformRounds)
-	if r.Err != nil {
-		b.misses++
-	}
 }
 
 func (sl *slot) publish() {
@@ -72,8 +54,8 @@ func (sl *slot) publish() {
 }
 
 // serve runs the step over the shard's legs of one window, in order: each
-// leg's route half, then its adjust half, then its result appended to res
-// and added to the books. A failing leg reports nothing, and the legs before
+// leg's route half, then its adjust half, then its result appended to res.
+// A failing leg reports nothing, and the legs before
 // it stay applied and reported. With behind set, the last leg stops after
 // its route half: its result is reported with the adjust fields zero, and if
 // it has an adjust half (a route, a Get or a Put) serve keeps it and returns
@@ -96,7 +78,6 @@ func (sl *slot) serve(legs []core.Op, res *[]legResult, behind bool) (pending bo
 				return false, err
 			}
 		}
-		sl.books.add(&r)
 		*res = append(*res, r)
 		if last && (op.Kind == core.OpRoute || op.Kind == core.OpGet || op.Kind == core.OpPut) {
 			sl.pending = r
@@ -117,25 +98,20 @@ func (sl *slot) finish() {
 	sl.tail.Done()
 }
 
-// routeHalf is the first half of the step on the live graph: route the op —
-// Get and Scan take their reads here — and apply its write (a Put's value, a
-// join included, and every Delete; see core.DSG.Write), everything that
-// changes membership or what a later op can read. It returns the op's
-// result without the adjust fields.
+// routeHalf is the first half of the step on the live graph
+// (core.DSG.Access): route the op — repairing a crashed intermediate it
+// contacts — take a Get's or Scan's read, and apply its write. It returns
+// the op's result without the adjust fields.
 func (sl *slot) routeHalf(op core.Op) (legResult, error) {
 	var start time.Time
 	if sl.tr != nil {
 		start = time.Now()
 	}
-	r := sl.routeOp(op)
-	ver, existed, err := sl.dsg.Write(op)
-	if err != nil {
+	r := legResult{Op: op, Epoch: sl.epoch}
+	var err error
+	if r.OpResult, err = sl.dsg.Access(op); err != nil {
 		return legResult{}, opErr(&r, err)
 	}
-	if op.Kind == core.OpPut {
-		r.Version = ver
-	}
-	r.Existed = existed
 	if sl.tr != nil {
 		d := time.Since(start)
 		r.RouteNanos = int64(d)
@@ -145,54 +121,22 @@ func (sl *slot) routeHalf(op core.Op) (legResult, error) {
 	return r, nil
 }
 
-// routeOp performs the route and the read of one op on the live graph. An
-// unmeasurable access path (the endpoint may be joining in this very op, or
-// already departed) is recorded as a miss; Get reads the value; Scan is a
-// pure read with no path.
-func (sl *slot) routeOp(op core.Op) legResult {
-	r := legResult{Outcome: Outcome{Op: op}, Epoch: sl.epoch}
-	g := sl.dsg.Graph()
-	if op.Kind == core.OpScan {
-		r.Entries = g.ScanFrom(skipgraph.KeyOf(op.Dst), max(op.Limit, 1))
-		return r
-	}
-	// A route that ran into a corpse comes back with the path so far; a miss
-	// has no path sample.
-	if rt, err := g.RouteKeys(skipgraph.KeyOf(op.Src), skipgraph.KeyOf(op.Dst)); err != nil {
-		r.Err = err
-	} else {
-		r.RouteDistance, r.RouteHops = rt.Distance(), rt.Hops()
-	}
-	if op.Kind == core.OpGet {
-		r.Value, r.Version, r.Found = g.GetValue(skipgraph.KeyOf(op.Dst))
-	}
-	return r
-}
-
 // adjustHalf is the second half of the step: the op's transformation and
-// scoped repair (core.DSG.AdjustAccess), filling r's adjust fields. A route
-// whose endpoint is unknown or dead (core.ErrUnknownNode,
-// core.ErrCrashedNode) is a miss that adjusts nothing, not a failure: the
-// data plane changes membership mid-stream, so a route to a key a Delete
-// removed earlier is expected.
+// scoped repair (core.DSG.AdjustAccess), filling r's adjust fields. A leg
+// the route half reported as a miss adjusts nothing.
 func (sl *slot) adjustHalf(r *legResult) error {
 	var start time.Time
 	if sl.tr != nil {
 		start = time.Now()
 	}
-	adj, err := sl.dsg.AdjustAccess(r.Op)
+	var err error
+	r.AdjustResult, err = sl.dsg.AdjustAccess(r.Op)
 	if sl.tr != nil {
 		sl.tr.ObserveStage(obs.StageAdjustApply, time.Since(start))
 	}
 	if err != nil {
-		if r.Op.Kind != core.OpRoute || !(errors.Is(err, core.ErrUnknownNode) || errors.Is(err, core.ErrCrashedNode)) {
-			return opErr(r, err)
-		}
-		adj = core.AdjustResult{}
+		return opErr(r, err)
 	}
-	r.TransformRounds = adj.TransformRounds
-	r.DirectLevel = adj.DirectLevel
-	r.Alpha = adj.Alpha
 	return nil
 }
 

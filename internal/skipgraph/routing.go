@@ -45,7 +45,10 @@ func (r RouteResult) Hops() int {
 // onto a dead intermediate, returns a DeadRouteError naming the peer (the
 // failure detector). Key comparisons against a dead neighbour are free —
 // neighbour tables cache keys — so only an actual hop detects.
-func (g *Graph) Route(src, dst *Node) (RouteResult, error) {
+func (g *Graph) Route(src, dst *Node) (RouteResult, error) { return g.route(nil, src, dst) }
+
+// route is Route appending the path to buf[:0].
+func (g *Graph) route(buf []*Node, src, dst *Node) (RouteResult, error) {
 	if src == nil || dst == nil {
 		return RouteResult{}, fmt.Errorf("skipgraph: route endpoints must be non-nil")
 	}
@@ -55,7 +58,7 @@ func (g *Graph) Route(src, dst *Node) (RouteResult, error) {
 	if dst.dead {
 		return RouteResult{}, &DeadRouteError{Node: dst}
 	}
-	res := RouteResult{Path: []*Node{src}}
+	res := RouteResult{Path: append(buf[:0], src)}
 	if src == dst {
 		return res, nil
 	}
@@ -97,7 +100,11 @@ func (g *Graph) Route(src, dst *Node) (RouteResult, error) {
 }
 
 // RouteKeys routes between the nodes with the given keys.
-func (g *Graph) RouteKeys(src, dst Key) (RouteResult, error) {
+func (g *Graph) RouteKeys(src, dst Key) (RouteResult, error) { return g.RouteKeysInto(nil, src, dst) }
+
+// RouteKeysInto is RouteKeys reusing buf's storage for the path: the
+// result's Path is appended to buf[:0], so it may share buf's array.
+func (g *Graph) RouteKeysInto(buf []*Node, src, dst Key) (RouteResult, error) {
 	s, d := g.byKey[src], g.byKey[dst]
 	if s == nil {
 		return RouteResult{}, fmt.Errorf("%w: source %v", ErrUnknownKey, src)
@@ -105,7 +112,7 @@ func (g *Graph) RouteKeys(src, dst Key) (RouteResult, error) {
 	if d == nil {
 		return RouteResult{}, fmt.Errorf("%w: destination %v", ErrUnknownKey, dst)
 	}
-	return g.Route(s, d)
+	return g.route(buf, s, d)
 }
 
 // DirectlyLinked reports whether u and v share a linked list of size exactly

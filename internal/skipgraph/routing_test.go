@@ -2,6 +2,7 @@ package skipgraph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -9,12 +10,19 @@ import (
 func TestRouteAllPairs(t *testing.T) {
 	g := NewRandom(48, 9)
 	nodes := g.Nodes()
+	var buf []*Node
 	for _, src := range nodes {
 		for _, dst := range nodes {
 			r, err := g.Route(src, dst)
 			if err != nil {
 				t.Fatalf("route %v→%v: %v", src.Key(), dst.Key(), err)
 			}
+			// RouteKeysInto walks the same path into the reused buffer.
+			into, err := g.RouteKeysInto(buf, src.Key(), dst.Key())
+			if err != nil || !slices.Equal(into.Path, r.Path) {
+				t.Fatalf("route %v→%v into a buffer: %v, %v; want %v", src.Key(), dst.Key(), into.Path, err, r.Path)
+			}
+			buf = into.Path
 			if r.Path[0] != src || r.Path[len(r.Path)-1] != dst {
 				t.Fatalf("route %v→%v: path endpoints wrong", src.Key(), dst.Key())
 			}
@@ -31,6 +39,24 @@ func TestRouteAllPairs(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRouteKeysIntoReusesBuffer: once the buffer has grown to the longest
+// path, routing into it allocates nothing.
+func TestRouteKeysIntoReusesBuffer(t *testing.T) {
+	g := NewRandom(64, 3)
+	nodes := g.Nodes()
+	buf := make([]*Node, 0, len(nodes))
+	src, dst := nodes[0].Key(), nodes[len(nodes)-1].Key()
+	if allocs := testing.AllocsPerRun(20, func() {
+		r, err := g.RouteKeysInto(buf, src, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf = r.Path
+	}); allocs != 0 {
+		t.Errorf("a route into a grown buffer made %.1f allocations, want 0", allocs)
 	}
 }
 

@@ -21,12 +21,6 @@ func (g *Graph) TreeView() *Tree {
 	return buildTree(g.Nodes(), 0, "")
 }
 
-// SubTreeView builds the tree rooted at the level-`level` list containing n.
-func (g *Graph) SubTreeView(n *Node, level int) *Tree {
-	list := g.ListAt(n, level)
-	return buildTree(list, level, prefixString(n, level))
-}
-
 func buildTree(nodes []*Node, level int, prefix string) *Tree {
 	t := &Tree{Prefix: prefix, Level: level, Nodes: nodes}
 	if len(nodes) < 2 {

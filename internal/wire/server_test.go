@@ -866,14 +866,16 @@ func TestFloodDoesNotStarve(t *testing.T) {
 	}
 }
 
-// TestDeadIntermediateIsAnsweredOnce: a route that meets a crashed
-// intermediate node has been served — counted and adjusted — by the time it
-// answers dead_node, so the answer is final. The client sends it once, and
-// the daemon counts one request and that op's ρ.
-func TestDeadIntermediateIsAnsweredOnce(t *testing.T) {
+// TestDeadIntermediateIsRepairedAndServed: a route that meets a crashed
+// intermediate node is served. The daemon repairs the corpse at contact and
+// routes again, so it answers OK with the distance the in-process twin
+// measures, counts one request and that op's ρ, and serves an identical
+// second route as well.
+func TestDeadIntermediateIsRepairedAndServed(t *testing.T) {
 	const n, seed, src, dst = 64, 31, 0, 63
-	// In-process twins find a crash on the route that the route pays ρ for.
-	corpse, rho := -1, int64(0)
+	// In-process twins find a crash on the route: the one the route
+	// contacts is repaired away — unknown afterwards, no longer dead.
+	corpse, dist, rho := -1, 0, int64(0)
 	for x := src + 1; x < dst && corpse < 0; x++ {
 		twin, err := lsasg.New(n, lsasg.WithSeed(seed))
 		if err != nil {
@@ -883,14 +885,16 @@ func TestDeadIntermediateIsAnsweredOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := twin.Stats()
-		if _, err := twin.Do(lsasg.RouteOp(src, dst)); errors.Is(err, lsasg.ErrDeadNode) {
-			if d := twin.Stats().TotalTransformRounds - before.TotalTransformRounds; d > 0 {
-				corpse, rho = x, d
-			}
+		r, err := twin.Do(lsasg.RouteOp(src, dst))
+		if err != nil {
+			t.Fatalf("in-process route %d→%d with %d crashed: %v", src, dst, x, err)
+		}
+		if _, err := twin.Distance(src, x); errors.Is(err, lsasg.ErrUnknownKey) {
+			corpse, dist, rho = x, r.RouteDistance, twin.Stats().TotalTransformRounds-before.TotalTransformRounds
 		}
 	}
 	if corpse < 0 {
-		t.Fatalf("no crashed intermediate on the route %d→%d costs it a transformation", src, dst)
+		t.Fatalf("no crashed intermediate is on the route %d→%d", src, dst)
 	}
 
 	nw, err := lsasg.New(n, lsasg.WithSeed(seed))
@@ -905,8 +909,9 @@ func TestDeadIntermediateIsAnsweredOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Route(src, dst); !errors.Is(err, lsasg.ErrDeadNode) {
-		t.Fatalf("route %d→%d across crashed %d returned %v, want ErrDeadNode", src, dst, corpse, err)
+	resp, err := cl.Route(src, dst)
+	if err != nil || resp.Code != CodeOK || resp.Distance != int64(dist) {
+		t.Fatalf("route %d→%d across crashed %d = %+v, %v; want OK at the twin's distance %d", src, dst, corpse, resp, err, dist)
 	}
 	after, err := cl.Stats()
 	if err != nil {
@@ -917,5 +922,8 @@ func TestDeadIntermediateIsAnsweredOnce(t *testing.T) {
 	}
 	if d := after.Cum.TotalTransformRounds - before.Cum.TotalTransformRounds; d != rho {
 		t.Errorf("one route call cost %d transform rounds, want the op's ρ = %d", d, rho)
+	}
+	if _, err := cl.Route(src, dst); err != nil {
+		t.Errorf("the second route %d→%d: %v", src, dst, err)
 	}
 }

@@ -164,7 +164,8 @@ func (op Op) Validate(n int) error {
 // ServeOps runs, so it decomposes, routes, adjusts and is counted exactly
 // like a streamed op — and returns its outcome. A route whose endpoint was deleted,
 // removed or has crashed is counted as the miss it is in ServeOps and comes
-// back as ErrUnknownKey or ErrDeadNode (in OpResult.Err too). On a sharded
+// back as ErrUnknownKey or ErrDeadNode (in OpResult.Err too); a crashed node
+// the route only passes is repaired on contact and the op is served. On a sharded
 // network every op feeds the load window, and the rebalancer may migrate one
 // key range once WithRebalanceWindow ops have been counted into it; if that
 // migration fails the op has still been served, and Do returns its result

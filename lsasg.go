@@ -404,9 +404,10 @@ func (nw *Network) RemoveNode(idx int) error {
 
 // Crash injects a crash failure: the node fails in place on whichever shard
 // the current directory assigns it, with dangling neighbour references,
-// exactly as if its process died. Requests that run into the corpse report
-// ErrDeadNode until a repair splices it out; the data plane repairs crashed
-// keys on Put and Delete. Like every other method, Crash must not run
+// exactly as if its process died. A request whose route contacts the corpse
+// on the way repairs it there and is served; a request addressed to the
+// crashed index reports ErrDeadNode until a repair splices it out, which a
+// Put or Delete of the key also does. Like every other method, Crash must not run
 // concurrently with a ServeOps call.
 func (nw *Network) Crash(idx int) error {
 	if err := nw.checkIndex(idx); err != nil {

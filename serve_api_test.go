@@ -11,6 +11,7 @@ import (
 
 	"lsasg/internal/core"
 	"lsasg/internal/shard"
+	"lsasg/internal/skipgraph"
 	"lsasg/internal/workload"
 )
 
@@ -289,6 +290,109 @@ func TestUnshardedMatchesEngine(t *testing.T) {
 			}
 		})
 	}
+
+	// A crash on the route: every entry point serves a route across a
+	// crashed intermediate with the one step — the corpse repaired at
+	// contact, the route measured across where it was — so core.DSG.Serve,
+	// shard.Service.Apply at S = 1 and Network.Do report the same distance,
+	// ρ and crash books, and leave the same topology: a follow-up stream
+	// serves identically on all three.
+	t.Run("crash on path", func(t *testing.T) {
+		const n, src, dst = 256, 0, 255
+		cfg := core.Config{A: 4, Seed: 1}
+		rt, err := core.New(n, cfg).Graph().RouteKeys(skipgraph.KeyOf(src), skipgraph.KeyOf(dst))
+		if err != nil || len(rt.Path) < 3 {
+			t.Fatalf("route %d→%d = %d nodes, %v; want an intermediate", src, dst, len(rt.Path), err)
+		}
+		corpse := rt.Path[1].ID()
+		books := func(crashes, detections, repairs int) [3]int { return [3]int{crashes, detections, repairs} }
+		var follow []Op
+		for _, op := range serveRoutes(n, 200, 5) {
+			if int64(op.Src) != corpse && int64(op.Dst) != corpse {
+				follow = append(follow, op)
+			}
+		}
+
+		d := core.New(n, cfg)
+		if err := d.Crash(corpse); err != nil {
+			t.Fatal(err)
+		}
+		res, err := d.Serve(src, dst)
+		if err != nil {
+			t.Fatalf("core.DSG.Serve across crashed %d: %v", corpse, err)
+		}
+		coreCrashes := books(d.CrashStats())
+		var coreRho int64
+		for _, op := range follow {
+			r, err := d.Serve(int64(op.Src), int64(op.Dst))
+			if err != nil {
+				t.Fatal(err)
+			}
+			coreRho += int64(r.TransformRounds)
+		}
+		var coreTopo bytes.Buffer
+		coreTopo.WriteString(d.Graph().TreeView().RenderLevels(nil, nil))
+
+		svc := shard.NewOver(core.New(n, cfg), shard.Config{})
+		if err := svc.Crash(corpse); err != nil {
+			t.Fatal(err)
+		}
+		o, err := svc.Apply(core.RouteOp(src, dst))
+		if err != nil {
+			t.Fatalf("shard.Service.Apply across crashed %d: %v", corpse, err)
+		}
+		svcCrashes := books(svc.CrashStats())
+		before := svc.Totals().TransformRounds
+		for _, op := range follow {
+			if _, err := svc.Apply(op.internal()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		svcRho := svc.Totals().TransformRounds - before
+		var svcTopo bytes.Buffer
+		svc.RenderTopology(&svcTopo)
+
+		nw, err := New(n, WithSeed(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := nw.Crash(int(corpse)); err != nil {
+			t.Fatal(err)
+		}
+		r, err := nw.Do(RouteOp(src, dst))
+		if err != nil {
+			t.Fatalf("Network.Do across crashed %d: %v", corpse, err)
+		}
+		nwRho := nw.Stats().TotalTransformRounds
+		nwCrashes := books(nw.svc.CrashStats())
+		if _, err := nw.Distance(src, int(corpse)); !errors.Is(err, ErrUnknownKey) {
+			t.Errorf("Network after the route: key %d is %v, want repaired away (ErrUnknownKey)", corpse, err)
+		}
+		before = nw.Stats().TotalTransformRounds
+		serveAll(t, nw, follow)
+		nwFollowRho := nw.Stats().TotalTransformRounds - before
+		var nwTopo bytes.Buffer
+		nw.RenderTopology(&nwTopo)
+
+		if coreCrashes != [3]int{1, 1, 1} {
+			t.Errorf("core crash books %v, want one crash, detection and repair", coreCrashes)
+		}
+		if res.RouteDistance != o.RouteDistance || res.RouteDistance != r.RouteDistance || res.RouteHops == 0 {
+			t.Errorf("distance across the corpse: Serve %d, Apply %d, Do %d", res.RouteDistance, o.RouteDistance, r.RouteDistance)
+		}
+		if int64(res.TransformRounds) != int64(o.TransformRounds) || int64(res.TransformRounds) != nwRho {
+			t.Errorf("ρ of the route: Serve %d, Apply %d, Do %d", res.TransformRounds, o.TransformRounds, nwRho)
+		}
+		if svcCrashes != coreCrashes || nwCrashes != coreCrashes {
+			t.Errorf("crash books: Serve %v, Apply %v, Do %v", coreCrashes, svcCrashes, nwCrashes)
+		}
+		if coreRho != svcRho || coreRho != nwFollowRho {
+			t.Errorf("follow-up ρ: Serve %d, Apply %d, ServeOps %d", coreRho, svcRho, nwFollowRho)
+		}
+		if coreTopo.String() != svcTopo.String() || coreTopo.String() != nwTopo.String() {
+			t.Error("the three entry points left different topologies")
+		}
+	})
 }
 
 // TestStatsSameThroughEitherPath: a synchronous Get/Put/Delete/Scan/Request

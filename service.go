@@ -33,7 +33,8 @@ type Service interface {
 	// driver behind ServeOps — and returns its outcome; a partitioned service
 	// answers once the op is routed and adjusts behind the answer. A route
 	// whose endpoint is gone or dead is counted and returns ErrUnknownKey or
-	// ErrDeadNode.
+	// ErrDeadNode; a dead node it only passes is repaired and the route is
+	// served.
 	Do(op Op) (OpResult, error)
 	// Get reads key's value as an access from src, adapting the topology
 	// like a communication request.
@@ -49,7 +50,8 @@ type Service interface {
 
 	// AddNode joins a new node at index N (it requires
 	// WithoutWorkingSetTracking); RemoveNode makes a node leave; Crash fails
-	// one in place until a Put or Delete of its key repairs it.
+	// one in place until a route passing it, or a Put or Delete of its key,
+	// repairs it.
 	AddNode() (int, error)
 	RemoveNode(idx int) error
 	Crash(idx int) error

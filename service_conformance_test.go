@@ -248,6 +248,47 @@ func TestServiceConformanceCrash(t *testing.T) {
 	}
 }
 
+// TestServiceConformanceCrashOnPath: a route between live keys is served
+// whatever crashed node lies on its path, at every shard count — the step
+// repairs a crashed intermediate its route contacts (the crashed key is then
+// unknown, not dead) and routes again; no leg ever starts or ends at a
+// crashed key, so no route is a miss. Each key in turn is crashed on a fresh
+// service before one route from key 0 to the last key.
+func TestServiceConformanceCrashOnPath(t *testing.T) {
+	const n = 32
+	for _, tc := range conformanceShards {
+		t.Run(tc.name, func(t *testing.T) {
+			repaired := 0
+			for x := 1; x < n-1; x++ {
+				svc, err := conformanceService(n, tc.shards, WithRebalanceWindow(1000))
+				if err != nil {
+					t.Fatal(err)
+				}
+				nw := svc.(*Network)
+				if err := nw.Crash(x); err != nil {
+					t.Fatal(err)
+				}
+				r, err := nw.Do(RouteOp(0, n-1))
+				if err != nil || r.Err != nil {
+					t.Fatalf("route 0→%d with %d crashed = %+v, %v; want it served", n-1, x, r, err)
+				}
+				switch _, err := nw.Distance(0, x); {
+				case errors.Is(err, ErrUnknownKey):
+					repaired++
+				case !errors.Is(err, ErrDeadNode):
+					t.Fatalf("crashed key %d after the route: %v", x, err)
+				}
+				if err := nw.Verify(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if repaired == 0 {
+				t.Errorf("no crashed key was on the route 0→%d", n-1)
+			}
+		})
+	}
+}
+
 // TestServiceConformanceMembership: AddNode and RemoveNode are directory
 // operations of the one service — the key space grows by one key in the
 // last shard, a removed key leaves the shard that owns it — with the same
