@@ -8,8 +8,10 @@
 // soon as it is served; -window is the rebalancer's load window only — 0, the
 // default, keeps the library's (512 ops), and the daemon logs the window in
 // effect at start-up — and a replayed trace (dsgctl replay) keeps the
-// deterministic-stats contract at any setting. SIGINT and SIGTERM drain
-// gracefully: in-flight requests are answered, then the process exits.
+// deterministic-stats contract at any setting. Every daemon serves the
+// membership admin verbs (dsgctl addnode / removenode) beside its
+// working-set bookkeeping. SIGINT and SIGTERM drain gracefully: in-flight
+// requests are answered, then the process exits.
 //
 // Usage:
 //
@@ -44,7 +46,7 @@ import (
 type serviceFlags struct {
 	shards, balance, window int
 	seed                    int64
-	membership, trace       bool
+	trace                   bool
 }
 
 func registerServiceFlags(fs *flag.FlagSet) *serviceFlags {
@@ -53,7 +55,6 @@ func registerServiceFlags(fs *flag.FlagSet) *serviceFlags {
 	fs.IntVar(&f.balance, "balance", 0, "a-balance parameter; 0 keeps the default")
 	fs.Int64Var(&f.seed, "seed", 1, "seed for the deterministic stream")
 	fs.IntVar(&f.window, "window", 0, "requests per load window: the rebalancer runs at its end; 0 keeps the default, logged at start-up")
-	fs.BoolVar(&f.membership, "membership", false, "enable AddNode/RemoveNode admin (disables working-set tracking)")
 	fs.BoolVar(&f.trace, "trace", true, "record op spans and latency histograms (TraceDump, dsgctl trace)")
 	return f
 }
@@ -67,9 +68,6 @@ func (f *serviceFlags) options() []lsasg.Option {
 	}
 	if f.window > 0 {
 		opts = append(opts, lsasg.WithRebalanceWindow(f.window))
-	}
-	if f.membership {
-		opts = append(opts, lsasg.WithoutWorkingSetTracking())
 	}
 	if f.trace {
 		opts = append(opts, lsasg.WithTracing())

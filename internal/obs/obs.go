@@ -187,16 +187,17 @@ const DefaultRingSize = 64
 // spanRing retains the slowest-N spans seen so far: a min-heap on
 // TotalNanos under a mutex, gated by an atomic admission threshold so that
 // once the ring is full, faster-than-everything ops skip the lock (and the
-// span allocation — see Tracer.WouldRecord) entirely.
+// span allocation — see Tracer.WouldRecord) entirely. The fast paths read
+// only min: the heap is read and written under mu alone.
 type spanRing struct {
-	min  atomic.Int64 // admission threshold once full; 0 admits everything
+	min  atomic.Int64 // admission threshold once full; 0 admits everything to the lock
 	mu   sync.Mutex
 	cap  int
 	heap []Span // min-heap on TotalNanos
 }
 
 func (r *spanRing) record(s Span) {
-	if len(r.heap) == r.cap && s.TotalNanos <= r.min.Load() {
+	if m := r.min.Load(); m > 0 && s.TotalNanos <= m {
 		return
 	}
 	r.mu.Lock()
@@ -388,7 +389,8 @@ func (t *Tracer) WouldRecord(totalNanos int64) bool {
 	if t == nil {
 		return false
 	}
-	return len(t.ring.heap) < t.ring.cap || totalNanos > t.ring.min.Load()
+	m := t.ring.min.Load()
+	return m == 0 || totalNanos > m
 }
 
 // RecordSpan offers one span to the slowest-span ring.

@@ -21,7 +21,6 @@ type Client struct {
 	pool chan *clientConn
 	seq  atomic.Uint64
 
-	maxAttempts int
 	timeout     time.Duration
 	dialTimeout time.Duration
 }
@@ -31,6 +30,9 @@ type clientConn struct {
 	br *bufio.Reader
 	bw *bufio.Writer
 }
+
+// maxAttempts caps Do's tries per request, first included.
+const maxAttempts = 4
 
 // ClientOption configures a Client.
 type ClientOption func(*Client)
@@ -49,15 +51,6 @@ func WithTimeout(d time.Duration) ClientOption {
 	return func(c *Client) { c.timeout = d }
 }
 
-// WithMaxAttempts caps Do's tries per request, first included (default 4).
-func WithMaxAttempts(n int) ClientOption {
-	return func(c *Client) {
-		if n > 0 {
-			c.maxAttempts = n
-		}
-	}
-}
-
 // WithDialTimeout bounds connection establishment (default 5s).
 func WithDialTimeout(d time.Duration) ClientOption {
 	return func(c *Client) { c.dialTimeout = d }
@@ -68,7 +61,6 @@ func DialClient(addr string, opts ...ClientOption) (*Client, error) {
 	c := &Client{
 		addr:        addr,
 		pool:        make(chan *clientConn, 4),
-		maxAttempts: 4,
 		timeout:     30 * time.Second,
 		dialTimeout: 5 * time.Second,
 	}
@@ -162,7 +154,7 @@ func (c *Client) roundTrip(req Request) (Response, error) {
 func (c *Client) Do(req Request) (Response, error) {
 	req.Seq = c.seq.Add(1)
 	var last error
-	for attempt := 0; attempt < c.maxAttempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
 			d := time.Millisecond << (attempt - 1)
 			if d > 50*time.Millisecond {
@@ -181,7 +173,7 @@ func (c *Client) Do(req Request) (Response, error) {
 		}
 		return resp, resp.Err()
 	}
-	return Response{}, fmt.Errorf("wire: request failed after %d attempts: %w", c.maxAttempts, last)
+	return Response{}, fmt.Errorf("wire: request failed after %d attempts: %w", maxAttempts, last)
 }
 
 // RequestFor converts a public op envelope into its wire request (Seq

@@ -123,8 +123,7 @@ func TestLoopbackKVSurface(t *testing.T) {
 }
 
 func TestLoopbackMembershipAdmin(t *testing.T) {
-	nw, err := lsasg.New(16, lsasg.WithSeed(5),
-		lsasg.WithoutWorkingSetTracking())
+	nw, err := lsasg.New(16, lsasg.WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +147,7 @@ func TestLoopbackMembershipAdmin(t *testing.T) {
 	// A sharded daemon serves the same verbs: the join lands in the last
 	// shard and widens the directory, the leave finds the owning shard.
 	snw, err := lsasg.NewSharded(32, lsasg.WithShards(4), lsasg.WithSeed(5),
-		lsasg.WithRebalanceWindow(1), lsasg.WithoutWorkingSetTracking())
+		lsasg.WithRebalanceWindow(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,6 +71,19 @@ func NewTracker(n int) *Tracker {
 	}
 }
 
+// Grow adds one node to the system, with index N() before the call. It has
+// communicated with no one, so every pair it is part of gets T = the new N()
+// until it communicates.
+func (t *Tracker) Grow() {
+	if t.n == math.MaxInt32 {
+		panic(fmt.Sprintf("workingset: %d nodes exceed the contact log's 32-bit ids", t.n+1))
+	}
+	t.n++
+	t.logs = append(t.logs, nil)
+	t.peers = append(t.peers, 0)
+	t.mark = append(t.mark, 0)
+}
+
 // pairKey packs an unordered node pair into one map key.
 func pairKey(u, v int) uint64 {
 	if u > v {

@@ -426,3 +426,40 @@ func TestWorkingSetAddAllocs(t *testing.T) {
 		t.Fatalf("%.2f allocs per Add in steady state, want 0", avg)
 	}
 }
+
+// TestGrowAgainstReference grows the tracker between records and holds it to
+// the reference grown at the same points: every Record and interleaved query
+// agrees, and each new node's first pair answers the N() it joined into.
+func TestGrowAgainstReference(t *testing.T) {
+	for seed := int64(0); seed < 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(10)
+		tr, ref := NewTracker(n), newRefTracker(n)
+		grown := 0
+		for i := 0; i < 600; i++ {
+			if rng.Intn(40) == 0 {
+				tr.Grow()
+				ref.n++
+				grown++
+				x := rng.Intn(tr.N() - 1)
+				if got := tr.WorkingSetNumber(tr.N()-1, x); got != tr.N() || got != ref.WorkingSetNumber(tr.N()-1, x) {
+					t.Fatalf("seed %d: T(new %d, %d) = %d, want N() = %d", seed, tr.N()-1, x, got, tr.N())
+				}
+			}
+			u, v := rng.Intn(tr.N()), rng.Intn(tr.N())
+			if rng.Intn(3) == 0 {
+				qu, qv := rng.Intn(tr.N()), rng.Intn(tr.N())
+				if got, want := tr.WorkingSetNumber(qu, qv), ref.WorkingSetNumber(qu, qv); got != want {
+					t.Fatalf("seed %d step %d: WorkingSetNumber(%d, %d) = %d, reference %d", seed, i, qu, qv, got, want)
+				}
+			}
+			if got, want := tr.Record(u, v), ref.Record(u, v); got != want {
+				t.Fatalf("seed %d step %d: Record(%d, %d) = %d, reference %d", seed, i, u, v, got, want)
+			}
+		}
+		if grown == 0 {
+			t.Fatalf("seed %d: the tracker never grew", seed)
+		}
+		checkLogs(t, tr)
+	}
+}

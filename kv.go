@@ -231,7 +231,7 @@ func (nw *Network) Scan(src, start, limit int) ([]KV, error) {
 // the bound tracker has no use for.
 func (nw *Network) noteKVAccess(o shard.Outcome) {
 	nw.lastWS = 0
-	if nw.ws != nil && o.Op.Src != o.Op.Dst {
+	if o.Op.Src != o.Op.Dst {
 		nw.lastWS = nw.ws.Add(int(o.Op.Src), int(o.Op.Dst))
 	}
 	if nw.onResult != nil {

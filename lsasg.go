@@ -37,7 +37,6 @@ type options struct {
 	seed            int64
 	checkInvariants bool
 	exactMedian     bool
-	trackWorkingSet bool
 	shards          int
 	rebalanceWindow int
 	trace           bool
@@ -66,12 +65,6 @@ func WithInvariantChecks() Option {
 // approximation effects in experiments.
 func WithExactMedian() Option {
 	return func(o *options) { o.exactMedian = true }
-}
-
-// WithoutWorkingSetTracking disables the built-in working-set bookkeeping
-// (which costs O(edges) memory and BFS time per request).
-func WithoutWorkingSetTracking() Option {
-	return func(o *options) { o.trackWorkingSet = false }
 }
 
 // WithParallelism and WithBatchSize do nothing: owed to the frozen harness,
@@ -124,8 +117,8 @@ type Result struct {
 	ServiceCost int
 	// DirectLevel is the level of the new size-2 list holding the pair.
 	DirectLevel int
-	// WorkingSetNumber is T_t(u, v) at request time (0 when tracking is
-	// disabled): n for first-time pairs, small for recent communication.
+	// WorkingSetNumber is T_t(u, v) at request time: n for first-time
+	// pairs, small for recent communication.
 	WorkingSetNumber int
 	// Alpha is the highest level at which the pair shared a list before
 	// the transformation.
@@ -179,7 +172,7 @@ func New(n int, opts ...Option) (*Network, error) { return newNetwork(n, 1, opts
 func NewSharded(n int, opts ...Option) (*Network, error) { return newNetwork(n, 4, opts) }
 
 func newNetwork(n, shards int, opts []Option) (*Network, error) {
-	o := options{balance: 4, seed: 1, trackWorkingSet: true, shards: shards}
+	o := options{balance: 4, seed: 1, shards: shards}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -206,10 +199,7 @@ func newNetwork(n, shards int, opts []Option) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	nw.svc = svc
-	if o.trackWorkingSet {
-		nw.ws = workingset.NewBound(n)
-	}
+	nw.svc, nw.ws = svc, workingset.NewBound(n)
 	return nw, nil
 }
 
@@ -307,8 +297,7 @@ type Stats struct {
 	MaxRouteDistance     int
 	TotalTransformRounds int64
 	// WorkingSetBound is WS(σ) = Σ log2 T_i, the paper's lower bound on
-	// any conforming algorithm's total routing cost (0 when tracking is
-	// disabled).
+	// any conforming algorithm's total routing cost.
 	WorkingSetBound float64
 	Height          int
 	DummyCount      int
@@ -333,12 +322,10 @@ func (nw *Network) Stats() Stats {
 		DummyCount:           nw.svc.DummyCount(),
 		Rebalances:           t.Rebalances,
 		MigratedKeys:         t.MovedKeys,
+		WorkingSetBound:      nw.ws.Total(),
 	}
 	if t.Requests > 0 {
 		s.MeanRouteDistance = float64(t.RouteDistance) / float64(t.Requests)
-	}
-	if nw.ws != nil {
-		s.WorkingSetBound = nw.ws.Total()
 	}
 	return s
 }
@@ -364,11 +351,8 @@ func (nw *Network) Gauges() Gauges {
 }
 
 // WorkingSetNumber returns T_t(u, v) for the next request between u and v
-// (n for first-time pairs). It returns 0 when tracking is disabled.
+// (n for first-time pairs, N() as of the call).
 func (nw *Network) WorkingSetNumber(u, v int) int {
-	if nw.ws == nil {
-		return 0
-	}
 	return nw.ws.Tracker().WorkingSetNumber(u, v)
 }
 
@@ -379,23 +363,21 @@ func (nw *Network) Verify() error { return wrapErr(nw.svc.Verify()) }
 
 // AddNode joins a new node and returns its index (standard skip-graph
 // join; §IV-G): the key space grows by one and the node joins the last
-// shard. Note that working-set tracking is sized at construction, so
-// networks that grow should disable it.
+// shard. The working-set bookkeeping grows with it: the new node has
+// communicated with no one, so its pairs start at T = N().
 func (nw *Network) AddNode() (int, error) {
-	if nw.ws != nil {
-		return 0, fmt.Errorf("lsasg: AddNode requires WithoutWorkingSetTracking")
-	}
 	id, err := nw.svc.AddNode()
-	return int(id), wrapErr(err)
+	if err != nil {
+		return 0, wrapErr(err)
+	}
+	nw.ws.Tracker().Grow()
+	return int(id), nil
 }
 
 // RemoveNode removes a node from the shard that owns it (standard
 // skip-graph leave; §IV-G). The index becomes unroutable; other indices are
 // unaffected.
 func (nw *Network) RemoveNode(idx int) error {
-	if nw.ws != nil {
-		return fmt.Errorf("lsasg: RemoveNode requires WithoutWorkingSetTracking")
-	}
 	if err := nw.checkIndex(idx); err != nil {
 		return err
 	}

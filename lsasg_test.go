@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"lsasg/internal/shard"
+	"lsasg/internal/workingset"
 )
 
 func TestNetworkBasics(t *testing.T) {
@@ -135,27 +136,62 @@ func TestExactMedianOption(t *testing.T) {
 	}
 }
 
-func TestAddRemoveRequiresNoTracking(t *testing.T) {
-	nw, _ := New(8, WithSeed(6))
-	if _, err := nw.AddNode(); err == nil {
-		t.Error("AddNode with tracking should fail")
-	}
-	nw2, _ := New(8, WithSeed(6), WithoutWorkingSetTracking())
-	idx, err := nw2.AddNode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idx != 8 {
-		t.Fatalf("new index = %d, want 8", idx)
-	}
-	if _, err := nw2.Request(0, idx); err != nil {
-		t.Fatal(err)
-	}
-	if err := nw2.RemoveNode(idx); err != nil {
-		t.Fatal(err)
-	}
-	if nw2.WorkingSetNumber(0, 1) != 0 {
-		t.Error("working-set number should be 0 when tracking disabled")
+// TestAddRemoveGrowsWorkingSet: membership runs beside the working-set
+// bookkeeping at every shard count. AddNode returns the old N(), a first-time
+// pair with the new node has T = the new N(), the new key serves a put and a
+// route, and WS(σ) keeps counting across the join and a leave — equal to an
+// independent workingset.Bound fed the same accesses and grown at the same
+// point.
+func TestAddRemoveGrowsWorkingSet(t *testing.T) {
+	const n = 16
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("s=%d", shards), func(t *testing.T) {
+			nw, err := New(n, WithSeed(6), WithShards(shards))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := workingset.NewBound(n)
+			route := func(src, dst int) {
+				t.Helper()
+				res, err := nw.Request(src, dst)
+				if err != nil {
+					t.Fatalf("request %d→%d: %v", src, dst, err)
+				}
+				if want := ref.Add(src, dst); res.WorkingSetNumber != want {
+					t.Fatalf("request %d→%d: T = %d, reference %d", src, dst, res.WorkingSetNumber, want)
+				}
+			}
+			route(0, 5)
+			route(5, 9)
+			route(0, 5)
+
+			idx, err := nw.AddNode()
+			if err != nil || idx != n || nw.N() != n+1 {
+				t.Fatalf("AddNode = %d, %v with N() = %d; want %d, nil, %d", idx, err, nw.N(), n, n+1)
+			}
+			ref.Tracker().Grow()
+			if got := nw.WorkingSetNumber(idx, 3); got != n+1 {
+				t.Fatalf("T(new, 3) = %d, want the new N() = %d", got, n+1)
+			}
+			if _, _, err := nw.Put(0, idx, []byte("joined")); err != nil {
+				t.Fatalf("put to the joined node: %v", err)
+			}
+			ref.Add(0, idx)
+			route(idx, 9)
+			route(0, idx)
+
+			if err := nw.RemoveNode(5); err != nil {
+				t.Fatalf("RemoveNode(5): %v", err)
+			}
+			route(9, idx)
+			route(0, 9)
+			if got, want := nw.Stats().WorkingSetBound, ref.Total(); got != want {
+				t.Fatalf("WorkingSetBound = %v, reference %v", got, want)
+			}
+			if err := nw.Verify(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

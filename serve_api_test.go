@@ -161,11 +161,7 @@ func TestServeOpsEqualsDoLoop(t *testing.T) {
 			for _, window := range []int{1, 7, 0} {
 				t.Run(fmt.Sprintf("%s/s=%d/window=%d", trace.name, shards, window), func(t *testing.T) {
 					build := func() *Network {
-						opts := []Option{WithSeed(3), WithShards(shards), WithRebalanceWindow(window)}
-						if trace.churn {
-							opts = append(opts, WithoutWorkingSetTracking()) // RemoveNode needs it
-						}
-						nw, err := New(n, opts...)
+						nw, err := New(n, WithSeed(3), WithShards(shards), WithRebalanceWindow(window))
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -48,10 +48,9 @@ type Service interface {
 	// starting at the first key ≥ start, requested by origin src.
 	Scan(src, start, limit int) ([]KV, error)
 
-	// AddNode joins a new node at index N (it requires
-	// WithoutWorkingSetTracking); RemoveNode makes a node leave; Crash fails
-	// one in place until a route passing it, or a Put or Delete of its key,
-	// repairs it.
+	// AddNode joins a new node at index N; RemoveNode makes a node leave;
+	// Crash fails one in place until a route passing it, or a Put or Delete
+	// of its key, repairs it.
 	AddNode() (int, error)
 	RemoveNode(idx int) error
 	Crash(idx int) error

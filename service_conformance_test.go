@@ -297,14 +297,7 @@ func TestServiceConformanceMembership(t *testing.T) {
 	const n = 32
 	for _, tc := range conformanceShards {
 		t.Run(tc.name, func(t *testing.T) {
-			tracked, err := conformanceService(n, tc.shards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := tracked.AddNode(); err == nil {
-				t.Error("AddNode with working-set tracking must be refused")
-			}
-			svc, err := conformanceService(n, tc.shards, WithoutWorkingSetTracking())
+			svc, err := conformanceService(n, tc.shards)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -367,7 +360,7 @@ func TestServiceConformanceBoundary(t *testing.T) {
 	pairs := [][2]int{{2, 12}, {12, 2}, {1, 14}, {14, 1}, {5, 9}, {9, 5}}
 	for _, tc := range conformanceShards {
 		t.Run(tc.name, func(t *testing.T) {
-			svc, err := NewSharded(n, WithShards(tc.shards), WithSeed(21), WithoutWorkingSetTracking())
+			svc, err := NewSharded(n, WithShards(tc.shards), WithSeed(21))
 			if err != nil {
 				t.Fatal(err)
 			}
