@@ -428,7 +428,7 @@ func BenchmarkAdjustScaling(b *testing.B) {
 			d := core.New(n, core.Config{A: 4, Seed: 1})
 			reqs := workload.Zipf{Seed: 7, S: 1.2}.Generate(n, warmup+b.N)
 			for _, r := range reqs[:warmup] {
-				if _, err := d.Adjust(int64(r.Src), int64(r.Dst)); err != nil {
+				if _, err := d.AdjustAccess(core.RouteOp(int64(r.Src), int64(r.Dst))); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -436,7 +436,7 @@ func BenchmarkAdjustScaling(b *testing.B) {
 			rounds, lalpha := 0, 0
 			b.ResetTimer()
 			for _, r := range reqs[warmup:] {
-				res, err := d.Adjust(int64(r.Src), int64(r.Dst))
+				res, err := d.AdjustAccess(core.RouteOp(int64(r.Src), int64(r.Dst)))
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -23,11 +23,9 @@
 //
 // Experiments run in parallel (bounded by -par); each (experiment, repeat)
 // cell derives its own seed from -seed, so parallelism never changes the
-// results. The optional -bench flag writes an extra copy of the summary to
-// a fixed path (e.g. the repo root) for CI diffing, and -bench-append
-// extends a committed perf-trajectory file (a JSON array of summaries,
-// oldest first) so performance re-anchors read from data instead of commit
-// messages.
+// results. The optional -bench-append flag extends a committed
+// perf-trajectory file (a JSON array of summaries, oldest first) so
+// performance re-anchors read from data instead of commit messages.
 package main
 
 import (
@@ -46,7 +44,6 @@ func main() {
 		repeats = flag.Int("repeats", 1, "independent repetitions per experiment, aggregated as mean/sd")
 		only    = flag.String("only", "", "comma-separated experiment ids to run (e.g. E5,E8); empty = all")
 		par     = flag.Int("par", 0, "max experiments running concurrently (0 = GOMAXPROCS)")
-		bench   = flag.String("bench", "", "also write the BENCH_dsgexp.json summary to this path")
 		benchAp = flag.String("bench-append", "", "append the summary to the perf-trajectory file at this path (a JSON array, oldest first)")
 		list    = flag.Bool("list", false, "list registered experiments and exit")
 		format  = flag.String("format", "csv", "csv: result files into the -out directory; table: human-readable tables to stdout or the -out file")
@@ -120,17 +117,6 @@ func main() {
 	fmt.Printf("dsgexp: wrote %s in %.1fs\n",
 		filepath.Join(outDir, experiments.SummaryFileName), summary.TotalSeconds)
 
-	if *bench != "" {
-		src := filepath.Join(outDir, experiments.SummaryFileName)
-		data, err := os.ReadFile(src)
-		if err == nil {
-			err = os.WriteFile(*bench, data, 0o644)
-		}
-		if err != nil {
-			fail("copying summary to %s: %v", *bench, err)
-		}
-		fmt.Printf("dsgexp: summary also at %s\n", *bench)
-	}
 	if *benchAp != "" {
 		if err := experiments.AppendTrajectory(*benchAp, summary); err != nil {
 			fail("%v", err)

@@ -50,6 +50,8 @@ func wrapErr(err error) error {
 		return errors.Join(ErrUnknownKey, err)
 	case errors.Is(err, skipgraph.ErrDeadNode), errors.Is(err, core.ErrCrashedNode):
 		return errors.Join(ErrDeadNode, err)
+	case errors.Is(err, core.ErrOutOfRange):
+		return errors.Join(ErrOutOfRange, err)
 	case errors.Is(err, shard.ErrBarrier):
 		return errors.Join(ErrBarrier, err)
 	}

@@ -1,15 +1,9 @@
 package core
 
-import (
-	"errors"
-	"fmt"
+import "errors"
 
-	"lsasg/internal/skipgraph"
-)
-
-// ErrUnknownNode is wrapped by Adjust when an endpoint id is not in the
-// graph, and by Crash for an id it cannot find. The step reports an
-// unknown endpoint as the op's miss instead (see Access).
+// ErrUnknownNode is wrapped by Crash for an id it cannot find. The step
+// reports an unknown endpoint as the op's miss instead (see Access).
 var ErrUnknownNode = errors.New("core: unknown node id")
 
 // AdjustResult reports one applied transformation: the adaptation-side
@@ -38,27 +32,6 @@ type AdjustResult struct {
 	RepairRemoved  int
 }
 
-// pair resolves a request's endpoints: two distinct live real nodes, or the
-// reason there is no request to serve — ErrUnknownNode for an id not in the
-// graph, ErrCrashedNode for a dead endpoint (a transformation must not
-// resurrect a corpse into a group).
-func (d *DSG) pair(uid, vid int64) (u, v *skipgraph.Node, err error) {
-	u, v = d.NodeByID(uid), d.NodeByID(vid)
-	switch {
-	case u == nil:
-		err = fmt.Errorf("%w: %d", ErrUnknownNode, uid)
-	case v == nil:
-		err = fmt.Errorf("%w: %d", ErrUnknownNode, vid)
-	case u == v:
-		err = fmt.Errorf("core: self-communication for id %d", uid)
-	case u.Dead():
-		err = fmt.Errorf("%w: %d", ErrCrashedNode, uid)
-	case v.Dead():
-		err = fmt.Errorf("%w: %d", ErrCrashedNode, vid)
-	}
-	return u, v, err
-}
-
 // Serve handles one communication request between the real nodes with the
 // given identifiers with the step (ApplyOp): it routes u → v in the current
 // topology — repairing each crashed intermediate the route contacts, then
@@ -72,33 +45,6 @@ func (d *DSG) Serve(uid, vid int64) (OpResult, error) {
 		err = r.Miss
 	}
 	return r, err
-}
-
-// Adjust is the adaptation step of one request: it applies the DSG
-// transformation for the pair (u, v), then repairs a-balance over exactly
-// what the transformation dirtied, so the graph is a-balanced again when it
-// returns. Routing is the caller's: the step (Access, then AdjustAccess)
-// routes on this graph first and measures it.
-func (d *DSG) Adjust(uid, vid int64) (AdjustResult, error) {
-	u, v, err := d.pair(uid, vid)
-	if err != nil {
-		return AdjustResult{}, err
-	}
-	return d.adjust(u, v)
-}
-
-// adjust is Adjust on a resolved pair, and the only caller of transform.
-func (d *DSG) adjust(u, v *skipgraph.Node) (AdjustResult, error) {
-	d.clock++
-	res := d.transform(u, v, d.clock)
-	res.RepairInserted, res.RepairRemoved = d.repairPending()
-	res.HeightAfter = d.g.Height()
-	if d.cfg.CheckInvariants {
-		if err := d.checkInvariants(u, v); err != nil {
-			return res, fmt.Errorf("core: invariant violated after request %d: %w", d.clock, err)
-		}
-	}
-	return res, nil
 }
 
 // repairPending repairs a-balance over the dirty record the transformation

@@ -120,7 +120,7 @@ func (s TraceStats) MeanRecoveryEvents() float64 {
 // (timestamps, groups, bases) persists across membership changes — a join
 // or leave never resets the working-set structure the previous routes
 // built. The runner repairs nothing itself: every event leaves the graph
-// balanced — a route's Adjust repairs exactly what its transformation
+// balanced — a route's AdjustAccess repairs exactly what its transformation
 // dirtied, joins and leaves repair their own touched lists inside
 // Add/RemoveNode, and the constructor repaired the initial topology — so the
 // validator's guarantees hold from event zero.

@@ -19,9 +19,8 @@ import (
 // coordination, matching Interlaced's decentralized churn stabilization and
 // the Rainbow Skip Graph's local fault recovery.
 
-// ErrCrashedNode is wrapped by Adjust when an endpoint has crashed but not
-// yet been repaired, and by RemoveNode for a crashed id. The step reports a
-// dead endpoint as the op's miss instead (see Access).
+// ErrCrashedNode is wrapped by RemoveNode for a crashed id. The step reports
+// a dead endpoint as the op's miss instead (see Access).
 var ErrCrashedNode = errors.New("core: crashed node")
 
 // Crash marks the real node with the given id as crashed: it vanishes from

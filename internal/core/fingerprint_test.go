@@ -54,8 +54,8 @@ func (fp fingerprint) op(realVals []int, rest ...int) {
 // the full half (regenerate it on purpose) but must leave this one alone.
 //
 // The file's "serve" lines pinned Serve when it was an unrepaired twin of
-// Adjust; Serve is route + Adjust now, the "adjust" scenario pins it, and
-// those two lines are no longer read.
+// the adjustment; Serve is route + AdjustAccess now, the "adjust" scenario
+// pins it, and those two lines are no longer read.
 //
 // Regenerate (only for an intentional algorithm change) with: go test
 // ./internal/core -run TestAdjustFingerprint -fingerprint.update — and then
@@ -68,7 +68,7 @@ func TestAdjustFingerprint(t *testing.T) {
 		return func(t *testing.T, fp fingerprint) *DSG {
 			d := New(n, Config{A: 4, Seed: 1})
 			for _, r := range zipf.Generate(n, ops) {
-				res, err := d.Adjust(int64(r.Src), int64(r.Dst))
+				res, err := d.AdjustAccess(RouteOp(int64(r.Src), int64(r.Dst)))
 				if err != nil {
 					t.Fatal(err)
 				}

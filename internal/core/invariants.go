@@ -103,7 +103,7 @@ func (d *DSG) Validate() error {
 // repair iterates to a fixed point. This is the global repair the
 // constructors run once over the initial topology (random membership bits
 // carry no balance guarantee) and the oracle the scoped repairs are tested
-// against; every mutation after construction (Adjust, Add, RemoveNode, the
+// against; every mutation after construction (AdjustAccess, Add, RemoveNode, the
 // crash repair) uses RepairBalanceIn over the lists it actually touched. On
 // a balanced graph it changes nothing.
 func (d *DSG) RepairBalance() (inserted, removed int) {

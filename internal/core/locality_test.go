@@ -159,14 +159,15 @@ func unreportedRegionViolations(d *DSG, u *skipgraph.Node, alpha int) []skipgrap
 	return out
 }
 
-// transformBare is Adjust up to its scoped repair, for the tests of the
-// contract between the two halves: they inspect the graph and d.pending as
-// the transformation left them, then call d.repairPending() as Adjust does.
+// transformBare is AdjustAccess up to its scoped repair, for the tests of
+// the contract between the two halves: they inspect the graph and d.pending
+// as the transformation left them, then call d.repairPending() as
+// AdjustAccess does. The pair must be two distinct live real nodes.
 func transformBare(t *testing.T, d *DSG, uid, vid int64) AdjustResult {
 	t.Helper()
-	u, v, err := d.pair(uid, vid)
-	if err != nil {
-		t.Fatal(err)
+	u, v := d.NodeByID(uid), d.NodeByID(vid)
+	if u == nil || v == nil || u == v || u.Dead() || v.Dead() {
+		t.Fatalf("no request to transform for (%d, %d)", uid, vid)
 	}
 	d.clock++
 	return d.transform(u, v, d.clock)

@@ -75,6 +75,27 @@ type Op struct {
 // RouteOp builds the envelope of a plain communication request.
 func RouteOp(src, dst int64) Op { return Op{Kind: OpRoute, Src: src, Dst: dst} }
 
+// ErrOutOfRange is wrapped by Check for an endpoint outside the key space.
+var ErrOutOfRange = errors.New("core: key out of range")
+
+// Check validates the envelope against the key space [0, n): a known kind,
+// both endpoints in range (a scan's origin included), and two distinct keys
+// for a route.
+func (op Op) Check(n int64) error {
+	if op.Kind > OpScan {
+		return fmt.Errorf("core: unknown op kind %d", op.Kind)
+	}
+	for _, k := range [2]int64{op.Dst, op.Src} {
+		if k < 0 || k >= n {
+			return fmt.Errorf("%w: %d not in [0, %d)", ErrOutOfRange, k, n)
+		}
+	}
+	if op.Kind == OpRoute && op.Src == op.Dst {
+		return fmt.Errorf("core: source and destination are both %d", op.Src)
+	}
+	return nil
+}
+
 // OpResult reports one op served by the step: what its route half
 // measured and read (Access), then its transformation's measures
 // (AdjustAccess; zero when the op ran none).
@@ -194,16 +215,31 @@ func (d *DSG) route(src, dst int64) (distance, hops int, err error) {
 
 // AdjustAccess is the adjust half of the step: the access transformation
 // and its scoped repair for a route, a Get or a Put whose endpoints are two
-// distinct live real nodes; nothing otherwise — not for a Delete or a Scan,
-// and not for an access Access reported as a miss, whose endpoint is still
-// unknown or dead. Its only error is a failed invariant check under
+// distinct live real nodes, after which the graph is a-balanced again. It
+// does nothing otherwise — not for a Delete or a Scan, and not for an access
+// Access reported as a miss, whose endpoint is still unknown or dead: the
+// data outcome (miss, join, update) already happened, only the topology
+// adaptation is skipped, and a transformation must not resurrect a corpse
+// into a group. Its only error is a failed invariant check under
 // Config.CheckInvariants.
 func (d *DSG) AdjustAccess(op Op) (AdjustResult, error) {
-	switch op.Kind {
-	case OpRoute, OpGet, OpPut:
-		return d.adjustIfPossible(op.Src, op.Dst)
+	if op.Kind != OpRoute && op.Kind != OpGet && op.Kind != OpPut {
+		return AdjustResult{}, nil
 	}
-	return AdjustResult{}, nil
+	u, v := d.NodeByID(op.Src), d.NodeByID(op.Dst)
+	if u == nil || v == nil || u == v || u.Dead() || v.Dead() {
+		return AdjustResult{}, nil
+	}
+	d.clock++
+	res := d.transform(u, v, d.clock)
+	res.RepairInserted, res.RepairRemoved = d.repairPending()
+	res.HeightAfter = d.g.Height()
+	if d.cfg.CheckInvariants {
+		if err := d.checkInvariants(u, v); err != nil {
+			return res, fmt.Errorf("core: adjust access (%d,%d): invariant violated after request %d: %w", op.Src, op.Dst, d.clock, err)
+		}
+	}
+	return res, nil
 }
 
 // applyPut writes op.Value to op.Dst. An alive key updates in place; an
@@ -245,25 +281,6 @@ func (d *DSG) applyDelete(op Op) (existed bool, err error) {
 		return true, fmt.Errorf("core: delete %d: %w", op.Dst, err)
 	}
 	return true, nil
-}
-
-// adjustIfPossible runs the access transformation for (src, dst) when both
-// endpoints are alive real nodes and distinct, and returns the zero result
-// otherwise — the step's tolerant twin of Adjust. A missing endpoint is not
-// an error here: Access already reported it as the op's miss, and the data
-// outcome (miss, join, update) already happened; only the topology
-// adaptation is skipped. Only a scoped-repair invariant failure under
-// CheckInvariants returns an error.
-func (d *DSG) adjustIfPossible(src, dst int64) (AdjustResult, error) {
-	u, v := d.NodeByID(src), d.NodeByID(dst)
-	if u == nil || v == nil || u == v || u.Dead() || v.Dead() {
-		return AdjustResult{}, nil
-	}
-	r, err := d.adjust(u, v)
-	if err != nil {
-		return r, fmt.Errorf("core: adjust access (%d,%d): %w", src, dst, err)
-	}
-	return r, nil
 }
 
 // Restore re-creates one migrated key on this graph: a tracked join plus

@@ -24,7 +24,7 @@ func TestApplyOpRouteMatchesAdjust(t *testing.T) {
 		t.Errorf("route 0→5 reported height %d", res.HeightAfter)
 	}
 	if _, err := d.ApplyOp(RouteOp(3, 3)); err == nil {
-		t.Error("self-route must keep Adjust's error semantics")
+		t.Error("self-route must fail")
 	}
 	if _, err := d.ApplyOp(Op{Kind: OpKind(99)}); err == nil {
 		t.Error("unknown op kind must fail")
@@ -326,7 +326,7 @@ func TestAdjustReportsLAlpha(t *testing.T) {
 				dummies++
 			}
 		}
-		res, err := d.Adjust(int64(r.Src), int64(r.Dst))
+		res, err := d.AdjustAccess(RouteOp(int64(r.Src), int64(r.Dst)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -171,10 +171,10 @@ type DSG struct {
 	repairInserted int
 	repairRemoved  int
 
-	// pending is the dirty record a transformation hands Adjust: the lists
+	// pending is the dirty record a transformation hands AdjustAccess: the lists
 	// it touched without rebuilding them (destroyed dummies' ex-lists, fresh
 	// dummies' lists below alpha) and, in pendingDummies, the dummies of the
-	// region it did rebuild, in key order. Adjust repairs exactly that and
+	// region it did rebuild, in key order. AdjustAccess repairs exactly that and
 	// empties both, so they hold nothing between calls.
 	pending        []skipgraph.ListRef
 	pendingDummies []*skipgraph.Node

@@ -249,16 +249,14 @@ func TestAddRemoveNodes(t *testing.T) {
 // TestServeErrors: a bad pair leaves the graph and the clock alone, from
 // every entry point of the step. Serve returns the route's miss — the
 // skipgraph sentinels the public API maps to ErrUnknownKey and ErrDeadNode
-// — as its error, ApplyOp reports it in Miss, and Adjust, which does not
-// route, rejects the pair with the core sentinels.
+// — as its error, and ApplyOp reports it in Miss.
 func TestServeErrors(t *testing.T) {
 	d := New(8, Config{A: 4, Seed: 1})
 	if err := d.Crash(5); err != nil {
 		t.Fatal(err)
 	}
 	steps := map[string]func(u, v int64) error{
-		"Serve":  func(u, v int64) error { _, err := d.Serve(u, v); return err },
-		"Adjust": func(u, v int64) error { _, err := d.Adjust(u, v); return err },
+		"Serve": func(u, v int64) error { _, err := d.Serve(u, v); return err },
 		"ApplyOp": func(u, v int64) error {
 			r, err := d.ApplyOp(RouteOp(u, v))
 			if err == nil {
@@ -270,22 +268,17 @@ func TestServeErrors(t *testing.T) {
 	for _, c := range []struct {
 		name     string
 		src, dst int64
-		miss     error // what the step reports; nil: any error
-		adjust   error // what Adjust reports; nil: any error
+		want     error // nil: any error
 	}{
-		{"unknown src", 99, 0, skipgraph.ErrUnknownKey, ErrUnknownNode},
-		{"unknown dst", 0, 99, skipgraph.ErrUnknownKey, ErrUnknownNode},
-		{"self", 3, 3, nil, nil},
-		{"dead src", 5, 2, skipgraph.ErrDeadNode, ErrCrashedNode},
-		{"dead dst", 2, 5, skipgraph.ErrDeadNode, ErrCrashedNode},
+		{"unknown src", 99, 0, skipgraph.ErrUnknownKey},
+		{"unknown dst", 0, 99, skipgraph.ErrUnknownKey},
+		{"self", 3, 3, nil},
+		{"dead src", 5, 2, skipgraph.ErrDeadNode},
+		{"dead dst", 2, 5, skipgraph.ErrDeadNode},
 	} {
 		for name, step := range steps {
-			want := c.miss
-			if name == "Adjust" {
-				want = c.adjust
-			}
-			if err := step(c.src, c.dst); err == nil || (want != nil && !errors.Is(err, want)) {
-				t.Errorf("%s(%s) = %v, want %v", name, c.name, err, want)
+			if err := step(c.src, c.dst); err == nil || (c.want != nil && !errors.Is(err, c.want)) {
+				t.Errorf("%s(%s) = %v, want %v", name, c.name, err, c.want)
 			}
 		}
 	}

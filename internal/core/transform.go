@@ -10,7 +10,7 @@ import (
 
 // transform runs the full DSG topology transformation for request (u, v)
 // at time t and returns the result fields it is responsible for. It leaves
-// what it dirtied without rebuilding in d.pending / d.pendingDummies; Adjust,
+// what it dirtied without rebuilding in d.pending / d.pendingDummies; AdjustAccess,
 // its one caller, repairs exactly that before anyone sees the graph.
 func (d *DSG) transform(u, v *skipgraph.Node, t int64) AdjustResult {
 	ctx := &d.scratch.transform

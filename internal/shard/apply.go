@@ -51,7 +51,7 @@ func (s *Service) apply(op core.Op, behind bool) (Outcome, error) {
 		return Outcome{}, err
 	}
 	defer s.serving.Store(false)
-	if err := s.checkOp(op); err != nil {
+	if err := op.Check(s.n); err != nil {
 		return Outcome{}, err
 	}
 	var st ServeStats

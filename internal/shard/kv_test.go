@@ -3,6 +3,8 @@ package shard
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"lsasg/internal/core"
@@ -266,5 +268,53 @@ func TestSingleShardDefaultsAndGuards(t *testing.T) {
 
 	if err := svc.Crash(99); err == nil {
 		t.Fatal("Crash of an out-of-range key must fail")
+	}
+}
+
+// TestPointOpAdaptsLikeItsRoute: a point op splits into the legs of the
+// route between its endpoints and adapts every shard exactly as that route
+// does — only the op on the destination shard reads instead of routing. A
+// Get twin and a route twin, served the same seeded pairs across migrations,
+// must render the same topology after every op and end with the same totals.
+func TestPointOpAdaptsLikeItsRoute(t *testing.T) {
+	const n = 64
+	cfg := Config{Shards: 4, Seed: 5, RebalanceEvery: 16}
+	gets, err := New(n, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	routes, err := New(n, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func(s *Service) string {
+		var b strings.Builder
+		s.RenderTopology(&b)
+		return b.String()
+	}
+	rng := rand.New(rand.NewSource(5))
+	served := 0
+	for i := 0; i < 400; i++ {
+		src, dst := rng.Int63n(n), rng.Int63n(n)
+		if src == dst {
+			continue
+		}
+		if _, err := gets.ApplyAdjusted(core.Op{Kind: core.OpGet, Src: src, Dst: dst}); err != nil {
+			t.Fatalf("op %d: get %d→%d: %v", i, src, dst, err)
+		}
+		if _, err := routes.ApplyAdjusted(core.RouteOp(src, dst)); err != nil {
+			t.Fatalf("op %d: route %d→%d: %v", i, src, dst, err)
+		}
+		if g, r := render(gets), render(routes); g != r {
+			t.Fatalf("op %d (%d→%d): the get adapted the shards differently from the route:\n%s\nvs\n%s", i, src, dst, g, r)
+		}
+		served++
+	}
+	g, r := gets.Totals(), routes.Totals()
+	if g != r {
+		t.Fatalf("totals after %d ops: get %+v, route %+v", served, g, r)
+	}
+	if g.Rebalances == 0 {
+		t.Fatalf("no migration in %d ops: the directory never moved under the legs", served)
 	}
 }

@@ -260,7 +260,7 @@ func (s *Service) collect(ctx context.Context, in <-chan core.Op, ops []core.Op,
 			if !ok {
 				return ops, true, nil
 			}
-			if err := s.checkOp(op); err != nil {
+			if err := op.Check(s.n); err != nil {
 				return ops, true, err
 			}
 			ops = append(ops, op)
@@ -367,7 +367,13 @@ func (s *Service) dispatch(dir *Directory, op core.Op) {
 	s.feedLoad(op, 1)
 	p := pendingReq{op: op, first: len(w.refs)}
 	switch op.Kind {
-	case core.OpRoute:
+	case core.OpRoute, core.OpGet, core.OpPut, core.OpDelete:
+		switch op.Kind {
+		case core.OpPut:
+			s.live[op.Dst] = true
+		case core.OpDelete:
+			s.live[op.Dst] = false
+		}
 		legs, n, cross := dir.splitLegs(s.live, op.Src, op.Dst)
 		if cross {
 			// One inter-shard forwarding hop; each non-trivial leg ends (or
@@ -375,36 +381,27 @@ func (s *Service) dispatch(dir *Directory, op core.Op) {
 			// whole-request path.
 			p.extraDist, p.extraHops = n, 1
 		}
-		for i := 0; i < n; i++ {
-			w.refs = append(w.refs, w.addLeg(legs[i].shard, core.RouteOp(legs[i].src, legs[i].dst)))
-		}
-
-	case core.OpGet, core.OpPut, core.OpDelete:
-		switch op.Kind {
-		case core.OpPut:
-			s.live[op.Dst] = true
-		case core.OpDelete:
-			s.live[op.Dst] = false
-		}
-		si, di := dir.ShardOf(op.Src), dir.ShardOf(op.Dst)
-		kv := op
-		if si != di {
-			p.extraHops++
-			higher := op.Dst > op.Src
-			// The origin-side access leg adapts the source shard; the outcome
-			// is the destination leg's alone.
-			if exit := dir.boundary(s.live, si, higher, op.Src); exit != op.Src {
-				p.origin = 1
-				p.extraDist++ // the exit boundary intermediate
-				w.refs = append(w.refs, w.addLeg(si, core.RouteOp(op.Src, exit)))
+		point := op.Kind != core.OpRoute
+		if point {
+			// A point op's last leg is the op itself on the destination
+			// shard, entering at that leg's source — at its own key when the
+			// entry leg is trivial. A leg before it is the origin-side route:
+			// it adapts the source shard, and the outcome is the destination
+			// leg's alone.
+			if n == 0 || legs[n-1].dst != op.Dst {
+				legs[n] = leg{shard: dir.ShardOf(op.Dst), src: op.Dst, dst: op.Dst}
+				n++
 			}
-			entry := dir.boundary(s.live, di, !higher, op.Dst)
-			if entry != op.Dst {
-				p.extraDist++ // the entry boundary intermediate
-			}
-			kv.Src = entry // the access enters the shard at the boundary
+			p.origin = n - 1
 		}
-		w.refs = append(w.refs, w.addLeg(di, kv))
+		for i, l := range legs[:n] {
+			lop := core.RouteOp(l.src, l.dst)
+			if point && i == n-1 {
+				lop = op
+				lop.Src = l.src
+			}
+			w.refs = append(w.refs, w.addLeg(l.shard, lop))
+		}
 
 	case core.OpScan:
 		first := dir.ShardOf(op.Dst)
@@ -632,29 +629,6 @@ func (s *Service) recordSpan(tr *obs.Tracer, p *pendingReq, refs []legRef, o Out
 		Cross:         len(refs) > 1 || p.extraHops > 0,
 		Legs:          legs,
 	})
-}
-
-// checkOp validates one op envelope against the key space.
-func (s *Service) checkOp(op core.Op) error {
-	if err := s.checkKey(op.Dst); err != nil {
-		return err
-	}
-	switch op.Kind {
-	case core.OpRoute:
-		if err := s.checkKey(op.Src); err != nil {
-			return err
-		}
-		if op.Src == op.Dst {
-			return fmt.Errorf("shard: source and destination are both %d", op.Src)
-		}
-	case core.OpGet, core.OpPut, core.OpDelete, core.OpScan:
-		// Dst (a scan's start key) is already checked; Src is the access
-		// origin for every kind.
-		return s.checkKey(op.Src)
-	default:
-		return fmt.Errorf("shard: unknown op kind %d", op.Kind)
-	}
-	return nil
 }
 
 // loadRatio computes the max/mean per-shard load ratio of one window.

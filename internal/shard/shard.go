@@ -39,12 +39,9 @@ type Config struct {
 	// shard (default 2).
 	MinShardKeys int
 
-	// CheckInvariants and Finder are passed to every shard's core.Config:
-	// full structural verification after each adjustment, and the median
-	// finder behind the transformation's splits (nil means the randomized
-	// AMF).
+	// CheckInvariants is passed to every shard's core.Config: full
+	// structural verification after each adjustment.
 	CheckInvariants bool
-	Finder          core.MedianFinder
 
 	// OnOutcome, when non-nil, receives every op's assembled result — point
 	// outcomes, stitched cross-shard scans, and route path measurements —
@@ -175,7 +172,6 @@ func New(n int, cfg Config) (*Service, error) {
 			A:               cfg.A,
 			Seed:            cfg.Seed + int64(i),
 			CheckInvariants: cfg.CheckInvariants,
-			Finder:          cfg.Finder,
 			// Disjoint dummy-id spaces per shard: migration can carry any
 			// real id into any shard, so dummy ids live far above them all.
 			DummyIDBase: int64(n) + int64(i+1)<<32,
@@ -186,8 +182,8 @@ func New(n int, cfg Config) (*Service, error) {
 
 // NewOver builds a one-shard service over a DSG the caller built, such as
 // core.New's. Its key space is [0, n), n one above the DSG's largest real
-// key. The DSG keeps its own configuration: cfg's Shards, A, Seed,
-// CheckInvariants and Finder are ignored.
+// key. The DSG keeps its own configuration: cfg's Shards, A, Seed and
+// CheckInvariants are ignored.
 func NewOver(d *core.DSG, cfg Config) *Service {
 	var n int64
 	if _, top, ok := d.Graph().RealKeyBounds(); ok {

@@ -13,16 +13,18 @@ import (
 
 // Client speaks the wire protocol to one server. Connections are pooled:
 // each synchronous call checks one out, round-trips a frame, and returns
-// it. Transport faults and a server shutting down (CodeRetry) are retried
-// with capped exponential backoff; every other answer, an unknown key or a
-// dead node included, is final.
+// it. A request is sent again only when the server provably did not serve
+// it — it answered CodeRetry (shutting down), or no connection could be
+// opened — with capped exponential backoff. Every other answer, an unknown
+// key or a dead node included, is final, and so is a transport fault on an
+// open connection: the server may have served the frame, and serving it
+// twice would adjust twice and bump a Put's version.
 type Client struct {
 	addr string
 	pool chan *clientConn
 	seq  atomic.Uint64
 
-	timeout     time.Duration
-	dialTimeout time.Duration
+	timeout time.Duration
 }
 
 type clientConn struct {
@@ -31,8 +33,12 @@ type clientConn struct {
 	bw *bufio.Writer
 }
 
-// maxAttempts caps Do's tries per request, first included.
-const maxAttempts = 4
+const (
+	// maxAttempts caps Do's tries per request, first included.
+	maxAttempts = 4
+	// dialTimeout bounds connection establishment.
+	dialTimeout = 5 * time.Second
+)
 
 // ClientOption configures a Client.
 type ClientOption func(*Client)
@@ -51,18 +57,12 @@ func WithTimeout(d time.Duration) ClientOption {
 	return func(c *Client) { c.timeout = d }
 }
 
-// WithDialTimeout bounds connection establishment (default 5s).
-func WithDialTimeout(d time.Duration) ClientOption {
-	return func(c *Client) { c.dialTimeout = d }
-}
-
 // DialClient connects to a server, failing fast if it is unreachable.
 func DialClient(addr string, opts ...ClientOption) (*Client, error) {
 	c := &Client{
-		addr:        addr,
-		pool:        make(chan *clientConn, 4),
-		timeout:     30 * time.Second,
-		dialTimeout: 5 * time.Second,
+		addr:    addr,
+		pool:    make(chan *clientConn, 4),
+		timeout: 30 * time.Second,
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -88,7 +88,7 @@ func (c *Client) Close() {
 }
 
 func (c *Client) dial() (*clientConn, error) {
-	nc, err := net.DialTimeout("tcp", c.addr, c.dialTimeout)
+	nc, err := net.DialTimeout("tcp", c.addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -112,13 +112,9 @@ func (c *Client) putConn(cc *clientConn) {
 	}
 }
 
-// roundTrip writes one request and reads its response on a pooled
-// connection. Any transport or protocol fault closes the connection.
-func (c *Client) roundTrip(req Request) (Response, error) {
-	cc, err := c.getConn()
-	if err != nil {
-		return Response{}, err
-	}
+// roundTrip writes one request and reads its response on cc. Any transport
+// or protocol fault closes the connection.
+func (c *Client) roundTrip(cc *clientConn, req Request) (Response, error) {
 	if c.timeout > 0 {
 		cc.nc.SetDeadline(time.Now().Add(c.timeout))
 	}
@@ -148,9 +144,10 @@ func (c *Client) roundTrip(req Request) (Response, error) {
 	return resp, nil
 }
 
-// Do round-trips one request, retrying transport faults and retryable
-// codes with capped exponential backoff (1ms doubling, 50ms cap). The
-// response is returned alongside its decoded error, if any.
+// Do round-trips one request, retrying a failed dial and a retryable code
+// with capped exponential backoff (1ms doubling, 50ms cap); a transport
+// fault on an open connection is returned as it is. The response is returned
+// alongside its decoded error, if any.
 func (c *Client) Do(req Request) (Response, error) {
 	req.Seq = c.seq.Add(1)
 	var last error
@@ -162,10 +159,14 @@ func (c *Client) Do(req Request) (Response, error) {
 			}
 			time.Sleep(d)
 		}
-		resp, err := c.roundTrip(req)
+		cc, err := c.getConn()
 		if err != nil {
 			last = err
 			continue
+		}
+		resp, err := c.roundTrip(cc, req)
+		if err != nil {
+			return Response{}, err
 		}
 		if resp.Code != CodeOK && resp.Code.Retryable() {
 			last = resp.Err()

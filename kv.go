@@ -2,7 +2,6 @@ package lsasg
 
 import (
 	"context"
-	"fmt"
 
 	"lsasg/internal/core"
 	"lsasg/internal/shard"
@@ -145,19 +144,7 @@ func (op Op) internal() core.Op {
 // it before serving them; library producers may use it to pre-flight ops
 // before ServeOps aborts a run on them.
 func (op Op) Validate(n int) error {
-	if op.Kind > ScanKind {
-		return fmt.Errorf("lsasg: unknown op kind %d", op.Kind)
-	}
-	if op.Dst < 0 || op.Dst >= n {
-		return fmt.Errorf("%w: key %d not in [0, %d)", ErrOutOfRange, op.Dst, n)
-	}
-	if op.Src < 0 || op.Src >= n {
-		return fmt.Errorf("%w: key %d not in [0, %d)", ErrOutOfRange, op.Src, n)
-	}
-	if op.Kind == RouteKind && op.Src == op.Dst {
-		return fmt.Errorf("lsasg: source and destination are both %d", op.Src)
-	}
-	return nil
+	return wrapErr(op.internal().Check(int64(n)))
 }
 
 // Do serves one op synchronously — a one-op window through the driver
@@ -182,9 +169,6 @@ func (op Op) Validate(n int) error {
 // reported as ErrBarrier by that next call. On an unsharded network, which
 // has nothing to overlap the adjustment with, it runs before Do returns.
 func (nw *Network) Do(op Op) (OpResult, error) {
-	if err := op.Validate(nw.N()); err != nil {
-		return OpResult{}, err
-	}
 	o, err := nw.svc.Apply(op.internal())
 	return opResult(o), wrapErr(err)
 }
@@ -275,29 +259,17 @@ func (nw *Network) ServeOps(ctx context.Context, ops <-chan Op, onResult func(Op
 	nw.onResult = onResult
 	defer func() { nw.onResult = nil }()
 	done := make(chan struct{})
-	inner, invalid := nw.forward(ops, done)
-	st, err := nw.svc.Serve(ctx, inner)
+	st, err := nw.svc.Serve(ctx, forward(ops, done))
 	close(done)
-	// An invalid envelope ended the stream; the service has served what
-	// came before it.
-	if err == nil {
-		select {
-		case err = <-invalid:
-		default:
-		}
-	}
 	return nw.serveStats(st), wrapErr(err)
 }
 
-// forward validates the envelopes of in and passes them, lowered, onto the
-// returned channel until in closes, done closes, or one is invalid — whose
-// error it then reports. It is the adapter between the public producer
-// channel and the service's: the service may stop receiving early, so every
-// send also watches done.
-func (nw *Network) forward(in <-chan Op, done <-chan struct{}) (<-chan core.Op, <-chan error) {
+// forward passes the envelopes of in, lowered, onto the returned channel
+// until in or done closes. It is the adapter between the public producer
+// channel and the service's, which checks every envelope and may stop
+// receiving early, so every send also watches done.
+func forward(in <-chan Op, done <-chan struct{}) <-chan core.Op {
 	out := make(chan core.Op)
-	errc := make(chan error, 1)
-	n := nw.N()
 	go func() {
 		defer close(out)
 		for {
@@ -308,10 +280,6 @@ func (nw *Network) forward(in <-chan Op, done <-chan struct{}) (<-chan core.Op, 
 				if !ok {
 					return
 				}
-				if err := op.Validate(n); err != nil {
-					errc <- err
-					return
-				}
 				select {
 				case out <- op.internal():
 				case <-done:
@@ -320,7 +288,7 @@ func (nw *Network) forward(in <-chan Op, done <-chan struct{}) (<-chan core.Op, 
 			}
 		}
 	}()
-	return out, errc
+	return out
 }
 
 func opFromInternal(op core.Op) Op {

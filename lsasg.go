@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"io"
 
-	"lsasg/internal/core"
 	"lsasg/internal/obs"
 	"lsasg/internal/shard"
 	"lsasg/internal/workingset"
@@ -36,7 +35,6 @@ type options struct {
 	balance         int
 	seed            int64
 	checkInvariants bool
-	exactMedian     bool
 	shards          int
 	rebalanceWindow int
 	trace           bool
@@ -58,13 +56,6 @@ func WithSeed(seed int64) Option {
 // request, on every shard. Intended for tests; it is O(n·H) per request.
 func WithInvariantChecks() Option {
 	return func(o *options) { o.checkInvariants = true }
-}
-
-// WithExactMedian replaces the randomized AMF subroutine with an exact
-// median (idealized O(log n)-round cost) on every shard. Useful to isolate
-// approximation effects in experiments.
-func WithExactMedian() Option {
-	return func(o *options) { o.exactMedian = true }
 }
 
 // WithParallelism and WithBatchSize do nothing: owed to the frozen harness,
@@ -192,9 +183,6 @@ func newNetwork(n, shards int, opts []Option) (*Network, error) {
 		OnOutcome:       nw.noteKVAccess,
 		Tracer:          nw.tracer,
 	}
-	if o.exactMedian {
-		cfg.Finder = core.ExactFinder{}
-	}
 	svc, err := shard.New(n, cfg)
 	if err != nil {
 		return nil, err
@@ -249,11 +237,7 @@ func (nw *Network) Requests() int { return int(nw.svc.Totals().Requests) }
 // only once the request's adjustment has run, on every shard count: its
 // Result reports ρ, α and the direct level.
 func (nw *Network) Request(src, dst int) (Result, error) {
-	op := RouteOp(src, dst)
-	if err := op.Validate(nw.N()); err != nil {
-		return Result{}, err
-	}
-	o, err := nw.svc.ApplyAdjusted(op.internal())
+	o, err := nw.svc.ApplyAdjusted(RouteOp(src, dst).internal())
 	if err = wrapErr(err); err != nil && !errors.Is(err, ErrBarrier) {
 		return Result{}, err
 	}

@@ -124,18 +124,6 @@ func TestNetworkStats(t *testing.T) {
 	}
 }
 
-func TestExactMedianOption(t *testing.T) {
-	nw, _ := New(16, WithSeed(5), WithExactMedian())
-	for i := 0; i < 20; i++ {
-		if _, err := nw.Request(i%15, 15); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := nw.Verify(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestAddRemoveGrowsWorkingSet: membership runs beside the working-set
 // bookkeeping at every shard count. AddNode returns the old N(), a first-time
 // pair with the new node has T = the new N(), the new key serves a put and a
