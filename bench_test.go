@@ -15,6 +15,7 @@ import (
 	"lsasg/internal/amf"
 	"lsasg/internal/baseline"
 	"lsasg/internal/core"
+	"lsasg/internal/experiments"
 	"lsasg/internal/obs"
 	"lsasg/internal/shard"
 	"lsasg/internal/sim"
@@ -47,8 +48,18 @@ func BenchmarkE2_SkipListBuild(b *testing.B) {
 	}
 }
 
-// benchServe times the request step — core.Serve: route, transformation,
-// scoped a-balance repair — on the balanced graph core.New returns, over a
+// routeStep serves one route with the request step (core.DSG.ApplyOp) and
+// returns its miss — an unknown or dead endpoint — as the error.
+func routeStep(d *core.DSG, u, v int64) (core.OpResult, error) {
+	r, err := d.ApplyOp(core.RouteOp(u, v))
+	if err == nil {
+		err = r.Miss
+	}
+	return r, err
+}
+
+// benchServe times the request step — route, transformation, scoped
+// a-balance repair — on the balanced graph core.New returns, over a
 // prepared workload.
 func benchServe(b *testing.B, n int, cfg core.Config, gen workload.Generator) {
 	b.Helper()
@@ -57,7 +68,7 @@ func benchServe(b *testing.B, n int, cfg core.Config, gen workload.Generator) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := reqs[i%len(reqs)]
-		if _, err := d.Serve(int64(r.Src), int64(r.Dst)); err != nil {
+		if _, err := routeStep(d, int64(r.Src), int64(r.Dst)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -151,7 +162,7 @@ func BenchmarkE10_RouteOnly(b *testing.B) {
 	for i := 0; i < 500; i++ {
 		u, v := rng.Intn(128), rng.Intn(128)
 		if u != v {
-			if _, err := d.Serve(int64(u), int64(v)); err != nil {
+			if _, err := routeStep(d, int64(u), int64(v)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -190,8 +201,9 @@ func BenchmarkE12_DistributedRoute(b *testing.B) {
 }
 
 // BenchmarkE13_ChurnTrace measures one full churn-under-traffic run: the
-// E13 regime of routes, joins, and leaves through the trace runner with its
-// scoped per-event balance repair.
+// E13 regime of routes, joins, and leaves through the experiments' trace
+// driver — a one-shard service, the step the daemon serves — with its scoped
+// per-event balance repair.
 func BenchmarkE13_ChurnTrace(b *testing.B) {
 	gen := workload.PoissonChurn{Seed: 13, Rate: 0.2, Base: workload.Zipf{Seed: 13, S: 1.2}}
 	tr, err := gen.Trace(64, 200)
@@ -201,7 +213,7 @@ func BenchmarkE13_ChurnTrace(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d := core.New(64, core.Config{A: 4, Seed: 13})
-		if _, err := d.RunTrace(tr, core.TraceOptions{}); err != nil {
+		if _, err := experiments.RunTrace(d, tr, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -317,9 +329,10 @@ func BenchmarkE19_KV(b *testing.B) {
 
 // BenchmarkE20_CrashTrace measures one full availability-under-failure run:
 // the E20 regime of routes, crash injections, contact-time detections, and
-// decentralized repairs through the trace runner. Its cost relative to
-// BenchmarkE13_ChurnTrace isolates the overhead of the crash path (dangling
-// references, dead-end rerouting, scoped corpse repair) over graceful churn.
+// decentralized repairs through the experiments' trace driver. Its cost
+// relative to BenchmarkE13_ChurnTrace isolates the overhead of the crash path
+// (dangling references, dead-end rerouting, scoped corpse repair) over
+// graceful churn.
 func BenchmarkE20_CrashTrace(b *testing.B) {
 	gen := workload.IndependentCrashes{Seed: 20, Rate: 0.1, Stale: 0.3,
 		Base: workload.Zipf{Seed: 20, S: 1.2}}
@@ -330,7 +343,7 @@ func BenchmarkE20_CrashTrace(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d := core.New(64, core.Config{A: 4, Seed: 20})
-		if _, err := d.RunTrace(tr, core.TraceOptions{}); err != nil {
+		if _, err := experiments.RunTrace(d, tr, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -390,7 +403,7 @@ func BenchmarkFigure4(b *testing.B) {
 		d := core.NewFromGraph(g, core.Config{A: 4, Seed: 1, Finder: &core.ScriptedFinder{
 			Script: []amf.Value{amf.Finite(2), amf.Finite(5)}}})
 		d.SetClockForTest(7)
-		if _, err := d.Serve(21, 22); err != nil {
+		if _, err := routeStep(d, 21, 22); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -32,21 +32,6 @@ type AdjustResult struct {
 	RepairRemoved  int
 }
 
-// Serve handles one communication request between the real nodes with the
-// given identifiers with the step (ApplyOp): it routes u → v in the current
-// topology — repairing each crashed intermediate the route contacts, then
-// routing again — and adjusts (the DSG transformation, §IV-C through §IV-F,
-// and its scoped a-balance repair). An unknown or dead endpoint is returned
-// as the error (the route's miss: skipgraph.ErrUnknownKey, or a
-// skipgraph.DeadRouteError naming the endpoint) and nothing is adjusted.
-func (d *DSG) Serve(uid, vid int64) (OpResult, error) {
-	r, err := d.ApplyOp(RouteOp(uid, vid))
-	if err == nil {
-		err = r.Miss
-	}
-	return r, err
-}
-
 // repairPending repairs a-balance over the dirty record the transformation
 // just left and empties it, keeping the backing arrays for the next one.
 func (d *DSG) repairPending() (inserted, removed int) {

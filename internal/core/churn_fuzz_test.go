@@ -102,7 +102,7 @@ func runFuzz(n int, a int, seed int64, ops []fuzzOp) (int, error) {
 			// on top (all-dummy runs are exempt from a-balance), so the
 			// population is the sound allowance.
 			bound := d.Graph().MaxSearchPath(a) + d.DummyCount()
-			res, err := d.Serve(op.A, op.B)
+			res, err := serveRoute(d, op.A, op.B)
 			if err != nil {
 				return i, fmt.Errorf("%s: %w", op, err)
 			}

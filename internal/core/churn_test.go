@@ -2,62 +2,34 @@ package core
 
 import (
 	"testing"
-
-	"lsasg/internal/workload"
 )
 
-// TestRunTraceValidatesEveryEvent drives every churn generator shape
-// through the trace runner with per-event full-graph validation on.
-func TestRunTraceValidatesEveryEvent(t *testing.T) {
-	const n, m = 32, 150
-	gens := []workload.TraceGenerator{
-		workload.NoChurn{Base: workload.Zipf{Seed: 1, S: 1.2}},
-		workload.PoissonChurn{Seed: 2, Rate: 0.2, Base: workload.Temporal{Seed: 2, W: 8, Churn: 0.1}},
-		workload.FlashCrowd{Seed: 3, Period: 20, Burst: 4},
-		workload.CorrelatedDepartures{Seed: 4, Period: 25, Burst: 3},
-	}
-	for _, a := range []int{2, 4} {
-		for _, g := range gens {
-			tr, err := g.Trace(n, m)
-			if err != nil {
-				t.Fatalf("a=%d %s: %v", a, g.Name(), err)
-			}
-			d := New(n, Config{A: a, Seed: int64(a)})
-			st, err := d.RunTrace(tr, TraceOptions{ValidateEvery: 1})
-			if err != nil {
-				t.Fatalf("a=%d %s: %v", a, g.Name(), err)
-			}
-			if st.Routes != m {
-				t.Errorf("a=%d %s: %d routes, want %d", a, g.Name(), st.Routes, m)
-			}
-			if st.Validations != len(tr)+1 {
-				t.Errorf("a=%d %s: %d validations, want %d", a, g.Name(), st.Validations, len(tr)+1)
-			}
-			t.Logf("a=%d %s: %+v", a, g.Name(), st)
-		}
-	}
-}
-
-// TestRunTraceKeepsWorkingSetState checks the membership path preserves the
-// self-adjusting state: after churn, a previously hot pair that survived
-// stays cheap to route.
-func TestRunTraceKeepsWorkingSetState(t *testing.T) {
+// TestMembershipKeepsWorkingSetState checks the membership path preserves
+// the self-adjusting state: after churn, a previously hot pair that
+// survived stays cheap to route.
+func TestMembershipKeepsWorkingSetState(t *testing.T) {
 	const n = 64
 	d := New(n, Config{A: 4, Seed: 7})
 	// Make (3, 40) hot.
 	for i := 0; i < 20; i++ {
-		if _, err := d.Serve(3, 40); err != nil {
+		if _, err := serveRoute(d, 3, 40); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Churn ten unrelated nodes through the network.
-	tr := workload.Trace{}
-	for i := 0; i < 10; i++ {
-		tr = append(tr, workload.Event{Op: workload.OpJoin, Node: int64(n + i)})
-		tr = append(tr, workload.Event{Op: workload.OpLeave, Node: int64(10 + i)})
-	}
-	if _, err := d.RunTrace(tr, TraceOptions{ValidateEvery: 1}); err != nil {
-		t.Fatal(err)
+	for i := int64(0); i < 10; i++ {
+		if _, err := d.Add(n + i); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Validate(); err != nil {
+			t.Fatalf("after join %d: %v", n+i, err)
+		}
+		if err := d.RemoveNode(10 + i); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Validate(); err != nil {
+			t.Fatalf("after leave %d: %v", 10+i, err)
+		}
 	}
 	route, err := d.Graph().Route(d.NodeByID(3), d.NodeByID(40))
 	if err != nil {
@@ -65,33 +37,5 @@ func TestRunTraceKeepsWorkingSetState(t *testing.T) {
 	}
 	if route.Distance() > 0 {
 		t.Errorf("hot pair distance %d after churn, want direct link", route.Distance())
-	}
-}
-
-// TestRunTraceRejectsBadEvents covers the error paths.
-func TestRunTraceRejectsBadEvents(t *testing.T) {
-	d := New(8, Config{A: 4, Seed: 1})
-	cases := []workload.Trace{
-		{{Op: workload.OpRoute, Src: 99, Dst: 0}},
-		{{Op: workload.OpJoin, Node: 3}},
-		{{Op: workload.OpLeave, Node: 99}},
-		{{Op: workload.OpCrash, Node: 99}},
-		{{Op: workload.Op(9)}},
-	}
-	for i, tr := range cases {
-		if _, err := d.RunTrace(tr, TraceOptions{}); err == nil {
-			t.Errorf("case %d: no error", i)
-		}
-	}
-	// A route to an UNKNOWN destination is not an error but a failed
-	// availability probe: the runner cannot tell a crashed-and-repaired
-	// peer from one that never existed (Trace.Validate rejects the latter
-	// up front).
-	st, err := d.RunTrace(workload.Trace{{Op: workload.OpRoute, Src: 0, Dst: 99}}, TraceOptions{})
-	if err != nil {
-		t.Fatalf("unknown-dst probe: %v", err)
-	}
-	if st.FailedRoutes != 1 || st.Routes != 0 {
-		t.Errorf("unknown-dst probe: failed=%d routes=%d, want 1/0", st.FailedRoutes, st.Routes)
 	}
 }

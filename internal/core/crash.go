@@ -60,7 +60,6 @@ func (d *DSG) repairCrashed(n *skipgraph.Node) {
 	cands := d.liveRealNeighbours(n)
 	d.g.Remove(n.Key())
 	d.crashRepairCount++
-	d.crashRepairLog = append(d.crashRepairLog, n.ID())
 	sc.crash = append(sc.crash, d.extendDistinct(cands)...)
 	d.RepairBalanceIn(sc.crash, nil)
 }
@@ -104,13 +103,4 @@ func (d *DSG) CrashedIDs() []int64 {
 // peers detected (at route or transform time), and crash repairs completed.
 func (d *DSG) CrashStats() (crashes, detections, repairs int) {
 	return d.crashCount, d.crashDetectCount, d.crashRepairCount
-}
-
-// DrainCrashRepairs returns the ids repaired since the previous call, in
-// repair order, and clears the log. The trace runner drains it after every
-// event to compute per-crash time-to-recovery.
-func (d *DSG) DrainCrashRepairs() []int64 {
-	out := d.crashRepairLog
-	d.crashRepairLog = nil
-	return out
 }

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -20,10 +21,10 @@ var (
 // they exercise the dead-end rerouting and the in-transform corpse sweep.
 // The oracle tracks BOTH populations: the live id set and the set of crashed
 // ids not yet repaired (still physically present in every list). After every
-// op, the crash-repair log reconciles the dead oracle — whichever path
-// repaired a corpse (probe, route detection, transform sweep), the oracle
-// learns exactly which ids left the graph — and the full validator plus the
-// population check must pass.
+// op the dead oracle drops the ids whose node is gone (pruneRepaired) —
+// whichever path repaired a corpse (probe, route detection, transform
+// sweep) — and the full validator plus the population check, which catches
+// a repair of an id the oracle did not hold dead, must pass.
 
 // genCrashFuzzOps builds a random op sequence that is valid when replayed
 // from the start. The generator's own membership model assumes every crashed
@@ -102,7 +103,6 @@ func runCrashFuzz(n, a int, seed int64, ops []fuzzOp) (int, error) {
 		s[pos] = id
 		return s
 	}
-	d.DrainCrashRepairs()
 	for i, op := range ops {
 		switch op.Kind {
 		case 'r':
@@ -113,7 +113,7 @@ func runCrashFuzz(n, a int, seed int64, ops []fuzzOp) (int, error) {
 			// a-balance invariant exempts them, so they can pad runs until a
 			// detection splices them out.
 			bound := d.Graph().MaxSearchPath(a) + d.DummyCount() + len(dead)
-			res, err := d.Serve(op.A, op.B)
+			res, err := serveRoute(d, op.A, op.B)
 			if err != nil {
 				return i, fmt.Errorf("%s: %w", op, err)
 			}
@@ -155,13 +155,7 @@ func runCrashFuzz(n, a int, seed int64, ops []fuzzOp) (int, error) {
 				return i, fmt.Errorf("%s: corpse %d in oracle but repair declined", op, op.A)
 			}
 		}
-		for _, id := range d.DrainCrashRepairs() {
-			if pos := find(dead, id); pos >= 0 {
-				dead = append(dead[:pos], dead[pos+1:]...)
-			} else {
-				return i, fmt.Errorf("%s: repaired id %d was not in the dead oracle", op, id)
-			}
-		}
+		dead = pruneRepaired(d, dead)
 		if err := d.Validate(); err != nil {
 			return i, fmt.Errorf("%s: %w", op, err)
 		}
@@ -170,6 +164,16 @@ func runCrashFuzz(n, a int, seed int64, ops []fuzzOp) (int, error) {
 		}
 	}
 	return -1, nil
+}
+
+// pruneRepaired drops from the dead oracle every id repaired since: gone, or
+// rejoined alive by a Put. checkCrashOracle then catches a repair of an id
+// the oracle did not hold dead.
+func pruneRepaired(d *DSG, dead []int64) []int64 {
+	return slices.DeleteFunc(dead, func(id int64) bool {
+		n := d.NodeByID(id)
+		return n == nil || !n.Dead()
+	})
 }
 
 // checkCrashOracle compares the DSG's real-node population against the

@@ -3,8 +3,6 @@ package core
 import (
 	"errors"
 	"testing"
-
-	"lsasg/internal/workload"
 )
 
 // TestCrashEndpointErrors covers the error paths a crashed-but-unrepaired
@@ -107,34 +105,5 @@ func TestJoinBesideCorpse(t *testing.T) {
 	}
 	if err := d.Validate(); err != nil {
 		t.Fatalf("invalid after sweep: %v", err)
-	}
-}
-
-// TestStaleProbeDetectsCrash drives the trace runner's availability-probe
-// path: a route addressed to a crashed destination fails for the client but
-// IS the failure detection — the contact attempt triggers the decentralized
-// repair, and the corpse is gone afterwards.
-func TestStaleProbeDetectsCrash(t *testing.T) {
-	d := New(16, Config{A: 4, Seed: 5})
-	tr := workload.Trace{
-		{Op: workload.OpCrash, Node: 6},
-		{Op: workload.OpRoute, Src: 2, Dst: 6},
-		{Op: workload.OpRoute, Src: 2, Dst: 9},
-	}
-	st, err := d.RunTrace(tr, TraceOptions{ValidateEvery: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Crashes != 1 || st.FailedRoutes != 1 || st.Routes != 1 {
-		t.Errorf("stats = %+v, want 1 crash, 1 failed probe, 1 served route", st)
-	}
-	if _, det, rep := d.CrashStats(); det != 1 || rep != 1 {
-		t.Errorf("detections=%d repairs=%d, want 1/1", det, rep)
-	}
-	if ids := d.CrashedIDs(); len(ids) != 0 {
-		t.Errorf("crashed ids = %v after probe detection, want none", ids)
-	}
-	if reps := d.DrainCrashRepairs(); len(reps) != 0 {
-		t.Errorf("repair log %v not drained by trace runner", reps)
 	}
 }

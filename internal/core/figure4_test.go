@@ -102,7 +102,7 @@ func sameIDs(got []int64, want ...int64) bool {
 // the resulting structure against Fig 4(c).
 func TestFigure4Transformation(t *testing.T) {
 	d := buildS8(t)
-	res, err := d.Serve(nU, nV)
+	res, err := serveRoute(d, nU, nV)
 	if err != nil {
 		t.Fatalf("Serve(U, V): %v", err)
 	}

@@ -190,16 +190,47 @@ func TestAdjustFingerprint(t *testing.T) {
 	}
 }
 
+// runFingerprintTrace replays a churn or crash trace on a fresh DSG with the
+// step and the membership calls, folding each event's route distance, ρ and
+// repair actions, then the route and crash books and the peak height, into
+// fp. A route to a crashed destination is a failed probe that detects and
+// repairs it: a fixed part of the stimulus, which pins the adjuster, not a
+// serving policy.
 func runFingerprintTrace(t *testing.T, fp fingerprint, n int, tr workload.Trace) *DSG {
 	t.Helper()
 	d := New(n, Config{A: 4, Seed: 1})
-	st, err := d.RunTrace(tr, TraceOptions{OnEvent: func(_ int, _ workload.Event, c EventCost) {
-		fp.op(nil, c.RouteDistance, c.TransformRounds, c.RepairDummies)
-	}})
-	if err != nil {
-		t.Fatal(err)
+	routes, failed, maxHeight := 0, 0, 0
+	for i, ev := range tr {
+		ins0, rem0 := d.RepairStats()
+		var res OpResult
+		var err error
+		switch ev.Op {
+		case workload.OpRoute:
+			if v := d.NodeByID(ev.Dst); v == nil || v.Dead() {
+				if v != nil {
+					d.crashDetectCount++
+					d.repairCrashed(v)
+				}
+				failed++
+			} else if res, err = serveRoute(d, ev.Src, ev.Dst); err == nil {
+				routes++
+			}
+		case workload.OpJoin:
+			_, err = d.Add(ev.Node)
+		case workload.OpLeave:
+			err = d.RemoveNode(ev.Node)
+		case workload.OpCrash:
+			err = d.Crash(ev.Node)
+		}
+		if err != nil {
+			t.Fatalf("event %d %s: %v", i, ev, err)
+		}
+		ins, rem := d.RepairStats()
+		fp.op(nil, res.RouteDistance, res.TransformRounds, ins+rem-ins0-rem0)
+		maxHeight = max(maxHeight, d.g.Height())
 	}
-	fp.op([]int{st.Routes, st.FailedRoutes, st.CrashDetections, st.CrashRepairs}, st.MaxHeight)
+	_, det, rep := d.CrashStats()
+	fp.op([]int{routes, failed, det, rep}, maxHeight)
 	return d
 }
 

@@ -8,8 +8,9 @@ import (
 
 // Validate is the full-graph invariant validator backing the churn harness:
 // it checks every structural guarantee the analysis relies on, over the
-// whole network, independent of any particular request. The trace driver
-// and the fuzz tests call it after every event; experiments sample it.
+// whole network, independent of any particular request. The fuzz tests
+// call it after every event, shard.Service.Verify per shard, and the
+// experiments' trace driver samples it through the latter.
 // Validate is deliberately global — it is the correctness oracle the scoped
 // repair paths (RepairBalanceIn and the local join/leave) are measured
 // against, so it must not share their dirty-list bookkeeping.

@@ -43,7 +43,7 @@ func TestValidateAfterTraffic(t *testing.T) {
 		if u == v {
 			continue
 		}
-		if _, err := d.Serve(u, v); err != nil {
+		if _, err := serveRoute(d, u, v); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.Validate(); err != nil {

@@ -210,7 +210,6 @@ func runKVFuzz(n, a int, seed int64, ops []kvFuzzOp) (int, error) {
 		s[pos] = id
 		return s
 	}
-	d.DrainCrashRepairs()
 	for i, op := range ops {
 		switch op.Kind {
 		case 'g':
@@ -284,7 +283,7 @@ func runKVFuzz(n, a int, seed int64, ops []kvFuzzOp) (int, error) {
 				continue
 			}
 			bound := d.Graph().MaxSearchPath(a) + d.DummyCount() + len(dead)
-			res, err := d.Serve(op.A, op.B)
+			res, err := serveRoute(d, op.A, op.B)
 			if err != nil {
 				return i, fmt.Errorf("%s: %w", op, err)
 			}
@@ -331,13 +330,7 @@ func runKVFuzz(n, a int, seed int64, ops []kvFuzzOp) (int, error) {
 				return i, fmt.Errorf("%s: corpse %d in oracle but repair declined", op, op.A)
 			}
 		}
-		for _, id := range d.DrainCrashRepairs() {
-			if pos := find(dead, id); pos >= 0 {
-				dead = append(dead[:pos], dead[pos+1:]...)
-			} else {
-				return i, fmt.Errorf("%s: repaired id %d was not in the dead oracle", op, id)
-			}
-		}
+		dead = pruneRepaired(d, dead)
 		if err := d.Validate(); err != nil {
 			return i, fmt.Errorf("%s: %w", op, err)
 		}

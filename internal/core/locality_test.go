@@ -38,7 +38,7 @@ func TestLocalRepairCertifiedGlobally(t *testing.T) {
 				if i == j {
 					continue
 				}
-				if _, err := d.Serve(live[i], live[j]); err != nil {
+				if _, err := serveRoute(d, live[i], live[j]); err != nil {
 					t.Fatalf("a=%d op %d: serve(%d,%d): %v", a, op, live[i], live[j], err)
 				}
 			case r < 0.8:
@@ -124,7 +124,7 @@ func TestScopedRepairMatchesOracle(t *testing.T) {
 						t.Fatalf("New: %v", err)
 					}
 					for i, r := range c.gen.Generate(n, c.reqs) {
-						if _, err := d.Serve(int64(r.Src), int64(r.Dst)); err != nil {
+						if _, err := serveRoute(d, int64(r.Src), int64(r.Dst)); err != nil {
 							t.Fatal(err)
 						}
 						if err := d.Validate(); err != nil {

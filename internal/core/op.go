@@ -13,7 +13,7 @@ import (
 // pair. Route is the zero value, so a pure-route stream behaves — byte for
 // byte — exactly as it did when the boundaries carried Pair.
 //
-// The step has two halves, and every caller — Serve, a shard's step
+// The step has two halves, and every caller — a shard's step
 // (internal/shard), ApplyOp — runs these two: Access, the route half,
 // routes the op (repairing a crashed intermediate it contacts), takes a
 // Get's or Scan's read and applies the write — a Put's value, a Delete's

@@ -128,9 +128,8 @@ func TestApplyPutUpdateJoinAndRepair(t *testing.T) {
 	if r4.Existed || r4.Version != 4 {
 		t.Errorf("put on crashed key: existed=%v version=%d", r4.Existed, r4.Version)
 	}
-	ids := d.DrainCrashRepairs()
-	if len(ids) != 1 || ids[0] != 3 {
-		t.Errorf("crash-repair log after put-repair: %v", ids)
+	if _, _, rep := d.CrashStats(); rep != 1 || len(d.CrashedIDs()) != 0 {
+		t.Errorf("after put-repair: %d crash repairs, corpses %v; want 1 and none", rep, d.CrashedIDs())
 	}
 	g, err := d.ApplyOp(Op{Kind: OpGet, Src: 0, Dst: 3})
 	if err != nil {
@@ -179,8 +178,8 @@ func TestApplyDeleteLeaveMissAndCrashRepair(t *testing.T) {
 	if !r.Existed || d.NodeByID(7) != nil {
 		t.Errorf("delete of crashed key: existed=%v node=%v", r.Existed, d.NodeByID(7))
 	}
-	if ids := d.DrainCrashRepairs(); len(ids) != 1 || ids[0] != 7 {
-		t.Errorf("crash-repair log after delete-repair: %v", ids)
+	if _, _, rep := d.CrashStats(); rep != 1 || len(d.CrashedIDs()) != 0 {
+		t.Errorf("after delete-repair: %d crash repairs, corpses %v; want 1 and none", rep, d.CrashedIDs())
 	}
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
@@ -203,7 +202,6 @@ func TestDeletedThenCrashedNoResurrect(t *testing.T) {
 	if _, err := d.ApplyOp(Op{Kind: OpDelete, Src: 0, Dst: 5}); err != nil {
 		t.Fatal(err)
 	}
-	d.DrainCrashRepairs()
 	if d.RepairCrashedID(5) {
 		t.Error("repair of a deleted key must decline")
 	}

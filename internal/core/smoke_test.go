@@ -5,6 +5,16 @@ import (
 	"testing"
 )
 
+// serveRoute serves one route with the step (ApplyOp) and returns its miss —
+// an unknown or dead endpoint — as the error.
+func serveRoute(d *DSG, u, v int64) (OpResult, error) {
+	r, err := d.ApplyOp(RouteOp(u, v))
+	if err == nil {
+		err = r.Miss
+	}
+	return r, err
+}
+
 // TestSmokeServe drives random requests through a DSG with invariant
 // checking enabled; any structural breakage fails immediately.
 func TestSmokeServe(t *testing.T) {
@@ -17,7 +27,7 @@ func TestSmokeServe(t *testing.T) {
 			if u == v {
 				continue
 			}
-			res, err := d.Serve(u, v)
+			res, err := serveRoute(d, u, v)
 			if err != nil {
 				t.Fatalf("n=%d request %d (%d,%d): %v", n, i, u, v, err)
 			}

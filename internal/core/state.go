@@ -167,7 +167,7 @@ type DSG struct {
 	kvSeq int64
 
 	// Cumulative a-balance repair work (dummy insertions/removals by
-	// RepairBalance), read via RepairStats by the trace runner.
+	// RepairBalance), read via RepairStats by the experiments' trace driver.
 	repairInserted int
 	repairRemoved  int
 
@@ -187,13 +187,10 @@ type DSG struct {
 
 	// Crash-failure bookkeeping (experiment E20): cumulative crashes,
 	// route/transform-time detections of dead peers, and completed crash
-	// repairs. crashRepairLog holds the ids of repaired nodes since the last
-	// DrainCrashRepairs call, in repair order, so a trace runner can measure
-	// per-crash time-to-recovery.
+	// repairs.
 	crashCount       int
 	crashDetectCount int
 	crashRepairCount int
-	crashRepairLog   []int64
 
 	// scratch is the adjuster's reusable arena (see the package comment).
 	scratch scratch

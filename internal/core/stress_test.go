@@ -16,7 +16,7 @@ func TestStressHarsh(t *testing.T) {
 				if u == v {
 					continue
 				}
-				if _, err := d.Serve(u, v); err != nil {
+				if _, err := serveRoute(d, u, v); err != nil {
 					t.Fatalf("a=%d n=%d req %d (%d,%d): %v", a, n, i, u, v, err)
 				}
 			}

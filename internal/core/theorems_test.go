@@ -24,7 +24,7 @@ func TestDirectLinkAfterRequest(t *testing.T) {
 			if u == v {
 				continue
 			}
-			res, err := d.Serve(u, v)
+			res, err := serveRoute(d, u, v)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -51,7 +51,7 @@ func TestHeightBound(t *testing.T) {
 			if u == v {
 				continue
 			}
-			res, err := d.Serve(u, v)
+			res, err := serveRoute(d, u, v)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,10 +67,10 @@ func TestHeightBound(t *testing.T) {
 // intermediates as long as no other request disturbs them.
 func TestRepeatedPairBecomesCheap(t *testing.T) {
 	d := New(32, Config{A: 4, Seed: 5})
-	if _, err := d.Serve(3, 27); err != nil {
+	if _, err := serveRoute(d, 3, 27); err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.Serve(3, 27)
+	res, err := serveRoute(d, 3, 27)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestWorkingSetProperty(t *testing.T) {
 			}
 		}
 		ws.Record(u, v)
-		if _, err := d.Serve(int64(u), int64(v)); err != nil {
+		if _, err := serveRoute(d, int64(u), int64(v)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -145,7 +145,7 @@ func TestTransformationRoundsPolylog(t *testing.T) {
 			if u == v {
 				continue
 			}
-			res, err := d.Serve(u, v)
+			res, err := serveRoute(d, u, v)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -171,7 +171,7 @@ func TestDummiesDestroyedOnNotification(t *testing.T) {
 		if u == v {
 			continue
 		}
-		if _, err := d.Serve(u, v); err != nil {
+		if _, err := serveRoute(d, u, v); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -185,7 +185,7 @@ func TestDummiesDestroyedOnNotification(t *testing.T) {
 		if u == v {
 			continue
 		}
-		res, err := d.Serve(u, v)
+		res, err := serveRoute(d, u, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +216,7 @@ func TestAddRemoveNodes(t *testing.T) {
 		if u == v {
 			continue
 		}
-		if _, err := d.Serve(u, v); err != nil {
+		if _, err := serveRoute(d, u, v); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -229,7 +229,7 @@ func TestAddRemoveNodes(t *testing.T) {
 	if err := d.Graph().Verify(); err != nil {
 		t.Fatalf("after add: %v", err)
 	}
-	if _, err := d.Serve(100, 3); err != nil {
+	if _, err := serveRoute(d, 100, 3); err != nil {
 		t.Fatalf("serving new node: %v", err)
 	}
 	if err := d.RemoveNode(100); err != nil {
@@ -241,29 +241,18 @@ func TestAddRemoveNodes(t *testing.T) {
 	if err := d.Graph().Verify(); err != nil {
 		t.Fatalf("after remove: %v", err)
 	}
-	if _, err := d.Serve(0, 15); err != nil {
+	if _, err := serveRoute(d, 0, 15); err != nil {
 		t.Fatalf("serving after removal: %v", err)
 	}
 }
 
-// TestServeErrors: a bad pair leaves the graph and the clock alone, from
-// every entry point of the step. Serve returns the route's miss — the
-// skipgraph sentinels the public API maps to ErrUnknownKey and ErrDeadNode
-// — as its error, and ApplyOp reports it in Miss.
+// TestServeErrors: a bad pair leaves the graph and the clock alone. ApplyOp
+// reports the route's miss — the skipgraph sentinels the public API maps to
+// ErrUnknownKey and ErrDeadNode — in Miss.
 func TestServeErrors(t *testing.T) {
 	d := New(8, Config{A: 4, Seed: 1})
 	if err := d.Crash(5); err != nil {
 		t.Fatal(err)
-	}
-	steps := map[string]func(u, v int64) error{
-		"Serve": func(u, v int64) error { _, err := d.Serve(u, v); return err },
-		"ApplyOp": func(u, v int64) error {
-			r, err := d.ApplyOp(RouteOp(u, v))
-			if err == nil {
-				err = r.Miss
-			}
-			return err
-		},
 	}
 	for _, c := range []struct {
 		name     string
@@ -276,10 +265,8 @@ func TestServeErrors(t *testing.T) {
 		{"dead src", 5, 2, skipgraph.ErrDeadNode},
 		{"dead dst", 2, 5, skipgraph.ErrDeadNode},
 	} {
-		for name, step := range steps {
-			if err := step(c.src, c.dst); err == nil || (c.want != nil && !errors.Is(err, c.want)) {
-				t.Errorf("%s(%s) = %v, want %v", name, c.name, err, c.want)
-			}
+		if _, err := serveRoute(d, c.src, c.dst); err == nil || (c.want != nil && !errors.Is(err, c.want)) {
+			t.Errorf("ApplyOp(%s) = %v, want %v", c.name, err, c.want)
 		}
 	}
 	if d.Clock() != 0 {
@@ -302,7 +289,7 @@ func TestExactFinderDeterministic(t *testing.T) {
 			if u == v {
 				continue
 			}
-			res, err := d.Serve(u, v)
+			res, err := serveRoute(d, u, v)
 			if err != nil {
 				t.Fatal(err)
 			}

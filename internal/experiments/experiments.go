@@ -8,6 +8,7 @@ import (
 	"lsasg/internal/amf"
 	"lsasg/internal/baseline"
 	"lsasg/internal/core"
+	"lsasg/internal/shard"
 	"lsasg/internal/sim"
 	"lsasg/internal/skipgraph"
 	"lsasg/internal/skiplist"
@@ -109,38 +110,40 @@ func E2AMFRounds(sc Scale) *stats.Table {
 	return t
 }
 
-// dsgRun is what one run of the request step yields: the per-request
-// results (route distances and ρ also as plain series), the working-set
-// bound of the sequence and the final graph's height and dummy population.
+// dsgRun is what one run of the request step yields: per request its route
+// distance, ρ, direct-link level and the graph's height after it, then the
+// working-set bound of the sequence and the final graph's height and dummy
+// population.
 type dsgRun struct {
-	res             []core.OpResult
-	dists, rounds   []int
-	ws              float64
-	height, dummies int
+	dists, rounds, levels, heights []int
+	ws                             float64
+	height, dummies                int
 }
 
 // runDSG is the one driver of E3–E11: it serves a request sequence, one
-// route + adjustment at a time, on the balanced graph core.New returns —
-// the step the daemon serves — and has the global validator accept the
-// graph it read its numbers off.
+// route + adjustment at a time, through a one-shard service over the
+// balanced graph core.New returns — the step the daemon serves — and has
+// the full validator accept the graph it read its numbers off.
 func runDSG(n int, a int, reqs []workload.Request, seed int64) dsgRun {
 	d := core.New(n, core.Config{A: a, Seed: seed})
+	svc := shard.NewOver(d, shard.Config{})
 	bound := workingset.NewBound(n)
 	var run dsgRun
 	for _, r := range reqs {
 		bound.Add(r.Src, r.Dst)
-		res, err := d.Serve(int64(r.Src), int64(r.Dst))
+		o, err := svc.ApplyAdjusted(core.RouteOp(int64(r.Src), int64(r.Dst)))
 		if err != nil {
 			panic(fmt.Sprintf("experiments: %v", err))
 		}
-		run.res = append(run.res, res)
-		run.dists = append(run.dists, res.RouteDistance)
-		run.rounds = append(run.rounds, res.TransformRounds)
+		run.dists = append(run.dists, o.RouteDistance)
+		run.rounds = append(run.rounds, o.TransformRounds)
+		run.levels = append(run.levels, o.DirectLevel)
+		run.heights = append(run.heights, svc.Height())
 	}
-	if err := d.Validate(); err != nil {
+	if err := svc.Verify(); err != nil {
 		panic(fmt.Sprintf("experiments: n=%d a=%d: %v", n, a, err))
 	}
-	run.ws, run.height, run.dummies = bound.Total(), d.Graph().Height(), d.DummyCount()
+	run.ws, run.height, run.dummies = bound.Total(), svc.Height(), svc.DummyCount()
 	return run
 }
 
@@ -178,10 +181,7 @@ func E3DirectLevel(sc Scale) *stats.Table {
 	for _, n := range sc.Sizes {
 		for _, a := range []int{2, 4} {
 			rng := rand.New(rand.NewSource(sc.Seed + int64(n)))
-			maxLvl := 0
-			for _, res := range runDSG(n, a, uniformPairs(rng, n, sc.Requests), sc.Seed).res {
-				maxLvl = max(maxLvl, res.DirectLevel)
-			}
+			maxLvl := stats.MaxInts(runDSG(n, a, uniformPairs(rng, n, sc.Requests), sc.Seed).levels)
 			bound := math.Log(float64(n)) / math.Log(2*float64(a)/(float64(a)+1))
 			t.AddRow(n, a, maxLvl, bound, float64(maxLvl) <= bound+3)
 		}
@@ -196,10 +196,7 @@ func E4Height(sc Scale) *stats.Table {
 		"n", "max height", "bound", "ok")
 	for _, n := range sc.Sizes {
 		rng := rand.New(rand.NewSource(sc.Seed + int64(2*n)))
-		maxH := 0
-		for _, res := range runDSG(n, 4, uniformPairs(rng, n, sc.Requests), sc.Seed).res {
-			maxH = max(maxH, res.HeightAfter)
-		}
+		maxH := stats.MaxInts(runDSG(n, 4, uniformPairs(rng, n, sc.Requests), sc.Seed).heights)
 		bound := math.Log(float64(n)) / math.Log(1.5)
 		t.AddRow(n, maxH, bound, float64(maxH) <= bound+3)
 	}
@@ -268,8 +265,8 @@ func E7TotalCostVsWS(sc Scale) *stats.Table {
 			reqs := gen.Generate(n, sc.Requests)
 			run := runDSG(n, 4, reqs, sc.Seed)
 			total := 0.0
-			for _, res := range run.res {
-				total += float64(res.ServiceCost())
+			for i, d := range run.dists {
+				total += float64(d + run.rounds[i] + 1) // the service cost d + ρ + 1 (§III)
 			}
 			ratio := total / math.Max(run.ws, 1)
 			t.AddRow(n, gen.Name(), workload.ParamString(gen), total, run.ws, ratio, ratio/math.Log2(float64(n)))

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -123,6 +124,25 @@ func plantCorruption(t *testing.T, svc *Service) {
 	}
 }
 
+// TestVerifyRunsTheFullValidator: Verify is core.DSG.Validate on every
+// shard, so a corrupted node state — every link intact — fails it with
+// invariant checks off, where nothing else looks.
+func TestVerifyRunsTheFullValidator(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		svc, err := New(64, Config{Shards: shards, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.Verify(); err != nil {
+			t.Fatalf("s=%d: fresh service: %v", shards, err)
+		}
+		plantCorruption(t, svc)
+		if err := svc.Verify(); err == nil || !strings.Contains(err.Error(), "node 10") {
+			t.Errorf("s=%d: Verify = %v, want the planted state of node 10", shards, err)
+		}
+	}
+}
+
 // TestFailedAdjustmentSurfacesAsBarrier: with invariant checks on and one
 // real node's DSG state corrupted (plantCorruption), the adjustment behind
 // an answer fails, and the next call that settles the shard reports it as
@@ -162,8 +182,10 @@ func TestFailedAdjustmentSurfacesAsBarrier(t *testing.T) {
 		if err := svc.Verify(); !errors.Is(err, ErrBarrier) {
 			t.Fatalf("Verify = %v, want ErrBarrier", err)
 		}
-		if err := svc.Verify(); err != nil {
-			t.Fatalf("a second Verify reported %v; the failure is reported once and the graph is still a skip graph", err)
+		// The barrier is reported once; the planted state is still there,
+		// and the full validator finds it.
+		if err := svc.Verify(); err == nil || errors.Is(err, ErrBarrier) || !strings.Contains(err.Error(), "node 10") {
+			t.Fatalf("a second Verify reported %v; want the planted state of node 10", err)
 		}
 	})
 	t.Run("crash", func(t *testing.T) {

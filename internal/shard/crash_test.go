@@ -12,8 +12,9 @@ import (
 // TestCrashDetectRepair drives the crash cycle through the sharded service:
 // an injected crash lands on the owning shard's graph, a served route
 // addressed at the corpse is recorded as a miss instead of aborting the
-// pipeline, a Put of the key splices the corpse out and rejoins it, and
-// routing between live keys keeps working throughout.
+// pipeline, a Put of the key splices the corpse out and rejoins it, the
+// removal of a crashed key repairs it too, and routing between live keys
+// keeps working throughout.
 func TestCrashDetectRepair(t *testing.T) {
 	const n = 64
 	svc, err := New(n, Config{Shards: 4, Seed: 7})
@@ -56,55 +57,24 @@ func TestCrashDetectRepair(t *testing.T) {
 	if st.RouteMisses != 0 {
 		t.Errorf("%d route misses after repair, want 0", st.RouteMisses)
 	}
+	// A crashed key cannot run the leave protocol: its removal is the crash
+	// repair.
+	_, _, before := svc.CrashStats()
+	if err := svc.Crash(40); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.RemoveNode(40); err != nil {
+		t.Fatalf("remove of a crashed key: %v", err)
+	}
+	if _, _, after := svc.CrashStats(); after != before+1 {
+		t.Errorf("%d crash repairs after removing a crashed key, want %d", after, before+1)
+	}
 	for i, sl := range svc.shards {
 		if ids := sl.dsg.CrashedIDs(); len(ids) != 0 {
 			t.Errorf("shard %d still holds corpses %v", i, ids)
 		}
 		if err := sl.dsg.Validate(); err != nil {
 			t.Fatalf("shard %d DSG invalid after crash cycle: %v", i, err)
-		}
-	}
-}
-
-// TestCrashRepairLogDrained: the core's crash-repair log has no reader on the
-// serving path, so the shard drops it after every step and membership batch.
-// Routes through Apply across a third of the keys crashed, puts that rejoin
-// crashed keys and a removal of a crashed key repair corpses on every path;
-// afterwards no shard's log holds an id.
-func TestCrashRepairLogDrained(t *testing.T) {
-	const n = 64
-	for _, shards := range []int{1, 4} {
-		svc, err := New(n, Config{Shards: shards, Seed: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := int64(2); k < n-2; k += 3 {
-			if err := svc.Crash(k); err != nil {
-				t.Fatalf("s=%d: crash %d: %v", shards, k, err)
-			}
-		}
-		for _, p := range [][2]int64{{0, n - 1}, {n - 1, 0}, {1, 33}, {33, 1}, {3, 60}, {60, 4}} {
-			if _, err := svc.Apply(core.RouteOp(p[0], p[1])); err != nil {
-				t.Fatalf("s=%d: route %d→%d: %v", shards, p[0], p[1], err)
-			}
-		}
-		if _, err := svc.Apply(core.Op{Kind: core.OpPut, Src: 0, Dst: 8, Value: []byte("back")}); err != nil {
-			t.Fatalf("s=%d: put of a crashed key: %v", shards, err)
-		}
-		_, _, before := svc.CrashStats()
-		if err := svc.Crash(40); err != nil {
-			t.Fatal(err)
-		}
-		if err := svc.RemoveNode(40); err != nil {
-			t.Fatalf("s=%d: remove of a crashed key: %v", shards, err)
-		}
-		if _, _, after := svc.CrashStats(); before < 2 || after != before+1 {
-			t.Fatalf("s=%d: %d crash repairs before the removal, %d after; want the routes' and the put's, then one", shards, before, after)
-		}
-		for i, sl := range svc.shards {
-			if ids := sl.dsg.DrainCrashRepairs(); len(ids) != 0 {
-				t.Errorf("s=%d: shard %d's crash-repair log holds %v", shards, i, ids)
-			}
 		}
 	}
 }

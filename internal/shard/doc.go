@@ -51,7 +51,7 @@
 // # Serving
 //
 // Each shard serves its legs with one step, the paper's serving model
-// (§III), which is sequential per request — the two halves core.DSG.Serve
+// (§III), which is sequential per request — the two halves core.DSG.ApplyOp
 // runs too: core.DSG.Access routes first (Appendix B; a crashed
 // intermediate the route contacts is repaired there and the route goes on;
 // Get and Scan read here, Put and Delete write), then core.DSG.AdjustAccess

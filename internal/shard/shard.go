@@ -254,14 +254,16 @@ func (s *Service) DummyCount() int {
 	return c
 }
 
-// Verify checks all structural invariants of every shard's topology.
+// Verify runs the full invariant validator (core.DSG.Validate) on every
+// shard: links, membership vectors, a-balance, the dummy books and every
+// node's DSG state.
 func (s *Service) Verify() error {
 	s.settleAll()
 	if err := s.takeFailed(); err != nil {
 		return err
 	}
 	for i, sl := range s.shards {
-		if err := sl.dsg.Graph().Verify(); err != nil {
+		if err := sl.dsg.Validate(); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
 	}

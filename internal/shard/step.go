@@ -49,12 +49,10 @@ type legResult struct {
 }
 
 // publish ends a stretch of work on the shard — its legs, tail, crash or
-// membership batch: it stores the gauges Service.Gauges reads and drops the
-// ids the crash repairs logged, which nothing on the serving path reads.
+// membership batch: it stores the gauges Service.Gauges reads.
 func (sl *slot) publish() {
 	sl.height.Store(int64(sl.dsg.Graph().Height()))
 	sl.dummies.Store(int64(sl.dsg.DummyCount()))
-	sl.dsg.DrainCrashRepairs()
 }
 
 // serve runs the step over the shard's legs of one window, in order: each

@@ -340,7 +340,8 @@ func (nw *Network) WorkingSetNumber(u, v int) int {
 	return nw.ws.Tracker().WorkingSetNumber(u, v)
 }
 
-// Verify checks all structural invariants of every shard's topology. It
+// Verify runs the full invariant validator on every shard — links,
+// membership vectors, a-balance, the dummy books and node state. It
 // returns ErrBarrier instead when it finds an adjustment that failed behind
 // an earlier answer (see Do).
 func (nw *Network) Verify() error { return wrapErr(nw.svc.Verify()) }

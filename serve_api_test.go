@@ -289,7 +289,7 @@ func TestUnshardedMatchesEngine(t *testing.T) {
 
 	// A crash on the route: every entry point serves a route across a
 	// crashed intermediate with the one step — the corpse repaired at
-	// contact, the route measured across where it was — so core.DSG.Serve,
+	// contact, the route measured across where it was — so core.DSG.ApplyOp,
 	// shard.Service.Apply at S = 1 and Network.Do report the same distance,
 	// ρ and crash books, and leave the same topology: a follow-up stream
 	// serves identically on all three.
@@ -313,14 +313,14 @@ func TestUnshardedMatchesEngine(t *testing.T) {
 		if err := d.Crash(corpse); err != nil {
 			t.Fatal(err)
 		}
-		res, err := d.Serve(src, dst)
+		res, err := routeStep(d, src, dst)
 		if err != nil {
-			t.Fatalf("core.DSG.Serve across crashed %d: %v", corpse, err)
+			t.Fatalf("core.DSG.ApplyOp across crashed %d: %v", corpse, err)
 		}
 		coreCrashes := books(d.CrashStats())
 		var coreRho int64
 		for _, op := range follow {
-			r, err := d.Serve(int64(op.Src), int64(op.Dst))
+			r, err := routeStep(d, int64(op.Src), int64(op.Dst))
 			if err != nil {
 				t.Fatal(err)
 			}

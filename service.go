@@ -23,7 +23,7 @@ type Service interface {
 	Height() int
 	// Stats returns aggregate statistics for the requests served so far.
 	Stats() Stats
-	// Verify checks all structural invariants of the current topology.
+	// Verify runs the full invariant validator over the current topology.
 	Verify() error
 	// Gauges returns the topology gauges as of the last settled adjustment
 	// and the rebalancer's counters, without waiting for anything.
