@@ -427,12 +427,12 @@ func BenchmarkNetworkRequest(b *testing.B) {
 }
 
 // BenchmarkAdjustScaling is the n-scaling probe of the adjustment alone
-// (ROADMAP R2): b.N Zipf(1.2) adjustments on one graph of n nodes after
+// (ROADMAP R11): b.N Zipf(1.2) adjustments on one graph of n nodes after
 // 1 000 warm-up ones, so the lanes read as cost per op against n. The
 // metrics beside ns/op say what the cost bought: nodes the scoped repair
 // examined per op, the dummy population per real node at the end, ρ, the
 // size of l_alpha — the list each adjustment rebuilds, dummies included —
-// and the time per member of it, the figure R2 is judged by. Recorded in
+// and the time per member of it, the figure R11 is judged by. Recorded in
 // CI, not gated — the n ≥ 1024 lanes take seconds per run.
 func BenchmarkAdjustScaling(b *testing.B) {
 	const warmup = 1000

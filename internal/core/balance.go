@@ -10,12 +10,13 @@ import "lsasg/internal/skipgraph"
 // and, in the same walk, breaks every run of more than `a` consecutive
 // members on the same side: a dummy keyed between the a-th and (a+1)-th
 // member goes to the sibling subgraph. As in the balance scanners, only a
-// run holding a real member counts; a run of breakers costs nothing above
-// and demanding breakers for it would never end at a = 2. Dummies copy the
-// list's membership prefix, take the opposite bit one level up and stop
-// there — per the paper they do not participate in transformations, so
-// they never split further: in the sublist they join they are a boundary,
-// not a run member, which is why a list balanced earlier stays balanced.
+// run holding a real member counts (skipgraph.RealRuns); a run of breakers
+// costs nothing above and demanding breakers for it would never end at
+// a = 2. Dummies copy the list's membership prefix, take the opposite bit
+// one level up and stop there — per the paper they do not participate in
+// transformations, so they never split further: in the sublist they join
+// they are a boundary, not a run member, which is why a list balanced
+// earlier stays balanced.
 // The result is appended to ctx.full, the buffer of the list's level, for
 // the parent list's merge; the sublists' are read from ctx.below.
 func (d *DSG) balanceList(ctx *transformCtx, at int) {
@@ -66,7 +67,7 @@ func (d *DSG) balanceList(ctx *transformCtx, at int) {
 		case run > 0 && side == runSide:
 			run++
 			runHasReal = runHasReal || ctx.isReal(o)
-			if run > a && runHasReal {
+			if (skipgraph.Run{Len: run, HasReal: runHasReal}).OverLong(a, skipgraph.RealRuns) {
 				prev := ctx.ents[ctx.full[len(ctx.full)-1]].n
 				if dm, ok := d.makeDummy(ctx, prev, ctx.ents[o].n, sp.level, side == 1); ok {
 					ctx.full = append(ctx.full, dm)

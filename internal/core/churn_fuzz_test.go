@@ -101,7 +101,7 @@ func runFuzz(n int, a int, seed int64, ops []fuzzOp) (int, error) {
 			// The worst-case bound is a·H over real nodes; dummy hops come
 			// on top (all-dummy runs are exempt from a-balance), so the
 			// population is the sound allowance.
-			bound := d.Graph().MaxSearchPath(a) + d.DummyCount()
+			bound := a*d.Graph().Height() + d.DummyCount()
 			res, err := serveRoute(d, op.A, op.B)
 			if err != nil {
 				return i, fmt.Errorf("%s: %w", op, err)

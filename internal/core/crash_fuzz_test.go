@@ -112,7 +112,7 @@ func runCrashFuzz(n, a int, seed int64, ops []fuzzOp) (int, error) {
 			// Dead nodes count like dummies for the distance allowance: the
 			// a-balance invariant exempts them, so they can pad runs until a
 			// detection splices them out.
-			bound := d.Graph().MaxSearchPath(a) + d.DummyCount() + len(dead)
+			bound := a*d.Graph().Height() + d.DummyCount() + len(dead)
 			res, err := serveRoute(d, op.A, op.B)
 			if err != nil {
 				return i, fmt.Errorf("%s: %w", op, err)

@@ -178,35 +178,19 @@ func (d *DSG) staticFreeKey(a, b skipgraph.Key) (skipgraph.Key, bool) {
 }
 
 // checkInvariants verifies the post-transformation guarantees used by the
-// analysis: structural consistency, a direct u-v link (the self-adjusting
-// model's requirement), and group/list coherence at every level.
+// analysis: the full invariant set (Validate), a direct u-v link (the
+// self-adjusting model's requirement), and the request timestamp on the
+// pair's list (rule T1).
 func (d *DSG) checkInvariants(u, v *skipgraph.Node) error {
-	if err := d.g.Verify(); err != nil {
-		return fmt.Errorf("graph: %w", err)
+	if err := d.Validate(); err != nil {
+		return err
 	}
 	if ok, _ := d.g.DirectlyLinked(u, v); !ok {
 		return fmt.Errorf("nodes %d and %d not directly linked", u.ID(), v.ID())
 	}
-	// The pair's size-2 list carries the request timestamp (rule T1).
 	dPrime := skipgraph.CommonPrefixLen(u, v)
 	if got := d.state(u).timestamp(dPrime); got != d.clock {
 		return fmt.Errorf("node %d timestamp at pair level %d is %d, want %d", u.ID(), dPrime, got, d.clock)
-	}
-	for x := range d.g.All() {
-		if x.IsDummy() {
-			continue
-		}
-		sx := d.state(x)
-		// T6 invariant: no timestamps below the group-base.
-		for i := 0; i < sx.B && i < len(sx.T); i++ {
-			if sx.T[i] != 0 {
-				return fmt.Errorf("node %d has timestamp %d at level %d below base %d", x.ID(), sx.T[i], i, sx.B)
-			}
-		}
-		// State arrays never lag the membership vector.
-		if x.BitsLen() >= len(sx.G)+1 {
-			return fmt.Errorf("node %d vector depth %d exceeds group state %d", x.ID(), x.BitsLen(), len(sx.G))
-		}
 	}
 	return nil
 }

@@ -249,22 +249,17 @@ func (d *DSG) RepairBalanceIn(refs []skipgraph.ListRef, dummies []*skipgraph.Nod
 // scoped repair must re-examine.
 func (d *DSG) repairViolations(viols []skipgraph.BalanceViolation, touched []skipgraph.ListRef) (inserted, removed int, _ []skipgraph.ListRef) {
 	a := d.cfg.A
-	sc := &d.scratch.repair
 	for _, viol := range viols {
-		start := viol.Start
-		if !d.g.Contains(start) || !start.HasBit(viol.Level+1) || start.Bit(viol.Level+1) != viol.Bit {
+		start, level := viol.Start, viol.Level
+		if !d.g.Contains(start) || !start.HasBit(level+1) || start.Bit(level+1) != viol.Bit {
 			continue
 		}
-		// Recompute the run from the live links — an earlier repair in this
-		// pass may have shortened or shifted the snapshot's run — without
-		// ever materializing the containing list (level-0 lists span the
-		// whole graph).
-		run := append(recycle(sc.run), start)
-		for y := start.Next(viol.Level); y != nil && y.HasBit(viol.Level+1) && y.Bit(viol.Level+1) == viol.Bit; y = y.Next(viol.Level) {
-			run = append(run, y)
-		}
-		sc.run = run
-		if len(run) <= a {
+		// Re-walk the run forward from the live links — an earlier repair in
+		// this pass may have shortened or shifted the snapshot's run — under
+		// AnyRun: such a repair can leave it all-dummy, and it is broken
+		// anyway (docs/DESIGN.md §4).
+		run := skipgraph.RunAt(start, level, skipgraph.RunForward, 0)
+		if !run.OverLong(a, skipgraph.AnyRun) {
 			continue
 		}
 		// Prefer shortening the run by dropping a redundant in-run dummy —
@@ -272,7 +267,7 @@ func (d *DSG) repairViolations(viols []skipgraph.BalanceViolation, touched []ski
 		// keeps the dummy population bounded instead of growing a breaker
 		// for every leak.
 		dropped := false
-		for _, y := range run {
+		for y := run.First; ; y = y.Next(level) {
 			if y.IsDummy() && d.dummyRemovable(y) {
 				touched = skipgraph.AppendExListRefs(touched, y)
 				touched = d.removeDummy(y, touched)
@@ -280,12 +275,19 @@ func (d *DSG) repairViolations(viols []skipgraph.BalanceViolation, touched []ski
 				dropped = true
 				break
 			}
+			if y == run.Last {
+				break
+			}
 		}
 		if dropped {
 			continue
 		}
 		// Break the run after its a-th member.
-		dm := d.breakRun(run[a-1], run[a], viol)
+		left := run.First
+		for range a - 1 {
+			left = left.Next(level)
+		}
+		dm := d.breakRun(left, left.Next(level), viol)
 		inserted++
 		for l := 0; l <= dm.MaxLinkedLevel(); l++ {
 			touched = append(touched, skipgraph.ListRef{Node: dm, Level: int32(l)})

@@ -89,6 +89,49 @@ func TestBreakRunRespreadsFullGap(t *testing.T) {
 	}
 }
 
+// TestRepairBreaksAllDummyRun pins the repair's run rule: it re-walks a
+// reported violation under skipgraph.AnyRun, so a run that holds no real
+// member — which an earlier action of the same pass can leave behind, and
+// which the scans (RealRuns) never report — is still shortened or broken.
+func TestRepairBreaksAllDummyRun(t *testing.T) {
+	const a = 2
+	d := New(32, Config{A: a, Seed: 3})
+	var x *skipgraph.Node
+	for y := range d.g.All() {
+		if nx := y.Next(0); !y.IsDummy() && nx != nil && !nx.IsDummy() && nx.Bit(1) == y.Bit(1) {
+			x = y
+			break
+		}
+	}
+	if x == nil {
+		t.Fatal("no two adjacent real nodes share their level-1 bit")
+	}
+	// a+1 dummies between x and its successor, all on the other side.
+	bit := 1 - x.Bit(1)
+	var run []*skipgraph.Node
+	for m := range a + 1 {
+		dm := newDummy(skipgraph.Key{Primary: x.Key().Primary, Minor: int32(m+1) * 1000}, d.nextDummyID, 1)
+		d.nextDummyID++
+		dm.SetBit(1, bit)
+		d.g.SpliceIn(dm)
+		d.dummyCount++
+		run = append(run, dm)
+	}
+	if got := skipgraph.RunAt(run[0], 0, skipgraph.RunBoth, 0); got.First != run[0] || got.Len != a+1 || got.HasReal {
+		t.Fatalf("planted run %+v, want %d dummies from %v", got, a+1, run[0].Key())
+	}
+	if err := d.Validate(); err != nil {
+		t.Fatalf("an all-dummy run must pass the scans: %v", err)
+	}
+	viol := skipgraph.BalanceViolation{Level: 0, Start: run[0], RunLen: a + 1, Bit: bit}
+	if ins, rem, _ := d.repairViolations([]skipgraph.BalanceViolation{viol}, nil); ins+rem != 1 {
+		t.Fatalf("repair of an all-dummy run of %d: inserted %d, removed %d; want one action", a+1, ins, rem)
+	}
+	if err := d.Validate(); err != nil {
+		t.Fatalf("after the repair: %v", err)
+	}
+}
+
 // TestValidateDetectsCorruption drives the validator over hand-corrupted
 // states: each case must be caught with the right error class.
 func TestValidateDetectsCorruption(t *testing.T) {

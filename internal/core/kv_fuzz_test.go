@@ -282,7 +282,7 @@ func runKVFuzz(n, a int, seed int64, ops []kvFuzzOp) (int, error) {
 			if find(live, op.A) < 0 || find(live, op.B) < 0 || op.A == op.B {
 				continue
 			}
-			bound := d.Graph().MaxSearchPath(a) + d.DummyCount() + len(dead)
+			bound := a*d.Graph().Height() + d.DummyCount() + len(dead)
 			res, err := serveRoute(d, op.A, op.B)
 			if err != nil {
 				return i, fmt.Errorf("%s: %w", op, err)

@@ -26,7 +26,6 @@ type repairScratch struct {
 	gc      []skipgraph.ListRef // every list a round's GC sweeps touched; likewise
 	ext     []skipgraph.ListRef // lists touched by distinctness extensions
 	dummies []*skipgraph.Node   // GC candidates of one sweep
-	run     []*skipgraph.Node   // the over-long run under repair
 	cands   []*skipgraph.Node   // neighbours of a node being spliced out
 	crash   []skipgraph.ListRef // a crash repair's dirty set
 }
@@ -46,7 +45,6 @@ func (sc *repairScratch) release() {
 	sc.gc = recycle(sc.gc)
 	sc.ext = recycle(sc.ext)
 	sc.dummies = recycle(sc.dummies)
-	sc.run = recycle(sc.run)
 	sc.cands = recycle(sc.cands)
 	sc.crash = recycle(sc.crash)
 }

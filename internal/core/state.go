@@ -125,8 +125,9 @@ type Config struct {
 	// Finder overrides the median-finding subroutine; nil selects the
 	// paper's AMF with parameter A.
 	Finder MedianFinder
-	// CheckInvariants, when true, verifies the full set of structural
-	// invariants after every transformation (slow; for tests).
+	// CheckInvariants, when true, runs Validate — the full invariant set —
+	// after every transformation, plus the pair's direct link and its T1
+	// timestamp (slow; for tests).
 	CheckInvariants bool
 	// DummyIDBase, when > 0, is the first identifier handed to dummy nodes.
 	// Dummy ids never collide with real ids inside one graph by construction,

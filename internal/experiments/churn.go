@@ -16,8 +16,8 @@ import (
 // routes served, FailedRoutes the ones the service answered as a miss (an
 // unknown or dead endpoint). RouteRepairs and ChurnRepairs count a-balance
 // repair actions — dummy insertions plus removals — triggered by routes and
-// by the other events. Detections and Repairs are the crash books (core.DSG.CrashStats) the
-// trace added; a crash is recovered at the first event after which its node
+// by the other events. Repairs counts the crash repairs (core.DSG.CrashStats)
+// the trace added; a crash is recovered at the first event after which its node
 // is gone, and Recovery sums, MaxRecovery maximizes, the events in between.
 type TraceStats struct {
 	Routes, FailedRoutes, Joins, Leaves, Crashes int
@@ -27,7 +27,7 @@ type TraceStats struct {
 
 	MaxHeight, Validations int
 
-	Detections, Repairs, Recovered, Recovery, MaxRecovery int
+	Repairs, Recovered, Recovery, MaxRecovery int
 }
 
 // RunTrace serves a trace on d through a one-shard service (shard.NewOver),
@@ -51,7 +51,7 @@ func RunTrace(d *core.DSG, tr workload.Trace, validateEvery int) (TraceStats, er
 		ins, rem := d.RepairStats()
 		return ins + rem
 	}
-	_, det0, rep0 := d.CrashStats()
+	_, _, rep0 := d.CrashStats()
 	crashedAt := make(map[int64]int)
 	for i, ev := range tr {
 		before := repairs()
@@ -108,8 +108,8 @@ func RunTrace(d *core.DSG, tr workload.Trace, validateEvery int) (TraceStats, er
 			st.Validations++
 		}
 	}
-	_, det, rep := d.CrashStats()
-	st.Detections, st.Repairs = det-det0, rep-rep0
+	_, _, rep := d.CrashStats()
+	st.Repairs = rep - rep0
 	return st, nil
 }
 

@@ -25,8 +25,9 @@ import (
 // Reported per (pattern, intensity) cell, all deterministic for a fixed seed:
 // route availability (fraction of attempted routes that succeeded — Stale > 0
 // keeps clients probing recently crashed peers, so availability < 1 exactly
-// reflects the stale-view window), detections and repairs (repairs ≤ crashes;
-// a crash no route ever passes through stays dark), the repair cost in
+// reflects the stale-view window), crash repairs (≤ crashes; a crash no route
+// ever passes through stays dark — every repair here follows a route-contact
+// detection, so detections would repeat the column), the repair cost in
 // a-balance dummy actions, and time-to-recovery measured in trace events
 // between each crash and the first event after which its node is gone.
 // Full validation runs every 100 events, so every row also certifies the
@@ -36,7 +37,7 @@ import (
 func E20CrashAvailability(sc Scale) *stats.Table {
 	t := stats.NewTable("E20 — availability under crash failures (contact-time detection, local repair; events/s is wall-clock)",
 		"n", "pattern", "params", "events", "crashes", "availability",
-		"detections", "repairs", "repair dummies", "mean recovery", "max recovery", "events/s")
+		"repairs", "repair dummies", "mean recovery", "max recovery", "events/s")
 	n := sc.Sizes[len(sc.Sizes)-1]
 	const stale = 0.3
 	gens := []workload.TraceGenerator{
@@ -56,7 +57,7 @@ func E20CrashAvailability(sc Scale) *stats.Table {
 			availability = float64(st.Routes) / float64(st.Routes+st.FailedRoutes)
 		}
 		t.AddRow(n, gen.Name(), workload.ParamString(gen), len(tr), st.Crashes,
-			availability, st.Detections, st.Repairs, st.RouteRepairs+st.ChurnRepairs,
+			availability, st.Repairs, st.RouteRepairs+st.ChurnRepairs,
 			perEvent(st.Recovery, st.Recovered), st.MaxRecovery,
 			float64(len(tr))/elapsed.Seconds())
 	}

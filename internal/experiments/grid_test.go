@@ -151,7 +151,7 @@ func TestKVGoldenCSV(t *testing.T) {
 // fixed seed, `dsgexp -only E20 -quick -seed 1` produces byte-stable CSV
 // output in every column except the wall-clock "events/s" column, which is
 // masked on both sides of the comparison. In particular the availability,
-// detection, repair-cost, and time-to-recovery columns are exact —
+// repair, repair-cost, and time-to-recovery columns are exact —
 // the crash model, the stale-probe schedule, and the repair machinery are
 // all deterministic for a fixed seed.
 func TestCrashGoldenCSV(t *testing.T) {

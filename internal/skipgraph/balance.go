@@ -24,48 +24,133 @@ func (v BalanceViolation) String() string {
 		v.Level, v.RunLen, v.Bit, v.Start.key)
 }
 
+// Run is one maximal same-bit run of a level-d list: First to Last in key
+// order, Len members, and whether one of them is real. Its members share the
+// bit at level d+1; a member lacking that bit is a run of its own.
+type Run struct {
+	First, Last *Node
+	Len         int
+	HasReal     bool
+}
+
+// RunWalk says which way RunAt walks from its start.
+type RunWalk uint8
+
+const (
+	RunBoth    RunWalk = iota // the whole run around the start
+	RunForward                // the start and the members after it
+	RunBack                   // the start and the members before it
+)
+
+// RunAt walks the same-bit run of x's level-d list that holds x, by links,
+// in the given direction(s) from x; with limit > 0 it stops once it has
+// limit members, for a caller that only needs to know the run is that long.
+// It is the one run walk of the a-balance rule: the scans, the removal check
+// and the repair all measure runs with it, and Run.OverLong judges them.
+//
+// A member lacking the next level's bit ends a run although a route walks
+// straight through it, and RealRuns exempts all-dummy runs, so nothing
+// bounds what dummies add to a routing path — a route walks through every
+// dummy of such a run, and neither their length nor the dummy population is
+// capped. That is why the a·H search bound does not hold as checked here;
+// ROADMAP R1 is the item that makes the check the one the bound needs.
+func RunAt(x *Node, level int, walk RunWalk, limit int) Run {
+	r := Run{First: x, Last: x, Len: 1, HasReal: !x.dummy}
+	if walk != RunForward {
+		for p := x.Prev(level); p != nil && r.Len != limit && sameRun(p, x, level); p = p.Prev(level) {
+			r.First, r.Len, r.HasReal = p, r.Len+1, r.HasReal || !p.dummy
+		}
+	}
+	if walk != RunBack {
+		for q := x.Next(level); q != nil && r.Len != limit && sameRun(x, q, level); q = q.Next(level) {
+			r.Last, r.Len, r.HasReal = q, r.Len+1, r.HasReal || !q.dummy
+		}
+	}
+	return r
+}
+
+// sameRun reports whether y and z, members of one level-d list, would share
+// a run if adjacent: both carry the level-(d+1) bit, and it is the same. A
+// member lacking the bit never extends a run.
+func sameRun(y, z *Node, level int) bool {
+	b := level + 1
+	return b < len(y.bits) && b < len(z.bits) && y.bits[b] == z.bits[b]
+}
+
+// RunRule says which runs of more than a members break a-balance.
+type RunRule uint8
+
+const (
+	// RealRuns counts a run only if it holds a real member: the scans,
+	// RemovalKeepsBalance and the transformation's balance pass. Dummies
+	// never split further, so an all-dummy run costs nothing at the next
+	// level, and demanding a chain breaker for a run of chain breakers would
+	// cascade (every inserted dummy spawning runs that need more dummies)
+	// until the key space between two real nodes is exhausted.
+	RealRuns RunRule = iota
+	// AnyRun counts every run: the repair's re-walk of a reported violation,
+	// which an earlier action of the same pass may have left all-dummy.
+	AnyRun
+)
+
+// OverLong reports whether the run breaks a-balance under rule.
+func (r Run) OverLong(a int, rule RunRule) bool {
+	return r.Len > a && (r.HasReal || rule == AnyRun)
+}
+
+// appendViolation appends the level-d run's violation, if the scanners'
+// rule (RealRuns) calls it over-long.
+func (r Run) appendViolation(dst []BalanceViolation, level, a int) []BalanceViolation {
+	if r.OverLong(a, RealRuns) {
+		dst = append(dst, BalanceViolation{Level: level, Start: r.First, RunLen: r.Len, Bit: r.First.Bit(level + 1)})
+	}
+	return dst
+}
+
 // BalanceViolations scans the whole graph and returns every a-balance
 // violation: for every list at every level, no a+1 consecutive members may
-// share the next level's membership bit. The scan descends past members
-// whose vector ends (dummies, §IV-F) — they stay singleton above and the
-// remaining members keep splitting — unlike TreeView, whose truncation
-// semantics serve figure reconstruction and would hide every list below a
-// dummy.
+// share the next level's membership bit (RealRuns). It walks each list by its
+// links, depth-first — a list, then its 0-sublist's subtree, then its
+// 1-sublist's — and descends past members whose vector ends (dummies, §IV-F):
+// they stay singleton above and the remaining members keep splitting —
+// unlike TreeView, whose truncation semantics serve figure reconstruction
+// and would hide every list below a dummy.
 func (g *Graph) BalanceViolations(a int) []BalanceViolation {
 	if a < 1 {
 		panic(fmt.Sprintf("skipgraph: balance parameter must be >= 1, got %d", a))
 	}
 	var out []BalanceViolation
-	var walk func(list []*Node, level int)
-	walk = func(list []*Node, level int) {
-		runs := runScanner{out: out, level: level, a: a}
-		for _, n := range list {
-			runs.add(n)
-		}
-		out = runs.finish()
-		zeros := make([]*Node, 0, len(list))
-		ones := make([]*Node, 0, len(list))
-		for _, n := range list {
-			if !n.HasBit(level + 1) {
-				continue // singleton above this level
+	var walk func(head *Node, level int)
+	walk = func(head *Node, level int) {
+		var sub [2]*Node
+		out, _, sub = appendListViolations(out, head, level, a)
+		for _, h := range sub {
+			if h != nil && h.Next(level+1) != nil {
+				walk(h, level+1)
 			}
-			if n.Bit(level+1) == 0 {
-				zeros = append(zeros, n)
-			} else {
-				ones = append(ones, n)
-			}
-		}
-		if len(zeros) >= 2 {
-			walk(zeros, level+1)
-		}
-		if len(ones) >= 2 {
-			walk(ones, level+1)
 		}
 	}
 	if g.n >= 2 {
-		walk(g.Nodes(), 0)
+		walk(g.head, 0)
 	}
 	return out
+}
+
+// appendListViolations walks the level-d list from its head, run by run, and
+// appends every over-long run (RealRuns) to dst. It also returns the list's
+// length and the head of its 0- and 1-sublist (nil for a side no member
+// takes).
+func appendListViolations(dst []BalanceViolation, head *Node, level, a int) (_ []BalanceViolation, n int, sub [2]*Node) {
+	for y := head; y != nil; {
+		r := RunAt(y, level, RunForward, 0)
+		dst = r.appendViolation(dst, level, a)
+		if y.HasBit(level+1) && sub[y.bits[level+1]] == nil {
+			sub[y.bits[level+1]] = y
+		}
+		n += r.Len
+		y = r.Last.Next(level)
+	}
+	return dst, n, sub
 }
 
 // AppendBalanceViolationsIn is the scoped counterpart of BalanceViolations:
@@ -103,18 +188,14 @@ func (g *Graph) AppendBalanceViolationsIn(dst []BalanceViolation, a int, refs []
 			continue
 		}
 		g.seenWide = append(g.seenWide, ref)
-		runs := runScanner{out: dst, level: level, a: a}
 		head := ref.Node
 		for p := head.Prev(level); p != nil; p = head.Prev(level) {
 			head = p
 			scanned++
 		}
-		for y := head; y != nil; y = y.Next(level) {
-			scanned++
-			runs.add(y)
-		}
-		dst = runs.finish()
-		scanned++ // the anchor, counted on both walks
+		var listLen int
+		dst, listLen, _ = appendListViolations(dst, head, level, a)
+		scanned += listLen + 1 // the anchor, counted on both walks
 	}
 	clear(g.seenWide)
 	g.seenWide = g.seenWide[:0]
@@ -191,22 +272,13 @@ func (g *Graph) liveRef(ref ListRef) bool {
 // window would have read. The table is graph-owned scratch: truncated after
 // each scan, and cleared, so it never keeps a removed node alive.
 type runTable struct {
-	runs    []scanRun
+	runs    []Run
 	dummies []*Node     // the walked runs' dummies, run by run (AppendDummiesIn only)
 	order   []uint64    // the live windowed refs, as level<<32 | ref index, sorted
 	wins    [][3]int32  // per ref: its window's runs, left to right; noRun where absent
 	flat    []ListRef   // AppendDummiesIn's ref lists, back to back
 	cands   []keyedNode // AppendDummiesIn's distinct dummies, before sorting
 	merge   []keyedNode // sortCands' other buffer
-}
-
-// scanRun is one maximal same-bit run of a level-d list: first to last in
-// key order, len members, and whether one is real. Its members share the bit
-// at level d+1; a member lacking that bit is a run of its own.
-type scanRun struct {
-	first, last *Node
-	len         int32
-	hasReal     bool
 }
 
 // keyedNode is a node with its key inline, so sorting never dereferences.
@@ -281,7 +353,7 @@ func (g *Graph) windows(refs []ListRef, collect, firstOnly bool) int {
 		w := [3]int32{t.leftOf(r, level, stamp, collect), r, t.rightOf(r, level, stamp, collect)}
 		for _, s := range w {
 			if s >= 0 {
-				scanned += int(t.runs[s].len)
+				scanned += t.runs[s].Len
 			}
 		}
 		t.wins[i] = w
@@ -289,64 +361,41 @@ func (g *Graph) windows(refs []ListRef, collect, firstOnly bool) int {
 	return scanned
 }
 
-// runOf returns the run of x's level list that holds x, walking it — both
-// ways from x, stamping every member — unless this level's stamp says it
-// has been.
+// runOf returns the run of x's level list that holds x, measuring it with
+// RunAt and stamping every member, unless this level's stamp says it has
+// been.
 func (t *runTable) runOf(x *Node, level int, stamp uint64, collect bool) int32 {
 	if x.mark == stamp {
 		return int32(x.scanRun &^ anchored)
 	}
 	idx := int32(len(t.runs))
-	run := scanRun{first: x, last: x, len: 1, hasReal: t.walked(x, idx, stamp, collect)}
-	if bitLevel := level + 1; bitLevel < len(x.bits) {
-		b := x.bits[bitLevel]
-		for p := x.Prev(level); p != nil && bitLevel < len(p.bits) && p.bits[bitLevel] == b; p = p.Prev(level) {
-			run.first = p
-			run.len++
-			run.hasReal = t.walked(p, idx, stamp, collect) || run.hasReal
+	run := RunAt(x, level, RunBoth, 0)
+	for y := run.First; ; y = y.Next(level) {
+		y.mark, y.scanRun = stamp, uint32(idx)
+		if y.dummy && collect {
+			t.dummies = append(t.dummies, y)
 		}
-		for q := x.Next(level); q != nil && bitLevel < len(q.bits) && q.bits[bitLevel] == b; q = q.Next(level) {
-			run.last = q
-			run.len++
-			run.hasReal = t.walked(q, idx, stamp, collect) || run.hasReal
+		if y == run.Last {
+			break
 		}
 	}
 	t.runs = append(t.runs, run)
 	return idx
 }
 
-// walked stamps y as a member of run idx, records it if it is a dummy to be
-// collected, and reports whether it is real.
-func (t *runTable) walked(y *Node, idx int32, stamp uint64, collect bool) bool {
-	y.mark, y.scanRun = stamp, uint32(idx)
-	if y.dummy && collect {
-		t.dummies = append(t.dummies, y)
-	}
-	return !y.dummy
-}
-
 // leftOf and rightOf return the run beside run r, noRun at the list's end.
 func (t *runTable) leftOf(r int32, level int, stamp uint64, collect bool) int32 {
-	if p := t.runs[r].first.Prev(level); p != nil {
+	if p := t.runs[r].First.Prev(level); p != nil {
 		return t.runOf(p, level, stamp, collect)
 	}
 	return noRun
 }
 
 func (t *runTable) rightOf(r int32, level int, stamp uint64, collect bool) int32 {
-	if q := t.runs[r].last.Next(level); q != nil {
+	if q := t.runs[r].Last.Next(level); q != nil {
 		return t.runOf(q, level, stamp, collect)
 	}
 	return noRun
-}
-
-// appendViolation appends the run's violation, if it is one: more than a
-// members, a real one among them, sharing a next-level bit.
-func (r *scanRun) appendViolation(dst []BalanceViolation, level, a int) []BalanceViolation {
-	if int(r.len) > a && r.hasReal && r.first.HasBit(level+1) {
-		dst = append(dst, BalanceViolation{Level: level, Start: r.first, RunLen: int(r.len), Bit: r.first.Bit(level + 1)})
-	}
-	return dst
 }
 
 // sortCands puts the candidates in key order: a bottom-up merge sort on the
@@ -401,93 +450,28 @@ func recycle[T any](buf []T) []T {
 	return buf[:0]
 }
 
-// runBoundary reports whether adjacent list members y (left) and z (right)
-// belong to different runs w.r.t. the level-`bitLevel` membership bit: a
-// node lacking the bit never extends a run.
-func runBoundary(y, z *Node, bitLevel int) bool {
-	return bitLevel >= len(y.bits) || bitLevel >= len(z.bits) || y.bits[bitLevel] != z.bits[bitLevel]
-}
-
-// runScanner finds over-long same-bit runs in one list, fed its members in
-// key order. Runs consisting solely of dummy nodes are exempt: dummies
-// never split further, so such a run costs nothing at the next level, and
-// demanding a chain breaker for a run of chain breakers would cascade
-// (every inserted dummy spawning runs that need more dummies) until the key
-// space between two real nodes is exhausted. Nothing bounds what such runs
-// add to a routing path — a route walks through every dummy of one, and
-// neither their length nor the dummy population is capped — which is why
-// the a·H search bound does not hold as checked here; ROADMAP R1 is the
-// item that makes the check the one the bound needs.
-type runScanner struct {
-	out      []BalanceViolation
-	level, a int
-
-	start   *Node // first node of the current run
-	runLen  int
-	hasReal bool
-}
-
-func (s *runScanner) add(y *Node) {
-	if s.start != nil && !runBoundary(s.start, y, s.level+1) {
-		s.runLen++
-		s.hasReal = s.hasReal || !y.dummy
-		return
-	}
-	s.flush()
-	s.start, s.runLen, s.hasReal = y, 1, !y.dummy
-}
-
-func (s *runScanner) flush() {
-	if s.runLen > s.a && s.hasReal && s.start.HasBit(s.level+1) {
-		s.out = append(s.out, BalanceViolation{
-			Level:  s.level,
-			Start:  s.start,
-			RunLen: s.runLen,
-			Bit:    s.start.Bit(s.level + 1),
-		})
-	}
-}
-
-// finish closes the last run and returns the accumulated violations.
-func (s *runScanner) finish() []BalanceViolation {
-	s.flush()
-	return s.out
-}
-
 // RemovalKeepsBalance reports whether removing n keeps every list
-// a-balanced: at each level n participates in, the same-bit runs its
-// departure would merge (or shorten) must not exceed `a`. A node lacking the
-// next level's bit is a run boundary, so n itself may be breaking a chain
-// purely by presence. All-dummy runs are exempt, as in the violation scans.
+// a-balanced: at each level n participates in, the runs on either side of n
+// that its departure would merge must not be over-long (RealRuns). A node
+// lacking the next level's bit is a run boundary, so n itself may be
+// breaking a chain purely by presence.
 func RemovalKeepsBalance(n *Node, a int) bool {
 	for e := 0; e <= n.BitsLen(); e++ {
-		bitLevel := e + 1
 		l, r := n.Prev(e), n.Next(e)
-		if l == nil || r == nil {
-			continue // removal can only shorten an edge run
+		if l == nil || r == nil || !sameRun(l, r, e) {
+			continue // removal can only shorten a run; a boundary survives
 		}
-		if runBoundary(l, r, bitLevel) {
-			continue // a boundary survives on at least one side
+		left := RunAt(l, e, RunBack, 0)
+		// With a real member on the left, the merged run is over-long once it
+		// has a+1 members: the walk right stops there.
+		limit := 0
+		if left.HasReal {
+			limit = max(a+1-left.Len, 1)
 		}
-		runLen, hasReal := 0, false
-		for x := l; x != nil && !runBoundary(x, l, bitLevel); x = x.Prev(e) {
-			runLen++
-			hasReal = hasReal || !x.dummy
-			if runLen > a && hasReal {
-				return false
-			}
-		}
-		for x := r; x != nil && !runBoundary(x, r, bitLevel); x = x.Next(e) {
-			runLen++
-			hasReal = hasReal || !x.dummy
-			if runLen > a && hasReal {
-				return false
-			}
+		right := RunAt(r, e, RunForward, limit)
+		if (Run{Len: left.Len + right.Len, HasReal: left.HasReal || right.HasReal}).OverLong(a, RealRuns) {
+			return false
 		}
 	}
 	return true
 }
-
-// MaxSearchPath returns a·H, the a-balance guarantee on the search-path
-// length between any pair of nodes.
-func (g *Graph) MaxSearchPath(a int) int { return a * g.Height() }

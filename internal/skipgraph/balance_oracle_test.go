@@ -12,7 +12,87 @@ import (
 // ends, once to read it), so overlapping windows are walked again per ref.
 // They are the replaced code but for the visit filter, which keeps its
 // semantics (one visit per anchor, level and extent) in a set of its own
-// instead of the nodes' scratch fields.
+// instead of the nodes' scratch fields. They count runs with the scanner and
+// boundary test the run kernel (RunAt, Run.OverLong) replaced, copied here,
+// so the comparison checks the kernel against independent code.
+
+// refRunBoundary reports whether adjacent list members y (left) and z
+// (right) belong to different runs w.r.t. the level-`bitLevel` membership
+// bit: a node lacking the bit never extends a run.
+func refRunBoundary(y, z *Node, bitLevel int) bool {
+	return bitLevel >= len(y.bits) || bitLevel >= len(z.bits) || y.bits[bitLevel] != z.bits[bitLevel]
+}
+
+// refRunScanner finds over-long same-bit runs holding a real member in one
+// list, fed its members in key order.
+type refRunScanner struct {
+	out      []BalanceViolation
+	level, a int
+
+	start   *Node // first node of the current run
+	runLen  int
+	hasReal bool
+}
+
+func (s *refRunScanner) add(y *Node) {
+	if s.start != nil && !refRunBoundary(s.start, y, s.level+1) {
+		s.runLen++
+		s.hasReal = s.hasReal || !y.dummy
+		return
+	}
+	s.flush()
+	s.start, s.runLen, s.hasReal = y, 1, !y.dummy
+}
+
+func (s *refRunScanner) flush() {
+	if s.runLen > s.a && s.hasReal && s.start.HasBit(s.level+1) {
+		s.out = append(s.out, BalanceViolation{
+			Level:  s.level,
+			Start:  s.start,
+			RunLen: s.runLen,
+			Bit:    s.start.Bit(s.level + 1),
+		})
+	}
+}
+
+// finish closes the last run and returns the accumulated violations.
+func (s *refRunScanner) finish() []BalanceViolation {
+	s.flush()
+	return s.out
+}
+
+func (g *Graph) refBalanceViolations(a int) []BalanceViolation {
+	var out []BalanceViolation
+	var walk func(list []*Node, level int)
+	walk = func(list []*Node, level int) {
+		runs := refRunScanner{out: out, level: level, a: a}
+		for _, n := range list {
+			runs.add(n)
+		}
+		out = runs.finish()
+		var zeros, ones []*Node
+		for _, n := range list {
+			if !n.HasBit(level + 1) {
+				continue // singleton above this level
+			}
+			if n.Bit(level+1) == 0 {
+				zeros = append(zeros, n)
+			} else {
+				ones = append(ones, n)
+			}
+		}
+		if len(zeros) >= 2 {
+			walk(zeros, level+1)
+		}
+		if len(ones) >= 2 {
+			walk(ones, level+1)
+		}
+	}
+	if g.n >= 2 {
+		walk(g.Nodes(), 0)
+	}
+	return out
+}
 
 func (g *Graph) refAppendBalanceViolationsIn(dst []BalanceViolation, a int, refs []ListRef) ([]BalanceViolation, int) {
 	if a < 1 {
@@ -26,7 +106,7 @@ func (g *Graph) refAppendBalanceViolationsIn(dst []BalanceViolation, a int, refs
 		}
 		seen[ref] = true
 		level := int(ref.Level)
-		runs := runScanner{out: dst, level: level, a: a}
+		runs := refRunScanner{out: dst, level: level, a: a}
 		first, last, walked := refRegionBounds(ref)
 		visited := 0
 		for y := first; y != nil; y = y.Next(level) {
@@ -89,7 +169,7 @@ func refRegionBounds(ref ListRef) (first, last *Node, walked int) {
 		if p == nil {
 			break
 		}
-		if !ref.Whole && runBoundary(p, first, level+1) {
+		if !ref.Whole && refRunBoundary(p, first, level+1) {
 			cross++
 			if cross > 1 {
 				break
@@ -107,7 +187,7 @@ func refRegionBounds(ref ListRef) (first, last *Node, walked int) {
 		if nx == nil {
 			break
 		}
-		if runBoundary(last, nx, level+1) {
+		if refRunBoundary(last, nx, level+1) {
 			cross++
 			if cross > 1 {
 				break
@@ -197,11 +277,14 @@ func scanRefs(rng *rand.Rand, g *Graph, stale []*Node) []ListRef {
 	return refs
 }
 
-// checkScans runs both scans and their oracles over one dirty set and fails
-// on any difference: the violations in order, duplicates included; the
-// dummies; and the work count of each.
+// checkScans runs the whole-graph scan, both scoped scans and their oracles
+// over one dirty set and fails on any difference: the violations in order,
+// duplicates included; the dummies; and the work count of each.
 func checkScans(t *testing.T, g *Graph, a int, refs []ListRef, known []*Node) (dups int) {
 	t.Helper()
+	if got, want := g.BalanceViolations(a), g.refBalanceViolations(a); !slices.Equal(got, want) {
+		t.Fatalf("whole-graph scan: %d violations, oracle %d", len(got), len(want))
+	}
 	want, wantScanned := g.refAppendBalanceViolationsIn(nil, a, refs)
 	got, gotScanned := g.AppendBalanceViolationsIn(nil, a, refs)
 	if gotScanned != wantScanned {
