@@ -14,7 +14,7 @@
 // Usage:
 //
 //	dsgexp -quick -seed 1            # all experiments, reduced scale
-//	dsgexp -full -repeats 5          # full scale, 5 repeats aggregated as mean/sd
+//	dsgexp -repeats 5                # full scale (the default), 5 repeats aggregated as mean/sd
 //	dsgexp -only E5,E8 -out results  # two experiments into ./results
 //	dsgexp -only E18 -shards 1,4,16  # sweep shard counts for the sharded study
 //	dsgexp -only E19 -mix a,e,crud   # sweep KV operation mixes for the KV study
@@ -40,7 +40,6 @@ import (
 func main() {
 	var (
 		quick   = flag.Bool("quick", false, "run at reduced scale (seconds per experiment)")
-		full    = flag.Bool("full", false, "run at full scale (the default)")
 		repeats = flag.Int("repeats", 1, "independent repetitions per experiment, aggregated as mean/sd")
 		only    = flag.String("only", "", "comma-separated experiment ids to run (e.g. E5,E8); empty = all")
 		par     = flag.Int("par", 0, "max experiments running concurrently (0 = GOMAXPROCS)")
@@ -58,10 +57,6 @@ func main() {
 		experiments.FprintRegistry(os.Stdout)
 		return
 	}
-	if *quick && *full {
-		fail("pick one of -quick and -full")
-	}
-
 	sc := experiments.Full()
 	scaleName := "full"
 	if *quick {

@@ -214,3 +214,11 @@ func TestFindPanics(t *testing.T) {
 		}()
 	}
 }
+
+// TrueMedianRankWindow reports the rank window [n/2 - n/2a, n/2 + n/2a] of
+// Lemma 1 for a list of length n.
+func TrueMedianRankWindow(n, a int) (lo, hi float64) {
+	half := float64(n) / 2
+	slack := float64(n) / float64(2*a)
+	return half - slack, half + slack
+}

@@ -77,18 +77,6 @@ func (d *DSG) RepairCrashedID(id int64) bool {
 	return true
 }
 
-// RepairAllCrashed sweeps every still-dead node through the scoped crash
-// repair and returns how many it repaired. It models an anti-entropy pass; the
-// hot path is detection-triggered per-node repair.
-func (d *DSG) RepairAllCrashed() int {
-	repaired := 0
-	for _, n := range d.g.DeadNodes() {
-		d.repairCrashed(n)
-		repaired++
-	}
-	return repaired
-}
-
 // CrashedIDs returns the ids of crashed nodes awaiting repair, ascending.
 func (d *DSG) CrashedIDs() []int64 {
 	var ids []int64

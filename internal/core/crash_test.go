@@ -107,3 +107,15 @@ func TestJoinBesideCorpse(t *testing.T) {
 		t.Fatalf("invalid after sweep: %v", err)
 	}
 }
+
+// RepairAllCrashed sweeps every still-dead node through the scoped crash
+// repair and returns how many it repaired. It models an anti-entropy pass; the
+// hot path is detection-triggered per-node repair.
+func (d *DSG) RepairAllCrashed() int {
+	repaired := 0
+	for _, n := range d.g.DeadNodes() {
+		d.repairCrashed(n)
+		repaired++
+	}
+	return repaired
+}

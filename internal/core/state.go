@@ -254,9 +254,6 @@ func (d *DSG) Group(n *skipgraph.Node, level int) int64 {
 	return d.state(n).group(level)
 }
 
-// GroupBase returns B_x for a node.
-func (d *DSG) GroupBase(n *skipgraph.Node) int { return d.state(n).B }
-
 // SetStateForTest force-sets a node's full DSG state; used by tests that
 // reconstruct the paper's worked examples mid-history.
 func (d *DSG) SetStateForTest(n *skipgraph.Node, ts []int64, groups []int64, dominating []bool, base int) {

@@ -56,7 +56,7 @@ func E18ShardedServing(sc Scale) *stats.Table {
 	for _, tr := range traces {
 		reqs := tr.gen.Generate(n, m)
 		for _, s := range shardCounts {
-			// An infeasible lane (shard.New requires ≥ MinShardKeys keys per
+			// An infeasible lane (shard.New requires ≥ 2 keys per
 			// shard) fails the experiment loudly rather than vanishing from
 			// the sweep.
 			svc, err := shard.New(n, shard.Config{

@@ -244,10 +244,10 @@ func TestApplySyncRoutesAndErrors(t *testing.T) {
 	}
 }
 
-// TestSingleShardDefaultsAndGuards pins the config clamps (Shards < 1 means
-// one shard, MinShardKeys floors at 2) and the out-of-range crash guard.
+// TestSingleShardDefaultsAndGuards pins the config clamp (Shards < 1 means
+// one shard) and the out-of-range crash guard.
 func TestSingleShardDefaultsAndGuards(t *testing.T) {
-	svc, err := New(16, Config{Shards: 0, MinShardKeys: 4, Seed: 1})
+	svc, err := New(16, Config{Shards: 0, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -349,7 +349,7 @@ func (s *Service) feedLoad(op core.Op, delta int64) {
 // shard settled, the window's loads where the dispatcher wrote them — and
 // executes the migration it plans, if any.
 func (s *Service) rebalance(dir *Directory) error {
-	plan, ok := planRebalance(dir, s.keyLoad, s.cfg.skewThreshold(), s.cfg.minShardKeys())
+	plan, ok := planRebalance(dir, s.keyLoad)
 	if !ok {
 		return nil
 	}

@@ -13,13 +13,13 @@ type migrationPlan struct {
 // the directory in force during the window and the per-key endpoint counts.
 //
 // The decision rule: compute per-shard loads (key loads in range); if the
-// hottest shard exceeds threshold × mean, donate keys to its lighter-loaded
+// hottest shard exceeds skewThreshold × mean, donate keys to its lighter-loaded
 // adjacent neighbour, walking per-key load in from the donated edge until
 // half the pairwise load gap has moved (at least one key, and never below
-// minKeys remaining). Donating from the adjacent edge is what keeps both
+// minShardKeys remaining). Donating from the adjacent edge is what keeps both
 // shards' ranges contiguous. A plan is only emitted when the walked keys
 // actually carry load.
-func planRebalance(dir *Directory, keyLoad []int64, threshold float64, minKeys int) (migrationPlan, bool) {
+func planRebalance(dir *Directory, keyLoad []int64) (migrationPlan, bool) {
 	s := dir.Shards()
 	if s < 2 {
 		return migrationPlan{}, false
@@ -43,7 +43,7 @@ func planRebalance(dir *Directory, keyLoad []int64, threshold float64, minKeys i
 		}
 	}
 	mean := float64(total) / float64(s)
-	if float64(loads[h]) < threshold*mean {
+	if float64(loads[h]) < skewThreshold*mean {
 		return migrationPlan{}, false
 	}
 	// Lighter adjacent neighbour (ties toward the left, deterministically).
@@ -63,7 +63,7 @@ func planRebalance(dir *Directory, keyLoad []int64, threshold float64, minKeys i
 	}
 
 	lo, hi := dir.Range(h)
-	maxMove := (hi - lo) - int64(minKeys)
+	maxMove := (hi - lo) - minShardKeys
 	if maxMove < 1 {
 		return migrationPlan{}, false
 	}

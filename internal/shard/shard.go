@@ -32,12 +32,6 @@ type Config struct {
 	// window together; Apply counts its one op into the same window. Values
 	// < 1 mean 512.
 	RebalanceEvery int
-	// SkewThreshold is the max/mean shard-load ratio that triggers a
-	// migration (default 1.5; values ≤ 1 mean the default).
-	SkewThreshold float64
-	// MinShardKeys is the smallest key count a migration may leave in a
-	// shard (default 2).
-	MinShardKeys int
 
 	// CheckInvariants is passed to every shard's core.Config: full
 	// structural verification after each adjustment.
@@ -72,19 +66,14 @@ func (c Config) rebalanceEvery() int {
 	return c.RebalanceEvery
 }
 
-func (c Config) skewThreshold() float64 {
-	if c.SkewThreshold <= 1 {
-		return 1.5
-	}
-	return c.SkewThreshold
-}
-
-func (c Config) minShardKeys() int {
-	if c.MinShardKeys < 2 {
-		return 2
-	}
-	return c.MinShardKeys
-}
+const (
+	// skewThreshold is the max/mean shard-load ratio that triggers a
+	// migration.
+	skewThreshold = 1.5
+	// minShardKeys is the smallest key count a shard starts with or a
+	// migration may leave in it.
+	minShardKeys = 2
+)
 
 // Service is a self-adjusting skip-graph service over the key space [0, n),
 // partitioned across S ≥ 1 shards; a single graph is the S = 1 case.
@@ -150,11 +139,11 @@ type Totals struct {
 }
 
 // New builds a service over keys 0..n-1. Every shard needs at least
-// MinShardKeys keys in the initial split.
+// minShardKeys keys in the initial split.
 func New(n int, cfg Config) (*Service, error) {
 	s := cfg.shards()
-	if n < s*cfg.minShardKeys() {
-		return nil, fmt.Errorf("shard: %d keys cannot fill %d shards with ≥ %d keys each", n, s, cfg.minShardKeys())
+	if n < s*minShardKeys {
+		return nil, fmt.Errorf("shard: %d keys cannot fill %d shards with ≥ %d keys each", n, s, minShardKeys)
 	}
 	if cfg.A == 0 {
 		cfg.A = 4

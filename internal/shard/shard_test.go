@@ -98,7 +98,7 @@ func TestPlanRebalance(t *testing.T) {
 	dir := newDirectory(32, 4) // 8 keys per shard
 	keyLoad := make([]int64, 32)
 
-	if _, ok := planRebalance(dir, keyLoad, 1.5, 2); ok {
+	if _, ok := planRebalance(dir, keyLoad); ok {
 		t.Error("zero load must not plan")
 	}
 
@@ -106,7 +106,7 @@ func TestPlanRebalance(t *testing.T) {
 	for i := range keyLoad {
 		keyLoad[i] = 10
 	}
-	if _, ok := planRebalance(dir, keyLoad, 1.5, 2); ok {
+	if _, ok := planRebalance(dir, keyLoad); ok {
 		t.Error("balanced load must not plan")
 	}
 
@@ -118,7 +118,7 @@ func TestPlanRebalance(t *testing.T) {
 	for k := 4; k < 32; k++ {
 		keyLoad[k] = 1
 	}
-	plan, ok := planRebalance(dir, keyLoad, 1.5, 2)
+	plan, ok := planRebalance(dir, keyLoad)
 	if !ok {
 		t.Fatal("hot shard 0 must plan")
 	}
@@ -143,7 +143,7 @@ func TestPlanRebalance(t *testing.T) {
 	for k := 24; k < 32; k++ {
 		keyLoad[k] = 1
 	}
-	plan, ok = planRebalance(dir, keyLoad, 1.5, 2)
+	plan, ok = planRebalance(dir, keyLoad)
 	if !ok || plan.From != 2 || plan.To != 3 {
 		t.Fatalf("plan %+v ok=%v, want 2 → 3", plan, ok)
 	}
@@ -158,7 +158,7 @@ func TestPlanRebalance(t *testing.T) {
 	// ping-pong the key back next window.
 	keyLoad = make([]int64, 32)
 	keyLoad[7] = 1000 // top edge of shard 0
-	if plan, ok := planRebalance(dir, keyLoad, 1.5, 2); ok {
+	if plan, ok := planRebalance(dir, keyLoad); ok {
 		t.Errorf("hub-at-boundary load planned %+v; moving it cannot improve balance", plan)
 	}
 }
@@ -178,7 +178,7 @@ func TestPlanRebalanceTerminates(t *testing.T) {
 		if round > 8 {
 			t.Fatalf("planner still migrating after %d rounds on static load (epoch %d)", round, dir.Epoch())
 		}
-		plan, ok := planRebalance(dir, keyLoad, 1.5, 2)
+		plan, ok := planRebalance(dir, keyLoad)
 		if !ok {
 			break
 		}

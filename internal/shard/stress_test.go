@@ -19,8 +19,7 @@ import (
 // TestServeStress.
 func TestShardedStress(t *testing.T) {
 	const n = 96
-	svc, err := New(n, Config{Shards: 4, Seed: 42,
-		RebalanceEvery: 40, SkewThreshold: 1.2})
+	svc, err := New(n, Config{Shards: 4, Seed: 42, RebalanceEvery: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +78,7 @@ func TestShardedStress(t *testing.T) {
 // for, and the answers must be the model's.
 func TestShardedStressApply(t *testing.T) {
 	const steps = 1500
-	svc, err := New(96, Config{Shards: 4, Seed: 42, RebalanceEvery: 12, SkewThreshold: 1.2})
+	svc, err := New(96, Config{Shards: 4, Seed: 42, RebalanceEvery: 12})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -166,3 +166,16 @@ func TestVerifyChecksBaseList(t *testing.T) {
 		}
 	}
 }
+
+// RealKeysInRange returns the primary keys of the real (non-dummy) nodes
+// whose key lies in [lo, hi), in ascending order: the key walk from g.from
+// that TestScanEntry holds to a linear reference.
+func (g *Graph) RealKeysInRange(lo, hi Key) []int64 {
+	var keys []int64
+	for n := g.from(lo); n != nil && n.key.Less(hi); n = n.Next(0) {
+		if !n.dummy {
+			keys = append(keys, n.key.Primary)
+		}
+	}
+	return keys
+}

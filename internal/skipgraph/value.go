@@ -50,10 +50,12 @@ func (g *Graph) ScanFrom(start Key, limit int) []Entry {
 }
 
 // RealEntriesInRange returns the full records — id, value, version — of the
-// real nodes whose key lies in [lo, hi), ascending: RealKeysInRange plus the
-// value payloads, which is what lets shard migration move values with their
-// keys. Nodes without values appear with HasValue false (the key itself
-// still migrates); dead nodes appear too, matching RealKeysInRange.
+// real nodes whose key lies in [lo, hi), ascending, which is what lets shard
+// migration move values with their keys. Nodes without values appear with
+// HasValue false (the key itself still migrates); dead nodes appear too.
+// Dummies are excluded: they are balance artifacts of the graph they live
+// in, and the destination shard's own repair re-creates whatever padding its
+// lists need (§IV-F).
 func (g *Graph) RealEntriesInRange(lo, hi Key) []Entry {
 	var out []Entry
 	for n := g.from(lo); n != nil && n.key.Less(hi); n = n.Next(0) {

@@ -95,9 +95,6 @@ func pairKey(u, v int) uint64 {
 // N returns the number of nodes in the system.
 func (t *Tracker) N() int { return t.n }
 
-// Clock returns the current logical time (the number of recorded requests).
-func (t *Tracker) Clock() int { return int(t.clock) }
-
 // nextEpoch starts a fresh visit set. Stamps from 2³² passes ago would read
 // as current after a wrap, so the wrap clears them.
 func (t *Tracker) nextEpoch() uint32 {
@@ -218,14 +215,6 @@ func (b *Bound) Add(u, v int) int {
 
 // Total returns WS(σ) for the requests recorded so far.
 func (b *Bound) Total() float64 { return b.total }
-
-// PerRequest returns WS(σ)/m, the amortized per-request lower bound.
-func (b *Bound) PerRequest() float64 {
-	if b.count == 0 {
-		return 0
-	}
-	return b.total / float64(b.count)
-}
 
 // Count returns the number of requests recorded.
 func (b *Bound) Count() int { return b.count }

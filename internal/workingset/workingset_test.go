@@ -463,3 +463,14 @@ func TestGrowAgainstReference(t *testing.T) {
 		checkLogs(t, tr)
 	}
 }
+
+// Clock returns the current logical time (the number of recorded requests).
+func (t *Tracker) Clock() int { return int(t.clock) }
+
+// PerRequest returns WS(σ)/m, the amortized per-request lower bound.
+func (b *Bound) PerRequest() float64 {
+	if b.count == 0 {
+		return 0
+	}
+	return b.total / float64(b.count)
+}

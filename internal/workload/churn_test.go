@@ -223,3 +223,18 @@ func TestParamStringTraceGenerators(t *testing.T) {
 		t.Errorf("ParamString = %q", ps)
 	}
 }
+
+// Counts returns the number of route, join, and leave events.
+func (tr Trace) Counts() (routes, joins, leaves int) {
+	for _, e := range tr {
+		switch e.Op {
+		case OpRoute:
+			routes++
+		case OpJoin:
+			joins++
+		case OpLeave:
+			leaves++
+		}
+	}
+	return routes, joins, leaves
+}

@@ -214,3 +214,20 @@ func TestValidateKVRules(t *testing.T) {
 		}
 	}
 }
+
+// KVCounts returns the number of get, put, delete, and scan events.
+func (tr Trace) KVCounts() (gets, puts, deletes, scans int) {
+	for _, e := range tr {
+		switch e.Op {
+		case OpGet:
+			gets++
+		case OpPut:
+			puts++
+		case OpDelete:
+			deletes++
+		case OpScan:
+			scans++
+		}
+	}
+	return gets, puts, deletes, scans
+}

@@ -90,21 +90,6 @@ func (e Event) String() string {
 // Trace is an ordered event sequence produced by a TraceGenerator.
 type Trace []Event
 
-// Counts returns the number of route, join, and leave events.
-func (tr Trace) Counts() (routes, joins, leaves int) {
-	for _, e := range tr {
-		switch e.Op {
-		case OpRoute:
-			routes++
-		case OpJoin:
-			joins++
-		case OpLeave:
-			leaves++
-		}
-	}
-	return routes, joins, leaves
-}
-
 // Crashes returns the number of crash events.
 func (tr Trace) Crashes() int {
 	c := 0
@@ -114,23 +99,6 @@ func (tr Trace) Crashes() int {
 		}
 	}
 	return c
-}
-
-// KVCounts returns the number of get, put, delete, and scan events.
-func (tr Trace) KVCounts() (gets, puts, deletes, scans int) {
-	for _, e := range tr {
-		switch e.Op {
-		case OpGet:
-			gets++
-		case OpPut:
-			puts++
-		case OpDelete:
-			deletes++
-		case OpScan:
-			scans++
-		}
-	}
-	return gets, puts, deletes, scans
 }
 
 // Validate replays the trace against a three-state membership model (live,

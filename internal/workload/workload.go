@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -344,20 +343,4 @@ func (g HotRange) Generate(n, m int) []Request {
 		reqs = append(reqs, Request{Src: src, Dst: dst})
 	}
 	return reqs
-}
-
-// Zipfian frequency helper used in analyses/tests.
-
-// ZipfWeights returns normalized Zipf weights for ranks 1..n with exponent s.
-func ZipfWeights(n int, s float64) []float64 {
-	ws := make([]float64, n)
-	var sum float64
-	for i := range ws {
-		ws[i] = 1 / math.Pow(float64(i+1), s)
-		sum += ws[i]
-	}
-	for i := range ws {
-		ws[i] /= sum
-	}
-	return ws
 }

@@ -205,3 +205,17 @@ func TestPanicsOnBadArgs(t *testing.T) {
 	}()
 	Uniform{}.Generate(1, 10)
 }
+
+// ZipfWeights returns normalized Zipf weights for ranks 1..n with exponent s.
+func ZipfWeights(n int, s float64) []float64 {
+	ws := make([]float64, n)
+	var sum float64
+	for i := range ws {
+		ws[i] = 1 / math.Pow(float64(i+1), s)
+		sum += ws[i]
+	}
+	for i := range ws {
+		ws[i] /= sum
+	}
+	return ws
+}
