@@ -441,18 +441,13 @@ func BenchmarkAdjustScaling(b *testing.B) {
 			d := core.New(n, core.Config{A: 4, Seed: 1})
 			reqs := workload.Zipf{Seed: 7, S: 1.2}.Generate(n, warmup+b.N)
 			for _, r := range reqs[:warmup] {
-				if _, err := d.AdjustAccess(core.RouteOp(int64(r.Src), int64(r.Dst))); err != nil {
-					b.Fatal(err)
-				}
+				d.AdjustAccess(core.RouteOp(int64(r.Src), int64(r.Dst)))
 			}
 			_, scan0 := d.LocalityWork()
 			rounds, lalpha := 0, 0
 			b.ResetTimer()
 			for _, r := range reqs[warmup:] {
-				res, err := d.AdjustAccess(core.RouteOp(int64(r.Src), int64(r.Dst)))
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := d.AdjustAccess(core.RouteOp(int64(r.Src), int64(r.Dst)))
 				rounds += res.TransformRounds
 				lalpha += res.LAlpha
 			}

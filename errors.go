@@ -29,12 +29,10 @@ var (
 	ErrOutOfRange = errors.New("lsasg: index out of range")
 
 	// ErrBarrier reports the service's failure, not the op's: the
-	// rebalancer's migration at the window barrier behind an op failed, or
-	// an adjustment that ran behind an earlier answer (see Network.Do) did.
-	// From Do and Request the result returned next to it is valid and took
-	// effect, its own error, if any, in OpResult.Err; any other call that
-	// returns it — Verify, Distance, Crash, AddNode, RemoveNode — did
-	// nothing else.
+	// rebalancer's migration at the load-window barrier behind an op failed.
+	// Only Do and the calls built on it (Request, Get, Put, Delete, Scan)
+	// return it, and the result returned next to it is valid and took
+	// effect, its own error, if any, in OpResult.Err.
 	ErrBarrier = errors.New("lsasg: window barrier failed")
 )
 

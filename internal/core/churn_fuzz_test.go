@@ -165,30 +165,6 @@ func checkOracle(d *DSG, oracle []int64) error {
 	return nil
 }
 
-// shrinkFuzz reduces a failing op sequence to a locally minimal one via
-// ddmin-style chunk removal: repeatedly drop the largest chunk whose
-// removal still fails, then retry with smaller chunks down to single ops.
-func shrinkFuzz(n, a int, seed int64, ops []fuzzOp, budget int) []fuzzOp {
-	// First cut: everything after the failing op is irrelevant.
-	if idx, err := runFuzz(n, a, seed, ops); err != nil && idx+1 < len(ops) {
-		ops = ops[:idx+1]
-	}
-	for chunk := len(ops) / 2; chunk >= 1; chunk /= 2 {
-		for start := 0; start+chunk <= len(ops) && budget > 0; {
-			cand := make([]fuzzOp, 0, len(ops)-chunk)
-			cand = append(cand, ops[:start]...)
-			cand = append(cand, ops[start+chunk:]...)
-			budget--
-			if _, err := runFuzz(n, a, seed, cand); err != nil {
-				ops = cand // chunk was irrelevant; keep it removed
-			} else {
-				start += chunk
-			}
-		}
-	}
-	return ops
-}
-
 // TestChurnFuzz is the randomized churn harness: for each seed it replays
 // 1000+ random route/join/leave events against a sorted-slice oracle,
 // asserting the full-graph validator after every op. A failure is shrunk
@@ -208,7 +184,7 @@ func TestChurnFuzz(t *testing.T) {
 				if err == nil {
 					return
 				}
-				min := shrinkFuzz(n, a, seed, ops, 400)
+				min := ddmin(ops, func(ops []fuzzOp) (int, error) { return runFuzz(n, a, seed, ops) }, 400)
 				t.Fatalf("op %d failed: %v\nminimal reproduction (n=%d a=%d seed=%d, %d ops):\n%v",
 					idx, err, n, a, seed, len(min), min)
 			})

@@ -211,27 +211,6 @@ func checkCrashOracle(d *DSG, live, dead []int64) error {
 	return nil
 }
 
-// shrinkCrashFuzz is ddmin-style chunk removal over runCrashFuzz.
-func shrinkCrashFuzz(n, a int, seed int64, ops []fuzzOp, budget int) []fuzzOp {
-	if idx, err := runCrashFuzz(n, a, seed, ops); err != nil && idx+1 < len(ops) {
-		ops = ops[:idx+1]
-	}
-	for chunk := len(ops) / 2; chunk >= 1; chunk /= 2 {
-		for start := 0; start+chunk <= len(ops) && budget > 0; {
-			cand := make([]fuzzOp, 0, len(ops)-chunk)
-			cand = append(cand, ops[:start]...)
-			cand = append(cand, ops[start+chunk:]...)
-			budget--
-			if _, err := runCrashFuzz(n, a, seed, cand); err != nil {
-				ops = cand
-			} else {
-				start += chunk
-			}
-		}
-	}
-	return ops
-}
-
 // TestCrashFuzz is the randomized crash-failure harness: for each seed it
 // replays hundreds of random route/join/leave/crash/probe events against the
 // two-set oracle, asserting the full-graph validator after every op (so
@@ -253,7 +232,7 @@ func TestCrashFuzz(t *testing.T) {
 				if err == nil {
 					return
 				}
-				min := shrinkCrashFuzz(n, a, seed, ops, 400)
+				min := ddmin(ops, func(ops []fuzzOp) (int, error) { return runCrashFuzz(n, a, seed, ops) }, 400)
 				t.Fatalf("op %d failed: %v\nminimal reproduction (n=%d a=%d seed=%d, %d ops):\n%v",
 					idx, err, n, a, seed, len(min), min)
 			})

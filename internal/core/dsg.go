@@ -176,21 +176,3 @@ func freeKeyIn(a, b skipgraph.Key, occupied func(skipgraph.Key) bool) (skipgraph
 func (d *DSG) staticFreeKey(a, b skipgraph.Key) (skipgraph.Key, bool) {
 	return freeKeyIn(a, b, func(k skipgraph.Key) bool { return d.g.ByKey(k) != nil })
 }
-
-// checkInvariants verifies the post-transformation guarantees used by the
-// analysis: the full invariant set (Validate), a direct u-v link (the
-// self-adjusting model's requirement), and the request timestamp on the
-// pair's list (rule T1).
-func (d *DSG) checkInvariants(u, v *skipgraph.Node) error {
-	if err := d.Validate(); err != nil {
-		return err
-	}
-	if ok, _ := d.g.DirectlyLinked(u, v); !ok {
-		return fmt.Errorf("nodes %d and %d not directly linked", u.ID(), v.ID())
-	}
-	dPrime := skipgraph.CommonPrefixLen(u, v)
-	if got := d.state(u).timestamp(dPrime); got != d.clock {
-		return fmt.Errorf("node %d timestamp at pair level %d is %d, want %d", u.ID(), dPrime, got, d.clock)
-	}
-	return nil
-}

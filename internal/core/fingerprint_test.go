@@ -68,10 +68,7 @@ func TestAdjustFingerprint(t *testing.T) {
 		return func(t *testing.T, fp fingerprint) *DSG {
 			d := New(n, Config{A: 4, Seed: 1})
 			for _, r := range zipf.Generate(n, ops) {
-				res, err := d.AdjustAccess(RouteOp(int64(r.Src), int64(r.Dst)))
-				if err != nil {
-					t.Fatal(err)
-				}
+				res := d.AdjustAccess(RouteOp(int64(r.Src), int64(r.Dst)))
 				fp.op([]int{res.Alpha}, res.TransformRounds, res.DirectLevel, res.HeightAfter,
 					res.RepairInserted, res.RepairRemoved)
 			}

@@ -381,27 +381,6 @@ func checkScan(got []skipgraph.Entry, start int64, limit int, vals map[int64][]b
 	return nil
 }
 
-// shrinkKVFuzz is ddmin-style chunk removal over runKVFuzz.
-func shrinkKVFuzz(n, a int, seed int64, ops []kvFuzzOp, budget int) []kvFuzzOp {
-	if idx, err := runKVFuzz(n, a, seed, ops); err != nil && idx+1 < len(ops) {
-		ops = ops[:idx+1]
-	}
-	for chunk := len(ops) / 2; chunk >= 1; chunk /= 2 {
-		for start := 0; start+chunk <= len(ops) && budget > 0; {
-			cand := make([]kvFuzzOp, 0, len(ops)-chunk)
-			cand = append(cand, ops[:start]...)
-			cand = append(cand, ops[start+chunk:]...)
-			budget--
-			if _, err := runKVFuzz(n, a, seed, cand); err != nil {
-				ops = cand
-			} else {
-				start += chunk
-			}
-		}
-	}
-	return ops
-}
-
 // TestKVFuzz is the randomized KV data-plane harness: for each seed it
 // replays hundreds of random get/put/delete/scan events interleaved with
 // churn and crash failures against the sorted-map oracle, asserting op
@@ -423,7 +402,7 @@ func TestKVFuzz(t *testing.T) {
 				if err == nil {
 					return
 				}
-				min := shrinkKVFuzz(n, a, seed, ops, 400)
+				min := ddmin(ops, func(ops []kvFuzzOp) (int, error) { return runKVFuzz(n, a, seed, ops) }, 400)
 				t.Fatalf("op %d failed: %v\nminimal reproduction (n=%d a=%d seed=%d, %d ops):\n%v",
 					idx, err, n, a, seed, len(min), min)
 			})

@@ -141,8 +141,8 @@ func (d *DSG) ApplyOp(op Op) (OpResult, error) {
 	if err != nil {
 		return r, err
 	}
-	r.AdjustResult, err = d.AdjustAccess(op)
-	return r, err
+	r.AdjustResult = d.AdjustAccess(op)
+	return r, nil
 }
 
 // Access is the route half of the step on the live graph. It routes
@@ -220,26 +220,20 @@ func (d *DSG) route(src, dst int64) (distance, hops int, err error) {
 // Access reported as a miss, whose endpoint is still unknown or dead: the
 // data outcome (miss, join, update) already happened, only the topology
 // adaptation is skipped, and a transformation must not resurrect a corpse
-// into a group. Its only error is a failed invariant check under
-// Config.CheckInvariants.
-func (d *DSG) AdjustAccess(op Op) (AdjustResult, error) {
+// into a group.
+func (d *DSG) AdjustAccess(op Op) AdjustResult {
 	if op.Kind != OpRoute && op.Kind != OpGet && op.Kind != OpPut {
-		return AdjustResult{}, nil
+		return AdjustResult{}
 	}
 	u, v := d.NodeByID(op.Src), d.NodeByID(op.Dst)
 	if u == nil || v == nil || u == v || u.Dead() || v.Dead() {
-		return AdjustResult{}, nil
+		return AdjustResult{}
 	}
 	d.clock++
 	res := d.transform(u, v, d.clock)
 	res.RepairInserted, res.RepairRemoved = d.repairPending()
 	res.HeightAfter = d.g.Height()
-	if d.cfg.CheckInvariants {
-		if err := d.checkInvariants(u, v); err != nil {
-			return res, fmt.Errorf("core: adjust access (%d,%d): invariant violated after request %d: %w", op.Src, op.Dst, d.clock, err)
-		}
-	}
-	return res, nil
+	return res
 }
 
 // applyPut writes op.Value to op.Dst. An alive key updates in place; an

@@ -324,10 +324,7 @@ func TestAdjustReportsLAlpha(t *testing.T) {
 				dummies++
 			}
 		}
-		res, err := d.AdjustAccess(RouteOp(int64(r.Src), int64(r.Dst)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := d.AdjustAccess(RouteOp(int64(r.Src), int64(r.Dst)))
 		if res.LAlpha != size || res.LAlphaDummies != dummies {
 			t.Fatalf("reported l_alpha %d (%d dummies), the list held %d (%d)", res.LAlpha, res.LAlphaDummies, size, dummies)
 		}

@@ -125,10 +125,6 @@ type Config struct {
 	// Finder overrides the median-finding subroutine; nil selects the
 	// paper's AMF with parameter A.
 	Finder MedianFinder
-	// CheckInvariants, when true, runs Validate — the full invariant set —
-	// after every transformation, plus the pair's direct link and its T1
-	// timestamp (slow; for tests).
-	CheckInvariants bool
 	// DummyIDBase, when > 0, is the first identifier handed to dummy nodes.
 	// Dummy ids never collide with real ids inside one graph by construction,
 	// but a sharded deployment (internal/shard) migrates real nodes between

@@ -209,14 +209,14 @@ func TestDummiesDestroyedOnNotification(t *testing.T) {
 
 // TestAddRemoveNodes exercises §IV-G.
 func TestAddRemoveNodes(t *testing.T) {
-	d := New(16, Config{A: 4, Seed: 8, CheckInvariants: true})
+	d := New(16, Config{A: 4, Seed: 8})
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 40; i++ {
 		u, v := int64(rng.Intn(16)), int64(rng.Intn(16))
 		if u == v {
 			continue
 		}
-		if _, err := serveRoute(d, u, v); err != nil {
+		if _, err := serveChecked(d, u, v); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -229,7 +229,7 @@ func TestAddRemoveNodes(t *testing.T) {
 	if err := d.Graph().Verify(); err != nil {
 		t.Fatalf("after add: %v", err)
 	}
-	if _, err := serveRoute(d, 100, 3); err != nil {
+	if _, err := serveChecked(d, 100, 3); err != nil {
 		t.Fatalf("serving new node: %v", err)
 	}
 	if err := d.RemoveNode(100); err != nil {
@@ -241,7 +241,7 @@ func TestAddRemoveNodes(t *testing.T) {
 	if err := d.Graph().Verify(); err != nil {
 		t.Fatalf("after remove: %v", err)
 	}
-	if _, err := serveRoute(d, 0, 15); err != nil {
+	if _, err := serveChecked(d, 0, 15); err != nil {
 		t.Fatalf("serving after removal: %v", err)
 	}
 }

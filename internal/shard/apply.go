@@ -7,11 +7,10 @@ import (
 )
 
 // ErrBarrier marks an error that comes from behind the op — the
-// rebalancer's migration at a window barrier, or an adjustment that failed
-// behind an earlier answer and that this call settled — and not from the op:
-// from Apply the outcome returned next to it is valid, counted and observed,
-// and its own error, if any, is in Outcome.Err; any other call returning it
-// did nothing else.
+// rebalancer's migration at a window barrier — and not from the op: the
+// outcome returned next to it is valid, counted and observed, and its own
+// error, if any, is in Outcome.Err. Only the window driver returns it:
+// Apply, ApplyAdjusted and Serve.
 var ErrBarrier = errors.New("shard: window barrier failed")
 
 // Apply serves one op synchronously — a one-op window through serveWindow,
@@ -36,9 +35,7 @@ var ErrBarrier = errors.New("shard: window barrier failed")
 // the op touched finishes its adjustment behind the answer, on a goroutine
 // of its own, until the next call that reads that shard settles it. So a
 // caller's next op routes on another shard while this one's shard still
-// adjusts. An adjustment that fails behind its answer is reported, wrapping
-// ErrBarrier, by that settling call. On one shard the adjustment runs before
-// Apply returns.
+// adjusts. On one shard the adjustment runs before Apply returns.
 func (s *Service) Apply(op core.Op) (Outcome, error) { return s.apply(op, true) }
 
 // ApplyAdjusted is Apply that returns only once the op's adjustment has

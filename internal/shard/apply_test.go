@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lsasg/internal/core"
+	"lsasg/internal/skipgraph"
 )
 
 // loadWindowEmpty reports whether nothing is counted into the load window.
@@ -16,6 +17,24 @@ func loadWindowEmpty(s *Service) bool {
 		}
 	}
 	return s.loadOps == 0
+}
+
+// unlinkKey relinks shard 0's lists without key id: the graph still knows
+// the key, but no list leads to it, so a route to it gets stuck — a failure
+// of the step's route half, not a miss.
+func unlinkKey(t *testing.T, svc *Service, id int64) {
+	t.Helper()
+	g := svc.shards[0].dsg.Graph()
+	var rest []*skipgraph.Node
+	for x := range g.All() {
+		if x.ID() != id {
+			rest = append(rest, x)
+		}
+	}
+	g.Relink(rest, 0, nil)
+	if _, err := g.RouteKeys(skipgraph.KeyOf(1), skipgraph.KeyOf(id)); err == nil || errors.Is(err, skipgraph.ErrUnknownKey) {
+		t.Fatalf("a route to the unlinked key %d returned %v, want it stuck", id, err)
+	}
 }
 
 // TestApplyBarrierFailureKeepsOutcome: at S = 2 with a load window of one
@@ -59,17 +78,16 @@ func TestApplyBarrierFailureKeepsOutcome(t *testing.T) {
 
 // TestApplyEngineFailureLeavesNoTrace: an op its shard's step fails to
 // serve has no outcome, so neither the lifetime books nor the load window
-// may count it. With invariant checks on and shard 0's state corrupted
-// (plantCorruption), the adjustment of an op on shard 0 fails; ApplyAdjusted
-// runs it inline, so the failure is the op's own.
+// may count it. With key 5 unlinked from shard 0's lists (unlinkKey), the
+// route half of the op 1→5 gets stuck, and the failure is the op's own.
 func TestApplyEngineFailureLeavesNoTrace(t *testing.T) {
 	outcomes := 0
-	svc, err := New(64, Config{Shards: 4, A: 4, Seed: 3, RebalanceEvery: 4, CheckInvariants: true,
+	svc, err := New(64, Config{Shards: 4, A: 4, Seed: 3, RebalanceEvery: 4,
 		OnOutcome: func(Outcome) { outcomes++ }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plantCorruption(t, svc)
+	unlinkKey(t, svc, 5)
 	before := svc.Totals()
 	if _, err := svc.ApplyAdjusted(core.RouteOp(1, 5)); err == nil || errors.Is(err, ErrBarrier) {
 		t.Fatalf("ApplyAdjusted returned %v, want the step's failure", err)
@@ -93,20 +111,20 @@ func TestApplyEngineFailureLeavesNoTrace(t *testing.T) {
 
 // TestServeStepFailureLeavesNoTrace: a window whose step fails on one shard
 // delivers the ops before the failing one and counts only those. At S = 4,
-// with shard 0's state corrupted (plantCorruption), the route 1→5 fails its
-// invariant check inside a window of six ops — cross-shard routes, point
-// ops and a scan fanned over every shard among them, whose legs on the
-// other shards do run. Only the route before it is delivered, so the run's
+// with key 5 unlinked from shard 0's lists (unlinkKey), the route 1→5 gets
+// stuck inside a window of six ops — cross-shard routes, point ops and a
+// scan fanned over every shard among them, whose legs on the other shards
+// do run. Only the route before it is delivered, so the run's
 // books and the lifetime books are that one op's: its request, class, leg,
 // distance and ρ, and nothing of the ops behind it.
 func TestServeStepFailureLeavesNoTrace(t *testing.T) {
 	var delivered []Outcome
-	svc, err := New(64, Config{Shards: 4, A: 4, Seed: 3, RebalanceEvery: 64, CheckInvariants: true,
+	svc, err := New(64, Config{Shards: 4, A: 4, Seed: 3, RebalanceEvery: 64,
 		OnOutcome: func(o Outcome) { delivered = append(delivered, o) }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plantCorruption(t, svc)
+	unlinkKey(t, svc, 5)
 	ops := []core.Op{
 		core.RouteOp(20, 28),
 		core.RouteOp(1, 5), // fails on shard 0

@@ -22,11 +22,11 @@
 // and crash passes through it — so losing an edge key costs the accesses
 // addressed to that key, never the traffic across the edge. Each leg adjusts
 // its own shard, so boundary nodes become working-set-hot and cross-shard
-// legs get cheap over time; the per-leg worst case stays the per-shard
-// a·H(n/S) bound, so a cross-shard request costs at most 2·a·H(n/S) + 1 —
-// still O(log n), within a factor 2 of the paper's single-graph a·H(n)
-// guarantee for any S, and at or below it once S ≥ √n (then H(n/S) ≤
-// H(n)/2).
+// legs get cheap over time. The documented per-leg target is the per-shard
+// a·H(n/S) search bound, so a cross-shard request would cost at most
+// 2·a·H(n/S) + 1 — O(log n), within a factor 2 of the paper's single-graph
+// a·H(n) bound for any S, and at or below it once S ≥ √n (then H(n/S) ≤
+// H(n)/2). Legs currently exceed it, as single graphs do (ROADMAP R1).
 //
 // # Rebalancing
 //
@@ -84,8 +84,8 @@
 // another shard meanwhile; every call that reads a shard's graph or the books
 // — its next leg, the barrier, Crash, AddNode, RemoveNode, Totals, Height,
 // DummyCount, Verify, Distance, DirectlyLinked, RenderTopology — settles that
-// shard first, and a failure behind an answer comes back from it as
-// ErrBarrier. One shard adjusts inline: nothing could overlap it. AddNode,
+// shard first. An adjustment cannot fail, so settling reports nothing. One
+// shard adjusts inline: nothing could overlap it. AddNode,
 // RemoveNode and Crash are directory operations between calls: like a
 // second Serve or Apply, they fail while a Serve or Apply is in flight.
 package shard

@@ -287,9 +287,8 @@ func (s *Service) collect(ctx context.Context, in <-chan core.Op, ops []core.Op,
 // An op one of whose legs a shard failed to serve has no outcome: the
 // window stops delivering there, takes the undelivered ops back out of the
 // load window — st counts delivered ops only — and returns the step's
-// error. A failed migration, or a failed adjustment the window settled,
-// comes after the window was served, counted and observed, so it is
-// returned wrapping ErrBarrier next to a valid outcome.
+// error. A failed migration comes after the window was served, counted and
+// observed, so it is returned wrapping ErrBarrier next to a valid outcome.
 func (s *Service) serveWindow(ops []core.Op, st *ServeStats, behind bool) (Outcome, error) {
 	dir := s.dir.Load()
 	s.win.reset()
@@ -314,7 +313,7 @@ func (s *Service) serveWindow(ops []core.Op, st *ServeStats, behind bool) (Outco
 			return last, fmt.Errorf("%w after its ops were served: %w", ErrBarrier, err)
 		}
 	}
-	return last, s.takeFailed()
+	return last, nil
 }
 
 // noteWindow books one load window's max/mean shard-load ratio: a full one

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"sync/atomic"
@@ -32,10 +31,6 @@ type Config struct {
 	// window together; Apply counts its one op into the same window. Values
 	// < 1 mean 512.
 	RebalanceEvery int
-
-	// CheckInvariants is passed to every shard's core.Config: full
-	// structural verification after each adjustment.
-	CheckInvariants bool
 
 	// OnOutcome, when non-nil, receives every op's assembled result — point
 	// outcomes, stitched cross-shard scans, and route path measurements —
@@ -110,9 +105,6 @@ type Service struct {
 	// call is in flight.
 	serving atomic.Bool
 
-	// failed holds the failures of settled tails that no call has reported
-	// yet.
-	failed error
 	// beforeTail, when set, runs on a tail's goroutine before its adjustment
 	// does: the tests' way to hold one behind its answer.
 	beforeTail func(shard int)
@@ -158,9 +150,8 @@ func New(n int, cfg Config) (*Service, error) {
 		}
 		g := skipgraph.NewFromNodes(nodes, skipgraph.RandomBrancher(cfg.Seed+int64(i)*1_000_003))
 		dsgs[i] = core.NewFromGraph(g, core.Config{
-			A:               cfg.A,
-			Seed:            cfg.Seed + int64(i),
-			CheckInvariants: cfg.CheckInvariants,
+			A:    cfg.A,
+			Seed: cfg.Seed + int64(i),
 			// Disjoint dummy-id spaces per shard: migration can carry any
 			// real id into any shard, so dummy ids live far above them all.
 			DummyIDBase: int64(n) + int64(i+1)<<32,
@@ -171,8 +162,8 @@ func New(n int, cfg Config) (*Service, error) {
 
 // NewOver builds a one-shard service over a DSG the caller built, such as
 // core.New's. Its key space is [0, n), n one above the DSG's largest real
-// key. The DSG keeps its own configuration: cfg's Shards, A, Seed and
-// CheckInvariants are ignored.
+// key. The DSG keeps its own configuration: cfg's Shards, A and Seed are
+// ignored.
 func NewOver(d *core.DSG, cfg Config) *Service {
 	var n int64
 	if _, top, ok := d.Graph().RealKeyBounds(); ok {
@@ -248,9 +239,6 @@ func (s *Service) DummyCount() int {
 // node's DSG state.
 func (s *Service) Verify() error {
 	s.settleAll()
-	if err := s.takeFailed(); err != nil {
-		return err
-	}
 	for i, sl := range s.shards {
 		if err := sl.dsg.Validate(); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
@@ -270,9 +258,6 @@ func (s *Service) Distance(src, dst int64) (int, error) {
 		return 0, err
 	}
 	s.settleAll()
-	if err := s.takeFailed(); err != nil {
-		return 0, err
-	}
 	legs, n, cross := s.dir.Load().splitLegs(s.live, src, dst)
 	total := 0
 	if cross {
@@ -322,8 +307,7 @@ func (s *Service) RenderTopology(w io.Writer) {
 // references until a leg's route contacts it as an intermediate, or a Put
 // or Delete of the key, repairs it; until then a route to the key is a
 // miss. Like AddNode and RemoveNode it fails while a Serve or Apply call is
-// in flight, settles the shard it changes first, and does nothing but
-// report a failed adjustment it finds there (see Apply).
+// in flight, and it settles the shard it changes first.
 func (s *Service) Crash(id int64) error {
 	if err := s.reserve("Crash"); err != nil {
 		return err
@@ -333,9 +317,7 @@ func (s *Service) Crash(id int64) error {
 		return err
 	}
 	sh := s.dir.Load().ShardOf(id)
-	if err := s.settleShard(sh); err != nil {
-		return err
-	}
+	s.settle(sh)
 	sl := s.shards[sh]
 	err := sl.dsg.Crash(id)
 	sl.publish()
@@ -368,9 +350,7 @@ func (s *Service) AddNode() (int64, error) {
 	}
 	defer s.serving.Store(false)
 	id := s.n
-	if err := s.settleShard(len(s.shards) - 1); err != nil {
-		return 0, err
-	}
+	s.settle(len(s.shards) - 1)
 	if err := s.shards[len(s.shards)-1].applyBatch([]skipgraph.Entry{{ID: id}}, nil); err != nil {
 		return 0, err
 	}
@@ -394,9 +374,7 @@ func (s *Service) RemoveNode(id int64) error {
 		return err
 	}
 	sh := s.dir.Load().ShardOf(id)
-	if err := s.settleShard(sh); err != nil {
-		return err
-	}
+	s.settle(sh)
 	if err := s.shards[sh].applyBatch(nil, []int64{id}); err != nil {
 		return err
 	}
@@ -425,17 +403,13 @@ func (s *Service) Gauges() Gauges {
 }
 
 // settle waits for shard i's adjustment behind an answer, if one is
-// running, and folds it into the lifetime books; a failure it left joins
-// s.failed. Every read of a shard's graph or of the books settles first.
+// running, and folds its ρ into the lifetime books. Every read of a shard's
+// graph or of the books settles first.
 func (s *Service) settle(i int) {
 	sl := s.shards[i]
 	sl.tail.Wait()
 	s.totals.TransformRounds += sl.rounds
 	sl.rounds = 0
-	if sl.err != nil {
-		s.failed = errors.Join(s.failed, fmt.Errorf("shard %d: %w", i, sl.err))
-		sl.err = nil
-	}
 }
 
 // settleAll settles every shard.
@@ -443,23 +417,6 @@ func (s *Service) settleAll() {
 	for i := range s.shards {
 		s.settle(i)
 	}
-}
-
-// settleShard settles shard i and reports the failures settled so far.
-func (s *Service) settleShard(i int) error {
-	s.settle(i)
-	return s.takeFailed()
-}
-
-// takeFailed reports, once, the failures of the settled adjustments,
-// wrapping ErrBarrier.
-func (s *Service) takeFailed() error {
-	err := s.failed
-	if err == nil {
-		return nil
-	}
-	s.failed = nil
-	return fmt.Errorf("%w: an adjustment behind an answer failed: %w", ErrBarrier, err)
 }
 
 // reserve takes the serving flag for one Serve, Apply, Crash, AddNode or

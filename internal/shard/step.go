@@ -23,12 +23,11 @@ type slot struct {
 	epoch int64
 
 	// tail counts the adjustment running behind an answer on this shard (0
-	// or 1): the adjust half of the leg serve left pending. rounds and err
-	// are what it leaves for settle: its ρ and its failure.
+	// or 1): the adjust half of the leg serve left pending. rounds is what
+	// it leaves for settle: its ρ.
 	tail    sync.WaitGroup
 	pending legResult
 	rounds  int64
-	err     error
 
 	// height and dummies are the graph's height and dummy count as of the
 	// end of the shard's last legs, tail, crash or membership batch: what
@@ -76,9 +75,7 @@ func (sl *slot) serve(legs []core.Op, res *[]legResult, behind bool) (pending bo
 		}
 		last := behind && i == len(legs)-1
 		if !last {
-			if err := sl.adjustHalf(&r); err != nil {
-				return false, err
-			}
+			sl.adjustHalf(&r)
 		}
 		*res = append(*res, r)
 		if last && (op.Kind == core.OpRoute || op.Kind == core.OpGet || op.Kind == core.OpPut) {
@@ -92,9 +89,8 @@ func (sl *slot) serve(legs []core.Op, res *[]legResult, behind bool) (pending bo
 // finish runs the adjust half serve left pending and ends the shard's tail.
 func (sl *slot) finish() {
 	r := &sl.pending
-	if sl.err = sl.adjustHalf(r); sl.err == nil {
-		sl.rounds += int64(r.TransformRounds)
-	}
+	sl.adjustHalf(r)
+	sl.rounds += int64(r.TransformRounds)
 	*r = legResult{}
 	sl.publish()
 	sl.tail.Done()
@@ -112,7 +108,7 @@ func (sl *slot) routeHalf(op core.Op) (legResult, error) {
 	r := legResult{Op: op, Epoch: sl.epoch}
 	var err error
 	if r.OpResult, err = sl.dsg.Access(op); err != nil {
-		return legResult{}, opErr(&r, err)
+		return legResult{}, fmt.Errorf("shard: op at epoch %d (%s %d→%d): %w", r.Epoch, op.Kind, op.Src, op.Dst, err)
 	}
 	if sl.tr != nil {
 		d := time.Since(start)
@@ -126,22 +122,13 @@ func (sl *slot) routeHalf(op core.Op) (legResult, error) {
 // adjustHalf is the second half of the step: the op's transformation and
 // scoped repair (core.DSG.AdjustAccess), filling r's adjust fields. A leg
 // the route half reported as a miss adjusts nothing.
-func (sl *slot) adjustHalf(r *legResult) error {
+func (sl *slot) adjustHalf(r *legResult) {
 	var start time.Time
 	if sl.tr != nil {
 		start = time.Now()
 	}
-	var err error
-	r.AdjustResult, err = sl.dsg.AdjustAccess(r.Op)
+	r.AdjustResult = sl.dsg.AdjustAccess(r.Op)
 	if sl.tr != nil {
 		sl.tr.ObserveStage(obs.StageAdjustApply, time.Since(start))
 	}
-	if err != nil {
-		return opErr(r, err)
-	}
-	return nil
-}
-
-func opErr(r *legResult, err error) error {
-	return fmt.Errorf("shard: op at epoch %d (%s %d→%d): %w", r.Epoch, r.Op.Kind, r.Op.Src, r.Op.Dst, err)
 }

@@ -165,9 +165,8 @@ func (op Op) Validate(n int) error {
 // waits for it — an op routed there, the load-window barrier, Request,
 // Stats, Verify and every other read of the topology — so nothing any call
 // returns depends on the timing, and the caller's next op may route on
-// another shard meanwhile. An adjustment that fails behind its answer is
-// reported as ErrBarrier by that next call. On an unsharded network, which
-// has nothing to overlap the adjustment with, it runs before Do returns.
+// another shard meanwhile. On an unsharded network, which has nothing to
+// overlap the adjustment with, it runs before Do returns.
 func (nw *Network) Do(op Op) (OpResult, error) {
 	o, err := nw.svc.Apply(op.internal())
 	return opResult(o), wrapErr(err)

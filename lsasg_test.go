@@ -81,6 +81,11 @@ func TestNetworkErrors(t *testing.T) {
 	if _, err := nw.Distance(0, 99); err == nil {
 		t.Error("distance to unknown should fail")
 	}
+	for _, p := range [][2]int{{-1, 3}, {3, 8}} {
+		if _, err := nw.WorkingSetNumber(p[0], p[1]); !errors.Is(err, ErrOutOfRange) {
+			t.Errorf("WorkingSetNumber(%d, %d) = %v, want ErrOutOfRange", p[0], p[1], err)
+		}
+	}
 	// A request to an index that left or crashed keeps its sentinel.
 	if _, err := nw.Delete(0, 5); err != nil {
 		t.Fatal(err)
@@ -101,7 +106,7 @@ func TestNetworkErrors(t *testing.T) {
 }
 
 func TestNetworkStats(t *testing.T) {
-	nw, _ := New(16, WithSeed(3), WithInvariantChecks())
+	nw, _ := New(16, WithSeed(3))
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 60; i++ {
 		u, v := rng.Intn(16), rng.Intn(16)
@@ -110,6 +115,9 @@ func TestNetworkStats(t *testing.T) {
 		}
 		if _, err := nw.Request(u, v); err != nil {
 			t.Fatal(err)
+		}
+		if err := nw.Verify(); err != nil {
+			t.Fatalf("after request %d (%d,%d): %v", i, u, v, err)
 		}
 	}
 	s := nw.Stats()
@@ -158,8 +166,8 @@ func TestAddRemoveGrowsWorkingSet(t *testing.T) {
 				t.Fatalf("AddNode = %d, %v with N() = %d; want %d, nil, %d", idx, err, nw.N(), n, n+1)
 			}
 			ref.Tracker().Grow()
-			if got := nw.WorkingSetNumber(idx, 3); got != n+1 {
-				t.Fatalf("T(new, 3) = %d, want the new N() = %d", got, n+1)
+			if got, err := nw.WorkingSetNumber(idx, 3); err != nil || got != n+1 {
+				t.Fatalf("T(new, 3) = %d, %v; want the new N() = %d", got, err, n+1)
 			}
 			if _, _, err := nw.Put(0, idx, []byte("joined")); err != nil {
 				t.Fatalf("put to the joined node: %v", err)
