@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"lsasg/internal/skipgraph"
 )
@@ -75,16 +74,6 @@ func (d *DSG) RepairCrashedID(id int64) bool {
 	}
 	d.repairCrashed(n)
 	return true
-}
-
-// CrashedIDs returns the ids of crashed nodes awaiting repair, ascending.
-func (d *DSG) CrashedIDs() []int64 {
-	var ids []int64
-	for _, n := range d.g.DeadNodes() {
-		ids = append(ids, n.ID())
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 // CrashStats returns the cumulative crash counters: nodes crashed, dead

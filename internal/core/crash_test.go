@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"testing"
+
+	"lsasg/internal/testkit"
 )
 
 // TestCrashEndpointErrors covers the error paths a crashed-but-unrepaired
@@ -29,7 +31,7 @@ func TestCrashEndpointErrors(t *testing.T) {
 	if err := d.Validate(); err != nil {
 		t.Fatalf("graph invalid with unrepaired corpse: %v", err)
 	}
-	if ids := d.CrashedIDs(); len(ids) != 1 || ids[0] != 5 {
+	if ids := testkit.DeadIDs(d.Graph().All()); len(ids) != 1 || ids[0] != 5 {
 		t.Errorf("crashed ids = %v, want [5]", ids)
 	}
 }
@@ -68,7 +70,7 @@ func TestCrashRepairIdempotency(t *testing.T) {
 	if err := d.Validate(); err != nil {
 		t.Fatalf("invalid after full sweep: %v", err)
 	}
-	if ids := d.CrashedIDs(); len(ids) != 0 {
+	if ids := testkit.DeadIDs(d.Graph().All()); len(ids) != 0 {
 		t.Errorf("crashed ids = %v after sweep, want none", ids)
 	}
 	for _, id := range []int64{7, 19, 23} {
@@ -112,10 +114,9 @@ func TestJoinBesideCorpse(t *testing.T) {
 // repair and returns how many it repaired. It models an anti-entropy pass; the
 // hot path is detection-triggered per-node repair.
 func (d *DSG) RepairAllCrashed() int {
-	repaired := 0
-	for _, n := range d.g.DeadNodes() {
-		d.repairCrashed(n)
-		repaired++
+	ids := testkit.DeadIDs(d.g.All())
+	for _, id := range ids {
+		d.repairCrashed(d.NodeByID(id))
 	}
-	return repaired
+	return len(ids)
 }

@@ -78,7 +78,7 @@ func buildS8(t *testing.T) *DSG {
 func listIDs(d *DSG, id int64, level int) []int64 {
 	n := d.NodeByID(id)
 	var ids []int64
-	for _, x := range d.Graph().ListAt(n, level) {
+	for x := n.ListHead(level); x != nil; x = x.Next(level) {
 		if !x.IsDummy() {
 			ids = append(ids, x.ID())
 		}

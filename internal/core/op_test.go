@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lsasg/internal/skipgraph"
+	"lsasg/internal/testkit"
 	"lsasg/internal/workload"
 )
 
@@ -128,8 +129,8 @@ func TestApplyPutUpdateJoinAndRepair(t *testing.T) {
 	if r4.Existed || r4.Version != 4 {
 		t.Errorf("put on crashed key: existed=%v version=%d", r4.Existed, r4.Version)
 	}
-	if _, _, rep := d.CrashStats(); rep != 1 || len(d.CrashedIDs()) != 0 {
-		t.Errorf("after put-repair: %d crash repairs, corpses %v; want 1 and none", rep, d.CrashedIDs())
+	if _, _, rep := d.CrashStats(); rep != 1 || len(testkit.DeadIDs(d.Graph().All())) != 0 {
+		t.Errorf("after put-repair: %d crash repairs, corpses %v; want 1 and none", rep, testkit.DeadIDs(d.Graph().All()))
 	}
 	g, err := d.ApplyOp(Op{Kind: OpGet, Src: 0, Dst: 3})
 	if err != nil {
@@ -178,8 +179,8 @@ func TestApplyDeleteLeaveMissAndCrashRepair(t *testing.T) {
 	if !r.Existed || d.NodeByID(7) != nil {
 		t.Errorf("delete of crashed key: existed=%v node=%v", r.Existed, d.NodeByID(7))
 	}
-	if _, _, rep := d.CrashStats(); rep != 1 || len(d.CrashedIDs()) != 0 {
-		t.Errorf("after delete-repair: %d crash repairs, corpses %v; want 1 and none", rep, d.CrashedIDs())
+	if _, _, rep := d.CrashStats(); rep != 1 || len(testkit.DeadIDs(d.Graph().All())) != 0 {
+		t.Errorf("after delete-repair: %d crash repairs, corpses %v; want 1 and none", rep, testkit.DeadIDs(d.Graph().All()))
 	}
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
@@ -368,8 +369,8 @@ func TestAccessRepairsCrashedIntermediate(t *testing.T) {
 		if got.RouteDistance != want.RouteDistance || got.RouteHops == 0 || got.AdjustResult != want.AdjustResult {
 			t.Errorf("%s across crashed %d = %+v, want the repaired twin's %+v", op.Kind, corpse, got, want)
 		}
-		if _, det, rep := d.CrashStats(); det != 1 || rep != 1 || len(d.CrashedIDs()) != 0 {
-			t.Errorf("%s: detections %d, repairs %d, corpses %v; want 1, 1, none", op.Kind, det, rep, d.CrashedIDs())
+		if _, det, rep := d.CrashStats(); det != 1 || rep != 1 || len(testkit.DeadIDs(d.Graph().All())) != 0 {
+			t.Errorf("%s: detections %d, repairs %d, corpses %v; want 1, 1, none", op.Kind, det, rep, testkit.DeadIDs(d.Graph().All()))
 		}
 		if err := d.Validate(); err != nil {
 			t.Fatalf("%s: %v", op.Kind, err)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"lsasg/internal/skipgraph"
+	"lsasg/internal/testkit"
 	"lsasg/internal/workingset"
 )
 
@@ -272,7 +273,7 @@ func TestServeErrors(t *testing.T) {
 	if d.Clock() != 0 {
 		t.Errorf("rejected requests advanced the clock to %d", d.Clock())
 	}
-	if ids := d.CrashedIDs(); len(ids) != 1 || ids[0] != 5 {
+	if ids := testkit.DeadIDs(d.Graph().All()); len(ids) != 1 || ids[0] != 5 {
 		t.Errorf("crashed ids after the rejected requests = %v, want [5]: the step repairs no dead endpoint", ids)
 	}
 }

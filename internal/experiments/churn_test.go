@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lsasg/internal/core"
+	"lsasg/internal/testkit"
 	"lsasg/internal/workload"
 )
 
@@ -65,7 +66,7 @@ func TestStaleProbeIsAMiss(t *testing.T) {
 	if _, det, _ := d.CrashStats(); det != 0 || st.Repairs != 0 || st.Recovered != 0 {
 		t.Errorf("stats = %+v, %d detections; want no detection, repair or recovery", st, det)
 	}
-	if ids := d.CrashedIDs(); !slices.Equal(ids, []int64{6}) {
+	if ids := testkit.DeadIDs(d.Graph().All()); !slices.Equal(ids, []int64{6}) {
 		t.Errorf("crashed ids = %v after the probe, want [6]", ids)
 	}
 }

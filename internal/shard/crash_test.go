@@ -7,6 +7,7 @@ import (
 
 	"lsasg/internal/core"
 	"lsasg/internal/skipgraph"
+	"lsasg/internal/testkit"
 )
 
 // TestCrashDetectRepair drives the crash cycle through the sharded service:
@@ -70,7 +71,7 @@ func TestCrashDetectRepair(t *testing.T) {
 		t.Errorf("%d crash repairs after removing a crashed key, want %d", after, before+1)
 	}
 	for i, sl := range svc.shards {
-		if ids := sl.dsg.CrashedIDs(); len(ids) != 0 {
+		if ids := testkit.DeadIDs(sl.dsg.Graph().All()); len(ids) != 0 {
 			t.Errorf("shard %d still holds corpses %v", i, ids)
 		}
 		if err := sl.dsg.Validate(); err != nil {

@@ -1,13 +1,13 @@
 package shard
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"lsasg/internal/core"
+	"lsasg/internal/testkit"
 )
 
 // Model-checked run of the synchronous surface: random puts, gets, deletes,
@@ -18,53 +18,35 @@ import (
 // edge key costs the accesses addressed to that key and never the traffic
 // that merely crosses the edge.
 
-// kvModel is the key space as a dense sorted map. A key is present while its
-// node is in the topology and alive, and holds a value once written. A crash
-// loses the record at once but may leave a corpse in the graph — until a
-// route contacts it, a Put or Delete of the key, or a migration of its range
-// splices it out — which shows in one place only: a Delete of it reports
-// whether the corpse was still there. A route between live keys always
-// succeeds: a corpse it runs into is repaired and the route goes on.
-type kvModel struct {
-	present []bool
-	corpse  []bool
-	val     [][]byte
-}
-
-func newKVModel(n int) *kvModel {
-	m := &kvModel{present: make([]bool, n), corpse: make([]bool, n), val: make([][]byte, n)}
-	for k := range m.present {
-		m.present[k] = true
-	}
-	return m
-}
+// kvModel is the key space as a testkit.KV model. A crash loses the record
+// at once but may leave a corpse in the graph — until a route contacts it, a
+// Put or Delete of the key, or a migration of its range splices it out —
+// which the model does not follow: it shows in one place only, a Delete of
+// the key, which reports whether the corpse was still there. A route between
+// live keys always succeeds: a corpse it runs into is repaired and the route
+// goes on.
+type kvModel struct{ *testkit.KV }
 
 // liveIn counts the present keys of [lo, hi).
-func (m *kvModel) liveIn(lo, hi int64) int {
+func (m kvModel) liveIn(lo, hi int64) int {
 	c := 0
 	for k := lo; k < hi; k++ {
-		if m.present[k] {
+		if m.Present(k) {
 			c++
 		}
 	}
 	return c
 }
 
-// retire takes k out of the model's topology: a delete or a removal, or —
-// with corpse set — a crash.
-func (m *kvModel) retire(k int64, corpse bool) {
-	m.present[k], m.corpse[k], m.val[k] = false, corpse, nil
-}
-
 // check compares one served op's outcome with the model, applies the op's
 // effect, and returns a description of the mismatch ("" when it is right).
-func (m *kvModel) check(op core.Op, o Outcome, err error) string {
+func (m kvModel) check(op core.Op, o Outcome, err error) string {
 	if op.Kind != core.OpRoute && err != nil {
 		return fmt.Sprintf("%s %d→%d failed: %v", op.Kind, op.Src, op.Dst, err)
 	}
 	switch op.Kind {
 	case core.OpRoute:
-		if !m.present[op.Src] || !m.present[op.Dst] {
+		if !m.Present(op.Src) || !m.Present(op.Dst) {
 			if err == nil {
 				return fmt.Sprintf("route %d→%d succeeded with an absent endpoint", op.Src, op.Dst)
 			}
@@ -75,34 +57,26 @@ func (m *kvModel) check(op core.Op, o Outcome, err error) string {
 			return fmt.Sprintf("route %d→%d between live keys failed: %v", op.Src, op.Dst, err)
 		}
 	case core.OpGet:
-		want := m.val[op.Dst]
-		if o.Found != (want != nil) || !bytes.Equal(o.Value, want) {
-			return fmt.Sprintf("get %d: found=%v value=%q, want %q", op.Dst, o.Found, o.Value, want)
+		if err := m.CheckGet(op.Dst, o.Found, o.Value, o.Version); err != nil {
+			return err.Error()
 		}
 	case core.OpPut:
-		if o.Existed != m.present[op.Dst] {
-			return fmt.Sprintf("put %d: existed=%v, want %v", op.Dst, o.Existed, m.present[op.Dst])
+		if o.Existed != m.Present(op.Dst) {
+			return fmt.Sprintf("put %d: existed=%v, want %v", op.Dst, o.Existed, m.Present(op.Dst))
 		}
-		m.present[op.Dst], m.corpse[op.Dst], m.val[op.Dst] = true, false, op.Value
+		m.Put(op.Dst, op.Value, o.Version)
 	case core.OpDelete:
-		if !m.corpse[op.Dst] && o.Existed != m.present[op.Dst] {
-			return fmt.Sprintf("delete %d: existed=%v, want %v", op.Dst, o.Existed, m.present[op.Dst])
+		if !m.Corpse(op.Dst) && o.Existed != m.Present(op.Dst) {
+			return fmt.Sprintf("delete %d: existed=%v, want %v", op.Dst, o.Existed, m.Present(op.Dst))
 		}
-		m.retire(op.Dst, false)
+		m.Retire(op.Dst, false)
 	case core.OpScan:
-		// Equality with the model's run implies ascending order and the limit.
-		i := 0
-		for k := op.Dst; k < int64(len(m.val)) && i < op.Limit; k++ {
-			if m.val[k] == nil {
-				continue
-			}
-			if i >= len(o.Entries) || o.Entries[i].ID != k || !bytes.Equal(o.Entries[i].Value, m.val[k]) {
-				return fmt.Sprintf("scan %d limit %d: entry %d is not key %d with its record", op.Dst, op.Limit, i, k)
-			}
-			i++
+		entries := make([]testkit.Entry, len(o.Entries))
+		for i, e := range o.Entries {
+			entries[i] = testkit.Entry{Key: e.ID, Value: e.Value, Version: e.Version}
 		}
-		if i != len(o.Entries) {
-			return fmt.Sprintf("scan %d limit %d: %d entries, want %d", op.Dst, op.Limit, len(o.Entries), i)
+		if err := m.CheckScan(entries, op.Dst, op.Limit); err != nil {
+			return err.Error()
 		}
 	}
 	return ""
@@ -111,13 +85,13 @@ func (m *kvModel) check(op core.Op, o Outcome, err error) string {
 // checkLiveBook holds the dispatcher's liveness book to the model and to the
 // graphs: a key is a boundary candidate exactly while its shard's graph holds
 // it alive, and no graph but its shard's holds it at all.
-func checkLiveBook(t *testing.T, svc *Service, m *kvModel, step int) {
+func checkLiveBook(t *testing.T, svc *Service, m kvModel, step int) {
 	t.Helper()
 	svc.settleAll()
 	dir := svc.Directory()
 	for k := int64(0); k < svc.n; k++ {
-		if svc.live[k] != m.present[k] {
-			t.Fatalf("step %d: live[%d] = %v, model says %v", step, k, svc.live[k], m.present[k])
+		if svc.live[k] != m.Present(k) {
+			t.Fatalf("step %d: live[%d] = %v, model says %v", step, k, svc.live[k], m.Present(k))
 		}
 		for i, sl := range svc.shards {
 			node := sl.dsg.NodeByID(k)
@@ -144,7 +118,7 @@ func TestModelCheckedBoundaryChurn(t *testing.T) {
 				t.Fatal(err)
 			}
 			rng := rand.New(rand.NewSource(seed))
-			m := newKVModel(n)
+			m := kvModel{testkit.NewKV(n)}
 			// pick draws a key: every other time one of the two keys on
 			// either side of a current shard edge.
 			pick := func() int64 {
@@ -159,7 +133,7 @@ func TestModelCheckedBoundaryChurn(t *testing.T) {
 			// worth routing in.
 			spare := func(k int64) bool {
 				lo, hi := svc.Directory().Range(svc.Directory().ShardOf(k))
-				return m.present[k] && m.liveIn(lo, hi) > 3
+				return m.Present(k) && m.liveIn(lo, hi) > 3
 			}
 			isEdge := func(k int64) bool {
 				lo, hi := svc.Directory().Range(svc.Directory().ShardOf(k))
@@ -205,7 +179,7 @@ func TestModelCheckedBoundaryChurn(t *testing.T) {
 					if err != nil {
 						t.Fatalf("S=%d seed %d step %d: retiring %d (crash=%v): %v", shards, seed, step, k, crash, err)
 					}
-					m.retire(k, crash)
+					m.Retire(k, crash)
 					checkLiveBook(t, svc, m, step)
 					continue
 				}

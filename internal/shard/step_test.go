@@ -11,6 +11,7 @@ import (
 
 	"lsasg/internal/core"
 	"lsasg/internal/skipgraph"
+	"lsasg/internal/testkit"
 	"lsasg/internal/workload"
 )
 
@@ -161,7 +162,7 @@ func TestCrashIdleDetectRepair(t *testing.T) {
 				t.Fatalf("repairing put = %+v, %v; want a fresh join", o, err)
 			}
 			serveAll(t, svc, []core.Op{core.RouteOp(13, 12), core.RouteOp(3, 25)})
-			if ids := sl.dsg.CrashedIDs(); len(ids) != 0 {
+			if ids := testkit.DeadIDs(sl.dsg.Graph().All()); len(ids) != 0 {
 				t.Errorf("crashed ids after repair = %v, want none", ids)
 			}
 			if err := svc.Verify(); err != nil {

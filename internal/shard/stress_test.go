@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"lsasg/internal/core"
+	"lsasg/internal/testkit"
 	"lsasg/internal/workload"
 )
 
@@ -83,7 +84,7 @@ func TestShardedStressApply(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(11))
-	m := newKVModel(svc.N())
+	m, next := kvModel{testkit.NewKV(svc.N())}, int64(svc.N())
 	// hot draws a key, four times in five from the bottom fifth of the space.
 	hot := func() int64 {
 		n := svc.N()
@@ -94,7 +95,7 @@ func TestShardedStressApply(t *testing.T) {
 	}
 	spare := func(k int64) bool {
 		lo, hi := svc.Directory().Range(svc.Directory().ShardOf(k))
-		return m.present[k] && m.liveIn(lo, hi) > 3
+		return m.Present(k) && m.liveIn(lo, hi) > 3
 	}
 	var crashes, removals, joins, reads int
 	for step := 0; step < steps; step++ {
@@ -115,17 +116,18 @@ func TestShardedStressApply(t *testing.T) {
 			if err != nil {
 				t.Fatalf("step %d: retiring %d: %v", step, k, err)
 			}
-			m.retire(k, r == 0)
+			m.Retire(k, r == 0)
 			continue
 		case r == 2:
 			id, err := svc.AddNode()
 			if err != nil {
 				t.Fatalf("step %d: AddNode: %v", step, err)
 			}
-			if id != int64(len(m.present)) {
-				t.Fatalf("step %d: AddNode joined %d, want %d", step, id, len(m.present))
+			if id != next {
+				t.Fatalf("step %d: AddNode joined %d, want %d", step, id, next)
 			}
-			m.present, m.corpse, m.val = append(m.present, true), append(m.corpse, false), append(m.val, nil)
+			m.Join(id)
+			next++
 			joins++
 			continue
 		case r == 3:

@@ -461,7 +461,17 @@ func RemovalKeepsBalance(n *Node, a int) bool {
 		if l == nil || r == nil || !sameRun(l, r, e) {
 			continue // removal can only shorten a run; a boundary survives
 		}
-		left := RunAt(l, e, RunBack, 0)
+		// The merged run holds the left run and r, so it is over-long once the
+		// left run has a members, one of them real: the walk left stops at a
+		// members and goes on only while every member so far is a dummy.
+		left := RunAt(l, e, RunBack, a)
+		if left.Len == a {
+			if left.HasReal {
+				return false
+			}
+			rest := RunAt(left.First, e, RunBack, 0)
+			left.Len, left.HasReal = left.Len-1+rest.Len, rest.HasReal
+		}
 		// With a real member on the left, the merged run is over-long once it
 		// has a+1 members: the walk right stops there.
 		limit := 0

@@ -354,3 +354,45 @@ func CheckScopedScans(t *testing.T, g *Graph, a int, refs []ListRef) int {
 }
 
 func ScanRefs(rng *rand.Rand, g *Graph) []ListRef { return scanRefs(rng, g, nil) }
+
+// refRemovalKeepsBalance is RemovalKeepsBalance with the left run walked
+// whole, as it was before its walk stopped at a members: the verdicts must
+// agree.
+func refRemovalKeepsBalance(n *Node, a int) bool {
+	for e := 0; e <= n.BitsLen(); e++ {
+		l, r := n.Prev(e), n.Next(e)
+		if l == nil || r == nil || !sameRun(l, r, e) {
+			continue
+		}
+		left := RunAt(l, e, RunBack, 0)
+		limit := 0
+		if left.HasReal {
+			limit = max(a+1-left.Len, 1)
+		}
+		right := RunAt(r, e, RunForward, limit)
+		if (Run{Len: left.Len + right.Len, HasReal: left.HasReal || right.HasReal}).OverLong(a, RealRuns) {
+			return false
+		}
+	}
+	return true
+}
+
+// CheckRemovalVerdicts holds RemovalKeepsBalance to refRemovalKeepsBalance
+// for every dummy of g at balance parameter a, and returns how many of them
+// may go.
+func CheckRemovalVerdicts(t *testing.T, g *Graph, a int) (removable int) {
+	t.Helper()
+	for x := range g.All() {
+		if !x.dummy {
+			continue
+		}
+		got, want := RemovalKeepsBalance(x, a), refRemovalKeepsBalance(x, a)
+		if got != want {
+			t.Fatalf("RemovalKeepsBalance(dummy %v, a=%d) = %v, the whole-run walk says %v", x.key, a, got, want)
+		}
+		if got {
+			removable++
+		}
+	}
+	return removable
+}

@@ -53,14 +53,3 @@ func (g *Graph) Crash(key Key) *Node {
 	n.dead = true
 	return n
 }
-
-// DeadNodes returns the crashed nodes still present in the graph, key order.
-func (g *Graph) DeadNodes() []*Node {
-	var out []*Node
-	for n := range g.All() {
-		if n.dead {
-			out = append(out, n)
-		}
-	}
-	return out
-}

@@ -356,16 +356,6 @@ func linkChain(nodes []*Node, level int) {
 // level-L list; lists exist at levels 0..L. A single-node graph has height 0.
 func (g *Graph) Height() int { return len(g.tops) }
 
-// ListAt returns the complete level-i linked list containing n, in key
-// order. It returns nil when n has no level-i membership.
-func (g *Graph) ListAt(n *Node, i int) []*Node {
-	var list []*Node
-	for x := n.ListHead(i); x != nil; x = x.Next(i) {
-		list = append(list, x)
-	}
-	return list
-}
-
 // SingletonLevel returns the lowest level at which n is alone in its list.
 func (g *Graph) SingletonLevel(n *Node) int {
 	return n.MaxLinkedLevel() + 1

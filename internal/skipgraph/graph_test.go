@@ -51,20 +51,20 @@ func TestSingleNodeGraph(t *testing.T) {
 func TestListAtLevels(t *testing.T) {
 	g := NewRandom(32, 3)
 	for _, n := range g.Nodes() {
-		base := g.ListAt(n, 0)
+		base := listAt(n, 0)
 		if len(base) != 32 {
 			t.Fatalf("base list has %d nodes", len(base))
 		}
 		for lvl := 1; lvl <= n.MaxLinkedLevel(); lvl++ {
-			list := g.ListAt(n, lvl)
+			list := listAt(n, lvl)
 			for _, m := range list {
 				if !samePrefix(n, m, lvl) {
 					t.Fatalf("level-%d list of %v contains %v with different prefix", lvl, n, m)
 				}
 			}
 			// Lists shrink (weakly) going up.
-			upper := g.ListAt(n, lvl)
-			lower := g.ListAt(n, lvl-1)
+			upper := listAt(n, lvl)
+			lower := listAt(n, lvl-1)
 			if len(upper) > len(lower) {
 				t.Fatalf("level %d list larger than level %d", lvl, lvl-1)
 			}
@@ -76,11 +76,11 @@ func TestSingletonLevel(t *testing.T) {
 	g := NewRandom(64, 11)
 	for _, n := range g.Nodes() {
 		s := g.SingletonLevel(n)
-		if got := len(g.ListAt(n, s)); got != 1 {
+		if got := len(listAt(n, s)); got != 1 {
 			t.Fatalf("node %v: list at singleton level %d has %d members", n, s, got)
 		}
 		if s > 0 {
-			if got := len(g.ListAt(n, s-1)); got < 2 {
+			if got := len(listAt(n, s-1)); got < 2 {
 				t.Fatalf("node %v: list below singleton level has %d members", n, got)
 			}
 		}
@@ -332,7 +332,7 @@ func TestRelinkSubsetAfterVectorChange(t *testing.T) {
 	// subset; the rest of the graph must stay intact.
 	g := NewRandom(40, 17)
 	n0 := g.Nodes()[0]
-	sub := g.ListAt(n0, 1)
+	sub := listAt(n0, 1)
 	if len(sub) < 4 {
 		t.Skip("sublist too small for this seed")
 	}
@@ -344,4 +344,14 @@ func TestRelinkSubsetAfterVectorChange(t *testing.T) {
 	if err := g.Verify(); err != nil {
 		t.Fatalf("after subset relink: %v", err)
 	}
+}
+
+// listAt returns the complete level-i linked list containing n, in key
+// order, or nil when n has no level-i membership.
+func listAt(n *Node, i int) []*Node {
+	var list []*Node
+	for x := n.ListHead(i); x != nil; x = x.Next(i) {
+		list = append(list, x)
+	}
+	return list
 }

@@ -194,13 +194,13 @@ func TestFigure1(t *testing.T) {
 		t.Fatalf("m(M) = %q, want 01", got)
 	}
 	// Level 1: 0-sublist {A, J, M}, 1-sublist {G, R, W}.
-	l1 := g.ListAt(m, 1)
+	l1 := listAt(m, 1)
 	if len(l1) != 3 || l1[0].ID() != 1 || l1[1].ID() != 10 || l1[2].ID() != 13 {
 		t.Fatalf("level-1 0-sublist = %v, want [A J M]", l1)
 	}
 	// The 10-subgraph (level-2 list with prefix "10") holds G and W.
 	gNode := g.ByKey(KeyOf(7))
-	l2 := g.ListAt(gNode, 2)
+	l2 := listAt(gNode, 2)
 	if len(l2) != 2 || l2[0].ID() != 7 || l2[1].ID() != 23 {
 		t.Fatalf("10-subgraph = %v, want [G W]", l2)
 	}

@@ -190,7 +190,7 @@ func TestSpliceInBelowThenRelink(t *testing.T) {
 		for round := 0; round < 6; round++ {
 			anchor := ref.Nodes()[rng.Intn(ref.N())]
 			alpha := rng.Intn(anchor.BitsLen() + 1)
-			members := ref.ListAt(anchor, alpha)
+			members := listAt(anchor, alpha)
 			// One decision list drives both graphs: the reassigned vectors,
 			// then the dummies, keyed between members and carrying a
 			// member's new prefix — up to three behind one member, so
@@ -231,7 +231,7 @@ func TestSpliceInBelowThenRelink(t *testing.T) {
 			}
 			rng.Shuffle(len(dummies), func(i, j int) { dummies[i], dummies[j] = dummies[j], dummies[i] })
 			apply := func(g *Graph, install func(*Graph, []*Node)) {
-				list := g.ListAt(g.byKey[anchor.key], alpha)
+				list := listAt(g.byKey[anchor.key], alpha)
 				for _, m := range list {
 					if nb, ok := newBits[m.key]; ok {
 						m.TruncateBits(alpha)
@@ -282,7 +282,7 @@ func TestRemoveAllMatchesRemove(t *testing.T) {
 			// The doomed: every dummy of one level-α list plus a few of its
 			// other members, so neighbours leave together at every level.
 			var doomed []Key
-			for _, m := range ref.ListAt(anchor, alpha) {
+			for _, m := range listAt(anchor, alpha) {
 				if m.dummy || rng.Intn(4) == 0 {
 					doomed = append(doomed, m.key)
 				}

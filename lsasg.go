@@ -208,10 +208,6 @@ func (nw *Network) DirectoryEpoch() int64 { return nw.svc.Directory().Epoch() }
 // Height returns the current skip-graph height (the tallest shard's).
 func (nw *Network) Height() int { return nw.svc.Height() }
 
-// DummyCount returns the number of dummy (routing-only) nodes currently
-// maintaining the a-balance property, summed over the shards.
-func (nw *Network) DummyCount() int { return nw.svc.DummyCount() }
-
 // Balance returns the a-balance parameter.
 func (nw *Network) Balance() int { return nw.svc.A() }
 
