@@ -103,8 +103,13 @@ type Scratch struct {
 	// spares are the other half of each ping-pong pair.
 	items, itemsSpare []item
 	cnt, cntSpare     []int
-	retained          []int
-	prefix, suffix    []int64
+	// starts[k] is the index, in the level below, of the first member whose
+	// items the level's k-th member gathered; merged is mergeRuns' output
+	// and its ping-pong partner.
+	starts         []int
+	merged, spare  []item
+	retained       []int
+	prefix, suffix []int64
 }
 
 // Find runs AMF over the given values with balance parameter a. It panics
@@ -151,17 +156,20 @@ func (sc *Scratch) Find(values []Value, a int, rng *rand.Rand) Result {
 		cnt = append(cnt, 1)
 	}
 	itemsSpare, cntSpare := sc.itemsSpare, sc.cntSpare
+	starts := sc.starts[:0]
 	for d := 0; d < h; d++ {
 		// Gather: a member that did not step up forwards everything it holds
 		// to its nearest left neighbour that did. Members hold contiguous
 		// stretches of items, so forwarding only merges adjacent counts.
 		lower, upper := sl.Level(d), sl.Level(d+1)
 		held := cntSpare[:0]
+		starts = starts[:0]
 		k := 0
 		levelRounds, segLoad := 0, 0
 		for i, p := range lower {
 			if k < len(upper) && upper[k] == p {
 				held = append(held, cnt[i])
+				starts = append(starts, i)
 				k++
 				segLoad = 0
 				continue
@@ -172,21 +180,41 @@ func (sc *Scratch) Find(values []Value, a int, rng *rand.Rand) Result {
 				levelRounds = segLoad
 			}
 		}
+		// runs is what each member of the level below held: once sampling
+		// has begun, a sorted stretch apiece.
+		runs := cnt
 		cnt, cntSpare = held, cnt
 		rounds += levelRounds
 		if d >= threshold {
 			out, off := itemsSpare[:0], 0
 			for q, c := range cnt {
-				before := len(out)
-				out = sc.sortAndSample(out, items[off:off+c], sampleSize)
+				stretch := items[off : off+c]
 				off += c
+				if d == threshold {
+					// The first sampling level: no item carries a credit yet,
+					// so equal items are identical and any sort is the
+					// stable one.
+					slices.SortFunc(stretch, cmpItems)
+				} else {
+					end := len(runs)
+					if q+1 < len(starts) {
+						end = starts[q+1]
+					}
+					stretch = sc.mergeRuns(stretch, runs[starts[q]:end])
+				}
+				before := len(out)
+				out = sc.sample(out, stretch, sampleSize)
 				cnt[q] = len(out) - before
 			}
 			items, itemsSpare = out, items
 		}
 	}
-	sc.items, sc.itemsSpare, sc.cnt, sc.cntSpare = items, itemsSpare, cnt, cntSpare
-	slices.SortStableFunc(items, cmpItems) // the head holds everything that survived
+	sc.items, sc.itemsSpare, sc.cnt, sc.cntSpare, sc.starts = items, itemsSpare, cnt, cntSpare, starts
+	// The head holds everything that survived, sorted by its last sample —
+	// unless no level sampled, and then every item is still credit-free.
+	if threshold >= h {
+		slices.SortFunc(items, cmpItems)
+	}
 	median := sc.pickMedianByRanks(items, n)
 	rounds += sl.BroadcastRounds() // announce the median to the base level
 	return Result{Median: median, Rounds: rounds, List: sl, n: n}
@@ -212,14 +240,42 @@ func samplingThreshold(h, a int) int {
 	return t
 }
 
-// sortAndSample sorts the items in place, uniformly samples `size` of them,
-// always retaining both extremes, and appends the survivors to dst.
+// mergeRuns merges the consecutive sorted runs of items, of the given
+// lengths, into one sorted slice — items itself for a single run, else a
+// scratch buffer valid until the next call. A tie goes to the earlier run,
+// so the result is what a stable sort of items would give.
+func (sc *Scratch) mergeRuns(items []item, runs []int) []item {
+	if len(runs) < 2 {
+		return items
+	}
+	acc, off := items[:runs[0]], runs[0]
+	out, spare := sc.merged, sc.spare
+	for _, r := range runs[1:] {
+		next := items[off : off+r]
+		off += r
+		out = slices.Grow(out[:0], len(acc)+len(next))
+		i, j := 0, 0
+		for i < len(acc) && j < len(next) {
+			if next[j].val.Less(acc[i].val) {
+				out, j = append(out, next[j]), j+1
+			} else {
+				out, i = append(out, acc[i]), i+1
+			}
+		}
+		out = append(append(out, acc[i:]...), next[j:]...)
+		acc, out, spare = out, spare, out
+	}
+	sc.merged, sc.spare = out, spare
+	return acc
+}
+
+// sample uniformly samples `size` of the sorted items, always retaining both
+// extremes, and appends the survivors to dst.
 // Discarded items fold their credits into retained neighbours: the item
 // itself and its above-credit go to the nearest retained item below it
 // (which it is ≥), its below-credit goes to the nearest retained item above
 // it (which bounds it from above).
-func (sc *Scratch) sortAndSample(dst, items []item, size int) []item {
-	slices.SortStableFunc(items, cmpItems)
+func (sc *Scratch) sample(dst, items []item, size int) []item {
 	if len(items) <= size || len(items) < 3 {
 		return append(dst, items...)
 	}

@@ -2,6 +2,7 @@ package amf
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -173,7 +174,8 @@ func TestCreditConservationQuick(t *testing.T) {
 		for i := range items {
 			items[i] = item{val: Finite(int64(rng.Intn(1000)))}
 		}
-		sampled := new(Scratch).sortAndSample(nil, items, 16)
+		slices.SortStableFunc(items, cmpItems)
+		sampled := new(Scratch).sample(nil, items, 16)
 		var total int64
 		for _, it := range sampled {
 			total += 1 + it.below + it.above

@@ -8,24 +8,28 @@ import (
 )
 
 // TestAdjustAllocBudget pins the adjuster's steady-state allocation: with
-// the scratch arena warm, an adjustment allocates only the dummies it
-// creates — one record each, holding the node, its state and, for all but
-// the deepest, its group-ids and links — nothing per member, per list or per
-// scanned window. The budget is twice what the adjuster achieves (145
-// allocs, 40 KB per op at n = 256, Zipf 1.2; 363 allocs, 33 KB while a
-// node's state sat in a map beside it and a dummy took four allocations;
-// 1 580 allocs, 139 KB while the scoped repair still rebuilt the region
-// behind the transformation; 39 400 allocs, 2.16 MB before the arena), so it
-// trips on a reintroduced per-request map or slice, or on a balance pass
-// that starts cascading again, long before the old numbers return, yet never
-// on noise: the counts are deterministic for a fixed seed (the race detector
-// adds a quarter to the allocations and half again to the bytes).
+// the scratch arena warm and the free list of dummy records stocked, an
+// adjustment allocates nothing at all — every dummy it creates reuses the
+// record, and the link and group-id storage, of one an earlier operation
+// retired; nothing is allocated per member, per list or per scanned window.
+// It achieves 0 allocs and 72 B per op at n = 256, Zipf 1.2 (the bytes are
+// scratch growth, amortized), and the budget leaves a margin above that:
+// 145 allocs and 40 KB while each dummy took a fresh record (and a deep one
+// fresh links and group-ids too), 363 allocs and 33 KB while a node's state
+// sat in a map beside it, 1 580 allocs and 139 KB while the scoped repair
+// still rebuilt the region behind the transformation, 39 400 allocs and
+// 2.16 MB before the arena. So it trips on a reintroduced per-request map or
+// slice, on dummies no longer recycled, or on a balance pass that starts
+// cascading again, yet never on noise: the counts are deterministic for a
+// fixed seed. The race detector's instrumentation allocates on its own
+// account (40 allocs and 22.8 KB per op), so under it the budget is that
+// plus the same kind of margin.
 func TestAdjustAllocBudget(t *testing.T) {
-	const (
-		n, warm, measured = 256, 1000, 500
-		maxAllocsPerOp    = 290
-		maxBytesPerOp     = 79220
-	)
+	const n, warm, measured = 256, 1000, 500
+	maxAllocsPerOp, maxBytesPerOp := uint64(4), uint64(1024)
+	if raceDetector {
+		maxAllocsPerOp, maxBytesPerOp = 60, 34_000
+	}
 	d := New(n, Config{A: 4, Seed: 1})
 	reqs := workload.Zipf{Seed: 3, S: 1.2}.Generate(n, warm+measured)
 	adjust := func(rs []workload.Request) {

@@ -104,7 +104,7 @@ func (d *DSG) makeDummy(ctx *transformCtx, left, right *skipgraph.Node, dl int, 
 	ctx.dummyKeys[key] = struct{}{}
 	id := d.nextDummyID
 	d.nextDummyID++
-	dm := newDummy(key, id, dl+1)
+	dm := d.newDummy(key, id, dl+1)
 	for i := 1; i <= dl; i++ {
 		dm.SetBit(i, left.Bit(i))
 	}

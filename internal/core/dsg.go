@@ -106,7 +106,8 @@ func (d *DSG) dummyRemovable(dm *skipgraph.Node) bool {
 // memberships, and those can carry fresh a-balance violations.
 func (d *DSG) removeDummy(dm *skipgraph.Node, dst []skipgraph.ListRef) []skipgraph.ListRef {
 	cands := d.liveRealNeighbours(dm)
-	d.g.Remove(dm.Key())
+	d.g.RemoveNode(dm)
+	d.retire(dm)
 	d.dummyCount--
 	return append(dst, d.extendDistinct(cands)...)
 }

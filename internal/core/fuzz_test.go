@@ -16,12 +16,16 @@ import (
 )
 
 // The randomized harness: one op type, one runner and one oracle, fed by
-// three mixes of random sequences. The churn mix routes, joins and leaves;
+// four mixes of random sequences. The churn mix routes, joins and leaves;
 // the crash mix adds crashes in place ('c') and probes of crashed peers
 // ('p', a stale client contacting the corpse — the detection that triggers
 // its repair), so routes between live nodes run over a graph that may hold
 // dead nodes and exercise the dead-end rerouting and the in-transform corpse
-// sweep; the KV mix interleaves get/put/delete/scan with all of that.
+// sweep; the KV mix interleaves get/put/delete/scan with all of that. In
+// those two a probe draws any id ever crashed, and nearly always finds it
+// repaired already by a route or a transformation, so the probe mix follows
+// every crash with a probe of the same id at once, before anything else can
+// repair it: the probe's repair path gets the traffic the others leave it.
 //
 // The oracle is a testkit.KV model of the key space: the live keys, the
 // crashed keys not yet repaired (still physically present in every list),
@@ -102,7 +106,9 @@ type fuzzMix struct {
 	floor int
 	// draws maps a uniform draw to an op kind by cumulative threshold. The
 	// KV mix has none: genKVFuzzOps draws its own.
-	draws         []fuzzDraw
+	draws []fuzzDraw
+	// probeCrashes follows every crash with a probe of the crashed id.
+	probeCrashes  bool
 	seeds, events *int
 	// seedBase·a + s is the seed of run s at balance parameter a.
 	seedBase int64
@@ -129,6 +135,14 @@ var (
 		seeds:    flag.Int("crashfuzz.seeds", 3, "number of random seeds for the crash fuzz test"),
 		events:   flag.Int("crashfuzz.events", 800, "events per crash fuzz seed"),
 		seedBase: 2000,
+	}
+	probeMix = &fuzzMix{
+		floor:        3,
+		draws:        []fuzzDraw{{0.60, 'r'}, {0.72, 'j'}, {0.84, 'l'}, {1, 'c'}},
+		probeCrashes: true,
+		seeds:        flag.Int("probefuzz.seeds", 3, "number of random seeds for the probe fuzz test"),
+		events:       flag.Int("probefuzz.events", 800, "events per probe fuzz seed"),
+		seedBase:     3000,
 	}
 	kvMix = &fuzzMix{
 		floor:    3,
@@ -179,6 +193,9 @@ func (mx *fuzzMix) gen(rng *rand.Rand, n, count int) []fuzzOp {
 			ops = append(ops, fuzzOp{Kind: kind, A: live[i]})
 			if kind == 'c' {
 				crashed = append(crashed, live[i])
+				if mx.probeCrashes {
+					ops = append(ops, fuzzOp{Kind: 'p', A: live[i]})
+				}
 			}
 			live = append(live[:i], live[i+1:]...)
 		case 'p':
@@ -308,6 +325,8 @@ type fuzzReplay struct {
 	m        *testkit.KV
 	a, floor int
 	puts     int64
+	// applied counts the applied ops of each kind.
+	applied map[byte]int
 }
 
 // run replays ops against a fresh DSG and the model, asserting the oracle
@@ -316,20 +335,27 @@ type fuzzReplay struct {
 // skipped, so any subsequence replays deterministically. It returns the
 // index of the first failing op, or -1.
 func (mx *fuzzMix) run(n, a int, seed int64, ops []fuzzOp) (int, error) {
-	r := &fuzzReplay{d: New(n, Config{A: a, Seed: seed}), m: testkit.NewKV(n), a: a, floor: mx.floor}
+	_, idx, err := mx.replay(n, a, seed, ops)
+	return idx, err
+}
+
+// replay is run, returning the finished replay too.
+func (mx *fuzzMix) replay(n, a int, seed int64, ops []fuzzOp) (*fuzzReplay, int, error) {
+	r := &fuzzReplay{d: New(n, Config{A: a, Seed: seed}), m: testkit.NewKV(n), a: a, floor: mx.floor, applied: make(map[byte]int)}
 	if err := r.d.Validate(); err != nil {
-		return 0, fmt.Errorf("invalid before any op: %w", err)
+		return r, 0, fmt.Errorf("invalid before any op: %w", err)
 	}
 	for i, op := range ops {
 		applied, err := r.apply(i, op)
 		if applied && err == nil {
+			r.applied[op.Kind]++
 			err = r.check()
 		}
 		if err != nil {
-			return i, fmt.Errorf("%s: %w", op, err)
+			return r, i, fmt.Errorf("%s: %w", op, err)
 		}
 	}
-	return -1, nil
+	return r, -1, nil
 }
 
 // apply serves the i-th op and checks its own result against the model,
@@ -525,9 +551,42 @@ func TestCrashFuzz(t *testing.T) { crashMix.test(t) }
 // seed, interleaved with churn and crash failures.
 func TestKVFuzz(t *testing.T) { kvMix.test(t) }
 
+// TestProbeFuzz replays hundreds of random route/join/leave/crash events per
+// seed, every crash followed by a probe of the crashed id, so most crashes
+// are repaired through RepairCrashedID rather than a route's detection.
+func TestProbeFuzz(t *testing.T) { probeMix.test(t) }
+
+// TestProbeMixAppliesItsProbes holds the probe mix to its purpose: of the
+// probes it generates, at least half reach a corpse still in the graph and
+// repair it (all 498 over its default seeds). The crash and KV mixes apply
+// few of theirs — 9 of 480 and 0 of 121 over their default seeds — as a
+// route or a transformation has nearly always repaired the corpse first.
+func TestProbeMixAppliesItsProbes(t *testing.T) {
+	const n = 24
+	for _, a := range []int{2, 4} {
+		seed := probeMix.seedBase * int64(a)
+		ops := probeMix.gen(rand.New(rand.NewSource(seed)), n, *probeMix.events)
+		probes := 0
+		for _, op := range ops {
+			if op.Kind == 'p' {
+				probes++
+			}
+		}
+		r, idx, err := probeMix.replay(n, a, seed, ops)
+		if err != nil {
+			t.Fatalf("a=%d seed %d: op %d failed: %v", a, seed, idx, err)
+		}
+		if applied := r.applied['p']; probes == 0 || 2*applied < probes {
+			t.Fatalf("a=%d seed %d: %d of %d probes applied, want at least half", a, seed, applied, probes)
+		}
+		t.Logf("a=%d seed %d: %d of %d probes applied", a, seed, r.applied['p'], probes)
+	}
+}
+
 // TestFuzzMixesArePinned holds each mix's generator to the sequence it drew
-// when each mix had a generator of its own: the SHA-256 of one seed's ops as
-// String prints them, space-separated.
+// when each mix had a generator of its own (the probe mix: when it was
+// added): the SHA-256 of one seed's ops as String prints them,
+// space-separated.
 func TestFuzzMixesArePinned(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -539,6 +598,7 @@ func TestFuzzMixesArePinned(t *testing.T) {
 		{"churn", churnMix, 2000, 1200, "d1025ee64f627cf505ec9f91f65bab091b35208eb2d8c12ba9d4a5fc70801165"},
 		{"crash", crashMix, 4000, 800, "5899a252c0980edaf7a2b160a651fdaa400b9f4ab76a5752edb06abac4889e86"},
 		{"kv", kvMix, 18000, 800, "9e8b72636d8868796686dbca7219d2f2dbb7d03903ea6f5c03ee36f5e8d02cae"},
+		{"probe", probeMix, 6000, 800, "abf5f6d0c4e47221d0170e2b203da6ed1600ede87892e980604cc4125bdf39bd"},
 	} {
 		ops := tc.mx.gen(rand.New(rand.NewSource(tc.seed)), 24, tc.events)
 		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(joinFuzzOps(ops)))); got != tc.sum {
@@ -550,7 +610,7 @@ func TestFuzzMixesArePinned(t *testing.T) {
 // TestParseFuzzOpsRoundTrips: every mix's sequence, printed, parses back to
 // itself, bracketed as %v prints it or not.
 func TestParseFuzzOpsRoundTrips(t *testing.T) {
-	for _, mx := range []*fuzzMix{churnMix, crashMix, kvMix} {
+	for _, mx := range []*fuzzMix{churnMix, crashMix, kvMix, probeMix} {
 		ops := mx.gen(rand.New(rand.NewSource(mx.seedBase)), 24, 400)
 		for _, s := range []string{joinFuzzOps(ops), fmt.Sprint(ops)} {
 			if got := parseFuzzOps(t, s); !slices.Equal(got, ops) {

@@ -311,7 +311,7 @@ func (d *DSG) breakRun(left, right *skipgraph.Node, viol skipgraph.BalanceViolat
 	}
 	id := d.nextDummyID
 	d.nextDummyID++
-	dm := newDummy(key, id, viol.Level+1)
+	dm := d.newDummy(key, id, viol.Level+1)
 	for i := 1; i <= viol.Level; i++ {
 		dm.SetBit(i, left.Bit(i))
 	}

@@ -62,7 +62,7 @@ func TestBreakRunRespreadsFullGap(t *testing.T) {
 	n3 := d.NodeByID(3)
 	var packed []*skipgraph.Node
 	for _, minor := range []int32{1, 2, 3} {
-		dm := newDummy(skipgraph.Key{Primary: 3, Minor: minor}, d.nextDummyID, 1)
+		dm := d.newDummy(skipgraph.Key{Primary: 3, Minor: minor}, d.nextDummyID, 1)
 		d.nextDummyID++
 		dm.SetBit(1, n3.Bit(1))
 		d.g.SpliceIn(dm)
@@ -110,7 +110,7 @@ func TestRepairBreaksAllDummyRun(t *testing.T) {
 	bit := 1 - x.Bit(1)
 	var run []*skipgraph.Node
 	for m := range a + 1 {
-		dm := newDummy(skipgraph.Key{Primary: x.Key().Primary, Minor: int32(m+1) * 1000}, d.nextDummyID, 1)
+		dm := d.newDummy(skipgraph.Key{Primary: x.Key().Primary, Minor: int32(m+1) * 1000}, d.nextDummyID, 1)
 		d.nextDummyID++
 		dm.SetBit(1, bit)
 		d.g.SpliceIn(dm)

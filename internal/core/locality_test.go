@@ -217,7 +217,7 @@ func TestUnplacedBreakerIsStillRepaired(t *testing.T) {
 				if d.g.ByKey(key) != nil {
 					continue
 				}
-				dm := newDummy(key, d.nextDummyID, 0)
+				dm := d.newDummy(key, d.nextDummyID, 0)
 				d.nextDummyID++
 				d.g.SpliceIn(dm)
 				d.dummyCount++

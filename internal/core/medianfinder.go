@@ -51,25 +51,39 @@
 // # Scratch arena
 //
 // Adaptation is local, and so is its memory: everything an adjustment needs
-// beyond the nodes it creates — the members of the list being transformed
-// and their snapshot of the old state, the lists the splits form, the
-// scoped repair's dirty sets, violation buffers and garbage-collection
-// frontiers — lives in one arena the DSG owns (scratch.go) and reuses from
-// operation to operation, alongside the graph's own relink buffer and the
-// median finder's. The arena is sized by the region an operation touches,
-// never by n, and a steady-state adjustment allocates nothing but its
-// dummies (TestAdjustAllocBudget).
+// — the members of the list being transformed and their snapshot of the old
+// state, the lists the splits form, the scoped repair's dirty sets,
+// violation buffers and garbage-collection frontiers — lives in one arena
+// the DSG owns (scratch.go) and reuses from operation to operation,
+// alongside the graph's own relink buffer and run table and the median
+// finder's buffers. The arena is sized by the region an
+// operation touches, never by n. The dummies are recycled too: under §IV-F
+// every transformation destroys the dummies of the region it rebuilds and
+// creates others, so a dummy leaving the graph is retired, and its record
+// (node, state, and the link and group-id storage they grew) serves a later
+// one. A steady-state adjustment allocates nothing (TestAdjustAllocBudget).
 //
 // The ownership rule that makes this safe: a DSG has a single writer, and
 // arena memory belongs to the operation in progress. Nothing arena-backed
 // may be retained by a skipgraph.Node, a nodeState, a ListRef that outlives
 // the operation (d.pending and d.pendingDummies, the one dirty record that
-// does, have their own buffers), or an OpResult or AdjustResult; whatever must survive is copied
-// out. Each operation clears the node and state pointers it parked in the
-// arena before returning, so the arena never keeps a removed node alive.
-// Nodes and states themselves are never pooled — route results and dirty
-// sets hold node pointers, and Graph.Contains tells a removed node from
-// its key's next occupant by identity.
+// does, have their own buffers), or an OpResult or AdjustResult; whatever
+// must survive is copied out. Each operation clears the node and state
+// pointers it parked in the arena before returning, so the arena never
+// keeps a removed node alive.
+//
+// Records obey an operation boundary. Inside an operation, arena buffers,
+// d.pending and d.pendingDummies and the route path may still hold a dummy
+// that has left the graph, and Graph.Contains tells it from a present node
+// by identity — so a record retired during an operation (d.retired) joins
+// the free list (d.free) only when the operation ends, at the end of
+// AdjustAccess, when none of those can reach it (a membership change made
+// outside the step — a bare Add, RemoveNode or crash repair — leaves what
+// it retired to the next one), and newDummy takes records from the free
+// list alone (TestRecycledDummiesAreUnreachable). A dummy
+// pointer is therefore meaningless after the operation that removed it:
+// nothing may hold one across operations. Real nodes and their states are
+// never reused.
 package core
 
 import (

@@ -222,6 +222,9 @@ func (d *DSG) route(src, dst int64) (distance, hops int, err error) {
 // adaptation is skipped, and a transformation must not resurrect a corpse
 // into a group.
 func (d *DSG) AdjustAccess(op Op) AdjustResult {
+	// The op ends here: the dummies it retired, in either half, are
+	// unreachable now and may serve the next one.
+	defer d.recycleDummies()
 	if op.Kind != OpRoute && op.Kind != OpGet && op.Kind != OpPut {
 		return AdjustResult{}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"lsasg/internal/amf"
 	"lsasg/internal/skipgraph"
@@ -22,6 +23,8 @@ type nodeState struct {
 // dummy — the state's group-ids and the node's links, in one allocation:
 // they are made together, read together and die together. It is 384 bytes,
 // a size class of whole cache lines, so every record's node starts a line.
+// The node's Ext names the record, which is how a dummy leaving the graph is
+// found again for reuse (DSG.retire).
 type dummyRecord struct {
 	n      skipgraph.Node
 	s      nodeState
@@ -34,27 +37,55 @@ type dummyRecord struct {
 // group at every level (§IV-B), based at its top level. A dummy takes no
 // part in transformations (§IV-F), so it never receives a timestamp or an
 // is-dominating flag: T and D stay empty, which the accessors read as zero
-// and false. The caller assigns the bits.
-func newDummy(key skipgraph.Key, id int64, depth int) *skipgraph.Node {
-	r := new(dummyRecord)
-	skipgraph.InitDummy(&r.n, key, id, r.links[:])
-	if depth+2 <= len(r.groups) {
-		r.s.G = r.groups[:depth+2]
+// and false. The caller assigns the bits. The record is a retired dummy's
+// when an earlier operation left one on the free list (see the package
+// comment), with whatever storage its links and group-ids had grown into,
+// and a new one otherwise.
+func (d *DSG) newDummy(key skipgraph.Key, id int64, depth int) *skipgraph.Node {
+	var r *dummyRecord
+	if k := len(d.free) - 1; k >= 0 {
+		r, d.free[k], d.free = d.free[k], nil, d.free[:k]
+		skipgraph.ReuseDummy(&r.n, key, id)
+		r.s = nodeState{G: r.s.G[:0]}
 	} else {
-		r.s.G = make([]int64, depth+2)
+		r = new(dummyRecord)
+		skipgraph.InitDummy(&r.n, key, id, r.links[:])
+		r.s.G = r.groups[:0]
 	}
+	r.s.G = slices.Grow(r.s.G, depth+2)[:depth+2]
 	for i := range r.s.G {
 		r.s.G[i] = id
 	}
 	r.s.B = depth
-	r.n.Ext = &r.s
+	r.n.Ext = r
 	return &r.n
+}
+
+// retire records that a dummy has left the graph, so its record can serve a
+// later newDummy once the operation in progress has returned (recycleDummies).
+// A node that is not a dummyRecord's is left to the garbage collector.
+func (d *DSG) retire(n *skipgraph.Node) {
+	if r, ok := n.Ext.(*dummyRecord); ok {
+		d.retired = append(d.retired, r)
+	}
+}
+
+// recycleDummies moves the records retired so far onto the free list. It
+// runs where an operation ends, when nothing can reach them any more.
+func (d *DSG) recycleDummies() {
+	d.free = append(d.free, d.retired...)
+	d.retired = recycle(d.retired)
 }
 
 // stateOf returns the DSG state a node carries, nil if it has none.
 func stateOf(n *skipgraph.Node) *nodeState {
-	s, _ := n.Ext.(*nodeState)
-	return s
+	switch x := n.Ext.(type) {
+	case *nodeState:
+		return x
+	case *dummyRecord:
+		return &x.s
+	}
+	return nil
 }
 
 func (s *nodeState) ensure(level int) {
@@ -157,6 +188,11 @@ type DSG struct {
 
 	nextDummyID int64
 	dummyCount  int
+
+	// retired holds the records of the dummies that have left the graph
+	// during the operation in progress, and free those of dummies gone in
+	// earlier ones, which newDummy reuses (see the package comment).
+	retired, free []*dummyRecord
 
 	// kvSeq is the value-version clock: each applied Put gets the next
 	// version, and migration restores bump it past carried versions so

@@ -84,6 +84,9 @@ func (d *DSG) transform(u, v *skipgraph.Node, t int64) AdjustResult {
 		}
 	}
 	d.pending = d.g.RemoveAll(ctx.doomed, alpha, d.pending)
+	for _, x := range ctx.doomed {
+		d.retire(x)
+	}
 	d.dummyCount -= len(ctx.doomed)
 	res.DummiesDestroyed = len(ctx.doomed)
 	ctx.spans = append(ctx.spans, listSpan{n: len(ctx.lists), level: alpha, split: true, hasU: true, hasV: true})

@@ -56,13 +56,19 @@ const (
 // ROADMAP R1 is the item that makes the check the one the bound needs.
 func RunAt(x *Node, level int, walk RunWalk, limit int) Run {
 	r := Run{First: x, Last: x, Len: 1, HasReal: !x.dummy}
+	b := level + 1
+	if b >= len(x.bits) {
+		return r // a member lacking the bit is a run of its own
+	}
+	// sameRun against x, with x's bit read once.
+	bit := x.bits[b]
 	if walk != RunForward {
-		for p := x.Prev(level); p != nil && r.Len != limit && sameRun(p, x, level); p = p.Prev(level) {
+		for p := x.Prev(level); p != nil && r.Len != limit && b < len(p.bits) && p.bits[b] == bit; p = p.Prev(level) {
 			r.First, r.Len, r.HasReal = p, r.Len+1, r.HasReal || !p.dummy
 		}
 	}
 	if walk != RunBack {
-		for q := x.Next(level); q != nil && r.Len != limit && sameRun(x, q, level); q = q.Next(level) {
+		for q := x.Next(level); q != nil && r.Len != limit && b < len(q.bits) && q.bits[b] == bit; q = q.Next(level) {
 			r.Last, r.Len, r.HasReal = q, r.Len+1, r.HasReal || !q.dummy
 		}
 	}
@@ -455,8 +461,13 @@ func recycle[T any](buf []T) []T {
 // that its departure would merge must not be over-long (RealRuns). A node
 // lacking the next level's bit is a run boundary, so n itself may be
 // breaking a chain purely by presence.
+//
+// The levels are tried from the top down. The verdict is the same in any
+// order, but a dummy is placed to break a run at the level just below its
+// top, so a needed one fails there at once instead of after walks at every
+// level beneath (half the run steps of a served op's checks at n = 512).
 func RemovalKeepsBalance(n *Node, a int) bool {
-	for e := 0; e <= n.BitsLen(); e++ {
+	for e := n.BitsLen(); e >= 0; e-- {
 		l, r := n.Prev(e), n.Next(e)
 		if l == nil || r == nil || !sameRun(l, r, e) {
 			continue // removal can only shorten a run; a boundary survives

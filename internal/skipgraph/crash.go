@@ -43,7 +43,7 @@ func (e *DeadRouteError) Unwrap() error { return ErrDeadNode }
 // rejected (dummies are logical, not machines) and crashing a dead node is a
 // no-op, so Crash is idempotent.
 func (g *Graph) Crash(key Key) *Node {
-	n := g.byKey[key]
+	n := g.ByKey(key)
 	if n == nil {
 		return nil
 	}

@@ -139,7 +139,8 @@ func TestScanEntry(t *testing.T) {
 
 // TestVerifyChecksBaseList: the base list is the node order, so Verify must
 // notice when the head, the count, the key index or the height histogram
-// stops describing it.
+// stops describing it — the index by missing a real node, naming the wrong
+// one or one gone from the graph, or holding one the base list does not.
 func TestVerifyChecksBaseList(t *testing.T) {
 	for _, tc := range []struct {
 		name, want string
@@ -148,10 +149,17 @@ func TestVerifyChecksBaseList(t *testing.T) {
 		{"head past the first node", "left neighbour", func(g *Graph) { g.head = g.head.Next(0) }},
 		{"count too small", "runs past", func(g *Graph) { g.n-- }},
 		{"count too large", "N() says", func(g *Graph) { g.n++ }},
-		{"node missing from the key index", "byKey", func(g *Graph) { delete(g.byKey, KeyOf(3)) }},
-		{"key index naming another node", "byKey", func(g *Graph) { g.byKey[KeyOf(3)] = g.byKey[KeyOf(4)] }},
+		{"node missing from the key index", "key index", func(g *Graph) { g.primaries[3-g.base] = nil }},
+		{"key index naming another node", "key index", func(g *Graph) { g.primaries[3-g.base] = g.primary(4) }},
+		{"key index naming a removed node", "key index", func(g *Graph) {
+			gone := g.Remove(KeyOf(3))
+			g.primaries[3-g.base] = gone
+		}},
+		{"key index past the base list", "key index", func(g *Graph) {
+			g.primaries = append(g.primaries, NewNode(KeyOf(g.base+int64(len(g.primaries))), 99))
+		}},
 		{"keys out of order", "base order", func(g *Graph) {
-			a, b := g.byKey[KeyOf(3)], g.byKey[KeyOf(4)]
+			a, b := g.primary(3), g.primary(4)
 			a.key, b.key = b.key, a.key
 		}},
 		{"stale height histogram", "height histogram", func(g *Graph) { g.tops = append(g.tops, 1) }},

@@ -26,9 +26,15 @@ func RandomBrancher(seed int64) Brancher {
 // n counts its members, and a position in it is found by searching the
 // lists above it (before), never by indexing.
 type Graph struct {
-	head  *Node
-	n     int
-	byKey map[Key]*Node
+	head *Node
+	n    int
+	// primaries is the key index: primaries[p-base] is the node keyed
+	// {Primary: p} — a real node's key — or nil. Keys are a dense range of
+	// primaries, so a slice holds them. A dummy's key, {p, minor > 0}, is
+	// not indexed: its node is found by searching the lists from primary
+	// p's node (before), past p's other dummies.
+	primaries []*Node
+	base      int64
 	// tops[l] counts the nodes whose highest linked level is l, kept with
 	// its last entry non-zero, so the height is its length. Every link
 	// change goes through setLink, unlink or Relink, which keep it.
@@ -79,7 +85,7 @@ func NewFromNodes(nodes []*Node, brancher Brancher) *Graph {
 // newOver adopts nodes into a new graph and returns them in key order, for
 // the constructor to link; the first is the head.
 func newOver(nodes []*Node) (*Graph, []*Node) {
-	g := &Graph{byKey: make(map[Key]*Node, len(nodes))}
+	g := new(Graph)
 	order := append([]*Node(nil), nodes...)
 	sort.Slice(order, func(i, j int) bool { return order[i].key.Less(order[j].key) })
 	for _, n := range order {
@@ -160,8 +166,43 @@ func (g *Graph) All() iter.Seq[*Node] {
 	}
 }
 
-// ByKey returns the node with the given key, or nil.
-func (g *Graph) ByKey(k Key) *Node { return g.byKey[k] }
+// ByKey returns the node with the given key, or nil: a primary's node from
+// the key index, a dummy's by a search from its primary's (before).
+func (g *Graph) ByKey(k Key) *Node {
+	if k.Minor == 0 {
+		return g.primary(k.Primary)
+	}
+	if n := g.from(k); n != nil && n.key == k {
+		return n
+	}
+	return nil
+}
+
+// primary returns the node keyed {Primary: p}, or nil.
+func (g *Graph) primary(p int64) *Node {
+	if i := uint64(p - g.base); i < uint64(len(g.primaries)) {
+		return g.primaries[i]
+	}
+	return nil
+}
+
+// index enters a node keyed on a primary into the key index, widening the
+// index to reach its primary.
+func (g *Graph) index(n *Node) {
+	p := n.key.Primary
+	switch {
+	case len(g.primaries) == 0:
+		g.base = p
+	case p < g.base:
+		grown := make([]*Node, int(g.base-p)+len(g.primaries), int(g.base-p)+cap(g.primaries))
+		copy(grown[g.base-p:], g.primaries)
+		g.primaries, g.base = grown, p
+	}
+	if i := int(p - g.base); i >= len(g.primaries) {
+		g.primaries = slices.Grow(g.primaries, i+1-len(g.primaries))[:i+1]
+	}
+	g.primaries[p-g.base] = n
+}
 
 // Contains reports whether n is currently a node of this graph — false for
 // a node that has been removed, even if its key has since been re-added.
@@ -169,7 +210,9 @@ func (g *Graph) Contains(n *Node) bool { return n.owner == g }
 
 // adopt indexes and counts a node entering the graph.
 func (g *Graph) adopt(n *Node) {
-	g.byKey[n.key] = n
+	if n.key.Minor == 0 {
+		g.index(n)
+	}
 	g.n++
 	n.owner = g
 	n.mark = 0 // a stamp from another graph's history must never match ours
@@ -183,7 +226,7 @@ func (g *Graph) Head() *Node { return g.head }
 // when the graph holds it — a dummy's position is at most that primary's
 // other dummies away from it — and at the head otherwise.
 func (g *Graph) before(k Key) *Node {
-	from := g.byKey[Key{Primary: k.Primary}]
+	from := g.primary(k.Primary)
 	if from == nil || !from.key.Less(k) {
 		from = g.head
 		if from == nil || !from.key.Less(k) {
@@ -206,8 +249,10 @@ func (g *Graph) before(k Key) *Node {
 // from returns the first node of the base list whose key is not before k,
 // nil when there is none.
 func (g *Graph) from(k Key) *Node {
-	if n := g.byKey[k]; n != nil {
-		return n
+	if k.Minor == 0 {
+		if n := g.primary(k.Primary); n != nil {
+			return n
+		}
 	}
 	if p := g.before(k); p != nil {
 		return p.Next(0)
@@ -376,16 +421,18 @@ func (g *Graph) SingletonLevel(n *Node) int {
 // completes the chain.
 func (g *Graph) SpliceInBelowAll(nodes []*Node, level int) {
 	for i, n := range nodes {
-		if _, ok := g.byKey[n.key]; ok || (i > 0 && !nodes[i-1].key.Less(n.key)) {
-			panic(fmt.Sprintf("skipgraph: duplicate or unordered key %v", n.key))
+		if i > 0 && !nodes[i-1].key.Less(n.key) {
+			panic(fmt.Sprintf("skipgraph: unordered keys %v, %v", nodes[i-1].key, n.key))
 		}
 		n.reserveLinks(n.BitsLen())
 	}
 	for _, n := range nodes {
-		if level < 1 {
-			g.adopt(n)
-		} else {
+		if level >= 1 {
 			g.spliceIntoBase(n)
+		} else if g.ByKey(n.key) != nil {
+			panic(fmt.Sprintf("skipgraph: duplicate key %v", n.key))
+		} else {
+			g.adopt(n)
 		}
 	}
 	for l := 1; l < level; l++ {
@@ -403,9 +450,6 @@ func (g *Graph) SpliceInBelowAll(nodes []*Node, level int) {
 // Shah's join, O(a) per level on an a-balanced graph), stopping once n is
 // alone.
 func (g *Graph) SpliceIn(n *Node) {
-	if _, ok := g.byKey[n.key]; ok {
-		panic(fmt.Sprintf("skipgraph: duplicate key %v", n.key))
-	}
 	n.reserveLinks(n.BitsLen())
 	g.spliceIntoBase(n)
 	for level := 1; level <= n.BitsLen(); level++ {
@@ -417,12 +461,16 @@ func (g *Graph) SpliceIn(n *Node) {
 }
 
 // spliceIntoBase adopts a detached node and links it into the base list at
-// its key's position.
+// its key's position. It panics if a node there has the key already.
 func (g *Graph) spliceIntoBase(n *Node) {
 	left, right := g.before(n.key), g.head
 	if left != nil {
 		right = left.Next(0)
-	} else {
+	}
+	if right != nil && right.key == n.key {
+		panic(fmt.Sprintf("skipgraph: duplicate key %v", n.key))
+	}
+	if left == nil {
 		g.head = n
 	}
 	g.adopt(n)
@@ -447,7 +495,9 @@ func (g *Graph) unlink(n *Node) {
 	if !g.Contains(n) {
 		panic(fmt.Sprintf("skipgraph: node %v not in graph", n.key))
 	}
-	delete(g.byKey, n.key)
+	if n.key.Minor == 0 && g.primary(n.key.Primary) == n {
+		g.primaries[n.key.Primary-g.base] = nil
+	}
 	g.n--
 	n.owner = nil
 	if g.head == n {
@@ -695,7 +745,7 @@ func (g *Graph) ExtendDistinctFrom(cands []*Node, brancher Brancher) JoinEffect 
 // computes none, so repair paths that already hold the refs pay nothing
 // extra.
 func (g *Graph) Remove(key Key) *Node {
-	n := g.byKey[key]
+	n := g.ByKey(key)
 	if n == nil {
 		return nil
 	}
@@ -703,12 +753,15 @@ func (g *Graph) Remove(key Key) *Node {
 	return n
 }
 
+// RemoveNode deletes n, a node of the graph, without a key lookup.
+func (g *Graph) RemoveNode(n *Node) { g.unlink(n) }
+
 // RemoveTracked deletes the node with the given key and returns, for every
 // list the node occupied, a ListRef anchored at a surviving neighbour — the
 // dirty set a scoped balance repair must re-examine, since a departure can
 // merge two same-bit runs. It returns (nil, nil) when the key is absent.
 func (g *Graph) RemoveTracked(key Key) (*Node, []ListRef) {
-	n := g.byKey[key]
+	n := g.ByKey(key)
 	if n == nil {
 		return nil, nil
 	}
@@ -721,7 +774,7 @@ func (g *Graph) RemoveTracked(key Key) (*Node, []ListRef) {
 // level-0 neighbours, either way, that share its Primary and have a non-zero
 // Minor — evenly over the minor space, in their present order, and returns
 // how many there are. A dummy's key matters only by that order, so no link
-// moves; the keys and the key index do.
+// moves, and the key index, which holds no dummy, does not change either.
 // It is the way out of a gap that has filled up: free keys are found by
 // bisection, which halves the space toward one side every time, so some
 // thirty breakers placed beside one real node leave dummies on adjacent
@@ -735,17 +788,13 @@ func (g *Graph) RespreadDummies(at *Node) int {
 	if first.key.Minor == 0 {
 		first = first.Next(0)
 	}
-	// Every old key leaves the index before any new one enters: a new key
-	// may equal another dummy's old one.
 	m := 0
 	for x := first; x != nil && x.key.Primary == p; x = x.Next(0) {
-		delete(g.byKey, x.key)
 		m++
 	}
 	stride := int32(MinorSpace / (m + 1))
 	for x, i := first, int32(1); x != nil && x.key.Primary == p; x, i = x.Next(0), i+1 {
 		x.key.Minor = i * stride
-		g.byKey[x.key] = x
 	}
 	return m
 }
@@ -786,9 +835,10 @@ func appendExListRefs(dst []ListRef, n *Node, below int) []ListRef {
 
 // Verify checks every structural invariant: the base list end to end (it
 // starts at the head, is strictly key-ordered, holds N() nodes, and the key
-// index names exactly its members), the height histogram, link symmetry,
-// and that each level-i list is exactly the key-ordered set of nodes
-// sharing an i-bit membership prefix. It returns the first violation.
+// index names exactly its members keyed on a primary), the height
+// histogram, link symmetry, and that each level-i list is exactly the
+// key-ordered set of nodes sharing an i-bit membership prefix. It returns
+// the first violation.
 func (g *Graph) Verify() error {
 	if g.head != nil && g.head.Prev(0) != nil {
 		return fmt.Errorf("head %v has a left neighbour %v", g.head.key, g.head.Prev(0).key)
@@ -806,19 +856,35 @@ func (g *Graph) Verify() error {
 	if len(nodes) != g.n {
 		return fmt.Errorf("base list holds %d nodes, N() says %d", len(nodes), g.n)
 	}
-	if len(g.byKey) != len(nodes) {
-		return fmt.Errorf("byKey has %d entries, want %d", len(g.byKey), len(nodes))
+	indexed := 0
+	for i, n := range g.primaries {
+		if n == nil {
+			continue
+		}
+		indexed++
+		if want := (Key{Primary: g.base + int64(i)}); n.key != want || n.owner != g {
+			return fmt.Errorf("key index names %v at %v, want a node keyed so, owned by this graph", n, want)
+		}
 	}
 	maxLevel := 0
 	var recount Graph // for its height histogram only
 	for _, n := range nodes {
-		if g.byKey[n.key] != n || n.owner != g {
-			return fmt.Errorf("byKey[%v] = %v, want the node keyed so, owned by this graph", n.key, g.byKey[n.key])
+		if n.owner != g {
+			return fmt.Errorf("node %v is in the base list but not owned by this graph", n.key)
+		}
+		if n.key.Minor == 0 {
+			if got := g.primary(n.key.Primary); got != n {
+				return fmt.Errorf("key index names %v at %v, want the node keyed so", got, n.key)
+			}
+			indexed--
 		}
 		if l := n.MaxLinkedLevel(); l > maxLevel {
 			maxLevel = l
 		}
 		recount.addTop(n.linkedTop(), 1)
+	}
+	if indexed != 0 {
+		return fmt.Errorf("key index holds %d node(s) the base list does not", indexed)
 	}
 	if !slices.Equal(recount.tops, g.tops) {
 		return fmt.Errorf("height histogram %v, the nodes say %v", g.tops, recount.tops)

@@ -90,6 +90,21 @@ func InitDummy(n *Node, key Key, id int64, links []*Node) {
 	n.next, n.prev = links[:0:k], links[k:k:2*k]
 }
 
+// ReuseDummy makes n, a dummy that has left its graph, the detached dummy
+// InitDummy would make of a zero Node, except that n keeps the storage its
+// links and vector grew into, for a caller that recycles dummies: a deep
+// dummy's links outgrow what the caller's record holds for them.
+func ReuseDummy(n *Node, key Key, id int64) {
+	if n.owner != nil || !n.dummy {
+		panic(fmt.Sprintf("skipgraph: %v is not a departed dummy", n))
+	}
+	// Leaving the graph cleared every link (unlink), so the storage holds
+	// no node.
+	next, prev, bits := n.next[:0], n.prev[:0], n.bits[:1]
+	*n = Node{key: key, id: id, dummy: true, bits: bits, next: next, prev: prev}
+	bits[0] = 0
+}
+
 // Key returns the node's key.
 func (n *Node) Key() Key { return n.key }
 

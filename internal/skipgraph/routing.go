@@ -105,7 +105,7 @@ func (g *Graph) RouteKeys(src, dst Key) (RouteResult, error) { return g.RouteKey
 // RouteKeysInto is RouteKeys reusing buf's storage for the path: the
 // result's Path is appended to buf[:0], so it may share buf's array.
 func (g *Graph) RouteKeysInto(buf []*Node, src, dst Key) (RouteResult, error) {
-	s, d := g.byKey[src], g.byKey[dst]
+	s, d := g.ByKey(src), g.ByKey(dst)
 	if s == nil {
 		return RouteResult{}, fmt.Errorf("%w: source %v", ErrUnknownKey, src)
 	}

@@ -30,7 +30,7 @@ func samePrefix(a, b *Node, level int) bool {
 
 // spliceInByPosition is the reference splice.
 func (g *Graph) spliceInByPosition(n *Node) {
-	if _, ok := g.byKey[n.key]; ok {
+	if g.ByKey(n.key) != nil {
 		panic(fmt.Sprintf("skipgraph: duplicate key %v", n.key))
 	}
 	var before, after *Node // n's neighbours in the base list
@@ -67,7 +67,7 @@ func twinGraphs(t *testing.T, n int, seed int64) (ref, got *Graph) {
 		for i := 0; i < n/4; i++ {
 			left := g.Nodes()[rng.Intn(g.N())]
 			key := Key{Primary: left.key.Primary, Minor: left.key.Minor + 1 + int32(rng.Intn(1000))}
-			if g.byKey[key] != nil || (left.Next(0) != nil && !key.Less(left.Next(0).key)) {
+			if g.ByKey(key) != nil || (left.Next(0) != nil && !key.Less(left.Next(0).key)) {
 				continue
 			}
 			dm := NewDummy(key, int64(10_000+i))
@@ -124,7 +124,7 @@ func requireTwins(t *testing.T, step string, ref, got *Graph) {
 func randomDummy(g *Graph, rng *rand.Rand, id int64) (key Key, bits []byte, ok bool) {
 	left := g.Nodes()[rng.Intn(g.N())]
 	key = Key{Primary: left.key.Primary, Minor: left.key.Minor + 1 + int32(rng.Intn(1000))}
-	if g.byKey[key] != nil || (left.Next(0) != nil && !key.Less(left.Next(0).key)) {
+	if g.ByKey(key) != nil || (left.Next(0) != nil && !key.Less(left.Next(0).key)) {
 		return key, nil, false
 	}
 	depth := rng.Intn(left.BitsLen() + 1)
@@ -231,7 +231,7 @@ func TestSpliceInBelowThenRelink(t *testing.T) {
 			}
 			rng.Shuffle(len(dummies), func(i, j int) { dummies[i], dummies[j] = dummies[j], dummies[i] })
 			apply := func(g *Graph, install func(*Graph, []*Node)) {
-				list := listAt(g.byKey[anchor.key], alpha)
+				list := listAt(g.ByKey(anchor.key), alpha)
 				for _, m := range list {
 					if nb, ok := newBits[m.key]; ok {
 						m.TruncateBits(alpha)
@@ -293,7 +293,7 @@ func TestRemoveAllMatchesRemove(t *testing.T) {
 			}
 			var refRefs []ListRef
 			for _, k := range doomed {
-				for _, r := range AppendExListRefs(nil, ref.byKey[k]) {
+				for _, r := range AppendExListRefs(nil, ref.ByKey(k)) {
 					if int(r.Level) < below {
 						refRefs = append(refRefs, r)
 					}
@@ -302,7 +302,7 @@ func TestRemoveAllMatchesRemove(t *testing.T) {
 			}
 			batch := make([]*Node, len(doomed))
 			for i, k := range doomed {
-				batch[i] = got.byKey[k]
+				batch[i] = got.ByKey(k)
 			}
 			gotRefs := got.RemoveAll(batch, below, nil)
 			step := fmt.Sprintf("seed %d round %d alpha %d (%d doomed)", seed, round, alpha, len(doomed))
