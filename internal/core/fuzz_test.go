@@ -107,7 +107,8 @@ type fuzzMix struct {
 	// draws maps a uniform draw to an op kind by cumulative threshold. The
 	// KV mix has none: genKVFuzzOps draws its own.
 	draws []fuzzDraw
-	// probeCrashes follows every crash with a probe of the crashed id.
+	// probeCrashes follows every crash with a probe of the crashed id, and
+	// test then requires at least half of the probes to be applied.
 	probeCrashes  bool
 	seeds, events *int
 	// seedBase·a + s is the seed of run s at balance parameter a.
@@ -140,8 +141,8 @@ var (
 		floor:        3,
 		draws:        []fuzzDraw{{0.60, 'r'}, {0.72, 'j'}, {0.84, 'l'}, {1, 'c'}},
 		probeCrashes: true,
-		seeds:        flag.Int("probefuzz.seeds", 3, "number of random seeds for the probe fuzz test"),
-		events:       flag.Int("probefuzz.events", 800, "events per probe fuzz seed"),
+		seeds:        crashMix.seeds,
+		events:       crashMix.events,
 		seedBase:     3000,
 	}
 	kvMix = &fuzzMix{
@@ -325,37 +326,31 @@ type fuzzReplay struct {
 	m        *testkit.KV
 	a, floor int
 	puts     int64
-	// applied counts the applied ops of each kind.
-	applied map[byte]int
 }
 
 // run replays ops against a fresh DSG and the model, asserting the oracle
 // after every applied op. Ops that are inapplicable in the current
 // membership (possible after shrinking removed an op they depended on) are
 // skipped, so any subsequence replays deterministically. It returns the
-// index of the first failing op, or -1.
-func (mx *fuzzMix) run(n, a int, seed int64, ops []fuzzOp) (int, error) {
-	_, idx, err := mx.replay(n, a, seed, ops)
-	return idx, err
-}
-
-// replay is run, returning the finished replay too.
-func (mx *fuzzMix) replay(n, a int, seed int64, ops []fuzzOp) (*fuzzReplay, int, error) {
-	r := &fuzzReplay{d: New(n, Config{A: a, Seed: seed}), m: testkit.NewKV(n), a: a, floor: mx.floor, applied: make(map[byte]int)}
+// number of probes applied and the index of the first failing op, or -1.
+func (mx *fuzzMix) run(n, a int, seed int64, ops []fuzzOp) (probes, idx int, err error) {
+	r := &fuzzReplay{d: New(n, Config{A: a, Seed: seed}), m: testkit.NewKV(n), a: a, floor: mx.floor}
 	if err := r.d.Validate(); err != nil {
-		return r, 0, fmt.Errorf("invalid before any op: %w", err)
+		return 0, 0, fmt.Errorf("invalid before any op: %w", err)
 	}
 	for i, op := range ops {
 		applied, err := r.apply(i, op)
 		if applied && err == nil {
-			r.applied[op.Kind]++
+			if op.Kind == 'p' {
+				probes++
+			}
 			err = r.check()
 		}
 		if err != nil {
-			return r, i, fmt.Errorf("%s: %w", op, err)
+			return probes, i, fmt.Errorf("%s: %w", op, err)
 		}
 	}
-	return r, -1, nil
+	return probes, -1, nil
 }
 
 // apply serves the i-th op and checks its own result against the model,
@@ -515,7 +510,8 @@ func entriesOf(es []skipgraph.Entry) []testkit.Entry {
 }
 
 // test replays the mix's seeds at a = 2 and a = 4 on n = 24, shrinking a
-// failure to a minimal reproducing sequence before reporting it.
+// failure to a minimal reproducing sequence before reporting it. A mix that
+// probes every crash must also see at least half of its probes applied.
 func (mx *fuzzMix) test(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fuzz is slow")
@@ -526,10 +522,24 @@ func (mx *fuzzMix) test(t *testing.T) {
 			seed := mx.seedBase*int64(a) + int64(s)
 			t.Run(fmt.Sprintf("a=%d/seed=%d", a, seed), func(t *testing.T) {
 				ops := mx.gen(rand.New(rand.NewSource(seed)), n, *mx.events)
-				run := func(ops []fuzzOp) (int, error) { return mx.run(n, a, seed, ops) }
-				idx, err := run(ops)
+				probes, idx, err := mx.run(n, a, seed, ops)
 				if err == nil {
+					if mx.probeCrashes {
+						drawn := 0
+						for _, op := range ops {
+							if op.Kind == 'p' {
+								drawn++
+							}
+						}
+						if drawn == 0 || 2*probes < drawn {
+							t.Fatalf("%d of %d probes applied, want at least half", probes, drawn)
+						}
+					}
 					return
+				}
+				run := func(ops []fuzzOp) (int, error) {
+					_, idx, err := mx.run(n, a, seed, ops)
+					return idx, err
 				}
 				min := testkit.Ddmin(ops, run, 400)
 				t.Fatalf("op %d failed: %v\nminimal reproduction (n=%d a=%d seed=%d, %d ops):\n%v",
@@ -553,35 +563,13 @@ func TestKVFuzz(t *testing.T) { kvMix.test(t) }
 
 // TestProbeFuzz replays hundreds of random route/join/leave/crash events per
 // seed, every crash followed by a probe of the crashed id, so most crashes
-// are repaired through RepairCrashedID rather than a route's detection.
+// are repaired through RepairCrashedID rather than a route's detection: at
+// least half of its probes must reach a corpse still in the graph (all 498
+// over its default seeds). The crash and KV mixes apply few of theirs — 9 of
+// 480 and 0 of 121 over their default seeds — as a route or a transformation
+// has nearly always repaired the corpse first. Its seeds and length are the
+// crash mix's flags.
 func TestProbeFuzz(t *testing.T) { probeMix.test(t) }
-
-// TestProbeMixAppliesItsProbes holds the probe mix to its purpose: of the
-// probes it generates, at least half reach a corpse still in the graph and
-// repair it (all 498 over its default seeds). The crash and KV mixes apply
-// few of theirs — 9 of 480 and 0 of 121 over their default seeds — as a
-// route or a transformation has nearly always repaired the corpse first.
-func TestProbeMixAppliesItsProbes(t *testing.T) {
-	const n = 24
-	for _, a := range []int{2, 4} {
-		seed := probeMix.seedBase * int64(a)
-		ops := probeMix.gen(rand.New(rand.NewSource(seed)), n, *probeMix.events)
-		probes := 0
-		for _, op := range ops {
-			if op.Kind == 'p' {
-				probes++
-			}
-		}
-		r, idx, err := probeMix.replay(n, a, seed, ops)
-		if err != nil {
-			t.Fatalf("a=%d seed %d: op %d failed: %v", a, seed, idx, err)
-		}
-		if applied := r.applied['p']; probes == 0 || 2*applied < probes {
-			t.Fatalf("a=%d seed %d: %d of %d probes applied, want at least half", a, seed, applied, probes)
-		}
-		t.Logf("a=%d seed %d: %d of %d probes applied", a, seed, r.applied['p'], probes)
-	}
-}
 
 // TestFuzzMixesArePinned holds each mix's generator to the sequence it drew
 // when each mix had a generator of its own (the probe mix: when it was
@@ -655,7 +643,7 @@ func TestChurnFuzzKeySlotRegression(t *testing.T) {
 	leave(1) join(38) route(32,31) join(39) leave(36) leave(31) route(38,34) route(17,39) join(40)
 	route(6,5) join(41) route(39,40) leave(32) route(34,41) route(9,39) route(9,6) leave(9) join(42)
 	join(43) join(183)`)
-	if idx, err := churnMix.run(24, 2, 2024, ops); err != nil {
+	if _, idx, err := churnMix.run(24, 2, 2024, ops); err != nil {
 		t.Fatalf("op %d of %d failed: %v", idx, len(ops), err)
 	}
 }

@@ -53,7 +53,9 @@ func TestRouteKeysUnknownKeySentinel(t *testing.T) {
 // TestScanEntry holds the way ScanFrom, RealKeysInRange and
 // RealEntriesInRange find their first node — through the key index when the
 // start key is a node's, else by a search down from the head or from the
-// start's real node — to a linear filter of the node order. The graph has
+// start's real node — to a linear filter of the node order, and GetValue to
+// the record of the real node keyed exactly on the probe (none for a
+// dummy's key, even under a real node that holds a value). The graph has
 // gaps between its keys, dummies under a live primary (20) and under one
 // whose real node has left (40), crashed nodes and keys without values; the
 // probes cover every primary from below the first key to above the last, at
@@ -93,10 +95,16 @@ func TestScanEntry(t *testing.T) {
 				var scan []Entry
 				var keys []int64
 				var entries []Entry
+				var val []byte
+				var ver int64
+				var has bool
 				hi := Key{Primary: p + 25}
 				for _, n := range order {
 					if n.key.Less(start) {
 						continue
+					}
+					if n.key == start && !n.dummy && !n.dead && n.hasVal {
+						val, ver, has = n.val, n.ver, true
 					}
 					if !n.dummy && !n.dead && n.hasVal && len(scan) < 3 {
 						scan = append(scan, Entry{ID: n.key.Primary, Value: n.val, Version: n.ver, HasValue: true})
@@ -105,6 +113,9 @@ func TestScanEntry(t *testing.T) {
 						keys = append(keys, n.key.Primary)
 						entries = append(entries, Entry{ID: n.key.Primary, Value: n.val, Version: n.ver, HasValue: n.hasVal})
 					}
+				}
+				if v, r, ok := g.GetValue(start); ok != has || r != ver || !reflect.DeepEqual(v, val) {
+					t.Fatalf("%s: GetValue(%v) = (%q, %d, %v), want (%q, %d, %v)", step, start, v, r, ok, val, ver, has)
 				}
 				if got := g.ScanFrom(start, 3); !reflect.DeepEqual(got, scan) {
 					t.Fatalf("%s: ScanFrom(%v, 3) = %v, want %v", step, start, got, scan)

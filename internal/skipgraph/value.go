@@ -25,7 +25,7 @@ func (g *Graph) SetValue(n *Node, v []byte, ver int64) {
 // graph. ok is false when the key is absent, a dummy, crashed (crash-stop:
 // the data is unreachable until repair), or holds no value.
 func (g *Graph) GetValue(k Key) (val []byte, ver int64, ok bool) {
-	n := g.primary(k.Primary)
+	n := g.ByKey(k)
 	if n == nil || n.dummy || n.dead || !n.hasVal {
 		return nil, 0, false
 	}
