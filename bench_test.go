@@ -570,19 +570,39 @@ func BenchmarkServeOps(b *testing.B) {
 // BenchmarkWorkingSetAdd measures workingset.Bound.Add — fed once per served
 // op, on every workload — on Zipf(1.2) pairs over 512 nodes, after 1k and
 // after 64k recorded accesses: a query walks the contacts made inside the
-// pair's window, so the cost must not grow with the history before it.
+// pair's window, so the cost must not grow with the history before it. The
+// uniform and star lanes run 256 nodes after 64k accesses: uniform pairs,
+// whose windows span most of the history and connect every node, and one
+// origin paired with random keys, the pairs a daemon serving scans from
+// origin 0 records. In both the search reaches the whole active set long
+// before it runs out of window, and stops there.
 func BenchmarkWorkingSetAdd(b *testing.B) {
-	for _, hist := range []struct {
+	star := func(n, m int) []workload.Request {
+		rng := rand.New(rand.NewSource(22))
+		reqs := make([]workload.Request, m)
+		for i := range reqs {
+			reqs[i] = workload.Request{Src: 0, Dst: 1 + rng.Intn(n-1)}
+		}
+		return reqs
+	}
+	for _, lane := range []struct {
 		name string
-		len  int
-	}{{"1k", 1 << 10}, {"64k", 1 << 16}} {
-		b.Run("history="+hist.name, func(b *testing.B) {
-			reqs := workload.Zipf{Seed: 21, S: 1.2}.Generate(512, hist.len+8192)
-			bound := workingset.NewBound(512)
-			for _, r := range reqs[:hist.len] {
+		n    int
+		hist int
+		reqs func(n, m int) []workload.Request
+	}{
+		{"history=1k", 512, 1 << 10, workload.Zipf{Seed: 21, S: 1.2}.Generate},
+		{"history=64k", 512, 1 << 16, workload.Zipf{Seed: 21, S: 1.2}.Generate},
+		{"uniform", 256, 1 << 16, workload.Uniform{Seed: 21}.Generate},
+		{"star", 256, 1 << 16, star},
+	} {
+		b.Run(lane.name, func(b *testing.B) {
+			reqs := lane.reqs(lane.n, lane.hist+8192)
+			bound := workingset.NewBound(lane.n)
+			for _, r := range reqs[:lane.hist] {
 				bound.Add(r.Src, r.Dst)
 			}
-			timed := reqs[hist.len:]
+			timed := reqs[lane.hist:]
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

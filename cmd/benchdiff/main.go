@@ -3,10 +3,11 @@
 // with -count N), aggregates each benchmark's metrics as the minimum across
 // counts (the least-noisy point estimate on a shared runner), and fails when
 // any benchmark matching -match regressed its ns/op by more than -threshold.
-// Benchmarks additionally matching -memmatch also gate their B/op and
-// allocs/op (requires -benchmem on both runs) — allocation-shaped wins, like
-// the adjuster's scratch arena, regress silently under a pure ns/op gate on
-// a noisy runner.
+// Benchmarks matching -memmatch gate their B/op and allocs/op (requires
+// -benchmem on both runs) — allocation-shaped wins, like the adjuster's
+// scratch arena, regress silently under a pure ns/op gate on a noisy runner.
+// The two gates are independent: a benchmark matching only -memmatch, say a
+// loopback lane whose timing swings with the runner, has no ns/op gate.
 //
 // Benchmarks present only in the new file are reported as new and never
 // fail the gate (a PR may introduce the benchmark it is gated on);
@@ -288,9 +289,12 @@ func compare(oldRes, newRes samples, re, memRe *regexp.Regexp, threshold float64
 			failed++
 			continue
 		}
-		units := []string{"ns/op"}
+		var units []string
+		if re.MatchString(n) {
+			units = append(units, "ns/op")
+		}
 		if memRe != nil && memRe.MatchString(n) {
-			units = gatedUnits
+			units = append(units, "B/op", "allocs/op")
 		}
 		for _, unit := range units {
 			oldVs, uOld := oldUnits[unit]

@@ -156,6 +156,23 @@ func TestCompareMemGate(t *testing.T) {
 	}
 }
 
+// TestCompareMemOnlyLane: a benchmark matching -memmatch but not -match is
+// gated on B/op and allocs/op alone; its ns/op may swing any way.
+func TestCompareMemOnlyLane(t *testing.T) {
+	oldLoop := "BenchmarkLoopback/conns=1-4  2000  10000 ns/op  1800 B/op  6 allocs/op\n"
+	slower := "BenchmarkLoopback/conns=1-4  2000  90000 ns/op  1800 B/op  6 allocs/op\n"
+	re, memRe := regexp.MustCompile(`E10`), regexp.MustCompile(`Loopback`)
+	verdicts, failed := compare(parseString(t, oldLoop), parseString(t, slower), re, memRe, 0.25)
+	joined := strings.Join(verdicts, "\n")
+	if failed != 0 || strings.Contains(joined, "ns/op") || !strings.Contains(joined, "allocs/op") {
+		t.Errorf("mem-only lane: failed=%d, want 0 with only B/op and allocs/op gated:\n%s", failed, joined)
+	}
+	heavier := "BenchmarkLoopback/conns=1-4  2000  10000 ns/op  1800 B/op  9 allocs/op\n"
+	if _, failed = compare(parseString(t, oldLoop), parseString(t, heavier), re, memRe, 0.25); failed != 1 {
+		t.Errorf("mem-only lane: 6 → 9 allocs/op failed=%d, want 1", failed)
+	}
+}
+
 func TestCompareMemGateMissingBaselineColumns(t *testing.T) {
 	// Baseline ran without -benchmem: the memory metrics have no baseline
 	// and must be reported, not failed. Losing them in the NEW run fails.

@@ -35,7 +35,9 @@ func (g *Graph) GetValue(k Key) (val []byte, ver int64, ok bool) {
 // ScanFrom walks the level-0 run of the live graph from the first real key
 // ≥ start, collecting up to limit value-bearing entries in ascending key
 // order. Dummies, crashed nodes, and keys without values are skipped (they
-// occupy the run but hold no readable data).
+// occupy the run but hold no readable data). The result is allocated once,
+// at the first match, for as many entries as the limit and the graph allow;
+// a scan that matches nothing returns nil.
 func (g *Graph) ScanFrom(start Key, limit int) []Entry {
 	if limit <= 0 {
 		return nil
@@ -43,6 +45,9 @@ func (g *Graph) ScanFrom(start Key, limit int) []Entry {
 	var out []Entry
 	for n := g.from(start); n != nil && len(out) < limit; n = n.Next(0) {
 		if !n.dummy && !n.dead && n.hasVal {
+			if out == nil {
+				out = make([]Entry, 0, min(limit, g.n))
+			}
 			out = append(out, Entry{ID: n.key.Primary, Value: n.val, Version: n.ver, HasValue: true})
 		}
 	}

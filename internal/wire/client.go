@@ -28,9 +28,21 @@ type Client struct {
 }
 
 type clientConn struct {
-	nc net.Conn
-	br *bufio.Reader
-	bw *bufio.Writer
+	nc    net.Conn
+	br    *bufio.Reader
+	bw    *bufio.Writer
+	frame []byte // the request frame being written, reused
+}
+
+// send encodes req's frame into cc's reused buffer and buffers it for
+// writing.
+func (cc *clientConn) send(req Request) error {
+	var err error
+	if cc.frame, err = appendRequestFrame(cc.frame[:0], req); err != nil {
+		return err
+	}
+	_, err = cc.bw.Write(cc.frame)
+	return err
 }
 
 const (
@@ -118,7 +130,7 @@ func (c *Client) roundTrip(cc *clientConn, req Request) (Response, error) {
 	if c.timeout > 0 {
 		cc.nc.SetDeadline(time.Now().Add(c.timeout))
 	}
-	if err := WriteFrame(cc.bw, req.Encode()); err != nil {
+	if err := cc.send(req); err != nil {
 		cc.nc.Close()
 		return Response{}, err
 	}
@@ -326,12 +338,12 @@ func (c *Client) Replay(ops []lsasg.Op) ([]Response, StatsPayload, error) {
 		for i, op := range ops {
 			req, _ := RequestFor(op)
 			req.Seq = first + uint64(i)
-			if err := WriteFrame(cc.bw, req.Encode()); err != nil {
+			if err := cc.send(req); err != nil {
 				writeErr <- err
 				return
 			}
 		}
-		if err := WriteFrame(cc.bw, Request{Verb: VerbStats, Seq: base}.Encode()); err != nil {
+		if err := cc.send(Request{Verb: VerbStats, Seq: base}); err != nil {
 			writeErr <- err
 			return
 		}

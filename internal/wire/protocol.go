@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"lsasg"
 	"lsasg/internal/obs"
@@ -200,20 +201,52 @@ func WriteFrame(w io.Writer, body []byte) error {
 
 // ReadFrame reads one length-prefixed frame body, refusing frames over
 // MaxFrame.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+func ReadFrame(r io.Reader) ([]byte, error) { return readFrameInto(r, nil) }
+
+// readFrameInto reads one frame into buf's storage, growing it when the
+// frame does not fit, and returns the body: buf's memory, valid until buf is
+// reused. The header is refused before anything is allocated for the body.
+func readFrameInto(r io.Reader, buf []byte) ([]byte, error) {
+	hdr := slices.Grow(buf[:0], headerLen)[:headerLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n > MaxFrame {
 		return nil, fmt.Errorf("wire: frame body %d bytes exceeds the %d limit", n, MaxFrame)
 	}
-	body := make([]byte, n)
+	body := slices.Grow(hdr[:0], int(n))[:n]
 	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, err
 	}
 	return body, nil
+}
+
+// openFrame reserves a length prefix at the end of buf; the body is appended
+// after it and closeFrame fills it in.
+func openFrame(buf []byte) []byte { return append(buf, make([]byte, headerLen)...) }
+
+// closeFrame completes the frame opened at buf[start:]. A body over MaxFrame
+// is cut off again, frame and all, and fails.
+func closeFrame(buf []byte, start int) ([]byte, error) {
+	body := len(buf) - start - headerLen
+	if body > MaxFrame {
+		return buf[:start], fmt.Errorf("wire: frame body %d bytes exceeds the %d limit", body, MaxFrame)
+	}
+	binary.BigEndian.PutUint32(buf[start:], uint32(body))
+	return buf, nil
+}
+
+// appendFrame appends r's frame — length prefix and body — to buf. The
+// scan entries of kvs follow r.Entries in the one entry list (see
+// appendResponse).
+func appendFrame(buf []byte, r *Response, kvs []lsasg.KV) ([]byte, error) {
+	return closeFrame(appendResponse(openFrame(buf), r, kvs), len(buf))
+}
+
+// appendRequestFrame appends r's frame — length prefix and body — to buf.
+func appendRequestFrame(buf []byte, r Request) ([]byte, error) {
+	return closeFrame(r.AppendEncode(openFrame(buf)), len(buf))
 }
 
 // --- encoding primitives ---------------------------------------------------
@@ -226,9 +259,14 @@ func (e *encoder) i64(v int64)  { e.u64(uint64(v)) }
 func (e *encoder) f64(v float64) {
 	e.u64(math.Float64bits(v))
 }
+func (e *encoder) u32(v int) { e.buf = binary.BigEndian.AppendUint32(e.buf, uint32(v)) }
 func (e *encoder) bytes(b []byte) {
-	e.buf = binary.BigEndian.AppendUint32(e.buf, uint32(len(b)))
+	e.u32(len(b))
 	e.buf = append(e.buf, b...)
+}
+func (e *encoder) str(s string) {
+	e.u32(len(s))
+	e.buf = append(e.buf, s...)
 }
 func (e *encoder) bool(v bool) {
 	if v {
@@ -304,8 +342,12 @@ func (d *decoder) done() error {
 // --- request codec ---------------------------------------------------------
 
 // Encode serializes the request into a frame body.
-func (r Request) Encode() []byte {
-	var e encoder
+func (r Request) Encode() []byte { return r.AppendEncode(nil) }
+
+// AppendEncode appends the request's frame body to buf and returns the
+// extended buffer.
+func (r Request) AppendEncode(buf []byte) []byte {
+	e := encoder{buf: buf}
 	e.u8(uint8(r.Verb))
 	e.u64(r.Seq)
 	e.i64(r.Src)
@@ -383,12 +425,22 @@ func decodeStats(d *decoder) *StatsPayload {
 }
 
 // Encode serializes the response into a frame body.
-func (r Response) Encode() []byte {
-	var e encoder
+func (r Response) Encode() []byte { return r.AppendEncode(nil) }
+
+// AppendEncode appends the response's frame body to buf and returns the
+// extended buffer.
+func (r Response) AppendEncode(buf []byte) []byte { return appendResponse(buf, &r, nil) }
+
+// appendResponse is the response encoder. The entry list is r.Entries
+// followed by kvs, so a server answers a scan straight from the service's
+// result, with no wire copy of its entries; a decoded frame carries them all
+// in Entries.
+func appendResponse(buf []byte, r *Response, kvs []lsasg.KV) []byte {
+	e := encoder{buf: buf}
 	e.u8(uint8(r.Verb | responseFlag))
 	e.u64(r.Seq)
 	e.u8(uint8(r.Code))
-	e.bytes([]byte(r.Msg))
+	e.str(r.Msg)
 	e.bool(r.Found)
 	e.bool(r.Existed)
 	e.i64(r.Version)
@@ -396,11 +448,16 @@ func (r Response) Encode() []byte {
 	e.i64(r.Distance)
 	e.i64(r.Hops)
 	e.bytes(r.Value)
-	e.buf = binary.BigEndian.AppendUint32(e.buf, uint32(len(r.Entries)))
+	e.u32(len(r.Entries) + len(kvs))
 	for _, ent := range r.Entries {
 		e.i64(ent.Key)
 		e.i64(ent.Version)
 		e.bytes(ent.Value)
+	}
+	for _, kv := range kvs {
+		e.i64(int64(kv.Key))
+		e.i64(kv.Version)
+		e.bytes(kv.Value)
 	}
 	if r.Stats != nil {
 		e.bool(true)
@@ -408,11 +465,11 @@ func (r Response) Encode() []byte {
 	} else {
 		e.bool(false)
 	}
-	e.buf = binary.BigEndian.AppendUint32(e.buf, uint32(len(r.Spans)))
+	e.u32(len(r.Spans))
 	for _, s := range r.Spans {
 		encodeSpan(&e, s)
 	}
-	e.buf = binary.BigEndian.AppendUint32(e.buf, uint32(len(r.Latency)))
+	e.u32(len(r.Latency))
 	for _, l := range r.Latency {
 		e.i64(l.Kind)
 		e.i64(l.Count)
@@ -443,7 +500,7 @@ func encodeSpan(e *encoder, s obs.Span) {
 	e.i64(s.RouteHops)
 	e.bool(s.RouteMiss)
 	e.bool(s.Cross)
-	e.buf = binary.BigEndian.AppendUint32(e.buf, uint32(len(s.Legs)))
+	e.u32(len(s.Legs))
 	for _, l := range s.Legs {
 		e.i64(l.Shard)
 		e.i64(l.Distance)
@@ -510,7 +567,8 @@ func DecodeResponse(body []byte) (Response, error) {
 		// hold before allocating.
 		if uint64(n)*20 > uint64(len(d.buf)) {
 			d.fail()
-		} else {
+		} else if n > 0 {
+			r.Entries = make([]Entry, 0, n)
 			for i := uint32(0); i < n && d.err == nil; i++ {
 				r.Entries = append(r.Entries, Entry{Key: d.i64(), Version: d.i64(), Value: d.bytes()})
 			}

@@ -106,6 +106,39 @@ func TestResponseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestScanAnswerFromTheResult: a scan answered straight from the service's
+// entries is byte for byte the frame of the same answer carrying them as
+// wire entries, and so is one appended after another frame.
+func TestScanAnswerFromTheResult(t *testing.T) {
+	kvs := []lsasg.KV{{Key: 3, Value: []byte("c"), Version: 7}, {Key: 5, Version: 9}, {Key: 8, Value: []byte("hh"), Version: 2}}
+	resp := Response{Verb: VerbScan, Seq: 12, Distance: 4}
+	want := resp
+	for _, kv := range kvs {
+		want.Entries = append(want.Entries, Entry{Key: int64(kv.Key), Version: kv.Version, Value: kv.Value})
+	}
+	if got := appendResponse(nil, &resp, kvs); !bytes.Equal(got, want.Encode()) {
+		t.Fatalf("scan answer from the result differs from its wire form:\n got %x\nwant %x", got, want.Encode())
+	}
+	first := Response{Verb: VerbRoute, Seq: 11, Code: CodeUnknownKey, Msg: "gone"}
+	buf, err := appendFrame(nil, &first, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if buf, err = appendFrame(buf, &resp, kvs); err != nil {
+		t.Fatal(err)
+	}
+	r := bytes.NewReader(buf)
+	for _, w := range []Response{first, want} {
+		body, err := ReadFrame(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := DecodeResponse(body); err != nil || !reflect.DeepEqual(got, w) {
+			t.Fatalf("appended frame decodes to %+v (%v), want %+v", got, err, w)
+		}
+	}
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	bodies := [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte("ab"), 4096)}
@@ -131,6 +164,14 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestFrameLimits(t *testing.T) {
 	if err := WriteFrame(&bytes.Buffer{}, make([]byte, MaxFrame+1)); err == nil {
 		t.Error("oversized write must fail")
+	}
+	// An appended frame over the limit fails and leaves the buffer as it was.
+	prefix := []byte("answers so far")
+	if got, err := appendRequestFrame(prefix, Request{Verb: VerbPut, Value: make([]byte, MaxFrame)}); err == nil || !bytes.Equal(got, prefix) {
+		t.Errorf("oversized request frame: err %v, buffer %d bytes, want an error and the %d-byte prefix", err, len(got), len(prefix))
+	}
+	if got, err := appendFrame(prefix, &Response{Verb: VerbGet, Value: make([]byte, MaxFrame)}, nil); err == nil || !bytes.Equal(got, prefix) {
+		t.Errorf("oversized answer frame: err %v, buffer %d bytes, want an error and the %d-byte prefix", err, len(got), len(prefix))
 	}
 	// A header promising more than MaxFrame is refused before allocation.
 	hdr := []byte{0xff, 0xff, 0xff, 0xff}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"log"
@@ -26,6 +27,13 @@ import (
 // own connection and nobody else's. An op that fails — a route whose
 // endpoint is gone or dead, or a fault inside the service — costs its sender
 // one error frame and nobody else anything.
+//
+// A connection keeps one read buffer and one answer buffer for its life. A
+// frame's bytes live until the connection reads its next frame, so nothing
+// the service keeps may alias them: a Put's value is copied once, into the
+// record the graph keeps. Answers are appended to the answer buffer straight
+// from the service's result and written once the frames already received
+// are answered (or the buffer passes flushAt).
 type Server struct {
 	svc    lsasg.Service
 	col    *Collector
@@ -51,10 +59,19 @@ type Server struct {
 	connWG  sync.WaitGroup
 }
 
-// writeTimeout bounds each response-frame write. A connection that cannot
+// writeTimeout bounds each write of answers. A connection that cannot
 // absorb its responses within the bound is closed; it holds no lock while it
 // waits, so it stalls only itself.
 const writeTimeout = 10 * time.Second
+
+const (
+	// flushAt is how many answer bytes a pipelining connection gathers
+	// before writing them while more of its frames are already received.
+	flushAt = 4 << 10
+	// keepBuf caps the buffers a connection keeps: one grown past it by a
+	// large frame or answer is let go once used.
+	keepBuf = 64 << 10
+)
 
 // ServerOption configures a Server.
 type ServerOption func(*Server)
@@ -193,11 +210,11 @@ func (s *Server) closeConns() {
 func (s *Server) handleConn(nc net.Conn) {
 	defer s.connWG.Done()
 	s.col.connOpened()
-	bw := bufio.NewWriter(nc)
-	s.serveConn(nc, bw)
-	// Deliver what is still buffered, then hang up.
-	nc.SetWriteDeadline(time.Now().Add(writeTimeout))
-	bw.Flush()
+	// Deliver the answers still gathered, then hang up.
+	if out := s.serveConn(nc); len(out) > 0 {
+		nc.SetWriteDeadline(time.Now().Add(writeTimeout))
+		nc.Write(out)
+	}
 	nc.Close()
 	s.mu.Lock()
 	delete(s.conns, nc)
@@ -206,40 +223,53 @@ func (s *Server) handleConn(nc net.Conn) {
 }
 
 // serveConn answers the connection's frames in read order until shutdown,
-// the end of the stream, a bad frame or a failed write. Answers are flushed
-// once the read buffer is drained, so a pipelining client gets one write per
-// batch of frames it sent.
-func (s *Server) serveConn(nc net.Conn, bw *bufio.Writer) {
+// the end of the stream, a bad frame or a failed write, and returns the
+// answers it gathered but has not written. Answers are written once the read
+// buffer is drained, so a pipelining client gets one write per batch of
+// frames it sent.
+func (s *Server) serveConn(nc net.Conn) []byte {
 	br := bufio.NewReader(nc)
+	var in, out []byte
 	for {
 		select {
 		case <-s.quit:
-			return
+			return out
 		default:
 		}
-		body, err := ReadFrame(br)
+		body, err := readFrameInto(br, in)
 		if err != nil {
-			return
+			return out
+		}
+		if in = body; cap(in) > keepBuf {
+			in = nil // body stays valid until this frame is answered
 		}
 		req, err := DecodeRequest(body)
 		if err != nil {
 			// Framing is intact but the payload is not trustworthy; give up
 			// on the stream.
-			return
+			return out
 		}
-		resp := s.serve(req)
-		nc.SetWriteDeadline(time.Now().Add(writeTimeout))
-		if WriteFrame(bw, resp) != nil || br.Buffered() == 0 && bw.Flush() != nil {
-			return
+		if out, err = s.serve(out, req); err != nil {
+			return out
+		}
+		if br.Buffered() == 0 || len(out) >= flushAt {
+			nc.SetWriteDeadline(time.Now().Add(writeTimeout))
+			if _, err := nc.Write(out); err != nil {
+				return nil
+			}
+			if out = out[:0]; cap(out) > keepBuf {
+				out = nil
+			}
 		}
 	}
 }
 
-// serve answers one request frame. An op envelope is validated at the edge,
-// so a bad request never reaches the service. Everything else runs under the
-// service lock, encoding included: the caller writes the answer only once
-// the lock is released.
-func (s *Server) serve(req Request) []byte {
+// serve answers one request frame, appending the answer's frame to out. An
+// op envelope is validated at the edge, so a bad request never reaches the
+// service. Everything else runs under the service lock, encoding included:
+// the caller writes the answer only once the lock is released. It fails only
+// on an answer too large for a frame.
+func (s *Server) serve(out []byte, req Request) ([]byte, error) {
 	op, isOp := req.Op()
 	if isOp {
 		if err := op.Validate(int(s.n.Load())); err != nil {
@@ -248,18 +278,21 @@ func (s *Server) serve(req Request) []byte {
 				code = CodeInvalid
 			}
 			s.col.observeError(code)
-			return errResponse(req, code, err.Error()).Encode()
+			resp := errResponse(req, code, err.Error())
+			return appendFrame(out, &resp, nil)
 		}
 	}
 	select {
 	case s.lock <- struct{}{}:
 	case <-s.quit:
-		return errResponse(req, CodeRetry, "server shutting down").Encode()
+		resp := errResponse(req, CodeRetry, "server shutting down")
+		return appendFrame(out, &resp, nil)
 	}
 	defer func() { <-s.lock }()
 	var resp Response
+	var entries []lsasg.KV
 	if isOp {
-		resp = s.serveOp(req, op)
+		resp, entries = s.serveOp(req, op)
 	} else {
 		resp = s.handleAdmin(req)
 	}
@@ -267,13 +300,17 @@ func (s *Server) serve(req Request) []byte {
 	// traffic and a scrape never touches the service. Gauges, unlike Stats,
 	// waits for no adjustment running behind an answer.
 	s.col.observeService(s.svc.Gauges())
-	return resp.Encode()
+	return appendFrame(out, &resp, entries)
 }
 
 // serveOp serves one op through the service. A barrier failure behind a
 // served op is the daemon's, not the sender's: it is logged and counted as an
-// internal error, and the sender gets the op's outcome.
-func (s *Server) serveOp(req Request, op lsasg.Op) Response {
+// internal error, and the sender gets the op's outcome. A scan's entries are
+// returned as the service read them, for the answer to encode directly.
+func (s *Server) serveOp(req Request, op lsasg.Op) (Response, []lsasg.KV) {
+	if op.Kind == lsasg.PutKind {
+		op.Value = bytes.Clone(op.Value) // the graph keeps it; the frame is reused
+	}
 	r, err := s.svc.Do(op)
 	if errors.Is(err, lsasg.ErrBarrier) {
 		log.Printf("wire: %s %d→%d was served, then: %v", req.Verb, op.Src, op.Dst, err)
@@ -283,10 +320,10 @@ func (s *Server) serveOp(req Request, op lsasg.Op) Response {
 	if err != nil {
 		resp := errResponse(req, CodeOf(err), err.Error())
 		s.col.observeError(resp.Code)
-		return resp
+		return resp, nil
 	}
 	s.col.observeResult(req.Verb, r)
-	return opResponse(req, r)
+	return opResponse(req, r), r.Entries
 }
 
 // handleAdmin runs an admin verb against the service, idle between ops
@@ -339,7 +376,8 @@ func errResponse(req Request, code ErrCode, msg string) Response {
 	return Response{Verb: req.Verb, Seq: req.Seq, Code: code, Msg: msg}
 }
 
-// opResponse maps one op's outcome onto the wire.
+// opResponse maps one op's outcome onto the wire, all but a scan's entries,
+// which are encoded from the result itself.
 func opResponse(req Request, r lsasg.OpResult) Response {
 	resp := Response{
 		Verb:     req.Verb,
@@ -359,13 +397,6 @@ func opResponse(req Request, r lsasg.OpResult) Response {
 		resp.Existed = r.Existed
 	case lsasg.DeleteKind:
 		resp.Existed = r.Existed
-	case lsasg.ScanKind:
-		if len(r.Entries) > 0 {
-			resp.Entries = make([]Entry, len(r.Entries))
-			for i, kv := range r.Entries {
-				resp.Entries[i] = Entry{Key: int64(kv.Key), Version: kv.Version, Value: kv.Value}
-			}
-		}
 	}
 	return resp
 }

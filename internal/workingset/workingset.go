@@ -13,7 +13,16 @@
 // per node, so a query walks each reached node's log backwards and stops at
 // the first contact older than the window: it costs the contacts made inside
 // the window — what the definition speaks of — not the history before it,
-// and it allocates nothing. Recording a request is two appends. A log may
+// and it allocates nothing. It also keeps the nodes in most-recent-contact
+// order, each with its last contact time. Every node a query reaches was
+// active inside the window, so T never exceeds the number of nodes active
+// since the window opened; the query counts those alongside its search,
+// never more of them than it has reached plus one, and stops the search the
+// moment it has reached them all. Under traffic that connects the active set
+// quickly — uniform pairs, or one origin scanning many keys — a query costs
+// about T contacts instead of every contact in the window, and a query whose
+// component is small costs what the search alone costs. Recording a request
+// is two appends and two moves to the front of the recency order. A log may
 // therefore hold several contacts with one peer; only the latest can matter
 // to a query (an older one is inside a window only if the latest is too), so
 // a log that has grown past twice its distinct peers is compacted to the
@@ -45,6 +54,13 @@ type Tracker struct {
 	logs     [][]contact      // logs[x]: x's contacts, oldest first
 	peers    []int32          // peers[x]: distinct peers in logs[x]
 
+	// The recency order: every node that has communicated, most recent
+	// contact first, as a doubly linked list threaded through prev/next
+	// (-1 ends it). last[x] is x's latest contact time, 0 if it has none.
+	last       []int64
+	prev, next []int32
+	recent     int32 // the most recently active node, -1 before the first Record
+
 	// A query's scratch, reused: x is visited in this query (or compaction
 	// pass) iff mark[x] == epoch; queue is the BFS frontier.
 	mark  []uint32
@@ -67,6 +83,10 @@ func NewTracker(n int) *Tracker {
 		lastPair: make(map[uint64]int64),
 		logs:     make([][]contact, n),
 		peers:    make([]int32, n),
+		last:     make([]int64, n),
+		prev:     make([]int32, n),
+		next:     make([]int32, n),
+		recent:   -1,
 		mark:     make([]uint32, n),
 	}
 }
@@ -81,6 +101,9 @@ func (t *Tracker) Grow() {
 	t.n++
 	t.logs = append(t.logs, nil)
 	t.peers = append(t.peers, 0)
+	t.last = append(t.last, 0)
+	t.prev = append(t.prev, 0)
+	t.next = append(t.next, 0)
 	t.mark = append(t.mark, 0)
 }
 
@@ -117,6 +140,12 @@ func (t *Tracker) WorkingSetNumber(u, v int) int {
 	if !ok {
 		return t.n
 	}
+	return t.search(u, v, since)
+}
+
+// search counts the nodes connected to u or v over contacts made at or
+// after since, the time u and v last communicated.
+func (t *Tracker) search(u, v int, since int64) int {
 	// BFS from u and v over contacts made at or after since. u and v
 	// themselves count (they communicated at time since, within the window).
 	epoch := t.nextEpoch()
@@ -125,12 +154,27 @@ func (t *Tracker) WorkingSetNumber(u, v int) int {
 	if v != u {
 		queue = append(queue, int32(v))
 	}
+	// Every reached node has a contact at or after since, so it is active.
+	// After each newly reached node the recency walk counts active nodes
+	// until it is one ahead of the search or has counted them all; once the
+	// search has reached as many as there are, it has reached them all.
+	active, cursor := 0, t.recent
 	for head := 0; head < len(queue); head++ {
 		log := t.logs[queue[head]]
 		for i := len(log) - 1; i >= 0 && log[i].time >= since; i-- {
-			if to := log[i].to; t.mark[to] != epoch {
-				t.mark[to] = epoch
-				queue = append(queue, to)
+			to := log[i].to
+			if t.mark[to] == epoch {
+				continue
+			}
+			t.mark[to] = epoch
+			queue = append(queue, to)
+			for active <= len(queue) && cursor >= 0 && t.last[cursor] >= since {
+				active++
+				cursor = t.next[cursor]
+			}
+			if active == len(queue) {
+				t.queue = queue
+				return active
 			}
 		}
 	}
@@ -142,10 +186,15 @@ func (t *Tracker) WorkingSetNumber(u, v int) int {
 // and v at the new time. It returns the working-set number the request had
 // at the moment it was issued (i.e. computed before recording).
 func (t *Tracker) Record(u, v int) int {
-	ws := t.WorkingSetNumber(u, v)
-	t.clock++
+	t.checkNode(u)
+	t.checkNode(v)
 	key := pairKey(u, v)
-	_, known := t.lastPair[key]
+	ws := t.n
+	since, known := t.lastPair[key]
+	if known {
+		ws = t.search(u, v, since)
+	}
+	t.clock++
 	t.lastPair[key] = t.clock
 	t.logContact(u, v, !known)
 	if v != u {
@@ -155,7 +204,8 @@ func (t *Tracker) Record(u, v int) int {
 }
 
 // logContact appends from's contact with to at the current time, compacting
-// the log first when it has outgrown its distinct peers.
+// the log first when it has outgrown its distinct peers, and moves from to
+// the front of the recency order.
 func (t *Tracker) logContact(from, to int, newPeer bool) {
 	if newPeer {
 		t.peers[from]++
@@ -164,6 +214,24 @@ func (t *Tracker) logContact(from, to int, newPeer bool) {
 		t.compact(from)
 	}
 	t.logs[from] = append(t.logs[from], contact{to: int32(to), time: t.clock})
+
+	x := int32(from)
+	if t.last[from] != 0 { // unlink from its place in the order
+		if x == t.recent {
+			t.recent = t.next[x]
+		} else {
+			t.next[t.prev[x]] = t.next[x]
+		}
+		if t.next[x] >= 0 {
+			t.prev[t.next[x]] = t.prev[x]
+		}
+	}
+	t.last[from] = t.clock
+	t.prev[x], t.next[x] = -1, t.recent
+	if t.recent >= 0 {
+		t.prev[t.recent] = x
+	}
+	t.recent = x
 }
 
 // compact keeps the latest contact per peer of x's log, in time order, in
