@@ -199,7 +199,12 @@ func printStats(st wire.StatsPayload) {
 	c := st.Cum
 	fmt.Printf("cumulative: %d requests, mean distance %.3f (max %d), %d transform rounds, height %d, %d dummies\n",
 		c.Requests, c.MeanRouteDistance, c.MaxRouteDistance, c.TotalTransformRounds, c.Height, c.DummyCount)
-	if c.Rebalances > 0 {
-		fmt.Printf("            %d rebalances (%d keys)\n", c.Rebalances, c.MigratedKeys)
+	if c.Shards > 1 {
+		fmt.Printf("            %d shards, %d cross-shard requests, %d rebalances (%d keys)\n",
+			c.Shards, c.CrossShardRequests, c.Rebalances, c.MigratedKeys)
+	}
+	if c.Gets+c.Puts+c.Deletes+c.Scans > 0 {
+		fmt.Printf("            kv: %d gets (%d hits), %d puts (%d joins), %d deletes (%d hits), %d scans (%d entries)\n",
+			c.Gets, c.GetHits, c.Puts, c.PutInserts, c.Deletes, c.DeleteHits, c.Scans, c.ScannedEntries)
 	}
 }

@@ -1,7 +1,7 @@
 // Package obs is the serving stack's low-overhead observability layer:
 // fixed-boundary log₂-bucket latency histograms (per op verb and per
-// pipeline stage), retry-event counters, and a slowest-N span ring holding
-// exemplar per-op traces with their per-leg breakdowns.
+// pipeline stage) and a slowest-N span ring holding exemplar per-op traces
+// with their per-leg breakdowns.
 //
 // Everything on the hot path is a handful of atomics — no locks, no
 // allocation — and every call site threads through a *Tracer that may be
@@ -263,7 +263,7 @@ func (r *spanRing) slowest(limit int) []Span {
 	return out
 }
 
-// --- stages and retry events ------------------------------------------------
+// --- stages -----------------------------------------------------------------
 
 // Pipeline stages with their own latency histograms.
 const (
@@ -288,30 +288,6 @@ func StageName(s int) string {
 	return fmt.Sprintf("stage(%d)", s)
 }
 
-// Retry events: conditions that degraded an op to a miss. Each is the
-// served op's final answer; a wire client retries neither.
-const (
-	// EventUnknownKey is an op that ran into lsasg.ErrUnknownKey — the
-	// endpoint is gone (deleted or removed). A deterministic miss, not
-	// retried.
-	EventUnknownKey = iota
-	// EventDeadRoute is an op that ran into lsasg.ErrDeadNode — a
-	// crash-failed peer whose repair has not landed yet.
-	EventDeadRoute
-	numEvents
-)
-
-// EventName names a retry event for metric labels.
-func EventName(e int) string {
-	switch e {
-	case EventUnknownKey:
-		return "unknown_key"
-	case EventDeadRoute:
-		return "dead_route"
-	}
-	return fmt.Sprintf("event(%d)", e)
-}
-
 // --- tracer -----------------------------------------------------------------
 
 // VerbLatency is one verb's latency summary: observation count plus the
@@ -324,15 +300,14 @@ type VerbLatency struct {
 }
 
 // Tracer bundles the observability state one serving stack shares: per-verb
-// and per-stage latency histograms, retry-event counters, and the
-// slowest-span ring. A nil *Tracer is valid everywhere and disables
-// everything — instrumented layers check for nil before reading the clock,
-// so the disabled cost is one predictable branch per choke point.
+// and per-stage latency histograms and the slowest-span ring. A nil *Tracer
+// is valid everywhere and disables everything — instrumented layers check
+// for nil before reading the clock, so the disabled cost is one predictable
+// branch per choke point.
 type Tracer struct {
-	verbs   [numKinds]Histogram
-	stages  [numStages]Histogram
-	retries [numEvents]atomic.Int64
-	ring    spanRing
+	verbs  [numKinds]Histogram
+	stages [numStages]Histogram
+	ring   spanRing
 }
 
 // NewTracer creates a tracer with the default slowest-span ring size.
@@ -363,22 +338,6 @@ func (t *Tracer) ObserveStage(stage int, d time.Duration) {
 		return
 	}
 	t.stages[stage].Observe(d)
-}
-
-// RetryEvent counts one transient retry condition.
-func (t *Tracer) RetryEvent(event int) {
-	if t == nil || event < 0 || event >= numEvents {
-		return
-	}
-	t.retries[event].Add(1)
-}
-
-// RetryEvents returns the counter for one event.
-func (t *Tracer) RetryEvents(event int) int64 {
-	if t == nil || event < 0 || event >= numEvents {
-		return 0
-	}
-	return t.retries[event].Load()
 }
 
 // WouldRecord reports whether a span of the given duration would currently
@@ -455,6 +414,3 @@ func NumKinds() int64 { return numKinds }
 
 // NumStages returns the number of pipeline stages.
 func NumStages() int { return numStages }
-
-// NumEvents returns the number of retry-event kinds.
-func NumEvents() int { return numEvents }

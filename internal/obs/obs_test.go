@@ -137,7 +137,6 @@ func TestTracerNilSafe(t *testing.T) {
 	var tr *Tracer
 	tr.ObserveOp(KindGet, time.Millisecond)
 	tr.ObserveStage(StageRouteLeg, time.Millisecond)
-	tr.RetryEvent(EventUnknownKey)
 	tr.RecordSpan(Span{TotalNanos: 1})
 	if tr.WouldRecord(1) {
 		t.Error("nil tracer WouldRecord = true")
@@ -147,9 +146,6 @@ func TestTracerNilSafe(t *testing.T) {
 	}
 	if got := tr.VerbLatencies(); got != nil {
 		t.Errorf("nil tracer VerbLatencies = %v", got)
-	}
-	if tr.RetryEvents(EventUnknownKey) != 0 {
-		t.Error("nil tracer RetryEvents != 0")
 	}
 	if tr.VerbHistogram(KindGet) != nil || tr.StageHistogram(StageRouteLeg) != nil {
 		t.Error("nil tracer histograms are non-nil")
@@ -178,20 +174,6 @@ func TestTracerVerbLatencies(t *testing.T) {
 	}
 }
 
-func TestTracerRetryEvents(t *testing.T) {
-	tr := NewTracer()
-	tr.RetryEvent(EventUnknownKey)
-	tr.RetryEvent(EventUnknownKey)
-	tr.RetryEvent(-1) // dropped
-	tr.RetryEvent(NumEvents())
-	if got := tr.RetryEvents(EventUnknownKey); got != 2 {
-		t.Errorf("unknown_key = %d, want 2", got)
-	}
-	if got := tr.RetryEvents(EventDeadRoute); got != 0 {
-		t.Errorf("dead_route = %d, want 0", got)
-	}
-}
-
 func TestNames(t *testing.T) {
 	for k, want := range map[int64]string{
 		KindRoute: "route", KindGet: "get", KindPut: "put",
@@ -204,10 +186,7 @@ func TestNames(t *testing.T) {
 	if StageName(StageRouteLeg) != "route_leg" || StageName(StageAdjustApply) != "adjust_apply" {
 		t.Error("stage names changed")
 	}
-	if EventName(EventUnknownKey) != "unknown_key" || EventName(EventDeadRoute) != "dead_route" {
-		t.Error("event names changed")
-	}
-	if StageName(99) != "stage(99)" || EventName(99) != "event(99)" {
+	if StageName(99) != "stage(99)" {
 		t.Error("out-of-range names changed")
 	}
 }

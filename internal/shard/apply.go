@@ -56,7 +56,7 @@ func (s *Service) apply(op core.Op, behind bool) (Outcome, error) {
 	if err != nil && !errors.Is(err, ErrBarrier) {
 		return Outcome{Op: op}, err
 	}
-	s.totals.add(&st)
+	s.books.add(&st)
 	if err != nil {
 		return o, err
 	}

@@ -147,7 +147,7 @@ func TestServeStepFailureLeavesNoTrace(t *testing.T) {
 		st.MaxLegDistance != int64(o.RouteDistance) || st.TotalTransformRounds != int64(o.TransformRounds) {
 		t.Errorf("the run counted more than the delivered op %+v: %+v", o, st)
 	}
-	if tot := svc.Totals(); tot.Requests != 1 || tot.RouteDistance != int64(o.RouteDistance) || tot.TransformRounds != int64(o.TransformRounds) {
+	if tot := svc.Totals(); tot.Requests != 1 || tot.TotalRouteDistance != int64(o.RouteDistance) || tot.TotalTransformRounds != int64(o.TransformRounds) {
 		t.Errorf("lifetime books %+v, want the delivered op's alone", tot)
 	}
 	if svc.loadOps != 1 {

@@ -84,8 +84,9 @@
 // another shard meanwhile; every call that reads a shard's graph or the books
 // — its next leg, the barrier, Crash, AddNode, RemoveNode, Totals, Height,
 // DummyCount, Verify, Distance, DirectlyLinked, RenderTopology — settles that
-// shard first. An adjustment cannot fail, so settling reports nothing. One
-// shard adjusts inline: nothing could overlap it. AddNode,
+// shard first; Peek alone reads the books without settling. An adjustment
+// cannot fail, so settling reports nothing. One shard adjusts inline:
+// nothing could overlap it. AddNode,
 // RemoveNode and Crash are directory operations between calls: like a
 // second Serve or Apply, they fail while a Serve or Apply is in flight.
 package shard

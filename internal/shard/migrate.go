@@ -17,10 +17,11 @@ import (
 // the key, and a failure at any step leaves each key with at least one
 // owner. The moved records are read off the source shard's graph as full
 // entries — id, value, version — so a key's data and its per-key version
-// monotonicity survive the move. A crashed key still in the range leaves with
-// it and arrives nowhere: its record was lost with it (crash-stop), and a
-// join would bring it back alive holding that record.
-func (s *Service) executeMigration(dir *Directory, plan migrationPlan) error {
+// monotonicity survive the move. A crashed key still in the range leaves
+// with it and arrives nowhere: its record was lost with it (crash-stop), and
+// a join would bring it back alive holding that record. A completed
+// migration is booked in st.
+func (s *Service) executeMigration(dir *Directory, plan migrationPlan, st *ServeStats) error {
 	entries := s.shards[plan.From].dsg.Graph().RealEntriesInRange(
 		skipgraph.KeyOf(plan.Lo), skipgraph.KeyOf(plan.Hi))
 	if len(entries) == 0 {
@@ -46,8 +47,8 @@ func (s *Service) executeMigration(dir *Directory, plan migrationPlan) error {
 	if err := s.shards[plan.From].applyBatch(nil, ids); err != nil {
 		return fmt.Errorf("shard: retiring %d keys from shard %d: %w", len(ids), plan.From, err)
 	}
-	s.totals.Rebalances++
-	s.totals.MovedKeys += int64(len(joins))
+	st.Rebalances++
+	st.MovedKeys += int64(len(joins))
 	return nil
 }
 

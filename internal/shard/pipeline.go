@@ -30,7 +30,9 @@ import (
 // multi-shard scans deterministic although the shards run concurrently.
 // Outcomes are delivered to Config.OnOutcome in dispatch order.
 
-// ServeStats aggregates one Serve run. All fields are
+// ServeStats is one set of books: a Serve run's or one Apply's, and — in
+// the same shape — the service's lifetime books (Totals, Peek), which every
+// run and every Apply folds its op-sequence figures into. All fields are
 // deterministic for a fixed seed, shard count, and request sequence.
 type ServeStats struct {
 	Requests int64
@@ -38,7 +40,6 @@ type ServeStats struct {
 	Cross    int64 // requests spanning shards (routed via boundaries / fanned)
 	Legs     int64 // shard legs dispatched
 
-	Windows    int64 // non-empty rebalance windows the run spanned
 	Rebalances int64 // migrations executed at window barriers
 	MovedKeys  int64 // keys moved across shards
 
@@ -67,12 +68,15 @@ type ServeStats struct {
 	ScannedEntries int64
 	RouteMisses    int64
 
+	// The figures below are per run; the lifetime books do not fold them.
+	// Windows counts the non-empty load windows the run spanned.
 	// LoadRatioFirst/Last are the max/mean shard-load ratios of the first
 	// non-empty window and the last *full* window — the skew the rebalancer
 	// saw before acting and the skew it left behind. A trailing partial
 	// window (the stream rarely ends exactly on a window boundary) holds too
 	// few requests for its ratio to mean anything, so it only counts when no
 	// full window exists at all.
+	Windows        int64
 	LoadRatioFirst float64
 	LoadRatioLast  float64
 
@@ -80,13 +84,28 @@ type ServeStats struct {
 	DummyCount int // summed over shards
 }
 
-// add folds one finished run (or one synchronous op) into the lifetime
-// books; the migration counters are kept by executeMigration itself.
-func (t *Totals) add(st *ServeStats) {
-	t.Requests += st.Requests
-	t.RouteDistance += st.TotalRouteDistance
-	t.MaxLegDistance = max(t.MaxLegDistance, st.MaxLegDistance)
-	t.TransformRounds += st.TotalTransformRounds
+// add folds the op-sequence figures of one finished run (or one synchronous
+// op) into b.
+func (b *ServeStats) add(st *ServeStats) {
+	b.Requests += st.Requests
+	b.Intra += st.Intra
+	b.Cross += st.Cross
+	b.Legs += st.Legs
+	b.Rebalances += st.Rebalances
+	b.MovedKeys += st.MovedKeys
+	b.TotalRouteDistance += st.TotalRouteDistance
+	b.TotalRouteHops += st.TotalRouteHops
+	b.MaxLegDistance = max(b.MaxLegDistance, st.MaxLegDistance)
+	b.TotalTransformRounds += st.TotalTransformRounds
+	b.Gets += st.Gets
+	b.GetHits += st.GetHits
+	b.Puts += st.Puts
+	b.PutInserts += st.PutInserts
+	b.Deletes += st.Deletes
+	b.DeleteHits += st.DeleteHits
+	b.Scans += st.Scans
+	b.ScannedEntries += st.ScannedEntries
+	b.RouteMisses += st.RouteMisses
 }
 
 // Outcome is one request's assembled result, delivered to Config.OnOutcome
@@ -213,7 +232,6 @@ func (s *Service) Serve(ctx context.Context, in <-chan core.Op) (ServeStats, err
 	if err := ctx.Err(); err != nil {
 		return st, err
 	}
-	before := s.totals
 	var (
 		ops    []core.Op
 		retErr error
@@ -234,11 +252,9 @@ func (s *Service) Serve(ctx context.Context, in <-chan core.Op) (ServeStats, err
 	if st.Requests > 0 && s.loadOps > 0 {
 		st.noteWindow(loadRatio(s.dir.Load(), s.keyLoad), false)
 	}
-	st.Rebalances = s.totals.Rebalances - before.Rebalances
-	st.MovedKeys = s.totals.MovedKeys - before.MovedKeys
 	st.Height = s.Height()
 	st.DummyCount = s.DummyCount()
-	s.totals.add(&st)
+	s.books.add(&st)
 	if retErr == nil {
 		// A producer that follows the documented pattern closes the channel
 		// once ctx is cancelled, and collect may see either first; report
@@ -307,7 +323,7 @@ func (s *Service) serveWindow(ops []core.Op, st *ServeStats, behind bool) (Outco
 	if barrier {
 		st.noteWindow(loadRatio(dir, s.keyLoad), true)
 		s.settleAll()
-		err := s.rebalance(dir)
+		err := s.rebalance(dir, st)
 		s.resetLoad()
 		if err != nil {
 			return last, fmt.Errorf("%w after its ops were served: %w", ErrBarrier, err)
@@ -346,13 +362,13 @@ func (s *Service) feedLoad(op core.Op, delta int64) {
 
 // rebalance runs the planner over the load window at its barrier — every
 // shard settled, the window's loads where the dispatcher wrote them — and
-// executes the migration it plans, if any.
-func (s *Service) rebalance(dir *Directory) error {
+// executes the migration it plans, if any, booking it in st.
+func (s *Service) rebalance(dir *Directory, st *ServeStats) error {
 	plan, ok := planRebalance(dir, s.keyLoad)
 	if !ok {
 		return nil
 	}
-	return s.executeMigration(dir, plan)
+	return s.executeMigration(dir, plan, st)
 }
 
 // dispatch splits one op into shard legs, queues them on the window, counts
@@ -418,12 +434,12 @@ func (s *Service) dispatch(dir *Directory, op core.Op) {
 }
 
 // count books one delivered op in st, its legs' figures and the
-// dispatcher's, and numbers it over the service's lifetime: totals holds
+// dispatcher's, and numbers it over the service's lifetime: books holds
 // every finished run and synchronous op, st the call in flight.
 func (s *Service) count(p *pendingReq, st *ServeStats) {
 	w := &s.win
 	st.Requests++
-	p.seq = s.totals.Requests + st.Requests
+	p.seq = s.books.Requests + st.Requests
 	if p.extraHops > 0 {
 		st.Cross++
 	} else {

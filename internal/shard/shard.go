@@ -109,25 +109,10 @@ type Service struct {
 	// does: the tests' way to hold one behind its answer.
 	beforeTail func(shard int)
 
-	// totals are the lifetime books over every Serve run and Apply.
-	totals Totals
-}
-
-// Totals are a Service's lifetime books: every Serve run and every
-// synchronous Apply folds its ServeStats in, so both paths feed the same
-// numbers.
-type Totals struct {
-	Requests int64
-	// RouteDistance, MaxLegDistance and TransformRounds accumulate the
-	// ServeStats fields TotalRouteDistance, MaxLegDistance and
-	// TotalTransformRounds.
-	RouteDistance   int64
-	MaxLegDistance  int64
-	TransformRounds int64
-	// Rebalances counts the migrations executed, MovedKeys the keys they
-	// moved across shards.
-	Rebalances int64
-	MovedKeys  int64
+	// books are the lifetime books: every Serve run and every Apply folds
+	// its op-sequence figures in (ServeStats.add), and settle folds the ρ of
+	// the adjustments that finished behind an answer.
+	books ServeStats
 }
 
 // New builds a service over keys 0..n-1. Every shard needs at least
@@ -202,12 +187,25 @@ func (s *Service) RebalanceEvery() int { return s.cfg.rebalanceEvery() }
 // A returns the a-balance parameter of every shard's DSG.
 func (s *Service) A() int { return s.cfg.A }
 
-// Totals returns the lifetime books, every adjustment settled first. Like
-// every accessor here it must not be called while a Serve call is in
-// flight.
-func (s *Service) Totals() Totals {
+// Totals returns the lifetime books, every adjustment settled first, with
+// Height and DummyCount describing the topology now. Like every accessor
+// here it must not be called while a Serve call is in flight.
+func (s *Service) Totals() ServeStats {
 	s.settleAll()
-	return s.totals
+	return s.Peek()
+}
+
+// Peek returns the lifetime books without waiting for an adjustment still
+// running behind an answer: ρ as of each shard's last settle, Height and
+// DummyCount as of the end of each shard's last stretch of work. Once a
+// settling call has run, Peek and Totals agree.
+func (s *Service) Peek() ServeStats {
+	b := s.books
+	for _, sl := range s.shards {
+		b.Height = max(b.Height, int(sl.height.Load()))
+		b.DummyCount += int(sl.dummies.Load())
+	}
+	return b
 }
 
 // Height returns the tallest shard topology. Like every accessor here it
@@ -382,33 +380,13 @@ func (s *Service) RemoveNode(id int64) error {
 	return nil
 }
 
-// Gauges are what Service.Gauges reads without settling anything.
-type Gauges struct {
-	Height     int // the tallest shard's, as of its last settled adjustment
-	DummyCount int // summed over shards, likewise
-	Rebalances int64
-	MovedKeys  int64
-}
-
-// Gauges returns the topology figures as of each shard's last settled
-// adjustment, without waiting for one still running behind an answer, and
-// the migration books, which the dispatcher keeps itself.
-func (s *Service) Gauges() Gauges {
-	g := Gauges{Rebalances: s.totals.Rebalances, MovedKeys: s.totals.MovedKeys}
-	for _, sl := range s.shards {
-		g.Height = max(g.Height, int(sl.height.Load()))
-		g.DummyCount += int(sl.dummies.Load())
-	}
-	return g
-}
-
 // settle waits for shard i's adjustment behind an answer, if one is
 // running, and folds its ρ into the lifetime books. Every read of a shard's
 // graph or of the books settles first.
 func (s *Service) settle(i int) {
 	sl := s.shards[i]
 	sl.tail.Wait()
-	s.totals.TransformRounds += sl.rounds
+	s.books.TotalTransformRounds += sl.rounds
 	sl.rounds = 0
 }
 

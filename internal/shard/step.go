@@ -31,7 +31,7 @@ type slot struct {
 
 	// height and dummies are the graph's height and dummy count as of the
 	// end of the shard's last legs, tail, crash or membership batch: what
-	// Service.Gauges reads without waiting for the shard.
+	// Service.Peek reads without waiting for the shard.
 	height, dummies atomic.Int64
 }
 
@@ -48,7 +48,7 @@ type legResult struct {
 }
 
 // publish ends a stretch of work on the shard — its legs, tail, crash or
-// membership batch: it stores the gauges Service.Gauges reads.
+// membership batch: it stores the figures Service.Peek reads.
 func (sl *slot) publish() {
 	sl.height.Store(int64(sl.dsg.Graph().Height()))
 	sl.dummies.Store(int64(sl.dsg.DummyCount()))

@@ -391,8 +391,8 @@ func TestApplyMembershipBatchIdle(t *testing.T) {
 	if sl.epoch != epoch0+1 {
 		t.Errorf("epoch advanced %d→%d, want one batch", epoch0, sl.epoch)
 	}
-	if g := svc.Gauges(); g.Height != sl.dsg.Graph().Height() || g.DummyCount != sl.dsg.DummyCount() {
-		t.Errorf("gauges %+v not published after the batch", g)
+	if b := svc.Peek(); b.Height != sl.dsg.Graph().Height() || b.DummyCount != sl.dsg.DummyCount() {
+		t.Errorf("books %+v: the topology figures were not published after the batch", b)
 	}
 	if _, err := routeLive(sl.dsg, 100, 101); err != nil {
 		t.Errorf("joined keys not routable: %v", err)

@@ -73,7 +73,7 @@ func TestShardedStress(t *testing.T) {
 // TestShardedStressApply is the race-detector stress for one-op windows,
 // whose answers leave before their adjustments: a model-checked loop of
 // Apply at S = 4 over a hot range, with crashes, removals, joins and every
-// settling read — Totals, Height, DummyCount, Verify, Gauges — between ops,
+// settling read — Totals, Height, DummyCount, Verify — and Peek between ops,
 // and a load window short enough that migrations keep settling every shard.
 // Each of them must find every shard's adjustment either settled or waited
 // for, and the answers must be the model's.
@@ -131,12 +131,12 @@ func TestShardedStressApply(t *testing.T) {
 			joins++
 			continue
 		case r == 3:
-			// Once a settling read has run, the gauges are exact.
+			// Once a settling read has run, the unsettled books are exact.
 			tot := svc.Totals()
-			g := svc.Gauges()
-			if g.Height != svc.Height() || g.DummyCount != svc.DummyCount() || g.Rebalances != tot.Rebalances {
-				t.Fatalf("step %d: gauges %+v, settled height %d, dummies %d, books %+v",
-					step, g, svc.Height(), svc.DummyCount(), tot)
+			peek := svc.Peek()
+			if peek != tot || peek.Height != svc.Height() || peek.DummyCount != svc.DummyCount() {
+				t.Fatalf("step %d: unsettled books %+v, settled books %+v, height %d, dummies %d",
+					step, peek, tot, svc.Height(), svc.DummyCount())
 			}
 			if err := svc.Verify(); err != nil {
 				t.Fatalf("step %d: Verify: %v", step, err)

@@ -251,11 +251,7 @@ func (c *Client) Scan(src, start, limit int) ([]lsasg.KV, error) {
 	if err != nil {
 		return nil, err
 	}
-	kvs := make([]lsasg.KV, len(resp.Entries))
-	for i, ent := range resp.Entries {
-		kvs[i] = lsasg.KV{Key: int(ent.Key), Value: ent.Value, Version: ent.Version}
-	}
-	return kvs, nil
+	return resp.Entries, nil
 }
 
 // --- admin surface ----------------------------------------------------------

@@ -13,49 +13,36 @@ import (
 	"lsasg/internal/obs"
 )
 
-// Collector aggregates serving observability without perturbing the hot
-// path: per-op counters advance on lock-free atomics as results flow, and
-// the connection reader holding the server's service lock stores the
-// topology-level figures (height, dummies, rebalances, migrated keys) after
-// every op — the service's methods are not concurrency-safe, so a scrape
-// reads only what was left here and never touches the service. It renders
-// the Prometheus text exposition format (metric names are listed in
-// docs/WIRE.md).
+// Collector renders the daemon's metrics without touching the service. It
+// keeps two kinds of figures. The wire's own — requests by verb, errors by
+// code, connections — advance on lock-free atomics as frames are answered.
+// The service's are one Stats snapshot: the connection reader holding the
+// service lock stores the service's books (Service.Gauges) after every frame
+// it serves, so a scrape reads the very books Stats answers from and never
+// waits for the service. It renders the Prometheus text exposition format
+// (metric names are listed in docs/WIRE.md).
 type Collector struct {
 	start time.Time
 
-	// Per-verb completed-request counters, indexed by Verb.
+	// Requests served, by Verb: ops the service served — answered OK or as
+	// a miss, the requests Stats counts — and admin verbs.
 	ops [verbMax + 1]atomic.Int64
 	// Per-code error counters.
 	errs [CodeInternal + 1]atomic.Int64
 
-	// Access-path accumulator over completed ops.
-	distSum atomic.Int64
-
-	// KV outcome accumulators.
-	getHits    atomic.Int64
-	putInserts atomic.Int64
-	delHits    atomic.Int64
-	scanned    atomic.Int64
-
 	conns atomic.Int64
 
-	// tracer backs the latency-histogram and retry-event families. Always
-	// non-nil: NewCollector installs a private one so Render always emits
-	// the full family set; WithTracer swaps in the service's live tracer
-	// before the server starts, so every family then reflects real serving
+	// tracer backs the latency-histogram families. Always non-nil:
+	// NewCollector installs a private one so Render always emits the full
+	// family set; WithTracer swaps in the service's live tracer before the
+	// server starts, so every family then reflects real serving
 	// measurements.
 	tracer *obs.Tracer
 
-	// Topology figures as of the last served op, stored under the service
-	// lock.
-	height     atomic.Int64
-	dummies    atomic.Int64
-	rebalances atomic.Int64
-	migrated   atomic.Int64
-
-	// req/s gauge state: the previous scrape's observation.
-	scrapeMu  sync.Mutex
+	// mu guards the service's books as of the last frame served and the
+	// previous scrape's observation, which the req/s gauge is taken against.
+	mu        sync.Mutex
+	books     lsasg.Stats
 	prevAt    time.Time
 	prevTotal int64
 }
@@ -74,55 +61,23 @@ func (c *Collector) setTracer(tr *obs.Tracer) {
 	}
 }
 
-// observeResult records one completed op.
-func (c *Collector) observeResult(v Verb, r lsasg.OpResult) {
-	c.ops[v].Add(1)
-	c.distSum.Add(int64(r.RouteDistance))
-	switch r.Op.Kind {
-	case lsasg.GetKind:
-		if r.Found {
-			c.getHits.Add(1)
-		}
-	case lsasg.PutKind:
-		if !r.Existed {
-			c.putInserts.Add(1)
-		}
-	case lsasg.DeleteKind:
-		if r.Existed {
-			c.delHits.Add(1)
-		}
-	case lsasg.ScanKind:
-		c.scanned.Add(int64(len(r.Entries)))
-	}
-}
-
-// observeAdmin records one completed admin request.
-func (c *Collector) observeAdmin(v Verb) { c.ops[v].Add(1) }
+// observe counts one served request.
+func (c *Collector) observe(v Verb) { c.ops[v].Add(1) }
 
 // observeError records one non-OK response — or, under CodeInternal, a
-// failure behind an op that was answered OK. Unknown-key and dead-node
-// responses also feed the tracer's retry-event counters: each is one served
-// op's miss, answered once — the client retries neither.
+// failure behind an op that was answered OK.
 func (c *Collector) observeError(code ErrCode) {
 	if int(code) < len(c.errs) {
 		c.errs[code].Add(1)
 	}
-	switch code {
-	case CodeUnknownKey:
-		c.tracer.RetryEvent(obs.EventUnknownKey)
-	case CodeDeadNode:
-		c.tracer.RetryEvent(obs.EventDeadRoute)
-	}
 }
 
-// observeService stores the service's gauges; the server calls it under the
-// service lock after every frame it serves. Reading them never waits for an
-// adjustment still running behind an answer.
-func (c *Collector) observeService(g lsasg.Gauges) {
-	c.height.Store(int64(g.Height))
-	c.dummies.Store(int64(g.DummyCount))
-	c.rebalances.Store(g.Rebalances)
-	c.migrated.Store(g.MigratedKeys)
+// observeService stores the service's books; the server calls it under the
+// service lock after every frame it serves.
+func (c *Collector) observeService(st lsasg.Stats) {
+	c.mu.Lock()
+	c.books = st
+	c.mu.Unlock()
 }
 
 func (c *Collector) connOpened() { c.conns.Add(1) }
@@ -136,20 +91,28 @@ func (c *Collector) opTotal() int64 {
 	return t
 }
 
+// codeNames labels dsg_errors_total's series, in ErrCode order.
+var codeNames = [...]string{
+	CodeUnknownKey: "unknown_key", CodeDeadNode: "dead_node",
+	CodeOutOfRange: "out_of_range", CodeRetry: "retry",
+	CodeInvalid: "invalid", CodeInternal: "internal",
+}
+
 // Render writes the Prometheus text exposition of every metric.
 func (c *Collector) Render() string {
 	var b strings.Builder
 	now := time.Now()
 	total := c.opTotal()
 
-	c.scrapeMu.Lock()
+	c.mu.Lock()
 	dt := now.Sub(c.prevAt).Seconds()
 	rate := 0.0
 	if dt > 0 {
 		rate = float64(total-c.prevTotal) / dt
 	}
 	c.prevAt, c.prevTotal = now, total
-	c.scrapeMu.Unlock()
+	books := c.books
+	c.mu.Unlock()
 
 	counter := func(name, help string) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
@@ -158,46 +121,38 @@ func (c *Collector) Render() string {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
 	}
 
-	counter("dsg_requests_total", "Completed requests by verb.")
+	counter("dsg_requests_total", "Requests served by verb; an op answered as a miss counts, as in Stats.")
 	for v := VerbRoute; v <= verbMax; v++ {
 		fmt.Fprintf(&b, "dsg_requests_total{verb=%q} %d\n", v.String(), c.ops[v].Load())
 	}
 
 	counter("dsg_errors_total", "Non-OK responses by wire error code; internal also counts failures behind an answered op.")
-	for code, name := range map[ErrCode]string{
-		CodeUnknownKey: "unknown_key", CodeDeadNode: "dead_node",
-		CodeOutOfRange: "out_of_range", CodeRetry: "retry",
-		CodeInvalid: "invalid", CodeInternal: "internal",
-	} {
-		fmt.Fprintf(&b, "dsg_errors_total{code=%q} %d\n", name, c.errs[code].Load())
+	for code := CodeUnknownKey; code <= CodeInternal; code++ {
+		fmt.Fprintf(&b, "dsg_errors_total{code=%q} %d\n", codeNames[code], c.errs[code].Load())
 	}
 
 	gauge("dsg_req_per_sec", "Op throughput since the previous scrape.")
 	fmt.Fprintf(&b, "dsg_req_per_sec %g\n", rate)
 
-	gauge("dsg_route_distance_mean", "Mean routing distance over all completed ops.")
-	meanDist := 0.0
-	if total > 0 {
-		meanDist = float64(c.distSum.Load()) / float64(total)
-	}
-	fmt.Fprintf(&b, "dsg_route_distance_mean %g\n", meanDist)
+	gauge("dsg_route_distance_mean", "Mean routing distance over every served request, misses included (Stats.MeanRouteDistance).")
+	fmt.Fprintf(&b, "dsg_route_distance_mean %g\n", books.MeanRouteDistance)
 
 	counter("dsg_rebalances_total", "Skew-driven shard migrations.")
-	fmt.Fprintf(&b, "dsg_rebalances_total %d\n", c.rebalances.Load())
+	fmt.Fprintf(&b, "dsg_rebalances_total %d\n", books.Rebalances)
 	counter("dsg_migrated_keys_total", "Keys moved across shards by the rebalancer.")
-	fmt.Fprintf(&b, "dsg_migrated_keys_total %d\n", c.migrated.Load())
+	fmt.Fprintf(&b, "dsg_migrated_keys_total %d\n", books.MigratedKeys)
 
-	counter("dsg_kv_ops_total", "Completed KV data-plane ops by kind.")
-	fmt.Fprintf(&b, "dsg_kv_ops_total{op=\"get\"} %d\n", c.ops[VerbGet].Load())
-	fmt.Fprintf(&b, "dsg_kv_ops_total{op=\"put\"} %d\n", c.ops[VerbPut].Load())
-	fmt.Fprintf(&b, "dsg_kv_ops_total{op=\"delete\"} %d\n", c.ops[VerbDelete].Load())
-	fmt.Fprintf(&b, "dsg_kv_ops_total{op=\"scan\"} %d\n", c.ops[VerbScan].Load())
+	counter("dsg_kv_ops_total", "KV data-plane ops the service served, by kind.")
+	fmt.Fprintf(&b, "dsg_kv_ops_total{op=\"get\"} %d\n", books.Gets)
+	fmt.Fprintf(&b, "dsg_kv_ops_total{op=\"put\"} %d\n", books.Puts)
+	fmt.Fprintf(&b, "dsg_kv_ops_total{op=\"delete\"} %d\n", books.Deletes)
+	fmt.Fprintf(&b, "dsg_kv_ops_total{op=\"scan\"} %d\n", books.Scans)
 	counter("dsg_kv_hits_total", "KV op outcomes: get hits, put joins, delete hits.")
-	fmt.Fprintf(&b, "dsg_kv_hits_total{op=\"get\"} %d\n", c.getHits.Load())
-	fmt.Fprintf(&b, "dsg_kv_hits_total{op=\"put_insert\"} %d\n", c.putInserts.Load())
-	fmt.Fprintf(&b, "dsg_kv_hits_total{op=\"delete\"} %d\n", c.delHits.Load())
+	fmt.Fprintf(&b, "dsg_kv_hits_total{op=\"get\"} %d\n", books.GetHits)
+	fmt.Fprintf(&b, "dsg_kv_hits_total{op=\"put_insert\"} %d\n", books.PutInserts)
+	fmt.Fprintf(&b, "dsg_kv_hits_total{op=\"delete\"} %d\n", books.DeleteHits)
 	counter("dsg_kv_scanned_entries_total", "Entries returned across all scans.")
-	fmt.Fprintf(&b, "dsg_kv_scanned_entries_total %d\n", c.scanned.Load())
+	fmt.Fprintf(&b, "dsg_kv_scanned_entries_total %d\n", books.ScannedEntries)
 
 	histogram := func(name, help string) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
@@ -225,11 +180,6 @@ func (c *Collector) Render() string {
 		writeHist("dsg_stage_latency_seconds", "stage", obs.StageName(st), c.tracer.StageHistogram(st))
 	}
 
-	counter("dsg_retry_events_total", "Ops answered as a miss: unknown-key responses, dead-node responses.")
-	for ev := 0; ev < obs.NumEvents(); ev++ {
-		fmt.Fprintf(&b, "dsg_retry_events_total{event=%q} %d\n", obs.EventName(ev), c.tracer.RetryEvents(ev))
-	}
-
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	gauge("dsg_goroutines", "Live goroutines in the daemon process.")
@@ -242,9 +192,9 @@ func (c *Collector) Render() string {
 	fmt.Fprintf(&b, "dsg_gc_pause_seconds_total %g\n", float64(ms.PauseTotalNs)/1e9)
 
 	gauge("dsg_height", "Skip-graph height after the last settled adjustment.")
-	fmt.Fprintf(&b, "dsg_height %d\n", c.height.Load())
+	fmt.Fprintf(&b, "dsg_height %d\n", books.Height)
 	gauge("dsg_dummy_nodes", "Dummy-node population after the last settled adjustment.")
-	fmt.Fprintf(&b, "dsg_dummy_nodes %d\n", c.dummies.Load())
+	fmt.Fprintf(&b, "dsg_dummy_nodes %d\n", books.DummyCount)
 	gauge("dsg_connections", "Open client connections.")
 	fmt.Fprintf(&b, "dsg_connections %d\n", c.conns.Load())
 	gauge("dsg_uptime_seconds", "Seconds since the collector started.")

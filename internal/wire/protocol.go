@@ -141,13 +141,6 @@ type Request struct {
 	Value []byte
 }
 
-// Entry is one scanned KV entry on the wire.
-type Entry struct {
-	Key     int64
-	Version int64
-	Value   []byte
-}
-
 // StatsPayload carries VerbStats' result: the cumulative service statistics
 // — after a replay into a fresh daemon, what Stats reports after the
 // in-process ServeOps call over the same trace.
@@ -172,7 +165,7 @@ type Response struct {
 	Hops     int64
 
 	Value   []byte
-	Entries []Entry
+	Entries []lsasg.KV
 
 	Stats *StatsPayload
 
@@ -237,11 +230,9 @@ func closeFrame(buf []byte, start int) ([]byte, error) {
 	return buf, nil
 }
 
-// appendFrame appends r's frame — length prefix and body — to buf. The
-// scan entries of kvs follow r.Entries in the one entry list (see
-// appendResponse).
-func appendFrame(buf []byte, r *Response, kvs []lsasg.KV) ([]byte, error) {
-	return closeFrame(appendResponse(openFrame(buf), r, kvs), len(buf))
+// appendFrame appends r's frame — length prefix and body — to buf.
+func appendFrame(buf []byte, r *Response) ([]byte, error) {
+	return closeFrame(appendResponse(openFrame(buf), r), len(buf))
 }
 
 // appendRequestFrame appends r's frame — length prefix and body — to buf.
@@ -396,6 +387,8 @@ func (r Request) Op() (lsasg.Op, bool) {
 
 // --- response codec --------------------------------------------------------
 
+// encodeStats writes every lsasg.Stats field in declaration order: two
+// float64s and eighteen int64s (see docs/WIRE.md).
 func encodeStats(e *encoder, s *StatsPayload) {
 	c := s.Cum
 	e.i64(int64(c.Requests))
@@ -407,6 +400,16 @@ func encodeStats(e *encoder, s *StatsPayload) {
 	e.i64(int64(c.DummyCount))
 	e.i64(c.Rebalances)
 	e.i64(c.MigratedKeys)
+	e.i64(int64(c.Shards))
+	e.i64(c.CrossShardRequests)
+	e.i64(c.Gets)
+	e.i64(c.GetHits)
+	e.i64(c.Puts)
+	e.i64(c.PutInserts)
+	e.i64(c.Deletes)
+	e.i64(c.DeleteHits)
+	e.i64(c.Scans)
+	e.i64(c.ScannedEntries)
 }
 
 func decodeStats(d *decoder) *StatsPayload {
@@ -421,6 +424,16 @@ func decodeStats(d *decoder) *StatsPayload {
 	c.DummyCount = int(d.i64())
 	c.Rebalances = d.i64()
 	c.MigratedKeys = d.i64()
+	c.Shards = int(d.i64())
+	c.CrossShardRequests = d.i64()
+	c.Gets = d.i64()
+	c.GetHits = d.i64()
+	c.Puts = d.i64()
+	c.PutInserts = d.i64()
+	c.Deletes = d.i64()
+	c.DeleteHits = d.i64()
+	c.Scans = d.i64()
+	c.ScannedEntries = d.i64()
 	return &s
 }
 
@@ -429,13 +442,10 @@ func (r Response) Encode() []byte { return r.AppendEncode(nil) }
 
 // AppendEncode appends the response's frame body to buf and returns the
 // extended buffer.
-func (r Response) AppendEncode(buf []byte) []byte { return appendResponse(buf, &r, nil) }
+func (r Response) AppendEncode(buf []byte) []byte { return appendResponse(buf, &r) }
 
-// appendResponse is the response encoder. The entry list is r.Entries
-// followed by kvs, so a server answers a scan straight from the service's
-// result, with no wire copy of its entries; a decoded frame carries them all
-// in Entries.
-func appendResponse(buf []byte, r *Response, kvs []lsasg.KV) []byte {
+// appendResponse is the response encoder.
+func appendResponse(buf []byte, r *Response) []byte {
 	e := encoder{buf: buf}
 	e.u8(uint8(r.Verb | responseFlag))
 	e.u64(r.Seq)
@@ -448,13 +458,8 @@ func appendResponse(buf []byte, r *Response, kvs []lsasg.KV) []byte {
 	e.i64(r.Distance)
 	e.i64(r.Hops)
 	e.bytes(r.Value)
-	e.u32(len(r.Entries) + len(kvs))
-	for _, ent := range r.Entries {
-		e.i64(ent.Key)
-		e.i64(ent.Version)
-		e.bytes(ent.Value)
-	}
-	for _, kv := range kvs {
+	e.u32(len(r.Entries))
+	for _, kv := range r.Entries {
 		e.i64(int64(kv.Key))
 		e.i64(kv.Version)
 		e.bytes(kv.Value)
@@ -568,9 +573,9 @@ func DecodeResponse(body []byte) (Response, error) {
 		if uint64(n)*20 > uint64(len(d.buf)) {
 			d.fail()
 		} else if n > 0 {
-			r.Entries = make([]Entry, 0, n)
+			r.Entries = make([]lsasg.KV, 0, n)
 			for i := uint32(0); i < n && d.err == nil; i++ {
-				r.Entries = append(r.Entries, Entry{Key: d.i64(), Version: d.i64(), Value: d.bytes()})
+				r.Entries = append(r.Entries, lsasg.KV{Key: int(d.i64()), Version: d.i64(), Value: d.bytes()})
 			}
 		}
 	} else {

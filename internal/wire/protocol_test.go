@@ -41,7 +41,7 @@ func sampleResponses() []Response {
 		{Verb: VerbGet, Seq: 3}, // miss: everything zero
 		{Verb: VerbPut, Seq: 4, Existed: true, Version: 9},
 		{Verb: VerbDelete, Seq: 5, Existed: true},
-		{Verb: VerbScan, Seq: 6, Entries: []Entry{
+		{Verb: VerbScan, Seq: 6, Entries: []lsasg.KV{
 			{Key: 3, Version: 1, Value: []byte("a")},
 			{Key: 7, Version: 4, Value: nil},
 			{Key: 12, Version: 2, Value: []byte("long enough to matter")},
@@ -52,6 +52,9 @@ func sampleResponses() []Response {
 				Requests: 100, MeanRouteDistance: 2.5, MaxRouteDistance: 9,
 				TotalTransformRounds: 42, WorkingSetBound: 123.75, Height: 6,
 				DummyCount: 3, Rebalances: 2, MigratedKeys: 17,
+				Shards: 4, CrossShardRequests: 31, Gets: 20, GetHits: 12,
+				Puts: 15, PutInserts: 5, Deletes: 4, DeleteHits: 3,
+				Scans: 8, ScannedEntries: 29,
 			},
 		}},
 		{Verb: VerbCrash, Seq: 9, Code: CodeOutOfRange, Msg: "node index 99 not in [0, 32)"},
@@ -107,24 +110,21 @@ func TestResponseRoundTrip(t *testing.T) {
 }
 
 // TestScanAnswerFromTheResult: a scan answered straight from the service's
-// entries is byte for byte the frame of the same answer carrying them as
-// wire entries, and so is one appended after another frame.
+// result — opResponse carries its entries, uncopied — decodes to those
+// entries, and so does one appended after another frame.
 func TestScanAnswerFromTheResult(t *testing.T) {
 	kvs := []lsasg.KV{{Key: 3, Value: []byte("c"), Version: 7}, {Key: 5, Version: 9}, {Key: 8, Value: []byte("hh"), Version: 2}}
-	resp := Response{Verb: VerbScan, Seq: 12, Distance: 4}
-	want := resp
-	for _, kv := range kvs {
-		want.Entries = append(want.Entries, Entry{Key: int64(kv.Key), Version: kv.Version, Value: kv.Value})
-	}
-	if got := appendResponse(nil, &resp, kvs); !bytes.Equal(got, want.Encode()) {
-		t.Fatalf("scan answer from the result differs from its wire form:\n got %x\nwant %x", got, want.Encode())
+	req := Request{Verb: VerbScan, Seq: 12}
+	want := opResponse(req, lsasg.OpResult{Op: lsasg.ScanOp(1, 3, 3), Entries: kvs})
+	if &want.Entries[0] != &kvs[0] {
+		t.Fatal("the answer copied the service's entries")
 	}
 	first := Response{Verb: VerbRoute, Seq: 11, Code: CodeUnknownKey, Msg: "gone"}
-	buf, err := appendFrame(nil, &first, nil)
+	buf, err := appendFrame(nil, &first)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if buf, err = appendFrame(buf, &resp, kvs); err != nil {
+	if buf, err = appendFrame(buf, &want); err != nil {
 		t.Fatal(err)
 	}
 	r := bytes.NewReader(buf)
@@ -170,7 +170,7 @@ func TestFrameLimits(t *testing.T) {
 	if got, err := appendRequestFrame(prefix, Request{Verb: VerbPut, Value: make([]byte, MaxFrame)}); err == nil || !bytes.Equal(got, prefix) {
 		t.Errorf("oversized request frame: err %v, buffer %d bytes, want an error and the %d-byte prefix", err, len(got), len(prefix))
 	}
-	if got, err := appendFrame(prefix, &Response{Verb: VerbGet, Value: make([]byte, MaxFrame)}, nil); err == nil || !bytes.Equal(got, prefix) {
+	if got, err := appendFrame(prefix, &Response{Verb: VerbGet, Value: make([]byte, MaxFrame)}); err == nil || !bytes.Equal(got, prefix) {
 		t.Errorf("oversized answer frame: err %v, buffer %d bytes, want an error and the %d-byte prefix", err, len(got), len(prefix))
 	}
 	// A header promising more than MaxFrame is refused before allocation.

@@ -78,7 +78,7 @@ type ServerOption func(*Server)
 
 // WithTracer attaches the service's observability tracer: VerbTraceDump
 // answers from its slow-span ring, and the collector renders its latency
-// histograms and retry counters on /metrics. Without it, TraceDump
+// histograms on /metrics. Without it, TraceDump
 // answers CodeInvalid and the histogram families render empty.
 func WithTracer(tr *obs.Tracer) ServerOption {
 	return func(s *Server) {
@@ -279,35 +279,38 @@ func (s *Server) serve(out []byte, req Request) ([]byte, error) {
 			}
 			s.col.observeError(code)
 			resp := errResponse(req, code, err.Error())
-			return appendFrame(out, &resp, nil)
+			return appendFrame(out, &resp)
 		}
 	}
 	select {
 	case s.lock <- struct{}{}:
 	case <-s.quit:
 		resp := errResponse(req, CodeRetry, "server shutting down")
-		return appendFrame(out, &resp, nil)
+		return appendFrame(out, &resp)
 	}
 	defer func() { <-s.lock }()
 	var resp Response
-	var entries []lsasg.KV
 	if isOp {
-		resp, entries = s.serveOp(req, op)
+		resp = s.serveOp(req, op)
 	} else {
 		resp = s.handleAdmin(req)
 	}
-	// Refresh the gauges while the service is held, so /metrics follows the
-	// traffic and a scrape never touches the service. Gauges, unlike Stats,
-	// waits for no adjustment running behind an answer.
+	if resp.Code != CodeOK {
+		s.col.observeError(resp.Code)
+	}
+	// Refresh the service's books while the service is held, so /metrics
+	// follows the traffic and a scrape never touches the service. Gauges,
+	// unlike Stats, waits for no adjustment running behind an answer.
 	s.col.observeService(s.svc.Gauges())
-	return appendFrame(out, &resp, entries)
+	return appendFrame(out, &resp)
 }
 
 // serveOp serves one op through the service. A barrier failure behind a
 // served op is the daemon's, not the sender's: it is logged and counted as an
-// internal error, and the sender gets the op's outcome. A scan's entries are
-// returned as the service read them, for the answer to encode directly.
-func (s *Server) serveOp(req Request, op lsasg.Op) (Response, []lsasg.KV) {
+// internal error, and the sender gets the op's outcome. An op the service
+// served — answered, or a miss — is counted under its verb, as Stats counts
+// it; one that failed inside the service only as an error.
+func (s *Server) serveOp(req Request, op lsasg.Op) Response {
 	if op.Kind == lsasg.PutKind {
 		op.Value = bytes.Clone(op.Value) // the graph keeps it; the frame is reused
 	}
@@ -317,13 +320,13 @@ func (s *Server) serveOp(req Request, op lsasg.Op) (Response, []lsasg.KV) {
 		s.col.observeError(CodeInternal)
 		err = r.Err
 	}
-	if err != nil {
-		resp := errResponse(req, CodeOf(err), err.Error())
-		s.col.observeError(resp.Code)
-		return resp, nil
+	if err == nil || r.Err != nil {
+		s.col.observe(req.Verb)
 	}
-	s.col.observeResult(req.Verb, r)
-	return opResponse(req, r), r.Entries
+	if err != nil {
+		return errResponse(req, CodeOf(err), err.Error())
+	}
+	return opResponse(req, r)
 }
 
 // handleAdmin runs an admin verb against the service, idle between ops
@@ -365,10 +368,7 @@ func (s *Server) handleAdmin(req Request) Response {
 	default:
 		resp = errResponse(req, CodeInvalid, "not an admin verb")
 	}
-	s.col.observeAdmin(req.Verb)
-	if resp.Code != CodeOK {
-		s.col.observeError(resp.Code)
-	}
+	s.col.observe(req.Verb)
 	return resp
 }
 
@@ -376,8 +376,8 @@ func errResponse(req Request, code ErrCode, msg string) Response {
 	return Response{Verb: req.Verb, Seq: req.Seq, Code: code, Msg: msg}
 }
 
-// opResponse maps one op's outcome onto the wire, all but a scan's entries,
-// which are encoded from the result itself.
+// opResponse maps one op's outcome onto the wire. A scan's entries are the
+// service's result itself, encoded without a copy.
 func opResponse(req Request, r lsasg.OpResult) Response {
 	resp := Response{
 		Verb:     req.Verb,
@@ -397,6 +397,8 @@ func opResponse(req Request, r lsasg.OpResult) Response {
 		resp.Existed = r.Existed
 	case lsasg.DeleteKind:
 		resp.Existed = r.Existed
+	case lsasg.ScanKind:
+		resp.Entries = r.Entries
 	}
 	return resp
 }

@@ -47,11 +47,13 @@ func ReplayTrace(n, length int, seed int64) []lsasg.Op {
 	return ops
 }
 
-// StatsColumns renders every deterministic Stats column as one CSV line —
-// the byte-comparison format of the wire-replay determinism contract.
+// StatsColumns renders every Stats field, in declaration order, as one CSV
+// line — the byte-comparison format of the wire-replay determinism contract.
 func StatsColumns(st lsasg.Stats) string {
-	return fmt.Sprintf("%d,%.6f,%d,%d,%.6f,%d,%d,%d,%d",
+	return fmt.Sprintf("%d,%.6f,%d,%d,%.6f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d",
 		st.Requests, st.MeanRouteDistance, st.MaxRouteDistance,
 		st.TotalTransformRounds, st.WorkingSetBound, st.Height, st.DummyCount,
-		st.Rebalances, st.MigratedKeys)
+		st.Rebalances, st.MigratedKeys, st.Shards, st.CrossShardRequests,
+		st.Gets, st.GetHits, st.Puts, st.PutInserts, st.Deletes, st.DeleteHits,
+		st.Scans, st.ScannedEntries)
 }

@@ -234,7 +234,9 @@ func (nw *Network) noteKVAccess(o shard.Outcome) {
 // leg per intersecting shard and are stitched once their window has been
 // served. onResult, when non-nil, receives every op's assembled outcome —
 // routes included — in request order: per window, and per op on an unsharded
-// network.
+// network. The Stats it returns are the run's books: what the run added to
+// Stats' lifetime books, WorkingSetBound included, with Height and
+// DummyCount as the run left them.
 //
 // A route whose endpoint was deleted or has crashed does not abort the run:
 // it is delivered with OpResult.Err set and adjusts nothing. An invalid
@@ -254,13 +256,14 @@ func (nw *Network) noteKVAccess(o shard.Outcome) {
 //
 // and the caller should cancel ctx once ServeOps has returned (defer
 // cancel()).
-func (nw *Network) ServeOps(ctx context.Context, ops <-chan Op, onResult func(OpResult)) (ServeStats, error) {
+func (nw *Network) ServeOps(ctx context.Context, ops <-chan Op, onResult func(OpResult)) (Stats, error) {
 	nw.onResult = onResult
 	defer func() { nw.onResult = nil }()
+	ws := nw.ws.Total()
 	done := make(chan struct{})
 	st, err := nw.svc.Serve(ctx, forward(ops, done))
 	close(done)
-	return nw.serveStats(st), wrapErr(err)
+	return nw.stats(st, nw.ws.Total()-ws), wrapErr(err)
 }
 
 // forward passes the envelopes of in, lowered, onto the returned channel

@@ -52,8 +52,8 @@ func TestNetworkKVRoundTrip(t *testing.T) {
 	}
 
 	// KV accesses count as requests and feed the working-set tracker.
-	if nw.Requests() == 0 {
-		t.Error("KV traffic not reflected in Requests()")
+	if nw.Stats().Requests == 0 {
+		t.Error("KV traffic not reflected in Stats().Requests")
 	}
 }
 
@@ -152,7 +152,7 @@ func TestNetworkServeOps(t *testing.T) {
 	if results[7].Found {
 		t.Errorf("get after delete hit: %+v", results[7])
 	}
-	if st.Requests != int64(len(ops)) || st.Gets != 3 || st.GetHits != 1 || st.Puts != 2 || st.Deletes != 1 || st.Scans != 1 {
+	if st.Requests != len(ops) || st.Gets != 3 || st.GetHits != 1 || st.Puts != 2 || st.Deletes != 1 || st.Scans != 1 {
 		t.Errorf("stats: %+v", st)
 	}
 	if st.ScannedEntries != 2 || st.DeleteHits != 1 || st.PutInserts != 0 {

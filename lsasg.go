@@ -81,9 +81,8 @@ func WithRebalanceWindow(w int) Option {
 }
 
 // WithTracing enables the observability layer (internal/obs): per-verb and
-// per-stage latency histograms, retry-event counters, and a slowest-span
-// exemplar ring, all threaded through the serving path. The
-// measurements are wall-clock and exempt from the deterministic-statistics
+// per-stage latency histograms and a slowest-span exemplar ring, all
+// threaded through the serving path. The measurements are wall-clock and exempt from the deterministic-statistics
 // contracts — enabling tracing never changes any Stats or ServeOps result.
 // Read the tracer back with Network.Tracer.
 func WithTracing() Option {
@@ -211,10 +210,6 @@ func (nw *Network) Height() int { return nw.svc.Height() }
 // Balance returns the a-balance parameter.
 func (nw *Network) Balance() int { return nw.svc.A() }
 
-// Requests returns the number of requests served, routes that missed (a
-// removed or crashed endpoint) included, on either entry point.
-func (nw *Network) Requests() int { return int(nw.svc.Totals().Requests) }
-
 // Request serves a communication request from src to dst (distinct node
 // indices in [0, N)): it routes in the current topology, then runs the DSG
 // transformation that directly links the pair, followed by the scoped
@@ -263,13 +258,24 @@ func (nw *Network) DirectlyLinked(src, dst int) (bool, int) {
 	return nw.svc.DirectlyLinked(int64(src), int64(dst))
 }
 
-// Stats summarizes the served request sequence.
+// Stats is one set of books over a served request sequence: the
+// network's lifetime books (Stats, Gauges) or one ServeOps run's. Every
+// field but Height and DummyCount, which describe the live topology, is a
+// pure function of the seed, the shard count, the load window and the
+// request sequence.
 type Stats struct {
-	Requests          int
+	// Requests counts the requests served, routes that missed (a removed or
+	// crashed endpoint) included.
+	Requests int
+	// MeanRouteDistance is the mean d_S(σ) over Requests, each request
+	// measured in the topology the requests before it left; a miss measures
+	// no path and counts 0.
 	MeanRouteDistance float64
 	// MaxRouteDistance is the worst single leg: a cross-shard request's two
-	// legs are measured in different shards' graphs.
-	MaxRouteDistance     int
+	// legs are measured in different shards' graphs, so with heavily
+	// cross-shard traffic it can sit below the mean.
+	MaxRouteDistance int
+	// TotalTransformRounds sums ρ over all applied adjustments.
 	TotalTransformRounds int64
 	// WorkingSetBound is WS(σ) = Σ log2 T_i, the paper's lower bound on
 	// any conforming algorithm's total routing cost.
@@ -282,48 +288,68 @@ type Stats struct {
 	// Both stay 0 for an unsharded Network.
 	Rebalances   int64
 	MigratedKeys int64
+
+	// Shards is the partition count: 1 for an unsharded Network.
+	Shards int
+	// CrossShardRequests counts requests whose endpoints resolved to
+	// different shards and were routed source→boundary,
+	// boundary→destination, and scans fanned over more than one shard.
+	CrossShardRequests int64
+
+	// The KV counters stay zero for pure-route sequences. Counts are at
+	// request granularity (a cross-shard scan is one Scan regardless of how
+	// many shards it fanned over).
+	Gets           int64
+	GetHits        int64 // gets that found a value
+	Puts           int64
+	PutInserts     int64 // puts that joined a new key (vs updated in place)
+	Deletes        int64
+	DeleteHits     int64 // deletes that removed something
+	Scans          int64
+	ScannedEntries int64 // entries returned across all scans
 }
 
-// Stats returns aggregate statistics for the requests served so far —
-// through Request, the synchronous KV methods and ServeOps alike:
-// every entry point feeds the same books.
-func (nw *Network) Stats() Stats {
-	t := nw.svc.Totals()
+// stats maps one set of the service's books onto the public shape, with ws
+// as its WS(σ).
+func (nw *Network) stats(b shard.ServeStats, ws float64) Stats {
 	s := Stats{
-		Requests:             int(t.Requests),
-		MaxRouteDistance:     int(t.MaxLegDistance),
-		TotalTransformRounds: t.TransformRounds,
-		Height:               nw.svc.Height(),
-		DummyCount:           nw.svc.DummyCount(),
-		Rebalances:           t.Rebalances,
-		MigratedKeys:         t.MovedKeys,
-		WorkingSetBound:      nw.ws.Total(),
+		Requests:             int(b.Requests),
+		MaxRouteDistance:     int(b.MaxLegDistance),
+		TotalTransformRounds: b.TotalTransformRounds,
+		WorkingSetBound:      ws,
+		Height:               b.Height,
+		DummyCount:           b.DummyCount,
+		Rebalances:           b.Rebalances,
+		MigratedKeys:         b.MovedKeys,
+		Shards:               nw.svc.Shards(),
+		CrossShardRequests:   b.Cross,
+		Gets:                 b.Gets,
+		GetHits:              b.GetHits,
+		Puts:                 b.Puts,
+		PutInserts:           b.PutInserts,
+		Deletes:              b.Deletes,
+		DeleteHits:           b.DeleteHits,
+		Scans:                b.Scans,
+		ScannedEntries:       b.ScannedEntries,
 	}
-	if t.Requests > 0 {
-		s.MeanRouteDistance = float64(t.RouteDistance) / float64(t.Requests)
+	if b.Requests > 0 {
+		s.MeanRouteDistance = float64(b.TotalRouteDistance) / float64(b.Requests)
 	}
 	return s
 }
 
-// Gauges are the figures a metrics scrape follows between ops.
-type Gauges struct {
-	// Height and DummyCount are Stats' two topology figures as of each
-	// shard's last settled adjustment.
-	Height     int
-	DummyCount int
-	// Rebalances and MigratedKeys are Stats' rebalancer counters, exact.
-	Rebalances   int64
-	MigratedKeys int64
-}
+// Stats returns the lifetime books: every request served so far —
+// through Request, Do, the synchronous KV methods and ServeOps alike, one
+// set of books — with every adjustment settled first.
+func (nw *Network) Stats() Stats { return nw.stats(nw.svc.Totals(), nw.ws.Total()) }
 
-// Gauges returns the live gauges without waiting for an adjustment still
+// Gauges returns the lifetime books without waiting for an adjustment still
 // running behind an answer (see Do): cheap enough to read after every op,
-// where Stats would wait for every shard. Once Stats, Verify or any other
-// settling call has run, the two agree.
-func (nw *Network) Gauges() Gauges {
-	g := nw.svc.Gauges()
-	return Gauges{Height: g.Height, DummyCount: g.DummyCount, Rebalances: g.Rebalances, MigratedKeys: g.MovedKeys}
-}
+// where Stats would wait for every shard. Only TotalTransformRounds,
+// Height and DummyCount can lag — as of each shard's last settled
+// adjustment — and once Stats, Verify or any other settling call has run,
+// the two agree.
+func (nw *Network) Gauges() Stats { return nw.stats(nw.svc.Peek(), nw.ws.Total()) }
 
 // WorkingSetNumber returns T_t(u, v) for the next request between u and v
 // (n for first-time pairs, N() as of the call). An index outside [0, N())

@@ -100,7 +100,7 @@ func TestNetworkErrors(t *testing.T) {
 		t.Errorf("request to a crashed index = %v, want ErrDeadNode", err)
 	}
 	// Both misses count, as they do when ServeOps serves them.
-	if got := nw.Requests(); got != 3 {
+	if got := nw.Stats().Requests; got != 3 {
 		t.Errorf("%d requests counted, want the delete and the two missed routes", got)
 	}
 }

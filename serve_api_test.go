@@ -27,7 +27,7 @@ func feedOps(ops []Op) <-chan Op {
 	return ch
 }
 
-func serveAll(t *testing.T, nw *Network, ops []Op) ServeStats {
+func serveAll(t *testing.T, nw *Network, ops []Op) Stats {
 	t.Helper()
 	st, err := nw.ServeOps(context.Background(), feedOps(ops), nil)
 	if err != nil {
@@ -61,12 +61,12 @@ func TestServePublicAPI(t *testing.T) {
 	if st.Requests != 160 {
 		t.Fatalf("served %d requests, want 160", st.Requests)
 	}
-	if nw.Requests() != 160 {
-		t.Errorf("Network.Requests() = %d after Serve, want 160", nw.Requests())
-	}
 	agg := nw.Stats()
 	if agg.Requests != 160 || agg.WorkingSetBound <= 0 {
 		t.Errorf("Stats() not fed by Serve: %+v", agg)
+	}
+	if agg != st {
+		t.Errorf("the first run's books differ from the lifetime books:\n run  %+v\n life %+v", st, agg)
 	}
 	if err := nw.Verify(); err != nil {
 		t.Fatalf("invalid after Serve: %v", err)
@@ -79,9 +79,9 @@ func TestServePublicAPI(t *testing.T) {
 }
 
 // TestServeDeterministicPublic: the determinism contract at the API level —
-// two runs of one seed and one stream produce identical ServeStats.
+// two runs of one seed and one stream produce identical Stats.
 func TestServeDeterministicPublic(t *testing.T) {
-	run := func() ServeStats {
+	run := func() Stats {
 		nw, err := New(32, WithSeed(4))
 		if err != nil {
 			t.Fatal(err)
@@ -90,7 +90,7 @@ func TestServeDeterministicPublic(t *testing.T) {
 	}
 	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("ServeStats diverge across runs:\n %+v\n %+v", a, b)
+		t.Fatalf("ServeOps stats diverge across runs:\n %+v\n %+v", a, b)
 	}
 }
 
@@ -178,8 +178,9 @@ func TestServeOpsEqualsDoLoop(t *testing.T) {
 
 					streamed, looped := build(), build()
 					var got []string
-					if _, err := streamed.ServeOps(context.Background(), feedOps(trace.ops),
-						func(r OpResult) { got = append(got, renderResult(r)) }); err != nil {
+					run, err := streamed.ServeOps(context.Background(), feedOps(trace.ops),
+						func(r OpResult) { got = append(got, renderResult(r)) })
+					if err != nil {
 						t.Fatal(err)
 					}
 					misses := 0
@@ -203,6 +204,11 @@ func TestServeOpsEqualsDoLoop(t *testing.T) {
 					}
 					if a, b := streamed.Stats(), looped.Stats(); a != b {
 						t.Errorf("Stats() differ:\n ServeOps %+v\n Do loop  %+v", a, b)
+					} else if run != a {
+						t.Errorf("the only run's books differ from Stats():\n run   %+v\n Stats %+v", run, a)
+					}
+					if g := looped.Gauges(); g != looped.Stats() {
+						t.Errorf("Gauges() after a settling Stats() differs:\n Gauges %+v\n Stats  %+v", g, looped.Stats())
 					}
 					var a, b bytes.Buffer
 					streamed.RenderTopology(&a)
@@ -268,7 +274,7 @@ func TestUnshardedMatchesEngine(t *testing.T) {
 			}
 			got := serveAll(t, nw, pairs)
 
-			if got.Requests != want.Requests ||
+			if int64(got.Requests) != want.Requests ||
 				got.MeanRouteDistance != float64(want.TotalRouteDistance)/float64(want.Requests) ||
 				int64(got.MaxRouteDistance) != want.MaxLegDistance ||
 				got.TotalTransformRounds != want.TotalTransformRounds ||
@@ -338,13 +344,13 @@ func TestUnshardedMatchesEngine(t *testing.T) {
 			t.Fatalf("shard.Service.Apply across crashed %d: %v", corpse, err)
 		}
 		svcCrashes := books(svc.CrashStats())
-		before := svc.Totals().TransformRounds
+		before := svc.Totals().TotalTransformRounds
 		for _, op := range follow {
 			if _, err := svc.Apply(op.internal()); err != nil {
 				t.Fatal(err)
 			}
 		}
-		svcRho := svc.Totals().TransformRounds - before
+		svcRho := svc.Totals().TotalTransformRounds - before
 		var svcTopo bytes.Buffer
 		svc.RenderTopology(&svcTopo)
 

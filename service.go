@@ -25,9 +25,9 @@ type Service interface {
 	Stats() Stats
 	// Verify runs the full invariant validator over the current topology.
 	Verify() error
-	// Gauges returns the topology gauges as of the last settled adjustment
-	// and the rebalancer's counters, without waiting for anything.
-	Gauges() Gauges
+	// Gauges returns Stats' books without waiting for an adjustment still
+	// running behind an answer.
+	Gauges() Stats
 
 	// Do serves one op envelope synchronously — a one-op window of the
 	// driver behind ServeOps — and returns its outcome; a partitioned service
@@ -59,7 +59,7 @@ type Service interface {
 	// channel closes (or ctx is cancelled) and returns what a loop over Do
 	// returns; onResult, when non-nil, observes every op's outcome in
 	// request order.
-	ServeOps(ctx context.Context, ops <-chan Op, onResult func(OpResult)) (ServeStats, error)
+	ServeOps(ctx context.Context, ops <-chan Op, onResult func(OpResult)) (Stats, error)
 }
 
 var _ Service = (*Network)(nil)

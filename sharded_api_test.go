@@ -31,7 +31,7 @@ func hotShardTrace(m int) []Op {
 // across runs although the shards are scheduled side by side, and
 // the sharded stat fields are populated.
 func TestShardedServeDeterministic(t *testing.T) {
-	run := func() ServeStats {
+	run := func() Stats {
 		nw, err := NewSharded(64, WithShards(4), WithSeed(5))
 		if err != nil {
 			t.Fatal(err)
@@ -73,9 +73,8 @@ func TestShardedStatsPlumbing(t *testing.T) {
 	if st.Requests != 2000 {
 		t.Errorf("Stats.Requests = %d, want 2000", st.Requests)
 	}
-	if st.Rebalances != serveStats.Rebalances || st.MigratedKeys != serveStats.MigratedKeys {
-		t.Errorf("Stats migration counters (%d, %d) disagree with ServeStats (%d, %d)",
-			st.Rebalances, st.MigratedKeys, serveStats.Rebalances, serveStats.MigratedKeys)
+	if st != serveStats {
+		t.Errorf("Stats() after the first run differs from the run's books:\n life %+v\n run  %+v", st, serveStats)
 	}
 	if st.WorkingSetBound <= 0 {
 		t.Error("working-set bound not tracked")
