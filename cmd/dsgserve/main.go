@@ -1,8 +1,9 @@
 // Command dsgserve runs the self-adjusting skip graph as a network daemon:
 // one lsasg.Network — a single graph, or -shards partitions of it — behind
 // the wire protocol on a TCP port, with Prometheus-text observability on a
-// second port. Clients speak the length-prefixed binary protocol
-// (docs/WIRE.md); cmd/dsgctl is the reference client.
+// second port, answered one GET per connection (observe.go). Clients speak
+// the length-prefixed binary protocol (docs/WIRE.md); cmd/dsgctl is the
+// reference client.
 //
 // The daemon serves one op at a time, in arrival order, and answers each as
 // soon as it is served; -window is the rebalancer's load window only — 0, the
@@ -20,7 +21,7 @@
 //	dsgserve -addr :7000 -metrics ""  # custom port, observability off
 //	dsgserve -seed 7 -balance 3      # deterministic stream, a-balance a=3
 //	dsgserve -shards 4 -window 64     # rebalance after every 64 ops
-//	dsgserve -pprof                   # live profiles under /debug/pprof/
+//	dsgserve -pprof                   # runtime profiles under /debug/pprof/
 //	dsgserve -trace=false             # drop span/histogram instrumentation
 package main
 
@@ -30,8 +31,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
-	_ "net/http/pprof" // profiles gated behind -pprof; see the mux graft below
 	"os"
 	"os/signal"
 	"syscall"
@@ -76,80 +75,80 @@ func (f *serviceFlags) options() []lsasg.Option {
 }
 
 func main() {
-	var (
-		addr        = flag.String("addr", ":4600", "TCP address to serve the wire protocol on")
-		metricsAddr = flag.String("metrics", ":4601", "HTTP address for /metrics and /healthz; empty disables")
-		n           = flag.Int("n", 256, "size of the key space [0, n)")
-		service     = registerServiceFlags(flag.CommandLine)
-		drainFor    = flag.Duration("drain", 10*time.Second, "graceful-shutdown budget before connections are cut")
-		pprofOn     = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the metrics address")
-	)
-	flag.Parse()
 	log.SetFlags(0)
 	log.SetPrefix("dsgserve: ")
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
+	if err := run(os.Args[1:], stop); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run builds the service, binds the wire and observability listeners —
+// failing before it serves anything if either address is unusable — and
+// serves until a signal arrives on stop, then drains.
+func run(args []string, stop <-chan os.Signal) error {
+	fs := flag.NewFlagSet("dsgserve", flag.ExitOnError)
+	var (
+		addr        = fs.String("addr", ":4600", "TCP address to serve the wire protocol on")
+		metricsAddr = fs.String("metrics", ":4601", "HTTP address for /metrics and /healthz; empty disables")
+		n           = fs.Int("n", 256, "size of the key space [0, n)")
+		service     = registerServiceFlags(fs)
+		drainFor    = fs.Duration("drain", 10*time.Second, "graceful-shutdown budget before connections are cut")
+		pprofOn     = fs.Bool("pprof", false, "serve runtime profiles under /debug/pprof/ on the metrics address: the index, profile?seconds=N (CPU) and <name>?debug=N")
+	)
+	fs.Parse(args)
 
 	svc, err := lsasg.New(*n, service.options()...)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	tracer := svc.Tracer()
 	srv := wire.NewServer(svc, wire.WithTracer(tracer))
 	lis, err := net.Listen("tcp", *addr)
 	if err != nil {
-		log.Fatal(err)
+		return err
+	}
+	var obsSrv *observer
+	if *metricsAddr != "" {
+		obsLis, err := net.Listen("tcp", *metricsAddr)
+		if err != nil {
+			lis.Close()
+			return fmt.Errorf("metrics endpoint %s: %w", *metricsAddr, err)
+		}
+		obsSrv = newObserver(srv.Collector().Render, *pprofOn)
+		obsSrv.start(obsLis)
+		log.Printf("metrics on http://%s/metrics", obsLis.Addr())
+		if *pprofOn {
+			log.Printf("pprof on http://%s/debug/pprof/", obsLis.Addr())
+		}
 	}
 	log.Printf("load window: %d ops", svc.RebalanceWindow())
 	log.Printf("serving %d keys (%d shard(s)) on %s", *n, svc.Shards(), lis.Addr())
 
-	var metricsSrv *http.Server
-	if *metricsAddr != "" {
-		handler := srv.Collector().Handler()
-		if *pprofOn {
-			// The pprof package registers on http.DefaultServeMux at import;
-			// graft that mux under /debug/pprof/ so profiles share the
-			// metrics port without exposing them by default.
-			outer := http.NewServeMux()
-			outer.Handle("/", handler)
-			outer.Handle("/debug/pprof/", http.DefaultServeMux)
-			handler = outer
-			log.Printf("pprof on http://%s/debug/pprof/", *metricsAddr)
-		}
-		metricsSrv = &http.Server{Addr: *metricsAddr, Handler: handler}
-		go func() {
-			if err := metricsSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				log.Printf("metrics endpoint: %v", err)
-			}
-		}()
-		log.Printf("metrics on http://%s/metrics", *metricsAddr)
-	}
-
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(lis) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	select {
-	case s := <-sig:
+	case s := <-stop:
 		log.Printf("%v: draining (budget %v)", s, *drainFor)
 	case err := <-serveErr:
-		if err != nil {
-			log.Fatal(err)
-		}
-		return
+		return err
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *drainFor)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
-		log.Printf("forced shutdown: %v", err)
-		os.Exit(1)
+		return fmt.Errorf("forced shutdown: %w", err)
 	}
-	if metricsSrv != nil {
-		metricsSrv.Shutdown(context.Background())
+	if obsSrv != nil {
+		if err := obsSrv.shutdown(ctx); err != nil {
+			log.Printf("metrics endpoint: forced shutdown: %v", err)
+		}
 	}
 	if err := svc.Verify(); err != nil {
-		log.Fatalf("post-drain verify: %v", err)
+		return fmt.Errorf("post-drain verify: %w", err)
 	}
 	if tracer != nil {
 		for _, l := range tracer.VerbLatencies() {
@@ -161,4 +160,5 @@ func main() {
 		}
 	}
 	fmt.Fprintln(os.Stderr, "dsgserve: drained cleanly")
+	return nil
 }

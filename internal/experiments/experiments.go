@@ -310,17 +310,18 @@ func E9TemporalSweep(sc Scale) *stats.Table {
 
 // E10WorstCase contrasts DSG's per-request O(log n) guarantee with
 // SplayNet's amortized-only guarantee: the max single-request distance on
-// an adversarial sequence.
+// an adversarial sequence, and whether DSG's stays within the a·H bound.
 func E10WorstCase(sc Scale) *stats.Table {
 	t := stats.NewTable("E10 — worst single-request distance (adversarial workload)",
-		"n", "DSG max", "DSG mean", "SplayNet max", "SplayNet mean", "a·H bound")
+		"n", "DSG max", "DSG mean", "SplayNet max", "SplayNet mean", "a·H bound", "ok")
 	for _, n := range sc.Sizes {
 		reqs := workload.Adversarial{Seed: sc.Seed}.Generate(n, sc.Requests)
 		dists := runDSG(n, 4, reqs, sc.Seed).dists
 		snDists := baselineDists(reqs, baseline.NewSplayNet(n).Request)
 		bound := 4 * (int(math.Log(float64(n))/math.Log(1.5)) + 3)
-		t.AddRow(n, stats.MaxInts(dists), stats.MeanInts(dists),
-			stats.MaxInts(snDists), stats.MeanInts(snDists), bound)
+		maxDist := stats.MaxInts(dists)
+		t.AddRow(n, maxDist, stats.MeanInts(dists),
+			stats.MaxInts(snDists), stats.MeanInts(snDists), bound, maxDist <= bound)
 	}
 	return t
 }

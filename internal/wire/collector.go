@@ -2,7 +2,6 @@ package wire
 
 import (
 	"fmt"
-	"net/http"
 	"runtime"
 	"strings"
 	"sync"
@@ -200,19 +199,4 @@ func (c *Collector) Render() string {
 	gauge("dsg_uptime_seconds", "Seconds since the collector started.")
 	fmt.Fprintf(&b, "dsg_uptime_seconds %g\n", now.Sub(c.start).Seconds())
 	return b.String()
-}
-
-// Handler returns an http.Handler serving /metrics (Prometheus text) and
-// /healthz (liveness).
-func (c *Collector) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		fmt.Fprint(w, c.Render())
-	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
-	return mux
 }

@@ -4,11 +4,8 @@ import (
 	"bufio"
 	"context"
 	"errors"
-	"io"
 	"math/rand"
 	"net"
-	"net/http"
-	"net/http/httptest"
 	"sort"
 	"strconv"
 	"strings"
@@ -604,23 +601,9 @@ func TestShutdownDrains(t *testing.T) {
 	}
 }
 
-func httpGet(t *testing.T, url string) string {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s: %s", url, resp.Status)
-	}
-	return string(body)
-}
-
+// TestMetricsEndpoint: the collector's rendering — the body dsgserve answers
+// /metrics with (its endpoint is tested in cmd/dsgserve) — counts the ops
+// served over the wire, by verb and KV outcome.
 func TestMetricsEndpoint(t *testing.T) {
 	nw, err := lsasg.New(32, lsasg.WithSeed(13))
 	if err != nil {
@@ -633,9 +616,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	cl.Scan(2, 0, 4)
 	cl.Route(3, 20)
 
-	ts := httptest.NewServer(srv.Collector().Handler())
-	defer ts.Close()
-	body := httpGet(t, ts.URL+"/metrics")
+	body := srv.Collector().Render()
 	for _, want := range []string{
 		`dsg_requests_total{verb="get"} 1`,
 		`dsg_requests_total{verb="put"} 1`,
@@ -660,9 +641,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(body, gauge+" ") || strings.Contains(body, gauge+" 0\n") {
 			t.Errorf("%s did not move with the traffic:\n%s", gauge, body)
 		}
-	}
-	if got := httpGet(t, ts.URL+"/healthz"); !strings.Contains(got, "ok") {
-		t.Errorf("healthz = %q", got)
 	}
 }
 
@@ -693,8 +671,6 @@ func TestShardedGaugesFollowTheTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, cl := startServer(t, nw)
-	ts := httptest.NewServer(srv.Collector().Handler())
-	defer ts.Close()
 
 	rng := rand.New(rand.NewSource(5))
 	serve := func(ops int) {
@@ -713,9 +689,9 @@ func TestShardedGaugesFollowTheTraffic(t *testing.T) {
 		}
 	}
 	serve(4)
-	before := httpGet(t, ts.URL+"/metrics")
+	before := srv.Collector().Render()
 	serve(600)
-	after := httpGet(t, ts.URL+"/metrics")
+	after := srv.Collector().Render()
 	for _, gauge := range []string{"dsg_height", "dsg_dummy_nodes"} {
 		if b, a := gaugeValue(t, before, gauge), gaugeValue(t, after, gauge); b == a {
 			t.Errorf("%s read %d at both scrapes, 600 ops apart", gauge, a)
